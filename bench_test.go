@@ -148,9 +148,8 @@ func BenchmarkExtensionConvergence(b *testing.B) {
 
 // --- Micro-benchmarks of the hot paths -----------------------------------
 //
-// The micro suite is defined once in internal/bench, shared with
-// cmd/perigee-bench (which runs the same cases and emits BENCH_*.json).
-// The wrappers below keep the stable `-bench=Micro` go-test entry points.
+// The bodies live in internal/bench; the wrappers below are the stable
+// `-bench=Micro` go-test entry points scripts/bench.sh gates on.
 
 // BenchmarkMicroBroadcast1000 measures one event-driven block broadcast
 // over a 1000-node network (the inner loop of every experiment). The CI

@@ -21,39 +21,37 @@ import (
 	"time"
 
 	"github.com/perigee-net/perigee/internal/experiments"
-	"github.com/perigee-net/perigee/internal/latency"
-	"github.com/perigee-net/perigee/internal/trace"
 )
 
+// cli is perigee-sim's command line.
+type cli struct {
+	list, all, quick, asJSON bool
+	scenario, adversary, out string
+	// applyOptions overrides base options with the option flags given.
+	applyOptions func(*experiments.Options) error
+}
+
+// bind registers perigee-sim's flags on fs: its own switches, then one
+// flag per experiments.Options field that has one. Like a JSON patch, an
+// option flag overrides the base options only when it is given.
+func bind(fs *flag.FlagSet) *cli {
+	c := &cli{}
+	fs.BoolVar(&c.list, "list", false, "list the scenario registry and exit")
+	fs.StringVar(&c.scenario, "scenario", "", "scenario ID to run (see -list); comma-separate for several")
+	fs.BoolVar(&c.all, "all", false, "run every registered scenario")
+	fs.BoolVar(&c.quick, "quick", false, "use the scaled-down (300-node) configuration")
+	fs.StringVar(&c.adversary, "adversary", "", "run the adversary-<name> scenario for a built-in strategy (latency-liar, withholding, sybil-flood, eclipse-bias, partition)")
+	fs.BoolVar(&c.asJSON, "json", false, "emit results as JSON instead of the text report")
+	fs.StringVar(&c.out, "out", "", "also append rendered results to this file")
+	c.applyOptions = experiments.BindFlags(fs)
+	return c
+}
+
 func main() {
-	var (
-		list       = flag.Bool("list", false, "list the scenario registry and exit")
-		scenario   = flag.String("scenario", "", "scenario ID to run (see -list); comma-separate for several")
-		experiment = flag.String("experiment", "", "alias of -scenario (legacy flag name)")
-		all        = flag.Bool("all", false, "run every registered scenario")
-		quick      = flag.Bool("quick", false, "use the scaled-down (300-node) configuration")
-		nodes      = flag.Int("nodes", 0, "override network size")
-		trials     = flag.Int("trials", 0, "override trial count")
-		rounds     = flag.Int("rounds", 0, "override Perigee round count")
-		seed       = flag.Uint64("seed", 0, "override root seed")
-		workers    = flag.Int("workers", 0, "worker goroutines for trials/broadcasts (0 = all cores; results are identical for any value)")
-		lambdaSrc  = flag.Int("lambda-sources", 0, "evaluate λ from this many landmark sources instead of all nodes (0 = all; the scale scenario defaults to 64)")
-		obsWindow  = flag.Int("obs-window", 0, "bound per-node observation memory to the last N blocks of each round (0 = dense)")
-		shards     = flag.Int("shards", 0, "run each broadcast as a conservative parallel simulation over N node shards (0/1 = single queue; results are identical for any value)")
-		latMode    = flag.String("latency-mode", "auto", "edge-delay evaluation: auto, precomputed, or streaming (auto switches to streaming at 20k nodes)")
-		blockIntvl = flag.Duration("block-interval", 0, "mean block inter-arrival time for the forks workload scenario (0 = default 2s)")
-		traceFile  = flag.String("trace-file", "", "replay a recorded arrival trace in the forks scenario instead of generating one (requires -trials 1)")
-		recTrace   = flag.String("record-trace", "", "write the forks scenario's trial-0 arrival trace to this JSON file for later -trace-file replay")
-		traceLevel = flag.String("trace-level", "off", "decision tracing: off, decisions, or inputs (adds per-round regret tables to traced reports)")
-		cfK        = flag.Int("counterfactual-k", 0, "counterfactually re-score this many dropped alternatives per decision (requires -trace-level)")
-		adv        = flag.String("adversary", "", "run the adversary-<name> scenario for a built-in strategy (latency-liar, withholding, sybil-flood, eclipse-bias, partition)")
-		advFrac    = flag.Float64("adversary-frac", 0, "population share under adversary control in adversarial scenarios (0 = default 0.15)")
-		asJSON     = flag.Bool("json", false, "emit results as JSON instead of the text report")
-		out        = flag.String("out", "", "also append rendered results to this file")
-	)
+	c := bind(flag.CommandLine)
 	flag.Parse()
 
-	if *list {
+	if c.list {
 		for _, s := range experiments.Scenarios() {
 			fmt.Printf("  %-26s %s\n", s.ID, s.Brief)
 		}
@@ -61,54 +59,17 @@ func main() {
 	}
 
 	opt := experiments.DefaultOptions()
-	if *quick {
+	if c.quick {
 		opt = experiments.ShortOptions()
 	}
-	if *nodes > 0 {
-		opt.Nodes = *nodes
-	}
-	if *trials > 0 {
-		opt.Trials = *trials
-	}
-	if *rounds > 0 {
-		opt.Rounds = *rounds
-	}
-	if *seed != 0 {
-		opt.Seed = *seed
-	}
-	opt.Workers = *workers
-	opt.AdversaryFraction = *advFrac
-	opt.LambdaSources = *lambdaSrc
-	opt.ObservationWindow = *obsWindow
-	opt.Shards = *shards
-	opt.BlockInterval = *blockIntvl
-	opt.TraceFile = *traceFile
-	opt.RecordTrace = *recTrace
-	switch strings.TrimSpace(*latMode) {
-	case "", "auto":
-		opt.LatencyMode = latency.Auto
-	case "precomputed":
-		opt.LatencyMode = latency.Precomputed
-	case "streaming":
-		opt.LatencyMode = latency.Streaming
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -latency-mode %q (want auto, precomputed, or streaming)\n", *latMode)
-		os.Exit(2)
-	}
-	level, err := trace.ParseLevel(strings.TrimSpace(*traceLevel))
-	if err != nil {
+	if err := c.applyOptions(&opt); err != nil {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
 		os.Exit(2)
 	}
-	opt.TraceLevel = int(level)
-	opt.CounterfactualK = *cfK
 
-	selected := *scenario
-	if selected == "" {
-		selected = *experiment
-	}
-	if *adv != "" {
-		id := "adversary-" + strings.TrimSpace(*adv)
+	selected := c.scenario
+	if c.adversary != "" {
+		id := "adversary-" + strings.TrimSpace(c.adversary)
 		if selected != "" {
 			selected += "," + id
 		} else {
@@ -117,7 +78,7 @@ func main() {
 	}
 	var ids []string
 	switch {
-	case *all:
+	case c.all:
 		ids = experiments.IDs()
 	case selected != "":
 		ids = strings.Split(selected, ",")
@@ -140,11 +101,11 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	if *traceFile != "" && opt.Trials != 1 {
+	if opt.TraceFile != "" && opt.Trials != 1 {
 		fmt.Fprintf(os.Stderr, "-trace-file replays one recorded workload and requires -trials 1 (resolved trials: %d)\n", opt.Trials)
 		os.Exit(2)
 	}
-	if (*traceFile != "" || *recTrace != "") && len(ids) > 1 {
+	if (opt.TraceFile != "" || opt.RecordTrace != "") && len(ids) > 1 {
 		fmt.Fprintln(os.Stderr, "-trace-file/-record-trace apply to a single scenario; drop -all or the extra -scenario IDs")
 		os.Exit(2)
 	}
@@ -154,10 +115,10 @@ func main() {
 	}
 
 	var sink *os.File
-	if *out != "" {
-		f, err := os.OpenFile(*out, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
+	if c.out != "" {
+		f, err := os.OpenFile(c.out, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "opening %s: %v\n", *out, err)
+			fmt.Fprintf(os.Stderr, "opening %s: %v\n", c.out, err)
 			os.Exit(1)
 		}
 		defer f.Close()
@@ -171,7 +132,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "scenario %s: %v\n", id, err)
 			os.Exit(1)
 		}
-		if *asJSON {
+		if c.asJSON {
 			buf, err := json.MarshalIndent(res, "", "  ")
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "scenario %s: encoding JSON: %v\n", id, err)
@@ -182,7 +143,7 @@ func main() {
 			fmt.Printf("%s(completed in %v)\n\n", res.Render(), time.Since(start).Round(time.Second))
 		}
 		if sink != nil {
-			if *asJSON {
+			if c.asJSON {
 				// NDJSON: one compact document per line, so the file stays
 				// machine-parseable for any number of scenarios and appended
 				// runs — json.load works on a single-scenario file, and line

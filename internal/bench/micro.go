@@ -1,8 +1,6 @@
-// Package bench defines the repository's hot-path micro-benchmark suite in
-// one place, shared by the root bench_test.go (go test -bench=Micro) and
-// cmd/perigee-bench, which runs the same cases through testing.Benchmark
-// and emits a machine-readable BENCH_*.json so the repo's performance
-// trajectory is recorded per PR instead of living in commit messages.
+// Package bench defines the bodies of the repository's hot-path
+// micro-benchmarks, which the root bench_test.go runs (go test -bench=Micro)
+// and scripts/bench.sh gates on allocations.
 package bench
 
 import (
@@ -18,31 +16,6 @@ import (
 	"github.com/perigee-net/perigee/internal/topology"
 	"github.com/perigee-net/perigee/internal/workload"
 )
-
-// Case is one named micro-benchmark.
-type Case struct {
-	// Name matches the Benchmark function suffix in bench_test.go
-	// (e.g. "MicroBroadcast1000").
-	Name string
-	// F is the benchmark body, runnable under go test or testing.Benchmark.
-	F func(b *testing.B)
-}
-
-// MicroCases returns the full micro suite in a stable order.
-func MicroCases() []Case {
-	return []Case{
-		{"MicroBroadcast1000", MicroBroadcast(1000)},
-		{"MicroBroadcast10000", MicroBroadcast(10000)},
-		{"MicroBroadcast100000", MicroBroadcast(100000)},
-		{"MicroAnalyticArrival1000", MicroAnalyticArrival(1000)},
-		{"MicroDelayToFraction", MicroDelayToFraction},
-		{"MicroVanillaScoring", MicroVanillaScoring},
-		{"MicroSubsetScoring", MicroSubsetScoring},
-		{"MicroEngineRound", MicroEngineRound},
-		{"MicroDurationPercentile", MicroDurationPercentile},
-		{"WorkloadHour", WorkloadHour},
-	}
-}
 
 // Network builds an n-node random-topology simulator plus a uniform power
 // vector, the standard micro-bench network.

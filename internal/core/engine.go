@@ -520,82 +520,28 @@ func (e *Engine) arrivalBuffers(workers int) [][]time.Duration {
 
 // Step runs one full protocol round: broadcast RoundBlocks blocks, collect
 // per-neighbor observations at every node, then synchronously update every
-// node's outgoing connections.
-//
-// The round's blocks are independent given the fixed start-of-round
-// topology, so they fan out over a worker pool: sources are pre-sampled
-// from the engine RNG (preserving the sequential stream), each worker owns
-// a private netsim.Broadcaster over the shared simulator, and block b's
-// observations land in the per-block rows obs[v].Offsets[b], making the
-// scoring input independent of worker scheduling.
+// node's outgoing connections. It is a timed round whose schedule the
+// engine draws itself: every block's source is sampled up front on the
+// single engine stream, in block order — even the blocks an observation
+// window leaves unbroadcast — so the stream is independent of the window,
+// the worker count and the shard count.
 func (e *Engine) Step() (RoundReport, error) {
-	sim, err := e.ensureSim()
+	t, err := BeginTimedRound(e, e.params.RoundBlocks)
 	if err != nil {
 		return RoundReport{}, err
 	}
-	// An observation window keeps only the round's last `window` blocks;
-	// the earlier blocks' broadcasts are skipped entirely (blocks are
-	// independent, so this is bit-for-bit equivalent to simulating and
-	// discarding them — see Config.ObservationWindow).
-	window := e.params.RoundBlocks
-	if e.obsWindow > 0 && e.obsWindow < window {
-		window = e.obsWindow
-	}
-	if err := e.prepareRound(sim, window); err != nil {
-		return RoundReport{}, err
-	}
 	rs := &e.scratch
-	obs, outs, slot := rs.obs[:e.table.N()], rs.outs[:e.table.N()], rs.slot[:e.table.N()]
-
-	// Broadcast phase. All RNG draws happen up front, on the single engine
-	// stream, in block order — every block's source is sampled even when a
-	// window skips its broadcast, so the stream is window-independent.
 	if cap(rs.sources) < e.params.RoundBlocks {
 		rs.sources = make([]int, e.params.RoundBlocks)
 	}
-	sources := rs.sources[:e.params.RoundBlocks]
-	rs.sources = sources
-	for b := range sources {
-		sources[b] = e.sampler.Sample(e.rand)
+	rs.sources = rs.sources[:e.params.RoundBlocks]
+	for b := range rs.sources {
+		rs.sources[b] = e.sampler.Sample(e.rand)
 	}
-	observed := sources[e.params.RoundBlocks-window:]
-	if e.shards > 1 {
-		// Sharded path: each block's broadcast itself fans out across the
-		// node shards, so blocks run sequentially.
-		shb, err := e.shardedBroadcaster(sim)
-		if err != nil {
-			return RoundReport{}, err
-		}
-		for b, src := range observed {
-			res, err := shb.Broadcast(src)
-			if err != nil {
-				return RoundReport{}, err
-			}
-			harvestObservations(res, b, obs, outs, slot)
-			if len(rs.cfPending) > 0 {
-				e.harvestCounterfactuals(res, b)
-			}
-		}
-	} else {
-		workers := e.workerCount(len(observed))
-		bcs := e.broadcasters(sim, workers)
-		err = parallel.ForEachIndexed(len(observed), workers, func(worker, b int) error {
-			res, err := bcs[worker].Broadcast(observed[b])
-			if err != nil {
-				return err
-			}
-			harvestObservations(res, b, obs, outs, slot)
-			if len(rs.cfPending) > 0 {
-				e.harvestCounterfactuals(res, b)
-			}
-			return nil
-		})
-		if err != nil {
-			return RoundReport{}, err
-		}
+	if err := t.BroadcastAll(rs.sources, nil); err != nil {
+		return RoundReport{}, err
 	}
-
-	return e.finishRound(obs, e.params.RoundBlocks)
+	return t.Finish()
 }
 
 // prepareRound snapshots every node's outgoing set, locates each outgoing

@@ -8,18 +8,14 @@ import (
 	"github.com/perigee-net/perigee/internal/parallel"
 )
 
-// TimedRound is the engine's time-triggered driver mode. Where Step owns a
-// whole round — sampling RoundBlocks sources itself and broadcasting them as
-// one synchronized batch — a TimedRound lets an external clock own the
-// schedule: the caller (typically the continuous-time workload engine)
-// decides how many blocks fell inside the round's wall-clock interval and
-// which miners produced them, the engine contributes its broadcast fabric
-// and per-neighbor measurement, and the selector update fires when the
-// caller says the interval has elapsed.
+// TimedRound is the engine's one round driver: the caller owns the
+// schedule — how many blocks the round carries and which miners produced
+// them — the engine contributes its broadcast fabric and per-neighbor
+// measurement, and the selector update fires when the caller says the round
+// is over. The continuous-time workload engine drives it from a clock;
+// Step drives it with RoundBlocks sources drawn from the engine stream.
 //
-// The sequence is Begin → BroadcastAll → Finish. Observations are collected
-// into the same scratch tables Step uses, so a timed round and a Step round
-// with identical sources produce identical selector decisions.
+// The sequence is Begin → BroadcastAll → Finish.
 type TimedRound struct {
 	e      *Engine
 	sim    *netsim.Simulator
@@ -29,12 +25,10 @@ type TimedRound struct {
 	done   bool
 }
 
-// BeginTimedRound opens a timed round that will carry `blocks` blocks. The
-// engine's observation window applies exactly as in Step: only the last
-// min(blocks, ObservationWindow) blocks feed the selector, though every
-// block is still propagated (the caller needs all arrival times to evolve
-// chain state). The round holds the engine's start-of-round topology; the
-// caller must not mutate connections until Finish returns.
+// BeginTimedRound opens a timed round that will carry `blocks` blocks. Only
+// the last min(blocks, ObservationWindow) of them feed the selector. The
+// round holds the engine's start-of-round topology; the caller must not
+// mutate connections until Finish returns.
 func BeginTimedRound(e *Engine, blocks int) (*TimedRound, error) {
 	if blocks <= 0 {
 		return nil, fmt.Errorf("core: timed round needs at least one block, got %d", blocks)
@@ -56,17 +50,22 @@ func BeginTimedRound(e *Engine, blocks int) (*TimedRound, error) {
 // Blocks returns the round's declared block count.
 func (t *TimedRound) Blocks() int { return t.blocks }
 
-// BroadcastAll propagates every block of the round from its source node and
-// harvests per-neighbor observations for the blocks inside the window (the
-// trailing t.Blocks()-window blocks; earlier ones still propagate for the
-// caller but are invisible to the selector, mirroring Step's semantics).
+// BroadcastAll propagates the round's blocks from their source nodes and
+// harvests per-neighbor observations for the blocks inside the window, the
+// round's trailing ones.
 //
 // sources must have length t.Blocks(). When arrivals is non-nil it must
-// also have length t.Blocks(); arrivals[b] is grown to N and filled with
-// block b's per-node arrival time (netsim.InfDuration where the block never
-// arrives), owned by the caller afterwards.
+// also have length t.Blocks(); every block is then propagated and
+// arrivals[b] is grown to N and filled with block b's per-node arrival time
+// (netsim.InfDuration where the block never arrives), owned by the caller
+// afterwards. When arrivals is nil nobody sees the blocks before the
+// window, so their broadcasts are skipped: blocks are independent given the
+// start-of-round topology, which makes that bit-for-bit equal to simulating
+// and discarding them (see Config.ObservationWindow).
 //
-// Blocks fan out over the engine's worker pool exactly as in Step; with
+// The blocks fan out over the engine's worker pool, each worker owning a
+// private netsim.Broadcaster over the shared simulator and block b's
+// observations landing in the per-block rows obs[v].Offsets[b]; with
 // Shards > 1 each broadcast is itself sharded and blocks run sequentially.
 // Either way the result is bit-for-bit independent of Workers and Shards.
 func (t *TimedRound) BroadcastAll(sources []int, arrivals [][]time.Duration) error {
@@ -93,8 +92,15 @@ func (t *TimedRound) BroadcastAll(sources []int, arrivals [][]time.Duration) err
 	rs := &e.scratch
 	obs, outs, slot := rs.obs[:n], rs.outs[:n], rs.slot[:n]
 	skip := t.blocks - t.window
+	first := 0
+	if arrivals == nil {
+		first = skip
+	}
+	run := sources[first:]
 
-	harvest := func(res netsim.Result, b int) {
+	// harvest folds the result of run[i], the round's block first+i.
+	harvest := func(res netsim.Result, i int) {
+		b := first + i
 		if arrivals != nil {
 			if cap(arrivals[b]) < n {
 				arrivals[b] = make([]time.Duration, n)
@@ -115,30 +121,30 @@ func (t *TimedRound) BroadcastAll(sources []int, arrivals [][]time.Duration) err
 		if err != nil {
 			return err
 		}
-		for b, src := range sources {
+		for i, src := range run {
 			res, err := shb.Broadcast(src)
 			if err != nil {
 				return err
 			}
-			harvest(res, b)
+			harvest(res, i)
 		}
 		return nil
 	}
-	workers := e.workerCount(len(sources))
+	workers := e.workerCount(len(run))
 	bcs := e.broadcasters(t.sim, workers)
-	return parallel.ForEachIndexed(len(sources), workers, func(worker, b int) error {
-		res, err := bcs[worker].Broadcast(sources[b])
+	return parallel.ForEachIndexed(len(run), workers, func(worker, i int) error {
+		res, err := bcs[worker].Broadcast(run[i])
 		if err != nil {
 			return err
 		}
-		harvest(res, b)
+		harvest(res, i)
 		return nil
 	})
 }
 
 // Finish closes the round: observation tampering, the synchronous selector
-// update, round accounting, observer telemetry, and dynamics — byte-for-byte
-// the same tail Step runs. Finish may be called without BroadcastAll (every
+// update, round accounting, observer telemetry, and dynamics. Finish may be
+// called without BroadcastAll (every
 // observation is then censored, which selectors already handle), but calling
 // either method after Finish is an error.
 func (t *TimedRound) Finish() (RoundReport, error) {

@@ -5,10 +5,10 @@
 // broadcast hot path runs on: events are plain {time, node, slot} records
 // popped in a loop by the caller, so scheduling an event costs one append
 // into a flat heap instead of a closure allocation plus container/heap
-// interface boxing. Scheduler is the general closure-based engine,
-// retained for future state machines that need arbitrary callbacks and as
-// the reference implementation the netsim equivalence tests check the
-// typed queue against. Determinism is a hard requirement for reproducing
+// interface boxing. Scheduler is the general closure-based engine it
+// replaced; nothing outside tests calls it, and it is kept only as the
+// reference implementation the netsim equivalence tests check the typed
+// queue against. Determinism is a hard requirement for reproducing
 // the paper's figures: in both schedulers, two events scheduled for the
 // same instant always fire in the order they were scheduled.
 package des

@@ -176,50 +176,10 @@ func ShortOptions() Options {
 }
 
 func (o Options) validate() error {
-	if o.Nodes < 20 {
-		return fmt.Errorf("experiments: need at least 20 nodes, got %d", o.Nodes)
-	}
-	if o.Trials <= 0 {
-		return fmt.Errorf("experiments: trials %d must be positive", o.Trials)
-	}
-	if o.Rounds <= 0 {
-		return fmt.Errorf("experiments: rounds %d must be positive", o.Rounds)
-	}
-	if o.RoundBlocks <= 0 {
-		return fmt.Errorf("experiments: round blocks %d must be positive", o.RoundBlocks)
-	}
-	if o.Fraction <= 0 || o.Fraction > 1 {
-		return fmt.Errorf("experiments: fraction %v outside (0, 1]", o.Fraction)
-	}
-	if o.MeanValidation < 0 {
-		return fmt.Errorf("experiments: negative validation delay %v", o.MeanValidation)
-	}
-	if o.AdversaryFraction < 0 || o.AdversaryFraction >= 1 {
-		return fmt.Errorf("experiments: adversary fraction %v outside [0, 1)", o.AdversaryFraction)
-	}
-	if o.CaptureThreshold < 0 || o.CaptureThreshold > 1 {
-		return fmt.Errorf("experiments: capture threshold %v outside [0, 1]", o.CaptureThreshold)
-	}
-	if o.LambdaSources < 0 {
-		return fmt.Errorf("experiments: lambda sources %d must be non-negative", o.LambdaSources)
-	}
-	if o.ObservationWindow < 0 {
-		return fmt.Errorf("experiments: observation window %d must be non-negative", o.ObservationWindow)
-	}
-	if o.Shards < 0 {
-		return fmt.Errorf("experiments: shard count %d must be non-negative", o.Shards)
-	}
-	if !o.LatencyMode.Valid() {
-		return fmt.Errorf("experiments: invalid latency mode %d", int(o.LatencyMode))
-	}
-	if o.BlockInterval < 0 {
-		return fmt.Errorf("experiments: block interval %v must be non-negative", o.BlockInterval)
-	}
-	if !core.TraceLevel(o.TraceLevel).Valid() {
-		return fmt.Errorf("experiments: invalid trace level %d (want 0=off, 1=decisions, 2=inputs)", o.TraceLevel)
-	}
-	if o.CounterfactualK < 0 {
-		return fmt.Errorf("experiments: counterfactual k %d must be non-negative", o.CounterfactualK)
+	for _, f := range fields {
+		if err := f.check(f.in(&o)); err != nil {
+			return err
+		}
 	}
 	if o.CounterfactualK > 0 && o.TraceLevel == 0 {
 		return fmt.Errorf("experiments: counterfactual k %d requires trace level ≥ 1", o.CounterfactualK)

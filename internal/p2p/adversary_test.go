@@ -1,10 +1,12 @@
 package p2p
 
 import (
+	"net"
 	"testing"
 	"time"
 
 	"github.com/perigee-net/perigee/internal/chain"
+	"github.com/perigee-net/perigee/internal/wire"
 )
 
 // TestSilentRelayCoversUnstashedOrphans: adversarial relay behavior must
@@ -45,4 +47,65 @@ func TestSilentRelayCoversUnstashedOrphans(t *testing.T) {
 	waitFor(t, "self-mined block at victim", 2*time.Second, func() bool {
 		return victim.Store().Has(mined.Header.Hash())
 	})
+}
+
+// invsBeforePong drains the node's connect-time traffic on a raw
+// connection: once the node's GETADDR arrives (setupPeer queues its tip
+// announcement right behind it) a PING goes out, and every hash announced
+// before the answering PONG is returned. The send queue is FIFO, so an INV
+// queued on connect cannot arrive after that PONG.
+func invsBeforePong(t *testing.T, conn net.Conn) map[chain.Hash]bool {
+	t.Helper()
+	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	defer conn.SetReadDeadline(time.Time{})
+	seen := make(map[chain.Hash]bool)
+	for {
+		m, err := wire.Read(conn)
+		if err != nil {
+			t.Fatalf("reading: %v", err)
+		}
+		switch msg := m.(type) {
+		case *wire.GetAddr:
+			if err := wire.Write(conn, &wire.Ping{Nonce: 9}); err != nil {
+				t.Fatal(err)
+			}
+		case *wire.Inv:
+			for _, h := range msg.Hashes {
+				seen[h] = true
+			}
+		case *wire.Pong:
+			return seen
+		}
+	}
+}
+
+// TestSilentRelayTipAnnounce: a silent relay must not advertise a block it
+// merely received to a peer that connects afterwards — the connect-time tip
+// announcement is a relay like any other. A tip it mined itself is still
+// announced, and it still serves the received parent of its own block.
+func TestSilentRelayTipAnnounce(t *testing.T) {
+	adv := startNode(t, 3, func(c *Config) { c.SilentRelay = true })
+	relayed := chain.NewBlock(testGenesis(), [][]byte{[]byte("relayed")}, time.Unix(1700000000, 0), 1)
+	adv.acceptBlock(nil, relayed, false)
+	if !adv.Store().Has(relayed.Header.Hash()) {
+		t.Fatal("adversary did not store the received block")
+	}
+	if invsBeforePong(t, rawDial(t, adv, 0xBEE1))[relayed.Header.Hash()] {
+		t.Fatal("silent relay announced a received block as its tip on connect")
+	}
+
+	mined, err := adv.MineBlock([][]byte{[]byte("own")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := rawDial(t, adv, 0xBEE2)
+	if !invsBeforePong(t, conn)[mined.Header.Hash()] {
+		t.Fatal("silent node did not announce its self-mined tip on connect")
+	}
+	if err := wire.Write(conn, &wire.GetData{Hashes: []chain.Hash{relayed.Header.Hash()}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := readUntil[*wire.Block](t, conn); got.Block.Header.Hash() != relayed.Header.Hash() {
+		t.Fatalf("GETDATA for the parent of a self-mined block served %s", got.Block.Header.Hash())
+	}
 }

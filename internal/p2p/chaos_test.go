@@ -22,7 +22,7 @@ func chaosNode(t *testing.T, seed uint64, plan faults.Plan, mutate func(*Config)
 		ListenAddr:      "127.0.0.1:0",
 		Genesis:         testGenesis(),
 		OutDegree:       3,
-		Explore:         1,
+		Selector:        subsetExplore1(),
 		Faults:          plan,
 		ReadIdleTimeout: 300 * time.Millisecond,
 		WriteTimeout:    500 * time.Millisecond,
@@ -348,7 +348,7 @@ func TestChaosSubsetConformance(t *testing.T) {
 	}
 	hub := chaosNode(t, 430, faults.Mixed(7, 0.2), func(c *Config) {
 		c.OutDegree = 3
-		c.Explore = 1
+		c.Selector = subsetExplore1()
 		c.ReadIdleTimeout = 250 * time.Millisecond
 	})
 	for _, r := range relays {

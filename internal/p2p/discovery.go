@@ -58,49 +58,20 @@ type DiscoveryConfig struct {
 	MaxAddrAge time.Duration
 }
 
-// applyDefaults resolves zero values and rejects out-of-range ones.
-func (d *DiscoveryConfig) applyDefaults() error {
-	if d.RefreshInterval < 0 {
-		return fmt.Errorf("p2p: negative discovery refresh interval %v", d.RefreshInterval)
-	}
-	if d.FeelerInterval < 0 {
-		return fmt.Errorf("p2p: negative feeler interval %v", d.FeelerInterval)
-	}
-	if d.TargetKnown == 0 {
-		d.TargetKnown = DefaultTargetKnown
-	} else if d.TargetKnown < 0 {
-		return fmt.Errorf("p2p: discovery target %d must be positive", d.TargetKnown)
-	}
-	if d.AnnounceFanout == 0 {
-		d.AnnounceFanout = DefaultAnnounceFanout
-	} else if d.AnnounceFanout < 0 {
-		return fmt.Errorf("p2p: announce fanout %d must be positive", d.AnnounceFanout)
-	}
-	if d.GetAddrInterval == 0 {
+// withDefaults resolves unset (non-positive) fields to their defaults.
+func (d DiscoveryConfig) withDefaults() DiscoveryConfig {
+	setDefault(&d.TargetKnown, DefaultTargetKnown)
+	setDefault(&d.AnnounceFanout, DefaultAnnounceFanout)
+	if d.GetAddrInterval <= 0 {
+		d.GetAddrInterval = DefaultGetAddrInterval
 		if d.RefreshInterval > 0 && d.RefreshInterval < DefaultGetAddrInterval {
 			d.GetAddrInterval = d.RefreshInterval
-		} else {
-			d.GetAddrInterval = DefaultGetAddrInterval
 		}
-	} else if d.GetAddrInterval < 0 {
-		return fmt.Errorf("p2p: negative getaddr interval %v", d.GetAddrInterval)
 	}
-	if d.GetAddrBurst == 0 {
-		d.GetAddrBurst = DefaultGetAddrBurst
-	} else if d.GetAddrBurst < 0 {
-		return fmt.Errorf("p2p: getaddr burst %d must be positive", d.GetAddrBurst)
-	}
-	if d.UnsolicitedBudget == 0 {
-		d.UnsolicitedBudget = DefaultUnsolicitedBudget
-	} else if d.UnsolicitedBudget < 0 {
-		return fmt.Errorf("p2p: unsolicited addr budget %d must be positive", d.UnsolicitedBudget)
-	}
-	if d.MaxAddrAge == 0 {
-		d.MaxAddrAge = DefaultMaxAddrAge
-	} else if d.MaxAddrAge < 0 {
-		return fmt.Errorf("p2p: negative max addr age %v", d.MaxAddrAge)
-	}
-	return nil
+	setDefault(&d.GetAddrBurst, DefaultGetAddrBurst)
+	setDefault(&d.UnsolicitedBudget, DefaultUnsolicitedBudget)
+	setDefault(&d.MaxAddrAge, DefaultMaxAddrAge)
+	return d
 }
 
 // DiscoveryStats counts the node's addr-gossip activity since start.

@@ -399,7 +399,7 @@ func TestFeelerVerifiesRumor(t *testing.T) {
 // tests: aggressive refresh, feelers, trickle, and redial.
 func discoveryClusterConfig(c *Config) {
 	c.OutDegree = 3
-	c.Explore = 1
+	c.Selector = subsetExplore1()
 	c.Discovery.RefreshInterval = 50 * time.Millisecond
 	c.Discovery.TargetKnown = 64
 	c.Discovery.FeelerInterval = 75 * time.Millisecond

@@ -17,11 +17,9 @@ import (
 	"github.com/perigee-net/perigee/internal/wire"
 )
 
-// ExploreNone requests exactly zero exploration slots through Config,
-// whose zero-valued Explore means "use the default of 2".
-const ExploreNone = -1
-
-// Config assembles a live node.
+// Config assembles a live node. A zero (or negative) field takes its
+// default, as in BookConfig and DiscoveryConfig: range checks live at the
+// public boundary, in the node package's options, not here.
 type Config struct {
 	// NodeID is the node's identity; zero means "derive from the seed".
 	NodeID uint64
@@ -35,17 +33,10 @@ type Config struct {
 	// OutDegree is the target number of outbound connections maintained by
 	// the Perigee round (default 8).
 	OutDegree int
-	// Explore is the number of exploration slots per round used by the
-	// default selector (default 2; pass ExploreNone for an explicit zero).
-	// Ignored when Selector is set.
-	Explore int
-	// Percentile is the scoring quantile in (0, 1] used by the default
-	// selector (default 0.9). Ignored when Selector is set.
-	Percentile float64
 	// Selector decides which outbound peers to keep, drop, and redial each
-	// round. Nil means Subset scoring (the paper's preferred rule) with
-	// the configured Explore and Percentile — the same default as the
-	// simulator.
+	// round. Nil means the simulator's default: Subset scoring (the
+	// paper's preferred rule) with 2 exploration slots at the 0.9
+	// percentile.
 	Selector core.Selector
 	// RoundBlocks, when positive, triggers a Perigee round automatically
 	// as soon as that many blocks have been observed since the last round.
@@ -62,8 +53,10 @@ type Config struct {
 	// injection for single-machine experiments.
 	PeerDelay func(remoteID uint64) time.Duration
 	// SilentRelay makes the node a free-rider: received blocks are stored
-	// but never relayed (self-mined blocks are still announced) — the live
-	// form of the simulator's Silent mask.
+	// and served on request but never announced — not when they arrive and
+	// not as the tip shown to a peer that connects later. Self-mined
+	// blocks are still announced. The live form of the simulator's Silent
+	// mask.
 	SilentRelay bool
 	// RelayDelay withholds every relay of a received block by the given
 	// duration before announcing it onward (self-mined blocks are
@@ -123,85 +116,37 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// applyDefaults resolves zero values to the paper's defaults and rejects
-// explicit out-of-range values instead of silently overwriting them.
-func (c *Config) applyDefaults() error {
-	if c.MaxInbound == 0 {
-		c.MaxInbound = 20
-	} else if c.MaxInbound < 0 {
-		return fmt.Errorf("p2p: inbound cap %d must be positive", c.MaxInbound)
-	}
-	if c.OutDegree == 0 {
-		c.OutDegree = 8
-	} else if c.OutDegree < 0 {
-		return fmt.Errorf("p2p: out-degree %d must be positive", c.OutDegree)
-	}
-	switch {
-	case c.Explore == ExploreNone:
-		c.Explore = 0
-	case c.Explore == 0:
-		c.Explore = 2
-	case c.Explore < 0:
-		return fmt.Errorf("p2p: explore count %d must be non-negative (use ExploreNone for zero)", c.Explore)
-	}
-	if c.Percentile == 0 {
-		c.Percentile = 0.9
-	} else if c.Percentile < 0 || c.Percentile > 1 {
-		return fmt.Errorf("p2p: percentile %v outside (0, 1]", c.Percentile)
-	}
-	if c.RoundBlocks < 0 {
-		return fmt.Errorf("p2p: round blocks %d must be non-negative", c.RoundBlocks)
-	}
-	if c.RelayDelay < 0 {
-		return fmt.Errorf("p2p: negative relay delay %v", c.RelayDelay)
-	}
-	if c.HandshakeTimeout == 0 {
-		c.HandshakeTimeout = 5 * time.Second
-	} else if c.HandshakeTimeout < 0 {
-		return fmt.Errorf("p2p: negative handshake timeout %v", c.HandshakeTimeout)
-	}
-	if c.ReadIdleTimeout == 0 {
-		c.ReadIdleTimeout = 90 * time.Second
-	} else if c.ReadIdleTimeout < 0 {
-		return fmt.Errorf("p2p: negative read idle timeout %v", c.ReadIdleTimeout)
-	}
-	if c.WriteTimeout == 0 {
-		c.WriteTimeout = 10 * time.Second
-	} else if c.WriteTimeout < 0 {
-		return fmt.Errorf("p2p: negative write timeout %v", c.WriteTimeout)
-	}
-	if c.MaxSendQueueDrops == 0 {
-		c.MaxSendQueueDrops = 64
-	} else if c.MaxSendQueueDrops < 0 {
-		return fmt.Errorf("p2p: send queue drop budget %d must be positive", c.MaxSendQueueDrops)
-	}
-	if c.DrainTimeout == 0 {
-		c.DrainTimeout = time.Second
-	} else if c.DrainTimeout < 0 {
-		return fmt.Errorf("p2p: negative drain timeout %v", c.DrainTimeout)
-	}
-	if c.RedialInterval < 0 {
-		return fmt.Errorf("p2p: negative redial interval %v", c.RedialInterval)
-	}
-	if c.ObservationCap == 0 {
-		c.ObservationCap = 4096
-	} else if c.ObservationCap < 0 {
-		return fmt.Errorf("p2p: observation cap %d must be positive", c.ObservationCap)
-	}
+// withDefaults resolves unset (non-positive) fields to their defaults.
+func (c Config) withDefaults() Config {
+	setDefault(&c.MaxInbound, 20)
+	setDefault(&c.OutDegree, core.DefaultParams(core.Subset).OutDegree)
+	setDefault(&c.HandshakeTimeout, 5*time.Second)
+	setDefault(&c.ReadIdleTimeout, 90*time.Second)
+	setDefault(&c.WriteTimeout, 10*time.Second)
+	setDefault(&c.MaxSendQueueDrops, 64)
+	setDefault(&c.DrainTimeout, time.Second)
+	setDefault(&c.ObservationCap, 4096)
 	if c.ObservationCap < c.RoundBlocks {
 		c.ObservationCap = c.RoundBlocks
 	}
-	return c.Discovery.applyDefaults()
+	c.Discovery = c.Discovery.withDefaults()
+	return c
+}
+
+// setDefault replaces a non-positive value with def.
+func setDefault[T int | time.Duration](v *T, def T) {
+	if *v <= 0 {
+		*v = def
+	}
 }
 
 // Node is a live Perigee peer: it gossips blocks over TCP and periodically
 // re-selects its outbound neighbors from measured arrival times.
 type Node struct {
-	cfg      Config
-	store    *chain.Store
-	book     *AddrBook
-	rand     *rng.RNG
-	selector core.Selector
+	cfg   Config
+	store *chain.Store
+	book  *AddrBook
+	rand  *rng.RNG
 	// selRand roots the per-round streams handed to the selector.
 	selRand *rng.RNG
 	// addrRand roots the discovery decision streams (ADDR samples,
@@ -220,7 +165,8 @@ type Node struct {
 	order     []chain.Hash
 	requested map[chain.Hash]time.Time
 	orphans   map[chain.Hash][]*chain.Block
-	rounds    int // completed Perigee rounds
+	lastMined chain.Hash // newest self-mined block; zero before the first
+	rounds    int        // completed Perigee rounds
 
 	roundMu       sync.Mutex
 	roundInFlight bool
@@ -288,21 +234,16 @@ func (n *Node) countRes(f func(*ResilienceStats)) {
 // ErrStopped is returned by operations on a stopped node.
 var ErrStopped = errors.New("p2p: node stopped")
 
-// NewNode validates the config and builds a node (not yet started).
+// NewNode resolves the config's defaults and builds a node (not yet
+// started).
 func NewNode(cfg Config) (*Node, error) {
-	if err := cfg.applyDefaults(); err != nil {
-		return nil, err
-	}
+	cfg = cfg.withDefaults()
 	if cfg.Genesis == nil {
 		return nil, fmt.Errorf("p2p: nil genesis")
 	}
-	selector := cfg.Selector
-	if selector == nil {
-		if cfg.Explore >= cfg.OutDegree {
-			return nil, fmt.Errorf("p2p: explore %d must be below out-degree %d", cfg.Explore, cfg.OutDegree)
-		}
+	if cfg.Selector == nil {
 		var err error
-		selector, err = core.NewSubsetSelector(cfg.Explore, cfg.Percentile)
+		cfg.Selector, err = core.SelectorFromMethod(core.Subset, core.DefaultParams(core.Subset))
 		if err != nil {
 			return nil, err
 		}
@@ -329,7 +270,6 @@ func NewNode(cfg Config) (*Node, error) {
 		store:        store,
 		book:         book,
 		rand:         r,
-		selector:     selector,
 		selRand:      rng.New(cfg.Seed).Derive("p2p-selector"),
 		addrRand:     rng.New(cfg.Seed).Derive("p2p-addr-gossip"),
 		peers:        make(map[uint64]*peer),
@@ -714,12 +654,16 @@ func (n *Node) setupPeer(conn net.Conn, dir Direction, dialedAddr string) error 
 		n.readLoop(p)
 	}()
 	// Seed discovery and sync: announce our own listen address, ask for
-	// an address sample, and announce our tip.
+	// an address sample, and announce our tip. A silent relay announces
+	// only a tip it mined: advertising a received block to a new peer
+	// would relay it after all, which the simulator's Silent never does.
 	n.announceSelf(p)
 	p.noteGetAddrSent()
 	p.send(&wire.GetAddr{})
 	if tip := n.store.Tip(); tip.Header.Height > 0 {
-		p.send(&wire.Inv{Hashes: []chain.Hash{tip.Header.Hash()}})
+		if h := tip.Header.Hash(); !n.cfg.SilentRelay || n.minedBlock(h) {
+			p.send(&wire.Inv{Hashes: []chain.Hash{h}})
+		}
 	}
 	return nil
 }
@@ -1081,6 +1025,9 @@ func (n *Node) acceptBlock(from *peer, b *chain.Block, mined bool) {
 	}
 	n.obsMu.Lock()
 	n.order = append(n.order, h)
+	if mined {
+		n.lastMined = h
+	}
 	pending := n.orphans[h]
 	delete(n.orphans, h)
 	delete(n.requested, h) // fetched: stop tracking for re-request
@@ -1142,6 +1089,13 @@ func (n *Node) broadcastInv(h chain.Hash, exceptID uint64) {
 		}
 		p.send(&wire.Inv{Hashes: []chain.Hash{h}})
 	}
+}
+
+// minedBlock reports whether h is the newest block this node mined.
+func (n *Node) minedBlock(h chain.Hash) bool {
+	n.obsMu.Lock()
+	defer n.obsMu.Unlock()
+	return n.lastMined == h
 }
 
 func (n *Node) peerSnapshot() []*peer {
@@ -1276,7 +1230,7 @@ func (n *Node) PerigeeRound() (RoundReport, error) {
 		return report, nil
 	}
 
-	decision, err := core.Decide(n.selector, core.NeighborView{
+	decision, err := core.Decide(n.cfg.Selector, core.NeighborView{
 		Node:       int(n.cfg.NodeID),
 		OutDegree:  n.cfg.OutDegree,
 		Candidates: n.book.Len(),

@@ -6,9 +6,20 @@ import (
 	"time"
 
 	"github.com/perigee-net/perigee/internal/chain"
+	"github.com/perigee-net/perigee/internal/core"
 )
 
 func testGenesis() *chain.Block { return chain.NewGenesis("p2p-test") }
+
+// subsetExplore1 is Subset scoring with one exploration slot, for tests at
+// out-degrees too small for the nil-Selector default of two.
+func subsetExplore1() core.Selector {
+	sel, err := core.NewSubsetSelector(1, 0.9)
+	if err != nil {
+		panic(err)
+	}
+	return sel
+}
 
 // startNode builds and starts a listening node, registering cleanup.
 func startNode(t *testing.T, seed uint64, mutate func(*Config)) *Node {
@@ -95,6 +106,10 @@ func TestInboundCap(t *testing.T) {
 		n := startNode(t, uint64(10+i), nil)
 		if err := n.Connect(hub.Addr()); err == nil {
 			ok++
+			// Connect returns once the dialer's half of the handshake is
+			// done; the cap counts installed peers, so let the hub finish
+			// its half before the next dial tests it.
+			waitFor(t, "hub installs the peer", time.Second, func() bool { return len(hub.Peers()) == ok })
 		}
 	}
 	if ok > 2 {
@@ -217,7 +232,7 @@ func TestPerigeeRoundDropsSlowPeer(t *testing.T) {
 	slowID := slow.ID()
 	hub := startNode(t, 64, func(c *Config) {
 		c.OutDegree = 3
-		c.Explore = 1
+		c.Selector = subsetExplore1()
 		c.PeerDelay = func(remote uint64) time.Duration {
 			if remote == slowID {
 				return 150 * time.Millisecond
@@ -274,7 +289,12 @@ func TestPerigeeRoundDropsDelayedRelay(t *testing.T) {
 	})
 	hub := startNode(t, 74, func(c *Config) {
 		c.OutDegree = 3
-		c.Explore = 1
+		c.Selector = subsetExplore1()
+		// The hub must hear every block from every relay: a relay that
+		// is handed a block by the hub never announces it back, its
+		// observation is censored, and a fast relay that lost that
+		// microsecond race to its twin would score below the slow one.
+		c.SilentRelay = true
 	})
 	for _, relay := range []*Node{fast1, fast2, slow} {
 		if err := miner.Connect(relay.Addr()); err != nil {
@@ -335,46 +355,27 @@ func TestNewNodeValidation(t *testing.T) {
 	if _, err := NewNode(Config{}); err == nil {
 		t.Fatal("nil genesis accepted")
 	}
-	if _, err := NewNode(Config{Genesis: testGenesis(), OutDegree: 2, Explore: 2}); err == nil {
-		t.Fatal("explore >= out-degree accepted")
-	}
 }
 
-// TestConfigDefaultsAndValidation covers the applyDefaults fix: zero
-// values resolve to the paper's defaults, ExploreNone is an honored
-// explicit zero, and out-of-range values fail fast instead of being
-// silently overwritten.
-func TestConfigDefaultsAndValidation(t *testing.T) {
-	cfg := Config{Genesis: testGenesis()}
-	if err := cfg.applyDefaults(); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.MaxInbound != 20 || cfg.OutDegree != 8 || cfg.Explore != 2 || cfg.Percentile != 0.9 {
-		t.Fatalf("defaults wrong: %+v", cfg)
-	}
-	zero := Config{Genesis: testGenesis(), Explore: ExploreNone}
-	if err := zero.applyDefaults(); err != nil {
-		t.Fatal(err)
-	}
-	if zero.Explore != 0 {
-		t.Fatalf("ExploreNone resolved to %d, want 0", zero.Explore)
-	}
-	if _, err := NewNode(Config{Genesis: testGenesis(), Explore: ExploreNone}); err != nil {
-		t.Fatalf("ExploreNone rejected: %v", err)
-	}
-	bad := []Config{
-		{Genesis: testGenesis(), Explore: -2},
-		{Genesis: testGenesis(), Percentile: -0.1},
-		{Genesis: testGenesis(), Percentile: 1.5},
-		{Genesis: testGenesis(), MaxInbound: -1},
-		{Genesis: testGenesis(), OutDegree: -8},
-		{Genesis: testGenesis(), RoundBlocks: -1},
-		{Genesis: testGenesis(), HandshakeTimeout: -time.Second},
-	}
-	for i, cfg := range bad {
-		if _, err := NewNode(cfg); err == nil {
-			t.Fatalf("invalid config %d accepted: %+v", i, cfg)
+// TestConfigDefaults: unset and non-positive fields resolve to the
+// defaults (range checks live in the node package's options), and a nil
+// Selector is the simulator's Subset default.
+func TestConfigDefaults(t *testing.T) {
+	for _, cfg := range []Config{{}, {MaxInbound: -1, OutDegree: -8, HandshakeTimeout: -time.Second}} {
+		cfg = cfg.withDefaults()
+		if cfg.MaxInbound != 20 || cfg.OutDegree != 8 || cfg.HandshakeTimeout != 5*time.Second {
+			t.Fatalf("defaults wrong: %+v", cfg)
 		}
+	}
+	if cfg := (Config{RoundBlocks: 5000}).withDefaults(); cfg.ObservationCap != 5000 {
+		t.Fatalf("observation cap %d below round blocks", cfg.ObservationCap)
+	}
+	n, err := NewNode(Config{Genesis: testGenesis()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.cfg.Selector == nil {
+		t.Fatal("nil Selector did not resolve to the default")
 	}
 }
 
@@ -412,7 +413,7 @@ func TestResilienceDesperationDial(t *testing.T) {
 	a := startNode(t, 8100, nil)
 	b := startNode(t, 8101, func(c *Config) {
 		c.OutDegree = 2
-		c.Explore = 1
+		c.Selector = subsetExplore1()
 		c.RedialInterval = 25 * time.Millisecond
 	})
 	b.book.Add(a.Addr())

@@ -1,12 +1,9 @@
 package serve
 
 import (
-	"fmt"
-	"time"
+	"encoding/json"
 
 	"github.com/perigee-net/perigee/internal/experiments"
-	"github.com/perigee-net/perigee/internal/latency"
-	"github.com/perigee-net/perigee/internal/trace"
 )
 
 // SubmitRequest is the POST /jobs body.
@@ -16,35 +13,13 @@ type SubmitRequest struct {
 	// Quick starts from experiments.ShortOptions (CI scale) instead of
 	// DefaultOptions (paper scale).
 	Quick bool `json:"quick"`
-	// Options overrides individual fields of the base options.
-	Options *OptionsPatch `json:"options,omitempty"`
-}
-
-// OptionsPatch is the over-the-wire option override set: every field is
-// optional and, when present, replaces the corresponding
-// experiments.Options field. Durations are milliseconds; enumerations use
-// their CLI spellings. The file-backed workload trace fields (TraceFile,
-// RecordTrace) are deliberately not exposed — a network client has no
-// business naming server-side paths.
-type OptionsPatch struct {
-	Nodes             *int     `json:"nodes,omitempty"`
-	Trials            *int     `json:"trials,omitempty"`
-	Rounds            *int     `json:"rounds,omitempty"`
-	RoundBlocks       *int     `json:"round_blocks,omitempty"`
-	Fraction          *float64 `json:"fraction,omitempty"`
-	Seed              *uint64  `json:"seed,omitempty"`
-	MeanValidationMs  *float64 `json:"mean_validation_ms,omitempty"`
-	Validation        *string  `json:"validation,omitempty"` // "fixed" | "exponential"
-	AdversaryFraction *float64 `json:"adversary_fraction,omitempty"`
-	CaptureThreshold  *float64 `json:"capture_threshold,omitempty"`
-	Workers           *int     `json:"workers,omitempty"`
-	LambdaSources     *int     `json:"lambda_sources,omitempty"`
-	ObservationWindow *int     `json:"observation_window,omitempty"`
-	Shards            *int     `json:"shards,omitempty"`
-	LatencyMode       *string  `json:"latency_mode,omitempty"` // "auto" | "precomputed" | "streaming"
-	BlockIntervalMs   *float64 `json:"block_interval_ms,omitempty"`
-	TraceLevel        *string  `json:"trace_level,omitempty"` // "off" | "decisions" | "inputs"
-	CounterfactualK   *int     `json:"counterfactual_k,omitempty"`
+	// Options overrides individual fields of the base options: each key,
+	// when present, replaces the experiments.Options field it names (see
+	// Options.ApplyJSON — durations are milliseconds under an _ms key,
+	// enumerations use their CLI spellings, unknown keys are refused). The
+	// file-backed workload trace fields (TraceFile, RecordTrace) have no
+	// key — a network client has no business naming server-side paths.
+	Options map[string]json.RawMessage `json:"options,omitempty"`
 }
 
 // resolveOptions applies the request's patch over its base options.
@@ -53,69 +28,5 @@ func (req SubmitRequest) resolveOptions() (experiments.Options, error) {
 	if req.Quick {
 		opt = experiments.ShortOptions()
 	}
-	if req.Options == nil {
-		return opt, nil
-	}
-	p := req.Options
-	setInt := func(dst *int, src *int) {
-		if src != nil {
-			*dst = *src
-		}
-	}
-	setFloat := func(dst *float64, src *float64) {
-		if src != nil {
-			*dst = *src
-		}
-	}
-	setInt(&opt.Nodes, p.Nodes)
-	setInt(&opt.Trials, p.Trials)
-	setInt(&opt.Rounds, p.Rounds)
-	setInt(&opt.RoundBlocks, p.RoundBlocks)
-	setFloat(&opt.Fraction, p.Fraction)
-	if p.Seed != nil {
-		opt.Seed = *p.Seed
-	}
-	if p.MeanValidationMs != nil {
-		opt.MeanValidation = time.Duration(*p.MeanValidationMs * float64(time.Millisecond))
-	}
-	if p.Validation != nil {
-		switch *p.Validation {
-		case "fixed":
-			opt.Validation = experiments.ValidationFixed
-		case "exponential":
-			opt.Validation = experiments.ValidationExponential
-		default:
-			return opt, fmt.Errorf("serve: unknown validation model %q (want fixed or exponential)", *p.Validation)
-		}
-	}
-	setFloat(&opt.AdversaryFraction, p.AdversaryFraction)
-	setFloat(&opt.CaptureThreshold, p.CaptureThreshold)
-	setInt(&opt.Workers, p.Workers)
-	setInt(&opt.LambdaSources, p.LambdaSources)
-	setInt(&opt.ObservationWindow, p.ObservationWindow)
-	setInt(&opt.Shards, p.Shards)
-	if p.LatencyMode != nil {
-		switch *p.LatencyMode {
-		case "auto":
-			opt.LatencyMode = latency.Auto
-		case "precomputed":
-			opt.LatencyMode = latency.Precomputed
-		case "streaming":
-			opt.LatencyMode = latency.Streaming
-		default:
-			return opt, fmt.Errorf("serve: unknown latency mode %q (want auto, precomputed, or streaming)", *p.LatencyMode)
-		}
-	}
-	if p.BlockIntervalMs != nil {
-		opt.BlockInterval = time.Duration(*p.BlockIntervalMs * float64(time.Millisecond))
-	}
-	if p.TraceLevel != nil {
-		level, err := trace.ParseLevel(*p.TraceLevel)
-		if err != nil {
-			return opt, err
-		}
-		opt.TraceLevel = int(level)
-	}
-	setInt(&opt.CounterfactualK, p.CounterfactualK)
-	return opt, nil
+	return opt, opt.ApplyJSON(req.Options)
 }

@@ -18,22 +18,30 @@ import (
 	"github.com/perigee-net/perigee/internal/experiments"
 )
 
-func intp(v int) *int           { return &v }
-func floatp(v float64) *float64 { return &v }
-func uintp(v uint64) *uint64    { return &v }
-func stringp(v string) *string  { return &v }
+// patch builds a request's option overrides from Go values.
+func patch(kv map[string]any) map[string]json.RawMessage {
+	out := make(map[string]json.RawMessage, len(kv))
+	for k, v := range kv {
+		raw, err := json.Marshal(v)
+		if err != nil {
+			panic(err)
+		}
+		out[k] = raw
+	}
+	return out
+}
 
 // tinyPatch shrinks a scenario to unit-test scale.
-func tinyPatch(seed uint64) *OptionsPatch {
-	return &OptionsPatch{
-		Nodes:            intp(40),
-		Trials:           intp(1),
-		Rounds:           intp(2),
-		RoundBlocks:      intp(10),
-		Fraction:         floatp(0.9),
-		Seed:             uintp(seed),
-		MeanValidationMs: floatp(50),
-	}
+func tinyPatch(seed uint64) map[string]json.RawMessage {
+	return patch(map[string]any{
+		"nodes":              40,
+		"trials":             1,
+		"rounds":             2,
+		"round_blocks":       10,
+		"fraction":           0.9,
+		"seed":               seed,
+		"mean_validation_ms": 50,
+	})
 }
 
 func submit(t *testing.T, ts *httptest.Server, req SubmitRequest) (JobView, int) {
@@ -210,10 +218,10 @@ func TestServeTracedJob(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	patch := tinyPatch(9)
-	patch.TraceLevel = stringp("decisions")
-	patch.CounterfactualK = intp(2)
-	view, code := submit(t, ts, SubmitRequest{Scenario: "figure3a", Quick: true, Options: patch})
+	traced := tinyPatch(9)
+	traced["trace_level"] = json.RawMessage(`"decisions"`)
+	traced["counterfactual_k"] = json.RawMessage(`2`)
+	view, code := submit(t, ts, SubmitRequest{Scenario: "figure3a", Quick: true, Options: traced})
 	if code != http.StatusAccepted {
 		t.Fatalf("submission returned %d", code)
 	}
@@ -392,26 +400,51 @@ func TestEventsFollowLiveJob(t *testing.T) {
 	}
 }
 
-// TestOptionsPatchValidation: bad enum spellings and invalid combinations
-// are rejected before a job is created.
+// TestOptionsPatchValidation: unknown keys, bad enum spellings and
+// invalid combinations are rejected before a job is created, both through
+// Submit and over HTTP.
 func TestOptionsPatchValidation(t *testing.T) {
 	s := New(Config{})
 	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
 
-	bad := SubmitRequest{Scenario: "figure1", Options: &OptionsPatch{Validation: stringp("gaussian")}}
-	if _, _, err := s.Submit(bad); err == nil || !strings.Contains(err.Error(), "validation model") {
-		t.Errorf("bad validation model: %v", err)
+	for _, tc := range []struct {
+		body, want string
+	}{
+		{`{"validation": "gaussian"}`, `"validation"`},
+		{`{"trace_level": "verbose"}`, `"trace_level"`},
+		{`{"latency_mode": "psychic"}`, `"latency_mode"`},
+		{`{"counterfactual_k": 3}`, "requires trace level"},
+		{`{"nodez": 40}`, `unknown option "nodez"`},
+		{`{"trace_file": "/etc/passwd"}`, `unknown option "trace_file"`},
+		{`{"mean_validation": 50}`, `unknown option "mean_validation"`},
+		{`{"nodes": 5}`, "Nodes"},
+	} {
+		var req SubmitRequest
+		body := `{"scenario": "figure1", "options": ` + tc.body + `}`
+		if err := json.Unmarshal([]byte(body), &req); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := s.Submit(req); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Submit(%s) = %v, want an error naming %s", tc.body, err, tc.want)
+		}
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s returned %d, want 400", tc.body, resp.StatusCode)
+		}
 	}
-	bad = SubmitRequest{Scenario: "figure1", Options: &OptionsPatch{TraceLevel: stringp("verbose")}}
-	if _, _, err := s.Submit(bad); err == nil {
-		t.Error("bad trace level accepted")
+	// Unknown keys beside "options" are refused as well.
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(`{"scenario": "figure1", "fast": true}`))
+	if err != nil {
+		t.Fatal(err)
 	}
-	bad = SubmitRequest{Scenario: "figure1", Options: &OptionsPatch{CounterfactualK: intp(3)}}
-	if _, _, err := s.Submit(bad); err == nil {
-		t.Error("counterfactual k without tracing accepted")
-	}
-	bad = SubmitRequest{Scenario: "figure1", Options: &OptionsPatch{LatencyMode: stringp("psychic")}}
-	if _, _, err := s.Submit(bad); err == nil {
-		t.Error("bad latency mode accepted")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("unknown top-level key returned %d, want 400", resp.StatusCode)
 	}
 }

@@ -16,7 +16,6 @@ package trace
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"strconv"
@@ -31,21 +30,6 @@ const (
 	KindDecision       = "decision"
 	KindCounterfactual = "counterfactual"
 )
-
-// ParseLevel parses the CLI/HTTP spelling of a trace level ("off",
-// "decisions", "inputs").
-func ParseLevel(s string) (core.TraceLevel, error) {
-	switch s {
-	case "off", "":
-		return core.TraceOff, nil
-	case "decisions":
-		return core.TraceDecisions, nil
-	case "inputs":
-		return core.TraceInputs, nil
-	default:
-		return core.TraceOff, fmt.Errorf("trace: unknown trace level %q (want off, decisions, or inputs)", s)
-	}
-}
 
 // Ms is a duration in milliseconds that marshals censored values
 // (+Inf/NaN) as JSON null and unmarshals null back to +Inf.

@@ -219,19 +219,3 @@ func TestCollectorCopiesInputs(t *testing.T) {
 		t.Fatalf("record inputs alias engine scratch: %+v", rec)
 	}
 }
-
-// TestParseLevel covers the CLI/HTTP level spellings.
-func TestParseLevel(t *testing.T) {
-	for s, want := range map[string]core.TraceLevel{
-		"": core.TraceOff, "off": core.TraceOff,
-		"decisions": core.TraceDecisions, "inputs": core.TraceInputs,
-	} {
-		got, err := ParseLevel(s)
-		if err != nil || got != want {
-			t.Fatalf("ParseLevel(%q) = %v, %v; want %v", s, got, err, want)
-		}
-	}
-	if _, err := ParseLevel("verbose"); err == nil {
-		t.Fatal("ParseLevel accepted an unknown level")
-	}
-}

@@ -35,6 +35,7 @@ import (
 
 	"github.com/perigee-net/perigee"
 	"github.com/perigee-net/perigee/internal/chain"
+	"github.com/perigee-net/perigee/internal/core"
 	"github.com/perigee-net/perigee/internal/p2p"
 	"github.com/perigee-net/perigee/internal/rng"
 )
@@ -96,82 +97,46 @@ type Node struct {
 // inbound cap 20, Subset scoring with 2 exploration slots at the 0.9
 // percentile, manual rounds, no mining, no listening.
 func New(opts ...Option) (*Node, error) {
-	s := defaultSettings()
+	def := core.DefaultParams(core.Subset)
+	c := &config{
+		network:    "perigee-devnet",
+		scoring:    perigee.ScoringSubset,
+		explore:    def.Explore,
+		percentile: def.Percentile,
+	}
 	for _, opt := range opts {
 		if opt == nil {
 			return nil, fmt.Errorf("node: nil option")
 		}
-		if err := opt(s); err != nil {
+		if err := opt(c); err != nil {
 			return nil, err
 		}
 	}
-	selector, err := s.resolveSelector()
-	if err != nil {
+	var err error
+	if c.p2p.Selector, err = c.resolveSelector(); err != nil {
 		return nil, err
 	}
-	if !s.seedSet {
+	if !c.seedSet {
 		// Distinct nodes need distinct identities: the node ID derives
 		// from the seed, and equal IDs refuse to interconnect.
-		s.seed = rand.Uint64()
-	}
-	explore := 0 // zero-valued Config means the default
-	if s.exploreSet {
-		explore = s.explore
-		if explore == 0 {
-			explore = p2p.ExploreNone
-		}
+		c.p2p.Seed = rand.Uint64()
 	}
 	n := &Node{
-		observers: s.observers,
-		mineMean:  s.mine,
-		mineRand:  rng.New(s.seed).Derive("mining"),
+		observers: c.observers,
+		mineMean:  c.mine,
+		mineRand:  rng.New(c.p2p.Seed).Derive("mining"),
 		stopCh:    make(chan struct{}),
 	}
-	cfg := p2p.Config{
-		NodeID:           s.nodeID,
-		Seed:             s.seed,
-		ListenAddr:       s.listen,
-		MaxInbound:       s.maxInbound,
-		OutDegree:        s.outDegree,
-		Explore:          explore,
-		Percentile:       s.percentile,
-		Selector:         selector,
-		RoundBlocks:      s.roundBlocks,
-		OnRound:          n.dispatchRound,
-		Genesis:          chain.NewGenesis(s.network),
-		PeerDelay:        s.peerDelay,
-		HandshakeTimeout: s.handshake,
-		Faults:           s.faultPlan,
-		AddrBookPath:     s.bookPath,
-		ReadIdleTimeout:  s.idleTimeout,
-		RedialInterval:   s.redialEvery,
-		ObservationCap:   s.obsCap,
-		Discovery: p2p.DiscoveryConfig{
-			RefreshInterval: s.refreshEvery,
-			TargetKnown:     s.targetKnown,
-			FeelerInterval:  s.feelerEvery,
-			AnnounceFanout:  s.announceFanout,
-		},
-		Book: p2p.BookConfig{
-			Cap:          s.bookCap,
-			BanThreshold: s.banThreshold,
-			BanDuration:  s.banDuration,
-			BackoffBase:  s.backoffBase,
-			BackoffMax:   s.backoffMax,
-			DialBudget:   s.dialBudget,
-		},
-		Logf: s.logf,
-	}
-	if s.adversary != nil {
-		if err := applyAdversary(&cfg, s.adversary, s.seed); err != nil {
+	c.p2p.OnRound = n.dispatchRound
+	c.p2p.Genesis = chain.NewGenesis(c.network)
+	if c.adversary != nil {
+		if err := applyAdversary(&c.p2p, c.adversary); err != nil {
 			return nil, err
 		}
 	}
-	inner, err := p2p.NewNode(cfg)
-	if err != nil {
+	if n.p, err = p2p.NewNode(c.p2p); err != nil {
 		return nil, err
 	}
-	n.p = inner
 	return n, nil
 }
 
@@ -182,12 +147,12 @@ func New(opts ...Option) (*Node, error) {
 // the per-round topology agent) are simulation-only and ignored here;
 // strategies demanding a tamperable latency model fail Setup, surfacing
 // the mismatch at build time.
-func applyAdversary(cfg *p2p.Config, a perigee.Adversary, seed uint64) error {
+func applyAdversary(cfg *p2p.Config, a perigee.Adversary) error {
 	env := &perigee.AdversaryEnv{
 		N:           1,
 		Adversaries: []int{0},
 		IsAdversary: []bool{true},
-		Rand:        rng.New(seed).Derive("adversary"),
+		Rand:        rng.New(cfg.Seed).Derive("adversary"),
 	}
 	behavior := &perigee.AdversaryNetwork{
 		Forward:    make([]time.Duration, 1),

@@ -251,6 +251,12 @@ func TestOptionValidation(t *testing.T) {
 		{WithDialBackoff(time.Second, time.Minute, 0)},
 		{WithIdleTimeout(0)},
 		{WithRedialInterval(-time.Second)},
+		{WithHandshakeTimeout(-time.Second)},
+		{WithObservationCap(0)},
+		{WithDiscovery(0, 0)},
+		{WithDiscovery(time.Second, -1)},
+		{WithFeelerInterval(-time.Second)},
+		{WithAddrAnnounce(0)},
 		{nil},
 	}
 	for i, opts := range bad {

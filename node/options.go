@@ -6,72 +6,50 @@ import (
 
 	"github.com/perigee-net/perigee"
 	"github.com/perigee-net/perigee/internal/core"
+	"github.com/perigee-net/perigee/internal/p2p"
 )
 
 // Option configures a live node under construction; see New. The options
 // mirror the simulator's root API: the same Selector values and the same
 // RoundStats observer payloads work in both environments.
-type Option func(*settings) error
+type Option func(*config) error
 
-// settings accumulates option values before the node is built. Explicit
-// zero values are honored: exploreSet records whether the caller chose an
-// exploration count, so WithExplore(0) is never clobbered by the default.
-type settings struct {
-	listen     string
-	seed       uint64
-	seedSet    bool
-	nodeID     uint64
-	network    string
-	outDegree  int
-	maxInbound int
+// config is the node under construction. Options write the live driver's
+// p2p.Config in place, so a knob is defined once — by its option — and
+// range-checked once, there; the driver only resolves the zero values the
+// options left. What is not driver configuration sits beside it: the
+// recipe for the built-in selector, the observers, the miner.
+type config struct {
+	p2p p2p.Config
+
+	seedSet bool
+	network string
+
 	explore    int
-	exploreSet bool
 	percentile float64
-
-	scoring     perigee.Scoring
-	scoringSet  bool
-	selector    perigee.Selector
-	roundBlocks int
+	scoring    perigee.Scoring
+	scoringSet bool
+	selector   perigee.Selector
 
 	observers []Observer
-	peerDelay func(remoteID uint64) time.Duration
 	mine      time.Duration
-	handshake time.Duration
-	logf      func(format string, args ...any)
 	adversary perigee.Adversary
-
-	faultPlan    perigee.FaultPlan
-	bookPath     string
-	bookCap      int
-	banThreshold float64
-	banDuration  time.Duration
-	backoffBase  time.Duration
-	backoffMax   time.Duration
-	dialBudget   int
-	idleTimeout  time.Duration
-	redialEvery  time.Duration
-
-	refreshEvery   time.Duration
-	targetKnown    int
-	feelerEvery    time.Duration
-	announceFanout int
-	obsCap         int
 }
 
-func defaultSettings() *settings {
-	return &settings{
-		network:    "perigee-devnet",
-		outDegree:  8,
-		maxInbound: 20,
-		percentile: 0.9,
+// positive stores v in dst unless it is zero or negative.
+func positive[T int | float64 | time.Duration](dst *T, v T, what string) error {
+	if v <= 0 {
+		return fmt.Errorf("node: %s %v must be positive", what, v)
 	}
+	*dst = v
+	return nil
 }
 
 // WithListen sets the accepting address ("127.0.0.1:0" for an ephemeral
 // port). The default is a client-only node that does not listen.
 func WithListen(addr string) Option {
-	return func(s *settings) error {
-		s.listen = addr
+	return func(c *config) error {
+		c.p2p.ListenAddr = addr
 		return nil
 	}
 }
@@ -82,9 +60,9 @@ func WithListen(addr string) Option {
 // each node its own explicit seed when reproducible behavior matters
 // (equal seeds mean equal node IDs, which refuse to interconnect).
 func WithSeed(seed uint64) Option {
-	return func(s *settings) error {
-		s.seed = seed
-		s.seedSet = true
+	return func(c *config) error {
+		c.p2p.Seed = seed
+		c.seedSet = true
 		return nil
 	}
 }
@@ -92,11 +70,11 @@ func WithSeed(seed uint64) Option {
 // WithNodeID pins the node's 64-bit identity. The default derives it from
 // the seed.
 func WithNodeID(id uint64) Option {
-	return func(s *settings) error {
+	return func(c *config) error {
 		if id == 0 {
 			return fmt.Errorf("node: node ID must be non-zero")
 		}
-		s.nodeID = id
+		c.p2p.NodeID = id
 		return nil
 	}
 }
@@ -104,11 +82,11 @@ func WithNodeID(id uint64) Option {
 // WithNetwork sets the network tag anchoring the genesis block; all nodes
 // of one network must share it. Default "perigee-devnet".
 func WithNetwork(tag string) Option {
-	return func(s *settings) error {
+	return func(c *config) error {
 		if tag == "" {
 			return fmt.Errorf("node: empty network tag")
 		}
-		s.network = tag
+		c.network = tag
 		return nil
 	}
 }
@@ -116,24 +94,12 @@ func WithNetwork(tag string) Option {
 // WithOutDegree sets the target number of outbound connections the
 // Perigee round maintains (paper: 8).
 func WithOutDegree(d int) Option {
-	return func(s *settings) error {
-		if d <= 0 {
-			return fmt.Errorf("node: out-degree %d must be positive", d)
-		}
-		s.outDegree = d
-		return nil
-	}
+	return func(c *config) error { return positive(&c.p2p.OutDegree, d, "out-degree") }
 }
 
 // WithMaxInbound caps accepted connections (paper: 20).
 func WithMaxInbound(m int) Option {
-	return func(s *settings) error {
-		if m <= 0 {
-			return fmt.Errorf("node: inbound cap %d must be positive", m)
-		}
-		s.maxInbound = m
-		return nil
-	}
+	return func(c *config) error { return positive(&c.p2p.MaxInbound, m, "inbound cap") }
 }
 
 // WithExplore sets the exploration slots per round used by the built-in
@@ -141,12 +107,11 @@ func WithMaxInbound(m int) Option {
 // for zero exploration. Ignored when WithSelector installs a custom
 // policy.
 func WithExplore(e int) Option {
-	return func(s *settings) error {
+	return func(c *config) error {
 		if e < 0 {
 			return fmt.Errorf("node: explore count %d must be non-negative", e)
 		}
-		s.explore = e
-		s.exploreSet = true
+		c.explore = e
 		return nil
 	}
 }
@@ -155,11 +120,11 @@ func WithExplore(e int) Option {
 // selectors (paper: 0.9). Ignored when WithSelector installs a custom
 // policy.
 func WithPercentile(p float64) Option {
-	return func(s *settings) error {
+	return func(c *config) error {
 		if p <= 0 || p > 1 {
 			return fmt.Errorf("node: percentile %v outside (0, 1]", p)
 		}
-		s.percentile = p
+		c.percentile = p
 		return nil
 	}
 }
@@ -170,11 +135,11 @@ func WithPercentile(p float64) Option {
 // ScoringSubset, the paper's preferred rule. Mutually exclusive with
 // WithSelector.
 func WithScoring(scoring perigee.Scoring) Option {
-	return func(s *settings) error {
+	return func(c *config) error {
 		switch scoring {
 		case perigee.ScoringVanilla, perigee.ScoringUCB, perigee.ScoringSubset:
-			s.scoring = scoring
-			s.scoringSet = true
+			c.scoring = scoring
+			c.scoringSet = true
 			return nil
 		default:
 			return fmt.Errorf("node: unknown scoring variant %d", int(scoring))
@@ -187,7 +152,7 @@ func WithScoring(scoring perigee.Scoring) Option {
 // (built-in or custom) that drive the simulator via perigee.WithSelector.
 // Mutually exclusive with WithScoring.
 func WithSelector(sel perigee.Selector) Option {
-	return func(s *settings) error {
+	return func(c *config) error {
 		if sel == nil {
 			return fmt.Errorf("node: nil selector")
 		}
@@ -196,7 +161,7 @@ func WithSelector(sel perigee.Selector) Option {
 				return err
 			}
 		}
-		s.selector = sel
+		c.selector = sel
 		return nil
 	}
 }
@@ -205,23 +170,17 @@ func WithSelector(sel perigee.Selector) Option {
 // soon as b blocks have been observed since the last round. The default
 // is manual operation: rounds run only when Round is called.
 func WithRoundBlocks(b int) Option {
-	return func(s *settings) error {
-		if b <= 0 {
-			return fmt.Errorf("node: round blocks %d must be positive", b)
-		}
-		s.roundBlocks = b
-		return nil
-	}
+	return func(c *config) error { return positive(&c.p2p.RoundBlocks, b, "round blocks") }
 }
 
 // WithObserver attaches a streaming round observer; see Observer. May be
 // given multiple times — observers run in registration order.
 func WithObserver(o Observer) Option {
-	return func(s *settings) error {
+	return func(c *config) error {
 		if o == nil {
 			return fmt.Errorf("node: nil observer")
 		}
-		s.observers = append(s.observers, o)
+		c.observers = append(c.observers, o)
 		return nil
 	}
 }
@@ -231,11 +190,11 @@ func WithObserver(o Observer) Option {
 // single-machine experiments, e.g. replaying perigee.GeographicLatency
 // link delays over real TCP connections.
 func WithLatencyInjection(delay func(remoteID uint64) time.Duration) Option {
-	return func(s *settings) error {
+	return func(c *config) error {
 		if delay == nil {
 			return fmt.Errorf("node: nil latency injection")
 		}
-		s.peerDelay = delay
+		c.p2p.PeerDelay = delay
 		return nil
 	}
 }
@@ -243,13 +202,7 @@ func WithLatencyInjection(delay func(remoteID uint64) time.Duration) Option {
 // WithMiner mines blocks on a Poisson schedule with the given mean
 // interval, starting when the node starts. The default is no mining.
 func WithMiner(mean time.Duration) Option {
-	return func(s *settings) error {
-		if mean <= 0 {
-			return fmt.Errorf("node: mining interval %v must be positive", mean)
-		}
-		s.mine = mean
-		return nil
-	}
+	return func(c *config) error { return positive(&c.mine, mean, "mining interval") }
 }
 
 // WithAdversary runs this node as one compromised identity of the given
@@ -264,11 +217,11 @@ func WithMiner(mean time.Duration) Option {
 // strategies that need a tamperable latency model (RegionalPartition)
 // are rejected here.
 func WithAdversary(a perigee.Adversary) Option {
-	return func(s *settings) error {
+	return func(c *config) error {
 		if a == nil {
 			return fmt.Errorf("node: nil adversary strategy")
 		}
-		s.adversary = a
+		c.adversary = a
 		return nil
 	}
 }
@@ -276,13 +229,7 @@ func WithAdversary(a perigee.Adversary) Option {
 // WithHandshakeTimeout bounds the version exchange when connecting
 // (default 5s).
 func WithHandshakeTimeout(d time.Duration) Option {
-	return func(s *settings) error {
-		if d <= 0 {
-			return fmt.Errorf("node: handshake timeout %v must be positive", d)
-		}
-		s.handshake = d
-		return nil
-	}
+	return func(c *config) error { return positive(&c.p2p.HandshakeTimeout, d, "handshake timeout") }
 }
 
 // WithFaults injects deterministic connection faults from the plan:
@@ -293,11 +240,11 @@ func WithHandshakeTimeout(d time.Duration) Option {
 // perigee.MixedFaults and perigee.FaultPlan. The default injects
 // nothing.
 func WithFaults(plan perigee.FaultPlan) Option {
-	return func(s *settings) error {
+	return func(c *config) error {
 		if plan == nil {
 			return fmt.Errorf("node: nil fault plan")
 		}
-		s.faultPlan = plan
+		c.p2p.Faults = plan
 		return nil
 	}
 }
@@ -307,11 +254,11 @@ func WithFaults(plan perigee.FaultPlan) Option {
 // (a missing file is fine) and saved on Stop, so peer reputation
 // survives restarts. The default keeps the book in memory only.
 func WithAddrBookPath(path string) Option {
-	return func(s *settings) error {
+	return func(c *config) error {
 		if path == "" {
 			return fmt.Errorf("node: empty address book path")
 		}
-		s.bookPath = path
+		c.p2p.AddrBookPath = path
 		return nil
 	}
 }
@@ -321,13 +268,7 @@ func WithAddrBookPath(path string) Option {
 // first, then most-failed, then least recently seen — so address gossip
 // from any single peer cannot grow the book without limit.
 func WithAddrBookCap(n int) Option {
-	return func(s *settings) error {
-		if n <= 0 {
-			return fmt.Errorf("node: address book cap %d must be positive", n)
-		}
-		s.bookCap = n
-		return nil
-	}
+	return func(c *config) error { return positive(&c.p2p.Book.Cap, n, "address book cap") }
 }
 
 // WithBanPolicy tunes peer banning: a peer whose decayed misbehavior
@@ -337,16 +278,11 @@ func WithAddrBookCap(n int) Option {
 // few minutes, so transient faults heal instead of accumulating into a
 // ban.
 func WithBanPolicy(threshold float64, d time.Duration) Option {
-	return func(s *settings) error {
-		if threshold <= 0 {
-			return fmt.Errorf("node: ban threshold %v must be positive", threshold)
+	return func(c *config) error {
+		if err := positive(&c.p2p.Book.BanThreshold, threshold, "ban threshold"); err != nil {
+			return err
 		}
-		if d <= 0 {
-			return fmt.Errorf("node: ban duration %v must be positive", d)
-		}
-		s.banThreshold = threshold
-		s.banDuration = d
-		return nil
+		return positive(&c.p2p.Book.BanDuration, d, "ban duration")
 	}
 }
 
@@ -356,17 +292,13 @@ func WithBanPolicy(threshold float64, d time.Duration) Option {
 // budget consecutive failures it is evicted from the book entirely
 // (defaults: 500ms base, 2m cap, budget 8).
 func WithDialBackoff(base, max time.Duration, budget int) Option {
-	return func(s *settings) error {
+	return func(c *config) error {
 		if base <= 0 || max < base {
 			return fmt.Errorf("node: dial backoff [%v, %v] must satisfy 0 < base <= max", base, max)
 		}
-		if budget <= 0 {
-			return fmt.Errorf("node: dial failure budget %d must be positive", budget)
-		}
-		s.backoffBase = base
-		s.backoffMax = max
-		s.dialBudget = budget
-		return nil
+		c.p2p.Book.BackoffBase = base
+		c.p2p.Book.BackoffMax = max
+		return positive(&c.p2p.Book.DialBudget, budget, "dial failure budget")
 	}
 }
 
@@ -375,13 +307,7 @@ func WithDialBackoff(base, max time.Duration, budget int) Option {
 // silent interval disconnects it — this is what reclaims stalled and
 // half-open connections.
 func WithIdleTimeout(d time.Duration) Option {
-	return func(s *settings) error {
-		if d <= 0 {
-			return fmt.Errorf("node: idle timeout %v must be positive", d)
-		}
-		s.idleTimeout = d
-		return nil
-	}
+	return func(c *config) error { return positive(&c.p2p.ReadIdleTimeout, d, "idle timeout") }
 }
 
 // WithRedialInterval runs a maintenance loop that redials addresses
@@ -389,13 +315,7 @@ func WithIdleTimeout(d time.Duration) Option {
 // target — recovery for connections lost to faults between Perigee
 // rounds. The default relies on rounds alone to re-dial.
 func WithRedialInterval(d time.Duration) Option {
-	return func(s *settings) error {
-		if d <= 0 {
-			return fmt.Errorf("node: redial interval %v must be positive", d)
-		}
-		s.redialEvery = d
-		return nil
-	}
+	return func(c *config) error { return positive(&c.p2p.RedialInterval, d, "redial interval") }
 }
 
 // WithDiscovery turns on active addr-gossip peer discovery: every refresh
@@ -407,16 +327,12 @@ func WithRedialInterval(d time.Duration) Option {
 // gossiped addresses, announcing the node's own address on connect — is
 // always on and needs no option.
 func WithDiscovery(refresh time.Duration, targetKnown int) Option {
-	return func(s *settings) error {
-		if refresh <= 0 {
-			return fmt.Errorf("node: discovery refresh interval %v must be positive", refresh)
-		}
+	return func(c *config) error {
 		if targetKnown < 0 {
 			return fmt.Errorf("node: discovery target %d must be non-negative", targetKnown)
 		}
-		s.refreshEvery = refresh
-		s.targetKnown = targetKnown
-		return nil
+		c.p2p.Discovery.TargetKnown = targetKnown
+		return positive(&c.p2p.Discovery.RefreshInterval, refresh, "discovery refresh interval")
 	}
 }
 
@@ -428,26 +344,14 @@ func WithDiscovery(refresh time.Duration, targetKnown int) Option {
 // book anchored in addresses known to be real. The default runs no
 // feelers.
 func WithFeelerInterval(d time.Duration) Option {
-	return func(s *settings) error {
-		if d <= 0 {
-			return fmt.Errorf("node: feeler interval %v must be positive", d)
-		}
-		s.feelerEvery = d
-		return nil
-	}
+	return func(c *config) error { return positive(&c.p2p.Discovery.FeelerInterval, d, "feeler interval") }
 }
 
 // WithAddrAnnounce sets how many random peers each freshly learned
 // address is relayed to (Bitcoin-style addr trickle, default 2). Higher
 // fanout spreads addresses faster at the cost of more gossip traffic.
 func WithAddrAnnounce(fanout int) Option {
-	return func(s *settings) error {
-		if fanout <= 0 {
-			return fmt.Errorf("node: announce fanout %d must be positive", fanout)
-		}
-		s.announceFanout = fanout
-		return nil
-	}
+	return func(c *config) error { return positive(&c.p2p.Discovery.AnnounceFanout, fanout, "announce fanout") }
 }
 
 // WithObservationCap bounds the block-observation bookkeeping (arrival
@@ -455,58 +359,49 @@ func WithAddrAnnounce(fanout int) Option {
 // that never rounds — a client-only observer — holds memory proportional
 // to the cap rather than to uptime (default 4096).
 func WithObservationCap(n int) Option {
-	return func(s *settings) error {
-		if n <= 0 {
-			return fmt.Errorf("node: observation cap %d must be positive", n)
-		}
-		s.obsCap = n
-		return nil
-	}
+	return func(c *config) error { return positive(&c.p2p.ObservationCap, n, "observation cap") }
 }
 
 // WithLogf directs diagnostic log lines to f. The default discards them.
 func WithLogf(f func(format string, args ...any)) Option {
-	return func(s *settings) error {
+	return func(c *config) error {
 		if f == nil {
 			return fmt.Errorf("node: nil log function")
 		}
-		s.logf = f
+		c.p2p.Logf = f
 		return nil
 	}
 }
 
 // resolveSelector turns the configured policy into the core selector the
-// live driver runs: an explicit Selector wins, a scoring variant builds
-// the equivalent built-in with the node's explore count and percentile,
-// and the default is nil (the driver's own Subset default).
-func (s *settings) resolveSelector() (core.Selector, error) {
-	if s.selector != nil {
-		if s.scoringSet {
+// live driver runs: an explicit Selector wins; otherwise the scoring
+// variant builds the equivalent built-in from the explore count and
+// percentile.
+func (c *config) resolveSelector() (core.Selector, error) {
+	if c.selector != nil {
+		if c.scoringSet {
 			return nil, fmt.Errorf("node: WithSelector and WithScoring are mutually exclusive")
 		}
-		return coreSelector(s.selector)
+		return coreSelector(c.selector)
 	}
-	if !s.scoringSet {
-		return nil, nil
+	def := core.DefaultParams(core.Subset)
+	outDegree := c.p2p.OutDegree
+	if outDegree == 0 {
+		outDegree = def.OutDegree
 	}
-	explore := 2
-	if s.exploreSet {
-		explore = s.explore
-	}
-	// The same constraint the default (nil-selector) path enforces in the
-	// live driver: a rotation policy that explores its whole out-degree
-	// churns the full topology every round.
-	if s.scoring != perigee.ScoringUCB && explore >= s.outDegree {
-		return nil, fmt.Errorf("node: explore %d must be below out-degree %d", explore, s.outDegree)
+	// A rotation policy that explores its whole out-degree churns the full
+	// topology every round.
+	if c.scoring != perigee.ScoringUCB && c.explore >= outDegree {
+		return nil, fmt.Errorf("node: explore %d must be below out-degree %d", c.explore, outDegree)
 	}
 	var sel perigee.Selector
-	switch s.scoring {
+	switch c.scoring {
 	case perigee.ScoringVanilla:
-		sel = perigee.VanillaSelector(explore, s.percentile)
+		sel = perigee.VanillaSelector(c.explore, c.percentile)
 	case perigee.ScoringUCB:
-		sel = perigee.UCBSelector(s.percentile, 50*time.Millisecond)
+		sel = perigee.UCBSelector(c.percentile, def.UCBConstant)
 	default:
-		sel = perigee.SubsetSelector(explore, s.percentile)
+		sel = perigee.SubsetSelector(c.explore, c.percentile)
 	}
 	return coreSelector(sel)
 }

@@ -115,9 +115,9 @@ func WithMaxIncoming(m int) Option {
 }
 
 // WithExplore sets the number of random exploration links per round
-// (paper: 2). Unlike the legacy Config shim, WithExplore(0) is an honored,
-// explicit request for zero exploration. Default 2 (0 under ScoringUCB,
-// which replaces neighbors through confidence-interval evictions instead).
+// (paper: 2). WithExplore(0) is an honored, explicit request for zero
+// exploration. Default 2 (0 under ScoringUCB, which replaces neighbors
+// through confidence-interval evictions instead).
 func WithExplore(e int) Option {
 	return func(s *settings) error {
 		if e < 0 {
@@ -382,9 +382,7 @@ func WithObserver(o Observer) Option {
 //
 // Every unset axis takes the paper's evaluation default: geographic
 // latency, uniform hash power, 50ms fixed validation, a random topology,
-// Subset scoring with out-degree 8 and 2 exploration links. Networks built
-// here are bit-for-bit identical to equivalent legacy Config networks
-// built with NewFromConfig.
+// Subset scoring with out-degree 8 and 2 exploration links.
 func New(nodes int, opts ...Option) (*Network, error) {
 	if nodes < 10 {
 		return nil, fmt.Errorf("perigee: need at least 10 nodes, got %d", nodes)

@@ -63,14 +63,6 @@
 // RunScenario executes one, and RegisterScenario adds your own to the same
 // registry (which cmd/perigee-sim serves from the command line).
 //
-// # Legacy configuration
-//
-// The Config path remains as a thin shim over the options API under a new
-// name: what was New(Config) is now NewFromConfig(Config), an otherwise
-// mechanical rename that builds a bit-for-bit identical network. Config
-// carries a zero-value ambiguity the options API does not have (see
-// ExploreNone); new code should prefer New with options.
-//
 // The live TCP implementation is the public perigee/node package, driven
 // by the cmd/perigee-node and cmd/perigee-cluster binaries.
 package perigee
@@ -109,153 +101,6 @@ func (s Scoring) method() core.Method {
 	default:
 		return core.Vanilla
 	}
-}
-
-// HashPower selects among the paper's mining-power distributions in the
-// legacy Config. The options API takes any PowerDist instead.
-type HashPower int
-
-// Supported hash-power distributions.
-const (
-	// PowerUniform gives every node equal power (§5.2, Figure 3a).
-	PowerUniform HashPower = iota
-	// PowerExponential draws power from Exponential(1), normalized
-	// (Figure 3b).
-	PowerExponential
-	// PowerPools gives 10% of the nodes 90% of the power (Figure 4b).
-	PowerPools
-)
-
-// ExploreNone requests exactly zero exploration links through the legacy
-// Config, whose zero value means "use the default of 2". The options API
-// has no such ambiguity: WithExplore(0) is explicit.
-const ExploreNone = -1
-
-// Config assembles a simulated Perigee network through the legacy path
-// (NewFromConfig). It remains supported as a thin shim over the options
-// API; New with options is the unambiguous surface — in particular,
-// Config cannot distinguish an unset Explore from an explicit zero (use
-// ExploreNone), while WithExplore(0) simply means zero.
-type Config struct {
-	// Nodes is the network size.
-	Nodes int
-	// Seed roots all randomness; equal seeds reproduce runs exactly.
-	Seed uint64
-	// Scoring picks the Perigee variant. The zero value is ScoringVanilla;
-	// DefaultConfig selects ScoringSubset, the paper's preferred rule.
-	Scoring Scoring
-	// OutDegree is the number of outgoing connections (default 8).
-	OutDegree int
-	// MaxIncoming caps incoming connections (default 20).
-	MaxIncoming int
-	// Explore is the number of random exploration links per round
-	// (default 2; ignored by ScoringUCB). Zero means the default; pass
-	// ExploreNone for an explicit zero.
-	Explore int
-	// RoundBlocks is the number of blocks per round (default 100, or 1
-	// for ScoringUCB). Zero means the default.
-	RoundBlocks int
-	// Percentile is the scoring quantile in (0, 1] (default 0.9). Zero
-	// means the default.
-	Percentile float64
-	// MeanValidation is the per-node block validation delay (default
-	// 50ms, applied uniformly as in the paper's evaluation).
-	MeanValidation time.Duration
-	// HashPower selects the power distribution (default PowerUniform).
-	HashPower HashPower
-	// Workers bounds the goroutines used for round broadcasts and delay
-	// evaluation. Zero means one worker per available core; results are
-	// bit-for-bit identical for any worker count.
-	Workers int
-}
-
-// DefaultConfig returns the paper's evaluation parameters for a network of
-// the given size.
-func DefaultConfig(nodes int) Config {
-	return Config{
-		Nodes:          nodes,
-		Seed:           1,
-		Scoring:        ScoringSubset,
-		OutDegree:      8,
-		MaxIncoming:    20,
-		Explore:        2,
-		RoundBlocks:    100,
-		Percentile:     0.9,
-		MeanValidation: 50 * time.Millisecond,
-		HashPower:      PowerUniform,
-	}
-}
-
-// NewFromConfig builds a network from a legacy Config. It is a thin shim:
-// the Config is translated into the equivalent options and handed to New,
-// so networks built either way are bit-for-bit identical.
-func NewFromConfig(cfg Config) (*Network, error) {
-	if err := applyDefaults(&cfg); err != nil {
-		return nil, err
-	}
-	opts := []Option{
-		WithSeed(cfg.Seed),
-		WithScoring(cfg.Scoring),
-		WithOutDegree(cfg.OutDegree),
-		WithMaxIncoming(cfg.MaxIncoming),
-		WithPercentile(cfg.Percentile),
-		WithValidation(FixedValidation(cfg.MeanValidation)),
-		WithWorkers(cfg.Workers),
-	}
-	if cfg.Scoring != ScoringUCB {
-		// UCB ignores Explore/RoundBlocks, as the paper's §4.2.2 variant
-		// spans one block per round and evicts via confidence intervals.
-		opts = append(opts, WithExplore(cfg.Explore), WithRoundBlocks(cfg.RoundBlocks))
-	}
-	switch cfg.HashPower {
-	case PowerExponential:
-		opts = append(opts, WithPower(ExponentialPower()))
-	case PowerPools:
-		opts = append(opts, WithPower(PoolsPower(0.1, 0.9)))
-	case PowerUniform:
-		// UniformPower is the default.
-	default:
-		return nil, fmt.Errorf("perigee: unknown hash-power distribution %d", int(cfg.HashPower))
-	}
-	return New(cfg.Nodes, opts...)
-}
-
-// applyDefaults resolves the legacy Config's zero values to the paper's
-// defaults and validates the explicit values. ExploreNone maps to an
-// explicit zero; other negative values are rejected rather than silently
-// overwritten.
-func applyDefaults(cfg *Config) error {
-	base := DefaultConfig(cfg.Nodes)
-	if cfg.OutDegree == 0 {
-		cfg.OutDegree = base.OutDegree
-	}
-	if cfg.MaxIncoming == 0 {
-		cfg.MaxIncoming = base.MaxIncoming
-	}
-	switch {
-	case cfg.Explore == ExploreNone:
-		cfg.Explore = 0
-	case cfg.Explore == 0:
-		cfg.Explore = base.Explore
-	case cfg.Explore < 0:
-		return fmt.Errorf("perigee: explore count %d must be non-negative (use ExploreNone for zero)", cfg.Explore)
-	}
-	if cfg.RoundBlocks == 0 {
-		cfg.RoundBlocks = base.RoundBlocks
-	} else if cfg.RoundBlocks < 0 {
-		return fmt.Errorf("perigee: round blocks %d must be positive", cfg.RoundBlocks)
-	}
-	if cfg.Percentile == 0 {
-		cfg.Percentile = base.Percentile
-	} else if cfg.Percentile < 0 || cfg.Percentile > 1 {
-		return fmt.Errorf("perigee: percentile %v outside (0, 1]", cfg.Percentile)
-	}
-	if cfg.MeanValidation == 0 {
-		cfg.MeanValidation = base.MeanValidation
-	} else if cfg.MeanValidation < 0 {
-		return fmt.Errorf("perigee: negative validation delay %v", cfg.MeanValidation)
-	}
-	return nil
 }
 
 // Network is a simulated p2p network running the Perigee protocol.

@@ -24,9 +24,6 @@ func TestNewValidatesSize(t *testing.T) {
 	if _, err := New(3); err == nil {
 		t.Fatal("expected error for tiny network")
 	}
-	if _, err := NewFromConfig(Config{Nodes: 3}); err == nil {
-		t.Fatal("expected error for tiny network via config shim")
-	}
 }
 
 func TestNetworkLifecycle(t *testing.T) {
@@ -92,69 +89,9 @@ func TestNetworkDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestOptionsMatchLegacyConfig is the shim equivalence guarantee: a
-// network assembled from options is bit-for-bit identical to the same
-// network assembled from the legacy Config, across scoring variants and
-// power distributions.
-func TestOptionsMatchLegacyConfig(t *testing.T) {
-	cases := []struct {
-		name string
-		cfg  Config
-		opts []Option
-	}{
-		{
-			name: "subset-uniform",
-			cfg:  Config{Nodes: 60, Seed: 5, Scoring: ScoringSubset, RoundBlocks: 10},
-			opts: []Option{WithSeed(5), WithRoundBlocks(10)},
-		},
-		{
-			name: "vanilla-exponential",
-			cfg:  Config{Nodes: 60, Seed: 6, Scoring: ScoringVanilla, RoundBlocks: 10, HashPower: PowerExponential},
-			opts: []Option{WithSeed(6), WithScoring(ScoringVanilla), WithRoundBlocks(10), WithPower(ExponentialPower())},
-		},
-		{
-			name: "ucb-pools",
-			cfg:  Config{Nodes: 60, Seed: 7, Scoring: ScoringUCB, HashPower: PowerPools},
-			opts: []Option{WithSeed(7), WithScoring(ScoringUCB), WithPower(PoolsPower(0.1, 0.9))},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			legacy, err := NewFromConfig(tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			built, err := New(tc.cfg.Nodes, tc.opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, net := range []*Network{legacy, built} {
-				if err := net.Run(3); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if !reflect.DeepEqual(legacy.Adjacency(), built.Adjacency()) {
-				t.Fatal("adjacency diverges between legacy Config and options builds")
-			}
-			dLegacy, err := legacy.BroadcastDelays(0.9)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dBuilt, err := built.BroadcastDelays(0.9)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(dLegacy, dBuilt) {
-				t.Fatal("delay metrics diverge between legacy Config and options builds")
-			}
-		})
-	}
-}
-
-// TestExploreZeroHonored covers the applyDefaults fix: WithExplore(0) and
-// Config{Explore: ExploreNone} both mean zero exploration (no connections
-// are dropped or added), while a zero-valued legacy Explore still means
-// the default of 2.
+// TestExploreZeroHonored: WithExplore(0) means zero exploration (no
+// connections are dropped or added), an unset explore count means the
+// paper's default of 2, and a negative one is rejected.
 func TestExploreZeroHonored(t *testing.T) {
 	run := func(t *testing.T, net *Network) RoundSummary {
 		t.Helper()
@@ -164,29 +101,22 @@ func TestExploreZeroHonored(t *testing.T) {
 		}
 		return sum
 	}
-	viaOptions, err := New(50, WithExplore(0), WithRoundBlocks(5))
+	zero, err := New(50, WithExplore(0), WithRoundBlocks(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum := run(t, viaOptions); sum.ConnectionsDropped != 0 || sum.ConnectionsAdded != 0 {
+	if sum := run(t, zero); sum.ConnectionsDropped != 0 || sum.ConnectionsAdded != 0 {
 		t.Fatalf("WithExplore(0) should freeze the topology, got %+v", sum)
 	}
-	viaConfig, err := NewFromConfig(Config{Nodes: 50, Explore: ExploreNone, RoundBlocks: 5})
+	unset, err := New(50, WithRoundBlocks(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum := run(t, viaConfig); sum.ConnectionsDropped != 0 || sum.ConnectionsAdded != 0 {
-		t.Fatalf("Explore: ExploreNone should freeze the topology, got %+v", sum)
+	if sum := run(t, unset); sum.ConnectionsDropped == 0 {
+		t.Fatalf("an unset explore count should default to 2, got %+v", sum)
 	}
-	legacyDefault, err := NewFromConfig(Config{Nodes: 50, RoundBlocks: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum := run(t, legacyDefault); sum.ConnectionsDropped == 0 {
-		t.Fatalf("zero-valued legacy Explore should still default to 2, got %+v", sum)
-	}
-	if _, err := NewFromConfig(Config{Nodes: 50, Explore: -2}); err == nil {
-		t.Fatal("negative explore (other than ExploreNone) should be rejected")
+	if _, err := New(50, WithExplore(-2)); err == nil {
+		t.Fatal("negative explore should be rejected")
 	}
 }
 
@@ -201,9 +131,6 @@ func TestArgumentValidation(t *testing.T) {
 		}
 	}
 	for _, p := range []float64{-0.1, 1.5} {
-		if _, err := NewFromConfig(Config{Nodes: 50, Percentile: p}); err == nil {
-			t.Fatalf("Config.Percentile=%v should be rejected", p)
-		}
 		if _, err := New(50, WithPercentile(p)); err == nil {
 			t.Fatalf("WithPercentile(%v) should be rejected", p)
 		}
@@ -214,8 +141,8 @@ func TestArgumentValidation(t *testing.T) {
 	if _, err := New(50, WithRoundBlocks(-1)); err == nil {
 		t.Fatal("WithRoundBlocks(-1) should be rejected")
 	}
-	if _, err := NewFromConfig(Config{Nodes: 50, RoundBlocks: -1}); err == nil {
-		t.Fatal("Config.RoundBlocks=-1 should be rejected")
+	if _, err := New(50, WithValidation(FixedValidation(-time.Millisecond))); err == nil {
+		t.Fatal("a negative validation delay should be rejected")
 	}
 }
 
@@ -417,17 +344,18 @@ func TestScenarioRegistry(t *testing.T) {
 	}
 }
 
-func TestHashPowerVariants(t *testing.T) {
-	for _, hp := range []HashPower{PowerUniform, PowerExponential, PowerPools} {
-		cfg := DefaultConfig(50)
-		cfg.HashPower = hp
-		cfg.RoundBlocks = 5
-		net, err := NewFromConfig(cfg)
+func TestPowerDistVariants(t *testing.T) {
+	for name, dist := range map[string]PowerDist{
+		"uniform":     UniformPower(),
+		"exponential": ExponentialPower(),
+		"pools":       PoolsPower(0.1, 0.9),
+	} {
+		net, err := New(50, WithPower(dist), WithRoundBlocks(5))
 		if err != nil {
-			t.Fatalf("hash power %d: %v", hp, err)
+			t.Fatalf("%s power: %v", name, err)
 		}
 		if _, err := net.Step(); err != nil {
-			t.Fatalf("hash power %d: %v", hp, err)
+			t.Fatalf("%s power: %v", name, err)
 		}
 	}
 }

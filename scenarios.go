@@ -13,12 +13,6 @@ type ScenarioOptions = experiments.Options
 // marshals to JSON.
 type ScenarioResult = experiments.Result
 
-// ExperimentOptions is the former name of ScenarioOptions.
-type ExperimentOptions = ScenarioOptions
-
-// ExperimentResult is the former name of ScenarioResult.
-type ExperimentResult = ScenarioResult
-
 // ValidationModel selects the per-node validation delay distribution used
 // by scenario options; re-exported from the experiment harness.
 type ValidationModel = experiments.ValidationModel
@@ -48,12 +42,6 @@ func DefaultScenarioOptions() ScenarioOptions { return experiments.DefaultOption
 // trial) where the paper's qualitative results still hold.
 func QuickScenarioOptions() ScenarioOptions { return experiments.ShortOptions() }
 
-// DefaultExperimentOptions is the former name of DefaultScenarioOptions.
-func DefaultExperimentOptions() ScenarioOptions { return DefaultScenarioOptions() }
-
-// QuickExperimentOptions is the former name of QuickScenarioOptions.
-func QuickExperimentOptions() ScenarioOptions { return QuickScenarioOptions() }
-
 // Scenarios lists every registered scenario — the paper's figures and
 // theorems, the §6 extension studies, the ablation sweeps, and anything
 // added through RegisterScenario — sorted by ID.
@@ -76,14 +64,4 @@ func RunScenario(id string, opt ScenarioOptions) (*ScenarioResult, error) {
 // an empty ID, a nil runner, or an ID collision.
 func RegisterScenario(id, brief string, run func(ScenarioOptions) (*ScenarioResult, error)) error {
 	return experiments.Register(experiments.Scenario{ID: id, Brief: brief, Run: run})
-}
-
-// Experiments lists the registered scenario IDs.
-//
-// Deprecated: use Scenarios, which also carries descriptions.
-func Experiments() []string { return experiments.IDs() }
-
-// RunExperiment is the former name of RunScenario.
-func RunExperiment(id string, opt ScenarioOptions) (*ScenarioResult, error) {
-	return RunScenario(id, opt)
 }

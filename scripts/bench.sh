@@ -1,34 +1,21 @@
 #!/usr/bin/env bash
-# bench.sh — run the hot-path micro-benchmark suite, enforce the repo's
-# allocation contracts, refresh the machine-readable bench report
-# (BENCH_PR8.json), and diff it against the latest previously committed
-# BENCH_*.json so performance regressions fail loudly.
+# bench.sh — run the hot-path micro-benchmark suite and enforce the repo's
+# allocation contracts. (Timings are the business of the benchmark of
+# record: bash benchmark/run.sh, declared in BENCHMARK.json.)
 #
-# Usage:
-#   scripts/bench.sh            # go-test Micro pass + JSON report + diff
-#   scripts/bench.sh --json     # JSON report + diff only (skip go-test pass)
-#
-# Environment:
-#   BENCH_OUT          output report path         (default BENCH_PR8.json)
-#   BENCH_MAX_REGRESS  ns/op regression tolerance (default 0.20 = +20%)
-#
-# The go-test pass prints the familiar -benchmem table and enforces the
-# allocation gates below; the perigee-bench pass rewrites the "results"
-# section of $BENCH_OUT while preserving its committed "baseline" section,
-# then fails if any case regressed more than $BENCH_MAX_REGRESS in ns/op
-# or grew its allocs/op versus the newest other BENCH_*.json in the repo
-# root. Alloc comparisons are machine-independent; the ns/op tolerance
-# absorbs machine-to-machine noise.
+# The suite runs at GOMAXPROCS=1: the engine round allocates per worker, so
+# its allocs/op — and the gate on it — mean something only at a fixed worker
+# count.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+export GOMAXPROCS=1
 
-OUT="${BENCH_OUT:-BENCH_PR8.json}"
-MAX_REGRESS="${BENCH_MAX_REGRESS:-0.20}"
+OUT=/tmp/perigee-bench.out
 
 # gate NAME WANT — fail unless benchmark NAME reports at most WANT allocs/op.
 gate() {
   local name="$1" want="$2" line allocs
-  line="$(grep -E "^Benchmark${name}(-[0-9]+)?[[:space:]]" /tmp/perigee-bench.out || true)"
+  line="$(grep -E "^Benchmark${name}(-[0-9]+)?[[:space:]]" "$OUT" || true)"
   if [[ -z "$line" ]]; then
     echo "bench.sh: Benchmark${name} missing from output" >&2
     exit 1
@@ -41,40 +28,30 @@ gate() {
   echo "bench.sh: Benchmark${name} alloc gate ok (${allocs} <= ${want})"
 }
 
-if [[ "${1:-}" != "--json" ]]; then
-  # Main pass at 100 iterations. The 100k broadcast runs separately at 3
-  # iterations because a single op is a full 100k-node streaming flood.
-  go test -run '^$' \
-    -bench 'Micro(Broadcast1000$|Broadcast10000$|AnalyticArrival|DelayToFraction|VanillaScoring|SubsetScoring|EngineRound|DurationPercentile)' \
-    -benchmem -benchtime=100x . | tee /tmp/perigee-bench.out
-  go test -run '^$' -bench 'MicroBroadcast100000$' -benchmem -benchtime=3x . \
-    | tee -a /tmp/perigee-bench.out
-  # One op is a full simulated hour (~1800 blocks through netsim plus the
-  # chain-view bookkeeping), so it runs at 3 iterations like the 100k
-  # broadcast. Its allocations are deterministic (47203 at the time the
-  # gate was set); the ceiling catches structural regressions — a
-  # per-block or per-delivery allocation would add thousands.
-  go test -run '^$' -bench 'WorkloadHour$' -benchmem -benchtime=3x . \
-    | tee -a /tmp/perigee-bench.out
-  gate MicroBroadcast1000 0
-  gate MicroBroadcast10000 0
-  gate MicroBroadcast100000 0
-  gate MicroDurationPercentile 0
-  gate MicroVanillaScoring 1
-  gate MicroSubsetScoring 1
-  gate WorkloadHour 50000
-  # Decision tracing is off in every Micro case; this ceiling pins the
-  # untraced engine round so the tracing hooks stay branch-only on the hot
-  # path (a per-decision or per-counterfactual allocation would add
-  # thousands per round).
-  gate MicroEngineRound 2000
-  echo "bench.sh: all allocation gates hold"
-fi
-
-# Newest committed report other than $OUT, as the regression reference.
-REF="$(ls -1 BENCH_*.json 2>/dev/null | grep -vxF "$OUT" | sort -V | tail -1 || true)"
-if [[ -n "$REF" ]]; then
-  go run ./cmd/perigee-bench -out "$OUT" -diff "$REF" -max-regress "$MAX_REGRESS"
-else
-  go run ./cmd/perigee-bench -out "$OUT"
-fi
+# Main pass at 100 iterations. The 100k broadcast runs separately at 3
+# iterations because a single op is a full 100k-node streaming flood.
+go test -run '^$' \
+  -bench 'Micro(Broadcast1000$|Broadcast10000$|AnalyticArrival|DelayToFraction|VanillaScoring|SubsetScoring|EngineRound|DurationPercentile)' \
+  -benchmem -benchtime=100x . | tee "$OUT"
+go test -run '^$' -bench 'MicroBroadcast100000$' -benchmem -benchtime=3x . \
+  | tee -a "$OUT"
+# One op is a full simulated hour (~1800 blocks through netsim plus the
+# chain-view bookkeeping), so it runs at 3 iterations like the 100k
+# broadcast. Its allocations are deterministic (47203 at the time the
+# gate was set); the ceiling catches structural regressions — a
+# per-block or per-delivery allocation would add thousands.
+go test -run '^$' -bench 'WorkloadHour$' -benchmem -benchtime=3x . \
+  | tee -a "$OUT"
+gate MicroBroadcast1000 0
+gate MicroBroadcast10000 0
+gate MicroBroadcast100000 0
+gate MicroDurationPercentile 0
+gate MicroVanillaScoring 1
+gate MicroSubsetScoring 1
+gate WorkloadHour 50000
+# Decision tracing is off in every Micro case; this ceiling pins the
+# untraced engine round so the tracing hooks stay branch-only on the hot
+# path (a per-decision or per-counterfactual allocation would add
+# thousands per round).
+gate MicroEngineRound 2000
+echo "bench.sh: all allocation gates hold"
