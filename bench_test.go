@@ -151,7 +151,7 @@ func BenchmarkExtensionConvergence(b *testing.B) {
 // The bodies live in internal/bench; the wrappers below are the stable
 // `-bench=Micro` go-test entry points scripts/bench.sh gates on.
 
-// BenchmarkMicroBroadcast1000 measures one event-driven block broadcast
+// BenchmarkMicroBroadcast1000 measures one block broadcast
 // over a 1000-node network (the inner loop of every experiment). The CI
 // benchmark job fails if this reports any steady-state allocations.
 func BenchmarkMicroBroadcast1000(b *testing.B) { bench.MicroBroadcast(1000)(b) }

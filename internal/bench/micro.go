@@ -49,7 +49,7 @@ func Network(b *testing.B, n int) (*netsim.Simulator, []float64) {
 	return sim, power
 }
 
-// MicroBroadcast measures one event-driven block broadcast over an n-node
+// MicroBroadcast measures one block broadcast over an n-node
 // network (the inner loop of every experiment). The scratch is warmed
 // before the timer starts, so allocs/op reports the steady state — the CSR
 // hot path's contract is zero.

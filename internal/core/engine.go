@@ -127,8 +127,7 @@ type Config struct {
 	// deterministic at any Workers count.
 	Tamper func(node int, neighbors []int, offsets [][]time.Duration)
 	// SendInterval, if non-nil, serializes each node's uploads (see
-	// netsim.Config.SendInterval); λ evaluation then uses the event
-	// simulation instead of the analytic pass.
+	// netsim.Config.SendInterval).
 	SendInterval []time.Duration
 	// Rand drives source sampling and exploration.
 	Rand *rng.RNG
@@ -165,7 +164,7 @@ type Config struct {
 	// shards and runs each block's broadcast as a conservative windowed
 	// parallel simulation across them (see netsim.ShardedBroadcaster),
 	// fanned over the engine worker pool. Results stay bit-for-bit
-	// identical at any shard count. Zero or 1 means the single-queue path.
+	// identical at any shard count. Zero or 1 means the unsharded path.
 	Shards int
 	// Trace enables decision tracing and counterfactual evaluation (see
 	// TraceConfig). The zero value disables both; with tracing off the
@@ -508,8 +507,8 @@ func (e *Engine) shardedBroadcaster(sim *netsim.Simulator) (*netsim.ShardedBroad
 	return rs.shb, nil
 }
 
-// arrivalBuffers returns `workers` reusable arrival vectors for the
-// analytic λ evaluation.
+// arrivalBuffers returns `workers` reusable arrival vectors, one per
+// worker, for the λ and receive-delay evaluations.
 func (e *Engine) arrivalBuffers(workers int) [][]time.Duration {
 	rs := &e.scratch
 	for len(rs.arrivals) < workers {
@@ -774,10 +773,8 @@ func (e *Engine) Run(rounds int) (RoundReport, error) {
 // Delays computes the paper's metric λ_v (§2.2) for each source in sources
 // (all nodes when nil): the time for a block mined by v to reach nodes
 // holding at least frac of the total hash power, on the current topology.
-// With upload serialization configured, the event simulation is used
-// instead of the analytic pass. Sources are evaluated in parallel on the
-// engine's worker pool; the output is indexed by source, so it is
-// independent of worker count.
+// Sources are evaluated in parallel on the engine's worker pool; the output
+// is indexed by source, so it is independent of worker count.
 func (e *Engine) Delays(frac float64, sources []int) ([]time.Duration, error) {
 	sim, err := e.ensureSim()
 	if err != nil {
@@ -787,13 +784,14 @@ func (e *Engine) Delays(frac float64, sources []int) ([]time.Duration, error) {
 		sources = allNodes(e.table.N())
 	}
 	workers := e.workerCount(len(sources))
-	e.prepareArrival(sim, workers)
+	arrivals := e.arrivalBuffers(workers)
 	out := make([]time.Duration, len(sources))
 	err = parallel.ForEachIndexed(len(sources), workers, func(worker, i int) error {
-		arrival, err := e.arrivalFor(sim, worker, sources[i])
+		arrival, err := sim.ArrivalAnalyticInto(arrivals[worker], sources[i])
 		if err != nil {
 			return err
 		}
+		arrivals[worker] = arrival
 		out[i], err = netsim.DelayToFraction(arrival, e.power, frac)
 		return err
 	})
@@ -809,38 +807,6 @@ func allNodes(n int) []int {
 		out[i] = i
 	}
 	return out
-}
-
-// prepareArrival sizes the per-worker scratch arrivalFor draws on: arrival
-// buffers for the analytic pass, or Broadcasters when uploads are
-// serialized.
-func (e *Engine) prepareArrival(sim *netsim.Simulator, workers int) {
-	if e.sendInterval == nil {
-		e.arrivalBuffers(workers)
-		return
-	}
-	e.broadcasters(sim, workers)
-}
-
-// arrivalFor computes the arrival vector of one source on the shared
-// simulator: the pooled analytic pass into a reusable per-worker buffer, or
-// the event simulation through the per-worker Broadcaster when uploads are
-// serialized. The returned slice is per-worker scratch, valid until the
-// worker's next call.
-func (e *Engine) arrivalFor(sim *netsim.Simulator, worker, src int) ([]time.Duration, error) {
-	if e.sendInterval == nil {
-		arrival, err := sim.ArrivalAnalyticInto(e.scratch.arrivals[worker], src)
-		if err != nil {
-			return nil, err
-		}
-		e.scratch.arrivals[worker] = arrival
-		return arrival, nil
-	}
-	res, err := e.scratch.bcs[worker].Broadcast(src)
-	if err != nil {
-		return nil, err
-	}
-	return res.Arrival, nil
 }
 
 // ReceiveDelays computes the complementary metric: for each node v, the
@@ -860,7 +826,7 @@ func (e *Engine) ReceiveDelays(sources []int) ([]time.Duration, error) {
 	}
 	n := e.table.N()
 	workers := e.workerCount(len(sources))
-	e.prepareArrival(sim, workers)
+	arrivals := e.arrivalBuffers(workers)
 	partialSums := make([][]time.Duration, workers)
 	partialCensored := make([][]bool, workers)
 	for w := 0; w < workers; w++ {
@@ -868,10 +834,11 @@ func (e *Engine) ReceiveDelays(sources []int) ([]time.Duration, error) {
 		partialCensored[w] = make([]bool, n)
 	}
 	err = parallel.ForEachIndexed(len(sources), workers, func(worker, i int) error {
-		arrival, err := e.arrivalFor(sim, worker, sources[i])
+		arrival, err := sim.ArrivalAnalyticInto(arrivals[worker], sources[i])
 		if err != nil {
 			return err
 		}
+		arrivals[worker] = arrival
 		sums, censored := partialSums[worker], partialCensored[worker]
 		for v := 0; v < n; v++ {
 			if arrival[v] == stats.InfDuration {

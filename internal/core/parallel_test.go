@@ -82,7 +82,7 @@ func TestStepDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestDelaysAndReceiveDelaysDeterministicAcrossWorkers covers the
-// evaluation paths, including the event-driven one (serialized uploads).
+// evaluation paths under serialized uploads.
 func TestDelaysAndReceiveDelaysDeterministicAcrossWorkers(t *testing.T) {
 	build := func(workers int) *Engine {
 		tn := newTestNetwork(t, 90, 77)
@@ -109,7 +109,7 @@ func TestDelaysAndReceiveDelaysDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(dSeq, dPar) {
-		t.Fatal("event-driven delay metrics diverge across worker counts")
+		t.Fatal("delay metrics diverge across worker counts")
 	}
 	rSeq, err := seq.ReceiveDelays(nil)
 	if err != nil {

@@ -89,7 +89,7 @@ func TestWindowedEngineDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestShardedEngineMatchesSingleQueue is the engine-level shard acceptance
-// check: a sharded engine produces bit-for-bit the single-queue engine's
+// check: a sharded engine produces bit-for-bit the unsharded engine's
 // rounds at any shard and worker count, including combined with a narrow
 // observation window.
 func TestShardedEngineMatchesSingleQueue(t *testing.T) {

@@ -1,16 +1,20 @@
 // Package des implements a deterministic discrete-event simulation engine:
 // a virtual clock plus a binary-heap scheduler with FIFO tie-breaking.
 //
-// Two schedulers are provided. DeliveryQueue is the typed scheduler the
-// broadcast hot path runs on: events are plain {time, node, slot} records
-// popped in a loop by the caller, so scheduling an event costs one append
-// into a flat heap instead of a closure allocation plus container/heap
-// interface boxing. Scheduler is the general closure-based engine it
-// replaced; nothing outside tests calls it, and it is kept only as the
-// reference implementation the netsim equivalence tests check the typed
-// queue against. Determinism is a hard requirement for reproducing
-// the paper's figures: in both schedulers, two events scheduled for the
-// same instant always fire in the order they were scheduled.
+// Two schedulers are provided. DeliveryQueue is the typed one: events are
+// plain {time, node, slot} records popped in a loop by the caller, so
+// scheduling an event costs one append into a flat heap instead of a
+// closure allocation plus container/heap interface boxing. It runs where
+// every delivery really is an event: under netsim.ShardedBroadcaster, whose
+// shards advance in lockstep windows, and in the workload engine's replay
+// of block deliveries into per-node chain views. The unsharded broadcast
+// does not use it — netsim.Broadcaster orders first arrivals only, in a
+// label-setting pass with a heap of its own. Scheduler is the general
+// closure-based engine; nothing outside tests calls it, and it is kept as
+// the reference implementation that pass is checked against, one event per
+// directed edge. Determinism is a hard requirement for reproducing the
+// paper's figures: in both schedulers, two events scheduled for the same
+// instant always fire in the order they were scheduled.
 package des
 
 import (
@@ -147,7 +151,7 @@ func (a deliveryItem) less(b deliveryItem) bool {
 }
 
 // DeliveryQueue is a binary min-heap of Delivery events with FIFO
-// tie-breaking, specialized for the broadcast inner loop: no closures, no
+// tie-breaking, specialized for a caller-owned pop loop: no closures, no
 // interfaces, no per-event allocations once the backing array has grown to
 // the broadcast's high-water mark. The zero value is ready to use. It is
 // not safe for concurrent use.

@@ -265,8 +265,7 @@ const (
 )
 
 // Bandwidth measures the upload-serialization scenario (§3.3's bandwidth
-// skew): per-node send intervals model block transmission time, and the
-// event-driven simulator (not the analytic pass) evaluates λ_v.
+// skew): per-node send intervals model block transmission time.
 func Bandwidth(opt Options) (*Result, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err

@@ -75,7 +75,7 @@ var fields = []field{
 	{name: "ObservationWindow", hash: "observationwindow", json: "observation_window", rng: "[0,inf)",
 		flag: "obs-window", help: "bound per-node observation memory to the last N blocks of each round (0 = dense)"},
 	{name: "Shards", hash: "shards", json: "shards", rng: "[0,inf)",
-		flag: "shards", help: "run each broadcast as a conservative parallel simulation over N node shards (0/1 = single queue; results are identical for any value)"},
+		flag: "shards", help: "run each broadcast as a conservative parallel simulation over N node shards (0/1 = unsharded; results are identical for any value)"},
 	{name: "LatencyMode", hash: "latencymode", json: "latency_mode", enum: []string{"auto", "precomputed", "streaming"},
 		flag: "latency-mode", help: "edge-delay evaluation: auto, precomputed, or streaming (auto switches to streaming at 20k nodes)"},
 	{name: "BlockInterval", hash: "blockinterval", json: "block_interval_ms", unit: time.Millisecond, rng: "[0,inf)",

@@ -82,7 +82,7 @@ type Options struct {
 	ObservationWindow int
 	// Shards runs each block broadcast as a conservative windowed parallel
 	// simulation over that many node shards; forwarded to
-	// core.Config.Shards. Zero or 1 uses the single-queue path.
+	// core.Config.Shards. Zero or 1 uses the unsharded path.
 	Shards int
 	// LatencyMode selects precomputed vs streaming edge delays for both
 	// the protocol engines and the evaluation simulators (zero = Auto,

@@ -18,21 +18,27 @@
 // rowStart[v+1] of three flat arrays — edgeDst (the neighbor), edgeSlot
 // (the sender's position in the neighbor's own row, i.e. the precomputed
 // reverse index), and edgeDelay (the one-way latency δ, evaluated once per
-// edge at build time). The broadcast inner loop is therefore pure array
-// walks: forwarding a block pushes typed {time, node, slot} records onto a
-// des.DeliveryQueue, and delivering one is two array reads and two
-// compare-and-stores. Per-edge arrival times live in one flat buffer that
+// edge at build time). Per-edge arrival times live in one flat buffer that
 // Result's per-node EdgeArrival rows alias, so resetting a broadcast is a
 // single linear fill. After a Broadcaster's buffers have grown to the
 // topology's size, a broadcast performs zero heap allocations
 // (alloc_test.go enforces this).
 //
-// Two equivalent computations are provided: the event-driven simulation
-// (which also supports upload serialization) and an analytic Dijkstra pass
-// over the same flat arrays that produces only first-arrival times, used
-// for fast evaluation of the λ_v metric. Integration tests assert they
-// agree, and typedsched_test.go asserts the typed delivery queue reproduces
-// the closure-based des.Scheduler bit-for-bit.
+// # One label-setting pass
+//
+// A node relays a block exactly once, at its first arrival, so every
+// per-edge timestamp is a closed form of the sender's first-arrival time:
+// t(v, w) = a(v) + Δ_v·[v≠src] + relay_v + i·SendInterval_v + δ(v, w) for
+// w the i-th neighbor of v. Only first arrivals need an order. Broadcast
+// and ArrivalAnalytic are therefore the same Dijkstra loop (flood) over the
+// flat arrays: settling v walks its row once, evaluates δ once per directed
+// edge, writes t(v, w) into w's EdgeArrival row (Broadcast only) and
+// relaxes a(w); the heap carries one entry per successful relaxation, not
+// one per edge. typedsched_test.go referees the pass against an
+// event-per-edge simulation on the closure-based des.Scheduler, bit for
+// bit. ShardedBroadcaster (shard.go) is the one event-driven simulation
+// left: a conservative windowed parallel run over des.DeliveryQueue, held
+// equal to Broadcaster by shard_test.go.
 package netsim
 
 import (
@@ -42,7 +48,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/perigee-net/perigee/internal/des"
 	"github.com/perigee-net/perigee/internal/latency"
 	"github.com/perigee-net/perigee/internal/stats"
 )
@@ -124,15 +129,15 @@ type Simulator struct {
 	base     atomic.Pointer[Broadcaster]
 }
 
-// Broadcaster owns the mutable per-broadcast state (typed delivery queue
-// and arrival scratch) for one goroutine's broadcasts over a shared
-// Simulator. A Broadcaster is not safe for concurrent use; create one per
-// worker. Broadcasters survive Simulator.Reconfigure: they resize their
-// scratch on the next Broadcast.
+// Broadcaster owns the mutable per-broadcast state (first-arrival heap and
+// arrival scratch) for one goroutine's broadcasts over a shared Simulator.
+// A Broadcaster is not safe for concurrent use; create one per worker.
+// Broadcasters survive Simulator.Reconfigure: they resize their scratch on
+// the next Broadcast.
 type Broadcaster struct {
-	sim   *Simulator
-	gen   uint64
-	queue des.DeliveryQueue
+	sim  *Simulator
+	gen  uint64
+	heap arrivalHeap
 
 	// Scratch buffers, reused across Broadcast calls; Result aliases them.
 	// edgeArrival's per-node rows alias the flat edgeFlat buffer through
@@ -419,79 +424,31 @@ func (b *Broadcaster) Broadcast(source int) (Result, error) {
 	if source < 0 || source >= s.n {
 		return Result{}, fmt.Errorf("netsim: source %d out of range (n=%d)", source, s.n)
 	}
-	arrival, edgeFlat := b.arrival, b.edgeFlat
-	for i := range arrival {
-		arrival[i] = stats.InfDuration
-	}
-	for i := range edgeFlat {
-		edgeFlat[i] = stats.InfDuration
-	}
-	b.queue.Reset()
-	arrival[source] = 0
-	b.forward(int32(source), 0)
-	b.run()
-	return Result{Source: source, Arrival: arrival, EdgeArrival: b.edgeArrival}, nil
+	s.flood(int32(source), &b.heap, b.arrival, b.edgeFlat)
+	return Result{Source: source, Arrival: b.arrival, EdgeArrival: b.edgeArrival}, nil
 }
 
-// forward schedules v's announcements to all its neighbors, starting at
-// time at (v has validated the block by then). Delays are validated
-// non-negative at construction, so every push is in the present or future.
-func (b *Broadcaster) forward(v int32, at time.Duration) {
-	s := b.sim
-	var interval time.Duration
-	if s.cfg.SendInterval != nil {
-		interval = s.cfg.SendInterval[v]
-	}
-	depart := at
-	for e := s.rowStart[v]; e < s.rowStart[v+1]; e++ {
-		b.queue.Push(des.Delivery{At: depart + s.delayOf(v, e), Node: s.edgeDst[e], Slot: s.edgeSlot[e]})
-		depart += interval
-	}
-}
-
-// run drains the delivery queue: each pop records the announcement arriving
-// at its node's neighbor slot, and the first delivery to a node triggers
-// that node's own forwarding.
-func (b *Broadcaster) run() {
-	s := b.sim
-	silent, fwd, relay := s.cfg.Silent, s.cfg.Forward, s.cfg.RelayDelay
-	for b.queue.Len() > 0 {
-		d := b.queue.PopMin()
-		idx := s.rowStart[d.Node] + d.Slot
-		if b.edgeFlat[idx] > d.At {
-			b.edgeFlat[idx] = d.At
-		}
-		if b.arrival[d.Node] == stats.InfDuration {
-			b.arrival[d.Node] = d.At
-			if silent == nil || !silent[d.Node] {
-				depart := d.At + fwd[d.Node]
-				if relay != nil {
-					depart += relay[d.Node]
-				}
-				b.forward(d.Node, depart)
-			}
-		}
-	}
-}
-
-// dijkstraItem is one heap entry of the analytic pass.
-type dijkstraItem struct {
+// arrivalItem is one heap entry of the label-setting pass: node v is
+// tentatively first reached at d.
+type arrivalItem struct {
 	d time.Duration
 	v int32
 }
 
-// dijkstraScratch pools the analytic pass's binary heap so repeated λ_v
-// evaluations (once per node per evaluation pass, from many goroutines)
-// allocate nothing once warm.
-type dijkstraScratch struct {
-	heap []dijkstraItem
+// arrivalHeap is the pass's binary min-heap on d. Ties need no order: a
+// node's first-arrival time is a minimum, whichever equal entry pops first.
+type arrivalHeap struct {
+	items []arrivalItem
 }
 
-var dijkstraPool = sync.Pool{New: func() any { return new(dijkstraScratch) }}
+// arrivalHeapPool serves ArrivalAnalyticInto, which has no Broadcaster to
+// keep a heap in: repeated λ_v evaluations (once per node per evaluation
+// pass, from many goroutines) allocate nothing once warm.
+var arrivalHeapPool = sync.Pool{New: func() any { return new(arrivalHeap) }}
 
-func (sc *dijkstraScratch) push(it dijkstraItem) {
-	sc.heap = append(sc.heap, it)
-	h := sc.heap
+func (q *arrivalHeap) push(it arrivalItem) {
+	q.items = append(q.items, it)
+	h := q.items
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 2
@@ -503,13 +460,13 @@ func (sc *dijkstraScratch) push(it dijkstraItem) {
 	}
 }
 
-func (sc *dijkstraScratch) pop() dijkstraItem {
-	h := sc.heap
+func (q *arrivalHeap) pop() arrivalItem {
+	h := q.items
 	top := h[0]
 	last := len(h) - 1
 	h[0] = h[last]
-	sc.heap = h[:last]
-	h = sc.heap
+	q.items = h[:last]
+	h = q.items
 	i := 0
 	for {
 		l, r := 2*i+1, 2*i+2
@@ -529,64 +486,82 @@ func (sc *dijkstraScratch) pop() dijkstraItem {
 	return top
 }
 
-// ArrivalAnalytic computes the same first-arrival vector as Broadcast via
-// Dijkstra over the precomputed per-edge delays, without per-edge
-// bookkeeping. It does not support upload serialization (returns an error
-// if SendInterval is set), because serialized sends are order-dependent and
-// need the event simulation. It is safe to call concurrently from multiple
+// flood is the label-setting pass behind Broadcast and ArrivalAnalytic (see
+// the package comment): it fills arrival with every node's first-arrival
+// time of a block mined by source at time 0 and, when edgeFlat is non-nil,
+// edgeFlat with every directed edge's delivery time. Delays are validated
+// non-negative at construction, so a settled node's arrival is final, and
+// each directed edge's δ is evaluated exactly once — when its sender
+// settles — which matters in streaming mode, where it costs two hashes.
+func (s *Simulator) flood(source int32, q *arrivalHeap, arrival, edgeFlat []time.Duration) {
+	for i := range arrival {
+		arrival[i] = stats.InfDuration
+	}
+	for i := range edgeFlat {
+		edgeFlat[i] = stats.InfDuration
+	}
+	silent, fwd, relay, intervals := s.cfg.Silent, s.cfg.Forward, s.cfg.RelayDelay, s.cfg.SendInterval
+	rowStart, edgeDst, edgeSlot := s.rowStart, s.edgeDst, s.edgeSlot
+	arrival[source] = 0
+	q.items = q.items[:0]
+	q.push(arrivalItem{d: 0, v: source})
+	for len(q.items) > 0 {
+		it := q.pop()
+		v := it.v
+		if it.d > arrival[v] {
+			continue // superseded by an earlier relaxation of v
+		}
+		depart := it.d
+		if v != source {
+			// A silent node relays nothing, but a silent miner still
+			// announces its own block; the miner also pays no validation or
+			// withholding delay.
+			if silent != nil && silent[v] {
+				continue
+			}
+			depart += fwd[v]
+			if relay != nil {
+				depart += relay[v]
+			}
+		}
+		var interval time.Duration
+		if intervals != nil {
+			interval = intervals[v]
+		}
+		for e := rowStart[v]; e < rowStart[v+1]; e++ {
+			w := edgeDst[e]
+			t := depart + s.delayOf(v, e)
+			depart += interval
+			if edgeFlat != nil {
+				edgeFlat[rowStart[w]+edgeSlot[e]] = t
+			}
+			if t < arrival[w] {
+				arrival[w] = t
+				q.push(arrivalItem{d: t, v: w})
+			}
+		}
+	}
+}
+
+// ArrivalAnalytic computes Broadcast's first-arrival vector alone, without
+// the per-edge bookkeeping. It is safe to call concurrently from multiple
 // goroutines on a shared Simulator.
 func (s *Simulator) ArrivalAnalytic(source int) ([]time.Duration, error) {
 	return s.ArrivalAnalyticInto(nil, source)
 }
 
 // ArrivalAnalyticInto is ArrivalAnalytic writing into dst (reused when its
-// capacity suffices, so steady-state callers allocate nothing — the
-// Dijkstra heap itself is pooled). It returns the possibly-regrown slice.
+// capacity suffices, so steady-state callers allocate nothing — the heap
+// itself is pooled). It returns the possibly-regrown slice.
 func (s *Simulator) ArrivalAnalyticInto(dst []time.Duration, source int) ([]time.Duration, error) {
 	if source < 0 || source >= s.n {
 		return nil, fmt.Errorf("netsim: source %d out of range (n=%d)", source, s.n)
 	}
-	if s.cfg.SendInterval != nil {
-		return nil, fmt.Errorf("netsim: analytic arrival unsupported with upload serialization")
-	}
-	// Arrival(w) = min over neighbors v of Arrival(v) + Δ_v·[v≠source] + δ(v, w).
-	dist := growDurations(dst, s.n)
-	for i := range dist {
-		dist[i] = stats.InfDuration
-	}
-	dist[source] = 0
-	silent, fwd, relay := s.cfg.Silent, s.cfg.Forward, s.cfg.RelayDelay
-	sc := dijkstraPool.Get().(*dijkstraScratch)
-	sc.heap = sc.heap[:0]
-	sc.push(dijkstraItem{d: 0, v: int32(source)})
-	for len(sc.heap) > 0 {
-		it := sc.pop()
-		v := it.v
-		if it.d > dist[v] {
-			continue
-		}
-		// A silent node relays nothing, but a silent miner still announces
-		// its own block.
-		if silent != nil && silent[v] && int(v) != source {
-			continue
-		}
-		depart := it.d
-		if int(v) != source {
-			depart += fwd[v]
-			if relay != nil {
-				depart += relay[v]
-			}
-		}
-		for e := s.rowStart[v]; e < s.rowStart[v+1]; e++ {
-			w := s.edgeDst[e]
-			if d := depart + s.delayOf(v, e); d < dist[w] {
-				dist[w] = d
-				sc.push(dijkstraItem{d: d, v: w})
-			}
-		}
-	}
-	dijkstraPool.Put(sc)
-	return dist, nil
+	arrival := growDurations(dst, s.n)
+	q := arrivalHeapPool.Get().(*arrivalHeap)
+	s.flood(int32(source), q, arrival, nil)
+	arrivalHeapPool.Put(q)
+	return arrival, nil
 }
 
 // arrivalSorter sorts a reusable index slice by arrival time. It implements

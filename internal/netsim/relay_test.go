@@ -61,8 +61,8 @@ func TestRelayDelayDoesNotApplyToSource(t *testing.T) {
 }
 
 func TestRelayDelayAnalyticMatchesEventSim(t *testing.T) {
-	// Random topologies with scattered withholding delays: the analytic
-	// Dijkstra pass and the event simulation must agree on every arrival.
+	// Random topologies with scattered withholding delays: the arrival-only
+	// pass and the edge-recording pass must agree on every arrival.
 	r := rng.New(99)
 	for trial := 0; trial < 5; trial++ {
 		adj, err := topology.RandomUndirected(40, 4, r.DeriveIndexed("adj", trial))

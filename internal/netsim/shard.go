@@ -231,8 +231,8 @@ func (sb *ShardedBroadcaster) seed(v int32) {
 	}
 }
 
-// runShard drains shard sh's queue up to (excluding) limit: deliveries are
-// recorded exactly as in Broadcaster.run, a node's first delivery triggers
+// runShard drains shard sh's queue up to (excluding) limit: each delivery
+// is recorded in its node's neighbor slot, a node's first delivery triggers
 // its forwarding, and generated deliveries go to the own queue (same shard)
 // or the outbox (foreign shard, necessarily at ≥ limit).
 func (sb *ShardedBroadcaster) runShard(sh int, limit time.Duration) {

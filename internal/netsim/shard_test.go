@@ -11,7 +11,7 @@ import (
 
 // TestShardedBroadcastMatchesSingleQueue is the conservative-PDES
 // acceptance check: for every shard and worker count, the sharded
-// broadcaster produces bit-for-bit the single-queue Broadcaster's results —
+// broadcaster produces bit-for-bit the unsharded Broadcaster's results —
 // first arrivals and per-edge arrivals — in both the analytic regime and
 // under serialized uploads.
 func TestShardedBroadcastMatchesSingleQueue(t *testing.T) {
@@ -61,7 +61,7 @@ func TestShardedBroadcastMatchesSingleQueue(t *testing.T) {
 
 // TestShardedBroadcastStreaming runs the shard equivalence on a streaming
 // simulator: delays computed on the fly from many shard goroutines must
-// still reproduce the single-queue results exactly.
+// still reproduce the unsharded results exactly.
 func TestShardedBroadcastStreaming(t *testing.T) {
 	const n, sources = 200, 12
 	sim := randomSimMode(t, n, nil, latency.Streaming)
@@ -85,7 +85,7 @@ func TestShardedBroadcastStreaming(t *testing.T) {
 
 // TestShardedBroadcasterReconfigure checks a sharded broadcaster survives
 // Simulator.Reconfigure: the partition and lookahead resync lazily and the
-// results still match the single-queue pass on the new topology.
+// results still match the unsharded pass on the new topology.
 func TestShardedBroadcasterReconfigure(t *testing.T) {
 	const n = 150
 	sim := randomSim(t, n, nil)
@@ -138,7 +138,7 @@ func TestShardedBroadcasterValidation(t *testing.T) {
 
 // TestShardedBroadcasterClampsShards checks a shard count above the node
 // count is clamped rather than rejected, and still reproduces the
-// single-queue results.
+// unsharded results.
 func TestShardedBroadcasterClampsShards(t *testing.T) {
 	const n = 25
 	sim := randomSim(t, n, nil)

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -14,11 +15,12 @@ import (
 	"github.com/perigee-net/perigee/internal/topology"
 )
 
-// refBroadcast is the pre-CSR reference implementation: the closure-based
-// des.Scheduler driving the same network model straight off Config (slice
-// adjacency, per-hop Latency.Delay calls, binary-search reverse index). The
-// property tests assert the flat typed-queue hot path reproduces it
-// bit-for-bit.
+// refBroadcast is the reference the label-setting pass is held to: an
+// event-per-directed-edge simulation of the network model on the
+// closure-based des.Scheduler, straight off Config (slice adjacency, per-hop
+// Latency.Delay calls, binary-search reverse index, no CSR). It orders all
+// deliveries where Broadcaster orders only first arrivals; the property
+// tests assert the two agree bit-for-bit.
 type refBroadcast struct {
 	cfg      Config
 	rev      [][]int
@@ -85,18 +87,54 @@ func (r *refBroadcast) deliver(w, slot int) {
 	if r.arrival[w] == stats.InfDuration {
 		r.arrival[w] = now
 		if r.cfg.Silent == nil || !r.cfg.Silent[w] {
-			r.forward(w, now+r.cfg.Forward[w])
+			depart := now + r.cfg.Forward[w]
+			if r.cfg.RelayDelay != nil {
+				depart += r.cfg.RelayDelay[w] // read live, like the simulator
+			}
+			r.forward(w, depart)
 		}
 	}
 }
 
-// randomCase samples one property-test network: random size/degree, random
-// heterogeneous forward delays, optionally serialized uploads and a random
-// silent set.
-func randomCase(t *testing.T, seed uint64, serialized, silent bool) Config {
+// matchReference fails unless got equals the reference's Arrival vector and
+// every EdgeArrival row exactly.
+func matchReference(t *testing.T, ref *refBroadcast, got Result) {
+	t.Helper()
+	wantArr, wantEdge := ref.broadcast(got.Source)
+	for v := range wantArr {
+		if got.Arrival[v] != wantArr[v] {
+			t.Fatalf("src %d: arrival[%d] = %v, reference %v", got.Source, v, got.Arrival[v], wantArr[v])
+		}
+		if len(got.EdgeArrival[v]) != len(wantEdge[v]) {
+			t.Fatalf("src %d: edgeArrival[%d] has %d slots, reference %d",
+				got.Source, v, len(got.EdgeArrival[v]), len(wantEdge[v]))
+		}
+		for i := range wantEdge[v] {
+			if got.EdgeArrival[v][i] != wantEdge[v][i] {
+				t.Fatalf("src %d: edgeArrival[%d][%d] = %v, reference %v",
+					got.Source, v, i, got.EdgeArrival[v][i], wantEdge[v][i])
+			}
+		}
+	}
+}
+
+// caseOpts selects the features of one sampled property-test network.
+type caseOpts struct {
+	serialized bool         // random per-node SendInterval
+	silent     bool         // random silent set, node 0 (a tested source) included
+	relay      bool         // random per-node RelayDelay
+	ties       bool         // constant link delay and coarse forward delays: equal-time arrivals everywhere
+	island     int          // extra nodes in a ring of their own, unreachable from the rest
+	mode       latency.Mode // edge-delay evaluation (Auto resolves to precomputed at these sizes)
+}
+
+// randomCase samples one property-test network: random size/degree and
+// random heterogeneous forward delays, plus whatever opts asks for.
+func randomCase(t *testing.T, seed uint64, opts caseOpts) Config {
 	t.Helper()
 	root := rng.New(seed)
-	n := 20 + int(root.IntN(60))
+	core := 20 + int(root.IntN(60))
+	n := core + opts.island
 	deg := 2 + int(root.IntN(4))
 	u, err := geo.SampleUniverse(n, root.Derive("universe"))
 	if err != nil {
@@ -106,72 +144,111 @@ func randomCase(t *testing.T, seed uint64, serialized, silent bool) Config {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := topology.Random(n, deg, 3*deg, root.Derive("topo"))
+	tbl, err := topology.Random(core, deg, 3*deg, root.Derive("topo"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	adj := tbl.Undirected()
+	for i := 0; i < opts.island; i++ {
+		row := []int{core + (i+opts.island-1)%opts.island, core + (i+1)%opts.island}
+		sort.Ints(row)
+		adj = append(adj, row)
+	}
 	cfg := Config{
-		Adj:     tbl.Undirected(),
-		Latency: model,
-		Forward: make([]time.Duration, n),
+		Adj:         adj,
+		Latency:     model,
+		Forward:     make([]time.Duration, n),
+		LatencyMode: opts.mode,
 	}
 	for i := range cfg.Forward {
 		cfg.Forward[i] = time.Duration(root.IntN(80)) * time.Millisecond
 	}
-	if serialized {
+	if opts.ties {
+		// Links cost 0 or 10 ms flat and validation 0, 10 or 20 ms, so many
+		// deliveries share a timestamp and whole neighborhoods tie at 0.
+		cfg.Latency = latency.Constant{Nodes: n, D: time.Duration(seed%2) * 10 * time.Millisecond}
+		for i := range cfg.Forward {
+			cfg.Forward[i] = time.Duration(root.IntN(3)) * 10 * time.Millisecond
+		}
+	}
+	if opts.serialized {
 		cfg.SendInterval = make([]time.Duration, n)
 		for i := range cfg.SendInterval {
 			cfg.SendInterval[i] = time.Duration(root.IntN(20)) * time.Millisecond
 		}
 	}
-	if silent {
+	if opts.silent {
 		cfg.Silent = make([]bool, n)
 		for i := range cfg.Silent {
-			cfg.Silent[i] = root.Float64() < 0.2
+			cfg.Silent[i] = i == 0 || root.Float64() < 0.2
+		}
+	}
+	if opts.relay {
+		cfg.RelayDelay = make([]time.Duration, n)
+		for i := range cfg.RelayDelay {
+			cfg.RelayDelay[i] = time.Duration(root.IntN(4)) * 25 * time.Millisecond
 		}
 	}
 	return cfg
 }
 
-// TestTypedSchedulerMatchesClosureScheduler is the property test of the
-// typed delivery queue: on randomized topologies — with and without upload
-// serialization and silent nodes — the CSR Broadcast must produce exactly
-// the Arrival and EdgeArrival matrices of the closure-based des.Scheduler
-// reference.
-func TestTypedSchedulerMatchesClosureScheduler(t *testing.T) {
+// TestBroadcastMatchesClosureScheduler is the property test of the
+// label-setting pass: on randomized topologies — serialized uploads, silent
+// sources and relays, withholding delays, zero-delay ties, an unreachable
+// component, streaming and precomputed latency — Broadcast must produce
+// exactly the Arrival and EdgeArrival matrices of the event-per-edge
+// reference on the closure-based des.Scheduler.
+func TestBroadcastMatchesClosureScheduler(t *testing.T) {
+	modes := []struct {
+		name string
+		opts caseOpts
+	}{
+		{"plain", caseOpts{}},
+		{"serialized", caseOpts{serialized: true}},
+		{"silent", caseOpts{silent: true}},
+		{"serialized-silent", caseOpts{serialized: true, silent: true}},
+		{"relay", caseOpts{relay: true}},
+		{"ties", caseOpts{ties: true}},
+		{"ties-serialized-silent", caseOpts{ties: true, serialized: true, silent: true}},
+		{"island", caseOpts{island: 5}},
+		{"streaming", caseOpts{mode: latency.Streaming}},
+		{"streaming-everything", caseOpts{mode: latency.Streaming, serialized: true, silent: true, relay: true, island: 3}},
+		{"precomputed-everything", caseOpts{mode: latency.Precomputed, serialized: true, silent: true, relay: true, island: 3}},
+	}
 	for seed := uint64(0); seed < 12; seed++ {
-		for _, mode := range []struct {
-			name               string
-			serialized, silent bool
-		}{
-			{"plain", false, false},
-			{"serialized", true, false},
-			{"silent", false, true},
-			{"serialized-silent", true, true},
-		} {
+		for _, mode := range modes {
 			t.Run(fmt.Sprintf("seed%d-%s", seed, mode.name), func(t *testing.T) {
-				cfg := randomCase(t, seed*7919+1, mode.serialized, mode.silent)
+				cfg := randomCase(t, seed*7919+1, mode.opts)
 				sim, err := New(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
+				if want := mode.opts.mode == latency.Streaming; sim.Streaming() != want {
+					t.Fatalf("simulator streaming = %v, want %v", sim.Streaming(), want)
+				}
 				ref := newRefBroadcast(t, cfg)
 				n := len(cfg.Adj)
-				for _, src := range []int{0, n / 2, n - 1} {
+				for _, src := range []int{0, (n - mode.opts.island) / 2, n - 1} {
 					got, err := sim.Broadcast(src)
 					if err != nil {
 						t.Fatal(err)
 					}
-					wantArr, wantEdge := ref.broadcast(src)
-					for v := 0; v < n; v++ {
-						if got.Arrival[v] != wantArr[v] {
-							t.Fatalf("src %d: arrival[%d] = %v, reference %v", src, v, got.Arrival[v], wantArr[v])
+					matchReference(t, ref, got)
+					reached := 0
+					for _, a := range got.Arrival {
+						if a != stats.InfDuration {
+							reached++
 						}
-						for i := range wantEdge[v] {
-							if got.EdgeArrival[v][i] != wantEdge[v][i] {
-								t.Fatalf("src %d: edgeArrival[%d][%d] = %v, reference %v",
-									src, v, i, got.EdgeArrival[v][i], wantEdge[v][i])
-							}
+					}
+					// The island and the rest never hear one another; their
+					// rows must stay censored, not merely match.
+					if island := mode.opts.island; island > 0 && cfg.Silent == nil {
+						want := n - island
+						if src >= want {
+							want = island
+						}
+						if reached != want {
+							t.Fatalf("src %d reached %d nodes, want %d", src, reached, want)
 						}
 					}
 				}
@@ -180,11 +257,123 @@ func TestTypedSchedulerMatchesClosureScheduler(t *testing.T) {
 	}
 }
 
+// TestBroadcasterTracksLiveConfig drives one Broadcaster through the two
+// things that may change under it between broadcasts — RelayDelay entries
+// mutated in place (an adversary switching behavior mid-run) and a
+// Reconfigure to a new topology — and holds every broadcast to the
+// reference built from the configuration current at that moment.
+func TestBroadcasterTracksLiveConfig(t *testing.T) {
+	for seed := uint64(0); seed < 6; seed++ {
+		cfg := randomCase(t, seed*104729+5, caseOpts{relay: true, serialized: seed%2 == 1, silent: seed%3 == 2})
+		n := len(cfg.Adj)
+		sim, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bc := sim.NewBroadcaster()
+		ref := newRefBroadcast(t, cfg)
+		check := func(what string) {
+			t.Helper()
+			for _, src := range []int{0, n / 2, n - 1} {
+				got, err := bc.Broadcast(src)
+				if err != nil {
+					t.Fatalf("seed %d, %s: %v", seed, what, err)
+				}
+				matchReference(t, ref, got)
+			}
+		}
+		check("initial")
+
+		before, err := bc.Broadcast(n / 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before = snapshot(before)
+		for i := range cfg.RelayDelay { // shared with the simulator and the reference
+			cfg.RelayDelay[i] = time.Duration((i*7+int(seed))%5) * 40 * time.Millisecond
+		}
+		check("after RelayDelay mutation")
+		after, err := bc.Broadcast(n / 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reflect.DeepEqual(before.Arrival, after.Arrival) {
+			t.Fatalf("seed %d: RelayDelay mutation changed no arrival; the slice is not read live", seed)
+		}
+
+		tbl, err := topology.Random(n, 3, 9, rng.New(seed+900))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Adj = tbl.Undirected()
+		if err := sim.Reconfigure(cfg.Adj); err != nil {
+			t.Fatal(err)
+		}
+		ref = newRefBroadcast(t, cfg)
+		check("after Reconfigure")
+	}
+}
+
+// countingModel counts Delay evaluations of the model it wraps.
+type countingModel struct {
+	latency.Model
+	calls int
+}
+
+func (m *countingModel) Delay(u, v int) time.Duration {
+	m.calls++
+	return m.Model.Delay(u, v)
+}
+
+// TestStreamingEvaluatesEachEdgeOnce pins the cost contract of streaming
+// mode, where one Model.Delay is two hashes: a broadcast evaluates δ exactly
+// once per directed edge leaving a node that relays — the source and every
+// reached non-silent node — and never for the rest.
+func TestStreamingEvaluatesEachEdgeOnce(t *testing.T) {
+	for seed := uint64(0); seed < 6; seed++ {
+		cfg := randomCase(t, seed*31+3, caseOpts{mode: latency.Streaming, silent: seed%2 == 1, serialized: seed%3 == 0, island: 4})
+		model := &countingModel{Model: cfg.Latency}
+		cfg.Latency = model
+		sim, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if model.calls != 0 {
+			t.Fatalf("building a streaming simulator evaluated %d delays", model.calls)
+		}
+		n := len(cfg.Adj)
+		for _, src := range []int{0, n / 3, n - 1} {
+			model.calls = 0
+			res, err := sim.Broadcast(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := 0
+			for v, a := range res.Arrival {
+				if a != stats.InfDuration && (v == src || cfg.Silent == nil || !cfg.Silent[v]) {
+					want += len(cfg.Adj[v])
+				}
+			}
+			if model.calls != want {
+				t.Fatalf("seed %d src %d: broadcast evaluated %d delays, want %d (one per relayed directed edge)",
+					seed, src, model.calls, want)
+			}
+			model.calls = 0
+			if _, err := sim.ArrivalAnalytic(src); err != nil {
+				t.Fatal(err)
+			}
+			if model.calls != want {
+				t.Fatalf("seed %d src %d: arrival-only pass evaluated %d delays, want %d", seed, src, model.calls, want)
+			}
+		}
+	}
+}
+
 // TestReconfigureMatchesFresh proves in-place CSR reconfiguration is
 // equivalent to building a fresh simulator, and that existing Broadcasters
 // resynchronize across the topology change.
 func TestReconfigureMatchesFresh(t *testing.T) {
-	cfgA := randomCase(t, 42, false, false)
+	cfgA := randomCase(t, 42, caseOpts{})
 	n := len(cfgA.Adj)
 	sim, err := New(cfgA)
 	if err != nil {

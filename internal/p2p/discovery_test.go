@@ -3,9 +3,11 @@ package p2p
 import (
 	"fmt"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
+	"github.com/perigee-net/perigee/internal/chain"
 	"github.com/perigee-net/perigee/internal/faults"
 	"github.com/perigee-net/perigee/internal/wire"
 )
@@ -336,6 +338,36 @@ func TestRoundlessObservationBound(t *testing.T) {
 	miner.obsMu.Unlock()
 	if ord > cap {
 		t.Fatalf("miner order grew to %d, cap is %d", ord, cap)
+	}
+}
+
+// TestObservationCapKeepsNewest pins the trim contract of the accepted-block
+// window: once more than ObservationCap blocks have been accepted, order is
+// exactly the newest cap hashes, in acceptance order, and firstSeen holds
+// every kept block's timestamps and none of the trimmed blocks'.
+func TestObservationCapKeepsNewest(t *testing.T) {
+	const cap, extra = 16, 37
+	n := startNode(t, 7745, func(c *Config) { c.ObservationCap = cap })
+	var accepted []chain.Hash
+	for i := 0; i < cap+extra; i++ {
+		b := chain.NewBlock(n.store.Tip(), nil, time.Now(), uint64(i))
+		h := b.Header.Hash()
+		n.recordSeen(1, h, time.Now()) // a peer announces it, then it arrives
+		n.acceptBlock(nil, b, false)
+		if !n.store.Has(h) {
+			t.Fatalf("block %d rejected", i)
+		}
+		accepted = append(accepted, h)
+	}
+	n.obsMu.Lock()
+	defer n.obsMu.Unlock()
+	if !slices.Equal(n.order, accepted[extra:]) {
+		t.Fatalf("order holds %d hashes, want exactly the newest %d in acceptance order", len(n.order), cap)
+	}
+	for i, h := range accepted {
+		if _, ok := n.firstSeen[h]; ok != (i >= extra) {
+			t.Fatalf("block %d of %d: firstSeen present = %v", i, len(accepted), ok)
+		}
 	}
 }
 

@@ -849,7 +849,10 @@ func (n *Node) boundObservationsLocked() {
 		for _, h := range drop {
 			delete(n.firstSeen, h)
 		}
-		n.order = append(n.order[:0], n.order[len(n.order)-cap:]...)
+		// Reslice rather than copy down: this runs on every accepted block
+		// once past the cap, and append's next regrowth copies only the
+		// live window, so the dropped prefix is reclaimed at amortized O(1).
+		n.order = n.order[len(n.order)-cap:]
 	}
 	// Rumor-only entries (announced, never accepted — e.g. fabricated
 	// hashes from a flooding peer) have no order entry to age out with;

@@ -63,11 +63,11 @@ func sortedPercentile(sorted []float64, p float64) float64 {
 	return a*(1-frac) + b*frac
 }
 
-// durationSortPool recycles the sort buffer DurationPercentile copies its
+// durationSelectPool recycles the buffer DurationPercentile copies its
 // input into. The percentile primitive runs in every scoring inner loop
 // (once per neighbor-candidate per node per round, from many goroutines),
-// so the copy-and-sort must not allocate once warm.
-var durationSortPool = sync.Pool{New: func() any { return new([]time.Duration) }}
+// so the copy-and-select must not allocate once warm.
+var durationSelectPool = sync.Pool{New: func() any { return new([]time.Duration) }}
 
 // DurationPercentile returns the p-quantile of ds with linear interpolation.
 // InfDuration observations are treated as right-censored: if the quantile
@@ -82,33 +82,61 @@ func DurationPercentile(ds []time.Duration, p float64) time.Duration {
 	if len(ds) == 0 {
 		return InfDuration
 	}
-	bufp := durationSortPool.Get().(*[]time.Duration)
-	sorted := append((*bufp)[:0], ds...)
-	slices.Sort(sorted)
-	n := len(sorted)
-	result := sorted[0]
-	if n > 1 {
-		rank := p * float64(n-1)
-		lo := int(math.Floor(rank))
-		hi := int(math.Ceil(rank))
-		frac := rank - float64(lo)
-		a, b := sorted[lo], sorted[hi]
-		switch {
-		case lo == hi:
-			result = a
-		case b == InfDuration:
-			if frac == 0 {
-				result = a
-			} else {
-				result = InfDuration
+	// The quantile reads two adjacent order statistics, so select them
+	// instead of sorting: partition around rank hi, after which rank hi-1
+	// is the maximum of everything left of it.
+	bufp := durationSelectPool.Get().(*[]time.Duration)
+	buf := append((*bufp)[:0], ds...)
+	rank := p * float64(len(buf)-1)
+	lo := int(math.Floor(rank))
+	hi := int(math.Ceil(rank))
+	selectKth(buf, hi)
+	result := buf[hi]
+	if lo != hi && result != InfDuration {
+		a := slices.Max(buf[:hi])
+		result = a + time.Duration(float64(result-a)*(rank-float64(lo)))
+	}
+	*bufp = buf[:0]
+	durationSelectPool.Put(bufp)
+	return result
+}
+
+// selectKth partially orders a so that a[k] holds the value a full sort
+// would put there, nothing left of k is greater and nothing right of it is
+// smaller (Hoare's Find with a median-of-three pivot; equal keys, such as a
+// run of censored observations, split evenly between the sides).
+func selectKth(a []time.Duration, k int) {
+	lo, hi := 0, len(a)-1
+	for lo < hi {
+		pivot := a[lo+(hi-lo)/2]
+		if x, y := min(a[lo], a[hi]), max(a[lo], a[hi]); pivot < x {
+			pivot = x
+		} else if pivot > y {
+			pivot = y
+		}
+		i, j := lo, hi
+		for i <= j {
+			for a[i] < pivot {
+				i++
 			}
+			for a[j] > pivot {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
 		default:
-			result = a + time.Duration(float64(b-a)*frac)
+			return
 		}
 	}
-	*bufp = sorted[:0]
-	durationSortPool.Put(bufp)
-	return result
 }
 
 // Summary accumulates a streaming mean/variance/min/max using Welford's

@@ -219,7 +219,7 @@ func WithObservationWindow(w int) Option {
 // them (lookahead = the minimum cross-shard link delay). Results are
 // bit-for-bit identical at any shard count; topologies with a zero-delay
 // cross-shard link fall back to single-shard execution. Zero or 1 (the
-// default) uses the single-queue broadcast path.
+// default) uses the unsharded broadcast path.
 func WithShards(k int) Option {
 	return func(s *settings) error {
 		if k < 0 {

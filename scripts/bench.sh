@@ -45,6 +45,7 @@ go test -run '^$' -bench 'WorkloadHour$' -benchmem -benchtime=3x . \
 gate MicroBroadcast1000 0
 gate MicroBroadcast10000 0
 gate MicroBroadcast100000 0
+gate MicroAnalyticArrival1000 0
 gate MicroDurationPercentile 0
 gate MicroVanillaScoring 1
 gate MicroSubsetScoring 1
