@@ -154,19 +154,33 @@ func BenchmarkExtensionConvergence(b *testing.B) {
 // BenchmarkMicroBroadcast1000 measures one block broadcast
 // over a 1000-node network (the inner loop of every experiment). The CI
 // benchmark job fails if this reports any steady-state allocations.
-func BenchmarkMicroBroadcast1000(b *testing.B) { bench.MicroBroadcast(1000)(b) }
+func BenchmarkMicroBroadcast1000(b *testing.B) { bench.MicroBroadcast(1000, latency.Auto)(b) }
 
 // BenchmarkMicroBroadcast10000 is the production-scale target: one
 // broadcast over a 10k-node network (the scale OverChain-style overlay
 // evaluations run at).
-func BenchmarkMicroBroadcast10000(b *testing.B) { bench.MicroBroadcast(10000)(b) }
+func BenchmarkMicroBroadcast10000(b *testing.B) { bench.MicroBroadcast(10000, latency.Auto)(b) }
+
+// BenchmarkMicroBroadcastStreaming10000 is the same broadcast with the
+// streaming latency mode forced: no per-edge delay array, two SHA-256 per
+// directed edge per flood. It keeps the memory mode's cost and its
+// zero-allocation contract measured now that Auto no longer selects it at
+// any size benchmarked here.
+func BenchmarkMicroBroadcastStreaming10000(b *testing.B) {
+	bench.MicroBroadcast(10000, latency.Streaming)(b)
+}
+
+// BenchmarkMicroReconfigure1000 measures one Simulator.Reconfigure across a
+// Perigee-shaped rewire (every node drops two links and dials two) at the
+// paper's n=1000: the surviving edges' delays are carried, the new ones
+// hashed.
+func BenchmarkMicroReconfigure1000(b *testing.B) { bench.MicroReconfigure(1000)(b) }
 
 // BenchmarkMicroBroadcast100000 is the million-node-track target: one
-// broadcast over a 100k-node network, which crosses the streaming-latency
-// threshold so edge delays are computed on the fly instead of precomputed.
-// Run it with a small -benchtime (e.g. -benchtime=3x); a single op is a
-// full 100k-node flood.
-func BenchmarkMicroBroadcast100000(b *testing.B) { bench.MicroBroadcast(100000)(b) }
+// broadcast over a 100k-node network, reading precomputed edge delays like
+// every size below latency.StreamingAutoThreshold. Run it with a small
+// -benchtime (e.g. -benchtime=3x); a single op is a full 100k-node flood.
+func BenchmarkMicroBroadcast100000(b *testing.B) { bench.MicroBroadcast(100000, latency.Auto)(b) }
 
 // BenchmarkMicroAnalyticArrival1000 measures the pooled Dijkstra-based
 // arrival computation used by the λ_v metric.

@@ -216,8 +216,10 @@ func (m *MutableLatency) N() int { return m.base.N() }
 
 // SetTransform installs (or, with nil, removes) the delay transform. The
 // transform must be symmetric in (u, v) and return non-negative delays,
-// preserving the latency-model contract. Callers must follow up with
-// Control.InvalidateNetwork so drivers re-derive cached per-edge delays.
+// preserving the latency-model contract. A model whose delays change must
+// invalidate: callers follow up with Control.InvalidateNetwork, because
+// drivers carry an edge's delay for as long as the edge survives and
+// surviving edges are otherwise not re-evaluated.
 func (m *MutableLatency) SetTransform(t func(u, v int, d time.Duration) time.Duration) {
 	m.mu.Lock()
 	m.transform = t

@@ -278,6 +278,51 @@ func TestRegionalPartitionInflatesMidRun(t *testing.T) {
 	t.Error("no source's λ reflects the partition")
 }
 
+// TestRegionalPartitionReachesSurvivingEdges: the partition changes the
+// model's delays and then calls Control.InvalidateNetwork, in a round whose
+// rewiring also moved the table version. The engine carries a surviving
+// edge's delay across rounds, so it is the invalidation alone that makes
+// the links the round kept pay the inflated delay: afterwards the engine
+// must agree, source for source, with one built fresh on the same topology
+// and the transformed model.
+func TestRegionalPartitionReachesSurvivingEdges(t *testing.T) {
+	const n = 30
+	b := testBind(t, NewRegionalPartition(2, 2, 5), n, nil)
+	engine := testEngine(t, n, b)
+	if _, err := engine.Run(3); err != nil {
+		t.Fatal(err)
+	}
+	got, err := engine.Delays(1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	power, err := hashpower.Uniform(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := core.NewEngine(core.Config{
+		Method:  core.Subset,
+		Params:  engine.Params(),
+		Table:   engine.Table().Clone(),
+		Latency: b.Net.Latency, // transform installed
+		Forward: b.Net.Forward,
+		Power:   power,
+		Rand:    rng.New(6),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Delays(1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := range want {
+		if got[v] != want[v] {
+			t.Fatalf("source %d: λ %v on the engine that lived through the partition, %v on a fresh one", v, got[v], want[v])
+		}
+	}
+}
+
 func TestEclipseBiasSleeperFlipsSilent(t *testing.T) {
 	const n = 30
 	advs := []int{2, 11}

@@ -18,8 +18,17 @@ import (
 )
 
 // Network builds an n-node random-topology simulator plus a uniform power
-// vector, the standard micro-bench network.
+// vector, the standard micro-bench network, in the latency mode Auto
+// resolves to (precomputed at every size benchmarked here).
 func Network(b *testing.B, n int) (*netsim.Simulator, []float64) {
+	b.Helper()
+	sim, _, power := network(b, n, latency.Auto)
+	return sim, power
+}
+
+// network is Network in an explicit latency mode, also returning the
+// connection table the simulator's adjacency was taken from.
+func network(b *testing.B, n int, mode latency.Mode) (*netsim.Simulator, *topology.Table, []float64) {
 	b.Helper()
 	root := rng.New(1)
 	u, err := geo.SampleUniverse(n, root.Derive("universe"))
@@ -38,7 +47,7 @@ func Network(b *testing.B, n int) (*netsim.Simulator, []float64) {
 	for i := range forward {
 		forward[i] = 50 * time.Millisecond
 	}
-	sim, err := netsim.New(netsim.Config{Adj: tbl.Undirected(), Latency: lat, Forward: forward})
+	sim, err := netsim.New(netsim.Config{Adj: tbl.Undirected(), Latency: lat, Forward: forward, LatencyMode: mode})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -46,16 +55,18 @@ func Network(b *testing.B, n int) (*netsim.Simulator, []float64) {
 	for i := range power {
 		power[i] = 1.0 / float64(n)
 	}
-	return sim, power
+	return sim, tbl, power
 }
 
-// MicroBroadcast measures one block broadcast over an n-node
-// network (the inner loop of every experiment). The scratch is warmed
-// before the timer starts, so allocs/op reports the steady state — the CSR
-// hot path's contract is zero.
-func MicroBroadcast(n int) func(b *testing.B) {
+// MicroBroadcast measures one block broadcast over an n-node network (the
+// inner loop of every experiment) in the given latency mode: Auto reads the
+// per-edge delay array at every size run here, Streaming hashes each edge's
+// δ as the flood crosses it. The scratch is warmed before the timer starts,
+// so allocs/op reports the steady state — the CSR hot path's contract is
+// zero in either mode.
+func MicroBroadcast(n int, mode latency.Mode) func(b *testing.B) {
 	return func(b *testing.B) {
-		sim, _ := Network(b, n)
+		sim, _, _ := network(b, n, mode)
 		for src := 0; src < 3; src++ {
 			if _, err := sim.Broadcast(src); err != nil {
 				b.Fatal(err)
@@ -65,6 +76,56 @@ func MicroBroadcast(n int) func(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := sim.Broadcast(i % n); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// perigeeRewire applies one Perigee-shaped round to tbl: every node drops
+// two outgoing connections and dials two peers it has no link with.
+func perigeeRewire(b *testing.B, tbl *topology.Table, r *rng.RNG) {
+	b.Helper()
+	n := tbl.N()
+	for v := 0; v < n; v++ {
+		for _, u := range tbl.OutNeighbors(v)[:2] {
+			if err := tbl.Disconnect(v, u); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for dialled := 0; dialled < 2; {
+			u := r.IntN(n)
+			if u == v || tbl.HasOut(v, u) || tbl.HasOut(u, v) || tbl.InFree(u) == 0 {
+				continue
+			}
+			if err := tbl.Connect(v, u); err != nil {
+				b.Fatal(err)
+			}
+			dialled++
+		}
+	}
+}
+
+// MicroReconfigure measures Simulator.Reconfigure across one Perigee-shaped
+// rewire of an n-node network: ops alternate between a topology and the one
+// a round of "every node drops two links and dials two" leaves, so each op
+// carries the delays of the surviving three quarters of the edges and asks
+// the latency model for the rest. Both adjacencies are built before the
+// timer starts; in steady state a Reconfigure allocates nothing.
+func MicroReconfigure(n int) func(b *testing.B) {
+	return func(b *testing.B) {
+		sim, tbl, _ := network(b, n, latency.Auto)
+		perigeeRewire(b, tbl, rng.New(6))
+		adjs := [2][][]int{tbl.Undirected(), sim.Adj()}
+		for _, adj := range adjs { // grow both buffer generations
+			if err := sim.Reconfigure(adj); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := sim.Reconfigure(adjs[i%2]); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -434,11 +434,12 @@ func (e *Engine) workerCount(items int) int {
 	return w
 }
 
-// ensureSim returns the engine's cached simulator, rebuilding its CSR
-// topology in place when the connection table has changed since the last
-// call. The engine's adjacency is symmetric and sorted by construction, so
-// the simulator is built through netsim's prevalidated path, skipping the
-// per-row validation sweep every round.
+// ensureSim returns the engine's cached simulator, reconfiguring its CSR
+// topology when the connection table has changed since the last call. The
+// engine's adjacency is symmetric and sorted by construction, so the
+// simulator is built through netsim's prevalidated path, skipping the
+// per-row validation sweep every round. A reconfiguration carries the
+// delay of every surviving edge unless InvalidateNetworkCache was called.
 func (e *Engine) ensureSim() (*netsim.Simulator, error) {
 	rs := &e.scratch
 	ver := e.table.Version()
@@ -464,20 +465,25 @@ func (e *Engine) ensureSim() (*netsim.Simulator, error) {
 			return nil, err
 		}
 		rs.sim = sim
-	} else if err := rs.sim.Reconfigure(adj); err != nil {
-		return nil, err
+	} else {
+		if rs.simDirty {
+			rs.sim.ForgetDelays()
+		}
+		if err := rs.sim.Reconfigure(adj); err != nil {
+			return nil, err
+		}
 	}
 	rs.simVersion = ver
 	rs.simDirty = false
 	return rs.sim, nil
 }
 
-// InvalidateNetworkCache forces the next simulator use to rebuild its
-// per-edge state even when the connection table has not changed. Dynamics
-// that mutate the environment out from under the engine — most notably a
-// latency model whose delays change mid-run (adversarial partitions, route
-// inflation) — must call it, because edge delays are precomputed when the
-// cached simulator is (re)built. Per-node tables read live at broadcast
+// InvalidateNetworkCache makes the next simulator use re-derive every
+// edge's delay from the latency model, whether or not the connection table
+// has changed. A model whose delays change mid-run (adversarial partitions,
+// route inflation) must invalidate: an edge's delay is computed when the
+// edge appears and carried for as long as it survives, so surviving edges
+// are otherwise not re-evaluated. Per-node tables read live at broadcast
 // time (Forward, Silent, RelayDelay) do not need it.
 func (e *Engine) InvalidateNetworkCache() { e.scratch.simDirty = true }
 

@@ -153,10 +153,10 @@ var rankSorterPool = sync.Pool{New: func() any { return new(rankSorter) }}
 // greedy §4.3 selection — which runs once per node per round, from many
 // goroutines — allocates only its returned slice once warm.
 type subsetScratch struct {
-	individual  []time.Duration
-	best        []time.Duration
-	transformed []time.Duration
-	used        []bool
+	individual []time.Duration
+	best       []time.Duration
+	cols       []time.Duration // obs.Offsets transposed: one contiguous column per neighbor
+	used       []bool
 }
 
 var subsetPool = sync.Pool{New: func() any { return new(subsetScratch) }}
@@ -228,8 +228,18 @@ func SubsetSelect(obs Observations, retain int, pct float64) []int {
 	blocks := len(obs.Offsets)
 	sc := subsetPool.Get().(*subsetScratch)
 	defer subsetPool.Put(sc)
+	// Every greedy step reads whole columns, so lay them out contiguously
+	// once instead of striding through the block-major rows each time.
+	cols := growDur(&sc.cols, k*blocks)
+	for b, row := range obs.Offsets {
+		for i, t := range row[:k] {
+			cols[i*blocks+b] = t
+		}
+	}
 	individual := growDur(&sc.individual, k)
-	VanillaScoresInto(individual, obs, pct)
+	for i := range individual {
+		individual[i] = stats.DurationPercentile(cols[i*blocks:(i+1)*blocks], pct)
+	}
 	// best[b] is the fastest offset among chosen neighbors for block b.
 	best := growDur(&sc.best, blocks)
 	for b := range best {
@@ -237,7 +247,6 @@ func SubsetSelect(obs Observations, retain int, pct float64) []int {
 	}
 	chosen := make([]int, 0, retain)
 	used := growBool(&sc.used, k)
-	transformed := growDur(&sc.transformed, blocks)
 	for len(chosen) < retain {
 		bestIdx := -1
 		bestScore := stats.InfDuration
@@ -245,14 +254,12 @@ func SubsetSelect(obs Observations, retain int, pct float64) []int {
 			if used[i] {
 				continue
 			}
-			for b := 0; b < blocks; b++ {
-				t := obs.Offsets[b][i]
-				if best[b] < t {
-					t = best[b]
-				}
-				transformed[b] = t
+			// Against an empty selection the joint score is the
+			// individual one.
+			score := individual[i]
+			if len(chosen) > 0 {
+				score = stats.DurationPercentileOfMin(cols[i*blocks:(i+1)*blocks], best, pct)
 			}
-			score := stats.DurationPercentile(transformed, pct)
 			if bestIdx == -1 || score < bestScore || (score == bestScore && subsetTieBetter(obs, individual, i, bestIdx)) {
 				bestScore = score
 				bestIdx = i
@@ -263,8 +270,8 @@ func SubsetSelect(obs Observations, retain int, pct float64) []int {
 		}
 		used[bestIdx] = true
 		chosen = append(chosen, bestIdx)
-		for b := 0; b < blocks; b++ {
-			if t := obs.Offsets[b][bestIdx]; t < best[b] {
+		for b, t := range cols[bestIdx*blocks : (bestIdx+1)*blocks] {
+			if t < best[b] {
 				best[b] = t
 			}
 		}

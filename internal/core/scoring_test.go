@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -192,6 +195,109 @@ func TestSubsetSelectProperty(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// sortedPercentile is the textbook quantile the scoring kernels are held
+// to: sort, interpolate between the two closest ranks, censored if the
+// upper one is.
+func sortedPercentile(ds []time.Duration, p float64) time.Duration {
+	sorted := slices.Clone(ds)
+	slices.Sort(sorted)
+	rank := p * float64(len(sorted)-1)
+	lo, hi := int(math.Floor(rank)), int(math.Ceil(rank))
+	a, b := sorted[lo], sorted[hi]
+	if lo == hi || b == stats.InfDuration {
+		return b
+	}
+	return a + time.Duration(float64(b-a)*(rank-float64(lo)))
+}
+
+// referenceSubsetSelect is §4.3's greedy selection written straight down:
+// every step materializes each candidate's per-block minimum against the
+// chosen set, sorts it for the percentile, and breaks ties by individual
+// score and then neighbor ID.
+func referenceSubsetSelect(obs Observations, retain int, pct float64) []int {
+	k, blocks := len(obs.Neighbors), len(obs.Offsets)
+	column := func(i int, best []time.Duration) []time.Duration {
+		col := make([]time.Duration, blocks)
+		for b := range col {
+			col[b] = min(obs.Offsets[b][i], best[b])
+		}
+		return col
+	}
+	best := make([]time.Duration, blocks)
+	for b := range best {
+		best[b] = stats.InfDuration
+	}
+	individual := make([]time.Duration, k)
+	for i := range individual {
+		individual[i] = sortedPercentile(column(i, best), pct)
+	}
+	var chosen []int
+	for len(chosen) < min(retain, k) {
+		pick, pickScore := -1, stats.InfDuration
+		for i := 0; i < k; i++ {
+			if slices.Contains(chosen, i) {
+				continue
+			}
+			score := sortedPercentile(column(i, best), pct)
+			better := pick == -1 || score < pickScore
+			if !better && score == pickScore {
+				if individual[i] != individual[pick] {
+					better = individual[i] < individual[pick]
+				} else {
+					better = obs.Neighbors[i] < obs.Neighbors[pick]
+				}
+			}
+			if better {
+				pick, pickScore = i, score
+			}
+		}
+		chosen = append(chosen, pick)
+		best = column(pick, best)
+	}
+	slices.Sort(chosen)
+	return chosen
+}
+
+// TestSubsetSelectMatchesReference holds the optimized selection — columns
+// transposed once, the first step reusing the individual scores, the
+// percentile of a minimum taken without materializing it — to the
+// straightforward one, index for index, over random matrices with censored
+// cells, wholly censored columns and all-tie rounds, at the paper's 100
+// blocks and at a 10-block observation window.
+func TestSubsetSelectMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for _, blocks := range []int{100, 10} {
+		for trial := 0; trial < 300; trial++ {
+			k := 2 + r.Intn(9)
+			nbrs := r.Perm(1000)[:k]
+			o := NewObservations(nbrs, blocks)
+			// Few distinct values force joint-score ties; trial%5 == 0 is an
+			// all-tie round (every neighbor delivers every block first).
+			distinct := []int{1, 1, 3, 50, 1 << 20}[trial%5]
+			censor := []float64{0, 0.05, 0.5}[trial%3]
+			for b := range o.Offsets {
+				for i := range o.Offsets[b] {
+					if r.Float64() >= censor {
+						o.Offsets[b][i] = time.Duration(r.Intn(distinct)) * 313 * time.Microsecond
+					}
+				}
+			}
+			if trial%4 == 1 { // a neighbor that never delivered anything
+				dead := r.Intn(k)
+				for b := range o.Offsets {
+					o.Offsets[b][dead] = stats.InfDuration
+				}
+			}
+			for _, retain := range []int{1, k / 2, k - 1, k} {
+				got, want := SubsetSelect(o, retain, 0.9), referenceSubsetSelect(o, retain, 0.9)
+				if !slices.Equal(got, want) {
+					t.Fatalf("blocks=%d trial=%d k=%d retain=%d: chose %v, reference %v", blocks, trial, k, retain, got, want)
+				}
+			}
+		}
 	}
 }
 

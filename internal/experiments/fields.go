@@ -77,7 +77,7 @@ var fields = []field{
 	{name: "Shards", hash: "shards", json: "shards", rng: "[0,inf)",
 		flag: "shards", help: "run each broadcast as a conservative parallel simulation over N node shards (0/1 = unsharded; results are identical for any value)"},
 	{name: "LatencyMode", hash: "latencymode", json: "latency_mode", enum: []string{"auto", "precomputed", "streaming"},
-		flag: "latency-mode", help: "edge-delay evaluation: auto, precomputed, or streaming (auto switches to streaming at 20k nodes)"},
+		flag: "latency-mode", help: "edge-delay evaluation: auto, precomputed, or streaming (auto keeps a per-edge delay array below 1M nodes)"},
 	{name: "BlockInterval", hash: "blockinterval", json: "block_interval_ms", unit: time.Millisecond, rng: "[0,inf)",
 		flag: "block-interval", help: "mean block inter-arrival time for the forks workload scenario (0 = default 2s)"},
 	{name: "TraceFile", hash: "tracefile",

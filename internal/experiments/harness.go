@@ -86,7 +86,7 @@ type Options struct {
 	Shards int
 	// LatencyMode selects precomputed vs streaming edge delays for both
 	// the protocol engines and the evaluation simulators (zero = Auto,
-	// which switches to streaming at 20k nodes).
+	// which streams from latency.StreamingAutoThreshold nodes).
 	LatencyMode latency.Mode
 	// BlockInterval is the mean block inter-arrival time for the
 	// continuous-time workload scenarios ("forks"). Zero means the
@@ -433,8 +433,13 @@ func (e *env) simFor(tbl *topology.Table) (*netsim.Simulator, error) {
 			return nil, err
 		}
 		e.evalSim = sim
-	} else if err := e.evalSim.Reconfigure(adj); err != nil {
-		return nil, err
+	} else {
+		// No InvalidateNetworkCache reaches this simulator, so it carries
+		// no delay from one evaluated table to the next.
+		e.evalSim.ForgetDelays()
+		if err := e.evalSim.Reconfigure(adj); err != nil {
+			return nil, err
+		}
 	}
 	e.evalTbl, e.evalVer = tbl, ver
 	return e.evalSim, nil

@@ -17,11 +17,11 @@ const scaleDefaultLandmarks = 64
 // Scale is the large-n convergence scenario: Perigee-Subset against the
 // static random baseline at sizes two orders of magnitude beyond the
 // paper's n=1000, exercising the full scale stack — streaming latency
-// (automatic at ≥20k nodes), windowed observations, landmark λ-evaluation,
-// and optional sharded broadcasts. It reports the per-round p90 and median
-// of λ (delay to Fraction of hash power) across the landmark sources, plus
-// the random-topology reference, so convergence (a decreasing honest p90
-// trajectory) is visible directly in the series.
+// (when forced, or automatic from 1M nodes), windowed observations,
+// landmark λ-evaluation, and optional sharded broadcasts. It reports the
+// per-round p90 and median of λ (delay to Fraction of hash power) across
+// the landmark sources, plus the random-topology reference, so convergence
+// (a decreasing honest p90 trajectory) is visible directly in the series.
 //
 // Unlike the paper-scale figures, evaluation defaults to landmark sampling
 // (scaleDefaultLandmarks sources) because an all-sources pass is quadratic

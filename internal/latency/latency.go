@@ -33,35 +33,41 @@ type Model interface {
 
 // Mode selects how a simulator evaluates the latency model on its edges.
 //
-// Precomputed mode materializes one delay per directed edge at topology
-// build time, so every hop of the broadcast hot loop is a flat array read —
-// the fastest option, at O(E) memory per simulator. Streaming mode keeps no
-// per-edge array and evaluates Model.Delay on the fly from the node
-// coordinates each time an announcement crosses an edge: O(1) latency
-// memory regardless of network size, at the cost of recomputing embedded
-// distances (and, for Geographic, the hashed per-link jitter) per event.
-// Both modes produce bit-for-bit identical delays — they call the same
-// Delay method — so results never depend on the mode, only speed and
-// memory do.
+// Precomputed mode keeps one delay per directed edge, so every hop of the
+// broadcast hot loop is a flat array read — the fastest option, at O(E)
+// memory per simulator. A delay is computed when its edge first appears in
+// the topology and carried across reconfigurations for as long as the edge
+// survives, so a round of rewiring costs Model.Delay calls only for the
+// edges it added; a model whose delays change must tell the simulator to
+// forget what it carries. Streaming mode keeps no per-edge array and
+// evaluates Model.Delay on the fly from the node coordinates each time an
+// announcement crosses an edge: O(1) latency memory regardless of network
+// size, at the cost of recomputing embedded distances (and, for Geographic,
+// the hashed per-link jitter) per event. Both modes produce bit-for-bit
+// identical delays — they call the same Delay method — so results never
+// depend on the mode, only speed and memory do.
 //
 // Auto, the default, picks Precomputed below StreamingAutoThreshold nodes
-// and Streaming at or above it: small networks pay the array, large runs
-// (100k–1M nodes) keep memory proportional to the edges actually touched.
+// and Streaming at or above it. Streaming is purely a memory mode; anyone
+// may force it at any size.
 type Mode int
 
 const (
 	// Auto resolves to Precomputed below StreamingAutoThreshold nodes and
 	// to Streaming at or above it.
 	Auto Mode = iota
-	// Precomputed materializes per-edge delays at topology build time.
+	// Precomputed holds per-edge delays, computed when an edge appears.
 	Precomputed
 	// Streaming evaluates Model.Delay per event, storing nothing.
 	Streaming
 )
 
 // StreamingAutoThreshold is the node count at which Auto switches from
-// precomputed per-edge delays to streaming evaluation.
-const StreamingAutoThreshold = 20000
+// precomputed per-edge delays to streaming evaluation: a million nodes at
+// the paper's degrees is 16M directed edges, a 128 MB delay array, where
+// O(1) latency memory starts to matter. Below it the array is smaller than
+// the CSR index and one Broadcaster's per-edge buffer it sits beside.
+const StreamingAutoThreshold = 1_000_000
 
 // String returns the mode's name.
 func (m Mode) String() string {
@@ -93,9 +99,9 @@ func (m Mode) Resolve(n int) Mode {
 
 // PrecomputeEdges fills out[e] with Delay(v, edgeDst[e]) for every directed
 // edge of a CSR adjacency (rowStart[v] .. rowStart[v+1] are node v's
-// outgoing edges). Evaluating the model once per edge at topology-build
-// time turns every subsequent hop of the broadcast hot loop into a flat
-// array read instead of an interface call that recomputes embedded
+// outgoing edges). Evaluating the model once per edge when a simulator is
+// first built turns every subsequent hop of the broadcast hot loop into a
+// flat array read instead of an interface call that recomputes embedded
 // distances and per-link jitter. out must have len(edgeDst) entries.
 func PrecomputeEdges(m Model, rowStart, edgeDst []int32, out []time.Duration) error {
 	if m == nil {

@@ -17,11 +17,12 @@
 // node v's directed edges are the contiguous range rowStart[v] ..
 // rowStart[v+1] of three flat arrays — edgeDst (the neighbor), edgeSlot
 // (the sender's position in the neighbor's own row, i.e. the precomputed
-// reverse index), and edgeDelay (the one-way latency δ, evaluated once per
-// edge at build time). Per-edge arrival times live in one flat buffer that
-// Result's per-node EdgeArrival rows alias, so resetting a broadcast is a
-// single linear fill. After a Broadcaster's buffers have grown to the
-// topology's size, a broadcast performs zero heap allocations
+// reverse index), and edgeDelay (the one-way latency δ, evaluated when the
+// edge first appears and carried across Reconfigure for as long as the edge
+// survives; see carryDelays). Per-edge arrival times live in one flat
+// buffer that Result's per-node EdgeArrival rows alias, so resetting a
+// broadcast is a single linear fill. After a Broadcaster's buffers have
+// grown to the topology's size, a broadcast performs zero heap allocations
 // (alloc_test.go enforces this).
 //
 // # One label-setting pass
@@ -84,11 +85,12 @@ type Config struct {
 	// broadcast time, so mid-run mutation (an adversary switching behavior
 	// between rounds) takes effect without rebuilding the simulator.
 	RelayDelay []time.Duration
-	// LatencyMode selects how edge delays are evaluated: precomputed into a
-	// per-edge array (fast, O(E) memory) or streamed from the model per
-	// event (O(1) latency memory, for 100k+-node runs). The zero value
-	// (latency.Auto) picks by network size. Delays are bit-for-bit
-	// identical in every mode.
+	// LatencyMode selects how edge delays are evaluated: kept in a per-edge
+	// array (fast, O(E) memory; an edge's delay is computed when the edge
+	// appears and carried across Reconfigure while it lives) or streamed
+	// from the model per event (O(1) latency memory, for million-node
+	// runs). The zero value (latency.Auto) picks by network size. Delays
+	// are bit-for-bit identical in every mode.
 	LatencyMode latency.Mode
 }
 
@@ -109,6 +111,16 @@ type Simulator struct {
 	edgeSlot  []int32         // sender's position in edgeDst[e]'s row (reverse index)
 	edgeDelay []time.Duration // empty in streaming mode; see delayOf
 	cursor    []int32         // rebuild's per-node sweep cursor, kept to avoid realloc
+
+	// The previous topology's rows and delays, which rebuild swaps with the
+	// current buffers so that carryDelays can copy the delay of every edge
+	// that survives a Reconfigure. They hold a complete topology only
+	// while carry is set: a failed rebuild and ForgetDelays clear it, and
+	// the next rebuild then evaluates every edge.
+	prevRowStart  []int32
+	prevEdgeDst   []int32
+	prevEdgeDelay []time.Duration
+	carry         bool
 
 	// streaming records the resolved latency mode: when set, edgeDelay is
 	// not materialized and every hot-path read asks the latency model
@@ -244,11 +256,13 @@ func validateShape(cfg Config) error {
 	return nil
 }
 
-// rebuild (re)constructs the CSR arrays from adj in place, reusing the
-// existing backing arrays when they are large enough. The reverse index is
-// computed with an O(E) cursor sweep: visiting sources in ascending order,
-// source v must be the next unseen entry of each neighbor's (ascending)
-// row — any mismatch proves the adjacency asymmetric.
+// rebuild (re)constructs the CSR arrays from adj, reusing the backing
+// arrays when they are large enough. The reverse index is computed with an
+// O(E) cursor sweep: visiting sources in ascending order, source v must be
+// the next unseen entry of each neighbor's (ascending) row — any mismatch
+// proves the adjacency asymmetric. In precomputed mode the previous
+// topology's buffers are swapped aside rather than overwritten, so the
+// delays of surviving edges can be carried (see carryDelays).
 func (s *Simulator) rebuild(adj [][]int) error {
 	n := len(adj)
 	total := 0
@@ -257,14 +271,17 @@ func (s *Simulator) rebuild(adj [][]int) error {
 	}
 	s.cfg.Adj = adj
 	s.streaming = s.cfg.LatencyMode.Resolve(n) == latency.Streaming
+	carry := s.carry
+	s.carry = false
+	if !s.streaming {
+		s.rowStart, s.prevRowStart = s.prevRowStart, s.rowStart
+		s.edgeDst, s.prevEdgeDst = s.prevEdgeDst, s.edgeDst
+		s.edgeDelay, s.prevEdgeDelay = s.prevEdgeDelay, s.edgeDelay
+		s.edgeDelay = growDurations(s.edgeDelay, total)
+	}
 	s.rowStart = growInt32(s.rowStart, n+1)
 	s.edgeDst = growInt32(s.edgeDst, total)
 	s.edgeSlot = growInt32(s.edgeSlot, total)
-	if s.streaming {
-		s.edgeDelay = s.edgeDelay[:0]
-	} else {
-		s.edgeDelay = growDurations(s.edgeDelay, total)
-	}
 	pos := int32(0)
 	for v, row := range adj {
 		s.rowStart[v] = pos
@@ -290,13 +307,48 @@ func (s *Simulator) rebuild(adj [][]int) error {
 		}
 	}
 	if !s.streaming {
-		if err := latency.PrecomputeEdges(s.cfg.Latency, s.rowStart, s.edgeDst, s.edgeDelay); err != nil {
+		if carry {
+			s.carryDelays()
+		} else if err := latency.PrecomputeEdges(s.cfg.Latency, s.rowStart, s.edgeDst, s.edgeDelay); err != nil {
 			return err
 		}
+		s.carry = true
 	}
 	s.gen++
 	return nil
 }
+
+// carryDelays fills edgeDelay after a rebuild over a previous topology: a
+// merge walk of each node's previous and current ascending row copies the
+// delay of every directed edge that survived and asks the model only for
+// edges the previous topology did not have. The fill is serial and per
+// directed edge, in PrecomputeEdges' order, so the model need not be safe
+// for concurrent use, and δ(u, v) is never taken from δ(v, u): a model may
+// round the two differently.
+func (s *Simulator) carryDelays() {
+	lat := s.cfg.Latency
+	for v := 0; v < s.n; v++ {
+		o, oEnd := s.prevRowStart[v], s.prevRowStart[v+1]
+		for e := s.rowStart[v]; e < s.rowStart[v+1]; e++ {
+			w := s.edgeDst[e]
+			for o < oEnd && s.prevEdgeDst[o] < w {
+				o++
+			}
+			if o < oEnd && s.prevEdgeDst[o] == w {
+				s.edgeDelay[e] = s.prevEdgeDelay[o]
+			} else {
+				s.edgeDelay[e] = lat.Delay(v, int(w))
+			}
+		}
+	}
+}
+
+// ForgetDelays drops the edge delays carried from the current topology, so
+// the next Reconfigure asks the latency model for every edge again. A
+// caller whose model's delays have changed must call it: the delay of an
+// edge that survives a Reconfigure is otherwise not re-evaluated.
+// Broadcasts before that Reconfigure still use the delays already held.
+func (s *Simulator) ForgetDelays() { s.carry = false }
 
 // delayOf returns the one-way delay of directed edge e leaving node v. In
 // precomputed mode it is an array read; in streaming mode the latency model
@@ -329,15 +381,22 @@ func growDurations(buf []time.Duration, n int) []time.Duration {
 	return buf[:n]
 }
 
-// Reconfigure replaces the simulator's topology in place, reusing the CSR
-// backing arrays. The adjacency is trusted like NewPrevalidated's (sorted,
+// Reconfigure replaces the simulator's topology, reusing the CSR backing
+// arrays. The adjacency is trusted like NewPrevalidated's (sorted,
 // in-range, self-loop free by construction; symmetry is still verified).
 // The node count must not change, so the latency/forward/silent tables
 // stay valid. Reconfigure must not run concurrently with any Broadcast or
 // ArrivalAnalytic call; existing Broadcasters resynchronize automatically
 // on their next Broadcast.
+//
+// In precomputed mode a directed edge present both before and after keeps
+// the delay it had; Model.Delay is called only for edges the previous
+// topology lacked. A model whose delays change must therefore invalidate
+// with ForgetDelays; surviving edges are otherwise not re-evaluated. A
+// Reconfigure that fails carries nothing into the next one.
 func (s *Simulator) Reconfigure(adj [][]int) error {
 	if len(adj) != s.n {
+		s.ForgetDelays()
 		return fmt.Errorf("netsim: reconfigure with %d nodes, simulator has %d", len(adj), s.n)
 	}
 	return s.rebuild(adj)

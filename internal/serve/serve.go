@@ -336,18 +336,21 @@ func (s *Server) run(job *Job) {
 	}
 	res, err := s.runScenario(job, opt)
 
+	status, errMsg := StatusDone, ""
+	if err != nil {
+		status, errMsg = StatusFailed, err.Error()
+	}
+	// The terminal event goes into the log before the status is published:
+	// a follower that sees a terminal status stops after draining the log,
+	// so the log must already hold its last line.
+	job.appendEvent(Event{Kind: "status", Status: status, Error: errMsg})
 	job.mu.Lock()
 	job.finished = time.Now()
-	if err != nil {
-		job.status = StatusFailed
-		job.errMsg = err.Error()
-	} else {
-		job.status = StatusDone
+	job.status, job.errMsg = status, errMsg
+	if err == nil {
 		job.result = res
 	}
-	status, errMsg := job.status, job.errMsg
 	job.mu.Unlock()
-	job.appendEvent(Event{Kind: "status", Status: status, Error: errMsg})
 	close(job.done)
 }
 

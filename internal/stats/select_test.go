@@ -8,13 +8,17 @@ import (
 	"time"
 )
 
-// sortedDurationPercentile is the reference DurationPercentile's selection
-// is held to: copy, sort everything, read the two order statistics.
-func sortedDurationPercentile(ds []time.Duration, p float64) time.Duration {
+// sortedDurationPercentile is the reference the percentile kernel is held
+// to: materialize the element-wise minimum with limit (nil: ds itself),
+// sort everything, read the two order statistics.
+func sortedDurationPercentile(ds, limit []time.Duration, p float64) time.Duration {
 	if len(ds) == 0 {
 		return InfDuration
 	}
 	sorted := slices.Clone(ds)
+	for i, l := range limit {
+		sorted[i] = min(sorted[i], l)
+	}
 	slices.Sort(sorted)
 	rank := p * float64(len(sorted)-1)
 	lo, hi := int(math.Floor(rank)), int(math.Ceil(rank))
@@ -28,17 +32,22 @@ func sortedDurationPercentile(ds []time.Duration, p float64) time.Duration {
 	return a + time.Duration(float64(b-a)*(rank-float64(lo)))
 }
 
-// checkAgainstSort fails unless DurationPercentile equals the sort-based
-// reference on ds at p, exactly, and leaves ds untouched.
-func checkAgainstSort(t *testing.T, ds []time.Duration, p float64) {
+// checkAgainstSort fails unless DurationPercentile on ds, and
+// DurationPercentileOfMin on ds clipped to limit (skipped when nil), equal
+// the sort-based reference at p, exactly, and leave their inputs untouched.
+func checkAgainstSort(t *testing.T, ds, limit []time.Duration, p float64) {
 	t.Helper()
-	before := slices.Clone(ds)
-	got, want := DurationPercentile(ds, p), sortedDurationPercentile(ds, p)
-	if got != want {
-		t.Fatalf("p=%v of %v: selection %v, sort reference %v", p, ds, got, want)
+	before, limitBefore := slices.Clone(ds), slices.Clone(limit)
+	if got, want := DurationPercentile(ds, p), sortedDurationPercentile(ds, nil, p); got != want {
+		t.Fatalf("p=%v of %v: kernel %v, sort reference %v", p, ds, got, want)
 	}
-	if !slices.Equal(ds, before) {
-		t.Fatalf("p=%v: input modified: %v, was %v", p, ds, before)
+	if limit != nil {
+		if got, want := DurationPercentileOfMin(ds, limit, p), sortedDurationPercentile(ds, limit, p); got != want {
+			t.Fatalf("p=%v of min(%v, %v): kernel %v, sort reference %v", p, ds, limit, got, want)
+		}
+	}
+	if !slices.Equal(ds, before) || !slices.Equal(limit, limitBefore) {
+		t.Fatalf("p=%v: input modified: %v / %v, was %v / %v", p, ds, limit, before, limitBefore)
 	}
 }
 
@@ -56,58 +65,87 @@ func sampleDurations(r *rand.Rand, n, distinct int, inf float64) []time.Duration
 	return ds
 }
 
-// TestDurationPercentileMatchesSort is the property test of the selection:
-// over sizes, quantiles, duplicate densities and censoring rates — all
-// censored and exactly one finite included — it must agree with a full
-// sort to the last bit.
+// TestDurationPercentileMatchesSort is the property test of the kernel, in
+// its one-column and its clipped two-column form: over sizes on both sides
+// of the top-slots boundary (at p = 0.9 the one-pass branch ends between
+// n = 100 and n = 1000, at p = 0 between 16 and 17), quantiles, duplicate
+// densities and censoring rates — all censored and exactly one finite
+// included — it must agree with a full sort to the last bit.
 func TestDurationPercentileMatchesSort(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	ps := []float64{0, 0.5, 0.9, 1, 1.0 / 3, 0.999}
-	for _, n := range []int{1, 2, 3, 10, 100, 257} {
+	for _, n := range []int{1, 2, 3, 10, 16, 17, 100, 257, 1000} {
 		for _, distinct := range []int{1, 2, 5, 1 << 20} {
 			for _, inf := range []float64{0, 0.1, 0.5, 0.95, 1} {
 				for trial := 0; trial < 8; trial++ {
 					ds := sampleDurations(r, n, distinct, inf)
+					limit := sampleDurations(r, n, distinct, []float64{0, 0.5, 1}[trial%3])
 					for _, p := range ps {
-						checkAgainstSort(t, ds, p)
+						checkAgainstSort(t, ds, limit, p)
 					}
 				}
 			}
 		}
 		oneFinite := sampleDurations(r, n, 1, 1)
+		unclipped := sampleDurations(r, n, 1, 1)
 		for at := 0; at < n; at += max(1, n/7) {
 			oneFinite[at] = time.Second
 			for _, p := range ps {
-				checkAgainstSort(t, oneFinite, p)
+				checkAgainstSort(t, oneFinite, unclipped, p)
+				checkAgainstSort(t, unclipped, oneFinite, p)
 			}
 			oneFinite[at] = InfDuration
 		}
 		// Already-ordered inputs are quickselect's classic bad case.
 		ordered := sampleDurations(r, n, 1<<20, 0.2)
 		slices.Sort(ordered)
+		descending := slices.Clone(ordered)
+		slices.Reverse(descending)
 		for _, p := range ps {
-			checkAgainstSort(t, ordered, p)
+			checkAgainstSort(t, ordered, descending, p)
+			checkAgainstSort(t, descending, ordered, p)
 		}
-		slices.Reverse(ordered)
+		// Negative values down to the most negative duration order like
+		// any others (offsets relative to the first arrival can be < 0).
+		signed := sampleDurations(r, n, 1<<20, 0.1)
+		for i := range signed {
+			switch i % 5 {
+			case 0:
+				signed[i] = -signed[i]
+			case 1:
+				signed[i] = math.MinInt64
+			}
+		}
+		signedLimit := slices.Clone(signed)
+		slices.Reverse(signedLimit)
 		for _, p := range ps {
-			checkAgainstSort(t, ordered, p)
+			checkAgainstSort(t, signed, signedLimit, p)
 		}
 	}
 }
 
 // FuzzDurationPercentile lets the fuzzer shape the sample (size, duplicate
-// density, censoring rate, quantile); the seeds run in every go test.
+// density, censoring rate of the column and of its limit, quantile); the
+// seeds run in every go test.
 func FuzzDurationPercentile(f *testing.F) {
-	for _, n := range []uint8{1, 2, 10, 100} {
+	for _, n := range []uint16{1, 2, 10, 16, 17, 100, 1000} {
 		for _, p := range []float64{0, 0.5, 0.9, 1} {
-			f.Add(int64(n), n, uint8(3), uint8(64), p)
+			f.Add(int64(n), n, uint8(3), uint8(64), uint8(128), p)
 		}
 	}
-	f.Fuzz(func(t *testing.T, seed int64, n, distinct, infOf256 uint8, p float64) {
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, distinct, infOf256, limitInfOf256 uint8, p float64) {
 		if !(p >= 0 && p <= 1) {
 			t.Skipf("p=%v outside [0, 1] panics by contract", p)
 		}
 		r := rand.New(rand.NewSource(seed))
-		checkAgainstSort(t, sampleDurations(r, int(n), int(distinct)+1, float64(infOf256)/256), p)
+		size := int(n % 2048)
+		ds := sampleDurations(r, size, int(distinct)+1, float64(infOf256)/256)
+		limit := sampleDurations(r, size, int(distinct)+1, float64(limitInfOf256)/256)
+		if seed%4 == 0 {
+			for i := range ds {
+				ds[i] = -ds[i] // InfDuration becomes the most negative value but one
+			}
+		}
+		checkAgainstSort(t, ds, limit, p)
 	})
 }

@@ -63,10 +63,11 @@ func sortedPercentile(sorted []float64, p float64) float64 {
 	return a*(1-frac) + b*frac
 }
 
-// durationSelectPool recycles the buffer DurationPercentile copies its
-// input into. The percentile primitive runs in every scoring inner loop
-// (once per neighbor-candidate per node per round, from many goroutines),
-// so the copy-and-select must not allocate once warm.
+// durationSelectPool recycles the buffer the percentile kernel copies its
+// input into when the quantile sits too deep for the top-slots pass. The
+// primitive runs in every scoring inner loop (once per neighbor-candidate
+// per node per round, from many goroutines), so the copy-and-select must
+// not allocate once warm.
 var durationSelectPool = sync.Pool{New: func() any { return new([]time.Duration) }}
 
 // DurationPercentile returns the p-quantile of ds with linear interpolation.
@@ -76,28 +77,80 @@ var durationSelectPool = sync.Pool{New: func() any { return new([]time.Duration)
 // ever happens). The input is not modified; steady-state calls perform no
 // heap allocations.
 func DurationPercentile(ds []time.Duration, p float64) time.Duration {
+	return DurationPercentileOfMin(ds, nil, p)
+}
+
+// topSlots bounds the one-pass branch of DurationPercentileOfMin: a
+// quantile whose lower order statistic is among the topSlots largest values
+// (p = 0.9 of 100 samples reads the 10th and 11th largest) is answered from
+// a sorted buffer of that many values kept on the stack.
+const topSlots = 16
+
+// DurationPercentileOfMin is DurationPercentile of the element-wise minimum
+// min(ds[i], limit[i]), computed without materializing it — Subset scoring
+// values a candidate's offsets clipped to the already-chosen set's. A nil
+// limit means no clipping; otherwise limit must be as long as ds. Neither
+// input is modified; steady-state calls perform no heap allocations.
+func DurationPercentileOfMin(ds, limit []time.Duration, p float64) time.Duration {
 	if p < 0 || p > 1 {
 		panic(fmt.Sprintf("stats: percentile %v outside [0, 1]", p))
 	}
-	if len(ds) == 0 {
+	n := len(ds)
+	if n == 0 {
 		return InfDuration
 	}
-	// The quantile reads two adjacent order statistics, so select them
-	// instead of sorting: partition around rank hi, after which rank hi-1
-	// is the maximum of everything left of it.
-	bufp := durationSelectPool.Get().(*[]time.Duration)
-	buf := append((*bufp)[:0], ds...)
-	rank := p * float64(len(buf)-1)
+	if limit != nil {
+		limit = limit[:n]
+	}
+	rank := p * float64(n-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
-	selectKth(buf, hi)
-	result := buf[hi]
+	// The quantile reads the two adjacent order statistics lo and hi.
+	var a, result time.Duration
+	if m := n - lo; m <= topSlots {
+		// top[:m] is ascending and holds the m largest values seen, so at
+		// the end top[0] has rank lo and top[1] rank lo+1.
+		var top [topSlots]time.Duration
+		for i, x := range ds {
+			if limit != nil && limit[i] < x {
+				x = limit[i]
+			}
+			if i < m {
+				j := i
+				for ; j > 0 && top[j-1] > x; j-- {
+					top[j] = top[j-1]
+				}
+				top[j] = x
+			} else if x > top[0] {
+				j := 1
+				for ; j < m && top[j] < x; j++ {
+					top[j-1] = top[j]
+				}
+				top[j-1] = x
+			}
+		}
+		a, result = top[0], top[hi-lo]
+	} else {
+		// Select instead of sorting: partition a copy around rank hi,
+		// after which rank hi-1 is the maximum of everything left of it.
+		bufp := durationSelectPool.Get().(*[]time.Duration)
+		buf := append((*bufp)[:0], ds...)
+		for i, l := range limit {
+			if l < buf[i] {
+				buf[i] = l
+			}
+		}
+		selectKth(buf, hi)
+		result = buf[hi]
+		if lo != hi && result != InfDuration {
+			a = slices.Max(buf[:hi])
+		}
+		*bufp = buf[:0]
+		durationSelectPool.Put(bufp)
+	}
 	if lo != hi && result != InfDuration {
-		a := slices.Max(buf[:hi])
 		result = a + time.Duration(float64(result-a)*(rank-float64(lo)))
 	}
-	*bufp = buf[:0]
-	durationSelectPool.Put(bufp)
 	return result
 }
 

@@ -172,14 +172,15 @@ type LatencyMode int
 // The latency evaluation modes.
 const (
 	// LatencyAuto (the default) picks by network size: precomputed below
-	// the streaming threshold (20k nodes), streaming at or above it.
+	// the streaming threshold (1M nodes), streaming at or above it.
 	LatencyAuto LatencyMode = LatencyMode(latency.Auto)
-	// LatencyPrecomputed materializes every edge's delay into a flat array
-	// when the topology is (re)built — O(E) memory, fastest per event.
+	// LatencyPrecomputed keeps every edge's delay in a flat array — O(E)
+	// memory, fastest per event. A delay is computed when its edge appears
+	// and carried for as long as the edge survives rewiring.
 	LatencyPrecomputed LatencyMode = LatencyMode(latency.Precomputed)
 	// LatencyStreaming evaluates the latency model on the fly at every
-	// delivery — O(1) latency memory, for 100k+-node runs. The model must
-	// be safe for concurrent reads (all built-in models are).
+	// delivery — O(1) latency memory, for million-node runs. The model
+	// must be safe for concurrent reads (all built-in models are).
 	LatencyStreaming LatencyMode = LatencyMode(latency.Streaming)
 )
 

@@ -29,9 +29,10 @@ gate() {
 }
 
 # Main pass at 100 iterations. The 100k broadcast runs separately at 3
-# iterations because a single op is a full 100k-node streaming flood.
+# iterations because a single op is a full 100k-node flood (and its set-up
+# hashes 1.6M edge delays).
 go test -run '^$' \
-  -bench 'Micro(Broadcast1000$|Broadcast10000$|AnalyticArrival|DelayToFraction|VanillaScoring|SubsetScoring|EngineRound|DurationPercentile)' \
+  -bench 'Micro(Broadcast1000$|Broadcast10000$|BroadcastStreaming10000$|Reconfigure1000$|AnalyticArrival|DelayToFraction|VanillaScoring|SubsetScoring|EngineRound|DurationPercentile)' \
   -benchmem -benchtime=100x . | tee "$OUT"
 go test -run '^$' -bench 'MicroBroadcast100000$' -benchmem -benchtime=3x . \
   | tee -a "$OUT"
@@ -45,6 +46,8 @@ go test -run '^$' -bench 'WorkloadHour$' -benchmem -benchtime=3x . \
 gate MicroBroadcast1000 0
 gate MicroBroadcast10000 0
 gate MicroBroadcast100000 0
+gate MicroBroadcastStreaming10000 0
+gate MicroReconfigure1000 0
 gate MicroAnalyticArrival1000 0
 gate MicroDurationPercentile 0
 gate MicroVanillaScoring 1
