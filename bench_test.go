@@ -176,6 +176,16 @@ func BenchmarkMicroBroadcastStreaming10000(b *testing.B) {
 // hashed.
 func BenchmarkMicroReconfigure1000(b *testing.B) { bench.MicroReconfigure(1000)(b) }
 
+// BenchmarkMicroTopologyRandom20000 measures one build of the paper's random
+// topology (§3.1) at the size of the sim-scale-20k workload; scripts/bench.sh
+// holds its B/op, which is linear in the edges.
+func BenchmarkMicroTopologyRandom20000(b *testing.B) { bench.MicroTopologyRandom(20000)(b) }
+
+// BenchmarkMicroTableRewire1000 measures the connection table's part of a
+// round: every node drops two links and dials two, then the undirected
+// adjacency is rebuilt into the previous round's buffer.
+func BenchmarkMicroTableRewire1000(b *testing.B) { bench.MicroTableRewire(1000)(b) }
+
 // BenchmarkMicroBroadcast100000 is the million-node-track target: one
 // broadcast over a 100k-node network, reading precomputed edge delays like
 // every size below latency.StreamingAutoThreshold. Run it with a small

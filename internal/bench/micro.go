@@ -87,8 +87,10 @@ func MicroBroadcast(n int, mode latency.Mode) func(b *testing.B) {
 func perigeeRewire(b *testing.B, tbl *topology.Table, r *rng.RNG) {
 	b.Helper()
 	n := tbl.N()
+	var out []int
 	for v := 0; v < n; v++ {
-		for _, u := range tbl.OutNeighbors(v)[:2] {
+		out = tbl.AppendOutNeighbors(out[:0], v)
+		for _, u := range out[:2] {
 			if err := tbl.Disconnect(v, u); err != nil {
 				b.Fatal(err)
 			}
@@ -102,6 +104,47 @@ func perigeeRewire(b *testing.B, tbl *topology.Table, r *rng.RNG) {
 				b.Fatal(err)
 			}
 			dialled++
+		}
+	}
+}
+
+// MicroTopologyRandom measures one topology.Random build of n nodes at the
+// paper's degrees (8 out, at most 20 in). Its B/op is what scripts/bench.sh
+// gates: a build allocates in proportion to its edges, not to n².
+func MicroTopologyRandom(n int) func(b *testing.B) {
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := topology.Random(n, 8, 20, rng.New(uint64(i))); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// MicroTableRewire measures the connection table's share of a round at n
+// nodes: one Perigee-shaped rewire, then the adjacency snapshot into last
+// round's buffer. Rows keep their capacity, so once a few warm-up rounds
+// have grown them an op allocates next to nothing.
+func MicroTableRewire(n int) func(b *testing.B) {
+	return func(b *testing.B) {
+		tbl, err := topology.Random(n, 8, 20, rng.New(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		r := rng.New(6)
+		var adj [][]int
+		round := func() {
+			perigeeRewire(b, tbl, r)
+			adj = tbl.UndirectedInto(adj)
+		}
+		for i := 0; i < 50; i++ { // let rows reach the capacity they settle at
+			round()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			round()
 		}
 	}
 }

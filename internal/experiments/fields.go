@@ -157,7 +157,7 @@ func parseInterval(s string) (lo, hi float64, err error) {
 // descriptor has no hash key, and the runtime hooks.
 func (o Options) Hash() string {
 	h := sha256.New()
-	fmt.Fprint(h, "perigee-options-v1")
+	fmt.Fprint(h, "perigee-options-v2")
 	for _, f := range fields {
 		if f.hash == "" {
 			continue

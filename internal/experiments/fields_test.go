@@ -115,10 +115,10 @@ func TestJSONKeysGolden(t *testing.T) {
 	}
 }
 
-// TestHashPinned pins the canonical encoding itself: these hashes were
-// captured from the hand-written format string the table replaced, so a
-// change to a hash key, the field order or a value's formatting shows up
-// as a changed cache key.
+// TestHashPinned pins the canonical encoding itself, so a change to a hash
+// key, the field order or a value's formatting shows up as a changed cache
+// key. The version prefix is bumped (and these re-pinned) whenever the same
+// options start producing different numbers, as when an RNG stream moves.
 func TestHashPinned(t *testing.T) {
 	every := ShortOptions()
 	every.Nodes, every.Trials, every.Rounds, every.RoundBlocks = 321, 2, 7, 33
@@ -134,9 +134,9 @@ func TestHashPinned(t *testing.T) {
 		opt  Options
 		want string
 	}{
-		{"default", DefaultOptions(), "6fc04bc23a85963b7fb88fe4618b4a06574b66728d4309a7288a1a35215c2340"},
-		{"short", ShortOptions(), "7036d8f95eb7d99e84099c8c9d21956d3dae58600e14205e173f2a54795e21a9"},
-		{"every field set", every, "fac0dd4bf10106b0e8c97d10f84f827f122a1385fcef8e00b34861bc92e0b4c2"},
+		{"default", DefaultOptions(), "1802c2d64cb5040a25077be35c9eb4e4d007ed9b58beb4940d7888040530d02a"},
+		{"short", ShortOptions(), "d7dc108f3600c3b7622cc28b7eda495254b3ae8f4d21fb7d8f1e9b5a1b5cd782"},
+		{"every field set", every, "be85921d23f3e21a35fe31f38d7e641567da2cbf13be0260ae1f4f10b7f80db7"},
 	} {
 		if got := tc.opt.Hash(); got != tc.want {
 			t.Errorf("%s options hash %s, want %s", tc.name, got, tc.want)

@@ -454,6 +454,10 @@ func (n *Node) acceptLoop(ln net.Listener) {
 func (n *Node) inboundCount() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	return n.inboundCountLocked()
+}
+
+func (n *Node) inboundCountLocked() int {
 	count := 0
 	for _, p := range n.peers {
 		if p.direction == Inbound {
@@ -630,6 +634,14 @@ func (n *Node) setupPeer(conn net.Conn, dir Direction, dialedAddr string) error 
 		n.mu.Unlock()
 		p.close()
 		return fmt.Errorf("p2p: duplicate connection to %016x", p.id)
+	}
+	if dir == Inbound && n.inboundCountLocked() >= n.cfg.MaxInbound {
+		// Handshakes that passed acceptLoop's check together meet the cap
+		// again here, where the slot is actually taken.
+		n.mu.Unlock()
+		p.close()
+		n.countRes(func(r *ResilienceStats) { r.AcceptsShed++ })
+		return fmt.Errorf("p2p: incoming slots full, shedding %016x", p.id)
 	}
 	n.peers[p.id] = p
 	n.mu.Unlock()

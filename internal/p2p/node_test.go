@@ -2,11 +2,14 @@ package p2p
 
 import (
 	"fmt"
+	"net"
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/perigee-net/perigee/internal/chain"
 	"github.com/perigee-net/perigee/internal/core"
+	"github.com/perigee-net/perigee/internal/wire"
 )
 
 func testGenesis() *chain.Block { return chain.NewGenesis("p2p-test") }
@@ -107,13 +110,63 @@ func TestInboundCap(t *testing.T) {
 		if err := n.Connect(hub.Addr()); err == nil {
 			ok++
 			// Connect returns once the dialer's half of the handshake is
-			// done; the cap counts installed peers, so let the hub finish
-			// its half before the next dial tests it.
+			// done; wait for the hub's half so the next dial meets the cap
+			// at accept time (TestInboundCapConcurrentHandshakes covers
+			// handshakes that overlap).
 			waitFor(t, "hub installs the peer", time.Second, func() bool { return len(hub.Peers()) == ok })
 		}
 	}
 	if ok > 2 {
 		t.Fatalf("%d inbound connections accepted, cap is 2", ok)
+	}
+}
+
+// TestInboundCapConcurrentHandshakes holds more handshakes in flight than
+// the hub has incoming slots — every dialer has the hub's Version and owes
+// only its Verack, so all passed the accept-time check — and releases them
+// together. The cap must hold where peers are installed: never more than
+// MaxInbound inbound peers, and every dialer either installed or shed.
+func TestInboundCapConcurrentHandshakes(t *testing.T) {
+	const maxInbound, dialers = 3, 10
+	hub := startNode(t, 7, func(c *Config) { c.MaxInbound = maxInbound })
+	conns := make([]net.Conn, dialers)
+	for i := range conns {
+		conn, err := net.DialTimeout("tcp", hub.Addr(), time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = conn.Close() })
+		_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if err := wire.Write(conn, &wire.Version{Protocol: wire.ProtocolVersion, NodeID: uint64(0xCA90 + i), Nonce: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if m, err := wire.Read(conn); err != nil {
+			t.Fatal(err)
+		} else if _, ok := m.(*wire.Version); !ok {
+			t.Fatalf("expected version, got %v", m.Type())
+		}
+		conns[i] = conn
+	}
+	var wg sync.WaitGroup
+	for _, conn := range conns {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := wire.Write(conn, &wire.Verack{}); err != nil {
+				t.Errorf("sending verack: %v", err)
+			}
+		}()
+	}
+	wg.Wait()
+	waitFor(t, "every handshake installed or shed", 5*time.Second, func() bool {
+		installed := len(hub.Peers())
+		if installed > maxInbound {
+			t.Fatalf("%d inbound peers installed, cap is %d", installed, maxInbound)
+		}
+		return installed+hub.Resilience().AcceptsShed == dialers
+	})
+	if got := len(hub.Peers()); got != maxInbound {
+		t.Fatalf("%d inbound peers installed, want the cap of %d filled", got, maxInbound)
 	}
 }
 

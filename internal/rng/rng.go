@@ -8,6 +8,11 @@
 // sequence observed by another. Derivation is stateless: deriving the same
 // label twice yields identical streams regardless of how much state the
 // parent has consumed.
+//
+// Per-pair values (PairJitter, PairLogNormal) come from a keyed 64-bit
+// mixer over the stream's seed and the pair, not from the stream's state
+// and not from a cryptographic hash: they are reproducible and well mixed
+// for node indices, and must not be relied on against adversarial inputs.
 package rng
 
 import (
@@ -68,27 +73,45 @@ func (r *RNG) DeriveIndexed(label string, index int) *RNG {
 	return fromDigest(digest)
 }
 
+// Domain constants separating the pair-keyed functions' hash inputs.
+const (
+	domainJitter     = 0x2545f4914f6cdd1d
+	domainLogNormal1 = 0xd1b54a32d192ed03
+	domainLogNormal2 = 0x8cb92ba72f3d8dd7
+)
+
+// mix64 is the SplitMix64 finaliser, a bijection on 64-bit words in which
+// every input bit flips each output bit with probability close to 1/2.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// pairHash maps the unordered pair {u, v} to 64 bits under the stream's
+// key (words 2 and 3 of its seed; words 0 and 1 seed the PCG) and a
+// per-function domain: two chained mix64 rounds, stateless and
+// allocation-free. It is a keyed mixer, not a cryptographic hash — fine for
+// jitter over node indices, not for inputs an adversary chooses.
+func (r *RNG) pairHash(domain uint64, u, v int) uint64 {
+	if u > v {
+		u, v = v, u
+	}
+	k0 := binary.LittleEndian.Uint64(r.seed[16:24])
+	k1 := binary.LittleEndian.Uint64(r.seed[24:32])
+	const gamma = 0x9e3779b97f4a7c15 // SplitMix64's increment: spreads small indices
+	return mix64(mix64((k0^domain)+uint64(u)*gamma) ^ (k1 + uint64(v)*gamma))
+}
+
 // PairJitter returns a deterministic value in [1-amplitude, 1+amplitude]
 // keyed by the unordered pair {u, v}. It is used for symmetric per-link
 // latency jitter without storing an n-by-n matrix: calling with (u, v) or
 // (v, u) yields the same factor, and the factor depends only on the
 // receiver's seed.
 func (r *RNG) PairJitter(u, v int, amplitude float64) float64 {
-	if u > v {
-		u, v = v, u
-	}
-	h := sha256.New()
-	h.Write(r.seed[:])
-	var buf [16]byte
-	binary.LittleEndian.PutUint64(buf[0:8], uint64(u))
-	binary.LittleEndian.PutUint64(buf[8:16], uint64(v))
-	h.Write(buf[:])
-	var digest [32]byte
-	h.Sum(digest[:0])
-	// Map the first 8 bytes to a uniform float in [0, 1).
-	u64 := binary.LittleEndian.Uint64(digest[0:8])
-	unit := float64(u64>>11) / (1 << 53)
-	return 1 - amplitude + 2*amplitude*unit
+	return 1 - amplitude + 2*amplitude*unitFloat(r.pairHash(domainJitter, u, v))
 }
 
 // PairLogNormal returns a deterministic multiplicative factor keyed by the
@@ -99,20 +122,8 @@ func (r *RNG) PairLogNormal(u, v int, sigma float64) float64 {
 	if sigma == 0 {
 		return 1
 	}
-	if u > v {
-		u, v = v, u
-	}
-	h := sha256.New()
-	h.Write(r.seed[:])
-	h.Write([]byte("lognormal"))
-	var buf [16]byte
-	binary.LittleEndian.PutUint64(buf[0:8], uint64(u))
-	binary.LittleEndian.PutUint64(buf[8:16], uint64(v))
-	h.Write(buf[:])
-	var digest [32]byte
-	h.Sum(digest[:0])
-	u1 := unitFloat(binary.LittleEndian.Uint64(digest[0:8]))
-	u2 := unitFloat(binary.LittleEndian.Uint64(digest[8:16]))
+	u1 := unitFloat(r.pairHash(domainLogNormal1, u, v))
+	u2 := unitFloat(r.pairHash(domainLogNormal2, u, v))
 	// Box-Muller; clamp u1 away from zero to keep log finite.
 	if u1 < 1e-18 {
 		u1 = 1e-18

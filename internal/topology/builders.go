@@ -13,7 +13,7 @@ import (
 // honoring the incoming cap. Nodes connect in random order; a node that
 // cannot fill its quota after scanning every peer returns an error (with
 // sensible parameters — maxIn >= outDegree — this does not happen in
-// practice).
+// practice). A build costs time and memory proportional to its edges.
 func Random(n, outDegree, maxIn int, r *rng.RNG) (*Table, error) {
 	t, err := NewTable(n, maxIn)
 	if err != nil {
@@ -25,32 +25,59 @@ func Random(n, outDegree, maxIn int, r *rng.RNG) (*Table, error) {
 	if r == nil {
 		return nil, fmt.Errorf("topology: nil rng")
 	}
+	cand := identity(n)
 	for _, u := range r.Perm(n) {
-		if err := fillRandom(t, u, outDegree, r); err != nil {
+		if err := fillRandom(t, u, outDegree, cand, r); err != nil {
 			return nil, err
 		}
 	}
 	return t, nil
 }
 
-// fillRandom adds random outgoing connections to u until it has quota of
-// them, scanning a fresh random permutation of candidates.
-func fillRandom(t *Table, u, quota int, r *rng.RNG) error {
-	if t.OutDegree(u) >= quota {
-		return nil
+func identity(n int) []int {
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
 	}
-	for _, v := range r.Perm(t.n) {
-		if v == u || t.HasOut(u, v) {
+	return ids
+}
+
+// draw fixes position i of a forward Fisher–Yates shuffle of cand and
+// returns it. Calling it for i = 0, 1, ... visits cand in uniformly random
+// order whatever arrangement cand starts in, so one array serves every scan
+// of a build without being reset, and a scan costs only what it reads.
+func draw(cand []int, i int, r *rng.RNG) int {
+	j := i + r.IntN(len(cand)-i)
+	cand[i], cand[j] = cand[j], cand[i]
+	return cand[i]
+}
+
+// fillFrom dials u to the peers a random scan of cand offers, skipping those
+// that are u, already dialed or out of incoming slots, until u has quota
+// outgoing connections or every candidate has been offered.
+func fillFrom(t *Table, u, quota int, cand []int, r *rng.RNG) error {
+	for i := 0; i < len(cand) && t.OutDegree(u) < quota; i++ {
+		v := draw(cand, i, r)
+		if v == u || t.InFree(v) == 0 || t.HasOut(u, v) {
 			continue
 		}
 		if err := t.Connect(u, v); err != nil {
-			continue // incoming slots full; try the next candidate
-		}
-		if t.OutDegree(u) >= quota {
-			return nil
+			return err
 		}
 	}
-	return fmt.Errorf("topology: node %d stuck at out-degree %d, want %d", u, t.OutDegree(u), quota)
+	return nil
+}
+
+// fillRandom fills u to quota from cand, which holds every node; a u that
+// is still short after all of them were offered is an error.
+func fillRandom(t *Table, u, quota int, cand []int, r *rng.RNG) error {
+	if err := fillFrom(t, u, quota, cand, r); err != nil {
+		return err
+	}
+	if t.OutDegree(u) < quota {
+		return fmt.Errorf("topology: node %d stuck at out-degree %d, want %d", u, t.OutDegree(u), quota)
+	}
+	return nil
 }
 
 // Geographic builds the geography-aware baseline of §3.2: each node opens
@@ -81,24 +108,14 @@ func Geographic(u *geo.Universe, outDegree, inRegion, maxIn int, r *rng.RNG) (*T
 		reg := u.Region(i)
 		byRegion[reg] = append(byRegion[reg], i)
 	}
+	cand := identity(n)
 	for _, v := range r.Perm(n) {
-		local := byRegion[u.Region(v)]
-		// Local connections first.
-		want := t.OutDegree(v) + inRegion
-		for _, idx := range r.Perm(len(local)) {
-			if t.OutDegree(v) >= want {
-				break
-			}
-			w := local[idx]
-			if w == v || t.HasOut(v, w) {
-				continue
-			}
-			if err := t.Connect(v, w); err != nil {
-				continue
-			}
+		// Local connections first; a region too small leaves a shortfall.
+		if err := fillFrom(t, v, inRegion, byRegion[u.Region(v)], r); err != nil {
+			return nil, err
 		}
 		// Remaining connections anywhere (also tops up any local shortfall).
-		if err := fillRandom(t, v, outDegree, r); err != nil {
+		if err := fillRandom(t, v, outDegree, cand, r); err != nil {
 			return nil, err
 		}
 	}
@@ -111,7 +128,8 @@ func Geographic(u *geo.Universe, outDegree, inRegion, maxIn int, r *rng.RNG) (*T
 // member of each bucket, starting from the farthest bucket, until
 // outDegree connections are made. Unfillable slots (empty buckets, full
 // incoming caps) fall back to random peers so every node reaches
-// outDegree.
+// outDegree. Bucketing every peer for every node is O(n²): this builder is
+// for figure-scale networks only.
 func Kademlia(n, outDegree, maxIn int, r *rng.RNG) (*Table, error) {
 	t, err := NewTable(n, maxIn)
 	if err != nil {
@@ -137,6 +155,7 @@ func Kademlia(n, outDegree, maxIn int, r *rng.RNG) (*Table, error) {
 	}
 	// buckets[u][b] lists nodes whose ID differs from u's in bit b as the
 	// most significant differing bit (bucket 63 = farthest).
+	cand := identity(n)
 	for _, u := range r.Perm(n) {
 		var buckets [64][]int
 		for v := 0; v < n; v++ {
@@ -162,7 +181,7 @@ func Kademlia(n, outDegree, maxIn int, r *rng.RNG) (*Table, error) {
 				}
 			}
 		}
-		if err := fillRandom(t, u, outDegree, r); err != nil {
+		if err := fillRandom(t, u, outDegree, cand, r); err != nil {
 			return nil, err
 		}
 	}
@@ -221,12 +240,11 @@ func RandomUndirected(n, degree int, r *rng.RNG) ([][]int, error) {
 		adj[a] = append(adj[a], b)
 		adj[b] = append(adj[b], a)
 	}
+	cand := identity(n)
 	for u := 0; u < n; u++ {
 		made := 0
-		for _, v := range r.Perm(n) {
-			if made >= degree {
-				break
-			}
+		for i := 0; i < n && made < degree; i++ {
+			v := draw(cand, i, r)
 			if v == u {
 				continue
 			}
@@ -266,29 +284,24 @@ func RelayTree(members []int, branching int) ([][2]int, error) {
 	return edges, nil
 }
 
-// MergeAdjacency returns the union of an adjacency structure and extra
-// undirected edges, deduplicated, each list ascending. Used to pin relay
-// tree edges into the evolving p2p graph.
+// MergeAdjacency returns the union of an adjacency structure, whose rows
+// are ascending as Table.Undirected returns them, and extra undirected
+// edges, deduplicated, each list ascending. Self and out-of-range extra
+// edges are skipped. Used to pin relay tree edges into the evolving p2p
+// graph.
 func MergeAdjacency(adj [][]int, extra [][2]int) [][]int {
 	n := len(adj)
-	sets := make([]map[int]struct{}, n)
-	for u := 0; u < n; u++ {
-		sets[u] = make(map[int]struct{}, len(adj[u])+2)
-		for _, v := range adj[u] {
-			sets[u][v] = struct{}{}
-		}
+	out := make([][]int, n)
+	for u, row := range adj {
+		out[u] = append(make([]int, 0, len(row)+2), row...)
 	}
 	for _, e := range extra {
 		a, b := e[0], e[1]
 		if a == b || a < 0 || b < 0 || a >= n || b >= n {
 			continue
 		}
-		sets[a][b] = struct{}{}
-		sets[b][a] = struct{}{}
-	}
-	out := make([][]int, n)
-	for u := 0; u < n; u++ {
-		out[u] = sortedKeys(sets[u])
+		out[a] = insertSorted(out[a], b)
+		out[b] = insertSorted(out[b], a)
 	}
 	return out
 }

@@ -1,6 +1,10 @@
 package topology
 
 import (
+	"fmt"
+	"math/rand/v2"
+	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/perigee-net/perigee/internal/geo"
@@ -49,6 +53,162 @@ func TestRandomTopologyDeterministic(t *testing.T) {
 			}
 		}
 	}
+}
+
+// equalTables reports the first node at which two tables differ.
+func equalTables(t *testing.T, a, b *Table) {
+	t.Helper()
+	if a.N() != b.N() || a.MaxIn() != b.MaxIn() || a.TotalEdges() != b.TotalEdges() {
+		t.Fatalf("tables differ in shape: n %d/%d, maxIn %d/%d, edges %d/%d",
+			a.N(), b.N(), a.MaxIn(), b.MaxIn(), a.TotalEdges(), b.TotalEdges())
+	}
+	for u := 0; u < a.N(); u++ {
+		if !reflect.DeepEqual(a.OutNeighbors(u), b.OutNeighbors(u)) || !reflect.DeepEqual(a.InNeighbors(u), b.InNeighbors(u)) {
+			t.Fatalf("node %d differs: out %v vs %v, in %v vs %v",
+				u, a.OutNeighbors(u), b.OutNeighbors(u), a.InNeighbors(u), b.InNeighbors(u))
+		}
+	}
+}
+
+// TestBuildersFillEveryNode runs the three capped builders from the smallest
+// network that can hold the out-degree up to 5 000 nodes: same seed, same
+// table (also across Clone), every node at outDegree, nobody over maxIn.
+func TestBuildersFillEveryNode(t *testing.T) {
+	const dout, maxIn = 8, 20
+	builders := map[string]func(n int, seed uint64) (*Table, error){
+		"random":   func(n int, seed uint64) (*Table, error) { return Random(n, dout, maxIn, rng.New(seed)) },
+		"kademlia": func(n int, seed uint64) (*Table, error) { return Kademlia(n, dout, maxIn, rng.New(seed)) },
+		"geographic": func(n int, seed uint64) (*Table, error) {
+			u, err := geo.SampleUniverse(n, rng.New(seed+100))
+			if err != nil {
+				return nil, err
+			}
+			return Geographic(u, dout, dout/2, maxIn, rng.New(seed))
+		},
+	}
+	for name, build := range builders {
+		for _, n := range []int{2 * dout, 300, 5000} {
+			t.Run(fmt.Sprintf("%s/%d", name, n), func(t *testing.T) {
+				tbl, err := build(n, 9)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := tbl.Validate(); err != nil {
+					t.Fatal(err)
+				}
+				for u := 0; u < n; u++ {
+					if tbl.OutDegree(u) != dout || tbl.InDegree(u) > maxIn {
+						t.Fatalf("node %d: out-degree %d (want %d), in-degree %d (cap %d)",
+							u, tbl.OutDegree(u), dout, tbl.InDegree(u), maxIn)
+					}
+				}
+				again, err := build(n, 9)
+				if err != nil {
+					t.Fatal(err)
+				}
+				equalTables(t, tbl, again)
+				equalTables(t, tbl, tbl.Clone())
+			})
+		}
+	}
+}
+
+// TestRandomExactFit leaves no spare incoming slot (maxIn == outDegree): the
+// last nodes must scan nearly every peer, and a build either fills everyone
+// or reports the node that ran out of peers — it never spins.
+func TestRandomExactFit(t *testing.T) {
+	const dout = 4
+	filled, stuck := 0, 0
+	for _, n := range []int{2 * dout, 60, 300} {
+		for seed := uint64(0); seed < 40; seed++ {
+			tbl, err := Random(n, dout, dout, rng.New(seed))
+			if err != nil {
+				if !strings.Contains(err.Error(), "stuck at out-degree") {
+					t.Fatalf("n=%d seed=%d: %v", n, seed, err)
+				}
+				stuck++
+				continue
+			}
+			filled++
+			if err := tbl.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			for u := 0; u < n; u++ {
+				if tbl.OutDegree(u) != dout || tbl.InDegree(u) != dout {
+					t.Fatalf("n=%d seed=%d node %d: degrees %d/%d, want %d/%d", n, seed, u, tbl.OutDegree(u), tbl.InDegree(u), dout, dout)
+				}
+			}
+		}
+	}
+	if filled == 0 || stuck == 0 {
+		t.Fatalf("exact fit: %d builds filled, %d stuck; the test wants to see both outcomes", filled, stuck)
+	}
+}
+
+// TestRandomTargetsUniform counts, over 500 builds with no binding incoming
+// cap, how often each node u dials each peer v. Every ordered pair is equally
+// likely, so both the per-peer totals (49 degrees of freedom) and the
+// per-pair counts (50·48) must pass a χ² test at 5 σ.
+func TestRandomTargetsUniform(t *testing.T) {
+	const n, dout, builds = 50, 4, 500
+	var pair [n][n]int
+	for seed := uint64(0); seed < builds; seed++ {
+		tbl, err := Random(n, dout, n, rng.New(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for u := 0; u < n; u++ {
+			for _, v := range tbl.OutNeighbors(u) {
+				pair[u][v]++
+			}
+		}
+	}
+	var peerChi2, pairChi2 float64
+	peerWant, pairWant := float64(builds*dout), float64(builds*dout)/(n-1)
+	for v := 0; v < n; v++ {
+		total := 0
+		for u := 0; u < n; u++ {
+			total += pair[u][v]
+			if u != v {
+				d := float64(pair[u][v]) - pairWant
+				pairChi2 += d * d / pairWant
+			}
+		}
+		d := float64(total) - peerWant
+		peerChi2 += d * d / peerWant
+	}
+	if peerChi2 > 49+5*9.9 {
+		t.Errorf("per-peer χ² = %.1f, want < %.1f", peerChi2, 49+5*9.9)
+	}
+	if pairChi2 > 2400+5*69.3 {
+		t.Errorf("per-pair χ² = %.1f, want < %.1f", pairChi2, 2400+5*69.3)
+	}
+}
+
+// countingSource counts the 64-bit words a build draws.
+type countingSource struct {
+	src   rand.Source
+	draws int
+}
+
+func (c *countingSource) Uint64() uint64 {
+	c.draws++
+	return c.src.Uint64()
+}
+
+// TestRandomDrawsLinear holds the build to O(n·outDegree) random words: one
+// node-order permutation plus a few draws per edge (≈ 50 000 at n = 5 000).
+// A full permutation per node would be n² = 25 000 000.
+func TestRandomDrawsLinear(t *testing.T) {
+	const n, dout = 5000, 8
+	src := &countingSource{src: rand.NewPCG(1, 2)}
+	if _, err := Random(n, dout, 20, &rng.RNG{Rand: rand.New(src)}); err != nil {
+		t.Fatal(err)
+	}
+	if src.draws > 3*n*dout {
+		t.Fatalf("build drew %d random words, want at most %d", src.draws, 3*n*dout)
+	}
+	t.Logf("n=%d: %d draws", n, src.draws)
 }
 
 func TestRandomTopologyErrors(t *testing.T) {
@@ -278,5 +438,54 @@ func TestMergeAdjacency(t *testing.T) {
 	// Self loops and out-of-range edges are ignored.
 	if len(merged[0]) != 1 {
 		t.Fatalf("node 0 adjacency %v, want [1]", merged[0])
+	}
+}
+
+// mergeAdjacencyByMaps is the set-per-node implementation MergeAdjacency
+// replaced, kept as its reference.
+func mergeAdjacencyByMaps(adj [][]int, extra [][2]int) [][]int {
+	n := len(adj)
+	sets := make([]map[int]struct{}, n)
+	for u := range sets {
+		sets[u] = map[int]struct{}{}
+		for _, v := range adj[u] {
+			sets[u][v] = struct{}{}
+		}
+	}
+	for _, e := range extra {
+		a, b := e[0], e[1]
+		if a == b || a < 0 || b < 0 || a >= n || b >= n {
+			continue
+		}
+		sets[a][b], sets[b][a] = struct{}{}, struct{}{}
+	}
+	out := make([][]int, n)
+	for u := range out {
+		out[u] = refSorted(sets[u])
+	}
+	return out
+}
+
+func TestMergeAdjacencyMatchesMapReference(t *testing.T) {
+	r := rng.New(31)
+	for trial := 0; trial < 50; trial++ {
+		n := 10 + r.IntN(60)
+		tbl, err := Random(n, 3, 6, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		adj := tbl.Undirected()
+		before := tbl.Undirected()
+		extra := make([][2]int, r.IntN(3*n))
+		for i := range extra {
+			extra[i] = [2]int{r.IntN(n+4) - 2, r.IntN(n+4) - 2} // some self, repeated, present, out of range
+		}
+		got, want := MergeAdjacency(adj, extra), mergeAdjacencyByMaps(adj, extra)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: merged %v, reference %v", trial, got, want)
+		}
+		if !reflect.DeepEqual(adj, before) {
+			t.Fatalf("trial %d: MergeAdjacency wrote to its input", trial)
+		}
 	}
 }

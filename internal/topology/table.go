@@ -4,12 +4,16 @@
 // algorithm the paper evaluates (random, geographic, Kademlia-style,
 // geometric threshold graphs, relay trees), and the graph algorithms the
 // analysis sections rely on (Dijkstra, BFS, components, stretch).
+//
+// A Table stores each node's outgoing and incoming peers as short ascending
+// slices, and the builders scan candidates by a lazy shuffle, so building
+// and rewiring a topology costs time proportional to its edges.
 package topology
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Sentinel errors returned by Table operations.
@@ -34,8 +38,12 @@ var (
 type Table struct {
 	n     int
 	maxIn int
-	out   []map[int]struct{}
-	in    []map[int]struct{}
+	// out[u] and in[u] are ascending rows of node indices. Rows are short
+	// (out-degree 8, in-degree at most maxIn), so membership is a search of
+	// a few steps, insert and remove shift in place, and a row's capacity is
+	// reused for the life of the table.
+	out [][]int
+	in  [][]int
 	// version increments on every successful edge mutation, letting callers
 	// (e.g. the engine's cached simulator) detect topology changes without
 	// comparing adjacencies.
@@ -50,17 +58,7 @@ func NewTable(n, maxIn int) (*Table, error) {
 	if maxIn <= 0 {
 		return nil, fmt.Errorf("topology: incoming cap %d must be positive", maxIn)
 	}
-	t := &Table{
-		n:     n,
-		maxIn: maxIn,
-		out:   make([]map[int]struct{}, n),
-		in:    make([]map[int]struct{}, n),
-	}
-	for i := 0; i < n; i++ {
-		t.out[i] = make(map[int]struct{})
-		t.in[i] = make(map[int]struct{})
-	}
-	return t, nil
+	return &Table{n: n, maxIn: maxIn, out: make([][]int, n), in: make([][]int, n)}, nil
 }
 
 // N returns the number of nodes.
@@ -76,6 +74,20 @@ func (t *Table) checkNode(u int) error {
 	return nil
 }
 
+// insertSorted adds v to the ascending row unless it is already there.
+func insertSorted(row []int, v int) []int {
+	if i, ok := slices.BinarySearch(row, v); !ok {
+		row = slices.Insert(row, i, v)
+	}
+	return row
+}
+
+// removeSorted deletes v, which must be present, from the ascending row.
+func removeSorted(row []int, v int) []int {
+	i, _ := slices.BinarySearch(row, v)
+	return slices.Delete(row, i, i+1)
+}
+
 // Connect adds the outgoing edge u->v. It fails with ErrIncomingFull if v
 // has no incoming slots left, mirroring a declined TCP connection request.
 func (t *Table) Connect(u, v int) error {
@@ -88,14 +100,14 @@ func (t *Table) Connect(u, v int) error {
 	if u == v {
 		return fmt.Errorf("%w: node %d", ErrSelfConnection, u)
 	}
-	if _, ok := t.out[u][v]; ok {
+	if t.HasOut(u, v) {
 		return fmt.Errorf("%w: %d->%d", ErrDuplicateConnection, u, v)
 	}
 	if len(t.in[v]) >= t.maxIn {
 		return fmt.Errorf("%w: node %d", ErrIncomingFull, v)
 	}
-	t.out[u][v] = struct{}{}
-	t.in[v][u] = struct{}{}
+	t.out[u] = insertSorted(t.out[u], v)
+	t.in[v] = insertSorted(t.in[v], u)
 	t.version++
 	return nil
 }
@@ -108,11 +120,11 @@ func (t *Table) Disconnect(u, v int) error {
 	if err := t.checkNode(v); err != nil {
 		return err
 	}
-	if _, ok := t.out[u][v]; !ok {
+	if !t.HasOut(u, v) {
 		return fmt.Errorf("%w: %d->%d", ErrNoConnection, u, v)
 	}
-	delete(t.out[u], v)
-	delete(t.in[v], u)
+	t.out[u] = removeSorted(t.out[u], v)
+	t.in[v] = removeSorted(t.in[v], u)
 	t.version++
 	return nil
 }
@@ -125,7 +137,7 @@ func (t *Table) Version() uint64 { return t.version }
 
 // HasOut reports whether the outgoing edge u->v exists.
 func (t *Table) HasOut(u, v int) bool {
-	_, ok := t.out[u][v]
+	_, ok := slices.BinarySearch(t.out[u], v)
 	return ok
 }
 
@@ -138,44 +150,40 @@ func (t *Table) InDegree(u int) int { return len(t.in[u]) }
 // InFree returns the number of remaining incoming slots at u.
 func (t *Table) InFree(u int) int { return t.maxIn - len(t.in[u]) }
 
-// OutNeighbors returns u's outgoing neighbors in ascending order.
-func (t *Table) OutNeighbors(u int) []int { return sortedKeys(t.out[u]) }
+// OutNeighbors returns a copy of u's outgoing neighbors in ascending order.
+func (t *Table) OutNeighbors(u int) []int { return append(make([]int, 0, len(t.out[u])), t.out[u]...) }
 
 // AppendOutNeighbors appends u's outgoing neighbors in ascending order to
 // buf and returns the extended slice, reusing buf's capacity. Callers on
 // hot paths pass buf[:0] to avoid the per-call allocation of OutNeighbors.
 func (t *Table) AppendOutNeighbors(buf []int, u int) []int {
-	return appendSortedKeys(buf, t.out[u])
+	return append(buf, t.out[u]...)
 }
 
-// InNeighbors returns u's incoming neighbors in ascending order.
-func (t *Table) InNeighbors(u int) []int { return sortedKeys(t.in[u]) }
+// InNeighbors returns a copy of u's incoming neighbors in ascending order.
+func (t *Table) InNeighbors(u int) []int { return append(make([]int, 0, len(t.in[u])), t.in[u]...) }
 
 // Neighbors returns the union of u's outgoing and incoming neighbors in
 // ascending order — the set of peers u exchanges blocks with (Γ_v in the
 // paper).
 func (t *Table) Neighbors(u int) []int {
-	set := make(map[int]struct{}, len(t.out[u])+len(t.in[u]))
-	for v := range t.out[u] {
-		set[v] = struct{}{}
-	}
-	for v := range t.in[u] {
-		set[v] = struct{}{}
-	}
-	return sortedKeys(set)
+	return appendUnion(make([]int, 0, len(t.out[u])+len(t.in[u])), t.out[u], t.in[u])
 }
 
-func sortedKeys(m map[int]struct{}) []int {
-	return appendSortedKeys(make([]int, 0, len(m)), m)
-}
-
-func appendSortedKeys(buf []int, m map[int]struct{}) []int {
-	start := len(buf)
-	for k := range m {
-		buf = append(buf, k)
+// appendUnion appends the union of two ascending rows to dst, ascending and
+// without duplicates.
+func appendUnion(dst, a, b []int) []int {
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			dst, a = append(dst, a[0]), a[1:]
+		case a[0] > b[0]:
+			dst, b = append(dst, b[0]), b[1:]
+		default:
+			dst, a, b = append(dst, a[0]), a[1:], b[1:]
+		}
 	}
-	sort.Ints(buf[start:])
-	return buf
+	return append(append(dst, a...), b...)
 }
 
 // Undirected returns the symmetric adjacency lists of the communication
@@ -195,69 +203,68 @@ func (t *Table) UndirectedInto(adj [][]int) [][]int {
 	}
 	adj = adj[:t.n]
 	for u := 0; u < t.n; u++ {
-		row := adj[u][:0]
-		for v := range t.out[u] {
-			row = append(row, v)
-		}
-		for v := range t.in[u] {
-			if _, dup := t.out[u][v]; !dup {
-				row = append(row, v)
-			}
-		}
-		sort.Ints(row)
-		adj[u] = row
+		adj[u] = appendUnion(adj[u][:0], t.out[u], t.in[u])
 	}
 	return adj
 }
 
 // Clone deep-copies the table.
 func (t *Table) Clone() *Table {
-	c := &Table{
-		n:     t.n,
-		maxIn: t.maxIn,
-		out:   make([]map[int]struct{}, t.n),
-		in:    make([]map[int]struct{}, t.n),
+	return &Table{n: t.n, maxIn: t.maxIn, out: cloneRows(t.out), in: cloneRows(t.in)}
+}
+
+// cloneRows copies rows into one backing array; each copy's capacity ends
+// where the next begins, so a row that grows moves out rather than into
+// its neighbour.
+func cloneRows(rows [][]int) [][]int {
+	total := 0
+	for _, row := range rows {
+		total += len(row)
 	}
-	for i := 0; i < t.n; i++ {
-		c.out[i] = make(map[int]struct{}, len(t.out[i]))
-		for v := range t.out[i] {
-			c.out[i][v] = struct{}{}
-		}
-		c.in[i] = make(map[int]struct{}, len(t.in[i]))
-		for v := range t.in[i] {
-			c.in[i][v] = struct{}{}
-		}
+	backing := make([]int, 0, total)
+	out := make([][]int, len(rows))
+	for i, row := range rows {
+		start := len(backing)
+		backing = append(backing, row...)
+		out[i] = backing[start:len(backing):len(backing)]
 	}
-	return c
+	return out
 }
 
 // TotalEdges returns the number of directed edges in the table.
 func (t *Table) TotalEdges() int {
 	total := 0
-	for _, m := range t.out {
-		total += len(m)
+	for _, row := range t.out {
+		total += len(row)
 	}
 	return total
 }
 
-// Validate checks the table's internal invariants: out/in mirror each
-// other, no self loops, and the incoming cap holds. It is used by tests and
-// by the engine's failure-injection paths.
+// Validate checks the table's internal invariants: rows strictly ascending,
+// out/in mirroring each other, no self loops, and the incoming cap holding.
+// It is used by tests and by the engine's failure-injection paths.
 func (t *Table) Validate() error {
 	for u := 0; u < t.n; u++ {
 		if len(t.in[u]) > t.maxIn {
 			return fmt.Errorf("topology: node %d has %d incoming, cap %d", u, len(t.in[u]), t.maxIn)
 		}
-		for v := range t.out[u] {
+		for _, row := range [][]int{t.out[u], t.in[u]} {
+			for i := 1; i < len(row); i++ {
+				if row[i-1] >= row[i] {
+					return fmt.Errorf("topology: node %d has a row out of order: %v", u, row)
+				}
+			}
+		}
+		for _, v := range t.out[u] {
 			if v == u {
 				return fmt.Errorf("topology: node %d has self loop", u)
 			}
-			if _, ok := t.in[v][u]; !ok {
+			if _, ok := slices.BinarySearch(t.in[v], u); !ok {
 				return fmt.Errorf("topology: edge %d->%d missing from in-set", u, v)
 			}
 		}
-		for v := range t.in[u] {
-			if _, ok := t.out[v][u]; !ok {
+		for _, v := range t.in[u] {
+			if !t.HasOut(v, u) {
 				return fmt.Errorf("topology: in-edge %d<-%d missing from out-set", u, v)
 			}
 		}

@@ -2,6 +2,8 @@ package topology
 
 import (
 	"errors"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -320,5 +322,164 @@ func TestAppendOutNeighbors(t *testing.T) {
 	again := tbl.AppendOutNeighbors(got[:0], 2)
 	if &again[0] != &got[0] {
 		t.Fatal("AppendOutNeighbors reallocated despite sufficient capacity")
+	}
+}
+
+// refTable is the map-of-sets table the sorted rows replaced, kept as the
+// reference model of TestTableMatchesMapModel.
+type refTable struct {
+	maxIn   int
+	out, in []map[int]struct{}
+	version uint64
+}
+
+func newRefTable(n, maxIn int) *refTable {
+	r := &refTable{maxIn: maxIn, out: make([]map[int]struct{}, n), in: make([]map[int]struct{}, n)}
+	for i := 0; i < n; i++ {
+		r.out[i], r.in[i] = map[int]struct{}{}, map[int]struct{}{}
+	}
+	return r
+}
+
+func (r *refTable) connect(u, v int) error {
+	n := len(r.out)
+	switch {
+	case u < 0 || u >= n || v < 0 || v >= n:
+		return ErrNodeRange
+	case u == v:
+		return ErrSelfConnection
+	}
+	if _, ok := r.out[u][v]; ok {
+		return ErrDuplicateConnection
+	}
+	if len(r.in[v]) >= r.maxIn {
+		return ErrIncomingFull
+	}
+	r.out[u][v], r.in[v][u] = struct{}{}, struct{}{}
+	r.version++
+	return nil
+}
+
+func (r *refTable) disconnect(u, v int) error {
+	n := len(r.out)
+	if u < 0 || u >= n || v < 0 || v >= n {
+		return ErrNodeRange
+	}
+	if _, ok := r.out[u][v]; !ok {
+		return ErrNoConnection
+	}
+	delete(r.out[u], v)
+	delete(r.in[v], u)
+	r.version++
+	return nil
+}
+
+func refSorted(sets ...map[int]struct{}) []int {
+	union := map[int]struct{}{}
+	for _, s := range sets {
+		for k := range s {
+			union[k] = struct{}{}
+		}
+	}
+	keys := make([]int, 0, len(union))
+	for k := range union {
+		keys = append(keys, k)
+	}
+	sort.Ints(keys)
+	return keys
+}
+
+// TestTableMatchesMapModel drives 10⁵ random operations through a Table
+// and the map model side by side: every call must fail or succeed alike
+// (errors.Is on the sentinel), and after each batch of 500 every read
+// accessor must agree for every node. Half way the table is swapped for its
+// Clone, which must carry on identically while the original stays as it was.
+func TestTableMatchesMapModel(t *testing.T) {
+	const n, maxIn, ops, batch = 40, 5, 100_000, 500
+	r := rng.New(2024)
+	tbl, ref := mustTable(t, n, maxIn), newRefTable(n, maxIn)
+	var frozen *Table
+	var frozenAdj, adj [][]int
+	var rebase uint64
+	for op := 0; op < ops; op++ {
+		u, v := r.IntN(n+2)-1, r.IntN(n+2)-1 // −1 and n are out of range
+		inRange := u >= 0 && u < n && v >= 0 && v < n
+		var got, want error
+		switch k := r.IntN(5); {
+		case k < 2:
+			got, want = tbl.Connect(u, v), ref.connect(u, v)
+		case k < 4:
+			got, want = tbl.Disconnect(u, v), ref.disconnect(u, v)
+		case inRange:
+			if _, has := ref.out[u][v]; tbl.HasOut(u, v) != has {
+				t.Fatalf("op %d: HasOut(%d, %d) = %v, model says %v", op, u, v, !has, has)
+			}
+		}
+		if !errors.Is(got, want) || (want == nil) != (got == nil) {
+			t.Fatalf("op %d on (%d, %d): table error %v, model error %v", op, u, v, got, want)
+		}
+		if op == ops/2 {
+			frozen, frozenAdj = tbl, tbl.Undirected()
+			tbl, rebase = tbl.Clone(), ref.version // a Clone counts from 0
+		}
+		if (op+1)%batch != 0 {
+			continue
+		}
+		edges := 0
+		adj = tbl.UndirectedInto(adj)
+		for u := 0; u < n; u++ {
+			edges += len(ref.out[u])
+			for name, pair := range map[string][2][]int{
+				"OutNeighbors":   {tbl.OutNeighbors(u), refSorted(ref.out[u])},
+				"InNeighbors":    {tbl.InNeighbors(u), refSorted(ref.in[u])},
+				"Neighbors":      {tbl.Neighbors(u), refSorted(ref.out[u], ref.in[u])},
+				"UndirectedInto": {adj[u], refSorted(ref.out[u], ref.in[u])},
+			} {
+				if !reflect.DeepEqual(pair[0], pair[1]) {
+					t.Fatalf("op %d: %s(%d) = %v, model %v", op, name, u, pair[0], pair[1])
+				}
+			}
+			if tbl.OutDegree(u) != len(ref.out[u]) || tbl.InDegree(u) != len(ref.in[u]) || tbl.InFree(u) != maxIn-len(ref.in[u]) {
+				t.Fatalf("op %d: node %d degrees %d/%d free %d, model %d/%d", op, u, tbl.OutDegree(u), tbl.InDegree(u), tbl.InFree(u), len(ref.out[u]), len(ref.in[u]))
+			}
+		}
+		if tbl.TotalEdges() != edges || tbl.Version() != ref.version-rebase {
+			t.Fatalf("op %d: TotalEdges = %d, Version = %d; model %d, %d", op, tbl.TotalEdges(), tbl.Version(), edges, ref.version-rebase)
+		}
+		if err := tbl.Validate(); err != nil {
+			t.Fatalf("op %d: %v", op, err)
+		}
+	}
+	if !reflect.DeepEqual(frozen.Undirected(), frozenAdj) {
+		t.Fatal("mutating a Clone changed the table it was cloned from")
+	}
+	if err := frozen.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAccessorsDoNotAlias scribbles over every slice the table hands out
+// and reads the table again.
+func TestAccessorsDoNotAlias(t *testing.T) {
+	tbl, err := Random(30, 4, 8, rng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := tbl.Clone()
+	adj := tbl.Undirected()
+	for u := 0; u < tbl.N(); u++ {
+		for _, s := range [][]int{tbl.OutNeighbors(u), tbl.InNeighbors(u), tbl.Neighbors(u), tbl.AppendOutNeighbors(nil, u), adj[u]} {
+			for i := range s {
+				s[i] = -7
+			}
+			_ = append(s, -7, -7, -7)
+		}
+	}
+	equalTables(t, tbl, want)
+	if !reflect.DeepEqual(tbl.Undirected(), want.Undirected()) {
+		t.Fatal("writing to returned slices changed the table's adjacency")
+	}
+	if err := tbl.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }

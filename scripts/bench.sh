@@ -12,27 +12,32 @@ export GOMAXPROCS=1
 
 OUT=/tmp/perigee-bench.out
 
-# gate NAME WANT — fail unless benchmark NAME reports at most WANT allocs/op.
-gate() {
-  local name="$1" want="$2" line allocs
+# gate_unit NAME WANT UNIT — fail unless benchmark NAME reports at most WANT
+# of the -benchmem column UNIT (allocs/op or B/op).
+gate_unit() {
+  local name="$1" want="$2" unit="$3" line got
   line="$(grep -E "^Benchmark${name}(-[0-9]+)?[[:space:]]" "$OUT" || true)"
   if [[ -z "$line" ]]; then
     echo "bench.sh: Benchmark${name} missing from output" >&2
     exit 1
   fi
-  allocs="$(awk '{for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1)}' <<<"$line")"
-  if (( allocs > want )); then
-    echo "bench.sh: Benchmark${name} reports ${allocs} allocs/op, want <= ${want}" >&2
+  got="$(awk -v unit="$unit" '{for (i = 2; i <= NF; i++) if ($i == unit) print $(i-1)}' <<<"$line")"
+  if (( got > want )); then
+    echo "bench.sh: Benchmark${name} reports ${got} ${unit}, want <= ${want}" >&2
     exit 1
   fi
-  echo "bench.sh: Benchmark${name} alloc gate ok (${allocs} <= ${want})"
+  echo "bench.sh: Benchmark${name} ${unit} gate ok (${got} <= ${want})"
 }
+# gate NAME WANT — at most WANT allocs/op.
+gate() { gate_unit "$1" "$2" allocs/op; }
+# gate_bytes NAME WANT — at most WANT B/op.
+gate_bytes() { gate_unit "$1" "$2" B/op; }
 
 # Main pass at 100 iterations. The 100k broadcast runs separately at 3
 # iterations because a single op is a full 100k-node flood (and its set-up
 # hashes 1.6M edge delays).
 go test -run '^$' \
-  -bench 'Micro(Broadcast1000$|Broadcast10000$|BroadcastStreaming10000$|Reconfigure1000$|AnalyticArrival|DelayToFraction|VanillaScoring|SubsetScoring|EngineRound|DurationPercentile)' \
+  -bench 'Micro(Broadcast1000$|Broadcast10000$|BroadcastStreaming10000$|Reconfigure1000$|TopologyRandom20000$|TableRewire1000$|AnalyticArrival|DelayToFraction|VanillaScoring|SubsetScoring|EngineRound|DurationPercentile)' \
   -benchmem -benchtime=100x . | tee "$OUT"
 go test -run '^$' -bench 'MicroBroadcast100000$' -benchmem -benchtime=3x . \
   | tee -a "$OUT"
@@ -48,6 +53,12 @@ gate MicroBroadcast10000 0
 gate MicroBroadcast100000 0
 gate MicroBroadcastStreaming10000 0
 gate MicroReconfigure1000 0
+# A build of the random topology allocates its rows and two index arrays,
+# 7.0 MB at n = 20000; one permutation per node was 3.1 GB.
+gate_bytes MicroTopologyRandom20000 16000000
+# Table rows keep their capacity across rounds: a rewire pass plus the
+# adjacency snapshot allocates only when some row outgrows its past maximum.
+gate MicroTableRewire1000 16
 gate MicroAnalyticArrival1000 0
 gate MicroDurationPercentile 0
 gate MicroVanillaScoring 1
