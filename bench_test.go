@@ -281,3 +281,16 @@ func BenchmarkEngineRoundParallel(b *testing.B) {
 // BenchmarkMicroDurationPercentile measures the censored percentile
 // primitive underlying all scoring.
 func BenchmarkMicroDurationPercentile(b *testing.B) { bench.MicroDurationPercentile(b) }
+
+// BenchmarkMicroWireFrame* measure what a live peer's write loop pays per
+// message: the frame appended to a reused buffer. scripts/bench.sh holds
+// both at 0 allocs/op.
+func BenchmarkMicroWireFrameInv(b *testing.B)     { bench.MicroWireFrame(bench.WireInv())(b) }
+func BenchmarkMicroWireFrameBlock1K(b *testing.B) { bench.MicroWireFrame(bench.WireBlock1K())(b) }
+
+// BenchmarkMicroWireRead* measure what its read loop pays per message
+// through the buffered wire.Reader; scripts/bench.sh holds allocs/op at the
+// decoded message's own (an Inv and its hash slice; a block, its
+// transaction list and four transactions under a wire.Block).
+func BenchmarkMicroWireReadInv(b *testing.B)     { bench.MicroWireRead(bench.WireInv())(b) }
+func BenchmarkMicroWireReadBlock1K(b *testing.B) { bench.MicroWireRead(bench.WireBlock1K())(b) }

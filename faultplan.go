@@ -42,11 +42,13 @@ const (
 	FaultNone = faults.None
 	// FaultDialFail makes the dial error before any connection exists.
 	FaultDialFail = faults.DialFail
-	// FaultReset severs the connection after Verdict.After operations.
+	// FaultReset severs the connection after Verdict.After operations
+	// (socket reads and writes: bursts of frames, not single messages).
 	FaultReset = faults.Reset
 	// FaultStall black-holes the connection: reads hang, writes vanish.
 	FaultStall = faults.Stall
-	// FaultSlowReader throttles every read by Verdict.Throttle.
+	// FaultSlowReader throttles every socket read — one fill of the
+	// connection's read buffer — by Verdict.Throttle.
 	FaultSlowReader = faults.SlowReader
 	// FaultDrop silently discards every Verdict.DropNth outbound message.
 	FaultDrop = faults.Drop

@@ -4,9 +4,11 @@
 package bench
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
+	"github.com/perigee-net/perigee/internal/chain"
 	"github.com/perigee-net/perigee/internal/core"
 	"github.com/perigee-net/perigee/internal/geo"
 	"github.com/perigee-net/perigee/internal/latency"
@@ -14,6 +16,7 @@ import (
 	"github.com/perigee-net/perigee/internal/rng"
 	"github.com/perigee-net/perigee/internal/stats"
 	"github.com/perigee-net/perigee/internal/topology"
+	"github.com/perigee-net/perigee/internal/wire"
 	"github.com/perigee-net/perigee/internal/workload"
 )
 
@@ -352,5 +355,85 @@ func MicroDurationPercentile(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		stats.DurationPercentile(ds, 0.9)
+	}
+}
+
+// WireInv is the announcement a live node sends per block per peer: one
+// hash.
+func WireInv() wire.Message {
+	return &wire.Inv{Hashes: []chain.Hash{chain.NewGenesis("bench").Header.Hash()}}
+}
+
+// WireBlock1K is a block of the live benchmark's shape: four transactions
+// of 256 bytes.
+func WireBlock1K() wire.Message {
+	txs := make([][]byte, 4)
+	for i := range txs {
+		txs[i] = bytes.Repeat([]byte{byte(i + 1)}, 256)
+	}
+	return &wire.Block{Block: chain.NewBlock(chain.NewGenesis("bench"), txs, time.UnixMilli(1), 1)}
+}
+
+// MicroWireFrame measures framing one message into a buffer that is reused,
+// as a peer's write loop does: payload encoded in place behind its header,
+// one SHA-256, no allocation.
+func MicroWireFrame(m wire.Message) func(b *testing.B) {
+	return func(b *testing.B) {
+		buf, err := wire.AppendFrame(nil, m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.SetBytes(int64(len(buf)))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if buf, err = wire.AppendFrame(buf[:0], m); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// loopReader serves the same bytes over and over, as much per Read as the
+// caller has room for: a connection that always has the next burst ready.
+type loopReader struct {
+	data []byte
+	off  int
+}
+
+func (l *loopReader) Read(p []byte) (int, error) {
+	n := 0
+	for n < len(p) {
+		c := copy(p[n:], l.data[l.off:])
+		n += c
+		if l.off += c; l.off == len(l.data) {
+			l.off = 0
+		}
+	}
+	return n, nil
+}
+
+// MicroWireRead measures reading and decoding one frame through a
+// wire.Reader from an endless stream of m's frames. The header and the
+// payload scratch belong to the reader, so allocs/op is what the decoded
+// message itself is made of.
+func MicroWireRead(m wire.Message) func(b *testing.B) {
+	return func(b *testing.B) {
+		frame, err := wire.AppendFrame(nil, m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r := wire.NewReader(&loopReader{data: frame})
+		if _, err := r.Read(); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.SetBytes(int64(len(frame)))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := r.Read(); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/perigee-net/perigee/internal/rng"
@@ -114,21 +115,25 @@ func MerkleRoot(txs [][]byte) Hash {
 }
 
 // Encode returns the canonical binary encoding of the block.
-func (b *Block) Encode() ([]byte, error) {
+func (b *Block) Encode() ([]byte, error) { return b.AppendEncode(nil) }
+
+// AppendEncode appends the canonical binary encoding of the block to buf,
+// growing it once to the exact size; on error buf is returned unchanged.
+func (b *Block) AppendEncode(buf []byte) ([]byte, error) {
 	if len(b.Txs) > MaxTxs {
-		return nil, fmt.Errorf("chain: %d transactions exceed limit %d", len(b.Txs), MaxTxs)
+		return buf, fmt.Errorf("chain: %d transactions exceed limit %d", len(b.Txs), MaxTxs)
 	}
 	size := headerSize + 4
 	for _, tx := range b.Txs {
 		if len(tx) > MaxTxSize {
-			return nil, fmt.Errorf("chain: transaction of %d bytes exceeds limit %d", len(tx), MaxTxSize)
+			return buf, fmt.Errorf("chain: transaction of %d bytes exceeds limit %d", len(tx), MaxTxSize)
 		}
 		size += 4 + len(tx)
 	}
 	if size > MaxBlockSize {
-		return nil, fmt.Errorf("chain: block of %d bytes exceeds limit %d", size, MaxBlockSize)
+		return buf, fmt.Errorf("chain: block of %d bytes exceeds limit %d", size, MaxBlockSize)
 	}
-	buf := make([]byte, 0, size)
+	buf = slices.Grow(buf, size)
 	buf = b.Header.marshal(buf)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b.Txs)))
 	for _, tx := range b.Txs {

@@ -1,6 +1,8 @@
 package chain
 
 import (
+	"bytes"
+	"encoding/hex"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -153,6 +155,35 @@ func TestEncodeLimits(t *testing.T) {
 	big := &Block{Header: Header{Version: 1}, Txs: [][]byte{make([]byte, MaxTxSize+1)}}
 	if _, err := big.Encode(); err == nil {
 		t.Fatal("oversized tx accepted")
+	}
+}
+
+// TestAppendEncode pins the canonical encoding to the bytes Encode has
+// always produced, and AppendEncode to Encode behind whatever the buffer
+// already holds.
+func TestAppendEncode(t *testing.T) {
+	const golden = "01000000010000000000000099ff512f37e177fa31140a086317e0618876eca4d536fac610a4ec0f4291065c" +
+		"833a0fc9bf0a70aa46482120d990e7366dae3c47f08d23acb49246314d10c1be0068e5cf8b0100002a00000000000000" +
+		"030000000400000074782d31000000000400000074782d32"
+	b := NewBlock(NewGenesis("fuzz-net"), [][]byte{[]byte("tx-1"), nil, []byte("tx-2")}, time.Unix(1700000000, 0), 42)
+	enc, err := b.AppendEncode(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(enc); got != golden {
+		t.Fatalf("encoding moved:\n got  %s\n want %s", got, golden)
+	}
+	prefix := []byte("frame header")
+	out, err := b.AppendEncode(append([]byte(nil), prefix...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out[:len(prefix)], prefix) || !bytes.Equal(out[len(prefix):], enc) {
+		t.Fatal("AppendEncode behind a prefix differs from prefix + Encode")
+	}
+	big := &Block{Header: Header{Version: 1}, Txs: [][]byte{[]byte("ok"), make([]byte, MaxTxSize+1)}}
+	if out, err := big.AppendEncode(prefix); err == nil || !bytes.Equal(out, prefix) {
+		t.Fatalf("a block that fails to encode returned %d bytes, error %v; want the buffer unchanged", len(out), err)
 	}
 }
 

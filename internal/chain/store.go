@@ -16,6 +16,9 @@ var (
 	ErrOrphanBlock = errors.New("chain: orphan block")
 	// ErrBadHeight indicates the block's height is not parent height + 1.
 	ErrBadHeight = errors.New("chain: bad height")
+	// ErrInvalidBlock wraps the CheckBlock failure of a block offered to
+	// Add or AddAt, so a caller can tell a bad block from a bad position.
+	ErrInvalidBlock = errors.New("chain: invalid block")
 	// ErrOrphanPoolFull indicates the orphan pool is at capacity.
 	ErrOrphanPoolFull = errors.New("chain: orphan pool full")
 )
@@ -110,7 +113,7 @@ func NewStore(genesis *Block) (*Store, error) {
 // strictly higher; height ties keep the earlier-added block.
 func (s *Store) Add(b *Block) error {
 	if err := CheckBlock(b); err != nil {
-		return err
+		return fmt.Errorf("%w: %w", ErrInvalidBlock, err)
 	}
 	h := b.Header.Hash()
 	s.mu.Lock()
@@ -132,7 +135,7 @@ func (s *Store) Add(b *Block) error {
 // no matter how calls interleave across goroutines or workers.
 func (s *Store) AddAt(b *Block, seen time.Duration) (AddResult, error) {
 	if err := CheckBlock(b); err != nil {
-		return AddResult{}, err
+		return AddResult{}, fmt.Errorf("%w: %w", ErrInvalidBlock, err)
 	}
 	h := b.Header.Hash()
 	s.mu.Lock()

@@ -324,3 +324,30 @@ func TestAddStillRejectsOrphans(t *testing.T) {
 		t.Fatalf("height %d, want 2", s.Height())
 	}
 }
+
+// An invalid block is told apart from a misplaced one, by both doors, and
+// validity is judged before position: a tampered orphan is invalid, not
+// an orphan.
+func TestAddWrapsInvalidBlock(t *testing.T) {
+	s, g := newTestStore(t, "invalid")
+	unknown := NewBlock(g, nil, time.UnixMilli(1), 1)
+	tampered := NewBlock(unknown, [][]byte{[]byte("tx")}, time.UnixMilli(2), 2)
+	tampered.Txs = [][]byte{[]byte("other")}
+	if err := s.Add(tampered); !errors.Is(err, ErrInvalidBlock) || errors.Is(err, ErrOrphanBlock) {
+		t.Fatalf("Add of a tampered block: %v", err)
+	}
+	if _, err := s.AddAt(tampered, time.Second); !errors.Is(err, ErrInvalidBlock) {
+		t.Fatalf("AddAt of a tampered block: %v", err)
+	}
+	if err := s.Add(nil); !errors.Is(err, ErrInvalidBlock) {
+		t.Fatalf("Add(nil): %v", err)
+	}
+	if s.Len() != 1 || s.OrphanCount() != 0 {
+		t.Fatalf("store holds %d blocks and %d orphans after only invalid offers", s.Len(), s.OrphanCount())
+	}
+	wrongHeight := NewBlock(g, nil, time.UnixMilli(3), 3)
+	wrongHeight.Header.Height = 5
+	if err := s.Add(wrongHeight); !errors.Is(err, ErrBadHeight) || errors.Is(err, ErrInvalidBlock) {
+		t.Fatalf("a well-formed block at the wrong height: %v", err)
+	}
+}

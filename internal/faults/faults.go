@@ -34,14 +34,15 @@ const (
 	None Kind = iota
 	// DialFail makes the dial error before any connection exists.
 	DialFail
-	// Reset severs the connection after Verdict.After successful reads
-	// or writes: subsequent operations fail like a peer's RST.
+	// Reset severs the connection after Verdict.After successful socket
+	// reads or writes: subsequent operations fail like a peer's RST.
 	Reset
 	// Stall black-holes the connection after Verdict.After operations:
 	// reads block until their deadline (or the close), writes pretend to
 	// succeed while the bytes vanish — a hung remote, no FIN.
 	Stall
-	// SlowReader throttles every read by Verdict.Throttle — the
+	// SlowReader throttles every socket read (one fill of the connection's
+	// read buffer, however many frames it brings) by Verdict.Throttle — the
 	// slow-loris consumer that backpressure must shed.
 	SlowReader
 	// Drop discards every Verdict.DropNth outbound message silently; the
@@ -76,9 +77,12 @@ type Verdict struct {
 	// Kind is the injected fault.
 	Kind Kind
 	// After is the number of successful connection operations before a
-	// Reset or Stall fires.
+	// Reset or Stall fires. An operation is one socket read or write, which
+	// on a live connection is a burst — every frame the writer had queued,
+	// or as much as the reader's buffer took in — not half a frame.
 	After int
-	// Throttle is the per-read delay of a SlowReader.
+	// Throttle is the delay of a SlowReader before each socket read, that
+	// is, per fill of the reader's buffer.
 	Throttle time.Duration
 	// DropNth makes the send path discard every DropNth-th message
 	// (Kind Drop).

@@ -86,9 +86,9 @@ type Config struct {
 	// interval disconnects it. This is what reclaims connections hung by
 	// stalls or half-open TCP.
 	ReadIdleTimeout time.Duration
-	// WriteTimeout bounds each frame write (default 10s); a peer that
-	// cannot absorb a frame in this long is disconnected by its write
-	// loop.
+	// WriteTimeout bounds each flush of a peer's writer, at most 64 KB
+	// plus one frame (default 10s); a peer that cannot absorb a flush in
+	// this long is disconnected by its write loop.
 	WriteTimeout time.Duration
 	// MaxSendQueueDrops is the consecutive full-queue send-drop budget
 	// after which a slow consumer is disconnected rather than silently
@@ -759,20 +759,25 @@ const (
 )
 
 // readLoop dispatches messages from one peer until the connection dies.
-// Reads run under the idle deadline: one silent interval triggers a ping
-// probe, a second disconnects the peer — this is what reclaims stalled
-// or half-open connections. Protocol violations feed the misbehavior
-// score before disconnecting.
+// Reads are buffered (the reader is made here, after the handshake and
+// over the fault-wrapped connection) and run under the idle deadline: one
+// silent interval triggers a ping probe, a second disconnects the peer —
+// this is what reclaims stalled or half-open connections. Only a deadline
+// that fires between frames is an idle interval; one that fires inside a
+// frame has consumed part of it, so the peer is dropped as stalled, with no
+// misbehavior charge. Protocol violations feed the misbehavior score before
+// disconnecting.
 func (n *Node) readLoop(p *peer) {
 	defer n.removePeer(p)
+	in := wire.NewReader(p.conn)
 	probed := false
 	for {
 		if n.cfg.ReadIdleTimeout > 0 {
 			_ = p.conn.SetReadDeadline(time.Now().Add(n.cfg.ReadIdleTimeout))
 		}
-		m, err := wire.Read(p.conn)
+		m, err := in.Read()
 		if err != nil {
-			if errors.Is(err, os.ErrDeadlineExceeded) && !probed {
+			if errors.Is(err, os.ErrDeadlineExceeded) && !in.MidFrame() && !probed {
 				probed = true
 				p.send(&wire.Ping{Nonce: n.randUint64()})
 				// A silent interval also means no block is in flight from
@@ -1014,16 +1019,16 @@ func (n *Node) acceptBlock(from *peer, b *chain.Block, mined bool) {
 	if n.store.Has(h) {
 		return
 	}
-	if err := chain.CheckBlock(b); err != nil {
+	// The store validates the block (once) before it looks at its position.
+	err := n.store.Add(b)
+	switch {
+	case err == nil:
+	case errors.Is(err, chain.ErrInvalidBlock):
 		n.logf("rejecting invalid block %s: %v", h, err)
 		if from != nil {
 			n.misbehave(from, pointsInvalidBlock)
 		}
 		return
-	}
-	err := n.store.Add(b)
-	switch {
-	case err == nil:
 	case errors.Is(err, chain.ErrOrphanBlock):
 		n.obsMu.Lock()
 		n.orphans[b.Header.PrevHash] = append(n.orphans[b.Header.PrevHash], b)

@@ -37,7 +37,8 @@ type peer struct {
 	listenAddr string // remote's accepting address, "" if not listening
 	delay      time.Duration
 
-	// writeTimeout bounds each frame write; zero disables the deadline.
+	// writeTimeout bounds each flush of the write loop (at most
+	// wire.BufferSize plus one frame); zero disables the deadline.
 	writeTimeout time.Duration
 	// dropNth, when positive, silently discards every Nth enqueued
 	// message — the send-path half of a fault plan's Drop verdict.
@@ -213,31 +214,60 @@ func (p *peer) send(m wire.Message) bool {
 	return false
 }
 
-// writeLoop drains the send queue onto the connection, applying the
-// injected artificial latency before each write. It exits when the peer
-// closes.
+// writeLoop drains the send queue onto the connection in bursts: it frames
+// the message it took and then whatever else is already queued into one
+// buffer, up to wire.BufferSize, and hands that to the connection in a
+// single write. It flushes as soon as the queue is empty and never waits
+// for more, so a lone message leaves at once. With an injected artificial
+// latency every message is its own delay and its own write. It exits when
+// the peer closes.
 func (p *peer) writeLoop() {
+	var buf []byte
 	for {
+		var m wire.Message
 		select {
-		case m := <-p.sendCh:
-			if p.delay > 0 {
-				timer := time.NewTimer(p.delay)
-				select {
-				case <-timer.C:
-				case <-p.done:
-					timer.Stop()
-					return
-				}
+		case m = <-p.sendCh:
+		case <-p.done:
+			return
+		}
+		if p.delay > 0 {
+			timer := time.NewTimer(p.delay)
+			select {
+			case <-timer.C:
+			case <-p.done:
+				timer.Stop()
+				return
 			}
-			if p.writeTimeout > 0 {
-				_ = p.conn.SetWriteDeadline(time.Now().Add(p.writeTimeout))
-			}
-			if err := wire.Write(p.conn, m); err != nil {
+		}
+		buf = buf[:0]
+	burst:
+		for {
+			var err error
+			if buf, err = wire.AppendFrame(buf, m); err != nil {
 				p.close()
 				return
 			}
-		case <-p.done:
+			if p.delay > 0 || len(buf) >= wire.BufferSize {
+				break
+			}
+			select {
+			case m = <-p.sendCh:
+			default:
+				break burst
+			}
+		}
+		if p.writeTimeout > 0 {
+			_ = p.conn.SetWriteDeadline(time.Now().Add(p.writeTimeout))
+		}
+		if _, err := p.conn.Write(buf); err != nil {
+			p.close()
 			return
+		}
+		// A burst outgrows twice the buffer size only when one frame alone
+		// is larger than it: let that go rather than pin a 4 MB block's
+		// worth of memory per peer.
+		if cap(buf) > 2*wire.BufferSize {
+			buf = nil
 		}
 	}
 }

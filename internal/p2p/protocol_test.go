@@ -123,9 +123,13 @@ func TestInvTriggersGetData(t *testing.T) {
 	}
 }
 
+// TestInvalidBlockRejected: the store's validation is the only one a
+// received block gets, and its verdict still reaches the misbehavior score
+// — once.
 func TestInvalidBlockRejected(t *testing.T) {
 	node := startNode(t, 103, nil)
-	conn := rawDial(t, node, 0xD00D)
+	const sender = uint64(0xD00D)
+	conn := rawDial(t, node, sender)
 	// A block with a bad Merkle commitment must not enter the store.
 	bad := chain.NewBlock(testGenesis(), [][]byte{[]byte("x")}, time.Now(), 1)
 	bad.Txs = [][]byte{[]byte("tampered")}
@@ -139,6 +143,19 @@ func TestInvalidBlockRejected(t *testing.T) {
 	readUntil[*wire.Pong](t, conn)
 	if node.Store().Len() != 1 {
 		t.Fatalf("store has %d blocks, tampered block accepted", node.Store().Len())
+	}
+	// The score decays from the moment it is charged, so allow a point.
+	if got := node.Book().Score(sender); got > pointsInvalidBlock || got < pointsInvalidBlock-1 {
+		t.Fatalf("score %v after one invalid block, want %v", got, pointsInvalidBlock)
+	}
+	// A valid block with an unknown parent is fetched for, not charged.
+	orphan := chain.NewBlock(bad, [][]byte{[]byte("y")}, time.Now(), 2)
+	if err := wire.Write(conn, &wire.Block{Block: orphan}); err != nil {
+		t.Fatal(err)
+	}
+	readUntil[*wire.GetData](t, conn)
+	if got := node.Book().Score(sender); got > pointsInvalidBlock {
+		t.Fatalf("score %v after an orphan, want no new charge", got)
 	}
 }
 

@@ -5,9 +5,18 @@
 //
 // All decoders are hardened against hostile input: payload sizes, item
 // counts, and string lengths are bounded before any allocation.
+//
+// A frame is built in place — AppendFrame reserves the header, encodes the
+// payload behind it and fills the header in — so one frame is one Write,
+// and a peer's writer appends every frame already queued to one buffer and
+// flushes when its queue is empty: a burst costs one syscall. The reading
+// side of a connection is a Reader, buffered and reusing one payload
+// scratch; Read is the one-shot form for a handshake, which must not read
+// ahead of the frame it wants.
 package wire
 
 import (
+	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -196,11 +205,7 @@ func (m *Block) encodePayload(buf []byte) ([]byte, error) {
 	if m.Block == nil {
 		return nil, fmt.Errorf("%w: nil block", ErrMalformed)
 	}
-	enc, err := m.Block.Encode()
-	if err != nil {
-		return nil, err
-	}
-	return append(buf, enc...), nil
+	return m.Block.AppendEncode(buf)
 }
 
 // Addr gossips known listening addresses with freshness metadata.
@@ -251,58 +256,117 @@ func appendHashes(buf []byte, hashes []chain.Hash) ([]byte, error) {
 	return buf, nil
 }
 
-// Write frames and writes a message: magic(4) type(1) length(4)
-// checksum(4) payload. The checksum is the first 4 bytes of the payload's
-// SHA-256.
+// headerSize is the frame header: magic(4) type(1) length(4) checksum(4).
+const headerSize = 13
+
+// BufferSize is what one connection buffers in each direction: a Reader
+// fills up to this much per socket read, and a peer's writer sends a burst
+// once it holds this much. A frame larger than this still travels whole.
+const BufferSize = 64 << 10
+
+// AppendFrame appends m's frame to buf: magic(4) type(1) length(4)
+// checksum(4) payload, the checksum being the first 4 bytes of the
+// payload's SHA-256. The payload is encoded in place behind a reserved
+// header, which is filled in once the length is known. On error buf is
+// returned unchanged.
+func AppendFrame(buf []byte, m Message) ([]byte, error) {
+	var reserve [headerSize]byte
+	out, err := m.encodePayload(append(buf, reserve[:]...))
+	if err != nil {
+		return buf, err
+	}
+	frame := out[len(buf):]
+	header, payload := frame[:headerSize], frame[headerSize:]
+	if len(payload) > MaxPayload {
+		return buf, fmt.Errorf("%w: payload %d bytes", ErrTooLarge, len(payload))
+	}
+	binary.LittleEndian.PutUint32(header[0:4], Magic)
+	header[4] = byte(m.Type())
+	binary.LittleEndian.PutUint32(header[5:9], uint32(len(payload)))
+	sum := sha256.Sum256(payload)
+	copy(header[9:13], sum[:4])
+	return out, nil
+}
+
+// Write frames a message and hands the frame to w in one Write call.
 func Write(w io.Writer, m Message) error {
-	payload, err := m.encodePayload(nil)
+	frame, err := AppendFrame(nil, m)
 	if err != nil {
 		return err
 	}
-	if len(payload) > MaxPayload {
-		return fmt.Errorf("%w: payload %d bytes", ErrTooLarge, len(payload))
-	}
-	header := make([]byte, 0, 13)
-	header = binary.LittleEndian.AppendUint32(header, Magic)
-	header = append(header, byte(m.Type()))
-	header = binary.LittleEndian.AppendUint32(header, uint32(len(payload)))
-	sum := sha256.Sum256(payload)
-	header = append(header, sum[:4]...)
-	if _, err := w.Write(header); err != nil {
-		return fmt.Errorf("wire: writing header: %w", err)
-	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return fmt.Errorf("wire: writing payload: %w", err)
-		}
+	if _, err := w.Write(frame); err != nil {
+		return fmt.Errorf("wire: writing frame: %w", err)
 	}
 	return nil
 }
 
-// Read reads and decodes one framed message.
+// Read reads and decodes one framed message, taking exactly the frame's
+// bytes from r. A connection that carries many frames reads them through
+// NewReader instead.
 func Read(r io.Reader) (Message, error) {
-	var header [13]byte
-	if _, err := io.ReadFull(r, header[:]); err != nil {
+	one := Reader{r: r}
+	return one.Read()
+}
+
+// Reader reads the frames of one connection through a BufferSize buffer,
+// so a burst of small frames costs one read of the connection, and reuses
+// one payload scratch across frames. It is not safe for concurrent use.
+type Reader struct {
+	r       io.Reader
+	header  [headerSize]byte
+	scratch []byte
+	partial bool
+}
+
+// NewReader returns a Reader over r. It reads ahead, so nothing else may
+// read from r afterwards.
+func NewReader(r io.Reader) *Reader {
+	return &Reader{r: bufio.NewReaderSize(r, BufferSize)}
+}
+
+// Read reads and decodes the next framed message. The length is bounded
+// before anything is allocated and the checksum verified before anything is
+// decoded; no decoder keeps a reference into the payload scratch.
+func (r *Reader) Read() (Message, error) {
+	n, err := io.ReadFull(r.r, r.header[:])
+	r.partial = n > 0
+	if err != nil {
 		return nil, err
 	}
-	if got := binary.LittleEndian.Uint32(header[0:4]); got != Magic {
+	if got := binary.LittleEndian.Uint32(r.header[0:4]); got != Magic {
 		return nil, fmt.Errorf("%w: %08x", ErrBadMagic, got)
 	}
-	msgType := MsgType(header[4])
-	length := binary.LittleEndian.Uint32(header[5:9])
+	msgType := MsgType(r.header[4])
+	length := binary.LittleEndian.Uint32(r.header[5:9])
 	if length > MaxPayload {
 		return nil, fmt.Errorf("%w: payload %d bytes", ErrTooLarge, length)
 	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload := r.scratch
+	if uint32(cap(payload)) < length {
+		payload = make([]byte, length)
+		// A payload past the buffer size is a one-off: keeping it would pin
+		// a 4 MB block's worth of scratch per connection.
+		if length <= BufferSize {
+			r.scratch = payload
+		}
+	}
+	payload = payload[:length]
+	if _, err := io.ReadFull(r.r, payload); err != nil {
 		return nil, fmt.Errorf("wire: reading payload: %w", err)
 	}
+	r.partial = false
 	sum := sha256.Sum256(payload)
-	if string(sum[:4]) != string(header[9:13]) {
+	if string(sum[:4]) != string(r.header[9:13]) {
 		return nil, ErrChecksum
 	}
 	return decodePayload(msgType, payload)
 }
+
+// MidFrame reports whether the last Read failed after consuming part of a
+// frame. A read deadline that fires at a frame boundary leaves the stream
+// intact and Read may be called again; one that fires mid-frame does not —
+// the next Read would parse payload bytes as a header.
+func (r *Reader) MidFrame() bool { return r.partial }
 
 func decodePayload(t MsgType, p []byte) (Message, error) {
 	d := decoder{buf: p}

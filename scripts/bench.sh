@@ -37,7 +37,7 @@ gate_bytes() { gate_unit "$1" "$2" B/op; }
 # iterations because a single op is a full 100k-node flood (and its set-up
 # hashes 1.6M edge delays).
 go test -run '^$' \
-  -bench 'Micro(Broadcast1000$|Broadcast10000$|BroadcastStreaming10000$|Reconfigure1000$|TopologyRandom20000$|TableRewire1000$|AnalyticArrival|DelayToFraction|VanillaScoring|SubsetScoring|EngineRound|DurationPercentile)' \
+  -bench 'Micro(Broadcast1000$|Broadcast10000$|BroadcastStreaming10000$|Reconfigure1000$|TopologyRandom20000$|TableRewire1000$|AnalyticArrival|DelayToFraction|VanillaScoring|SubsetScoring|EngineRound|DurationPercentile|WireFrame|WireRead)' \
   -benchmem -benchtime=100x . | tee "$OUT"
 go test -run '^$' -bench 'MicroBroadcast100000$' -benchmem -benchtime=3x . \
   | tee -a "$OUT"
@@ -64,6 +64,14 @@ gate MicroDurationPercentile 0
 gate MicroVanillaScoring 1
 gate MicroSubsetScoring 1
 gate WorkloadHour 50000
+# The live wire: a frame is appended to the write loop's reused buffer in
+# place, and the buffered reader owns its header and payload scratch, so a
+# read allocates only the message it returns (an Inv and its hash slice; a
+# wire.Block, the block, its transaction list and four transactions).
+gate MicroWireFrameInv 0
+gate MicroWireFrameBlock1K 0
+gate MicroWireReadInv 2
+gate MicroWireReadBlock1K 7
 # Decision tracing is off in every Micro case; this ceiling pins the
 # untraced engine round so the tracing hooks stay branch-only on the hot
 # path (a per-decision or per-counterfactual allocation would add
