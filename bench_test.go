@@ -282,6 +282,16 @@ func BenchmarkEngineRoundParallel(b *testing.B) {
 // primitive underlying all scoring.
 func BenchmarkMicroDurationPercentile(b *testing.B) { bench.MicroDurationPercentile(b) }
 
+// BenchmarkMicroDurationPercentileOfMin* measure its clipped form, Subset
+// scoring's per-candidate call, at a full round's 100 blocks and at a
+// 10-block observation window.
+func BenchmarkMicroDurationPercentileOfMin100(b *testing.B) {
+	bench.MicroDurationPercentileOfMin(100)(b)
+}
+func BenchmarkMicroDurationPercentileOfMin10(b *testing.B) {
+	bench.MicroDurationPercentileOfMin(10)(b)
+}
+
 // BenchmarkMicroWireFrame* measure what a live peer's write loop pays per
 // message: the frame appended to a reused buffer. scripts/bench.sh holds
 // both at 0 allocs/op.

@@ -10,6 +10,7 @@
 //	perigee-sim -adversary withholding -adversary-frac 0.2 -quick
 //	perigee-sim -scenario forks -quick -block-interval 1s -record-trace trace.json
 //	perigee-sim -scenario figure3a -quick -trace-level decisions -counterfactual-k 3
+//	perigee-sim -scenario figure3a -quick -cpuprofile cpu.prof -memprofile mem.prof
 package main
 
 import (
@@ -17,6 +18,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -27,6 +30,7 @@ import (
 type cli struct {
 	list, all, quick, asJSON bool
 	scenario, adversary, out string
+	cpuProfile, memProfile   string
 	// applyOptions overrides base options with the option flags given.
 	applyOptions func(*experiments.Options) error
 }
@@ -43,11 +47,54 @@ func bind(fs *flag.FlagSet) *cli {
 	fs.StringVar(&c.adversary, "adversary", "", "run the adversary-<name> scenario for a built-in strategy (latency-liar, withholding, sybil-flood, eclipse-bias, partition)")
 	fs.BoolVar(&c.asJSON, "json", false, "emit results as JSON instead of the text report")
 	fs.StringVar(&c.out, "out", "", "also append rendered results to this file")
+	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile of the scenario runs to this file (go tool pprof)")
+	fs.StringVar(&c.memProfile, "memprofile", "", "write a heap profile, taken after the last scenario, to this file")
 	c.applyOptions = experiments.BindFlags(fs)
 	return c
 }
 
-func main() {
+// startProfiles starts the CPU profile and returns the function that, on
+// the way out, stops it and writes the heap profile. Either file name may
+// be empty.
+func startProfiles(cpuFile, memFile string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuFile != "" {
+		if cpu, err = os.Create(cpuFile); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	return func() error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return err
+			}
+		}
+		if memFile == "" {
+			return nil
+		}
+		mem, err := os.Create(memFile)
+		if err != nil {
+			return err
+		}
+		runtime.GC() // so the profile shows what is live, not what is waiting to be collected
+		if err := pprof.WriteHeapProfile(mem); err != nil {
+			mem.Close()
+			return err
+		}
+		return mem.Close()
+	}, nil
+}
+
+func main() { os.Exit(run()) }
+
+// run is main returning its exit status, so that deferred work — closing
+// the -out file, writing the profiles — happens on every way out.
+func run() (status int) {
 	c := bind(flag.CommandLine)
 	flag.Parse()
 
@@ -55,7 +102,7 @@ func main() {
 		for _, s := range experiments.Scenarios() {
 			fmt.Printf("  %-26s %s\n", s.ID, s.Brief)
 		}
-		return
+		return 0
 	}
 
 	opt := experiments.DefaultOptions()
@@ -64,7 +111,7 @@ func main() {
 	}
 	if err := c.applyOptions(&opt); err != nil {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
-		os.Exit(2)
+		return 2
 	}
 
 	selected := c.scenario
@@ -85,7 +132,7 @@ func main() {
 	default:
 		fmt.Fprintln(os.Stderr, "need -scenario <id>, -adversary <name>, -all, or -list")
 		flag.Usage()
-		os.Exit(2)
+		return 2
 	}
 
 	// Fail fast: validate the whole invocation — every scenario ID, the
@@ -98,20 +145,20 @@ func main() {
 	for _, id := range ids {
 		if _, err := experiments.Describe(id); err != nil {
 			fmt.Fprintf(os.Stderr, "%v\n", err)
-			os.Exit(2)
+			return 2
 		}
 	}
 	if opt.TraceFile != "" && opt.Trials != 1 {
 		fmt.Fprintf(os.Stderr, "-trace-file replays one recorded workload and requires -trials 1 (resolved trials: %d)\n", opt.Trials)
-		os.Exit(2)
+		return 2
 	}
 	if (opt.TraceFile != "" || opt.RecordTrace != "") && len(ids) > 1 {
 		fmt.Fprintln(os.Stderr, "-trace-file/-record-trace apply to a single scenario; drop -all or the extra -scenario IDs")
-		os.Exit(2)
+		return 2
 	}
 	if err := experiments.Validate(opt); err != nil {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
-		os.Exit(2)
+		return 2
 	}
 
 	var sink *os.File
@@ -119,24 +166,36 @@ func main() {
 		f, err := os.OpenFile(c.out, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "opening %s: %v\n", c.out, err)
-			os.Exit(1)
+			return 1
 		}
 		defer f.Close()
 		sink = f
 	}
+
+	stopProfiles, err := startProfiles(c.cpuProfile, c.memProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "starting profile: %v\n", err)
+		return 1
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintf(os.Stderr, "writing profile: %v\n", err)
+			status = 1
+		}
+	}()
 
 	for _, id := range ids {
 		start := time.Now()
 		res, err := experiments.Run(id, opt)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "scenario %s: %v\n", id, err)
-			os.Exit(1)
+			return 1
 		}
 		if c.asJSON {
 			buf, err := json.MarshalIndent(res, "", "  ")
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "scenario %s: encoding JSON: %v\n", id, err)
-				os.Exit(1)
+				return 1
 			}
 			fmt.Println(string(buf))
 		} else {
@@ -153,7 +212,7 @@ func main() {
 				line, err := json.Marshal(res)
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "scenario %s: encoding JSON: %v\n", id, err)
-					os.Exit(1)
+					return 1
 				}
 				fmt.Fprintf(sink, "%s\n", line)
 			} else {
@@ -161,4 +220,5 @@ func main() {
 			}
 		}
 	}
+	return 0
 }

@@ -636,17 +636,18 @@ func (e *Engine) finishRound(obs []Observations, blocks int) (RoundReport, error
 // harvestObservations folds one broadcast result into the per-node
 // observation matrices as block row b: each node's offsets are its outgoing
 // neighbors' arrival times relative to the node's earliest announcement.
-// Rows are per-block, so concurrent calls for distinct b never race.
+// That is the node's first arrival, which the broadcast already took as the
+// minimum of the node's EdgeArrival row; only the miner, holding the block
+// at time 0, has to look through its row for the first echo. Rows are
+// per-block, so concurrent calls for distinct b never race.
 func harvestObservations(res netsim.Result, b int, obs []Observations, outs, slot [][]int) {
 	for v := range obs {
 		row := res.EdgeArrival[v]
-		if len(row) == 0 {
-			continue
-		}
-		tMin := stats.InfDuration
-		for _, t := range row {
-			if t < tMin {
-				tMin = t
+		tMin := res.Arrival[v]
+		if v == res.Source {
+			tMin = stats.InfDuration
+			for _, t := range row {
+				tMin = min(tMin, t)
 			}
 		}
 		if tMin == stats.InfDuration {

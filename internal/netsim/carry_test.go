@@ -304,3 +304,66 @@ func TestStreamingReconfigureKeepsNoEdgeState(t *testing.T) {
 		t.Fatal("streaming simulator retains per-edge delay or previous-topology state")
 	}
 }
+
+// TestReconfigureGrowsWithHeadroom drives a simulator and a Broadcaster
+// through Reconfigures whose directed-edge total sets a new maximum every
+// time (a ring gaining one chord per round, until the total has doubled):
+// the edge-sized buffers must be reallocated a logarithmic number of times,
+// not once per maximum, in both latency modes.
+func TestReconfigureGrowsWithHeadroom(t *testing.T) {
+	const n = 400
+	for _, mode := range []latency.Mode{latency.Precomputed, latency.Streaming} {
+		adj := make([][]int, n)
+		for v := range adj {
+			adj[v] = []int{(v + n - 1) % n, (v + 1) % n}
+			slices.Sort(adj[v])
+		}
+		sim, err := New(Config{Adj: adj, Latency: latency.Constant{Nodes: n, D: time.Millisecond},
+			Forward: uniformForward(n, 50*time.Millisecond), LatencyMode: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bc := sim.NewBroadcaster()
+		// The distinct capacities each buffer has had.
+		caps := map[string]map[int]bool{"edgeDst": {}, "edgeSlot": {}, "edgeDelay": {}, "edgeFlat": {}}
+		note := func() {
+			caps["edgeDst"][cap(sim.edgeDst)] = true
+			caps["edgeSlot"][cap(sim.edgeSlot)] = true
+			caps["edgeDelay"][cap(sim.edgeDelay)] = true
+			caps["edgeFlat"][cap(bc.edgeFlat)] = true
+		}
+		note()
+		rounds := 0
+		for v := 0; v < n/2; v++ { // two chords per v: 2n directed edges grow to 4n
+			for _, w := range []int{(v + n/2) % n, (v + n/3) % n} {
+				adj[v] = append(adj[v], w)
+				adj[w] = append(adj[w], v)
+				slices.Sort(adj[v])
+				slices.Sort(adj[w])
+				if err := sim.Reconfigure(adj); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := bc.Broadcast(v); err != nil {
+					t.Fatal(err)
+				}
+				note()
+				rounds++
+			}
+		}
+		if total := int(sim.rowStart[n]); total != 4*n {
+			t.Fatalf("mode %v: %d directed edges after %d rounds, want %d", mode, total, rounds, 4*n)
+		}
+		// Doubling at 1.25× per reallocation takes four steps. In precomputed
+		// mode edgeDst and edgeDelay alternate between two arrays, each of
+		// which takes its own.
+		for name, seen := range caps {
+			limit := 1 + 4
+			if mode == latency.Precomputed && (name == "edgeDst" || name == "edgeDelay") {
+				limit = 2 * (1 + 4)
+			}
+			if len(seen) > limit {
+				t.Errorf("mode %v: %s took %d capacities over %d rising rounds, want at most %d", mode, name, len(seen), rounds, limit)
+			}
+		}
+	}
+}

@@ -31,19 +31,48 @@
 // per-edge timestamp is a closed form of the sender's first-arrival time:
 // t(v, w) = a(v) + Δ_v·[v≠src] + relay_v + i·SendInterval_v + δ(v, w) for
 // w the i-th neighbor of v. Only first arrivals need an order. Broadcast
-// and ArrivalAnalytic are therefore the same Dijkstra loop (flood) over the
-// flat arrays: settling v walks its row once, evaluates δ once per directed
-// edge, writes t(v, w) into w's EdgeArrival row (Broadcast only) and
-// relaxes a(w); the heap carries one entry per successful relaxation, not
-// one per edge. typedsched_test.go referees the pass against an
-// event-per-edge simulation on the closure-based des.Scheduler, bit for
-// bit. ShardedBroadcaster (shard.go) is the one event-driven simulation
-// left: a conservative windowed parallel run over des.DeliveryQueue, held
-// equal to Broadcaster by shard_test.go.
+// and ArrivalAnalytic are therefore the same shortest-path loop (flood)
+// over the flat arrays: relaying v walks its row once, evaluates δ once per
+// directed edge, writes t(v, w) into w's EdgeArrival row (Broadcast only)
+// and relaxes a(w); the queue carries one entry per successful relaxation,
+// not one per edge.
+//
+// The order comes from the network model, not from a heap. Every relay but
+// the source's costs its node Forward[v] + RelayDelay[v] (Δ_v is 50 ms in
+// the paper's evaluation), so along any path first arrivals lie at least
+// the smallest such increment apart. The queue (floodQueue) is an array of
+// buckets of width W, the largest power of two not above that increment,
+// taken afresh by every flood because RelayDelay may change between two: an
+// entry is appended to bucket t>>log2(W) in O(1) and buckets drain in index
+// order. Whatever a node in bucket i sends arrives at least W later, in a
+// later bucket, so every entry of bucket i that is current when popped is
+// final, in whichever order the bucket is read: the pass sets labels, each
+// node relays once, and no comparison orders anything. The source pays no
+// increment; its sends may land in bucket 0 while bucket 0 drains, and the
+// drain loop, which re-reads the bucket's head, takes them in turn.
+//
+// W has a floor of 2^20 ns (1.05 ms). A network with a smaller increment
+// somewhere (a zero Forward) runs the same loop at that width, where a
+// bucket may refill while it drains for any node: an entry older than its
+// node's arrival is dropped, a node whose arrival improves after it
+// relayed relays again and overwrites its row with the earlier times, and
+// the result is the shortest-path one all the same; only the "δ once per
+// edge" count can rise, by the re-relays inside one millisecond. The
+// bucket array is 1024 long; entries further ahead (behind a RelayDelay of
+// minutes) wait in an unordered far list, and when the array has drained
+// the window restarts at the far list's earliest entry.
+//
+// typedsched_test.go referees the pass against an event-per-edge
+// simulation on the closure-based des.Scheduler, and flood_test.go against
+// the binary-heap pass it replaced, both bit for bit. ShardedBroadcaster
+// (shard.go) is the one event-driven simulation left: a conservative
+// windowed parallel run over des.DeliveryQueue, held equal to Broadcaster
+// by shard_test.go.
 package netsim
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -141,15 +170,15 @@ type Simulator struct {
 	base     atomic.Pointer[Broadcaster]
 }
 
-// Broadcaster owns the mutable per-broadcast state (first-arrival heap and
+// Broadcaster owns the mutable per-broadcast state (first-arrival queue and
 // arrival scratch) for one goroutine's broadcasts over a shared Simulator.
 // A Broadcaster is not safe for concurrent use; create one per worker.
 // Broadcasters survive Simulator.Reconfigure: they resize their scratch on
 // the next Broadcast.
 type Broadcaster struct {
-	sim  *Simulator
-	gen  uint64
-	heap arrivalHeap
+	sim   *Simulator
+	gen   uint64
+	queue floodQueue
 
 	// Scratch buffers, reused across Broadcast calls; Result aliases them.
 	// edgeArrival's per-node rows alias the flat edgeFlat buffer through
@@ -365,18 +394,21 @@ func (s *Simulator) delayOf(v, e int32) time.Duration {
 // mode (no per-edge delay array; see latency.Mode).
 func (s *Simulator) Streaming() bool { return s.streaming }
 
-// growInt32 returns a slice of length n, reusing buf's capacity if possible.
+// growInt32 returns a slice of length n, reusing buf's capacity if
+// possible. A new array gets a quarter more than asked: a round rewires a
+// quarter of the out-edges and the directed-edge total drifts, so buffers
+// sized exactly would be reallocated at every new maximum.
 func growInt32(buf []int32, n int) []int32 {
 	if cap(buf) < n {
-		return make([]int32, n)
+		return make([]int32, n, n+n/4)
 	}
 	return buf[:n]
 }
 
-// growDurations returns a slice of length n, reusing buf's capacity.
+// growDurations is growInt32 for durations.
 func growDurations(buf []time.Duration, n int) []time.Duration {
 	if cap(buf) < n {
-		return make([]time.Duration, n)
+		return make([]time.Duration, n, n+n/4)
 	}
 	return buf[:n]
 }
@@ -483,76 +515,109 @@ func (b *Broadcaster) Broadcast(source int) (Result, error) {
 	if source < 0 || source >= s.n {
 		return Result{}, fmt.Errorf("netsim: source %d out of range (n=%d)", source, s.n)
 	}
-	s.flood(int32(source), &b.heap, b.arrival, b.edgeFlat)
+	s.flood(int32(source), &b.queue, b.arrival, b.edgeFlat)
 	return Result{Source: source, Arrival: b.arrival, EdgeArrival: b.edgeArrival}, nil
 }
 
-// arrivalItem is one heap entry of the label-setting pass: node v is
-// tentatively first reached at d.
-type arrivalItem struct {
-	d time.Duration
-	v int32
+// floodItem is one entry of the flood's bucket queue: node v is tentatively
+// first reached at d. next links the entries that share a bucket.
+type floodItem struct {
+	d    time.Duration
+	v    int32
+	next int32
 }
 
-// arrivalHeap is the pass's binary min-heap on d. Ties need no order: a
-// node's first-arrival time is a minimum, whichever equal entry pops first.
-type arrivalHeap struct {
-	items []arrivalItem
+const (
+	// floodMinShift floors the bucket width at 2^20 ns (1.05 ms) for
+	// networks where some relay increment is smaller, or zero.
+	floodMinShift = 20
+	// floodBuckets bounds the bucket array whatever the spread of arrival
+	// times (a RelayDelay of minutes against a width of 33.5 ms): entries
+	// floodBuckets widths or more past the window's start wait, unordered,
+	// in the far list, which is bucket floodBuckets.
+	floodBuckets = 1024
+)
+
+// floodQueue is the monotone bucket queue that orders the flood's first
+// arrivals (see the package comment): bucket i holds the entries with
+// d>>shift == base+i as a linked list through items, which only grows
+// during a flood and is reused by the next one.
+type floodQueue struct {
+	items []floodItem
+	heads [floodBuckets + 1]int32 // first entry of each bucket, -1 when empty
+	tails [floodBuckets + 1]int32 // last entry; meaningful while heads[b] >= 0
+	shift uint
+	base  int64 // d>>shift of bucket 0
+	live  int   // entries pushed and not yet popped
 }
 
-// arrivalHeapPool serves ArrivalAnalyticInto, which has no Broadcaster to
-// keep a heap in: repeated λ_v evaluations (once per node per evaluation
+// floodQueuePool serves ArrivalAnalyticInto, which has no Broadcaster to
+// keep a queue in: repeated λ_v evaluations (once per node per evaluation
 // pass, from many goroutines) allocate nothing once warm.
-var arrivalHeapPool = sync.Pool{New: func() any { return new(arrivalHeap) }}
+var floodQueuePool = sync.Pool{New: func() any { return new(floodQueue) }}
 
-func (q *arrivalHeap) push(it arrivalItem) {
-	q.items = append(q.items, it)
-	h := q.items
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h[p].d <= h[i].d {
-			break
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
+// reset empties the queue for a flood whose smallest relay increment is
+// minRelay: the bucket width is the largest power of two not above it.
+func (q *floodQueue) reset(minRelay time.Duration) {
+	q.items = q.items[:0]
+	for i := range q.heads {
+		q.heads[i] = -1
+	}
+	q.shift = uint(max(floodMinShift, bits.Len64(uint64(minRelay))-1))
+	q.base, q.live = 0, 0
+}
+
+func (q *floodQueue) push(d time.Duration, v int32) {
+	q.items = append(q.items, floodItem{d: d, v: v, next: -1})
+	q.link(int32(len(q.items)-1), d)
+	q.live++
+}
+
+// link appends items[i], whose time is d and which has no successor, to its
+// bucket's list. Arrival times only grow as the flood advances, so d>>shift
+// is never below base. First in, first out matters only to a bucket that
+// refills while it drains: its corrections then spread breadth-first, which
+// keeps repeated relays few.
+func (q *floodQueue) link(i int32, d time.Duration) {
+	b := min(int64(d>>q.shift)-q.base, floodBuckets)
+	if q.heads[b] < 0 {
+		q.heads[b] = i
+	} else {
+		q.items[q.tails[b]].next = i
+	}
+	q.tails[b] = i
+}
+
+// rebase, called once every near bucket has drained, restarts the window at
+// the earliest entry of the far list and deals the list out again.
+func (q *floodQueue) rebase() {
+	far := q.heads[floodBuckets]
+	q.heads[floodBuckets] = -1
+	first := q.items[far].d
+	for i := q.items[far].next; i >= 0; i = q.items[i].next {
+		first = min(first, q.items[i].d)
+	}
+	q.base = int64(first >> q.shift)
+	for i := far; i >= 0; {
+		it := &q.items[i]
+		next := it.next
+		it.next = -1
+		q.link(i, it.d)
+		i = next
 	}
 }
 
-func (q *arrivalHeap) pop() arrivalItem {
-	h := q.items
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	q.items = h[:last]
-	h = q.items
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < last && h[l].d < h[smallest].d {
-			smallest = l
-		}
-		if r < last && h[r].d < h[smallest].d {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		h[i], h[smallest] = h[smallest], h[i]
-		i = smallest
-	}
-	return top
-}
-
-// flood is the label-setting pass behind Broadcast and ArrivalAnalytic (see
-// the package comment): it fills arrival with every node's first-arrival
-// time of a block mined by source at time 0 and, when edgeFlat is non-nil,
-// edgeFlat with every directed edge's delivery time. Delays are validated
-// non-negative at construction, so a settled node's arrival is final, and
-// each directed edge's δ is evaluated exactly once — when its sender
-// settles — which matters in streaming mode, where it costs two hashes.
-func (s *Simulator) flood(source int32, q *arrivalHeap, arrival, edgeFlat []time.Duration) {
+// flood is the pass behind Broadcast and ArrivalAnalytic (see the package
+// comment): it fills arrival with every node's first-arrival time of a
+// block mined by source at time 0 and, when edgeFlat is non-nil, edgeFlat
+// with every directed edge's delivery time. An entry popped at its node's
+// current arrival time relays. Where every relay adds at least a bucket's
+// width that time is final: each node relays once and each directed edge's
+// δ is evaluated exactly once, which matters in streaming mode, where it
+// costs two hashes. On the width's floor a node whose arrival improves
+// after it relayed relays again, overwriting what it wrote with earlier
+// times, so the result is the same.
+func (s *Simulator) flood(source int32, q *floodQueue, arrival, edgeFlat []time.Duration) {
 	for i := range arrival {
 		arrival[i] = stats.InfDuration
 	}
@@ -561,42 +626,61 @@ func (s *Simulator) flood(source int32, q *arrivalHeap, arrival, edgeFlat []time
 	}
 	silent, fwd, relay, intervals := s.cfg.Silent, s.cfg.Forward, s.cfg.RelayDelay, s.cfg.SendInterval
 	rowStart, edgeDst, edgeSlot := s.rowStart, s.edgeDst, s.edgeSlot
+	// RelayDelay is read live, so the width is this flood's own.
+	minRelay := stats.InfDuration
+	for v, d := range fwd {
+		if relay != nil {
+			d += relay[v]
+		}
+		minRelay = min(minRelay, d)
+	}
+	q.reset(minRelay)
 	arrival[source] = 0
-	q.items = q.items[:0]
-	q.push(arrivalItem{d: 0, v: source})
-	for len(q.items) > 0 {
-		it := q.pop()
-		v := it.v
-		if it.d > arrival[v] {
-			continue // superseded by an earlier relaxation of v
+	q.push(0, source)
+	for b := 0; q.live > 0; b++ {
+		if b == floodBuckets {
+			q.rebase()
+			b = 0
 		}
-		depart := it.d
-		if v != source {
-			// A silent node relays nothing, but a silent miner still
-			// announces its own block; the miner also pays no validation or
-			// withholding delay.
-			if silent != nil && silent[v] {
-				continue
+		// Re-reading the head picks up what this bucket's own entries push
+		// into it: the source's sends (it pays no relay delay) and, on the
+		// width's floor, any node's.
+		for i := q.heads[b]; i >= 0; i = q.heads[b] {
+			it := q.items[i]
+			q.heads[b] = it.next
+			q.live--
+			v := it.v
+			if it.d > arrival[v] {
+				continue // superseded by an earlier relaxation of v
 			}
-			depart += fwd[v]
-			if relay != nil {
-				depart += relay[v]
+			depart := it.d
+			if v != source {
+				// A silent node relays nothing, but a silent miner still
+				// announces its own block; the miner also pays no validation or
+				// withholding delay.
+				if silent != nil && silent[v] {
+					continue
+				}
+				depart += fwd[v]
+				if relay != nil {
+					depart += relay[v]
+				}
 			}
-		}
-		var interval time.Duration
-		if intervals != nil {
-			interval = intervals[v]
-		}
-		for e := rowStart[v]; e < rowStart[v+1]; e++ {
-			w := edgeDst[e]
-			t := depart + s.delayOf(v, e)
-			depart += interval
-			if edgeFlat != nil {
-				edgeFlat[rowStart[w]+edgeSlot[e]] = t
+			var interval time.Duration
+			if intervals != nil {
+				interval = intervals[v]
 			}
-			if t < arrival[w] {
-				arrival[w] = t
-				q.push(arrivalItem{d: t, v: w})
+			for e := rowStart[v]; e < rowStart[v+1]; e++ {
+				w := edgeDst[e]
+				t := depart + s.delayOf(v, e)
+				depart += interval
+				if edgeFlat != nil {
+					edgeFlat[rowStart[w]+edgeSlot[e]] = t
+				}
+				if t < arrival[w] {
+					arrival[w] = t
+					q.push(t, w)
+				}
 			}
 		}
 	}
@@ -610,16 +694,16 @@ func (s *Simulator) ArrivalAnalytic(source int) ([]time.Duration, error) {
 }
 
 // ArrivalAnalyticInto is ArrivalAnalytic writing into dst (reused when its
-// capacity suffices, so steady-state callers allocate nothing — the heap
+// capacity suffices, so steady-state callers allocate nothing — the queue
 // itself is pooled). It returns the possibly-regrown slice.
 func (s *Simulator) ArrivalAnalyticInto(dst []time.Duration, source int) ([]time.Duration, error) {
 	if source < 0 || source >= s.n {
 		return nil, fmt.Errorf("netsim: source %d out of range (n=%d)", source, s.n)
 	}
 	arrival := growDurations(dst, s.n)
-	q := arrivalHeapPool.Get().(*arrivalHeap)
+	q := floodQueuePool.Get().(*floodQueue)
 	s.flood(int32(source), q, arrival, nil)
-	arrivalHeapPool.Put(q)
+	floodQueuePool.Put(q)
 	return arrival, nil
 }
 

@@ -124,6 +124,50 @@ func TestDurationPercentileMatchesSort(t *testing.T) {
 	}
 }
 
+// TestDurationPercentileOfMinFillAndScan walks the top-slots pass across
+// the sizes where its two loops trade places — below 17 values at p = 0.5
+// the fill loop takes everything, at p = 1 it takes one value and the scan
+// the rest — with no limit, a limit that is everywhere the smaller value,
+// and one that is all censored, over samples dense in duplicates and
+// samples whose censored run starts on either side of the two order
+// statistics the quantile reads.
+func TestDurationPercentileOfMinFillAndScan(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	sizes := []int{100}
+	for n := 1; n <= 40; n++ {
+		sizes = append(sizes, n)
+	}
+	for _, n := range sizes {
+		allInf := sampleDurations(r, n, 1, 1)
+		for _, p := range []float64{0.5, 0.9, 0.95, 1} {
+			lo := int(math.Floor(p * float64(n-1)))
+			var samples [][]time.Duration
+			for _, distinct := range []int{1, 3, 1 << 20} {
+				samples = append(samples, sampleDurations(r, n, distinct, 0), sampleDurations(r, n, distinct, 0.3))
+			}
+			// Censored runs that begin one below, at, and one and two above
+			// rank lo, placed anywhere in the sample.
+			for start := max(0, lo-1); start <= min(n, lo+2); start++ {
+				ds := sampleDurations(r, n, 4, 0)
+				for _, i := range r.Perm(n)[start:] {
+					ds[i] = InfDuration
+				}
+				samples = append(samples, ds)
+			}
+			for _, ds := range samples {
+				shorter := make([]time.Duration, n)
+				for i, d := range ds {
+					shorter[i] = time.Duration(r.Int63n(int64(min(d, time.Second)) + 1))
+				}
+				checkAgainstSort(t, ds, nil, p)
+				checkAgainstSort(t, ds, shorter, p)
+				checkAgainstSort(t, ds, allInf, p)
+				checkAgainstSort(t, allInf, ds, p)
+			}
+		}
+	}
+}
+
 // FuzzDurationPercentile lets the fuzzer shape the sample (size, duplicate
 // density, censoring rate of the column and of its limit, quantile); the
 // seeds run in every go test.

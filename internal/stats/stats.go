@@ -83,8 +83,23 @@ func DurationPercentile(ds []time.Duration, p float64) time.Duration {
 // topSlots bounds the one-pass branch of DurationPercentileOfMin: a
 // quantile whose lower order statistic is among the topSlots largest values
 // (p = 0.9 of 100 samples reads the 10th and 11th largest) is answered from
-// a sorted buffer of that many values kept on the stack.
+// an ascending buffer of that many values kept on the stack. The pass has
+// two loops: the first fills the buffer from as many leading values as it
+// has slots, by insertion; the second scans the rest, and a value pays one
+// comparison with the buffer's least unless it displaces it. The scan is
+// written out twice, with and without a limit column, so that neither form
+// tests for the other's case per element.
 const topSlots = 16
+
+// replaceLeast drops top[0], the least of the ascending top[:m], and puts x,
+// which is greater, in its place in the order.
+func replaceLeast(top *[topSlots]time.Duration, m int, x time.Duration) {
+	j := 1
+	for ; j < m && top[j] < x; j++ {
+		top[j-1] = top[j]
+	}
+	top[j-1] = x
+}
 
 // DurationPercentileOfMin is DurationPercentile of the element-wise minimum
 // min(ds[i], limit[i]), computed without materializing it — Subset scoring
@@ -111,22 +126,28 @@ func DurationPercentileOfMin(ds, limit []time.Duration, p float64) time.Duration
 		// top[:m] is ascending and holds the m largest values seen, so at
 		// the end top[0] has rank lo and top[1] rank lo+1.
 		var top [topSlots]time.Duration
-		for i, x := range ds {
-			if limit != nil && limit[i] < x {
-				x = limit[i]
+		for i, x := range ds[:m] {
+			if limit != nil {
+				x = min(x, limit[i])
 			}
-			if i < m {
-				j := i
-				for ; j > 0 && top[j-1] > x; j-- {
-					top[j] = top[j-1]
+			j := i
+			for ; j > 0 && top[j-1] > x; j-- {
+				top[j] = top[j-1]
+			}
+			top[j] = x
+		}
+		if limit == nil {
+			for _, x := range ds[m:] {
+				if x > top[0] {
+					replaceLeast(&top, m, x)
 				}
-				top[j] = x
-			} else if x > top[0] {
-				j := 1
-				for ; j < m && top[j] < x; j++ {
-					top[j-1] = top[j]
+			}
+		} else {
+			rest := limit[m:]
+			for i, x := range ds[m:] {
+				if x = min(x, rest[i]); x > top[0] {
+					replaceLeast(&top, m, x)
 				}
-				top[j-1] = x
 			}
 		}
 		a, result = top[0], top[hi-lo]

@@ -61,6 +61,8 @@ gate_bytes MicroTopologyRandom20000 16000000
 gate MicroTableRewire1000 16
 gate MicroAnalyticArrival1000 0
 gate MicroDurationPercentile 0
+gate MicroDurationPercentileOfMin100 0
+gate MicroDurationPercentileOfMin10 0
 gate MicroVanillaScoring 1
 gate MicroSubsetScoring 1
 gate WorkloadHour 50000

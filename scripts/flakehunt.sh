@@ -1,0 +1,58 @@
+#!/usr/bin/env bash
+# flakehunt.sh — run the live-side test packages many times under the race
+# detector and report how often each test failed, as a rate. Every run of
+# every test completes before the verdict: one flaky test does not hide the
+# next, and the exit status is non-zero only at the end, if anything failed.
+#
+#   scripts/flakehunt.sh                 # 20 runs of ./node ./internal/p2p ./internal/serve
+#   scripts/flakehunt.sh 5 ./internal/serve
+set -uo pipefail
+cd "$(dirname "$0")/.."
+
+count="${1:-20}"
+shift || true
+if (( $# == 0 )); then
+  set -- ./node ./internal/p2p ./internal/serve
+fi
+
+# The tally reads go test's JSON events: a pass or fail event that names a
+# test is one run of it; one that names only a package is the package's
+# verdict, which also catches what no test owns (a build error, a timeout, a
+# race reported after the last test returned).
+tally='
+import collections, json, sys
+runs, fails, broken = collections.Counter(), collections.Counter(), []
+for line in sys.stdin:
+    try:
+        ev = json.loads(line)
+    except ValueError:
+        continue
+    action, pkg, test = ev.get("Action"), ev.get("Package", "?"), ev.get("Test")
+    if action not in ("pass", "fail"):
+        continue
+    if test is None:
+        if action == "fail":
+            broken.append(pkg)
+        continue
+    runs[pkg, test] += 1
+    if action == "fail":
+        fails[pkg, test] += 1
+print("flakehunt: %d tests, %d test runs" % (len(runs), sum(runs.values())))
+for (pkg, test), n in sorted(fails.items(), key=lambda kv: (-kv[1] / runs[kv[0]], kv[0])):
+    print("  %5.1f%%  %d/%d  %s %s" % (100.0 * n / runs[pkg, test], n, runs[pkg, test], pkg, test))
+for pkg in broken:
+    print("  package failed: %s" % pkg)
+if not fails and not broken:
+    print("flakehunt: no failures")
+sys.exit(1 if fails or broken else 0)
+'
+
+go test -race -count="$count" -timeout 60m -json "$@" | python3 -c "$tally"
+status=("${PIPESTATUS[@]}")
+if (( status[1] != 0 )); then
+  exit 1
+fi
+if (( status[0] != 0 )); then
+  echo "flakehunt: go test exited ${status[0]} without a failure event" >&2
+  exit 1
+fi
