@@ -459,3 +459,43 @@ func MicroWireRead(m wire.Message) func(b *testing.B) {
 		}
 	}
 }
+
+// MicroStoreAdd measures what a live node's store pays per received block:
+// chain.Store.Add of a block of the live benchmark's shape on top of a chain
+// 10 000 blocks deep, so the body ring is turning over and the header index
+// is past its first growths. The blocks are linked before the timer starts
+// and share one transaction list; allocs/op is then CheckBlock's three
+// Merkle levels and nothing per block from the index or the ring.
+func MicroStoreAdd(b *testing.B) {
+	const depth = 10_000
+	genesis := chain.NewGenesis("bench")
+	store, err := chain.NewStore(genesis)
+	if err != nil {
+		b.Fatal(err)
+	}
+	txs := WireBlock1K().(*wire.Block).Block.Txs
+	root := chain.MerkleRoot(txs)
+	blocks := make([]chain.Block, depth+b.N)
+	hashes := make([]chain.Hash, len(blocks))
+	prev := genesis.Header.Hash()
+	for i := range blocks {
+		blocks[i] = chain.Block{
+			Header: chain.Header{Version: 1, Height: uint64(i + 1), PrevHash: prev, TxRoot: root, Nonce: uint64(i)},
+			Txs:    txs,
+		}
+		hashes[i] = blocks[i].Header.Hash()
+		prev = hashes[i]
+	}
+	for i := 0; i < depth; i++ {
+		if err := store.Add(&blocks[i], hashes[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := depth; i < len(blocks); i++ {
+		if err := store.Add(&blocks[i], hashes[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -3,6 +3,15 @@
 // a thread-safe store with longest-chain fork choice, and a Poisson mining
 // schedule. The live p2p node (internal/p2p) gossips these blocks; the
 // abstract simulator does not need them.
+//
+// The store is sized for a node that runs for ever: it indexes every
+// connected header (a pointer-free map value, ~150 bytes a block with its
+// key) and holds block bodies only for the last BodyWindow connected blocks
+// and the tip. Relay and Perigee's observation window never read deeper, so
+// a body past the window is dropped and Get answers nil for it exactly as
+// for an unknown hash. What this gives up is archive sync: a peer more than
+// BodyWindow blocks behind cannot fetch the chain from such a node one
+// GETDATA at a time.
 package chain
 
 import (
@@ -216,6 +225,12 @@ func NewGenesis(tag string) *Block {
 
 // NewBlock assembles a child of prev carrying the given transactions.
 func NewBlock(prev *Block, txs [][]byte, now time.Time, nonce uint64) *Block {
+	return newChild(prev.Header.Hash(), prev.Header.Height+1, txs, now, nonce)
+}
+
+// newChild assembles the block at the given height whose parent hashes to
+// prev, copying the transactions.
+func newChild(prev Hash, height uint64, txs [][]byte, now time.Time, nonce uint64) *Block {
 	cp := make([][]byte, len(txs))
 	for i, tx := range txs {
 		cp[i] = append([]byte(nil), tx...)
@@ -223,8 +238,8 @@ func NewBlock(prev *Block, txs [][]byte, now time.Time, nonce uint64) *Block {
 	return &Block{
 		Header: Header{
 			Version:       1,
-			Height:        prev.Header.Height + 1,
-			PrevHash:      prev.Header.Hash(),
+			Height:        height,
+			PrevHash:      prev,
 			TxRoot:        MerkleRoot(cp),
 			TimeUnixMilli: now.UnixMilli(),
 			Nonce:         nonce,

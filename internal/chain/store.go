@@ -28,6 +28,12 @@ var (
 // protects against hostile floods of unconnectable headers.
 const MaxOrphans = 1 << 12
 
+// BodyWindow is how many of the most recently connected blocks keep their
+// bodies. It equals the live node's default observation cap and MaxOrphans:
+// an older body can feed no Perigee round, and a backward sync whose stash
+// holds MaxOrphans blocks cannot reach it either.
+const BodyWindow = 1 << 12
+
 // seenKey orders blocks by observation for first-seen fork resolution.
 // The live path (Add) stamps blocks with a monotone sequence under the
 // store lock; the simulation path (AddAt) stamps them with a caller-supplied
@@ -35,25 +41,37 @@ const MaxOrphans = 1 << 12
 // a pure function of the offered (block, time) set — independent of the
 // order, interleaving, or worker count with which blocks were offered.
 type seenKey struct {
-	at   time.Duration
-	seq  uint64
-	hash Hash
+	at  time.Duration
+	seq uint64
 }
 
-// before reports whether a was seen strictly earlier than b.
-func (a seenKey) before(b seenKey) bool {
+// seenBefore reports whether block ah, seen at a, was seen strictly earlier
+// than block bh, seen at b.
+func seenBefore(a seenKey, ah Hash, b seenKey, bh Hash) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	if a.seq != b.seq {
 		return a.seq < b.seq
 	}
-	return bytes.Compare(a.hash[:], b.hash[:]) < 0
+	return bytes.Compare(ah[:], bh[:]) < 0
 }
 
-// entry is a connected block plus its observation stamp.
-type entry struct {
+// indexEntry is what the store keeps of a connected block for ever: its
+// header, its observation stamp and its connect sequence number (genesis is
+// 0), which locates the body in the ring while it is there. It must stay
+// pointer-free and at most 128 bytes: the map then stores it inline, an
+// insert allocates nothing, and the collector never scans the index.
+type indexEntry struct {
+	header Header
+	seen   seenKey
+	order  uint64
+}
+
+// stashed is an offered block waiting in the orphan pool for its parent.
+type stashed struct {
 	block *Block
+	hash  Hash
 	seen  seenKey
 }
 
@@ -77,15 +95,23 @@ type AddResult struct {
 // Bitcoin: via Add, "first" is arrival order at this store; via AddAt it
 // is the caller's timestamp (ties broken by hash), which makes the
 // resolved tip deterministic under any concurrent interleaving.
+//
+// The store keeps every connected block's header for ever and the bodies of
+// the last BodyWindow connected blocks, plus the tip's: fork choice, duplicate
+// detection and reorg depth read headers only, so its memory grows by one
+// index entry per block rather than by one block.
 type Store struct {
 	mu      sync.RWMutex
-	blocks  map[Hash]*entry
+	index   map[Hash]indexEntry
+	bodies  []*Block // ring: the block connected order-th sits at order % BodyWindow
+	newest  uint64   // order of the last connected block
 	genesis Hash
 	tip     Hash
+	tipBody *Block
 	seq     uint64
 	// orphans stashes offered blocks waiting for their parent, keyed by
 	// the missing parent hash; orphanSet indexes every stashed hash.
-	orphans   map[Hash][]*entry
+	orphans   map[Hash][]stashed
 	orphanSet map[Hash]struct{}
 }
 
@@ -98,32 +124,41 @@ func NewStore(genesis *Block) (*Store, error) {
 		return nil, fmt.Errorf("chain: genesis height %d, want 0", genesis.Header.Height)
 	}
 	h := genesis.Header.Hash()
-	return &Store{
-		blocks:    map[Hash]*entry{h: {block: genesis, seen: seenKey{hash: h}}},
+	s := &Store{
+		index:     map[Hash]indexEntry{h: {header: genesis.Header}},
+		bodies:    make([]*Block, BodyWindow),
 		genesis:   h,
 		tip:       h,
-		orphans:   make(map[Hash][]*entry),
+		tipBody:   genesis,
+		orphans:   make(map[Hash][]stashed),
 		orphanSet: make(map[Hash]struct{}),
-	}, nil
+	}
+	s.bodies[0] = genesis
+	return s, nil
 }
 
-// Add validates and stores a block. The parent must already be present
-// (an unknown parent is ErrOrphanBlock — the live node path requests the
-// parent rather than stashing). The tip advances when the new block is
-// strictly higher; height ties keep the earlier-added block.
-func (s *Store) Add(b *Block) error {
+// Add validates and stores a block whose header hash the caller has already
+// computed: h must be b.Header.Hash(), the store does not derive it again.
+// The parent must already be present (an unknown parent is ErrOrphanBlock —
+// the live node path requests the parent rather than stashing). The tip
+// advances when the new block is strictly higher; height ties keep the
+// earlier-added block.
+func (s *Store) Add(b *Block, h Hash) error {
 	if err := CheckBlock(b); err != nil {
 		return fmt.Errorf("%w: %w", ErrInvalidBlock, err)
 	}
-	h := b.Header.Hash()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.seq++
-	e := &entry{block: b, seen: seenKey{seq: s.seq, hash: h}}
-	if _, err := s.connectLocked(h, e, false); err != nil {
-		return err
+	if _, dup := s.index[h]; dup {
+		return fmt.Errorf("%w: %s", ErrDuplicateBlock, h)
 	}
-	return nil
+	parent, ok := s.index[b.Header.PrevHash]
+	if !ok {
+		return fmt.Errorf("%w: parent %s of %s", ErrOrphanBlock, b.Header.PrevHash, h)
+	}
+	s.seq++
+	_, err := s.connectLocked(stashed{block: b, hash: h, seen: seenKey{seq: s.seq}}, parent.header.Height, false)
+	return err
 }
 
 // AddAt offers a block observed at the given simulated timestamp. Unlike
@@ -141,14 +176,15 @@ func (s *Store) AddAt(b *Block, seen time.Duration) (AddResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var res AddResult
-	if _, dup := s.blocks[h]; dup {
+	if _, dup := s.index[h]; dup {
 		return res, fmt.Errorf("%w: %s", ErrDuplicateBlock, h)
 	}
 	if _, dup := s.orphanSet[h]; dup {
 		return res, fmt.Errorf("%w: %s (stashed)", ErrDuplicateBlock, h)
 	}
-	e := &entry{block: b, seen: seenKey{at: seen, hash: h}}
-	if _, ok := s.blocks[b.Header.PrevHash]; !ok {
+	e := stashed{block: b, hash: h, seen: seenKey{at: seen}}
+	parent, ok := s.index[b.Header.PrevHash]
+	if !ok {
 		if len(s.orphanSet) >= MaxOrphans {
 			return res, fmt.Errorf("%w: %d blocks stashed", ErrOrphanPoolFull, len(s.orphanSet))
 		}
@@ -158,7 +194,7 @@ func (s *Store) AddAt(b *Block, seen time.Duration) (AddResult, error) {
 		return res, nil
 	}
 	oldTip := s.tip
-	connected, err := s.connectLocked(h, e, true)
+	connected, err := s.connectLocked(e, parent.header.Height, true)
 	if err != nil {
 		return res, err
 	}
@@ -170,46 +206,42 @@ func (s *Store) AddAt(b *Block, seen time.Duration) (AddResult, error) {
 	return res, nil
 }
 
-// connectLocked links a validated non-duplicate entry under the parent
-// already known to exist, advances the tip by the longest-chain/first-seen
-// rule, and (when unstash is set) drains any orphans waiting on it,
-// recursively. Waiting orphans connect in seen order so multi-child
-// unstashes are order-independent too. Returns how many blocks connected.
-func (s *Store) connectLocked(h Hash, e *entry, unstash bool) (int, error) {
-	if _, dup := s.blocks[h]; dup {
-		return 0, fmt.Errorf("%w: %s", ErrDuplicateBlock, h)
+// connectLocked links a validated block, known not to be a duplicate, under
+// its parent, known to be connected at parentHeight: it indexes the header,
+// puts the body in the ring (over the body connected BodyWindow blocks ago),
+// advances the tip by the longest-chain/first-seen rule, and (when unstash
+// is set) drains any orphans waiting on it, recursively. Waiting orphans
+// connect in seen order so multi-child unstashes are order-independent too.
+// Returns how many blocks connected.
+func (s *Store) connectLocked(e stashed, parentHeight uint64, unstash bool) (int, error) {
+	hdr := &e.block.Header
+	if hdr.Height != parentHeight+1 {
+		return 0, fmt.Errorf("%w: %d after parent %d", ErrBadHeight, hdr.Height, parentHeight)
 	}
-	parent, ok := s.blocks[e.block.Header.PrevHash]
-	if !ok {
-		return 0, fmt.Errorf("%w: parent %s of %s", ErrOrphanBlock, e.block.Header.PrevHash, h)
-	}
-	if e.block.Header.Height != parent.block.Header.Height+1 {
-		return 0, fmt.Errorf("%w: %d after parent %d", ErrBadHeight, e.block.Header.Height, parent.block.Header.Height)
-	}
-	s.blocks[h] = e
-	tip := s.blocks[s.tip]
-	if e.block.Header.Height > tip.block.Header.Height ||
-		(e.block.Header.Height == tip.block.Header.Height && e.seen.before(tip.seen)) {
-		s.tip = h
+	s.newest++
+	s.index[e.hash] = indexEntry{header: *hdr, seen: e.seen, order: s.newest}
+	s.bodies[s.newest%BodyWindow] = e.block
+	if tipHeight := s.tipBody.Header.Height; hdr.Height > tipHeight ||
+		(hdr.Height == tipHeight && seenBefore(e.seen, e.hash, s.index[s.tip].seen, s.tip)) {
+		s.tip, s.tipBody = e.hash, e.block
 	}
 	connected := 1
 	if !unstash {
 		return connected, nil
 	}
-	waiting := s.orphans[h]
+	waiting := s.orphans[e.hash]
 	if len(waiting) == 0 {
 		return connected, nil
 	}
-	delete(s.orphans, h)
+	delete(s.orphans, e.hash)
 	for i := 1; i < len(waiting); i++ {
-		for j := i; j > 0 && waiting[j].seen.before(waiting[j-1].seen); j-- {
+		for j := i; j > 0 && seenBefore(waiting[j].seen, waiting[j].hash, waiting[j-1].seen, waiting[j-1].hash); j-- {
 			waiting[j], waiting[j-1] = waiting[j-1], waiting[j]
 		}
 	}
 	for _, child := range waiting {
-		ch := child.block.Header.Hash()
-		delete(s.orphanSet, ch)
-		n, err := s.connectLocked(ch, child, true)
+		delete(s.orphanSet, child.hash)
+		n, err := s.connectLocked(child, hdr.Height, true)
 		if err != nil {
 			return connected, err
 		}
@@ -220,49 +252,77 @@ func (s *Store) connectLocked(h Hash, e *entry, unstash bool) (int, error) {
 
 // reorgDepthLocked counts the blocks on old's branch abandoned by moving
 // the tip to new: the distance from old back to the two branches' common
-// ancestor (0 when old is an ancestor of new).
+// ancestor (0 when old is an ancestor of new). It walks headers, so the
+// branches may be deeper than the body window.
 func (s *Store) reorgDepthLocked(old, new Hash) int {
-	a, b := s.blocks[old], s.blocks[new]
-	for b.block.Header.Height > a.block.Header.Height {
-		b = s.blocks[b.block.Header.PrevHash]
+	a, b := s.index[old].header, s.index[new].header
+	for b.Height > a.Height {
+		new = b.PrevHash
+		b = s.index[new].header
 	}
 	depth := 0
-	for a.block.Header.Height > b.block.Header.Height {
-		a = s.blocks[a.block.Header.PrevHash]
+	for a.Height > b.Height {
+		old = a.PrevHash
+		a = s.index[old].header
 		depth++
 	}
-	for a != b {
-		a = s.blocks[a.block.Header.PrevHash]
-		b = s.blocks[b.block.Header.PrevHash]
+	for old != new {
+		old, new = a.PrevHash, b.PrevHash
+		a, b = s.index[old].header, s.index[new].header
 		depth++
 	}
 	return depth
 }
 
 // Has reports whether the block is stored (connected; stashed orphans
-// don't count).
+// don't count). It stays true after the block's body has aged out.
 func (s *Store) Has(h Hash) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	_, ok := s.blocks[h]
+	_, ok := s.index[h]
 	return ok
 }
 
-// Get returns a stored block, or nil.
+// Header returns the header of a connected block, however old.
+func (s *Store) Header(h Hash) (Header, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	e, ok := s.index[h]
+	return e.header, ok
+}
+
+// Get returns a stored block, or nil for a hash that is unknown or whose
+// body has aged out: only the last BodyWindow connected blocks and the tip
+// keep theirs.
 func (s *Store) Get(h Hash) *Block {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if e, ok := s.blocks[h]; ok {
-		return e.block
+	e, ok := s.index[h]
+	switch {
+	case !ok:
+		return nil
+	case s.newest-e.order < BodyWindow:
+		return s.bodies[e.order%BodyWindow]
+	case h == s.tip:
+		return s.tipBody
 	}
 	return nil
 }
 
-// Tip returns the current best block.
+// Tip returns the current best block, body included.
 func (s *Store) Tip() *Block {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.blocks[s.tip].block
+	return s.tipBody
+}
+
+// NewBlock assembles a child of the current tip, as the package's NewBlock
+// does, without hashing the tip's header again: the store indexes by it.
+func (s *Store) NewBlock(txs [][]byte, now time.Time, nonce uint64) *Block {
+	s.mu.RLock()
+	prev, height := s.tip, s.tipBody.Header.Height
+	s.mu.RUnlock()
+	return newChild(prev, height+1, txs, now, nonce)
 }
 
 // Height returns the current best height.
@@ -274,7 +334,7 @@ func (s *Store) Height() uint64 {
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.blocks)
+	return len(s.index)
 }
 
 // OrphanCount returns how many offered blocks are stashed waiting for a

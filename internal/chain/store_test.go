@@ -311,13 +311,13 @@ func TestAddStillRejectsOrphans(t *testing.T) {
 	s, g := newTestStore(t, "strict")
 	b1 := NewBlock(g, nil, time.UnixMilli(1), 1)
 	b2 := NewBlock(b1, nil, time.UnixMilli(2), 2)
-	if err := s.Add(b2); !errors.Is(err, ErrOrphanBlock) {
+	if err := s.Add(b2, b2.Header.Hash()); !errors.Is(err, ErrOrphanBlock) {
 		t.Fatalf("Add accepted an orphan: %v", err)
 	}
-	if err := s.Add(b1); err != nil {
+	if err := s.Add(b1, b1.Header.Hash()); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Add(b2); err != nil {
+	if err := s.Add(b2, b2.Header.Hash()); err != nil {
 		t.Fatal(err)
 	}
 	if s.Height() != 2 {
@@ -333,13 +333,13 @@ func TestAddWrapsInvalidBlock(t *testing.T) {
 	unknown := NewBlock(g, nil, time.UnixMilli(1), 1)
 	tampered := NewBlock(unknown, [][]byte{[]byte("tx")}, time.UnixMilli(2), 2)
 	tampered.Txs = [][]byte{[]byte("other")}
-	if err := s.Add(tampered); !errors.Is(err, ErrInvalidBlock) || errors.Is(err, ErrOrphanBlock) {
+	if err := s.Add(tampered, tampered.Header.Hash()); !errors.Is(err, ErrInvalidBlock) || errors.Is(err, ErrOrphanBlock) {
 		t.Fatalf("Add of a tampered block: %v", err)
 	}
 	if _, err := s.AddAt(tampered, time.Second); !errors.Is(err, ErrInvalidBlock) {
 		t.Fatalf("AddAt of a tampered block: %v", err)
 	}
-	if err := s.Add(nil); !errors.Is(err, ErrInvalidBlock) {
+	if err := s.Add(nil, Hash{}); !errors.Is(err, ErrInvalidBlock) {
 		t.Fatalf("Add(nil): %v", err)
 	}
 	if s.Len() != 1 || s.OrphanCount() != 0 {
@@ -347,7 +347,7 @@ func TestAddWrapsInvalidBlock(t *testing.T) {
 	}
 	wrongHeight := NewBlock(g, nil, time.UnixMilli(3), 3)
 	wrongHeight.Header.Height = 5
-	if err := s.Add(wrongHeight); !errors.Is(err, ErrBadHeight) || errors.Is(err, ErrInvalidBlock) {
+	if err := s.Add(wrongHeight, wrongHeight.Header.Hash()); !errors.Is(err, ErrBadHeight) || errors.Is(err, ErrInvalidBlock) {
 		t.Fatalf("a well-formed block at the wrong height: %v", err)
 	}
 }

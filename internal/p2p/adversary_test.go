@@ -28,8 +28,8 @@ func TestSilentRelayCoversUnstashedOrphans(t *testing.T) {
 	// Out-of-order arrival from the network (from == nil, mined == false —
 	// the unstash path): child first (stashed as orphan), then parent
 	// (accepting it re-accepts the child).
-	adv.acceptBlock(nil, child, false)
-	adv.acceptBlock(nil, parent, false)
+	adv.acceptBlock(nil, child, child.Header.Hash(), false)
+	adv.acceptBlock(nil, parent, parent.Header.Hash(), false)
 	waitFor(t, "both blocks stored at adversary", 2*time.Second, func() bool {
 		return adv.Store().Has(parent.Header.Hash()) && adv.Store().Has(child.Header.Hash())
 	})
@@ -86,7 +86,7 @@ func invsBeforePong(t *testing.T, conn net.Conn) map[chain.Hash]bool {
 func TestSilentRelayTipAnnounce(t *testing.T) {
 	adv := startNode(t, 3, func(c *Config) { c.SilentRelay = true })
 	relayed := chain.NewBlock(testGenesis(), [][]byte{[]byte("relayed")}, time.Unix(1700000000, 0), 1)
-	adv.acceptBlock(nil, relayed, false)
+	adv.acceptBlock(nil, relayed, relayed.Header.Hash(), false)
 	if !adv.Store().Has(relayed.Header.Hash()) {
 		t.Fatal("adversary did not store the received block")
 	}

@@ -353,7 +353,7 @@ func TestObservationCapKeepsNewest(t *testing.T) {
 		b := chain.NewBlock(n.store.Tip(), nil, time.Now(), uint64(i))
 		h := b.Header.Hash()
 		n.recordSeen(1, h, time.Now()) // a peer announces it, then it arrives
-		n.acceptBlock(nil, b, false)
+		n.acceptBlock(nil, b, h, false)
 		if !n.store.Has(h) {
 			t.Fatalf("block %d rejected", i)
 		}

@@ -164,9 +164,12 @@ type Node struct {
 	firstSeen map[chain.Hash]map[uint64]time.Time
 	order     []chain.Hash
 	requested map[chain.Hash]time.Time
-	orphans   map[chain.Hash][]*chain.Block
-	lastMined chain.Hash // newest self-mined block; zero before the first
-	rounds    int        // completed Perigee rounds
+	// orphans stashes received blocks whose parent is unknown, keyed by
+	// that parent; orphanCount is how many, capped at chain.MaxOrphans.
+	orphans     map[chain.Hash][]orphan
+	orphanCount int
+	lastMined   chain.Hash // newest self-mined block; zero before the first
+	rounds      int        // completed Perigee rounds
 
 	roundMu       sync.Mutex
 	roundInFlight bool
@@ -276,7 +279,7 @@ func NewNode(cfg Config) (*Node, error) {
 		quit:         make(chan struct{}),
 		firstSeen:    make(map[chain.Hash]map[uint64]time.Time),
 		requested:    make(map[chain.Hash]time.Time),
-		orphans:      make(map[chain.Hash][]*chain.Block),
+		orphans:      make(map[chain.Hash][]orphan),
 		dialAttempts: make(map[string]int),
 		connAttempts: make(map[uint64]int),
 	}, nil
@@ -997,6 +1000,7 @@ func (n *Node) rerequestStale(p *peer) {
 
 func (n *Node) handleGetData(p *peer, gd *wire.GetData) {
 	for _, h := range gd.Hashes {
+		// No reply for a hash we never had or whose body has aged out.
 		if b := n.store.Get(h); b != nil {
 			p.send(&wire.Block{Block: b})
 		}
@@ -1006,21 +1010,28 @@ func (n *Node) handleGetData(p *peer, gd *wire.GetData) {
 func (n *Node) handleBlock(p *peer, b *chain.Block) {
 	h := b.Header.Hash()
 	n.recordSeen(p.id, h, time.Now())
-	n.acceptBlock(p, b, false)
+	n.acceptBlock(p, b, h, false)
 }
 
-// acceptBlock validates, stores, relays, and unstashes orphans. from may
-// be nil for self-mined blocks and unstashed orphans; mined distinguishes
-// the two, because adversarial relay behavior (SilentRelay, RelayDelay)
-// applies to every received block — including an orphan accepted after
-// its parent arrives — but never to the node's own blocks.
-func (n *Node) acceptBlock(from *peer, b *chain.Block, mined bool) {
-	h := b.Header.Hash()
+// orphan is a received block waiting for its parent, with the header hash
+// computed when it arrived.
+type orphan struct {
+	block *chain.Block
+	hash  chain.Hash
+}
+
+// acceptBlock validates, stores, relays, and unstashes orphans. h is the
+// block's header hash, computed once by whoever first held the block. from
+// may be nil for self-mined blocks and unstashed orphans; mined
+// distinguishes the two, because adversarial relay behavior (SilentRelay,
+// RelayDelay) applies to every received block — including an orphan
+// accepted after its parent arrives — but never to the node's own blocks.
+func (n *Node) acceptBlock(from *peer, b *chain.Block, h chain.Hash, mined bool) {
 	if n.store.Has(h) {
 		return
 	}
 	// The store validates the block (once) before it looks at its position.
-	err := n.store.Add(b)
+	err := n.store.Add(b, h)
 	switch {
 	case err == nil:
 	case errors.Is(err, chain.ErrInvalidBlock):
@@ -1030,9 +1041,19 @@ func (n *Node) acceptBlock(from *peer, b *chain.Block, mined bool) {
 		}
 		return
 	case errors.Is(err, chain.ErrOrphanBlock):
+		// The stash is bounded like the store's own orphan pool: any peer
+		// can fill it with valid blocks whose parent never comes.
 		n.obsMu.Lock()
-		n.orphans[b.Header.PrevHash] = append(n.orphans[b.Header.PrevHash], b)
+		full := n.orphanCount >= chain.MaxOrphans
+		if !full {
+			n.orphans[b.Header.PrevHash] = append(n.orphans[b.Header.PrevHash], orphan{b, h})
+			n.orphanCount++
+		}
 		n.obsMu.Unlock()
+		if full {
+			n.logf("orphan stash full (%d): refusing block %s", chain.MaxOrphans, h)
+			return
+		}
 		if from != nil {
 			from.send(&wire.GetData{Hashes: []chain.Hash{b.Header.PrevHash}})
 		}
@@ -1050,6 +1071,7 @@ func (n *Node) acceptBlock(from *peer, b *chain.Block, mined bool) {
 	}
 	pending := n.orphans[h]
 	delete(n.orphans, h)
+	n.orphanCount -= len(pending)
 	delete(n.requested, h) // fetched: stop tracking for re-request
 	n.boundObservationsLocked()
 	n.obsMu.Unlock()
@@ -1061,8 +1083,8 @@ func (n *Node) acceptBlock(from *peer, b *chain.Block, mined bool) {
 		fromID = from.id
 	}
 	n.relayInv(h, fromID, !mined)
-	for _, orphan := range pending {
-		n.acceptBlock(nil, orphan, false)
+	for _, o := range pending {
+		n.acceptBlock(nil, o.block, o.hash, false)
 	}
 	n.maybeAutoRound()
 }
@@ -1137,9 +1159,10 @@ func (n *Node) MineBlock(txs [][]byte) (*chain.Block, error) {
 		return nil, ErrStopped
 	}
 	n.mu.Unlock()
-	b := chain.NewBlock(n.store.Tip(), txs, time.Now(), n.randUint64())
-	n.acceptBlock(nil, b, true)
-	if !n.store.Has(b.Header.Hash()) {
+	b := n.store.NewBlock(txs, time.Now(), n.randUint64())
+	h := b.Header.Hash()
+	n.acceptBlock(nil, b, h, true)
+	if !n.store.Has(h) {
 		return nil, fmt.Errorf("p2p: mined block rejected")
 	}
 	return b, nil

@@ -218,19 +218,21 @@ func buildReport(cfg Config, n int, power []float64, store *chain.Store, views *
 		Revenue:       make([]int, n),
 	}
 
-	// The canonical chain, from the arbiter store's tip back to genesis.
+	// The canonical chain, from the arbiter store's tip back to genesis, by
+	// header: the store keeps bodies only for its newest blocks.
 	canonical := 0
-	for b := store.Tip(); b.Header.Height > 0; {
-		id, ok := ids[b.Header.Hash()]
+	for h, genesis := store.Tip().Header.Hash(), store.Genesis(); h != genesis; {
+		id, ok := ids[h]
 		if !ok {
-			return nil, fmt.Errorf("workload: canonical block %s not interned", b.Header.Hash())
+			return nil, fmt.Errorf("workload: canonical block %s not interned", h)
 		}
 		rep.Revenue[minedBy[id]]++
 		canonical++
-		b = store.Get(b.Header.PrevHash)
-		if b == nil {
+		hdr, ok := store.Header(h)
+		if !ok {
 			return nil, fmt.Errorf("workload: canonical chain broke below height %d", canonical)
 		}
+		h = hdr.PrevHash
 	}
 	rep.CanonicalBlocks = canonical
 	rep.StaleBlocks = mined - canonical

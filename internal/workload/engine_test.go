@@ -219,6 +219,34 @@ func TestRunStaticTopology(t *testing.T) {
 	}
 }
 
+// The arbiter store keeps bodies only for its newest chain.BodyWindow
+// blocks; the report walks the canonical chain by header, so a run that
+// mines more than that still accounts for every block.
+func TestRunLongerThanBodyWindow(t *testing.T) {
+	eng, power := newTestEngine(t, 40, 5, 0, 0)
+	trace, err := NewPoisson(rng.New(5).Derive("trace"), power, 100*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Run(Config{Engine: eng, Trace: trace, Duration: 8 * time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.BlocksMined <= chain.BodyWindow {
+		t.Fatalf("test meant to outrun the body window, mined only %d", rep.BlocksMined)
+	}
+	if rep.CanonicalBlocks+rep.StaleBlocks != rep.BlocksMined {
+		t.Fatalf("canonical %d + stale %d != mined %d", rep.CanonicalBlocks, rep.StaleBlocks, rep.BlocksMined)
+	}
+	total := 0
+	for _, r := range rep.Revenue {
+		total += r
+	}
+	if total != rep.CanonicalBlocks || rep.CanonicalBlocks == 0 {
+		t.Fatalf("revenue sums to %d over a canonical chain of %d", total, rep.CanonicalBlocks)
+	}
+}
+
 func TestRunValidation(t *testing.T) {
 	eng, power := newTestEngine(t, 40, 1, 0, 0)
 	trace, err := NewPoisson(rng.New(1), power, time.Second)

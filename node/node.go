@@ -274,7 +274,8 @@ func (n *Node) MineBlock(txs [][]byte) (BlockID, error) {
 	return BlockID(blk.Header.Hash()), nil
 }
 
-// HasBlock reports whether the node's store holds the block.
+// HasBlock reports whether the node has accepted the block. It stays true
+// after the body has aged out of the store's serve window.
 func (n *Node) HasBlock(id BlockID) bool { return n.p.Store().Has(chain.Hash(id)) }
 
 // Height returns the node's chain tip height.

@@ -37,7 +37,7 @@ gate_bytes() { gate_unit "$1" "$2" B/op; }
 # iterations because a single op is a full 100k-node flood (and its set-up
 # hashes 1.6M edge delays).
 go test -run '^$' \
-  -bench 'Micro(Broadcast1000$|Broadcast10000$|BroadcastStreaming10000$|Reconfigure1000$|TopologyRandom20000$|TableRewire1000$|AnalyticArrival|DelayToFraction|VanillaScoring|SubsetScoring|EngineRound|DurationPercentile|WireFrame|WireRead)' \
+  -bench 'Micro(Broadcast1000$|Broadcast10000$|BroadcastStreaming10000$|Reconfigure1000$|TopologyRandom20000$|TableRewire1000$|AnalyticArrival|DelayToFraction|VanillaScoring|SubsetScoring|EngineRound|DurationPercentile|WireFrame|WireRead|StoreAdd)' \
   -benchmem -benchtime=100x . | tee "$OUT"
 go test -run '^$' -bench 'MicroBroadcast100000$' -benchmem -benchtime=3x . \
   | tee -a "$OUT"
@@ -74,6 +74,11 @@ gate MicroWireFrameInv 0
 gate MicroWireFrameBlock1K 0
 gate MicroWireReadInv 2
 gate MicroWireReadBlock1K 7
+# The live store: validating a four-transaction block allocates its three
+# Merkle levels. The header index keeps its entries inline in the map (a
+# value over 128 bytes would be boxed, one allocation per block) and the
+# body ring is allocated once, so a fourth allocation is a regression.
+gate MicroStoreAdd 3
 # Decision tracing is off in every Micro case; this ceiling pins the
 # untraced engine round so the tracing hooks stay branch-only on the hot
 # path (a per-decision or per-counterfactual allocation would add
