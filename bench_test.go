@@ -200,10 +200,13 @@ func BenchmarkMicroAnalyticArrival1000(b *testing.B) { bench.MicroAnalyticArriva
 func BenchmarkMicroDelayToFraction(b *testing.B) { bench.MicroDelayToFraction(b) }
 
 // BenchmarkMicroVanillaScoring measures independent percentile scoring of
-// one node's round (100 blocks, 8 neighbors).
+// one node's round (100 blocks, 8 neighbors), each op on the next of the
+// matrices bench.RoundObservations captured from an engine round.
 func BenchmarkMicroVanillaScoring(b *testing.B) { bench.MicroVanillaScoring(b) }
 
-// BenchmarkMicroSubsetScoring measures the greedy joint selection (§4.3).
+// BenchmarkMicroSubsetScoring measures the greedy joint selection (§4.3),
+// rotating over the same matrices: a loop over one matrix trains the branch
+// predictor and reads about a third of what a round pays per call.
 func BenchmarkMicroSubsetScoring(b *testing.B) { bench.MicroSubsetScoring(b) }
 
 // BenchmarkWorkloadHour measures one simulated hour of the continuous-time
@@ -290,6 +293,13 @@ func BenchmarkMicroDurationPercentileOfMin100(b *testing.B) {
 }
 func BenchmarkMicroDurationPercentileOfMin10(b *testing.B) {
 	bench.MicroDurationPercentileOfMin(10)(b)
+}
+
+// BenchmarkMicroDurationPercentileOfMinOrdered measures the ordered pass
+// that answers most of those calls from the head of a sorted limit list,
+// rotating over one round's matrices.
+func BenchmarkMicroDurationPercentileOfMinOrdered(b *testing.B) {
+	bench.MicroDurationPercentileOfMinOrdered(b)
 }
 
 // BenchmarkMicroWireFrame* measure what a live peer's write loop pays per

@@ -653,9 +653,12 @@ func harvestObservations(res netsim.Result, b int, obs []Observations, outs, slo
 		if tMin == stats.InfDuration {
 			continue // nothing heard; offsets stay censored
 		}
-		dst := obs[v].Offsets[b]
-		for i := range outs[v] {
-			if t := row[slot[v][i]]; t != stats.InfDuration {
+		// Block row b of the flat matrix, without loading its row header
+		// from Offsets: that is a cache miss per (node, block).
+		k := len(outs[v])
+		dst := obs[v].backing[b*k : (b+1)*k]
+		for i, s := range slot[v] {
+			if t := row[s]; t != stats.InfDuration {
 				dst[i] = t - tMin
 			}
 		}

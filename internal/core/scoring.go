@@ -2,6 +2,19 @@
 // observation sets, the three scoring methods (Vanilla §4.2.1, UCB §4.2.2,
 // Subset §4.3), and the engine that runs the protocol synchronously over a
 // simulated network.
+//
+// Subset scoring is the largest cost of a simulated round, and most of it
+// is work that cannot change the answer: a candidate's joint score is a high
+// percentile of min(its offsets, the chosen set's), which no block where the
+// chosen set is already fast can reach. SubsetSelect therefore scores
+// candidates over the blocks where the chosen set is still slow, slowest
+// first, through stats.DurationPercentileOfMinOrdered, which says when the
+// blocks it has read settle the percentile — then the score is the full
+// scan's to the bit — and otherwise leaves the candidate to the scan,
+// stats.DurationPercentileOfMin. Which blocks are listed is a guess that
+// only decides how often the scan runs; no choice depends on it. Quantiles
+// too deep for a short buffer of largest values (the median; 0.9 of a live
+// node's 4096-block window) are scanned throughout.
 package core
 
 import (
@@ -157,6 +170,7 @@ type subsetScratch struct {
 	best       []time.Duration
 	cols       []time.Duration // obs.Offsets transposed: one contiguous column per neighbor
 	used       []bool
+	order      []stats.OrderedLimit // one step's blocks with best above θ, largest first
 }
 
 var subsetPool = sync.Pool{New: func() any { return new(subsetScratch) }}
@@ -213,6 +227,21 @@ func RankByScore(obs Observations, scores []time.Duration) []int {
 // Ties therefore break toward the better individual (Vanilla) score —
 // a redundant-but-fast neighbor beats one that never delivers — and
 // finally toward the lower neighbor ID for determinism.
+//
+// A joint score is at most the percentile of best, the chosen set's
+// per-block minima, and only blocks where best is large can be among the few
+// largest minima the percentile reads. Each step after the first lists the
+// blocks with best above θ, largest first, and scores every candidate by
+// stats.DurationPercentileOfMinOrdered over that list: typically a dozen
+// entries read instead of the whole column. θ is half the previous step's
+// winning score — no step's winner scores above the one before, so this
+// step's scores mostly land between the two. It is a guess about where they
+// will fall, nothing more: a score the ordered pass cannot certify from the
+// list it was given (about one in twenty) is taken by the full scan,
+// stats.DurationPercentileOfMin, so the choices are those of scanning every
+// column at every step whatever θ is. When the percentile reads deeper than
+// the ordered pass serves (stats.TopSlotsServe), no list is built and every
+// score is a scan.
 func SubsetSelect(obs Observations, retain int, pct float64) []int {
 	k := len(obs.Neighbors)
 	if retain >= k {
@@ -247,7 +276,16 @@ func SubsetSelect(obs Observations, retain int, pct float64) []int {
 	}
 	chosen := make([]int, 0, retain)
 	used := growBool(&sc.used, k)
+	ordered := stats.TopSlotsServe(blocks, pct)
+	var prevScore time.Duration
 	for len(chosen) < retain {
+		// Without a list the ordered pass certifies nothing.
+		var order []stats.OrderedLimit
+		theta := prevScore / 2
+		if ordered && len(chosen) > 0 {
+			order = limitsAbove(sc.order[:0], best, theta)
+			sc.order = order
+		}
 		bestIdx := -1
 		bestScore := stats.InfDuration
 		for i := 0; i < k; i++ {
@@ -258,7 +296,11 @@ func SubsetSelect(obs Observations, retain int, pct float64) []int {
 			// individual one.
 			score := individual[i]
 			if len(chosen) > 0 {
-				score = stats.DurationPercentileOfMin(cols[i*blocks:(i+1)*blocks], best, pct)
+				col := cols[i*blocks : (i+1)*blocks]
+				var certified bool
+				if score, certified = stats.DurationPercentileOfMinOrdered(col, order, theta, pct); !certified {
+					score = stats.DurationPercentileOfMin(col, best, pct)
+				}
 			}
 			if bestIdx == -1 || score < bestScore || (score == bestScore && subsetTieBetter(obs, individual, i, bestIdx)) {
 				bestScore = score
@@ -270,14 +312,31 @@ func SubsetSelect(obs Observations, retain int, pct float64) []int {
 		}
 		used[bestIdx] = true
 		chosen = append(chosen, bestIdx)
+		prevScore = bestScore
 		for b, t := range cols[bestIdx*blocks : (bestIdx+1)*blocks] {
-			if t < best[b] {
-				best[b] = t
-			}
+			best[b] = min(best[b], t)
 		}
 	}
 	sort.Ints(chosen)
 	return chosen
+}
+
+// limitsAbove appends to dst the blocks whose best exceeds theta, largest
+// first. The list is a few dozen entries, so it is ordered by insertion as
+// it is collected.
+func limitsAbove(dst []stats.OrderedLimit, best []time.Duration, theta time.Duration) []stats.OrderedLimit {
+	for b, t := range best {
+		if t <= theta {
+			continue
+		}
+		dst = append(dst, stats.OrderedLimit{})
+		j := len(dst) - 1
+		for ; j > 0 && dst[j-1].Limit < t; j-- {
+			dst[j] = dst[j-1]
+		}
+		dst[j] = stats.OrderedLimit{Limit: t, Index: int32(b)}
+	}
+	return dst
 }
 
 // subsetTieBetter reports whether candidate i beats the incumbent on a

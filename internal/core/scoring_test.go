@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -382,4 +384,238 @@ func TestUCBEvictSilentNeighbor(t *testing.T) {
 	if got := UCBEvict(lcbs, ucbs); got != 1 {
 		t.Fatalf("evict = %d, want silent neighbor 1", got)
 	}
+}
+
+// scanSubsetSelect is SubsetSelect as it stood before the ordered pass:
+// every joint score a DurationPercentileOfMin scan of the candidate's whole
+// column. The ordered pass may only skip work, so SubsetSelect is held to
+// this slice for slice.
+func scanSubsetSelect(obs Observations, retain int, pct float64) []int {
+	k, blocks := len(obs.Neighbors), len(obs.Offsets)
+	if retain >= k {
+		all := make([]int, k)
+		for i := range all {
+			all[i] = i
+		}
+		return all
+	}
+	if retain <= 0 {
+		return nil
+	}
+	cols := make([]time.Duration, k*blocks)
+	for b, row := range obs.Offsets {
+		for i, t := range row[:k] {
+			cols[i*blocks+b] = t
+		}
+	}
+	individual := make([]time.Duration, k)
+	for i := range individual {
+		individual[i] = stats.DurationPercentile(cols[i*blocks:(i+1)*blocks], pct)
+	}
+	best := make([]time.Duration, blocks)
+	for b := range best {
+		best[b] = stats.InfDuration
+	}
+	chosen := make([]int, 0, retain)
+	used := make([]bool, k)
+	for len(chosen) < retain {
+		bestIdx := -1
+		bestScore := stats.InfDuration
+		for i := 0; i < k; i++ {
+			if used[i] {
+				continue
+			}
+			score := individual[i]
+			if len(chosen) > 0 {
+				score = stats.DurationPercentileOfMin(cols[i*blocks:(i+1)*blocks], best, pct)
+			}
+			if bestIdx == -1 || score < bestScore || (score == bestScore && subsetTieBetter(obs, individual, i, bestIdx)) {
+				bestScore = score
+				bestIdx = i
+			}
+		}
+		used[bestIdx] = true
+		chosen = append(chosen, bestIdx)
+		for b, t := range cols[bestIdx*blocks : (bestIdx+1)*blocks] {
+			if t < best[b] {
+				best[b] = t
+			}
+		}
+	}
+	slices.Sort(chosen)
+	return chosen
+}
+
+// differentialPercentiles are the quantiles the differential tests run: the
+// default, its neighbors, the median (m = 51 of 100 blocks: no ordered pass),
+// and the two that read the largest values.
+var differentialPercentiles = []float64{0.5, 0.85, 0.9, 0.95, 0.999, 1}
+
+// checkSubsetAgainstScan returns an error unless SubsetSelect and the
+// full-scan reference choose the same neighbors of obs.
+func checkSubsetAgainstScan(obs Observations, retain int, pct float64) error {
+	got, want := SubsetSelect(obs, retain, pct), scanSubsetSelect(obs, retain, pct)
+	if !slices.Equal(got, want) {
+		return fmt.Errorf("blocks=%d k=%d retain=%d p=%v: chose %v, full scan %v\noffsets %v",
+			len(obs.Offsets), len(obs.Neighbors), retain, pct, got, want, obs.Offsets)
+	}
+	return nil
+}
+
+// TestSubsetSelectMatchesScanOnEngineRounds runs the differential check on
+// what a simulation feeds the selection: every node's matrix in rounds 1, 20
+// and 60 of a 300-node Subset engine — a random topology, a half-converged
+// one and a converged one, where one neighbor is first on most blocks and
+// joint scores tie — at every quantile and several retain counts.
+func TestSubsetSelectMatchesScanOnEngineRounds(t *testing.T) {
+	tn := newTestNetwork(t, 300, 9)
+	params := DefaultParams(Subset)
+	subset, err := SelectorFromMethod(Subset, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := false
+	var checked atomic.Int64
+	cfg := tn.config(Subset, params)
+	cfg.Selector = SelectorFunc(func(view NeighborView) (Decision, error) {
+		if check {
+			for _, pct := range differentialPercentiles {
+				for _, retain := range []int{1, 3, 6, 7} {
+					if err := checkSubsetAgainstScan(view.Obs, retain, pct); err != nil {
+						return Decision{}, err
+					}
+				}
+			}
+			checked.Add(1)
+		}
+		return subset.SelectNeighbors(view)
+	})
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 1; round <= 60; round++ {
+		check = round == 1 || round == 20 || round == 60
+		if _, err := e.Step(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+	}
+	if got := checked.Load(); got != 3*300 {
+		t.Fatalf("checked %d matrices, want %d", got, 3*300)
+	}
+}
+
+// TestSubsetSelectMatchesScanOnHardMatrices runs the differential check on
+// matrices built to stress the ordered pass: few distinct values (ties on
+// every limit and every score), all-zero columns, runs of censored blocks
+// at least a tenth of the column long (θ is then half of InfDuration and the
+// list short), negative offsets (a tamper hook may write them), and a
+// neighbor that is first on every block, so that after it is chosen every
+// limit is zero. Block counts sit on both sides of the sizes where the
+// top-slots pass stops serving p = 0.9 (160/161) and p = 0 (16/17).
+func TestSubsetSelectMatchesScanOnHardMatrices(t *testing.T) {
+	r := rand.New(rand.NewSource(24))
+	for _, blocks := range []int{1, 2, 10, 16, 17, 100, 160, 161, 400} {
+		for trial := 0; trial < 40; trial++ {
+			k := 2 + r.Intn(11)
+			o := NewObservations(r.Perm(1000)[:k], blocks)
+			distinct := []int{2, 4, 60, 1 << 20}[trial%4]
+			for b := range o.Offsets {
+				for i := range o.Offsets[b] {
+					o.Offsets[b][i] = time.Duration(r.Intn(distinct)) * 211 * time.Microsecond
+				}
+			}
+			if trial%2 == 0 { // censored runs, each a tenth of the column or more
+				for i := 0; i < k; i += 1 + r.Intn(2) {
+					run := (blocks + 9) / 10 * (1 + r.Intn(4))
+					start := r.Intn(blocks)
+					for b := start; b < min(blocks, start+run); b++ {
+						o.Offsets[b][i] = stats.InfDuration
+					}
+				}
+			}
+			if trial%3 == 0 { // negative offsets
+				for b := range o.Offsets {
+					if i := r.Intn(k); o.Offsets[b][i] != stats.InfDuration {
+						o.Offsets[b][i] = -o.Offsets[b][i] - time.Duration(r.Intn(3))
+					}
+				}
+			}
+			if trial%5 == 1 { // an all-zero column
+				zero := r.Intn(k)
+				for b := range o.Offsets {
+					o.Offsets[b][zero] = 0
+				}
+			}
+			if trial%5 == 2 { // a neighbor first on every block
+				first := r.Intn(k)
+				for b := range o.Offsets {
+					o.Offsets[b][first] = slices.Min(o.Offsets[b]) - 1
+				}
+			}
+			for _, pct := range differentialPercentiles {
+				for retain := 1; retain < k; retain++ {
+					if err := checkSubsetAgainstScan(o, retain, pct); err != nil {
+						t.Fatalf("trial %d: %v", trial, err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// fuzzObservations decodes a fuzz input into an observation matrix, a retain
+// count and a quantile: three header bytes (neighbors 2–12, retain, quantile),
+// two for the block count (1–400), then one byte per offset, reused in a cycle
+// when the input is short. An offset byte is censored (255), negative
+// (240–254) or one of 60 values, so ties are the rule.
+func fuzzObservations(data []byte) (obs Observations, retain int, pct float64) {
+	header := make([]byte, 5)
+	copy(header, data)
+	k := 2 + int(header[0])%11
+	retain = 1 + int(header[1])%(k-1)
+	pct = differentialPercentiles[int(header[2])%len(differentialPercentiles)]
+	blocks := 1 + (int(header[3])<<8|int(header[4]))%400
+	cells := []byte{0}
+	if len(data) > len(header) {
+		cells = data[len(header):]
+	}
+	neighbors := make([]int, k)
+	for i := range neighbors {
+		neighbors[i] = (i*7 + int(header[0])) % 97 // distinct, not in index order
+	}
+	obs = NewObservations(neighbors, blocks)
+	for b := range obs.Offsets {
+		for i := range obs.Offsets[b] {
+			switch c := cells[(b*k+i)%len(cells)]; {
+			case c == 255:
+				obs.Offsets[b][i] = stats.InfDuration
+			case c >= 240:
+				obs.Offsets[b][i] = -time.Duration(c-239) * time.Millisecond
+			default:
+				obs.Offsets[b][i] = time.Duration(c/4) * 3 * time.Millisecond
+			}
+		}
+	}
+	return obs, retain, pct
+}
+
+// FuzzSubsetSelectMatchesReference lets the fuzzer shape the matrix; the
+// seeds here and under testdata/fuzz run in every go test.
+func FuzzSubsetSelectMatchesReference(f *testing.F) {
+	r := rand.New(rand.NewSource(3))
+	for _, blocks := range []int{1, 16, 17, 100, 161} {
+		data := make([]byte, 5+blocks*8)
+		r.Read(data)
+		data[0], data[1], data[2] = 6, 5, 2 // 8 neighbors, retain 6, p = 0.9
+		data[3], data[4] = byte((blocks-1)>>8), byte(blocks-1)
+		f.Add(data)
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		obs, retain, pct := fuzzObservations(data)
+		if err := checkSubsetAgainstScan(obs, retain, pct); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -95,7 +95,12 @@ func ValidateDecision(d Decision, neighbors int) error {
 	if d.Dial < 0 {
 		return fmt.Errorf("negative dial budget %d", d.Dial)
 	}
-	seen := make([]bool, neighbors)
+	// A node has a handful of neighbors: the marks stay on the stack.
+	var few [64]bool
+	seen := few[:]
+	if neighbors > len(few) {
+		seen = make([]bool, neighbors)
+	}
 	mark := func(list string, idx int) error {
 		if idx < 0 || idx >= neighbors {
 			return fmt.Errorf("%s index %d outside [0, %d)", list, idx, neighbors)
@@ -246,16 +251,17 @@ func (s *subsetSelector) SelectNeighbors(view NeighborView) (Decision, error) {
 	if k <= retain {
 		return keepAll(view), nil
 	}
+	// SubsetSelect returns keep ascending, so the drops are the gaps of one
+	// merged walk.
 	keep := SubsetSelect(view.Obs, retain, s.pct)
-	keepSet := make(map[int]bool, len(keep))
-	for _, i := range keep {
-		keepSet[i] = true
-	}
 	drop := make([]int, 0, k-len(keep))
+	next := 0
 	for i := 0; i < k; i++ {
-		if !keepSet[i] {
-			drop = append(drop, i)
+		if next < len(keep) && keep[next] == i {
+			next++
+			continue
 		}
+		drop = append(drop, i)
 	}
 	return Decision{Keep: keep, Drop: drop, Dial: dialBudget(view.OutDegree, k, len(drop))}, nil
 }

@@ -1,9 +1,11 @@
 package stats
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 	"time"
 )
@@ -192,4 +194,81 @@ func FuzzDurationPercentile(f *testing.F) {
 		}
 		checkAgainstSort(t, ds, limit, p)
 	})
+}
+
+// limitsByDescent lists every position of limit by descending limit; the
+// list DurationPercentileOfMinOrdered takes for a theta is its prefix of
+// limits above theta, which cutAbove returns.
+func limitsByDescent(limit []time.Duration) []OrderedLimit {
+	order := make([]OrderedLimit, len(limit))
+	for i, l := range limit {
+		order[i] = OrderedLimit{Limit: l, Index: int32(i)}
+	}
+	slices.SortStableFunc(order, func(x, y OrderedLimit) int { return cmp.Compare(y.Limit, x.Limit) })
+	return order
+}
+
+func cutAbove(order []OrderedLimit, theta time.Duration) []OrderedLimit {
+	return order[:sort.Search(len(order), func(i int) bool { return order[i].Limit <= theta })]
+}
+
+// TestOrderedPassCertifiesOnlyTheScan is the property the ordered pass is
+// trusted on: whatever theta cuts the list at — every value of the limit
+// column, one below its minimum (everything listed), the most negative
+// duration and the censoring sentinel (nothing listed) — a certified value
+// is DurationPercentileOfMin's to the bit, and nothing is certified for a
+// quantile the top-slots pass does not serve. Samples cover sizes on both
+// sides of that boundary, duplicates, censored runs in the column and in
+// the limit, and negative values. The counts at the end keep the property
+// from holding vacuously.
+func TestOrderedPassCertifiesOnlyTheScan(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	certifiedEarly, certifiedAtEnd, refused := 0, 0, 0
+	for _, n := range []int{1, 2, 3, 10, 16, 17, 40, 100, 160, 161, 257} {
+		for _, distinct := range []int{1, 3, 1 << 20} {
+			for _, inf := range []float64{0, 0.1, 0.5, 1} {
+				for trial := 0; trial < 6; trial++ {
+					ds := sampleDurations(r, n, distinct, []float64{0, 0.3, 1}[trial%3])
+					limit := sampleDurations(r, n, distinct, inf)
+					if trial >= 3 {
+						for i := range limit {
+							if i%4 == 0 && limit[i] != InfDuration {
+								limit[i], ds[i] = -limit[i], -ds[i]
+							}
+						}
+					}
+					thetas := append(slices.Clone(limit), slices.Min(limit)-1, math.MinInt64, InfDuration)
+					full := limitsByDescent(limit)
+					for _, p := range []float64{0, 0.5, 0.85, 0.9, 0.95, 0.999, 1} {
+						want := DurationPercentileOfMin(ds, limit, p)
+						for _, theta := range thetas {
+							got, certified := DurationPercentileOfMinOrdered(ds, cutAbove(full, theta), theta, p)
+							switch {
+							case !certified:
+								refused++
+								continue
+							case !TopSlotsServe(n, p):
+								t.Fatalf("n=%d p=%v: certified a quantile the top-slots pass does not serve", n, p)
+							case got != want:
+								t.Fatalf("n=%d p=%v theta=%v of min(%v, %v): certified %v, scan %v", n, p, theta, ds, limit, got, want)
+							}
+							if theta == math.MinInt64 {
+								certifiedAtEnd++
+							} else {
+								certifiedEarly++
+							}
+						}
+						// With everything listed and nothing to fall below
+						// theta, a served quantile is always certified.
+						if _, certified := DurationPercentileOfMinOrdered(ds, full, math.MinInt64, p); certified != TopSlotsServe(n, p) {
+							t.Fatalf("n=%d p=%v: full list certified=%v, served=%v", n, p, certified, TopSlotsServe(n, p))
+						}
+					}
+				}
+			}
+		}
+	}
+	if certifiedEarly == 0 || certifiedAtEnd == 0 || refused == 0 {
+		t.Fatalf("%d certified under a cut list, %d under the full list, %d refused; the property needs all three", certifiedEarly, certifiedAtEnd, refused)
+	}
 }

@@ -28,9 +28,7 @@ const InfDuration = time.Duration(math.MaxInt64)
 // and panics if p is outside [0, 1], which always indicates a programming
 // error at the call site.
 func Percentile(xs []float64, p float64) float64 {
-	if p < 0 || p > 1 {
-		panic(fmt.Sprintf("stats: percentile %v outside [0, 1]", p))
-	}
+	checkQuantile(p)
 	if len(xs) == 0 {
 		return math.NaN()
 	}
@@ -88,8 +86,46 @@ func DurationPercentile(ds []time.Duration, p float64) time.Duration {
 // has slots, by insertion; the second scans the rest, and a value pays one
 // comparison with the buffer's least unless it displaces it. The scan is
 // written out twice, with and without a limit column, so that neither form
-// tests for the other's case per element.
+// tests for the other's case per element. The same quantiles are the ones
+// DurationPercentileOfMinOrdered answers (TopSlotsServe tells a caller
+// which): it fills the same buffer by the same two loops, walking the limit
+// column from its largest entry down instead of by position, and stops where
+// the limits can no longer reach the buffer.
 const topSlots = 16
+
+// checkQuantile panics unless p is in [0, 1]; anything else is a
+// programming error at the call site.
+func checkQuantile(p float64) {
+	if p < 0 || p > 1 {
+		panic(fmt.Sprintf("stats: percentile %v outside [0, 1]", p))
+	}
+}
+
+// quantileRanks returns the fractional rank of the p-quantile of n ≥ 1
+// values and the two adjacent order statistics it reads.
+func quantileRanks(n int, p float64) (rank float64, lo, hi int) {
+	rank = p * float64(n-1)
+	return rank, int(math.Floor(rank)), int(math.Ceil(rank))
+}
+
+// interpolate is the quantile between a, the order statistic of rank lo,
+// and b, the one of rank hi: censored if b is.
+func interpolate(a, b time.Duration, rank float64, lo, hi int) time.Duration {
+	if lo != hi && b != InfDuration {
+		return a + time.Duration(float64(b-a)*(rank-float64(lo)))
+	}
+	return b
+}
+
+// insertAscending puts x in its place in the ascending top[:i], which grows
+// by one; a value no smaller than all of them costs one comparison.
+func insertAscending(top *[topSlots]time.Duration, i int, x time.Duration) {
+	j := i
+	for ; j > 0 && top[j-1] > x; j-- {
+		top[j] = top[j-1]
+	}
+	top[j] = x
+}
 
 // replaceLeast drops top[0], the least of the ascending top[:m], and puts x,
 // which is greater, in its place in the order.
@@ -107,9 +143,7 @@ func replaceLeast(top *[topSlots]time.Duration, m int, x time.Duration) {
 // limit means no clipping; otherwise limit must be as long as ds. Neither
 // input is modified; steady-state calls perform no heap allocations.
 func DurationPercentileOfMin(ds, limit []time.Duration, p float64) time.Duration {
-	if p < 0 || p > 1 {
-		panic(fmt.Sprintf("stats: percentile %v outside [0, 1]", p))
-	}
+	checkQuantile(p)
 	n := len(ds)
 	if n == 0 {
 		return InfDuration
@@ -117,10 +151,8 @@ func DurationPercentileOfMin(ds, limit []time.Duration, p float64) time.Duration
 	if limit != nil {
 		limit = limit[:n]
 	}
-	rank := p * float64(n-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
 	// The quantile reads the two adjacent order statistics lo and hi.
+	rank, lo, hi := quantileRanks(n, p)
 	var a, result time.Duration
 	if m := n - lo; m <= topSlots {
 		// top[:m] is ascending and holds the m largest values seen, so at
@@ -130,11 +162,7 @@ func DurationPercentileOfMin(ds, limit []time.Duration, p float64) time.Duration
 			if limit != nil {
 				x = min(x, limit[i])
 			}
-			j := i
-			for ; j > 0 && top[j-1] > x; j-- {
-				top[j] = top[j-1]
-			}
-			top[j] = x
+			insertAscending(&top, i, x)
 		}
 		if limit == nil {
 			for _, x := range ds[m:] {
@@ -169,10 +197,74 @@ func DurationPercentileOfMin(ds, limit []time.Duration, p float64) time.Duration
 		*bufp = buf[:0]
 		durationSelectPool.Put(bufp)
 	}
-	if lo != hi && result != InfDuration {
-		result = a + time.Duration(float64(result-a)*(rank-float64(lo)))
+	return interpolate(a, result, rank, lo, hi)
+}
+
+// OrderedLimit is one entry of the list DurationPercentileOfMinOrdered
+// walks: a limit and the position it clips.
+type OrderedLimit struct {
+	Limit time.Duration
+	Index int32
+}
+
+// TopSlotsServe reports whether the p-quantile of n values is one the
+// top-slots pass answers, which is when DurationPercentileOfMinOrdered can
+// certify anything; for a deeper quantile a caller need not build its list.
+func TopSlotsServe(n int, p float64) bool {
+	checkQuantile(p)
+	if n == 0 {
+		return false
 	}
-	return result
+	_, lo, _ := quantileRanks(n, p)
+	return n-lo <= topSlots
+}
+
+// DurationPercentileOfMinOrdered is DurationPercentileOfMin(ds, limit, p)
+// read from the part of the limit column that matters: order lists the
+// positions whose limit exceeds theta, each once, by descending limit. The
+// value is meaningful only when certified is true, and then it is the full
+// scan's to the bit.
+//
+// min(ds[i], limit[i]) never exceeds limit[i], so once the m-slot buffer's
+// least is no smaller than the next listed limit, nothing later in the list
+// and nothing off it can displace a slot: the buffer holds the m largest
+// minima, which are all the quantile reads. The walk stops there. If the
+// list ends first, what is off it is at most theta, and the buffer stands if
+// its least is at least theta. Otherwise — and when the list is shorter than
+// the buffer or the quantile too deep for the top-slots pass — the call
+// certifies nothing and the caller scans the column. theta only decides how
+// often that happens; no value of it can make a certified result wrong.
+func DurationPercentileOfMinOrdered(ds []time.Duration, order []OrderedLimit, theta time.Duration, p float64) (value time.Duration, certified bool) {
+	checkQuantile(p)
+	n := len(ds)
+	if n == 0 {
+		return 0, false
+	}
+	rank, lo, hi := quantileRanks(n, p)
+	m := n - lo
+	if m > topSlots || len(order) < m {
+		return 0, false
+	}
+	// The first m entries carry the largest limits; taken back to front
+	// their minima mostly ascend, so the fill appends.
+	var top [topSlots]time.Duration
+	for i := 0; i < m; i++ {
+		e := order[m-1-i]
+		insertAscending(&top, i, min(ds[e.Index], e.Limit))
+	}
+	for _, e := range order[m:] {
+		if e.Limit <= top[0] {
+			certified = true
+			break
+		}
+		if x := min(ds[e.Index], e.Limit); x > top[0] {
+			replaceLeast(&top, m, x)
+		}
+	}
+	if !certified && top[0] < theta {
+		return 0, false
+	}
+	return interpolate(top[0], top[hi-lo], rank, lo, hi), true
 }
 
 // selectKth partially orders a so that a[k] holds the value a full sort

@@ -63,6 +63,9 @@ gate MicroAnalyticArrival1000 0
 gate MicroDurationPercentile 0
 gate MicroDurationPercentileOfMin100 0
 gate MicroDurationPercentileOfMin10 0
+gate MicroDurationPercentileOfMinOrdered 0
+# Both scoring benchmarks rotate over the matrices of one engine round
+# (bench.RoundObservations); each allocates the slice it returns.
 gate MicroVanillaScoring 1
 gate MicroSubsetScoring 1
 gate WorkloadHour 50000
