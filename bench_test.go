@@ -215,6 +215,10 @@ func BenchmarkMicroSubsetScoring(b *testing.B) { bench.MicroSubsetScoring(b) }
 // allocs/op.
 func BenchmarkWorkloadHour(b *testing.B) { bench.WorkloadHour(b) }
 
+// BenchmarkMicroDeriveIndexed measures deriving one per-node RNG stream;
+// scripts/bench.sh holds it at 1 alloc/op.
+func BenchmarkMicroDeriveIndexed(b *testing.B) { bench.MicroDeriveIndexed(b) }
+
 // BenchmarkMicroEngineRound measures one full protocol round (broadcasts +
 // scoring + reconnection) on a 300-node network.
 func BenchmarkMicroEngineRound(b *testing.B) { bench.MicroEngineRound(b) }

@@ -334,6 +334,18 @@ func MicroEngineRound(b *testing.B) {
 	}
 }
 
+// MicroDeriveIndexed measures deriving one per-node stream, which the
+// engine does for every node every round: one allocation, the RNG holding
+// its generator by value.
+func MicroDeriveIndexed(b *testing.B) {
+	root := rng.New(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		root.DeriveIndexed("node", i)
+	}
+}
+
 // WorkloadHour measures one simulated hour of the continuous-time
 // blockchain workload on a 300-node network: ~1800 Poisson block arrivals
 // at the default 2s interval, each broadcast through netsim, tracked in

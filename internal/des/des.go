@@ -4,15 +4,17 @@
 // Two schedulers are provided. DeliveryQueue is the typed one: events are
 // plain {time, node, slot} records popped in a loop by the caller, so
 // scheduling an event costs one append into a flat heap instead of a
-// closure allocation plus container/heap interface boxing. It runs where
-// every delivery really is an event: under netsim.ShardedBroadcaster, whose
-// shards advance in lockstep windows, and in the workload engine's replay
-// of block deliveries into per-node chain views. The unsharded broadcast
-// does not use it — netsim.Broadcaster orders first arrivals only, in a
-// label-setting pass with a heap of its own. Scheduler is the general
-// closure-based engine; nothing outside tests calls it, and it is kept as
-// the reference implementation that pass is checked against, one event per
-// directed edge. Determinism is a hard requirement for reproducing the
+// closure allocation plus container/heap interface boxing. Its one
+// simulation user is netsim.ShardedBroadcaster, whose shards advance in
+// lockstep windows; the benchmark's des.queue_ns_per_op times it directly.
+// The unsharded broadcast does not use it — netsim.Broadcaster orders first
+// arrivals only, in a label-setting pass with a heap of its own — and
+// neither does the workload engine's replay of block deliveries, whose
+// state is per node and which keeps one short inbox per node instead of a
+// global order; its tests keep the heap replay as their reference.
+// Scheduler is the general closure-based engine; nothing outside tests
+// calls it, and it is kept as the reference implementation that pass is
+// checked against, one event per directed edge. Determinism is a hard requirement for reproducing the
 // paper's figures: in both schedulers, two events scheduled for the same
 // instant always fire in the order they were scheduled.
 package des

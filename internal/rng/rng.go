@@ -25,9 +25,16 @@ import (
 // RNG is a deterministic random stream. It embeds *rand.Rand, so all the
 // usual drawing methods (Float64, IntN, Perm, Shuffle, ExpFloat64, ...) are
 // available directly.
+//
+// A stream built by New or Derive holds its generator by value: Rand points
+// at the struct's own rand.Rand, which draws from its own PCG, so a stream
+// is one allocation (the engine derives one per node per round). An RNG
+// must therefore not be copied by value.
 type RNG struct {
 	*rand.Rand
 	seed [32]byte
+	gen  rand.Rand
+	pcg  rand.PCG
 }
 
 // New returns a stream rooted at the given integer seed.
@@ -39,12 +46,11 @@ func New(seed uint64) *RNG {
 }
 
 func fromDigest(digest [32]byte) *RNG {
-	hi := binary.LittleEndian.Uint64(digest[0:8])
-	lo := binary.LittleEndian.Uint64(digest[8:16])
-	return &RNG{
-		Rand: rand.New(rand.NewPCG(hi, lo)),
-		seed: digest,
-	}
+	r := &RNG{seed: digest}
+	r.pcg.Seed(binary.LittleEndian.Uint64(digest[0:8]), binary.LittleEndian.Uint64(digest[8:16]))
+	r.gen = *rand.New(&r.pcg)
+	r.Rand = &r.gen
+	return r
 }
 
 // Derive returns an independent stream identified by label. Derivation

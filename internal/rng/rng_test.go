@@ -237,3 +237,37 @@ func flipKey(r *RNG, b int, bit uint) *RNG {
 	c.seed[b] ^= 1 << bit
 	return c
 }
+
+// TestDeriveAllocatesOnce pins a derived stream at one allocation: the RNG
+// holds its rand.Rand and PCG by value, and the engine derives one stream
+// per node per round.
+func TestDeriveAllocatesOnce(t *testing.T) {
+	parent := New(1)
+	for name, derive := range map[string]func(){
+		"New":           func() { New(7) },
+		"Derive":        func() { parent.Derive("engine") },
+		"DeriveIndexed": func() { parent.DeriveIndexed("node", 42) },
+	} {
+		if got := testing.AllocsPerRun(100, derive); got != 1 {
+			t.Errorf("%s allocates %v times per stream, want 1", name, got)
+		}
+	}
+}
+
+// TestStreamsPinned pins the first draws of a root, a derived and an
+// indexed stream: holding the generator by value must not move a bit.
+func TestStreamsPinned(t *testing.T) {
+	root := New(1)
+	for _, tc := range []struct {
+		r    *RNG
+		want [2]uint64
+	}{
+		{root, [2]uint64{0xd724b410a47ce8c2, 0x40a324d415220eb0}},
+		{root.Derive("engine"), [2]uint64{0x5234c4a9ae400594, 0x1d6c67bb3e09cad7}},
+		{root.DeriveIndexed("node", 42), [2]uint64{0xe53a772d84ad0148, 0xbe35cb4fff89fd3f}},
+	} {
+		if got := [2]uint64{tc.r.Uint64(), tc.r.Uint64()}; got != tc.want {
+			t.Errorf("first draws %#x, want %#x", got, tc.want)
+		}
+	}
+}

@@ -7,7 +7,6 @@ import (
 
 	"github.com/perigee-net/perigee/internal/chain"
 	"github.com/perigee-net/perigee/internal/core"
-	"github.com/perigee-net/perigee/internal/des"
 	"github.com/perigee-net/perigee/internal/stats"
 )
 
@@ -61,19 +60,26 @@ func (cfg *Config) validate() error {
 // its interval and propagates them through netsim's broadcast fabric over
 // the round's topology — block contents never influence propagation, so
 // arrival times can be computed up front in parallel. Chain state then
-// replays sequentially in simulated-time order: before each mining event,
-// every strictly earlier delivery lands (stashing blocks that beat their
-// parents to a node, counting the reorgs tip switches cause), and the
-// miner extends whatever its own view holds as the tip at that instant —
-// two miners inside one another's propagation delay therefore extend the
-// same parent and fork the chain. A miner holds its own block immediately;
-// every other node receives it at mining time plus netsim's arrival delay.
-// Deliveries still in flight when a round ends simply land in later
-// rounds, and ties resolve deterministically (deliveries at exactly a
-// mining event's timestamp land after it; equal-time deliveries land in
-// mining order), so a run is a pure function of (engine config, trace,
-// duration, round interval) — bit-for-bit identical at any Workers or
-// Shards setting.
+// replays mining events in time order: before each one, every strictly
+// earlier delivery lands (stashing blocks that beat their parents to a
+// node, counting the reorgs tip switches cause), and the miner extends
+// whatever its own view holds as the tip at that instant — two miners
+// inside one another's propagation delay therefore extend the same parent
+// and fork the chain. A miner holds its own block immediately; every other
+// node receives it at mining time plus netsim's arrival delay, and nothing
+// lands at or after Duration.
+//
+// The replay keeps two orders and no other. Each node's deliveries land in
+// (arrival time, mining order) — equal-time deliveries in mining order —
+// and before node m mines at t, every delivery to m strictly before t has
+// landed and none at or after t has. Deliveries to different nodes are not
+// ordered against each other: every chain view is per node and the
+// cross-node telemetry is a sum and a max, so no global order can change
+// the result. Each node therefore keeps a short inbox (inbox.go) instead of
+// the run sharing one heap. Deliveries still in flight when a round ends
+// land in later rounds, so a run is a pure function of (engine config,
+// trace, duration, round interval) — bit-for-bit identical at any Workers
+// or Shards setting.
 //
 // The canonical chain is arbitrated by a single chain.Store fed every
 // block at its mining time: longest chain wins, height ties go to the
@@ -97,17 +103,7 @@ func Run(cfg Config) (*Report, error) {
 	ids := map[chain.Hash]int32{genesis.Header.Hash(): 0}
 	epoch := time.Unix(0, 0).UTC()
 
-	var queue des.DeliveryQueue
-	drainUntil := func(at time.Duration) {
-		for queue.Len() > 0 {
-			d := queue.PeekMin()
-			if d.At >= at {
-				return
-			}
-			queue.PopMin()
-			views.deliver(int(d.Node), d.Slot)
-		}
-	}
+	inbox := newInboxes(n)
 
 	// One-event lookahead over the trace: batch draining must see the
 	// first event beyond its boundary without losing it.
@@ -119,7 +115,7 @@ func Run(cfg Config) (*Report, error) {
 	var arrivals [][]time.Duration
 	rounds := 0
 
-	for start := time.Duration(0); start < cfg.Duration && (pendingOK || queue.Len() > 0); {
+	for start := time.Duration(0); start < cfg.Duration && (pendingOK || inbox.pending > 0); {
 		end := cfg.Duration
 		if cfg.RoundInterval > 0 && start+cfg.RoundInterval < end {
 			end = start + cfg.RoundInterval
@@ -144,7 +140,7 @@ func Run(cfg Config) (*Report, error) {
 		}
 
 		if len(batchAt) == 0 {
-			drainUntil(end)
+			inbox.drainUntil(end, views.deliver)
 			start = end
 			continue
 		}
@@ -165,7 +161,7 @@ func Run(cfg Config) (*Report, error) {
 		// Chain state second: replay deliveries and mining events in
 		// simulated-time order.
 		for k, at := range batchAt {
-			drainUntil(at)
+			inbox.drainUntil(at, views.deliver)
 			miner := sources[k]
 			parent := views.tip[miner]
 			id := views.addBlock(parent)
@@ -181,7 +177,7 @@ func Run(cfg Config) (*Report, error) {
 				if node == miner || d >= stats.InfDuration {
 					continue
 				}
-				queue.Push(des.Delivery{At: at + d, Node: int32(node), Slot: id})
+				inbox.push(node, at+d, id)
 			}
 		}
 
@@ -200,7 +196,7 @@ func Run(cfg Config) (*Report, error) {
 		}
 		start = end
 	}
-	drainUntil(cfg.Duration)
+	inbox.drainUntil(cfg.Duration, views.deliver)
 
 	return buildReport(cfg, n, e.Power(), store, views, minedBy, ids, rounds)
 }

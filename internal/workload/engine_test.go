@@ -2,6 +2,7 @@ package workload
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -9,10 +10,12 @@ import (
 
 	"github.com/perigee-net/perigee/internal/chain"
 	"github.com/perigee-net/perigee/internal/core"
+	"github.com/perigee-net/perigee/internal/des"
 	"github.com/perigee-net/perigee/internal/geo"
 	"github.com/perigee-net/perigee/internal/hashpower"
 	"github.com/perigee-net/perigee/internal/latency"
 	"github.com/perigee-net/perigee/internal/rng"
+	"github.com/perigee-net/perigee/internal/stats"
 	"github.com/perigee-net/perigee/internal/topology"
 )
 
@@ -349,4 +352,234 @@ func abs(x int) int {
 		return -x
 	}
 	return x
+}
+
+// heapRun is Run as it replayed deliveries before the per-node inboxes:
+// every delivery of the run in one des.DeliveryQueue, popped in global
+// (arrival time, push order). It is the reference TestRunMatchesHeapReplay
+// holds Run to.
+func heapRun(cfg Config) (*Report, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	e := cfg.Engine
+	n := e.N()
+
+	genesis := chain.NewGenesis("workload")
+	store, err := chain.NewStore(genesis)
+	if err != nil {
+		return nil, err
+	}
+	views := newViews(n)
+	blocks := []*chain.Block{genesis}
+	minedBy := []int32{-1}
+	ids := map[chain.Hash]int32{genesis.Header.Hash(): 0}
+	epoch := time.Unix(0, 0).UTC()
+
+	var queue des.DeliveryQueue
+	drainUntil := func(at time.Duration) {
+		for queue.Len() > 0 {
+			d := queue.PeekMin()
+			if d.At >= at {
+				return
+			}
+			queue.PopMin()
+			views.deliver(int(d.Node), d.Slot)
+		}
+	}
+
+	pending, pendingOK := cfg.Trace.Next()
+	lastAt := time.Duration(0)
+
+	var batchAt []time.Duration
+	var sources []int
+	var arrivals [][]time.Duration
+	rounds := 0
+
+	for start := time.Duration(0); start < cfg.Duration && (pendingOK || queue.Len() > 0); {
+		end := cfg.Duration
+		if cfg.RoundInterval > 0 && start+cfg.RoundInterval < end {
+			end = start + cfg.RoundInterval
+		}
+
+		batchAt, sources = batchAt[:0], sources[:0]
+		for pendingOK && pending.At < end {
+			if pending.At < lastAt {
+				return nil, fmt.Errorf("workload: trace time went backwards: %v after %v", pending.At, lastAt)
+			}
+			if pending.Miner < 0 || pending.Miner >= n {
+				return nil, fmt.Errorf("workload: trace miner %d outside [0, %d)", pending.Miner, n)
+			}
+			lastAt = pending.At
+			batchAt = append(batchAt, pending.At)
+			sources = append(sources, pending.Miner)
+			pending, pendingOK = cfg.Trace.Next()
+			if cfg.RoundInterval == 0 && len(batchAt) == staticBatch {
+				break
+			}
+		}
+
+		if len(batchAt) == 0 {
+			drainUntil(end)
+			start = end
+			continue
+		}
+
+		tr, err := core.BeginTimedRound(e, len(batchAt))
+		if err != nil {
+			return nil, err
+		}
+		for len(arrivals) < len(batchAt) {
+			arrivals = append(arrivals, nil)
+		}
+		if err := tr.BroadcastAll(sources, arrivals[:len(batchAt)]); err != nil {
+			return nil, err
+		}
+
+		for k, at := range batchAt {
+			drainUntil(at)
+			miner := sources[k]
+			parent := views.tip[miner]
+			id := views.addBlock(parent)
+			blk := chain.NewBlock(blocks[parent], nil, epoch.Add(at), uint64(id))
+			blocks = append(blocks, blk)
+			minedBy = append(minedBy, int32(miner))
+			ids[blk.Header.Hash()] = id
+			if _, err := store.AddAt(blk, at); err != nil {
+				return nil, fmt.Errorf("workload: canonical store rejected block %d: %w", id, err)
+			}
+			views.deliver(miner, id)
+			for node, d := range arrivals[k] {
+				if node == miner || d >= stats.InfDuration {
+					continue
+				}
+				queue.Push(des.Delivery{At: at + d, Node: int32(node), Slot: id})
+			}
+		}
+
+		if cfg.RoundInterval > 0 {
+			if _, err := tr.Finish(); err != nil {
+				return nil, err
+			}
+			rounds++
+		}
+		if cfg.RoundInterval == 0 && pendingOK && pending.At < end {
+			continue
+		}
+		start = end
+	}
+	drainUntil(cfg.Duration)
+
+	return buildReport(cfg, n, e.Power(), store, views, minedBy, ids, rounds)
+}
+
+// TestRunMatchesHeapReplay holds the per-node inboxes to the global heap
+// replay they replaced: the same JSON report on every configuration of a
+// grid over network size, block interval (20 ms is fork-heavy, 2 s is
+// quiet) and round interval (0 is static and crosses staticBatch at the
+// short intervals). Each cell runs six seeds: Workers 0, 1 and 2 twice
+// over, the last at Shards 4. -short keeps one seed of the smallest
+// network.
+func TestRunMatchesHeapReplay(t *testing.T) {
+	intervals := []struct {
+		mean, duration time.Duration
+	}{
+		{20 * time.Millisecond, 6 * time.Second},
+		{100 * time.Millisecond, 30 * time.Second},
+		{500 * time.Millisecond, time.Minute},
+		{2 * time.Second, 2 * time.Minute},
+	}
+	var blocks, stale int
+	for _, n := range []int{40, 120, 200} {
+		for _, iv := range intervals {
+			for _, round := range []time.Duration{0, 10 * time.Second, 30 * time.Second} {
+				for s := 0; s < 6; s++ {
+					if testing.Short() && (n != 40 || s != 0) {
+						continue
+					}
+					seed := uint64(1000*n + 10*s + 1)
+					workers, shards := s%3, 0
+					if s == 5 {
+						shards = 4 // sharded floods run blocks one by one, whatever Workers says
+					}
+					run := func(replay func(Config) (*Report, error)) ([]byte, *Report) {
+						eng, power := newTestEngine(t, n, seed, workers, shards)
+						trace, err := NewPoisson(rng.New(seed).Derive("trace"), power, iv.mean)
+						if err != nil {
+							t.Fatal(err)
+						}
+						rep, err := replay(Config{Engine: eng, Trace: trace, Duration: iv.duration, RoundInterval: round})
+						if err != nil {
+							t.Fatal(err)
+						}
+						data, err := json.Marshal(rep)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return data, rep
+					}
+					got, rep := run(Run)
+					want, _ := run(heapRun)
+					if string(got) != string(want) {
+						t.Fatalf("n=%d interval=%v round=%v seed=%d workers=%d shards=%d: inbox replay diverged from the heap:\n%s\nvs\n%s",
+							n, iv.mean, round, seed, workers, shards, got, want)
+					}
+					blocks += rep.BlocksMined
+					stale += rep.StaleBlocks
+				}
+			}
+		}
+	}
+	t.Logf("%d blocks, %d stale, identical to the heap replay", blocks, stale)
+	if stale == 0 {
+		t.Fatal("the grid produced no stale block: it never tested a fork")
+	}
+}
+
+// A delivery exactly at a mining event's timestamp lands after it: the
+// miner extends its old tip and forks the chain. One nanosecond later the
+// delivery has landed and the miner extends it.
+func TestRunDeliveryAtMiningEventLandsAfter(t *testing.T) {
+	const n, seed, miner = 40, 7, 0
+	probe, _ := newTestEngine(t, n, seed, 0, 0)
+	tr, err := core.BeginTimedRound(probe, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arrivals := make([][]time.Duration, 1)
+	if err := tr.BroadcastAll([]int{miner}, arrivals); err != nil {
+		t.Fatal(err)
+	}
+	other, d := -1, time.Duration(0)
+	for v, at := range arrivals[0] {
+		if v != miner && at > 0 && at < stats.InfDuration {
+			other, d = v, at
+			break
+		}
+	}
+	if other < 0 {
+		t.Fatal("the block reached nobody")
+	}
+	const start = time.Second
+	for _, tc := range []struct {
+		at    time.Duration
+		forks int
+	}{
+		{start + d, 1},
+		{start + d + 1, 0},
+	} {
+		eng, _ := newTestEngine(t, n, seed, 0, 0)
+		tf := &TraceFile{Version: TraceVersion, Nodes: n, Arrivals: []TraceArrival{
+			{AtNS: int64(start), Miner: miner},
+			{AtNS: int64(tc.at), Miner: other},
+		}}
+		rep, err := Run(Config{Engine: eng, Trace: tf.Trace(), Duration: time.Minute})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.ForkEvents != tc.forks || rep.StaleBlocks != tc.forks {
+			t.Fatalf("node %d mining at %v (block lands at %v): %d forks, %d stale, want %d",
+				other, tc.at, start+d, rep.ForkEvents, rep.StaleBlocks, tc.forks)
+		}
+	}
 }

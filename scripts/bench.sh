@@ -37,15 +37,15 @@ gate_bytes() { gate_unit "$1" "$2" B/op; }
 # iterations because a single op is a full 100k-node flood (and its set-up
 # hashes 1.6M edge delays).
 go test -run '^$' \
-  -bench 'Micro(Broadcast1000$|Broadcast10000$|BroadcastStreaming10000$|Reconfigure1000$|TopologyRandom20000$|TableRewire1000$|AnalyticArrival|DelayToFraction|VanillaScoring|SubsetScoring|EngineRound|DurationPercentile|WireFrame|WireRead|StoreAdd)' \
+  -bench 'Micro(Broadcast1000$|Broadcast10000$|BroadcastStreaming10000$|Reconfigure1000$|TopologyRandom20000$|TableRewire1000$|AnalyticArrival|DelayToFraction|VanillaScoring|SubsetScoring|EngineRound|DeriveIndexed|DurationPercentile|WireFrame|WireRead|StoreAdd)' \
   -benchmem -benchtime=100x . | tee "$OUT"
 go test -run '^$' -bench 'MicroBroadcast100000$' -benchmem -benchtime=3x . \
   | tee -a "$OUT"
 # One op is a full simulated hour (~1800 blocks through netsim plus the
 # chain-view bookkeeping), so it runs at 3 iterations like the 100k
-# broadcast. Its allocations are deterministic (47203 at the time the
-# gate was set); the ceiling catches structural regressions — a
-# per-block or per-delivery allocation would add thousands.
+# broadcast. Its allocations are deterministic up to a few sync.Pool
+# refills; the ceiling catches structural regressions — a per-block or
+# per-delivery allocation would add thousands.
 go test -run '^$' -bench 'WorkloadHour$' -benchmem -benchtime=3x . \
   | tee -a "$OUT"
 gate MicroBroadcast1000 0
@@ -68,7 +68,9 @@ gate MicroDurationPercentileOfMinOrdered 0
 # (bench.RoundObservations); each allocates the slice it returns.
 gate MicroVanillaScoring 1
 gate MicroSubsetScoring 1
-gate WorkloadHour 50000
+# About 28,470 allocs since each RNG stream became one allocation and the
+# replay moved to per-node inboxes carved from one slab (39,330 before).
+gate WorkloadHour 31000
 # The live wire: a frame is appended to the write loop's reused buffer in
 # place, and the buffered reader owns its header and payload scratch, so a
 # read allocates only the message it returns (an Inv and its hash slice; a
@@ -85,6 +87,9 @@ gate MicroStoreAdd 3
 # Decision tracing is off in every Micro case; this ceiling pins the
 # untraced engine round so the tracing hooks stay branch-only on the hot
 # path (a per-decision or per-counterfactual allocation would add
-# thousands per round).
-gate MicroEngineRound 2000
+# thousands per round). It measures 1028: the per-node streams the round
+# derives are one allocation each (1630 at three).
+gate MicroEngineRound 1100
+# A derived stream is its RNG alone: the rand.Rand and PCG live inside it.
+gate MicroDeriveIndexed 1
 echo "bench.sh: all allocation gates hold"
