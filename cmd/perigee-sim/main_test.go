@@ -11,10 +11,10 @@ import (
 func TestFlagNamesGolden(t *testing.T) {
 	want := []string{
 		"adversary", "adversary-frac", "all", "block-interval",
-		"counterfactual-k", "cpuprofile", "json", "lambda-sources",
-		"latency-mode", "list", "memprofile", "nodes", "obs-window", "out",
-		"quick", "record-trace", "rounds", "scenario", "seed", "shards",
-		"trace-file", "trace-level", "trials", "workers",
+		"counterfactual-k", "cpuprofile", "json", "lambda-sources", "list",
+		"memprofile", "nodes", "obs-window", "out", "quick", "record-trace",
+		"rounds", "scenario", "seed", "trace-file", "trace-level", "trials",
+		"workers",
 	}
 	fs := flag.NewFlagSet("perigee-sim", flag.ContinueOnError)
 	bind(fs)

@@ -160,12 +160,6 @@ type Config struct {
 	// every block, keeping the engine RNG stream (and thus exploration)
 	// identical at any window. Zero means no window (dense observations).
 	ObservationWindow int
-	// Shards, when ≥ 2, partitions the nodes into that many contiguous
-	// shards and runs each block's broadcast as a conservative windowed
-	// parallel simulation across them (see netsim.ShardedBroadcaster),
-	// fanned over the engine worker pool. Results stay bit-for-bit
-	// identical at any shard count. Zero or 1 means the unsharded path.
-	Shards int
 	// Trace enables decision tracing and counterfactual evaluation (see
 	// TraceConfig). The zero value disables both; with tracing off the
 	// round loop carries only dead branches and allocates nothing for it.
@@ -197,7 +191,6 @@ type Engine struct {
 	workers   int
 	latMode   latency.Mode
 	obsWindow int
-	shards    int
 	observer  Observer
 	dynamics  Dynamics
 	trace     TraceConfig
@@ -221,7 +214,6 @@ type roundScratch struct {
 	simDirty   bool
 	adj        [][]int
 	bcs        []*netsim.Broadcaster
-	shb        *netsim.ShardedBroadcaster
 	outs       [][]int
 	slot       [][]int
 	obs        []Observations
@@ -352,9 +344,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.ObservationWindow < 0 {
 		return nil, fmt.Errorf("core: observation window %d must be non-negative", cfg.ObservationWindow)
 	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("core: shard count %d must be non-negative", cfg.Shards)
-	}
 	if err := cfg.Trace.validate(); err != nil {
 		return nil, err
 	}
@@ -388,7 +377,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		workers:      cfg.Workers,
 		latMode:      cfg.LatencyMode,
 		obsWindow:    cfg.ObservationWindow,
-		shards:       cfg.Shards,
 		observer:     cfg.Observer,
 		dynamics:     cfg.Dynamics,
 		trace:        cfg.Trace,
@@ -498,21 +486,6 @@ func (e *Engine) broadcasters(sim *netsim.Simulator, workers int) []*netsim.Broa
 	return rs.bcs[:workers]
 }
 
-// shardedBroadcaster returns the engine's cached sharded broadcast context
-// over the cached simulator, created on first use; it resynchronizes its
-// shard partition and scratch on topology changes by itself.
-func (e *Engine) shardedBroadcaster(sim *netsim.Simulator) (*netsim.ShardedBroadcaster, error) {
-	rs := &e.scratch
-	if rs.shb == nil {
-		shb, err := sim.NewShardedBroadcaster(e.shards, e.workers)
-		if err != nil {
-			return nil, err
-		}
-		rs.shb = shb
-	}
-	return rs.shb, nil
-}
-
 // arrivalBuffers returns `workers` reusable arrival vectors, one per
 // worker, for the λ and receive-delay evaluations.
 func (e *Engine) arrivalBuffers(workers int) [][]time.Duration {
@@ -528,8 +501,8 @@ func (e *Engine) arrivalBuffers(workers int) [][]time.Duration {
 // node's outgoing connections. It is a timed round whose schedule the
 // engine draws itself: every block's source is sampled up front on the
 // single engine stream, in block order — even the blocks an observation
-// window leaves unbroadcast — so the stream is independent of the window,
-// the worker count and the shard count.
+// window leaves unbroadcast — so the stream is independent of the window
+// and the worker count.
 func (e *Engine) Step() (RoundReport, error) {
 	t, err := BeginTimedRound(e, e.params.RoundBlocks)
 	if err != nil {

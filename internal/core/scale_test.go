@@ -3,11 +3,13 @@ package core
 import (
 	"reflect"
 	"testing"
+
+	"github.com/perigee-net/perigee/internal/latency"
 )
 
 // scaleEngine builds an engine over a fresh but identically-seeded network
-// with the given observation window, shard count, and worker count.
-func scaleEngine(t *testing.T, m Method, window, shards, workers int) *Engine {
+// with the given observation window, latency mode, and worker count.
+func scaleEngine(t *testing.T, m Method, window int, mode latency.Mode, workers int) *Engine {
 	t.Helper()
 	tn := newTestNetwork(t, 120, 31)
 	cfg := tn.config(m, Params{})
@@ -17,7 +19,7 @@ func scaleEngine(t *testing.T, m Method, window, shards, workers int) *Engine {
 	}
 	cfg.Params = params
 	cfg.ObservationWindow = window
-	cfg.Shards = shards
+	cfg.LatencyMode = mode
 	cfg.Workers = workers
 	engine, err := NewEngine(cfg)
 	if err != nil {
@@ -67,13 +69,13 @@ func sameRun(t *testing.T, want, got *Engine, rounds int) {
 func TestObservationWindowFullWidthMatchesDense(t *testing.T) {
 	for _, m := range []Method{Vanilla, Subset} {
 		t.Run(m.String(), func(t *testing.T) {
-			dense := scaleEngine(t, m, 0, 0, 1)
-			windowed := scaleEngine(t, m, 40, 0, 1) // == RoundBlocks
-			wide := scaleEngine(t, m, 500, 0, 1)    // > RoundBlocks, clamped
+			dense := scaleEngine(t, m, 0, latency.Auto, 1)
+			windowed := scaleEngine(t, m, 40, latency.Auto, 1) // == RoundBlocks
+			wide := scaleEngine(t, m, 500, latency.Auto, 1)    // > RoundBlocks, clamped
 			sameRun(t, dense, windowed, 4)
 			// wide saw the same four rounds only if it evolved identically;
 			// replay it against a fresh dense engine.
-			sameRun(t, scaleEngine(t, m, 0, 0, 1), wide, 4)
+			sameRun(t, scaleEngine(t, m, 0, latency.Auto, 1), wide, 4)
 		})
 	}
 }
@@ -83,30 +85,31 @@ func TestObservationWindowFullWidthMatchesDense(t *testing.T) {
 // deterministic across worker counts — the window never reintroduces a
 // schedule dependence.
 func TestWindowedEngineDeterministicAcrossWorkers(t *testing.T) {
-	seq := scaleEngine(t, Subset, 10, 0, 1)
-	par := scaleEngine(t, Subset, 10, 0, 8)
+	seq := scaleEngine(t, Subset, 10, latency.Auto, 1)
+	par := scaleEngine(t, Subset, 10, latency.Auto, 8)
 	sameRun(t, seq, par, 4)
 }
 
-// TestShardedEngineMatchesSingleQueue is the engine-level shard acceptance
-// check: a sharded engine produces bit-for-bit the unsharded engine's
-// rounds at any shard and worker count, including combined with a narrow
+// TestStreamingEngineMatchesPrecomputed is the engine-level streaming
+// check: an engine that evaluates every edge delay from the latency model at
+// each delivery produces bit-for-bit the rounds of one that keeps them in a
+// per-edge array, at any worker count and combined with a narrow
 // observation window.
-func TestShardedEngineMatchesSingleQueue(t *testing.T) {
-	t.Run("shards-4", func(t *testing.T) {
-		single := scaleEngine(t, Subset, 0, 0, 1)
-		sharded := scaleEngine(t, Subset, 0, 4, 1)
-		sameRun(t, single, sharded, 4)
+func TestStreamingEngineMatchesPrecomputed(t *testing.T) {
+	t.Run("streaming", func(t *testing.T) {
+		precomputed := scaleEngine(t, Subset, 0, latency.Precomputed, 1)
+		streaming := scaleEngine(t, Subset, 0, latency.Streaming, 1)
+		sameRun(t, precomputed, streaming, 4)
 	})
-	t.Run("shards-4-workers-8", func(t *testing.T) {
-		single := scaleEngine(t, Subset, 0, 0, 1)
-		sharded := scaleEngine(t, Subset, 0, 4, 8)
-		sameRun(t, single, sharded, 4)
+	t.Run("streaming-workers-8", func(t *testing.T) {
+		precomputed := scaleEngine(t, Subset, 0, latency.Precomputed, 1)
+		streaming := scaleEngine(t, Subset, 0, latency.Streaming, 8)
+		sameRun(t, precomputed, streaming, 4)
 	})
-	t.Run("windowed-sharded", func(t *testing.T) {
-		single := scaleEngine(t, Subset, 10, 0, 1)
-		sharded := scaleEngine(t, Subset, 10, 4, 8)
-		sameRun(t, single, sharded, 4)
+	t.Run("windowed-streaming", func(t *testing.T) {
+		precomputed := scaleEngine(t, Subset, 10, latency.Precomputed, 1)
+		streaming := scaleEngine(t, Subset, 10, latency.Streaming, 8)
+		sameRun(t, precomputed, streaming, 4)
 	})
 }
 
@@ -118,11 +121,6 @@ func TestScaleConfigValidation(t *testing.T) {
 	bad.ObservationWindow = -1
 	if _, err := NewEngine(bad); err == nil {
 		t.Fatal("NewEngine accepted a negative observation window")
-	}
-	bad = base
-	bad.Shards = -2
-	if _, err := NewEngine(bad); err == nil {
-		t.Fatal("NewEngine accepted a negative shard count")
 	}
 	bad = base
 	bad.LatencyMode = 99

@@ -65,9 +65,8 @@ func (t *TimedRound) Blocks() int { return t.blocks }
 //
 // The blocks fan out over the engine's worker pool, each worker owning a
 // private netsim.Broadcaster over the shared simulator and block b's
-// observations landing in the per-block rows obs[v].Offsets[b]; with
-// Shards > 1 each broadcast is itself sharded and blocks run sequentially.
-// Either way the result is bit-for-bit independent of Workers and Shards.
+// observations landing in the per-block rows obs[v].Offsets[b], so the
+// result is bit-for-bit independent of Workers.
 func (t *TimedRound) BroadcastAll(sources []int, arrivals [][]time.Duration) error {
 	if t.done {
 		return fmt.Errorf("core: timed round already finished")
@@ -98,8 +97,13 @@ func (t *TimedRound) BroadcastAll(sources []int, arrivals [][]time.Duration) err
 	}
 	run := sources[first:]
 
-	// harvest folds the result of run[i], the round's block first+i.
-	harvest := func(res netsim.Result, i int) {
+	workers := e.workerCount(len(run))
+	bcs := e.broadcasters(t.sim, workers)
+	return parallel.ForEachIndexed(len(run), workers, func(worker, i int) error {
+		res, err := bcs[worker].Broadcast(run[i])
+		if err != nil {
+			return err
+		}
 		b := first + i
 		if arrivals != nil {
 			if cap(arrivals[b]) < n {
@@ -114,30 +118,6 @@ func (t *TimedRound) BroadcastAll(sources []int, arrivals [][]time.Duration) err
 				e.harvestCounterfactuals(res, row)
 			}
 		}
-	}
-
-	if e.shards > 1 {
-		shb, err := e.shardedBroadcaster(t.sim)
-		if err != nil {
-			return err
-		}
-		for i, src := range run {
-			res, err := shb.Broadcast(src)
-			if err != nil {
-				return err
-			}
-			harvest(res, i)
-		}
-		return nil
-	}
-	workers := e.workerCount(len(run))
-	bcs := e.broadcasters(t.sim, workers)
-	return parallel.ForEachIndexed(len(run), workers, func(worker, i int) error {
-		res, err := bcs[worker].Broadcast(run[i])
-		if err != nil {
-			return err
-		}
-		harvest(res, i)
 		return nil
 	})
 }

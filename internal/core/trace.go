@@ -116,8 +116,8 @@ type CounterfactualTrace struct {
 
 // TraceSink receives the engine's trace records. The engine calls it
 // sequentially, in ascending node order within a round (counterfactuals of
-// round R before decisions of round R+1), at any Workers/Shards count — so
-// a sink needs no locking and sees a deterministic stream.
+// round R before decisions of round R+1), at any Workers count — so a sink
+// needs no locking and sees a deterministic stream.
 type TraceSink interface {
 	// TraceDecision receives one node's decision record. Slices alias
 	// engine scratch; copy to retain.
@@ -193,7 +193,7 @@ func (e *Engine) prepareCounterfactuals(window int) {
 // the node's actual earliest announcement and the hypothetical delivery
 // itself. Each (query, block) cell is written by exactly one call, so
 // concurrent calls for distinct b never race — the rows are deterministic
-// at any Workers/Shards count.
+// at any Workers count.
 func (e *Engine) harvestCounterfactuals(res netsim.Result, b int) {
 	rs := &e.scratch
 	for q := range rs.cfPending {

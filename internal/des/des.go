@@ -4,19 +4,18 @@
 // Two schedulers are provided. DeliveryQueue is the typed one: events are
 // plain {time, node, slot} records popped in a loop by the caller, so
 // scheduling an event costs one append into a flat heap instead of a
-// closure allocation plus container/heap interface boxing. Its one
-// simulation user is netsim.ShardedBroadcaster, whose shards advance in
-// lockstep windows; the benchmark's des.queue_ns_per_op times it directly.
-// The unsharded broadcast does not use it — netsim.Broadcaster orders first
-// arrivals only, in a label-setting pass with a heap of its own — and
-// neither does the workload engine's replay of block deliveries, whose
-// state is per node and which keeps one short inbox per node instead of a
-// global order; its tests keep the heap replay as their reference.
+// closure allocation plus container/heap interface boxing. No simulation
+// uses it: its one non-test user is the benchmark's des.queue_ns_per_op,
+// which times it directly, and the workload engine's tests keep a global
+// DeliveryQueue replay of block deliveries as the reference its per-node
+// inboxes are checked against. netsim.Broadcaster orders first arrivals
+// only, in a label-setting pass over arrival-time buckets of its own.
 // Scheduler is the general closure-based engine; nothing outside tests
 // calls it, and it is kept as the reference implementation that pass is
-// checked against, one event per directed edge. Determinism is a hard requirement for reproducing the
-// paper's figures: in both schedulers, two events scheduled for the same
-// instant always fire in the order they were scheduled.
+// checked against, one event per directed edge. Determinism is a hard
+// requirement for reproducing the paper's figures: in both schedulers, two
+// events scheduled for the same instant always fire in the order they were
+// scheduled.
 package des
 
 import (
@@ -184,8 +183,7 @@ func (q *DeliveryQueue) Push(d Delivery) {
 }
 
 // PeekMin returns the earliest pending delivery without removing it. It
-// must not be called on an empty queue. The conservative windowed
-// (sharded) simulation uses it to find the next global window bound.
+// must not be called on an empty queue.
 func (q *DeliveryQueue) PeekMin() Delivery {
 	top := q.items[0]
 	return Delivery{At: top.at, Node: top.node, Slot: top.slot}

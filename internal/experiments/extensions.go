@@ -173,9 +173,7 @@ func newExtensionEngine(e *env, method core.Method, tbl *topology.Table, silent 
 		Rand:         e.root.Derive("extension-engine-" + method.String()),
 		Workers:      e.opt.Workers,
 
-		LatencyMode:       e.opt.LatencyMode,
 		ObservationWindow: e.opt.ObservationWindow,
-		Shards:            e.opt.Shards,
 	})
 }
 

@@ -74,10 +74,6 @@ var fields = []field{
 		flag: "lambda-sources", help: "evaluate λ from this many landmark sources instead of all nodes (0 = all; the scale scenario defaults to 64)"},
 	{name: "ObservationWindow", hash: "observationwindow", json: "observation_window", rng: "[0,inf)",
 		flag: "obs-window", help: "bound per-node observation memory to the last N blocks of each round (0 = dense)"},
-	{name: "Shards", hash: "shards", json: "shards", rng: "[0,inf)",
-		flag: "shards", help: "run each broadcast as a conservative parallel simulation over N node shards (0/1 = unsharded; results are identical for any value)"},
-	{name: "LatencyMode", hash: "latencymode", json: "latency_mode", enum: []string{"auto", "precomputed", "streaming"},
-		flag: "latency-mode", help: "edge-delay evaluation: auto, precomputed, or streaming (auto keeps a per-edge delay array below 1M nodes)"},
 	{name: "BlockInterval", hash: "blockinterval", json: "block_interval_ms", unit: time.Millisecond, rng: "[0,inf)",
 		flag: "block-interval", help: "mean block inter-arrival time for the forks workload scenario (0 = default 2s)"},
 	{name: "TraceFile", hash: "tracefile",
@@ -157,7 +153,7 @@ func parseInterval(s string) (lo, hi float64, err error) {
 // descriptor has no hash key, and the runtime hooks.
 func (o Options) Hash() string {
 	h := sha256.New()
-	fmt.Fprint(h, "perigee-options-v2")
+	fmt.Fprint(h, "perigee-options-v3")
 	for _, f := range fields {
 		if f.hash == "" {
 			continue

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"github.com/perigee-net/perigee/internal/core"
-	"github.com/perigee-net/perigee/internal/latency"
 	"github.com/perigee-net/perigee/internal/trace"
 )
 
@@ -101,8 +100,8 @@ func TestJSONKeysGolden(t *testing.T) {
 		"nodes", "trials", "rounds", "round_blocks", "fraction", "seed",
 		"mean_validation_ms", "validation", "adversary_fraction",
 		"capture_threshold", "workers", "lambda_sources",
-		"observation_window", "shards", "latency_mode", "block_interval_ms",
-		"trace_level", "counterfactual_k",
+		"observation_window", "block_interval_ms", "trace_level",
+		"counterfactual_k",
 	}
 	var got []string
 	for _, f := range fields {
@@ -125,8 +124,8 @@ func TestHashPinned(t *testing.T) {
 	every.Fraction, every.Seed = 0.75, 99
 	every.MeanValidation, every.Validation = 37*time.Millisecond, ValidationExponential
 	every.AdversaryFraction, every.CaptureThreshold = 0.2, 0.5
-	every.Workers, every.LambdaSources, every.ObservationWindow, every.Shards = 5, 64, 10, 4
-	every.LatencyMode, every.BlockInterval = latency.Streaming, 1500*time.Millisecond
+	every.Workers, every.LambdaSources, every.ObservationWindow = 5, 64, 10
+	every.BlockInterval = 1500 * time.Millisecond
 	every.TraceFile, every.RecordTrace = `in "q".json`, "out.json"
 	every.TraceLevel, every.CounterfactualK = 2, 3
 	for _, tc := range []struct {
@@ -134,9 +133,9 @@ func TestHashPinned(t *testing.T) {
 		opt  Options
 		want string
 	}{
-		{"default", DefaultOptions(), "1802c2d64cb5040a25077be35c9eb4e4d007ed9b58beb4940d7888040530d02a"},
-		{"short", ShortOptions(), "d7dc108f3600c3b7622cc28b7eda495254b3ae8f4d21fb7d8f1e9b5a1b5cd782"},
-		{"every field set", every, "be85921d23f3e21a35fe31f38d7e641567da2cbf13be0260ae1f4f10b7f80db7"},
+		{"default", DefaultOptions(), "90bbd661c80777693e31ce743fb9211a22464cac35d58d97626e0b115d4b827a"},
+		{"short", ShortOptions(), "104519e7232fac77cfb7848dee1605e7723fba390e6d50b2e35870e4a5372bc1"},
+		{"every field set", every, "b9b4a65f4990df2009b2bdd58e63d56a788c84fb25d87fd4429449a457da8266"},
 	} {
 		if got := tc.opt.Hash(); got != tc.want {
 			t.Errorf("%s options hash %s, want %s", tc.name, got, tc.want)
@@ -202,8 +201,6 @@ func TestValidateRanges(t *testing.T) {
 		{"negative workers", func(o *Options) { o.Workers = -3 }, true},
 		{"negative lambda sources", func(o *Options) { o.LambdaSources = -1 }, false},
 		{"negative observation window", func(o *Options) { o.ObservationWindow = -1 }, false},
-		{"negative shards", func(o *Options) { o.Shards = -1 }, false},
-		{"latency mode 3", func(o *Options) { o.LatencyMode = 3 }, false},
 		{"negative block interval", func(o *Options) { o.BlockInterval = -time.Second }, false},
 		{"trace level 3", func(o *Options) { o.TraceLevel = 3 }, false},
 		{"negative counterfactual k", func(o *Options) { o.CounterfactualK = -1 }, false},
@@ -231,7 +228,7 @@ func TestValidateRanges(t *testing.T) {
 func TestApplyJSON(t *testing.T) {
 	var patch map[string]json.RawMessage
 	body := `{"nodes": 40, "seed": 18446744073709551615, "mean_validation_ms": 12.5,
-		"validation": "exponential", "latency_mode": "streaming", "trace_level": "inputs",
+		"validation": "exponential", "trace_level": "inputs",
 		"block_interval_ms": 1500, "workers": 0}`
 	if err := json.Unmarshal([]byte(body), &patch); err != nil {
 		t.Fatal(err)
@@ -244,7 +241,7 @@ func TestApplyJSON(t *testing.T) {
 	want := ShortOptions()
 	want.Nodes, want.Seed = 40, 1<<64-1
 	want.MeanValidation, want.Validation = 12500*time.Microsecond, ValidationExponential
-	want.LatencyMode, want.TraceLevel, want.BlockInterval = latency.Streaming, 2, 1500*time.Millisecond
+	want.TraceLevel, want.BlockInterval = 2, 1500*time.Millisecond
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("patched options\n got %+v\nwant %+v", got, want)
 	}
@@ -253,7 +250,6 @@ func TestApplyJSON(t *testing.T) {
 		`{"trace_file": "/etc/passwd"}`,
 		`{"record_trace": "x.json"}`,
 		`{"validation": "gaussian"}`,
-		`{"latency_mode": "psychic"}`,
 		`{"trace_level": "verbose"}`,
 		`{"trace_level": 1}`,
 		`{"nodes": "forty"}`,
@@ -290,23 +286,20 @@ func TestBindFlags(t *testing.T) {
 	if got, err := parse(); err != nil || !reflect.DeepEqual(got, base) {
 		t.Errorf("no flags: %+v, %v; want the base options untouched", got, err)
 	}
-	got, err := parse("-seed", "0", "-nodes", "0", "-workers", "0", "-latency-mode", " streaming",
-		"-trace-level", "decisions", "-block-interval", "1500ms", "-trace-file", "t.json")
+	got, err := parse("-seed", "0", "-nodes", "0", "-workers", "0", "-trace-level", " decisions",
+		"-block-interval", "1500ms", "-trace-file", "t.json")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := base
 	want.Seed, want.Nodes, want.Workers = 0, 0, 0
-	want.LatencyMode, want.TraceLevel = latency.Streaming, 1
+	want.TraceLevel = 1
 	want.BlockInterval, want.TraceFile = 1500*time.Millisecond, "t.json"
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("given flags\n got %+v\nwant %+v", got, want)
 	}
 	if err := Validate(got); err == nil {
 		t.Error("-nodes 0 passed validation; an explicit zero must not mean the default")
-	}
-	if _, err := parse("-latency-mode", "psychic"); err == nil {
-		t.Error("unknown -latency-mode spelling accepted")
 	}
 	if _, err := parse("-trace-level", "verbose"); err == nil {
 		t.Error("unknown -trace-level spelling accepted")

@@ -124,9 +124,7 @@ func Forks(opt Options) (*Result, error) {
 			Rand:    e.root.Derive("workload-engine-" + arm.label),
 			Workers: e.opt.Workers,
 
-			LatencyMode:       e.opt.LatencyMode,
 			ObservationWindow: e.opt.ObservationWindow,
-			Shards:            e.opt.Shards,
 		})
 		if err != nil {
 			return err

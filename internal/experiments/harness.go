@@ -80,14 +80,6 @@ type Options struct {
 	// blocks of each round; forwarded to core.Config.ObservationWindow.
 	// Zero keeps dense observations.
 	ObservationWindow int
-	// Shards runs each block broadcast as a conservative windowed parallel
-	// simulation over that many node shards; forwarded to
-	// core.Config.Shards. Zero or 1 uses the unsharded path.
-	Shards int
-	// LatencyMode selects precomputed vs streaming edge delays for both
-	// the protocol engines and the evaluation simulators (zero = Auto,
-	// which streams from latency.StreamingAutoThreshold nodes).
-	LatencyMode latency.Mode
 	// BlockInterval is the mean block inter-arrival time for the
 	// continuous-time workload scenarios ("forks"). Zero means the
 	// default of 2s; topology rounds then span RoundBlocks*BlockInterval
@@ -428,7 +420,7 @@ func (e *env) simFor(tbl *topology.Table) (*netsim.Simulator, error) {
 		adj = topology.MergeAdjacency(adj, e.pinned)
 	}
 	if e.evalSim == nil {
-		sim, err := netsim.NewPrevalidated(netsim.Config{Adj: adj, Latency: e.lat, Forward: e.forward, LatencyMode: e.opt.LatencyMode})
+		sim, err := netsim.NewPrevalidated(netsim.Config{Adj: adj, Latency: e.lat, Forward: e.forward})
 		if err != nil {
 			return nil, err
 		}
@@ -576,9 +568,7 @@ func (e *env) runPerigee(method core.Method) ([]float64, *core.Engine, error) {
 		Workers:  e.opt.Workers,
 		Observer: observer,
 
-		LatencyMode:       e.opt.LatencyMode,
 		ObservationWindow: e.opt.ObservationWindow,
-		Shards:            e.opt.Shards,
 		Trace:             traceCfg,
 	})
 	if err != nil {

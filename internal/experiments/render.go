@@ -80,7 +80,7 @@ func builtinScenarios() map[string]Scenario {
 	add("bandwidth", "upload bandwidth heterogeneity (serialized sends)", Bandwidth)
 	add("eclipse", "neighborhood capture by fast adversaries vs exploration", Eclipse)
 	add("convergence", "per-round 90%/50% coverage delay trajectories (§5.2)", Convergence)
-	add("scale", "large-n convergence: streaming latency, windows, landmarks, shards", Scale)
+	add("scale", "large-n convergence: observation windows, landmarks, streaming latency from 1M nodes", Scale)
 	add("forks", "continuous-time workload: fork rate, stale blocks, revenue skew", Forks)
 
 	// Pluggable adversary strategies (internal/adversary), one scenario

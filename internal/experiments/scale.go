@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/perigee-net/perigee/internal/core"
+	"github.com/perigee-net/perigee/internal/latency"
 	"github.com/perigee-net/perigee/internal/parallel"
 	"github.com/perigee-net/perigee/internal/stats"
 )
@@ -17,11 +18,11 @@ const scaleDefaultLandmarks = 64
 // Scale is the large-n convergence scenario: Perigee-Subset against the
 // static random baseline at sizes two orders of magnitude beyond the
 // paper's n=1000, exercising the full scale stack — streaming latency
-// (when forced, or automatic from 1M nodes), windowed observations,
-// landmark λ-evaluation, and optional sharded broadcasts. It reports the
-// per-round p90 and median of λ (delay to Fraction of hash power) across
-// the landmark sources, plus the random-topology reference, so convergence
-// (a decreasing honest p90 trajectory) is visible directly in the series.
+// (automatic from 1M nodes), windowed observations, and landmark
+// λ-evaluation. It reports the per-round p90 and median of λ (delay to
+// Fraction of hash power) across the landmark sources, plus the
+// random-topology reference, so convergence (a decreasing honest p90
+// trajectory) is visible directly in the series.
 //
 // Unlike the paper-scale figures, evaluation defaults to landmark sampling
 // (scaleDefaultLandmarks sources) because an all-sources pass is quadratic
@@ -101,10 +102,9 @@ func Scale(opt Options) (*Result, error) {
 	for t := 0; t < opt.Trials; t++ {
 		random90.Add(random90Trials[t])
 	}
-	mode := opt.LatencyMode.Resolve(opt.Nodes)
 	res.Notes = append(res.Notes,
-		fmt.Sprintf("scale stack: latency=%s landmarks=%d window=%d shards=%d",
-			mode, opt.LambdaSources, opt.ObservationWindow, opt.Shards),
+		fmt.Sprintf("scale stack: latency=%s landmarks=%d window=%d",
+			latency.Auto.Resolve(opt.Nodes), opt.LambdaSources, opt.ObservationWindow),
 		fmt.Sprintf("static random reference p90: %.0f ms", random90.Mean()),
 		fmt.Sprintf("p90 trajectory: %.0f -> %.0f ms over %d rounds (monotone violations: %d)",
 			s90.Mean[0], s90.Mean[len(s90.Mean)-1], opt.Rounds, monotoneViolations(s90.Mean)))

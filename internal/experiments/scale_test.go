@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/perigee-net/perigee/internal/latency"
 	"github.com/perigee-net/perigee/internal/stats"
 )
 
@@ -106,10 +105,10 @@ func TestLandmarksStableAcrossEvaluations(t *testing.T) {
 	}
 }
 
-// TestScaleScenarioSmoke runs the scale scenario at test size with the
-// whole stack enabled — streaming latency, a narrow observation window,
-// sharded broadcasts, landmark evaluation — and checks the shape of the
-// result: per-round p90/p50 series and the stack note.
+// TestScaleScenarioSmoke runs the scale scenario at test size with its
+// options enabled — a narrow observation window and landmark evaluation —
+// and checks the shape of the result: per-round p90/p50 series and the
+// stack note, whose latency mode is the one resolved from the node count.
 func TestScaleScenarioSmoke(t *testing.T) {
 	opt := ShortOptions()
 	opt.Nodes = 120
@@ -117,8 +116,6 @@ func TestScaleScenarioSmoke(t *testing.T) {
 	opt.RoundBlocks = 30
 	opt.LambdaSources = 24
 	opt.ObservationWindow = 10
-	opt.Shards = 2
-	opt.LatencyMode = latency.Streaming
 
 	res, err := Run("scale", opt)
 	if err != nil {
@@ -152,10 +149,9 @@ func TestScaleScenarioSmoke(t *testing.T) {
 	}
 	var stackNote bool
 	for _, note := range res.Notes {
-		if strings.Contains(note, "latency=streaming") &&
+		if strings.Contains(note, "latency=precomputed") &&
 			strings.Contains(note, "landmarks=24") &&
-			strings.Contains(note, "window=10") &&
-			strings.Contains(note, "shards=2") {
+			strings.Contains(note, "window=10") {
 			stackNote = true
 		}
 	}

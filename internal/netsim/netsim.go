@@ -64,10 +64,7 @@
 //
 // typedsched_test.go referees the pass against an event-per-edge
 // simulation on the closure-based des.Scheduler, and flood_test.go against
-// the binary-heap pass it replaced, both bit for bit. ShardedBroadcaster
-// (shard.go) is the one event-driven simulation left: a conservative
-// windowed parallel run over des.DeliveryQueue, held equal to Broadcaster
-// by shard_test.go.
+// the binary-heap pass it replaced, both bit for bit.
 package netsim
 
 import (

@@ -400,9 +400,9 @@ func TestEventsFollowLiveJob(t *testing.T) {
 	}
 }
 
-// TestOptionsPatchValidation: unknown keys, bad enum spellings and
-// invalid combinations are rejected before a job is created, both through
-// Submit and over HTTP.
+// TestOptionsPatchValidation: unknown keys (the retired shards and
+// latency_mode among them), bad enum spellings and invalid combinations are
+// rejected before a job is created, both through Submit and over HTTP.
 func TestOptionsPatchValidation(t *testing.T) {
 	s := New(Config{})
 	defer s.Shutdown(context.Background())
@@ -414,9 +414,10 @@ func TestOptionsPatchValidation(t *testing.T) {
 	}{
 		{`{"validation": "gaussian"}`, `"validation"`},
 		{`{"trace_level": "verbose"}`, `"trace_level"`},
-		{`{"latency_mode": "psychic"}`, `"latency_mode"`},
 		{`{"counterfactual_k": 3}`, "requires trace level"},
 		{`{"nodez": 40}`, `unknown option "nodez"`},
+		{`{"shards": 4}`, `unknown option "shards"`},
+		{`{"latency_mode": "streaming"}`, `unknown option "latency_mode"`},
 		{`{"trace_file": "/etc/passwd"}`, `unknown option "trace_file"`},
 		{`{"mean_validation": 50}`, `unknown option "mean_validation"`},
 		{`{"nodes": 5}`, "Nodes"},

@@ -8,7 +8,7 @@
 // Records use milliseconds for every duration and encode censored
 // observations (stats.InfDuration in the engine) as JSON null, so streams
 // are consumable without Go-specific sentinels. The engine emits records
-// in a deterministic order at any Workers/Shards count, and the Collector
+// in a deterministic order at any Workers count, and the Collector
 // preserves it — two runs of the same configuration produce byte-identical
 // NDJSON streams.
 package trace

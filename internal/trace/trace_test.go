@@ -14,9 +14,9 @@ import (
 	"github.com/perigee-net/perigee/internal/topology"
 )
 
-// tracedEngine builds a small traced engine; every knob that must not
-// change the trace stream (workers, shards) is a parameter.
-func tracedEngine(t *testing.T, method core.Method, workers, shards int, col *Collector) *core.Engine {
+// tracedEngine builds a small traced engine; the worker count, which must
+// not change the trace stream, is a parameter.
+func tracedEngine(t *testing.T, method core.Method, workers int, col *Collector) *core.Engine {
 	t.Helper()
 	const n = 48
 	root := rng.New(11)
@@ -48,7 +48,7 @@ func tracedEngine(t *testing.T, method core.Method, workers, shards int, col *Co
 	engine, err := core.NewEngine(core.Config{
 		Method: method, Params: params, Table: tbl,
 		Latency: lat, Forward: forward, Power: power,
-		Rand: root.Derive("engine"), Workers: workers, Shards: shards,
+		Rand: root.Derive("engine"), Workers: workers,
 		Trace: core.TraceConfig{Level: core.TraceInputs, CounterfactualK: 3, Sink: col},
 	})
 	if err != nil {
@@ -58,10 +58,10 @@ func tracedEngine(t *testing.T, method core.Method, workers, shards int, col *Co
 }
 
 // traceStream runs `rounds` traced rounds and returns the NDJSON stream.
-func traceStream(t *testing.T, method core.Method, workers, shards, rounds int) []byte {
+func traceStream(t *testing.T, method core.Method, workers, rounds int) []byte {
 	t.Helper()
 	col := &Collector{Selector: method.String()}
-	engine := tracedEngine(t, method, workers, shards, col)
+	engine := tracedEngine(t, method, workers, col)
 	for i := 0; i < rounds; i++ {
 		if _, err := engine.Step(); err != nil {
 			t.Fatal(err)
@@ -75,7 +75,7 @@ func traceStream(t *testing.T, method core.Method, workers, shards, rounds int) 
 }
 
 // TestTraceDeterministic asserts the trace stream is byte-identical at any
-// Workers and Shards count, for every built-in selector. The UCB engine
+// Workers count, for every built-in selector. The UCB engine
 // runs more rounds because its rounds carry a single block.
 func TestTraceDeterministic(t *testing.T) {
 	for _, method := range []core.Method{core.Subset, core.Vanilla, core.UCB} {
@@ -86,15 +86,12 @@ func TestTraceDeterministic(t *testing.T) {
 			if method == core.UCB {
 				rounds = 12
 			}
-			ref := traceStream(t, method, 1, 0, rounds)
+			ref := traceStream(t, method, 1, rounds)
 			if len(ref) == 0 {
 				t.Fatal("empty trace stream")
 			}
-			if got := traceStream(t, method, 8, 0, rounds); !bytes.Equal(ref, got) {
+			if got := traceStream(t, method, 8, rounds); !bytes.Equal(ref, got) {
 				t.Errorf("trace stream differs between Workers=1 and Workers=8")
-			}
-			if got := traceStream(t, method, 0, 4, rounds); !bytes.Equal(ref, got) {
-				t.Errorf("trace stream differs between Shards=1 and Shards=4")
 			}
 		})
 	}
@@ -105,7 +102,7 @@ func TestTraceDeterministic(t *testing.T) {
 // rank, regret arithmetic matches its operands, and counterfactuals for
 // round R arrive before decisions of round R+1.
 func TestTraceConsistency(t *testing.T) {
-	recs, err := ReadNDJSON(bytes.NewReader(traceStream(t, core.Subset, 0, 0, 4)))
+	recs, err := ReadNDJSON(bytes.NewReader(traceStream(t, core.Subset, 0, 4)))
 	if err != nil {
 		t.Fatal(err)
 	}

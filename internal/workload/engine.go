@@ -79,7 +79,7 @@ func (cfg *Config) validate() error {
 // the run sharing one heap. Deliveries still in flight when a round ends
 // land in later rounds, so a run is a pure function of (engine config,
 // trace, duration, round interval) — bit-for-bit identical at any Workers
-// or Shards setting.
+// setting.
 //
 // The canonical chain is arbitrated by a single chain.Store fed every
 // block at its mining time: longest chain wins, height ties go to the

@@ -20,8 +20,8 @@ import (
 )
 
 // newTestEngine builds a small geographic Perigee engine for workload
-// tests, with explicit Workers/Shards so determinism tests can vary them.
-func newTestEngine(t *testing.T, n int, seed uint64, workers, shards int) (*core.Engine, []float64) {
+// tests, with explicit Workers so determinism tests can vary it.
+func newTestEngine(t *testing.T, n int, seed uint64, workers int) (*core.Engine, []float64) {
 	t.Helper()
 	root := rng.New(seed)
 	u, err := geo.SampleUniverse(n, root.Derive("universe"))
@@ -54,7 +54,6 @@ func newTestEngine(t *testing.T, n int, seed uint64, workers, shards int) (*core
 		Power:   power,
 		Rand:    root.Derive("engine"),
 		Workers: workers,
-		Shards:  shards,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -62,9 +61,9 @@ func newTestEngine(t *testing.T, n int, seed uint64, workers, shards int) (*core
 	return eng, power
 }
 
-func runPoisson(t *testing.T, workers, shards int) []byte {
+func runPoisson(t *testing.T, workers int) []byte {
 	t.Helper()
-	eng, power := newTestEngine(t, 120, 11, workers, shards)
+	eng, power := newTestEngine(t, 120, 11, workers)
 	trace, err := NewPoisson(rng.New(11).Derive("trace"), power, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +85,7 @@ func runPoisson(t *testing.T, workers, shards int) []byte {
 }
 
 func TestRunBasicAccounting(t *testing.T) {
-	eng, power := newTestEngine(t, 120, 11, 0, 0)
+	eng, power := newTestEngine(t, 120, 11, 0)
 	trace, err := NewPoisson(rng.New(11).Derive("trace"), power, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -132,19 +131,12 @@ func TestRunBasicAccounting(t *testing.T) {
 }
 
 // Same seed + same trace must produce a bit-for-bit identical report at any
-// Workers count and any Shards count — the determinism the replay codec
-// and the conformance CI both stand on.
+// Workers count — the determinism the replay codec and the conformance CI
+// both stand on.
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
-	base := runPoisson(t, 1, 0)
-	if got := runPoisson(t, 8, 0); string(got) != string(base) {
+	base := runPoisson(t, 1)
+	if got := runPoisson(t, 8); string(got) != string(base) {
 		t.Fatalf("Workers=8 report diverged:\n%s\nvs\n%s", got, base)
-	}
-}
-
-func TestRunDeterministicAcrossShards(t *testing.T) {
-	base := runPoisson(t, 0, 1)
-	if got := runPoisson(t, 0, 4); string(got) != string(base) {
-		t.Fatalf("Shards=4 report diverged:\n%s\nvs\n%s", got, base)
 	}
 }
 
@@ -152,7 +144,7 @@ func TestRunDeterministicAcrossShards(t *testing.T) {
 // report byte for byte, through the on-disk codec.
 func TestRunReplayByteEqual(t *testing.T) {
 	const n = 120
-	eng, power := newTestEngine(t, n, 23, 0, 0)
+	eng, power := newTestEngine(t, n, 23, 0)
 	gen, err := NewPoisson(rng.New(23).Derive("trace"), power, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +174,7 @@ func TestRunReplayByteEqual(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	eng2, _ := newTestEngine(t, n, 23, 0, 0)
+	eng2, _ := newTestEngine(t, n, 23, 0)
 	cfg2 := cfg
 	cfg2.Engine = eng2
 	cfg2.Trace = loaded.Trace()
@@ -202,7 +194,7 @@ func TestRunReplayByteEqual(t *testing.T) {
 // A static topology must never fire a round, and batch partitioning at the
 // staticBatch boundary must not show up in the results.
 func TestRunStaticTopology(t *testing.T) {
-	eng, power := newTestEngine(t, 120, 31, 0, 0)
+	eng, power := newTestEngine(t, 120, 31, 0)
 	trace, err := NewPoisson(rng.New(31).Derive("trace"), power, 500*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +218,7 @@ func TestRunStaticTopology(t *testing.T) {
 // blocks; the report walks the canonical chain by header, so a run that
 // mines more than that still accounts for every block.
 func TestRunLongerThanBodyWindow(t *testing.T) {
-	eng, power := newTestEngine(t, 40, 5, 0, 0)
+	eng, power := newTestEngine(t, 40, 5, 0)
 	trace, err := NewPoisson(rng.New(5).Derive("trace"), power, 100*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
@@ -251,7 +243,7 @@ func TestRunLongerThanBodyWindow(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	eng, power := newTestEngine(t, 40, 1, 0, 0)
+	eng, power := newTestEngine(t, 40, 1, 0)
 	trace, err := NewPoisson(rng.New(1), power, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -477,9 +469,8 @@ func heapRun(cfg Config) (*Report, error) {
 // replay they replaced: the same JSON report on every configuration of a
 // grid over network size, block interval (20 ms is fork-heavy, 2 s is
 // quiet) and round interval (0 is static and crosses staticBatch at the
-// short intervals). Each cell runs six seeds: Workers 0, 1 and 2 twice
-// over, the last at Shards 4. -short keeps one seed of the smallest
-// network.
+// short intervals). Each cell runs six seeds: Workers 0, 1 and 2, then
+// 0, 1 and 8. -short keeps one seed of the smallest network.
 func TestRunMatchesHeapReplay(t *testing.T) {
 	intervals := []struct {
 		mean, duration time.Duration
@@ -498,12 +489,12 @@ func TestRunMatchesHeapReplay(t *testing.T) {
 						continue
 					}
 					seed := uint64(1000*n + 10*s + 1)
-					workers, shards := s%3, 0
+					workers := s % 3
 					if s == 5 {
-						shards = 4 // sharded floods run blocks one by one, whatever Workers says
+						workers = 8
 					}
 					run := func(replay func(Config) (*Report, error)) ([]byte, *Report) {
-						eng, power := newTestEngine(t, n, seed, workers, shards)
+						eng, power := newTestEngine(t, n, seed, workers)
 						trace, err := NewPoisson(rng.New(seed).Derive("trace"), power, iv.mean)
 						if err != nil {
 							t.Fatal(err)
@@ -521,8 +512,8 @@ func TestRunMatchesHeapReplay(t *testing.T) {
 					got, rep := run(Run)
 					want, _ := run(heapRun)
 					if string(got) != string(want) {
-						t.Fatalf("n=%d interval=%v round=%v seed=%d workers=%d shards=%d: inbox replay diverged from the heap:\n%s\nvs\n%s",
-							n, iv.mean, round, seed, workers, shards, got, want)
+						t.Fatalf("n=%d interval=%v round=%v seed=%d workers=%d: inbox replay diverged from the heap:\n%s\nvs\n%s",
+							n, iv.mean, round, seed, workers, got, want)
 					}
 					blocks += rep.BlocksMined
 					stale += rep.StaleBlocks
@@ -541,7 +532,7 @@ func TestRunMatchesHeapReplay(t *testing.T) {
 // delivery has landed and the miner extends it.
 func TestRunDeliveryAtMiningEventLandsAfter(t *testing.T) {
 	const n, seed, miner = 40, 7, 0
-	probe, _ := newTestEngine(t, n, seed, 0, 0)
+	probe, _ := newTestEngine(t, n, seed, 0)
 	tr, err := core.BeginTimedRound(probe, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -568,7 +559,7 @@ func TestRunDeliveryAtMiningEventLandsAfter(t *testing.T) {
 		{start + d, 1},
 		{start + d + 1, 0},
 	} {
-		eng, _ := newTestEngine(t, n, seed, 0, 0)
+		eng, _ := newTestEngine(t, n, seed, 0)
 		tf := &TraceFile{Version: TraceVersion, Nodes: n, Arrivals: []TraceArrival{
 			{AtNS: int64(start), Miner: miner},
 			{AtNS: int64(tc.at), Miner: other},

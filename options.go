@@ -6,7 +6,6 @@ import (
 
 	"github.com/perigee-net/perigee/internal/adversary"
 	"github.com/perigee-net/perigee/internal/core"
-	"github.com/perigee-net/perigee/internal/latency"
 	"github.com/perigee-net/perigee/internal/rng"
 	"github.com/perigee-net/perigee/internal/trace"
 )
@@ -32,9 +31,7 @@ type settings struct {
 	roundBlocksSet bool
 	percentile     float64
 	workers        int
-	latencyMode    LatencyMode
 	obsWindow      int
-	shards         int
 
 	workloadProc  ArrivalProcess
 	blockInterval time.Duration
@@ -164,38 +161,6 @@ func WithWorkers(w int) Option {
 	}
 }
 
-// LatencyMode selects how the simulator evaluates per-edge link delays;
-// see the constants. Delays are bit-for-bit identical in every mode — the
-// choice trades memory for per-event compute.
-type LatencyMode int
-
-// The latency evaluation modes.
-const (
-	// LatencyAuto (the default) picks by network size: precomputed below
-	// the streaming threshold (1M nodes), streaming at or above it.
-	LatencyAuto LatencyMode = LatencyMode(latency.Auto)
-	// LatencyPrecomputed keeps every edge's delay in a flat array — O(E)
-	// memory, fastest per event. A delay is computed when its edge appears
-	// and carried for as long as the edge survives rewiring.
-	LatencyPrecomputed LatencyMode = LatencyMode(latency.Precomputed)
-	// LatencyStreaming evaluates the latency model on the fly at every
-	// delivery — O(1) latency memory, for million-node runs. The model
-	// must be safe for concurrent reads (all built-in models are).
-	LatencyStreaming LatencyMode = LatencyMode(latency.Streaming)
-)
-
-// WithLatencyMode overrides the automatic precomputed-vs-streaming latency
-// decision; see LatencyMode. Default LatencyAuto.
-func WithLatencyMode(m LatencyMode) Option {
-	return func(s *settings) error {
-		if !latency.Mode(m).Valid() {
-			return fmt.Errorf("perigee: unknown latency mode %d", int(m))
-		}
-		s.latencyMode = m
-		return nil
-	}
-}
-
 // WithObservationWindow bounds each node's per-round observation memory to
 // the last w blocks of the round: selectors score an out-degree × w ring
 // instead of the full out-degree × RoundBlocks matrix, and the skipped
@@ -211,22 +176,6 @@ func WithObservationWindow(w int) Option {
 			return fmt.Errorf("perigee: observation window %d must be non-negative", w)
 		}
 		s.obsWindow = w
-		return nil
-	}
-}
-
-// WithShards partitions the nodes into k contiguous shards and runs each
-// block's broadcast as a conservative windowed parallel simulation across
-// them (lookahead = the minimum cross-shard link delay). Results are
-// bit-for-bit identical at any shard count; topologies with a zero-delay
-// cross-shard link fall back to single-shard execution. Zero or 1 (the
-// default) uses the unsharded broadcast path.
-func WithShards(k int) Option {
-	return func(s *settings) error {
-		if k < 0 {
-			return fmt.Errorf("perigee: shard count %d must be non-negative", k)
-		}
-		s.shards = k
 		return nil
 	}
 }
@@ -502,9 +451,7 @@ func New(nodes int, opts ...Option) (*Network, error) {
 		Rand:     root.Derive("engine"),
 		Workers:  s.workers,
 
-		LatencyMode:       latency.Mode(s.latencyMode),
 		ObservationWindow: s.obsWindow,
-		Shards:            s.shards,
 	}
 	if net.traceCollector != nil {
 		cfg.Trace = core.TraceConfig{

@@ -450,10 +450,10 @@ func ExampleWithObserver() {
 }
 
 // TestScaleOptionsEndToEnd exercises the scale-stack options through the
-// public surface: a network with streaming delays, a narrow observation
-// window, and sharded broadcasts must evolve bit-for-bit like the plain
-// configuration whose semantics they preserve (the window is full-width
-// here, so all three knobs are result-neutral).
+// public surface: a network with an observation window and eight workers
+// must evolve bit-for-bit like the plain configuration whose semantics they
+// preserve (the window is full-width here, so both knobs are
+// result-neutral).
 func TestScaleOptionsEndToEnd(t *testing.T) {
 	build := func(opts ...Option) *Network {
 		t.Helper()
@@ -466,9 +466,7 @@ func TestScaleOptionsEndToEnd(t *testing.T) {
 	}
 	plain := build()
 	scaled := build(
-		WithLatencyMode(LatencyStreaming),
 		WithObservationWindow(20), // == RoundBlocks: observes every block
-		WithShards(4),
 		WithWorkers(8),
 	)
 	for r := 0; r < 4; r++ {
@@ -500,20 +498,9 @@ func TestScaleOptionsEndToEnd(t *testing.T) {
 	}
 }
 
-// TestScaleOptionValidation covers the new options' argument checks.
+// TestScaleOptionValidation covers the observation window's argument check.
 func TestScaleOptionValidation(t *testing.T) {
-	if _, err := New(50, WithLatencyMode(LatencyMode(99))); err == nil {
-		t.Fatal("WithLatencyMode(99) should be rejected")
-	}
 	if _, err := New(50, WithObservationWindow(-1)); err == nil {
 		t.Fatal("WithObservationWindow(-1) should be rejected")
-	}
-	if _, err := New(50, WithShards(-1)); err == nil {
-		t.Fatal("WithShards(-1) should be rejected")
-	}
-	for _, m := range []LatencyMode{LatencyAuto, LatencyPrecomputed, LatencyStreaming} {
-		if _, err := New(50, WithLatencyMode(m)); err != nil {
-			t.Fatalf("WithLatencyMode(%d): %v", int(m), err)
-		}
 	}
 }
