@@ -33,20 +33,20 @@ type Params struct {
 	// does not publish a value; 50ms is calibrated so the confidence bonus
 	// is on the order of inter-regional latency differences.
 	UCBConstant time.Duration
-	// MaxDialAttempts bounds the random candidate retries when an
-	// exploration target declines the connection (incoming slots full).
-	MaxDialAttempts int
 }
+
+// maxDialAttempts bounds the random candidate retries when an exploration
+// target declines the connection (incoming slots full).
+const maxDialAttempts = 200
 
 // DefaultParams returns the paper's evaluation constants for a method.
 func DefaultParams(m Method) Params {
 	p := Params{
-		OutDegree:       8,
-		Explore:         2,
-		Percentile:      0.9,
-		RoundBlocks:     100,
-		UCBConstant:     50 * time.Millisecond,
-		MaxDialAttempts: 200,
+		OutDegree:   8,
+		Explore:     2,
+		Percentile:  0.9,
+		RoundBlocks: 100,
+		UCBConstant: 50 * time.Millisecond,
 	}
 	if m == UCB {
 		// §4.2.2: UCB rounds span a single block, and neighbor replacement
@@ -73,9 +73,6 @@ func (p Params) validate() error {
 	}
 	if p.UCBConstant < 0 {
 		return fmt.Errorf("core: UCB constant %v must be non-negative", p.UCBConstant)
-	}
-	if p.MaxDialAttempts <= 0 {
-		return fmt.Errorf("core: max dial attempts %d must be positive", p.MaxDialAttempts)
 	}
 	return nil
 }
@@ -243,7 +240,7 @@ type RoundReport struct {
 	// Added is the total number of new outgoing connections established.
 	Added int
 	// Unfilled counts outgoing slots that could not be filled after
-	// MaxDialAttempts (should be zero in sane configurations).
+	// maxDialAttempts (should be zero in sane configurations).
 	Unfilled int
 }
 
@@ -717,7 +714,7 @@ func (e *Engine) explore(v, target int, record *[][2]int) (added, unfilled int) 
 	n := e.table.N()
 	attempts := 0
 	for e.table.OutDegree(v) < target {
-		if attempts >= e.params.MaxDialAttempts {
+		if attempts >= maxDialAttempts {
 			unfilled = target - e.table.OutDegree(v)
 			return added, unfilled
 		}

@@ -107,12 +107,6 @@ func TestNewEngineValidation(t *testing.T) {
 			c.Params = p
 			return c
 		}},
-		{"zero dial attempts", func(c Config) Config {
-			p := DefaultParams(Subset)
-			p.MaxDialAttempts = 0
-			c.Params = p
-			return c
-		}},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

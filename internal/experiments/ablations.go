@@ -103,6 +103,8 @@ func runPerigeeVariant(e *env, v AblationVariant) ([]float64, error) {
 		Frozen:  e.frozen,
 		Rand:    e.root.Derive("ablation-engine-" + v.Label),
 		Workers: e.opt.Workers,
+
+		ObservationWindow: e.opt.ObservationWindow,
 	})
 	if err != nil {
 		return nil, err

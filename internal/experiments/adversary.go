@@ -51,6 +51,8 @@ func (arm adversaryArm) run(e *env, strat adversary.Strategy) ([]float64, error)
 		Power:   e.power,
 		Rand:    e.root.Derive("adv-engine-" + arm.label),
 		Workers: e.opt.Workers,
+
+		ObservationWindow: e.opt.ObservationWindow,
 	}
 	if arm.random {
 		sel, err := core.NewRandomSelector(params.Explore)

@@ -90,6 +90,8 @@ func Eclipse(opt Options) (*Result, error) {
 			Power:   e.power,
 			Rand:    e.root.Derive("eclipse-engine"),
 			Workers: e.opt.Workers,
+
+			ObservationWindow: e.opt.ObservationWindow,
 		}
 		bind.Apply(&cfg)
 		engine, err := core.NewEngine(cfg)

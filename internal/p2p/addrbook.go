@@ -22,66 +22,29 @@ import (
 	"time"
 )
 
-// Address-book policy defaults; see BookConfig.
+// Address-book health, backoff, and ban policy.
 const (
-	DefaultBookCap       = 1024
-	DefaultDialBudget    = 8
-	DefaultBackoffBase   = 500 * time.Millisecond
-	DefaultBackoffMax    = 2 * time.Minute
-	DefaultBanThreshold  = 100
-	DefaultBanDuration   = 10 * time.Minute
-	DefaultDecayHalfLife = 5 * time.Minute
+	// bookCap bounds the number of stored addresses; adding beyond it
+	// evicts the unhealthiest entry (banned first, then most failures, then
+	// least recently seen).
+	bookCap = 1024
+	// dialBudget is the consecutive-dial-failure budget: an address failing
+	// this many times in a row is evicted (it can return via gossip,
+	// re-entering with a clean slate).
+	dialBudget = 8
+	// backoffBase is the delay before the first redial of a failed address;
+	// each further failure doubles it (with deterministic per-address
+	// jitter) up to backoffMax.
+	backoffBase = 500 * time.Millisecond
+	backoffMax  = 2 * time.Minute
+	// banThreshold is the decayed misbehavior score at which a peer is
+	// banned; banDuration is how long the ban lasts.
+	banThreshold = 100
+	banDuration  = 10 * time.Minute
+	// decayHalfLife halves a peer's misbehavior score per elapsed interval,
+	// so transient faults heal.
+	decayHalfLife = 5 * time.Minute
 )
-
-// BookConfig tunes the address book's health, backoff, and ban policy.
-// The zero value resolves every field to the package defaults.
-type BookConfig struct {
-	// Cap bounds the number of stored addresses; adding beyond it evicts
-	// the unhealthiest entry (banned first, then most failures, then
-	// least recently seen). Default 1024.
-	Cap int
-	// DialBudget is the consecutive-dial-failure budget: an address
-	// failing this many times in a row is evicted (it can return via
-	// gossip, re-entering with a clean slate). Default 8.
-	DialBudget int
-	// BackoffBase is the delay before the first redial of a failed
-	// address; each further failure doubles it (with deterministic
-	// per-address jitter) up to BackoffMax. Defaults 500ms / 2min.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// BanThreshold is the decayed misbehavior score at which a peer is
-	// banned; BanDuration is how long the ban lasts. Defaults 100 / 10min.
-	BanThreshold float64
-	BanDuration  time.Duration
-	// DecayHalfLife halves a peer's misbehavior score per elapsed
-	// interval, so transient faults heal. Default 5min.
-	DecayHalfLife time.Duration
-}
-
-func (c BookConfig) withDefaults() BookConfig {
-	if c.Cap <= 0 {
-		c.Cap = DefaultBookCap
-	}
-	if c.DialBudget <= 0 {
-		c.DialBudget = DefaultDialBudget
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = DefaultBackoffBase
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = DefaultBackoffMax
-	}
-	if c.BanThreshold <= 0 {
-		c.BanThreshold = DefaultBanThreshold
-	}
-	if c.BanDuration <= 0 {
-		c.BanDuration = DefaultBanDuration
-	}
-	if c.DecayHalfLife <= 0 {
-		c.DecayHalfLife = DefaultDecayHalfLife
-	}
-	return c
-}
 
 // addrEntry is one address's health record.
 type addrEntry struct {
@@ -111,7 +74,6 @@ type idScore struct {
 // exponential backoff, plus per-identity misbehavior scores feeding the
 // ban policy. All methods are safe for concurrent use.
 type AddrBook struct {
-	cfg BookConfig
 	now func() time.Time
 
 	mu    sync.RWMutex
@@ -120,14 +82,9 @@ type AddrBook struct {
 	ids   map[uint64]*idScore
 }
 
-// NewAddrBook returns an empty address book with default policy.
-func NewAddrBook() *AddrBook { return NewAddrBookWith(BookConfig{}) }
-
-// NewAddrBookWith returns an empty address book with the given policy;
-// zero fields take the defaults.
-func NewAddrBookWith(cfg BookConfig) *AddrBook {
+// NewAddrBook returns an empty address book.
+func NewAddrBook() *AddrBook {
 	return &AddrBook{
-		cfg:   cfg.withDefaults(),
 		now:   time.Now,
 		addrs: make(map[string]*addrEntry),
 		self:  make(map[string]bool),
@@ -181,7 +138,7 @@ func (b *AddrBook) AddSeen(addr string, age time.Duration) bool {
 		}
 		return false
 	}
-	if len(b.addrs) >= b.cfg.Cap {
+	if len(b.addrs) >= bookCap {
 		if !b.evictLocked(now, false) {
 			return false // everything else is healthier than a newcomer
 		}
@@ -311,13 +268,13 @@ func (b *AddrBook) DialFailed(addr string) (evicted bool) {
 		return false
 	}
 	e.Fails++
-	if e.Fails >= b.cfg.DialBudget {
+	if e.Fails >= dialBudget {
 		delete(b.addrs, addr)
 		return true
 	}
-	backoff := b.cfg.BackoffBase << (e.Fails - 1)
-	if backoff > b.cfg.BackoffMax || backoff <= 0 {
-		backoff = b.cfg.BackoffMax
+	backoff := backoffBase << (e.Fails - 1)
+	if backoff > backoffMax || backoff <= 0 {
+		backoff = backoffMax
 	}
 	// Deterministic jitter in [0.75, 1.25): stateless, so a replayed run
 	// schedules identical retry times.
@@ -373,7 +330,7 @@ func (b *AddrBook) DialSucceeded(addr string) {
 	}
 	e, ok := b.addrs[addr]
 	if !ok {
-		if len(b.addrs) >= b.cfg.Cap && !b.evictLocked(now, false) && !b.evictLocked(now, true) {
+		if len(b.addrs) >= bookCap && !b.evictLocked(now, false) && !b.evictLocked(now, true) {
 			return
 		}
 		e = &addrEntry{Addr: addr, Added: now}
@@ -475,7 +432,7 @@ func (b *AddrBook) decayedLocked(s *idScore, now time.Time) float64 {
 	if elapsed <= 0 {
 		return s.Score
 	}
-	halves := float64(elapsed) / float64(b.cfg.DecayHalfLife)
+	halves := float64(elapsed) / float64(decayHalfLife)
 	return s.Score * math.Exp2(-halves)
 }
 
@@ -499,8 +456,8 @@ func (b *AddrBook) Misbehave(id uint64, listenAddr string, points float64) (bann
 	}
 	s.Score = b.decayedLocked(s, now) + points
 	s.At = now
-	if s.Score >= b.cfg.BanThreshold {
-		s.BanUntil = now.Add(b.cfg.BanDuration)
+	if s.Score >= banThreshold {
+		s.BanUntil = now.Add(banDuration)
 		banned = true
 		if e, ok := b.addrs[listenAddr]; ok {
 			e.BanUntil = s.BanUntil
@@ -606,7 +563,7 @@ func (b *AddrBook) Load(path string) error {
 		if e.Addr == "" || b.self[e.Addr] {
 			continue
 		}
-		if len(b.addrs) >= b.cfg.Cap {
+		if len(b.addrs) >= bookCap {
 			break
 		}
 		if _, ok := b.addrs[e.Addr]; !ok {

@@ -12,8 +12,8 @@ type fakeClock struct{ t time.Time }
 
 func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
-func newClockBook(cfg BookConfig) (*AddrBook, *fakeClock) {
-	b := NewAddrBookWith(cfg)
+func newClockBook() (*AddrBook, *fakeClock) {
+	b := NewAddrBook()
 	c := &fakeClock{t: time.Unix(1700000000, 0)}
 	b.now = c.now
 	return b, c
@@ -22,12 +22,17 @@ func newClockBook(cfg BookConfig) (*AddrBook, *fakeClock) {
 // TestBookCapEvictsUnhealthiest: the book is bounded, and the victim
 // preference is banned > most-failed > least recently seen.
 func TestBookCapEvictsUnhealthiest(t *testing.T) {
-	b, c := newClockBook(BookConfig{Cap: 3})
+	b, c := newClockBook()
 	b.Add("a:1")
 	c.advance(time.Second)
 	b.Add("b:1")
 	c.advance(time.Second)
 	b.Add("c:1")
+	// Fill the rest of the book with fresher, healthy entries.
+	c.advance(time.Second)
+	for i := 0; i < bookCap-3; i++ {
+		b.Add(fmt.Sprintf("10.9.%d.%d:8333", i/250, i%250+1))
+	}
 	// c:1 has a failure; it should be evicted before the merely-old a:1.
 	b.DialFailed("c:1")
 	b.Add("d:1")
@@ -37,7 +42,7 @@ func TestBookCapEvictsUnhealthiest(t *testing.T) {
 	if !b.Contains("a:1") || !b.Contains("b:1") || !b.Contains("d:1") {
 		t.Fatalf("wrong survivors: %v", b.All())
 	}
-	if b.Len() != 3 {
+	if b.Len() != bookCap {
 		t.Fatalf("book grew past cap: %d", b.Len())
 	}
 	// With equal health, the least recently seen entry goes.
@@ -50,7 +55,7 @@ func TestBookCapEvictsUnhealthiest(t *testing.T) {
 // TestBookIgnoresSelf: self-addresses are never stored, even when gossip
 // echoes them back after MarkSelf.
 func TestBookIgnoresSelf(t *testing.T) {
-	b, _ := newClockBook(BookConfig{})
+	b, _ := newClockBook()
 	b.Add("me:9")
 	b.MarkSelf("me:9")
 	if b.Contains("me:9") {
@@ -73,15 +78,15 @@ func TestBookIgnoresSelf(t *testing.T) {
 // exponentially, success resets, and the consecutive-failure budget
 // evicts dead seeds.
 func TestBookBackoffAndBudget(t *testing.T) {
-	b, c := newClockBook(BookConfig{DialBudget: 4, BackoffBase: time.Second, BackoffMax: time.Hour})
+	b, c := newClockBook()
 	b.Add("seed:1")
 	if got := b.Dialable(); len(got) != 1 {
 		t.Fatalf("fresh address not dialable: %v", got)
 	}
 	var prev time.Duration
-	for i := 1; i < 4; i++ {
+	for i := 1; i < dialBudget; i++ {
 		if evicted := b.DialFailed("seed:1"); evicted {
-			t.Fatalf("evicted after %d failures, budget is 4", i)
+			t.Fatalf("evicted after %d failures, budget is %d", i, dialBudget)
 		}
 		next := b.NextDialIn("seed:1")
 		if next <= 0 {
@@ -93,8 +98,12 @@ func TestBookBackoffAndBudget(t *testing.T) {
 		if len(b.Dialable()) != 0 {
 			t.Fatal("backed-off address still dialable")
 		}
-		// The jittered gate stays within [0.75, 1.25) of the nominal 2^(i-1)s.
-		nominal := time.Duration(1<<(i-1)) * time.Second
+		// The jittered gate stays within [0.75, 1.25) of the nominal
+		// backoffBase·2^(i-1), which stays below backoffMax here.
+		nominal := time.Duration(1<<(i-1)) * backoffBase
+		if nominal >= backoffMax {
+			t.Fatalf("failure %d nominal backoff %v reaches the %v cap", i, nominal, backoffMax)
+		}
 		if next < 3*nominal/4 || next >= 5*nominal/4 {
 			t.Fatalf("failure %d backoff %v outside jitter band of %v", i, next, nominal)
 		}
@@ -110,7 +119,7 @@ func TestBookBackoffAndBudget(t *testing.T) {
 		t.Fatal("success did not reset failure state")
 	}
 	// Budget exhaustion evicts.
-	for i := 0; i < 4; i++ {
+	for i := 0; i < dialBudget; i++ {
 		b.DialFailed("seed:1")
 	}
 	if b.Contains("seed:1") {
@@ -121,11 +130,7 @@ func TestBookBackoffAndBudget(t *testing.T) {
 // TestBookMisbehaviorBanAndDecay: scores accumulate to a ban, bans gate
 // both the identity and its address, and decay heals transient sinners.
 func TestBookMisbehaviorBanAndDecay(t *testing.T) {
-	b, c := newClockBook(BookConfig{
-		BanThreshold:  100,
-		BanDuration:   time.Minute,
-		DecayHalfLife: time.Minute,
-	})
+	b, c := newClockBook()
 	b.Add("bad:1")
 	if banned := b.Misbehave(42, "bad:1", 60); banned {
 		t.Fatal("banned below threshold")
@@ -145,7 +150,7 @@ func TestBookMisbehaviorBanAndDecay(t *testing.T) {
 		}
 	}
 	// The ban expires with time and the decayed score has healed.
-	c.advance(2 * time.Minute)
+	c.advance(max(banDuration, 2*decayHalfLife))
 	if b.IDBanned(42) || b.AddrBanned("bad:1") {
 		t.Fatal("ban did not expire")
 	}
@@ -161,14 +166,14 @@ func TestBookMisbehaviorBanAndDecay(t *testing.T) {
 // TestBookPersistence: Save/Load round-trips addresses, health, and bans.
 func TestBookPersistence(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "book.json")
-	b, _ := newClockBook(BookConfig{})
+	b, _ := newClockBook()
 	b.Add("x:1", "y:2")
 	b.DialFailed("x:1")
 	b.Misbehave(7, "y:2", 500)
 	if err := b.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	fresh, _ := newClockBook(BookConfig{})
+	fresh, _ := newClockBook()
 	if err := fresh.Load(path); err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +187,7 @@ func TestBookPersistence(t *testing.T) {
 		t.Fatal("ban state lost")
 	}
 	// Loading a missing file is a clean no-op.
-	empty, _ := newClockBook(BookConfig{})
+	empty, _ := newClockBook()
 	if err := empty.Load(filepath.Join(t.TempDir(), "absent.json")); err != nil {
 		t.Fatal(err)
 	}
@@ -195,12 +200,12 @@ func TestBookPersistence(t *testing.T) {
 // satellite: a single peer gossiping thousands of addresses cannot grow
 // the book past its cap.
 func TestBookGossipFloodBounded(t *testing.T) {
-	b, _ := newClockBook(BookConfig{Cap: 50})
-	for i := 0; i < 5000; i++ {
+	b, _ := newClockBook()
+	for i := 0; i < 5*bookCap; i++ {
 		b.Add(fmt.Sprintf("10.0.%d.%d:8333", i/256, i%256))
 	}
-	if b.Len() > 50 {
-		t.Fatalf("book grew to %d entries past its cap of 50", b.Len())
+	if b.Len() > bookCap {
+		t.Fatalf("book grew to %d entries past its cap of %d", b.Len(), bookCap)
 	}
 }
 
@@ -208,7 +213,7 @@ func TestBookGossipFloodBounded(t *testing.T) {
 // how soon their backoff gate opens, skips exclusions and bans, and
 // breaks timestamp ties on the address.
 func TestBookEarliestGated(t *testing.T) {
-	b, c := newClockBook(BookConfig{DialBudget: 8, BackoffBase: time.Second, BackoffMax: time.Hour, BanThreshold: 10})
+	b, c := newClockBook()
 	b.Add("deep:1")
 	b.Add("shallow:1")
 	b.Add("banned:1")

@@ -211,12 +211,10 @@ func TestChaosDialFailuresFeedBackoff(t *testing.T) {
 // accumulates misbehavior until it is banned; once banned, even a clean
 // handshake is refused.
 func TestChaosAbusivePeerBanned(t *testing.T) {
-	node := startNode(t, 300, func(c *Config) {
-		c.Book = BookConfig{BanThreshold: 60, BanDuration: time.Minute}
-	})
+	node := startNode(t, 300, nil)
 	const abuser = uint64(0xBAD0001)
 	garbage := []byte("this is not a perigee frame, not even close......")
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 3; i++ {
 		conn := rawDial(t, node, abuser)
 		if _, err := conn.Write(garbage); err != nil {
 			t.Fatal(err)

@@ -9,20 +9,34 @@ import (
 	"github.com/perigee-net/perigee/internal/wire"
 )
 
-// Discovery policy defaults; see DiscoveryConfig.
+// DefaultTargetKnown is DiscoveryConfig.TargetKnown's default.
+const DefaultTargetKnown = 128
+
+// Addr-gossip policy. The rate limits and validation always apply — a
+// node cannot opt out of the hardened exchange.
 const (
-	DefaultTargetKnown       = 128
-	DefaultAnnounceFanout    = 2
-	DefaultGetAddrInterval   = 30 * time.Second
-	DefaultGetAddrBurst      = 4
-	DefaultUnsolicitedBudget = 64
-	DefaultMaxAddrAge        = 3 * time.Hour
+	// announceFanout is how many random peers a freshly learned address is
+	// relayed to (Bitcoin-style addr trickle), and bounds the spread rate
+	// of any single address.
+	announceFanout = 2
+	// maxGetAddrInterval is the longest per-peer GETADDR service window;
+	// see DiscoveryConfig.getAddrInterval.
+	maxGetAddrInterval = 30 * time.Second
+	// getAddrBurst is how many GETADDRs per window a peer may send before
+	// the excess charges misbehavior points.
+	getAddrBurst = 4
+	// unsolicitedBudget caps how many unsolicited ADDR entries per GETADDR
+	// window a peer may push into our book. Solicited responses (answers
+	// to our own GETADDRs) are exempt.
+	unsolicitedBudget = 64
+	// maxAddrAge drops gossiped addresses whose claimed age exceeds it, so
+	// stale rumor cannot circulate forever.
+	maxAddrAge = 3 * time.Hour
 )
 
-// DiscoveryConfig tunes the addr-gossip discovery subsystem. The rate
-// limits and validation always apply — a node cannot opt out of the
-// hardened exchange — while the active loops (periodic GETADDR refresh,
-// feeler dials) run only when their intervals are set.
+// DiscoveryConfig sets the addr-gossip discovery subsystem's active loops
+// (periodic GETADDR refresh, feeler dials), which run only when their
+// intervals are set.
 type DiscoveryConfig struct {
 	// RefreshInterval, when positive, runs a loop that requests fresh
 	// addresses (GETADDR to a couple of random peers) every interval while
@@ -37,41 +51,18 @@ type DiscoveryConfig struct {
 	// connect, handshake, disconnect, mark dial-verified. Zero disables
 	// feelers.
 	FeelerInterval time.Duration
-	// AnnounceFanout is how many random peers a freshly learned address is
-	// relayed to (Bitcoin-style addr trickle), and bounds the spread rate
-	// of any single address. Default 2.
-	AnnounceFanout int
-	// GetAddrInterval is the per-peer GETADDR service window: at most one
-	// request per peer is answered per interval. Defaults to
-	// RefreshInterval when that is set (so refresh requests are never
-	// starved by the serving side), otherwise 30s.
-	GetAddrInterval time.Duration
-	// GetAddrBurst is how many GETADDRs per window a peer may send before
-	// the excess charges misbehavior points (default 4).
-	GetAddrBurst int
-	// UnsolicitedBudget caps how many unsolicited ADDR entries per
-	// GetAddrInterval window a peer may push into our book (default 64).
-	// Solicited responses (answers to our own GETADDRs) are exempt.
-	UnsolicitedBudget int
-	// MaxAddrAge drops gossiped addresses whose claimed age exceeds it
-	// (default 3h) — stale rumor cannot circulate forever.
-	MaxAddrAge time.Duration
 }
 
-// withDefaults resolves unset (non-positive) fields to their defaults.
-func (d DiscoveryConfig) withDefaults() DiscoveryConfig {
-	setDefault(&d.TargetKnown, DefaultTargetKnown)
-	setDefault(&d.AnnounceFanout, DefaultAnnounceFanout)
-	if d.GetAddrInterval <= 0 {
-		d.GetAddrInterval = DefaultGetAddrInterval
-		if d.RefreshInterval > 0 && d.RefreshInterval < DefaultGetAddrInterval {
-			d.GetAddrInterval = d.RefreshInterval
-		}
+// getAddrInterval is the per-peer GETADDR service window, which also
+// spans the unsolicited ADDR budget: at most one request per peer is
+// answered per interval. It is RefreshInterval when that is set and
+// shorter than maxGetAddrInterval, so refresh requests are never starved
+// by the serving side.
+func (d DiscoveryConfig) getAddrInterval() time.Duration {
+	if d.RefreshInterval > 0 && d.RefreshInterval < maxGetAddrInterval {
+		return d.RefreshInterval
 	}
-	setDefault(&d.GetAddrBurst, DefaultGetAddrBurst)
-	setDefault(&d.UnsolicitedBudget, DefaultUnsolicitedBudget)
-	setDefault(&d.MaxAddrAge, DefaultMaxAddrAge)
-	return d
+	return maxGetAddrInterval
 }
 
 // DiscoveryStats counts the node's addr-gossip activity since start.
@@ -90,7 +81,7 @@ type DiscoveryStats struct {
 	// syntactic validation.
 	AddrsInvalid int
 	// AddrsStale is the number of gossiped addresses dropped for claiming
-	// an age beyond MaxAddrAge.
+	// an age beyond maxAddrAge (3h).
 	AddrsStale int
 	// UnsolicitedDropped is the number of unsolicited ADDR entries dropped
 	// by the per-peer budget.
@@ -136,8 +127,7 @@ func ageSecOf(age time.Duration) uint32 {
 // never the requester's own address — at most once per rate-limit window.
 // Requests past the burst budget charge misbehavior points.
 func (n *Node) handleGetAddr(p *peer) {
-	d := &n.cfg.Discovery
-	serve, abusive := p.admitGetAddr(time.Now(), d.GetAddrInterval, d.GetAddrBurst)
+	serve, abusive := p.admitGetAddr(time.Now(), n.cfg.Discovery.getAddrInterval(), getAddrBurst)
 	if abusive {
 		n.countDisc(func(s *DiscoveryStats) { s.GetAddrThrottled++ })
 		n.logf("getaddr spam from %s", p)
@@ -173,11 +163,10 @@ func (n *Node) handleGetAddr(p *peer) {
 // dropped, and newly admitted addresses trickle onward to a few random
 // peers so one announcement diffuses through the network.
 func (n *Node) handleAddr(p *peer, msg *wire.Addr) {
-	d := &n.cfg.Discovery
 	entries := msg.Addrs
 	covered := p.consumeSolicited(len(entries))
 	if uncovered := len(entries) - covered; uncovered > 0 {
-		allowed := p.admitUnsolicited(time.Now(), d.GetAddrInterval, d.UnsolicitedBudget, uncovered)
+		allowed := p.admitUnsolicited(time.Now(), n.cfg.Discovery.getAddrInterval(), unsolicitedBudget, uncovered)
 		if dropped := uncovered - allowed; dropped > 0 {
 			n.countDisc(func(s *DiscoveryStats) { s.UnsolicitedDropped += dropped })
 			if covered+allowed == 0 {
@@ -196,7 +185,7 @@ func (n *Node) handleAddr(p *peer, msg *wire.Addr) {
 			continue
 		}
 		age := time.Duration(na.AgeSec) * time.Second
-		if age > d.MaxAddrAge {
+		if age > maxAddrAge {
 			stale++
 			continue
 		}
@@ -221,15 +210,11 @@ func (n *Node) handleAddr(p *peer, msg *wire.Addr) {
 	}
 }
 
-// trickleAddrs relays freshly learned addresses to AnnounceFanout random
+// trickleAddrs relays freshly learned addresses to announceFanout random
 // peers each (excluding the peer they came from and any peer that is the
 // address itself), so an announcement spreads a few hops per exchange
 // instead of flooding everyone.
 func (n *Node) trickleAddrs(fromID uint64, addrs []wire.NetAddr) {
-	fanout := n.cfg.Discovery.AnnounceFanout
-	if fanout <= 0 {
-		return
-	}
 	peers := n.peerSnapshot()
 	relayed := 0
 	for _, na := range addrs {
@@ -246,11 +231,7 @@ func (n *Node) trickleAddrs(fromID uint64, addrs []wire.NetAddr) {
 		// Stateless per-address stream: the same address trickles to the
 		// same peers on a same-seed replay.
 		perm := n.addrRand.Derive("trickle-" + na.Addr).Perm(len(targets))
-		k := fanout
-		if k > len(perm) {
-			k = len(perm)
-		}
-		for _, ti := range perm[:k] {
+		for _, ti := range perm[:min(announceFanout, len(perm))] {
 			if targets[ti].send(&wire.Addr{Addrs: []wire.NetAddr{na}}) {
 				relayed++
 			}
@@ -374,13 +355,13 @@ func (n *Node) feelerDial(addr string) {
 			return
 		}
 	}
-	conn, err := net.DialTimeout("tcp", addr, n.cfg.HandshakeTimeout)
+	conn, err := net.DialTimeout("tcp", addr, handshakeTimeout)
 	if err != nil {
 		n.dialFailed(addr)
 		return
 	}
 	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(n.cfg.HandshakeTimeout))
+	_ = conn.SetDeadline(time.Now().Add(handshakeTimeout))
 	local := &wire.Version{
 		Protocol:   wire.ProtocolVersion,
 		NodeID:     n.cfg.NodeID,

@@ -98,7 +98,7 @@ func TestGetAddrSampleHardened(t *testing.T) {
 	}
 	a := build()
 	banned := "10.1.0.5:8333"
-	a.Book().Misbehave(0xBAD, banned, 10*DefaultBanThreshold)
+	a.Book().Misbehave(0xBAD, banned, 10*banThreshold)
 	if !a.Book().AddrBanned(banned) {
 		t.Fatal("ban setup failed")
 	}
@@ -133,7 +133,7 @@ func TestGetAddrSampleHardened(t *testing.T) {
 	// Same seed, same book, same requester => identical sample: discovery
 	// decisions replay bit-for-bit.
 	b := build()
-	b.Book().Misbehave(0xBAD, banned, 10*DefaultBanThreshold)
+	b.Book().Misbehave(0xBAD, banned, 10*banThreshold)
 	b.Book().Add(own)
 	conn2 := rawDialAddr(t, b, 0xD1A1, own)
 	if err := wire.Write(conn2, &wire.GetAddr{}); err != nil {
@@ -156,10 +156,7 @@ func TestGetAddrSampleHardened(t *testing.T) {
 // additional ADDR bytes — and requests past the burst budget charge
 // misbehavior points.
 func TestGetAddrRateLimited(t *testing.T) {
-	n := startNode(t, 7710, func(c *Config) {
-		c.Discovery.GetAddrInterval = time.Hour
-		c.Discovery.GetAddrBurst = 4
-	})
+	n := startNode(t, 7710, nil)
 	fillBook(n, 50)
 	const spammer = 0x5BA3
 	conn := rawDial(t, n, spammer)
@@ -236,10 +233,7 @@ func TestAddrIngestionValidated(t *testing.T) {
 // solicited credit and the per-window unsolicited budget are dropped, and
 // a fully over-budget message charges misbehavior.
 func TestUnsolicitedAddrBudget(t *testing.T) {
-	n := startNode(t, 7730, func(c *Config) {
-		c.Discovery.GetAddrInterval = time.Hour
-		c.Discovery.UnsolicitedBudget = 8
-	})
+	n := startNode(t, 7730, nil)
 	const flooder = 0xF100D
 	conn := rawDial(t, n, flooder)
 	// The node sent us one GETADDR at connect: its solicited credit covers
@@ -254,8 +248,8 @@ func TestUnsolicitedAddrBudget(t *testing.T) {
 	waitFor(t, "solicited batch admitted", time.Second, func() bool {
 		return n.Book().Contains(burn[len(burn)-1].Addr)
 	})
-	// Now unsolicited: 20 entries against a budget of 8.
-	extra := make([]wire.NetAddr, 20)
+	// Now unsolicited: 12 entries past the budget.
+	extra := make([]wire.NetAddr, unsolicitedBudget+12)
 	for i := range extra {
 		extra[i] = wire.NetAddr{Addr: fmt.Sprintf("10.4.0.%d:8333", i+1)}
 	}
@@ -263,9 +257,9 @@ func TestUnsolicitedAddrBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "budgeted prefix admitted", time.Second, func() bool {
-		return n.Book().Contains(extra[7].Addr)
+		return n.Book().Contains(extra[unsolicitedBudget-1].Addr)
 	})
-	for _, na := range extra[8:] {
+	for _, na := range extra[unsolicitedBudget:] {
 		if n.Book().Contains(na.Addr) {
 			t.Fatalf("%s admitted past the unsolicited budget", na.Addr)
 		}
@@ -284,19 +278,19 @@ func TestUnsolicitedAddrBudget(t *testing.T) {
 
 // TestRoundlessObservationBound pins the memory fix: a node that never
 // runs Perigee rounds keeps order, firstSeen, and requested bounded by
-// ObservationCap even under an announcement flood of fabricated hashes.
+// observationCap even under an announcement flood of fabricated hashes.
 func TestRoundlessObservationBound(t *testing.T) {
-	const cap = 16
-	n := startNode(t, 7740, func(c *Config) {
-		c.ObservationCap = cap
-	})
+	const cap = observationCap
+	n := startNode(t, 7740, nil)
 	conn := rawDial(t, n, 0x0B5)
+	// Enough rumor to push firstSeen ten entries past its 2·cap bound.
+	const flood = 2*cap + 10
 	var last [32]byte
-	for batch := 0; batch < 40; batch++ {
+	for sent := 0; sent < flood; {
 		inv := &wire.Inv{}
-		for i := 0; i < 10; i++ {
+		for ; sent < flood && len(inv.Hashes) < wire.MaxInvHashes; sent++ {
 			var h [32]byte
-			h[0], h[1], h[2] = byte(batch), byte(i), 0x77
+			h[0], h[1], h[2] = byte(sent>>8), byte(sent), 0x77
 			inv.Hashes = append(inv.Hashes, h)
 			last = h
 		}
@@ -327,7 +321,7 @@ func TestRoundlessObservationBound(t *testing.T) {
 		t.Fatalf("order grew to %d, cap is %d", ord, cap)
 	}
 	// Accepted-block growth is bounded too: mine past the cap.
-	miner := startNode(t, 7741, func(c *Config) { c.ObservationCap = cap })
+	miner := startNode(t, 7741, nil)
 	for i := 0; i < 3*cap; i++ {
 		if _, err := miner.MineBlock(nil); err != nil {
 			t.Fatal(err)
@@ -342,12 +336,12 @@ func TestRoundlessObservationBound(t *testing.T) {
 }
 
 // TestObservationCapKeepsNewest pins the trim contract of the accepted-block
-// window: once more than ObservationCap blocks have been accepted, order is
+// window: once more than observationCap blocks have been accepted, order is
 // exactly the newest cap hashes, in acceptance order, and firstSeen holds
 // every kept block's timestamps and none of the trimmed blocks'.
 func TestObservationCapKeepsNewest(t *testing.T) {
-	const cap, extra = 16, 37
-	n := startNode(t, 7745, func(c *Config) { c.ObservationCap = cap })
+	const cap, extra = observationCap, 37
+	n := startNode(t, 7745, nil)
 	var accepted []chain.Hash
 	for i := 0; i < cap+extra; i++ {
 		b := chain.NewBlock(n.store.Tip(), nil, time.Now(), uint64(i))
@@ -522,16 +516,16 @@ func TestChaosDiscoveryConvergence(t *testing.T) {
 // dial-verified entries are never displaced by a flood of unverified
 // rumor, while rumor still displaces rumor.
 func TestVerifiedSurviveRumorFlood(t *testing.T) {
-	b, _ := newClockBook(BookConfig{Cap: 8})
+	b, _ := newClockBook()
 	verified := []string{"10.5.0.1:1000", "10.5.0.2:1000", "10.5.0.3:1000"}
 	for _, a := range verified {
 		b.DialSucceeded(a)
 	}
-	for i := 0; i < 100; i++ {
+	for i := 0; i < bookCap+100; i++ {
 		b.AddSeen(fmt.Sprintf("10.6.%d.%d:2000", i/250, i%250+1), 0)
 	}
-	if got := b.Len(); got != 8 {
-		t.Fatalf("book length %d, want cap 8", got)
+	if got := b.Len(); got != bookCap {
+		t.Fatalf("book length %d, want cap %d", got, bookCap)
 	}
 	for _, a := range verified {
 		if !b.Contains(a) {
@@ -545,9 +539,12 @@ func TestVerifiedSurviveRumorFlood(t *testing.T) {
 		t.Fatalf("VerifiedCount = %d, want 3", got)
 	}
 	// A book full of verified entries rejects rumor outright.
-	full, _ := newClockBook(BookConfig{Cap: 3})
+	full, _ := newClockBook()
 	for _, a := range verified {
 		full.DialSucceeded(a)
+	}
+	for i := 0; i < bookCap-len(verified); i++ {
+		full.DialSucceeded(fmt.Sprintf("10.9.%d.%d:3000", i/250, i%250+1))
 	}
 	if full.AddSeen("10.7.0.1:3000", 0) {
 		t.Fatal("rumor admitted into an all-verified book at cap")
@@ -557,7 +554,7 @@ func TestVerifiedSurviveRumorFlood(t *testing.T) {
 	if !full.Contains("10.7.0.2:3000") {
 		t.Fatal("verified newcomer rejected")
 	}
-	if full.Len() != 3 {
+	if full.Len() != bookCap {
 		t.Fatalf("cap violated: %d", full.Len())
 	}
 }
@@ -566,7 +563,7 @@ func TestVerifiedSurviveRumorFlood(t *testing.T) {
 // age backdates LastSeen, and Gossipable reports it (while excluding
 // banned and requested addresses).
 func TestAddSeenBackdatesAndGossipableAges(t *testing.T) {
-	b, clock := newClockBook(BookConfig{})
+	b, clock := newClockBook()
 	b.AddSeen("10.8.0.1:1000", 90*time.Second)
 	b.Add("10.8.0.2:1000")
 	clock.advance(10 * time.Second)
@@ -577,7 +574,7 @@ func TestAddSeenBackdatesAndGossipableAges(t *testing.T) {
 	if got[0].Age != 100*time.Second {
 		t.Fatalf("age %v, want 100s (90s claimed + 10s elapsed)", got[0].Age)
 	}
-	b.Misbehave(0xB, "10.8.0.1:1000", 10*DefaultBanThreshold)
+	b.Misbehave(0xB, "10.8.0.1:1000", 10*banThreshold)
 	if rest := b.Gossipable(); len(rest) != 1 || rest[0].Addr != "10.8.0.2:1000" {
 		t.Fatalf("banned entry still gossipable: %v", rest)
 	}

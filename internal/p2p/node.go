@@ -13,13 +13,15 @@ import (
 	"github.com/perigee-net/perigee/internal/core"
 	"github.com/perigee-net/perigee/internal/faults"
 	"github.com/perigee-net/perigee/internal/rng"
-	"github.com/perigee-net/perigee/internal/stats"
 	"github.com/perigee-net/perigee/internal/wire"
 )
 
 // Config assembles a live node. A zero (or negative) field takes its
-// default, as in BookConfig and DiscoveryConfig: range checks live at the
-// public boundary, in the node package's options, not here.
+// default, as in DiscoveryConfig: range checks live at the public
+// boundary, in the node package's options, not here. Policy no program
+// tunes — the handshake timeout, the slow-consumer budget, the
+// observation cap, the address book's backoff and ban rules, the
+// addr-gossip rate limits — is fixed by package constants.
 type Config struct {
 	// NodeID is the node's identity; zero means "derive from the seed".
 	NodeID uint64
@@ -67,11 +69,6 @@ type Config struct {
 	// reset the observation window and report, but keep every outbound
 	// peer and dial nothing.
 	Frozen bool
-	// HandshakeTimeout bounds the version exchange (default 5s).
-	HandshakeTimeout time.Duration
-	// Book tunes the address book's capacity, dial backoff, and banning
-	// policy; zero-valued fields resolve to the package defaults.
-	Book BookConfig
 	// AddrBookPath, when non-empty, loads the address book from this file
 	// at construction and saves it on Stop, so peer health and bans
 	// survive restarts. A missing file is not an error.
@@ -90,25 +87,15 @@ type Config struct {
 	// plus one frame (default 10s); a peer that cannot absorb a flush in
 	// this long is disconnected by its write loop.
 	WriteTimeout time.Duration
-	// MaxSendQueueDrops is the consecutive full-queue send-drop budget
-	// after which a slow consumer is disconnected rather than silently
-	// starved (default 64).
-	MaxSendQueueDrops int
 	// RedialInterval, when positive, runs a maintenance loop that redials
 	// addresses from the book whenever the outbound degree has fallen
 	// below OutDegree — recovery between Perigee rounds. Zero disables
 	// the loop (rounds still re-dial).
 	RedialInterval time.Duration
-	// Discovery tunes addr-gossip: the always-on hardening (validation,
-	// GETADDR rate limits, unsolicited budgets, seeded response sampling)
-	// and the optional active loops (refresh, feelers).
+	// Discovery sets addr-gossip's optional active loops (refresh,
+	// feelers); the hardening (validation, GETADDR rate limits,
+	// unsolicited budgets, seeded response sampling) is always on.
 	Discovery DiscoveryConfig
-	// ObservationCap bounds the block-observation structures (order,
-	// firstSeen, requested) independently of Perigee rounds, so a node
-	// that never rounds (RoundBlocks 0, no PerigeeRound calls) cannot
-	// grow them without bound. The effective cap is never below
-	// RoundBlocks. Default 4096.
-	ObservationCap int
 	// DrainTimeout bounds the graceful flush of peer send queues during
 	// Stop (default 1s).
 	DrainTimeout time.Duration
@@ -116,22 +103,35 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
+// Live-node policy.
+const (
+	// handshakeTimeout bounds the version exchange.
+	handshakeTimeout = 5 * time.Second
+	// maxSendQueueDrops is the consecutive full-queue send-drop budget
+	// after which a slow consumer is disconnected rather than silently
+	// starved.
+	maxSendQueueDrops = 64
+	// observationCap bounds the block-observation structures (order,
+	// firstSeen, requested) independently of Perigee rounds, so a node
+	// that never rounds (RoundBlocks 0, no PerigeeRound calls) cannot grow
+	// them without bound; see Config.obsCap.
+	observationCap = 4096
+)
+
 // withDefaults resolves unset (non-positive) fields to their defaults.
 func (c Config) withDefaults() Config {
 	setDefault(&c.MaxInbound, 20)
 	setDefault(&c.OutDegree, core.DefaultParams(core.Subset).OutDegree)
-	setDefault(&c.HandshakeTimeout, 5*time.Second)
 	setDefault(&c.ReadIdleTimeout, 90*time.Second)
 	setDefault(&c.WriteTimeout, 10*time.Second)
-	setDefault(&c.MaxSendQueueDrops, 64)
 	setDefault(&c.DrainTimeout, time.Second)
-	setDefault(&c.ObservationCap, 4096)
-	if c.ObservationCap < c.RoundBlocks {
-		c.ObservationCap = c.RoundBlocks
-	}
-	c.Discovery = c.Discovery.withDefaults()
+	setDefault(&c.Discovery.TargetKnown, DefaultTargetKnown)
 	return c
 }
+
+// obsCap is the effective observation bound: observationCap, raised to
+// RoundBlocks so an automatic round's window is never trimmed.
+func (c Config) obsCap() int { return max(observationCap, c.RoundBlocks) }
 
 // setDefault replaces a non-positive value with def.
 func setDefault[T int | time.Duration](v *T, def T) {
@@ -259,7 +259,7 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.NodeID == 0 {
 		cfg.NodeID = r.Uint64() | 1 // never zero
 	}
-	book := NewAddrBookWith(cfg.Book)
+	book := NewAddrBook()
 	if cfg.AddrBookPath != "" {
 		if err := book.Load(cfg.AddrBookPath); err != nil {
 			return nil, fmt.Errorf("p2p: address book: %w", err)
@@ -375,33 +375,48 @@ func (n *Node) maintainLoop() {
 	}
 }
 
-func (n *Node) redialToTarget() {
-	need := n.cfg.OutDegree - n.OutboundCount()
-	if need <= 0 {
-		return
-	}
-	exclude := map[string]bool{n.Addr(): true}
+// dialBook connects to the book's dialable addresses in one seeded
+// shuffle, skipping the node's own address, every connected peer's, and
+// skip, until enough reports true for the number connected so far.
+// Dialable respects bans and backoff gates, so the loop cannot hot-loop on
+// dead or abusive addresses. It returns the addresses connected and the
+// exclusion set, which it never extends.
+func (n *Node) dialBook(skip []string, enough func(connected int) bool, what string) (dialed []string, exclude map[string]bool) {
+	exclude = map[string]bool{n.Addr(): true}
 	for _, p := range n.peerSnapshot() {
 		if p.listenAddr != "" {
 			exclude[p.listenAddr] = true
 		}
 	}
+	for _, a := range skip {
+		exclude[a] = true
+	}
 	candidates := n.book.Dialable()
 	n.shuffleStrings(candidates)
 	for _, addr := range candidates {
-		if need <= 0 {
-			return
+		if enough(len(dialed)) {
+			break
 		}
 		if exclude[addr] {
 			continue
 		}
 		if err := n.Connect(addr); err != nil {
-			n.logf("redial %s: %v", addr, err)
+			n.logf("%s %s: %v", what, addr, err)
 			continue
 		}
-		n.countRes(func(r *ResilienceStats) { r.Redials++ })
-		need--
+		dialed = append(dialed, addr)
 	}
+	return dialed, exclude
+}
+
+func (n *Node) redialToTarget() {
+	need := n.cfg.OutDegree - n.OutboundCount()
+	if need <= 0 {
+		return
+	}
+	dialed, exclude := n.dialBook(nil, func(c int) bool { return c >= need }, "redial")
+	n.countRes(func(r *ResilienceStats) { r.Redials += len(dialed) })
+	need -= len(dialed)
 	// Starved below quorum with every known address inside its backoff
 	// gate: override the gate for the entry closest to dialable rather
 	// than sit disconnected. Backoff protects remote peers from a healthy
@@ -509,7 +524,7 @@ func (n *Node) Connect(addr string) error {
 			return fmt.Errorf("p2p: dial %s: %w", addr, faults.ErrInjectedDial)
 		}
 	}
-	conn, err := net.DialTimeout("tcp", addr, n.cfg.HandshakeTimeout)
+	conn, err := net.DialTimeout("tcp", addr, handshakeTimeout)
 	if err != nil {
 		n.dialFailed(addr)
 		return fmt.Errorf("p2p: dial %s: %w", addr, err)
@@ -554,7 +569,7 @@ func (n *Node) nextConnAttempt(remote uint64) int {
 
 // setupPeer performs the version handshake and installs the peer.
 func (n *Node) setupPeer(conn net.Conn, dir Direction, dialedAddr string) error {
-	deadline := time.Now().Add(n.cfg.HandshakeTimeout)
+	deadline := time.Now().Add(handshakeTimeout)
 	_ = conn.SetDeadline(deadline)
 	local := &wire.Version{
 		Protocol:   wire.ProtocolVersion,
@@ -621,7 +636,7 @@ func (n *Node) setupPeer(conn net.Conn, dir Direction, dialedAddr string) error 
 	p := newPeer(remote.NodeID, dir, conn, listenAddr, delay)
 	p.writeTimeout = n.cfg.WriteTimeout
 	p.dropNth = dropNth
-	p.maxFullDrops = n.cfg.MaxSendQueueDrops
+	p.maxFullDrops = maxSendQueueDrops
 	p.onSlowClose = func() {
 		n.countRes(func(r *ResilienceStats) { r.SlowConsumerDrops++ })
 		n.logf("disconnecting slow consumer %016x", remote.NodeID)
@@ -860,7 +875,7 @@ func (n *Node) recordSeen(peerID uint64, h chain.Hash, at time.Time) {
 // rounds (a client-only observer) must not grow them without bound.
 // Callers hold obsMu.
 func (n *Node) boundObservationsLocked() {
-	cap := n.cfg.ObservationCap
+	cap := n.cfg.obsCap()
 	// Accepted blocks: keep the newest cap entries of the window; the
 	// timestamps of trimmed blocks can no longer feed a round, so their
 	// firstSeen maps go too.
@@ -1299,36 +1314,14 @@ func (n *Node) PerigeeRound() (RoundReport, error) {
 	if target < n.cfg.OutDegree {
 		target = n.cfg.OutDegree
 	}
-	exclude := map[string]bool{n.Addr(): true}
-	for _, p := range n.peerSnapshot() {
-		if p.listenAddr != "" {
-			exclude[p.listenAddr] = true
-		}
-	}
 	// Never immediately redial a peer the selector just evicted.
+	var evicted []string
 	for _, i := range decision.Drop {
 		if a := outbound[i].listenAddr; a != "" {
-			exclude[a] = true
+			evicted = append(evicted, a)
 		}
 	}
-	// Dialable respects bans and backoff gates, so exploration cannot
-	// hot-loop on dead or abusive addresses.
-	candidates := n.book.Dialable()
-	n.shuffleStrings(candidates)
-	for _, addr := range candidates {
-		if n.OutboundCount() >= target {
-			break
-		}
-		if exclude[addr] {
-			continue
-		}
-		if err := n.Connect(addr); err != nil {
-			n.logf("exploration dial %s failed: %v", addr, err)
-			continue
-		}
-		exclude[addr] = true
-		report.Dialed = append(report.Dialed, addr)
-	}
+	report.Dialed, _ = n.dialBook(evicted, func(int) bool { return n.OutboundCount() >= target }, "exploration dial")
 	report.Added = n.outboundDiff(report.Kept)
 	if n.cfg.OnRound != nil {
 		n.cfg.OnRound(report)
@@ -1455,6 +1448,3 @@ func (n *Node) Stop() {
 		}
 	}
 }
-
-// Censored is re-exported for tests asserting on observation offsets.
-const Censored = stats.InfDuration

@@ -411,17 +411,39 @@ func TestNewNodeValidation(t *testing.T) {
 }
 
 // TestConfigDefaults: unset and non-positive fields resolve to the
-// defaults (range checks live in the node package's options), and a nil
-// Selector is the simulator's Subset default.
+// defaults (range checks live in the node package's options), the fixed
+// policy holds its pinned values, and a nil Selector is the simulator's
+// Subset default.
 func TestConfigDefaults(t *testing.T) {
-	for _, cfg := range []Config{{}, {MaxInbound: -1, OutDegree: -8, HandshakeTimeout: -time.Second}} {
+	for _, cfg := range []Config{{}, {MaxInbound: -1, OutDegree: -8, ReadIdleTimeout: -time.Second}} {
 		cfg = cfg.withDefaults()
-		if cfg.MaxInbound != 20 || cfg.OutDegree != 8 || cfg.HandshakeTimeout != 5*time.Second {
+		if cfg.MaxInbound != 20 || cfg.OutDegree != 8 || cfg.ReadIdleTimeout != 90*time.Second {
 			t.Fatalf("defaults wrong: %+v", cfg)
 		}
 	}
-	if cfg := (Config{RoundBlocks: 5000}).withDefaults(); cfg.ObservationCap != 5000 {
-		t.Fatalf("observation cap %d below round blocks", cfg.ObservationCap)
+	if handshakeTimeout != 5*time.Second || maxSendQueueDrops != 64 || observationCap != 4096 {
+		t.Fatalf("node policy moved: handshake %v, send-queue drops %d, observation cap %d",
+			handshakeTimeout, maxSendQueueDrops, observationCap)
+	}
+	if bookCap != 1024 || dialBudget != 8 || backoffBase != 500*time.Millisecond || backoffMax != 2*time.Minute ||
+		banThreshold != 100 || banDuration != 10*time.Minute || decayHalfLife != 5*time.Minute {
+		t.Fatal("address-book policy moved")
+	}
+	if announceFanout != 2 || getAddrBurst != 4 || unsolicitedBudget != 64 || maxAddrAge != 3*time.Hour {
+		t.Fatal("addr-gossip policy moved")
+	}
+	for _, tc := range []struct{ refresh, want time.Duration }{
+		{0, 30 * time.Second}, {10 * time.Second, 10 * time.Second}, {time.Minute, 30 * time.Second},
+	} {
+		if got := (DiscoveryConfig{RefreshInterval: tc.refresh}).getAddrInterval(); got != tc.want {
+			t.Fatalf("GETADDR window at refresh %v = %v, want %v", tc.refresh, got, tc.want)
+		}
+	}
+	if got := (Config{}).obsCap(); got != observationCap {
+		t.Fatalf("observation cap %d, want %d", got, observationCap)
+	}
+	if got := (Config{RoundBlocks: 5000}).obsCap(); got != 5000 {
+		t.Fatalf("observation cap %d below round blocks", got)
 	}
 	n, err := NewNode(Config{Genesis: testGenesis()})
 	if err != nil {

@@ -243,20 +243,11 @@ func TestOptionValidation(t *testing.T) {
 		{WithScoring(perigee.ScoringVanilla), WithOutDegree(3), WithExplore(3)},
 		{WithFaults(nil)},
 		{WithAddrBookPath("")},
-		{WithAddrBookCap(0)},
-		{WithBanPolicy(0, time.Minute)},
-		{WithBanPolicy(50, 0)},
-		{WithDialBackoff(0, time.Second, 4)},
-		{WithDialBackoff(time.Second, time.Millisecond, 4)},
-		{WithDialBackoff(time.Second, time.Minute, 0)},
 		{WithIdleTimeout(0)},
 		{WithRedialInterval(-time.Second)},
-		{WithHandshakeTimeout(-time.Second)},
-		{WithObservationCap(0)},
 		{WithDiscovery(0, 0)},
 		{WithDiscovery(time.Second, -1)},
 		{WithFeelerInterval(-time.Second)},
-		{WithAddrAnnounce(0)},
 		{nil},
 	}
 	for i, opts := range bad {

@@ -37,7 +37,7 @@ type config struct {
 }
 
 // positive stores v in dst unless it is zero or negative.
-func positive[T int | float64 | time.Duration](dst *T, v T, what string) error {
+func positive[T int | time.Duration](dst *T, v T, what string) error {
 	if v <= 0 {
 		return fmt.Errorf("node: %s %v must be positive", what, v)
 	}
@@ -226,12 +226,6 @@ func WithAdversary(a perigee.Adversary) Option {
 	}
 }
 
-// WithHandshakeTimeout bounds the version exchange when connecting
-// (default 5s).
-func WithHandshakeTimeout(d time.Duration) Option {
-	return func(c *config) error { return positive(&c.p2p.HandshakeTimeout, d, "handshake timeout") }
-}
-
 // WithFaults injects deterministic connection faults from the plan:
 // dials may fail outright, and established connections may be reset,
 // stalled, throttled, or made lossy, exactly as the plan's seeded
@@ -263,45 +257,6 @@ func WithAddrBookPath(path string) Option {
 	}
 }
 
-// WithAddrBookCap bounds the address book (default 1024). At the cap,
-// adding a fresh address evicts the unhealthiest known one — banned
-// first, then most-failed, then least recently seen — so address gossip
-// from any single peer cannot grow the book without limit.
-func WithAddrBookCap(n int) Option {
-	return func(c *config) error { return positive(&c.p2p.Book.Cap, n, "address book cap") }
-}
-
-// WithBanPolicy tunes peer banning: a peer whose decayed misbehavior
-// score — fed by protocol violations such as malformed frames, invalid
-// blocks, and handshake abuse — reaches threshold is disconnected and
-// banned for d (defaults: 100 points, 10 minutes). Scores halve every
-// few minutes, so transient faults heal instead of accumulating into a
-// ban.
-func WithBanPolicy(threshold float64, d time.Duration) Option {
-	return func(c *config) error {
-		if err := positive(&c.p2p.Book.BanThreshold, threshold, "ban threshold"); err != nil {
-			return err
-		}
-		return positive(&c.p2p.Book.BanDuration, d, "ban duration")
-	}
-}
-
-// WithDialBackoff tunes dial retry behavior: after each consecutive
-// failure an address waits an exponentially growing, jittered interval
-// (base doubling up to max) before it is dialable again, and after
-// budget consecutive failures it is evicted from the book entirely
-// (defaults: 500ms base, 2m cap, budget 8).
-func WithDialBackoff(base, max time.Duration, budget int) Option {
-	return func(c *config) error {
-		if base <= 0 || max < base {
-			return fmt.Errorf("node: dial backoff [%v, %v] must satisfy 0 < base <= max", base, max)
-		}
-		c.p2p.Book.BackoffBase = base
-		c.p2p.Book.BackoffMax = max
-		return positive(&c.p2p.Book.DialBudget, budget, "dial failure budget")
-	}
-}
-
 // WithIdleTimeout bounds silence on every connection (default 90s):
 // after one idle interval the peer is probed with a ping, and a second
 // silent interval disconnects it — this is what reclaims stalled and
@@ -322,10 +277,14 @@ func WithRedialInterval(d time.Duration) Option {
 // interval the node asks a couple of random peers for addresses (GETADDR)
 // until the book holds targetKnown entries, so a node given a single seed
 // address bootstraps the rest of the network on its own. Pass targetKnown
-// 0 for the default book target (128). Passive discovery — answering
-// GETADDR with rate-limited random samples, validating and admitting
-// gossiped addresses, announcing the node's own address on connect — is
-// always on and needs no option.
+// 0 for the default book target (128). The GETADDR service window follows
+// refresh when that is shorter than 30s, so the serving side never
+// starves refresh requests. Passive discovery — answering GETADDR with
+// rate-limited random samples (one per peer per window, misbehavior
+// points past 4), admitting at most 64 unsolicited addresses per peer per
+// window, dropping addresses older than 3h, trickling each fresh address
+// to 2 random peers, announcing the node's own address on connect — is
+// always on, and its limits are fixed.
 func WithDiscovery(refresh time.Duration, targetKnown int) Option {
 	return func(c *config) error {
 		if targetKnown < 0 {
@@ -345,21 +304,6 @@ func WithDiscovery(refresh time.Duration, targetKnown int) Option {
 // feelers.
 func WithFeelerInterval(d time.Duration) Option {
 	return func(c *config) error { return positive(&c.p2p.Discovery.FeelerInterval, d, "feeler interval") }
-}
-
-// WithAddrAnnounce sets how many random peers each freshly learned
-// address is relayed to (Bitcoin-style addr trickle, default 2). Higher
-// fanout spreads addresses faster at the cost of more gossip traffic.
-func WithAddrAnnounce(fanout int) Option {
-	return func(c *config) error { return positive(&c.p2p.Discovery.AnnounceFanout, fanout, "announce fanout") }
-}
-
-// WithObservationCap bounds the block-observation bookkeeping (arrival
-// timestamps, request dedup) independently of Perigee rounds, so a node
-// that never rounds — a client-only observer — holds memory proportional
-// to the cap rather than to uptime (default 4096).
-func WithObservationCap(n int) Option {
-	return func(c *config) error { return positive(&c.p2p.ObservationCap, n, "observation cap") }
 }
 
 // WithLogf directs diagnostic log lines to f. The default discards them.

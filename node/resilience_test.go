@@ -22,7 +22,6 @@ func TestResilienceOptionsEndToEnd(t *testing.T) {
 			WithFaults(plan),
 			WithIdleTimeout(300*time.Millisecond),
 			WithRedialInterval(100*time.Millisecond),
-			WithAddrBookCap(64),
 		))
 	}
 	for i, n := range nodes {
@@ -61,7 +60,6 @@ func TestDialFaultsRecorded(t *testing.T) {
 		WithNetwork("node-test"),
 		WithSeed(201),
 		WithFaults(perigee.DialFaults(3, 1)),
-		WithDialBackoff(50*time.Millisecond, time.Second, 4),
 	)
 	if err != nil {
 		t.Fatal(err)
