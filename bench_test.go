@@ -192,9 +192,15 @@ func BenchmarkMicroTableRewire1000(b *testing.B) { bench.MicroTableRewire(1000)(
 // -benchtime (e.g. -benchtime=3x); a single op is a full 100k-node flood.
 func BenchmarkMicroBroadcast100000(b *testing.B) { bench.MicroBroadcast(100000, latency.Auto)(b) }
 
-// BenchmarkMicroAnalyticArrival1000 measures the pooled Dijkstra-based
-// arrival computation used by the λ_v metric.
+// BenchmarkMicroAnalyticArrival1000 measures the arrival-only flood used
+// by the λ_v metric, with its queue taken from a pool.
 func BenchmarkMicroAnalyticArrival1000(b *testing.B) { bench.MicroAnalyticArrival(1000)(b) }
+
+// BenchmarkMicroRoundBroadcast1000 measures the path a round's blocks take:
+// one TimedRound.BroadcastAll of 100 blocks on a 1000-node engine, i.e.
+// arrival-only floods plus the harvest of every node's observations.
+// scripts/bench.sh holds it at 0 allocs/op.
+func BenchmarkMicroRoundBroadcast1000(b *testing.B) { bench.MicroRoundBroadcast(1000)(b) }
 
 // BenchmarkMicroDelayToFraction measures the weighted coverage metric.
 func BenchmarkMicroDelayToFraction(b *testing.B) { bench.MicroDelayToFraction(b) }

@@ -181,8 +181,8 @@ func MicroReconfigure(n int) func(b *testing.B) {
 	}
 }
 
-// MicroAnalyticArrival measures the pooled Dijkstra-based arrival
-// computation used by the λ_v metric.
+// MicroAnalyticArrival measures the arrival-only flood the λ_v metric runs,
+// the bucket-queue pass with its queue taken from a pool.
 func MicroAnalyticArrival(n int) func(b *testing.B) {
 	return func(b *testing.B) {
 		sim, _ := Network(b, n)
@@ -219,10 +219,9 @@ func MicroDelayToFraction(b *testing.B) {
 // benchNodes is the size of the engine the scoring and round benchmarks run.
 const benchNodes = 300
 
-// subsetEngine builds a benchNodes-node Subset engine on a random topology
-// with rounds of roundBlocks blocks, deciding through sel when it is non-nil.
-func subsetEngine(seed uint64, roundBlocks int, sel core.Selector) (*core.Engine, error) {
-	const n = benchNodes
+// subsetEngine builds an n-node Subset engine on a random topology with
+// rounds of roundBlocks blocks, deciding through sel when it is non-nil.
+func subsetEngine(n int, seed uint64, roundBlocks int, sel core.Selector) (*core.Engine, error) {
 	root := rng.New(seed)
 	u, err := geo.SampleUniverse(n, root.Derive("universe"))
 	if err != nil {
@@ -240,7 +239,7 @@ func subsetEngine(seed uint64, roundBlocks int, sel core.Selector) (*core.Engine
 	power := make([]float64, n)
 	for i := range forward {
 		forward[i] = 50 * time.Millisecond
-		power[i] = 1.0 / n
+		power[i] = 1 / float64(n)
 	}
 	params := core.DefaultParams(core.Subset)
 	params.RoundBlocks = roundBlocks
@@ -272,7 +271,7 @@ var roundObservations = sync.OnceValue(func() []core.Observations {
 		}
 		return subset.SelectNeighbors(view)
 	})
-	engine, err := subsetEngine(7, 100, wrap)
+	engine, err := subsetEngine(benchNodes, 7, 100, wrap)
 	if err != nil {
 		panic(err)
 	}
@@ -321,7 +320,7 @@ func MicroSubsetScoring(b *testing.B) {
 // MicroEngineRound measures one full protocol round (broadcasts + scoring
 // + reconnection) on a 300-node network.
 func MicroEngineRound(b *testing.B) {
-	engine, err := subsetEngine(3, 50, nil)
+	engine, err := subsetEngine(benchNodes, 3, 50, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -330,6 +329,47 @@ func MicroEngineRound(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := engine.Step(); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// MicroRoundBroadcast measures the broadcast phase of a Subset round on an
+// n-node engine: one TimedRound.BroadcastAll of 100 blocks, that is 100
+// arrival-only floods and the harvest of every node's observations from
+// them. Each op opens a fresh round on the same topology with the timer
+// stopped, so only BroadcastAll is timed and counted; its worker queues and
+// arrival buffers are warm after the first op, so allocs/op is 0 at one
+// worker.
+func MicroRoundBroadcast(n int) func(b *testing.B) {
+	return func(b *testing.B) {
+		const blocks = 100
+		engine, err := subsetEngine(n, 3, blocks, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r := rng.New(4)
+		sources := make([]int, blocks)
+		for i := range sources {
+			sources[i] = r.IntN(n)
+		}
+		round := func() {
+			tr, err := core.BeginTimedRound(engine, blocks)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			err = tr.BroadcastAll(sources, nil)
+			b.StopTimer()
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		round() // grow the queues, arrival buffers and observation rows
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			round()
 		}
 	}
 }

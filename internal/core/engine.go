@@ -203,19 +203,20 @@ type Engine struct {
 // built once through netsim's prevalidated path (the engine constructs
 // symmetric sorted adjacencies by construction) and reconfigured in place
 // whenever the connection table's version moves; the observation matrices,
-// outgoing/slot tables, per-worker Broadcasters, source slice, and
-// per-worker arrival buffers all keep their backing arrays across rounds.
+// the harvest's inbound tables, per-worker Broadcasters, source slice,
+// exploration order, and per-worker arrival buffers all keep their backing
+// arrays across rounds.
 type roundScratch struct {
 	sim        *netsim.Simulator
 	simVersion uint64
 	simDirty   bool
 	adj        [][]int
 	bcs        []*netsim.Broadcaster
-	outs       [][]int
-	slot       [][]int
+	in         inbound
 	obs        []Observations
 	sources    []int
 	decisions  []Decision
+	order      []int
 	arrivals   [][]time.Duration
 
 	// Tracing scratch (used only when Config.Trace enables tracing):
@@ -472,19 +473,19 @@ func (e *Engine) ensureSim() (*netsim.Simulator, error) {
 // time (Forward, Silent, RelayDelay) do not need it.
 func (e *Engine) InvalidateNetworkCache() { e.scratch.simDirty = true }
 
-// broadcasters returns at least `workers` per-worker broadcast contexts
-// over the cached simulator, growing the pool on first use and reusing it
-// (scratch included) across rounds.
-func (e *Engine) broadcasters(sim *netsim.Simulator, workers int) []*netsim.Broadcaster {
+// growBroadcasters makes sure there are `workers` per-worker flood contexts
+// over the cached simulator, reusing them (queues included) across rounds.
+// The engine only runs their arrival-only floods, so none of them ever
+// sizes an edge-length buffer.
+func (e *Engine) growBroadcasters(sim *netsim.Simulator, workers int) {
 	rs := &e.scratch
 	for len(rs.bcs) < workers {
 		rs.bcs = append(rs.bcs, sim.NewBroadcaster())
 	}
-	return rs.bcs[:workers]
 }
 
 // arrivalBuffers returns `workers` reusable arrival vectors, one per
-// worker, for the λ and receive-delay evaluations.
+// worker, for round broadcasts and the λ and receive-delay evaluations.
 func (e *Engine) arrivalBuffers(workers int) [][]time.Duration {
 	rs := &e.scratch
 	for len(rs.arrivals) < workers {
@@ -517,46 +518,6 @@ func (e *Engine) Step() (RoundReport, error) {
 		return RoundReport{}, err
 	}
 	return t.Finish()
-}
-
-// prepareRound snapshots every node's outgoing set, locates each outgoing
-// neighbor's slot in the (sorted) adjacency rows — outs[v] and the row are
-// both ascending, so a merged walk finds every slot in one pass — and
-// resets the observation matrices to `window` block rows, all into the
-// reusable scratch tables.
-func (e *Engine) prepareRound(sim *netsim.Simulator, window int) error {
-	n := e.table.N()
-	rs := &e.scratch
-	if cap(rs.outs) < n {
-		rs.outs = make([][]int, n)
-		rs.slot = make([][]int, n)
-		rs.obs = make([]Observations, n)
-	}
-	outs, slot, obs := rs.outs[:n], rs.slot[:n], rs.obs[:n]
-	rs.outs, rs.slot, rs.obs = outs, slot, obs
-	for v := 0; v < n; v++ {
-		outs[v] = e.table.AppendOutNeighbors(outs[v][:0], v)
-		row := sim.Row(v)
-		if cap(slot[v]) < len(outs[v]) {
-			slot[v] = make([]int, len(outs[v]))
-		}
-		slot[v] = slot[v][:len(outs[v])]
-		k := 0
-		for i, u := range outs[v] {
-			for k < len(row) && int(row[k]) != u {
-				k++
-			}
-			if k == len(row) {
-				return fmt.Errorf("core: internal: outgoing neighbor %d of %d missing from adjacency", u, v)
-			}
-			slot[v][i] = k
-		}
-	}
-	for v := 0; v < n; v++ {
-		obs[v].Reset(outs[v], window)
-	}
-	e.prepareCounterfactuals(window)
-	return nil
 }
 
 // finishRound runs everything after a round's broadcast phase: observation
@@ -601,38 +562,6 @@ func (e *Engine) finishRound(obs []Observations, blocks int) (RoundReport, error
 		}
 	}
 	return report, nil
-}
-
-// harvestObservations folds one broadcast result into the per-node
-// observation matrices as block row b: each node's offsets are its outgoing
-// neighbors' arrival times relative to the node's earliest announcement.
-// That is the node's first arrival, which the broadcast already took as the
-// minimum of the node's EdgeArrival row; only the miner, holding the block
-// at time 0, has to look through its row for the first echo. Rows are
-// per-block, so concurrent calls for distinct b never race.
-func harvestObservations(res netsim.Result, b int, obs []Observations, outs, slot [][]int) {
-	for v := range obs {
-		row := res.EdgeArrival[v]
-		tMin := res.Arrival[v]
-		if v == res.Source {
-			tMin = stats.InfDuration
-			for _, t := range row {
-				tMin = min(tMin, t)
-			}
-		}
-		if tMin == stats.InfDuration {
-			continue // nothing heard; offsets stay censored
-		}
-		// Block row b of the flat matrix, without loading its row header
-		// from Offsets: that is a cache miss per (node, block).
-		k := len(outs[v])
-		dst := obs[v].backing[b*k : (b+1)*k]
-		for i, s := range slot[v] {
-			if t := row[s]; t != stats.InfDuration {
-				dst[i] = t - tMin
-			}
-		}
-	}
 }
 
 // update applies the selector's neighbor update synchronously at all
@@ -696,7 +625,14 @@ func (e *Engine) update(obs []Observations, ev *RoundEvent) (RoundReport, error)
 	if ev != nil {
 		record = &ev.Added
 	}
-	for _, v := range e.rand.Perm(n) {
+	// rand.Perm's draws without its allocation: the identity, shuffled.
+	order := e.scratch.order[:0]
+	for v := 0; v < n; v++ {
+		order = append(order, v)
+	}
+	e.scratch.order = order
+	e.rand.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
+	for _, v := range order {
 		if e.frozen != nil && e.frozen[v] {
 			continue
 		}

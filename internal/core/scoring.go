@@ -87,9 +87,17 @@ func NewObservations(neighbors []int, blocks int) Observations {
 
 // Reset reinitializes o in place for a new round — neighbor snapshot
 // copied, every offset back to "never delivered" — reusing the backing
-// buffers when their capacity suffices. The engine calls this once per
-// node per round, so a steady-state round allocates no observation memory.
+// buffers when their capacity suffices.
 func (o *Observations) Reset(neighbors []int, blocks int) {
+	o.reshape(neighbors, blocks)
+	o.censor()
+}
+
+// reshape is Reset without the fill: the offsets hold whatever the buffer
+// held, for the engine's round, whose harvest writes every cell. The
+// engine calls it once per node per round, so a steady-state round
+// allocates no observation memory.
+func (o *Observations) reshape(neighbors []int, blocks int) {
 	o.Neighbors = append(o.Neighbors[:0], neighbors...)
 	k := len(neighbors)
 	need := blocks * k
@@ -97,15 +105,19 @@ func (o *Observations) Reset(neighbors []int, blocks int) {
 		o.backing = make([]time.Duration, need)
 	}
 	o.backing = o.backing[:need]
-	for i := range o.backing {
-		o.backing[i] = stats.InfDuration
-	}
 	if cap(o.Offsets) < blocks {
 		o.Offsets = make([][]time.Duration, blocks)
 	}
 	o.Offsets = o.Offsets[:blocks]
 	for b := range o.Offsets {
 		o.Offsets[b] = o.backing[b*k : (b+1)*k : (b+1)*k]
+	}
+}
+
+// censor sets every offset to "never delivered".
+func (o *Observations) censor() {
+	for i := range o.backing {
+		o.backing[i] = stats.InfDuration
 	}
 }
 

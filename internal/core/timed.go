@@ -22,7 +22,16 @@ type TimedRound struct {
 	blocks int
 	window int
 	sent   bool
-	done   bool
+	// harvested records that every observation row was written, which a
+	// successful BroadcastAll does; Finish censors the rows otherwise.
+	harvested bool
+	done      bool
+
+	// BroadcastAll's arguments while it runs: the blocks it floods are
+	// sources[first:].
+	sources  []int
+	arrivals [][]time.Duration
+	first    int
 }
 
 // BeginTimedRound opens a timed round that will carry `blocks` blocks. Only
@@ -41,10 +50,59 @@ func BeginTimedRound(e *Engine, blocks int) (*TimedRound, error) {
 	if e.obsWindow > 0 && e.obsWindow < window {
 		window = e.obsWindow
 	}
-	if err := e.prepareRound(sim, window); err != nil {
+	t := &TimedRound{e: e, sim: sim, blocks: blocks, window: window}
+	if err := t.prepare(); err != nil {
 		return nil, err
 	}
-	return &TimedRound{e: e, sim: sim, blocks: blocks, window: window}, nil
+	return t, nil
+}
+
+// prepareChunk is how many nodes one item of prepare's parallel pass
+// covers; a network of up to this many nodes is prepared serially.
+const prepareChunk = 512
+
+// prepare snapshots every node's outgoing set, writes the harvest's hop row
+// for each outgoing neighbor, and reshapes the observation matrices to
+// `window` block rows, all into the engine's reusable scratch tables. The
+// matrices are not filled: the round's harvest writes every cell, and a
+// round finished without broadcasts censors them itself. The per-node pass
+// runs on the worker pool in chunks of nodes, each writing only its own
+// nodes' rows.
+func (t *TimedRound) prepare() error {
+	e := t.e
+	n := e.table.N()
+	rs := &e.scratch
+	if cap(rs.obs) < n {
+		rs.in.outs = make([][]int, n)
+		rs.obs = make([]Observations, n)
+	}
+	in := &rs.in
+	in.sim, in.outs, rs.obs = t.sim, in.outs[:n], rs.obs[:n]
+	in.stride = 0
+	for v := 0; v < n; v++ {
+		in.stride = max(in.stride, e.table.OutDegree(v))
+	}
+	growDur(&in.hops, n*in.stride)
+	chunks := (n + prepareChunk - 1) / prepareChunk
+	if err := parallel.ForEach(chunks, e.workerCount(chunks), t, (*TimedRound).prepareNodes); err != nil {
+		return err
+	}
+	e.prepareCounterfactuals(t.window)
+	return nil
+}
+
+// prepareNodes is prepare's per-node pass over chunk c.
+func (t *TimedRound) prepareNodes(_, c int) error {
+	e := t.e
+	in, obs := &e.scratch.in, e.scratch.obs
+	for v := c * prepareChunk; v < min(len(obs), (c+1)*prepareChunk); v++ {
+		in.outs[v] = e.table.AppendOutNeighbors(in.outs[v][:0], v)
+		if err := in.fillRow(v); err != nil {
+			return err
+		}
+		obs[v].reshape(in.outs[v], t.window)
+	}
+	return nil
 }
 
 // Blocks returns the round's declared block count.
@@ -55,18 +113,26 @@ func (t *TimedRound) Blocks() int { return t.blocks }
 // round's trailing ones.
 //
 // sources must have length t.Blocks(). When arrivals is non-nil it must
-// also have length t.Blocks(); every block is then propagated and
-// arrivals[b] is grown to N and filled with block b's per-node arrival time
-// (netsim.InfDuration where the block never arrives), owned by the caller
-// afterwards. When arrivals is nil nobody sees the blocks before the
-// window, so their broadcasts are skipped: blocks are independent given the
-// start-of-round topology, which makes that bit-for-bit equal to simulating
-// and discarding them (see Config.ObservationWindow).
+// also have length t.Blocks(); every block is then propagated straight into
+// arrivals[b], grown to N where its capacity is short, which holds block b's
+// per-node first-arrival time (stats.InfDuration where the block never
+// arrives) and is owned by the caller afterwards. When arrivals is nil
+// nobody sees the blocks before the window, so their broadcasts are
+// skipped: blocks are independent given the start-of-round topology, which
+// makes that bit-for-bit equal to simulating and discarding them (see
+// Config.ObservationWindow).
+//
+// A broadcast computes first arrivals only. Each node's observation of a
+// block is rebuilt from the arrival vector: a neighbor relays once, its
+// Forward + RelayDelay after its own first arrival, so when its copy reached
+// the node is a closed form of that arrival (see netsim.InboundHop).
+// Forward, RelayDelay and Silent are read once per call, as the call's
+// floods read them.
 //
 // The blocks fan out over the engine's worker pool, each worker owning a
-// private netsim.Broadcaster over the shared simulator and block b's
-// observations landing in the per-block rows obs[v].Offsets[b], so the
-// result is bit-for-bit independent of Workers.
+// private flood queue and arrival buffer over the shared simulator, and
+// block b's observations landing in the per-block rows obs[v].Offsets[b], so
+// the result is bit-for-bit independent of Workers.
 func (t *TimedRound) BroadcastAll(sources []int, arrivals [][]time.Duration) error {
 	if t.done {
 		return fmt.Errorf("core: timed round already finished")
@@ -88,50 +154,65 @@ func (t *TimedRound) BroadcastAll(sources []int, arrivals [][]time.Duration) err
 		}
 	}
 	t.sent = true
-	rs := &e.scratch
-	obs, outs, slot := rs.obs[:n], rs.outs[:n], rs.slot[:n]
-	skip := t.blocks - t.window
-	first := 0
+	e.scratch.in.setCosts(e.forward, e.relayDelay, e.silent)
+	t.sources, t.arrivals, t.first = sources, arrivals, 0
 	if arrivals == nil {
-		first = skip
+		t.first = t.blocks - t.window
 	}
-	run := sources[first:]
+	run := t.blocks - t.first
+	workers := e.workerCount(run)
+	e.growBroadcasters(t.sim, workers)
+	e.arrivalBuffers(workers)
+	// A method expression over t, which lives on the heap already: the fan-out
+	// allocates nothing at one worker.
+	err := parallel.ForEach(run, workers, t, (*TimedRound).broadcast)
+	t.sources, t.arrivals = nil, nil
+	t.harvested = err == nil
+	return err
+}
 
-	workers := e.workerCount(len(run))
-	bcs := e.broadcasters(t.sim, workers)
-	return parallel.ForEachIndexed(len(run), workers, func(worker, i int) error {
-		res, err := bcs[worker].Broadcast(run[i])
-		if err != nil {
-			return err
+// broadcast floods block first+i of BroadcastAll's call on worker's queue,
+// into the caller's buffer for the block or else the worker's own, and
+// harvests it when it falls inside the window.
+func (t *TimedRound) broadcast(worker, i int) error {
+	e := t.e
+	rs := &e.scratch
+	b := t.first + i
+	dst := &rs.arrivals[worker]
+	if t.arrivals != nil {
+		dst = &t.arrivals[b]
+	}
+	src := t.sources[b]
+	arrival, err := rs.bcs[worker].ArrivalInto(*dst, src)
+	if err != nil {
+		return err
+	}
+	*dst = arrival
+	if row := b - (t.blocks - t.window); row >= 0 {
+		echo := rs.in.harvest(arrival, src, row, rs.obs)
+		if len(rs.cfPending) > 0 {
+			e.harvestCounterfactuals(arrival, src, echo, row)
 		}
-		b := first + i
-		if arrivals != nil {
-			if cap(arrivals[b]) < n {
-				arrivals[b] = make([]time.Duration, n)
-			}
-			arrivals[b] = arrivals[b][:n]
-			copy(arrivals[b], res.Arrival)
-		}
-		if row := b - skip; row >= 0 {
-			harvestObservations(res, row, obs, outs, slot)
-			if len(rs.cfPending) > 0 {
-				e.harvestCounterfactuals(res, row)
-			}
-		}
-		return nil
-	})
+	}
+	return nil
 }
 
 // Finish closes the round: observation tampering, the synchronous selector
 // update, round accounting, observer telemetry, and dynamics. Finish may be
-// called without BroadcastAll (every
-// observation is then censored, which selectors already handle), but calling
-// either method after Finish is an error.
+// called without BroadcastAll (every observation is then censored, which
+// selectors already handle), but calling either method after Finish is an
+// error.
 func (t *TimedRound) Finish() (RoundReport, error) {
 	if t.done {
 		return RoundReport{}, fmt.Errorf("core: timed round already finished")
 	}
 	t.done = true
 	e := t.e
-	return e.finishRound(e.scratch.obs[:e.table.N()], t.blocks)
+	obs := e.scratch.obs[:e.table.N()]
+	if !t.harvested {
+		for v := range obs {
+			obs[v].censor()
+		}
+	}
+	return e.finishRound(obs, t.blocks)
 }

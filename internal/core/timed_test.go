@@ -133,6 +133,67 @@ func TestTimedRoundObservationWindow(t *testing.T) {
 	}
 }
 
+// A round's harvest writes every observation cell, so the engine does not
+// pre-fill the matrices; a round finished without a successful BroadcastAll
+// must still hand the selector nothing but censored offsets, not what the
+// previous round left in the buffers.
+func TestTimedRoundFinishWithoutBroadcastCensors(t *testing.T) {
+	const n = 60
+	params := DefaultParams(Vanilla)
+	params.RoundBlocks = 8
+	vanilla, err := SelectorFromMethod(Vanilla, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	finite := make([]int, n) // per node, so concurrent decisions never share a cell
+	tn := newTestNetwork(t, n, 5)
+	cfg := tn.config(Vanilla, params)
+	cfg.Selector = SelectorFunc(func(view NeighborView) (Decision, error) {
+		for _, row := range view.Obs.Offsets {
+			for _, d := range row {
+				if d != stats.InfDuration {
+					finite[view.Node]++
+				}
+			}
+		}
+		return vanilla.SelectNeighbors(view)
+	})
+	eng, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := func() int {
+		sum := 0
+		for v := range finite {
+			sum += finite[v]
+			finite[v] = 0
+		}
+		return sum
+	}
+	if _, err := eng.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if total() == 0 {
+		t.Fatal("a broadcast round handed the selectors no finite offset")
+	}
+	for _, broadcast := range []bool{false, true} {
+		tr, err := BeginTimedRound(eng, params.RoundBlocks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A BroadcastAll that fails its argument checks harvests nothing.
+		if broadcast && tr.BroadcastAll([]int{1}, nil) == nil {
+			t.Fatal("accepted wrong source count")
+		}
+		if _, err := tr.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		if got := total(); got != 0 {
+			t.Fatalf("failed broadcast %v: selectors saw %d finite offsets, want all censored", broadcast, got)
+		}
+	}
+}
+
 func TestTimedRoundErrors(t *testing.T) {
 	tn := newTestNetwork(t, 40, 3)
 	eng, err := NewEngine(tn.config(Subset, DefaultParams(Subset)))

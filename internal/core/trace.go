@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"github.com/perigee-net/perigee/internal/netsim"
 	"github.com/perigee-net/perigee/internal/stats"
 )
 
@@ -169,7 +168,7 @@ type cfQuery struct {
 
 // prepareCounterfactuals resets the pending queries' offset rows to
 // "never delivered" for a round carrying `window` observed blocks. Called
-// from prepareRound; a no-op (one branch) when nothing is pending.
+// when a round is prepared; a no-op (one branch) when nothing is pending.
 func (e *Engine) prepareCounterfactuals(window int) {
 	rs := &e.scratch
 	np := len(rs.cfPending)
@@ -187,34 +186,28 @@ func (e *Engine) prepareCounterfactuals(window int) {
 	}
 }
 
-// harvestCounterfactuals folds one broadcast result into the pending
+// harvestCounterfactuals folds one block's arrival vector into the pending
 // queries' offset rows as block b: the hypothetical one-hop delivery
-// peer→node, normalized like harvestObservations against the earlier of
-// the node's actual earliest announcement and the hypothetical delivery
-// itself. Each (query, block) cell is written by exactly one call, so
-// concurrent calls for distinct b never race — the rows are deterministic
-// at any Workers count.
-func (e *Engine) harvestCounterfactuals(res netsim.Result, b int) {
+// peer→node, normalized like the round's harvest against the earlier of the
+// node's actual earliest announcement (its first arrival, or echo when it
+// mined the block src) and the hypothetical delivery itself. Each (query,
+// block) cell is written by exactly one call, so concurrent calls for
+// distinct b never race — the rows are deterministic at any Workers count.
+func (e *Engine) harvestCounterfactuals(arrival []time.Duration, src int, echo time.Duration, b int) {
 	rs := &e.scratch
 	for q := range rs.cfPending {
 		query := &rs.cfPending[q]
 		p := query.peer
-		tp := res.Arrival[p]
-		if tp == stats.InfDuration || (e.silent != nil && e.silent[p]) {
+		tp, c := arrival[p], rs.in.cost[p]
+		if tp == stats.InfDuration || c == stats.InfDuration {
 			continue // peer never heard the block, or never relays: censored
 		}
-		hyp := tp + e.forward[p]
-		if e.relayDelay != nil {
-			hyp += e.relayDelay[p]
+		hyp := tp + c + e.lat.Delay(p, query.node)
+		first := arrival[query.node]
+		if query.node == src {
+			first = echo
 		}
-		hyp += e.lat.Delay(p, query.node)
-		tMin := hyp
-		for _, t := range res.EdgeArrival[query.node] {
-			if t < tMin {
-				tMin = t
-			}
-		}
-		rs.cfOffsets[q][b] = hyp - tMin
+		rs.cfOffsets[q][b] = hyp - min(hyp, first)
 	}
 }
 

@@ -85,8 +85,42 @@ func TestBroadcastSerializedNoSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestArrivalAnalyticIntoNoSteadyStateAllocs proves the pooled Dijkstra
-// pass allocates nothing once the heap pool and the caller's destination
+// TestArrivalIntoNoSteadyStateAllocs covers the arrival-only flood a
+// round's workers run, each through its own Broadcaster: once the queue and
+// the destination buffer are warm it allocates nothing, and it never sizes
+// the per-edge record Broadcast keeps.
+func TestArrivalIntoNoSteadyStateAllocs(t *testing.T) {
+	intervals := make([]time.Duration, 300)
+	for i := range intervals {
+		intervals[i] = time.Duration(i%3) * time.Millisecond
+	}
+	for _, sim := range []*Simulator{randomSim(t, 300, nil), randomSim(t, 300, intervals)} {
+		bc := sim.NewBroadcaster()
+		var buf []time.Duration
+		var err error
+		for src := 0; src < 10; src++ {
+			if buf, err = bc.ArrivalInto(buf, src); err != nil {
+				t.Fatal(err)
+			}
+		}
+		src := 0
+		allocs := testing.AllocsPerRun(100, func() {
+			if buf, err = bc.ArrivalInto(buf, src); err != nil {
+				t.Fatal(err)
+			}
+			src = (src + 1) % sim.N()
+		})
+		if allocs > 0 {
+			t.Fatalf("ArrivalInto allocates %.1f objects per call at steady state, want 0", allocs)
+		}
+		if bc.edgeFlat != nil || bc.edgeArrival != nil || bc.arrival != nil {
+			t.Fatal("ArrivalInto sized the Broadcaster's own scratch")
+		}
+	}
+}
+
+// TestArrivalAnalyticIntoNoSteadyStateAllocs proves the pooled bucket-queue
+// pass allocates nothing once the queue pool and the caller's destination
 // buffer are warm.
 func TestArrivalAnalyticIntoNoSteadyStateAllocs(t *testing.T) {
 	sim := randomSim(t, 300, nil)

@@ -209,6 +209,107 @@ func TestFloodMatchesHeap(t *testing.T) {
 	}
 }
 
+// fastLinks divides another model's delays by 50, so that many links cost
+// less than the flood's 1.05 ms bucket floor.
+type fastLinks struct{ latency.Model }
+
+func (m fastLinks) Delay(u, v int) time.Duration { return m.Model.Delay(u, v) / 50 }
+
+// TestInboundHopMatchesEdgeArrival holds the closed form the engine's
+// rounds rebuild observations from to Broadcast's per-edge record, slot by
+// slot: EdgeArrival[v][k] is the sender's departure plus InboundHop(v, k),
+// where the miner departs at 0 and any other sender at its first arrival
+// plus Forward and RelayDelay, and a silent or unreached sender never
+// delivers. The shapes are TestFloodMatchesHeap's that bear on it: a zero
+// validation delay (buckets on their floor, where a node relays again after
+// its arrival improves), withholding relays, silent nodes and a silent
+// miner, serialized uploads and an unreachable component, in both latency
+// modes. ArrivalInto must give Broadcast's arrival vector. In streaming mode
+// a count of δ evaluations shows that the zero-delay shape does make nodes
+// relay again.
+func TestInboundHopMatchesEdgeArrival(t *testing.T) {
+	shapes := []struct {
+		name string
+		opts caseOpts
+	}{
+		{"forward-zero", caseOpts{}},
+		{"everything", caseOpts{serialized: true, silent: true, relay: true, island: 3}},
+		{"ties-everything", caseOpts{ties: true, serialized: true, silent: true, relay: true, island: 3}},
+	}
+	reRelays := 0
+	for seed := uint64(0); seed < 6; seed++ {
+		for _, shape := range shapes {
+			for _, mode := range []latency.Mode{latency.Precomputed, latency.Streaming} {
+				t.Run(fmt.Sprintf("seed%d-%s-%v", seed, shape.name, mode), func(t *testing.T) {
+					opts := shape.opts
+					opts.mode = mode
+					cfg := randomCase(t, seed*7919+5, opts)
+					if shape.name == "forward-zero" {
+						for v := range cfg.Forward {
+							cfg.Forward[v] *= time.Duration(v % 2)
+						}
+						cfg.Latency = fastLinks{cfg.Latency}
+					}
+					model := &countingModel{Model: cfg.Latency}
+					cfg.Latency = model
+					sim, err := New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					bc := sim.NewBroadcaster()
+					n := len(cfg.Adj)
+					var arrival []time.Duration
+					for _, src := range []int{0, (n - opts.island) / 2, n - 1} {
+						model.calls = 0
+						res, err := sim.Broadcast(src)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if mode == latency.Streaming {
+							once := 0 // δ evaluations if every relaying node relayed once
+							for v, a := range res.Arrival {
+								if a != stats.InfDuration && (v == src || cfg.Silent == nil || !cfg.Silent[v]) {
+									once += len(cfg.Adj[v])
+								}
+							}
+							if model.calls > once {
+								reRelays++
+							}
+						}
+						if arrival, err = bc.ArrivalInto(arrival, src); err != nil {
+							t.Fatal(err)
+						}
+						for v := range res.Arrival {
+							if arrival[v] != res.Arrival[v] {
+								t.Fatalf("src %d: ArrivalInto[%d] = %v, Broadcast %v", src, v, arrival[v], res.Arrival[v])
+							}
+							for k, u := range sim.Row(v) {
+								want := stats.InfDuration
+								switch a := res.Arrival[u]; {
+								case int(u) == src:
+									want = sim.InboundHop(v, k)
+								case a == stats.InfDuration || (cfg.Silent != nil && cfg.Silent[u]):
+								default:
+									want = a + cfg.Forward[u] + sim.InboundHop(v, k)
+									if cfg.RelayDelay != nil {
+										want += cfg.RelayDelay[u]
+									}
+								}
+								if got := res.EdgeArrival[v][k]; got != want {
+									t.Fatalf("src %d: EdgeArrival[%d][%d] (from %d) = %v, closed form %v", src, v, k, u, got, want)
+								}
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+	if reRelays == 0 {
+		t.Fatal("no broadcast relayed any node twice; the zero-delay shape must exercise repeated relays")
+	}
+}
+
 // TestFloodBucketCountIsBounded pins the far list: with relay delays of
 // minutes the arrival times span far more bucket widths than the queue has
 // buckets, so the flood must park late entries, restart its window where

@@ -19,23 +19,27 @@
 // (the sender's position in the neighbor's own row, i.e. the precomputed
 // reverse index), and edgeDelay (the one-way latency δ, evaluated when the
 // edge first appears and carried across Reconfigure for as long as the edge
-// survives; see carryDelays). Per-edge arrival times live in one flat
-// buffer that Result's per-node EdgeArrival rows alias, so resetting a
-// broadcast is a single linear fill. After a Broadcaster's buffers have
-// grown to the topology's size, a broadcast performs zero heap allocations
-// (alloc_test.go enforces this).
+// survives; see carryDelays). Only Broadcast records per-edge arrival
+// times: they live in one flat buffer that Result's per-node EdgeArrival
+// rows alias, so resetting a broadcast is a single linear fill. After a
+// Broadcaster's buffers have grown to the topology's size, a broadcast
+// performs zero heap allocations (alloc_test.go enforces this).
 //
 // # One label-setting pass
 //
 // A node relays a block exactly once, at its first arrival, so every
 // per-edge timestamp is a closed form of the sender's first-arrival time:
-// t(v, w) = a(v) + Δ_v·[v≠src] + relay_v + i·SendInterval_v + δ(v, w) for
-// w the i-th neighbor of v. Only first arrivals need an order. Broadcast
-// and ArrivalAnalytic are therefore the same shortest-path loop (flood)
-// over the flat arrays: relaying v walks its row once, evaluates δ once per
-// directed edge, writes t(v, w) into w's EdgeArrival row (Broadcast only)
-// and relaxes a(w); the queue carries one entry per successful relaxation,
-// not one per edge.
+// t(v, w) = a(v) + (Δ_v + relay_v)·[v≠src] + i·SendInterval_v + δ(v, w)
+// for w the i-th neighbor of v, and v silent-and-not-the-miner or never
+// reached means t(v, w) = ∞. Only first arrivals need an order. Broadcast,
+// ArrivalInto and ArrivalAnalytic are therefore the same shortest-path loop
+// (flood) over the flat arrays: relaying v walks its row once, evaluates δ
+// once per directed edge, writes t(v, w) into w's EdgeArrival row
+// (Broadcast only) and relaxes a(w); the queue carries one entry per
+// successful relaxation, not one per edge. The engine's rounds record
+// arrivals only: InboundHop hands them the topology-constant part of the
+// closed form, δ(v, w) + i·SendInterval_v, from which a round rebuilds the
+// few edge times it observes out of the arrival vector.
 //
 // The order comes from the network model, not from a heap. Every relay but
 // the source's costs its node Forward[v] + RelayDelay[v] (Δ_v is 50 ms in
@@ -168,7 +172,7 @@ type Simulator struct {
 }
 
 // Broadcaster owns the mutable per-broadcast state (first-arrival queue and
-// arrival scratch) for one goroutine's broadcasts over a shared Simulator.
+// arrival scratch) for one goroutine's floods over a shared Simulator.
 // A Broadcaster is not safe for concurrent use; create one per worker.
 // Broadcasters survive Simulator.Reconfigure: they resize their scratch on
 // the next Broadcast.
@@ -446,14 +450,27 @@ func (s *Simulator) Degree(v int) int { return int(s.rowStart[v+1] - s.rowStart[
 // Callers must not mutate the returned slice.
 func (s *Simulator) Row(v int) []int32 { return s.edgeDst[s.rowStart[v]:s.rowStart[v+1]] }
 
+// InboundHop returns the part of "v's k-th neighbor u relays a block to v"
+// that the topology fixes: δ(u, v) plus v's position in u's row times
+// SendInterval[u]. A relay that leaves u at d — u's first arrival plus
+// Forward[u] + RelayDelay[u], or 0 when u mined the block — reaches v at
+// d + InboundHop(v, k), which is what Broadcast records in EdgeArrival[v][k].
+func (s *Simulator) InboundHop(v, k int) time.Duration {
+	e := s.rowStart[v] + int32(k)
+	u, i := s.edgeDst[e], s.edgeSlot[e]
+	d := s.delayOf(u, s.rowStart[u]+i)
+	if s.cfg.SendInterval != nil {
+		d += time.Duration(i) * s.cfg.SendInterval[u]
+	}
+	return d
+}
+
 // NewBroadcaster allocates an independent broadcast context over the shared
 // topology. Broadcasters are independent of one another: any number may run
-// Broadcast concurrently on the same Simulator, one per goroutine.
-func (s *Simulator) NewBroadcaster() *Broadcaster {
-	b := &Broadcaster{sim: s}
-	b.sync()
-	return b
-}
+// Broadcast concurrently on the same Simulator, one per goroutine. Its
+// scratch is sized by the first Broadcast; a Broadcaster that only runs
+// ArrivalInto never sizes an edge-length buffer.
+func (s *Simulator) NewBroadcaster() *Broadcaster { return &Broadcaster{sim: s} }
 
 // sync sizes the scratch buffers to the simulator's current topology and
 // re-aliases the per-node EdgeArrival rows over the flat buffer.
@@ -514,6 +531,26 @@ func (b *Broadcaster) Broadcast(source int) (Result, error) {
 	}
 	s.flood(int32(source), &b.queue, b.arrival, b.edgeFlat)
 	return Result{Source: source, Arrival: b.arrival, EdgeArrival: b.edgeArrival}, nil
+}
+
+// ArrivalInto is Broadcast's first-arrival vector alone, written into dst
+// (grown to N when its capacity is short, and returned) through b's own
+// queue. It records no edge, so a caller that needs when a neighbor's copy
+// reached a node derives it from the sender's arrival (see InboundHop).
+// Once dst and the queue are warm it performs no heap allocations.
+func (b *Broadcaster) ArrivalInto(dst []time.Duration, source int) ([]time.Duration, error) {
+	return b.sim.arrivalInto(&b.queue, dst, source)
+}
+
+// arrivalInto is the arrival-only flood behind ArrivalInto and
+// ArrivalAnalyticInto, on queue q.
+func (s *Simulator) arrivalInto(q *floodQueue, dst []time.Duration, source int) ([]time.Duration, error) {
+	if source < 0 || source >= s.n {
+		return nil, fmt.Errorf("netsim: source %d out of range (n=%d)", source, s.n)
+	}
+	arrival := growDurations(dst, s.n)
+	s.flood(int32(source), q, arrival, nil)
+	return arrival, nil
 }
 
 // floodItem is one entry of the flood's bucket queue: node v is tentatively
@@ -604,16 +641,20 @@ func (q *floodQueue) rebase() {
 	}
 }
 
-// flood is the pass behind Broadcast and ArrivalAnalytic (see the package
-// comment): it fills arrival with every node's first-arrival time of a
-// block mined by source at time 0 and, when edgeFlat is non-nil, edgeFlat
-// with every directed edge's delivery time. An entry popped at its node's
-// current arrival time relays. Where every relay adds at least a bucket's
-// width that time is final: each node relays once and each directed edge's
-// δ is evaluated exactly once, which matters in streaming mode, where it
-// costs two hashes. On the width's floor a node whose arrival improves
-// after it relayed relays again, overwriting what it wrote with earlier
-// times, so the result is the same.
+// flood is the pass behind Broadcast, ArrivalInto and ArrivalAnalytic (see
+// the package comment): it fills arrival with every node's first-arrival
+// time of a block mined by source at time 0 and, when edgeFlat is non-nil,
+// edgeFlat with every directed edge's delivery time. An entry popped at its
+// node's current arrival time relays. Where every relay adds at least a
+// bucket's width that time is final: each node relays once and each
+// directed edge's δ is evaluated exactly once, which matters in streaming
+// mode, where it costs two hashes. On the width's floor a node whose
+// arrival improves after it relayed relays again, overwriting what it wrote
+// with earlier times, so the result is the same.
+//
+// A relay that records no edge and reads precomputed delays walks its row's
+// neighbors and delays as two slices, with nothing in the inner loop but
+// the relaxation; the others take the per-edge loop, chosen once per relay.
 func (s *Simulator) flood(source int32, q *floodQueue, arrival, edgeFlat []time.Duration) {
 	for i := range arrival {
 		arrival[i] = stats.InfDuration
@@ -622,7 +663,8 @@ func (s *Simulator) flood(source int32, q *floodQueue, arrival, edgeFlat []time.
 		edgeFlat[i] = stats.InfDuration
 	}
 	silent, fwd, relay, intervals := s.cfg.Silent, s.cfg.Forward, s.cfg.RelayDelay, s.cfg.SendInterval
-	rowStart, edgeDst, edgeSlot := s.rowStart, s.edgeDst, s.edgeSlot
+	rowStart, edgeDst, edgeSlot, edgeDelay := s.rowStart, s.edgeDst, s.edgeSlot, s.edgeDelay
+	lean := edgeFlat == nil && !s.streaming
 	// RelayDelay is read live, so the width is this flood's own.
 	minRelay := stats.InfDuration
 	for v, d := range fwd {
@@ -667,7 +709,22 @@ func (s *Simulator) flood(source int32, q *floodQueue, arrival, edgeFlat []time.
 			if intervals != nil {
 				interval = intervals[v]
 			}
-			for e := rowStart[v]; e < rowStart[v+1]; e++ {
+			lo, hi := rowStart[v], rowStart[v+1]
+			if lean {
+				dsts := edgeDst[lo:hi]
+				delays := edgeDelay[lo:hi]
+				delays = delays[:len(dsts)]
+				for j, w := range dsts {
+					t := depart + delays[j]
+					depart += interval
+					if t < arrival[w] {
+						arrival[w] = t
+						q.push(t, w)
+					}
+				}
+				continue
+			}
+			for e := lo; e < hi; e++ {
 				w := edgeDst[e]
 				t := depart + s.delayOf(v, e)
 				depart += interval
@@ -694,14 +751,9 @@ func (s *Simulator) ArrivalAnalytic(source int) ([]time.Duration, error) {
 // capacity suffices, so steady-state callers allocate nothing — the queue
 // itself is pooled). It returns the possibly-regrown slice.
 func (s *Simulator) ArrivalAnalyticInto(dst []time.Duration, source int) ([]time.Duration, error) {
-	if source < 0 || source >= s.n {
-		return nil, fmt.Errorf("netsim: source %d out of range (n=%d)", source, s.n)
-	}
-	arrival := growDurations(dst, s.n)
 	q := floodQueuePool.Get().(*floodQueue)
-	s.flood(int32(source), q, arrival, nil)
-	floodQueuePool.Put(q)
-	return arrival, nil
+	defer floodQueuePool.Put(q)
+	return s.arrivalInto(q, dst, source)
 }
 
 // arrivalSorter sorts a reusable index slice by arrival time. It implements

@@ -42,7 +42,7 @@ func randomSimMode(t testing.TB, n int, sendInterval []time.Duration, mode laten
 // TestStreamingMatchesPrecomputed is the streaming-latency acceptance
 // check: with identical inputs, a streaming simulator produces bit-for-bit
 // the results of the precomputed one — Broadcast arrivals, per-edge
-// arrivals, and the analytic Dijkstra pass — in both the analytic regime
+// arrivals, and the arrival-only pass — in both the analytic regime
 // and under serialized uploads.
 func TestStreamingMatchesPrecomputed(t *testing.T) {
 	const n, sources = 250, 16

@@ -37,6 +37,15 @@ func Workers(n int) int {
 // over [0, n) would have stopped at, regardless of worker count or
 // scheduling. Callers must treat per-index results as invalid on error.
 func ForEachIndexed(n, workers int, fn func(worker, index int) error) error {
+	return ForEach(n, workers, fn, func(fn func(int, int) error, worker, index int) error { return fn(worker, index) })
+}
+
+// ForEach is ForEachIndexed for an fn that is handed its state instead of
+// capturing it. A closure passed to ForEachIndexed escapes to the heap, one
+// allocation per call; a method expression or top-level function whose
+// state already lives on the heap makes a one-worker ForEach allocate
+// nothing.
+func ForEach[S any](n, workers int, state S, fn func(state S, worker, index int) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -46,7 +55,7 @@ func ForEachIndexed(n, workers int, fn func(worker, index int) error) error {
 	}
 	if workers == 1 {
 		for i := 0; i < n; i++ {
-			if err := fn(0, i); err != nil {
+			if err := fn(state, 0, i); err != nil {
 				return err
 			}
 		}
@@ -70,7 +79,7 @@ func ForEachIndexed(n, workers int, fn func(worker, index int) error) error {
 				if i >= n {
 					return
 				}
-				if err := fn(worker, i); err != nil {
+				if err := fn(state, worker, i); err != nil {
 					errs[i] = err
 					failed.Store(true)
 					return

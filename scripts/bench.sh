@@ -37,7 +37,7 @@ gate_bytes() { gate_unit "$1" "$2" B/op; }
 # iterations because a single op is a full 100k-node flood (and its set-up
 # hashes 1.6M edge delays).
 go test -run '^$' \
-  -bench 'Micro(Broadcast1000$|Broadcast10000$|BroadcastStreaming10000$|Reconfigure1000$|TopologyRandom20000$|TableRewire1000$|AnalyticArrival|DelayToFraction|VanillaScoring|SubsetScoring|EngineRound|DeriveIndexed|DurationPercentile|WireFrame|WireRead|StoreAdd)' \
+  -bench 'Micro(Broadcast1000$|Broadcast10000$|BroadcastStreaming10000$|Reconfigure1000$|TopologyRandom20000$|TableRewire1000$|AnalyticArrival|RoundBroadcast1000$|DelayToFraction|VanillaScoring|SubsetScoring|EngineRound|DeriveIndexed|DurationPercentile|WireFrame|WireRead|StoreAdd)' \
   -benchmem -benchtime=100x . | tee "$OUT"
 go test -run '^$' -bench 'MicroBroadcast100000$' -benchmem -benchtime=3x . \
   | tee -a "$OUT"
@@ -60,6 +60,10 @@ gate_bytes MicroTopologyRandom20000 16000000
 # adjacency snapshot allocates only when some row outgrows its past maximum.
 gate MicroTableRewire1000 16
 gate MicroAnalyticArrival1000 0
+# A round's broadcast phase: 100 arrival-only floods on the workers' own
+# queues and buffers, and the harvest of every observation from them. It
+# sizes nothing per edge and allocates nothing once warm.
+gate MicroRoundBroadcast1000 0
 gate MicroDurationPercentile 0
 gate MicroDurationPercentileOfMin100 0
 gate MicroDurationPercentileOfMin10 0
@@ -87,7 +91,7 @@ gate MicroStoreAdd 3
 # Decision tracing is off in every Micro case; this ceiling pins the
 # untraced engine round so the tracing hooks stay branch-only on the hot
 # path (a per-decision or per-counterfactual allocation would add
-# thousands per round). It measures 1028: the per-node streams the round
+# thousands per round). It measures 1022: the per-node streams the round
 # derives are one allocation each (1630 at three).
 gate MicroEngineRound 1100
 # A derived stream is its RNG alone: the rand.Rand and PCG live inside it.
