@@ -198,9 +198,16 @@ func BenchmarkMicroAnalyticArrival1000(b *testing.B) { bench.MicroAnalyticArriva
 
 // BenchmarkMicroRoundBroadcast1000 measures the path a round's blocks take:
 // one TimedRound.BroadcastAll of 100 blocks on a 1000-node engine, i.e.
-// arrival-only floods plus the harvest of every node's observations.
+// an arrival-only flood per distinct miner plus the harvest of every node's
+// observations.
 // scripts/bench.sh holds it at 0 allocs/op.
 func BenchmarkMicroRoundBroadcast1000(b *testing.B) { bench.MicroRoundBroadcast(1000)(b) }
+
+// BenchmarkMicroRoundBroadcastPools300 is the same round on the 300-node
+// mining network of the pools setting, PoolsPower(0.1, 0.9): its 100 blocks
+// come from a few miners, each flooded once. scripts/bench.sh holds it at 0
+// allocs/op.
+func BenchmarkMicroRoundBroadcastPools300(b *testing.B) { bench.MicroRoundBroadcastPools(300)(b) }
 
 // BenchmarkMicroDelayToFraction measures the weighted coverage metric.
 func BenchmarkMicroDelayToFraction(b *testing.B) { bench.MicroDelayToFraction(b) }

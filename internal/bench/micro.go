@@ -14,6 +14,7 @@ import (
 	"github.com/perigee-net/perigee/internal/chain"
 	"github.com/perigee-net/perigee/internal/core"
 	"github.com/perigee-net/perigee/internal/geo"
+	"github.com/perigee-net/perigee/internal/hashpower"
 	"github.com/perigee-net/perigee/internal/latency"
 	"github.com/perigee-net/perigee/internal/netsim"
 	"github.com/perigee-net/perigee/internal/rng"
@@ -333,27 +334,57 @@ func MicroEngineRound(b *testing.B) {
 	}
 }
 
+// roundBroadcastBlocks is how many blocks one op of the round-broadcast
+// benchmarks floods.
+const roundBroadcastBlocks = 100
+
 // MicroRoundBroadcast measures the broadcast phase of a Subset round on an
-// n-node engine: one TimedRound.BroadcastAll of 100 blocks, that is 100
-// arrival-only floods and the harvest of every node's observations from
-// them. Each op opens a fresh round on the same topology with the timer
-// stopped, so only BroadcastAll is timed and counted; its worker queues and
-// arrival buffers are warm after the first op, so allocs/op is 0 at one
-// worker.
+// n-node engine: one TimedRound.BroadcastAll of 100 blocks from uniformly
+// drawn miners, that is an arrival-only flood per distinct miner and the
+// harvest of every node's observations from them. Each op opens a fresh
+// round on the same topology with the timer stopped, so only BroadcastAll is
+// timed and counted; its worker queues and arrival buffers are warm after
+// the first op, so allocs/op is 0 at one worker.
 func MicroRoundBroadcast(n int) func(b *testing.B) {
+	r := rng.New(4)
+	sources := make([]int, roundBroadcastBlocks)
+	for i := range sources {
+		sources[i] = r.IntN(n)
+	}
+	return roundBroadcast(n, sources)
+}
+
+// MicroRoundBroadcastPools is MicroRoundBroadcast with the blocks' miners
+// drawn from the paper's pools setting, 10% of the nodes holding 90% of the
+// power (perigee.PoolsPower(0.1, 0.9)): most miners produce several of the
+// blocks, and BroadcastAll floods each of them once.
+func MicroRoundBroadcastPools(n int) func(b *testing.B) {
+	r := rng.New(4)
+	power, _, err := hashpower.Pools(n, 0.1, 0.9, r)
+	if err != nil {
+		panic(err)
+	}
+	sampler, err := hashpower.NewSampler(power)
+	if err != nil {
+		panic(err)
+	}
+	sources := make([]int, roundBroadcastBlocks)
+	for i := range sources {
+		sources[i] = sampler.Sample(r)
+	}
+	return roundBroadcast(n, sources)
+}
+
+// roundBroadcast is MicroRoundBroadcast's loop over a round of the given
+// miners.
+func roundBroadcast(n int, sources []int) func(b *testing.B) {
 	return func(b *testing.B) {
-		const blocks = 100
-		engine, err := subsetEngine(n, 3, blocks, nil)
+		engine, err := subsetEngine(n, 3, roundBroadcastBlocks, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		r := rng.New(4)
-		sources := make([]int, blocks)
-		for i := range sources {
-			sources[i] = r.IntN(n)
-		}
 		round := func() {
-			tr, err := core.BeginTimedRound(engine, blocks)
+			tr, err := core.BeginTimedRound(engine, roundBroadcastBlocks)
 			if err != nil {
 				b.Fatal(err)
 			}

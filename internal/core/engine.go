@@ -219,6 +219,13 @@ type roundScratch struct {
 	order      []int
 	arrivals   [][]time.Duration
 
+	// BroadcastAll's grouping of its blocks by source (see groupBySource):
+	// the per-node index, each group's first block, and each block's next
+	// block from the same source.
+	lastOf   []int32
+	groups   []int32
+	sameNext []int32
+
 	// Tracing scratch (used only when Config.Trace enables tracing):
 	// pending counterfactual queries carried into the next round, their
 	// per-block hypothetical offset rows, and reusable score/censored/rank

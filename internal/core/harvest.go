@@ -110,3 +110,13 @@ func (in *inbound) harvest(arrival []time.Duration, src, b int, obs []Observatio
 	}
 	return echo
 }
+
+// copyRow copies block row from of every node's observation matrix into row
+// to. Two blocks of a round from one miner observe the same flood, so
+// BroadcastAll harvests the first and copies its row to the others.
+func copyRow(obs []Observations, from, to int) {
+	for v := range obs {
+		k := len(obs[v].Neighbors)
+		copy(obs[v].backing[to*k:(to+1)*k], obs[v].backing[from*k:(from+1)*k])
+	}
+}

@@ -27,11 +27,9 @@ type TimedRound struct {
 	harvested bool
 	done      bool
 
-	// BroadcastAll's arguments while it runs: the blocks it floods are
-	// sources[first:].
+	// BroadcastAll's arguments while it runs.
 	sources  []int
 	arrivals [][]time.Duration
-	first    int
 }
 
 // BeginTimedRound opens a timed round that will carry `blocks` blocks. Only
@@ -129,7 +127,14 @@ func (t *TimedRound) Blocks() int { return t.blocks }
 // Forward, RelayDelay and Silent are read once per call, as the call's
 // floods read them.
 //
-// The blocks fan out over the engine's worker pool, each worker owning a
+// Within one call the topology and those tables are fixed, so a block's
+// flood is a function of its source alone: a miner that produced several of
+// the call's blocks is flooded once, for its first block. Its later blocks
+// are copies: the arrival vector is copied into their caller buffers, and
+// the observation and counterfactual rows of its first block inside the
+// window into their window rows.
+//
+// The miners fan out over the engine's worker pool, each worker owning a
 // private flood queue and arrival buffer over the shared simulator, and
 // block b's observations landing in the per-block rows obs[v].Offsets[b], so
 // the result is bit-for-bit independent of Workers.
@@ -155,43 +160,95 @@ func (t *TimedRound) BroadcastAll(sources []int, arrivals [][]time.Duration) err
 	}
 	t.sent = true
 	e.scratch.in.setCosts(e.forward, e.relayDelay, e.silent)
-	t.sources, t.arrivals, t.first = sources, arrivals, 0
+	t.sources, t.arrivals = sources, arrivals
+	first := 0 // the first block flooded
 	if arrivals == nil {
-		t.first = t.blocks - t.window
+		first = t.blocks - t.window
 	}
-	run := t.blocks - t.first
-	workers := e.workerCount(run)
+	groups := e.groupBySource(sources, first)
+	workers := e.workerCount(groups)
 	e.growBroadcasters(t.sim, workers)
 	e.arrivalBuffers(workers)
 	// A method expression over t, which lives on the heap already: the fan-out
 	// allocates nothing at one worker.
-	err := parallel.ForEach(run, workers, t, (*TimedRound).broadcast)
+	err := parallel.ForEach(groups, workers, t, (*TimedRound).broadcast)
 	t.sources, t.arrivals = nil, nil
 	t.harvested = err == nil
 	return err
 }
 
-// broadcast floods block first+i of BroadcastAll's call on worker's queue,
-// into the caller's buffer for the block or else the worker's own, and
-// harvests it when it falls inside the window.
-func (t *TimedRound) broadcast(worker, i int) error {
+// groupBySource groups blocks [first, len(sources)) by source and returns
+// the group count. Group g's blocks are scratch.groups[g] and then, in
+// ascending order, the chain through scratch.sameNext, which ends at -1;
+// groups are in the order of their first blocks. The per-node index
+// scratch.lastOf, one past the latest block from each source, is zero again
+// when groupBySource returns.
+func (e *Engine) groupBySource(sources []int, first int) int {
+	rs := &e.scratch
+	if rs.lastOf == nil {
+		rs.lastOf = make([]int32, e.table.N())
+	}
+	if cap(rs.sameNext) < len(sources) {
+		rs.sameNext = make([]int32, len(sources))
+		rs.groups = make([]int32, 0, len(sources))
+	}
+	next := rs.sameNext[:len(sources)]
+	groups := rs.groups[:0]
+	for b := first; b < len(sources); b++ {
+		src := sources[b]
+		next[b] = -1
+		if last := rs.lastOf[src]; last > 0 {
+			next[last-1] = int32(b)
+		} else {
+			groups = append(groups, int32(b))
+		}
+		rs.lastOf[src] = int32(b) + 1
+	}
+	for _, b := range groups {
+		rs.lastOf[sources[b]] = 0
+	}
+	rs.groups, rs.sameNext = groups, next
+	return len(groups)
+}
+
+// broadcast floods group g's first block of BroadcastAll's call on worker's
+// queue, into the caller's buffer for the block or else the worker's own,
+// and hands the arrival vector to every block of the group: a copy into each
+// later block's caller buffer, the harvest of the first block inside the
+// window, and a copy of that block's rows into every later window row.
+func (t *TimedRound) broadcast(worker, g int) error {
 	e := t.e
 	rs := &e.scratch
-	b := t.first + i
+	first := int(rs.groups[g])
 	dst := &rs.arrivals[worker]
 	if t.arrivals != nil {
-		dst = &t.arrivals[b]
+		dst = &t.arrivals[first]
 	}
-	src := t.sources[b]
+	src := t.sources[first]
 	arrival, err := rs.bcs[worker].ArrivalInto(*dst, src)
 	if err != nil {
 		return err
 	}
 	*dst = arrival
-	if row := b - (t.blocks - t.window); row >= 0 {
-		echo := rs.in.harvest(arrival, src, row, rs.obs)
-		if len(rs.cfPending) > 0 {
-			e.harvestCounterfactuals(arrival, src, echo, row)
+	harvested := -1 // the window row harvested for the group
+	for b := first; b >= 0; b = int(rs.sameNext[b]) {
+		if t.arrivals != nil && b != first {
+			t.arrivals[b] = append(t.arrivals[b][:0], arrival...)
+		}
+		row := b - (t.blocks - t.window)
+		switch {
+		case row < 0:
+		case harvested < 0:
+			echo := rs.in.harvest(arrival, src, row, rs.obs)
+			if len(rs.cfPending) > 0 {
+				e.harvestCounterfactuals(arrival, src, echo, row)
+			}
+			harvested = row
+		default:
+			copyRow(rs.obs, harvested, row)
+			for _, offsets := range rs.cfOffsets[:len(rs.cfPending)] {
+				offsets[row] = offsets[harvested]
+			}
 		}
 	}
 	return nil

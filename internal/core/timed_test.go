@@ -1,9 +1,13 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
+	"github.com/perigee-net/perigee/internal/hashpower"
+	"github.com/perigee-net/perigee/internal/netsim"
 	"github.com/perigee-net/perigee/internal/stats"
 )
 
@@ -230,5 +234,189 @@ func TestTimedRoundErrors(t *testing.T) {
 	}
 	if err := tr.BroadcastAll([]int{1, 2}, nil); err == nil {
 		t.Fatal("accepted broadcast after finish")
+	}
+}
+
+// TestBroadcastAllMatchesOneFloodPerBlock referees BroadcastAll's flooding
+// of each miner once: on engines whose power is the paper's pools setting
+// (10% of the nodes hold 90% of it), every block it copies from an earlier
+// block of its miner must equal a flood of its own. Each block is flooded
+// again with Broadcast over the start-of-round topology, and BroadcastAll
+// must give its arrival vector, the observation rows harvestByRowMinimum
+// builds from the flood's EdgeArrival record, and the counterfactual rows
+// TestCounterfactualOffsetsMatchBroadcast holds the engine to. The shapes
+// are: every block from one miner; a miner whose blocks straddle the
+// window's start, with caller buffers (some too short, some holding
+// garbage); a window without caller buffers; withholding relays with a
+// silent repeated miner; and tracing with CounterfactualK 2. BroadcastAll
+// must flood exactly one group per distinct source and leave its per-node
+// index zero.
+func TestBroadcastAllMatchesOneFloodPerBlock(t *testing.T) {
+	const n, blocks = 80, 16
+	shapes := []struct {
+		name            string
+		window          int
+		arrivals        bool
+		oneMiner, relay bool
+		counterfactuals bool
+	}{
+		{name: "one-miner", arrivals: true, oneMiner: true},
+		{name: "window-straddle", window: 6, arrivals: true},
+		{name: "window-nil-arrivals", window: 6},
+		{name: "relay-silent-miner", arrivals: true, relay: true},
+		{name: "counterfactuals", window: 6, arrivals: true, relay: true, counterfactuals: true},
+	}
+	for _, shape := range shapes {
+		for _, workers := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s-workers%d", shape.name, workers), func(t *testing.T) {
+				tn := newTestNetwork(t, n, 17)
+				power, miners, err := hashpower.Pools(n, 0.1, 0.9, tn.root.Derive("pools"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				repeated := miners[0]
+				silent := make([]bool, n)
+				var relay []time.Duration
+				if shape.relay {
+					relay = make([]time.Duration, n)
+					for v := range silent {
+						silent[v] = v%7 == 3
+						relay[v] = time.Duration(v%3) * 20 * time.Millisecond
+					}
+					silent[repeated] = true
+				}
+				params := DefaultParams(Subset)
+				params.RoundBlocks = blocks
+				cfg := tn.config(Subset, params)
+				cfg.Power, cfg.Silent, cfg.RelayDelay = power, silent, relay
+				cfg.Workers, cfg.ObservationWindow = workers, shape.window
+				if shape.counterfactuals {
+					cfg.Trace = TraceConfig{Level: TraceDecisions, CounterfactualK: 2, Sink: &countingSink{}}
+				}
+				eng, err := NewEngine(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := eng.Step(); err != nil {
+					t.Fatal(err)
+				}
+				window := blocks
+				if shape.window > 0 {
+					window = shape.window
+				}
+				copies, cfCells := 0, 0
+				for round := 0; round < 2; round++ {
+					sources := make([]int, blocks)
+					for b := range sources {
+						sources[b] = eng.sampler.Sample(eng.rand)
+						if shape.oneMiner || b == 2 || b == blocks-window || b == blocks-1 {
+							sources[b] = repeated
+						}
+					}
+					var arrivals [][]time.Duration
+					if shape.arrivals {
+						arrivals = make([][]time.Duration, blocks)
+						for b := range arrivals {
+							arrivals[b] = make([]time.Duration, b%2*n+3)
+							for v := range arrivals[b] {
+								arrivals[b][v] = -7
+							}
+						}
+					}
+					tr, err := BeginTimedRound(eng, blocks)
+					if err != nil {
+						t.Fatal(err)
+					}
+					pending := slices.Clone(eng.scratch.cfPending)
+					if shape.counterfactuals && len(pending) == 0 {
+						t.Fatalf("round %d: no counterfactual pending", round)
+					}
+					if err := tr.BroadcastAll(sources, arrivals); err != nil {
+						t.Fatal(err)
+					}
+					first := 0
+					if !shape.arrivals {
+						first = blocks - window
+					}
+					distinct := map[int]bool{}
+					for _, src := range sources[first:] {
+						distinct[src] = true
+					}
+					if got := len(eng.scratch.groups); got != len(distinct) {
+						t.Fatalf("round %d: %d groups for %d distinct sources", round, got, len(distinct))
+					}
+					if slices.ContainsFunc(eng.scratch.lastOf, func(i int32) bool { return i != 0 }) {
+						t.Fatalf("round %d: BroadcastAll left its source index set", round)
+					}
+
+					adj := eng.Adjacency()
+					sim, err := netsim.New(netsim.Config{Adj: adj, Latency: tn.lat, Forward: tn.forward,
+						Silent: silent, RelayDelay: relay})
+					if err != nil {
+						t.Fatal(err)
+					}
+					outs := eng.scratch.in.outs
+					slot := make([][]int, n)
+					want := make([]Observations, n)
+					for v := range outs {
+						for _, u := range outs[v] {
+							slot[v] = append(slot[v], slices.Index(adj[v], u))
+						}
+						want[v].Reset(outs[v], window)
+					}
+					seen := map[int]bool{}
+					for b := first; b < blocks; b++ {
+						src := sources[b]
+						if seen[src] {
+							copies++
+						}
+						seen[src] = true
+						res, err := sim.Broadcast(src)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if arrivals != nil && !slices.Equal(arrivals[b], res.Arrival) {
+							t.Fatalf("round %d block %d (miner %d): arrivals %v, flood %v", round, b, src, arrivals[b], res.Arrival)
+						}
+						row := b - (blocks - window)
+						if row < 0 {
+							continue
+						}
+						harvestByRowMinimum(res, row, want, outs, slot)
+						for q, query := range pending {
+							want := stats.InfDuration
+							if p := query.peer; res.Arrival[p] != stats.InfDuration && !silent[p] {
+								hyp := res.Arrival[p] + tn.forward[p] + tn.lat.Delay(p, query.node)
+								if relay != nil {
+									hyp += relay[p]
+								}
+								want = hyp - min(hyp, slices.Min(res.EdgeArrival[query.node]))
+							}
+							if got := eng.scratch.cfOffsets[q][row]; got != want {
+								t.Fatalf("round %d block %d (miner %d): query %+v offset %v, flood %v", round, b, src, query, got, want)
+							}
+							cfCells++
+						}
+					}
+					for v := range want {
+						for row := range want[v].Offsets {
+							if got := eng.scratch.obs[v].Offsets[row]; !slices.Equal(got, want[v].Offsets[row]) {
+								t.Fatalf("round %d node %d window row %d (miner %d): offsets %v, flood %v",
+									round, v, row, sources[blocks-window+row], got, want[v].Offsets[row])
+							}
+						}
+					}
+					if _, err := tr.Finish(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if copies == 0 {
+					t.Fatal("no block repeated an earlier block's miner")
+				}
+				if shape.counterfactuals && cfCells == 0 {
+					t.Fatal("no counterfactual cell was checked")
+				}
+			})
+		}
 	}
 }

@@ -100,7 +100,6 @@ func runPerigeeVariant(e *env, v AblationVariant) ([]float64, error) {
 		Forward: e.forward,
 		Power:   e.power,
 		Pinned:  e.pinned,
-		Frozen:  e.frozen,
 		Rand:    e.root.Derive("ablation-engine-" + v.Label),
 		Workers: e.opt.Workers,
 

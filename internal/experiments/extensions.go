@@ -167,7 +167,6 @@ func newExtensionEngine(e *env, method core.Method, tbl *topology.Table, silent 
 		Forward:      e.forward,
 		Power:        e.power,
 		Pinned:       e.pinned,
-		Frozen:       e.frozen,
 		Silent:       silent,
 		SendInterval: sendInterval,
 		Rand:         e.root.Derive("extension-engine-" + method.String()),

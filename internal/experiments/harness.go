@@ -310,7 +310,6 @@ type env struct {
 	power    []float64
 	root     *rng.RNG
 	pinned   [][2]int
-	frozen   []bool
 
 	// traces accumulates one regret summary per traced engine run in this
 	// env (populated by runPerigee when Options.TraceLevel is on).
@@ -563,7 +562,6 @@ func (e *env) runPerigee(method core.Method) ([]float64, *core.Engine, error) {
 		Forward:  e.forward,
 		Power:    e.power,
 		Pinned:   e.pinned,
-		Frozen:   e.frozen,
 		Rand:     e.root.Derive("engine-" + method.String()),
 		Workers:  e.opt.Workers,
 		Observer: observer,

@@ -23,7 +23,8 @@ import (
 
 // Model yields the constant one-way delay of sending a block between two
 // directly-connected nodes. Implementations must be symmetric and return
-// non-negative delays.
+// non-negative delays. Delay may be called from several goroutines at once:
+// the engine's broadcast workers evaluate it concurrently.
 type Model interface {
 	// Delay returns the one-way latency between nodes u and v.
 	Delay(u, v int) time.Duration

@@ -351,10 +351,10 @@ func (s *Simulator) rebuild(adj [][]int) error {
 // carryDelays fills edgeDelay after a rebuild over a previous topology: a
 // merge walk of each node's previous and current ascending row copies the
 // delay of every directed edge that survived and asks the model only for
-// edges the previous topology did not have. The fill is serial and per
-// directed edge, in PrecomputeEdges' order, so the model need not be safe
-// for concurrent use, and δ(u, v) is never taken from δ(v, u): a model may
-// round the two differently.
+// edges the previous topology did not have. The fill is serial because a
+// round adds only a few edges per node, too few model calls to pay for a
+// fan-out. It is per directed edge, in PrecomputeEdges' order, so δ(u, v) is
+// never taken from δ(v, u): a model may round the two differently.
 func (s *Simulator) carryDelays() {
 	lat := s.cfg.Latency
 	for v := 0; v < s.n; v++ {

@@ -81,6 +81,12 @@ func (cfg *Config) validate() error {
 // trace, duration, round interval) — bit-for-bit identical at any Workers
 // setting.
 //
+// A round's replay runs beside its topology update: the replay reads only
+// Run's own chain state and the round's arrival vectors, and the update
+// only the engine. The replay goes to a helper goroutine, which Run joins
+// before it drains the trace again; the update (TimedRound.Finish), and with
+// it the engine's Observer and Dynamics, stays on the caller's goroutine.
+//
 // The canonical chain is arbitrated by a single chain.Store fed every
 // block at its mining time: longest chain wins, height ties go to the
 // first-mined block. Blocks off that chain are stale; their miners earn
@@ -92,18 +98,10 @@ func Run(cfg Config) (*Report, error) {
 	e := cfg.Engine
 	n := e.N()
 
-	genesis := chain.NewGenesis("workload")
-	store, err := chain.NewStore(genesis)
+	c, err := newChainState(n)
 	if err != nil {
 		return nil, err
 	}
-	views := newViews(n)
-	blocks := []*chain.Block{genesis}
-	minedBy := []int32{-1}
-	ids := map[chain.Hash]int32{genesis.Header.Hash(): 0}
-	epoch := time.Unix(0, 0).UTC()
-
-	inbox := newInboxes(n)
 
 	// One-event lookahead over the trace: batch draining must see the
 	// first event beyond its boundary without losing it.
@@ -113,9 +111,10 @@ func Run(cfg Config) (*Report, error) {
 	var batchAt []time.Duration
 	var sources []int
 	var arrivals [][]time.Duration
+	replayed := make(chan error, 1)
 	rounds := 0
 
-	for start := time.Duration(0); start < cfg.Duration && (pendingOK || inbox.pending > 0); {
+	for start := time.Duration(0); start < cfg.Duration && (pendingOK || c.inbox.pending > 0); {
 		end := cfg.Duration
 		if cfg.RoundInterval > 0 && start+cfg.RoundInterval < end {
 			end = start + cfg.RoundInterval
@@ -140,7 +139,7 @@ func Run(cfg Config) (*Report, error) {
 		}
 
 		if len(batchAt) == 0 {
-			inbox.drainUntil(end, views.deliver)
+			c.inbox.drainUntil(end, c.views.deliver)
 			start = end
 			continue
 		}
@@ -154,51 +153,97 @@ func Run(cfg Config) (*Report, error) {
 		for len(arrivals) < len(batchAt) {
 			arrivals = append(arrivals, nil)
 		}
-		if err := tr.BroadcastAll(sources, arrivals[:len(batchAt)]); err != nil {
+		batch := arrivals[:len(batchAt)]
+		if err := tr.BroadcastAll(sources, batch); err != nil {
 			return nil, err
 		}
 
-		// Chain state second: replay deliveries and mining events in
-		// simulated-time order.
-		for k, at := range batchAt {
-			inbox.drainUntil(at, views.deliver)
-			miner := sources[k]
-			parent := views.tip[miner]
-			id := views.addBlock(parent)
-			blk := chain.NewBlock(blocks[parent], nil, epoch.Add(at), uint64(id))
-			blocks = append(blocks, blk)
-			minedBy = append(minedBy, int32(miner))
-			ids[blk.Header.Hash()] = id
-			if _, err := store.AddAt(blk, at); err != nil {
-				return nil, fmt.Errorf("workload: canonical store rejected block %d: %w", id, err)
-			}
-			views.deliver(miner, id)
-			for node, d := range arrivals[k] {
-				if node == miner || d >= stats.InfDuration {
-					continue
-				}
-				inbox.push(node, at+d, id)
-			}
-		}
-
-		// Round boundary: the interval's blocks are exactly what the
-		// selector observed; fire the topology update. Empty intervals
-		// never reach here and skip the update — there is nothing to
-		// score.
-		if cfg.RoundInterval > 0 {
-			if _, err := tr.Finish(); err != nil {
+		if cfg.RoundInterval == 0 {
+			if err := c.replay(batchAt, sources, batch); err != nil {
 				return nil, err
 			}
-			rounds++
+			if pendingOK && pending.At < end {
+				continue // the static batch cap truncated this interval
+			}
+			start = end
+			continue
 		}
-		if cfg.RoundInterval == 0 && pendingOK && pending.At < end {
-			continue // the static batch cap truncated this interval
+
+		// Chain state second, beside the round boundary: the interval's
+		// blocks are exactly what the selector observed, so the topology
+		// update fires while the helper replays them. Empty intervals never
+		// reach here and skip the update — there is nothing to score.
+		go func() { replayed <- c.replay(batchAt, sources, batch) }()
+		_, finishErr := tr.Finish()
+		if err := <-replayed; err != nil {
+			return nil, err
 		}
+		if finishErr != nil {
+			return nil, finishErr
+		}
+		rounds++
 		start = end
 	}
-	inbox.drainUntil(cfg.Duration, views.deliver)
+	c.inbox.drainUntil(cfg.Duration, c.views.deliver)
 
-	return buildReport(cfg, n, e.Power(), store, views, minedBy, ids, rounds)
+	return buildReport(cfg, n, e.Power(), c.store, c.views, c.minedBy, c.ids, rounds)
+}
+
+// chainState is Run's replay side: the canonical arbiter store, every
+// node's chain view and inbox, and the interned blocks.
+type chainState struct {
+	store   *chain.Store
+	views   *views
+	inbox   *inboxes
+	blocks  []*chain.Block
+	minedBy []int32
+	ids     map[chain.Hash]int32
+	epoch   time.Time
+}
+
+func newChainState(n int) (*chainState, error) {
+	genesis := chain.NewGenesis("workload")
+	store, err := chain.NewStore(genesis)
+	if err != nil {
+		return nil, err
+	}
+	return &chainState{
+		store:   store,
+		views:   newViews(n),
+		inbox:   newInboxes(n),
+		blocks:  []*chain.Block{genesis},
+		minedBy: []int32{-1},
+		ids:     map[chain.Hash]int32{genesis.Header.Hash(): 0},
+		epoch:   time.Unix(0, 0).UTC(),
+	}, nil
+}
+
+// replay runs a batch's mining events in simulated-time order: before each
+// one the deliveries strictly before it land, the miner extends its view's
+// tip, and the new block is queued to every other node it reaches at mining
+// time plus its arrival delay.
+func (c *chainState) replay(batchAt []time.Duration, sources []int, arrivals [][]time.Duration) error {
+	for k, at := range batchAt {
+		c.inbox.drainUntil(at, c.views.deliver)
+		miner := sources[k]
+		parent := c.views.tip[miner]
+		id := c.views.addBlock(parent)
+		blk := chain.NewBlock(c.blocks[parent], nil, c.epoch.Add(at), uint64(id))
+		c.blocks = append(c.blocks, blk)
+		c.minedBy = append(c.minedBy, int32(miner))
+		c.ids[blk.Header.Hash()] = id
+		if _, err := c.store.AddAt(blk, at); err != nil {
+			return fmt.Errorf("workload: canonical store rejected block %d: %w", id, err)
+		}
+		c.views.deliver(miner, id)
+		for node, d := range arrivals[k] {
+			if node == miner || d >= stats.InfDuration {
+				continue
+			}
+			c.inbox.push(node, at+d, id)
+		}
+	}
+	return nil
 }
 
 func buildReport(cfg Config, n int, power []float64, store *chain.Store, views *views,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -22,6 +23,17 @@ import (
 // newTestEngine builds a small geographic Perigee engine for workload
 // tests, with explicit Workers so determinism tests can vary it.
 func newTestEngine(t *testing.T, n int, seed uint64, workers int) (*core.Engine, []float64) {
+	t.Helper()
+	eng, err := core.NewEngine(testEngineConfig(t, n, seed, workers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng, eng.Power()
+}
+
+// testEngineConfig is newTestEngine's configuration, for tests that add to
+// it.
+func testEngineConfig(t *testing.T, n int, seed uint64, workers int) core.Config {
 	t.Helper()
 	root := rng.New(seed)
 	u, err := geo.SampleUniverse(n, root.Derive("universe"))
@@ -45,7 +57,7 @@ func newTestEngine(t *testing.T, n int, seed uint64, workers int) (*core.Engine,
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := core.NewEngine(core.Config{
+	return core.Config{
 		Method:  core.Subset,
 		Params:  core.DefaultParams(core.Subset),
 		Table:   tbl,
@@ -54,11 +66,7 @@ func newTestEngine(t *testing.T, n int, seed uint64, workers int) (*core.Engine,
 		Power:   power,
 		Rand:    root.Derive("engine"),
 		Workers: workers,
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	return eng, power
 }
 
 func runPoisson(t *testing.T, workers int) []byte {
@@ -524,6 +532,72 @@ func TestRunMatchesHeapReplay(t *testing.T) {
 	t.Logf("%d blocks, %d stale, identical to the heap replay", blocks, stale)
 	if stale == 0 {
 		t.Fatal("the grid produced no stale block: it never tested a fork")
+	}
+}
+
+// TestRunFinishBesideReplay holds Run, which replays a round's chain while
+// the engine's Finish runs, to heapRun's sequential order on an engine whose
+// hooks do what Finish lets them: an Observer that logs every round's
+// churn, and a Dynamics that rewrites RelayDelay and evaluates λ through
+// Engine.Delays. The reports, the observer logs and the λ values must be
+// equal. Under -race it also checks that the replay shares nothing with
+// Finish.
+func TestRunFinishBesideReplay(t *testing.T) {
+	const n, seed = 60, 41
+	type hookLog struct {
+		events []core.RoundReport
+		drops  int
+		lambda []time.Duration
+	}
+	run := func(replay func(Config) (*Report, error), workers int) ([]byte, *hookLog) {
+		log := &hookLog{}
+		cfg := testEngineConfig(t, n, seed, workers)
+		relay := make([]time.Duration, n)
+		cfg.RelayDelay = relay
+		cfg.Observer = core.ObserverFunc(func(ev core.RoundEvent) {
+			log.events = append(log.events, ev.Report)
+			log.drops += len(ev.Dropped)
+		})
+		cfg.Dynamics = core.DynamicsFunc(func(e *core.Engine, round int) error {
+			for v := range relay {
+				relay[v] = time.Duration((v+round)%4) * 10 * time.Millisecond
+			}
+			lambda, err := e.Delays(0.9, []int{0, round % n})
+			log.lambda = append(log.lambda, lambda...)
+			return err
+		})
+		eng, err := core.NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trace, err := NewPoisson(rng.New(seed).Derive("trace"), cfg.Power, 200*time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := replay(Config{Engine: eng, Trace: trace, Duration: time.Minute, RoundInterval: 5 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data, log
+	}
+	want, wantLog := run(heapRun, 1)
+	if len(wantLog.events) != 12 || wantLog.drops == 0 {
+		t.Fatalf("the run fired %d rounds and dropped %d links; the case needs 12 rounds of churn",
+			len(wantLog.events), wantLog.drops)
+	}
+	for _, workers := range []int{1, 3} {
+		got, gotLog := run(Run, workers)
+		if string(got) != string(want) {
+			t.Fatalf("workers=%d: report beside Finish diverged from the sequential replay:\n%s\nvs\n%s", workers, got, want)
+		}
+		if !slices.Equal(gotLog.events, wantLog.events) || gotLog.drops != wantLog.drops ||
+			!slices.Equal(gotLog.lambda, wantLog.lambda) {
+			t.Fatalf("workers=%d: hooks saw %+v, sequentially %+v", workers, gotLog, wantLog)
+		}
 	}
 }
 

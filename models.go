@@ -26,6 +26,8 @@ type Rand = rng.RNG
 // how many nodes the model covers and must be at least the network size.
 // A pair's delay must not change during a run: the simulator asks for it
 // when the link appears and keeps the answer for as long as the link lives.
+// Delay may be called from several goroutines at once: the simulator's
+// broadcast workers evaluate it concurrently.
 //
 // The default is the paper's geographic model (§3.1): nodes embedded near
 // regional hubs with last-mile access delays and per-link route noise. Any

@@ -37,7 +37,7 @@ gate_bytes() { gate_unit "$1" "$2" B/op; }
 # iterations because a single op is a full 100k-node flood (and its set-up
 # hashes 1.6M edge delays).
 go test -run '^$' \
-  -bench 'Micro(Broadcast1000$|Broadcast10000$|BroadcastStreaming10000$|Reconfigure1000$|TopologyRandom20000$|TableRewire1000$|AnalyticArrival|RoundBroadcast1000$|DelayToFraction|VanillaScoring|SubsetScoring|EngineRound|DeriveIndexed|DurationPercentile|WireFrame|WireRead|StoreAdd)' \
+  -bench 'Micro(Broadcast1000$|Broadcast10000$|BroadcastStreaming10000$|Reconfigure1000$|TopologyRandom20000$|TableRewire1000$|AnalyticArrival|RoundBroadcast1000$|RoundBroadcastPools300$|DelayToFraction|VanillaScoring|SubsetScoring|EngineRound|DeriveIndexed|DurationPercentile|WireFrame|WireRead|StoreAdd)' \
   -benchmem -benchtime=100x . | tee "$OUT"
 go test -run '^$' -bench 'MicroBroadcast100000$' -benchmem -benchtime=3x . \
   | tee -a "$OUT"
@@ -60,10 +60,13 @@ gate_bytes MicroTopologyRandom20000 16000000
 # adjacency snapshot allocates only when some row outgrows its past maximum.
 gate MicroTableRewire1000 16
 gate MicroAnalyticArrival1000 0
-# A round's broadcast phase: 100 arrival-only floods on the workers' own
-# queues and buffers, and the harvest of every observation from them. It
-# sizes nothing per edge and allocates nothing once warm.
+# A round's broadcast phase: an arrival-only flood per distinct miner on the
+# workers' own queues and buffers, and the harvest of every observation from
+# them. It sizes nothing per edge and allocates nothing once warm, with
+# uniform miners or with the pools setting's few repeated ones (grouping the
+# blocks by miner reuses engine scratch).
 gate MicroRoundBroadcast1000 0
+gate MicroRoundBroadcastPools300 0
 gate MicroDurationPercentile 0
 gate MicroDurationPercentileOfMin100 0
 gate MicroDurationPercentileOfMin10 0
