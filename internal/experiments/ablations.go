@@ -49,7 +49,16 @@ func RunAblation(opt Options, ab Ablation) (*Result, error) {
 					return nil, err
 				}
 			}
-			return runPerigeeVariant(e, v)
+			tbl, err := topology.Random(e.opt.Nodes, 8, 20, e.root.Derive("ablation-topology-"+v.Label))
+			if err != nil {
+				return nil, err
+			}
+			var mods []func(*core.Config)
+			if v.Params != nil {
+				mods = append(mods, func(cfg *core.Config) { cfg.Params = v.Params(cfg.Params) })
+			}
+			s, _, err := e.runArm(v.Label, "ablation-engine-"+v.Label, v.Method, tbl, mods...)
+			return s, err
 		}})
 	}
 	res, err := runFigure(opt, ab.ID, ab.Title, nil, algos)
@@ -70,52 +79,6 @@ func RunAblation(opt Options, ab Ablation) (*Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// runPerigeeVariant mirrors env.runPerigee but with variant-transformed
-// parameters.
-func runPerigeeVariant(e *env, v AblationVariant) ([]float64, error) {
-	tbl, err := topology.Random(e.opt.Nodes, 8, 20, e.root.Derive("ablation-topology-"+v.Label))
-	if err != nil {
-		return nil, err
-	}
-	params := core.DefaultParams(v.Method)
-	if v.Method != core.UCB {
-		params.RoundBlocks = e.opt.RoundBlocks
-	}
-	if v.Params != nil {
-		params = v.Params(params)
-	}
-	// All variants see the same total block budget so sweeps over round
-	// length or method compare adaptation efficiency, not extra data.
-	rounds := e.opt.Rounds * e.opt.RoundBlocks / params.RoundBlocks
-	if rounds < 1 {
-		rounds = 1
-	}
-	engine, err := core.NewEngine(core.Config{
-		Method:  v.Method,
-		Params:  params,
-		Table:   tbl,
-		Latency: e.lat,
-		Forward: e.forward,
-		Power:   e.power,
-		Pinned:  e.pinned,
-		Rand:    e.root.Derive("ablation-engine-" + v.Label),
-		Workers: e.opt.Workers,
-
-		ObservationWindow: e.opt.ObservationWindow,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if _, err := engine.Run(rounds); err != nil {
-		return nil, err
-	}
-	delays, err := engine.Delays(e.opt.Fraction, nil)
-	if err != nil {
-		return nil, err
-	}
-	return delaysToSortedMs(delays), nil
 }
 
 // AblationExploration sweeps the exploration budget e_v (paper fixes 2 of

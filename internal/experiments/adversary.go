@@ -29,8 +29,10 @@ type adversaryArm struct {
 }
 
 // run executes the arm over e's sampled network and returns the sorted
-// honest-node λ series (ms). All RNG streams derive from the arm label,
-// so (trial, arm) jobs are order-independent.
+// honest-node λ series (ms): adversarySet picks the env's λ sources among
+// the honest nodes, for the unattacked baselines too, so attacked and
+// clean series cover the same population. All RNG streams derive from the
+// arm label, so (trial, arm) jobs are order-independent.
 func (arm adversaryArm) run(e *env, strat adversary.Strategy) ([]float64, error) {
 	advs, err := adversarySet(e)
 	if err != nil {
@@ -40,26 +42,13 @@ func (arm adversaryArm) run(e *env, strat adversary.Strategy) ([]float64, error)
 	if err != nil {
 		return nil, err
 	}
-	params := core.DefaultParams(arm.method)
-	params.RoundBlocks = e.opt.RoundBlocks
-	cfg := core.Config{
-		Method:  arm.method,
-		Params:  params,
-		Table:   tbl,
-		Latency: e.lat,
-		Forward: e.forward,
-		Power:   e.power,
-		Rand:    e.root.Derive("adv-engine-" + arm.label),
-		Workers: e.opt.Workers,
-
-		ObservationWindow: e.opt.ObservationWindow,
-	}
+	var mods []func(*core.Config)
 	if arm.random {
-		sel, err := core.NewRandomSelector(params.Explore)
+		sel, err := core.NewRandomSelector(core.DefaultParams(arm.method).Explore)
 		if err != nil {
 			return nil, err
 		}
-		cfg.Selector = sel
+		mods = append(mods, func(cfg *core.Config) { cfg.Selector = sel })
 	}
 	if arm.attacked {
 		bind, err := adversary.Bind(strat, e.opt.Nodes, advs, e.lat, e.forward,
@@ -67,38 +56,10 @@ func (arm adversaryArm) run(e *env, strat adversary.Strategy) ([]float64, error)
 		if err != nil {
 			return nil, err
 		}
-		bind.Apply(&cfg)
+		mods = append(mods, bind.Apply)
 	}
-	engine, err := core.NewEngine(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := engine.Run(e.opt.Rounds); err != nil {
-		return nil, err
-	}
-	delays, err := engine.Delays(e.opt.Fraction, honestNodes(e.opt.Nodes, advs))
-	if err != nil {
-		return nil, err
-	}
-	return delaysToSortedMs(delays), nil
-}
-
-// honestNodes returns the ascending node indices outside the adversary
-// set — the sources whose λ the adversarial scenarios report (for the
-// unattacked baselines too, so attacked and clean series cover the same
-// population).
-func honestNodes(n int, adversaries []int) []int {
-	isAdv := make([]bool, n)
-	for _, a := range adversaries {
-		isAdv[a] = true
-	}
-	out := make([]int, 0, n-len(adversaries))
-	for v := 0; v < n; v++ {
-		if !isAdv[v] {
-			out = append(out, v)
-		}
-	}
-	return out
+	s, _, err := e.runArm(arm.label, "adv-engine-"+arm.label, arm.method, tbl, mods...)
+	return s, err
 }
 
 // adversaryArms is the full comparison: the three decision rules under

@@ -6,7 +6,7 @@ import (
 	"github.com/perigee-net/perigee/internal/core"
 	"github.com/perigee-net/perigee/internal/parallel"
 	"github.com/perigee-net/perigee/internal/stats"
-	"github.com/perigee-net/perigee/internal/topology"
+	"github.com/perigee-net/perigee/internal/trace"
 )
 
 // Convergence reproduces §5.2's convergence observation: as rounds pass,
@@ -28,6 +28,7 @@ func Convergence(opt Options) (*Result, error) {
 	p50Trials := make([][]float64, opt.Trials)
 	random90Trials := make([]float64, opt.Trials)
 	random50Trials := make([]float64, opt.Trials)
+	perTrace := make([][]*trace.Summary, opt.Trials)
 	outer, innerOpt := splitWorkers(opt, opt.Trials)
 	err := parallel.ForEachIndexed(opt.Trials, outer, func(_, t int) error {
 		e, err := newEnv(innerOpt, t)
@@ -38,12 +39,12 @@ func Convergence(opt Options) (*Result, error) {
 		if err != nil {
 			return err
 		}
-		r90, err := e.evalTopology(randTbl)
+		r90, err := e.evalTopologyAt(randTbl, 0.9)
 		if err != nil {
 			return err
 		}
 		random90Trials[t] = stats.Percentile(r90, 0.5)
-		r50, err := evalTopologyAtFraction(e, randTbl, 0.5)
+		r50, err := e.evalTopologyAt(randTbl, 0.5)
 		if err != nil {
 			return err
 		}
@@ -53,27 +54,28 @@ func Convergence(opt Options) (*Result, error) {
 		if err != nil {
 			return err
 		}
-		engine, err := newExtensionEngine(e, core.Subset, tbl, nil, nil)
+		engine, rounds, err := e.engine(LabelSubset, extensionStream, core.Subset, tbl)
 		if err != nil {
 			return err
 		}
-		p90 := make([]float64, 0, opt.Rounds)
-		p50 := make([]float64, 0, opt.Rounds)
-		for r := 0; r < opt.Rounds; r++ {
+		p90 := make([]float64, 0, rounds)
+		p50 := make([]float64, 0, rounds)
+		for r := 0; r < rounds; r++ {
 			if _, err := engine.Step(); err != nil {
 				return err
 			}
-			d90, err := engine.Delays(0.9, nil)
+			d90, err := e.lambda(engine, 0.9)
 			if err != nil {
 				return err
 			}
-			d50, err := engine.Delays(0.5, nil)
+			d50, err := e.lambda(engine, 0.5)
 			if err != nil {
 				return err
 			}
-			p90 = append(p90, stats.Percentile(delaysToSortedMs(d90), 0.5))
-			p50 = append(p50, stats.Percentile(delaysToSortedMs(d50), 0.5))
+			p90 = append(p90, stats.Percentile(d90, 0.5))
+			p50 = append(p50, stats.Percentile(d50, 0.5))
 		}
+		perTrace[t] = e.regret()
 		p90Trials[t] = p90
 		p50Trials[t] = p50
 		return nil
@@ -95,6 +97,7 @@ func Convergence(opt Options) (*Result, error) {
 		return nil, err
 	}
 	res.Series = []Series{s90, s50}
+	res.Regret = mergeRegret(perTrace...)
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("random reference medians: %.0f ms (90%% coverage), %.0f ms (50%% coverage)",
 			random90.Mean(), random50.Mean()),
@@ -103,12 +106,6 @@ func Convergence(opt Options) (*Result, error) {
 		fmt.Sprintf("50%% trajectory: %.0f -> %.0f ms (monotone violations: %d) — Perigee only optimizes the 90th percentile (§5.2)",
 			s50.Mean[0], s50.Mean[len(s50.Mean)-1], monotoneViolations(s50.Mean)))
 	return res, nil
-}
-
-// evalTopologyAtFraction is evalTopology with an explicit coverage
-// fraction, sharing the env's reusable evaluation simulator.
-func evalTopologyAtFraction(e *env, tbl *topology.Table, frac float64) ([]float64, error) {
-	return e.evalTopologyAt(tbl, frac)
 }
 
 // monotoneViolations counts indices where the series increases (a strictly

@@ -7,6 +7,7 @@ import (
 	"github.com/perigee-net/perigee/internal/adversary"
 	"github.com/perigee-net/perigee/internal/core"
 	"github.com/perigee-net/perigee/internal/parallel"
+	"github.com/perigee-net/perigee/internal/trace"
 )
 
 // defaultAdversaryFraction is the historical population share of
@@ -17,9 +18,19 @@ const defaultAdversaryFraction = 0.15
 // adversarySet samples the trial's adversary node indices — the same
 // derivation ("adversaries" off the trial root) the hard-coded eclipse
 // experiment always used, so framework-driven runs reproduce its results
-// exactly.
+// exactly — and picks the env's λ sources among the honest nodes, so an
+// adversarial scenario reports honest-node λ only.
 func adversarySet(e *env) ([]int, error) {
-	return adversary.Sample(e.opt.Nodes, e.opt.adversaryFraction(), e.root.Derive("adversaries"))
+	advs, err := adversary.Sample(e.opt.Nodes, e.opt.adversaryFraction(), e.root.Derive("adversaries"))
+	if err != nil {
+		return nil, err
+	}
+	isAdv := make([]bool, e.opt.Nodes)
+	for _, a := range advs {
+		isAdv[a] = true
+	}
+	e.pickSources(isAdv)
+	return advs, nil
 }
 
 // Eclipse measures neighborhood capture by fast adversaries, now driven
@@ -50,6 +61,7 @@ func Eclipse(opt Options) (*Result, error) {
 		randomEclipsed, perigeeEclipsed int
 	}
 	perTrial := make([]trialStats, opt.Trials)
+	perTrace := make([][]*trace.Summary, opt.Trials)
 	outer, innerOpt := splitWorkers(opt, opt.Trials)
 	err := parallel.ForEachIndexed(opt.Trials, outer, func(_, t int) error {
 		e, err := newEnv(innerOpt, t)
@@ -79,28 +91,14 @@ func Eclipse(opt Options) (*Result, error) {
 		if err != nil {
 			return err
 		}
-		params := core.DefaultParams(core.Subset)
-		params.RoundBlocks = e.opt.RoundBlocks
-		cfg := core.Config{
-			Method:  core.Subset,
-			Params:  params,
-			Table:   tbl,
-			Latency: e.lat,
-			Forward: e.forward,
-			Power:   e.power,
-			Rand:    e.root.Derive("eclipse-engine"),
-			Workers: e.opt.Workers,
-
-			ObservationWindow: e.opt.ObservationWindow,
-		}
-		bind.Apply(&cfg)
-		engine, err := core.NewEngine(cfg)
+		engine, rounds, err := e.engine(LabelSubset, "eclipse-engine", core.Subset, tbl, bind.Apply)
 		if err != nil {
 			return err
 		}
-		if _, err := engine.Run(e.opt.Rounds); err != nil {
+		if _, err := engine.Run(rounds); err != nil {
 			return err
 		}
+		perTrace[t] = e.regret()
 		share, eclipsed = captureStats(engine.Table().OutNeighbors, opt.Nodes, isAdv, threshold)
 		perTrial[t].perigeeShare = share
 		perTrial[t].perigeeEclipsed = eclipsed
@@ -109,6 +107,7 @@ func Eclipse(opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	res.Regret = mergeRegret(perTrace...)
 	var (
 		randomShare, perigeeShare       float64
 		randomEclipsed, perigeeEclipsed int

@@ -8,7 +8,7 @@ import (
 	"github.com/perigee-net/perigee/internal/core"
 	"github.com/perigee-net/perigee/internal/parallel"
 	"github.com/perigee-net/perigee/internal/stats"
-	"github.com/perigee-net/perigee/internal/topology"
+	"github.com/perigee-net/perigee/internal/trace"
 )
 
 // The extension experiments cover the paper's §6 discussion items that the
@@ -42,6 +42,7 @@ func Freeride(opt Options) (*Result, error) {
 		silentRecvMs   = make([]float64, opt.Trials)
 		honestRandomMs = make([]float64, opt.Trials)
 		silentRandomMs = make([]float64, opt.Trials)
+		perTrace       = make([][]*trace.Summary, opt.Trials)
 	)
 	outer, innerOpt := splitWorkers(opt, opt.Trials)
 	err := parallel.ForEachIndexed(opt.Trials, outer, func(_, t int) error {
@@ -54,21 +55,20 @@ func Freeride(opt Options) (*Result, error) {
 		for _, v := range perm[:int(FreerideSilentFraction*float64(opt.Nodes))] {
 			silent[v] = true
 		}
+		freeriders := func(cfg *core.Config) { cfg.Silent = silent }
 
 		// Static random baseline with the same silent population.
 		randTbl, err := e.buildRandom(LabelRandom)
 		if err != nil {
 			return err
 		}
-		randEngine, err := newExtensionEngine(e, core.Subset, randTbl, silent, nil)
+		randEngine, _, err := e.engine(LabelRandom, extensionStream, core.Subset, randTbl, freeriders)
 		if err != nil {
 			return err
 		}
-		randDelays, err := randEngine.Delays(e.opt.Fraction, nil)
-		if err != nil {
+		if randomTrials[t], err = e.lambda(randEngine, e.opt.Fraction); err != nil {
 			return err
 		}
-		randomTrials[t] = delaysToSortedMs(randDelays)
 		randRecv, err := randEngine.ReceiveDelays(receiveSources(e, silent))
 		if err != nil {
 			return err
@@ -80,22 +80,16 @@ func Freeride(opt Options) (*Result, error) {
 		if err != nil {
 			return err
 		}
-		engine, err := newExtensionEngine(e, core.Subset, periTbl, silent, nil)
+		series, engine, err := e.runArm(LabelSubset, extensionStream, core.Subset, periTbl, freeriders)
 		if err != nil {
 			return err
 		}
-		if _, err := engine.Run(e.opt.Rounds); err != nil {
-			return err
-		}
-		periDelays, err := engine.Delays(e.opt.Fraction, nil)
-		if err != nil {
-			return err
-		}
-		perigeeTrials[t] = delaysToSortedMs(periDelays)
+		perigeeTrials[t] = series
 		recv, err := engine.ReceiveDelays(receiveSources(e, silent))
 		if err != nil {
 			return err
 		}
+		perTrace[t] = e.regret()
 		honestRecvMs[t], silentRecvMs[t] = splitMeans(recv, silent)
 		return nil
 	})
@@ -111,6 +105,7 @@ func Freeride(opt Options) (*Result, error) {
 		return nil, err
 	}
 	res.Series = []Series{randomSeries, perigeeSeries}
+	res.Regret = mergeRegret(perTrace...)
 	hr, sr := stats.Mean(honestRandomMs), stats.Mean(silentRandomMs)
 	hp, sp := stats.Mean(honestRecvMs), stats.Mean(silentRecvMs)
 	res.Notes = append(res.Notes,
@@ -152,29 +147,9 @@ func splitMeans(recv []time.Duration, silent []bool) (honestMs, silentMs float64
 	return hs.Mean(), ss.Mean()
 }
 
-// newExtensionEngine builds a Subset engine with optional silent mask and
-// send intervals over an existing table.
-func newExtensionEngine(e *env, method core.Method, tbl *topology.Table, silent []bool, sendInterval []time.Duration) (*core.Engine, error) {
-	params := core.DefaultParams(method)
-	if method != core.UCB {
-		params.RoundBlocks = e.opt.RoundBlocks
-	}
-	return core.NewEngine(core.Config{
-		Method:       method,
-		Params:       params,
-		Table:        tbl,
-		Latency:      e.lat,
-		Forward:      e.forward,
-		Power:        e.power,
-		Pinned:       e.pinned,
-		Silent:       silent,
-		SendInterval: sendInterval,
-		Rand:         e.root.Derive("extension-engine-" + method.String()),
-		Workers:      e.opt.Workers,
-
-		ObservationWindow: e.opt.ObservationWindow,
-	})
-}
+// extensionStream names the engine RNG stream of the extension scenarios'
+// Perigee-Subset engines.
+const extensionStream = "extension-engine-" + LabelSubset
 
 // ChurnFraction is the share of nodes replaced between rounds in the churn
 // experiment.
@@ -194,22 +169,19 @@ func Churn(opt Options) (*Result, error) {
 			}
 			return e.evalTopology(tbl)
 		}},
-		{LabelSubset + "-stable", func(e *env) ([]float64, error) {
-			s, _, err := e.runPerigee(core.Subset)
-			return s, err
-		}},
+		perigeeAlgo(LabelSubset+"-stable", core.Subset),
 		{LabelSubset + "-churn", func(e *env) ([]float64, error) {
 			tbl, err := e.buildRandom("churn")
 			if err != nil {
 				return nil, err
 			}
-			engine, err := newExtensionEngine(e, core.Subset, tbl, nil, nil)
+			engine, rounds, err := e.engine(LabelSubset+"-churn", extensionStream, core.Subset, tbl)
 			if err != nil {
 				return nil, err
 			}
 			churnRand := e.root.Derive("churn")
 			k := int(ChurnFraction * float64(e.opt.Nodes))
-			for r := 0; r < e.opt.Rounds; r++ {
+			for r := 0; r < rounds; r++ {
 				if _, err := engine.Step(); err != nil {
 					return nil, err
 				}
@@ -218,11 +190,7 @@ func Churn(opt Options) (*Result, error) {
 					return nil, err
 				}
 			}
-			delays, err := engine.Delays(e.opt.Fraction, nil)
-			if err != nil {
-				return nil, err
-			}
-			return delaysToSortedMs(delays), nil
+			return e.lambda(engine, e.opt.Fraction)
 		}},
 		{LabelIdeal, func(e *env) ([]float64, error) { return e.evalIdeal() }},
 	}
@@ -267,17 +235,17 @@ func Bandwidth(opt Options) (*Result, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
-	makeIntervals := func(e *env) []time.Duration {
+	slowUploads := func(e *env) func(*core.Config) {
 		r := e.root.Derive("bandwidth")
-		out := make([]time.Duration, e.opt.Nodes)
-		for i := range out {
+		intervals := make([]time.Duration, e.opt.Nodes)
+		for i := range intervals {
 			if r.Float64() < bandwidthSlowFraction {
-				out[i] = bandwidthSlowSendInterval
+				intervals[i] = bandwidthSlowSendInterval
 			} else {
-				out[i] = bandwidthFastSendInterval
+				intervals[i] = bandwidthFastSendInterval
 			}
 		}
-		return out
+		return func(cfg *core.Config) { cfg.SendInterval = intervals }
 	}
 	algos := []algo{
 		{LabelRandom, func(e *env) ([]float64, error) {
@@ -285,33 +253,19 @@ func Bandwidth(opt Options) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			engine, err := newExtensionEngine(e, core.Subset, tbl, nil, makeIntervals(e))
+			engine, _, err := e.engine(LabelRandom, extensionStream, core.Subset, tbl, slowUploads(e))
 			if err != nil {
 				return nil, err
 			}
-			delays, err := engine.Delays(e.opt.Fraction, nil)
-			if err != nil {
-				return nil, err
-			}
-			return delaysToSortedMs(delays), nil
+			return e.lambda(engine, e.opt.Fraction)
 		}},
 		{LabelSubset, func(e *env) ([]float64, error) {
 			tbl, err := e.buildRandom(LabelSubset)
 			if err != nil {
 				return nil, err
 			}
-			engine, err := newExtensionEngine(e, core.Subset, tbl, nil, makeIntervals(e))
-			if err != nil {
-				return nil, err
-			}
-			if _, err := engine.Run(e.opt.Rounds); err != nil {
-				return nil, err
-			}
-			delays, err := engine.Delays(e.opt.Fraction, nil)
-			if err != nil {
-				return nil, err
-			}
-			return delaysToSortedMs(delays), nil
+			s, _, err := e.runArm(LabelSubset, extensionStream, core.Subset, tbl, slowUploads(e))
+			return s, err
 		}},
 	}
 	res, err := runFigure(opt, "bandwidth",

@@ -173,6 +173,29 @@ func TestConvergenceTrajectories(t *testing.T) {
 		monotoneViolations(p90.Mean), monotoneViolations(p50.Mean))
 }
 
+// TestConvergenceReferenceCoverage checks the random reference medians are
+// taken at the scenario's own 90% and 50% coverage, whatever
+// Options.Fraction says: at Fraction 0.5 the two still differ.
+func TestConvergenceReferenceCoverage(t *testing.T) {
+	opt := tinyOptions()
+	opt.Nodes = 60
+	opt.Rounds = 2
+	opt.RoundBlocks = 10
+	opt.Fraction = 0.5
+	res, err := Convergence(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r90, r50 float64
+	if _, err := fmt.Sscanf(res.Notes[0], "random reference medians: %f ms (90%% coverage), %f ms (50%% coverage)",
+		&r90, &r50); err != nil {
+		t.Fatalf("parsing %q: %v", res.Notes[0], err)
+	}
+	if r90 <= r50 {
+		t.Errorf("90%% coverage reference %.0f ms is not above the 50%% one %.0f ms", r90, r50)
+	}
+}
+
 func TestEclipseTrustGainWithoutFullCapture(t *testing.T) {
 	if testing.Short() {
 		t.Skip("extension run")

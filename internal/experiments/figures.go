@@ -12,6 +12,7 @@ import (
 	"github.com/perigee-net/perigee/internal/rng"
 	"github.com/perigee-net/perigee/internal/stats"
 	"github.com/perigee-net/perigee/internal/topology"
+	"github.com/perigee-net/perigee/internal/trace"
 )
 
 // Algorithm labels shared across figures (the paper's legend names).
@@ -49,18 +50,9 @@ func standardAlgos() []algo {
 			}
 			return e.evalTopology(tbl)
 		}},
-		{LabelVanilla, func(e *env) ([]float64, error) {
-			s, _, err := e.runPerigee(core.Vanilla)
-			return s, err
-		}},
-		{LabelUCB, func(e *env) ([]float64, error) {
-			s, _, err := e.runPerigee(core.UCB)
-			return s, err
-		}},
-		{LabelSubset, func(e *env) ([]float64, error) {
-			s, _, err := e.runPerigee(core.Subset)
-			return s, err
-		}},
+		perigeeAlgo(LabelVanilla, core.Vanilla),
+		perigeeAlgo(LabelUCB, core.UCB),
+		perigeeAlgo(LabelSubset, core.Subset),
 		{LabelIdeal, func(e *env) ([]float64, error) { return e.evalIdeal() }},
 	}
 }
@@ -129,15 +121,13 @@ func Figure4a(opt Options) (*Result, error) {
 				}
 				return e.evalTopology(tbl)
 			}},
-			{fmt.Sprintf("%s-%gx", LabelSubset, mult), func(e *env) ([]float64, error) {
-				s, _, err := e.runPerigee(core.Subset)
-				return s, err
-			}},
+			perigeeAlgo(fmt.Sprintf("%s-%gx", LabelSubset, mult), core.Subset),
 		})
 		if err != nil {
 			return nil, err
 		}
 		res.Series = append(res.Series, sub.Series...)
+		res.Regret = append(res.Regret, sub.Regret...)
 	}
 	// Note the expected trend: Perigee's relative advantage shrinks as
 	// validation dominates propagation.
@@ -261,10 +251,7 @@ func standardSubsetComparison() []algo {
 			}
 			return e.evalTopology(tbl)
 		}},
-		{LabelSubset, func(e *env) ([]float64, error) {
-			s, _, err := e.runPerigee(core.Subset)
-			return s, err
-		}},
+		perigeeAlgo(LabelSubset, core.Subset),
 		{LabelIdeal, func(e *env) ([]float64, error) { return e.evalIdeal() }},
 	}
 }
@@ -316,6 +303,7 @@ func Figure5(opt Options) (*Result, error) {
 		adj map[string][][]int
 	}
 	perTrial := make([]trialGraphs, opt.Trials)
+	perTrace := make([][]*trace.Summary, opt.Trials)
 	outer, innerOpt := splitWorkers(opt, opt.Trials)
 	err := parallel.ForEachIndexed(opt.Trials, outer, func(_, t int) error {
 		e, err := newEnv(innerOpt, t)
@@ -338,17 +326,19 @@ func Figure5(opt Options) (*Result, error) {
 			return err
 		}
 		adj[LabelKademlia] = kadTbl.Undirected()
-		_, engine, err := e.runPerigee(core.Subset)
+		_, engine, err := e.runPerigee(LabelSubset, core.Subset)
 		if err != nil {
 			return err
 		}
 		adj[LabelSubset] = engine.Adjacency()
 		perTrial[t] = trialGraphs{lat: e.lat, adj: adj}
+		perTrace[t] = e.regret()
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	res.Regret = mergeRegret(perTrace...)
 	for t := 0; t < opt.Trials; t++ {
 		for _, label := range []string{LabelRandom, LabelGeographic, LabelKademlia, LabelSubset} {
 			if err := addHist(label, perTrial[t].adj[label], perTrial[t].lat); err != nil {

@@ -6,6 +6,7 @@ import (
 
 	"github.com/perigee-net/perigee/internal/core"
 	"github.com/perigee-net/perigee/internal/parallel"
+	"github.com/perigee-net/perigee/internal/trace"
 	"github.com/perigee-net/perigee/internal/workload"
 )
 
@@ -96,6 +97,7 @@ func Forks(opt Options) (*Result, error) {
 		perReport[i] = make([]*workload.Report, opt.Trials)
 	}
 	jobs := opt.Trials * len(arms)
+	perTrace := make([][]*trace.Summary, jobs)
 	outer, innerOpt := splitWorkers(opt, jobs)
 	err := parallel.ForEachIndexed(jobs, outer, func(_, j int) error {
 		t, i := j/len(arms), j%len(arms)
@@ -112,20 +114,7 @@ func Forks(opt Options) (*Result, error) {
 		if err != nil {
 			return err
 		}
-		params := core.DefaultParams(arm.method)
-		params.RoundBlocks = e.opt.RoundBlocks
-		engine, err := core.NewEngine(core.Config{
-			Method:  arm.method,
-			Params:  params,
-			Table:   tbl,
-			Latency: e.lat,
-			Forward: e.forward,
-			Power:   e.power,
-			Rand:    e.root.Derive("workload-engine-" + arm.label),
-			Workers: e.opt.Workers,
-
-			ObservationWindow: e.opt.ObservationWindow,
-		})
+		engine, _, err := e.engine(arm.label, "workload-engine-"+arm.label, arm.method, tbl)
 		if err != nil {
 			return err
 		}
@@ -142,11 +131,10 @@ func Forks(opt Options) (*Result, error) {
 		if err != nil {
 			return fmt.Errorf("experiments: forks trial %d arm %s: %w", t, arm.label, err)
 		}
-		delays, err := engine.Delays(e.opt.Fraction, e.landmarks())
-		if err != nil {
+		if perSeries[i][t], err = e.lambda(engine, e.opt.Fraction); err != nil {
 			return err
 		}
-		perSeries[i][t] = delaysToSortedMs(delays)
+		perTrace[j] = e.regret()
 		perReport[i][t] = rep
 		return nil
 	})
@@ -158,6 +146,7 @@ func Forks(opt Options) (*Result, error) {
 		ID:      "forks",
 		Title:   "Continuous-time workload: fork rate, stale blocks, revenue skew",
 		Options: opt,
+		Regret:  mergeRegret(perTrace...),
 	}
 	for i, arm := range arms {
 		s, err := aggregate(arm.label, perSeries[i])

@@ -70,11 +70,13 @@ type Options struct {
 	// all n — turning each evaluation pass from n Dijkstras into k, the
 	// lever that makes per-round convergence tracking affordable at 100k+
 	// nodes. The landmark set is derived statelessly from the trial seed,
-	// so successive rounds (and algorithm arms sharing a trial) are
-	// compared on identical sources. The sorted λ series then has k
-	// entries; its percentiles are estimators of the full-population ones
-	// (see the error-bound test in scale_test.go). Zero evaluates all
-	// nodes, the paper's exact protocol.
+	// so successive rounds and every arm of every scenario (engine arms,
+	// static topologies and the ideal bound alike) are compared on
+	// identical sources (the adversarial scenarios draw them from the
+	// honest nodes). The sorted λ series then has k entries; its
+	// percentiles are estimators of the full-population ones (see the
+	// error-bound test in scale_test.go). Zero evaluates all nodes, the
+	// paper's exact protocol.
 	LambdaSources int
 	// ObservationWindow bounds per-node observation memory to the last w
 	// blocks of each round; forwarded to core.Config.ObservationWindow.
@@ -94,25 +96,27 @@ type Options struct {
 	// the given path, ready for TraceFile replay. Ignored by the
 	// non-workload scenarios.
 	RecordTrace string
-	// TraceLevel enables decision tracing on every Perigee engine arm
-	// (0 = off, 1 = decisions, 2 = full inputs; see core.TraceLevel). The
-	// traced records are reduced to per-round regret summaries on
-	// Result.Regret, and streamed to TraceObserver when set. Tracing
-	// covers the arms driven through the shared figure harness
-	// (runPerigee); arms that never run a Perigee engine (random,
-	// geographic, ideal) have nothing to trace.
+	// TraceLevel enables decision tracing on every engine arm of every
+	// scenario (0 = off, 1 = decisions, 2 = full inputs; see
+	// core.TraceLevel). The traced records are reduced to per-round regret
+	// summaries on Result.Regret, one per arm label, and streamed to
+	// TraceObserver when set. Arms that never run an engine round (static
+	// random, geographic and Kademlia topologies, the ideal bound) have
+	// nothing to trace.
 	TraceLevel int
 	// CounterfactualK, when positive, evaluates up to K rejected
 	// alternatives per traced decision against the following round's
 	// broadcasts (see core.TraceConfig.CounterfactualK). Requires
 	// TraceLevel ≥ 1.
 	CounterfactualK int
-	// RoundObserver, when non-nil, receives every engine arm's RoundEvent
-	// as it completes, labeled with the arm and trial. Runtime-only: it is
-	// excluded from Hash and JSON, and may be called concurrently from
-	// different (trial, arm) jobs — events within one (arm, trial) pair
-	// arrive in round order, but the interleaving across pairs is
-	// schedule-dependent, so consumers must lock and group by (arm, trial).
+	// RoundObserver, when non-nil, receives the RoundEvent of every engine
+	// arm of every scenario as it completes, labeled with the arm's series
+	// label (the engine arm's label where a scenario has no per-arm
+	// series) and the trial. Runtime-only: it is excluded from Hash and
+	// JSON, and may be called concurrently from different (trial, arm)
+	// jobs — events within one (arm, trial) pair arrive in round order,
+	// but the interleaving across pairs is schedule-dependent, so
+	// consumers must lock and group by (arm, trial).
 	RoundObserver func(arm string, trial int, ev core.RoundEvent) `json:"-"`
 	// TraceObserver, when non-nil, receives every trace record as it is
 	// emitted (the streaming path the experiment service uses). Runtime-
@@ -311,9 +315,15 @@ type env struct {
 	root     *rng.RNG
 	pinned   [][2]int
 
-	// traces accumulates one regret summary per traced engine run in this
-	// env (populated by runPerigee when Options.TraceLevel is on).
-	traces []*trace.Summary
+	// sources are the trial's λ evaluation sources, ascending (see
+	// pickSources): successive rounds and every arm of the trial are
+	// compared on identical sources. adversarySet restricts them to honest
+	// nodes.
+	sources []int
+
+	// collectors holds one trace collector per engine built in this env
+	// while Options.TraceLevel is on, in build order (see regret).
+	collectors []*trace.Collector
 
 	// evalSim is the trial's reusable evaluation simulator: built once via
 	// netsim's prevalidated path and reconfigured in place when a different
@@ -325,9 +335,6 @@ type env struct {
 	evalVer uint64
 	evalAdj [][]int
 	evalArr [][]time.Duration
-	// evalSrc caches the trial's landmark source set (nil when λ is
-	// evaluated from all nodes); see Options.LambdaSources.
-	evalSrc []int
 }
 
 // newEnv samples a trial environment: universe, per-trial link latencies,
@@ -356,7 +363,37 @@ func newEnv(opt Options, trial int) (*env, error) {
 		root:     root,
 		forward:  sampleForward(opt.Nodes, opt.MeanValidation, opt.Validation, root.Derive("forward")),
 	}
+	e.pickSources(nil)
 	return e, nil
+}
+
+// pickSources sets the env's λ sources to every node outside exclude or,
+// with Options.LambdaSources set, to the first LambdaSources of them in the
+// trial's landmark order — a permutation derived statelessly from the
+// trial seed, so every arm of the trial picks the same landmarks.
+func (e *env) pickSources(exclude []bool) {
+	n, k := e.opt.Nodes, e.opt.LambdaSources
+	var order []int
+	if k > 0 && k < n {
+		order = e.root.Derive("lambda-landmarks").Perm(n)
+	} else {
+		k = n
+		order = make([]int, n)
+		for v := range order {
+			order[v] = v
+		}
+	}
+	sources := make([]int, 0, k)
+	for _, v := range order {
+		if len(sources) == k {
+			break
+		}
+		if exclude == nil || !exclude[v] {
+			sources = append(sources, v)
+		}
+	}
+	sort.Ints(sources)
+	e.sources = sources
 }
 
 // sampleForward draws per-node validation delays according to the chosen
@@ -436,29 +473,9 @@ func (e *env) simFor(tbl *topology.Table) (*netsim.Simulator, error) {
 	return e.evalSim, nil
 }
 
-// landmarks returns the trial's λ evaluation sources: nil for the exact
-// all-sources pass, or a cached uniform sample of LambdaSources distinct
-// nodes. The sample is derived statelessly from the trial seed — it never
-// consumes the trial's sequential streams, and repeated evaluations (every
-// round of a convergence run, every arm sharing the trial) see the same
-// landmark set, so series are comparable across rounds and algorithms.
-func (e *env) landmarks() []int {
-	k := e.opt.LambdaSources
-	if k <= 0 || k >= e.opt.Nodes {
-		return nil
-	}
-	if len(e.evalSrc) != k {
-		perm := e.root.Derive("lambda-landmarks").Perm(e.opt.Nodes)
-		e.evalSrc = append(e.evalSrc[:0], perm[:k]...)
-		sort.Ints(e.evalSrc)
-	}
-	return e.evalSrc
-}
-
 // evalTopology computes λ_v over a static communication graph (plus the
-// env's pinned edges) for every node — or only the trial's landmark
-// sources when Options.LambdaSources is set. Sources are evaluated on the
-// worker pool; the pooled analytic pass writes into per-worker arrival
+// env's pinned edges) for the env's λ sources. Sources are evaluated on
+// the worker pool; the pooled analytic pass writes into per-worker arrival
 // buffers.
 func (e *env) evalTopology(tbl *topology.Table) ([]float64, error) {
 	return e.evalTopologyAt(tbl, e.opt.Fraction)
@@ -470,25 +487,14 @@ func (e *env) evalTopologyAt(tbl *topology.Table, frac float64) ([]float64, erro
 	if err != nil {
 		return nil, err
 	}
-	sources := e.landmarks()
-	count := e.opt.Nodes
-	if sources != nil {
-		count = len(sources)
-	}
-	workers := parallel.Workers(e.opt.Workers)
-	if workers > count {
-		workers = count
-	}
+	count := len(e.sources)
+	workers := min(parallel.Workers(e.opt.Workers), count)
 	for len(e.evalArr) < workers {
 		e.evalArr = append(e.evalArr, nil)
 	}
 	delays := make([]time.Duration, count)
 	err = parallel.ForEachIndexed(count, workers, func(worker, i int) error {
-		src := i
-		if sources != nil {
-			src = sources[i]
-		}
-		arrival, err := sim.ArrivalAnalyticInto(e.evalArr[worker], src)
+		arrival, err := sim.ArrivalAnalyticInto(e.evalArr[worker], e.sources[i])
 		if err != nil {
 			return err
 		}
@@ -502,14 +508,14 @@ func (e *env) evalTopologyAt(tbl *topology.Table, frac float64) ([]float64, erro
 	return delaysToSortedMs(delays), nil
 }
 
-// evalIdeal computes λ_v on the fully-connected lower bound: one hop from
-// the source to everyone.
+// evalIdeal computes λ_v for the env's λ sources on the fully-connected
+// lower bound: one hop from the source to everyone.
 func (e *env) evalIdeal() ([]float64, error) {
-	delays := make([]time.Duration, e.opt.Nodes)
-	err := parallel.ForEachIndexed(e.opt.Nodes, e.opt.Workers, func(_, src int) error {
-		arrival := netsim.IdealArrival(e.lat, src)
+	delays := make([]time.Duration, len(e.sources))
+	err := parallel.ForEachIndexed(len(e.sources), e.opt.Workers, func(_, i int) error {
+		arrival := netsim.IdealArrival(e.lat, e.sources[i])
 		var err error
-		delays[src], err = netsim.DelayToFraction(arrival, e.power, e.opt.Fraction)
+		delays[i], err = netsim.DelayToFraction(arrival, e.power, e.opt.Fraction)
 		return err
 	})
 	if err != nil {
@@ -523,66 +529,135 @@ func (e *env) buildRandom(label string) (*topology.Table, error) {
 	return topology.Random(e.opt.Nodes, 8, 20, e.root.Derive("random-topology-"+label))
 }
 
-// runPerigee seeds a random topology, runs the protocol to convergence,
-// and returns the final sorted delay series along with the engine (for
-// graph inspection, e.g. Figure 5).
-func (e *env) runPerigee(method core.Method) ([]float64, *core.Engine, error) {
-	tbl, err := e.buildRandom(method.String())
-	if err != nil {
-		return nil, nil, err
-	}
+// engine builds one scenario arm's protocol engine over tbl — the only
+// engine constructor in the package, so every arm gets every run option:
+// method's default params at Options.RoundBlocks (UCB keeps its
+// single-block rounds), the env's latency, validation, power and pinned
+// tables, the RNG stream named stream, Workers, ObservationWindow, the
+// RoundObserver labelled (arm, trial) and, when Options.TraceLevel is on,
+// a trace collector labelled arm (see regret). mods then adjust the
+// config: ablation params, a selector, free-riders, upload serialization,
+// an adversary binding. The returned round budget spends the run's
+// Rounds × RoundBlocks blocks in rounds of the final params' length (at
+// least one), so every variant sees the same number of blocks.
+func (e *env) engine(arm, stream string, method core.Method, tbl *topology.Table, mods ...func(*core.Config)) (*core.Engine, int, error) {
 	params := core.DefaultParams(method)
-	rounds := e.opt.Rounds
-	if method == core.UCB {
-		// Same block budget as the |B|-block variants.
-		rounds = e.opt.Rounds * e.opt.RoundBlocks
-	} else {
+	if method != core.UCB {
 		params.RoundBlocks = e.opt.RoundBlocks
 	}
-	var observer core.Observer
-	if e.opt.RoundObserver != nil {
-		arm, trial, emit := method.String(), e.trial, e.opt.RoundObserver
-		observer = core.ObserverFunc(func(ev core.RoundEvent) { emit(arm, trial, ev) })
+	cfg := core.Config{
+		Method:  method,
+		Params:  params,
+		Table:   tbl,
+		Latency: e.lat,
+		Forward: e.forward,
+		Power:   e.power,
+		Pinned:  e.pinned,
+		Rand:    e.root.Derive(stream),
+		Workers: e.opt.Workers,
+
+		ObservationWindow: e.opt.ObservationWindow,
 	}
-	var collector *trace.Collector
-	var traceCfg core.TraceConfig
+	if emit := e.opt.RoundObserver; emit != nil {
+		trial := e.trial
+		cfg.Observer = core.ObserverFunc(func(ev core.RoundEvent) { emit(arm, trial, ev) })
+	}
 	if e.opt.TraceLevel > 0 {
-		collector = &trace.Collector{Selector: method.String(), Trial: e.trial, OnRecord: e.opt.TraceObserver}
-		traceCfg = core.TraceConfig{
+		collector := &trace.Collector{Selector: arm, Trial: e.trial, OnRecord: e.opt.TraceObserver}
+		e.collectors = append(e.collectors, collector)
+		cfg.Trace = core.TraceConfig{
 			Level:           core.TraceLevel(e.opt.TraceLevel),
 			CounterfactualK: e.opt.CounterfactualK,
 			Sink:            collector,
 		}
 	}
-	engine, err := core.NewEngine(core.Config{
-		Method:   method,
-		Params:   params,
-		Table:    tbl,
-		Latency:  e.lat,
-		Forward:  e.forward,
-		Power:    e.power,
-		Pinned:   e.pinned,
-		Rand:     e.root.Derive("engine-" + method.String()),
-		Workers:  e.opt.Workers,
-		Observer: observer,
+	for _, mod := range mods {
+		mod(&cfg)
+	}
+	engine, err := core.NewEngine(cfg)
+	if err != nil {
+		return nil, 0, err
+	}
+	return engine, max(e.opt.Rounds*e.opt.RoundBlocks/cfg.Params.RoundBlocks, 1), nil
+}
 
-		ObservationWindow: e.opt.ObservationWindow,
-		Trace:             traceCfg,
-	})
+// runArm builds the arm's engine (see engine), runs its round budget and
+// returns the final λ series along with the engine (for graph inspection,
+// e.g. Figure 5, or further metrics).
+func (e *env) runArm(arm, stream string, method core.Method, tbl *topology.Table, mods ...func(*core.Config)) ([]float64, *core.Engine, error) {
+	engine, rounds, err := e.engine(arm, stream, method, tbl, mods...)
 	if err != nil {
 		return nil, nil, err
 	}
 	if _, err := engine.Run(rounds); err != nil {
 		return nil, nil, err
 	}
-	if collector != nil {
-		e.traces = append(e.traces, trace.Summarize(collector.Selector, collector.Records()))
-	}
-	delays, err := engine.Delays(e.opt.Fraction, e.landmarks())
+	series, err := e.lambda(engine, e.opt.Fraction)
+	return series, engine, err
+}
+
+// runPerigee seeds a random topology and runs method on it to convergence
+// as the arm labelled arm.
+func (e *env) runPerigee(arm string, method core.Method) ([]float64, *core.Engine, error) {
+	tbl, err := e.buildRandom(method.String())
 	if err != nil {
 		return nil, nil, err
 	}
-	return delaysToSortedMs(delays), engine, nil
+	return e.runArm(arm, "engine-"+method.String(), method, tbl)
+}
+
+// perigeeAlgo is the figure arm that runs method to convergence under
+// label.
+func perigeeAlgo(label string, method core.Method) algo {
+	return algo{label, func(e *env) ([]float64, error) {
+		s, _, err := e.runPerigee(label, method)
+		return s, err
+	}}
+}
+
+// lambda evaluates λ_v at coverage frac on engine's current topology from
+// the env's λ sources, as an ascending ms series — the only place the
+// package reads λ off an engine, so every arm of a result covers the same
+// nodes.
+func (e *env) lambda(engine *core.Engine, frac float64) ([]float64, error) {
+	delays, err := engine.Delays(frac, e.sources)
+	if err != nil {
+		return nil, err
+	}
+	return delaysToSortedMs(delays), nil
+}
+
+// regret reduces the env's traced engines to regret summaries, in build
+// order. An engine that never ran a round recorded nothing and is left out.
+func (e *env) regret() []*trace.Summary {
+	var out []*trace.Summary
+	for _, c := range e.collectors {
+		if recs := c.Records(); len(recs) > 0 {
+			out = append(out, trace.Summarize(c.Selector, recs))
+		}
+	}
+	return out
+}
+
+// mergeRegret merges regret summaries of many runs (typically one list per
+// trial or per (trial, arm) job) into one summary per selector, in order of
+// first appearance.
+func mergeRegret(runs ...[]*trace.Summary) []*trace.Summary {
+	var order []string
+	bySelector := map[string][]*trace.Summary{}
+	for _, sums := range runs {
+		for _, s := range sums {
+			if _, ok := bySelector[s.Selector]; !ok {
+				order = append(order, s.Selector)
+			}
+			bySelector[s.Selector] = append(bySelector[s.Selector], s)
+		}
+	}
+	var out []*trace.Summary
+	for _, sel := range order {
+		out = append(out, trace.Merge(bySelector[sel]...))
+	}
+	return out
 }
 
 // aggregate folds per-trial series into a Series with cross-trial error
@@ -618,12 +693,11 @@ func runFigure(opt Options, id, title string, setup func(*env) error, algos []al
 		return nil, err
 	}
 	perAlgo := make([][][]float64, len(algos))
-	perTrace := make([][][]*trace.Summary, len(algos))
 	for i := range perAlgo {
 		perAlgo[i] = make([][]float64, opt.Trials)
-		perTrace[i] = make([][]*trace.Summary, opt.Trials)
 	}
 	jobs := opt.Trials * len(algos)
+	perTrace := make([][]*trace.Summary, jobs)
 	outer, innerOpt := splitWorkers(opt, jobs)
 	err := parallel.ForEachIndexed(jobs, outer, func(_, j int) error {
 		t, i := j/len(algos), j%len(algos)
@@ -641,28 +715,19 @@ func runFigure(opt Options, id, title string, setup func(*env) error, algos []al
 			return fmt.Errorf("experiments: %s trial %d algo %s: %w", id, t, algos[i].label, err)
 		}
 		perAlgo[i][t] = series
-		perTrace[i][t] = e.traces
+		perTrace[j] = e.regret()
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{ID: id, Title: title, Options: opt}
+	res := &Result{ID: id, Title: title, Options: opt, Regret: mergeRegret(perTrace...)}
 	for i, a := range algos {
 		s, err := aggregate(a.label, perAlgo[i])
 		if err != nil {
 			return nil, err
 		}
 		res.Series = append(res.Series, s)
-		if opt.TraceLevel > 0 {
-			var sums []*trace.Summary
-			for _, ts := range perTrace[i] {
-				sums = append(sums, ts...)
-			}
-			if merged := trace.Merge(sums...); merged != nil {
-				res.Regret = append(res.Regret, merged)
-			}
-		}
 	}
 	return res, nil
 }

@@ -7,6 +7,7 @@ import (
 	"github.com/perigee-net/perigee/internal/latency"
 	"github.com/perigee-net/perigee/internal/parallel"
 	"github.com/perigee-net/perigee/internal/stats"
+	"github.com/perigee-net/perigee/internal/trace"
 )
 
 // scaleDefaultLandmarks is the landmark count the scale scenario falls back
@@ -43,6 +44,7 @@ func Scale(opt Options) (*Result, error) {
 	p90Trials := make([][]float64, opt.Trials)
 	p50Trials := make([][]float64, opt.Trials)
 	random90Trials := make([]float64, opt.Trials)
+	perTrace := make([][]*trace.Summary, opt.Trials)
 	outer, innerOpt := splitWorkers(opt, opt.Trials)
 	err := parallel.ForEachIndexed(opt.Trials, outer, func(_, t int) error {
 		e, err := newEnv(innerOpt, t)
@@ -63,25 +65,24 @@ func Scale(opt Options) (*Result, error) {
 		if err != nil {
 			return err
 		}
-		engine, err := newExtensionEngine(e, core.Subset, tbl, nil, nil)
+		engine, rounds, err := e.engine(LabelSubset, extensionStream, core.Subset, tbl)
 		if err != nil {
 			return err
 		}
-		sources := e.landmarks()
-		p90 := make([]float64, 0, opt.Rounds)
-		p50 := make([]float64, 0, opt.Rounds)
-		for r := 0; r < opt.Rounds; r++ {
+		p90 := make([]float64, 0, rounds)
+		p50 := make([]float64, 0, rounds)
+		for r := 0; r < rounds; r++ {
 			if _, err := engine.Step(); err != nil {
 				return err
 			}
-			d, err := engine.Delays(e.opt.Fraction, sources)
+			sorted, err := e.lambda(engine, e.opt.Fraction)
 			if err != nil {
 				return err
 			}
-			sorted := delaysToSortedMs(d)
 			p90 = append(p90, stats.Percentile(sorted, 0.9))
 			p50 = append(p50, stats.Percentile(sorted, 0.5))
 		}
+		perTrace[t] = e.regret()
 		p90Trials[t] = p90
 		p50Trials[t] = p50
 		return nil
@@ -98,6 +99,7 @@ func Scale(opt Options) (*Result, error) {
 		return nil, err
 	}
 	res.Series = []Series{s90, s50}
+	res.Regret = mergeRegret(perTrace...)
 	var random90 stats.Summary
 	for t := 0; t < opt.Trials; t++ {
 		random90.Add(random90Trials[t])
