@@ -53,7 +53,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "need at least 4 nodes and out-degree below the cluster size")
 		os.Exit(2)
 	}
-	scoringOpt, err := cliopts.ScoringOption(*scoring, *explore)
+	sel, err := cliopts.Selector(*scoring, *explore, *percentile, *outDegree)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -82,10 +82,8 @@ func main() {
 			node.WithListen("127.0.0.1:0"),
 			node.WithNetwork("perigee-cluster"),
 			node.WithOutDegree(*outDegree),
-			node.WithExplore(*explore),
-			node.WithPercentile(*percentile),
 			node.WithMaxInbound(*maxInbound),
-			scoringOpt,
+			node.WithSelector(sel),
 			node.WithLatencyInjection(func(remote uint64) time.Duration {
 				j, ok := idToIndex[remote]
 				if !ok {

@@ -49,8 +49,6 @@ func main() {
 		node.WithSeed(*seed),
 		node.WithNetwork(*network),
 		node.WithOutDegree(*outDegree),
-		node.WithExplore(*explore),
-		node.WithPercentile(*percentile),
 		node.WithMaxInbound(*maxInbound),
 		node.WithLogf(logger.Printf),
 		node.WithObserver(node.ObserverFunc(func(n *node.Node, s perigee.RoundStats) {
@@ -82,11 +80,11 @@ func main() {
 	if *feelerEvery > 0 {
 		opts = append(opts, node.WithFeelerInterval(*feelerEvery))
 	}
-	scoringOpt, err := cliopts.ScoringOption(*scoring, *explore)
+	sel, err := cliopts.Selector(*scoring, *explore, *percentile, *outDegree)
 	if err != nil {
 		logger.Fatal(err)
 	}
-	opts = append(opts, scoringOpt)
+	opts = append(opts, node.WithSelector(sel))
 
 	n, err := node.New(opts...)
 	if err != nil {

@@ -48,7 +48,7 @@ func main() {
 	names := map[int]string{}
 	hub := newNode(5,
 		node.WithOutDegree(3),
-		node.WithExplore(1),
+		node.WithSelector(perigee.SubsetSelector(1, 0.9)),
 		node.WithObserver(node.ObserverFunc(func(n *node.Node, s perigee.RoundStats) {
 			for _, edge := range s.DroppedEdges {
 				fmt.Printf("  dropped %s (%016x)\n", names[edge[1]], uint64(edge[1]))

@@ -8,14 +8,12 @@ import (
 	"github.com/perigee-net/perigee/internal/hashpower"
 	"github.com/perigee-net/perigee/internal/latency"
 	"github.com/perigee-net/perigee/internal/rng"
-	"github.com/perigee-net/perigee/internal/topology"
 )
 
 // Rand is the deterministic, splittable random stream handed to model
-// callbacks (PowerDist, ValidationDist, TopologySeeder, Dynamics). It
-// embeds the standard math/rand/v2 drawing methods (Float64, IntN, Perm,
-// ExpFloat64, ...) plus Derive/DeriveIndexed for carving out independent
-// sub-streams. Every model receives its own stream derived from the
+// callbacks (PowerDist, ValidationDist, Dynamics). It embeds the standard
+// math/rand/v2 drawing methods (Float64, IntN, Perm, ExpFloat64, ...) plus
+// Derive/DeriveIndexed for carving out independent sub-streams. Every model receives its own stream derived from the
 // network seed, so adding a random draw in one model never perturbs
 // another, and equal seeds reproduce runs bit-for-bit.
 type Rand = rng.RNG
@@ -212,64 +210,4 @@ func ValidationVector(delays []time.Duration) ValidationDist {
 		}
 		return append([]time.Duration(nil), cp...), nil
 	})
-}
-
-// TopologySeeder builds the initial outgoing-neighbor lists the protocol
-// starts from. Row v lists node v's outgoing neighbors; the engine derives
-// the undirected communication graph and evolves the out-edges from there.
-// Every node's list must respect outDegree, and no node may exceed
-// maxIncoming incoming edges.
-type TopologySeeder interface {
-	// SeedTopology returns the initial out-neighbor list of every node.
-	SeedTopology(n, outDegree, maxIncoming int, r *Rand) ([][]int, error)
-}
-
-// TopologySeederFunc adapts a plain function to the TopologySeeder
-// interface.
-type TopologySeederFunc func(n, outDegree, maxIncoming int, r *Rand) ([][]int, error)
-
-// SeedTopology implements TopologySeeder.
-func (f TopologySeederFunc) SeedTopology(n, outDegree, maxIncoming int, r *Rand) ([][]int, error) {
-	return f(n, outDegree, maxIncoming, r)
-}
-
-// RandomSeeder seeds the paper's starting point: every node dials
-// outDegree uniformly random peers, honoring incoming caps. This is the
-// default.
-func RandomSeeder() TopologySeeder {
-	return TopologySeederFunc(func(n, outDegree, maxIncoming int, r *Rand) ([][]int, error) {
-		tbl, err := topology.Random(n, outDegree, maxIncoming, r)
-		if err != nil {
-			return nil, err
-		}
-		out := make([][]int, n)
-		for v := 0; v < n; v++ {
-			out[v] = tbl.OutNeighbors(v)
-		}
-		return out, nil
-	})
-}
-
-// tableFromSeed materializes a connection table from seeded out-neighbor
-// lists, validating degree constraints as it goes.
-func tableFromSeed(out [][]int, n, outDegree, maxIncoming int) (*topology.Table, error) {
-	if len(out) != n {
-		return nil, fmt.Errorf("perigee: topology seed covers %d nodes, want %d", len(out), n)
-	}
-	tbl, err := topology.NewTable(n, maxIncoming)
-	if err != nil {
-		return nil, err
-	}
-	for v, neighbors := range out {
-		if len(neighbors) > outDegree {
-			return nil, fmt.Errorf("perigee: topology seed gives node %d %d outgoing neighbors, cap %d",
-				v, len(neighbors), outDegree)
-		}
-		for _, u := range neighbors {
-			if err := tbl.Connect(v, u); err != nil {
-				return nil, fmt.Errorf("perigee: topology seed edge %d->%d: %w", v, u, err)
-			}
-		}
-	}
-	return tbl, nil
 }

@@ -22,8 +22,9 @@
 //
 // The node gossips blocks with the Bitcoin-style INV/GETDATA/BLOCK
 // protocol, measures real arrival timestamps, and feeds them to its
-// Selector — no latency oracle involved. Scoring defaults to the paper's
-// Perigee-Subset rule; plug in any other policy with WithSelector.
+// Selector — no latency oracle involved. The Selector defaults to the
+// paper's Perigee-Subset rule, perigee.SubsetSelector(2, 0.9); install a
+// built-in with other parameters, or any custom policy, with WithSelector.
 package node
 
 import (
@@ -35,7 +36,6 @@ import (
 
 	"github.com/perigee-net/perigee"
 	"github.com/perigee-net/perigee/internal/chain"
-	"github.com/perigee-net/perigee/internal/core"
 	"github.com/perigee-net/perigee/internal/p2p"
 	"github.com/perigee-net/perigee/internal/rng"
 )
@@ -97,13 +97,7 @@ type Node struct {
 // inbound cap 20, Subset scoring with 2 exploration slots at the 0.9
 // percentile, manual rounds, no mining, no listening.
 func New(opts ...Option) (*Node, error) {
-	def := core.DefaultParams(core.Subset)
-	c := &config{
-		network:    "perigee-devnet",
-		scoring:    perigee.ScoringSubset,
-		explore:    def.Explore,
-		percentile: def.Percentile,
-	}
+	c := &config{network: "perigee-devnet"}
 	for _, opt := range opts {
 		if opt == nil {
 			return nil, fmt.Errorf("node: nil option")
@@ -111,10 +105,6 @@ func New(opts ...Option) (*Node, error) {
 		if err := opt(c); err != nil {
 			return nil, err
 		}
-	}
-	var err error
-	if c.p2p.Selector, err = c.resolveSelector(); err != nil {
-		return nil, err
 	}
 	if !c.seedSet {
 		// Distinct nodes need distinct identities: the node ID derives
@@ -134,6 +124,7 @@ func New(opts ...Option) (*Node, error) {
 			return nil, err
 		}
 	}
+	var err error
 	if n.p, err = p2p.NewNode(c.p2p); err != nil {
 		return nil, err
 	}

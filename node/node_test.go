@@ -226,21 +226,14 @@ func TestOptionValidation(t *testing.T) {
 	bad := [][]Option{
 		{WithOutDegree(0)},
 		{WithMaxInbound(-1)},
-		{WithExplore(-1)},
-		{WithPercentile(0)},
-		{WithPercentile(1.5)},
 		{WithNetwork("")},
 		{WithNodeID(0)},
 		{WithRoundBlocks(0)},
 		{WithMiner(0)},
 		{WithSelector(nil)},
 		{WithSelector(perigee.SubsetSelector(-1, 0.9))},
-		{WithScoring(perigee.Scoring(9))},
-		{WithSelector(perigee.SubsetSelector(1, 0.9)), WithScoring(perigee.ScoringSubset)},
-		// The built-in scoring path enforces the same explore < out-degree
-		// constraint as the default path.
-		{WithScoring(perigee.ScoringSubset), WithExplore(8)},
-		{WithScoring(perigee.ScoringVanilla), WithOutDegree(3), WithExplore(3)},
+		{WithSelector(perigee.VanillaSelector(2, 0))},
+		{WithSelector(perigee.UCBSelector(1.5, 0))},
 		{WithFaults(nil)},
 		{WithAddrBookPath("")},
 		{WithIdleTimeout(0)},
@@ -255,9 +248,9 @@ func TestOptionValidation(t *testing.T) {
 			t.Fatalf("invalid option set %d accepted", i)
 		}
 	}
-	// WithExplore(0) is honored, not clobbered: the node freezes its
-	// topology (no drops possible with retain == out-degree).
-	if _, err := New(WithExplore(0)); err != nil {
+	// A zero explore count is honored, not clobbered: the node freezes
+	// its topology (no drops possible with retain == out-degree).
+	if _, err := New(WithSelector(perigee.SubsetSelector(0, 0.9))); err != nil {
 		t.Fatalf("explicit zero explore rejected: %v", err)
 	}
 }

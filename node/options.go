@@ -17,19 +17,13 @@ type Option func(*config) error
 // config is the node under construction. Options write the live driver's
 // p2p.Config in place, so a knob is defined once — by its option — and
 // range-checked once, there; the driver only resolves the zero values the
-// options left. What is not driver configuration sits beside it: the
-// recipe for the built-in selector, the observers, the miner.
+// options left, the neighbor-selection policy included. What is not
+// driver configuration sits beside it: the observers, the miner.
 type config struct {
 	p2p p2p.Config
 
 	seedSet bool
 	network string
-
-	explore    int
-	percentile float64
-	scoring    perigee.Scoring
-	scoringSet bool
-	selector   perigee.Selector
 
 	observers []Observer
 	mine      time.Duration
@@ -102,67 +96,18 @@ func WithMaxInbound(m int) Option {
 	return func(c *config) error { return positive(&c.p2p.MaxInbound, m, "inbound cap") }
 }
 
-// WithExplore sets the exploration slots per round used by the built-in
-// selectors (paper: 2). WithExplore(0) is an honored, explicit request
-// for zero exploration. Ignored when WithSelector installs a custom
-// policy.
-func WithExplore(e int) Option {
-	return func(c *config) error {
-		if e < 0 {
-			return fmt.Errorf("node: explore count %d must be non-negative", e)
-		}
-		c.explore = e
-		return nil
-	}
-}
-
-// WithPercentile sets the scoring quantile in (0, 1] used by the built-in
-// selectors (paper: 0.9). Ignored when WithSelector installs a custom
-// policy.
-func WithPercentile(p float64) Option {
-	return func(c *config) error {
-		if p <= 0 || p > 1 {
-			return fmt.Errorf("node: percentile %v outside (0, 1]", p)
-		}
-		c.percentile = p
-		return nil
-	}
-}
-
-// WithScoring selects a built-in Perigee scoring variant — a thin
-// constructor over WithSelector: the corresponding built-in selector is
-// installed with the configured explore count and percentile. Default
-// ScoringSubset, the paper's preferred rule. Mutually exclusive with
-// WithSelector.
-func WithScoring(scoring perigee.Scoring) Option {
-	return func(c *config) error {
-		switch scoring {
-		case perigee.ScoringVanilla, perigee.ScoringUCB, perigee.ScoringSubset:
-			c.scoring = scoring
-			c.scoringSet = true
-			return nil
-		default:
-			return fmt.Errorf("node: unknown scoring variant %d", int(scoring))
-		}
-	}
-}
-
 // WithSelector installs the neighbor-selection policy driving the node's
 // per-round keep/drop/dial decision — the same perigee.Selector values
 // (built-in or custom) that drive the simulator via perigee.WithSelector.
-// Mutually exclusive with WithScoring.
+// Default perigee.SubsetSelector(2, 0.9), the paper's preferred rule.
 func WithSelector(sel perigee.Selector) Option {
 	return func(c *config) error {
 		if sel == nil {
 			return fmt.Errorf("node: nil selector")
 		}
-		if e, ok := sel.(interface{ SelectorError() error }); ok {
-			if err := e.SelectorError(); err != nil {
-				return err
-			}
-		}
-		c.selector = sel
-		return nil
+		var err error
+		c.p2p.Selector, err = coreSelector(sel)
+		return err
 	}
 }
 
@@ -315,39 +260,6 @@ func WithLogf(f func(format string, args ...any)) Option {
 		c.p2p.Logf = f
 		return nil
 	}
-}
-
-// resolveSelector turns the configured policy into the core selector the
-// live driver runs: an explicit Selector wins; otherwise the scoring
-// variant builds the equivalent built-in from the explore count and
-// percentile.
-func (c *config) resolveSelector() (core.Selector, error) {
-	if c.selector != nil {
-		if c.scoringSet {
-			return nil, fmt.Errorf("node: WithSelector and WithScoring are mutually exclusive")
-		}
-		return coreSelector(c.selector)
-	}
-	def := core.DefaultParams(core.Subset)
-	outDegree := c.p2p.OutDegree
-	if outDegree == 0 {
-		outDegree = def.OutDegree
-	}
-	// A rotation policy that explores its whole out-degree churns the full
-	// topology every round.
-	if c.scoring != perigee.ScoringUCB && c.explore >= outDegree {
-		return nil, fmt.Errorf("node: explore %d must be below out-degree %d", c.explore, outDegree)
-	}
-	var sel perigee.Selector
-	switch c.scoring {
-	case perigee.ScoringVanilla:
-		sel = perigee.VanillaSelector(c.explore, c.percentile)
-	case perigee.ScoringUCB:
-		sel = perigee.UCBSelector(c.percentile, def.UCBConstant)
-	default:
-		sel = perigee.SubsetSelector(c.explore, c.percentile)
-	}
-	return coreSelector(sel)
 }
 
 // coreSelector resolves a public selector for the live driver: built-ins

@@ -15,11 +15,10 @@ import (
 func TestOptionNamesGolden(t *testing.T) {
 	want := []string{
 		"WithListen", "WithSeed", "WithNodeID", "WithNetwork",
-		"WithOutDegree", "WithMaxInbound", "WithExplore", "WithPercentile",
-		"WithScoring", "WithSelector", "WithRoundBlocks", "WithObserver",
-		"WithLatencyInjection", "WithMiner", "WithAdversary", "WithFaults",
-		"WithAddrBookPath", "WithIdleTimeout", "WithRedialInterval",
-		"WithDiscovery", "WithFeelerInterval", "WithLogf",
+		"WithOutDegree", "WithMaxInbound", "WithSelector", "WithRoundBlocks",
+		"WithObserver", "WithLatencyInjection", "WithMiner", "WithAdversary",
+		"WithFaults", "WithAddrBookPath", "WithIdleTimeout",
+		"WithRedialInterval", "WithDiscovery", "WithFeelerInterval", "WithLogf",
 	}
 	f, err := parser.ParseFile(token.NewFileSet(), "options.go", nil, 0)
 	if err != nil {

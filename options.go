@@ -7,6 +7,7 @@ import (
 	"github.com/perigee-net/perigee/internal/adversary"
 	"github.com/perigee-net/perigee/internal/core"
 	"github.com/perigee-net/perigee/internal/rng"
+	"github.com/perigee-net/perigee/internal/topology"
 	"github.com/perigee-net/perigee/internal/trace"
 )
 
@@ -17,21 +18,15 @@ import (
 // enum.
 type Option func(*settings) error
 
-// settings accumulates option values before the network is built. Explicit
-// zero values are honored (the options API has no zero-value ambiguity):
-// exploreSet/roundBlocksSet record whether the caller chose a value.
+// settings accumulates option values before the network is built.
+// roundBlocks is zero until WithRoundBlocks sets it, since the installed
+// selector supplies the default.
 type settings struct {
-	seed           uint64
-	scoring        Scoring
-	outDegree      int
-	maxIncoming    int
-	explore        int
-	exploreSet     bool
-	roundBlocks    int
-	roundBlocksSet bool
-	percentile     float64
-	workers        int
-	obsWindow      int
+	seed        uint64
+	outDegree   int
+	roundBlocks int
+	workers     int
+	obsWindow   int
 
 	workloadProc  ArrivalProcess
 	blockInterval time.Duration
@@ -44,20 +39,21 @@ type settings struct {
 	latency       LatencyModel
 	power         PowerDist
 	validation    ValidationDist
-	seeder        TopologySeeder
 	dynamics      Dynamics
 	observers     []Observer
 	adversary     Adversary
 	adversaryFrac float64
 }
 
+// maxIncoming caps each node's incoming links (paper: 20).
+const maxIncoming = 20
+
 func defaultSettings() *settings {
+	def := core.DefaultParams(core.Subset)
 	return &settings{
-		seed:        1,
-		scoring:     ScoringSubset,
-		outDegree:   8,
-		maxIncoming: 20,
-		percentile:  0.9,
+		seed:      1,
+		outDegree: def.OutDegree,
+		selector:  SubsetSelector(def.Explore, def.Percentile),
 	}
 }
 
@@ -67,24 +63,6 @@ func WithSeed(seed uint64) Option {
 	return func(s *settings) error {
 		s.seed = seed
 		return nil
-	}
-}
-
-// WithScoring selects the Perigee scoring variant — a thin constructor
-// over the Selector API: WithScoring(s) is equivalent to installing the
-// corresponding built-in (SubsetSelector, VanillaSelector, UCBSelector)
-// configured with the network's explore count and percentile.
-// WithSelector is the general option; use it for custom policies. Default
-// ScoringSubset, the paper's preferred rule.
-func WithScoring(scoring Scoring) Option {
-	return func(s *settings) error {
-		switch scoring {
-		case ScoringVanilla, ScoringUCB, ScoringSubset:
-			s.scoring = scoring
-			return nil
-		default:
-			return fmt.Errorf("perigee: unknown scoring variant %d", int(scoring))
-		}
 	}
 }
 
@@ -100,53 +78,15 @@ func WithOutDegree(d int) Option {
 	}
 }
 
-// WithMaxIncoming caps incoming connections per node (paper: 20).
-func WithMaxIncoming(m int) Option {
-	return func(s *settings) error {
-		if m <= 0 {
-			return fmt.Errorf("perigee: incoming cap %d must be positive", m)
-		}
-		s.maxIncoming = m
-		return nil
-	}
-}
-
-// WithExplore sets the number of random exploration links per round
-// (paper: 2). WithExplore(0) is an honored, explicit request for zero
-// exploration. Default 2 (0 under ScoringUCB, which replaces neighbors
-// through confidence-interval evictions instead).
-func WithExplore(e int) Option {
-	return func(s *settings) error {
-		if e < 0 {
-			return fmt.Errorf("perigee: explore count %d must be non-negative", e)
-		}
-		s.explore = e
-		s.exploreSet = true
-		return nil
-	}
-}
-
 // WithRoundBlocks sets |B|, the number of blocks broadcast per round
-// (paper: 100). Default 100 (1 under ScoringUCB, whose rounds span a
-// single block).
+// (paper: 100). Default 100, or 1 when a UCBSelector is installed: UCB's
+// rounds span a single block.
 func WithRoundBlocks(b int) Option {
 	return func(s *settings) error {
 		if b <= 0 {
 			return fmt.Errorf("perigee: round blocks %d must be positive", b)
 		}
 		s.roundBlocks = b
-		s.roundBlocksSet = true
-		return nil
-	}
-}
-
-// WithPercentile sets the scoring quantile in (0, 1] (paper: 0.9).
-func WithPercentile(p float64) Option {
-	return func(s *settings) error {
-		if p <= 0 || p > 1 {
-			return fmt.Errorf("perigee: percentile %v outside (0, 1]", p)
-		}
-		s.percentile = p
 		return nil
 	}
 }
@@ -224,13 +164,16 @@ func WithTraceFile(path string) Option {
 }
 
 // WithSelector installs the neighbor-selection policy driving every
-// node's per-round keep/drop/dial decision; see Selector. It is the
-// general form of WithScoring and accepts both the built-in policies
-// (SubsetSelector, VanillaSelector, UCBSelector, RandomSelector) and any
-// custom implementation — the same value plugs into a live node via
-// node.WithSelector. When a selector is installed it owns the decision
-// policy: WithScoring, WithExplore, and WithPercentile no longer
-// influence which neighbors are kept or how many fresh links are dialed.
+// node's per-round keep/drop/dial decision; see Selector. It accepts the
+// built-in policies (SubsetSelector, VanillaSelector, UCBSelector,
+// RandomSelector) and any custom implementation — the same value plugs
+// into a live node via node.WithSelector. A built-in's arguments drive
+// the engine and the decision trace alike: the trace scores neighbors at
+// the built-in's percentile and is labelled with its paper name
+// ("Perigee-Vanilla", ...), or "random" for RandomSelector. UCBSelector
+// runs 1-block rounds unless WithRoundBlocks is set. A custom selector
+// runs on the Subset defaults and is labelled "custom". Default
+// SubsetSelector(2, 0.9), the paper's preferred rule.
 func WithSelector(sel Selector) Option {
 	return func(s *settings) error {
 		if sel == nil {
@@ -283,18 +226,6 @@ func WithValidation(v ValidationDist) Option {
 	}
 }
 
-// WithTopologySeeder plugs in the initial topology construction. Default
-// RandomSeeder, the paper's random starting point.
-func WithTopologySeeder(ts TopologySeeder) Option {
-	return func(s *settings) error {
-		if ts == nil {
-			return fmt.Errorf("perigee: nil topology seeder")
-		}
-		s.seeder = ts
-		return nil
-	}
-}
-
 // WithDynamics installs a per-round environment mutation hook (node churn,
 // adversary injection, ...); see Dynamics.
 func WithDynamics(d Dynamics) Option {
@@ -331,8 +262,9 @@ func WithObserver(o Observer) Option {
 //	)
 //
 // Every unset axis takes the paper's evaluation default: geographic
-// latency, uniform hash power, 50ms fixed validation, a random topology,
-// Subset scoring with out-degree 8 and 2 exploration links.
+// latency, uniform hash power, 50ms fixed validation, a random topology
+// with at most 20 incoming links per node, Subset scoring with out-degree
+// 8 and 2 exploration links.
 func New(nodes int, opts ...Option) (*Network, error) {
 	if nodes < 10 {
 		return nil, fmt.Errorf("perigee: need at least 10 nodes, got %d", nodes)
@@ -364,17 +296,9 @@ func New(nodes int, opts ...Option) (*Network, error) {
 		return nil, fmt.Errorf("perigee: latency model covers %d nodes, need %d", lat.N(), nodes)
 	}
 
-	seeder := s.seeder
-	if seeder == nil {
-		seeder = RandomSeeder()
-	}
-	seed, err := seeder.SeedTopology(nodes, s.outDegree, s.maxIncoming, root.Derive("topology"))
+	table, err := topology.Random(nodes, s.outDegree, maxIncoming, root.Derive("topology"))
 	if err != nil {
 		return nil, fmt.Errorf("perigee: seeding topology: %w", err)
-	}
-	table, err := tableFromSeed(seed, nodes, s.outDegree, s.maxIncoming)
-	if err != nil {
-		return nil, err
 	}
 
 	powerDist := s.power
@@ -401,27 +325,10 @@ func New(nodes int, opts ...Option) (*Network, error) {
 		return nil, fmt.Errorf("perigee: validation distribution returned %d values, want %d", len(forward), nodes)
 	}
 
-	params := core.DefaultParams(s.scoring.method())
+	coreSel, params, label := engineSelector(s.selector)
 	params.OutDegree = s.outDegree
-	params.Percentile = s.percentile
-	if s.exploreSet {
-		params.Explore = s.explore
-	}
-	if s.roundBlocksSet {
+	if s.roundBlocks > 0 {
 		params.RoundBlocks = s.roundBlocks
-	}
-
-	// Resolve the decision policy: an explicit Selector wins; otherwise
-	// the scoring variant builds the equivalent built-in selector, so the
-	// engine is always selector-driven.
-	var coreSel core.Selector
-	if s.selector != nil {
-		coreSel, err = toCoreSelector(s.selector)
-	} else {
-		coreSel, err = core.SelectorFromMethod(s.scoring.method(), params)
-	}
-	if err != nil {
-		return nil, err
 	}
 
 	if s.counterfactualK > 0 && s.traceLevel == core.TraceOff {
@@ -429,7 +336,6 @@ func New(nodes int, opts ...Option) (*Network, error) {
 	}
 
 	net := &Network{
-		scoring:       s.scoring,
 		observers:     s.observers,
 		dynamics:      s.dynamics,
 		workloadProc:  s.workloadProc,
@@ -438,10 +344,9 @@ func New(nodes int, opts ...Option) (*Network, error) {
 		workloadRand:  root.Derive("workload"),
 	}
 	if s.traceLevel > core.TraceOff {
-		net.traceCollector = &trace.Collector{Selector: s.scoring.method().String()}
+		net.traceCollector = &trace.Collector{Selector: label}
 	}
 	cfg := core.Config{
-		Method:   s.scoring.method(),
 		Params:   params,
 		Selector: coreSel,
 		Table:    table,

@@ -7,9 +7,8 @@
 // A simulated network is assembled with New from composable options. Each
 // axis of the environment is a pluggable model — LatencyModel (link
 // delays), PowerDist (mining power), ValidationDist (block validation
-// time), TopologySeeder (the starting graph), and Dynamics (per-round
-// churn and adversarial mutation) — so new scenarios are new combinations
-// rather than new library code:
+// time), and Dynamics (per-round churn and adversarial mutation) — so new
+// scenarios are new combinations rather than new library code:
 //
 //	net, err := perigee.New(300,
 //	    perigee.WithSeed(42),
@@ -34,13 +33,14 @@
 // many fresh links to dial — is the Selector interface: per-neighbor
 // block-arrival observations in, keep/drop/dial decisions out. The
 // paper's three scoring rules and the random baseline are built-in
-// values (SubsetSelector, VanillaSelector, UCBSelector, RandomSelector),
-// WithScoring is thin sugar over them, and WithSelector accepts any
-// custom implementation. The same Selector value also drives a live TCP
-// node through the perigee/node package, which mirrors this package's
-// options (node.WithSelector, node.WithObserver, ...) and emits the same
-// RoundStats telemetry — one policy and one observer pipeline for both
-// environments, so strategies validated in simulation deploy unchanged.
+// values (SubsetSelector, VanillaSelector, UCBSelector, RandomSelector)
+// that carry their own parameters, and WithSelector installs one of them
+// or any custom implementation. The same Selector value also drives a
+// live TCP node through the perigee/node package, which mirrors this
+// package's options (node.WithSelector, node.WithObserver, ...) and emits
+// the same RoundStats telemetry — one policy and one observer pipeline
+// for both environments, so strategies validated in simulation deploy
+// unchanged.
 //
 // # Adversaries
 //
@@ -75,37 +75,8 @@ import (
 	"github.com/perigee-net/perigee/internal/trace"
 )
 
-// Scoring selects the neighbor-scoring rule (§4 of the paper).
-type Scoring int
-
-// The three scoring rules.
-const (
-	// ScoringVanilla scores each neighbor independently (§4.2.1).
-	ScoringVanilla Scoring = iota
-	// ScoringUCB uses confidence bounds over accumulated history (§4.2.2).
-	ScoringUCB
-	// ScoringSubset scores groups of neighbors jointly (§4.3); the paper's
-	// preferred variant.
-	ScoringSubset
-)
-
-// String returns the paper's name for the scoring rule.
-func (s Scoring) String() string { return s.method().String() }
-
-func (s Scoring) method() core.Method {
-	switch s {
-	case ScoringUCB:
-		return core.UCB
-	case ScoringSubset:
-		return core.Subset
-	default:
-		return core.Vanilla
-	}
-}
-
 // Network is a simulated p2p network running the Perigee protocol.
 type Network struct {
-	scoring      Scoring
 	engine       *core.Engine
 	observers    []Observer
 	dynamics     Dynamics
@@ -157,9 +128,6 @@ func (n *Network) Run(rounds int) error {
 
 // Rounds returns how many rounds have completed.
 func (n *Network) Rounds() int { return n.engine.Round() }
-
-// Scoring returns the scoring variant the network runs.
-func (n *Network) Scoring() Scoring { return n.scoring }
 
 // BroadcastDelays returns, for every node v, the paper's metric λ_v: the
 // time for a block mined by v to reach nodes holding at least frac of the

@@ -8,18 +8,6 @@ import (
 	"time"
 )
 
-func TestScoringString(t *testing.T) {
-	if ScoringVanilla.String() != "Perigee-Vanilla" {
-		t.Fatalf("got %q", ScoringVanilla.String())
-	}
-	if ScoringUCB.String() != "Perigee-UCB" {
-		t.Fatalf("got %q", ScoringUCB.String())
-	}
-	if ScoringSubset.String() != "Perigee-Subset" {
-		t.Fatalf("got %q", ScoringSubset.String())
-	}
-}
-
 func TestNewValidatesSize(t *testing.T) {
 	if _, err := New(3); err == nil {
 		t.Fatal("expected error for tiny network")
@@ -57,9 +45,6 @@ func TestNetworkLifecycle(t *testing.T) {
 	if got := len(net.OutNeighbors(0)); got != 8 {
 		t.Fatalf("out-degree %d, want 8", got)
 	}
-	if net.Scoring() != ScoringSubset {
-		t.Fatalf("scoring = %v, want subset default", net.Scoring())
-	}
 	adj := net.Adjacency()
 	if len(adj) != 60 {
 		t.Fatalf("adjacency covers %d nodes", len(adj))
@@ -89,9 +74,9 @@ func TestNetworkDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestExploreZeroHonored: WithExplore(0) means zero exploration (no
-// connections are dropped or added), an unset explore count means the
-// paper's default of 2, and a negative one is rejected.
+// TestExploreZeroHonored: a selector with zero exploration drops and adds
+// no connections, the default selector explores the paper's 2 links, and
+// a negative explore count is rejected.
 func TestExploreZeroHonored(t *testing.T) {
 	run := func(t *testing.T, net *Network) RoundSummary {
 		t.Helper()
@@ -101,21 +86,21 @@ func TestExploreZeroHonored(t *testing.T) {
 		}
 		return sum
 	}
-	zero, err := New(50, WithExplore(0), WithRoundBlocks(5))
+	zero, err := New(50, WithSelector(SubsetSelector(0, 0.9)), WithRoundBlocks(5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sum := run(t, zero); sum.ConnectionsDropped != 0 || sum.ConnectionsAdded != 0 {
-		t.Fatalf("WithExplore(0) should freeze the topology, got %+v", sum)
+		t.Fatalf("zero exploration should freeze the topology, got %+v", sum)
 	}
 	unset, err := New(50, WithRoundBlocks(5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sum := run(t, unset); sum.ConnectionsDropped == 0 {
-		t.Fatalf("an unset explore count should default to 2, got %+v", sum)
+		t.Fatalf("the default selector should explore 2 links, got %+v", sum)
 	}
-	if _, err := New(50, WithExplore(-2)); err == nil {
+	if _, err := New(50, WithSelector(SubsetSelector(-2, 0.9))); err == nil {
 		t.Fatal("negative explore should be rejected")
 	}
 }
@@ -130,13 +115,10 @@ func TestArgumentValidation(t *testing.T) {
 			t.Fatalf("BroadcastDelays(%v) = %v, want clear range error", frac, err)
 		}
 	}
-	for _, p := range []float64{-0.1, 1.5} {
-		if _, err := New(50, WithPercentile(p)); err == nil {
-			t.Fatalf("WithPercentile(%v) should be rejected", p)
+	for _, p := range []float64{-0.1, 0, 1.5} {
+		if _, err := New(50, WithSelector(SubsetSelector(2, p))); err == nil {
+			t.Fatalf("percentile %v should be rejected", p)
 		}
-	}
-	if _, err := New(50, WithPercentile(0)); err == nil {
-		t.Fatal("WithPercentile(0) should be rejected")
 	}
 	if _, err := New(50, WithRoundBlocks(-1)); err == nil {
 		t.Fatal("WithRoundBlocks(-1) should be rejected")
@@ -361,13 +343,17 @@ func TestPowerDistVariants(t *testing.T) {
 }
 
 func TestScoringVariants(t *testing.T) {
-	for _, s := range []Scoring{ScoringVanilla, ScoringUCB, ScoringSubset} {
-		net, err := New(50, WithScoring(s), WithRoundBlocks(5))
+	for name, sel := range map[string]Selector{
+		"vanilla": VanillaSelector(2, 0.9),
+		"ucb":     UCBSelector(0.9, 50*time.Millisecond),
+		"subset":  SubsetSelector(2, 0.9),
+	} {
+		net, err := New(50, WithSelector(sel), WithRoundBlocks(5))
 		if err != nil {
-			t.Fatalf("%v: %v", s, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if _, err := net.Step(); err != nil {
-			t.Fatalf("%v: %v", s, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 	}
 }
@@ -419,7 +405,7 @@ func ExampleWithLatency() {
 	if err != nil {
 		panic(err)
 	}
-	net, err := New(n, WithLatency(model), WithOutDegree(3), WithExplore(1), WithRoundBlocks(5))
+	net, err := New(n, WithLatency(model), WithOutDegree(3), WithSelector(SubsetSelector(1, 0.9)), WithRoundBlocks(5))
 	if err != nil {
 		panic(err)
 	}

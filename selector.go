@@ -117,7 +117,9 @@ func Decide(sel Selector, view NeighborView) (Decision, error) {
 // installed (WithSelector, node.WithSelector) or first used.
 func SubsetSelector(explore int, percentile float64) Selector {
 	sel, err := core.NewSubsetSelector(explore, percentile)
-	return &builtinSelector{sel: sel, err: err}
+	p := core.DefaultParams(core.Subset)
+	p.Explore, p.Percentile = explore, percentile
+	return &builtinSelector{sel: sel, err: err, params: p, label: core.Subset.String()}
 }
 
 // VanillaSelector returns the §4.2.1 policy: each round it keeps the
@@ -125,17 +127,22 @@ func SubsetSelector(explore int, percentile float64) Selector {
 // scores, drops the rest, and dials back up to OutDegree.
 func VanillaSelector(explore int, percentile float64) Selector {
 	sel, err := core.NewVanillaSelector(explore, percentile)
-	return &builtinSelector{sel: sel, err: err}
+	p := core.DefaultParams(core.Vanilla)
+	p.Explore, p.Percentile = explore, percentile
+	return &builtinSelector{sel: sel, err: err, params: p, label: core.Vanilla.String()}
 }
 
 // UCBSelector returns the §4.2.2 policy: per-neighbor confidence
 // intervals over offsets accumulated across rounds, evicting at most one
-// neighbor per round when the intervals separate. It is stateful — give
-// each independent run its own instance — and implements
+// neighbor per round when the intervals separate. Its simulated rounds
+// span a single block unless WithRoundBlocks says otherwise. It is
+// stateful — give each independent run its own instance — and implements
 // NodeStateResetter so churned nodes restart with no history.
 func UCBSelector(percentile float64, confidence time.Duration) Selector {
 	sel, err := core.NewUCBSelector(percentile, confidence)
-	return &builtinSelector{sel: sel, err: err}
+	p := core.DefaultParams(core.UCB)
+	p.Percentile, p.UCBConstant = percentile, confidence
+	return &builtinSelector{sel: sel, err: err, params: p, label: core.UCB.String()}
 }
 
 // RandomSelector returns the random-rotation baseline the paper compares
@@ -143,16 +150,22 @@ func UCBSelector(percentile float64, confidence time.Duration) Selector {
 // subset of the current neighbors and dials fresh peers for the rest.
 func RandomSelector(explore int) Selector {
 	sel, err := core.NewRandomSelector(explore)
-	return &builtinSelector{sel: sel, err: err}
+	p := core.DefaultParams(core.Subset)
+	p.Explore = explore
+	return &builtinSelector{sel: sel, err: err, params: p, label: "random"}
 }
 
-// builtinSelector wraps a core selector as a public Selector. The
-// exported methods on the unexported type let the drivers (New here, and
-// the perigee/node package) unwrap the core implementation and fail fast
-// on construction errors without exposing internal types in the API.
+// builtinSelector wraps a core selector as a public Selector, together
+// with the engine params its arguments imply and its trace label, so New
+// takes the whole recipe from the installed value. The exported methods
+// on the unexported type let the perigee/node package unwrap the core
+// implementation and fail fast on construction errors without exposing
+// internal types in the API.
 type builtinSelector struct {
-	sel core.Selector
-	err error
+	sel    core.Selector
+	err    error
+	params core.Params
+	label  string
 }
 
 func (b *builtinSelector) SelectNeighbors(view NeighborView) (Decision, error) {
@@ -220,18 +233,13 @@ func (sb selectorBridge) ResetNodeState(node int) {
 	}
 }
 
-// toCoreSelector resolves a public Selector for a driver: built-ins
-// unwrap to their core implementation (after surfacing construction
-// errors); custom selectors are bridged.
-func toCoreSelector(s Selector) (core.Selector, error) {
-	if b, ok := s.(interface {
-		CoreSelector() core.Selector
-		SelectorError() error
-	}); ok {
-		if err := b.SelectorError(); err != nil {
-			return nil, err
-		}
-		return b.CoreSelector(), nil
+// engineSelector resolves the installed Selector for the simulator: the
+// core selector the engine runs, the engine params it implies, and its
+// trace label. A custom selector runs on Subset defaults, labelled
+// "custom".
+func engineSelector(s Selector) (core.Selector, core.Params, string) {
+	if b, ok := s.(*builtinSelector); ok {
+		return b.sel, b.params, b.label
 	}
-	return selectorBridge{inner: s}, nil
+	return selectorBridge{inner: s}, core.DefaultParams(core.Subset), "custom"
 }

@@ -41,48 +41,6 @@ func TestCustomSelectorDrivesSimulator(t *testing.T) {
 	}
 }
 
-// TestWithSelectorMatchesScoring proves WithScoring is a thin constructor
-// over the Selector API: installing the equivalent built-in selector
-// produces a bit-for-bit identical network.
-func TestWithSelectorMatchesScoring(t *testing.T) {
-	cases := []struct {
-		name     string
-		scoring  Option
-		selector Option
-	}{
-		{"subset", WithScoring(ScoringSubset), WithSelector(SubsetSelector(2, 0.9))},
-		{"vanilla", WithScoring(ScoringVanilla), WithSelector(VanillaSelector(2, 0.9))},
-		{"ucb", WithScoring(ScoringUCB), WithSelector(UCBSelector(0.9, 50*time.Millisecond))},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			build := func(opt Option) *Network {
-				t.Helper()
-				// Pin RoundBlocks explicitly: WithScoring(ScoringUCB)
-				// defaults it to 1, but a Selector does not carry a
-				// round-blocks preference.
-				blocks := 5
-				if tc.name == "ucb" {
-					blocks = 1
-				}
-				opts := []Option{WithSeed(21), WithRoundBlocks(blocks), opt}
-				net, err := New(60, opts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := net.Run(3); err != nil {
-					t.Fatal(err)
-				}
-				return net
-			}
-			byScoring, bySelector := build(tc.scoring), build(tc.selector)
-			if !reflect.DeepEqual(byScoring.Adjacency(), bySelector.Adjacency()) {
-				t.Fatal("adjacency diverges between WithScoring and the equivalent WithSelector")
-			}
-		})
-	}
-}
-
 func TestRandomSelectorDeterministicRuns(t *testing.T) {
 	build := func() *Network {
 		t.Helper()

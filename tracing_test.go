@@ -4,8 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"math"
+	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	perigee "github.com/perigee-net/perigee"
 )
@@ -109,4 +112,112 @@ func TestTracingOptionValidation(t *testing.T) {
 	if err := net.WriteTrace(&buf); err != nil || buf.Len() != 0 {
 		t.Errorf("untraced WriteTrace wrote %d bytes, err %v", buf.Len(), err)
 	}
+}
+
+// TestTraceFollowsInstalledSelector: a built-in selector's parameters and
+// name drive the trace as well as the engine. Its label names the policy,
+// its scores are taken at its own percentile, and UCB's rounds span one
+// block unless WithRoundBlocks says otherwise.
+func TestTraceFollowsInstalledSelector(t *testing.T) {
+	keepAll := perigee.SelectorFunc(func(view perigee.NeighborView) (perigee.Decision, error) {
+		keep := make([]int, len(view.Observations.Neighbors))
+		for i := range keep {
+			keep[i] = i
+		}
+		return perigee.Decision{Keep: keep}, nil
+	})
+	traced := func(t *testing.T, sel perigee.Selector, opts ...perigee.Option) *perigee.Network {
+		t.Helper()
+		opts = append([]perigee.Option{
+			perigee.WithSeed(3),
+			perigee.WithSelector(sel),
+			perigee.WithTraceLevel(perigee.TraceInputs),
+		}, opts...)
+		net, err := perigee.New(60, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return net
+	}
+
+	t.Run("labels", func(t *testing.T) {
+		for _, tc := range []struct {
+			sel  perigee.Selector
+			want string
+		}{
+			{perigee.SubsetSelector(2, 0.9), "Perigee-Subset"},
+			{perigee.VanillaSelector(2, 0.5), "Perigee-Vanilla"},
+			{perigee.UCBSelector(0.9, 50*time.Millisecond), "Perigee-UCB"},
+			{perigee.RandomSelector(2), "random"},
+			{keepAll, "custom"},
+		} {
+			net := traced(t, tc.sel, perigee.WithRoundBlocks(10))
+			if err := net.Run(1); err != nil {
+				t.Fatal(err)
+			}
+			if got := net.TraceSummary().Selector; got != tc.want {
+				t.Errorf("summary selector %q, want %q", got, tc.want)
+			}
+			for _, r := range net.Trace() {
+				if r.Selector != tc.want {
+					t.Fatalf("record selector %q, want %q", r.Selector, tc.want)
+				}
+			}
+		}
+	})
+
+	t.Run("percentile", func(t *testing.T) {
+		const pct = 0.5
+		net := traced(t, perigee.VanillaSelector(2, pct), perigee.WithRoundBlocks(10))
+		if err := net.Run(3); err != nil {
+			t.Fatal(err)
+		}
+		checked := 0
+		for _, r := range net.Trace() {
+			if r.Kind != "decision" {
+				continue
+			}
+			for i, got := range r.ScoresMs {
+				col := make([]float64, len(r.OffsetsMs))
+				for b, row := range r.OffsetsMs {
+					col[b] = float64(row[i])
+				}
+				want := percentile(col, pct)
+				if math.IsInf(want, 1) != math.IsInf(float64(got), 1) ||
+					!math.IsInf(want, 1) && math.Abs(float64(got)-want) > 1e-3 {
+					t.Fatalf("round %d node %d neighbor %d: score %v ms, want the %v-percentile %v ms",
+						r.Round, r.Node, r.Neighbors[i], float64(got), pct, want)
+				}
+				checked++
+			}
+		}
+		if checked == 0 {
+			t.Fatal("traced run recorded no scores")
+		}
+	})
+
+	t.Run("ucb-round-blocks", func(t *testing.T) {
+		net := traced(t, perigee.UCBSelector(0.9, 50*time.Millisecond))
+		sum, err := net.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum.Blocks != 1 {
+			t.Fatalf("UCB round broadcast %d blocks, want 1", sum.Blocks)
+		}
+	})
+}
+
+// percentile is the p-quantile of xs, interpolating linearly between the
+// two nearest order statistics; +Inf (a censored offset) sorts last and a
+// censored upper neighbor censors the result.
+func percentile(xs []float64, p float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	rank := p * float64(len(s)-1)
+	lo, hi := int(math.Floor(rank)), int(math.Ceil(rank))
+	if lo == hi || math.IsInf(s[hi], 1) {
+		return s[hi]
+	}
+	return s[lo] + (s[hi]-s[lo])*(rank-float64(lo))
 }
