@@ -222,6 +222,13 @@ func BenchmarkMicroVanillaScoring(b *testing.B) { bench.MicroVanillaScoring(b) }
 // predictor and reads about a third of what a round pays per call.
 func BenchmarkMicroSubsetScoring(b *testing.B) { bench.MicroSubsetScoring(b) }
 
+// BenchmarkMicroSubsetScoringPools is the same selection over the matrices
+// of a round whose miners are drawn from the pools setting,
+// PoolsPower(0.1, 0.9): most blocks repeat a miner, and SubsetSelect scores
+// each distinct row once with its multiplicity. scripts/bench.sh holds it,
+// like MicroSubsetScoring, at 1 alloc/op.
+func BenchmarkMicroSubsetScoringPools(b *testing.B) { bench.MicroSubsetScoringPools(b) }
+
 // BenchmarkWorkloadHour measures one simulated hour of the continuous-time
 // blockchain workload (~1800 Poisson arrivals, timed topology rounds,
 // per-node chain views) on a 300-node network; scripts/bench.sh gates its

@@ -221,8 +221,9 @@ func MicroDelayToFraction(b *testing.B) {
 const benchNodes = 300
 
 // subsetEngine builds an n-node Subset engine on a random topology with
-// rounds of roundBlocks blocks, deciding through sel when it is non-nil.
-func subsetEngine(n int, seed uint64, roundBlocks int, sel core.Selector) (*core.Engine, error) {
+// rounds of roundBlocks blocks, deciding through sel when it is non-nil and
+// drawing miners by power, uniformly when it is nil.
+func subsetEngine(n int, seed uint64, roundBlocks int, sel core.Selector, power []float64) (*core.Engine, error) {
 	root := rng.New(seed)
 	u, err := geo.SampleUniverse(n, root.Derive("universe"))
 	if err != nil {
@@ -237,10 +238,14 @@ func subsetEngine(n int, seed uint64, roundBlocks int, sel core.Selector) (*core
 		return nil, err
 	}
 	forward := make([]time.Duration, n)
-	power := make([]float64, n)
 	for i := range forward {
 		forward[i] = 50 * time.Millisecond
-		power[i] = 1 / float64(n)
+	}
+	if power == nil {
+		power = make([]float64, n)
+		for i := range power {
+			power[i] = 1 / float64(n)
+		}
 	}
 	params := core.DefaultParams(core.Subset)
 	params.RoundBlocks = roundBlocks
@@ -251,9 +256,10 @@ func subsetEngine(n int, seed uint64, roundBlocks int, sel core.Selector) (*core
 	})
 }
 
-// roundObservations caches RoundObservations: the capture is deterministic
-// and several benchmarks rotate over it.
-var roundObservations = sync.OnceValue(func() []core.Observations {
+// captureRound returns the observation matrices the nodes of a 300-node
+// Subset engine, drawing miners by power (uniformly when nil), decided on
+// in its third round, copied with their distinct-row lists.
+func captureRound(power []float64) []core.Observations {
 	const warm = 2
 	subset, err := core.SelectorFromMethod(core.Subset, core.DefaultParams(core.Subset))
 	if err != nil {
@@ -264,15 +270,11 @@ var roundObservations = sync.OnceValue(func() []core.Observations {
 	// copies; it decides nodes concurrently, each into its own slot.
 	wrap := core.SelectorFunc(func(view core.NeighborView) (core.Decision, error) {
 		if captured != nil {
-			obs := core.NewObservations(view.Obs.Neighbors, len(view.Obs.Offsets))
-			for b, row := range view.Obs.Offsets {
-				copy(obs.Offsets[b], row)
-			}
-			captured[view.Node] = obs
+			captured[view.Node] = view.Obs.Clone()
 		}
 		return subset.SelectNeighbors(view)
 	})
-	engine, err := subsetEngine(benchNodes, 7, 100, wrap)
+	engine, err := subsetEngine(benchNodes, 7, 100, wrap, power)
 	if err != nil {
 		panic(err)
 	}
@@ -285,7 +287,15 @@ var roundObservations = sync.OnceValue(func() []core.Observations {
 		}
 	}
 	return captured
-})
+}
+
+// The captures are deterministic and several benchmarks rotate over them.
+var (
+	roundObservations      = sync.OnceValue(func() []core.Observations { return captureRound(nil) })
+	poolsRoundObservations = sync.OnceValue(func() []core.Observations {
+		return captureRound(poolsPower(benchNodes, rng.New(4)))
+	})
+)
 
 // RoundObservations returns the observation matrices the nodes of a 300-node
 // Subset engine decided on in its third round (100 blocks, 8 neighbors
@@ -295,6 +305,23 @@ var roundObservations = sync.OnceValue(func() []core.Observations {
 // which these benchmarks used to run, reads about 3× faster than a round
 // pays per call. Callers must not modify the matrices.
 func RoundObservations() []core.Observations { return roundObservations() }
+
+// PoolsRoundObservations is RoundObservations for an engine whose miners
+// are drawn from the paper's pools setting, PoolsPower(0.1, 0.9): a round
+// repeats most of its miners, and each matrix carries the list of its
+// distinct rows that SubsetSelect scores. Callers must not modify the
+// matrices.
+func PoolsRoundObservations() []core.Observations { return poolsRoundObservations() }
+
+// poolsPower is the pools setting's power over n nodes, 10% of them holding
+// 90% of it, drawn from r.
+func poolsPower(n int, r *rng.RNG) []float64 {
+	power, _, err := hashpower.Pools(n, 0.1, 0.9, r)
+	if err != nil {
+		panic(err)
+	}
+	return power
+}
 
 // MicroVanillaScoring measures independent percentile scoring of one
 // node's round (100 blocks, 8 neighbors), rotating over a round's matrices.
@@ -309,8 +336,14 @@ func MicroVanillaScoring(b *testing.B) {
 
 // MicroSubsetScoring measures the greedy joint selection (§4.3) as a round
 // pays for it: each call on the next node's matrix.
-func MicroSubsetScoring(b *testing.B) {
-	round := RoundObservations()
+func MicroSubsetScoring(b *testing.B) { subsetScoring(b, RoundObservations()) }
+
+// MicroSubsetScoringPools is MicroSubsetScoring over a pools round's
+// matrices, which SubsetSelect scores by their distinct rows.
+func MicroSubsetScoringPools(b *testing.B) { subsetScoring(b, PoolsRoundObservations()) }
+
+// subsetScoring rotates SubsetSelect over a round's matrices.
+func subsetScoring(b *testing.B, round []core.Observations) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -321,7 +354,7 @@ func MicroSubsetScoring(b *testing.B) {
 // MicroEngineRound measures one full protocol round (broadcasts + scoring
 // + reconnection) on a 300-node network.
 func MicroEngineRound(b *testing.B) {
-	engine, err := subsetEngine(benchNodes, 3, 50, nil)
+	engine, err := subsetEngine(benchNodes, 3, 50, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -360,11 +393,7 @@ func MicroRoundBroadcast(n int) func(b *testing.B) {
 // blocks, and BroadcastAll floods each of them once.
 func MicroRoundBroadcastPools(n int) func(b *testing.B) {
 	r := rng.New(4)
-	power, _, err := hashpower.Pools(n, 0.1, 0.9, r)
-	if err != nil {
-		panic(err)
-	}
-	sampler, err := hashpower.NewSampler(power)
+	sampler, err := hashpower.NewSampler(poolsPower(n, r))
 	if err != nil {
 		panic(err)
 	}
@@ -379,7 +408,7 @@ func MicroRoundBroadcastPools(n int) func(b *testing.B) {
 // miners.
 func roundBroadcast(n int, sources []int) func(b *testing.B) {
 	return func(b *testing.B) {
-		engine, err := subsetEngine(n, 3, roundBroadcastBlocks, nil)
+		engine, err := subsetEngine(n, 3, roundBroadcastBlocks, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -225,6 +225,10 @@ type roundScratch struct {
 	lastOf   []int32
 	groups   []int32
 	sameNext []int32
+	// The window's distinct rows, each miner's first row inside it, and
+	// how many window rows each stands for (see TimedRound.Finish).
+	distinct []int32
+	weight   []int32
 
 	// Tracing scratch (used only when Config.Trace enables tracing):
 	// pending counterfactual queries carried into the next round, their

@@ -15,11 +15,24 @@
 // only decides how often the scan runs; no choice depends on it. Quantiles
 // too deep for a short buffer of largest values (the median; 0.9 of a live
 // node's 4096-block window) are scanned throughout.
+//
+// Two blocks of a round from one miner are one flood, so their observation
+// rows are equal, and in the paper's pools setting most of a round's blocks
+// repeat a miner. TimedRound.BroadcastAll records the round's distinct rows
+// and how many rows each stands for, and Finish attaches that list to every
+// node's Observations when the round repeats a miner and no Tamper hook can
+// edit one copy of a row but not the other. SubsetSelect then scores the
+// distinct rows only, each counted as often as it occurs, through the
+// weighted forms of the same kernels (stats.DurationPercentileOfMinWeighted
+// and its ordered pass); a percentile of a multiset depends only on its
+// values and their counts, so every choice is the full matrix's to the bit.
+// A round that drops less than a quarter of its rows is scored row by row.
 package core
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -65,6 +78,15 @@ func (m Method) Valid() bool { return m >= Vanilla && m <= Subset }
 // its outgoing neighbors, the time-normalized arrival offset of each block
 // (t̃ = t(u,v) − min over all neighbors of t(·,v), per §4.2.1).
 // stats.InfDuration marks a block the neighbor never delivered.
+//
+// Two blocks of a round from one miner observe the same flood, so their
+// rows are equal. The engine then lists the round's distinct rows with the
+// observations it hands a selector: Offsets is still the full matrix, and
+// SubsetSelect reads the list to score each distinct row once, counted as
+// often as it occurs. The list describes Offsets as the engine harvested
+// them, so the engine attaches it only when no Tamper hook can edit them,
+// and a selector must not edit them either. Reset drops the list, and Clone
+// copies it.
 type Observations struct {
 	// Neighbors are the node IDs of the outgoing neighbors being scored
 	// (snapshot taken at round start).
@@ -75,6 +97,11 @@ type Observations struct {
 	// backing is the flat buffer the Offsets rows alias, retained so Reset
 	// can rebuild the matrix without reallocating.
 	backing []time.Duration
+	// distinct, when non-nil, lists the rows of Offsets that stand for all
+	// of them: row distinct[j] occurs weight[j] times, and the weights sum
+	// to len(Offsets). The engine shares one list among all its nodes.
+	distinct []int32
+	weight   []int32
 }
 
 // NewObservations allocates an observation set for the given neighbors and
@@ -98,6 +125,7 @@ func (o *Observations) Reset(neighbors []int, blocks int) {
 // engine calls it once per node per round, so a steady-state round
 // allocates no observation memory.
 func (o *Observations) reshape(neighbors []int, blocks int) {
+	o.distinct, o.weight = nil, nil
 	o.Neighbors = append(o.Neighbors[:0], neighbors...)
 	k := len(neighbors)
 	need := blocks * k
@@ -112,6 +140,17 @@ func (o *Observations) reshape(neighbors []int, blocks int) {
 	for b := range o.Offsets {
 		o.Offsets[b] = o.backing[b*k : (b+1)*k : (b+1)*k]
 	}
+}
+
+// Clone returns a copy of o that shares no memory with it, distinct-row
+// list included.
+func (o Observations) Clone() Observations {
+	c := NewObservations(o.Neighbors, len(o.Offsets))
+	for b, row := range o.Offsets {
+		copy(c.Offsets[b], row)
+	}
+	c.distinct, c.weight = slices.Clone(o.distinct), slices.Clone(o.weight)
+	return c
 }
 
 // censor sets every offset to "never delivered".
@@ -180,9 +219,9 @@ var rankSorterPool = sync.Pool{New: func() any { return new(rankSorter) }}
 type subsetScratch struct {
 	individual []time.Duration
 	best       []time.Duration
-	cols       []time.Duration // obs.Offsets transposed: one contiguous column per neighbor
+	cols       []time.Duration // the scored rows transposed: one contiguous column per neighbor
 	used       []bool
-	order      []stats.OrderedLimit // one step's blocks with best above θ, largest first
+	order      []stats.OrderedLimit // one step's rows with best above θ, largest first
 }
 
 var subsetPool = sync.Pool{New: func() any { return new(subsetScratch) }}
@@ -254,6 +293,13 @@ func RankByScore(obs Observations, scores []time.Duration) []int {
 // column at every step whatever θ is. When the percentile reads deeper than
 // the ordered pass serves (stats.TopSlotsServe), no list is built and every
 // score is a scan.
+//
+// When obs lists its distinct rows (see Observations) and the list drops at
+// least a quarter of the rows, only the distinct rows are transposed and
+// scored, each counted as often as it occurs, through the weighted forms of
+// the same kernels. A percentile of a multiset depends only on its values
+// and their counts, so every score, and every choice, is the full matrix's
+// to the bit.
 func SubsetSelect(obs Observations, retain int, pct float64) []int {
 	k := len(obs.Neighbors)
 	if retain >= k {
@@ -269,22 +315,40 @@ func SubsetSelect(obs Observations, retain int, pct float64) []int {
 	blocks := len(obs.Offsets)
 	sc := subsetPool.Get().(*subsetScratch)
 	defer subsetPool.Put(sc)
+	// rows is how many rows are scored; w, when non-nil, how many blocks
+	// each stands for. The weighted kernels cost more per row than the unit
+	// ones, and a round that repeats few miners (one block in twenty, when
+	// they are drawn uniformly) saves less than that: below a quarter of
+	// the rows dropped, the matrix is scored row by row.
+	rows := blocks
+	var w []int32
+	if obs.distinct != nil && 4*len(obs.distinct) <= 3*blocks {
+		rows, w = len(obs.distinct), obs.weight
+	}
 	// Every greedy step reads whole columns, so lay them out contiguously
 	// once instead of striding through the block-major rows each time.
-	cols := growDur(&sc.cols, k*blocks)
-	for b, row := range obs.Offsets {
-		for i, t := range row[:k] {
-			cols[i*blocks+b] = t
+	cols := growDur(&sc.cols, k*rows)
+	if w == nil {
+		for b, row := range obs.Offsets {
+			for i, t := range row[:k] {
+				cols[i*rows+b] = t
+			}
+		}
+	} else {
+		for j, b := range obs.distinct {
+			for i, t := range obs.Offsets[b][:k] {
+				cols[i*rows+j] = t
+			}
 		}
 	}
 	individual := growDur(&sc.individual, k)
 	for i := range individual {
-		individual[i] = stats.DurationPercentile(cols[i*blocks:(i+1)*blocks], pct)
+		individual[i] = percentileOfMin(cols[i*rows:(i+1)*rows], nil, w, blocks, pct)
 	}
-	// best[b] is the fastest offset among chosen neighbors for block b.
-	best := growDur(&sc.best, blocks)
-	for b := range best {
-		best[b] = stats.InfDuration
+	// best[j] is the fastest offset among chosen neighbors for row j.
+	best := growDur(&sc.best, rows)
+	for j := range best {
+		best[j] = stats.InfDuration
 	}
 	chosen := make([]int, 0, retain)
 	used := growBool(&sc.used, k)
@@ -295,7 +359,7 @@ func SubsetSelect(obs Observations, retain int, pct float64) []int {
 		var order []stats.OrderedLimit
 		theta := prevScore / 2
 		if ordered && len(chosen) > 0 {
-			order = limitsAbove(sc.order[:0], best, theta)
+			order = limitsAbove(sc.order[:0], best, w, theta)
 			sc.order = order
 		}
 		bestIdx := -1
@@ -308,10 +372,10 @@ func SubsetSelect(obs Observations, retain int, pct float64) []int {
 			// individual one.
 			score := individual[i]
 			if len(chosen) > 0 {
-				col := cols[i*blocks : (i+1)*blocks]
+				col := cols[i*rows : (i+1)*rows]
 				var certified bool
-				if score, certified = stats.DurationPercentileOfMinOrdered(col, order, theta, pct); !certified {
-					score = stats.DurationPercentileOfMin(col, best, pct)
+				if score, certified = orderedPercentileOfMin(col, order, theta, w, blocks, pct); !certified {
+					score = percentileOfMin(col, best, w, blocks, pct)
 				}
 			}
 			if bestIdx == -1 || score < bestScore || (score == bestScore && subsetTieBetter(obs, individual, i, bestIdx)) {
@@ -325,28 +389,49 @@ func SubsetSelect(obs Observations, retain int, pct float64) []int {
 		used[bestIdx] = true
 		chosen = append(chosen, bestIdx)
 		prevScore = bestScore
-		for b, t := range cols[bestIdx*blocks : (bestIdx+1)*blocks] {
-			best[b] = min(best[b], t)
+		for j, t := range cols[bestIdx*rows : (bestIdx+1)*rows] {
+			best[j] = min(best[j], t)
 		}
 	}
 	sort.Ints(chosen)
 	return chosen
 }
 
-// limitsAbove appends to dst the blocks whose best exceeds theta, largest
-// first. The list is a few dozen entries, so it is ordered by insertion as
-// it is collected.
-func limitsAbove(dst []stats.OrderedLimit, best []time.Duration, theta time.Duration) []stats.OrderedLimit {
+// percentileOfMin is stats.DurationPercentileOfMin of a column of rows, or,
+// when w is non-nil, its weighted form, row j standing for w[j] of n blocks.
+func percentileOfMin(col, limit []time.Duration, w []int32, n int, pct float64) time.Duration {
+	if w == nil {
+		return stats.DurationPercentileOfMin(col, limit, pct)
+	}
+	return stats.DurationPercentileOfMinWeighted(col, limit, w, n, pct)
+}
+
+// orderedPercentileOfMin is percentileOfMin's ordered pass.
+func orderedPercentileOfMin(col []time.Duration, order []stats.OrderedLimit, theta time.Duration, w []int32, n int, pct float64) (time.Duration, bool) {
+	if w == nil {
+		return stats.DurationPercentileOfMinOrdered(col, order, theta, pct)
+	}
+	return stats.DurationPercentileOfMinOrderedWeighted(col, order, theta, n, pct)
+}
+
+// limitsAbove appends to dst the rows whose best exceeds theta, largest
+// first, each weighing w[row] (one when w is nil). The list is a few dozen
+// entries, so it is ordered by insertion as it is collected.
+func limitsAbove(dst []stats.OrderedLimit, best []time.Duration, w []int32, theta time.Duration) []stats.OrderedLimit {
 	for b, t := range best {
 		if t <= theta {
 			continue
+		}
+		weight := int32(1)
+		if w != nil {
+			weight = w[b]
 		}
 		dst = append(dst, stats.OrderedLimit{})
 		j := len(dst) - 1
 		for ; j > 0 && dst[j-1].Limit < t; j-- {
 			dst[j] = dst[j-1]
 		}
-		dst[j] = stats.OrderedLimit{Limit: t, Index: int32(b)}
+		dst[j] = stats.OrderedLimit{Limit: t, Index: int32(b), Weight: weight}
 	}
 	return dst
 }

@@ -565,17 +565,26 @@ func TestSubsetSelectMatchesScanOnHardMatrices(t *testing.T) {
 }
 
 // fuzzObservations decodes a fuzz input into an observation matrix, a retain
-// count and a quantile: three header bytes (neighbors 2–12, retain, quantile),
-// two for the block count (1–400), then one byte per offset, reused in a cycle
-// when the input is short. An offset byte is censored (255), negative
-// (240–254) or one of 60 values, so ties are the rule.
+// count and a quantile: four header bytes (neighbors 2–12, retain, quantile,
+// repeats), two for the block count (1–400), then one byte per offset,
+// reused in a cycle when the input is short. An offset byte is censored
+// (255), negative (240–254) or one of 60 values, so ties are the rule.
+//
+// A non-zero repeats byte r makes the matrix repeat rows, as a round whose
+// blocks repeat a miner does: the first 1 + (r−1) mod blocks rows are
+// distinct, every later row copies one of them, picked by its first offset
+// byte, and the matrix carries the list of its distinct rows (descending
+// when r is even) with their multiplicities. At 100 blocks, r = 75 leaves
+// exactly three quarters of the rows distinct, the most SubsetSelect scores
+// by the list; r = 76 leaves one row more.
 func fuzzObservations(data []byte) (obs Observations, retain int, pct float64) {
-	header := make([]byte, 5)
+	header := make([]byte, 6)
 	copy(header, data)
 	k := 2 + int(header[0])%11
 	retain = 1 + int(header[1])%(k-1)
 	pct = differentialPercentiles[int(header[2])%len(differentialPercentiles)]
 	blocks := 1 + (int(header[3])<<8|int(header[4]))%400
+	repeats := int(header[5])
 	cells := []byte{0}
 	if len(data) > len(header) {
 		cells = data[len(header):]
@@ -597,18 +606,65 @@ func fuzzObservations(data []byte) (obs Observations, retain int, pct float64) {
 			}
 		}
 	}
+	if repeats == 0 {
+		return obs, retain, pct
+	}
+	d := 1 + (repeats-1)%blocks
+	weight := make([]int32, d)
+	for b := range obs.Offsets {
+		row := b
+		if b >= d {
+			row = int(cells[(b*k)%len(cells)]) % d
+			copy(obs.Offsets[b], obs.Offsets[row])
+		}
+		weight[row]++
+	}
+	for row := range weight {
+		obs.distinct = append(obs.distinct, int32(row))
+	}
+	obs.weight = weight
+	if repeats%2 == 0 {
+		slices.Reverse(obs.distinct)
+		slices.Reverse(obs.weight)
+	}
 	return obs, retain, pct
 }
 
-// FuzzSubsetSelectMatchesReference lets the fuzzer shape the matrix; the
-// seeds here and under testdata/fuzz run in every go test.
+// FuzzSubsetSelectMatchesReference lets the fuzzer shape the matrix, its
+// repeated rows included, and holds SubsetSelect to scanning every column of
+// the full matrix at every step; the seeds here and under testdata/fuzz run
+// in every go test.
 func FuzzSubsetSelectMatchesReference(f *testing.F) {
 	r := rand.New(rand.NewSource(3))
-	for _, blocks := range []int{1, 16, 17, 100, 161} {
-		data := make([]byte, 5+blocks*8)
+	seed := func(blocks int, repeats byte) {
+		data := make([]byte, 6+blocks*8)
 		r.Read(data)
 		data[0], data[1], data[2] = 6, 5, 2 // 8 neighbors, retain 6, p = 0.9
 		data[3], data[4] = byte((blocks-1)>>8), byte(blocks-1)
+		data[5] = repeats
+		f.Add(data)
+	}
+	for _, blocks := range []int{1, 16, 17, 100, 161} {
+		seed(blocks, 0)
+	}
+	// Repeated rows: the three-quarter boundary at 100 and at 16 blocks
+	// (75 and 12 distinct rows are scored by the list, 76 and 13 are not),
+	// a pools-like round of 38 distinct rows, a few heavy rows whose weights
+	// straddle the top-slots fill, and 161 blocks from 5 rows, whose
+	// quantile is too deep for the slots.
+	for _, rep := range []struct {
+		blocks  int
+		repeats byte
+	}{{100, 75}, {100, 76}, {16, 12}, {16, 13}, {100, 38}, {100, 3}, {161, 5}, {400, 200}} {
+		seed(rep.blocks, rep.repeats)
+	}
+	// And a spread of shapes, quantiles and repeat counts.
+	for i := 0; i < 60; i++ {
+		blocks := []int{10, 16, 40, 100, 161, 400}[i%6]
+		data := make([]byte, 6+blocks*8)
+		r.Read(data)
+		data[3], data[4] = byte((blocks-1)>>8), byte(blocks-1)
+		data[5] = byte(1 + r.Intn(min(blocks, 255)))
 		f.Add(data)
 	}
 	f.Add([]byte{})
@@ -618,4 +674,33 @@ func FuzzSubsetSelectMatchesReference(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestObservationsCloneKeepsDistinctRows checks that Clone copies the
+// matrix and its distinct-row list into memory of its own, and that Reset
+// drops the list.
+func TestObservationsCloneKeepsDistinctRows(t *testing.T) {
+	data := make([]byte, 6+100*8)
+	rand.New(rand.NewSource(5)).Read(data)
+	data[3], data[4], data[5] = 0, 99, 38
+	obs, _, _ := fuzzObservations(data)
+	c := obs.Clone()
+	if !slices.Equal(c.Neighbors, obs.Neighbors) || !slices.Equal(c.distinct, obs.distinct) || !slices.Equal(c.weight, obs.weight) {
+		t.Fatalf("clone %v/%v/%v, want %v/%v/%v", c.Neighbors, c.distinct, c.weight, obs.Neighbors, obs.distinct, obs.weight)
+	}
+	for b := range obs.Offsets {
+		if !slices.Equal(c.Offsets[b], obs.Offsets[b]) {
+			t.Fatalf("row %d: clone %v, want %v", b, c.Offsets[b], obs.Offsets[b])
+		}
+	}
+	c.Offsets[0][0]++
+	c.distinct[0]++
+	c.weight[0]++
+	if c.Offsets[0][0] == obs.Offsets[0][0] || c.distinct[0] == obs.distinct[0] || c.weight[0] == obs.weight[0] {
+		t.Fatal("clone shares memory with the original")
+	}
+	c.Reset(c.Neighbors, 10)
+	if c.distinct != nil || c.weight != nil {
+		t.Fatal("Reset kept the distinct-row list")
+	}
 }

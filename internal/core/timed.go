@@ -134,6 +134,11 @@ func (t *TimedRound) Blocks() int { return t.blocks }
 // the observation and counterfactual rows of its first block inside the
 // window into their window rows.
 //
+// The copies leave every row of the observation matrices written, and
+// BroadcastAll also records which window rows are distinct, each miner's
+// first, and how many rows each stands for; Finish hands that list to the
+// selectors.
+//
 // The miners fan out over the engine's worker pool, each worker owning a
 // private flood queue and arrival buffer over the shared simulator, and
 // block b's observations landing in the per-block rows obs[v].Offsets[b], so
@@ -174,7 +179,34 @@ func (t *TimedRound) BroadcastAll(sources []int, arrivals [][]time.Duration) err
 	err := parallel.ForEach(groups, workers, t, (*TimedRound).broadcast)
 	t.sources, t.arrivals = nil, nil
 	t.harvested = err == nil
+	if t.harvested {
+		t.distinctRows()
+	}
 	return err
+}
+
+// distinctRows records in engine scratch the window's distinct rows, in
+// group order: each group's first block inside the window, and how many of
+// the group's blocks are inside it.
+func (t *TimedRound) distinctRows() {
+	rs := &t.e.scratch
+	start := t.blocks - t.window
+	rs.distinct, rs.weight = rs.distinct[:0], rs.weight[:0]
+	for _, g := range rs.groups {
+		count := int32(0)
+		for b := int(g); b >= 0; b = int(rs.sameNext[b]) {
+			if b < start {
+				continue
+			}
+			if count == 0 {
+				rs.distinct = append(rs.distinct, int32(b-start))
+			}
+			count++
+		}
+		if count > 0 {
+			rs.weight = append(rs.weight, count)
+		}
+	}
 }
 
 // groupBySource groups blocks [first, len(sources)) by source and returns
@@ -259,16 +291,26 @@ func (t *TimedRound) broadcast(worker, g int) error {
 // called without BroadcastAll (every observation is then censored, which
 // selectors already handle), but calling either method after Finish is an
 // error.
+//
+// When the window repeats a miner, every node's observations carry the
+// window's distinct rows (see Observations), unless a Tamper hook is
+// installed: it may edit one copy of a row and not the other.
 func (t *TimedRound) Finish() (RoundReport, error) {
 	if t.done {
 		return RoundReport{}, fmt.Errorf("core: timed round already finished")
 	}
 	t.done = true
 	e := t.e
-	obs := e.scratch.obs[:e.table.N()]
-	if !t.harvested {
+	rs := &e.scratch
+	obs := rs.obs[:e.table.N()]
+	switch {
+	case !t.harvested:
 		for v := range obs {
 			obs[v].censor()
+		}
+	case e.tamper == nil && len(rs.distinct) < t.window:
+		for v := range obs {
+			obs[v].distinct, obs[v].weight = rs.distinct, rs.weight
 		}
 	}
 	return e.finishRound(obs, t.blocks)

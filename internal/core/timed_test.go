@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -417,6 +418,234 @@ func TestBroadcastAllMatchesOneFloodPerBlock(t *testing.T) {
 					t.Fatal("no counterfactual cell was checked")
 				}
 			})
+		}
+	}
+}
+
+// poolsEngine builds a Subset engine on a 300-node network whose power is
+// the paper's pools setting, with the given Tamper hook and selector (nil:
+// the default).
+func poolsEngine(t *testing.T, tamper func(int, []int, [][]time.Duration), sel Selector) *Engine {
+	t.Helper()
+	const n = 300
+	tn := newTestNetwork(t, n, 38)
+	power, _, err := hashpower.Pools(n, 0.1, 0.9, tn.root.Derive("pools"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := tn.config(Subset, DefaultParams(Subset))
+	cfg.Power, cfg.Tamper, cfg.Selector = power, tamper, sel
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// TestDistinctRowsLeaveRoundsUnchanged runs 30 rounds of a pools network
+// twice: once with no Tamper hook, where every node's observations carry the
+// round's distinct rows and SubsetSelect scores them, and once with a hook
+// that changes nothing but suppresses the list. Reports and topologies must
+// be identical round by round. The list must be each miner's first row
+// with the count of its rows, and must drop at least a quarter of the rows
+// in most rounds, or the test would not reach the weighted kernels.
+func TestDistinctRowsLeaveRoundsUnchanged(t *testing.T) {
+	subset, err := SelectorFromMethod(Subset, DefaultParams(Subset))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var listed, weighted atomic.Int64
+	var listedEngine *Engine
+	check := SelectorFunc(func(view NeighborView) (Decision, error) {
+		if view.Obs.distinct == nil {
+			return Decision{}, fmt.Errorf("node %d: no distinct-row list", view.Node)
+		}
+		// Every node shares the engine's list; check it once a round.
+		if view.Node == 0 {
+			sources := listedEngine.scratch.sources
+			var rows, counts []int32
+			firstRow := map[int]int{}
+			for b, src := range sources {
+				if j, ok := firstRow[src]; ok {
+					counts[j]++
+					continue
+				}
+				firstRow[src] = len(rows)
+				rows, counts = append(rows, int32(b)), append(counts, 1)
+			}
+			if !slices.Equal(view.Obs.distinct, rows) || !slices.Equal(view.Obs.weight, counts) {
+				return Decision{}, fmt.Errorf("distinct rows %v x %v, want %v x %v", view.Obs.distinct, view.Obs.weight, rows, counts)
+			}
+			if 4*len(rows) <= 3*len(sources) {
+				weighted.Add(1)
+			}
+		}
+		listed.Add(1)
+		return subset.SelectNeighbors(view)
+	})
+	listedEngine = poolsEngine(t, nil, check)
+	noop := poolsEngine(t, func(int, []int, [][]time.Duration) {}, SelectorFunc(func(view NeighborView) (Decision, error) {
+		if view.Obs.distinct != nil {
+			return Decision{}, fmt.Errorf("node %d: a distinct-row list despite the Tamper hook", view.Node)
+		}
+		return subset.SelectNeighbors(view)
+	}))
+	const rounds = 30
+	for round := 1; round <= rounds; round++ {
+		a, err := listedEngine.Step()
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		b, err := noop.Step()
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if a != b {
+			t.Fatalf("round %d: report %+v with the list, %+v without", round, a, b)
+		}
+		if !slices.EqualFunc(listedEngine.Adjacency(), noop.Adjacency(), slices.Equal[[]int]) {
+			t.Fatalf("round %d: topologies differ", round)
+		}
+	}
+	if listed.Load() != rounds*300 || weighted.Load() < rounds/2 {
+		t.Fatalf("%d decisions saw the list (want %d), %d of %d rounds scored it", listed.Load(), rounds*300, weighted.Load(), rounds)
+	}
+}
+
+// TestTamperedRepeatEqualsScan edits one copy of a repeated row in a Tamper
+// hook: the second block of the round's busiest miner gets its first
+// neighbour's offset raised, which the distinct rows, listing only the
+// miner's first block, would not see. The engine must attach no list, and
+// every decision must equal the scan of the tampered matrix. The same
+// matrices with the stale list attached must choose differently somewhere,
+// or the edit would prove nothing.
+func TestTamperedRepeatEqualsScan(t *testing.T) {
+	params := DefaultParams(Subset)
+	retain := params.OutDegree - params.Explore
+	subset, err := SelectorFromMethod(Subset, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e *Engine
+	var edited int
+	tamper := func(_ int, _ []int, offsets [][]time.Duration) {
+		sources := e.scratch.sources
+		count := map[int]int{}
+		busiest := sources[0]
+		for _, src := range sources {
+			if count[src]++; count[src] > count[busiest] {
+				busiest = src
+			}
+		}
+		for b, seen := 0, 0; b < len(sources); b++ {
+			if sources[b] == busiest {
+				if seen++; seen == 2 {
+					offsets[b][0] = stats.InfDuration
+					edited = b
+				}
+			}
+		}
+	}
+	var decisions, stale atomic.Int64
+	e = poolsEngine(t, tamper, SelectorFunc(func(view NeighborView) (Decision, error) {
+		if view.Obs.distinct != nil {
+			return Decision{}, fmt.Errorf("node %d: a distinct-row list despite the Tamper hook", view.Node)
+		}
+		d, err := subset.SelectNeighbors(view)
+		if err != nil {
+			return d, err
+		}
+		keep := slices.Clone(d.Keep)
+		slices.Sort(keep)
+		if want := scanSubsetSelect(view.Obs, retain, params.Percentile); !slices.Equal(keep, want) {
+			return d, fmt.Errorf("node %d: kept %v, scan of the tampered matrix %v", view.Node, keep, want)
+		}
+		withList := view.Obs
+		withList.distinct, withList.weight = e.scratch.distinct, e.scratch.weight
+		if slices.Contains(withList.distinct, int32(edited)) {
+			return d, fmt.Errorf("the edited row %d is listed as distinct", edited)
+		}
+		if !slices.Equal(SubsetSelect(withList, retain, params.Percentile), keep) {
+			stale.Add(1)
+		}
+		decisions.Add(1)
+		return d, nil
+	}))
+	for round := 1; round <= 10; round++ {
+		if _, err := e.Step(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+	}
+	if decisions.Load() != 10*300 || stale.Load() == 0 {
+		t.Fatalf("%d decisions checked, %d would differ under the stale list; want %d and some", decisions.Load(), stale.Load(), 10*300)
+	}
+}
+
+// TestDistinctRowsCoverTheWindow checks the list on timed rounds whose
+// window is shorter than the round, with and without caller buffers: with
+// them every block is flooded, and a miner's blocks before the window must
+// neither be listed nor counted. The list is attached exactly when the
+// window repeats a miner.
+func TestDistinctRowsCoverTheWindow(t *testing.T) {
+	const n, blocks, window = 80, 16, 6
+	tn := newTestNetwork(t, n, 17)
+	params := DefaultParams(Subset)
+	params.RoundBlocks = blocks
+	cfg := tn.config(Subset, params)
+	cfg.ObservationWindow = window
+	var seen []int32
+	subset, err := SelectorFromMethod(Subset, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Selector = SelectorFunc(func(view NeighborView) (Decision, error) {
+		if view.Node == 0 {
+			seen = view.Obs.distinct
+		}
+		return subset.SelectNeighbors(view)
+	})
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds := [][]int{
+		{1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1, 2, 1, 3, 3, 1},           // 1 straddles the window
+		{9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 10, 11, 12, 13, 14, 15},     // no repeat inside it
+		{20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 5, 5, 5, 5, 5, 5}, // one miner fills it
+	}
+	for _, sources := range rounds {
+		for _, withArrivals := range []bool{false, true} {
+			var arrivals [][]time.Duration
+			if withArrivals {
+				arrivals = make([][]time.Duration, blocks)
+			}
+			tr, err := BeginTimedRound(e, blocks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.BroadcastAll(sources, arrivals); err != nil {
+				t.Fatal(err)
+			}
+			var rows, counts []int32
+			firstRow := map[int]int{}
+			for row, src := range sources[blocks-window:] {
+				if j, ok := firstRow[src]; ok {
+					counts[j]++
+					continue
+				}
+				firstRow[src] = len(rows)
+				rows, counts = append(rows, int32(row)), append(counts, 1)
+			}
+			rs := &e.scratch
+			if !slices.Equal(rs.distinct, rows) || !slices.Equal(rs.weight, counts) {
+				t.Fatalf("sources %v, arrivals %v: distinct rows %v x %v, want %v x %v", sources, withArrivals, rs.distinct, rs.weight, rows, counts)
+			}
+			if _, err := tr.Finish(); err != nil {
+				t.Fatal(err)
+			}
+			if attached := seen != nil; attached != (len(rows) < window) {
+				t.Fatalf("sources %v: list attached %v with %d distinct rows of %d", sources, attached, len(rows), window)
+			}
 		}
 	}
 }

@@ -61,37 +61,46 @@ func ForEach[S any](n, workers int, state S, fn func(state S, worker, index int)
 		}
 		return nil
 	}
-	var (
-		next   atomic.Int64
-		failed atomic.Bool
-		wg     sync.WaitGroup
-		errs   = make([]error, n)
-	)
-	wg.Add(workers)
+	st := &fanOut{firstIdx: n}
+	st.wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func(worker int) {
-			defer wg.Done()
-			for {
-				if failed.Load() {
-					return
-				}
-				i := int(next.Add(1)) - 1
+			defer st.wg.Done()
+			for !st.failed.Load() {
+				i := int(st.next.Add(1)) - 1
 				if i >= n {
 					return
 				}
 				if err := fn(state, worker, i); err != nil {
-					errs[i] = err
-					failed.Store(true)
+					st.fail(i, err)
 					return
 				}
 			}
 		}(w)
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	st.wg.Wait()
+	return st.firstErr
+}
+
+// fanOut is the shared state of one multi-worker ForEach, one allocation
+// whatever n is: the next index to claim, and the failure with the smallest
+// index, not one error slot per index.
+type fanOut struct {
+	next     atomic.Int64
+	failed   atomic.Bool
+	wg       sync.WaitGroup
+	mu       sync.Mutex
+	firstIdx int
+	firstErr error
+}
+
+// fail records index i's error if no smaller index has failed, and stops
+// further claims.
+func (st *fanOut) fail(i int, err error) {
+	st.mu.Lock()
+	if i < st.firstIdx {
+		st.firstIdx, st.firstErr = i, err
 	}
-	return nil
+	st.mu.Unlock()
+	st.failed.Store(true)
 }

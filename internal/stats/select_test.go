@@ -272,3 +272,165 @@ func TestOrderedPassCertifiesOnlyTheScan(t *testing.T) {
 		t.Fatalf("%d certified under a cut list, %d under the full list, %d refused; the property needs all three", certifiedEarly, certifiedAtEnd, refused)
 	}
 }
+
+// expandWeighted is the sample a weighted kernel stands for: position i of
+// ds and of limit (nil: no limit), repeated w[i] times.
+func expandWeighted(ds, limit []time.Duration, w []int32) (eds, elimit []time.Duration) {
+	for i, c := range w {
+		for ; c > 0; c-- {
+			eds = append(eds, ds[i])
+			if limit != nil {
+				elimit = append(elimit, limit[i])
+			}
+		}
+	}
+	return eds, elimit
+}
+
+// weightedCounts tallies what checkWeighted exercised, so the tests that
+// run it can show their properties do not hold vacuously.
+type weightedCounts struct {
+	straddled, selected, certified, refused int
+}
+
+// checkWeighted fails unless both weighted kernels agree with the unit
+// kernel run on the expanded sample, to the bit: DurationPercentileOfMinWeighted
+// without and with the limit, and DurationPercentileOfMinOrderedWeighted
+// wherever it certifies, under every theta the ordered-pass property test
+// cuts its list at. With the whole list and nothing below theta, a quantile
+// the top-slots pass serves must be certified. Inputs must be left as they
+// were.
+func checkWeighted(t *testing.T, ds, limit []time.Duration, w []int32, p float64, counts *weightedCounts) {
+	t.Helper()
+	before, limitBefore, wBefore := slices.Clone(ds), slices.Clone(limit), slices.Clone(w)
+	eds, elimit := expandWeighted(ds, limit, w)
+	n := len(eds)
+	if got, want := DurationPercentileOfMinWeighted(ds, nil, w, n, p), DurationPercentile(eds, p); got != want {
+		t.Fatalf("p=%v of %v weighted %v: kernel %v, expanded %v", p, ds, w, got, want)
+	}
+	want := DurationPercentileOfMin(eds, elimit, p)
+	if got := DurationPercentileOfMinWeighted(ds, limit, w, n, p); got != want {
+		t.Fatalf("p=%v of min(%v, %v) weighted %v: kernel %v, expanded %v", p, ds, limit, w, got, want)
+	}
+	if n > 0 {
+		_, lo, _ := quantileRanks(n, p)
+		if m := n - lo; m > topSlots {
+			counts.selected++
+		} else {
+			for i, sum := 0, 0; i < len(w) && sum < m; i++ {
+				if sum += int(w[i]); sum > m && int(w[i]) > sum-m {
+					counts.straddled++
+				}
+			}
+		}
+	}
+	full := limitsByDescent(limit)
+	for i := range full {
+		full[i].Weight = w[full[i].Index]
+	}
+	thetas := append(slices.Clone(limit), math.MinInt64, InfDuration)
+	if len(limit) > 0 {
+		thetas = append(thetas, slices.Min(limit)-1)
+	}
+	for _, theta := range thetas {
+		got, certified := DurationPercentileOfMinOrderedWeighted(ds, cutAbove(full, theta), theta, n, p)
+		switch {
+		case !certified:
+			counts.refused++
+			continue
+		case !TopSlotsServe(n, p):
+			t.Fatalf("n=%d p=%v: certified a quantile the top-slots pass does not serve", n, p)
+		case got != want:
+			t.Fatalf("n=%d p=%v theta=%v of min(%v, %v) weighted %v: certified %v, expanded %v", n, p, theta, ds, limit, w, got, want)
+		}
+		counts.certified++
+	}
+	if _, certified := DurationPercentileOfMinOrderedWeighted(ds, full, math.MinInt64, n, p); certified != TopSlotsServe(n, p) {
+		t.Fatalf("n=%d p=%v: full list certified=%v, served=%v", n, p, certified, TopSlotsServe(n, p))
+	}
+	if !slices.Equal(ds, before) || !slices.Equal(limit, limitBefore) || !slices.Equal(w, wBefore) {
+		t.Fatalf("p=%v: input modified", p)
+	}
+}
+
+// sampleWeights draws n multiplicities in [1, maxWeight], a zero (a value
+// that stands for nothing) with probability zero.
+func sampleWeights(r *rand.Rand, n, maxWeight int, zero float64) []int32 {
+	w := make([]int32, n)
+	for i := range w {
+		if r.Float64() >= zero {
+			w[i] = int32(1 + r.Intn(maxWeight))
+		}
+	}
+	return w
+}
+
+// TestWeightedPercentileMatchesExpanded is the property the weighted
+// kernels are trusted on: a multiset given by its distinct values and their
+// multiplicities has the percentile of the multiset written out. Samples
+// cover unit weights (the unit kernel's own paths), weights that straddle
+// the top-slots fill boundary, one weight heavy enough to fill the buffer
+// alone, zero weights, quantiles deeper than the buffer (the select path),
+// censored and negative values, and every theta of the ordered pass. The
+// counts at the end keep the property from holding vacuously.
+func TestWeightedPercentileMatchesExpanded(t *testing.T) {
+	r := rand.New(rand.NewSource(38))
+	var counts weightedCounts
+	ps := []float64{0, 1.0 / 3, 0.5, 0.85, 0.9, 0.95, 0.999, 1}
+	for _, d := range []int{1, 2, 3, 5, 10, 16, 17, 40, 100} {
+		for _, maxWeight := range []int{1, 3, 12, 40} {
+			for trial := 0; trial < 6; trial++ {
+				ds := sampleDurations(r, d, []int{2, 5, 1 << 20}[trial%3], []float64{0, 0.2, 0.6}[trial%3])
+				limit := sampleDurations(r, d, []int{2, 5, 1 << 20}[trial%3], []float64{0, 0.5, 0.1}[trial%3])
+				w := sampleWeights(r, d, maxWeight, []float64{0, 0, 0.2}[trial%3])
+				if trial == 4 { // one value heavy enough to fill the buffer alone
+					w[r.Intn(d)] = 30
+				}
+				if trial >= 3 {
+					for i := range ds {
+						if i%3 == 0 && ds[i] != InfDuration {
+							ds[i], limit[i] = -ds[i], -limit[i]
+						}
+					}
+				}
+				for _, p := range ps {
+					checkWeighted(t, ds, limit, w, p, &counts)
+				}
+			}
+		}
+	}
+	if counts.straddled == 0 || counts.selected == 0 || counts.certified == 0 || counts.refused == 0 {
+		t.Fatalf("%+v: the property needs every count non-zero", counts)
+	}
+}
+
+// FuzzDurationPercentileWeighted lets the fuzzer shape a weighted sample
+// (distinct values, their largest multiplicity, duplicate density, censoring
+// rates, quantile) and checks both weighted kernels against the unit kernel
+// on the expanded sample; the seeds run in every go test.
+func FuzzDurationPercentileWeighted(f *testing.F) {
+	for _, d := range []uint16{1, 2, 10, 16, 17, 100} {
+		for _, maxWeight := range []uint8{1, 3, 40} {
+			for _, p := range []float64{0, 0.5, 0.9, 1} {
+				f.Add(int64(d)*int64(maxWeight), d, maxWeight, uint8(3), uint8(64), uint8(128), p)
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed int64, d uint16, maxWeight, distinct, infOf256, limitInfOf256 uint8, p float64) {
+		if !(p >= 0 && p <= 1) {
+			t.Skipf("p=%v outside [0, 1] panics by contract", p)
+		}
+		r := rand.New(rand.NewSource(seed))
+		size := int(d % 512)
+		ds := sampleDurations(r, size, int(distinct)+1, float64(infOf256)/256)
+		limit := sampleDurations(r, size, int(distinct)+1, float64(limitInfOf256)/256)
+		w := sampleWeights(r, size, int(maxWeight%64)+1, float64(seed%3)/8)
+		if seed%4 == 0 {
+			for i := range ds {
+				ds[i], limit[i] = -ds[i], -limit[i] // InfDuration becomes the most negative value but one
+			}
+		}
+		var counts weightedCounts
+		checkWeighted(t, ds, limit, w, p, &counts)
+	})
+}

@@ -180,8 +180,6 @@ func DurationPercentileOfMin(ds, limit []time.Duration, p float64) time.Duration
 		}
 		a, result = top[0], top[hi-lo]
 	} else {
-		// Select instead of sorting: partition a copy around rank hi,
-		// after which rank hi-1 is the maximum of everything left of it.
 		bufp := durationSelectPool.Get().(*[]time.Duration)
 		buf := append((*bufp)[:0], ds...)
 		for i, l := range limit {
@@ -189,11 +187,123 @@ func DurationPercentileOfMin(ds, limit []time.Duration, p float64) time.Duration
 				buf[i] = l
 			}
 		}
-		selectKth(buf, hi)
-		result = buf[hi]
-		if lo != hi && result != InfDuration {
-			a = slices.Max(buf[:hi])
+		a, result = selectRanks(buf, lo, hi)
+		*bufp = buf[:0]
+		durationSelectPool.Put(bufp)
+	}
+	return interpolate(a, result, rank, lo, hi)
+}
+
+// selectRanks returns the order statistics of ranks lo and hi of buf, which
+// it reorders: select instead of sorting, partitioning around rank hi, after
+// which rank hi-1 is the maximum of everything left of it. The rank-lo value
+// is left zero where interpolate does not read it.
+func selectRanks(buf []time.Duration, lo, hi int) (a, b time.Duration) {
+	selectKth(buf, hi)
+	b = buf[hi]
+	if lo != hi && b != InfDuration {
+		a = slices.Max(buf[:hi])
+	}
+	return a, b
+}
+
+// insertCopies is insertAscending of c copies of x: the ascending top[:i]
+// grows by c.
+func insertCopies(top *[topSlots]time.Duration, i int, x time.Duration, c int) {
+	j := i
+	for ; j > 0 && top[j-1] > x; j-- {
+		top[j-1+c] = top[j-1]
+	}
+	for q := j; q < j+c; q++ {
+		top[q] = x
+	}
+}
+
+// replaceCopies keeps in the ascending top[:m] the m largest of its values
+// and c copies of x: each value below x, least first, gives way to a copy,
+// until c have. It walks the values below x once, as replaceLeast does,
+// moving each down past the c least.
+func replaceCopies(top *[topSlots]time.Duration, m int, x time.Duration, c int) {
+	s := 0
+	for ; s < m && top[s] < x; s++ {
+		if s >= c {
+			top[s-c] = top[s]
 		}
+	}
+	for q := max(s-c, 0); q < s; q++ {
+		top[q] = x
+	}
+}
+
+// DurationPercentileOfMinWeighted is DurationPercentileOfMin of a multiset
+// given by its distinct values: min(ds[i], limit[i]) counts w[i] times, and
+// n is the sum of w. The result is DurationPercentileOfMin of the expanded
+// sample to the bit, since a quantile depends only on values and their
+// counts. Subset scoring uses it for a round whose blocks repeat a miner,
+// and so repeat an observation row. A nil limit means no clipping;
+// otherwise limit, like w, must be as long as ds. The top-slots pass takes
+// a value once for each of its copies that can still hold a slot; a
+// quantile too deep for it expands the values into the select buffer.
+func DurationPercentileOfMinWeighted(ds, limit []time.Duration, w []int32, n int, p float64) time.Duration {
+	checkQuantile(p)
+	if n == 0 {
+		return InfDuration
+	}
+	if limit != nil {
+		limit = limit[:len(ds)]
+	}
+	w = w[:len(ds)]
+	rank, lo, hi := quantileRanks(n, p)
+	var a, result time.Duration
+	if m := n - lo; m <= topSlots {
+		// As in the unit pass, a fill loop and a scan loop. The copies of a
+		// value that fit fill the buffer; the rest of the last value's
+		// compete for its slots, as every later value's do.
+		var top [topSlots]time.Duration
+		i, filled := 0, 0
+		for ; filled < m && i < len(ds); i++ {
+			x := ds[i]
+			if limit != nil {
+				x = min(x, limit[i])
+			}
+			c := int(w[i])
+			f := min(c, m-filled)
+			if f == 1 {
+				insertAscending(&top, filled, x)
+			} else {
+				insertCopies(&top, filled, x, f)
+			}
+			filled += f
+			if c > f && x > top[0] {
+				replaceCopies(&top, m, x, c-f)
+			}
+		}
+		for ; i < len(ds); i++ {
+			x := ds[i]
+			if limit != nil {
+				x = min(x, limit[i])
+			}
+			if x > top[0] {
+				if c := w[i]; c == 1 {
+					replaceLeast(&top, m, x)
+				} else {
+					replaceCopies(&top, m, x, int(c))
+				}
+			}
+		}
+		a, result = top[0], top[hi-lo]
+	} else {
+		bufp := durationSelectPool.Get().(*[]time.Duration)
+		buf := (*bufp)[:0]
+		for i, x := range ds {
+			if limit != nil {
+				x = min(x, limit[i])
+			}
+			for c := w[i]; c > 0; c-- {
+				buf = append(buf, x)
+			}
+		}
+		a, result = selectRanks(buf, lo, hi)
 		*bufp = buf[:0]
 		durationSelectPool.Put(bufp)
 	}
@@ -201,10 +311,13 @@ func DurationPercentileOfMin(ds, limit []time.Duration, p float64) time.Duration
 }
 
 // OrderedLimit is one entry of the list DurationPercentileOfMinOrdered
-// walks: a limit and the position it clips.
+// walks: a limit, the position it clips and, for
+// DurationPercentileOfMinOrderedWeighted, how many values that position
+// stands for. It is 16 bytes.
 type OrderedLimit struct {
-	Limit time.Duration
-	Index int32
+	Limit  time.Duration
+	Index  int32
+	Weight int32
 }
 
 // TopSlotsServe reports whether the p-quantile of n values is one the
@@ -259,6 +372,75 @@ func DurationPercentileOfMinOrdered(ds []time.Duration, order []OrderedLimit, th
 		}
 		if x := min(ds[e.Index], e.Limit); x > top[0] {
 			replaceLeast(&top, m, x)
+		}
+	}
+	if !certified && top[0] < theta {
+		return 0, false
+	}
+	return interpolate(top[0], top[hi-lo], rank, lo, hi), true
+}
+
+// DurationPercentileOfMinOrderedWeighted is DurationPercentileOfMinOrdered
+// for the multiset DurationPercentileOfMinWeighted takes: position i stands
+// for w[i] values out of n, and each list entry carries its position's
+// weight, so the walk never reads w. The leading entries that weigh at
+// least the buffer's m slots fill it, the last of them with the copies that
+// fit and the rest of its copies competing for slots as later entries do;
+// a list that weighs less than m certifies nothing. A certified value is
+// DurationPercentileOfMinWeighted's to the bit, by the argument
+// DurationPercentileOfMinOrdered makes.
+func DurationPercentileOfMinOrderedWeighted(ds []time.Duration, order []OrderedLimit, theta time.Duration, n int, p float64) (value time.Duration, certified bool) {
+	checkQuantile(p)
+	if n == 0 {
+		return 0, false
+	}
+	rank, lo, hi := quantileRanks(n, p)
+	m := n - lo
+	if m > topSlots {
+		return 0, false
+	}
+	j, weight := 0, 0
+	for ; j < len(order) && weight < m; j++ {
+		weight += int(order[j].Weight)
+	}
+	if weight < m {
+		return 0, false
+	}
+	// As in the unit pass, the fill takes its entries back to front; extra
+	// copies of order[j-1]'s minimum do not fit.
+	extra := weight - m
+	var top [topSlots]time.Duration
+	filled := 0
+	for q := j - 1; q >= 0; q-- {
+		e := order[q]
+		x := min(ds[e.Index], e.Limit)
+		c := int(e.Weight)
+		if q == j-1 {
+			c -= extra
+		}
+		if c == 1 {
+			insertAscending(&top, filled, x)
+		} else {
+			insertCopies(&top, filled, x, c)
+		}
+		filled += c
+	}
+	if e := order[j-1]; extra > 0 {
+		if x := min(ds[e.Index], e.Limit); x > top[0] {
+			replaceCopies(&top, m, x, extra)
+		}
+	}
+	for _, e := range order[j:] {
+		if e.Limit <= top[0] {
+			certified = true
+			break
+		}
+		if x := min(ds[e.Index], e.Limit); x > top[0] {
+			if e.Weight == 1 {
+				replaceLeast(&top, m, x)
+			} else {
+				replaceCopies(&top, m, x, int(e.Weight))
+			}
 		}
 	}
 	if !certified && top[0] < theta {
