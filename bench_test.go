@@ -335,12 +335,12 @@ func BenchmarkMicroWireFrameBlock1K(b *testing.B) { bench.MicroWireFrame(bench.W
 // BenchmarkMicroWireRead* measure what its read loop pays per message
 // through the buffered wire.Reader; scripts/bench.sh holds allocs/op at the
 // decoded message's own (an Inv and its hash slice; a block, its
-// transaction list and four transactions under a wire.Block).
+// transaction list and one body buffer under a wire.Block).
 func BenchmarkMicroWireReadInv(b *testing.B)     { bench.MicroWireRead(bench.WireInv())(b) }
 func BenchmarkMicroWireReadBlock1K(b *testing.B) { bench.MicroWireRead(bench.WireBlock1K())(b) }
 
 // BenchmarkMicroStoreAdd measures chain.Store.Add of a 1 KB block on a
 // 10k-deep chain, the store's share of a live relay hop. scripts/bench.sh
-// holds allocs/op at the three Merkle levels of validation: the header index
-// and the body ring allocate nothing per block.
+// holds allocs/op at zero: validation hashes the Merkle tree on the stack,
+// and the header index and the body ring allocate nothing per block.
 func BenchmarkMicroStoreAdd(b *testing.B) { bench.MicroStoreAdd(b) }

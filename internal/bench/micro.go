@@ -658,8 +658,9 @@ func MicroWireRead(m wire.Message) func(b *testing.B) {
 // chain.Store.Add of a block of the live benchmark's shape on top of a chain
 // 10 000 blocks deep, so the body ring is turning over and the header index
 // is past its first growths. The blocks are linked before the timer starts
-// and share one transaction list; allocs/op is then CheckBlock's three
-// Merkle levels and nothing per block from the index or the ring.
+// and share one transaction list; allocs/op is then zero: CheckBlock
+// hashes the Merkle tree on the stack, and the index and the ring allocate
+// nothing per block.
 func MicroStoreAdd(b *testing.B) {
 	const depth = 10_000
 	genesis := chain.NewGenesis("bench")

@@ -95,30 +95,38 @@ const (
 	MaxBlockSize = 4 << 20
 )
 
+// merkleStack is how many leaves MerkleRoot hashes without a heap buffer.
+const merkleStack = 16
+
 // MerkleRoot computes the Merkle root of the transaction list: leaves are
 // SHA-256 of each transaction; odd nodes are paired with themselves; the
-// root of an empty list is the zero hash.
+// root of an empty list is the zero hash. Up to merkleStack leaves live in
+// a stack array, and each level is reduced in place over the one below.
 func MerkleRoot(txs [][]byte) Hash {
 	if len(txs) == 0 {
 		return Hash{}
 	}
-	level := make([]Hash, len(txs))
-	for i, tx := range txs {
-		level[i] = sha256.Sum256(tx)
+	var stack [merkleStack]Hash
+	level := stack[:0]
+	if len(txs) > merkleStack {
+		level = make([]Hash, 0, len(txs))
 	}
+	for _, tx := range txs {
+		level = append(level, sha256.Sum256(tx))
+	}
+	var pair [64]byte
 	for len(level) > 1 {
-		next := make([]Hash, 0, (len(level)+1)/2)
-		for i := 0; i < len(level); i += 2 {
-			j := i + 1
-			if j == len(level) {
-				j = i
+		half := (len(level) + 1) / 2
+		for i := 0; i < half; i++ {
+			l, r := 2*i, 2*i+1
+			if r == len(level) {
+				r = l
 			}
-			var buf [64]byte
-			copy(buf[:32], level[i][:])
-			copy(buf[32:], level[j][:])
-			next = append(next, sha256.Sum256(buf[:]))
+			copy(pair[:32], level[l][:])
+			copy(pair[32:], level[r][:])
+			level[i] = sha256.Sum256(pair[:])
 		}
-		level = next
+		level = level[:half]
 	}
 	return level[0]
 }
@@ -170,26 +178,54 @@ func DecodeBlock(buf []byte) (*Block, error) {
 		return nil, fmt.Errorf("chain: transaction count %d exceeds limit %d", count, MaxTxs)
 	}
 	rest = rest[4:]
-	b.Txs = make([][]byte, 0, count)
+	// Walk the lengths first, allocating nothing, so a payload that claims
+	// more transactions than it carries fails before anything is reserved.
+	walk := rest
 	for i := uint32(0); i < count; i++ {
-		if len(rest) < 4 {
+		if len(walk) < 4 {
 			return nil, errors.New("chain: truncated transaction length")
 		}
-		txLen := binary.LittleEndian.Uint32(rest[:4])
-		rest = rest[4:]
+		txLen := binary.LittleEndian.Uint32(walk[:4])
+		walk = walk[4:]
 		if txLen > MaxTxSize {
 			return nil, fmt.Errorf("chain: transaction of %d bytes exceeds limit %d", txLen, MaxTxSize)
 		}
-		if uint32(len(rest)) < txLen {
+		if uint32(len(walk)) < txLen {
 			return nil, errors.New("chain: truncated transaction body")
 		}
-		b.Txs = append(b.Txs, append([]byte(nil), rest[:txLen]...))
-		rest = rest[txLen:]
+		walk = walk[txLen:]
 	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("chain: %d trailing bytes after block", len(rest))
+	if len(walk) != 0 {
+		return nil, fmt.Errorf("chain: %d trailing bytes after block", len(walk))
 	}
+	b.Txs = make([][]byte, count)
+	for i := range b.Txs {
+		txLen := binary.LittleEndian.Uint32(rest[:4])
+		b.Txs[i] = rest[4 : 4+txLen]
+		rest = rest[4+txLen:]
+	}
+	detachTxs(b.Txs) // the block must not share memory with buf
 	return &b, nil
+}
+
+// detachTxs replaces every transaction with a copy in one buffer of their
+// total length. Each copy's capacity ends at its length, so an append to
+// one transaction cannot overwrite the next; an empty one becomes nil.
+func detachTxs(txs [][]byte) {
+	total := 0
+	for _, tx := range txs {
+		total += len(tx)
+	}
+	body := make([]byte, total)
+	for i, tx := range txs {
+		if len(tx) == 0 {
+			txs[i] = nil
+			continue
+		}
+		n := copy(body, tx)
+		txs[i] = body[:n:n]
+		body = body[n:]
+	}
 }
 
 // CheckBlock verifies a block's internal consistency: version, Merkle
@@ -231,10 +267,8 @@ func NewBlock(prev *Block, txs [][]byte, now time.Time, nonce uint64) *Block {
 // newChild assembles the block at the given height whose parent hashes to
 // prev, copying the transactions.
 func newChild(prev Hash, height uint64, txs [][]byte, now time.Time, nonce uint64) *Block {
-	cp := make([][]byte, len(txs))
-	for i, tx := range txs {
-		cp[i] = append([]byte(nil), tx...)
-	}
+	cp := append(make([][]byte, 0, len(txs)), txs...)
+	detachTxs(cp)
 	return &Block{
 		Header: Header{
 			Version:       1,

@@ -2,8 +2,13 @@ package chain
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
+	"math/rand/v2"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -356,4 +361,175 @@ func TestStoreConcurrentAccess(t *testing.T) {
 	if s.Height() != 50 {
 		t.Fatalf("height = %d, want 50", s.Height())
 	}
+}
+
+// merkleRootReference is the level-by-level Merkle root that MerkleRoot's
+// in-place reduction replaced: a fresh slice per level, the last node of
+// an odd level paired with itself.
+func merkleRootReference(txs [][]byte) Hash {
+	if len(txs) == 0 {
+		return Hash{}
+	}
+	level := make([]Hash, len(txs))
+	for i, tx := range txs {
+		level[i] = sha256.Sum256(tx)
+	}
+	for len(level) > 1 {
+		next := make([]Hash, 0, (len(level)+1)/2)
+		for i := 0; i < len(level); i += 2 {
+			j := i + 1
+			if j == len(level) {
+				j = i
+			}
+			var buf [64]byte
+			copy(buf[:32], level[i][:])
+			copy(buf[32:], level[j][:])
+			next = append(next, sha256.Sum256(buf[:]))
+		}
+		level = next
+	}
+	return level[0]
+}
+
+// TestMerkleRootMatchesReference holds MerkleRoot to the level-by-level
+// reference for 0–40 transactions, which crosses the stack array's size
+// and meets an odd level at every depth, and for random transaction sizes.
+func TestMerkleRootMatchesReference(t *testing.T) {
+	for n := 0; n <= 40; n++ {
+		txs := make([][]byte, n)
+		for i := range txs {
+			txs[i] = []byte(fmt.Sprintf("tx-%d-of-%d", i, n))
+		}
+		if got, want := MerkleRoot(txs), merkleRootReference(txs); got != want {
+			t.Fatalf("%d transactions: root %s, reference %s", n, got, want)
+		}
+	}
+	r := rand.New(rand.NewPCG(1, 2))
+	for trial := 0; trial < 300; trial++ {
+		txs := make([][]byte, r.IntN(70))
+		for i := range txs {
+			txs[i] = make([]byte, r.IntN(300))
+			for j := range txs[i] {
+				txs[i][j] = byte(r.Uint32())
+			}
+		}
+		if got, want := MerkleRoot(txs), merkleRootReference(txs); got != want {
+			t.Fatalf("trial %d, %d transactions: root %s, reference %s", trial, len(txs), got, want)
+		}
+	}
+}
+
+// TestRelayPathAllocations pins what a relayed block costs the chain
+// package: nothing for a Merkle root of up to 16 transactions, one buffer
+// above that, and three allocations (the block, its transaction list and
+// one body buffer) to decode a four-transaction block.
+func TestRelayPathAllocations(t *testing.T) {
+	txs := make([][]byte, 17)
+	for i := range txs {
+		txs[i] = bytes.Repeat([]byte{byte(i)}, 256)
+	}
+	if a := testing.AllocsPerRun(50, func() { MerkleRoot(txs[:16]) }); a != 0 {
+		t.Errorf("MerkleRoot of 16 transactions allocates %.1f times, want 0", a)
+	}
+	if a := testing.AllocsPerRun(50, func() { MerkleRoot(txs) }); a != 1 {
+		t.Errorf("MerkleRoot of 17 transactions allocates %.1f times, want 1", a)
+	}
+	enc, err := NewBlock(NewGenesis("x"), txs[:4], time.UnixMilli(1), 1).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(50, func() { _, _ = DecodeBlock(enc) }); a != 3 {
+		t.Errorf("DecodeBlock of four transactions allocates %.1f times, want 3", a)
+	}
+}
+
+// TestDecodeBlockForgedCountReservesNothing: a payload that claims MaxTxs
+// transactions and carries none fails as it always has, without first
+// reserving room for 65,536 of them (1.5 MB a frame before the fix).
+func TestDecodeBlockForgedCountReservesNothing(t *testing.T) {
+	hdr := Header{Version: 1, Height: 1}
+	forged := binary.LittleEndian.AppendUint32(hdr.marshal(nil), MaxTxs)
+	if len(forged) != 96 {
+		t.Fatalf("forged payload is %d bytes, want 96", len(forged))
+	}
+	if _, err := DecodeBlock(forged); err == nil || err.Error() != "chain: truncated transaction length" {
+		t.Fatalf("forged count: error %v, want chain: truncated transaction length", err)
+	}
+	const calls = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		_, _ = DecodeBlock(forged)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= 1024 {
+		t.Fatalf("a forged-count payload allocates %d bytes per call, want under 1 KB", per)
+	}
+}
+
+// FuzzDecodeBlockCanonical: every payload DecodeBlock accepts re-encodes to
+// the same bytes; the decoded block owns its memory, so overwriting the
+// input changes neither the block nor CheckBlock's verdict; and an append
+// to one transaction leaves the next intact.
+func FuzzDecodeBlockCanonical(f *testing.F) {
+	genesis := NewGenesis("fuzz")
+	seed := func(txs ...[]byte) {
+		enc, err := NewBlock(genesis, txs, time.UnixMilli(1700000000000), 7).Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+	}
+	numbered := func(n int) [][]byte {
+		txs := make([][]byte, n)
+		for i := range txs {
+			txs[i] = []byte(fmt.Sprintf("tx-%02d", i))
+		}
+		return txs
+	}
+	seed()
+	seed(numbered(1)...)
+	seed(numbered(4)...)
+	seed(numbered(17)...)
+	seed(nil, []byte("x"), nil)
+	seed(bytes.Repeat([]byte{0xA5}, MaxTxSize), []byte("after"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := bytes.Clone(data)
+		b, err := DecodeBlock(in)
+		if err != nil {
+			return
+		}
+		enc, err := b.Encode()
+		if err != nil {
+			t.Fatalf("a decoded block does not encode: %v", err)
+		}
+		if !bytes.Equal(enc, data) {
+			t.Fatal("a decoded block re-encodes to different bytes")
+		}
+		header, txs := b.Header, make([][]byte, len(b.Txs))
+		for i, tx := range b.Txs {
+			txs[i] = bytes.Clone(tx)
+		}
+		verdict := fmt.Sprint(CheckBlock(b))
+		for i := range in {
+			in[i] = ^in[i]
+		}
+		if b.Header != header {
+			t.Fatal("overwriting the input moved the decoded header")
+		}
+		for i := range txs {
+			if !bytes.Equal(b.Txs[i], txs[i]) {
+				t.Fatalf("overwriting the input changed transaction %d", i)
+			}
+		}
+		if got := fmt.Sprint(CheckBlock(b)); got != verdict {
+			t.Fatalf("CheckBlock said %q before the input was overwritten, %q after", verdict, got)
+		}
+		for i := 0; i+1 < len(b.Txs); i++ {
+			_ = append(b.Txs[i], 0xFF, 0xFE, 0xFD, 0xFC)
+			if !bytes.Equal(b.Txs[i+1], txs[i+1]) {
+				t.Fatalf("an append to transaction %d overwrote transaction %d", i, i+1)
+			}
+		}
+	})
 }

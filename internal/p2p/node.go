@@ -154,8 +154,12 @@ type Node struct {
 	// derivation is stateless — so no lock guards it.
 	addrRand *rng.RNG
 
-	mu       sync.Mutex
-	peers    map[uint64]*peer
+	mu    sync.Mutex
+	peers map[uint64]*peer
+	// sorted is peers ordered by ID, built by peerSnapshot and cleared by
+	// every install and delete; a built slice is never written again, so
+	// a snapshot stays valid after the peer set changes.
+	sorted   []*peer
 	listener net.Listener
 	closed   bool
 	quit     chan struct{} // closed by Stop; wakes delayed-relay timers
@@ -662,6 +666,7 @@ func (n *Node) setupPeer(conn net.Conn, dir Direction, dialedAddr string) error 
 		return fmt.Errorf("p2p: incoming slots full, shedding %016x", p.id)
 	}
 	n.peers[p.id] = p
+	n.sorted = nil
 	n.mu.Unlock()
 	if listenAddr != "" {
 		// A first sighting of the peer's advertised address is gossip like
@@ -850,6 +855,7 @@ func (n *Node) removePeer(p *peer) {
 	n.mu.Lock()
 	if existing, ok := n.peers[p.id]; ok && existing == p {
 		delete(n.peers, p.id)
+		n.sorted = nil
 	}
 	n.mu.Unlock()
 	n.logf("disconnected %s", p)
@@ -1139,12 +1145,14 @@ func (n *Node) relayInv(h chain.Hash, exceptID uint64, relayed bool) {
 	}()
 }
 
+// broadcastInv queues one Inv to every peer but exceptID; the message is
+// shared, since nothing writes to a message once it is queued.
 func (n *Node) broadcastInv(h chain.Hash, exceptID uint64) {
+	inv := &wire.Inv{Hashes: []chain.Hash{h}}
 	for _, p := range n.peerSnapshot() {
-		if p.id == exceptID {
-			continue
+		if p.id != exceptID {
+			p.send(inv)
 		}
-		p.send(&wire.Inv{Hashes: []chain.Hash{h}})
 	}
 }
 
@@ -1155,15 +1163,19 @@ func (n *Node) minedBlock(h chain.Hash) bool {
 	return n.lastMined == h
 }
 
+// peerSnapshot returns the live peers sorted by ID. The slice is shared
+// and read-only; it is rebuilt only after the peer set changed.
 func (n *Node) peerSnapshot() []*peer {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	out := make([]*peer, 0, len(n.peers))
-	for _, p := range n.peers {
-		out = append(out, p)
+	if n.sorted == nil {
+		n.sorted = make([]*peer, 0, len(n.peers))
+		for _, p := range n.peers {
+			n.sorted = append(n.sorted, p)
+		}
+		sort.Slice(n.sorted, func(i, j int) bool { return n.sorted[i].id < n.sorted[j].id })
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
+	return n.sorted
 }
 
 // MineBlock extends the node's tip with a new block and announces it.

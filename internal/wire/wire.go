@@ -490,7 +490,9 @@ func (d *decoder) hashes() []chain.Hash {
 		d.err = fmt.Errorf("%w: %d hashes", ErrTooLarge, count)
 		return nil
 	}
-	out := make([]chain.Hash, 0, count)
+	// Reserve no more than the remaining bytes can hold, so a forged count
+	// costs nothing before the payload runs out.
+	out := make([]chain.Hash, 0, min(int(count), len(d.buf)/32))
 	for i := uint32(0); i < count; i++ {
 		b := d.take(32)
 		if b == nil {

@@ -83,16 +83,20 @@ gate WorkloadHour 31000
 # The live wire: a frame is appended to the write loop's reused buffer in
 # place, and the buffered reader owns its header and payload scratch, so a
 # read allocates only the message it returns (an Inv and its hash slice; a
-# wire.Block, the block, its transaction list and four transactions).
+# wire.Block, the block, its transaction list and one buffer holding all
+# four transaction bodies). The body buffer is exactly their 1,024 bytes;
+# one that also held the length prefixes would round up to the 1,152-byte
+# size class, which the byte gate catches (1,256 B/op in all).
 gate MicroWireFrameInv 0
 gate MicroWireFrameBlock1K 0
 gate MicroWireReadInv 2
-gate MicroWireReadBlock1K 7
-# The live store: validating a four-transaction block allocates its three
-# Merkle levels. The header index keeps its entries inline in the map (a
-# value over 128 bytes would be boxed, one allocation per block) and the
-# body ring is allocated once, so a fourth allocation is a regression.
-gate MicroStoreAdd 3
+gate MicroWireReadBlock1K 4
+gate_bytes MicroWireReadBlock1K 1256
+# The live store: validating a four-transaction block hashes its Merkle
+# tree in a stack array, the header index keeps its entries inline in the
+# map (a value over 128 bytes would be boxed, one allocation per block) and
+# the body ring is allocated once, so any allocation is a regression.
+gate MicroStoreAdd 0
 # Decision tracing is off in every Micro case; this ceiling pins the
 # untraced engine round so the tracing hooks stay branch-only on the hot
 # path (a per-decision or per-counterfactual allocation would add
