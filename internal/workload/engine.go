@@ -5,7 +5,6 @@ import (
 	"math"
 	"time"
 
-	"github.com/perigee-net/perigee/internal/chain"
 	"github.com/perigee-net/perigee/internal/core"
 	"github.com/perigee-net/perigee/internal/stats"
 )
@@ -87,10 +86,10 @@ func (cfg *Config) validate() error {
 // before it drains the trace again; the update (TimedRound.Finish), and with
 // it the engine's Observer and Dynamics, stays on the caller's goroutine.
 //
-// The canonical chain is arbitrated by a single chain.Store fed every
-// block at its mining time: longest chain wins, height ties go to the
-// first-mined block. Blocks off that chain are stale; their miners earn
-// nothing.
+// The canonical chain is one more reading of the views' block tree: the
+// longest chain wins, and an equal height, exact mining-time ties included,
+// goes to the first-mined block. Blocks off that chain are stale; their
+// miners earn nothing.
 func Run(cfg Config) (*Report, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -98,10 +97,7 @@ func Run(cfg Config) (*Report, error) {
 	e := cfg.Engine
 	n := e.N()
 
-	c, err := newChainState(n)
-	if err != nil {
-		return nil, err
-	}
+	c := newChainState(n)
 
 	// One-event lookahead over the trace: batch draining must see the
 	// first event beyond its boundary without losing it.
@@ -111,7 +107,7 @@ func Run(cfg Config) (*Report, error) {
 	var batchAt []time.Duration
 	var sources []int
 	var arrivals [][]time.Duration
-	replayed := make(chan error, 1)
+	replayed := make(chan struct{}, 1)
 	rounds := 0
 
 	for start := time.Duration(0); start < cfg.Duration && (pendingOK || c.inbox.pending > 0); {
@@ -159,9 +155,7 @@ func Run(cfg Config) (*Report, error) {
 		}
 
 		if cfg.RoundInterval == 0 {
-			if err := c.replay(batchAt, sources, batch); err != nil {
-				return nil, err
-			}
+			c.replay(batchAt, sources, batch)
 			if pendingOK && pending.At < end {
 				continue // the static batch cap truncated this interval
 			}
@@ -173,67 +167,51 @@ func Run(cfg Config) (*Report, error) {
 		// blocks are exactly what the selector observed, so the topology
 		// update fires while the helper replays them. Empty intervals never
 		// reach here and skip the update — there is nothing to score.
-		go func() { replayed <- c.replay(batchAt, sources, batch) }()
-		_, finishErr := tr.Finish()
-		if err := <-replayed; err != nil {
+		go func() { c.replay(batchAt, sources, batch); replayed <- struct{}{} }()
+		_, err = tr.Finish()
+		<-replayed
+		if err != nil {
 			return nil, err
-		}
-		if finishErr != nil {
-			return nil, finishErr
 		}
 		rounds++
 		start = end
 	}
 	c.inbox.drainUntil(cfg.Duration, c.views.deliver)
 
-	return buildReport(cfg, n, e.Power(), c.store, c.views, c.minedBy, c.ids, rounds)
+	return buildReport(cfg, n, e.Power(), c.views, c.minedBy, c.canon, rounds), nil
 }
 
-// chainState is Run's replay side: the canonical arbiter store, every
-// node's chain view and inbox, and the interned blocks.
+// chainState is Run's replay side: every node's chain view and inbox, each
+// block's miner, and the canonical tip.
 type chainState struct {
-	store   *chain.Store
 	views   *views
 	inbox   *inboxes
-	blocks  []*chain.Block
 	minedBy []int32
-	ids     map[chain.Hash]int32
-	epoch   time.Time
+	canon   int32
 }
 
-func newChainState(n int) (*chainState, error) {
-	genesis := chain.NewGenesis("workload")
-	store, err := chain.NewStore(genesis)
-	if err != nil {
-		return nil, err
-	}
+func newChainState(n int) *chainState {
 	return &chainState{
-		store:   store,
 		views:   newViews(n),
 		inbox:   newInboxes(n),
-		blocks:  []*chain.Block{genesis},
 		minedBy: []int32{-1},
-		ids:     map[chain.Hash]int32{genesis.Header.Hash(): 0},
-		epoch:   time.Unix(0, 0).UTC(),
-	}, nil
+	}
 }
 
 // replay runs a batch's mining events in simulated-time order: before each
 // one the deliveries strictly before it land, the miner extends its view's
 // tip, and the new block is queued to every other node it reaches at mining
-// time plus its arrival delay.
-func (c *chainState) replay(batchAt []time.Duration, sources []int, arrivals [][]time.Duration) error {
+// time plus its arrival delay. The canonical tip moves to a new block only
+// when it is strictly higher, the rule every view applies; its moves are
+// not reorgs of any node.
+func (c *chainState) replay(batchAt []time.Duration, sources []int, arrivals [][]time.Duration) {
 	for k, at := range batchAt {
 		c.inbox.drainUntil(at, c.views.deliver)
 		miner := sources[k]
-		parent := c.views.tip[miner]
-		id := c.views.addBlock(parent)
-		blk := chain.NewBlock(c.blocks[parent], nil, c.epoch.Add(at), uint64(id))
-		c.blocks = append(c.blocks, blk)
+		id := c.views.addBlock(c.views.tip[miner])
 		c.minedBy = append(c.minedBy, int32(miner))
-		c.ids[blk.Header.Hash()] = id
-		if _, err := c.store.AddAt(blk, at); err != nil {
-			return fmt.Errorf("workload: canonical store rejected block %d: %w", id, err)
+		if c.views.height[id] > c.views.height[c.canon] {
+			c.canon = id
 		}
 		c.views.deliver(miner, id)
 		for node, d := range arrivals[k] {
@@ -243,11 +221,10 @@ func (c *chainState) replay(batchAt []time.Duration, sources []int, arrivals [][
 			c.inbox.push(node, at+d, id)
 		}
 	}
-	return nil
 }
 
-func buildReport(cfg Config, n int, power []float64, store *chain.Store, views *views,
-	minedBy []int32, ids map[chain.Hash]int32, rounds int) (*Report, error) {
+// buildReport prices a replayed run whose canonical chain ends at canon.
+func buildReport(cfg Config, n int, power []float64, views *views, minedBy []int32, canon int32, rounds int) *Report {
 	mined := len(minedBy) - 1 // genesis excluded
 	rep := &Report{
 		Nodes:         n,
@@ -259,21 +236,10 @@ func buildReport(cfg Config, n int, power []float64, store *chain.Store, views *
 		Revenue:       make([]int, n),
 	}
 
-	// The canonical chain, from the arbiter store's tip back to genesis, by
-	// header: the store keeps bodies only for its newest blocks.
 	canonical := 0
-	for h, genesis := store.Tip().Header.Hash(), store.Genesis(); h != genesis; {
-		id, ok := ids[h]
-		if !ok {
-			return nil, fmt.Errorf("workload: canonical block %s not interned", h)
-		}
+	for id := canon; id > 0; id = views.parent[id] {
 		rep.Revenue[minedBy[id]]++
 		canonical++
-		hdr, ok := store.Header(h)
-		if !ok {
-			return nil, fmt.Errorf("workload: canonical chain broke below height %d", canonical)
-		}
-		h = hdr.PrevHash
 	}
 	rep.CanonicalBlocks = canonical
 	rep.StaleBlocks = mined - canonical
@@ -308,5 +274,5 @@ func buildReport(cfg Config, n int, power []float64, store *chain.Store, views *
 		}
 		rep.RevenueSkew = l1 / 2
 	}
-	return rep, nil
+	return rep
 }

@@ -222,9 +222,8 @@ func TestRunStaticTopology(t *testing.T) {
 	}
 }
 
-// The arbiter store keeps bodies only for its newest chain.BodyWindow
-// blocks; the report walks the canonical chain by header, so a run that
-// mines more than that still accounts for every block.
+// A run that mines more blocks than a live store keeps bodies for
+// (chain.BodyWindow) still accounts for every block.
 func TestRunLongerThanBodyWindow(t *testing.T) {
 	eng, power := newTestEngine(t, 40, 5, 0)
 	trace, err := NewPoisson(rng.New(5).Derive("trace"), power, 100*time.Millisecond)
@@ -280,14 +279,14 @@ func TestRunValidation(t *testing.T) {
 }
 
 // The compact per-node views must agree with real chain.Store instances
-// fed the same delivery schedule — the equivalence that licenses not
-// keeping n stores.
+// fed the same delivery schedule through AddAt — with
+// FuzzViewsMatchLiveStore, the equivalence that licenses not keeping n
+// stores.
 func TestViewsMatchChainStores(t *testing.T) {
 	const (
 		nodes  = 8
 		blocks = 120
 	)
-	r := rand.New(rand.NewSource(99))
 	genesis := chain.NewGenesis("views-equiv")
 
 	v := newViews(nodes)
@@ -300,36 +299,7 @@ func TestViewsMatchChainStores(t *testing.T) {
 		stores[i] = s
 	}
 
-	// Grow a random block DAG: each block extends a uniformly random
-	// existing block (lots of forks), then delivers to every node in a
-	// random order at increasing times — children often beating parents.
-	real := []*chain.Block{genesis}
-	type delivery struct {
-		at   time.Duration
-		node int
-		id   int32
-	}
-	var schedule []delivery
-	now := time.Duration(0)
-	for b := 1; b <= blocks; b++ {
-		parent := int32(r.Intn(b))
-		id := v.addBlock(parent)
-		blk := chain.NewBlock(real[parent], nil, time.UnixMilli(int64(b)), uint64(b))
-		real = append(real, blk)
-		for _, node := range r.Perm(nodes) {
-			now += time.Millisecond
-			schedule = append(schedule, delivery{at: now, node: node, id: id})
-		}
-	}
-	r.Shuffle(len(schedule), func(i, j int) {
-		// Shuffle only within coarse windows to keep times increasing per
-		// node while still reordering parent/child arrivals.
-		if abs(i-j) < 3*nodes {
-			schedule[i].at, schedule[j].at = schedule[j].at, schedule[i].at
-			schedule[i], schedule[j] = schedule[j], schedule[i]
-		}
-	})
-
+	real, schedule := randomDeliveries(rand.New(rand.NewSource(99)), v, genesis, nodes, blocks)
 	for _, d := range schedule {
 		v.deliver(d.node, d.id)
 		if _, err := stores[d.node].AddAt(real[d.id], d.at); err != nil {
@@ -337,21 +307,15 @@ func TestViewsMatchChainStores(t *testing.T) {
 		}
 	}
 	for node, s := range stores {
-		// Flush the store's stash-free model: stores stash internally too,
-		// so after all deliveries both must agree on the tip height...
+		// Both sides stash blocks that beat their parent, so once every
+		// delivery has landed they hold the same blocks and must agree on
+		// the tip.
 		wantTip := s.Tip().Header.Hash()
 		got := real[v.tip[node]].Header.Hash()
 		if got != wantTip {
 			t.Fatalf("node %d: views tip %s, store tip %s", node, got, wantTip)
 		}
 	}
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // heapRun is Run as it replayed deliveries before the per-node inboxes:
@@ -470,7 +434,7 @@ func heapRun(cfg Config) (*Report, error) {
 	}
 	drainUntil(cfg.Duration)
 
-	return buildReport(cfg, n, e.Power(), store, views, minedBy, ids, rounds)
+	return buildReport(cfg, n, e.Power(), views, minedBy, ids[store.Tip().Header.Hash()], rounds), nil
 }
 
 // TestRunMatchesHeapReplay holds the per-node inboxes to the global heap
@@ -646,5 +610,23 @@ func TestRunDeliveryAtMiningEventLandsAfter(t *testing.T) {
 			t.Fatalf("node %d mining at %v (block lands at %v): %d forks, %d stale, want %d",
 				other, tc.at, start+d, rep.ForkEvents, rep.StaleBlocks, tc.forks)
 		}
+	}
+}
+
+// Two blocks mined at the same instant on the same parent tie on height;
+// the first-mined one is canonical, whatever the two blocks would hash to.
+func TestRunEqualTimeTieGoesToFirstMined(t *testing.T) {
+	eng, _ := newTestEngine(t, 40, 3, 0)
+	tf := &TraceFile{Version: TraceVersion, Nodes: 40, Arrivals: []TraceArrival{
+		{AtNS: 1e9, Miner: 3},
+		{AtNS: 1e9, Miner: 7},
+	}}
+	rep, err := Run(Config{Engine: eng, Trace: tf.Trace(), Duration: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Revenue[3] != 1 || rep.Revenue[7] != 0 || rep.StaleBlocks != 1 {
+		t.Fatalf("revenue %d for miner 3 and %d for miner 7, %d stale; want 1, 0 and 1",
+			rep.Revenue[3], rep.Revenue[7], rep.StaleBlocks)
 	}
 }

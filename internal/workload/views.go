@@ -1,14 +1,19 @@
 package workload
 
+import "slices"
+
 // views holds every node's longest-chain first-seen view over the run's
 // shared block metadata. A naive implementation would give each of n nodes
 // its own chain.Store holding real blocks — n copies of hashes and headers
 // for data that differs only in arrival order. Instead blocks are interned
 // once into flat metadata arrays (parent, height, miner) and each node
 // keeps just a tip pointer, a received bitset, and a small stash of blocks
-// waiting for a parent. The chain.Store semantics are preserved exactly —
-// an equivalence test in engine_test.go replays runs against real per-node
-// stores — at a few bits per (node, block) instead of a store per node.
+// waiting for a parent, at a few bits per (node, block) instead of a store
+// per node. Two tests hold the views to real per-node stores on random
+// block DAGs with children beating parents: FuzzViewsMatchLiveStore agrees
+// on every tip with Store.Add behind the live node's orphan stash (the
+// path a live node runs), and TestViewsMatchChainStores with Store.AddAt
+// on distinct arrival times.
 type views struct {
 	// Shared block metadata, indexed by block id (0 = genesis).
 	parent []int32
@@ -61,14 +66,6 @@ func (v *views) mark(node int, b int32) {
 	v.have[node][w] |= 1 << (uint(b) & 63)
 }
 
-// connected reports whether node holds b and b's whole ancestry — the
-// stash discipline guarantees a held parent is a connected parent, so
-// holding b's parent is sufficient.
-func (v *views) connected(node int, b int32) bool {
-	p := v.parent[b]
-	return p < 0 || v.has(node, p)
-}
-
 // deliver hands block b to node at its arrival: stash it when the parent
 // has not arrived, otherwise connect it and cascade through any stashed
 // descendants it unblocks. Deliveries are idempotent.
@@ -85,35 +82,32 @@ func (v *views) deliver(node int, b int32) {
 		v.stash[node] = append(v.stash[node], b)
 		return
 	}
+	v.connect(node, b)
+}
+
+// connect links b, whose parent node holds, then the stashed blocks it
+// unblocks as p2p's acceptBlock does: depth-first, each block's waiting
+// children in arrival order. The stash stays tiny (only reorg-window races
+// land there), so each step rescans it.
+func (v *views) connect(node int, b int32) {
 	v.mark(node, b)
 	v.maybeAdvanceTip(node, b)
-	// Cascade: connecting b may unblock stashed blocks, whose connection
-	// may unblock more. The stash is scanned in insertion order and stays
-	// tiny (only reorg-window races land there), so the rescan loop is
-	// cheap; order does not matter because heights decide the tip and the
-	// final connected set is order-independent.
-	st := v.stash[node]
-	for progressed := true; progressed; {
-		progressed = false
-		kept := st[:0]
-		for _, c := range st {
-			if v.has(node, v.parent[c]) {
-				v.mark(node, c)
-				v.maybeAdvanceTip(node, c)
-				progressed = true
-			} else {
-				kept = append(kept, c)
-			}
+	for {
+		st := v.stash[node]
+		i := slices.IndexFunc(st, func(c int32) bool { return v.parent[c] == b })
+		if i < 0 {
+			return
 		}
-		st = kept
+		c := st[i]
+		v.stash[node] = slices.Delete(st, i, i+1)
+		v.connect(node, c)
 	}
-	v.stash[node] = st
 }
 
 // maybeAdvanceTip applies the longest-chain first-seen rule: the tip moves
-// only to a strictly higher block (an equal-height rival arrived later by
-// construction, since deliveries are processed in arrival order). A move
-// that abandons previously-canonical blocks is a reorg of that depth.
+// only to a strictly higher block, so an equal-height rival connected later
+// never displaces it. A move that abandons previously-canonical blocks is a
+// reorg of that depth.
 func (v *views) maybeAdvanceTip(node int, b int32) {
 	old := v.tip[node]
 	if v.height[b] <= v.height[old] {

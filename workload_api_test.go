@@ -174,3 +174,31 @@ func TestRunWorkloadValidation(t *testing.T) {
 		t.Fatal("missing trace file accepted")
 	}
 }
+
+// TestForksExampleNumbers pins the numbers examples/forks prints and the
+// README quotes: the same 10-minute Poisson schedule on 200 nodes mines 616
+// blocks under both policies, and Perigee-Subset loses 76 of them to
+// forks where random rewiring loses 89.
+func TestForksExampleNumbers(t *testing.T) {
+	run := func(extra ...Option) *WorkloadReport {
+		t.Helper()
+		opts := append([]Option{WithSeed(42), WithRoundBlocks(30), WithBlockInterval(time.Second)}, extra...)
+		net, err := New(200, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := net.RunWorkload(10 * time.Minute)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	subset := run()
+	random := run(WithSelector(RandomSelector(2)))
+	if subset.BlocksMined != 616 || random.BlocksMined != 616 {
+		t.Fatalf("mined %d (Subset) and %d (random), want 616 each", subset.BlocksMined, random.BlocksMined)
+	}
+	if subset.StaleBlocks != 76 || random.StaleBlocks != 89 {
+		t.Fatalf("stale %d (Subset) vs %d (random), want 76 vs 89", subset.StaleBlocks, random.StaleBlocks)
+	}
+}
