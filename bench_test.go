@@ -229,6 +229,13 @@ func BenchmarkMicroSubsetScoring(b *testing.B) { bench.MicroSubsetScoring(b) }
 // like MicroSubsetScoring, at 1 alloc/op.
 func BenchmarkMicroSubsetScoringPools(b *testing.B) { bench.MicroSubsetScoringPools(b) }
 
+// BenchmarkMicroSubsetScoringWindow10 is the same selection over the
+// matrices of a round whose nodes score a 10-block observation window, as
+// sim-scale runs do: the 0.9-quantile reads the two largest minima, which
+// the kernel keeps without a data-dependent branch. scripts/bench.sh holds
+// it at 1 alloc/op too.
+func BenchmarkMicroSubsetScoringWindow10(b *testing.B) { bench.MicroSubsetScoringWindow10(b) }
+
 // BenchmarkWorkloadHour measures one simulated hour of the continuous-time
 // blockchain workload (~1800 Poisson arrivals, timed topology rounds,
 // per-node chain views) on a 300-node network; scripts/bench.sh gates its

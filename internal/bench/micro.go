@@ -221,9 +221,10 @@ func MicroDelayToFraction(b *testing.B) {
 const benchNodes = 300
 
 // subsetEngine builds an n-node Subset engine on a random topology with
-// rounds of roundBlocks blocks, deciding through sel when it is non-nil and
-// drawing miners by power, uniformly when it is nil.
-func subsetEngine(n int, seed uint64, roundBlocks int, sel core.Selector, power []float64) (*core.Engine, error) {
+// rounds of roundBlocks blocks, of which each node scores the last window
+// (zero: all), deciding through sel when it is non-nil and drawing miners by
+// power, uniformly when it is nil.
+func subsetEngine(n int, seed uint64, roundBlocks, window int, sel core.Selector, power []float64) (*core.Engine, error) {
 	root := rng.New(seed)
 	u, err := geo.SampleUniverse(n, root.Derive("universe"))
 	if err != nil {
@@ -252,14 +253,16 @@ func subsetEngine(n int, seed uint64, roundBlocks int, sel core.Selector, power 
 	return core.NewEngine(core.Config{
 		Method: core.Subset, Params: params, Selector: sel, Table: tbl,
 		Latency: lat, Forward: forward, Power: power,
-		Rand: root.Derive("engine"),
+		ObservationWindow: window,
+		Rand:              root.Derive("engine"),
 	})
 }
 
 // captureRound returns the observation matrices the nodes of a 300-node
-// Subset engine, drawing miners by power (uniformly when nil), decided on
-// in its third round, copied with their distinct-row lists.
-func captureRound(power []float64) []core.Observations {
+// Subset engine, drawing miners by power (uniformly when nil) and scoring
+// the last window blocks of each round (zero: all 100), decided on in its
+// third round, copied with their distinct-row lists.
+func captureRound(power []float64, window int) []core.Observations {
 	const warm = 2
 	subset, err := core.SelectorFromMethod(core.Subset, core.DefaultParams(core.Subset))
 	if err != nil {
@@ -274,7 +277,7 @@ func captureRound(power []float64) []core.Observations {
 		}
 		return subset.SelectNeighbors(view)
 	})
-	engine, err := subsetEngine(benchNodes, 7, 100, wrap, power)
+	engine, err := subsetEngine(benchNodes, 7, 100, window, wrap, power)
 	if err != nil {
 		panic(err)
 	}
@@ -291,10 +294,11 @@ func captureRound(power []float64) []core.Observations {
 
 // The captures are deterministic and several benchmarks rotate over them.
 var (
-	roundObservations      = sync.OnceValue(func() []core.Observations { return captureRound(nil) })
+	roundObservations      = sync.OnceValue(func() []core.Observations { return captureRound(nil, 0) })
 	poolsRoundObservations = sync.OnceValue(func() []core.Observations {
-		return captureRound(poolsPower(benchNodes, rng.New(4)))
+		return captureRound(poolsPower(benchNodes, rng.New(4)), 0)
 	})
+	windowRoundObservations = sync.OnceValue(func() []core.Observations { return captureRound(nil, 10) })
 )
 
 // RoundObservations returns the observation matrices the nodes of a 300-node
@@ -312,6 +316,12 @@ func RoundObservations() []core.Observations { return roundObservations() }
 // distinct rows that SubsetSelect scores. Callers must not modify the
 // matrices.
 func PoolsRoundObservations() []core.Observations { return poolsRoundObservations() }
+
+// WindowRoundObservations is RoundObservations for an engine whose nodes
+// score a 10-block observation window, as large simulations run: 10 blocks
+// and 8 neighbors per matrix, whose 0.9-quantile reads the two largest
+// minima. Callers must not modify the matrices.
+func WindowRoundObservations() []core.Observations { return windowRoundObservations() }
 
 // poolsPower is the pools setting's power over n nodes, 10% of them holding
 // 90% of it, drawn from r.
@@ -342,6 +352,16 @@ func MicroSubsetScoring(b *testing.B) { subsetScoring(b, RoundObservations()) }
 // matrices, which SubsetSelect scores by their distinct rows.
 func MicroSubsetScoringPools(b *testing.B) { subsetScoring(b, PoolsRoundObservations()) }
 
+// MicroSubsetScoringWindow10 is MicroSubsetScoring over a 10-block window's
+// matrices, which the two-slot scan scores. It rotates over them, as the
+// other two do, because the number it is for is what a round pays: the layer
+// metric core.subset_select_w10_us loops over one matrix, whose comparisons
+// the branch predictor learns. When the two-slot scan replaced the top-slots
+// buffer at this size, that metric went from 2.3 µs to 1.2–1.9 µs at
+// sim-scale-20k seeds 1 and 3, while this benchmark went from 2.6–3.7 µs to
+// 1.4–1.7 µs (a shared 2-core x86-64 box, GOMAXPROCS=1).
+func MicroSubsetScoringWindow10(b *testing.B) { subsetScoring(b, WindowRoundObservations()) }
+
 // subsetScoring rotates SubsetSelect over a round's matrices.
 func subsetScoring(b *testing.B, round []core.Observations) {
 	b.ReportAllocs()
@@ -354,7 +374,7 @@ func subsetScoring(b *testing.B, round []core.Observations) {
 // MicroEngineRound measures one full protocol round (broadcasts + scoring
 // + reconnection) on a 300-node network.
 func MicroEngineRound(b *testing.B) {
-	engine, err := subsetEngine(benchNodes, 3, 50, nil, nil)
+	engine, err := subsetEngine(benchNodes, 3, 50, 0, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -408,7 +428,7 @@ func MicroRoundBroadcastPools(n int) func(b *testing.B) {
 // miners.
 func roundBroadcast(n int, sources []int) func(b *testing.B) {
 	return func(b *testing.B) {
-		engine, err := subsetEngine(n, 3, roundBroadcastBlocks, nil, nil)
+		engine, err := subsetEngine(n, 3, roundBroadcastBlocks, 0, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -518,9 +538,10 @@ func MicroDurationPercentile(b *testing.B) {
 }
 
 // MicroDurationPercentileOfMin measures the clipped form of the primitive,
-// which each greedy step of Subset scoring calls once per candidate: the
-// 0.9-quantile of n offsets, each clipped to the chosen set's (a third of
-// which are still censored, so the clip takes either side).
+// which each greedy step of Subset scoring calls once per candidate through
+// a plan made once per node: the 0.9-quantile of n offsets, each clipped to
+// the chosen set's (a third of which are still censored, so the clip takes
+// either side).
 func MicroDurationPercentileOfMin(n int) func(b *testing.B) {
 	return func(b *testing.B) {
 		r := rng.New(4)
@@ -532,9 +553,10 @@ func MicroDurationPercentileOfMin(n int) func(b *testing.B) {
 				limit[i] = stats.InfDuration
 			}
 		}
+		q := stats.NewQuantile(n, 0.9)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			stats.DurationPercentileOfMin(ds, limit, 0.9)
+			q.OfMin(ds, limit)
 		}
 	}
 }
@@ -546,6 +568,7 @@ func MicroDurationPercentileOfMin(n int) func(b *testing.B) {
 // the second neighbor's column.
 func MicroDurationPercentileOfMinOrdered(b *testing.B) {
 	type step struct {
+		q     stats.Quantile
 		col   []time.Duration
 		order []stats.OrderedLimit
 		theta time.Duration
@@ -557,7 +580,7 @@ func MicroDurationPercentileOfMinOrdered(b *testing.B) {
 		for bi, row := range obs.Offsets {
 			limit[bi], col[bi] = row[0], row[1]
 		}
-		st := step{col: col, theta: stats.DurationPercentile(limit, 0.9) / 2}
+		st := step{q: stats.NewQuantile(blocks, 0.9), col: col, theta: stats.DurationPercentile(limit, 0.9) / 2}
 		for bi, l := range limit {
 			if l > st.theta {
 				st.order = append(st.order, stats.OrderedLimit{Limit: l, Index: int32(bi)})
@@ -570,7 +593,7 @@ func MicroDurationPercentileOfMinOrdered(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st := &steps[i%len(steps)]
-		stats.DurationPercentileOfMinOrdered(st.col, st.order, st.theta, 0.9)
+		st.q.OfMinOrdered(st.col, st.order, st.theta)
 	}
 }
 

@@ -6,15 +6,21 @@
 // Subset scoring is the largest cost of a simulated round, and most of it
 // is work that cannot change the answer: a candidate's joint score is a high
 // percentile of min(its offsets, the chosen set's), which no block where the
-// chosen set is already fast can reach. SubsetSelect therefore scores
-// candidates over the blocks where the chosen set is still slow, slowest
-// first, through stats.DurationPercentileOfMinOrdered, which says when the
-// blocks it has read settle the percentile — then the score is the full
-// scan's to the bit — and otherwise leaves the candidate to the scan,
-// stats.DurationPercentileOfMin. Which blocks are listed is a guess that
-// only decides how often the scan runs; no choice depends on it. Quantiles
-// too deep for a short buffer of largest values (the median; 0.9 of a live
+// chosen set is already fast can reach. SubsetSelect plans that percentile
+// once per call (stats.NewQuantile) and scores candidates over the blocks
+// where the chosen set is still slow, slowest first, through the plan's
+// OfMinOrdered, which says when the blocks it has read settle the percentile
+// — then the score is the full scan's to the bit — and otherwise leaves the
+// candidate to the scan, OfMin. Which blocks are listed is a guess that only
+// decides how often the scan runs; no choice depends on it. Quantiles too
+// deep for a short buffer of largest values (the median; 0.9 of a live
 // node's 4096-block window) are scanned throughout.
+//
+// A quantile that reads only the two largest minima (stats.Quantile.TwoSlot:
+// the 0.9-quantile of an observation window of up to 11 blocks, as large
+// simulations keep) is scanned throughout too, over every row: that scan
+// keeps the two without a data-dependent branch, and over a short window it
+// costs less than building a list or weighing distinct rows would save.
 //
 // Two blocks of a round from one miner are one flood, so their observation
 // rows are equal, and in the paper's pools setting most of a round's blocks
@@ -23,10 +29,10 @@
 // node's Observations when the round repeats a miner and no Tamper hook can
 // edit one copy of a row but not the other. SubsetSelect then scores the
 // distinct rows only, each counted as often as it occurs, through the
-// weighted forms of the same kernels (stats.DurationPercentileOfMinWeighted
-// and its ordered pass); a percentile of a multiset depends only on its
-// values and their counts, so every choice is the full matrix's to the bit.
-// A round that drops less than a quarter of its rows is scored row by row.
+// weighted forms of the same kernels (the plan's OfMinWeighted and its
+// ordered pass); a percentile of a multiset depends only on its values and
+// their counts, so every choice is the full matrix's to the bit. A round
+// that drops less than a quarter of its rows is scored row by row.
 package core
 
 import (
@@ -180,12 +186,13 @@ func VanillaScores(obs Observations, pct float64) []time.Duration {
 func VanillaScoresInto(scores []time.Duration, obs Observations, pct float64) {
 	colp := columnPool.Get().(*[]time.Duration)
 	col := *colp
+	q := stats.NewQuantile(len(obs.Offsets), pct)
 	for i := range obs.Neighbors {
 		col = col[:0]
 		for b := range obs.Offsets {
 			col = append(col, obs.Offsets[b][i])
 		}
-		scores[i] = stats.DurationPercentile(col, pct)
+		scores[i] = q.OfMin(col, nil)
 	}
 	*colp = col
 	columnPool.Put(colp)
@@ -283,23 +290,23 @@ func RankByScore(obs Observations, scores []time.Duration) []int {
 // per-block minima, and only blocks where best is large can be among the few
 // largest minima the percentile reads. Each step after the first lists the
 // blocks with best above θ, largest first, and scores every candidate by
-// stats.DurationPercentileOfMinOrdered over that list: typically a dozen
-// entries read instead of the whole column. θ is half the previous step's
-// winning score — no step's winner scores above the one before, so this
-// step's scores mostly land between the two. It is a guess about where they
-// will fall, nothing more: a score the ordered pass cannot certify from the
-// list it was given (about one in twenty) is taken by the full scan,
-// stats.DurationPercentileOfMin, so the choices are those of scanning every
-// column at every step whatever θ is. When the percentile reads deeper than
-// the ordered pass serves (stats.TopSlotsServe), no list is built and every
-// score is a scan.
+// the plan's OfMinOrdered over that list: typically a dozen entries read
+// instead of the whole column. θ is half the previous step's winning score —
+// no step's winner scores above the one before, so this step's scores mostly
+// land between the two. It is a guess about where they will fall, nothing
+// more: a score the ordered pass cannot certify from the list it was given
+// (about one in twenty) is taken by the full scan, OfMin, so the choices are
+// those of scanning every column at every step whatever θ is. When the
+// percentile reads deeper than the ordered pass serves (Quantile.TopSlots),
+// or only the two largest minima (Quantile.TwoSlot, which OfMin keeps
+// without a branch), no list is built and every score is a scan.
 //
 // When obs lists its distinct rows (see Observations) and the list drops at
 // least a quarter of the rows, only the distinct rows are transposed and
 // scored, each counted as often as it occurs, through the weighted forms of
-// the same kernels. A percentile of a multiset depends only on its values
-// and their counts, so every score, and every choice, is the full matrix's
-// to the bit.
+// the same kernels; a two-slot percentile ignores the list. A percentile of
+// a multiset depends only on its values and their counts, so every score,
+// and every choice, is the full matrix's to the bit.
 func SubsetSelect(obs Observations, retain int, pct float64) []int {
 	k := len(obs.Neighbors)
 	if retain >= k {
@@ -313,16 +320,19 @@ func SubsetSelect(obs Observations, retain int, pct float64) []int {
 		return nil
 	}
 	blocks := len(obs.Offsets)
+	q := stats.NewQuantile(blocks, pct)
+	twoSlot := q.TwoSlot()
 	sc := subsetPool.Get().(*subsetScratch)
 	defer subsetPool.Put(sc)
 	// rows is how many rows are scored; w, when non-nil, how many blocks
 	// each stands for. The weighted kernels cost more per row than the unit
 	// ones, and a round that repeats few miners (one block in twenty, when
 	// they are drawn uniformly) saves less than that: below a quarter of
-	// the rows dropped, the matrix is scored row by row.
+	// the rows dropped, the matrix is scored row by row, and so is every
+	// matrix the two-slot scan reads.
 	rows := blocks
 	var w []int32
-	if obs.distinct != nil && 4*len(obs.distinct) <= 3*blocks {
+	if obs.distinct != nil && !twoSlot && 4*len(obs.distinct) <= 3*blocks {
 		rows, w = len(obs.distinct), obs.weight
 	}
 	// Every greedy step reads whole columns, so lay them out contiguously
@@ -343,7 +353,7 @@ func SubsetSelect(obs Observations, retain int, pct float64) []int {
 	}
 	individual := growDur(&sc.individual, k)
 	for i := range individual {
-		individual[i] = percentileOfMin(cols[i*rows:(i+1)*rows], nil, w, blocks, pct)
+		individual[i] = percentileOfMin(&q, cols[i*rows:(i+1)*rows], nil, w)
 	}
 	// best[j] is the fastest offset among chosen neighbors for row j.
 	best := growDur(&sc.best, rows)
@@ -352,10 +362,9 @@ func SubsetSelect(obs Observations, retain int, pct float64) []int {
 	}
 	chosen := make([]int, 0, retain)
 	used := growBool(&sc.used, k)
-	ordered := stats.TopSlotsServe(blocks, pct)
+	ordered := q.TopSlots() && !twoSlot
 	var prevScore time.Duration
 	for len(chosen) < retain {
-		// Without a list the ordered pass certifies nothing.
 		var order []stats.OrderedLimit
 		theta := prevScore / 2
 		if ordered && len(chosen) > 0 {
@@ -373,9 +382,12 @@ func SubsetSelect(obs Observations, retain int, pct float64) []int {
 			score := individual[i]
 			if len(chosen) > 0 {
 				col := cols[i*rows : (i+1)*rows]
-				var certified bool
-				if score, certified = orderedPercentileOfMin(col, order, theta, w, blocks, pct); !certified {
-					score = percentileOfMin(col, best, w, blocks, pct)
+				certified := false
+				if ordered {
+					score, certified = orderedPercentileOfMin(&q, col, order, theta, w)
+				}
+				if !certified {
+					score = percentileOfMin(&q, col, best, w)
 				}
 			}
 			if bestIdx == -1 || score < bestScore || (score == bestScore && subsetTieBetter(obs, individual, i, bestIdx)) {
@@ -397,21 +409,21 @@ func SubsetSelect(obs Observations, retain int, pct float64) []int {
 	return chosen
 }
 
-// percentileOfMin is stats.DurationPercentileOfMin of a column of rows, or,
-// when w is non-nil, its weighted form, row j standing for w[j] of n blocks.
-func percentileOfMin(col, limit []time.Duration, w []int32, n int, pct float64) time.Duration {
+// percentileOfMin is q.OfMin of a column of rows, or, when w is non-nil,
+// its weighted form, row j standing for w[j] of q's blocks.
+func percentileOfMin(q *stats.Quantile, col, limit []time.Duration, w []int32) time.Duration {
 	if w == nil {
-		return stats.DurationPercentileOfMin(col, limit, pct)
+		return q.OfMin(col, limit)
 	}
-	return stats.DurationPercentileOfMinWeighted(col, limit, w, n, pct)
+	return q.OfMinWeighted(col, limit, w)
 }
 
 // orderedPercentileOfMin is percentileOfMin's ordered pass.
-func orderedPercentileOfMin(col []time.Duration, order []stats.OrderedLimit, theta time.Duration, w []int32, n int, pct float64) (time.Duration, bool) {
+func orderedPercentileOfMin(q *stats.Quantile, col []time.Duration, order []stats.OrderedLimit, theta time.Duration, w []int32) (time.Duration, bool) {
 	if w == nil {
-		return stats.DurationPercentileOfMinOrdered(col, order, theta, pct)
+		return q.OfMinOrdered(col, order, theta)
 	}
-	return stats.DurationPercentileOfMinOrderedWeighted(col, order, theta, n, pct)
+	return q.OfMinOrderedWeighted(col, order, theta)
 }
 
 // limitsAbove appends to dst the rows whose best exceeds theta, largest

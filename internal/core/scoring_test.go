@@ -386,10 +386,33 @@ func TestUCBEvictSilentNeighbor(t *testing.T) {
 	}
 }
 
+// sortPercentileOfMin is the percentile scanSubsetSelect scores with. It
+// shares no code with the stats kernels SubsetSelect calls, whose regimes it
+// referees: copy the column, clip it element-wise to limit (nil: no
+// clipping), sort it, and interpolate between the order statistics either
+// side of rank p·(n−1), censored when the upper one is.
+func sortPercentileOfMin(col, limit []time.Duration, p float64) time.Duration {
+	if len(col) == 0 {
+		return stats.InfDuration
+	}
+	sorted := slices.Clone(col)
+	for i, l := range limit {
+		sorted[i] = min(sorted[i], l)
+	}
+	slices.Sort(sorted)
+	rank := p * float64(len(sorted)-1)
+	lo, hi := int(math.Floor(rank)), int(math.Ceil(rank))
+	a, b := sorted[lo], sorted[hi]
+	if lo == hi || b == stats.InfDuration {
+		return b
+	}
+	return a + time.Duration(float64(b-a)*(rank-float64(lo)))
+}
+
 // scanSubsetSelect is SubsetSelect as it stood before the ordered pass:
-// every joint score a DurationPercentileOfMin scan of the candidate's whole
-// column. The ordered pass may only skip work, so SubsetSelect is held to
-// this slice for slice.
+// every joint score a sortPercentileOfMin of the candidate's whole column.
+// The ordered pass, the distinct-row weights and the kernels' regimes may
+// only skip work, so SubsetSelect is held to this slice for slice.
 func scanSubsetSelect(obs Observations, retain int, pct float64) []int {
 	k, blocks := len(obs.Neighbors), len(obs.Offsets)
 	if retain >= k {
@@ -410,7 +433,7 @@ func scanSubsetSelect(obs Observations, retain int, pct float64) []int {
 	}
 	individual := make([]time.Duration, k)
 	for i := range individual {
-		individual[i] = stats.DurationPercentile(cols[i*blocks:(i+1)*blocks], pct)
+		individual[i] = sortPercentileOfMin(cols[i*blocks:(i+1)*blocks], nil, pct)
 	}
 	best := make([]time.Duration, blocks)
 	for b := range best {
@@ -427,7 +450,7 @@ func scanSubsetSelect(obs Observations, retain int, pct float64) []int {
 			}
 			score := individual[i]
 			if len(chosen) > 0 {
-				score = stats.DurationPercentileOfMin(cols[i*blocks:(i+1)*blocks], best, pct)
+				score = sortPercentileOfMin(cols[i*blocks:(i+1)*blocks], best, pct)
 			}
 			if bestIdx == -1 || score < bestScore || (score == bestScore && subsetTieBetter(obs, individual, i, bestIdx)) {
 				bestScore = score
@@ -466,19 +489,40 @@ func checkSubsetAgainstScan(obs Observations, retain int, pct float64) error {
 // what a simulation feeds the selection: every node's matrix in rounds 1, 20
 // and 60 of a 300-node Subset engine — a random topology, a half-converged
 // one and a converged one, where one neighbor is first on most blocks and
-// joint scores tie — at every quantile and several retain counts.
+// joint scores tie — at every quantile and several retain counts. It runs
+// the full 100-block round and observation windows of 10, 11 and 12 blocks,
+// either side of where the 0.9-quantile stops reading only the two largest
+// minima.
 func TestSubsetSelectMatchesScanOnEngineRounds(t *testing.T) {
+	for _, window := range []int{0, 10, 11, 12} {
+		t.Run(fmt.Sprintf("window=%d", window), func(t *testing.T) {
+			subsetMatchesScanOnEngineRounds(t, window)
+		})
+	}
+}
+
+// subsetMatchesScanOnEngineRounds is TestSubsetSelectMatchesScanOnEngineRounds
+// at one observation window, zero for none.
+func subsetMatchesScanOnEngineRounds(t *testing.T, window int) {
 	tn := newTestNetwork(t, 300, 9)
 	params := DefaultParams(Subset)
 	subset, err := SelectorFromMethod(Subset, params)
 	if err != nil {
 		t.Fatal(err)
 	}
+	blocks := params.RoundBlocks
+	if window > 0 {
+		blocks = window
+	}
 	check := false
 	var checked atomic.Int64
 	cfg := tn.config(Subset, params)
+	cfg.ObservationWindow = window
 	cfg.Selector = SelectorFunc(func(view NeighborView) (Decision, error) {
 		if check {
+			if got := len(view.Obs.Offsets); got != blocks {
+				return Decision{}, fmt.Errorf("node %d scored %d blocks, want %d", view.Node, got, blocks)
+			}
 			for _, pct := range differentialPercentiles {
 				for _, retain := range []int{1, 3, 6, 7} {
 					if err := checkSubsetAgainstScan(view.Obs, retain, pct); err != nil {
@@ -647,6 +691,7 @@ func FuzzSubsetSelectMatchesReference(f *testing.F) {
 	for _, blocks := range []int{1, 16, 17, 100, 161} {
 		seed(blocks, 0)
 	}
+
 	// Repeated rows: the three-quarter boundary at 100 and at 16 blocks
 	// (75 and 12 distinct rows are scored by the list, 76 and 13 are not),
 	// a pools-like round of 38 distinct rows, a few heavy rows whose weights
@@ -668,6 +713,11 @@ func FuzzSubsetSelectMatchesReference(f *testing.F) {
 		f.Add(data)
 	}
 	f.Add([]byte{})
+	// Observation windows whose 0.9-quantile reads two slots (2, 10 and 11
+	// blocks) and the first that reads three (12).
+	for _, blocks := range []int{2, 10, 11, 12} {
+		seed(blocks, 0)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		obs, retain, pct := fuzzObservations(data)
 		if err := checkSubsetAgainstScan(obs, retain, pct); err != nil {

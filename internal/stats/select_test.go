@@ -34,9 +34,9 @@ func sortedDurationPercentile(ds, limit []time.Duration, p float64) time.Duratio
 	return a + time.Duration(float64(b-a)*(rank-float64(lo)))
 }
 
-// checkAgainstSort fails unless DurationPercentile on ds, and
-// DurationPercentileOfMin on ds clipped to limit (skipped when nil), equal
-// the sort-based reference at p, exactly, and leave their inputs untouched.
+// checkAgainstSort fails unless DurationPercentile on ds, and the planned
+// OfMin on ds clipped to limit (skipped when nil), equal the sort-based
+// reference at p, exactly, and leave their inputs untouched.
 func checkAgainstSort(t *testing.T, ds, limit []time.Duration, p float64) {
 	t.Helper()
 	before, limitBefore := slices.Clone(ds), slices.Clone(limit)
@@ -44,7 +44,8 @@ func checkAgainstSort(t *testing.T, ds, limit []time.Duration, p float64) {
 		t.Fatalf("p=%v of %v: kernel %v, sort reference %v", p, ds, got, want)
 	}
 	if limit != nil {
-		if got, want := DurationPercentileOfMin(ds, limit, p), sortedDurationPercentile(ds, limit, p); got != want {
+		q := NewQuantile(len(ds), p)
+		if got, want := q.OfMin(ds, limit), sortedDurationPercentile(ds, limit, p); got != want {
 			t.Fatalf("p=%v of min(%v, %v): kernel %v, sort reference %v", p, ds, limit, got, want)
 		}
 	}
@@ -124,6 +125,68 @@ func TestDurationPercentileMatchesSort(t *testing.T) {
 			checkAgainstSort(t, signed, signedLimit, p)
 		}
 	}
+	// The two-slot regime and its boundary: every shape, unclipped, clipped
+	// to a random half-censored limit, and serving as that limit.
+	twoSlot, wider := 0, 0
+	for n := 1; n <= 12; n++ {
+		for _, ds := range twoSlotColumns(r, n) {
+			limit := sampleDurations(r, n, 1<<20, 0.5)
+			for _, p := range twoSlotPercentiles {
+				if q := NewQuantile(n, p); q.TwoSlot() {
+					twoSlot++
+				} else {
+					wider++
+				}
+				checkAgainstSort(t, ds, nil, p)
+				checkAgainstSort(t, ds, limit, p)
+				checkAgainstSort(t, limit, ds, p)
+			}
+		}
+	}
+	if twoSlot == 0 || wider == 0 {
+		t.Fatalf("%d two-slot and %d wider quantiles; the table needs both", twoSlot, wider)
+	}
+}
+
+// twoSlotPercentiles are the quantiles the two-slot table runs. Over the
+// sizes 1 to 12 they put the slot count m = n − lo on both sides of two:
+// p = 0.9 reads two slots up to 11 values and three at 12, p = 0.999 and 1
+// at most two throughout, p = 0 and 0.5 two only for the smallest sizes.
+var twoSlotPercentiles = []float64{0, 0.5, 0.9, 0.95, 0.999, 1}
+
+// twoSlotColumns returns the shapes the two-slot table runs at n values:
+// besides a random column, the cases where keeping the two largest by min
+// and max could go wrong — censored values (all of them, or the last),
+// negative ones down to the most negative duration, all values equal, the
+// maximum first, last or repeated.
+func twoSlotColumns(r *rand.Rand, n int) [][]time.Duration {
+	distinct := func() []time.Duration {
+		ds := make([]time.Duration, n)
+		for i, v := range r.Perm(n) {
+			ds[i] = time.Duration(v+1) * 137 * time.Microsecond
+		}
+		return ds
+	}
+	censored := sampleDurations(r, n, 5, 0.4)
+	censored[r.Intn(n)] = InfDuration
+	negative := sampleDurations(r, n, 1<<20, 0)
+	for i := range negative {
+		negative[i] = -negative[i]
+	}
+	negative[r.Intn(n)] = math.MinInt64
+	equal := make([]time.Duration, n)
+	for i := range equal {
+		equal[i] = 7 * time.Millisecond
+	}
+	maxFirst, maxLast, infLast, twoMax := distinct(), distinct(), distinct(), distinct()
+	slices.SortFunc(maxFirst, func(x, y time.Duration) int { return cmp.Compare(y, x) })
+	slices.Sort(maxLast)
+	infLast[n-1] = InfDuration
+	twoMax[r.Intn(n)] = slices.Max(twoMax)
+	return [][]time.Duration{
+		sampleDurations(r, n, 1<<20, 0), censored, sampleDurations(r, n, 1, 1),
+		negative, equal, maxFirst, maxLast, infLast, twoMax,
+	}
 }
 
 // TestDurationPercentileOfMinFillAndScan walks the top-slots pass across
@@ -168,6 +231,22 @@ func TestDurationPercentileOfMinFillAndScan(t *testing.T) {
 			}
 		}
 	}
+	// The two-slot scan has no fill loop: at every size up to 12, each
+	// shape of the two-slot table under the three limits above.
+	for n := 1; n <= 12; n++ {
+		allInf := sampleDurations(r, n, 1, 1)
+		for _, ds := range twoSlotColumns(r, n) {
+			shorter := make([]time.Duration, n)
+			for i, d := range ds {
+				shorter[i] = min(d, time.Duration(r.Int63n(int64(time.Second))))
+			}
+			for _, p := range twoSlotPercentiles {
+				checkAgainstSort(t, ds, nil, p)
+				checkAgainstSort(t, ds, shorter, p)
+				checkAgainstSort(t, ds, allInf, p)
+			}
+		}
+	}
 }
 
 // FuzzDurationPercentile lets the fuzzer shape the sample (size, duplicate
@@ -178,6 +257,11 @@ func FuzzDurationPercentile(f *testing.F) {
 		for _, p := range []float64{0, 0.5, 0.9, 1} {
 			f.Add(int64(n), n, uint8(3), uint8(64), uint8(128), p)
 		}
+	}
+	// The two-slot regime at p = 0.9 (2, 10 and 11 values) and the first
+	// size past it (12), without duplicates.
+	for _, n := range []uint16{2, 10, 11, 12} {
+		f.Add(int64(n)+1, n, uint8(255), uint8(32), uint8(96), 0.9)
 	}
 	f.Fuzz(func(t *testing.T, seed int64, n uint16, distinct, infOf256, limitInfOf256 uint8, p float64) {
 		if !(p >= 0 && p <= 1) {
@@ -197,8 +281,8 @@ func FuzzDurationPercentile(f *testing.F) {
 }
 
 // limitsByDescent lists every position of limit by descending limit; the
-// list DurationPercentileOfMinOrdered takes for a theta is its prefix of
-// limits above theta, which cutAbove returns.
+// list OfMinOrdered takes for a theta is its prefix of limits above theta,
+// which cutAbove returns.
 func limitsByDescent(limit []time.Duration) []OrderedLimit {
 	order := make([]OrderedLimit, len(limit))
 	for i, l := range limit {
@@ -216,11 +300,11 @@ func cutAbove(order []OrderedLimit, theta time.Duration) []OrderedLimit {
 // trusted on: whatever theta cuts the list at — every value of the limit
 // column, one below its minimum (everything listed), the most negative
 // duration and the censoring sentinel (nothing listed) — a certified value
-// is DurationPercentileOfMin's to the bit, and nothing is certified for a
-// quantile the top-slots pass does not serve. Samples cover sizes on both
-// sides of that boundary, duplicates, censored runs in the column and in
-// the limit, and negative values. The counts at the end keep the property
-// from holding vacuously.
+// is OfMin's to the bit, and nothing is certified for a quantile the
+// top-slots pass does not serve. Samples cover sizes on both sides of that
+// boundary, duplicates, censored runs in the column and in the limit, and
+// negative values. The counts at the end keep the property from holding
+// vacuously.
 func TestOrderedPassCertifiesOnlyTheScan(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	certifiedEarly, certifiedAtEnd, refused := 0, 0, 0
@@ -240,14 +324,15 @@ func TestOrderedPassCertifiesOnlyTheScan(t *testing.T) {
 					thetas := append(slices.Clone(limit), slices.Min(limit)-1, math.MinInt64, InfDuration)
 					full := limitsByDescent(limit)
 					for _, p := range []float64{0, 0.5, 0.85, 0.9, 0.95, 0.999, 1} {
-						want := DurationPercentileOfMin(ds, limit, p)
+						q := NewQuantile(n, p)
+						want := q.OfMin(ds, limit)
 						for _, theta := range thetas {
-							got, certified := DurationPercentileOfMinOrdered(ds, cutAbove(full, theta), theta, p)
+							got, certified := q.OfMinOrdered(ds, cutAbove(full, theta), theta)
 							switch {
 							case !certified:
 								refused++
 								continue
-							case !TopSlotsServe(n, p):
+							case !q.TopSlots():
 								t.Fatalf("n=%d p=%v: certified a quantile the top-slots pass does not serve", n, p)
 							case got != want:
 								t.Fatalf("n=%d p=%v theta=%v of min(%v, %v): certified %v, scan %v", n, p, theta, ds, limit, got, want)
@@ -260,8 +345,8 @@ func TestOrderedPassCertifiesOnlyTheScan(t *testing.T) {
 						}
 						// With everything listed and nothing to fall below
 						// theta, a served quantile is always certified.
-						if _, certified := DurationPercentileOfMinOrdered(ds, full, math.MinInt64, p); certified != TopSlotsServe(n, p) {
-							t.Fatalf("n=%d p=%v: full list certified=%v, served=%v", n, p, certified, TopSlotsServe(n, p))
+						if _, certified := q.OfMinOrdered(ds, full, math.MinInt64); certified != q.TopSlots() {
+							t.Fatalf("n=%d p=%v: full list certified=%v, served=%v", n, p, certified, q.TopSlots())
 						}
 					}
 				}
@@ -294,27 +379,26 @@ type weightedCounts struct {
 }
 
 // checkWeighted fails unless both weighted kernels agree with the unit
-// kernel run on the expanded sample, to the bit: DurationPercentileOfMinWeighted
-// without and with the limit, and DurationPercentileOfMinOrderedWeighted
-// wherever it certifies, under every theta the ordered-pass property test
-// cuts its list at. With the whole list and nothing below theta, a quantile
-// the top-slots pass serves must be certified. Inputs must be left as they
-// were.
+// kernel run on the expanded sample, to the bit: OfMinWeighted without and
+// with the limit, and OfMinOrderedWeighted wherever it certifies, under
+// every theta the ordered-pass property test cuts its list at. With the
+// whole list and nothing below theta, a quantile the top-slots pass serves
+// must be certified. Inputs must be left as they were.
 func checkWeighted(t *testing.T, ds, limit []time.Duration, w []int32, p float64, counts *weightedCounts) {
 	t.Helper()
 	before, limitBefore, wBefore := slices.Clone(ds), slices.Clone(limit), slices.Clone(w)
 	eds, elimit := expandWeighted(ds, limit, w)
 	n := len(eds)
-	if got, want := DurationPercentileOfMinWeighted(ds, nil, w, n, p), DurationPercentile(eds, p); got != want {
+	q := NewQuantile(n, p)
+	if got, want := q.OfMinWeighted(ds, nil, w), DurationPercentile(eds, p); got != want {
 		t.Fatalf("p=%v of %v weighted %v: kernel %v, expanded %v", p, ds, w, got, want)
 	}
-	want := DurationPercentileOfMin(eds, elimit, p)
-	if got := DurationPercentileOfMinWeighted(ds, limit, w, n, p); got != want {
+	want := q.OfMin(eds, elimit)
+	if got := q.OfMinWeighted(ds, limit, w); got != want {
 		t.Fatalf("p=%v of min(%v, %v) weighted %v: kernel %v, expanded %v", p, ds, limit, w, got, want)
 	}
 	if n > 0 {
-		_, lo, _ := quantileRanks(n, p)
-		if m := n - lo; m > topSlots {
+		if m := q.m; m > topSlots {
 			counts.selected++
 		} else {
 			for i, sum := 0, 0; i < len(w) && sum < m; i++ {
@@ -333,20 +417,20 @@ func checkWeighted(t *testing.T, ds, limit []time.Duration, w []int32, p float64
 		thetas = append(thetas, slices.Min(limit)-1)
 	}
 	for _, theta := range thetas {
-		got, certified := DurationPercentileOfMinOrderedWeighted(ds, cutAbove(full, theta), theta, n, p)
+		got, certified := q.OfMinOrderedWeighted(ds, cutAbove(full, theta), theta)
 		switch {
 		case !certified:
 			counts.refused++
 			continue
-		case !TopSlotsServe(n, p):
+		case !q.TopSlots():
 			t.Fatalf("n=%d p=%v: certified a quantile the top-slots pass does not serve", n, p)
 		case got != want:
 			t.Fatalf("n=%d p=%v theta=%v of min(%v, %v) weighted %v: certified %v, expanded %v", n, p, theta, ds, limit, w, got, want)
 		}
 		counts.certified++
 	}
-	if _, certified := DurationPercentileOfMinOrderedWeighted(ds, full, math.MinInt64, n, p); certified != TopSlotsServe(n, p) {
-		t.Fatalf("n=%d p=%v: full list certified=%v, served=%v", n, p, certified, TopSlotsServe(n, p))
+	if _, certified := q.OfMinOrderedWeighted(ds, full, math.MinInt64); certified != q.TopSlots() {
+		t.Fatalf("n=%d p=%v: full list certified=%v, served=%v", n, p, certified, q.TopSlots())
 	}
 	if !slices.Equal(ds, before) || !slices.Equal(limit, limitBefore) || !slices.Equal(w, wBefore) {
 		t.Fatalf("p=%v: input modified", p)
@@ -433,4 +517,38 @@ func FuzzDurationPercentileWeighted(f *testing.F) {
 		var counts weightedCounts
 		checkWeighted(t, ds, limit, w, p, &counts)
 	})
+}
+
+// TestQuantilePlan pins where the regimes change at the default p = 0.9
+// (two slots through 11 values, top slots through 151), the zero plan, and
+// the plan's two contracts: p outside [0, 1] and a column of another length
+// panic.
+func TestQuantilePlan(t *testing.T) {
+	for n := 1; n <= 200; n++ {
+		q := NewQuantile(n, 0.9)
+		if q.n != n || q.TwoSlot() != (n <= 11) || q.TopSlots() != (n <= 151) {
+			t.Fatalf("n=%d: planned over %d, two-slot %v, top slots %v", n, q.n, q.TwoSlot(), q.TopSlots())
+		}
+	}
+	zero := NewQuantile(0, 0.9)
+	if zero != (Quantile{}) || zero.TwoSlot() || zero.TopSlots() || zero.OfMin(nil, nil) != InfDuration {
+		t.Fatalf("plan of no values %+v", zero)
+	}
+	if _, certified := zero.OfMinOrdered(nil, nil, 0); certified {
+		t.Fatal("plan of no values certified an ordered pass")
+	}
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	mustPanic("p = 1.5", func() { NewQuantile(3, 1.5) })
+	mustPanic("p = -0.1", func() { NewQuantile(3, -0.1) })
+	three := NewQuantile(3, 0.9)
+	mustPanic("4 values for a plan over 3", func() { three.OfMin(make([]time.Duration, 4), nil) })
+	mustPanic("2 values for an ordered plan over 3", func() { three.OfMinOrdered(make([]time.Duration, 2), nil, 0) })
 }

@@ -6,6 +6,30 @@
 // All float-based functions treat math.Inf(1) as a right-censored
 // observation ("the block never arrived"): censored points sort after every
 // finite point, so a percentile that lands among them is itself +Inf.
+//
+// Subset scoring takes a duration percentile once per candidate per greedy
+// step, so that percentile is planned. NewQuantile(n, p) checks p once and
+// works out the rank p·(n−1) of the p-quantile of n values, the two
+// adjacent order statistics lo and hi it reads, and m = n − lo, how many of
+// the largest values reach rank lo. A caller scoring many columns of one
+// length builds one plan and calls its kernels: OfMin (the quantile of a
+// column clipped element-wise to a limit column), OfMinWeighted (of a
+// multiset given by distinct values and counts), and OfMinOrdered and
+// OfMinOrderedWeighted (the same read from a descending list of the limits
+// that matter, certified only when the list settles the quantile). OfMin
+// runs in one of three regimes, chosen by m alone:
+//
+//   - two slots (m ≤ 2; at p = 0.9, every column of 1 to 11 values): a scan
+//     keeps the two largest values seen with b2 = max(b2, min(b1, x)) and
+//     b1 = max(b1, x), so no branch depends on the data;
+//   - top slots (m ≤ 16): a scan keeps the m largest in an ascending buffer
+//     on the stack, and a value pays one comparison unless it displaces the
+//     buffer's least (the weighted and ordered kernels use the same buffer);
+//   - select (deeper): the values are copied into a pooled buffer and the
+//     two order statistics selected in place.
+//
+// Every regime reads the same two order statistics and interpolates between
+// them by one function, so the regime changes the cost and never a result.
 package stats
 
 import (
@@ -28,28 +52,17 @@ const InfDuration = time.Duration(math.MaxInt64)
 // and panics if p is outside [0, 1], which always indicates a programming
 // error at the call site.
 func Percentile(xs []float64, p float64) float64 {
-	checkQuantile(p)
+	q := NewQuantile(len(xs), p)
 	if len(xs) == 0 {
 		return math.NaN()
 	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
-	return sortedPercentile(sorted, p)
-}
-
-func sortedPercentile(sorted []float64, p float64) float64 {
-	n := len(sorted)
-	if n == 1 {
-		return sorted[0]
+	a, b := sorted[q.lo], sorted[q.hi]
+	if q.lo == q.hi {
+		return a
 	}
-	rank := p * float64(n-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	a, b := sorted[lo], sorted[hi]
+	frac := q.frac
 	if math.IsInf(b, 1) {
 		if frac == 0 {
 			return a
@@ -59,6 +72,67 @@ func sortedPercentile(sorted []float64, p float64) float64 {
 	// Convex combination rather than a + (b-a)*frac: the difference form
 	// can overflow when a and b have opposite signs near ±MaxFloat64.
 	return a*(1-frac) + b*frac
+}
+
+// Quantile is the plan of the p-quantile of n values, which NewQuantile
+// makes once for all the columns of that length a caller scores: the two
+// adjacent order statistics lo and hi around the rank p·(n−1), the weight
+// the interpolation gives rank hi, and m = n − lo, how many of the largest
+// values it takes to reach rank lo. The m decides which regime the kernels
+// run in (see the package comment); the result never depends on it. The
+// zero Quantile plans the quantile of no values.
+//
+// A plan is not modified after NewQuantile, so goroutines may share one.
+// Its methods take a pointer: a kernel called once per candidate then
+// receives one word for the plan, not a copy of it.
+type Quantile struct {
+	n, m, lo, hi int
+	frac         float64 // rank − lo
+}
+
+// NewQuantile plans the p-quantile of n values. It panics unless p is in
+// [0, 1]; anything else is a programming error at the call site.
+func NewQuantile(n int, p float64) Quantile {
+	if p < 0 || p > 1 {
+		panic(fmt.Sprintf("stats: percentile %v outside [0, 1]", p))
+	}
+	if n == 0 {
+		return Quantile{}
+	}
+	rank := p * float64(n-1)
+	lo := int(math.Floor(rank))
+	return Quantile{n: n, m: n - lo, lo: lo, hi: int(math.Ceil(rank)), frac: rank - float64(lo)}
+}
+
+// TwoSlot reports whether the quantile reads only the two largest values,
+// which OfMin then keeps without a data-dependent branch: at p = 0.9, the
+// quantile of 1 to 11 values.
+func (q *Quantile) TwoSlot() bool { return q.n > 0 && q.m <= twoSlots }
+
+// TopSlots reports whether the quantile is one the top-slots buffer
+// answers, which is when OfMinOrdered can certify anything; for a deeper
+// quantile a caller need not build its list.
+func (q *Quantile) TopSlots() bool { return q.n > 0 && q.m <= topSlots }
+
+// interpolate is the quantile between a, the order statistic of rank lo,
+// and b, the one of rank hi: censored if b is.
+func (q *Quantile) interpolate(a, b time.Duration) time.Duration {
+	if q.lo != q.hi && b != InfDuration {
+		return a + time.Duration(float64(b-a)*q.frac)
+	}
+	return b
+}
+
+// checkLen panics unless a column of got values is one q was planned for.
+func (q *Quantile) checkLen(got int) {
+	if got != q.n {
+		panicLen(got, q.n)
+	}
+}
+
+// panicLen is checkLen's failure, kept out of line so checkLen inlines.
+func panicLen(got, want int) {
+	panic(fmt.Sprintf("stats: %d values for a quantile planned over %d", got, want))
 }
 
 // durationSelectPool recycles the buffer the percentile kernel copies its
@@ -73,49 +147,30 @@ var durationSelectPool = sync.Pool{New: func() any { return new([]time.Duration)
 // needs to interpolate into a censored value, the result is InfDuration.
 // It returns InfDuration for empty input (there is no evidence the event
 // ever happens). The input is not modified; steady-state calls perform no
-// heap allocations.
+// heap allocations. A caller that scores many columns of one length plans
+// the quantile once with NewQuantile and calls Quantile.OfMin.
 func DurationPercentile(ds []time.Duration, p float64) time.Duration {
-	return DurationPercentileOfMin(ds, nil, p)
+	q := NewQuantile(len(ds), p)
+	return q.OfMin(ds, nil)
 }
 
-// topSlots bounds the one-pass branch of DurationPercentileOfMin: a
-// quantile whose lower order statistic is among the topSlots largest values
-// (p = 0.9 of 100 samples reads the 10th and 11th largest) is answered from
-// an ascending buffer of that many values kept on the stack. The pass has
-// two loops: the first fills the buffer from as many leading values as it
-// has slots, by insertion; the second scans the rest, and a value pays one
-// comparison with the buffer's least unless it displaces it. The scan is
-// written out twice, with and without a limit column, so that neither form
-// tests for the other's case per element. The same quantiles are the ones
-// DurationPercentileOfMinOrdered answers (TopSlotsServe tells a caller
-// which): it fills the same buffer by the same two loops, walking the limit
-// column from its largest entry down instead of by position, and stops where
-// the limits can no longer reach the buffer.
+// twoSlots is the slot count up to which OfMin runs the two-slot scan.
+const twoSlots = 2
+
+// topSlots bounds the one-pass branch of OfMin: a quantile whose lower
+// order statistic is among the topSlots largest values (p = 0.9 of 100
+// samples reads the 10th and 11th largest) is answered from an ascending
+// buffer of that many values kept on the stack. The pass has two loops: the
+// first fills the buffer from as many leading values as it has slots, by
+// insertion; the second scans the rest, and a value pays one comparison with
+// the buffer's least unless it displaces it. The scan is written out twice,
+// with and without a limit column, so that neither form tests for the
+// other's case per element. The same quantiles are the ones OfMinOrdered
+// answers (TopSlots tells a caller which): it fills the same buffer by the
+// same two loops, walking the limit column from its largest entry down
+// instead of by position, and stops where the limits can no longer reach the
+// buffer.
 const topSlots = 16
-
-// checkQuantile panics unless p is in [0, 1]; anything else is a
-// programming error at the call site.
-func checkQuantile(p float64) {
-	if p < 0 || p > 1 {
-		panic(fmt.Sprintf("stats: percentile %v outside [0, 1]", p))
-	}
-}
-
-// quantileRanks returns the fractional rank of the p-quantile of n ≥ 1
-// values and the two adjacent order statistics it reads.
-func quantileRanks(n int, p float64) (rank float64, lo, hi int) {
-	rank = p * float64(n-1)
-	return rank, int(math.Floor(rank)), int(math.Ceil(rank))
-}
-
-// interpolate is the quantile between a, the order statistic of rank lo,
-// and b, the one of rank hi: censored if b is.
-func interpolate(a, b time.Duration, rank float64, lo, hi int) time.Duration {
-	if lo != hi && b != InfDuration {
-		return a + time.Duration(float64(b-a)*(rank-float64(lo)))
-	}
-	return b
-}
 
 // insertAscending puts x in its place in the ascending top[:i], which grows
 // by one; a value no smaller than all of them costs one comparison.
@@ -137,24 +192,55 @@ func replaceLeast(top *[topSlots]time.Duration, m int, x time.Duration) {
 	top[j-1] = x
 }
 
-// DurationPercentileOfMin is DurationPercentile of the element-wise minimum
+// twoLargest returns the largest and the second-largest element-wise minimum
+// min(ds[i], limit[i]), limit nil meaning no clipping; a missing value is
+// math.MinInt64. Each value updates the pair through min and max alone,
+// which compile to conditional moves, so no branch depends on the data.
+func twoLargest(ds, limit []time.Duration) (b1, b2 time.Duration) {
+	b1, b2 = math.MinInt64, math.MinInt64
+	if limit == nil {
+		for _, x := range ds {
+			b2 = max(b2, min(b1, x))
+			b1 = max(b1, x)
+		}
+		return b1, b2
+	}
+	limit = limit[:len(ds)]
+	for i, x := range ds {
+		x = min(x, limit[i])
+		b2 = max(b2, min(b1, x))
+		b1 = max(b1, x)
+	}
+	return b1, b2
+}
+
+// OfMin is the planned quantile of the element-wise minimum
 // min(ds[i], limit[i]), computed without materializing it — Subset scoring
-// values a candidate's offsets clipped to the already-chosen set's. A nil
-// limit means no clipping; otherwise limit must be as long as ds. Neither
-// input is modified; steady-state calls perform no heap allocations.
-func DurationPercentileOfMin(ds, limit []time.Duration, p float64) time.Duration {
-	checkQuantile(p)
-	n := len(ds)
-	if n == 0 {
+// values a candidate's offsets clipped to the already-chosen set's — with
+// DurationPercentile's censoring and interpolation. ds must hold the n
+// values q was planned for. A nil limit means no clipping; otherwise limit
+// must be as long as ds. Neither input is modified; steady-state calls
+// perform no heap allocations.
+func (q *Quantile) OfMin(ds, limit []time.Duration) time.Duration {
+	q.checkLen(len(ds))
+	if q.n == 0 {
 		return InfDuration
 	}
 	if limit != nil {
-		limit = limit[:n]
+		limit = limit[:q.n]
 	}
 	// The quantile reads the two adjacent order statistics lo and hi.
-	rank, lo, hi := quantileRanks(n, p)
 	var a, result time.Duration
-	if m := n - lo; m <= topSlots {
+	switch m := q.m; {
+	case m <= twoSlots:
+		// The order statistic of rank lo is the largest value (m = 1) or the
+		// second largest, and rank hi, when it differs, is the largest.
+		b1, b2 := twoLargest(ds, limit)
+		a, result = b2, b1
+		if m == twoSlots && q.hi == q.lo {
+			result = b2
+		}
+	case m <= topSlots:
 		// top[:m] is ascending and holds the m largest values seen, so at
 		// the end top[0] has rank lo and top[1] rank lo+1.
 		var top [topSlots]time.Duration
@@ -178,8 +264,8 @@ func DurationPercentileOfMin(ds, limit []time.Duration, p float64) time.Duration
 				}
 			}
 		}
-		a, result = top[0], top[hi-lo]
-	} else {
+		a, result = top[0], top[q.hi-q.lo]
+	default:
 		bufp := durationSelectPool.Get().(*[]time.Duration)
 		buf := append((*bufp)[:0], ds...)
 		for i, l := range limit {
@@ -187,11 +273,11 @@ func DurationPercentileOfMin(ds, limit []time.Duration, p float64) time.Duration
 				buf[i] = l
 			}
 		}
-		a, result = selectRanks(buf, lo, hi)
+		a, result = selectRanks(buf, q.lo, q.hi)
 		*bufp = buf[:0]
 		durationSelectPool.Put(bufp)
 	}
-	return interpolate(a, result, rank, lo, hi)
+	return q.interpolate(a, result)
 }
 
 // selectRanks returns the order statistics of ranks lo and hi of buf, which
@@ -235,27 +321,25 @@ func replaceCopies(top *[topSlots]time.Duration, m int, x time.Duration, c int) 
 	}
 }
 
-// DurationPercentileOfMinWeighted is DurationPercentileOfMin of a multiset
-// given by its distinct values: min(ds[i], limit[i]) counts w[i] times, and
-// n is the sum of w. The result is DurationPercentileOfMin of the expanded
-// sample to the bit, since a quantile depends only on values and their
-// counts. Subset scoring uses it for a round whose blocks repeat a miner,
-// and so repeat an observation row. A nil limit means no clipping;
-// otherwise limit, like w, must be as long as ds. The top-slots pass takes
-// a value once for each of its copies that can still hold a slot; a
-// quantile too deep for it expands the values into the select buffer.
-func DurationPercentileOfMinWeighted(ds, limit []time.Duration, w []int32, n int, p float64) time.Duration {
-	checkQuantile(p)
-	if n == 0 {
+// OfMinWeighted is OfMin of a multiset given by its distinct values:
+// min(ds[i], limit[i]) counts w[i] times, and the counts sum to the n values
+// q was planned for. The result is OfMin of the expanded sample to the bit,
+// since a quantile depends only on values and their counts. Subset scoring
+// uses it for a round whose blocks repeat a miner, and so repeat an
+// observation row. A nil limit means no clipping; otherwise limit, like w,
+// must be as long as ds. The top-slots pass takes a value once for each of
+// its copies that can still hold a slot; a quantile too deep for it expands
+// the values into the select buffer.
+func (q *Quantile) OfMinWeighted(ds, limit []time.Duration, w []int32) time.Duration {
+	if q.n == 0 {
 		return InfDuration
 	}
 	if limit != nil {
 		limit = limit[:len(ds)]
 	}
 	w = w[:len(ds)]
-	rank, lo, hi := quantileRanks(n, p)
 	var a, result time.Duration
-	if m := n - lo; m <= topSlots {
+	if m := q.m; m <= topSlots {
 		// As in the unit pass, a fill loop and a scan loop. The copies of a
 		// value that fit fill the buffer; the rest of the last value's
 		// compete for its slots, as every later value's do.
@@ -291,7 +375,7 @@ func DurationPercentileOfMinWeighted(ds, limit []time.Duration, w []int32, n int
 				}
 			}
 		}
-		a, result = top[0], top[hi-lo]
+		a, result = top[0], top[q.hi-q.lo]
 	} else {
 		bufp := durationSelectPool.Get().(*[]time.Duration)
 		buf := (*bufp)[:0]
@@ -303,40 +387,26 @@ func DurationPercentileOfMinWeighted(ds, limit []time.Duration, w []int32, n int
 				buf = append(buf, x)
 			}
 		}
-		a, result = selectRanks(buf, lo, hi)
+		a, result = selectRanks(buf, q.lo, q.hi)
 		*bufp = buf[:0]
 		durationSelectPool.Put(bufp)
 	}
-	return interpolate(a, result, rank, lo, hi)
+	return q.interpolate(a, result)
 }
 
-// OrderedLimit is one entry of the list DurationPercentileOfMinOrdered
-// walks: a limit, the position it clips and, for
-// DurationPercentileOfMinOrderedWeighted, how many values that position
-// stands for. It is 16 bytes.
+// OrderedLimit is one entry of the list OfMinOrdered walks: a limit, the
+// position it clips and, for OfMinOrderedWeighted, how many values that
+// position stands for. It is 16 bytes.
 type OrderedLimit struct {
 	Limit  time.Duration
 	Index  int32
 	Weight int32
 }
 
-// TopSlotsServe reports whether the p-quantile of n values is one the
-// top-slots pass answers, which is when DurationPercentileOfMinOrdered can
-// certify anything; for a deeper quantile a caller need not build its list.
-func TopSlotsServe(n int, p float64) bool {
-	checkQuantile(p)
-	if n == 0 {
-		return false
-	}
-	_, lo, _ := quantileRanks(n, p)
-	return n-lo <= topSlots
-}
-
-// DurationPercentileOfMinOrdered is DurationPercentileOfMin(ds, limit, p)
-// read from the part of the limit column that matters: order lists the
-// positions whose limit exceeds theta, each once, by descending limit. The
-// value is meaningful only when certified is true, and then it is the full
-// scan's to the bit.
+// OfMinOrdered is OfMin(ds, limit) read from the part of the limit column
+// that matters: order lists the positions whose limit exceeds theta, each
+// once, by descending limit. The value is meaningful only when certified is
+// true, and then it is the full scan's to the bit.
 //
 // min(ds[i], limit[i]) never exceeds limit[i], so once the m-slot buffer's
 // least is no smaller than the next listed limit, nothing later in the list
@@ -347,15 +417,10 @@ func TopSlotsServe(n int, p float64) bool {
 // the buffer or the quantile too deep for the top-slots pass — the call
 // certifies nothing and the caller scans the column. theta only decides how
 // often that happens; no value of it can make a certified result wrong.
-func DurationPercentileOfMinOrdered(ds []time.Duration, order []OrderedLimit, theta time.Duration, p float64) (value time.Duration, certified bool) {
-	checkQuantile(p)
-	n := len(ds)
-	if n == 0 {
-		return 0, false
-	}
-	rank, lo, hi := quantileRanks(n, p)
-	m := n - lo
-	if m > topSlots || len(order) < m {
+func (q *Quantile) OfMinOrdered(ds []time.Duration, order []OrderedLimit, theta time.Duration) (value time.Duration, certified bool) {
+	q.checkLen(len(ds))
+	m := q.m
+	if q.n == 0 || m > topSlots || len(order) < m {
 		return 0, false
 	}
 	// The first m entries carry the largest limits; taken back to front
@@ -377,26 +442,20 @@ func DurationPercentileOfMinOrdered(ds []time.Duration, order []OrderedLimit, th
 	if !certified && top[0] < theta {
 		return 0, false
 	}
-	return interpolate(top[0], top[hi-lo], rank, lo, hi), true
+	return q.interpolate(top[0], top[q.hi-q.lo]), true
 }
 
-// DurationPercentileOfMinOrderedWeighted is DurationPercentileOfMinOrdered
-// for the multiset DurationPercentileOfMinWeighted takes: position i stands
-// for w[i] values out of n, and each list entry carries its position's
-// weight, so the walk never reads w. The leading entries that weigh at
-// least the buffer's m slots fill it, the last of them with the copies that
-// fit and the rest of its copies competing for slots as later entries do;
-// a list that weighs less than m certifies nothing. A certified value is
-// DurationPercentileOfMinWeighted's to the bit, by the argument
-// DurationPercentileOfMinOrdered makes.
-func DurationPercentileOfMinOrderedWeighted(ds []time.Duration, order []OrderedLimit, theta time.Duration, n int, p float64) (value time.Duration, certified bool) {
-	checkQuantile(p)
-	if n == 0 {
-		return 0, false
-	}
-	rank, lo, hi := quantileRanks(n, p)
-	m := n - lo
-	if m > topSlots {
+// OfMinOrderedWeighted is OfMinOrdered for the multiset OfMinWeighted
+// takes: position i stands for w[i] of the n values q was planned for, and
+// each list entry carries its position's weight, so the walk never reads w.
+// The leading entries that weigh at least the buffer's m slots fill it, the
+// last of them with the copies that fit and the rest of its copies competing
+// for slots as later entries do; a list that weighs less than m certifies
+// nothing. A certified value is OfMinWeighted's to the bit, by the argument
+// OfMinOrdered makes.
+func (q *Quantile) OfMinOrderedWeighted(ds []time.Duration, order []OrderedLimit, theta time.Duration) (value time.Duration, certified bool) {
+	m := q.m
+	if q.n == 0 || m > topSlots {
 		return 0, false
 	}
 	j, weight := 0, 0
@@ -411,11 +470,11 @@ func DurationPercentileOfMinOrderedWeighted(ds []time.Duration, order []OrderedL
 	extra := weight - m
 	var top [topSlots]time.Duration
 	filled := 0
-	for q := j - 1; q >= 0; q-- {
-		e := order[q]
+	for i := j - 1; i >= 0; i-- {
+		e := order[i]
 		x := min(ds[e.Index], e.Limit)
 		c := int(e.Weight)
-		if q == j-1 {
+		if i == j-1 {
 			c -= extra
 		}
 		if c == 1 {
@@ -446,7 +505,7 @@ func DurationPercentileOfMinOrderedWeighted(ds []time.Duration, order []OrderedL
 	if !certified && top[0] < theta {
 		return 0, false
 	}
-	return interpolate(top[0], top[hi-lo], rank, lo, hi), true
+	return q.interpolate(top[0], top[q.hi-q.lo]), true
 }
 
 // selectKth partially orders a so that a[k] holds the value a full sort

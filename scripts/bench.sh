@@ -73,10 +73,13 @@ gate MicroDurationPercentileOfMin10 0
 gate MicroDurationPercentileOfMinOrdered 0
 # The scoring benchmarks rotate over the matrices of one engine round
 # (bench.RoundObservations; for SubsetScoringPools, a pools round's matrices
-# with their distinct-row lists); each allocates the slice it returns.
+# with their distinct-row lists; for SubsetScoringWindow10, a round's
+# 10-block windows, scored by the two-slot scan); each allocates the slice
+# it returns.
 gate MicroVanillaScoring 1
 gate MicroSubsetScoring 1
 gate MicroSubsetScoringPools 1
+gate MicroSubsetScoringWindow10 1
 # About 28,470 allocs since each RNG stream became one allocation and the
 # replay moved to per-node inboxes carved from one slab (39,330 before).
 gate WorkloadHour 31000
