@@ -16,9 +16,10 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden scenario rende
 // goldenScenarios are the renderer shapes pinned by committed golden
 // files: a figure (series + notes), the eclipse capture report
 // (notes-only), a histogram result, an adversarial comparison (six
-// series + degradation notes), and the continuous-time workload report
-// (series + per-arm fork economics).
-var goldenScenarios = []string{"figure1", "figure5", "eclipse", "adversary-withholding", "forks"}
+// series + degradation notes), the continuous-time workload report
+// (series + per-arm fork economics), and the relay-tree study, whose
+// pinned edges and static λ arms no other golden exercises.
+var goldenScenarios = []string{"figure1", "figure5", "eclipse", "adversary-withholding", "forks", "figure4c"}
 
 // goldenOptions is a deliberately tiny, fixed configuration: golden
 // files pin the rendering contract and the seeded numerics, not
