@@ -89,7 +89,9 @@ type Config struct {
 	// SelectorFromMethod(Method, Params).
 	Selector Selector
 	// Table is the evolving connection table (pre-seeded, e.g. by
-	// topology.Random). The engine takes ownership.
+	// topology.Random). The engine takes ownership. Its pinned edges (see
+	// topology.Table.Pin, e.g. a relay tree) carry blocks every round but
+	// are not scored and never disconnected.
 	Table *topology.Table
 	// Latency is the link delay model.
 	Latency latency.Model
@@ -97,10 +99,6 @@ type Config struct {
 	Forward []time.Duration
 	// Power is the per-node hash power (any non-negative scale).
 	Power []float64
-	// Pinned are permanent undirected edges merged into the communication
-	// graph each round (e.g. a relay tree); they are not scored and never
-	// disconnected.
-	Pinned [][2]int
 	// Frozen marks nodes that never update their neighbors (relay
 	// infrastructure, protocol-deviant peers). Optional.
 	Frozen []bool
@@ -173,7 +171,6 @@ type Engine struct {
 	lat          latency.Model
 	forward      []time.Duration
 	power        []float64
-	pinned       [][2]int
 	frozen       []bool
 	silent       []bool
 	relayDelay   []time.Duration
@@ -200,12 +197,10 @@ type Engine struct {
 }
 
 // roundScratch holds the engine's reusable round state. The simulator is
-// built once through netsim's prevalidated path (the engine constructs
-// symmetric sorted adjacencies by construction) and reconfigured in place
-// whenever the connection table's version moves; the observation matrices,
-// the harvest's inbound tables, per-worker Broadcasters, source slice,
-// exploration order, and per-worker arrival buffers all keep their backing
-// arrays across rounds.
+// built once and reconfigured in place whenever the connection table's
+// version moves; the observation matrices, the harvest's inbound tables,
+// per-worker Broadcasters, source slice, exploration order, and per-worker
+// arrival buffers all keep their backing arrays across rounds.
 type roundScratch struct {
 	sim        *netsim.Simulator
 	simVersion uint64
@@ -374,7 +369,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		lat:          cfg.Latency,
 		forward:      cfg.Forward,
 		power:        cfg.Power,
-		pinned:       cfg.Pinned,
 		frozen:       cfg.Frozen,
 		silent:       cfg.Silent,
 		relayDelay:   cfg.RelayDelay,
@@ -409,14 +403,9 @@ func (e *Engine) Params() Params { return e.params }
 // sources from. The engine owns the slice; callers must not mutate it.
 func (e *Engine) Power() []float64 { return e.power }
 
-// Adjacency returns the current undirected communication graph including
-// pinned edges.
-func (e *Engine) Adjacency() [][]int {
-	if len(e.pinned) == 0 {
-		return e.table.Undirected()
-	}
-	return topology.MergeAdjacency(e.table.Undirected(), e.pinned)
-}
+// Adjacency returns a snapshot of the current undirected communication
+// graph: the table's connections and its pinned edges.
+func (e *Engine) Adjacency() [][]int { return e.table.Undirected() }
 
 // workerCount resolves the configured worker bound against the number of
 // independent work items.
@@ -433,10 +422,10 @@ func (e *Engine) workerCount(items int) int {
 
 // ensureSim returns the engine's cached simulator, reconfiguring its CSR
 // topology when the connection table has changed since the last call. The
-// engine's adjacency is symmetric and sorted by construction, so the
-// simulator is built through netsim's prevalidated path, skipping the
-// per-row validation sweep every round. A reconfiguration carries the
-// delay of every surviving edge unless InvalidateNetworkCache was called.
+// first build validates the adjacency once; the table's snapshots are
+// symmetric and sorted by construction, so every later round goes through
+// Reconfigure's trusted path. A reconfiguration carries the delay of every
+// surviving edge unless InvalidateNetworkCache was called.
 func (e *Engine) ensureSim() (*netsim.Simulator, error) {
 	rs := &e.scratch
 	ver := e.table.Version()
@@ -444,13 +433,9 @@ func (e *Engine) ensureSim() (*netsim.Simulator, error) {
 		return rs.sim, nil
 	}
 	rs.adj = e.table.UndirectedInto(rs.adj)
-	adj := rs.adj
-	if len(e.pinned) > 0 {
-		adj = topology.MergeAdjacency(adj, e.pinned)
-	}
 	if rs.sim == nil {
-		sim, err := netsim.NewPrevalidated(netsim.Config{
-			Adj:          adj,
+		sim, err := netsim.New(netsim.Config{
+			Adj:          rs.adj,
 			Latency:      e.lat,
 			Forward:      e.forward,
 			SendInterval: e.sendInterval,
@@ -466,7 +451,7 @@ func (e *Engine) ensureSim() (*netsim.Simulator, error) {
 		if rs.simDirty {
 			rs.sim.ForgetDelays()
 		}
-		if err := rs.sim.Reconfigure(adj); err != nil {
+		if err := rs.sim.Reconfigure(rs.adj); err != nil {
 			return nil, err
 		}
 	}
@@ -700,25 +685,12 @@ func (e *Engine) Run(rounds int) (RoundReport, error) {
 // Delays computes the paper's metric λ_v (§2.2) for each source in sources
 // (all nodes when nil): the time for a block mined by v to reach nodes
 // holding at least frac of the total hash power, on the current topology.
-// Sources are evaluated in parallel on the engine's worker pool; the output
-// is indexed by source, so it is independent of worker count.
+// The output is indexed by source, so it is independent of worker count.
 func (e *Engine) Delays(frac float64, sources []int) ([]time.Duration, error) {
-	sim, err := e.ensureSim()
-	if err != nil {
-		return nil, err
-	}
-	if sources == nil {
-		sources = allNodes(e.table.N())
-	}
-	workers := e.workerCount(len(sources))
-	arrivals := e.arrivalBuffers(workers)
+	sources = e.resolveSources(sources)
 	out := make([]time.Duration, len(sources))
-	err = parallel.ForEachIndexed(len(sources), workers, func(worker, i int) error {
-		arrival, err := sim.ArrivalAnalyticInto(arrivals[worker], sources[i])
-		if err != nil {
-			return err
-		}
-		arrivals[worker] = arrival
+	err := e.eachArrival(sources, func(_, i int, arrival []time.Duration) error {
+		var err error
 		out[i], err = netsim.DelayToFraction(arrival, e.power, frac)
 		return err
 	})
@@ -728,44 +700,24 @@ func (e *Engine) Delays(frac float64, sources []int) ([]time.Duration, error) {
 	return out, nil
 }
 
-func allNodes(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
 // ReceiveDelays computes the complementary metric: for each node v, the
-// mean time for v to receive blocks mined by the given sources. This is
-// what a free-riding node cares about — the incentive experiments compare
-// it between honest and silent nodes. Sources fan out over the worker
-// pool; each worker accumulates into private sums that are merged in
-// worker order (duration addition is exact integer math, so the merge is
-// independent of scheduling).
+// mean time for v to receive blocks mined by the given sources (all nodes
+// when nil). This is what a free-riding node cares about — the incentive
+// experiments compare it between honest and silent nodes. Each worker
+// accumulates into private sums that are merged in worker order (duration
+// addition is exact integer math, so the merge is independent of
+// scheduling).
 func (e *Engine) ReceiveDelays(sources []int) ([]time.Duration, error) {
-	sim, err := e.ensureSim()
-	if err != nil {
-		return nil, err
-	}
-	if sources == nil {
-		sources = allNodes(e.table.N())
-	}
+	sources = e.resolveSources(sources)
 	n := e.table.N()
 	workers := e.workerCount(len(sources))
-	arrivals := e.arrivalBuffers(workers)
 	partialSums := make([][]time.Duration, workers)
 	partialCensored := make([][]bool, workers)
 	for w := 0; w < workers; w++ {
 		partialSums[w] = make([]time.Duration, n)
 		partialCensored[w] = make([]bool, n)
 	}
-	err = parallel.ForEachIndexed(len(sources), workers, func(worker, i int) error {
-		arrival, err := sim.ArrivalAnalyticInto(arrivals[worker], sources[i])
-		if err != nil {
-			return err
-		}
-		arrivals[worker] = arrival
+	err := e.eachArrival(sources, func(worker, _ int, arrival []time.Duration) error {
 		sums, censored := partialSums[worker], partialCensored[worker]
 		for v := 0; v < n; v++ {
 			if arrival[v] == stats.InfDuration {
@@ -796,6 +748,39 @@ func (e *Engine) ReceiveDelays(sources []int) ([]time.Duration, error) {
 		out[v] = sums[v] / time.Duration(len(sources))
 	}
 	return out, nil
+}
+
+// resolveSources returns sources, or every node when it is nil.
+func (e *Engine) resolveSources(sources []int) []int {
+	if sources != nil {
+		return sources
+	}
+	all := make([]int, e.table.N())
+	for i := range all {
+		all[i] = i
+	}
+	return all
+}
+
+// eachArrival is the per-source fan-out behind Delays and ReceiveDelays:
+// on the current topology it hands visit the analytic arrival vector of
+// every source, sources[i] on worker `worker` of e.workerCount(len(sources)),
+// in that worker's reused buffer.
+func (e *Engine) eachArrival(sources []int, visit func(worker, i int, arrival []time.Duration) error) error {
+	sim, err := e.ensureSim()
+	if err != nil {
+		return err
+	}
+	workers := e.workerCount(len(sources))
+	arrivals := e.arrivalBuffers(workers)
+	return parallel.ForEachIndexed(len(sources), workers, func(worker, i int) error {
+		arrival, err := sim.ArrivalAnalyticInto(arrivals[worker], sources[i])
+		if err != nil {
+			return err
+		}
+		arrivals[worker] = arrival
+		return visit(worker, i, arrival)
+	})
 }
 
 // Churn resets the given nodes as if they left and were replaced by fresh

@@ -288,27 +288,49 @@ func diffCount(a, b []int) int {
 	return missing
 }
 
+// TestEnginePinnedEdgesSurvive pins two edges into the engine's table:
+// neither scoring rounds nor churning both ends of one of them removes a
+// pinned edge from the communication graph.
 func TestEnginePinnedEdgesSurvive(t *testing.T) {
 	tn := newTestNetwork(t, 40, 6)
+	pins := [][2]int{{0, 39}, {1, 38}}
+	for _, p := range pins {
+		if err := tn.table.Pin(p[0], p[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
 	cfg := tn.config(Subset, func() Params {
 		p := DefaultParams(Subset)
 		p.RoundBlocks = 5
 		return p
 	}())
-	cfg.Pinned = [][2]int{{0, 39}, {1, 38}}
 	e, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	check := func(when string) {
+		t.Helper()
+		adj := e.Adjacency()
+		for _, p := range pins {
+			if !containsInt(adj[p[0]], p[1]) || !containsInt(adj[p[1]], p[0]) {
+				t.Fatalf("%s: pinned edge %d-%d missing from adjacency", when, p[0], p[1])
+			}
+		}
+	}
 	if _, err := e.Run(3); err != nil {
 		t.Fatal(err)
 	}
-	adj := e.Adjacency()
-	if !containsInt(adj[0], 39) || !containsInt(adj[39], 0) {
-		t.Fatal("pinned edge 0-39 missing from adjacency")
+	check("after 3 rounds")
+	if err := e.Churn([]int{0, 39, 1}); err != nil {
+		t.Fatal(err)
 	}
-	if !containsInt(adj[1], 38) {
-		t.Fatal("pinned edge 1-38 missing from adjacency")
+	check("after churn")
+	if _, err := e.Run(1); err != nil {
+		t.Fatal(err)
+	}
+	check("after a round past churn")
+	if err := e.Table().Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -39,12 +39,16 @@ func Convergence(opt Options) (*Result, error) {
 		if err != nil {
 			return err
 		}
-		r90, err := e.evalTopologyAt(randTbl, 0.9)
+		ref, err := e.static(randTbl)
+		if err != nil {
+			return err
+		}
+		r90, err := e.lambda(ref, 0.9)
 		if err != nil {
 			return err
 		}
 		random90Trials[t] = stats.Percentile(r90, 0.5)
-		r50, err := e.evalTopologyAt(randTbl, 0.5)
+		r50, err := e.lambda(ref, 0.5)
 		if err != nil {
 			return err
 		}

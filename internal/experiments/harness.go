@@ -324,17 +324,6 @@ type env struct {
 	// collectors holds one trace collector per engine built in this env
 	// while Options.TraceLevel is on, in build order (see regret).
 	collectors []*trace.Collector
-
-	// evalSim is the trial's reusable evaluation simulator: built once via
-	// netsim's prevalidated path and reconfigured in place when a different
-	// (or mutated) table is evaluated. evalVer/evalTbl identify the
-	// adjacency it currently reflects; evalAdj and evalArr are the reused
-	// adjacency snapshot and per-worker arrival buffers.
-	evalSim *netsim.Simulator
-	evalTbl *topology.Table
-	evalVer uint64
-	evalAdj [][]int
-	evalArr [][]time.Duration
 }
 
 // newEnv samples a trial environment: universe, per-trial link latencies,
@@ -438,74 +427,22 @@ func delaysToSortedMs(ds []time.Duration) []float64 {
 	return out
 }
 
-// simFor returns the env's reusable evaluation simulator positioned on
-// tbl's current adjacency (plus the env's pinned edges). The table snapshot
-// is rebuilt through netsim's prevalidated path — Table.Undirected output
-// is symmetric and sorted by construction — and the simulator's CSR arrays
-// are reconfigured in place, so evaluating the same unchanged table twice
-// (or a table that evolves between evaluation passes, as the convergence
-// experiment does every round) reuses one simulator for the whole trial.
-func (e *env) simFor(tbl *topology.Table) (*netsim.Simulator, error) {
-	ver := tbl.Version()
-	if e.evalSim != nil && e.evalTbl == tbl && e.evalVer == ver {
-		return e.evalSim, nil
-	}
-	e.evalAdj = tbl.UndirectedInto(e.evalAdj)
-	adj := e.evalAdj
-	if len(e.pinned) > 0 {
-		adj = topology.MergeAdjacency(adj, e.pinned)
-	}
-	if e.evalSim == nil {
-		sim, err := netsim.NewPrevalidated(netsim.Config{Adj: adj, Latency: e.lat, Forward: e.forward})
-		if err != nil {
-			return nil, err
-		}
-		e.evalSim = sim
-	} else {
-		// No InvalidateNetworkCache reaches this simulator, so it carries
-		// no delay from one evaluated table to the next.
-		e.evalSim.ForgetDelays()
-		if err := e.evalSim.Reconfigure(adj); err != nil {
-			return nil, err
-		}
-	}
-	e.evalTbl, e.evalVer = tbl, ver
-	return e.evalSim, nil
+// static wraps tbl in an engine arm that never steps, so a fixed topology
+// (plus the env's pinned edges) is scored on the same simulator and λ path
+// as the protocol arms.
+func (e *env) static(tbl *topology.Table) (*core.Engine, error) {
+	engine, _, err := e.engine("static", "static", core.Subset, tbl)
+	return engine, err
 }
 
-// evalTopology computes λ_v over a static communication graph (plus the
-// env's pinned edges) for the env's λ sources. Sources are evaluated on
-// the worker pool; the pooled analytic pass writes into per-worker arrival
-// buffers.
+// evalTopology computes λ_v over a static table (plus the env's pinned
+// edges) for the env's λ sources, through a static engine arm.
 func (e *env) evalTopology(tbl *topology.Table) ([]float64, error) {
-	return e.evalTopologyAt(tbl, e.opt.Fraction)
-}
-
-// evalTopologyAt is evalTopology at an explicit coverage fraction.
-func (e *env) evalTopologyAt(tbl *topology.Table, frac float64) ([]float64, error) {
-	sim, err := e.simFor(tbl)
+	engine, err := e.static(tbl)
 	if err != nil {
 		return nil, err
 	}
-	count := len(e.sources)
-	workers := min(parallel.Workers(e.opt.Workers), count)
-	for len(e.evalArr) < workers {
-		e.evalArr = append(e.evalArr, nil)
-	}
-	delays := make([]time.Duration, count)
-	err = parallel.ForEachIndexed(count, workers, func(worker, i int) error {
-		arrival, err := sim.ArrivalAnalyticInto(e.evalArr[worker], e.sources[i])
-		if err != nil {
-			return err
-		}
-		e.evalArr[worker] = arrival
-		delays[i], err = netsim.DelayToFraction(arrival, e.power, frac)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return delaysToSortedMs(delays), nil
+	return e.lambda(engine, e.opt.Fraction)
 }
 
 // evalIdeal computes λ_v for the env's λ sources on the fully-connected
@@ -532,8 +469,8 @@ func (e *env) buildRandom(label string) (*topology.Table, error) {
 // engine builds one scenario arm's protocol engine over tbl — the only
 // engine constructor in the package, so every arm gets every run option:
 // method's default params at Options.RoundBlocks (UCB keeps its
-// single-block rounds), the env's latency, validation, power and pinned
-// tables, the RNG stream named stream, Workers, ObservationWindow, the
+// single-block rounds), the env's latency, validation and power tables,
+// the env's pinned edges (pinned into tbl), the RNG stream named stream, Workers, ObservationWindow, the
 // RoundObserver labelled (arm, trial) and, when Options.TraceLevel is on,
 // a trace collector labelled arm (see regret). mods then adjust the
 // config: ablation params, a selector, free-riders, upload serialization,
@@ -541,6 +478,11 @@ func (e *env) buildRandom(label string) (*topology.Table, error) {
 // Rounds × RoundBlocks blocks in rounds of the final params' length (at
 // least one), so every variant sees the same number of blocks.
 func (e *env) engine(arm, stream string, method core.Method, tbl *topology.Table, mods ...func(*core.Config)) (*core.Engine, int, error) {
+	for _, p := range e.pinned {
+		if err := tbl.Pin(p[0], p[1]); err != nil {
+			return nil, 0, err
+		}
+	}
 	params := core.DefaultParams(method)
 	if method != core.UCB {
 		params.RoundBlocks = e.opt.RoundBlocks
@@ -552,7 +494,6 @@ func (e *env) engine(arm, stream string, method core.Method, tbl *topology.Table
 		Latency: e.lat,
 		Forward: e.forward,
 		Power:   e.power,
-		Pinned:  e.pinned,
 		Rand:    e.root.Derive(stream),
 		Workers: e.opt.Workers,
 

@@ -119,7 +119,7 @@ func sameAsFresh(t *testing.T, what string, sim *Simulator, bc *Broadcaster, cfg
 }
 
 // TestReconfigureCarryIsExact drives one simulator through a sequence of
-// topologies — Perigee-shaped rewires, the same with pinned edges merged
+// topologies — Perigee-shaped rewires, the same with relay edges pinned
 // in, a node losing every edge, degree growth and shrink, an unchanged
 // adjacency — and after each Reconfigure holds it, delay for delay and
 // timestamp for timestamp, to a fresh simulator on the same adjacency.
@@ -152,9 +152,20 @@ func TestReconfigureCarryIsExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		step("pinned edges merged in", topology.MergeAdjacency(fx.tbl.Undirected(), pinned))
+		// withPins is fx.tbl's graph with the relay tree pinned into a
+		// Clone, so the pins can be taken away again.
+		withPins := func() [][]int {
+			c := fx.tbl.Clone()
+			for _, e := range pinned {
+				if err := c.Pin(e[0], e[1]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return c.Undirected()
+		}
+		step("pinned edges added", withPins())
 		perigeeRewire(t, fx.tbl, r)
-		step("rewire under pinned edges", topology.MergeAdjacency(fx.tbl.Undirected(), pinned))
+		step("rewire under pinned edges", withPins())
 		step("pinned edges removed", fx.tbl.Undirected())
 
 		// Node n/2 loses every edge, then gets them back.

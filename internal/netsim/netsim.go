@@ -85,7 +85,7 @@ import (
 
 // Config describes one simulated network instance. The adjacency is the
 // undirected communication graph (outgoing ∪ incoming connections, plus any
-// pinned relay edges).
+// pinned relay edges), as topology.Table.Undirected returns it.
 type Config struct {
 	// Adj holds symmetric adjacency lists; Adj[v] must be ascending.
 	Adj [][]int
@@ -212,24 +212,7 @@ func New(cfg Config) (*Simulator, error) {
 			}
 		}
 	}
-	return newFromValidShape(cfg)
-}
-
-// NewPrevalidated builds a simulator for callers that construct the
-// adjacency symmetric, sorted, and in range by construction (the engine's
-// connection table, MergeAdjacency output), skipping New's per-row
-// validation sweep. Symmetry is still verified as a free byproduct of the
-// reverse-index build; a genuinely malformed adjacency is reported, not
-// silently accepted.
-func NewPrevalidated(cfg Config) (*Simulator, error) {
-	if err := validateShape(cfg); err != nil {
-		return nil, err
-	}
-	return newFromValidShape(cfg)
-}
-
-func newFromValidShape(cfg Config) (*Simulator, error) {
-	s := &Simulator{cfg: cfg, n: len(cfg.Adj)}
+	s := &Simulator{cfg: cfg, n: n}
 	if err := s.rebuild(cfg.Adj); err != nil {
 		return nil, err
 	}
@@ -415,8 +398,10 @@ func growDurations(buf []time.Duration, n int) []time.Duration {
 }
 
 // Reconfigure replaces the simulator's topology, reusing the CSR backing
-// arrays. The adjacency is trusted like NewPrevalidated's (sorted,
-// in-range, self-loop free by construction; symmetry is still verified).
+// arrays. Unlike New it skips the per-row sweep: the adjacency is trusted
+// to be sorted, in range and self-loop free, as a topology.Table snapshot
+// is by construction (symmetry is still verified, as a byproduct of the
+// reverse-index build).
 // The node count must not change, so the latency/forward/silent tables
 // stay valid. Reconfigure must not run concurrently with any Broadcast or
 // ArrivalAnalytic call; existing Broadcasters resynchronize automatically

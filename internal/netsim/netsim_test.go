@@ -399,8 +399,20 @@ func TestAddingEdgeImprovesArrival(t *testing.T) {
 	}
 	arrA := append([]time.Duration(nil), resA.Arrival...)
 
-	// Add shortcut 0-5.
-	shortcut := topology.MergeAdjacency(base.Adj, [][2]int{{0, 5}})
+	// Pin shortcut 0-5 into a table of the same line.
+	tbl, err := topology.NewTable(len(base.Adj), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u := 0; u+1 < len(base.Adj); u++ {
+		if err := tbl.Connect(u, u+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tbl.Pin(0, 5); err != nil {
+		t.Fatal(err)
+	}
+	shortcut := tbl.Undirected()
 	simB, err := New(Config{Adj: shortcut, Latency: base.Latency, Forward: base.Forward})
 	if err != nil {
 		t.Fatal(err)

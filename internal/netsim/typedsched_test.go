@@ -434,20 +434,27 @@ func TestReconfigureMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestPrevalidatedRejectsAsymmetry proves the trusted constructor still
-// detects a malformed adjacency via the reverse-index sweep rather than
-// silently corrupting the reverse index.
+// TestPrevalidatedRejectsAsymmetry proves Reconfigure, which trusts its
+// adjacency and skips New's per-row sweep, still detects a malformed one
+// via the reverse-index sweep rather than silently corrupting the reverse
+// index.
 func TestPrevalidatedRejectsAsymmetry(t *testing.T) {
+	asym := [][]int{{1, 2}, {0}, {}}
 	cfg := Config{
-		Adj:     [][]int{{1, 2}, {0}, {}},
+		Adj:     asym,
 		Latency: latency.Constant{Nodes: 3, D: time.Millisecond},
 		Forward: make([]time.Duration, 3),
 	}
-	if _, err := NewPrevalidated(cfg); err == nil {
-		t.Fatal("NewPrevalidated accepted an asymmetric adjacency")
-	}
 	if _, err := New(cfg); err == nil {
 		t.Fatal("New accepted an asymmetric adjacency")
+	}
+	cfg.Adj = [][]int{{1}, {0}, {}}
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Reconfigure(asym); err == nil {
+		t.Fatal("Reconfigure accepted an asymmetric adjacency")
 	}
 }
 

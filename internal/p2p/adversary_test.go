@@ -2,6 +2,7 @@ package p2p
 
 import (
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -107,5 +108,38 @@ func TestSilentRelayTipAnnounce(t *testing.T) {
 	}
 	if got := readUntil[*wire.Block](t, conn); got.Block.Header.Hash() != relayed.Header.Hash() {
 		t.Fatalf("GETDATA for the parent of a self-mined block served %s", got.Block.Header.Hash())
+	}
+}
+
+// TestRelayDelayTipAnnounce: a withholding relay must not show a block it
+// received to a peer that connects inside the withhold window — the
+// connect-time tip announcement would relay it early. The pending relay
+// still reaches that peer, once the window has passed.
+func TestRelayDelayTipAnnounce(t *testing.T) {
+	const withhold = 2 * time.Second
+	adv := startNode(t, 4, func(c *Config) { c.RelayDelay = withhold })
+	blk := chain.NewBlock(testGenesis(), [][]byte{[]byte("withheld")}, time.Unix(1700000000, 0), 1)
+	h := blk.Header.Hash()
+	accepted := time.Now()
+	adv.acceptBlock(nil, blk, h, false)
+	if adv.Store().Tip().Header.Hash() != h {
+		t.Fatal("the received block is not the adversary's tip")
+	}
+	conn := rawDial(t, adv, 0xBEE3)
+	if invsBeforePong(t, conn)[h] {
+		t.Fatal("withholding relay announced a received block on connect inside the window")
+	}
+	_ = conn.SetReadDeadline(accepted.Add(withhold + 2*time.Second))
+	for {
+		m, err := wire.Read(conn)
+		if err != nil {
+			t.Fatalf("withheld block never announced to the new peer: %v", err)
+		}
+		if inv, ok := m.(*wire.Inv); ok && slices.Contains(inv.Hashes, h) {
+			break
+		}
+	}
+	if early := withhold - time.Since(accepted); early > 0 {
+		t.Fatalf("withheld block announced %v before the window closed", early)
 	}
 }

@@ -174,6 +174,9 @@ type Node struct {
 	orphanCount int
 	lastMined   chain.Hash // newest self-mined block; zero before the first
 	rounds      int        // completed Perigee rounds
+	// withheld counts, per received block, the acceptances whose delayed
+	// relay (Config.RelayDelay) has not fired yet; see showsTip.
+	withheld map[chain.Hash]int
 
 	roundMu       sync.Mutex
 	roundInFlight bool
@@ -284,6 +287,7 @@ func NewNode(cfg Config) (*Node, error) {
 		firstSeen:    make(map[chain.Hash]map[uint64]time.Time),
 		requested:    make(map[chain.Hash]time.Time),
 		orphans:      make(map[chain.Hash][]orphan),
+		withheld:     make(map[chain.Hash]int),
 		dialAttempts: make(map[string]int),
 		connAttempts: make(map[uint64]int),
 	}, nil
@@ -689,14 +693,13 @@ func (n *Node) setupPeer(conn net.Conn, dir Direction, dialedAddr string) error 
 		n.readLoop(p)
 	}()
 	// Seed discovery and sync: announce our own listen address, ask for
-	// an address sample, and announce our tip. A silent relay announces
-	// only a tip it mined: advertising a received block to a new peer
-	// would relay it after all, which the simulator's Silent never does.
+	// an address sample, and announce our tip unless that would relay a
+	// received block early or at all (see showsTip).
 	n.announceSelf(p)
 	p.noteGetAddrSent()
 	p.send(&wire.GetAddr{})
 	if tip := n.store.Tip(); tip.Header.Height > 0 {
-		if h := tip.Header.Hash(); !n.cfg.SilentRelay || n.minedBlock(h) {
+		if h := tip.Header.Hash(); n.showsTip(h) {
 			p.send(&wire.Inv{Hashes: []chain.Hash{h}})
 		}
 	}
@@ -1051,8 +1054,18 @@ func (n *Node) acceptBlock(from *peer, b *chain.Block, h chain.Hash, mined bool)
 	if n.store.Has(h) {
 		return
 	}
+	// A withheld relay is marked pending before the block can become the
+	// tip a connecting peer is shown, and unmarked if the block is not
+	// accepted here.
+	withhold := !mined && !n.cfg.SilentRelay && n.cfg.RelayDelay > 0
+	if withhold {
+		n.markWithheld(h, 1)
+	}
 	// The store validates the block (once) before it looks at its position.
 	err := n.store.Add(b, h)
+	if err != nil && withhold {
+		n.markWithheld(h, -1)
+	}
 	switch {
 	case err == nil:
 	case errors.Is(err, chain.ErrInvalidBlock):
@@ -1140,9 +1153,20 @@ func (n *Node) relayInv(h chain.Hash, exceptID uint64, relayed bool) {
 		select {
 		case <-n.quit:
 		case <-timer.C:
+			n.markWithheld(h, -1)
 			n.broadcastInv(h, exceptID)
 		}
 	}()
+}
+
+// markWithheld adds d to h's count of pending withheld relays.
+func (n *Node) markWithheld(h chain.Hash, d int) {
+	n.obsMu.Lock()
+	defer n.obsMu.Unlock()
+	n.withheld[h] += d
+	if n.withheld[h] == 0 {
+		delete(n.withheld, h)
+	}
 }
 
 // broadcastInv queues one Inv to every peer but exceptID; the message is
@@ -1156,11 +1180,19 @@ func (n *Node) broadcastInv(h chain.Hash, exceptID uint64) {
 	}
 }
 
-// minedBlock reports whether h is the newest block this node mined.
-func (n *Node) minedBlock(h chain.Hash) bool {
+// showsTip reports whether a peer connecting now is shown tip h. A silent
+// relay shows only a tip it mined: showing a received block would relay it
+// after all, which the simulator's Silent never does. A withholding relay
+// shows no block whose delayed relay is pending: that relay snapshots the
+// peers when it fires, so it reaches the new peer then, and never earlier
+// than the simulator's RelayDelay allows.
+func (n *Node) showsTip(h chain.Hash) bool {
 	n.obsMu.Lock()
 	defer n.obsMu.Unlock()
-	return n.lastMined == h
+	if n.cfg.SilentRelay {
+		return n.lastMined == h
+	}
+	return n.withheld[h] == 0
 }
 
 // peerSnapshot returns the live peers sorted by ID. The slice is shared

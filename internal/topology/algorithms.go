@@ -82,44 +82,6 @@ func BFSHops(adj [][]int, src int) []int {
 	return hops
 }
 
-// Components returns the connected components of the undirected graph,
-// each ascending, ordered by their smallest member.
-func Components(adj [][]int) [][]int {
-	n := len(adj)
-	visited := make([]bool, n)
-	var comps [][]int
-	for s := 0; s < n; s++ {
-		if visited[s] {
-			continue
-		}
-		var comp []int
-		stack := []int{s}
-		visited[s] = true
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			comp = append(comp, u)
-			for _, v := range adj[u] {
-				if !visited[v] {
-					visited[v] = true
-					stack = append(stack, v)
-				}
-			}
-		}
-		insertionSort(comp)
-		comps = append(comps, comp)
-	}
-	return comps
-}
-
-func insertionSort(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j-1] > xs[j]; j-- {
-			xs[j-1], xs[j] = xs[j], xs[j-1]
-		}
-	}
-}
-
 // IsConnected reports whether the undirected graph is a single component.
 func IsConnected(adj [][]int) bool {
 	if len(adj) == 0 {
@@ -132,24 +94,6 @@ func IsConnected(adj [][]int) bool {
 		}
 	}
 	return true
-}
-
-// HopDiameter returns the exact hop diameter (longest shortest path in
-// hops) of a connected graph, computed by BFS from every node; it returns
-// an error when the graph is disconnected.
-func HopDiameter(adj [][]int) (int, error) {
-	if !IsConnected(adj) {
-		return 0, fmt.Errorf("topology: graph is disconnected")
-	}
-	diameter := 0
-	for s := range adj {
-		for _, h := range BFSHops(adj, s) {
-			if h > diameter {
-				diameter = h
-			}
-		}
-	}
-	return diameter, nil
 }
 
 // StretchSample measures multiplicative path stretch over random node

@@ -85,17 +85,6 @@ func TestBFSHops(t *testing.T) {
 	}
 }
 
-func TestComponents(t *testing.T) {
-	adj := [][]int{{1}, {0}, {3}, {2}, {}}
-	comps := Components(adj)
-	if len(comps) != 3 {
-		t.Fatalf("got %d components, want 3: %v", len(comps), comps)
-	}
-	if comps[0][0] != 0 || comps[1][0] != 2 || comps[2][0] != 4 {
-		t.Fatalf("components out of order: %v", comps)
-	}
-}
-
 func TestIsConnected(t *testing.T) {
 	if !IsConnected(lineGraph(10)) {
 		t.Fatal("line graph should be connected")
@@ -105,19 +94,6 @@ func TestIsConnected(t *testing.T) {
 	}
 	if !IsConnected(nil) {
 		t.Fatal("empty graph is trivially connected")
-	}
-}
-
-func TestHopDiameter(t *testing.T) {
-	d, err := HopDiameter(lineGraph(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != 5 {
-		t.Fatalf("diameter = %d, want 5", d)
-	}
-	if _, err := HopDiameter([][]int{{}, {}}); err == nil {
-		t.Fatal("expected error for disconnected graph")
 	}
 }
 

@@ -283,25 +283,3 @@ func RelayTree(members []int, branching int) ([][2]int, error) {
 	}
 	return edges, nil
 }
-
-// MergeAdjacency returns the union of an adjacency structure, whose rows
-// are ascending as Table.Undirected returns them, and extra undirected
-// edges, deduplicated, each list ascending. Self and out-of-range extra
-// edges are skipped. Used to pin relay tree edges into the evolving p2p
-// graph.
-func MergeAdjacency(adj [][]int, extra [][2]int) [][]int {
-	n := len(adj)
-	out := make([][]int, n)
-	for u, row := range adj {
-		out[u] = append(make([]int, 0, len(row)+2), row...)
-	}
-	for _, e := range extra {
-		a, b := e[0], e[1]
-		if a == b || a < 0 || b < 0 || a >= n || b >= n {
-			continue
-		}
-		out[a] = insertSorted(out[a], b)
-		out[b] = insertSorted(out[b], a)
-	}
-	return out
-}

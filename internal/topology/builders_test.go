@@ -396,11 +396,18 @@ func TestRelayTree(t *testing.T) {
 	if len(edges) != len(members)-1 {
 		t.Fatalf("tree has %d edges, want %d", len(edges), len(members)-1)
 	}
-	// Verify it is a tree: build adjacency over member space and check
-	// connectivity via the merged adjacency helper.
-	adj := make([][]int, 71)
-	merged := MergeAdjacency(adj, edges)
-	hops := BFSHops(merged, 10)
+	// Verify it is a tree: pin it into an empty table over member space
+	// and check connectivity on the undirected graph.
+	tbl, err := NewTable(71, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range edges {
+		if err := tbl.Pin(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hops := BFSHops(tbl.Undirected(), 10)
 	for _, m := range members {
 		if hops[m] == -1 {
 			t.Fatalf("member %d unreachable from root", m)
@@ -423,69 +430,5 @@ func TestRelayTreeErrors(t *testing.T) {
 	}
 	if _, err := RelayTree([]int{1, 2, 1}, 2); err == nil {
 		t.Fatal("expected error for duplicate member")
-	}
-}
-
-func TestMergeAdjacency(t *testing.T) {
-	adj := [][]int{{1}, {0}, {}}
-	merged := MergeAdjacency(adj, [][2]int{{1, 2}, {0, 1}, {2, 2}, {0, 5}})
-	if len(merged[1]) != 2 {
-		t.Fatalf("node 1 adjacency %v, want [0 2]", merged[1])
-	}
-	if len(merged[2]) != 1 || merged[2][0] != 1 {
-		t.Fatalf("node 2 adjacency %v, want [1]", merged[2])
-	}
-	// Self loops and out-of-range edges are ignored.
-	if len(merged[0]) != 1 {
-		t.Fatalf("node 0 adjacency %v, want [1]", merged[0])
-	}
-}
-
-// mergeAdjacencyByMaps is the set-per-node implementation MergeAdjacency
-// replaced, kept as its reference.
-func mergeAdjacencyByMaps(adj [][]int, extra [][2]int) [][]int {
-	n := len(adj)
-	sets := make([]map[int]struct{}, n)
-	for u := range sets {
-		sets[u] = map[int]struct{}{}
-		for _, v := range adj[u] {
-			sets[u][v] = struct{}{}
-		}
-	}
-	for _, e := range extra {
-		a, b := e[0], e[1]
-		if a == b || a < 0 || b < 0 || a >= n || b >= n {
-			continue
-		}
-		sets[a][b], sets[b][a] = struct{}{}, struct{}{}
-	}
-	out := make([][]int, n)
-	for u := range out {
-		out[u] = refSorted(sets[u])
-	}
-	return out
-}
-
-func TestMergeAdjacencyMatchesMapReference(t *testing.T) {
-	r := rng.New(31)
-	for trial := 0; trial < 50; trial++ {
-		n := 10 + r.IntN(60)
-		tbl, err := Random(n, 3, 6, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		adj := tbl.Undirected()
-		before := tbl.Undirected()
-		extra := make([][2]int, r.IntN(3*n))
-		for i := range extra {
-			extra[i] = [2]int{r.IntN(n+4) - 2, r.IntN(n+4) - 2} // some self, repeated, present, out of range
-		}
-		got, want := MergeAdjacency(adj, extra), mergeAdjacencyByMaps(adj, extra)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: merged %v, reference %v", trial, got, want)
-		}
-		if !reflect.DeepEqual(adj, before) {
-			t.Fatalf("trial %d: MergeAdjacency wrote to its input", trial)
-		}
 	}
 }

@@ -3,7 +3,7 @@
 // capped incoming connections, §2.1), topology constructors for every
 // algorithm the paper evaluates (random, geographic, Kademlia-style,
 // geometric threshold graphs, relay trees), and the graph algorithms the
-// analysis sections rely on (Dijkstra, BFS, components, stretch).
+// analysis sections rely on (Dijkstra, BFS, stretch).
 //
 // A Table stores each node's outgoing and incoming peers as short ascending
 // slices, and the builders scan candidates by a lazy shuffle, so building
@@ -35,6 +35,12 @@ var (
 // each node initiates outgoing connections, and each node accepts at most
 // MaxIn incoming ones. Communication is bidirectional once established, so
 // the effective gossip graph is the undirected union (see Undirected).
+//
+// A table may also carry pinned edges (see Pin): permanent undirected links
+// such as an embedded relay tree (§5.4). They join the gossip graph but
+// hold no connection slot, so the per-node accessors (OutNeighbors,
+// InNeighbors, Neighbors, the degrees, TotalEdges) and Connect/Disconnect
+// never see them.
 type Table struct {
 	n     int
 	maxIn int
@@ -44,6 +50,9 @@ type Table struct {
 	// reused for the life of the table.
 	out [][]int
 	in  [][]int
+	// pins[u] is u's ascending row of pinned peers, mirrored at each end;
+	// nil until the first Pin.
+	pins [][]int
 	// version increments on every successful edge mutation, letting callers
 	// (e.g. the engine's cached simulator) detect topology changes without
 	// comparing adjacencies.
@@ -129,8 +138,35 @@ func (t *Table) Disconnect(u, v int) error {
 	return nil
 }
 
-// Version returns a counter that increments on every successful Connect or
-// Disconnect. Two calls returning the same value bracket a window in which
+// Pin records a permanent undirected edge between u and v, which Undirected
+// reports for as long as the table lives. A pin takes no outgoing or
+// incoming slot, ignores the incoming cap, and survives a Disconnect of the
+// same pair; pinning a pinned pair again is a no-op. It fails only on a
+// self edge or an out-of-range node.
+func (t *Table) Pin(u, v int) error {
+	if err := t.checkNode(u); err != nil {
+		return err
+	}
+	if err := t.checkNode(v); err != nil {
+		return err
+	}
+	if u == v {
+		return fmt.Errorf("%w: node %d", ErrSelfConnection, u)
+	}
+	if t.pins == nil {
+		t.pins = make([][]int, t.n)
+	}
+	if _, ok := slices.BinarySearch(t.pins[u], v); ok {
+		return nil
+	}
+	t.pins[u] = insertSorted(t.pins[u], v)
+	t.pins[v] = insertSorted(t.pins[v], u)
+	t.version++
+	return nil
+}
+
+// Version returns a counter that increments on every successful Connect,
+// Disconnect or new Pin. Two calls returning the same value bracket a window in which
 // the table's edge set did not change, so derived structures (adjacency
 // snapshots, simulators) built in between are still current.
 func (t *Table) Version() uint64 { return t.version }
@@ -187,7 +223,7 @@ func appendUnion(dst, a, b []int) []int {
 }
 
 // Undirected returns the symmetric adjacency lists of the communication
-// graph (outgoing ∪ incoming per node), each list ascending. The result is
+// graph (outgoing ∪ incoming ∪ pinned per node), each list ascending. The result is
 // a snapshot; it does not alias the table.
 func (t *Table) Undirected() [][]int {
 	return t.UndirectedInto(nil)
@@ -205,12 +241,21 @@ func (t *Table) UndirectedInto(adj [][]int) [][]int {
 	for u := 0; u < t.n; u++ {
 		adj[u] = appendUnion(adj[u][:0], t.out[u], t.in[u])
 	}
+	for u, row := range t.pins {
+		for _, v := range row {
+			adj[u] = insertSorted(adj[u], v)
+		}
+	}
 	return adj
 }
 
-// Clone deep-copies the table.
+// Clone deep-copies the table, pins included.
 func (t *Table) Clone() *Table {
-	return &Table{n: t.n, maxIn: t.maxIn, out: cloneRows(t.out), in: cloneRows(t.in)}
+	c := &Table{n: t.n, maxIn: t.maxIn, out: cloneRows(t.out), in: cloneRows(t.in)}
+	if t.pins != nil {
+		c.pins = cloneRows(t.pins)
+	}
+	return c
 }
 
 // cloneRows copies rows into one backing array; each copy's capacity ends
@@ -241,14 +286,19 @@ func (t *Table) TotalEdges() int {
 }
 
 // Validate checks the table's internal invariants: rows strictly ascending,
-// out/in mirroring each other, no self loops, and the incoming cap holding.
+// out/in mirroring each other, pins mirroring themselves, no self loops or
+// out-of-range pins, and the incoming cap holding.
 // It is used by tests and by the engine's failure-injection paths.
 func (t *Table) Validate() error {
 	for u := 0; u < t.n; u++ {
 		if len(t.in[u]) > t.maxIn {
 			return fmt.Errorf("topology: node %d has %d incoming, cap %d", u, len(t.in[u]), t.maxIn)
 		}
-		for _, row := range [][]int{t.out[u], t.in[u]} {
+		var pins []int
+		if t.pins != nil {
+			pins = t.pins[u]
+		}
+		for _, row := range [][]int{t.out[u], t.in[u], pins} {
 			for i := 1; i < len(row); i++ {
 				if row[i-1] >= row[i] {
 					return fmt.Errorf("topology: node %d has a row out of order: %v", u, row)
@@ -266,6 +316,14 @@ func (t *Table) Validate() error {
 		for _, v := range t.in[u] {
 			if !t.HasOut(v, u) {
 				return fmt.Errorf("topology: in-edge %d<-%d missing from out-set", u, v)
+			}
+		}
+		for _, v := range pins {
+			if v == u || v < 0 || v >= t.n {
+				return fmt.Errorf("topology: node %d has pin to %d", u, v)
+			}
+			if _, ok := slices.BinarySearch(t.pins[v], u); !ok {
+				return fmt.Errorf("topology: pin %d-%d missing at %d", u, v, v)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package topology
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -326,19 +327,34 @@ func TestAppendOutNeighbors(t *testing.T) {
 }
 
 // refTable is the map-of-sets table the sorted rows replaced, kept as the
-// reference model of TestTableMatchesMapModel.
+// reference model of TestTableMatchesMapModel and FuzzTablePinMatchesReference.
 type refTable struct {
-	maxIn   int
-	out, in []map[int]struct{}
-	version uint64
+	maxIn         int
+	out, in, pins []map[int]struct{}
+	version       uint64
 }
 
 func newRefTable(n, maxIn int) *refTable {
-	r := &refTable{maxIn: maxIn, out: make([]map[int]struct{}, n), in: make([]map[int]struct{}, n)}
+	r := &refTable{maxIn: maxIn, out: make([]map[int]struct{}, n), in: make([]map[int]struct{}, n), pins: make([]map[int]struct{}, n)}
 	for i := 0; i < n; i++ {
-		r.out[i], r.in[i] = map[int]struct{}{}, map[int]struct{}{}
+		r.out[i], r.in[i], r.pins[i] = map[int]struct{}{}, map[int]struct{}{}, map[int]struct{}{}
 	}
 	return r
+}
+
+func (r *refTable) pin(u, v int) error {
+	n := len(r.out)
+	switch {
+	case u < 0 || u >= n || v < 0 || v >= n:
+		return ErrNodeRange
+	case u == v:
+		return ErrSelfConnection
+	}
+	if _, ok := r.pins[u][v]; !ok {
+		r.pins[u][v], r.pins[v][u] = struct{}{}, struct{}{}
+		r.version++
+	}
+	return nil
 }
 
 func (r *refTable) connect(u, v int) error {
@@ -482,4 +498,176 @@ func TestAccessorsDoNotAlias(t *testing.T) {
 	if err := tbl.Validate(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestTablePin walks the pin contract case by case: a pin fails exactly on
+// a self pair or an out-of-range node, joins the undirected graph at both
+// ends without taking a slot or passing the incoming cap, is a no-op when
+// repeated in either direction, coexists with a connection of the same
+// pair and survives its Disconnect; Clone carries the pins and Validate
+// checks them.
+func TestTablePin(t *testing.T) {
+	tbl := mustTable(t, 4, 1)
+	if err := tbl.Connect(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []struct {
+		u, v int
+		want error
+	}{{2, 2, ErrSelfConnection}, {-1, 0, ErrNodeRange}, {0, 4, ErrNodeRange}} {
+		if err := tbl.Pin(bad.u, bad.v); !errors.Is(err, bad.want) {
+			t.Fatalf("Pin(%d, %d) = %v, want %v", bad.u, bad.v, err, bad.want)
+		}
+	}
+	// 0-1 is already connected; node 1's one incoming slot is taken.
+	for _, p := range [][2]int{{0, 1}, {1, 2}, {2, 1}, {1, 2}} {
+		if err := tbl.Pin(p[0], p[1]); err != nil {
+			t.Fatalf("Pin(%d, %d): %v", p[0], p[1], err)
+		}
+	}
+	want := [][]int{{1}, {0, 2}, {1}, nil}
+	if got := tbl.Undirected(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Undirected = %v, want %v", got, want)
+	}
+	if tbl.Version() != 3 {
+		t.Fatalf("Version = %d after one connect and two new pins, want 3", tbl.Version())
+	}
+	if tbl.TotalEdges() != 1 || tbl.InFree(1) != 0 || tbl.InDegree(2) != 0 || len(tbl.Neighbors(2)) != 0 {
+		t.Fatal("a pin took a connection slot")
+	}
+	clone := tbl.Clone()
+	if err := tbl.Disconnect(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string][][]int{"table": tbl.Undirected(), "clone": clone.Undirected()} {
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s after Disconnect(0, 1): Undirected = %v, want %v", name, got, want)
+		}
+	}
+	for _, tb := range []*Table{tbl, clone} {
+		if err := tb.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clone.pins[2] = nil // 1 still lists 2
+	if clone.Validate() == nil {
+		t.Fatal("Validate accepted a one-sided pin")
+	}
+	if err := tbl.Validate(); err != nil {
+		t.Fatalf("breaking a Clone's pins broke the table: %v", err)
+	}
+}
+
+// mergeAdjacencyByMaps is the set-per-node union of an adjacency and extra
+// undirected edges, self and out-of-range pairs skipped: the reference for
+// a table's Pin + Undirected.
+func mergeAdjacencyByMaps(adj [][]int, extra [][2]int) [][]int {
+	n := len(adj)
+	sets := make([]map[int]struct{}, n)
+	for u := range sets {
+		sets[u] = map[int]struct{}{}
+		for _, v := range adj[u] {
+			sets[u][v] = struct{}{}
+		}
+	}
+	for _, e := range extra {
+		a, b := e[0], e[1]
+		if a == b || a < 0 || b < 0 || a >= n || b >= n {
+			continue
+		}
+		sets[a][b], sets[b][a] = struct{}{}, struct{}{}
+	}
+	out := make([][]int, n)
+	for u := range out {
+		out[u] = refSorted(sets[u])
+	}
+	return out
+}
+
+// TestTablePinMatchesMapReference pins random pairs (some self, repeated,
+// already connected or out of range) into random tables: Pin must fail
+// exactly on the self and out-of-range pairs, and Undirected, a reused
+// UndirectedInto and a Clone's Undirected must all equal the map union.
+func TestTablePinMatchesMapReference(t *testing.T) {
+	r := rng.New(31)
+	var reused [][]int
+	for trial := 0; trial < 50; trial++ {
+		n := 10 + r.IntN(60)
+		tbl, err := Random(n, 3, 6, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		adj := tbl.Undirected()
+		extra := make([][2]int, r.IntN(3*n))
+		for i := range extra {
+			a, b := r.IntN(n+4)-2, r.IntN(n+4)-2
+			extra[i] = [2]int{a, b}
+			bad := a == b || a < 0 || b < 0 || a >= n || b >= n
+			if err := tbl.Pin(a, b); (err != nil) != bad {
+				t.Fatalf("trial %d: Pin(%d, %d) = %v", trial, a, b, err)
+			}
+		}
+		want := mergeAdjacencyByMaps(adj, extra)
+		reused = tbl.UndirectedInto(reused)
+		for name, got := range map[string][][]int{"Undirected": tbl.Undirected(), "UndirectedInto": reused, "Clone": tbl.Clone().Undirected()} {
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d: %s %v, reference %v", trial, name, got, want)
+			}
+		}
+		if err := tbl.Validate(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+	}
+}
+
+// FuzzTablePinMatchesReference interleaves Connect, Disconnect and Pin on a
+// small table and the map model: every call must fail or succeed alike, a
+// pinned pair must stay in the undirected graph through a Disconnect of the
+// same pair, and after every operation the undirected graph, the per-node
+// accessors (which never see pins), the version and Validate must agree
+// with the model.
+func FuzzTablePinMatchesReference(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 2, 1, 2, 1, 1, 2})
+	f.Add([]byte{2, 0, 0, 2, 9, 1, 0, 3, 4, 2, 3, 4, 1, 3, 4})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		const n, maxIn = 6, 2
+		tbl, ref := mustTable(t, n, maxIn), newRefTable(n, maxIn)
+		var adj [][]int
+		for i := 0; i+2 < len(ops); i += 3 {
+			// −1 and n are out of range.
+			u, v := int(ops[i+1])%(n+2)-1, int(ops[i+2])%(n+2)-1
+			var got, want error
+			switch ops[i] % 3 {
+			case 0:
+				got, want = tbl.Connect(u, v), ref.connect(u, v)
+			case 1:
+				got, want = tbl.Disconnect(u, v), ref.disconnect(u, v)
+			default:
+				got, want = tbl.Pin(u, v), ref.pin(u, v)
+			}
+			if !errors.Is(got, want) || (want == nil) != (got == nil) {
+				t.Fatalf("op %d on (%d, %d): table error %v, model error %v", i/3, u, v, got, want)
+			}
+			adj = tbl.UndirectedInto(adj)
+			if ops[i]%3 == 1 && got == nil {
+				if _, pinned := ref.pins[u][v]; pinned && !slices.Contains(adj[u], v) {
+					t.Fatalf("op %d: Disconnect(%d, %d) dropped the pin", i/3, u, v)
+				}
+			}
+			for w := 0; w < n; w++ {
+				if want := refSorted(ref.out[w], ref.in[w], ref.pins[w]); !reflect.DeepEqual(adj[w], want) && len(adj[w])+len(want) > 0 {
+					t.Fatalf("op %d: Undirected(%d) = %v, model %v", i/3, w, adj[w], want)
+				}
+				if !reflect.DeepEqual(tbl.Neighbors(w), refSorted(ref.out[w], ref.in[w])) {
+					t.Fatalf("op %d: Neighbors(%d) = %v sees a pin", i/3, w, tbl.Neighbors(w))
+				}
+			}
+			if tbl.Version() != ref.version {
+				t.Fatalf("op %d: Version = %d, model %d", i/3, tbl.Version(), ref.version)
+			}
+			if err := tbl.Validate(); err != nil {
+				t.Fatalf("op %d: %v", i/3, err)
+			}
+		}
+	})
 }
