@@ -702,52 +702,48 @@ func (e *Engine) Delays(frac float64, sources []int) ([]time.Duration, error) {
 
 // ReceiveDelays computes the complementary metric: for each node v, the
 // mean time for v to receive blocks mined by the given sources (all nodes
-// when nil). This is what a free-riding node cares about — the incentive
-// experiments compare it between honest and silent nodes. Each worker
-// accumulates into private sums that are merged in worker order (duration
-// addition is exact integer math, so the merge is independent of
-// scheduling).
+// when nil), or stats.InfDuration if some source never reaches v. This is
+// what a free-riding node cares about — the incentive experiments compare
+// it between honest and silent nodes. Each worker accumulates into private
+// sums that are merged in worker order (duration addition is exact integer
+// math, so the merge is independent of scheduling).
 func (e *Engine) ReceiveDelays(sources []int) ([]time.Duration, error) {
 	sources = e.resolveSources(sources)
-	n := e.table.N()
-	workers := e.workerCount(len(sources))
-	partialSums := make([][]time.Duration, workers)
-	partialCensored := make([][]bool, workers)
-	for w := 0; w < workers; w++ {
-		partialSums[w] = make([]time.Duration, n)
-		partialCensored[w] = make([]bool, n)
+	partial := make([][]time.Duration, e.workerCount(len(sources)))
+	for w := range partial {
+		partial[w] = make([]time.Duration, e.table.N())
 	}
 	err := e.eachArrival(sources, func(worker, _ int, arrival []time.Duration) error {
-		sums, censored := partialSums[worker], partialCensored[worker]
-		for v := 0; v < n; v++ {
-			if arrival[v] == stats.InfDuration {
-				censored[v] = true
-				continue
-			}
-			sums[v] += arrival[v]
+		sums := partial[worker]
+		for v, a := range arrival {
+			sums[v] = addCensored(sums[v], a)
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	sums := make([]time.Duration, n)
-	censored := make([]bool, n)
-	for w := 0; w < workers; w++ {
-		for v := 0; v < n; v++ {
-			sums[v] += partialSums[w][v]
-			censored[v] = censored[v] || partialCensored[w][v]
+	out := partial[0]
+	for _, sums := range partial[1:] {
+		for v, s := range sums {
+			out[v] = addCensored(out[v], s)
 		}
 	}
-	out := make([]time.Duration, n)
-	for v := 0; v < n; v++ {
-		if censored[v] {
-			out[v] = stats.InfDuration
-			continue
+	for v := range out {
+		if out[v] != stats.InfDuration {
+			out[v] /= time.Duration(len(sources))
 		}
-		out[v] = sums[v] / time.Duration(len(sources))
 	}
 	return out, nil
+}
+
+// addCensored adds two durations, either of which may be censored
+// (stats.InfDuration); a censored term censors the sum.
+func addCensored(a, b time.Duration) time.Duration {
+	if a == stats.InfDuration || b == stats.InfDuration {
+		return stats.InfDuration
+	}
+	return a + b
 }
 
 // resolveSources returns sources, or every node when it is nil.

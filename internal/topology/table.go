@@ -51,7 +51,7 @@ type Table struct {
 	out [][]int
 	in  [][]int
 	// pins[u] is u's ascending row of pinned peers, mirrored at each end;
-	// nil until the first Pin.
+	// empty until the first Pin.
 	pins [][]int
 	// version increments on every successful edge mutation, letting callers
 	// (e.g. the engine's cached simulator) detect topology changes without
@@ -153,7 +153,7 @@ func (t *Table) Pin(u, v int) error {
 	if u == v {
 		return fmt.Errorf("%w: node %d", ErrSelfConnection, u)
 	}
-	if t.pins == nil {
+	if len(t.pins) == 0 {
 		t.pins = make([][]int, t.n)
 	}
 	if _, ok := slices.BinarySearch(t.pins[u], v); ok {
@@ -251,11 +251,7 @@ func (t *Table) UndirectedInto(adj [][]int) [][]int {
 
 // Clone deep-copies the table, pins included.
 func (t *Table) Clone() *Table {
-	c := &Table{n: t.n, maxIn: t.maxIn, out: cloneRows(t.out), in: cloneRows(t.in)}
-	if t.pins != nil {
-		c.pins = cloneRows(t.pins)
-	}
-	return c
+	return &Table{n: t.n, maxIn: t.maxIn, out: cloneRows(t.out), in: cloneRows(t.in), pins: cloneRows(t.pins)}
 }
 
 // cloneRows copies rows into one backing array; each copy's capacity ends
@@ -295,7 +291,7 @@ func (t *Table) Validate() error {
 			return fmt.Errorf("topology: node %d has %d incoming, cap %d", u, len(t.in[u]), t.maxIn)
 		}
 		var pins []int
-		if t.pins != nil {
+		if len(t.pins) > 0 {
 			pins = t.pins[u]
 		}
 		for _, row := range [][]int{t.out[u], t.in[u], pins} {
