@@ -470,9 +470,10 @@ func (e *env) buildRandom(label string) (*topology.Table, error) {
 // engine constructor in the package, so every arm gets every run option:
 // method's default params at Options.RoundBlocks (UCB keeps its
 // single-block rounds), the env's latency, validation and power tables,
-// the env's pinned edges (pinned into tbl), the RNG stream named stream, Workers, ObservationWindow, the
-// RoundObserver labelled (arm, trial) and, when Options.TraceLevel is on,
-// a trace collector labelled arm (see regret). mods then adjust the
+// the env's pinned edges (pinned into tbl), the RNG stream named stream,
+// Workers, ObservationWindow, the RoundObserver labelled (arm, trial) and,
+// when Options.TraceLevel is on, a trace collector labelled arm (see
+// regret). mods then adjust the
 // config: ablation params, a selector, free-riders, upload serialization,
 // an adversary binding. The returned round budget spends the run's
 // Rounds × RoundBlocks blocks in rounds of the final params' length (at

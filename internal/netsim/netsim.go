@@ -398,14 +398,12 @@ func growDurations(buf []time.Duration, n int) []time.Duration {
 }
 
 // Reconfigure replaces the simulator's topology, reusing the CSR backing
-// arrays. Unlike New it skips the per-row sweep: the adjacency is trusted
-// to be sorted, in range and self-loop free, as a topology.Table snapshot
-// is by construction (symmetry is still verified, as a byproduct of the
-// reverse-index build).
-// The node count must not change, so the latency/forward/silent tables
-// stay valid. Reconfigure must not run concurrently with any Broadcast or
-// ArrivalAnalytic call; existing Broadcasters resynchronize automatically
-// on their next Broadcast.
+// arrays. Unlike New it trusts the adjacency to be sorted, in range and
+// self-loop free, as a topology.Table snapshot is by construction; symmetry
+// is still verified by the reverse-index build. The node count must not
+// change, so the latency/forward/silent tables stay valid. Reconfigure must
+// not run concurrently with any Broadcast or ArrivalAnalytic call; existing
+// Broadcasters resynchronize automatically on their next Broadcast.
 //
 // In precomputed mode a directed edge present both before and after keeps
 // the delay it had; Model.Delay is called only for edges the previous

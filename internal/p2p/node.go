@@ -1054,9 +1054,8 @@ func (n *Node) acceptBlock(from *peer, b *chain.Block, h chain.Hash, mined bool)
 	if n.store.Has(h) {
 		return
 	}
-	// A withheld relay is marked pending before the block can become the
-	// tip a connecting peer is shown, and unmarked if the block is not
-	// accepted here.
+	// Mark a withheld relay pending before the block can become the tip a
+	// connecting peer is shown (see showsTip); unmark it if the add fails.
 	withhold := !mined && !n.cfg.SilentRelay && n.cfg.RelayDelay > 0
 	if withhold {
 		n.markWithheld(h, 1)
