@@ -123,6 +123,58 @@ func TestInvTriggersGetData(t *testing.T) {
 	}
 }
 
+// TestStaleRequestIsRetried: a GETDATA the announcer never answers is sent
+// again once the connection has gone one ReadIdleTimeout silent, together
+// with the idle probe, while a hash delivered in the meantime is not asked
+// for again.
+func TestStaleRequestIsRetried(t *testing.T) {
+	const idle = 150 * time.Millisecond
+	node := startNode(t, 104, func(c *Config) { c.ReadIdleTimeout = idle })
+	conn := rawDial(t, node, 0xFE7C)
+	lost := chain.Hash{4, 5, 6}
+	got := chain.NewBlock(testGenesis(), [][]byte{[]byte("delivered")}, time.Now(), 1)
+	if err := wire.Write(conn, &wire.Inv{Hashes: []chain.Hash{lost, got.Header.Hash()}}); err != nil {
+		t.Fatal(err)
+	}
+	if gd := readUntil[*wire.GetData](t, conn); len(gd.Hashes) != 2 {
+		t.Fatalf("first getdata asks for %v, want both announced hashes", gd.Hashes)
+	}
+	// Deliver one of the two and fall silent on the other.
+	if err := wire.Write(conn, &wire.Block{Block: got}); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(10 * idle))
+	defer conn.SetReadDeadline(time.Time{})
+	pinged := false
+	for {
+		m, err := wire.Read(conn)
+		if err != nil {
+			t.Fatalf("reading (pinged %v): %v", pinged, err)
+		}
+		switch msg := m.(type) {
+		case *wire.Ping:
+			pinged = true
+			// Answer the probe, so a probe that comes a hair before the
+			// request is stale is followed by another rather than a
+			// disconnect.
+			if err := wire.Write(conn, &wire.Pong{Nonce: msg.Nonce}); err != nil {
+				t.Fatal(err)
+			}
+		case *wire.GetData:
+			if !pinged {
+				t.Fatalf("getdata %v before any idle probe", msg.Hashes)
+			}
+			if len(msg.Hashes) != 1 || msg.Hashes[0] != lost {
+				t.Fatalf("retried getdata asks for %v, want only the undelivered %v", msg.Hashes, lost)
+			}
+			if !node.Store().Has(got.Header.Hash()) {
+				t.Fatal("the delivered block is missing from the store")
+			}
+			return
+		}
+	}
+}
+
 // TestInvalidBlockRejected: the store's validation is the only one a
 // received block gets, and its verdict still reaches the misbehavior score
 // — once.
