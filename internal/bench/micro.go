@@ -475,35 +475,11 @@ func MicroDeriveIndexed(b *testing.B) {
 func WorkloadHour(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		root := rng.New(5)
-		u, err := geo.SampleUniverse(300, root.Derive("universe"))
+		engine, err := subsetEngine(300, 5, 100, 0, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		lat, err := latency.NewGeographic(u, root.Derive("latency"))
-		if err != nil {
-			b.Fatal(err)
-		}
-		tbl, err := topology.Random(300, 8, 20, root.Derive("topology"))
-		if err != nil {
-			b.Fatal(err)
-		}
-		forward := make([]time.Duration, 300)
-		power := make([]float64, 300)
-		for v := range forward {
-			forward[v] = 50 * time.Millisecond
-			power[v] = 1.0 / 300
-		}
-		params := core.DefaultParams(core.Subset)
-		engine, err := core.NewEngine(core.Config{
-			Method: core.Subset, Params: params, Table: tbl,
-			Latency: lat, Forward: forward, Power: power,
-			Rand: root.Derive("engine"),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		trace, err := workload.NewPoisson(root.Derive("trace"), power, 2*time.Second)
+		trace, err := workload.NewPoisson(rng.New(5).Derive("trace"), engine.Power(), 2*time.Second)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -511,7 +487,7 @@ func WorkloadHour(b *testing.B) {
 			Engine:        engine,
 			Trace:         trace,
 			Duration:      time.Hour,
-			RoundInterval: time.Duration(params.RoundBlocks) * 2 * time.Second,
+			RoundInterval: time.Duration(engine.Params().RoundBlocks) * 2 * time.Second,
 		})
 		if err != nil {
 			b.Fatal(err)

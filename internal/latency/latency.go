@@ -149,15 +149,6 @@ var regionRadii = [geo.NumRegions]float64{
 	geo.Oceania:      20,
 }
 
-// RegionCenter returns a region's hub coordinates in the latency plane (ms).
-func RegionCenter(r geo.Region) (x, y float64) {
-	c := regionCenters[r]
-	return c[0], c[1]
-}
-
-// RegionRadius returns a region's scatter radius in ms.
-func RegionRadius(r geo.Region) float64 { return regionRadii[r] }
-
 // Geographic models point-to-point latency with the paper's own
 // metric-embedding view (§3.1) made concrete: every node is embedded at
 // its region's hub plus a random in-region offset, and has an individual
@@ -170,111 +161,60 @@ func RegionRadius(r geo.Region) float64 { return regionRadii[r] }
 // structure Perigee exploits (nodes near hubs with fast access links make
 // better neighbors for everyone).
 type Geographic struct {
-	universe   *geo.Universe
-	jitter     float64
-	routeSigma float64
-	access     AccessProfile
-	stream     *rng.RNG
-	pos        [][2]float64
-	accessMs   []float64 // per node, ms
+	universe *geo.Universe
+	stream   *rng.RNG
+	pos      [][2]float64
+	accessMs []float64 // per node, ms
 }
 
-// AccessProfile describes the per-node last-mile delay distribution: a
-// fast majority (well-hosted servers near exchange points) and a slow
-// minority (consumer NAT, VPN, Tor — the node heterogeneity reported by
-// Bitcoin measurement studies and exploited by Perigee). A node is slow
-// with probability SlowFraction; fast nodes draw Exponential(FastMean),
-// slow nodes draw SlowBase + Exponential(SlowMean). All values in ms.
-type AccessProfile struct {
-	FastMean     float64
-	SlowFraction float64
-	SlowBase     float64
-	SlowMean     float64
-}
+const (
+	// jitter is the relative uniform jitter amplitude applied
+	// (symmetrically and deterministically) to each link: each link's
+	// latency is scaled by a factor in [0.9, 1.1].
+	jitter = 0.1
+	// routeSigma is σ of the per-link LogNormal(−σ²/2, σ) routing-
+	// inefficiency factor. Internet latencies deviate multiplicatively
+	// from clean metric embeddings (peering, indirect BGP routes, triangle-
+	// inequality violations); a link is what it is until measured, which
+	// is exactly the uncertainty Perigee's bandit exploration resolves.
+	routeSigma = 0.45
+)
 
-// DefaultAccessProfile mirrors the skew of measured Bitcoin node
-// connectivity (bandwidths of 3–186 Mbps, proxied/VPN/Tor peers, and the
-// INV/GETDATA exchange paid on every hop): three quarters of nodes sit
-// within a few ms of their regional hub; a quarter are tens to hundreds of
-// ms behind slow access paths. Multi-hop routes through slow nodes pay
-// this cost repeatedly — the heterogeneity Perigee learns to avoid.
-func DefaultAccessProfile() AccessProfile {
-	return AccessProfile{FastMean: 4, SlowFraction: 0.25, SlowBase: 40, SlowMean: 80}
-}
+// The per-node last-mile delay distribution, in ms, mirrors the skew of
+// measured Bitcoin node connectivity (bandwidths of 3–186 Mbps,
+// proxied/VPN/Tor peers, and the INV/GETDATA exchange paid on every hop):
+// a fast majority of well-hosted servers near exchange points sits within
+// a few ms of its regional hub, drawing Exponential(fastMeanMs); a slow
+// quarter behind consumer NAT, VPN or Tor draws slowBaseMs +
+// Exponential(slowMeanMs). Multi-hop routes through slow nodes pay this
+// cost repeatedly — the heterogeneity Perigee learns to avoid.
+const (
+	fastMeanMs   = 4
+	slowFraction = 0.25
+	slowBaseMs   = 40
+	slowMeanMs   = 80
+)
 
-func (p AccessProfile) validate() error {
-	if p.FastMean < 0 || p.SlowBase < 0 || p.SlowMean < 0 {
-		return fmt.Errorf("latency: negative access parameter in %+v", p)
+// sampleAccess draws one node's access delay in ms.
+func sampleAccess(r *rng.RNG) float64 {
+	if r.Float64() < slowFraction {
+		return slowBaseMs + r.ExpFloat64()*slowMeanMs
 	}
-	if p.SlowFraction < 0 || p.SlowFraction > 1 {
-		return fmt.Errorf("latency: slow fraction %v outside [0, 1]", p.SlowFraction)
-	}
-	return nil
-}
-
-// sample draws one node's access delay in ms.
-func (p AccessProfile) sample(r *rng.RNG) float64 {
-	if r.Float64() < p.SlowFraction {
-		return p.SlowBase + r.ExpFloat64()*p.SlowMean
-	}
-	return r.ExpFloat64() * p.FastMean
-}
-
-// GeographicOption customizes a Geographic model.
-type GeographicOption func(*Geographic)
-
-// WithJitter sets the relative uniform jitter amplitude applied
-// (symmetrically and deterministically) to each link; 0.1 means each
-// link's latency is scaled by a factor in [0.9, 1.1]. Default 0.1.
-func WithJitter(amplitude float64) GeographicOption {
-	return func(g *Geographic) { g.jitter = amplitude }
-}
-
-// WithRouteNoise sets σ of the per-link LogNormal(−σ²/2, σ) routing-
-// inefficiency factor. Internet latencies deviate multiplicatively from
-// clean metric embeddings (peering, indirect BGP routes, triangle-
-// inequality violations); a link is what it is until measured, which is
-// exactly the uncertainty Perigee's bandit exploration resolves. Default
-// 0.45; 0 disables.
-func WithRouteNoise(sigma float64) GeographicOption {
-	return func(g *Geographic) { g.routeSigma = sigma }
-}
-
-// WithAccessProfile overrides the last-mile delay distribution.
-func WithAccessProfile(p AccessProfile) GeographicOption {
-	return func(g *Geographic) { g.access = p }
+	return r.ExpFloat64() * fastMeanMs
 }
 
 // NewGeographic builds the model over a universe. The rng stream seeds
 // node positions, access delays, and per-link jitter; deriving a fresh
 // stream per trial reproduces the paper's "independently sampled link
 // latencies" across trials.
-func NewGeographic(u *geo.Universe, stream *rng.RNG, opts ...GeographicOption) (*Geographic, error) {
+func NewGeographic(u *geo.Universe, stream *rng.RNG) (*Geographic, error) {
 	if u == nil {
 		return nil, fmt.Errorf("latency: nil universe")
 	}
 	if stream == nil {
 		return nil, fmt.Errorf("latency: nil rng stream")
 	}
-	g := &Geographic{
-		universe:   u,
-		jitter:     0.1,
-		routeSigma: 0.45,
-		access:     DefaultAccessProfile(),
-		stream:     stream,
-	}
-	for _, opt := range opts {
-		opt(g)
-	}
-	if g.jitter < 0 || g.jitter >= 1 {
-		return nil, fmt.Errorf("latency: jitter %v outside [0, 1)", g.jitter)
-	}
-	if g.routeSigma < 0 || g.routeSigma > 2 {
-		return nil, fmt.Errorf("latency: route noise sigma %v outside [0, 2]", g.routeSigma)
-	}
-	if err := g.access.validate(); err != nil {
-		return nil, err
-	}
+	g := &Geographic{universe: u, stream: stream}
 	n := u.N()
 	g.pos = make([][2]float64, n)
 	g.accessMs = make([]float64, n)
@@ -294,7 +234,7 @@ func NewGeographic(u *geo.Universe, stream *rng.RNG, opts ...GeographicOption) (
 			}
 		}
 		g.pos[i] = [2]float64{cx + dx*radius, cy + dy*radius}
-		g.accessMs[i] = g.access.sample(accStream)
+		g.accessMs[i] = sampleAccess(accStream)
 	}
 	return g, nil
 }
@@ -310,20 +250,10 @@ func (g *Geographic) Delay(u, v int) time.Duration {
 	dx := g.pos[u][0] - g.pos[v][0]
 	dy := g.pos[u][1] - g.pos[v][1]
 	ms := math.Sqrt(dx*dx+dy*dy) + g.accessMs[u] + g.accessMs[v]
-	if g.jitter > 0 {
-		ms *= g.stream.PairJitter(u, v, g.jitter)
-	}
-	if g.routeSigma > 0 {
-		ms *= g.stream.PairLogNormal(u, v, g.routeSigma)
-	}
+	ms *= g.stream.PairJitter(u, v, jitter)
+	ms *= g.stream.PairLogNormal(u, v, routeSigma)
 	return time.Duration(ms * float64(time.Millisecond))
 }
-
-// Position returns node i's embedded coordinates in the latency plane (ms).
-func (g *Geographic) Position(i int) (x, y float64) { return g.pos[i][0], g.pos[i][1] }
-
-// Access returns node i's last-mile access delay in ms.
-func (g *Geographic) Access(i int) float64 { return g.accessMs[i] }
 
 // Hypercube embeds n nodes uniformly at random in [0,1]^d and reports
 // scaled Euclidean distances, the metric-embedding model of §3.1.

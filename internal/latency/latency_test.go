@@ -23,10 +23,8 @@ func TestRegionLayout(t *testing.T) {
 	// Hub distances should be broadly consistent with published one-way
 	// inter-continental latencies: nearby pairs below distant pairs.
 	dist := func(a, b geo.Region) float64 {
-		ax, ay := RegionCenter(a)
-		bx, by := RegionCenter(b)
-		dx, dy := ax-bx, ay-by
-		return math.Sqrt(dx*dx + dy*dy)
+		ca, cb := regionCenters[a], regionCenters[b]
+		return math.Hypot(ca[0]-cb[0], ca[1]-cb[1])
 	}
 	naEU := dist(geo.NorthAmerica, geo.Europe)
 	naAsia := dist(geo.NorthAmerica, geo.Asia)
@@ -39,7 +37,7 @@ func TestRegionLayout(t *testing.T) {
 		t.Errorf("Asia-China (%v) should be closer than EU-Asia (%v)", asiaChina, euAsia)
 	}
 	for r := 0; r < geo.NumRegions; r++ {
-		if RegionRadius(geo.Region(r)) <= 0 {
+		if regionRadii[r] <= 0 {
 			t.Errorf("region %v has non-positive radius", geo.Region(r))
 		}
 	}
@@ -138,23 +136,26 @@ func TestGeographicHeterogeneousWithinRegionPair(t *testing.T) {
 
 func TestGeographicZeroJitterDeterministicDistance(t *testing.T) {
 	u := testUniverse(t, 50)
-	g, err := NewGeographic(u, rng.New(1), WithJitter(0), WithRouteNoise(0), WithAccessProfile(AccessProfile{}))
+	stream := rng.New(1)
+	g, err := NewGeographic(u, stream)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// With no jitter and no access delay, the delay is exactly the
-	// Euclidean position distance.
+	// The delay is exactly the Euclidean position distance plus both
+	// access delays, scaled by the stream's jitter and route factors for
+	// the pair.
 	for i := 0; i < 50; i++ {
+		if g.accessMs[i] < 0 {
+			t.Fatalf("node %d has access delay %v ms", i, g.accessMs[i])
+		}
 		for j := i + 1; j < 50; j++ {
-			xi, yi := g.Position(i)
-			xj, yj := g.Position(j)
-			want := time.Duration(math.Hypot(xi-xj, yi-yj) * float64(time.Millisecond))
-			got := g.Delay(i, j)
-			if got != want {
+			dx, dy := g.pos[i][0]-g.pos[j][0], g.pos[i][1]-g.pos[j][1]
+			ms := math.Sqrt(dx*dx+dy*dy) + g.accessMs[i] + g.accessMs[j]
+			ms *= stream.PairJitter(i, j, 0.1)
+			ms *= stream.PairLogNormal(i, j, 0.45)
+			want := time.Duration(ms * float64(time.Millisecond))
+			if got := g.Delay(i, j); got != want {
 				t.Fatalf("delay(%d,%d) = %v, want %v", i, j, got, want)
-			}
-			if g.Access(i) != 0 {
-				t.Fatal("access mean 0 should zero access delays")
 			}
 		}
 	}
@@ -189,12 +190,6 @@ func TestNewGeographicErrors(t *testing.T) {
 	}
 	if _, err := NewGeographic(u, nil); err == nil {
 		t.Fatal("expected error for nil stream")
-	}
-	if _, err := NewGeographic(u, rng.New(1), WithJitter(1.5)); err == nil {
-		t.Fatal("expected error for jitter >= 1")
-	}
-	if _, err := NewGeographic(u, rng.New(1), WithJitter(-0.1)); err == nil {
-		t.Fatal("expected error for negative jitter")
 	}
 }
 

@@ -258,7 +258,6 @@ func (n *Node) announceSelf(p *peer) {
 // refreshLoop periodically requests addresses from a couple of random
 // peers while the book is below the target size.
 func (n *Node) refreshLoop() {
-	defer n.wg.Done()
 	ticker := time.NewTicker(n.cfg.Discovery.RefreshInterval)
 	defer ticker.Stop()
 	for tick := 0; ; tick++ {
@@ -300,7 +299,6 @@ func (n *Node) refreshOnce(tick int) {
 // dial-verified — so the book's verified tier grows beyond the peers we
 // happen to be connected to, and fabricated addresses are found out.
 func (n *Node) feelerLoop() {
-	defer n.wg.Done()
 	ticker := time.NewTicker(n.cfg.Discovery.FeelerInterval)
 	defer ticker.Stop()
 	for tick := 0; ; tick++ {

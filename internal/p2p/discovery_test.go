@@ -277,13 +277,14 @@ func TestUnsolicitedAddrBudget(t *testing.T) {
 }
 
 // TestRoundlessObservationBound pins the memory fix: a node that never
-// runs Perigee rounds keeps order, firstSeen, and requested bounded by
-// observationCap even under an announcement flood of fabricated hashes.
+// runs Perigee rounds keeps its sightings table bounded by observationCap,
+// under an announcement flood of fabricated hashes and under an honest
+// announce → request → deliver stream alike.
 func TestRoundlessObservationBound(t *testing.T) {
 	const cap = observationCap
 	n := startNode(t, 7740, nil)
 	conn := rawDial(t, n, 0x0B5)
-	// Enough rumor to push firstSeen ten entries past its 2·cap bound.
+	// Enough rumor to push the table ten records past 2·cap.
 	const flood = 2*cap + 10
 	var last [32]byte
 	for sent := 0; sent < flood; {
@@ -303,23 +304,58 @@ func TestRoundlessObservationBound(t *testing.T) {
 	waitFor(t, "flood processed", 2*time.Second, func() bool {
 		n.obsMu.Lock()
 		defer n.obsMu.Unlock()
-		_, ok := n.firstSeen[last]
+		_, ok := n.sightings.index[last]
 		return ok
 	})
-	n.obsMu.Lock()
-	seen, req, ord := len(n.firstSeen), len(n.requested), len(n.order)
-	n.obsMu.Unlock()
-	if seen > 2*cap {
-		t.Fatalf("firstSeen grew to %d, cap is %d", seen, 2*cap)
+	checkBounds := func(what string, n *Node) {
+		t.Helper()
+		n.obsMu.Lock()
+		seen, slots, req, ord := n.sightings.sizes()
+		n.obsMu.Unlock()
+		if seen > 2*cap || slots > 2*cap {
+			t.Fatalf("%s: the table grew to %d records in %d slots, cap is %d", what, seen, slots, 2*cap)
+		}
+		// Requests are bounded on the observation path, so they may sit
+		// one past the cap between prunes — never more.
+		if req > cap+1 {
+			t.Fatalf("%s: %d requests in flight, cap is %d", what, req, cap)
+		}
+		if ord > cap {
+			t.Fatalf("%s: the window grew to %d, cap is %d", what, ord, cap)
+		}
 	}
-	// The request-dedup map is bounded on the observation path, so it can
-	// sit one past the cap between prunes — never more.
-	if req > cap+1 {
-		t.Fatalf("requested grew to %d, cap is %d", req, cap)
+	checkBounds("rumor flood", n)
+
+	// An honest peer announces each block of a chain past 3·cap long and
+	// delivers it when asked.
+	_ = conn.Close()
+	waitFor(t, "flooder gone", 2*time.Second, func() bool { return len(n.Peers()) == 0 })
+	honest := rawDial(t, n, 0x0B6)
+	pongs := drain(t, honest)
+	prev, at := testGenesis(), time.Unix(1700000000, 0)
+	for i := 0; i < 3*cap+10; i++ {
+		b := chain.NewBlock(prev, nil, at, uint64(i))
+		if err := wire.Write(honest, &wire.Inv{Hashes: []chain.Hash{b.Header.Hash()}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := wire.Write(honest, &wire.Block{Block: b}); err != nil {
+			t.Fatal(err)
+		}
+		if i%(peerSendBuffer/2) == 0 {
+			pingPong(t, honest, pongs)
+			checkBounds("honest stream", n)
+		}
+		prev = b
 	}
-	if ord > cap {
-		t.Fatalf("order grew to %d, cap is %d", ord, cap)
+	pingPong(t, honest, pongs)
+	if !n.Store().Has(prev.Header.Hash()) {
+		t.Fatal("the honest chain did not reach the store")
 	}
+	checkBounds("honest stream", n)
+	if got := n.ObservationWindow(); got != cap {
+		t.Fatalf("window holds %d blocks after %d accepted, want the cap %d", got, 3*cap+10, cap)
+	}
+
 	// Accepted-block growth is bounded too: mine past the cap.
 	miner := startNode(t, 7741, nil)
 	for i := 0; i < 3*cap; i++ {
@@ -327,18 +363,13 @@ func TestRoundlessObservationBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	miner.obsMu.Lock()
-	ord = len(miner.order)
-	miner.obsMu.Unlock()
-	if ord > cap {
-		t.Fatalf("miner order grew to %d, cap is %d", ord, cap)
-	}
+	checkBounds("miner", miner)
 }
 
 // TestObservationCapKeepsNewest pins the trim contract of the accepted-block
-// window: once more than observationCap blocks have been accepted, order is
-// exactly the newest cap hashes, in acceptance order, and firstSeen holds
-// every kept block's timestamps and none of the trimmed blocks'.
+// window: once more than observationCap blocks have been accepted, the
+// window is exactly the newest cap hashes, in acceptance order, and the
+// table holds every kept block's sightings and none of the trimmed blocks'.
 func TestObservationCapKeepsNewest(t *testing.T) {
 	const cap, extra = observationCap, 37
 	n := startNode(t, 7745, nil)
@@ -346,7 +377,9 @@ func TestObservationCapKeepsNewest(t *testing.T) {
 	for i := 0; i < cap+extra; i++ {
 		b := chain.NewBlock(n.store.Tip(), nil, time.Now(), uint64(i))
 		h := b.Header.Hash()
-		n.recordSeen(1, h, time.Now()) // a peer announces it, then it arrives
+		n.obsMu.Lock()
+		n.sightings.note(1, h, time.Now()) // a peer announces it, then it arrives
+		n.obsMu.Unlock()
 		n.acceptBlock(nil, b, h, false)
 		if !n.store.Has(h) {
 			t.Fatalf("block %d rejected", i)
@@ -355,12 +388,12 @@ func TestObservationCapKeepsNewest(t *testing.T) {
 	}
 	n.obsMu.Lock()
 	defer n.obsMu.Unlock()
-	if !slices.Equal(n.order, accepted[extra:]) {
-		t.Fatalf("order holds %d hashes, want exactly the newest %d in acceptance order", len(n.order), cap)
+	if window := n.sightings.windowHashes(); !slices.Equal(window, accepted[extra:]) {
+		t.Fatalf("window holds %d hashes, want exactly the newest %d in acceptance order", len(window), cap)
 	}
 	for i, h := range accepted {
-		if _, ok := n.firstSeen[h]; ok != (i >= extra) {
-			t.Fatalf("block %d of %d: firstSeen present = %v", i, len(accepted), ok)
+		if _, ok := n.sightings.index[h]; ok != (i >= extra) {
+			t.Fatalf("block %d of %d: sighting present = %v", i, len(accepted), ok)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/perigee-net/perigee/internal/chain"
@@ -111,10 +112,12 @@ const (
 	// after which a slow consumer is disconnected rather than silently
 	// starved.
 	maxSendQueueDrops = 64
-	// observationCap bounds the block-observation structures (order,
-	// firstSeen, requested) independently of Perigee rounds, so a node
-	// that never rounds (RoundBlocks 0, no PerigeeRound calls) cannot grow
-	// them without bound; see Config.obsCap.
+	// observationCap bounds the node's table of block sightings
+	// independently of Perigee rounds, so a node that never rounds
+	// (RoundBlocks 0, no PerigeeRound calls) cannot grow it without bound:
+	// the round window keeps the newest cap accepted blocks, and at most cap
+	// other records (rumours, fetches in flight) wait outside it, the first
+	// sighted leaving first. See sightings and Config.obsCap.
 	observationCap = 4096
 )
 
@@ -165,9 +168,7 @@ type Node struct {
 	quit     chan struct{} // closed by Stop; wakes delayed-relay timers
 
 	obsMu     sync.Mutex
-	firstSeen map[chain.Hash]map[uint64]time.Time
-	order     []chain.Hash
-	requested map[chain.Hash]time.Time
+	sightings sightings
 	// orphans stashes received blocks whose parent is unknown, keyed by
 	// that parent; orphanCount is how many, capped at chain.MaxOrphans.
 	orphans     map[chain.Hash][]orphan
@@ -178,8 +179,8 @@ type Node struct {
 	// relay (Config.RelayDelay) has not fired yet; see showsTip.
 	withheld map[chain.Hash]int
 
-	roundMu       sync.Mutex
-	roundInFlight bool
+	// roundInFlight is set while an automatic round runs.
+	roundInFlight atomic.Bool
 
 	// dialMu guards the per-address and per-peer attempt counters that
 	// index into the fault plan's verdict streams.
@@ -284,8 +285,7 @@ func NewNode(cfg Config) (*Node, error) {
 		addrRand:     rng.New(cfg.Seed).Derive("p2p-addr-gossip"),
 		peers:        make(map[uint64]*peer),
 		quit:         make(chan struct{}),
-		firstSeen:    make(map[chain.Hash]map[uint64]time.Time),
-		requested:    make(map[chain.Hash]time.Time),
+		sightings:    newSightings(cfg.obsCap()),
 		orphans:      make(map[chain.Hash][]orphan),
 		withheld:     make(map[chain.Hash]int),
 		dialAttempts: make(map[string]int),
@@ -330,47 +330,42 @@ func (n *Node) Start() error {
 		n.wg.Add(1)
 		go n.acceptLoop(ln)
 	}
-	if n.cfg.RedialInterval > 0 && !n.cfg.Frozen {
-		n.mu.Lock()
-		if n.closed {
-			n.mu.Unlock()
-			return ErrStopped
-		}
-		n.wg.Add(1)
-		n.mu.Unlock()
-		go n.maintainLoop()
+	if n.cfg.RedialInterval > 0 && !n.cfg.Frozen && !n.spawn(n.maintainLoop) {
+		return ErrStopped
 	}
 	// Discovery loops: refresh keeps the book fed, feelers verify rumor.
 	// Either runs regardless of Frozen — they shape the address book, not
 	// the neighbor set.
-	if n.cfg.Discovery.RefreshInterval > 0 {
-		n.mu.Lock()
-		if n.closed {
-			n.mu.Unlock()
-			return ErrStopped
-		}
-		n.wg.Add(1)
-		n.mu.Unlock()
-		go n.refreshLoop()
+	if n.cfg.Discovery.RefreshInterval > 0 && !n.spawn(n.refreshLoop) {
+		return ErrStopped
 	}
-	if n.cfg.Discovery.FeelerInterval > 0 {
-		n.mu.Lock()
-		if n.closed {
-			n.mu.Unlock()
-			return ErrStopped
-		}
-		n.wg.Add(1)
-		n.mu.Unlock()
-		go n.feelerLoop()
+	if n.cfg.Discovery.FeelerInterval > 0 && !n.spawn(n.feelerLoop) {
+		return ErrStopped
 	}
 	return nil
+}
+
+// spawn runs f on a goroutine Stop waits for, unless the node has stopped.
+// The closed check and the wg.Add share mu, so Stop's wait never races a
+// fresh goroutine.
+func (n *Node) spawn(f func()) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.closed {
+		return false
+	}
+	n.wg.Add(1)
+	go func() {
+		defer n.wg.Done()
+		f()
+	}()
+	return true
 }
 
 // maintainLoop periodically tops the outbound set back up to OutDegree
 // from the address book — the recovery path for connections lost to
 // faults between Perigee rounds.
 func (n *Node) maintainLoop() {
-	defer n.wg.Done()
 	ticker := time.NewTicker(n.cfg.RedialInterval)
 	defer ticker.Stop()
 	for {
@@ -461,7 +456,7 @@ func (n *Node) acceptLoop(ln net.Listener) {
 		if err != nil {
 			return // listener closed
 		}
-		if n.inboundCount() >= n.cfg.MaxInbound {
+		if n.count(Inbound) >= n.cfg.MaxInbound {
 			// Incoming slots full: shed the connection, as in §5.1.
 			_ = conn.Close()
 			n.countRes(func(r *ResilienceStats) { r.AcceptsShed++ })
@@ -477,29 +472,19 @@ func (n *Node) acceptLoop(ln net.Listener) {
 	}
 }
 
-func (n *Node) inboundCount() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.inboundCountLocked()
-}
-
-func (n *Node) inboundCountLocked() int {
-	count := 0
-	for _, p := range n.peers {
-		if p.direction == Inbound {
-			count++
-		}
-	}
-	return count
-}
-
 // OutboundCount returns the number of live outbound connections.
-func (n *Node) OutboundCount() int {
+func (n *Node) OutboundCount() int { return n.count(Outbound) }
+
+func (n *Node) count(dir Direction) int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	return n.countLocked(dir)
+}
+
+func (n *Node) countLocked(dir Direction) int {
 	count := 0
 	for _, p := range n.peers {
-		if p.direction == Outbound {
+		if p.direction == dir {
 			count++
 		}
 	}
@@ -585,13 +570,7 @@ func (n *Node) setupPeer(conn net.Conn, dir Direction, dialedAddr string) error 
 		ListenAddr: n.Addr(),
 		Nonce:      n.randUint64(),
 	}
-	var remote *wire.Version
-	var err error
-	if dir == Outbound {
-		remote, err = handshakeDance(conn, local, true)
-	} else {
-		remote, err = handshakeDance(conn, local, false)
-	}
+	remote, err := handshakeDance(conn, local, dir == Outbound)
 	if err != nil {
 		_ = conn.Close()
 		return err
@@ -661,7 +640,7 @@ func (n *Node) setupPeer(conn net.Conn, dir Direction, dialedAddr string) error 
 		p.close()
 		return fmt.Errorf("p2p: duplicate connection to %016x", p.id)
 	}
-	if dir == Inbound && n.inboundCountLocked() >= n.cfg.MaxInbound {
+	if dir == Inbound && n.countLocked(Inbound) >= n.cfg.MaxInbound {
 		// Handshakes that passed acceptLoop's check together meet the cap
 		// again here, where the slot is actually taken.
 		n.mu.Unlock()
@@ -864,103 +843,6 @@ func (n *Node) removePeer(p *peer) {
 	n.logf("disconnected %s", p)
 }
 
-// recordSeen notes the first time each peer announced a block.
-func (n *Node) recordSeen(peerID uint64, h chain.Hash, at time.Time) {
-	n.obsMu.Lock()
-	defer n.obsMu.Unlock()
-	m, ok := n.firstSeen[h]
-	if !ok {
-		m = make(map[uint64]time.Time)
-		n.firstSeen[h] = m
-	}
-	if _, seen := m[peerID]; !seen {
-		m[peerID] = at
-	}
-	n.boundObservationsLocked()
-}
-
-// boundObservationsLocked trims the observation structures to the
-// configured cap — rounds reset them wholesale, but a node that never
-// rounds (a client-only observer) must not grow them without bound.
-// Callers hold obsMu.
-func (n *Node) boundObservationsLocked() {
-	cap := n.cfg.obsCap()
-	// Accepted blocks: keep the newest cap entries of the window; the
-	// timestamps of trimmed blocks can no longer feed a round, so their
-	// firstSeen maps go too.
-	if len(n.order) > cap {
-		drop := n.order[:len(n.order)-cap]
-		for _, h := range drop {
-			delete(n.firstSeen, h)
-		}
-		// Reslice rather than copy down: this runs on every accepted block
-		// once past the cap, and append's next regrowth copies only the
-		// live window, so the dropped prefix is reclaimed at amortized O(1).
-		n.order = n.order[len(n.order)-cap:]
-	}
-	// Rumor-only entries (announced, never accepted — e.g. fabricated
-	// hashes from a flooding peer) have no order entry to age out with;
-	// bound the map as a whole and discard the oldest rumor first.
-	if len(n.firstSeen) > 2*cap {
-		inWindow := make(map[chain.Hash]bool, len(n.order))
-		for _, h := range n.order {
-			inWindow[h] = true
-		}
-		type aged struct {
-			h  chain.Hash
-			at time.Time
-		}
-		rumors := make([]aged, 0, len(n.firstSeen))
-		for h, seen := range n.firstSeen {
-			if inWindow[h] {
-				continue
-			}
-			oldest := time.Time{}
-			for _, at := range seen {
-				if oldest.IsZero() || at.Before(oldest) {
-					oldest = at
-				}
-			}
-			rumors = append(rumors, aged{h, oldest})
-		}
-		sort.Slice(rumors, func(i, j int) bool {
-			if !rumors[i].at.Equal(rumors[j].at) {
-				return rumors[i].at.Before(rumors[j].at)
-			}
-			return string(rumors[i].h[:]) < string(rumors[j].h[:])
-		})
-		for _, r := range rumors {
-			if len(n.firstSeen) <= 2*cap {
-				break
-			}
-			delete(n.firstSeen, r.h)
-		}
-	}
-	// In-flight request dedup: prune oldest-first down to three quarters
-	// of the cap when over it — entries past the re-request window are
-	// dead weight anyway. Ties (hashes from one INV share a timestamp)
-	// break on the hash so the prune always reaches its target.
-	if len(n.requested) > cap {
-		type pending struct {
-			h  chain.Hash
-			at time.Time
-		}
-		all := make([]pending, 0, len(n.requested))
-		for h, at := range n.requested {
-			all = append(all, pending{h, at})
-		}
-		sort.Slice(all, func(i, j int) bool {
-			if !all[i].at.Equal(all[j].at) {
-				return all[i].at.Before(all[j].at)
-			}
-			return string(all[i].h[:]) < string(all[j].h[:])
-		})
-		for _, p := range all[:len(all)-3*cap/4] {
-			delete(n.requested, p.h)
-		}
-	}
-}
-
 // reRequestAfter is how long a GETDATA may go unanswered before its block
 // becomes eligible for another fetch. Nodes tuned for fast idle probing
 // (a short ReadIdleTimeout) retry lost fetches on that same cadence;
@@ -979,19 +861,14 @@ func (n *Node) handleInv(p *peer, inv *wire.Inv) {
 	now := time.Now()
 	window := n.reRequestAfter()
 	var want []chain.Hash
+	n.obsMu.Lock()
 	for _, h := range inv.Hashes {
-		n.recordSeen(p.id, h, now)
-		if n.store.Has(h) {
-			continue
-		}
-		n.obsMu.Lock()
-		last, asked := n.requested[h]
-		if !asked || now.Sub(last) > window {
-			n.requested[h] = now
+		n.sightings.note(p.id, h, now)
+		if !n.store.Has(h) && n.sightings.ask(h, now, window) {
 			want = append(want, h)
 		}
-		n.obsMu.Unlock()
 	}
+	n.obsMu.Unlock()
 	if len(want) > 0 {
 		p.send(&wire.GetData{Hashes: want})
 	}
@@ -1002,20 +879,8 @@ func (n *Node) handleInv(p *peer, inv *wire.Inv) {
 // requests lost in transit, without which a single dropped GETDATA loses
 // a block until an unrelated announcement revives it.
 func (n *Node) rerequestStale(p *peer) {
-	now := time.Now()
-	window := n.reRequestAfter()
-	var want []chain.Hash
 	n.obsMu.Lock()
-	for h, at := range n.requested {
-		if now.Sub(at) <= window || n.store.Has(h) {
-			continue
-		}
-		n.requested[h] = now
-		want = append(want, h)
-		if len(want) == wire.MaxInvHashes {
-			break
-		}
-	}
+	want := n.sightings.stale(time.Now(), n.reRequestAfter(), n.store.Has, wire.MaxInvHashes)
 	n.obsMu.Unlock()
 	if len(want) > 0 {
 		p.send(&wire.GetData{Hashes: want})
@@ -1033,7 +898,9 @@ func (n *Node) handleGetData(p *peer, gd *wire.GetData) {
 
 func (n *Node) handleBlock(p *peer, b *chain.Block) {
 	h := b.Header.Hash()
-	n.recordSeen(p.id, h, time.Now())
+	n.obsMu.Lock()
+	n.sightings.note(p.id, h, time.Now())
+	n.obsMu.Unlock()
 	n.acceptBlock(p, b, h, false)
 }
 
@@ -1098,15 +965,13 @@ func (n *Node) acceptBlock(from *peer, b *chain.Block, h chain.Hash, mined bool)
 		return
 	}
 	n.obsMu.Lock()
-	n.order = append(n.order, h)
+	n.sightings.accept(h) // fetched: no longer re-requested
 	if mined {
 		n.lastMined = h
 	}
 	pending := n.orphans[h]
 	delete(n.orphans, h)
 	n.orphanCount -= len(pending)
-	delete(n.requested, h) // fetched: stop tracking for re-request
-	n.boundObservationsLocked()
 	n.obsMu.Unlock()
 
 	// Relay to everyone except the sender (they have it), applying any
@@ -1136,17 +1001,7 @@ func (n *Node) relayInv(h chain.Hash, exceptID uint64, relayed bool) {
 		n.broadcastInv(h, exceptID)
 		return
 	}
-	// Serialize the Add against Stop's closed flag so the waiter never
-	// races a fresh goroutine.
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return
-	}
-	n.wg.Add(1)
-	n.mu.Unlock()
-	go func() {
-		defer n.wg.Done()
+	n.spawn(func() {
 		timer := time.NewTimer(n.cfg.RelayDelay)
 		defer timer.Stop()
 		select {
@@ -1155,7 +1010,7 @@ func (n *Node) relayInv(h chain.Hash, exceptID uint64, relayed bool) {
 			n.markWithheld(h, -1)
 			n.broadcastInv(h, exceptID)
 		}
-	}()
+	})
 }
 
 // markWithheld adds d to h's count of pending withheld relays.
@@ -1277,46 +1132,28 @@ func (n *Node) PerigeeRound() (RoundReport, error) {
 	}
 	n.mu.Unlock()
 
+	// The scoring code keys neighbors by int, for identity and tie-breaking
+	// only, so the (possibly negative) two's-complement view of an ID is
+	// fine.
 	outbound := make([]*peer, 0, n.cfg.OutDegree)
+	ids := make([]int, 0, n.cfg.OutDegree)
 	for _, p := range n.peerSnapshot() {
 		if p.direction == Outbound {
 			outbound = append(outbound, p)
+			ids = append(ids, int(p.id))
 		}
 	}
 	report := RoundReport{}
 
-	// Build observations: offsets of each outbound peer's announcement
-	// relative to the first announcement of that block from any peer.
+	// Take the window's observations, which resets it, and claim the round
+	// index.
 	n.obsMu.Lock()
-	blocks := append([]chain.Hash(nil), n.order...)
-	obs := core.NewObservations(peerIDsAsInts(outbound), len(blocks))
-	for bi, h := range blocks {
-		seen := n.firstSeen[h]
-		if len(seen) == 0 {
-			continue // self-mined or never announced
-		}
-		var tMin time.Time
-		first := true
-		for _, at := range seen {
-			if first || at.Before(tMin) {
-				tMin, first = at, false
-			}
-		}
-		for pi, p := range outbound {
-			if at, ok := seen[p.id]; ok {
-				obs.Offsets[bi][pi] = at.Sub(tMin)
-			}
-		}
-	}
-	// Reset the observation window and claim the round index.
-	n.order = nil
-	n.firstSeen = make(map[chain.Hash]map[uint64]time.Time)
-	n.requested = make(map[chain.Hash]time.Time)
+	obs := n.sightings.round(ids)
 	n.rounds++
 	round := n.rounds
 	n.obsMu.Unlock()
 	report.Round = round
-	report.BlocksScored = len(blocks)
+	report.BlocksScored = len(obs.Offsets)
 
 	if n.cfg.Frozen {
 		// Protocol-deviant node: the observation window resets and the
@@ -1395,36 +1232,17 @@ func (n *Node) maybeAutoRound() {
 	if n.cfg.RoundBlocks <= 0 || n.ObservationWindow() < n.cfg.RoundBlocks {
 		return
 	}
-	n.roundMu.Lock()
-	if n.roundInFlight {
-		n.roundMu.Unlock()
+	if !n.roundInFlight.CompareAndSwap(false, true) {
 		return
 	}
-	n.roundInFlight = true
-	n.roundMu.Unlock()
-	// Serialize the Add against Stop's closed flag so the waiter never
-	// races a fresh goroutine.
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		n.roundMu.Lock()
-		n.roundInFlight = false
-		n.roundMu.Unlock()
-		return
-	}
-	n.wg.Add(1)
-	n.mu.Unlock()
-	go func() {
-		defer n.wg.Done()
-		defer func() {
-			n.roundMu.Lock()
-			n.roundInFlight = false
-			n.roundMu.Unlock()
-		}()
+	if !n.spawn(func() {
+		defer n.roundInFlight.Store(false)
 		if _, err := n.PerigeeRound(); err != nil && !errors.Is(err, ErrStopped) {
 			n.logf("automatic perigee round: %v", err)
 		}
-	}()
+	}) {
+		n.roundInFlight.Store(false)
+	}
 }
 
 func (n *Node) shuffleStrings(xs []string) {
@@ -1434,23 +1252,12 @@ func (n *Node) shuffleStrings(xs []string) {
 	n.rand.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
 }
 
-// peerIDsAsInts converts peer IDs for the shared scoring code, which keys
-// neighbors by int. The value is only used for identity and deterministic
-// tie-breaking, so the (possibly negative) two's-complement view is fine.
-func peerIDsAsInts(ps []*peer) []int {
-	out := make([]int, len(ps))
-	for i, p := range ps {
-		out[i] = int(p.id)
-	}
-	return out
-}
-
 // ObservationWindow returns the number of blocks currently accumulated for
 // the next round.
 func (n *Node) ObservationWindow() int {
 	n.obsMu.Lock()
 	defer n.obsMu.Unlock()
-	return len(n.order)
+	return n.sightings.count[windowRing]
 }
 
 // Stop closes the listener, drains peer send queues for up to

@@ -41,15 +41,12 @@ func injectObservations(t *testing.T, hub *Node, peerIDs []uint64, offsets [][]t
 	for b, row := range offsets {
 		var h chain.Hash
 		h[0] = byte(b + 1)
-		hub.order = append(hub.order, h)
-		seen := make(map[uint64]time.Time, len(row))
 		for i, off := range row {
-			if off == stats.InfDuration {
-				continue
+			if off != stats.InfDuration {
+				hub.sightings.note(peerIDs[i], h, base.Add(off))
 			}
-			seen[peerIDs[i]] = base.Add(off)
 		}
-		hub.firstSeen[h] = seen
+		hub.sightings.accept(h)
 	}
 }
 
