@@ -1,8 +1,8 @@
 // Package chain is a minimal but real blockchain substrate: SHA-256 linked
 // block headers with Merkle transaction roots, canonical binary encoding,
-// a thread-safe store with longest-chain fork choice, and a Poisson mining
-// schedule. The live p2p node (internal/p2p) gossips these blocks; the
-// abstract simulator does not need them.
+// a thread-safe store with longest-chain fork choice and an orphan stash,
+// and a Poisson mining schedule. The live p2p node (internal/p2p) gossips
+// these blocks; the abstract simulator does not need them.
 //
 // The store is sized for a node that runs for ever: it indexes every
 // connected header (a pointer-free map value, ~150 bytes a block with its

@@ -247,7 +247,7 @@ func TestStoreForkChoice(t *testing.T) {
 	b2 := NewBlock(b1, [][]byte{[]byte("b2")}, time.UnixMilli(2), 2)
 	fork1 := NewBlock(g, [][]byte{[]byte("f1")}, time.UnixMilli(3), 3)
 	for _, b := range []*Block{b1, b2, fork1} {
-		if err := s.Add(b, b.Header.Hash()); err != nil {
+		if _, err := s.Add(b, b.Header.Hash()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -259,7 +259,7 @@ func TestStoreForkChoice(t *testing.T) {
 	}
 	// Extending the fork to the same height must not displace the tip.
 	fork2 := NewBlock(fork1, [][]byte{[]byte("f2")}, time.UnixMilli(4), 4)
-	if err := s.Add(fork2, fork2.Header.Hash()); err != nil {
+	if _, err := s.Add(fork2, fork2.Header.Hash()); err != nil {
 		t.Fatal(err)
 	}
 	if s.Tip().Header.Hash() != b2.Header.Hash() {
@@ -267,7 +267,7 @@ func TestStoreForkChoice(t *testing.T) {
 	}
 	// A longer fork wins.
 	fork3 := NewBlock(fork2, [][]byte{[]byte("f3")}, time.UnixMilli(5), 5)
-	if err := s.Add(fork3, fork3.Header.Hash()); err != nil {
+	if _, err := s.Add(fork3, fork3.Header.Hash()); err != nil {
 		t.Fatal(err)
 	}
 	if s.Tip().Header.Hash() != fork3.Header.Hash() {
@@ -285,21 +285,23 @@ func TestStoreErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	b1 := NewBlock(g, nil, time.UnixMilli(1), 1)
-	if err := s.Add(b1, b1.Header.Hash()); err != nil {
+	if _, err := s.Add(b1, b1.Header.Hash()); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Add(b1, b1.Header.Hash()); !errors.Is(err, ErrDuplicateBlock) {
+	if _, err := s.Add(b1, b1.Header.Hash()); !errors.Is(err, ErrDuplicateBlock) {
 		t.Fatalf("duplicate: %v", err)
 	}
-	orphan := NewBlock(b1, nil, time.UnixMilli(2), 2)
-	orphan.Header.PrevHash = Hash{9, 9, 9}
-	orphan.Header.TxRoot = MerkleRoot(orphan.Txs)
-	if err := s.Add(orphan, orphan.Header.Hash()); !errors.Is(err, ErrOrphanBlock) {
-		t.Fatalf("orphan: %v", err)
+	missing := NewBlock(b1, nil, time.UnixMilli(2), 2)
+	orphan := NewBlock(missing, nil, time.UnixMilli(2), 2)
+	if added, err := s.Add(orphan, orphan.Header.Hash()); err != nil || !added.Stashed {
+		t.Fatalf("orphan: %+v, %v", added, err)
+	}
+	if added, err := s.Add(missing, missing.Header.Hash()); err != nil || len(added.Unstashed) != 1 || added.Unstashed[0] != orphan.Header.Hash() {
+		t.Fatalf("orphan's parent: %+v, %v", added, err)
 	}
 	badHeight := NewBlock(b1, nil, time.UnixMilli(3), 3)
 	badHeight.Header.Height = 9
-	if err := s.Add(badHeight, badHeight.Header.Hash()); !errors.Is(err, ErrBadHeight) {
+	if _, err := s.Add(badHeight, badHeight.Header.Hash()); !errors.Is(err, ErrBadHeight) {
 		t.Fatalf("bad height: %v", err)
 	}
 	if !s.Has(b1.Header.Hash()) {
@@ -338,7 +340,7 @@ func TestStoreConcurrentAccess(t *testing.T) {
 	done := make(chan error, 2)
 	go func() {
 		for _, b := range blocks {
-			if err := s.Add(b, b.Header.Hash()); err != nil {
+			if _, err := s.Add(b, b.Header.Hash()); err != nil {
 				done <- err
 				return
 			}

@@ -12,20 +12,18 @@ import (
 var (
 	// ErrDuplicateBlock indicates the block is already stored (or stashed).
 	ErrDuplicateBlock = errors.New("chain: duplicate block")
-	// ErrOrphanBlock indicates the block's parent is unknown.
-	ErrOrphanBlock = errors.New("chain: orphan block")
 	// ErrBadHeight indicates the block's height is not parent height + 1.
 	ErrBadHeight = errors.New("chain: bad height")
 	// ErrInvalidBlock wraps the CheckBlock failure of a block offered to
 	// Add or AddAt, so a caller can tell a bad block from a bad position.
 	ErrInvalidBlock = errors.New("chain: invalid block")
-	// ErrOrphanPoolFull indicates the orphan pool is at capacity.
+	// ErrOrphanPoolFull indicates the orphan stash is at capacity.
 	ErrOrphanPoolFull = errors.New("chain: orphan pool full")
 )
 
-// MaxOrphans bounds the orphan pool: blocks whose parent has not arrived
-// yet are a transient state in any honest schedule, so the cap only
-// protects against hostile floods of unconnectable headers.
+// MaxOrphans caps the stash of blocks waiting for their parent. An honest
+// block waits there only until its parent lands, so the cap only bounds what
+// blocks whose parent never comes can make the store hold.
 const MaxOrphans = 1 << 12
 
 // BodyWindow is how many of the most recently connected blocks keep their
@@ -68,11 +66,23 @@ type indexEntry struct {
 	order  uint64
 }
 
-// stashed is an offered block waiting in the orphan pool for its parent.
+// stashed is a validated block with its hash and stamp, as the orphan stash
+// holds it.
 type stashed struct {
 	block *Block
 	hash  Hash
 	seen  seenKey
+}
+
+// Added describes what Add did with an offered block.
+type Added struct {
+	// Stashed reports that the block waits in the orphan stash: it went
+	// there now, or (with ErrDuplicateBlock) was already there.
+	Stashed bool
+	// Unstashed names the stashed blocks that connected behind the offered
+	// one, in connect order; Dropped those the unstash discarded, each at a
+	// height that does not follow its parent's, or waiting on such a block.
+	Unstashed, Dropped []Hash
 }
 
 // AddResult describes the effect of offering a block via AddAt.
@@ -91,10 +101,12 @@ type AddResult struct {
 }
 
 // Store is a thread-safe block store with longest-chain (highest block)
-// fork choice. Height ties resolve by the first-seen rule, matching
-// Bitcoin: via Add, "first" is arrival order at this store; via AddAt it
-// is the caller's timestamp (ties broken by hash), which makes the
-// resolved tip deterministic under any concurrent interleaving.
+// fork choice, and the one stash of blocks offered before their parent.
+// Height ties resolve by the first-seen rule, matching Bitcoin: via Add,
+// "first" is the order in which blocks connect to this store; via AddAt it
+// is the caller's timestamp (ties broken by hash), which makes the resolved
+// tip deterministic under any concurrent interleaving. A store is fed
+// through one of the two.
 //
 // The store keeps every connected block's header for ever and the bodies of
 // the last BodyWindow connected blocks, plus the tip's: fork choice, duplicate
@@ -137,37 +149,27 @@ func NewStore(genesis *Block) (*Store, error) {
 	return s, nil
 }
 
-// Add validates and stores a block whose header hash the caller has already
+// Add validates and offers a block whose header hash the caller has already
 // computed: h must be b.Header.Hash(), the store does not derive it again.
-// The parent must already be present (an unknown parent is ErrOrphanBlock —
-// the live node path requests the parent rather than stashing). The tip
-// advances when the new block is strictly higher; height ties keep the
-// earlier-added block.
-func (s *Store) Add(b *Block, h Hash) error {
+// A block whose parent is unknown is stashed; one whose parent is connected
+// connects, and so do the stashed blocks waiting on it, depth-first, each
+// block's children in arrival order. Add allocates nothing when none waited.
+func (s *Store) Add(b *Block, h Hash) (Added, error) {
 	if err := CheckBlock(b); err != nil {
-		return fmt.Errorf("%w: %w", ErrInvalidBlock, err)
+		return Added{}, fmt.Errorf("%w: %w", ErrInvalidBlock, err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, dup := s.index[h]; dup {
-		return fmt.Errorf("%w: %s", ErrDuplicateBlock, h)
-	}
-	parent, ok := s.index[b.Header.PrevHash]
-	if !ok {
-		return fmt.Errorf("%w: parent %s of %s", ErrOrphanBlock, b.Header.PrevHash, h)
-	}
 	s.seq++
-	_, err := s.connectLocked(stashed{block: b, hash: h, seen: seenKey{seq: s.seq}}, parent.header.Height, false)
-	return err
+	return s.addLocked(stashed{block: b, hash: h, seen: seenKey{seq: s.seq}})
 }
 
-// AddAt offers a block observed at the given simulated timestamp. Unlike
-// Add it stashes blocks whose parent is unknown in the orphan pool and
-// connects them (recursively, with their recorded timestamps) once the
-// parent arrives, and it resolves height ties by earliest timestamp (then
-// hash) instead of call order — so the final tip and every AddResult-visible
-// state are a deterministic function of the offered (block, seen) multiset,
-// no matter how calls interleave across goroutines or workers.
+// AddAt offers a block observed at the given simulated timestamp, as Add
+// does, except that height ties, and the order in which siblings unstash, go
+// by earliest timestamp (then hash) instead of call order — so the final tip
+// and every AddResult-visible state are a deterministic function of the
+// offered (block, seen) multiset, no matter how calls interleave across
+// goroutines or workers.
 func (s *Store) AddAt(b *Block, seen time.Duration) (AddResult, error) {
 	if err := CheckBlock(b); err != nil {
 		return AddResult{}, fmt.Errorf("%w: %w", ErrInvalidBlock, err)
@@ -175,30 +177,12 @@ func (s *Store) AddAt(b *Block, seen time.Duration) (AddResult, error) {
 	h := b.Header.Hash()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var res AddResult
-	if _, dup := s.index[h]; dup {
-		return res, fmt.Errorf("%w: %s", ErrDuplicateBlock, h)
-	}
-	if _, dup := s.orphanSet[h]; dup {
-		return res, fmt.Errorf("%w: %s (stashed)", ErrDuplicateBlock, h)
-	}
-	e := stashed{block: b, hash: h, seen: seenKey{at: seen}}
-	parent, ok := s.index[b.Header.PrevHash]
-	if !ok {
-		if len(s.orphanSet) >= MaxOrphans {
-			return res, fmt.Errorf("%w: %d blocks stashed", ErrOrphanPoolFull, len(s.orphanSet))
-		}
-		s.orphans[b.Header.PrevHash] = append(s.orphans[b.Header.PrevHash], e)
-		s.orphanSet[h] = struct{}{}
-		res.Stashed = true
-		return res, nil
-	}
 	oldTip := s.tip
-	connected, err := s.connectLocked(e, parent.header.Height, true)
-	if err != nil {
-		return res, err
+	added, err := s.addLocked(stashed{block: b, hash: h, seen: seenKey{at: seen}})
+	if err != nil || added.Stashed {
+		return AddResult{Stashed: err == nil}, err
 	}
-	res.Connected = connected
+	res := AddResult{Connected: 1 + len(added.Unstashed)}
 	if s.tip != oldTip {
 		res.TipChanged = true
 		res.ReorgDepth = s.reorgDepthLocked(oldTip, s.tip)
@@ -206,18 +190,56 @@ func (s *Store) AddAt(b *Block, seen time.Duration) (AddResult, error) {
 	return res, nil
 }
 
-// connectLocked links a validated block, known not to be a duplicate, under
-// its parent, known to be connected at parentHeight: it indexes the header,
-// puts the body in the ring (over the body connected BodyWindow blocks ago),
-// advances the tip by the longest-chain/first-seen rule, and (when unstash
-// is set) drains any orphans waiting on it, recursively. Waiting orphans
-// connect in seen order so multi-child unstashes are order-independent too.
-// Returns how many blocks connected.
-func (s *Store) connectLocked(e stashed, parentHeight uint64, unstash bool) (int, error) {
-	hdr := &e.block.Header
-	if hdr.Height != parentHeight+1 {
-		return 0, fmt.Errorf("%w: %d after parent %d", ErrBadHeight, hdr.Height, parentHeight)
+// addLocked is Add and AddAt once the block is validated and stamped. A
+// block Add stashed (seen.seq set) is stamped again when it connects: its
+// arrival orders it among its siblings, its connect times it for the tie
+// rule.
+func (s *Store) addLocked(e stashed) (Added, error) {
+	if _, dup := s.index[e.hash]; dup {
+		return Added{}, fmt.Errorf("%w: %s", ErrDuplicateBlock, e.hash)
 	}
+	if _, dup := s.orphanSet[e.hash]; dup {
+		return Added{Stashed: true}, fmt.Errorf("%w: %s (stashed)", ErrDuplicateBlock, e.hash)
+	}
+	parent, ok := s.index[e.block.Header.PrevHash]
+	if !ok {
+		if len(s.orphanSet) >= MaxOrphans {
+			return Added{}, fmt.Errorf("%w: %d blocks stashed", ErrOrphanPoolFull, len(s.orphanSet))
+		}
+		s.orphans[e.block.Header.PrevHash] = append(s.orphans[e.block.Header.PrevHash], e)
+		s.orphanSet[e.hash] = struct{}{}
+		return Added{Stashed: true}, nil
+	}
+	if height := e.block.Header.Height; height != parent.header.Height+1 {
+		return Added{}, fmt.Errorf("%w: %d after parent %d", ErrBadHeight, height, parent.header.Height)
+	}
+	s.linkLocked(e)
+	var added Added
+	waiting := s.unstashLocked(e.hash, nil)
+	for len(waiting) > 0 {
+		c := waiting[len(waiting)-1]
+		waiting = waiting[:len(waiting)-1]
+		// A dropped block's children find no parent and are dropped too.
+		if parent, ok := s.index[c.block.Header.PrevHash]; !ok || c.block.Header.Height != parent.header.Height+1 {
+			added.Dropped = append(added.Dropped, c.hash)
+		} else {
+			if c.seen.seq != 0 {
+				s.seq++
+				c.seen.seq = s.seq
+			}
+			s.linkLocked(c)
+			added.Unstashed = append(added.Unstashed, c.hash)
+		}
+		waiting = s.unstashLocked(c.hash, waiting)
+	}
+	return added, nil
+}
+
+// linkLocked connects a block under its connected parent: it indexes the
+// header, puts the body in the ring (over the body connected BodyWindow
+// blocks ago) and advances the tip by the longest-chain/first-seen rule.
+func (s *Store) linkLocked(e stashed) {
+	hdr := &e.block.Header
 	s.newest++
 	s.index[e.hash] = indexEntry{header: *hdr, seen: e.seen, order: s.newest}
 	s.bodies[s.newest%BodyWindow] = e.block
@@ -225,29 +247,26 @@ func (s *Store) connectLocked(e stashed, parentHeight uint64, unstash bool) (int
 		(hdr.Height == tipHeight && seenBefore(e.seen, e.hash, s.index[s.tip].seen, s.tip)) {
 		s.tip, s.tipBody = e.hash, e.block
 	}
-	connected := 1
-	if !unstash {
-		return connected, nil
-	}
-	waiting := s.orphans[e.hash]
+}
+
+// unstashLocked takes the blocks waiting on h out of the stash and pushes
+// them on stack, last seen first, so the first seen pops first.
+func (s *Store) unstashLocked(h Hash, stack []stashed) []stashed {
+	waiting := s.orphans[h]
 	if len(waiting) == 0 {
-		return connected, nil
+		return stack
 	}
-	delete(s.orphans, e.hash)
+	delete(s.orphans, h)
 	for i := 1; i < len(waiting); i++ {
 		for j := i; j > 0 && seenBefore(waiting[j].seen, waiting[j].hash, waiting[j-1].seen, waiting[j-1].hash); j-- {
 			waiting[j], waiting[j-1] = waiting[j-1], waiting[j]
 		}
 	}
-	for _, child := range waiting {
-		delete(s.orphanSet, child.hash)
-		n, err := s.connectLocked(child, hdr.Height, true)
-		if err != nil {
-			return connected, err
-		}
-		connected += n
+	for i := len(waiting) - 1; i >= 0; i-- {
+		delete(s.orphanSet, waiting[i].hash)
+		stack = append(stack, waiting[i])
 	}
-	return connected, nil
+	return stack
 }
 
 // reorgDepthLocked counts the blocks on old's branch abandoned by moving

@@ -3,6 +3,7 @@ package chain
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -306,22 +307,111 @@ func TestAddAtOrphanPoolCap(t *testing.T) {
 	}
 }
 
-// Add keeps its strict legacy semantics alongside AddAt.
-func TestAddStillRejectsOrphans(t *testing.T) {
+// Add stashes a block whose parent is unknown, once however often it is
+// offered, and the parent's arrival connects it.
+func TestAddStashesOrphans(t *testing.T) {
 	s, g := newTestStore(t, "strict")
 	b1 := NewBlock(g, nil, time.UnixMilli(1), 1)
 	b2 := NewBlock(b1, nil, time.UnixMilli(2), 2)
-	if err := s.Add(b2, b2.Header.Hash()); !errors.Is(err, ErrOrphanBlock) {
-		t.Fatalf("Add accepted an orphan: %v", err)
+	if added, err := s.Add(b2, b2.Header.Hash()); err != nil || !added.Stashed {
+		t.Fatalf("Add of an orphan: %+v, %v", added, err)
 	}
-	if err := s.Add(b1, b1.Header.Hash()); err != nil {
-		t.Fatal(err)
+	if added, err := s.Add(b2, b2.Header.Hash()); !errors.Is(err, ErrDuplicateBlock) || !added.Stashed {
+		t.Fatalf("Add of a stashed orphan again: %+v, %v", added, err)
 	}
-	if err := s.Add(b2, b2.Header.Hash()); err != nil {
-		t.Fatal(err)
+	if s.OrphanCount() != 1 || s.Height() != 0 {
+		t.Fatalf("%d stashed at height %d, want 1 at 0", s.OrphanCount(), s.Height())
 	}
-	if s.Height() != 2 {
-		t.Fatalf("height %d, want 2", s.Height())
+	added, err := s.Add(b1, b1.Header.Hash())
+	if err != nil || added.Stashed || len(added.Unstashed) != 1 || added.Unstashed[0] != b2.Header.Hash() {
+		t.Fatalf("Add of the parent: %+v, %v", added, err)
+	}
+	if s.Height() != 2 || s.OrphanCount() != 0 {
+		t.Fatalf("height %d with %d stashed, want 2 with 0", s.Height(), s.OrphanCount())
+	}
+}
+
+// Add stamps a stashed block for the tie rule when it connects, not when it
+// arrived: an equal-height rival that connected in between keeps the tip.
+func TestAddStampsUnstashedBlockAtConnect(t *testing.T) {
+	s, g := newTestStore(t, "stamp")
+	p := NewBlock(g, nil, time.UnixMilli(1), 1)
+	early := NewBlock(p, nil, time.UnixMilli(2), 2)
+	rivalParent := NewBlock(g, nil, time.UnixMilli(3), 3)
+	rival := NewBlock(rivalParent, nil, time.UnixMilli(4), 4)
+	for _, b := range []*Block{early, rivalParent, rival, p} {
+		if _, err := s.Add(b, b.Header.Hash()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !s.Has(early.Header.Hash()) {
+		t.Fatal("the stashed block did not connect")
+	}
+	if s.Tip().Header.Hash() != rival.Header.Hash() {
+		t.Fatal("a block unstashed at the tip's height took it from the rival that connected first")
+	}
+}
+
+// An unstashed block at the wrong height under its parent goes, with every
+// block waiting on it; its siblings still connect, the offered block's add
+// succeeds and the stash is left empty. Add and AddAt share the rule.
+func TestUnstashDropsBadHeightBranch(t *testing.T) {
+	for _, door := range []string{"Add", "AddAt"} {
+		t.Run(door, func(t *testing.T) {
+			s, g := newTestStore(t, "bad-child")
+			p := NewBlock(g, nil, time.UnixMilli(1), 1)
+			bad := NewBlock(p, nil, time.UnixMilli(2), 2)
+			bad.Header.Height = 7
+			underBad := NewBlock(bad, nil, time.UnixMilli(3), 3)
+			good1 := NewBlock(p, nil, time.UnixMilli(4), 4)
+			good2 := NewBlock(p, nil, time.UnixMilli(5), 5)
+			offer := func(b *Block, at time.Duration) (stashed bool, err error) {
+				if door == "Add" {
+					added, err := s.Add(b, b.Header.Hash())
+					return added.Stashed, err
+				}
+				res, err := s.AddAt(b, at)
+				return res.Stashed, err
+			}
+			// bad is seen first among p's children, so it unstashes first.
+			for i, b := range []*Block{bad, underBad, good1, good2} {
+				if stashed, err := offer(b, time.Duration(i+1)); err != nil || !stashed {
+					t.Fatalf("child %d: stashed=%v, %v", i, stashed, err)
+				}
+			}
+			if door == "Add" {
+				added, err := s.Add(p, p.Header.Hash())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := []Hash{good1.Header.Hash(), good2.Header.Hash()}; !slices.Equal(added.Unstashed, want) {
+					t.Fatalf("unstashed %v, want %v", added.Unstashed, want)
+				}
+				if want := []Hash{bad.Header.Hash(), underBad.Header.Hash()}; !slices.Equal(added.Dropped, want) {
+					t.Fatalf("dropped %v, want %v", added.Dropped, want)
+				}
+			} else if res, err := s.AddAt(p, 0); err != nil || res.Connected != 3 {
+				t.Fatalf("AddAt of the parent: %+v, %v", res, err)
+			}
+			if got := s.OrphanCount(); got != 0 {
+				t.Fatalf("%d blocks left stashed, want 0", got)
+			}
+			for _, b := range []*Block{p, good1, good2} {
+				if !s.Has(b.Header.Hash()) {
+					t.Fatalf("block at height %d did not connect", b.Header.Height)
+				}
+			}
+			if s.Has(bad.Header.Hash()) || s.Has(underBad.Header.Hash()) {
+				t.Fatal("the bad branch connected")
+			}
+			// A dropped sibling is gone, not left behind as a stashed duplicate.
+			if _, err := offer(good1, time.Hour); !errors.Is(err, ErrDuplicateBlock) {
+				t.Fatalf("re-offering a connected sibling: %v", err)
+			}
+			if _, err := offer(bad, time.Hour); !errors.Is(err, ErrBadHeight) {
+				t.Fatalf("re-offering the bad child: %v", err)
+			}
+		})
 	}
 }
 
@@ -333,13 +423,13 @@ func TestAddWrapsInvalidBlock(t *testing.T) {
 	unknown := NewBlock(g, nil, time.UnixMilli(1), 1)
 	tampered := NewBlock(unknown, [][]byte{[]byte("tx")}, time.UnixMilli(2), 2)
 	tampered.Txs = [][]byte{[]byte("other")}
-	if err := s.Add(tampered, tampered.Header.Hash()); !errors.Is(err, ErrInvalidBlock) || errors.Is(err, ErrOrphanBlock) {
-		t.Fatalf("Add of a tampered block: %v", err)
+	if added, err := s.Add(tampered, tampered.Header.Hash()); !errors.Is(err, ErrInvalidBlock) || added.Stashed {
+		t.Fatalf("Add of a tampered block: %+v, %v", added, err)
 	}
 	if _, err := s.AddAt(tampered, time.Second); !errors.Is(err, ErrInvalidBlock) {
 		t.Fatalf("AddAt of a tampered block: %v", err)
 	}
-	if err := s.Add(nil, Hash{}); !errors.Is(err, ErrInvalidBlock) {
+	if _, err := s.Add(nil, Hash{}); !errors.Is(err, ErrInvalidBlock) {
 		t.Fatalf("Add(nil): %v", err)
 	}
 	if s.Len() != 1 || s.OrphanCount() != 0 {
@@ -347,7 +437,7 @@ func TestAddWrapsInvalidBlock(t *testing.T) {
 	}
 	wrongHeight := NewBlock(g, nil, time.UnixMilli(3), 3)
 	wrongHeight.Header.Height = 5
-	if err := s.Add(wrongHeight, wrongHeight.Header.Hash()); !errors.Is(err, ErrBadHeight) || errors.Is(err, ErrInvalidBlock) {
+	if _, err := s.Add(wrongHeight, wrongHeight.Header.Hash()); !errors.Is(err, ErrBadHeight) || errors.Is(err, ErrInvalidBlock) {
 		t.Fatalf("a well-formed block at the wrong height: %v", err)
 	}
 }

@@ -14,7 +14,7 @@ func TestStoreKeepsHeadersAndRecentBodies(t *testing.T) {
 	s, g := newTestStore(t, "window")
 	blocks := testChain(g, 3*BodyWindow, 1)
 	for _, b := range blocks {
-		if err := s.Add(b, b.Header.Hash()); err != nil {
+		if _, err := s.Add(b, b.Header.Hash()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -52,7 +52,7 @@ func TestTipKeepsItsBodyPastTheWindow(t *testing.T) {
 	side := testChain(g, BodyWindow+50, 1<<20)
 	main[len(main)-1] = NewBlock(main[len(main)-2], [][]byte{[]byte("tip body")}, time.UnixMilli(7), 7)
 	for _, b := range append(main, side...) {
-		if err := s.Add(b, b.Header.Hash()); err != nil {
+		if _, err := s.Add(b, b.Header.Hash()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -70,7 +70,7 @@ func TestTipKeepsItsBodyPastTheWindow(t *testing.T) {
 	if want := NewBlock(tip, nil, time.UnixMilli(8), 8); next.Header != want.Header {
 		t.Fatalf("Store.NewBlock built %+v, NewBlock on the tip %+v", next.Header, want.Header)
 	}
-	if err := s.Add(next, next.Header.Hash()); err != nil {
+	if _, err := s.Add(next, next.Header.Hash()); err != nil {
 		t.Fatal(err)
 	}
 	if s.Height() != uint64(len(main))+1 {
@@ -163,7 +163,7 @@ func TestStoreHeapStaysBounded(t *testing.T) {
 	for i := 0; i < adds; i++ {
 		copy(txs[0], fmt.Sprint(i))
 		b := NewBlock(prev, txs, time.UnixMilli(int64(i)), uint64(i))
-		if err := s.Add(b, b.Header.Hash()); err != nil {
+		if _, err := s.Add(b, b.Header.Hash()); err != nil {
 			t.Fatal(err)
 		}
 		prev = b

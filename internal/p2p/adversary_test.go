@@ -143,3 +143,30 @@ func TestRelayDelayTipAnnounce(t *testing.T) {
 		t.Fatalf("withheld block announced %v before the window closed", early)
 	}
 }
+
+// A withholding relay keeps a stashed block's pending-relay mark while the
+// block waits for its parent, and gives it back when the unstash drops the
+// block: a dropped block never relays, so its mark would never clear.
+func TestRelayDelayMarkOfDroppedOrphan(t *testing.T) {
+	adv := startNode(t, 5, func(c *Config) { c.RelayDelay = time.Hour })
+	at := time.Unix(1700000000, 0)
+	parent := chain.NewBlock(testGenesis(), nil, at, 1)
+	bad := chain.NewBlock(parent, nil, at, 2)
+	bad.Header.Height = 7
+	marks := func() int {
+		adv.obsMu.Lock()
+		defer adv.obsMu.Unlock()
+		return adv.withheld[bad.Header.Hash()]
+	}
+	adv.acceptBlock(nil, bad, bad.Header.Hash(), false)
+	if got := marks(); got != 1 {
+		t.Fatalf("stashed block holds %d pending-relay marks, want 1", got)
+	}
+	adv.acceptBlock(nil, parent, parent.Header.Hash(), false)
+	if adv.Store().Has(bad.Header.Hash()) || adv.Store().OrphanCount() != 0 {
+		t.Fatal("the parent did not drop its stashed child at the wrong height")
+	}
+	if got := marks(); got != 0 {
+		t.Fatalf("dropped block still holds %d pending-relay marks", got)
+	}
+}

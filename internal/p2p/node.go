@@ -169,12 +169,8 @@ type Node struct {
 
 	obsMu     sync.Mutex
 	sightings sightings
-	// orphans stashes received blocks whose parent is unknown, keyed by
-	// that parent; orphanCount is how many, capped at chain.MaxOrphans.
-	orphans     map[chain.Hash][]orphan
-	orphanCount int
-	lastMined   chain.Hash // newest self-mined block; zero before the first
-	rounds      int        // completed Perigee rounds
+	lastMined chain.Hash // newest self-mined block; zero before the first
+	rounds    int        // completed Perigee rounds
 	// withheld counts, per received block, the acceptances whose delayed
 	// relay (Config.RelayDelay) has not fired yet; see showsTip.
 	withheld map[chain.Hash]int
@@ -286,7 +282,6 @@ func NewNode(cfg Config) (*Node, error) {
 		peers:        make(map[uint64]*peer),
 		quit:         make(chan struct{}),
 		sightings:    newSightings(cfg.obsCap()),
-		orphans:      make(map[chain.Hash][]orphan),
 		withheld:     make(map[chain.Hash]int),
 		dialAttempts: make(map[string]int),
 		connAttempts: make(map[uint64]int),
@@ -904,74 +899,58 @@ func (n *Node) handleBlock(p *peer, b *chain.Block) {
 	n.acceptBlock(p, b, h, false)
 }
 
-// orphan is a received block waiting for its parent, with the header hash
-// computed when it arrived.
-type orphan struct {
-	block *chain.Block
-	hash  chain.Hash
-}
-
-// acceptBlock validates, stores, relays, and unstashes orphans. h is the
+// acceptBlock stores a block, or asks from for its missing parent, and
+// records and relays it and every stashed block it connected. h is the
 // block's header hash, computed once by whoever first held the block. from
-// may be nil for self-mined blocks and unstashed orphans; mined
-// distinguishes the two, because adversarial relay behavior (SilentRelay,
-// RelayDelay) applies to every received block — including an orphan
-// accepted after its parent arrives — but never to the node's own blocks.
+// may be nil for self-mined blocks; mined tells them apart, because
+// adversarial relay behavior (SilentRelay, RelayDelay) applies to every
+// received block — unstashed orphans too — but never to the node's own.
 func (n *Node) acceptBlock(from *peer, b *chain.Block, h chain.Hash, mined bool) {
 	if n.store.Has(h) {
 		return
 	}
 	// Mark a withheld relay pending before the block can become the tip a
-	// connecting peer is shown (see showsTip); unmark it if the add fails.
+	// connecting peer is shown (see showsTip). A stashed block keeps its
+	// mark until its relay fires; a refused or dropped one gives it back.
 	withhold := !mined && !n.cfg.SilentRelay && n.cfg.RelayDelay > 0
 	if withhold {
 		n.markWithheld(h, 1)
 	}
-	// The store validates the block (once) before it looks at its position.
-	err := n.store.Add(b, h)
-	if err != nil && withhold {
-		n.markWithheld(h, -1)
+	added, err := n.store.Add(b, h)
+	if withhold {
+		if err != nil {
+			n.markWithheld(h, -1)
+		}
+		for _, d := range added.Dropped {
+			n.markWithheld(d, -1)
+		}
+	}
+	if added.Stashed && from != nil {
+		from.send(&wire.GetData{Hashes: []chain.Hash{b.Header.PrevHash}})
 	}
 	switch {
-	case err == nil:
 	case errors.Is(err, chain.ErrInvalidBlock):
 		n.logf("rejecting invalid block %s: %v", h, err)
 		if from != nil {
 			n.misbehave(from, pointsInvalidBlock)
 		}
 		return
-	case errors.Is(err, chain.ErrOrphanBlock):
-		// The stash is bounded like the store's own orphan pool: any peer
-		// can fill it with valid blocks whose parent never comes.
-		n.obsMu.Lock()
-		full := n.orphanCount >= chain.MaxOrphans
-		if !full {
-			n.orphans[b.Header.PrevHash] = append(n.orphans[b.Header.PrevHash], orphan{b, h})
-			n.orphanCount++
-		}
-		n.obsMu.Unlock()
-		if full {
-			n.logf("orphan stash full (%d): refusing block %s", chain.MaxOrphans, h)
-			return
-		}
-		if from != nil {
-			from.send(&wire.GetData{Hashes: []chain.Hash{b.Header.PrevHash}})
-		}
-		return
 	case errors.Is(err, chain.ErrDuplicateBlock):
 		return
-	default:
+	case err != nil: // a full stash too: any peer can fill it, so no charge
 		n.logf("rejecting block %s: %v", h, err)
+		return
+	case added.Stashed:
 		return
 	}
 	n.obsMu.Lock()
 	n.sightings.accept(h) // fetched: no longer re-requested
+	for _, u := range added.Unstashed {
+		n.sightings.accept(u)
+	}
 	if mined {
 		n.lastMined = h
 	}
-	pending := n.orphans[h]
-	delete(n.orphans, h)
-	n.orphanCount -= len(pending)
 	n.obsMu.Unlock()
 
 	// Relay to everyone except the sender (they have it), applying any
@@ -981,8 +960,8 @@ func (n *Node) acceptBlock(from *peer, b *chain.Block, h chain.Hash, mined bool)
 		fromID = from.id
 	}
 	n.relayInv(h, fromID, !mined)
-	for _, o := range pending {
-		n.acceptBlock(nil, o.block, o.hash, false)
+	for _, u := range added.Unstashed {
+		n.relayInv(u, 0, true)
 	}
 	n.maybeAutoRound()
 }

@@ -2,10 +2,10 @@ package p2p
 
 import (
 	"bytes"
+	"fmt"
 	"net"
 	"reflect"
 	"slices"
-	"sync"
 	"testing"
 	"time"
 
@@ -261,13 +261,17 @@ func rawOutbound(t *testing.T, n *Node, id uint64) net.Conn {
 // announcements, one of them delivering a chain of blocks the other also
 // announces. Run under -race it checks that every path into the table
 // holds obsMu; in any run, every delivered block is scored by exactly one
-// round or still waits in the window.
+// round or still waits in the window. Every burst blocks both peers wait
+// for a pong, the deliverer's first, so the GETDATAs and relays the node
+// queues for them stay inside its send queues: a full queue drops a pong,
+// and a loaded box had left one of the peers waiting for ever in about a
+// third of the runs.
 func TestRoundRacesInvFlood(t *testing.T) {
-	const blocks, fakes = 300, 8
+	const blocks, fakes, burst = 300, 8, 32
 	n := startNode(t, 7750, func(c *Config) { c.Frozen = true })
 	deliverer, announcer := rawOutbound(t, n, 0x0A1), rawOutbound(t, n, 0x0A2)
 	pongs := drain(t, deliverer)
-	drain(t, announcer)
+	announcerPongs := drain(t, announcer)
 	chainOf := make([]*chain.Block, blocks)
 	prev := testGenesis()
 	at := time.Unix(1700000000, 0)
@@ -275,30 +279,40 @@ func TestRoundRacesInvFlood(t *testing.T) {
 		chainOf[i] = chain.NewBlock(prev, nil, at, uint64(i))
 		prev = chainOf[i]
 	}
-	var wg sync.WaitGroup
-	errs := make(chan error, 2)
-	flood := func(conn net.Conn, deliver bool) {
-		defer wg.Done()
+	flood := func() error {
 		for i, b := range chainOf {
+			if i%burst == 0 {
+				for _, c := range []struct {
+					conn  net.Conn
+					pongs <-chan struct{}
+				}{{deliverer, pongs}, {announcer, announcerPongs}} {
+					if err := wire.Write(c.conn, &wire.Ping{Nonce: uint64(i)}); err != nil {
+						return err
+					}
+					select {
+					case <-c.pongs:
+					case <-time.After(20 * time.Second):
+						return fmt.Errorf("no pong after %d blocks", i)
+					}
+				}
+			}
 			inv := &wire.Inv{Hashes: []chain.Hash{b.Header.Hash()}}
 			for f := 0; f < fakes; f++ {
 				inv.Hashes = append(inv.Hashes, chain.Hash{0xFA, byte(i), byte(i >> 8), byte(f)})
 			}
-			if err := wire.Write(conn, inv); err != nil {
-				errs <- err
-				return
-			}
-			if deliver {
-				if err := wire.Write(conn, &wire.Block{Block: b}); err != nil {
-					errs <- err
-					return
+			for _, m := range []struct {
+				conn net.Conn
+				msg  wire.Message
+			}{{announcer, inv}, {deliverer, inv}, {deliverer, &wire.Block{Block: b}}} {
+				if err := wire.Write(m.conn, m.msg); err != nil {
+					return err
 				}
 			}
 		}
+		return nil
 	}
-	wg.Add(2)
-	go flood(deliverer, true)
-	go flood(announcer, false)
+	flooded := make(chan error, 1)
+	go func() { flooded <- flood() }()
 	// Round until the last block is stored, so every delivery races one.
 	last := chainOf[blocks-1].Header.Hash()
 	deadline := time.Now().Add(20 * time.Second)
@@ -313,9 +327,7 @@ func TestRoundRacesInvFlood(t *testing.T) {
 		}
 		scored += rep.BlocksScored
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
+	if err := <-flooded; err != nil {
 		t.Fatal(err)
 	}
 	pingPong(t, deliverer, pongs)

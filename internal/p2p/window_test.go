@@ -3,6 +3,7 @@ package p2p
 import (
 	"fmt"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -87,13 +88,8 @@ func TestOrphanStashIsBounded(t *testing.T) {
 		}
 	}
 	pingPong(t, conn, pongs)
-	stash := func() (total, underGhost int) {
-		n.obsMu.Lock()
-		defer n.obsMu.Unlock()
-		return n.orphanCount, len(n.orphans[ghost.Header.Hash()])
-	}
-	if total, under := stash(); total != chain.MaxOrphans || under != chain.MaxOrphans {
-		t.Fatalf("stash holds %d blocks (%d under the missing parent), want the cap %d", total, under, chain.MaxOrphans)
+	if got := n.Store().OrphanCount(); got != chain.MaxOrphans {
+		t.Fatalf("stash holds %d blocks, want the cap %d", got, chain.MaxOrphans)
 	}
 	if score := n.Book().Score(peerID); score != 0 {
 		t.Fatalf("peer charged %v points for orphans", score)
@@ -113,11 +109,52 @@ func TestOrphanStashIsBounded(t *testing.T) {
 	_ = conn.Close()
 	waitFor(t, "peer gone", 2*time.Second, func() bool { return len(n.Peers()) == 0 })
 	n.acceptBlock(nil, ghost, ghost.Header.Hash(), false)
-	if total, _ := stash(); total != 0 {
-		t.Fatalf("%d blocks still stashed after their parent arrived", total)
+	if got := n.Store().OrphanCount(); got != 0 {
+		t.Fatalf("%d blocks still stashed after their parent arrived", got)
 	}
 	if got, want := n.Store().Len(), 3+chain.MaxOrphans; got != want {
 		t.Fatalf("store holds %d blocks, want %d (genesis, honest, parent and its stashed children)", got, want)
+	}
+}
+
+// A peer that sends the same orphan again is asked for its parent again,
+// but the orphan is stashed once: one block cannot fill the stash.
+func TestRedeliveredOrphanStashedOnce(t *testing.T) {
+	const sends = 5
+	n := startNode(t, 7803, nil)
+	conn := rawDial(t, n, 0x0FA1)
+	at := time.Unix(1700000000, 0)
+	parent := chain.NewBlock(testGenesis(), nil, at, 1)
+	orphan := chain.NewBlock(parent, nil, at, 2)
+	for i := 0; i < sends; i++ {
+		if err := wire.Write(conn, &wire.Block{Block: orphan}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := wire.Write(conn, &wire.Ping{Nonce: 1}); err != nil {
+		t.Fatal(err)
+	}
+	// The read loop handles messages in order, so every parent request is
+	// queued before the pong.
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	asked := 0
+	for {
+		m, err := wire.Read(conn)
+		if err != nil {
+			t.Fatalf("reading: %v", err)
+		}
+		if gd, ok := m.(*wire.GetData); ok && slices.Contains(gd.Hashes, parent.Header.Hash()) {
+			asked++
+		}
+		if _, ok := m.(*wire.Pong); ok {
+			break
+		}
+	}
+	if asked != sends {
+		t.Fatalf("parent requested %d times for %d deliveries", asked, sends)
+	}
+	if got := n.Store().OrphanCount(); got != 1 {
+		t.Fatalf("stash holds %d copies of one orphan, want 1", got)
 	}
 }
 
@@ -132,7 +169,7 @@ func TestJoinerInsideBodyWindowCatchesUp(t *testing.T) {
 	}
 	b := startNode(t, 7812, nil)
 	for _, blk := range blocks[:len(blocks)-behind] {
-		if err := b.store.Add(blk, blk.Header.Hash()); err != nil {
+		if _, err := b.store.Add(blk, blk.Header.Hash()); err != nil {
 			t.Fatal(err)
 		}
 	}

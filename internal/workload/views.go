@@ -11,9 +11,9 @@ import "slices"
 // waiting for a parent, at a few bits per (node, block) instead of a store
 // per node. Two tests hold the views to real per-node stores on random
 // block DAGs with children beating parents: FuzzViewsMatchLiveStore agrees
-// on every tip with Store.Add behind the live node's orphan stash (the
-// path a live node runs), and TestViewsMatchChainStores with Store.AddAt
-// on distinct arrival times.
+// on every tip with Store.Add, which stashes and unstashes orphans as a
+// live node does, and TestViewsMatchChainStores with Store.AddAt on
+// distinct arrival times.
 type views struct {
 	// Shared block metadata, indexed by block id (0 = genesis).
 	parent []int32
@@ -86,7 +86,7 @@ func (v *views) deliver(node int, b int32) {
 }
 
 // connect links b, whose parent node holds, then the stashed blocks it
-// unblocks as p2p's acceptBlock does: depth-first, each block's waiting
+// unblocks as chain.Store.Add does: depth-first, each block's waiting
 // children in arrival order. The stash stays tiny (only reorg-window races
 // land there), so each step rescans it.
 func (v *views) connect(node int, b int32) {

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
 	"time"
@@ -52,38 +51,6 @@ func abs(x int) int {
 	return x
 }
 
-// liveStore is a chain.Store behind the orphan stash of p2p's acceptBlock:
-// a block whose parent is missing waits under the parent's hash, and a
-// connected block unstashes the blocks waiting on it depth-first, in
-// arrival order.
-type liveStore struct {
-	store *chain.Store
-	stash map[chain.Hash][]*chain.Block
-}
-
-func (l *liveStore) accept(b *chain.Block) error {
-	h := b.Header.Hash()
-	if l.store.Has(h) {
-		return nil
-	}
-	err := l.store.Add(b, h)
-	switch {
-	case errors.Is(err, chain.ErrOrphanBlock):
-		l.stash[b.Header.PrevHash] = append(l.stash[b.Header.PrevHash], b)
-		return nil
-	case err != nil:
-		return err
-	}
-	pending := l.stash[h]
-	delete(l.stash, h)
-	for _, o := range pending {
-		if err := l.accept(o); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // viewsSeed is one input of FuzzViewsMatchLiveStore.
 type viewsSeed struct {
 	seed          int64
@@ -106,9 +73,9 @@ func fuzzViewsSeeds() map[string]viewsSeed {
 
 // FuzzViewsMatchLiveStore holds the views to the path a live node runs:
 // every node's deliveries of a random block DAG go both to the views and to
-// a chain.Store through Add, with acceptBlock's orphan stash in front. Once
-// all have landed, every node's tip must agree. nodes is taken mod 16,
-// with 0 meaning 16.
+// a chain.Store through Add, which stashes a block that beats its parent
+// and unstashes it when the parent lands. Once all have landed, every
+// node's tip must agree. nodes is taken mod 16, with 0 meaning 16.
 func FuzzViewsMatchLiveStore(f *testing.F) {
 	for _, in := range fuzzViewsSeeds() {
 		f.Add(in.seed, in.nodes, in.blocks)
@@ -120,23 +87,24 @@ func FuzzViewsMatchLiveStore(f *testing.F) {
 		}
 		genesis := chain.NewGenesis("views-live")
 		v := newViews(n)
-		live := make([]liveStore, n)
+		live := make([]*chain.Store, n)
 		for i := range live {
 			s, err := chain.NewStore(genesis)
 			if err != nil {
 				t.Fatal(err)
 			}
-			live[i] = liveStore{store: s, stash: map[chain.Hash][]*chain.Block{}}
+			live[i] = s
 		}
 		real, schedule := randomDeliveries(rand.New(rand.NewSource(seed)), v, genesis, n, int(blocks))
 		for _, d := range schedule {
 			v.deliver(d.node, d.id)
-			if err := live[d.node].accept(real[d.id]); err != nil {
+			b := real[d.id]
+			if _, err := live[d.node].Add(b, b.Header.Hash()); err != nil {
 				t.Fatalf("store rejected delivery: %v", err)
 			}
 		}
-		for node, l := range live {
-			if got, want := real[v.tip[node]].Header.Hash(), l.store.Tip().Header.Hash(); got != want {
+		for node, s := range live {
+			if got, want := real[v.tip[node]].Header.Hash(), s.Tip().Header.Hash(); got != want {
 				t.Fatalf("node %d: views tip %s, live store tip %s", node, got, want)
 			}
 		}

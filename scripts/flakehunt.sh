@@ -18,25 +18,37 @@ fi
 # The tally reads go test's JSON events: a pass or fail event that names a
 # test is one run of it; one that names only a package is the package's
 # verdict, which also catches what no test owns (a build error, a timeout, a
-# race reported after the last test returned).
+# race reported after the last test returned). Each failing run's last 40
+# output lines are printed when it fails, headed by its package, test and
+# run index (1-based), so a rare failure is kept, not just counted.
 tally='
 import collections, json, sys
 runs, fails, broken = collections.Counter(), collections.Counter(), []
+tails = collections.defaultdict(lambda: collections.deque(maxlen=40))
 for line in sys.stdin:
     try:
         ev = json.loads(line)
     except ValueError:
         continue
     action, pkg, test = ev.get("Action"), ev.get("Package", "?"), ev.get("Test")
+    if action == "run":
+        tails[pkg, test].clear()
+    elif action == "output":
+        tails[pkg, test].append(ev.get("Output", ""))
     if action not in ("pass", "fail"):
         continue
     if test is None:
         if action == "fail":
             broken.append(pkg)
+            print("flakehunt: package %s failed; its last output:" % pkg)
+            sys.stdout.write("".join(tails[pkg, None]))
         continue
     runs[pkg, test] += 1
     if action == "fail":
         fails[pkg, test] += 1
+        print("flakehunt: %s %s failed on run %d; its last output:" % (pkg, test, runs[pkg, test]))
+        sys.stdout.write("".join(tails[pkg, test]))
+    del tails[pkg, test]
 print("flakehunt: %d tests, %d test runs" % (len(runs), sum(runs.values())))
 for (pkg, test), n in sorted(fails.items(), key=lambda kv: (-kv[1] / runs[kv[0]], kv[0])):
     print("  %5.1f%%  %d/%d  %s %s" % (100.0 * n / runs[pkg, test], n, runs[pkg, test], pkg, test))
