@@ -242,7 +242,7 @@ func BenchmarkMicroSubsetScoringWindow10(b *testing.B) { bench.MicroSubsetScorin
 // allocs/op.
 func BenchmarkWorkloadHour(b *testing.B) { bench.WorkloadHour(b) }
 
-// BenchmarkMicroDeriveIndexed measures deriving one per-node RNG stream;
+// BenchmarkMicroDeriveIndexed measures deriving one indexed RNG stream;
 // scripts/bench.sh holds it at 1 alloc/op.
 func BenchmarkMicroDeriveIndexed(b *testing.B) { bench.MicroDeriveIndexed(b) }
 

@@ -454,9 +454,10 @@ func roundBroadcast(n int, sources []int) func(b *testing.B) {
 	}
 }
 
-// MicroDeriveIndexed measures deriving one per-node stream, which the
-// engine does for every node every round: one allocation, the RNG holding
-// its generator by value.
+// MicroDeriveIndexed measures deriving one indexed stream: one allocation,
+// the RNG holding its generator by value. The engine's per-node streams pay
+// the same hashing and no allocation, since DeriveIndexedInto reseeds the
+// deciding worker's stream in place.
 func MicroDeriveIndexed(b *testing.B) {
 	root := rng.New(1)
 	b.ReportAllocs()

@@ -225,6 +225,15 @@ type roundScratch struct {
 	distinct []int32
 	weight   []int32
 
+	// Decide-phase scratch: the round's root for the selector streams, one
+	// stream per worker that is reseeded for each node it decides, and the
+	// slab each node's decision is appended into, one row of decideStride
+	// indices per node.
+	roundRand    rng.RNG
+	streams      []rng.RNG
+	decide       []int
+	decideStride int
+
 	// Tracing scratch (used only when Config.Trace enables tracing):
 	// pending counterfactual queries carried into the next round, their
 	// per-block hypothetical offset rows, and reusable score/censored/rank
@@ -565,31 +574,40 @@ func (e *Engine) finishRound(obs []Observations, blocks int) (RoundReport, error
 // then all exploration connections are established in random node order.
 // The decide phase is pure per node (it reads only obs[v] plus any state
 // the selector keys by node), so it fans out over the worker pool; the
-// table mutations and RNG-driven exploration stay sequential. When ev is
-// non-nil the exact dropped/added edges are recorded into it for the
-// observer.
+// table mutations and RNG-driven exploration stay sequential. A node
+// decides in engine scratch: its selector stream is its worker's, reseeded
+// for the node, and its decision is appended into its row of one slab, so
+// the phase allocates nothing per node. When ev is non-nil the exact
+// dropped/added edges are recorded into it for the observer.
 func (e *Engine) update(obs []Observations, ev *RoundEvent) (RoundReport, error) {
 	n := e.table.N()
 	var report RoundReport
-	if cap(e.scratch.decisions) < n {
-		e.scratch.decisions = make([]Decision, n)
+	rs := &e.scratch
+	if cap(rs.decisions) < n {
+		rs.decisions = make([]Decision, n)
 	}
-	decisions := e.scratch.decisions[:n]
-	e.scratch.decisions = decisions
+	decisions := rs.decisions[:n]
+	rs.decisions = decisions
 	for i := range decisions {
 		decisions[i] = Decision{}
 	}
-	roundRand := e.selRand.DeriveIndexed("round", e.round+1)
-	err := parallel.ForEachIndexed(n, e.workerCount(n), func(_, v int) error {
+	workers := e.workerCount(n)
+	e.growDecideScratch(obs, workers)
+	e.selRand.DeriveIndexedInto(&rs.roundRand, "round", e.round+1)
+	err := parallel.ForEachIndexed(n, workers, func(worker, v int) error {
 		if e.frozen != nil && e.frozen[v] {
 			return nil
 		}
+		stream := &rs.streams[worker]
+		rs.roundRand.DeriveIndexedInto(stream, "node", v)
+		row := v * rs.decideStride
 		d, err := Decide(e.selector, NeighborView{
 			Node:       v,
 			OutDegree:  e.params.OutDegree,
 			Candidates: n - 1,
 			Obs:        obs[v],
-			Rand:       roundRand.DeriveIndexed("node", v),
+			Rand:       stream,
+			Buf:        rs.decide[row : row : row+rs.decideStride],
 		})
 		if err != nil {
 			return err
@@ -622,11 +640,11 @@ func (e *Engine) update(obs []Observations, ev *RoundEvent) (RoundReport, error)
 		record = &ev.Added
 	}
 	// rand.Perm's draws without its allocation: the identity, shuffled.
-	order := e.scratch.order[:0]
+	order := rs.order[:0]
 	for v := 0; v < n; v++ {
 		order = append(order, v)
 	}
-	e.scratch.order = order
+	rs.order = order
 	e.rand.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
 	for _, v := range order {
 		if e.frozen != nil && e.frozen[v] {
@@ -637,6 +655,23 @@ func (e *Engine) update(obs []Observations, ev *RoundEvent) (RoundReport, error)
 		report.Unfilled += unfilled
 	}
 	return report, nil
+}
+
+// growDecideScratch sizes the decide phase's scratch for obs at the given
+// worker count: a stream per worker and a decision row per node as wide as
+// the widest neighbor list.
+func (e *Engine) growDecideScratch(obs []Observations, workers int) {
+	rs := &e.scratch
+	if len(rs.streams) < workers {
+		rs.streams = make([]rng.RNG, workers)
+	}
+	rs.decideStride = 0
+	for v := range obs {
+		rs.decideStride = max(rs.decideStride, len(obs[v].Neighbors))
+	}
+	if cap(rs.decide) < len(obs)*rs.decideStride {
+		rs.decide = make([]int, len(obs)*rs.decideStride)
+	}
 }
 
 // explore connects v to random fresh peers until it has target outgoing
@@ -652,11 +687,13 @@ func (e *Engine) explore(v, target int, record *[][2]int) (added, unfilled int) 
 		}
 		attempts++
 		cand := e.rand.IntN(n)
-		if cand == v || e.table.HasOut(v, cand) {
+		// Every refusal Connect could make is checked first, so a full
+		// candidate costs a draw and an attempt but builds no error.
+		if cand == v || e.table.HasOut(v, cand) || e.table.InFree(cand) == 0 {
 			continue
 		}
 		if err := e.table.Connect(v, cand); err != nil {
-			continue // incoming full — try another candidate
+			continue
 		}
 		added++
 		if record != nil {

@@ -7,8 +7,9 @@ import (
 )
 
 // engineAtWorkers builds an engine over a fresh but identically-seeded
-// network with the given worker count.
-func engineAtWorkers(t *testing.T, m Method, workers int) *Engine {
+// network with the given worker count, deciding by m's selector or, when
+// sel is non-nil, by sel.
+func engineAtWorkers(t *testing.T, m Method, sel Selector, workers int) *Engine {
 	t.Helper()
 	tn := newTestNetwork(t, 120, 31)
 	cfg := tn.config(m, Params{})
@@ -17,6 +18,7 @@ func engineAtWorkers(t *testing.T, m Method, workers int) *Engine {
 		params.RoundBlocks = 40
 	}
 	cfg.Params = params
+	cfg.Selector = sel
 	cfg.Workers = workers
 	engine, err := NewEngine(cfg)
 	if err != nil {
@@ -37,12 +39,28 @@ func outgoingSnapshot(e *Engine) [][]int {
 
 // TestStepDeterministicAcrossWorkers is the engine-level determinism
 // acceptance check: for a fixed seed, round reports, the final topology,
-// and the delay metric are identical under Workers=1 and Workers=8.
+// and the delay metric are identical under Workers=1 and Workers=8. The
+// random-rotation arm covers the one built-in selector that draws from the
+// view's stream, which each worker reseeds for every node it decides.
 func TestStepDeterministicAcrossWorkers(t *testing.T) {
-	for _, m := range []Method{Vanilla, Subset, UCB} {
-		t.Run(m.String(), func(t *testing.T) {
-			seq := engineAtWorkers(t, m, 1)
-			par := engineAtWorkers(t, m, 8)
+	random, err := NewRandomSelector(DefaultParams(Subset).Explore)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		m    Method
+		sel  Selector
+	}{
+		{Vanilla.String(), Vanilla, nil},
+		{Subset.String(), Subset, nil},
+		{UCB.String(), UCB, nil},
+		{"random", Subset, random},
+	} {
+		m := tc.m
+		t.Run(tc.name, func(t *testing.T) {
+			seq := engineAtWorkers(t, m, tc.sel, 1)
+			par := engineAtWorkers(t, m, tc.sel, 8)
 			rounds := 5
 			if m == UCB {
 				rounds = 40

@@ -222,7 +222,8 @@ var rankSorterPool = sync.Pool{New: func() any { return new(rankSorter) }}
 
 // subsetScratch bundles the working buffers of one SubsetSelect call so the
 // greedy §4.3 selection — which runs once per node per round, from many
-// goroutines — allocates only its returned slice once warm.
+// goroutines — allocates nothing once warm but the slice it returns, which
+// the selector's decision buffer provides.
 type subsetScratch struct {
 	individual []time.Duration
 	best       []time.Duration
@@ -257,20 +258,17 @@ func growBool(buf *[]bool, n int) []bool {
 	return b
 }
 
-// RankByScore returns neighbor indices ordered best-first (ascending
-// score), breaking ties by neighbor ID for determinism. The returned slice
-// is the call's only steady-state allocation.
-func RankByScore(obs Observations, scores []time.Duration) []int {
-	idx := make([]int, len(scores))
-	for i := range idx {
-		idx[i] = i
-	}
+// rankInto appends to dst the neighbor indices ordered best-first
+// (ascending score), breaking ties by neighbor ID for determinism. It
+// allocates nothing once warm unless dst has to grow.
+func rankInto(dst []int, obs Observations, scores []time.Duration) []int {
+	dst = identity(dst, len(scores))
 	srt := rankSorterPool.Get().(*rankSorter)
-	srt.idx, srt.scores, srt.neighbors = idx, scores, obs.Neighbors
+	srt.idx, srt.scores, srt.neighbors = dst[len(dst)-len(scores):], scores, obs.Neighbors
 	sort.Sort(srt)
 	srt.idx, srt.scores, srt.neighbors = nil, nil, nil // don't retain caller slices
 	rankSorterPool.Put(srt)
-	return idx
+	return dst
 }
 
 // SubsetSelect greedily picks up to retain neighbor indices whose joint
@@ -308,16 +306,17 @@ func RankByScore(obs Observations, scores []time.Duration) []int {
 // a multiset depends only on its values and their counts, so every score,
 // and every choice, is the full matrix's to the bit.
 func SubsetSelect(obs Observations, retain int, pct float64) []int {
+	return subsetSelectInto(nil, obs, retain, pct)
+}
+
+// subsetSelectInto is SubsetSelect appending its choice to dst.
+func subsetSelectInto(dst []int, obs Observations, retain int, pct float64) []int {
 	k := len(obs.Neighbors)
 	if retain >= k {
-		all := make([]int, k)
-		for i := range all {
-			all[i] = i
-		}
-		return all
+		return identity(dst, k)
 	}
 	if retain <= 0 {
-		return nil
+		return dst
 	}
 	blocks := len(obs.Offsets)
 	q := stats.NewQuantile(blocks, pct)
@@ -360,7 +359,10 @@ func SubsetSelect(obs Observations, retain int, pct float64) []int {
 	for j := range best {
 		best[j] = stats.InfDuration
 	}
-	chosen := make([]int, 0, retain)
+	// chosen grows inside dst's capacity, so dst ends with it.
+	dst = slices.Grow(dst, retain)
+	start := len(dst)
+	chosen := dst[start:start]
 	used := growBool(&sc.used, k)
 	ordered := q.TopSlots() && !twoSlot
 	var prevScore time.Duration
@@ -406,7 +408,7 @@ func SubsetSelect(obs Observations, retain int, pct float64) []int {
 		}
 	}
 	sort.Ints(chosen)
-	return chosen
+	return dst[:start+len(chosen)]
 }
 
 // percentileOfMin is q.OfMin of a column of rows, or, when w is non-nil,

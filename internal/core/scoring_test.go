@@ -54,7 +54,7 @@ func TestVanillaScoresPrefersFasterNeighbor(t *testing.T) {
 	if scores[0] >= scores[1] {
 		t.Fatalf("faster neighbor scored worse: %v vs %v", scores[0], scores[1])
 	}
-	ranked := RankByScore(o, scores)
+	ranked := rankInto(nil, o, scores)
 	if ranked[0] != 0 {
 		t.Fatalf("rank order %v, want fastest first", ranked)
 	}
@@ -78,7 +78,7 @@ func TestVanillaScoresCensoredWorst(t *testing.T) {
 func TestRankByScoreTieBreak(t *testing.T) {
 	o := NewObservations([]int{42, 7}, 1)
 	scores := []time.Duration{ms(5), ms(5)}
-	ranked := RankByScore(o, scores)
+	ranked := rankInto(nil, o, scores)
 	// Equal scores: lower node ID (7, at index 1) first.
 	if ranked[0] != 1 || ranked[1] != 0 {
 		t.Fatalf("tie-break wrong: %v", ranked)
@@ -106,7 +106,7 @@ func TestSubsetSelectComplementarity(t *testing.T) {
 	if !(scores[0] < scores[2] && scores[2] < scores[1]) {
 		t.Fatalf("test setup broken: want A < C < B individually, got %v", scores)
 	}
-	ranked := RankByScore(o, scores)
+	ranked := rankInto(nil, o, scores)
 	if ranked[0] != 0 || ranked[1] != 2 {
 		t.Fatalf("vanilla would keep %v, setup expects [0 2 ...]", ranked)
 	}

@@ -32,15 +32,23 @@ type NeighborView struct {
 	Obs Observations
 	// Rand is a deterministic random stream derived for this (node, round)
 	// pair. Randomized selectors must draw from it — and only it — so runs
-	// stay reproducible at any worker count.
+	// stay reproducible at any worker count. The stream is valid only for
+	// the call: the simulator reseeds it for the next node.
 	Rand *rng.RNG
+	// Buf is driver-owned scratch with capacity for at least
+	// len(Obs.Neighbors) indices. The built-in selectors append Keep, then
+	// Drop, into it, so their decision's slices alias it and are valid
+	// only for the round. Nil (as on a live node) means they allocate
+	// their own.
+	Buf []int
 }
 
 // Decision is a Selector's verdict for one node and one round. Keep and
 // Drop index into the view's Obs.Neighbors and must partition it: every
 // neighbor index appears in exactly one of the two lists. Dial is the
 // exploration budget — how many fresh connections the driver should
-// attempt to establish.
+// attempt to establish. When the view carries a Buf the built-in
+// selectors' Keep and Drop alias it, so they are valid only for the round.
 type Decision struct {
 	// Keep lists the neighbor indices to retain.
 	Keep []int
@@ -153,15 +161,39 @@ func dialBudget(outDegree, neighbors, drops int) int {
 	return dial
 }
 
+// decisionBuf returns the view's decision buffer emptied, or a fresh one
+// when the driver supplied none large enough.
+func decisionBuf(view NeighborView) []int {
+	if k := len(view.Obs.Neighbors); cap(view.Buf) < k {
+		return make([]int, 0, k)
+	}
+	return view.Buf[:0]
+}
+
+// splitDecision is the decision whose first keep indices of buf are kept
+// and whose rest, which must cover the view's other neighbors, are
+// dropped.
+func splitDecision(view NeighborView, buf []int, keep int) Decision {
+	d := Decision{Keep: buf[:keep:keep], Dial: dialBudget(view.OutDegree, len(buf), len(buf)-keep)}
+	if keep < len(buf) {
+		d.Drop = buf[keep:len(buf):len(buf)]
+	}
+	return d
+}
+
+// identity appends 0, 1, ..., k-1 to buf.
+func identity(buf []int, k int) []int {
+	for i := 0; i < k; i++ {
+		buf = append(buf, i)
+	}
+	return buf
+}
+
 // keepAll is the no-drop decision: retain every neighbor and refill any
 // unfilled slots.
 func keepAll(view NeighborView) Decision {
 	k := len(view.Obs.Neighbors)
-	keep := make([]int, k)
-	for i := range keep {
-		keep[i] = i
-	}
-	return Decision{Keep: keep, Dial: dialBudget(view.OutDegree, k, 0)}
+	return splitDecision(view, identity(decisionBuf(view), k), k)
 }
 
 func validateExplore(explore int) error {
@@ -217,12 +249,10 @@ func (s *vanillaSelector) SelectNeighbors(view NeighborView) (Decision, error) {
 		return keepAll(view), nil
 	}
 	scores := VanillaScores(view.Obs, s.pct)
-	ranked := RankByScore(view.Obs, scores)
 	// Drops stay in ranked (worst-last) order so driver churn reports are
 	// deterministic and match the historical engine behavior.
-	keep := append([]int(nil), ranked[:retain]...)
-	drop := append([]int(nil), ranked[retain:]...)
-	return Decision{Keep: keep, Drop: drop, Dial: dialBudget(view.OutDegree, k, len(drop))}, nil
+	ranked := rankInto(decisionBuf(view), view.Obs, scores)
+	return splitDecision(view, ranked, retain), nil
 }
 
 // subsetSelector greedily keeps the group of neighbors whose joint
@@ -251,19 +281,19 @@ func (s *subsetSelector) SelectNeighbors(view NeighborView) (Decision, error) {
 	if k <= retain {
 		return keepAll(view), nil
 	}
-	// SubsetSelect returns keep ascending, so the drops are the gaps of one
-	// merged walk.
-	keep := SubsetSelect(view.Obs, retain, s.pct)
-	drop := make([]int, 0, k-len(keep))
+	// The keep list is ascending, so the drops are the gaps of one merged
+	// walk.
+	buf := subsetSelectInto(decisionBuf(view), view.Obs, retain, s.pct)
+	kept := len(buf)
 	next := 0
 	for i := 0; i < k; i++ {
-		if next < len(keep) && keep[next] == i {
+		if next < kept && buf[next] == i {
 			next++
 			continue
 		}
-		drop = append(drop, i)
+		buf = append(buf, i)
 	}
-	return Decision{Keep: keep, Drop: drop, Dial: dialBudget(view.OutDegree, k, len(drop))}, nil
+	return splitDecision(view, buf, kept), nil
 }
 
 // ucbSelector maintains per-neighbor confidence intervals over offsets
@@ -318,21 +348,22 @@ func (s *ucbSelector) SelectNeighbors(view NeighborView) (Decision, error) {
 	}
 	evict := UCBEvict(lcbs, ucbs)
 
-	keep := make([]int, 0, k)
-	var drop []int
+	buf := decisionBuf(view)
 	for i := 0; i < k; i++ {
-		if i == evict {
-			drop = append(drop, i)
-			continue
+		if i != evict {
+			buf = append(buf, i)
 		}
-		keep = append(keep, i)
+	}
+	kept := len(buf)
+	if evict >= 0 {
+		buf = append(buf, evict)
 	}
 
 	// Histories survive only for kept connections: dropped neighbors are
 	// forgotten, and neighbors that disappeared outside the decision loop
 	// (e.g. churn) age out because they no longer appear in the view.
-	next := make(map[int][]time.Duration, len(keep))
-	for _, i := range keep {
+	next := make(map[int][]time.Duration, kept)
+	for _, i := range buf[:kept] {
 		u := view.Obs.Neighbors[i]
 		samples := nodeHist[u]
 		for _, row := range view.Obs.Offsets {
@@ -344,7 +375,7 @@ func (s *ucbSelector) SelectNeighbors(view NeighborView) (Decision, error) {
 	}
 	s.hist[view.Node] = next
 
-	return Decision{Keep: keep, Drop: drop, Dial: dialBudget(view.OutDegree, k, len(drop))}, nil
+	return splitDecision(view, buf, kept), nil
 }
 
 // ResetNodeState implements NodeStateResetter: a churned node restarts
@@ -381,10 +412,10 @@ func (s *randomSelector) SelectNeighbors(view NeighborView) (Decision, error) {
 	if view.Rand == nil {
 		return Decision{}, fmt.Errorf("core: random selector needs a view random stream")
 	}
-	perm := view.Rand.Perm(k)
-	keep := append([]int(nil), perm[:retain]...)
-	drop := append([]int(nil), perm[retain:]...)
-	sort.Ints(keep)
-	sort.Ints(drop)
-	return Decision{Keep: keep, Drop: drop, Dial: dialBudget(view.OutDegree, k, len(drop))}, nil
+	// Rand.Perm(k)'s draws, shuffling the buffer in place.
+	perm := identity(decisionBuf(view), k)
+	view.Rand.Shuffle(k, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+	sort.Ints(perm[:retain])
+	sort.Ints(perm[retain:])
+	return splitDecision(view, perm, retain), nil
 }

@@ -26,57 +26,77 @@ import (
 // usual drawing methods (Float64, IntN, Perm, Shuffle, ExpFloat64, ...) are
 // available directly.
 //
-// A stream built by New or Derive holds its generator by value: Rand points
-// at the struct's own rand.Rand, which draws from its own PCG, so a stream
-// is one allocation (the engine derives one per node per round). An RNG
-// must therefore not be copied by value.
+// A stream holds its generator by value: Rand points at the struct's own
+// rand.Rand, which draws from its own PCG, so New and Derive allocate the
+// stream alone, and DeriveIndexedInto reseeds an existing stream without
+// allocating. An RNG must therefore not be copied by value; go vet's
+// copylocks check reports a copy.
 type RNG struct {
+	_ noCopy
 	*rand.Rand
 	seed [32]byte
 	gen  rand.Rand
 	pcg  rand.PCG
 }
 
+// noCopy makes go vet's copylocks check report a by-value copy of the
+// struct that holds it: a copied RNG would keep drawing from the original's
+// generator.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
+
 // New returns a stream rooted at the given integer seed.
 func New(seed uint64) *RNG {
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], seed)
-	digest := sha256.Sum256(buf[:])
-	return fromDigest(digest)
+	r := new(RNG)
+	r.reseed(sha256.Sum256(buf[:]))
+	return r
 }
 
-func fromDigest(digest [32]byte) *RNG {
-	r := &RNG{seed: digest}
+// reseed points r at the stream whose seed is digest, as if it had just
+// been built from it.
+func (r *RNG) reseed(digest [32]byte) {
+	r.seed = digest
 	r.pcg.Seed(binary.LittleEndian.Uint64(digest[0:8]), binary.LittleEndian.Uint64(digest[8:16]))
 	r.gen = *rand.New(&r.pcg)
 	r.Rand = &r.gen
-	return r
+}
+
+// labelled returns the receiver's seed followed by label, in buf when it
+// fits: the hash input every derivation starts from.
+func (r *RNG) labelled(buf []byte, label string) []byte {
+	return append(append(buf[:0], r.seed[:]...), label...)
 }
 
 // Derive returns an independent stream identified by label. Derivation
 // depends only on the receiver's seed and the label, never on how many
 // values have been drawn from the receiver.
 func (r *RNG) Derive(label string) *RNG {
-	h := sha256.New()
-	h.Write(r.seed[:])
-	h.Write([]byte(label))
-	var digest [32]byte
-	h.Sum(digest[:0])
-	return fromDigest(digest)
+	var buf [64]byte
+	d := new(RNG)
+	d.reseed(sha256.Sum256(r.labelled(buf[:], label)))
+	return d
 }
 
 // DeriveIndexed returns an independent stream identified by a label and an
 // integer index, convenient for per-trial or per-node streams.
 func (r *RNG) DeriveIndexed(label string, index int) *RNG {
-	h := sha256.New()
-	h.Write(r.seed[:])
-	h.Write([]byte(label))
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(index))
-	h.Write(buf[:])
-	var digest [32]byte
-	h.Sum(digest[:0])
-	return fromDigest(digest)
+	d := new(RNG)
+	r.DeriveIndexedInto(d, label, index)
+	return d
+}
+
+// DeriveIndexedInto reseeds dst, which may be a zero RNG, as the stream
+// DeriveIndexed(label, index) returns, whatever dst had drawn before. It
+// allocates nothing for a label of up to 24 bytes, so a driver can hand
+// each node of a round its own stream from one reused value per worker.
+func (r *RNG) DeriveIndexedInto(dst *RNG, label string, index int) {
+	var buf [64]byte
+	in := binary.LittleEndian.AppendUint64(r.labelled(buf[:], label), uint64(index))
+	dst.reseed(sha256.Sum256(in))
 }
 
 // Domain constants separating the pair-keyed functions' hash inputs.

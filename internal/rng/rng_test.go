@@ -239,8 +239,7 @@ func flipKey(r *RNG, b int, bit uint) *RNG {
 }
 
 // TestDeriveAllocatesOnce pins a derived stream at one allocation: the RNG
-// holds its rand.Rand and PCG by value, and the engine derives one stream
-// per node per round.
+// holds its rand.Rand and PCG by value.
 func TestDeriveAllocatesOnce(t *testing.T) {
 	parent := New(1)
 	for name, derive := range map[string]func(){
@@ -251,6 +250,30 @@ func TestDeriveAllocatesOnce(t *testing.T) {
 		if got := testing.AllocsPerRun(100, derive); got != 1 {
 			t.Errorf("%s allocates %v times per stream, want 1", name, got)
 		}
+	}
+}
+
+// TestDeriveIndexedIntoReseeds reseeds one stream in place, the way the
+// engine hands each node its worker's stream: whether the stream is zero or
+// has drawn, it must then draw DeriveIndexed's sequence, and reseeding must
+// allocate nothing.
+func TestDeriveIndexedIntoReseeds(t *testing.T) {
+	parent := New(3)
+	var dst RNG
+	for index := 0; index < 4; index++ {
+		parent.DeriveIndexedInto(&dst, "node", index)
+		want := parent.DeriveIndexed("node", index)
+		for i := 0; i < 20; i++ {
+			if got, w := dst.Uint64(), want.Uint64(); got != w {
+				t.Fatalf("index %d draw %d: reseeded %#x, derived %#x", index, i, got, w)
+			}
+		}
+		if dst.Seed() != want.Seed() {
+			t.Fatalf("index %d: reseeded seed differs from the derived one", index)
+		}
+	}
+	if got := testing.AllocsPerRun(100, func() { parent.DeriveIndexedInto(&dst, "node", 42) }); got != 0 {
+		t.Fatalf("DeriveIndexedInto allocates %v times, want 0", got)
 	}
 }
 

@@ -80,9 +80,11 @@ gate MicroVanillaScoring 1
 gate MicroSubsetScoring 1
 gate MicroSubsetScoringPools 1
 gate MicroSubsetScoringWindow10 1
-# About 28,470 allocs since each RNG stream became one allocation and the
-# replay moved to per-node inboxes carved from one slab (39,330 before).
-gate WorkloadHour 31000
+# About 9,650 allocs since a round decides every node into engine scratch
+# and its workers' reseeded streams (26,330 before, when each node's stream
+# and decision were allocated every round; 39,330 before the replay moved to
+# per-node inboxes carved from one slab).
+gate WorkloadHour 10500
 # The live wire: a frame is appended to the write loop's reused buffer in
 # place, and the buffered reader owns its header and payload scratch, so a
 # read allocates only the message it returns (an Inv and its hash slice; a
@@ -103,9 +105,12 @@ gate MicroStoreAdd 0
 # Decision tracing is off in every Micro case; this ceiling pins the
 # untraced engine round so the tracing hooks stay branch-only on the hot
 # path (a per-decision or per-counterfactual allocation would add
-# thousands per round). It measures 1022: the per-node streams the round
-# derives are one allocation each (1630 at three).
-gate MicroEngineRound 1100
+# thousands per round). It measures 34: a round allocates its TimedRound
+# and its decide fan-out, and the connection table's rows still grow now and
+# then past their earlier maxima. Nothing is paid per node: each node's
+# selector stream is its worker's, reseeded, and its decision is appended
+# into engine scratch (1022 when both were allocated per node).
+gate MicroEngineRound 40
 # A derived stream is its RNG alone: the rand.Rand and PCG live inside it.
 gate MicroDeriveIndexed 1
 echo "bench.sh: all allocation gates hold"

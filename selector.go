@@ -47,6 +47,8 @@ type NeighborView struct {
 	// Rand is a deterministic random stream derived for this
 	// (node, round) pair. Randomized selectors must draw from it — and
 	// only it — so simulated runs stay reproducible at any worker count.
+	// The stream is valid only for the call: the simulator reseeds it for
+	// the next node, so a selector must not keep it.
 	Rand *Rand
 }
 
@@ -54,7 +56,9 @@ type NeighborView struct {
 // Drop index into the view's Observations.Neighbors and must partition
 // it: every neighbor index appears in exactly one of the two lists. Dial
 // is the exploration budget — how many fresh connections the driver
-// should attempt to establish.
+// should attempt to establish. A built-in selector's Keep and Drop may
+// share driver scratch that is reused next round, so they are valid only
+// for the round they were decided in; copy what you keep.
 type Decision struct {
 	// Keep lists the neighbor indices to retain.
 	Keep []int
