@@ -117,7 +117,6 @@ type Store struct {
 	index   map[Hash]indexEntry
 	bodies  []*Block // ring: the block connected order-th sits at order % BodyWindow
 	newest  uint64   // order of the last connected block
-	genesis Hash
 	tip     Hash
 	tipBody *Block
 	seq     uint64
@@ -139,7 +138,6 @@ func NewStore(genesis *Block) (*Store, error) {
 	s := &Store{
 		index:     map[Hash]indexEntry{h: {header: genesis.Header}},
 		bodies:    make([]*Block, BodyWindow),
-		genesis:   h,
 		tip:       h,
 		tipBody:   genesis,
 		orphans:   make(map[Hash][]stashed),
@@ -302,14 +300,6 @@ func (s *Store) Has(h Hash) bool {
 	return ok
 }
 
-// Header returns the header of a connected block, however old.
-func (s *Store) Header(h Hash) (Header, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	e, ok := s.index[h]
-	return e.header, ok
-}
-
 // Get returns a stored block, or nil for a hash that is unknown or whose
 // body has aged out: only the last BodyWindow connected blocks and the tip
 // keep theirs.
@@ -349,24 +339,10 @@ func (s *Store) Height() uint64 {
 	return s.Tip().Header.Height
 }
 
-// Len returns the number of connected blocks (including genesis).
-func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.index)
-}
-
 // OrphanCount returns how many offered blocks are stashed waiting for a
 // parent.
 func (s *Store) OrphanCount() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.orphanSet)
-}
-
-// Genesis returns the genesis hash.
-func (s *Store) Genesis() Hash {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.genesis
 }

@@ -432,8 +432,8 @@ func TestAddWrapsInvalidBlock(t *testing.T) {
 	if _, err := s.Add(nil, Hash{}); !errors.Is(err, ErrInvalidBlock) {
 		t.Fatalf("Add(nil): %v", err)
 	}
-	if s.Len() != 1 || s.OrphanCount() != 0 {
-		t.Fatalf("store holds %d blocks and %d orphans after only invalid offers", s.Len(), s.OrphanCount())
+	if len(s.index) != 1 || s.OrphanCount() != 0 {
+		t.Fatalf("store holds %d blocks and %d orphans after only invalid offers", len(s.index), s.OrphanCount())
 	}
 	wrongHeight := NewBlock(g, nil, time.UnixMilli(3), 3)
 	wrongHeight.Header.Height = 5

@@ -18,8 +18,8 @@ func TestStoreKeepsHeadersAndRecentBodies(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.Len() != len(blocks)+1 {
-		t.Fatalf("Len = %d, want %d", s.Len(), len(blocks)+1)
+	if len(s.index) != len(blocks)+1 {
+		t.Fatalf("%d connected blocks, want %d", len(s.index), len(blocks)+1)
 	}
 	all := append([]*Block{g}, blocks...)
 	for i, b := range all {
@@ -27,8 +27,8 @@ func TestStoreKeepsHeadersAndRecentBodies(t *testing.T) {
 		if !s.Has(h) {
 			t.Fatalf("block %d: Has is false", i)
 		}
-		if hdr, ok := s.Header(h); !ok || hdr != b.Header {
-			t.Fatalf("block %d: Header = %+v, %v, want %+v", i, hdr, ok, b.Header)
+		if e, ok := s.index[h]; !ok || e.header != b.Header {
+			t.Fatalf("block %d: header = %+v, %v, want %+v", i, e.header, ok, b.Header)
 		}
 		got, inWindow := s.Get(h), i > len(all)-1-BodyWindow
 		if inWindow && got != b {
@@ -38,8 +38,8 @@ func TestStoreKeepsHeadersAndRecentBodies(t *testing.T) {
 			t.Fatalf("block %d is %d blocks deep but Get still returns its body", i, len(all)-1-i)
 		}
 	}
-	if _, ok := s.Header(Hash{1}); ok {
-		t.Fatal("Header of an unknown hash reported ok")
+	if s.Has(Hash{1}) {
+		t.Fatal("Has reported an unknown hash")
 	}
 }
 

@@ -151,7 +151,7 @@ func TestEngineDegreeInvariantsAcrossRounds(t *testing.T) {
 			if got := e.Table().OutDegree(v); got != 8 {
 				t.Fatalf("round %d node %d out-degree %d, want 8", round, v, got)
 			}
-			if got := e.Table().InDegree(v); got > 20 {
+			if got := len(e.Table().InNeighbors(v)); got > 20 {
 				t.Fatalf("round %d node %d in-degree %d above cap", round, v, got)
 			}
 		}

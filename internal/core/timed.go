@@ -103,19 +103,16 @@ func (t *TimedRound) prepareNodes(_, c int) error {
 	return nil
 }
 
-// Blocks returns the round's declared block count.
-func (t *TimedRound) Blocks() int { return t.blocks }
-
 // BroadcastAll propagates the round's blocks from their source nodes and
 // harvests per-neighbor observations for the blocks inside the window, the
 // round's trailing ones.
 //
-// sources must have length t.Blocks(). When arrivals is non-nil it must
-// also have length t.Blocks(); every block is then propagated straight into
-// arrivals[b], grown to N where its capacity is short, which holds block b's
-// per-node first-arrival time (stats.InfDuration where the block never
-// arrives) and is owned by the caller afterwards. When arrivals is nil
-// nobody sees the blocks before the window, so their broadcasts are
+// sources must have one entry per block of the round. When arrivals is
+// non-nil it must also have one per block; every block is then propagated
+// straight into arrivals[b], grown to N where its capacity is short, which
+// holds block b's per-node first-arrival time (stats.InfDuration where the
+// block never arrives) and is owned by the caller afterwards. When arrivals
+// is nil nobody sees the blocks before the window, so their broadcasts are
 // skipped: blocks are independent given the start-of-round topology, which
 // makes that bit-for-bit equal to simulating and discarding them (see
 // Config.ObservationWindow).

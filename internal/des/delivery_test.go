@@ -32,9 +32,8 @@ func TestDeliveryQueueOrdersByTime(t *testing.T) {
 }
 
 // TestDeliveryQueueFIFOTieBreak proves deliveries scheduled for the same
-// instant pop in the order they were pushed, the determinism contract the
-// closure Scheduler guarantees via sequence numbers and broadcast
-// reproducibility depends on.
+// instant pop in the order they were pushed, the determinism contract that
+// replay reproducibility depends on.
 func TestDeliveryQueueFIFOTieBreak(t *testing.T) {
 	var q DeliveryQueue
 	const at = 5 * time.Millisecond
@@ -65,57 +64,5 @@ func TestDeliveryQueueFIFOTieBreak(t *testing.T) {
 	}
 	if next != 64 {
 		t.Fatalf("drained %d tied deliveries, want 64", next)
-	}
-}
-
-// TestDeliveryQueueReset proves Reset clears pending deliveries and restarts
-// the FIFO counter while keeping the backing array.
-func TestDeliveryQueueReset(t *testing.T) {
-	var q DeliveryQueue
-	for i := 0; i < 10; i++ {
-		q.Push(Delivery{At: time.Duration(i), Node: int32(i)})
-	}
-	q.Reset()
-	if q.Len() != 0 {
-		t.Fatalf("Len = %d after Reset, want 0", q.Len())
-	}
-	q.Push(Delivery{At: time.Millisecond, Node: 7})
-	q.Push(Delivery{At: time.Millisecond, Node: 8})
-	if d := q.PopMin(); d.Node != 7 {
-		t.Fatalf("post-Reset FIFO broken: got node %d, want 7", d.Node)
-	}
-	if d := q.PopMin(); d.Node != 8 {
-		t.Fatal("post-Reset second pop wrong")
-	}
-}
-
-// TestDeliveryQueueMatchesScheduler drives both schedulers with one random
-// event schedule and asserts identical firing order.
-func TestDeliveryQueueMatchesScheduler(t *testing.T) {
-	var q DeliveryQueue
-	var s Scheduler
-	r := rand.New(rand.NewPCG(3, 4))
-	var fromScheduler []int32
-	for i := 0; i < 300; i++ {
-		at := time.Duration(r.IntN(50)) * time.Millisecond // dense ties
-		node := int32(i)
-		q.Push(Delivery{At: at, Node: node})
-		n := node
-		if err := s.At(at, func() { fromScheduler = append(fromScheduler, n) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.Run()
-	var fromQueue []int32
-	for q.Len() > 0 {
-		fromQueue = append(fromQueue, q.PopMin().Node)
-	}
-	if len(fromQueue) != len(fromScheduler) {
-		t.Fatalf("drained %d events, scheduler fired %d", len(fromQueue), len(fromScheduler))
-	}
-	for i := range fromQueue {
-		if fromQueue[i] != fromScheduler[i] {
-			t.Fatalf("event %d: typed queue popped node %d, scheduler fired %d", i, fromQueue[i], fromScheduler[i])
-		}
 	}
 }

@@ -234,7 +234,11 @@ func TestFigure5SubsetShiftsToLowMode(t *testing.T) {
 		t.Errorf("Perigee-Subset low-mode mass %.2f should exceed random %.2f", subsetLow, randomLow)
 	}
 	for label, h := range res.Histograms {
-		if h.Total() == 0 {
+		var mass float64
+		for _, f := range h.Fractions() {
+			mass += f
+		}
+		if mass == 0 {
 			t.Errorf("%s histogram is empty", label)
 		}
 	}

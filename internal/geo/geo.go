@@ -52,9 +52,6 @@ func (r Region) String() string {
 	return fmt.Sprintf("Region(%d)", uint8(r))
 }
 
-// Valid reports whether r is one of the seven defined regions.
-func (r Region) Valid() bool { return r < numRegions }
-
 // DefaultWeights approximates the regional mix of reachable Bitcoin nodes
 // reported by Bitnodes-style crawls around 2020: Europe and North America
 // dominate, with meaningful Asian and Chinese populations and small tails
@@ -72,20 +69,6 @@ var DefaultWeights = [NumRegions]float64{
 // Universe is an immutable assignment of nodes to regions.
 type Universe struct {
 	regions []Region
-}
-
-// NewUniverse wraps an explicit region assignment. It rejects invalid
-// regions so later lookups cannot go out of bounds.
-func NewUniverse(regions []Region) (*Universe, error) {
-	if len(regions) == 0 {
-		return nil, fmt.Errorf("geo: empty universe")
-	}
-	for i, r := range regions {
-		if !r.Valid() {
-			return nil, fmt.Errorf("geo: node %d has invalid region %d", i, r)
-		}
-	}
-	return &Universe{regions: append([]Region(nil), regions...)}, nil
 }
 
 // SampleUniverse draws an n-node universe using DefaultWeights.
@@ -137,26 +120,3 @@ func (u *Universe) N() int { return len(u.regions) }
 
 // Region returns node i's region.
 func (u *Universe) Region(i int) Region { return u.regions[i] }
-
-// CountByRegion returns how many nodes live in each region.
-func (u *Universe) CountByRegion() [NumRegions]int {
-	var counts [NumRegions]int
-	for _, r := range u.regions {
-		counts[r]++
-	}
-	return counts
-}
-
-// NodesInRegion returns the (ascending) indices of all nodes in region r.
-func (u *Universe) NodesInRegion(r Region) []int {
-	var out []int
-	for i, rr := range u.regions {
-		if rr == r {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// SameRegion reports whether nodes i and j are in the same region.
-func (u *Universe) SameRegion(i, j int) bool { return u.regions[i] == u.regions[j] }

@@ -19,54 +19,6 @@ func TestRegionString(t *testing.T) {
 	}
 }
 
-func TestRegionValid(t *testing.T) {
-	for r := Region(0); r < Region(NumRegions); r++ {
-		if !r.Valid() {
-			t.Fatalf("region %v should be valid", r)
-		}
-	}
-	if Region(NumRegions).Valid() {
-		t.Fatal("out-of-range region reported valid")
-	}
-}
-
-func TestNewUniverse(t *testing.T) {
-	u, err := NewUniverse([]Region{Europe, Asia, Europe})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.N() != 3 {
-		t.Fatalf("N = %d", u.N())
-	}
-	if u.Region(1) != Asia {
-		t.Fatalf("Region(1) = %v", u.Region(1))
-	}
-	if !u.SameRegion(0, 2) || u.SameRegion(0, 1) {
-		t.Fatal("SameRegion incorrect")
-	}
-}
-
-func TestNewUniverseRejectsInvalid(t *testing.T) {
-	if _, err := NewUniverse(nil); err == nil {
-		t.Fatal("expected error for empty universe")
-	}
-	if _, err := NewUniverse([]Region{Europe, Region(99)}); err == nil {
-		t.Fatal("expected error for invalid region")
-	}
-}
-
-func TestNewUniverseCopiesInput(t *testing.T) {
-	in := []Region{Europe, Asia}
-	u, err := NewUniverse(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in[0] = China
-	if u.Region(0) != Europe {
-		t.Fatal("universe aliases caller slice")
-	}
-}
-
 func TestSampleUniverseDistribution(t *testing.T) {
 	r := rng.New(1)
 	const n = 50000
@@ -74,13 +26,9 @@ func TestSampleUniverseDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := u.CountByRegion()
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != n {
-		t.Fatalf("counts sum to %d, want %d", total, n)
+	var counts [NumRegions]int
+	for _, reg := range u.regions {
+		counts[reg]++
 	}
 	for reg, want := range DefaultWeights {
 		got := float64(counts[reg]) / n
@@ -136,25 +84,5 @@ func TestSampleUniverseSingleRegion(t *testing.T) {
 		if u.Region(i) != China {
 			t.Fatalf("node %d in %v, want China", i, u.Region(i))
 		}
-	}
-}
-
-func TestNodesInRegion(t *testing.T) {
-	u, err := NewUniverse([]Region{Europe, Asia, Europe, China, Europe})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := u.NodesInRegion(Europe)
-	want := []int{0, 2, 4}
-	if len(got) != len(want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-	if u.NodesInRegion(Africa) != nil {
-		t.Fatal("expected no nodes in Africa")
 	}
 }

@@ -130,6 +130,3 @@ func (s *Sampler) Sample(r *rng.RNG) int {
 	u := r.Float64()
 	return sort.SearchFloat64s(s.cum, u)
 }
-
-// N returns the number of nodes the sampler covers.
-func (s *Sampler) N() int { return len(s.cum) }

@@ -308,18 +308,6 @@ func (h *Hypercube) Distance(u, v int) float64 {
 	return math.Sqrt(sum)
 }
 
-// Point returns node i's embedded coordinates (not a copy; callers must not
-// mutate it).
-func (h *Hypercube) Point(i int) []float64 { return h.points[i] }
-
-// Dim returns the embedding dimension.
-func (h *Hypercube) Dim() int {
-	if len(h.points) == 0 {
-		return 0
-	}
-	return len(h.points[0])
-}
-
 // Override wraps a base model, pinning chosen pairs to explicit delays.
 type Override struct {
 	base      Model
@@ -355,9 +343,6 @@ func (o *Override) Set(u, v int, d time.Duration) error {
 	o.overrides[pairKey(u, v)] = d
 	return nil
 }
-
-// Len returns the number of overridden pairs.
-func (o *Override) Len() int { return len(o.overrides) }
 
 // N implements Model.
 func (o *Override) N() int { return o.base.N() }

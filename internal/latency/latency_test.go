@@ -198,8 +198,8 @@ func TestHypercube(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.N() != 100 || h.Dim() != 2 {
-		t.Fatalf("N=%d Dim=%d", h.N(), h.Dim())
+	if h.N() != 100 || len(h.points[0]) != 2 {
+		t.Fatalf("N=%d dim=%d", h.N(), len(h.points[0]))
 	}
 	maxDist := 0.0
 	for i := 0; i < 100; i++ {
@@ -234,7 +234,7 @@ func TestHypercubePointsInUnitCube(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < h.N(); i++ {
-		for _, c := range h.Point(i) {
+		for _, c := range h.points[i] {
 			if c < 0 || c >= 1 {
 				t.Fatalf("coordinate %v outside [0,1)", c)
 			}
@@ -278,8 +278,8 @@ func TestOverride(t *testing.T) {
 	if got := o.Delay(1, 2); got != 100*time.Millisecond {
 		t.Fatalf("non-overridden pair changed: %v", got)
 	}
-	if o.Len() != 1 {
-		t.Fatalf("Len = %d", o.Len())
+	if len(o.overrides) != 1 {
+		t.Fatalf("%d overridden pairs", len(o.overrides))
 	}
 }
 

@@ -53,7 +53,7 @@ func TestBroadcastNoSteadyStateAllocs(t *testing.T) {
 		if _, err := sim.Broadcast(src); err != nil {
 			t.Fatal(err)
 		}
-		src = (src + 1) % sim.N()
+		src = (src + 1) % sim.n
 	})
 	if allocs > 0 {
 		t.Fatalf("Broadcast allocates %.1f objects per call at steady state, want 0", allocs)
@@ -78,7 +78,7 @@ func TestBroadcastSerializedNoSteadyStateAllocs(t *testing.T) {
 		if _, err := sim.Broadcast(src); err != nil {
 			t.Fatal(err)
 		}
-		src = (src + 1) % sim.N()
+		src = (src + 1) % sim.n
 	})
 	if allocs > 0 {
 		t.Fatalf("serialized Broadcast allocates %.1f objects per call, want 0", allocs)
@@ -108,7 +108,7 @@ func TestArrivalIntoNoSteadyStateAllocs(t *testing.T) {
 			if buf, err = bc.ArrivalInto(buf, src); err != nil {
 				t.Fatal(err)
 			}
-			src = (src + 1) % sim.N()
+			src = (src + 1) % sim.n
 		})
 		if allocs > 0 {
 			t.Fatalf("ArrivalInto allocates %.1f objects per call at steady state, want 0", allocs)
@@ -136,7 +136,7 @@ func TestArrivalAnalyticIntoNoSteadyStateAllocs(t *testing.T) {
 		if buf, err = sim.ArrivalAnalyticInto(buf, src); err != nil {
 			t.Fatal(err)
 		}
-		src = (src + 1) % sim.N()
+		src = (src + 1) % sim.n
 	})
 	if allocs > 0 {
 		t.Fatalf("ArrivalAnalyticInto allocates %.1f objects per call at steady state, want 0", allocs)

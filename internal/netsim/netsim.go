@@ -67,8 +67,8 @@
 // the window restarts at the far list's earliest entry.
 //
 // typedsched_test.go referees the pass against an event-per-edge
-// simulation on the closure-based des.Scheduler, and flood_test.go against
-// the binary-heap pass it replaced, both bit for bit.
+// simulation on a closure-based scheduler of its own, and flood_test.go
+// against the binary-heap pass it replaced, both bit for bit.
 package netsim
 
 import (
@@ -418,15 +418,9 @@ func (s *Simulator) Reconfigure(adj [][]int) error {
 	return s.rebuild(adj)
 }
 
-// N returns the number of nodes.
-func (s *Simulator) N() int { return s.n }
-
 // Adj returns the adjacency the simulator currently runs on. The rows
 // alias the caller-provided config adjacency, not the CSR arrays.
 func (s *Simulator) Adj() [][]int { return s.cfg.Adj }
-
-// Degree returns the number of neighbors of v.
-func (s *Simulator) Degree(v int) int { return int(s.rowStart[v+1] - s.rowStart[v]) }
 
 // Row returns v's neighbor row of the CSR layout (ascending node IDs).
 // Row(v)[i] is the neighbor whose arrival lands in EdgeArrival[v][i].

@@ -1,13 +1,14 @@
 package netsim
 
 import (
+	"container/heap"
 	"fmt"
 	"reflect"
 	"sort"
 	"testing"
+	"testing/quick"
 	"time"
 
-	"github.com/perigee-net/perigee/internal/des"
 	"github.com/perigee-net/perigee/internal/geo"
 	"github.com/perigee-net/perigee/internal/latency"
 	"github.com/perigee-net/perigee/internal/rng"
@@ -15,16 +16,135 @@ import (
 	"github.com/perigee-net/perigee/internal/topology"
 )
 
+// closureScheduler is the discrete-event engine the reference runs on: a
+// virtual clock plus a binary heap of closures, where two events scheduled
+// for the same instant fire in the order they were scheduled. The zero
+// value is ready to use, starting at virtual time zero.
+type closureScheduler struct {
+	now    time.Duration
+	queue  eventHeap
+	nextID uint64
+}
+
+type event struct {
+	at  time.Duration
+	seq uint64
+	fn  func()
+}
+
+type eventHeap []event
+
+func (h eventHeap) Len() int { return len(h) }
+func (h eventHeap) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].seq < h[j].seq
+}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
+func (h *eventHeap) Pop() any {
+	old := *h
+	e := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return e
+}
+
+// At schedules fn to run at virtual time t, which must not be in the past.
+func (s *closureScheduler) At(t time.Duration, fn func()) {
+	if t < s.now {
+		panic(fmt.Sprintf("schedule at %v before now %v", t, s.now))
+	}
+	heap.Push(&s.queue, event{at: t, seq: s.nextID, fn: fn})
+	s.nextID++
+}
+
+// Run fires events until none remain, advancing the clock to each one's
+// timestamp as it fires.
+func (s *closureScheduler) Run() {
+	for len(s.queue) > 0 {
+		e := heap.Pop(&s.queue).(event)
+		s.now = e.at
+		e.fn()
+	}
+}
+
+func TestClosureSchedulerTieBreakIsFIFO(t *testing.T) {
+	var s closureScheduler
+	var order []int
+	for i := 0; i < 10; i++ {
+		i := i
+		s.At(7, func() { order = append(order, i) })
+	}
+	s.Run()
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("tie broken out of FIFO order: %v", order)
+		}
+	}
+}
+
+func TestClosureSchedulerEventsCanScheduleEvents(t *testing.T) {
+	var s closureScheduler
+	count := 0
+	var chain func()
+	chain = func() {
+		count++
+		if count < 100 {
+			s.At(s.now+1, chain)
+		}
+	}
+	s.At(0, chain)
+	s.Run()
+	if count != 100 {
+		t.Fatalf("chain fired %d times, want 100", count)
+	}
+	if s.now != 99 {
+		t.Fatalf("clock = %v, want 99", s.now)
+	}
+}
+
+// Property: for any multiset of schedule times, execution order is the
+// sorted order, with FIFO among equal times.
+func TestClosureSchedulerOrderProperty(t *testing.T) {
+	check := func(raw []uint16) bool {
+		var s closureScheduler
+		type stamp struct {
+			at  time.Duration
+			seq int
+		}
+		var fired []stamp
+		for i, v := range raw {
+			at := time.Duration(v)
+			i := i
+			s.At(at, func() { fired = append(fired, stamp{at, i}) })
+		}
+		s.Run()
+		if len(fired) != len(raw) {
+			return false
+		}
+		return sort.SliceIsSorted(fired, func(i, j int) bool {
+			if fired[i].at != fired[j].at {
+				return fired[i].at < fired[j].at
+			}
+			return fired[i].seq < fired[j].seq
+		})
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // refBroadcast is the reference the label-setting pass is held to: an
-// event-per-directed-edge simulation of the network model on the
-// closure-based des.Scheduler, straight off Config (slice adjacency, per-hop
+// event-per-directed-edge simulation of the network model on
+// closureScheduler, straight off Config (slice adjacency, per-hop
 // Latency.Delay calls, binary-search reverse index, no CSR). It orders all
 // deliveries where Broadcaster orders only first arrivals; the property
 // tests assert the two agree bit-for-bit.
 type refBroadcast struct {
 	cfg      Config
 	rev      [][]int
-	sched    des.Scheduler
+	sched    closureScheduler
 	arrival  []time.Duration
 	edgeArrv [][]time.Duration
 }
@@ -57,7 +177,7 @@ func (r *refBroadcast) broadcast(source int) ([]time.Duration, [][]time.Duration
 			r.edgeArrv[v][i] = stats.InfDuration
 		}
 	}
-	r.sched.Reset()
+	r.sched = closureScheduler{queue: r.sched.queue[:0]}
 	r.arrival[source] = 0
 	r.forward(source, 0)
 	r.sched.Run()
@@ -73,14 +193,12 @@ func (r *refBroadcast) forward(v int, at time.Duration) {
 		depart := at + time.Duration(j)*interval
 		deliverAt := depart + r.cfg.Latency.Delay(v, w)
 		w, slot := w, r.rev[v][j]
-		if err := r.sched.At(deliverAt, func() { r.deliver(w, slot) }); err != nil {
-			panic(err)
-		}
+		r.sched.At(deliverAt, func() { r.deliver(w, slot) })
 	}
 }
 
 func (r *refBroadcast) deliver(w, slot int) {
-	now := r.sched.Now()
+	now := r.sched.now
 	if r.edgeArrv[w][slot] > now {
 		r.edgeArrv[w][slot] = now
 	}
@@ -197,7 +315,7 @@ func randomCase(t *testing.T, seed uint64, opts caseOpts) Config {
 // sources and relays, withholding delays, zero-delay ties, an unreachable
 // component, streaming and precomputed latency — Broadcast must produce
 // exactly the Arrival and EdgeArrival matrices of the event-per-edge
-// reference on the closure-based des.Scheduler.
+// reference on closureScheduler.
 func TestBroadcastMatchesClosureScheduler(t *testing.T) {
 	modes := []struct {
 		name string

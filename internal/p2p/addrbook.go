@@ -181,30 +181,11 @@ func (b *AddrBook) evictLocked(now time.Time, includeVerified bool) bool {
 	return true
 }
 
-// Remove deletes an address.
-func (b *AddrBook) Remove(addr string) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	delete(b.addrs, addr)
-}
-
 // Len returns the number of known addresses.
 func (b *AddrBook) Len() int {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	return len(b.addrs)
-}
-
-// All returns every known address, sorted for deterministic iteration.
-func (b *AddrBook) All() []string {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	out := make([]string, 0, len(b.addrs))
-	for a := range b.addrs {
-		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Dialable returns the addresses currently worth dialing: not banned and
@@ -246,14 +227,6 @@ func (b *AddrBook) EarliestGated(exclude map[string]bool) (string, bool) {
 	return best, found
 }
 
-// Contains reports whether addr is known.
-func (b *AddrBook) Contains(addr string) bool {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	_, ok := b.addrs[addr]
-	return ok
-}
-
 // DialFailed records a failed dial or handshake to addr: the failure
 // count grows, the next dial is pushed out exponentially (with
 // deterministic per-(addr, fails) jitter so replays agree), and once the
@@ -281,36 +254,6 @@ func (b *AddrBook) DialFailed(addr string) (evicted bool) {
 	backoff = time.Duration(float64(backoff) * (0.75 + 0.5*hashFrac(addr, e.Fails)))
 	e.NextDial = now.Add(backoff)
 	return false
-}
-
-// NextDialIn reports how long until addr may be dialed again (zero when
-// dialable now or unknown) — exposed for tests and diagnostics.
-func (b *AddrBook) NextDialIn(addr string) time.Duration {
-	now := b.now()
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	e, ok := b.addrs[addr]
-	if !ok {
-		return 0
-	}
-	gate := e.NextDial
-	if e.BanUntil.After(gate) {
-		gate = e.BanUntil
-	}
-	if d := gate.Sub(now); d > 0 {
-		return d
-	}
-	return 0
-}
-
-// Fails returns addr's consecutive dial-failure count.
-func (b *AddrBook) Fails(addr string) int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	if e, ok := b.addrs[addr]; ok {
-		return e.Fails
-	}
-	return 0
 }
 
 // DialSucceeded records a completed dial+handshake: the failure count and
@@ -341,14 +284,6 @@ func (b *AddrBook) DialSucceeded(addr string) {
 	e.LastSeen = now
 	e.LastSuccess = now
 	e.Verified = true
-}
-
-// Verified reports whether addr is known and dial-verified.
-func (b *AddrBook) Verified(addr string) bool {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	e, ok := b.addrs[addr]
-	return ok && e.Verified
 }
 
 // VerifiedCount returns the number of dial-verified addresses.
@@ -464,18 +399,6 @@ func (b *AddrBook) Misbehave(id uint64, listenAddr string, points float64) (bann
 		}
 	}
 	return banned
-}
-
-// Score returns the identity's current (decayed) misbehavior score.
-func (b *AddrBook) Score(id uint64) float64 {
-	now := b.now()
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	s, ok := b.ids[id]
-	if !ok {
-		return 0
-	}
-	return b.decayedLocked(s, now)
 }
 
 // IDBanned reports whether the peer identity is currently banned.

@@ -3,6 +3,7 @@ package p2p
 import (
 	"fmt"
 	"path/filepath"
+	"sort"
 	"testing"
 	"time"
 )
@@ -17,6 +18,76 @@ func newClockBook() (*AddrBook, *fakeClock) {
 	c := &fakeClock{t: time.Unix(1700000000, 0)}
 	b.now = c.now
 	return b, c
+}
+
+// all returns every known address, sorted for deterministic iteration.
+func (b *AddrBook) all() []string {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	out := make([]string, 0, len(b.addrs))
+	for a := range b.addrs {
+		out = append(out, a)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// contains reports whether addr is known.
+func (b *AddrBook) contains(addr string) bool {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	_, ok := b.addrs[addr]
+	return ok
+}
+
+// nextDialIn reports how long until addr may be dialed again (zero when
+// dialable now or unknown).
+func (b *AddrBook) nextDialIn(addr string) time.Duration {
+	now := b.now()
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	e, ok := b.addrs[addr]
+	if !ok {
+		return 0
+	}
+	gate := e.NextDial
+	if e.BanUntil.After(gate) {
+		gate = e.BanUntil
+	}
+	if d := gate.Sub(now); d > 0 {
+		return d
+	}
+	return 0
+}
+
+// fails returns addr's consecutive dial-failure count.
+func (b *AddrBook) fails(addr string) int {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	if e, ok := b.addrs[addr]; ok {
+		return e.Fails
+	}
+	return 0
+}
+
+// verified reports whether addr is known and dial-verified.
+func (b *AddrBook) verified(addr string) bool {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	e, ok := b.addrs[addr]
+	return ok && e.Verified
+}
+
+// score returns the identity's current (decayed) misbehavior score.
+func (b *AddrBook) score(id uint64) float64 {
+	now := b.now()
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	s, ok := b.ids[id]
+	if !ok {
+		return 0
+	}
+	return b.decayedLocked(s, now)
 }
 
 // TestBookCapEvictsUnhealthiest: the book is bounded, and the victim
@@ -36,18 +107,18 @@ func TestBookCapEvictsUnhealthiest(t *testing.T) {
 	// c:1 has a failure; it should be evicted before the merely-old a:1.
 	b.DialFailed("c:1")
 	b.Add("d:1")
-	if b.Contains("c:1") {
+	if b.contains("c:1") {
 		t.Fatal("failed entry survived eviction")
 	}
-	if !b.Contains("a:1") || !b.Contains("b:1") || !b.Contains("d:1") {
-		t.Fatalf("wrong survivors: %v", b.All())
+	if !b.contains("a:1") || !b.contains("b:1") || !b.contains("d:1") {
+		t.Fatalf("wrong survivors: %v", b.all())
 	}
 	if b.Len() != bookCap {
 		t.Fatalf("book grew past cap: %d", b.Len())
 	}
 	// With equal health, the least recently seen entry goes.
 	b.Add("e:1")
-	if b.Contains("a:1") {
+	if b.contains("a:1") {
 		t.Fatal("oldest entry survived over fresher ones")
 	}
 }
@@ -58,18 +129,18 @@ func TestBookIgnoresSelf(t *testing.T) {
 	b, _ := newClockBook()
 	b.Add("me:9")
 	b.MarkSelf("me:9")
-	if b.Contains("me:9") {
+	if b.contains("me:9") {
 		t.Fatal("MarkSelf did not drop the stored self-address")
 	}
 	b.Add("me:9", "other:1")
-	if b.Contains("me:9") {
+	if b.contains("me:9") {
 		t.Fatal("self-address re-added by gossip")
 	}
-	if !b.Contains("other:1") {
+	if !b.contains("other:1") {
 		t.Fatal("legitimate address dropped")
 	}
 	b.DialSucceeded("me:9")
-	if b.Contains("me:9") {
+	if b.contains("me:9") {
 		t.Fatal("DialSucceeded stored a self-address")
 	}
 }
@@ -88,7 +159,7 @@ func TestBookBackoffAndBudget(t *testing.T) {
 		if evicted := b.DialFailed("seed:1"); evicted {
 			t.Fatalf("evicted after %d failures, budget is %d", i, dialBudget)
 		}
-		next := b.NextDialIn("seed:1")
+		next := b.nextDialIn("seed:1")
 		if next <= 0 {
 			t.Fatalf("failure %d left no backoff gate", i)
 		}
@@ -115,14 +186,14 @@ func TestBookBackoffAndBudget(t *testing.T) {
 	}
 	// Success wipes the slate.
 	b.DialSucceeded("seed:1")
-	if b.Fails("seed:1") != 0 || b.NextDialIn("seed:1") != 0 {
+	if b.fails("seed:1") != 0 || b.nextDialIn("seed:1") != 0 {
 		t.Fatal("success did not reset failure state")
 	}
 	// Budget exhaustion evicts.
 	for i := 0; i < dialBudget; i++ {
 		b.DialFailed("seed:1")
 	}
-	if b.Contains("seed:1") {
+	if b.contains("seed:1") {
 		t.Fatal("address survived an exhausted failure budget")
 	}
 }
@@ -154,7 +225,7 @@ func TestBookMisbehaviorBanAndDecay(t *testing.T) {
 	if b.IDBanned(42) || b.AddrBanned("bad:1") {
 		t.Fatal("ban did not expire")
 	}
-	if s := b.Score(42); s >= 60 {
+	if s := b.score(42); s >= 60 {
 		t.Fatalf("score %v did not decay (was 120, two half-lives passed)", s)
 	}
 	// A transient fault no longer tips a healed peer over.
@@ -177,11 +248,11 @@ func TestBookPersistence(t *testing.T) {
 	if err := fresh.Load(path); err != nil {
 		t.Fatal(err)
 	}
-	if !fresh.Contains("x:1") || !fresh.Contains("y:2") {
-		t.Fatalf("addresses lost: %v", fresh.All())
+	if !fresh.contains("x:1") || !fresh.contains("y:2") {
+		t.Fatalf("addresses lost: %v", fresh.all())
 	}
-	if fresh.Fails("x:1") != 1 {
-		t.Fatalf("failure count lost: %d", fresh.Fails("x:1"))
+	if fresh.fails("x:1") != 1 {
+		t.Fatalf("failure count lost: %d", fresh.fails("x:1"))
 	}
 	if !fresh.IDBanned(7) || !fresh.AddrBanned("y:2") {
 		t.Fatal("ban state lost")

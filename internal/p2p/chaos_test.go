@@ -195,10 +195,10 @@ func TestChaosDialFailuresFeedBackoff(t *testing.T) {
 			t.Fatal("dial succeeded under a 100% dial-failure plan")
 		}
 	}
-	if got := n.book.Fails(addr); got != 3 {
+	if got := n.book.fails(addr); got != 3 {
 		t.Fatalf("book recorded %d failures, want 3", got)
 	}
-	if n.book.NextDialIn(addr) <= 0 {
+	if n.book.nextDialIn(addr) <= 0 {
 		t.Fatal("no backoff gate after repeated injected failures")
 	}
 	r := n.Resilience()

@@ -113,7 +113,7 @@ func TestGetAddrSampleHardened(t *testing.T) {
 	if len(sample.Addrs) > wire.MaxAddrs {
 		t.Fatalf("sample of %d exceeds MaxAddrs", len(sample.Addrs))
 	}
-	sorted := a.Book().All()
+	sorted := a.Book().all()
 	prefix := true
 	for i, na := range sample.Addrs {
 		if na.Addr == banned {
@@ -177,7 +177,7 @@ func TestGetAddrRateLimited(t *testing.T) {
 	if got := n.Discovery().GetAddrThrottled; got < 3 {
 		t.Fatalf("GetAddrThrottled = %d, want >= 3", got)
 	}
-	if s := n.Book().Score(spammer); s != 0 {
+	if s := n.Book().score(spammer); s != 0 {
 		t.Fatalf("in-budget requests charged %v points", s)
 	}
 	// Requests past the burst budget charge points.
@@ -188,7 +188,7 @@ func TestGetAddrRateLimited(t *testing.T) {
 	}
 	assertNoAddr(t, conn, 300*time.Millisecond)
 	waitFor(t, "spam charge", time.Second, func() bool {
-		return n.Book().Score(spammer) > 0
+		return n.Book().score(spammer) > 0
 	})
 }
 
@@ -212,14 +212,14 @@ func TestAddrIngestionValidated(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "valid addrs admitted", time.Second, func() bool {
-		return n.Book().Contains("10.2.0.1:9000") && n.Book().Contains("10.2.0.4:9000")
+		return n.Book().contains("10.2.0.1:9000") && n.Book().contains("10.2.0.4:9000")
 	})
 	for _, bad := range []string{"not an address", "10.2.0.2:0", ":9000", "10.2.0.3:9000", "bad_host:9000"} {
-		if n.Book().Contains(bad) {
+		if n.Book().contains(bad) {
 			t.Fatalf("%q entered the book", bad)
 		}
 	}
-	if s := n.Book().Score(sender); s == 0 {
+	if s := n.Book().score(sender); s == 0 {
 		t.Fatal("invalid addrs went uncharged")
 	}
 	d := n.Discovery()
@@ -246,7 +246,7 @@ func TestUnsolicitedAddrBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "solicited batch admitted", time.Second, func() bool {
-		return n.Book().Contains(burn[len(burn)-1].Addr)
+		return n.Book().contains(burn[len(burn)-1].Addr)
 	})
 	// Now unsolicited: 12 entries past the budget.
 	extra := make([]wire.NetAddr, unsolicitedBudget+12)
@@ -257,10 +257,10 @@ func TestUnsolicitedAddrBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "budgeted prefix admitted", time.Second, func() bool {
-		return n.Book().Contains(extra[unsolicitedBudget-1].Addr)
+		return n.Book().contains(extra[unsolicitedBudget-1].Addr)
 	})
 	for _, na := range extra[unsolicitedBudget:] {
-		if n.Book().Contains(na.Addr) {
+		if n.Book().contains(na.Addr) {
 			t.Fatalf("%s admitted past the unsolicited budget", na.Addr)
 		}
 	}
@@ -272,7 +272,7 @@ func TestUnsolicitedAddrBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "flood charge", time.Second, func() bool {
-		return n.Book().Score(flooder) > 0
+		return n.Book().score(flooder) > 0
 	})
 }
 
@@ -411,17 +411,17 @@ func TestSelfAnnounceAndTrickle(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "hub learns b's address", time.Second, func() bool {
-		return hub.Book().Contains(b.Addr())
+		return hub.Book().contains(b.Addr())
 	})
 	// a joins: the hub learns a by announce and trickles it to b.
 	if err := a.Connect(hub.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "hub learns a", time.Second, func() bool {
-		return hub.Book().Contains(a.Addr())
+		return hub.Book().contains(a.Addr())
 	})
 	waitFor(t, "a's address trickles to b", 2*time.Second, func() bool {
-		return b.Book().Contains(a.Addr())
+		return b.Book().contains(a.Addr())
 	})
 	if got := a.Discovery().SelfAnnounces; got < 1 {
 		t.Fatalf("SelfAnnounces = %d, want >= 1", got)
@@ -440,11 +440,11 @@ func TestFeelerVerifiesRumor(t *testing.T) {
 		c.Discovery.FeelerInterval = 25 * time.Millisecond
 	})
 	n.Book().Add(target.Addr())
-	if n.Book().Verified(target.Addr()) {
+	if n.Book().verified(target.Addr()) {
 		t.Fatal("rumor born verified")
 	}
 	waitFor(t, "feeler verification", 3*time.Second, func() bool {
-		return n.Book().Verified(target.Addr())
+		return n.Book().verified(target.Addr())
 	})
 	if got := n.Discovery().FeelerVerified; got < 1 {
 		t.Fatalf("FeelerVerified = %d, want >= 1", got)
@@ -486,7 +486,7 @@ func assertConverged(t *testing.T, nodes []*Node, timeout time.Duration, fractio
 			}
 			known := 0
 			for j, addr := range addrOf {
-				if j != i && n.Book().Contains(addr) {
+				if j != i && n.Book().contains(addr) {
 					known++
 				}
 			}
@@ -561,10 +561,10 @@ func TestVerifiedSurviveRumorFlood(t *testing.T) {
 		t.Fatalf("book length %d, want cap %d", got, bookCap)
 	}
 	for _, a := range verified {
-		if !b.Contains(a) {
+		if !b.contains(a) {
 			t.Fatalf("verified %s evicted by rumor", a)
 		}
-		if !b.Verified(a) {
+		if !b.verified(a) {
 			t.Fatalf("%s lost verified status", a)
 		}
 	}
@@ -584,7 +584,7 @@ func TestVerifiedSurviveRumorFlood(t *testing.T) {
 	}
 	// But a verified newcomer may displace a verified entry.
 	full.DialSucceeded("10.7.0.2:3000")
-	if !full.Contains("10.7.0.2:3000") {
+	if !full.contains("10.7.0.2:3000") {
 		t.Fatal("verified newcomer rejected")
 	}
 	if full.Len() != bookCap {

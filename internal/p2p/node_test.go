@@ -269,7 +269,7 @@ func TestAddrGossip(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "addr gossip", 2*time.Second, func() bool {
-		return a.Book().Contains(c.Addr())
+		return a.Book().contains(c.Addr())
 	})
 }
 
@@ -497,7 +497,7 @@ func TestResilienceDesperationDial(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		b.book.DialFailed(a.Addr())
 	}
-	if gate := b.book.NextDialIn(a.Addr()); gate < 3*time.Second {
+	if gate := b.book.nextDialIn(a.Addr()); gate < 3*time.Second {
 		t.Fatalf("backoff gate only %v out, test needs a deep gate", gate)
 	}
 	waitFor(t, "desperation reconnect", 3*time.Second, func() bool {

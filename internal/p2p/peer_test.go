@@ -241,7 +241,7 @@ func TestReadLoopMidFrameDeadline(t *testing.T) {
 	waitFor(t, "block accepted or slow peer dropped", 2*time.Second, func() bool {
 		return node.Store().Has(b.Header.Hash()) || len(node.Peers()) == 0
 	})
-	if got := node.Book().Score(slow); got != 0 {
+	if got := node.Book().score(slow); got != 0 {
 		t.Fatalf("slow peer charged %v misbehavior points for a mid-frame pause", got)
 	}
 	if node.Book().IDBanned(slow) {

@@ -159,6 +159,3 @@ func (r *RNG) PairLogNormal(u, v int, sigma float64) float64 {
 }
 
 func unitFloat(x uint64) float64 { return float64(x>>11) / (1 << 53) }
-
-// Seed exposes the stream's 32-byte seed, primarily for diagnostics.
-func (r *RNG) Seed() [32]byte { return r.seed }

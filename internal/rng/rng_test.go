@@ -268,7 +268,7 @@ func TestDeriveIndexedIntoReseeds(t *testing.T) {
 				t.Fatalf("index %d draw %d: reseeded %#x, derived %#x", index, i, got, w)
 			}
 		}
-		if dst.Seed() != want.Seed() {
+		if dst.seed != want.seed {
 			t.Fatalf("index %d: reseeded seed differs from the derived one", index)
 		}
 	}

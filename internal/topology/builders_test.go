@@ -24,11 +24,11 @@ func TestRandomTopology(t *testing.T) {
 		if got := tbl.OutDegree(u); got != dout {
 			t.Fatalf("node %d out-degree %d, want %d", u, got, dout)
 		}
-		if got := tbl.InDegree(u); got > maxIn {
+		if got := len(tbl.in[u]); got > maxIn {
 			t.Fatalf("node %d in-degree %d exceeds cap %d", u, got, maxIn)
 		}
 	}
-	if !IsConnected(tbl.Undirected()) {
+	if !isConnected(tbl.Undirected()) {
 		t.Fatal("random topology with degree 8 should be connected")
 	}
 }
@@ -58,9 +58,9 @@ func TestRandomTopologyDeterministic(t *testing.T) {
 // equalTables reports the first node at which two tables differ.
 func equalTables(t *testing.T, a, b *Table) {
 	t.Helper()
-	if a.N() != b.N() || a.MaxIn() != b.MaxIn() || a.TotalEdges() != b.TotalEdges() {
+	if a.N() != b.N() || a.maxIn != b.maxIn || totalEdges(a) != totalEdges(b) {
 		t.Fatalf("tables differ in shape: n %d/%d, maxIn %d/%d, edges %d/%d",
-			a.N(), b.N(), a.MaxIn(), b.MaxIn(), a.TotalEdges(), b.TotalEdges())
+			a.N(), b.N(), a.maxIn, b.maxIn, totalEdges(a), totalEdges(b))
 	}
 	for u := 0; u < a.N(); u++ {
 		if !reflect.DeepEqual(a.OutNeighbors(u), b.OutNeighbors(u)) || !reflect.DeepEqual(a.InNeighbors(u), b.InNeighbors(u)) {
@@ -97,9 +97,9 @@ func TestBuildersFillEveryNode(t *testing.T) {
 					t.Fatal(err)
 				}
 				for u := 0; u < n; u++ {
-					if tbl.OutDegree(u) != dout || tbl.InDegree(u) > maxIn {
+					if tbl.OutDegree(u) != dout || len(tbl.in[u]) > maxIn {
 						t.Fatalf("node %d: out-degree %d (want %d), in-degree %d (cap %d)",
-							u, tbl.OutDegree(u), dout, tbl.InDegree(u), maxIn)
+							u, tbl.OutDegree(u), dout, len(tbl.in[u]), maxIn)
 					}
 				}
 				again, err := build(n, 9)
@@ -134,8 +134,8 @@ func TestRandomExactFit(t *testing.T) {
 				t.Fatal(err)
 			}
 			for u := 0; u < n; u++ {
-				if tbl.OutDegree(u) != dout || tbl.InDegree(u) != dout {
-					t.Fatalf("n=%d seed=%d node %d: degrees %d/%d, want %d/%d", n, seed, u, tbl.OutDegree(u), tbl.InDegree(u), dout, dout)
+				if tbl.OutDegree(u) != dout || len(tbl.in[u]) != dout {
+					t.Fatalf("n=%d seed=%d node %d: degrees %d/%d, want %d/%d", n, seed, u, tbl.OutDegree(u), len(tbl.in[u]), dout, dout)
 				}
 			}
 		}
@@ -244,7 +244,7 @@ func TestGeographicTopology(t *testing.T) {
 		}
 		for _, w := range tbl.OutNeighbors(v) {
 			total++
-			if u.SameRegion(v, w) {
+			if u.Region(v) == u.Region(w) {
 				totalLocal++
 			}
 		}
@@ -289,7 +289,7 @@ func TestKademliaTopology(t *testing.T) {
 			t.Fatalf("node %d out-degree %d, want %d", v, got, dout)
 		}
 	}
-	if !IsConnected(tbl.Undirected()) {
+	if !isConnected(tbl.Undirected()) {
 		t.Fatal("kademlia topology should be connected")
 	}
 }
@@ -407,7 +407,7 @@ func TestRelayTree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	hops := BFSHops(tbl.Undirected(), 10)
+	hops := bfsHops(tbl.Undirected(), 10)
 	for _, m := range members {
 		if hops[m] == -1 {
 			t.Fatalf("member %d unreachable from root", m)

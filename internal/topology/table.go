@@ -39,8 +39,7 @@ var (
 // A table may also carry pinned edges (see Pin): permanent undirected links
 // such as an embedded relay tree (§5.4). They join the gossip graph but
 // hold no connection slot, so the per-node accessors (OutNeighbors,
-// InNeighbors, Neighbors, the degrees, TotalEdges) and Connect/Disconnect
-// never see them.
+// InNeighbors, the degrees) and Connect/Disconnect never see them.
 type Table struct {
 	n     int
 	maxIn int
@@ -72,9 +71,6 @@ func NewTable(n, maxIn int) (*Table, error) {
 
 // N returns the number of nodes.
 func (t *Table) N() int { return t.n }
-
-// MaxIn returns the incoming-connection cap.
-func (t *Table) MaxIn() int { return t.maxIn }
 
 func (t *Table) checkNode(u int) error {
 	if u < 0 || u >= t.n {
@@ -180,9 +176,6 @@ func (t *Table) HasOut(u, v int) bool {
 // OutDegree returns the number of outgoing connections of u.
 func (t *Table) OutDegree(u int) int { return len(t.out[u]) }
 
-// InDegree returns the number of incoming connections of u.
-func (t *Table) InDegree(u int) int { return len(t.in[u]) }
-
 // InFree returns the number of remaining incoming slots at u.
 func (t *Table) InFree(u int) int { return t.maxIn - len(t.in[u]) }
 
@@ -198,13 +191,6 @@ func (t *Table) AppendOutNeighbors(buf []int, u int) []int {
 
 // InNeighbors returns a copy of u's incoming neighbors in ascending order.
 func (t *Table) InNeighbors(u int) []int { return append(make([]int, 0, len(t.in[u])), t.in[u]...) }
-
-// Neighbors returns the union of u's outgoing and incoming neighbors in
-// ascending order — the set of peers u exchanges blocks with (Γ_v in the
-// paper).
-func (t *Table) Neighbors(u int) []int {
-	return appendUnion(make([]int, 0, len(t.out[u])+len(t.in[u])), t.out[u], t.in[u])
-}
 
 // appendUnion appends the union of two ascending rows to dst, ascending and
 // without duplicates.
@@ -272,19 +258,10 @@ func cloneRows(rows [][]int) [][]int {
 	return out
 }
 
-// TotalEdges returns the number of directed edges in the table.
-func (t *Table) TotalEdges() int {
-	total := 0
-	for _, row := range t.out {
-		total += len(row)
-	}
-	return total
-}
-
 // Validate checks the table's internal invariants: rows strictly ascending,
 // out/in mirroring each other, pins mirroring themselves, no self loops or
 // out-of-range pins, and the incoming cap holding.
-// It is used by tests and by the engine's failure-injection paths.
+// Tests call it on the tables they build.
 func (t *Table) Validate() error {
 	for u := 0; u < t.n; u++ {
 		if len(t.in[u]) > t.maxIn {

@@ -33,7 +33,3 @@ func ViolationPoints(err error) float64 {
 		return 0
 	}
 }
-
-// IsViolation reports whether err represents a protocol violation
-// (as opposed to a transport failure).
-func IsViolation(err error) bool { return ViolationPoints(err) > 0 }

@@ -32,8 +32,5 @@ func TestViolationPoints(t *testing.T) {
 		if got := ViolationPoints(c.err); got != c.want {
 			t.Errorf("ViolationPoints(%v) = %v, want %v", c.err, got, c.want)
 		}
-		if got := IsViolation(c.err); got != (c.want > 0) {
-			t.Errorf("IsViolation(%v) = %v, want %v", c.err, got, c.want > 0)
-		}
 	}
 }

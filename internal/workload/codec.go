@@ -117,23 +117,3 @@ func (t *replayTrace) Next() (Arrival, bool) {
 	t.next++
 	return Arrival{At: time.Duration(a.AtNS), Miner: a.Miner}, true
 }
-
-// RecordingTrace wraps a trace so every consumed event is appended to tf
-// (whose Version and Nodes the caller sets). Wrap the trace handed to Run
-// to capture exactly the events a run consumed, ready for replay.
-func RecordingTrace(t Trace, tf *TraceFile) Trace {
-	return &recordingTrace{inner: t, tf: tf}
-}
-
-type recordingTrace struct {
-	inner Trace
-	tf    *TraceFile
-}
-
-func (t *recordingTrace) Next() (Arrival, bool) {
-	a, ok := t.inner.Next()
-	if ok {
-		t.tf.Arrivals = append(t.tf.Arrivals, TraceArrival{AtNS: a.At.Nanoseconds(), Miner: a.Miner})
-	}
-	return a, ok
-}

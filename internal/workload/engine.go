@@ -22,8 +22,7 @@ type Config struct {
 	// mode; the caller must not Step it concurrently.
 	Engine *core.Engine
 	// Trace is the block-production schedule. Use NewPoisson (or Gamma /
-	// Weibull) for generated workloads, TraceFile.Trace for replays, and
-	// RecordingTrace to capture the consumed events.
+	// Weibull) for generated workloads and TraceFile.Trace for replays.
 	Trace Trace
 	// Duration is the simulated run length; events at or after Duration
 	// are not consumed.

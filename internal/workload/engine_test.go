@@ -148,6 +148,22 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// recordingTrace wraps a trace so every consumed event is appended to tf
+// (whose Version and Nodes the caller sets), capturing exactly the events a
+// run consumed, ready for replay.
+type recordingTrace struct {
+	inner Trace
+	tf    *TraceFile
+}
+
+func (t *recordingTrace) Next() (Arrival, bool) {
+	a, ok := t.inner.Next()
+	if ok {
+		t.tf.Arrivals = append(t.tf.Arrivals, TraceArrival{AtNS: a.At.Nanoseconds(), Miner: a.Miner})
+	}
+	return a, ok
+}
+
 // Recording a run and replaying the recorded trace must reproduce the
 // report byte for byte, through the on-disk codec.
 func TestRunReplayByteEqual(t *testing.T) {
@@ -160,7 +176,7 @@ func TestRunReplayByteEqual(t *testing.T) {
 	recorded := &TraceFile{Version: TraceVersion, Nodes: n}
 	cfg := Config{
 		Engine:        eng,
-		Trace:         RecordingTrace(gen, recorded),
+		Trace:         &recordingTrace{inner: gen, tf: recorded},
 		Duration:      3 * time.Minute,
 		RoundInterval: 30 * time.Second,
 	}
