@@ -8,7 +8,9 @@
 // The policy here is a "trimmed-mean rotator": it scores each neighbor by
 // the mean of its finite offsets (censoring blocks it never delivered,
 // with a penalty per miss), keeps the best OutDegree−1, and rotates one
-// slot. It is deliberately not one of the built-ins.
+// slot. It is deliberately not one of the built-ins. The program exits
+// non-zero unless the simulated median λ falls and the live hub drops the
+// slow relay and nothing else.
 //
 //	go run ./examples/customselector
 package main
@@ -104,6 +106,9 @@ func main() {
 	fmt.Printf("  median λ(0.9): %v before → %v after 10 rounds (%+.0f%%)\n",
 		before.Round(time.Millisecond), after.Round(time.Millisecond),
 		100*(float64(after)/float64(before)-1))
+	if after >= before {
+		log.Fatalf("median λ(0.9) did not fall: %v before, %v after", before, after)
+	}
 
 	// ------------------------------------------------------------------
 	// Environment 2: live TCP on localhost. A hub with three relays, one
@@ -165,12 +170,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	if len(stats.DroppedEdges) == 0 {
+		log.Fatal("the hub dropped no relay")
+	}
 	for _, edge := range stats.DroppedEdges {
-		name := "a fast relay?!"
-		if uint64(edge[1]) == slow.ID() {
-			name = "the slow relay"
+		if uint64(edge[1]) != slow.ID() {
+			log.Fatalf("the hub dropped %016x, a fast relay", uint64(edge[1]))
 		}
-		fmt.Printf("  hub dropped %016x — %s\n", uint64(edge[1]), name)
+		fmt.Printf("  hub dropped %016x — the slow relay\n", uint64(edge[1]))
 	}
 	fmt.Println("\nsame policy value, two environments: simulated rounds and")
 	fmt.Println("live TCP rounds both ran trimmedMeanSelector unmodified.")

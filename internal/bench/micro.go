@@ -273,7 +273,7 @@ func captureRound(power []float64, window int) []core.Observations {
 	// copies; it decides nodes concurrently, each into its own slot.
 	wrap := core.SelectorFunc(func(view core.NeighborView) (core.Decision, error) {
 		if captured != nil {
-			captured[view.Node] = view.Obs.Clone()
+			captured[view.Node] = view.Observations.Clone()
 		}
 		return subset.SelectNeighbors(view)
 	})

@@ -602,12 +602,12 @@ func (e *Engine) update(obs []Observations, ev *RoundEvent) (RoundReport, error)
 		rs.roundRand.DeriveIndexedInto(stream, "node", v)
 		row := v * rs.decideStride
 		d, err := Decide(e.selector, NeighborView{
-			Node:       v,
-			OutDegree:  e.params.OutDegree,
-			Candidates: n - 1,
-			Obs:        obs[v],
-			Rand:       stream,
-			Buf:        rs.decide[row : row : row+rs.decideStride],
+			Node:         v,
+			OutDegree:    e.params.OutDegree,
+			Candidates:   n - 1,
+			Observations: obs[v],
+			Rand:         stream,
+			Buf:          rs.decide[row : row : row+rs.decideStride],
 		})
 		if err != nil {
 			return err

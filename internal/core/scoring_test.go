@@ -520,12 +520,12 @@ func subsetMatchesScanOnEngineRounds(t *testing.T, window int) {
 	cfg.ObservationWindow = window
 	cfg.Selector = SelectorFunc(func(view NeighborView) (Decision, error) {
 		if check {
-			if got := len(view.Obs.Offsets); got != blocks {
+			if got := len(view.Observations.Offsets); got != blocks {
 				return Decision{}, fmt.Errorf("node %d scored %d blocks, want %d", view.Node, got, blocks)
 			}
 			for _, pct := range differentialPercentiles {
 				for _, retain := range []int{1, 3, 6, 7} {
-					if err := checkSubsetAgainstScan(view.Obs, retain, pct); err != nil {
+					if err := checkSubsetAgainstScan(view.Observations, retain, pct); err != nil {
 						return Decision{}, err
 					}
 				}

@@ -12,10 +12,11 @@ import (
 
 // NeighborView is the per-node, per-round input handed to a Selector: the
 // raw block-arrival observations for the node's current outgoing neighbors
-// plus the protocol context the decision may depend on. The same view
-// shape is produced by both drivers of the decision loop — the simulation
-// engine (Engine.Step) and the live TCP node (internal/p2p) — so one
-// Selector runs unmodified in either environment.
+// plus the protocol context the decision may depend on. The root package
+// exports it as perigee.NeighborView, and both drivers of the decision
+// loop — the simulation engine (Engine.Step) and the live TCP node
+// (internal/p2p) — hand a Selector this one type, so one Selector runs
+// unmodified in either environment.
 type NeighborView struct {
 	// Node is the driver-assigned stable key of the deciding node. The
 	// simulator uses the node index; a live node uses the two's-complement
@@ -28,27 +29,29 @@ type NeighborView struct {
 	// the current neighbors (network size minus one in the simulator, the
 	// address-book size on a live node). Informational.
 	Candidates int
-	// Obs holds the round's per-neighbor arrival offsets.
-	Obs Observations
+	// Observations holds the round's per-neighbor arrival offsets.
+	Observations Observations
 	// Rand is a deterministic random stream derived for this (node, round)
 	// pair. Randomized selectors must draw from it — and only it — so runs
 	// stay reproducible at any worker count. The stream is valid only for
-	// the call: the simulator reseeds it for the next node.
+	// the call: the simulator reseeds it for the next node, so a selector
+	// must not keep it.
 	Rand *rng.RNG
 	// Buf is driver-owned scratch with capacity for at least
-	// len(Obs.Neighbors) indices. The built-in selectors append Keep, then
-	// Drop, into it, so their decision's slices alias it and are valid
-	// only for the round. Nil (as on a live node) means they allocate
-	// their own.
+	// len(Observations.Neighbors) indices. The built-in selectors append
+	// Keep, then Drop, into it, so their decision's slices alias it and are
+	// valid only for the round. Nil (as on a live node) means they allocate
+	// their own. A custom selector may ignore it.
 	Buf []int
 }
 
 // Decision is a Selector's verdict for one node and one round. Keep and
-// Drop index into the view's Obs.Neighbors and must partition it: every
-// neighbor index appears in exactly one of the two lists. Dial is the
-// exploration budget — how many fresh connections the driver should
-// attempt to establish. When the view carries a Buf the built-in
-// selectors' Keep and Drop alias it, so they are valid only for the round.
+// Drop index into the view's Observations.Neighbors and must partition
+// it: every neighbor index appears in exactly one of the two lists. Dial
+// is the exploration budget — how many fresh connections the driver
+// should attempt to establish. When the view carries a Buf the built-in
+// selectors' Keep and Drop alias it, so they are valid only for the
+// round; copy what you keep.
 type Decision struct {
 	// Keep lists the neighbor indices to retain.
 	Keep []int
@@ -63,7 +66,8 @@ type Decision struct {
 // observations in, keep/drop/dial decisions out (§4 of the paper). Drivers
 // may invoke SelectNeighbors concurrently for distinct nodes, so stateful
 // implementations must synchronize access to cross-round state (and key it
-// by view.Node).
+// by view.Node), and should implement NodeStateResetter so churned nodes
+// restart clean.
 type Selector interface {
 	SelectNeighbors(view NeighborView) (Decision, error)
 }
@@ -90,16 +94,16 @@ func Decide(sel Selector, view NeighborView) (Decision, error) {
 	if err != nil {
 		return Decision{}, fmt.Errorf("core: selector for node %d: %w", view.Node, err)
 	}
-	if err := ValidateDecision(d, len(view.Obs.Neighbors)); err != nil {
+	if err := validateDecision(d, len(view.Observations.Neighbors)); err != nil {
 		return Decision{}, fmt.Errorf("core: selector for node %d: %w", view.Node, err)
 	}
 	return d, nil
 }
 
-// ValidateDecision checks a decision against the neighbor count it was
+// validateDecision checks a decision against the neighbor count it was
 // made for: every index in [0, neighbors) must appear exactly once across
 // Keep and Drop, and Dial must be non-negative.
-func ValidateDecision(d Decision, neighbors int) error {
+func validateDecision(d Decision, neighbors int) error {
 	if d.Dial < 0 {
 		return fmt.Errorf("negative dial budget %d", d.Dial)
 	}
@@ -164,7 +168,7 @@ func dialBudget(outDegree, neighbors, drops int) int {
 // decisionBuf returns the view's decision buffer emptied, or a fresh one
 // when the driver supplied none large enough.
 func decisionBuf(view NeighborView) []int {
-	if k := len(view.Obs.Neighbors); cap(view.Buf) < k {
+	if k := len(view.Observations.Neighbors); cap(view.Buf) < k {
 		return make([]int, 0, k)
 	}
 	return view.Buf[:0]
@@ -192,7 +196,7 @@ func identity(buf []int, k int) []int {
 // keepAll is the no-drop decision: retain every neighbor and refill any
 // unfilled slots.
 func keepAll(view NeighborView) Decision {
-	k := len(view.Obs.Neighbors)
+	k := len(view.Observations.Neighbors)
 	return splitDecision(view, identity(decisionBuf(view), k), k)
 }
 
@@ -243,15 +247,15 @@ func NewVanillaSelector(explore int, percentile float64) (Selector, error) {
 }
 
 func (s *vanillaSelector) SelectNeighbors(view NeighborView) (Decision, error) {
-	k := len(view.Obs.Neighbors)
+	k := len(view.Observations.Neighbors)
 	retain := retainTarget(view.OutDegree, s.explore)
 	if k <= retain {
 		return keepAll(view), nil
 	}
-	scores := VanillaScores(view.Obs, s.pct)
+	scores := VanillaScores(view.Observations, s.pct)
 	// Drops stay in ranked (worst-last) order so driver churn reports are
 	// deterministic and match the historical engine behavior.
-	ranked := rankInto(decisionBuf(view), view.Obs, scores)
+	ranked := rankInto(decisionBuf(view), view.Observations, scores)
 	return splitDecision(view, ranked, retain), nil
 }
 
@@ -276,14 +280,14 @@ func NewSubsetSelector(explore int, percentile float64) (Selector, error) {
 }
 
 func (s *subsetSelector) SelectNeighbors(view NeighborView) (Decision, error) {
-	k := len(view.Obs.Neighbors)
+	k := len(view.Observations.Neighbors)
 	retain := retainTarget(view.OutDegree, s.explore)
 	if k <= retain {
 		return keepAll(view), nil
 	}
 	// The keep list is ascending, so the drops are the gaps of one merged
 	// walk.
-	buf := subsetSelectInto(decisionBuf(view), view.Obs, retain, s.pct)
+	buf := subsetSelectInto(decisionBuf(view), view.Observations, retain, s.pct)
 	kept := len(buf)
 	next := 0
 	for i := 0; i < k; i++ {
@@ -326,7 +330,7 @@ func NewUCBSelector(percentile float64, confidence time.Duration) (Selector, err
 }
 
 func (s *ucbSelector) SelectNeighbors(view NeighborView) (Decision, error) {
-	k := len(view.Obs.Neighbors)
+	k := len(view.Observations.Neighbors)
 	if k == 0 {
 		return keepAll(view), nil
 	}
@@ -336,10 +340,10 @@ func (s *ucbSelector) SelectNeighbors(view NeighborView) (Decision, error) {
 
 	lcbs := make([]time.Duration, k)
 	ucbs := make([]time.Duration, k)
-	for i, u := range view.Obs.Neighbors {
+	for i, u := range view.Observations.Neighbors {
 		samples := nodeHist[u]
 		// Include this round's finite offsets in the decision.
-		for _, row := range view.Obs.Offsets {
+		for _, row := range view.Observations.Offsets {
 			if row[i] != stats.InfDuration {
 				samples = append(samples, row[i])
 			}
@@ -364,9 +368,9 @@ func (s *ucbSelector) SelectNeighbors(view NeighborView) (Decision, error) {
 	// (e.g. churn) age out because they no longer appear in the view.
 	next := make(map[int][]time.Duration, kept)
 	for _, i := range buf[:kept] {
-		u := view.Obs.Neighbors[i]
+		u := view.Observations.Neighbors[i]
 		samples := nodeHist[u]
-		for _, row := range view.Obs.Offsets {
+		for _, row := range view.Observations.Offsets {
 			if row[i] != stats.InfDuration {
 				samples = append(samples, row[i])
 			}
@@ -404,7 +408,7 @@ func NewRandomSelector(explore int) (Selector, error) {
 }
 
 func (s *randomSelector) SelectNeighbors(view NeighborView) (Decision, error) {
-	k := len(view.Obs.Neighbors)
+	k := len(view.Observations.Neighbors)
 	retain := retainTarget(view.OutDegree, s.explore)
 	if k <= retain {
 		return keepAll(view), nil

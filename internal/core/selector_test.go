@@ -38,11 +38,11 @@ func testView(neighbors []int, offsets [][]time.Duration, outDegree int) Neighbo
 		copy(obs.Offsets[b], row)
 	}
 	return NeighborView{
-		Node:       0,
-		OutDegree:  outDegree,
-		Candidates: 10,
-		Obs:        obs,
-		Rand:       rng.New(7).Derive("test-view"),
+		Node:         0,
+		OutDegree:    outDegree,
+		Candidates:   10,
+		Observations: obs,
+		Rand:         rng.New(7).Derive("test-view"),
 	}
 }
 
@@ -270,16 +270,16 @@ func TestEngineDrivesSelector(t *testing.T) {
 		if view.OutDegree != params.OutDegree || view.Candidates != e.N()-1 {
 			t.Fatalf("view context %+v wrong for node %d", view, v)
 		}
-		if !reflect.DeepEqual(view.Obs.Neighbors, before[v]) {
+		if !reflect.DeepEqual(view.Observations.Neighbors, before[v]) {
 			t.Fatalf("node %d scored %v, expected its round-start neighbors %v",
-				v, view.Obs.Neighbors, before[v])
+				v, view.Observations.Neighbors, before[v])
 		}
 		d := rec.decisions[i]
 		// The event stream must report exactly the selector's drops, in
 		// the selector's order.
 		wantDrops := make([]int, len(d.Drop))
 		for j, di := range d.Drop {
-			wantDrops[j] = view.Obs.Neighbors[di]
+			wantDrops[j] = view.Observations.Neighbors[di]
 		}
 		if len(wantDrops) == 0 {
 			wantDrops = nil
@@ -294,7 +294,7 @@ func TestEngineDrivesSelector(t *testing.T) {
 		// Kept neighbors survive the round; the final out-degree is
 		// keep + dial.
 		for _, ki := range d.Keep {
-			if u := view.Obs.Neighbors[ki]; !e.Table().HasOut(v, u) {
+			if u := view.Observations.Neighbors[ki]; !e.Table().HasOut(v, u) {
 				t.Fatalf("kept neighbor %d of node %d was disconnected", u, v)
 			}
 		}

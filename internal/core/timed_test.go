@@ -154,7 +154,7 @@ func TestTimedRoundFinishWithoutBroadcastCensors(t *testing.T) {
 	tn := newTestNetwork(t, n, 5)
 	cfg := tn.config(Vanilla, params)
 	cfg.Selector = SelectorFunc(func(view NeighborView) (Decision, error) {
-		for _, row := range view.Obs.Offsets {
+		for _, row := range view.Observations.Offsets {
 			for _, d := range row {
 				if d != stats.InfDuration {
 					finite[view.Node]++
@@ -457,7 +457,7 @@ func TestDistinctRowsLeaveRoundsUnchanged(t *testing.T) {
 	var listed, weighted atomic.Int64
 	var listedEngine *Engine
 	check := SelectorFunc(func(view NeighborView) (Decision, error) {
-		if view.Obs.distinct == nil {
+		if view.Observations.distinct == nil {
 			return Decision{}, fmt.Errorf("node %d: no distinct-row list", view.Node)
 		}
 		// Every node shares the engine's list; check it once a round.
@@ -473,8 +473,8 @@ func TestDistinctRowsLeaveRoundsUnchanged(t *testing.T) {
 				firstRow[src] = len(rows)
 				rows, counts = append(rows, int32(b)), append(counts, 1)
 			}
-			if !slices.Equal(view.Obs.distinct, rows) || !slices.Equal(view.Obs.weight, counts) {
-				return Decision{}, fmt.Errorf("distinct rows %v x %v, want %v x %v", view.Obs.distinct, view.Obs.weight, rows, counts)
+			if !slices.Equal(view.Observations.distinct, rows) || !slices.Equal(view.Observations.weight, counts) {
+				return Decision{}, fmt.Errorf("distinct rows %v x %v, want %v x %v", view.Observations.distinct, view.Observations.weight, rows, counts)
 			}
 			if 4*len(rows) <= 3*len(sources) {
 				weighted.Add(1)
@@ -485,7 +485,7 @@ func TestDistinctRowsLeaveRoundsUnchanged(t *testing.T) {
 	})
 	listedEngine = poolsEngine(t, nil, check)
 	noop := poolsEngine(t, func(int, []int, [][]time.Duration) {}, SelectorFunc(func(view NeighborView) (Decision, error) {
-		if view.Obs.distinct != nil {
+		if view.Observations.distinct != nil {
 			return Decision{}, fmt.Errorf("node %d: a distinct-row list despite the Tamper hook", view.Node)
 		}
 		return subset.SelectNeighbors(view)
@@ -548,7 +548,7 @@ func TestTamperedRepeatEqualsScan(t *testing.T) {
 	}
 	var decisions, stale atomic.Int64
 	e = poolsEngine(t, tamper, SelectorFunc(func(view NeighborView) (Decision, error) {
-		if view.Obs.distinct != nil {
+		if view.Observations.distinct != nil {
 			return Decision{}, fmt.Errorf("node %d: a distinct-row list despite the Tamper hook", view.Node)
 		}
 		d, err := subset.SelectNeighbors(view)
@@ -557,10 +557,10 @@ func TestTamperedRepeatEqualsScan(t *testing.T) {
 		}
 		keep := slices.Clone(d.Keep)
 		slices.Sort(keep)
-		if want := scanSubsetSelect(view.Obs, retain, params.Percentile); !slices.Equal(keep, want) {
+		if want := scanSubsetSelect(view.Observations, retain, params.Percentile); !slices.Equal(keep, want) {
 			return d, fmt.Errorf("node %d: kept %v, scan of the tampered matrix %v", view.Node, keep, want)
 		}
-		withList := view.Obs
+		withList := view.Observations
 		withList.distinct, withList.weight = e.scratch.distinct, e.scratch.weight
 		if slices.Contains(withList.distinct, int32(edited)) {
 			return d, fmt.Errorf("the edited row %d is listed as distinct", edited)
@@ -600,7 +600,7 @@ func TestDistinctRowsCoverTheWindow(t *testing.T) {
 	}
 	cfg.Selector = SelectorFunc(func(view NeighborView) (Decision, error) {
 		if view.Node == 0 {
-			seen = view.Obs.distinct
+			seen = view.Observations.distinct
 		}
 		return subset.SelectNeighbors(view)
 	})

@@ -1,11 +1,10 @@
 package p2p
 
 import (
+	"errors"
 	"fmt"
-	"net"
 	"time"
 
-	"github.com/perigee-net/perigee/internal/faults"
 	"github.com/perigee-net/perigee/internal/wire"
 )
 
@@ -333,47 +332,30 @@ func (n *Node) feelerOnce(tick int) {
 	n.feelerDial(addr)
 }
 
-// feelerDial verifies one address: dial, handshake, disconnect. Success
-// marks the book entry dial-verified; failure feeds the same backoff and
-// eviction budget as a real dial. Fault injection applies exactly as it
-// does to Connect, so chaos runs exercise feelers too.
+// feelerDial verifies one address: dial, handshake, disconnect. The
+// handshake admits the remote exactly as setupPeer does, so only a peer
+// Connect would accept is marked dial-verified; any other failure feeds
+// the same backoff and eviction budget as a real dial. Fault injection
+// applies exactly as it does to Connect, so chaos runs exercise feelers
+// too.
 func (n *Node) feelerDial(addr string) {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
+	conn, err := n.dial(addr)
+	if errors.Is(err, ErrStopped) {
 		return
 	}
-	n.mu.Unlock()
 	n.countDisc(func(s *DiscoveryStats) { s.FeelerDials++ })
-	if n.cfg.Faults != nil {
-		attempt := n.nextDialAttempt(addr)
-		if v := n.cfg.Faults.Dial(n.cfg.NodeID, addr, attempt); v.Kind == faults.DialFail {
-			n.dialFailed(addr)
-			n.countRes(func(r *ResilienceStats) { r.FaultedDials++ })
-			return
-		}
-	}
-	conn, err := net.DialTimeout("tcp", addr, handshakeTimeout)
 	if err != nil {
-		n.dialFailed(addr)
 		return
 	}
 	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(handshakeTimeout))
-	local := &wire.Version{
-		Protocol:   wire.ProtocolVersion,
-		NodeID:     n.cfg.NodeID,
-		ListenAddr: n.Addr(),
-		Nonce:      n.randUint64(),
-	}
-	remote, err := handshakeDance(conn, local, true)
-	if err != nil {
-		n.dialFailed(addr)
-		return
-	}
-	if remote.NodeID == n.cfg.NodeID {
+	remote, err := n.handshake(conn, true)
+	if errors.Is(err, errSelfConnect) {
 		// We dialed ourselves through a gossiped alias: never again.
 		n.book.MarkSelf(addr)
+		return
+	}
+	if err != nil {
+		n.dialFailed(addr)
 		return
 	}
 	n.book.DialSucceeded(addr)

@@ -454,6 +454,61 @@ func TestFeelerVerifiesRumor(t *testing.T) {
 	}
 }
 
+// TestFeelerRefusesWrongProtocol pins the feeler to setupPeer's admission:
+// a remote that completes the handshake speaking another protocol version
+// is not marked dial-verified, and its failure is charged to the address.
+func TestFeelerRefusesWrongProtocol(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		_ = conn.SetDeadline(time.Now().Add(time.Second))
+		_, _ = handshakeDance(conn, &wire.Version{Protocol: wire.ProtocolVersion + 1, NodeID: 0xF00}, false)
+	}()
+	n := startNode(t, 7762, nil)
+	addr := ln.Addr().String()
+	n.Book().Add(addr)
+	n.feelerDial(addr)
+	if n.Book().verified(addr) {
+		t.Fatal("feeler verified a remote speaking another protocol version")
+	}
+	if d := n.Discovery(); d.FeelerDials != 1 || d.FeelerVerified != 0 {
+		t.Fatalf("FeelerDials/FeelerVerified = %d/%d, want 1/0", d.FeelerDials, d.FeelerVerified)
+	}
+	if got := n.Resilience().DialFailures; got != 1 {
+		t.Fatalf("DialFailures = %d, want 1", got)
+	}
+}
+
+// TestFeelerRefusesBannedIdentity pins the feeler to setupPeer's ban
+// check: an address answering with a banned identity is not marked
+// dial-verified, so rumor can still displace it.
+func TestFeelerRefusesBannedIdentity(t *testing.T) {
+	target := startNode(t, 7763, nil)
+	n := startNode(t, 7764, nil)
+	n.Book().Add(target.Addr())
+	if !n.Book().Misbehave(target.cfg.NodeID, "", 10*banThreshold) {
+		t.Fatal("identity not banned")
+	}
+	n.feelerDial(target.Addr())
+	if n.Book().verified(target.Addr()) {
+		t.Fatal("feeler verified the address of a banned identity")
+	}
+	if d := n.Discovery(); d.FeelerDials != 1 || d.FeelerVerified != 0 {
+		t.Fatalf("FeelerDials/FeelerVerified = %d/%d, want 1/0", d.FeelerDials, d.FeelerVerified)
+	}
+	if got := n.Resilience().BannedRefused; got != 1 {
+		t.Fatalf("BannedRefused = %d, want 1", got)
+	}
+}
+
 // discoveryClusterConfig tunes a node for fast single-seed convergence in
 // tests: aggressive refresh, feelers, trickle, and redial.
 func discoveryClusterConfig(c *Config) {

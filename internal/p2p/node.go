@@ -494,28 +494,13 @@ var ErrBanned = errors.New("p2p: peer banned")
 // recorded against the address book so retries back off and dead seeds
 // are eventually evicted.
 func (n *Node) Connect(addr string) error {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return ErrStopped
-	}
-	n.mu.Unlock()
 	if n.book.AddrBanned(addr) {
 		n.countRes(func(r *ResilienceStats) { r.BannedRefused++ })
 		return fmt.Errorf("p2p: dial %s: %w", addr, ErrBanned)
 	}
-	if n.cfg.Faults != nil {
-		attempt := n.nextDialAttempt(addr)
-		if v := n.cfg.Faults.Dial(n.cfg.NodeID, addr, attempt); v.Kind == faults.DialFail {
-			n.dialFailed(addr)
-			n.countRes(func(r *ResilienceStats) { r.FaultedDials++ })
-			return fmt.Errorf("p2p: dial %s: %w", addr, faults.ErrInjectedDial)
-		}
-	}
-	conn, err := net.DialTimeout("tcp", addr, handshakeTimeout)
+	conn, err := n.dial(addr)
 	if err != nil {
-		n.dialFailed(addr)
-		return fmt.Errorf("p2p: dial %s: %w", addr, err)
+		return err
 	}
 	n.book.Add(addr)
 	if err := n.setupPeer(conn, Outbound, addr); err != nil {
@@ -524,6 +509,33 @@ func (n *Node) Connect(addr string) error {
 	}
 	n.book.DialSucceeded(addr)
 	return nil
+}
+
+// dial opens a TCP connection to addr for Connect and the feeler: the
+// stopped check, the fault plan's dial verdict and the transport dial.
+// An injected or transport failure is charged to addr's backoff and
+// failure budget.
+func (n *Node) dial(addr string) (net.Conn, error) {
+	n.mu.Lock()
+	closed := n.closed
+	n.mu.Unlock()
+	if closed {
+		return nil, ErrStopped
+	}
+	if n.cfg.Faults != nil {
+		attempt := n.nextDialAttempt(addr)
+		if v := n.cfg.Faults.Dial(n.cfg.NodeID, addr, attempt); v.Kind == faults.DialFail {
+			n.dialFailed(addr)
+			n.countRes(func(r *ResilienceStats) { r.FaultedDials++ })
+			return nil, fmt.Errorf("p2p: dial %s: %w", addr, faults.ErrInjectedDial)
+		}
+	}
+	conn, err := net.DialTimeout("tcp", addr, handshakeTimeout)
+	if err != nil {
+		n.dialFailed(addr)
+		return nil, fmt.Errorf("p2p: dial %s: %w", addr, err)
+	}
+	return conn, nil
 }
 
 // dialFailed records one failed attempt toward addr's backoff gate and
@@ -555,33 +567,45 @@ func (n *Node) nextConnAttempt(remote uint64) int {
 	return a
 }
 
-// setupPeer performs the version handshake and installs the peer.
-func (n *Node) setupPeer(conn net.Conn, dir Direction, dialedAddr string) error {
-	deadline := time.Now().Add(handshakeTimeout)
-	_ = conn.SetDeadline(deadline)
+// errSelfConnect is handshake's refusal of a remote carrying our own node
+// ID: the dialed address is one of ours.
+var errSelfConnect = errors.New("p2p: self connection detected")
+
+// handshake exchanges Version/Verack on a fresh connection under the
+// handshake deadline and admits the remote: a wrong protocol version,
+// ourselves (errSelfConnect) and a banned identity are refused. It leaves
+// the deadline set and the connection open either way.
+func (n *Node) handshake(conn net.Conn, initiator bool) (*wire.Version, error) {
+	_ = conn.SetDeadline(time.Now().Add(handshakeTimeout))
 	local := &wire.Version{
 		Protocol:   wire.ProtocolVersion,
 		NodeID:     n.cfg.NodeID,
 		ListenAddr: n.Addr(),
 		Nonce:      n.randUint64(),
 	}
-	remote, err := handshakeDance(conn, local, dir == Outbound)
+	remote, err := handshakeDance(conn, local, initiator)
+	if err != nil {
+		return nil, err
+	}
+	if remote.Protocol != wire.ProtocolVersion {
+		return nil, fmt.Errorf("p2p: protocol version %d unsupported", remote.Protocol)
+	}
+	if remote.NodeID == n.cfg.NodeID {
+		return nil, errSelfConnect
+	}
+	if n.book.IDBanned(remote.NodeID) {
+		n.countRes(func(r *ResilienceStats) { r.BannedRefused++ })
+		return nil, fmt.Errorf("p2p: %016x: %w", remote.NodeID, ErrBanned)
+	}
+	return remote, nil
+}
+
+// setupPeer performs the version handshake and installs the peer.
+func (n *Node) setupPeer(conn net.Conn, dir Direction, dialedAddr string) error {
+	remote, err := n.handshake(conn, dir == Outbound)
 	if err != nil {
 		_ = conn.Close()
 		return err
-	}
-	if remote.Protocol != wire.ProtocolVersion {
-		_ = conn.Close()
-		return fmt.Errorf("p2p: protocol version %d unsupported", remote.Protocol)
-	}
-	if remote.NodeID == n.cfg.NodeID {
-		_ = conn.Close()
-		return fmt.Errorf("p2p: self connection detected")
-	}
-	if n.book.IDBanned(remote.NodeID) {
-		_ = conn.Close()
-		n.countRes(func(r *ResilienceStats) { r.BannedRefused++ })
-		return fmt.Errorf("p2p: %016x: %w", remote.NodeID, ErrBanned)
 	}
 	_ = conn.SetDeadline(time.Time{})
 
@@ -1148,11 +1172,11 @@ func (n *Node) PerigeeRound() (RoundReport, error) {
 	}
 
 	decision, err := core.Decide(n.cfg.Selector, core.NeighborView{
-		Node:       int(n.cfg.NodeID),
-		OutDegree:  n.cfg.OutDegree,
-		Candidates: n.book.Len(),
-		Obs:        obs,
-		Rand:       n.selRand.DeriveIndexed("round", round),
+		Node:         int(n.cfg.NodeID),
+		OutDegree:    n.cfg.OutDegree,
+		Candidates:   n.book.Len(),
+		Observations: obs,
+		Rand:         n.selRand.DeriveIndexed("round", round),
 	})
 	if err != nil {
 		return report, fmt.Errorf("p2p: round %d: %w", round, err)

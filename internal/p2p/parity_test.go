@@ -126,11 +126,11 @@ func TestSelectorParitySimVsLive(t *testing.T) {
 				copy(obs.Offsets[b], row)
 			}
 			decision, err := core.Decide(newSel(t, variant.build), core.NeighborView{
-				Node:       int(hubID),
-				OutDegree:  outDegree,
-				Candidates: candidates,
-				Obs:        obs,
-				Rand:       rng.New(hubSeed).Derive("p2p-selector").DeriveIndexed("round", 1),
+				Node:         int(hubID),
+				OutDegree:    outDegree,
+				Candidates:   candidates,
+				Observations: obs,
+				Rand:         rng.New(hubSeed).Derive("p2p-selector").DeriveIndexed("round", 1),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -183,7 +183,7 @@ func TestSubsetParityDropsDiffer(t *testing.T) {
 			t.Fatal(err)
 		}
 		d, err := core.Decide(sel, core.NeighborView{
-			Node: 0, OutDegree: 4, Obs: obs,
+			Node: 0, OutDegree: 4, Observations: obs,
 			Rand: rng.New(1).Derive("x"),
 		})
 		if err != nil {

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/perigee-net/perigee"
-	"github.com/perigee-net/perigee/internal/core"
 	"github.com/perigee-net/perigee/internal/p2p"
 )
 
@@ -97,17 +96,23 @@ func WithMaxInbound(m int) Option {
 }
 
 // WithSelector installs the neighbor-selection policy driving the node's
-// per-round keep/drop/dial decision — the same perigee.Selector values
-// (built-in or custom) that drive the simulator via perigee.WithSelector.
-// Default perigee.SubsetSelector(2, 0.9), the paper's preferred rule.
+// per-round keep/drop/dial decision. perigee.Selector is the type the live
+// driver runs, so the value (built-in or custom) is installed as-is, the
+// same value perigee.WithSelector hands the simulator; a built-in with
+// invalid arguments is refused here. Default perigee.SubsetSelector(2,
+// 0.9), the paper's preferred rule.
 func WithSelector(sel perigee.Selector) Option {
 	return func(c *config) error {
 		if sel == nil {
 			return fmt.Errorf("node: nil selector")
 		}
-		var err error
-		c.p2p.Selector, err = coreSelector(sel)
-		return err
+		if e, ok := sel.(interface{ SelectorError() error }); ok {
+			if err := e.SelectorError(); err != nil {
+				return err
+			}
+		}
+		c.p2p.Selector = sel
+		return nil
 	}
 }
 
@@ -259,47 +264,5 @@ func WithLogf(f func(format string, args ...any)) Option {
 		}
 		c.p2p.Logf = f
 		return nil
-	}
-}
-
-// coreSelector resolves a public selector for the live driver: built-ins
-// unwrap to their core implementation (surfacing construction errors);
-// custom selectors are bridged.
-func coreSelector(sel perigee.Selector) (core.Selector, error) {
-	if b, ok := sel.(interface {
-		CoreSelector() core.Selector
-		SelectorError() error
-	}); ok {
-		if err := b.SelectorError(); err != nil {
-			return nil, err
-		}
-		return b.CoreSelector(), nil
-	}
-	return selectorBridge{inner: sel}, nil
-}
-
-// selectorBridge adapts a user-implemented perigee.Selector to the core
-// interface the live driver runs.
-type selectorBridge struct {
-	inner perigee.Selector
-}
-
-func (sb selectorBridge) SelectNeighbors(view core.NeighborView) (core.Decision, error) {
-	d, err := sb.inner.SelectNeighbors(perigee.NeighborView{
-		Node:       view.Node,
-		OutDegree:  view.OutDegree,
-		Candidates: view.Candidates,
-		Observations: perigee.Observations{
-			Neighbors: view.Obs.Neighbors,
-			Offsets:   view.Obs.Offsets,
-		},
-		Rand: view.Rand,
-	})
-	return core.Decision(d), err
-}
-
-func (sb selectorBridge) ResetNodeState(node int) {
-	if r, ok := sb.inner.(perigee.NodeStateResetter); ok {
-		r.ResetNodeState(node)
 	}
 }
