@@ -196,6 +196,12 @@ func BenchmarkMicroBroadcast100000(b *testing.B) { bench.MicroBroadcast(100000, 
 // by the λ_v metric, with its queue taken from a pool.
 func BenchmarkMicroAnalyticArrival1000(b *testing.B) { bench.MicroAnalyticArrival(1000)(b) }
 
+// BenchmarkMicroColdPrepare2000 measures a fresh 2,000-node engine's first
+// BeginTimedRound: the simulator built from the table's rows and every
+// node's round rows carved from slabs, a fixed number of allocations at
+// any n.
+func BenchmarkMicroColdPrepare2000(b *testing.B) { bench.MicroColdPrepare(2000)(b) }
+
 // BenchmarkMicroRoundBroadcast1000 measures the path a round's blocks take:
 // one TimedRound.BroadcastAll of 100 blocks on a 1000-node engine, i.e.
 // an arrival-only flood per distinct miner plus the harvest of every node's

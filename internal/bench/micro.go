@@ -130,9 +130,10 @@ func MicroTopologyRandom(n int) func(b *testing.B) {
 }
 
 // MicroTableRewire measures the connection table's share of a round at n
-// nodes: one Perigee-shaped rewire, then the adjacency snapshot into last
-// round's buffer. Rows keep their capacity, so once a few warm-up rounds
-// have grown them an op allocates next to nothing.
+// nodes: one Perigee-shaped rewire, then every node's row of the
+// communication graph appended into last round's buffer, as the engine's
+// simulator reads them into its CSR. Rows keep their capacity, so once a
+// few warm-up rounds have grown them an op allocates next to nothing.
 func MicroTableRewire(n int) func(b *testing.B) {
 	return func(b *testing.B) {
 		tbl, err := topology.Random(n, 8, 20, rng.New(1))
@@ -140,10 +141,13 @@ func MicroTableRewire(n int) func(b *testing.B) {
 			b.Fatal(err)
 		}
 		r := rng.New(6)
-		var adj [][]int
+		var rows []int32
 		round := func() {
 			perigeeRewire(b, tbl, r)
-			adj = tbl.UndirectedInto(adj)
+			rows = rows[:0]
+			for v := 0; v < n; v++ {
+				rows = tbl.AppendUndirected(rows, v)
+			}
 		}
 		for i := 0; i < 50; i++ { // let rows reach the capacity they settle at
 			round()
@@ -156,26 +160,28 @@ func MicroTableRewire(n int) func(b *testing.B) {
 	}
 }
 
-// MicroReconfigure measures Simulator.Reconfigure across one Perigee-shaped
-// rewire of an n-node network: ops alternate between a topology and the one
-// a round of "every node drops two links and dials two" leaves, so each op
-// carries the delays of the surviving three quarters of the edges and asks
-// the latency model for the rest. Both adjacencies are built before the
-// timer starts; in steady state a Reconfigure allocates nothing.
+// MicroReconfigure measures Simulator.ReconfigureRows across one
+// Perigee-shaped rewire of an n-node network, the engine's path from the
+// table's rows to the CSR: ops alternate between a table and a copy that a
+// round of "every node drops two links and dials two" has moved on, so each
+// op carries the delays of the surviving three quarters of the edges and
+// asks the latency model for the rest. Both tables are built before the
+// timer starts; in steady state a reconfiguration allocates nothing.
 func MicroReconfigure(n int) func(b *testing.B) {
 	return func(b *testing.B) {
 		sim, tbl, _ := network(b, n, latency.Auto)
-		perigeeRewire(b, tbl, rng.New(6))
-		adjs := [2][][]int{tbl.Undirected(), sim.Adj()}
-		for _, adj := range adjs { // grow both buffer generations
-			if err := sim.Reconfigure(adj); err != nil {
+		next := tbl.Clone()
+		perigeeRewire(b, next, rng.New(6))
+		tables := [2]*topology.Table{next, tbl}
+		for _, t := range tables { // grow both buffer generations
+			if err := sim.ReconfigureRows(t); err != nil {
 				b.Fatal(err)
 			}
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := sim.Reconfigure(adjs[i%2]); err != nil {
+			if err := sim.ReconfigureRows(tables[i%2]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -383,6 +389,29 @@ func MicroEngineRound(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := engine.Step(); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// MicroColdPrepare measures the first round an n-node engine opens: each
+// op builds a fresh Subset engine with the timer stopped, then times its
+// first BeginTimedRound, which builds the simulator from the table's rows
+// and carves every node's round rows from slabs it sizes. Nothing in it is
+// allocated per node, so allocs/op does not grow with n.
+func MicroColdPrepare(n int) func(b *testing.B) {
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			engine, err := subsetEngine(n, 5, 20, 0, nil, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			if _, err := core.BeginTimedRound(engine, 20); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

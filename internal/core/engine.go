@@ -205,7 +205,6 @@ type roundScratch struct {
 	sim        *netsim.Simulator
 	simVersion uint64
 	simDirty   bool
-	adj        [][]int
 	bcs        []*netsim.Broadcaster
 	in         inbound
 	obs        []Observations
@@ -213,6 +212,11 @@ type roundScratch struct {
 	decisions  []Decision
 	order      []int
 	arrivals   [][]time.Duration
+
+	// The slabs prepare carves every node's observation matrix from (see
+	// TimedRound.prepare): the matrices' cells and their row headers.
+	cellSlab []time.Duration
+	rowSlab  [][]time.Duration
 
 	// BroadcastAll's grouping of its blocks by source (see groupBySource):
 	// the per-node index, each group's first block, and each block's next
@@ -430,28 +434,26 @@ func (e *Engine) workerCount(items int) int {
 }
 
 // ensureSim returns the engine's cached simulator, reconfiguring its CSR
-// topology when the connection table has changed since the last call. The
-// first build validates the adjacency once; the table's snapshots are
-// symmetric and sorted by construction, so every later round goes through
-// Reconfigure's trusted path. A reconfiguration carries the delay of every
-// surviving edge unless InvalidateNetworkCache was called.
+// topology when the connection table has changed since the last call.
+// Both the first build and every reconfiguration read the table's rows
+// straight into the CSR (the table is the simulator's netsim.Rows), in
+// one pass that validates them. A reconfiguration carries the delay of
+// every surviving edge unless InvalidateNetworkCache was called.
 func (e *Engine) ensureSim() (*netsim.Simulator, error) {
 	rs := &e.scratch
 	ver := e.table.Version()
 	if rs.sim != nil && rs.simVersion == ver && !rs.simDirty {
 		return rs.sim, nil
 	}
-	rs.adj = e.table.UndirectedInto(rs.adj)
 	if rs.sim == nil {
-		sim, err := netsim.New(netsim.Config{
-			Adj:          rs.adj,
+		sim, err := netsim.NewRows(netsim.Config{
 			Latency:      e.lat,
 			Forward:      e.forward,
 			SendInterval: e.sendInterval,
 			Silent:       e.silent,
 			RelayDelay:   e.relayDelay,
 			LatencyMode:  e.latMode,
-		})
+		}, e.table)
 		if err != nil {
 			return nil, err
 		}
@@ -460,7 +462,7 @@ func (e *Engine) ensureSim() (*netsim.Simulator, error) {
 		if rs.simDirty {
 			rs.sim.ForgetDelays()
 		}
-		if err := rs.sim.Reconfigure(rs.adj); err != nil {
+		if err := rs.sim.ReconfigureRows(e.table); err != nil {
 			return nil, err
 		}
 	}

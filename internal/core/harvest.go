@@ -14,24 +14,29 @@ import (
 // closed form of its arrival: the broadcasts record arrivals only, and
 // harvest rebuilds the few edge times a node observes from them.
 type inbound struct {
-	sim  *netsim.Simulator
-	outs [][]int // each node's outgoing neighbors, ascending
-	// hops holds each node's row of netsim.InboundHop values, one per
-	// outgoing neighbor, stride apart: hops[v*stride+i] is for outs[v][i].
-	hops   []time.Duration
-	stride int
+	sim *netsim.Simulator
+	// outs holds every node's outgoing neighbors, node after node: node v's
+	// are outs[start[v]:start[v+1]], ascending. hops[start[v]+i] is the
+	// netsim.InboundHop value of v's i-th outgoing neighbor.
+	outs  []int
+	start []int
+	hops  []time.Duration
 	// cost[u] is what u's relay adds to its first arrival, Forward[u] +
 	// RelayDelay[u], or InfDuration when u is silent and relays nothing.
 	cost []time.Duration
 }
 
-// fillRow writes node v's hop row. outs[v] and v's adjacency row are both
-// ascending, so one merged walk finds every outgoing neighbor's position.
+// out returns node v's outgoing neighbors.
+func (in *inbound) out(v int) []int { return in.outs[in.start[v]:in.start[v+1]] }
+
+// fillRow writes node v's hop row. Its outgoing neighbors and its adjacency
+// row are both ascending, so one merged walk finds every outgoing
+// neighbor's position.
 func (in *inbound) fillRow(v int) error {
 	row := in.sim.Row(v)
-	hops := in.hops[v*in.stride:]
+	hops := in.hops[in.start[v]:]
 	k := 0
-	for i, u := range in.outs[v] {
+	for i, u := range in.out(v) {
 		for k < len(row) && int(row[k]) != u {
 			k++
 		}
@@ -46,7 +51,7 @@ func (in *inbound) fillRow(v int) error {
 // setCosts reads the per-node relay tables once for a round's broadcasts,
 // as the floods of those broadcasts read them.
 func (in *inbound) setCosts(forward, relayDelay []time.Duration, silent []bool) {
-	cost := growDur(&in.cost, len(forward))
+	cost := grow(&in.cost, len(forward))
 	for u, d := range forward {
 		if relayDelay != nil {
 			d += relayDelay[u]
@@ -86,8 +91,8 @@ func (in *inbound) harvest(arrival []time.Duration, src, b int, obs []Observatio
 		if v == src {
 			first = echo
 		}
-		outs := in.outs[v]
-		k := len(outs)
+		lo, hi := in.start[v], in.start[v+1]
+		outs, k := in.outs[lo:hi], hi-lo
 		// Block row b of the flat matrix, without loading its row header
 		// from Offsets: that is a cache miss per (node, block).
 		dst := obs[v].backing[b*k : (b+1)*k]
@@ -97,7 +102,7 @@ func (in *inbound) harvest(arrival []time.Duration, src, b int, obs []Observatio
 			}
 			continue
 		}
-		hops := in.hops[v*in.stride : v*in.stride+k]
+		hops := in.hops[lo:hi]
 		for i, u := range outs {
 			t := stats.InfDuration
 			if u == src {

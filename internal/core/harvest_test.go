@@ -102,15 +102,16 @@ func TestHarvestMatchesRowMinimum(t *testing.T) {
 				}
 				// Every other neighbor is an outgoing one.
 				outs, slot := make([][]int, n), make([][]int, n)
-				stride := 0
+				in := inbound{sim: sim, start: make([]int, n+1)}
 				for v, row := range adj {
 					for k := 0; k < len(row); k += 2 {
 						outs[v] = append(outs[v], row[k])
 						slot[v] = append(slot[v], k)
 					}
-					stride = max(stride, len(outs[v]))
+					in.outs = append(in.outs, outs[v]...)
+					in.start[v+1] = len(in.outs)
 				}
-				in := inbound{sim: sim, outs: outs, hops: make([]time.Duration, n*stride), stride: stride}
+				in.hops = make([]time.Duration, len(in.outs))
 				for v := range outs {
 					if err := in.fillRow(v); err != nil {
 						t.Fatal(err)
@@ -121,7 +122,7 @@ func TestHarvestMatchesRowMinimum(t *testing.T) {
 				sources := []int{0, 2, 31, n - 1} // 2 is silent; n-1 reaches only n-2
 				got, want := make([]Observations, n), make([]Observations, n)
 				for v := range got {
-					got[v].reshape(outs[v], len(sources))
+					got[v].Reset(outs[v], len(sources))
 					for i := range got[v].backing {
 						got[v].backing[i] = garbage
 					}

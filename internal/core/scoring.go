@@ -122,27 +122,28 @@ func NewObservations(neighbors []int, blocks int) Observations {
 // copied, every offset back to "never delivered" — reusing the backing
 // buffers when their capacity suffices.
 func (o *Observations) Reset(neighbors []int, blocks int) {
-	o.reshape(neighbors, blocks)
+	cells, rows := o.backing, o.Offsets
+	if need := blocks * len(neighbors); cap(cells) < need {
+		cells = make([]time.Duration, need)
+	}
+	if cap(rows) < blocks {
+		rows = make([][]time.Duration, blocks)
+	}
+	o.reshape(append(o.Neighbors[:0], neighbors...), blocks, cells[:cap(cells)], rows[:cap(rows)])
 	o.censor()
 }
 
-// reshape is Reset without the fill: the offsets hold whatever the buffer
-// held, for the engine's round, whose harvest writes every cell. The
-// engine calls it once per node per round, so a steady-state round
-// allocates no observation memory.
-func (o *Observations) reshape(neighbors []int, blocks int) {
-	o.distinct, o.weight = nil, nil
-	o.Neighbors = append(o.Neighbors[:0], neighbors...)
+// reshape points o at neighbors, which it aliases, and at a blocks ×
+// len(neighbors) offset matrix laid out row after row in cells, with its
+// row headers in rows; both must be long enough, and o keeps their
+// capacity. The offsets hold whatever cells held. Reset passes o's own
+// buffers; the engine's round carves all three from its slabs for every
+// node, so a steady-state round allocates no observation memory.
+func (o *Observations) reshape(neighbors []int, blocks int, cells []time.Duration, rows [][]time.Duration) {
 	k := len(neighbors)
-	need := blocks * k
-	if cap(o.backing) < need {
-		o.backing = make([]time.Duration, need)
-	}
-	o.backing = o.backing[:need]
-	if cap(o.Offsets) < blocks {
-		o.Offsets = make([][]time.Duration, blocks)
-	}
-	o.Offsets = o.Offsets[:blocks]
+	o.Neighbors, o.distinct, o.weight = neighbors, nil, nil
+	o.backing = cells[:blocks*k]
+	o.Offsets = rows[:blocks]
 	for b := range o.Offsets {
 		o.Offsets[b] = o.backing[b*k : (b+1)*k : (b+1)*k]
 	}
@@ -234,28 +235,29 @@ type subsetScratch struct {
 
 var subsetPool = sync.Pool{New: func() any { return new(subsetScratch) }}
 
-// growDur resizes *buf to n elements, reallocating only on capacity growth.
-// Contents are unspecified; callers overwrite every element.
-func growDur(buf *[]time.Duration, n int) []time.Duration {
-	if cap(*buf) < n {
-		*buf = make([]time.Duration, n)
+// grow resizes *buf to n elements, reusing its array when it is large
+// enough; the contents are unspecified. A new array's capacity is
+// growCap's, and the old array is released before it is allocated, so a
+// collection the allocation starts frees it unless something else holds it.
+func grow[T any](buf *[]T, n int) []T {
+	if c := cap(*buf); c < n {
+		*buf = nil
+		*buf = make([]T, n, growCap(c, n))
 	}
 	*buf = (*buf)[:n]
 	return *buf
 }
 
-// growBool is growDur for bool scratch, additionally clearing the slice
-// because SubsetSelect reads used[i] before ever writing it.
-func growBool(buf *[]bool, n int) []bool {
-	if cap(*buf) < n {
-		*buf = make([]bool, n)
+// growCap is the capacity of a new array of n elements that replaces one
+// of capacity had: exactly n for a first array, a quarter more for one
+// that replaces an outgrown array. A timed round's window and a table's
+// edge count drift, and buffers sized exactly would be reallocated at
+// every new maximum.
+func growCap(had, n int) int {
+	if had == 0 {
+		return n
 	}
-	*buf = (*buf)[:n]
-	b := *buf
-	for i := range b {
-		b[i] = false
-	}
-	return b
+	return n + n/4
 }
 
 // rankInto appends to dst the neighbor indices ordered best-first
@@ -336,7 +338,7 @@ func subsetSelectInto(dst []int, obs Observations, retain int, pct float64) []in
 	}
 	// Every greedy step reads whole columns, so lay them out contiguously
 	// once instead of striding through the block-major rows each time.
-	cols := growDur(&sc.cols, k*rows)
+	cols := grow(&sc.cols, k*rows)
 	if w == nil {
 		for b, row := range obs.Offsets {
 			for i, t := range row[:k] {
@@ -350,12 +352,12 @@ func subsetSelectInto(dst []int, obs Observations, retain int, pct float64) []in
 			}
 		}
 	}
-	individual := growDur(&sc.individual, k)
+	individual := grow(&sc.individual, k)
 	for i := range individual {
 		individual[i] = percentileOfMin(&q, cols[i*rows:(i+1)*rows], nil, w)
 	}
 	// best[j] is the fastest offset among chosen neighbors for row j.
-	best := growDur(&sc.best, rows)
+	best := grow(&sc.best, rows)
 	for j := range best {
 		best[j] = stats.InfDuration
 	}
@@ -363,7 +365,8 @@ func subsetSelectInto(dst []int, obs Observations, retain int, pct float64) []in
 	dst = slices.Grow(dst, retain)
 	start := len(dst)
 	chosen := dst[start:start]
-	used := growBool(&sc.used, k)
+	used := grow(&sc.used, k)
+	clear(used) // read before it is written
 	ordered := q.TopSlots() && !twoSlot
 	var prevScore time.Duration
 	for len(chosen) < retain {

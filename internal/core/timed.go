@@ -61,26 +61,44 @@ const prepareChunk = 512
 
 // prepare snapshots every node's outgoing set, writes the harvest's hop row
 // for each outgoing neighbor, and reshapes the observation matrices to
-// `window` block rows, all into the engine's reusable scratch tables. The
-// matrices are not filled: the round's harvest writes every cell, and a
-// round finished without broadcasts censors them itself. The per-node pass
-// runs on the worker pool in chunks of nodes, each writing only its own
-// nodes' rows.
+// `window` block rows. Every node's rows are carved from slabs the engine
+// keeps, node after node in one layout: its outgoing snapshot and hop row
+// from the inbound tables' outs and hops, which its observations'
+// Neighbors alias, and its matrix's cells and row headers from cellSlab
+// and rowSlab. A slab is sized exactly at first, grows with headroom after
+// (see growCap), and is otherwise reused, so a prepare allocates nothing
+// per node. The matrices are not filled: the round's harvest writes every
+// cell, and a round finished without broadcasts censors them itself. The
+// per-node pass runs on the worker pool in chunks of nodes, each writing
+// only its own nodes' rows.
 func (t *TimedRound) prepare() error {
 	e := t.e
 	n := e.table.N()
 	rs := &e.scratch
-	if cap(rs.obs) < n {
-		rs.in.outs = make([][]int, n)
-		rs.obs = make([]Observations, n)
-	}
 	in := &rs.in
-	in.sim, in.outs, rs.obs = t.sim, in.outs[:n], rs.obs[:n]
-	in.stride = 0
+	in.sim = t.sim
+	grow(&rs.obs, n)
+	grow(&in.start, n+1)
+	in.start[0] = 0
 	for v := 0; v < n; v++ {
-		in.stride = max(in.stride, e.table.OutDegree(v))
+		in.start[v+1] = in.start[v] + e.table.OutDegree(v)
 	}
-	growDur(&in.hops, n*in.stride)
+	edges := in.start[n]
+	cells, rows := edges*t.window, n*t.window
+	grow(&in.outs, edges)
+	grow(&in.hops, edges)
+	if cap(rs.cellSlab) < cells || cap(rs.rowSlab) < rows {
+		// The matrices alias both slabs, and the slabs are most of a small
+		// network's live heap. Release them all before allocating either
+		// replacement, so that a collection the allocation starts does not
+		// find two generations alive.
+		cellCap, rowCap := growCap(cap(rs.cellSlab), cells), growCap(cap(rs.rowSlab), rows)
+		clear(rs.obs)
+		rs.cellSlab, rs.rowSlab = nil, nil
+		rs.cellSlab = make([]time.Duration, 0, cellCap)
+		rs.rowSlab = make([][]time.Duration, 0, rowCap)
+	}
+	rs.cellSlab, rs.rowSlab = rs.cellSlab[:cells], rs.rowSlab[:rows]
 	chunks := (n + prepareChunk - 1) / prepareChunk
 	if err := parallel.ForEach(chunks, e.workerCount(chunks), t, (*TimedRound).prepareNodes); err != nil {
 		return err
@@ -92,13 +110,15 @@ func (t *TimedRound) prepare() error {
 // prepareNodes is prepare's per-node pass over chunk c.
 func (t *TimedRound) prepareNodes(_, c int) error {
 	e := t.e
-	in, obs := &e.scratch.in, e.scratch.obs
+	rs := &e.scratch
+	in, obs, w := &rs.in, rs.obs, t.window
 	for v := c * prepareChunk; v < min(len(obs), (c+1)*prepareChunk); v++ {
-		in.outs[v] = e.table.AppendOutNeighbors(in.outs[v][:0], v)
+		lo, hi := in.start[v], in.start[v+1]
+		outs := e.table.AppendOutNeighbors(in.outs[lo:lo:hi], v)
 		if err := in.fillRow(v); err != nil {
 			return err
 		}
-		obs[v].reshape(in.outs[v], t.window)
+		obs[v].reshape(outs, w, rs.cellSlab[lo*w:hi*w:hi*w], rs.rowSlab[v*w:(v+1)*w:(v+1)*w])
 	}
 	return nil
 }

@@ -356,7 +356,10 @@ func TestBroadcastAllMatchesOneFloodPerBlock(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					outs := eng.scratch.in.outs
+					outs := make([][]int, n)
+					for v := range outs {
+						outs[v] = eng.scratch.in.out(v)
+					}
 					slot := make([][]int, n)
 					want := make([]Observations, n)
 					for v := range outs {

@@ -179,7 +179,7 @@ func (e *Engine) prepareCounterfactuals(window int) {
 		rs.cfOffsets = append(rs.cfOffsets, nil)
 	}
 	for q := 0; q < np; q++ {
-		row := growDur(&rs.cfOffsets[q], window)
+		row := grow(&rs.cfOffsets[q], window)
 		for i := range row {
 			row[i] = stats.InfDuration
 		}
@@ -258,7 +258,7 @@ func (e *Engine) emitDecisions(obs []Observations, decisions []Decision) {
 		d := decisions[v]
 		var scores []time.Duration
 		if e.trace.Level >= TraceInputs || (k > 0 && len(d.Drop) > 0) {
-			scores = growDur(&rs.traceScores, len(obs[v].Neighbors))
+			scores = grow(&rs.traceScores, len(obs[v].Neighbors))
 			VanillaScoresInto(scores, obs[v], e.params.Percentile)
 		}
 		rec := DecisionTrace{
@@ -323,7 +323,7 @@ func (e *Engine) worstNeighborScore(obs Observations) time.Duration {
 	if len(obs.Neighbors) == 0 {
 		return stats.InfDuration
 	}
-	scores := growDur(&rs.traceScores, len(obs.Neighbors))
+	scores := grow(&rs.traceScores, len(obs.Neighbors))
 	VanillaScoresInto(scores, obs, e.params.Percentile)
 	worst := stats.InfDuration
 	for _, s := range scores {

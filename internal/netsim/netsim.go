@@ -25,6 +25,12 @@
 // Broadcaster's buffers have grown to the topology's size, a broadcast
 // performs zero heap allocations (alloc_test.go enforces this).
 //
+// The CSR is built from rows (Rows; a topology.Table is the engine's, and
+// New and Reconfigure read a [][]int as one) in one validating pass: each
+// node's row is appended straight into edgeDst and checked where it lands
+// (ascending, in range, no self loop), and a cursor sweep over the result
+// checks symmetry while it writes edgeSlot.
+//
 // # One label-setting pass
 //
 // A node relays a block exactly once, at its first arrival, so every
@@ -87,7 +93,9 @@ import (
 // undirected communication graph (outgoing ∪ incoming connections, plus any
 // pinned relay edges), as topology.Table.Undirected returns it.
 type Config struct {
-	// Adj holds symmetric adjacency lists; Adj[v] must be ascending.
+	// Adj holds symmetric adjacency lists; Adj[v] must be ascending. New
+	// reads it and does not keep it; NewRows takes the topology from its
+	// Rows instead and ignores Adj.
 	Adj [][]int
 	// Latency gives the per-link one-way delay δ(u, v).
 	Latency latency.Model
@@ -189,31 +197,55 @@ type Broadcaster struct {
 	edgeArrival [][]time.Duration
 }
 
-// New validates the config and builds a simulator. The adjacency must be
-// symmetric, self-loop free, ascending, and within range.
-func New(cfg Config) (*Simulator, error) {
-	if err := validateShape(cfg); err != nil {
+// Rows is a topology as the simulator reads it: N nodes, each with a row
+// of neighbors that AppendUndirected appends to a buffer, and an upper
+// bound on the rows' total length, by which the CSR buffer is sized once.
+// The rows must be symmetric, ascending, self-loop free and within range;
+// the build checks all four. *topology.Table is the engine's Rows.
+type Rows interface {
+	N() int
+	UndirectedBound() int
+	AppendUndirected(dst []int32, v int) []int32
+}
+
+// adjRows reads an adjacency list as Rows.
+type adjRows [][]int
+
+func (a adjRows) N() int { return len(a) }
+
+func (a adjRows) UndirectedBound() int {
+	total := 0
+	for _, row := range a {
+		total += len(row)
+	}
+	return total
+}
+
+func (a adjRows) AppendUndirected(dst []int32, v int) []int32 {
+	for _, w := range a[v] {
+		if w != int(int32(w)) {
+			w = -1 // out of range, which the conversion would hide
+		}
+		dst = append(dst, int32(w))
+	}
+	return dst
+}
+
+// New validates the config and builds a simulator over cfg.Adj: NewRows
+// with the adjacency as its rows.
+func New(cfg Config) (*Simulator, error) { return NewRows(cfg, adjRows(cfg.Adj)) }
+
+// NewRows validates the config and builds a simulator over the topology
+// rows gives it, which must be symmetric, self-loop free, ascending, and
+// within range. cfg.Adj is not read.
+func NewRows(cfg Config, rows Rows) (*Simulator, error) {
+	n := rows.N()
+	if err := validateShape(cfg, n); err != nil {
 		return nil, err
 	}
-	n := len(cfg.Adj)
-	for u, nbrs := range cfg.Adj {
-		if !sort.IntsAreSorted(nbrs) {
-			return nil, fmt.Errorf("netsim: adjacency of node %d is not ascending", u)
-		}
-		for i, v := range nbrs {
-			if v < 0 || v >= n {
-				return nil, fmt.Errorf("netsim: node %d lists out-of-range neighbor %d", u, v)
-			}
-			if v == u {
-				return nil, fmt.Errorf("netsim: node %d lists itself", u)
-			}
-			if i > 0 && nbrs[i-1] == v {
-				return nil, fmt.Errorf("netsim: node %d lists neighbor %d twice", u, v)
-			}
-		}
-	}
-	s := &Simulator{cfg: cfg, n: n}
-	if err := s.rebuild(cfg.Adj); err != nil {
+	cfg.Adj = nil
+	s := &Simulator{cfg: cfg, n: n, streaming: cfg.LatencyMode.Resolve(n) == latency.Streaming}
+	if err := s.rebuild(rows); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -221,8 +253,7 @@ func New(cfg Config) (*Simulator, error) {
 
 // validateShape checks everything that is O(n) and independent of the edge
 // structure: table lengths, non-negative delays, model coverage.
-func validateShape(cfg Config) error {
-	n := len(cfg.Adj)
+func validateShape(cfg Config, n int) error {
 	if n == 0 {
 		return fmt.Errorf("netsim: empty adjacency")
 	}
@@ -269,41 +300,36 @@ func validateShape(cfg Config) error {
 	return nil
 }
 
-// rebuild (re)constructs the CSR arrays from adj, reusing the backing
-// arrays when they are large enough. The reverse index is computed with an
-// O(E) cursor sweep: visiting sources in ascending order, source v must be
-// the next unseen entry of each neighbor's (ascending) row — any mismatch
-// proves the adjacency asymmetric. In precomputed mode the previous
-// topology's buffers are swapped aside rather than overwritten, so the
-// delays of surviving edges can be carried (see carryDelays).
-func (s *Simulator) rebuild(adj [][]int) error {
-	n := len(adj)
-	total := 0
-	for _, row := range adj {
-		total += len(row)
-	}
-	s.cfg.Adj = adj
-	s.streaming = s.cfg.LatencyMode.Resolve(n) == latency.Streaming
+// rebuild (re)constructs the CSR arrays from rows, reusing the backing
+// arrays when they are large enough. Each row is appended straight into
+// edgeDst, sized once by rows.UndirectedBound, and checked where it lands
+// (see checkRow). The reverse index is computed with an O(E) cursor sweep:
+// visiting sources in ascending order, source v must be the next unseen
+// entry of each neighbor's (ascending) row — any mismatch proves the
+// adjacency asymmetric. In precomputed mode the previous topology's buffers
+// are swapped aside rather than overwritten, so the delays of surviving
+// edges can be carried (see carryDelays).
+func (s *Simulator) rebuild(rows Rows) error {
+	n := s.n
 	carry := s.carry
 	s.carry = false
 	if !s.streaming {
 		s.rowStart, s.prevRowStart = s.prevRowStart, s.rowStart
 		s.edgeDst, s.prevEdgeDst = s.prevEdgeDst, s.edgeDst
 		s.edgeDelay, s.prevEdgeDelay = s.prevEdgeDelay, s.edgeDelay
-		s.edgeDelay = growDurations(s.edgeDelay, total)
 	}
 	s.rowStart = growInt32(s.rowStart, n+1)
-	s.edgeDst = growInt32(s.edgeDst, total)
-	s.edgeSlot = growInt32(s.edgeSlot, total)
-	pos := int32(0)
-	for v, row := range adj {
-		s.rowStart[v] = pos
-		for _, w := range row {
-			s.edgeDst[pos] = int32(w)
-			pos++
+	s.edgeDst = growInt32(s.edgeDst, rows.UndirectedBound())[:0]
+	for v := 0; v < n; v++ {
+		s.rowStart[v] = int32(len(s.edgeDst))
+		s.edgeDst = rows.AppendUndirected(s.edgeDst, v)
+		if err := checkRow(s.edgeDst[s.rowStart[v]:], v, n); err != nil {
+			return err
 		}
 	}
-	s.rowStart[n] = pos
+	total := len(s.edgeDst)
+	s.rowStart[n] = int32(total)
+	s.edgeSlot = growInt32(s.edgeSlot, total)
 	s.cursor = growInt32(s.cursor, n)
 	for i := range s.cursor {
 		s.cursor[i] = 0
@@ -320,6 +346,7 @@ func (s *Simulator) rebuild(adj [][]int) error {
 		}
 	}
 	if !s.streaming {
+		s.edgeDelay = growDurations(s.edgeDelay, total)
 		if carry {
 			s.carryDelays()
 		} else if err := latency.PrecomputeEdges(s.cfg.Latency, s.rowStart, s.edgeDst, s.edgeDelay); err != nil {
@@ -328,6 +355,24 @@ func (s *Simulator) rebuild(adj [][]int) error {
 		s.carry = true
 	}
 	s.gen++
+	return nil
+}
+
+// checkRow returns an error unless node v's row holds neighbors in [0, n)
+// other than v, strictly ascending.
+func checkRow(row []int32, v, n int) error {
+	for i, w := range row {
+		switch {
+		case w < 0 || int(w) >= n:
+			return fmt.Errorf("netsim: node %d lists out-of-range neighbor %d", v, w)
+		case int(w) == v:
+			return fmt.Errorf("netsim: node %d lists itself", v)
+		case i > 0 && row[i-1] == w:
+			return fmt.Errorf("netsim: node %d lists neighbor %d twice", v, w)
+		case i > 0 && row[i-1] > w:
+			return fmt.Errorf("netsim: adjacency of node %d is not ascending", v)
+		}
+	}
 	return nil
 }
 
@@ -397,30 +442,31 @@ func growDurations(buf []time.Duration, n int) []time.Duration {
 	return buf[:n]
 }
 
-// Reconfigure replaces the simulator's topology, reusing the CSR backing
-// arrays. Unlike New it trusts the adjacency to be sorted, in range and
-// self-loop free, as a topology.Table snapshot is by construction; symmetry
-// is still verified by the reverse-index build. The node count must not
-// change, so the latency/forward/silent tables stay valid. Reconfigure must
-// not run concurrently with any Broadcast or ArrivalAnalytic call; existing
-// Broadcasters resynchronize automatically on their next Broadcast.
+// Reconfigure replaces the simulator's topology with adj's, reusing the
+// CSR backing arrays: ReconfigureRows with the adjacency as its rows.
+func (s *Simulator) Reconfigure(adj [][]int) error { return s.ReconfigureRows(adjRows(adj)) }
+
+// ReconfigureRows replaces the simulator's topology with the one rows
+// gives it, reusing the CSR backing arrays. The CSR is built from the rows
+// in one pass that validates them as New does: each row must be ascending,
+// in range and self-loop free, and the cursor sweep checks symmetry. The
+// node count must not change, so the latency/forward/silent tables stay
+// valid. ReconfigureRows must not run concurrently with any Broadcast or
+// ArrivalAnalytic call; existing Broadcasters resynchronize automatically
+// on their next Broadcast.
 //
 // In precomputed mode a directed edge present both before and after keeps
 // the delay it had; Model.Delay is called only for edges the previous
 // topology lacked. A model whose delays change must therefore invalidate
 // with ForgetDelays; surviving edges are otherwise not re-evaluated. A
-// Reconfigure that fails carries nothing into the next one.
-func (s *Simulator) Reconfigure(adj [][]int) error {
-	if len(adj) != s.n {
+// reconfiguration that fails carries nothing into the next one.
+func (s *Simulator) ReconfigureRows(rows Rows) error {
+	if n := rows.N(); n != s.n {
 		s.ForgetDelays()
-		return fmt.Errorf("netsim: reconfigure with %d nodes, simulator has %d", len(adj), s.n)
+		return fmt.Errorf("netsim: reconfigure with %d nodes, simulator has %d", n, s.n)
 	}
-	return s.rebuild(adj)
+	return s.rebuild(rows)
 }
-
-// Adj returns the adjacency the simulator currently runs on. The rows
-// alias the caller-provided config adjacency, not the CSR arrays.
-func (s *Simulator) Adj() [][]int { return s.cfg.Adj }
 
 // Row returns v's neighbor row of the CSR layout (ascending node IDs).
 // Row(v)[i] is the neighbor whose arrival lands in EdgeArrival[v][i].

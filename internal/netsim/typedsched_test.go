@@ -552,9 +552,9 @@ func TestReconfigureMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestPrevalidatedRejectsAsymmetry proves Reconfigure, which trusts its
-// adjacency and skips New's per-row sweep, still detects a malformed one
-// via the reverse-index sweep rather than silently corrupting the reverse
+// TestPrevalidatedRejectsAsymmetry proves New and Reconfigure detect an
+// asymmetric adjacency, whose rows each pass the per-row checks, through
+// the reverse-index sweep rather than silently corrupting the reverse
 // index.
 func TestPrevalidatedRejectsAsymmetry(t *testing.T) {
 	asym := [][]int{{1, 2}, {0}, {}}

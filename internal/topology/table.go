@@ -13,6 +13,7 @@ package topology
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -192,45 +193,77 @@ func (t *Table) AppendOutNeighbors(buf []int, u int) []int {
 // InNeighbors returns a copy of u's incoming neighbors in ascending order.
 func (t *Table) InNeighbors(u int) []int { return append(make([]int, 0, len(t.in[u])), t.in[u]...) }
 
-// appendUnion appends the union of two ascending rows to dst, ascending and
-// without duplicates.
-func appendUnion(dst, a, b []int) []int {
-	for len(a) > 0 && len(b) > 0 {
-		switch {
-		case a[0] < b[0]:
-			dst, a = append(dst, a[0]), a[1:]
-		case a[0] > b[0]:
-			dst, b = append(dst, b[0]), b[1:]
-		default:
-			dst, a, b = append(dst, a[0]), a[1:], b[1:]
+// appendMerge appends the union of the ascending rows a, b and c to dst,
+// ascending and without duplicates.
+func appendMerge[E int | int32](dst []E, a, b, c []int) []E {
+	head := func(row []int) int {
+		if len(row) == 0 {
+			return math.MaxInt
 		}
+		return row[0]
 	}
-	return append(append(dst, a...), b...)
+	skip := func(row []int, v int) []int {
+		if len(row) > 0 && row[0] == v {
+			return row[1:]
+		}
+		return row
+	}
+	for {
+		v := min(head(a), head(b), head(c))
+		if v == math.MaxInt {
+			return dst
+		}
+		dst = append(dst, E(v))
+		a, b, c = skip(a, v), skip(b, v), skip(c, v)
+	}
+}
+
+// pinRow returns u's ascending row of pinned peers, nil before the first Pin.
+func (t *Table) pinRow(u int) []int {
+	if len(t.pins) == 0 {
+		return nil
+	}
+	return t.pins[u]
+}
+
+// AppendUndirected appends u's row of the communication graph (outgoing ∪
+// incoming ∪ pinned peers, ascending, without duplicates) to dst and
+// returns the extended slice. The engine's simulator builds its CSR from
+// these rows (see netsim.Rows); Undirected is the same rows as a snapshot.
+func (t *Table) AppendUndirected(dst []int32, u int) []int32 {
+	return appendMerge(dst, t.out[u], t.in[u], t.pinRow(u))
+}
+
+// UndirectedBound returns an upper bound on the total length of the
+// communication graph's rows: the summed lengths of every outgoing,
+// incoming and pinned row. It overcounts only a pair connected in both
+// directions, or connected and pinned.
+func (t *Table) UndirectedBound() int {
+	total := 0
+	for u := 0; u < t.n; u++ {
+		total += len(t.out[u]) + len(t.in[u]) + len(t.pinRow(u))
+	}
+	return total
 }
 
 // Undirected returns the symmetric adjacency lists of the communication
-// graph (outgoing ∪ incoming ∪ pinned per node), each list ascending. The result is
-// a snapshot; it does not alias the table.
+// graph, row u as AppendUndirected writes it. The result is a snapshot; it
+// does not alias the table.
 func (t *Table) Undirected() [][]int {
 	return t.UndirectedInto(nil)
 }
 
 // UndirectedInto fills adj with the symmetric adjacency snapshot, reusing
 // adj's outer slice and per-row capacity when possible (pass the previous
-// round's snapshot to rebuild it without reallocating). The result is
-// sorted ascending per row and does not alias the table.
+// round's snapshot to rebuild it without reallocating). Row u is the one
+// AppendUndirected writes, and no row aliases the table.
 func (t *Table) UndirectedInto(adj [][]int) [][]int {
 	if cap(adj) < t.n {
 		adj = make([][]int, t.n)
 	}
 	adj = adj[:t.n]
-	for u := 0; u < t.n; u++ {
-		adj[u] = appendUnion(adj[u][:0], t.out[u], t.in[u])
-	}
-	for u, row := range t.pins {
-		for _, v := range row {
-			adj[u] = insertSorted(adj[u], v)
-		}
+	for u := range adj {
+		adj[u] = appendMerge(adj[u][:0], t.out[u], t.in[u], t.pinRow(u))
 	}
 	return adj
 }
@@ -267,10 +300,7 @@ func (t *Table) Validate() error {
 		if len(t.in[u]) > t.maxIn {
 			return fmt.Errorf("topology: node %d has %d incoming, cap %d", u, len(t.in[u]), t.maxIn)
 		}
-		var pins []int
-		if len(t.pins) > 0 {
-			pins = t.pins[u]
-		}
+		pins := t.pinRow(u)
 		for _, row := range [][]int{t.out[u], t.in[u], pins} {
 			for i := 1; i < len(row); i++ {
 				if row[i-1] >= row[i] {

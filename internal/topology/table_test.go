@@ -24,7 +24,7 @@ func mustTable(t *testing.T, n, maxIn int) *Table {
 // ascending order, the set of peers u exchanges blocks with (Γ_v in the
 // paper), pins excluded.
 func neighbors(t *Table, u int) []int {
-	return appendUnion(make([]int, 0, len(t.out[u])+len(t.in[u])), t.out[u], t.in[u])
+	return appendMerge(make([]int, 0, len(t.out[u])+len(t.in[u])), t.out[u], t.in[u], nil)
 }
 
 // totalEdges returns the number of directed edges in the table.
@@ -686,4 +686,74 @@ func FuzzTablePinMatchesReference(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestAppendUndirectedMatchesUndirected writes every node's row with
+// AppendUndirected, one after another into one buffer as the simulator
+// does, on random tables with mutual connections (u→v and v→u both held)
+// and a pinned relay tree whose edges partly repeat connections: each row
+// must equal Undirected's, which must equal a map union of the node's
+// connections and pins, and UndirectedBound must bound their total.
+func TestAppendUndirectedMatchesUndirected(t *testing.T) {
+	r := rng.New(47)
+	var rows []int32
+	for trial := 0; trial < 40; trial++ {
+		n := 12 + r.IntN(80)
+		tbl, err := Random(n, 3, 8, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mutual := 0
+		for u := 0; u < n; u++ {
+			for _, v := range tbl.OutNeighbors(u) {
+				if r.IntN(3) == 0 && tbl.Connect(v, u) == nil {
+					mutual++
+				}
+			}
+		}
+		if mutual == 0 {
+			t.Fatalf("trial %d: no mutual connection made", trial)
+		}
+		members := r.Perm(n)[:n/3+2]
+		edges, err := RelayTree(members, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edges = append(edges, [2]int{0, tbl.OutNeighbors(0)[0]}) // a pin over a connection
+		for _, e := range edges {
+			if err := tbl.Pin(e[0], e[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := tbl.Undirected()
+		pins := make([]map[int]struct{}, n)
+		for u := range pins {
+			pins[u] = map[int]struct{}{}
+		}
+		for _, e := range edges {
+			pins[e[0]][e[1]], pins[e[1]][e[0]] = struct{}{}, struct{}{}
+		}
+		rows = rows[:0]
+		for u := 0; u < n; u++ {
+			conns := map[int]struct{}{}
+			for _, v := range append(tbl.OutNeighbors(u), tbl.InNeighbors(u)...) {
+				conns[v] = struct{}{}
+			}
+			if ref := refSorted(conns, pins[u]); !slices.Equal(want[u], ref) {
+				t.Fatalf("trial %d: Undirected row %d = %v, map reference %v", trial, u, want[u], ref)
+			}
+			start := len(rows)
+			rows = tbl.AppendUndirected(rows, u)
+			got := make([]int, 0, len(rows)-start)
+			for _, v := range rows[start:] {
+				got = append(got, int(v))
+			}
+			if !slices.Equal(got, want[u]) {
+				t.Fatalf("trial %d: AppendUndirected(%d) = %v, Undirected row %v", trial, u, got, want[u])
+			}
+		}
+		if bound := tbl.UndirectedBound(); bound < len(rows) {
+			t.Fatalf("trial %d: UndirectedBound %d below the rows' total %d", trial, bound, len(rows))
+		}
+	}
 }

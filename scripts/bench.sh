@@ -37,7 +37,7 @@ gate_bytes() { gate_unit "$1" "$2" B/op; }
 # iterations because a single op is a full 100k-node flood (and its set-up
 # hashes 1.6M edge delays).
 go test -run '^$' \
-  -bench 'Micro(Broadcast1000$|Broadcast10000$|BroadcastStreaming10000$|Reconfigure1000$|TopologyRandom20000$|TableRewire1000$|AnalyticArrival|RoundBroadcast1000$|RoundBroadcastPools300$|DelayToFraction|VanillaScoring|SubsetScoring|EngineRound|DeriveIndexed|DurationPercentile|WireFrame|WireRead|StoreAdd)' \
+  -bench 'Micro(Broadcast1000$|Broadcast10000$|BroadcastStreaming10000$|Reconfigure1000$|TopologyRandom20000$|TableRewire1000$|ColdPrepare2000$|AnalyticArrival|RoundBroadcast1000$|RoundBroadcastPools300$|DelayToFraction|VanillaScoring|SubsetScoring|EngineRound|DeriveIndexed|DurationPercentile|WireFrame|WireRead|StoreAdd)' \
   -benchmem -benchtime=100x . | tee "$OUT"
 go test -run '^$' -bench 'MicroBroadcast100000$' -benchmem -benchtime=3x . \
   | tee -a "$OUT"
@@ -52,13 +52,22 @@ gate MicroBroadcast1000 0
 gate MicroBroadcast10000 0
 gate MicroBroadcast100000 0
 gate MicroBroadcastStreaming10000 0
+# The engine's path from the table's rows to the CSR reuses both buffer
+# generations once warm.
 gate MicroReconfigure1000 0
 # A build of the random topology allocates its rows and two index arrays,
 # 7.0 MB at n = 20000; one permutation per node was 3.1 GB.
 gate_bytes MicroTopologyRandom20000 16000000
-# Table rows keep their capacity across rounds: a rewire pass plus the
-# adjacency snapshot allocates only when some row outgrows its past maximum.
+# Table rows keep their capacity across rounds: a rewire pass plus writing
+# every node's row into one buffer allocates only when Connect grows some
+# row past its past maximum.
 gate MicroTableRewire1000 16
+# A fresh engine's first round builds its simulator from the table's rows
+# and carves every node's round rows from slabs: a fixed number of
+# allocations at any n (about 14; 2,000 nodes allocated about 19,000 when
+# the adjacency snapshot, the outgoing rows and the observation matrices
+# were allocated per node).
+gate MicroColdPrepare2000 64
 gate MicroAnalyticArrival1000 0
 # A round's broadcast phase: an arrival-only flood per distinct miner on the
 # workers' own queues and buffers, and the harvest of every observation from
@@ -80,11 +89,13 @@ gate MicroVanillaScoring 1
 gate MicroSubsetScoring 1
 gate MicroSubsetScoringPools 1
 gate MicroSubsetScoringWindow10 1
-# About 9,650 allocs since a round decides every node into engine scratch
-# and its workers' reseeded streams (26,330 before, when each node's stream
-# and decision were allocated every round; 39,330 before the replay moved to
-# per-node inboxes carved from one slab).
-gate WorkloadHour 10500
+# About 4,900 allocs since a round prepares every node's rows in engine
+# slabs and builds the simulator's CSR from the table's rows (9,650 before,
+# when the adjacency snapshot and each node's outgoing and observation rows
+# grew on their own; 26,330 before a round decided every node into engine
+# scratch; 39,330 before the replay moved to per-node inboxes carved from
+# one slab).
+gate WorkloadHour 5500
 # The live wire: a frame is appended to the write loop's reused buffer in
 # place, and the buffered reader owns its header and payload scratch, so a
 # read allocates only the message it returns (an Inv and its hash slice; a
@@ -105,12 +116,14 @@ gate MicroStoreAdd 0
 # Decision tracing is off in every Micro case; this ceiling pins the
 # untraced engine round so the tracing hooks stay branch-only on the hot
 # path (a per-decision or per-counterfactual allocation would add
-# thousands per round). It measures 34: a round allocates its TimedRound
-# and its decide fan-out, and the connection table's rows still grow now and
-# then past their earlier maxima. Nothing is paid per node: each node's
-# selector stream is its worker's, reseeded, and its decision is appended
-# into engine scratch (1022 when both were allocated per node).
-gate MicroEngineRound 40
+# thousands per round). It measures 5: a round allocates its TimedRound
+# and its decide fan-out, and Connect still grows the connection table's
+# rows now and then past their earlier maxima. Nothing is paid per node:
+# each node's selector stream is its worker's, reseeded, its decision is
+# appended into engine scratch, and its round rows are carved from slabs
+# (34 when the adjacency snapshot's rows grew with the table's; 1022 when
+# each node's stream and decision were allocated too).
+gate MicroEngineRound 16
 # A derived stream is its RNG alone: the rand.Rand and PCG live inside it.
 gate MicroDeriveIndexed 1
 echo "bench.sh: all allocation gates hold"
