@@ -17,9 +17,10 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden scenario rende
 // files: a figure (series + notes), the eclipse capture report
 // (notes-only), a histogram result, an adversarial comparison (six
 // series + degradation notes), the continuous-time workload report
-// (series + per-arm fork economics), and the relay-tree study, whose
-// pinned edges and static λ arms no other golden exercises.
-var goldenScenarios = []string{"figure1", "figure5", "eclipse", "adversary-withholding", "forks", "figure4c"}
+// (series + per-arm fork economics), the relay-tree study, whose
+// pinned edges and static λ arms no other golden exercises, and the two
+// scenarios that run the UCB arm and its single-block round rule.
+var goldenScenarios = []string{"figure1", "figure5", "eclipse", "adversary-withholding", "forks", "figure4c", "figure3a", "ablation-ucb-constant"}
 
 // goldenOptions is a deliberately tiny, fixed configuration: golden
 // files pin the rendering contract and the seeded numerics, not
