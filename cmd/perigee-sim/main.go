@@ -21,6 +21,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
+	"syscall"
 	"time"
 
 	"github.com/perigee-net/perigee/internal/experiments"
@@ -186,6 +187,7 @@ func run() (status int) {
 
 	for _, id := range ids {
 		start := time.Now()
+		startCPU, _ := usage()
 		res, err := experiments.Run(id, opt)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "scenario %s: %v\n", id, err)
@@ -199,7 +201,9 @@ func run() (status int) {
 			}
 			fmt.Println(string(buf))
 		} else {
-			fmt.Printf("%s(completed in %v)\n\n", res.Render(), time.Since(start).Round(time.Second))
+			cpu, peakMB := usage()
+			fmt.Printf("%s(completed in %v, %.1f s CPU, peak RSS %.0f MB)\n\n", res.Render(),
+				time.Since(start).Round(time.Second), (cpu - startCPU).Seconds(), peakMB)
 		}
 		if sink != nil {
 			if c.asJSON {
@@ -221,4 +225,13 @@ func run() (status int) {
 		}
 	}
 	return 0
+}
+
+// usage reads the CPU time the process has used so far, user plus system,
+// and its peak resident set in MB from getrusage, as the benchmark does.
+func usage() (time.Duration, float64) {
+	var ru syscall.Rusage
+	_ = syscall.Getrusage(syscall.RUSAGE_SELF, &ru) // cannot fail for RUSAGE_SELF
+	cpu := time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+	return cpu, float64(ru.Maxrss) / 1024 // Linux reports KB
 }

@@ -13,10 +13,10 @@ import (
 
 	"github.com/perigee-net/perigee/internal/chain"
 	"github.com/perigee-net/perigee/internal/core"
-	"github.com/perigee-net/perigee/internal/geo"
 	"github.com/perigee-net/perigee/internal/hashpower"
 	"github.com/perigee-net/perigee/internal/latency"
 	"github.com/perigee-net/perigee/internal/netsim"
+	"github.com/perigee-net/perigee/internal/paper"
 	"github.com/perigee-net/perigee/internal/rng"
 	"github.com/perigee-net/perigee/internal/stats"
 	"github.com/perigee-net/perigee/internal/topology"
@@ -38,29 +38,21 @@ func Network(b *testing.B, n int) (*netsim.Simulator, []float64) {
 func network(b *testing.B, n int, mode latency.Mode) (*netsim.Simulator, *topology.Table, []float64) {
 	b.Helper()
 	root := rng.New(1)
-	u, err := geo.SampleUniverse(n, root.Derive("universe"))
+	_, lat, err := paper.Geographic(n, root)
 	if err != nil {
 		b.Fatal(err)
 	}
-	lat, err := latency.NewGeographic(u, root.Derive("latency"))
+	tbl, err := paper.Random(n, root.Derive("topology"))
 	if err != nil {
 		b.Fatal(err)
 	}
-	tbl, err := topology.Random(n, 8, 20, root.Derive("topology"))
+	sim, err := netsim.New(netsim.Config{Adj: tbl.Undirected(), Latency: lat, Forward: paper.Forward(n, paper.Validation), LatencyMode: mode})
 	if err != nil {
 		b.Fatal(err)
 	}
-	forward := make([]time.Duration, n)
-	for i := range forward {
-		forward[i] = 50 * time.Millisecond
-	}
-	sim, err := netsim.New(netsim.Config{Adj: tbl.Undirected(), Latency: lat, Forward: forward, LatencyMode: mode})
+	power, err := hashpower.Uniform(n)
 	if err != nil {
 		b.Fatal(err)
-	}
-	power := make([]float64, n)
-	for i := range power {
-		power[i] = 1.0 / float64(n)
 	}
 	return sim, tbl, power
 }
@@ -122,7 +114,7 @@ func MicroTopologyRandom(n int) func(b *testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := topology.Random(n, 8, 20, rng.New(uint64(i))); err != nil {
+			if _, err := paper.Random(n, rng.New(uint64(i))); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -136,7 +128,7 @@ func MicroTopologyRandom(n int) func(b *testing.B) {
 // few warm-up rounds have grown them an op allocates next to nothing.
 func MicroTableRewire(n int) func(b *testing.B) {
 	return func(b *testing.B) {
-		tbl, err := topology.Random(n, 8, 20, rng.New(1))
+		tbl, err := paper.Random(n, rng.New(1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -231,36 +223,14 @@ const benchNodes = 300
 // (zero: all), deciding through sel when it is non-nil and drawing miners by
 // power, uniformly when it is nil.
 func subsetEngine(n int, seed uint64, roundBlocks, window int, sel core.Selector, power []float64) (*core.Engine, error) {
-	root := rng.New(seed)
-	u, err := geo.SampleUniverse(n, root.Derive("universe"))
-	if err != nil {
-		return nil, err
-	}
-	lat, err := latency.NewGeographic(u, root.Derive("latency"))
-	if err != nil {
-		return nil, err
-	}
-	tbl, err := topology.Random(n, 8, 20, root.Derive("topology"))
-	if err != nil {
-		return nil, err
-	}
-	forward := make([]time.Duration, n)
-	for i := range forward {
-		forward[i] = 50 * time.Millisecond
-	}
-	if power == nil {
-		power = make([]float64, n)
-		for i := range power {
-			power[i] = 1 / float64(n)
-		}
-	}
-	params := core.DefaultParams(core.Subset)
-	params.RoundBlocks = roundBlocks
-	return core.NewEngine(core.Config{
-		Method: core.Subset, Params: params, Selector: sel, Table: tbl,
-		Latency: lat, Forward: forward, Power: power,
-		ObservationWindow: window,
-		Rand:              root.Derive("engine"),
+	return paper.Engine(paper.Spec{
+		Config: core.Config{
+			Method: core.Subset, Selector: sel, Power: power,
+			ObservationWindow: window,
+		},
+		Nodes:       n,
+		Root:        rng.New(seed),
+		RoundBlocks: roundBlocks,
 	})
 }
 
@@ -509,16 +479,11 @@ func WorkloadHour(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		trace, err := workload.NewPoisson(rng.New(5).Derive("trace"), engine.Power(), 2*time.Second)
+		trace, err := workload.NewPoisson(rng.New(5).Derive("trace"), engine.Power(), paper.BlockInterval)
 		if err != nil {
 			b.Fatal(err)
 		}
-		rep, err := workload.Run(workload.Config{
-			Engine:        engine,
-			Trace:         trace,
-			Duration:      time.Hour,
-			RoundInterval: time.Duration(engine.Params().RoundBlocks) * 2 * time.Second,
-		})
+		rep, err := paper.RunWorkload(engine, trace, time.Hour, paper.BlockInterval)
 		if err != nil {
 			b.Fatal(err)
 		}

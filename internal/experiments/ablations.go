@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"github.com/perigee-net/perigee/internal/core"
-	"github.com/perigee-net/perigee/internal/topology"
+	"github.com/perigee-net/perigee/internal/paper"
 )
 
 // AblationVariant is one configuration point of an ablation sweep.
@@ -49,7 +49,7 @@ func RunAblation(opt Options, ab Ablation) (*Result, error) {
 					return nil, err
 				}
 			}
-			tbl, err := topology.Random(e.opt.Nodes, 8, 20, e.root.Derive("ablation-topology-"+v.Label))
+			tbl, err := paper.Random(e.opt.Nodes, e.root.Derive("ablation-topology-"+v.Label))
 			if err != nil {
 				return nil, err
 			}

@@ -8,6 +8,7 @@ import (
 	"github.com/perigee-net/perigee/internal/core"
 	"github.com/perigee-net/perigee/internal/hashpower"
 	"github.com/perigee-net/perigee/internal/latency"
+	"github.com/perigee-net/perigee/internal/paper"
 	"github.com/perigee-net/perigee/internal/parallel"
 	"github.com/perigee-net/perigee/internal/rng"
 	"github.com/perigee-net/perigee/internal/stats"
@@ -37,14 +38,14 @@ func standardAlgos() []algo {
 			return e.evalTopology(tbl)
 		}},
 		{LabelGeographic, func(e *env) ([]float64, error) {
-			tbl, err := topology.Geographic(e.universe, 8, 4, 20, e.root.Derive("geo-topology"))
+			tbl, err := topology.Geographic(e.universe, 8, 4, paper.MaxIncoming, e.root.Derive("geo-topology"))
 			if err != nil {
 				return nil, err
 			}
 			return e.evalTopology(tbl)
 		}},
 		{LabelKademlia, func(e *env) ([]float64, error) {
-			tbl, err := topology.Kademlia(e.opt.Nodes, 8, 20, e.root.Derive("kad-topology"))
+			tbl, err := topology.Kademlia(e.opt.Nodes, 8, paper.MaxIncoming, e.root.Derive("kad-topology"))
 			if err != nil {
 				return nil, err
 			}
@@ -245,7 +246,7 @@ func standardSubsetComparison() []algo {
 			return e.evalTopology(tbl)
 		}},
 		{LabelGeographic, func(e *env) ([]float64, error) {
-			tbl, err := topology.Geographic(e.universe, 8, 4, 20, e.root.Derive("geo-topology"))
+			tbl, err := topology.Geographic(e.universe, 8, 4, paper.MaxIncoming, e.root.Derive("geo-topology"))
 			if err != nil {
 				return nil, err
 			}
@@ -316,12 +317,12 @@ func Figure5(opt Options) (*Result, error) {
 			return err
 		}
 		adj[LabelRandom] = randomTbl.Undirected()
-		geoTbl, err := topology.Geographic(e.universe, 8, 4, 20, e.root.Derive("geo-topology"))
+		geoTbl, err := topology.Geographic(e.universe, 8, 4, paper.MaxIncoming, e.root.Derive("geo-topology"))
 		if err != nil {
 			return err
 		}
 		adj[LabelGeographic] = geoTbl.Undirected()
-		kadTbl, err := topology.Kademlia(e.opt.Nodes, 8, 20, e.root.Derive("kad-topology"))
+		kadTbl, err := topology.Kademlia(e.opt.Nodes, 8, paper.MaxIncoming, e.root.Derive("kad-topology"))
 		if err != nil {
 			return err
 		}

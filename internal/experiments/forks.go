@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
 	"github.com/perigee-net/perigee/internal/core"
+	"github.com/perigee-net/perigee/internal/paper"
 	"github.com/perigee-net/perigee/internal/parallel"
 	"github.com/perigee-net/perigee/internal/trace"
 	"github.com/perigee-net/perigee/internal/workload"
@@ -41,7 +43,7 @@ func Forks(opt Options) (*Result, error) {
 	if opt.TraceFile != "" && opt.Trials != 1 {
 		return nil, fmt.Errorf("experiments: trace replay requires exactly 1 trial, got %d", opt.Trials)
 	}
-	interval := opt.blockInterval()
+	interval := cmp.Or(opt.BlockInterval, paper.BlockInterval)
 	roundInterval := time.Duration(opt.RoundBlocks) * interval
 	duration := time.Duration(opt.Rounds) * roundInterval
 
@@ -118,16 +120,11 @@ func Forks(opt Options) (*Result, error) {
 		if err != nil {
 			return err
 		}
-		ri := roundInterval
+		pace := interval
 		if !arm.timed {
-			ri = 0
+			pace = 0
 		}
-		rep, err := workload.Run(workload.Config{
-			Engine:        engine,
-			Trace:         tf.Trace(),
-			Duration:      duration,
-			RoundInterval: ri,
-		})
+		rep, err := paper.RunWorkload(engine, tf.Trace(), duration, pace)
 		if err != nil {
 			return fmt.Errorf("experiments: forks trial %d arm %s: %w", t, arm.label, err)
 		}

@@ -17,6 +17,7 @@ import (
 	"github.com/perigee-net/perigee/internal/hashpower"
 	"github.com/perigee-net/perigee/internal/latency"
 	"github.com/perigee-net/perigee/internal/netsim"
+	"github.com/perigee-net/perigee/internal/paper"
 	"github.com/perigee-net/perigee/internal/parallel"
 	"github.com/perigee-net/perigee/internal/rng"
 	"github.com/perigee-net/perigee/internal/stats"
@@ -152,7 +153,7 @@ func DefaultOptions() Options {
 		RoundBlocks:    100,
 		Fraction:       0.9,
 		Seed:           2020,
-		MeanValidation: 50 * time.Millisecond,
+		MeanValidation: paper.Validation,
 	}
 }
 
@@ -167,7 +168,7 @@ func ShortOptions() Options {
 		RoundBlocks:    50,
 		Fraction:       0.9,
 		Seed:           2020,
-		MeanValidation: 50 * time.Millisecond,
+		MeanValidation: paper.Validation,
 	}
 }
 
@@ -186,15 +187,6 @@ func (o Options) validate() error {
 // Validate checks the options without running anything — the up-front
 // check CLIs and the experiment service run before accepting a job.
 func Validate(o Options) error { return o.validate() }
-
-// blockInterval resolves the workload block interval, mapping the zero
-// value to the 2s default.
-func (o Options) blockInterval() time.Duration {
-	if o.BlockInterval == 0 {
-		return 2 * time.Second
-	}
-	return o.BlockInterval
-}
 
 // adversaryFraction resolves the adversary share, mapping the zero value
 // to the historical eclipse default.
@@ -331,11 +323,7 @@ type env struct {
 // overrides it afterwards).
 func newEnv(opt Options, trial int) (*env, error) {
 	root := rng.New(opt.Seed).DeriveIndexed("trial", trial)
-	universe, err := geo.SampleUniverse(opt.Nodes, root.Derive("universe"))
-	if err != nil {
-		return nil, err
-	}
-	lat, err := latency.NewGeographic(universe, root.Derive("latency"))
+	universe, lat, err := paper.Geographic(opt.Nodes, root)
 	if err != nil {
 		return nil, err
 	}
@@ -388,19 +376,10 @@ func (e *env) pickSources(exclude []bool) {
 // sampleForward draws per-node validation delays according to the chosen
 // model.
 func sampleForward(n int, mean time.Duration, model ValidationModel, r *rng.RNG) []time.Duration {
-	out := make([]time.Duration, n)
-	if mean == 0 {
-		return out
+	if model == ValidationExponential {
+		return paper.ExponentialForward(n, mean, r)
 	}
-	for i := range out {
-		switch model {
-		case ValidationExponential:
-			out[i] = time.Duration(r.ExpFloat64() * float64(mean))
-		default:
-			out[i] = mean
-		}
-	}
-	return out
+	return paper.Forward(n, mean)
 }
 
 // scaleForward returns a copy of ds with every element multiplied by f.
@@ -463,7 +442,7 @@ func (e *env) evalIdeal() ([]float64, error) {
 
 // buildRandom seeds the standard random topology for this environment.
 func (e *env) buildRandom(label string) (*topology.Table, error) {
-	return topology.Random(e.opt.Nodes, 8, 20, e.root.Derive("random-topology-"+label))
+	return paper.Random(e.opt.Nodes, e.root.Derive("random-topology-"+label))
 }
 
 // engine builds one scenario arm's protocol engine over tbl — the only
@@ -484,43 +463,39 @@ func (e *env) engine(arm, stream string, method core.Method, tbl *topology.Table
 			return nil, 0, err
 		}
 	}
-	params := core.DefaultParams(method)
-	if method != core.UCB {
-		params.RoundBlocks = e.opt.RoundBlocks
-	}
-	cfg := core.Config{
-		Method:  method,
-		Params:  params,
-		Table:   tbl,
-		Latency: e.lat,
-		Forward: e.forward,
-		Power:   e.power,
-		Rand:    e.root.Derive(stream),
-		Workers: e.opt.Workers,
+	spec := paper.Spec{
+		Config: core.Config{
+			Method:  method,
+			Table:   tbl,
+			Latency: e.lat,
+			Forward: e.forward,
+			Power:   e.power,
+			Rand:    e.root.Derive(stream),
+			Workers: e.opt.Workers,
 
-		ObservationWindow: e.opt.ObservationWindow,
+			ObservationWindow: e.opt.ObservationWindow,
+		},
+		RoundBlocks: e.opt.RoundBlocks,
+		Mods:        mods,
 	}
 	if emit := e.opt.RoundObserver; emit != nil {
 		trial := e.trial
-		cfg.Observer = core.ObserverFunc(func(ev core.RoundEvent) { emit(arm, trial, ev) })
+		spec.Observer = core.ObserverFunc(func(ev core.RoundEvent) { emit(arm, trial, ev) })
 	}
 	if e.opt.TraceLevel > 0 {
 		collector := &trace.Collector{Selector: arm, Trial: e.trial, OnRecord: e.opt.TraceObserver}
 		e.collectors = append(e.collectors, collector)
-		cfg.Trace = core.TraceConfig{
+		spec.Trace = core.TraceConfig{
 			Level:           core.TraceLevel(e.opt.TraceLevel),
 			CounterfactualK: e.opt.CounterfactualK,
 			Sink:            collector,
 		}
 	}
-	for _, mod := range mods {
-		mod(&cfg)
-	}
-	engine, err := core.NewEngine(cfg)
+	engine, err := paper.Engine(spec)
 	if err != nil {
 		return nil, 0, err
 	}
-	return engine, max(e.opt.Rounds*e.opt.RoundBlocks/cfg.Params.RoundBlocks, 1), nil
+	return engine, max(e.opt.Rounds*e.opt.RoundBlocks/engine.Params().RoundBlocks, 1), nil
 }
 
 // runArm builds the arm's engine (see engine), runs its round budget and

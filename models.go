@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/perigee-net/perigee/internal/geo"
 	"github.com/perigee-net/perigee/internal/hashpower"
-	"github.com/perigee-net/perigee/internal/latency"
+	"github.com/perigee-net/perigee/internal/paper"
 	"github.com/perigee-net/perigee/internal/rng"
 )
 
@@ -46,12 +45,8 @@ type LatencyModel interface {
 // nodes via node.WithLatencyInjection — can run against the same
 // environment the simulator evaluates.
 func GeographicLatency(n int, seed uint64) (LatencyModel, error) {
-	root := rng.New(seed)
-	universe, err := geo.SampleUniverse(n, root.Derive("universe"))
-	if err != nil {
-		return nil, err
-	}
-	return latency.NewGeographic(universe, root.Derive("latency"))
+	_, lat, err := paper.Geographic(n, rng.New(seed))
+	return lat, err
 }
 
 // latencyMatrix is a LatencyModel backed by an explicit n-by-n matrix.
@@ -171,11 +166,7 @@ func FixedValidation(d time.Duration) ValidationDist {
 		if d < 0 {
 			return nil, fmt.Errorf("perigee: negative validation delay %v", d)
 		}
-		out := make([]time.Duration, n)
-		for i := range out {
-			out[i] = d
-		}
-		return out, nil
+		return paper.Forward(n, d), nil
 	})
 }
 
@@ -187,11 +178,7 @@ func ExponentialValidation(mean time.Duration) ValidationDist {
 		if mean < 0 {
 			return nil, fmt.Errorf("perigee: negative mean validation delay %v", mean)
 		}
-		out := make([]time.Duration, n)
-		for i := range out {
-			out[i] = time.Duration(r.ExpFloat64() * float64(mean))
-		}
-		return out, nil
+		return paper.ExponentialForward(n, mean, r), nil
 	})
 }
 

@@ -6,8 +6,8 @@ import (
 
 	"github.com/perigee-net/perigee/internal/adversary"
 	"github.com/perigee-net/perigee/internal/core"
+	"github.com/perigee-net/perigee/internal/paper"
 	"github.com/perigee-net/perigee/internal/rng"
-	"github.com/perigee-net/perigee/internal/topology"
 	"github.com/perigee-net/perigee/internal/trace"
 )
 
@@ -44,9 +44,6 @@ type settings struct {
 	adversary     Adversary
 	adversaryFrac float64
 }
-
-// maxIncoming caps each node's incoming links (paper: 20).
-const maxIncoming = 20
 
 func defaultSettings() *settings {
 	def := core.DefaultParams(core.Subset)
@@ -282,47 +279,8 @@ func New(nodes int, opts ...Option) (*Network, error) {
 		return nil, fmt.Errorf("perigee: out-degree %d must be below the network size %d", s.outDegree, nodes)
 	}
 
-	root := rng.New(s.seed)
-
-	lat := s.latency
-	if lat == nil {
-		var err error
-		lat, err = GeographicLatency(nodes, s.seed)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if lat.N() < nodes {
-		return nil, fmt.Errorf("perigee: latency model covers %d nodes, need %d", lat.N(), nodes)
-	}
-
-	table, err := topology.Random(nodes, s.outDegree, maxIncoming, root.Derive("topology"))
-	if err != nil {
-		return nil, fmt.Errorf("perigee: seeding topology: %w", err)
-	}
-
-	powerDist := s.power
-	if powerDist == nil {
-		powerDist = UniformPower()
-	}
-	power, err := powerDist.Power(nodes, root.Derive("power"))
-	if err != nil {
-		return nil, fmt.Errorf("perigee: sampling power: %w", err)
-	}
-	if len(power) != nodes {
-		return nil, fmt.Errorf("perigee: power distribution returned %d values, want %d", len(power), nodes)
-	}
-
-	validation := s.validation
-	if validation == nil {
-		validation = FixedValidation(50 * time.Millisecond)
-	}
-	forward, err := validation.Validation(nodes, root.Derive("validation"))
-	if err != nil {
-		return nil, fmt.Errorf("perigee: sampling validation delays: %w", err)
-	}
-	if len(forward) != nodes {
-		return nil, fmt.Errorf("perigee: validation distribution returned %d values, want %d", len(forward), nodes)
+	if s.latency != nil && s.latency.N() < nodes {
+		return nil, fmt.Errorf("perigee: latency model covers %d nodes, need %d", s.latency.N(), nodes)
 	}
 
 	coreSel, params, label := engineSelector(s.selector)
@@ -335,6 +293,40 @@ func New(nodes int, opts ...Option) (*Network, error) {
 		return nil, fmt.Errorf("perigee: WithCounterfactualK(%d) requires WithTraceLevel", s.counterfactualK)
 	}
 
+	root := rng.New(s.seed)
+	spec := paper.Spec{
+		Config: core.Config{
+			Params:   params,
+			Selector: coreSel,
+			Latency:  s.latency,
+			Workers:  s.workers,
+
+			ObservationWindow: s.obsWindow,
+		},
+		Nodes: nodes,
+		Root:  root,
+	}
+	if s.power != nil {
+		power, err := s.power.Power(nodes, root.Derive("power"))
+		if err != nil {
+			return nil, fmt.Errorf("perigee: sampling power: %w", err)
+		}
+		if len(power) != nodes {
+			return nil, fmt.Errorf("perigee: power distribution returned %d values, want %d", len(power), nodes)
+		}
+		spec.Power = power
+	}
+	if s.validation != nil {
+		forward, err := s.validation.Validation(nodes, root.Derive("validation"))
+		if err != nil {
+			return nil, fmt.Errorf("perigee: sampling validation delays: %w", err)
+		}
+		if len(forward) != nodes {
+			return nil, fmt.Errorf("perigee: validation distribution returned %d values, want %d", len(forward), nodes)
+		}
+		spec.Forward = forward
+	}
+
 	net := &Network{
 		observers:     s.observers,
 		dynamics:      s.dynamics,
@@ -345,48 +337,43 @@ func New(nodes int, opts ...Option) (*Network, error) {
 	}
 	if s.traceLevel > core.TraceOff {
 		net.traceCollector = &trace.Collector{Selector: label}
-	}
-	cfg := core.Config{
-		Params:   params,
-		Selector: coreSel,
-		Table:    table,
-		Latency:  lat,
-		Forward:  forward,
-		Power:    power,
-		Rand:     root.Derive("engine"),
-		Workers:  s.workers,
-
-		ObservationWindow: s.obsWindow,
-	}
-	if net.traceCollector != nil {
-		cfg.Trace = core.TraceConfig{
+		spec.Trace = core.TraceConfig{
 			Level:           s.traceLevel,
 			CounterfactualK: s.counterfactualK,
 			Sink:            net.traceCollector,
 		}
 	}
 	if len(s.observers) > 0 {
-		cfg.Observer = &observerBridge{net: net}
+		spec.Observer = &observerBridge{net: net}
 	}
 	if s.dynamics != nil {
-		cfg.Dynamics = &dynamicsBridge{net: net}
+		spec.Dynamics = &dynamicsBridge{net: net}
 		net.dynRand = root.Derive("dynamics")
 	}
+	// The binding reads the latency and validation delays, which the
+	// builder may draw, so it runs as a mod; its error waits here.
+	var bindErr error
 	if s.adversary != nil {
 		advs, err := adversary.Sample(nodes, s.adversaryFrac, root.Derive("adversary"))
 		if err != nil {
 			return nil, fmt.Errorf("perigee: sampling adversaries: %w", err)
 		}
-		bind, err := adversary.Bind(s.adversary, nodes, advs, lat, forward, root.Derive("adversary-strategy"))
-		if err != nil {
-			return nil, fmt.Errorf("perigee: adversary %s: %w", s.adversary.Name(), err)
-		}
-		// The binding owns the behavior tables and chains its per-round
-		// agent after any user dynamics already configured.
-		bind.Apply(&cfg)
-		net.adversaryEnv = bind.Env
+		spec.Mods = append(spec.Mods, func(cfg *core.Config) {
+			bind, err := adversary.Bind(s.adversary, nodes, advs, cfg.Latency, cfg.Forward, root.Derive("adversary-strategy"))
+			if err != nil {
+				bindErr = fmt.Errorf("perigee: adversary %s: %w", s.adversary.Name(), err)
+				return
+			}
+			// The binding owns the behavior tables and chains its per-round
+			// agent after any user dynamics already configured.
+			bind.Apply(cfg)
+			net.adversaryEnv = bind.Env
+		})
 	}
-	engine, err := core.NewEngine(cfg)
+	engine, err := paper.Engine(spec)
+	if bindErr != nil {
+		return nil, bindErr
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -6,14 +6,53 @@
 #
 #   scripts/flakehunt.sh                 # 20 runs of ./node ./internal/p2p ./internal/serve
 #   scripts/flakehunt.sh 5 ./internal/serve
+#   scripts/flakehunt.sh --suite 20      # 20 runs of the whole go test -count=1 ./...
+#   scripts/flakehunt.sh --suite 20 --load
+#
+# --suite N runs the tier-1 suite as it is run for every change (all
+# packages side by side, no race detector), N times in sequence. --load
+# keeps one CPU-bound process per core busy for the whole hunt, so the tests
+# run on a starved scheduler, as they do beside a build or another suite.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
-count="${1:-20}"
-shift || true
-if (( $# == 0 )); then
-  set -- ./node ./internal/p2p ./internal/serve
+suite=0
+load=0
+while (( $# )); do
+  case "$1" in
+    --suite) suite="$2"; shift 2 ;;
+    --load) load=1; shift ;;
+    *) break ;;
+  esac
+done
+if (( suite == 0 )); then
+  count="${1:-20}"
+  shift || true
+  if (( $# == 0 )); then
+    set -- ./node ./internal/p2p ./internal/serve
+  fi
 fi
+
+if (( load )); then
+  hogs=()
+  for (( i = 0; i < $(nproc); i++ )); do
+    yes > /dev/null &
+    hogs+=($!)
+  done
+  trap 'kill "${hogs[@]}" 2>/dev/null' EXIT
+fi
+
+hunt() {
+  if (( suite == 0 )); then
+    go test -race -count="$count" -timeout 60m -json "$@"
+    return
+  fi
+  local rc=0
+  for (( i = 1; i <= suite; i++ )); do
+    go test -count=1 -json ./... || rc=$?
+  done
+  return "$rc"
+}
 
 # The tally reads go test's JSON events: a pass or fail event that names a
 # test is one run of it; one that names only a package is the package's
@@ -59,7 +98,7 @@ if not fails and not broken:
 sys.exit(1 if fails or broken else 0)
 '
 
-go test -race -count="$count" -timeout 60m -json "$@" | python3 -c "$tally"
+hunt "$@" | python3 -c "$tally"
 status=("${PIPESTATUS[@]}")
 if (( status[1] != 0 )); then
   exit 1

@@ -1,9 +1,11 @@
 package perigee
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
+	"github.com/perigee-net/perigee/internal/paper"
 	"github.com/perigee-net/perigee/internal/workload"
 )
 
@@ -86,10 +88,7 @@ func (n *Network) RunWorkload(duration time.Duration) (*WorkloadReport, error) {
 	if duration <= 0 {
 		return nil, fmt.Errorf("perigee: workload duration %v must be positive", duration)
 	}
-	interval := n.blockInterval
-	if interval <= 0 {
-		interval = 2 * time.Second
-	}
+	interval := cmp.Or(n.blockInterval, paper.BlockInterval)
 	var trace WorkloadTrace
 	if n.traceFile != "" {
 		tf, err := workload.ReadTraceFile(n.traceFile)
@@ -112,10 +111,5 @@ func (n *Network) RunWorkload(duration time.Duration) (*WorkloadReport, error) {
 		}
 	}
 	n.workloadRuns++
-	return workload.Run(workload.Config{
-		Engine:        n.engine,
-		Trace:         trace,
-		Duration:      duration,
-		RoundInterval: time.Duration(n.engine.Params().RoundBlocks) * interval,
-	})
+	return paper.RunWorkload(n.engine, trace, duration, interval)
 }
