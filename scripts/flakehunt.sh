@@ -25,6 +25,10 @@ while (( $# )); do
     *) break ;;
   esac
 done
+if (( suite > 0 && $# > 0 )); then
+  echo "flakehunt: --suite runs ./... and takes no count or packages" >&2
+  exit 2
+fi
 if (( suite == 0 )); then
   count="${1:-20}"
   shift || true
@@ -39,7 +43,7 @@ if (( load )); then
     yes > /dev/null &
     hogs+=($!)
   done
-  trap 'kill "${hogs[@]}" 2>/dev/null' EXIT
+  trap 'kill "${hogs[@]}" 2>/dev/null; wait "${hogs[@]}" 2>/dev/null' EXIT
 fi
 
 hunt() {
@@ -81,6 +85,7 @@ for line in sys.stdin:
             broken.append(pkg)
             print("flakehunt: package %s failed; its last output:" % pkg)
             sys.stdout.write("".join(tails[pkg, None]))
+        del tails[pkg, None]
         continue
     runs[pkg, test] += 1
     if action == "fail":
