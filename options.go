@@ -18,15 +18,15 @@ import (
 // enum.
 type Option func(*settings) error
 
-// settings accumulates option values before the network is built.
-// roundBlocks is zero until WithRoundBlocks sets it, since the installed
-// selector supplies the default.
+// settings accumulates option values before the network is built: those
+// the engine takes as they are go straight into spec. roundBlocks is zero
+// until WithRoundBlocks sets it, since the installed selector supplies the
+// default.
 type settings struct {
+	spec        paper.Spec
 	seed        uint64
 	outDegree   int
 	roundBlocks int
-	workers     int
-	obsWindow   int
 
 	workloadProc  ArrivalProcess
 	blockInterval time.Duration
@@ -36,7 +36,6 @@ type settings struct {
 	counterfactualK int
 
 	selector      Selector
-	latency       LatencyModel
 	power         PowerDist
 	validation    ValidationDist
 	dynamics      Dynamics
@@ -93,7 +92,7 @@ func WithRoundBlocks(b int) Option {
 // results are bit-for-bit identical for any worker count.
 func WithWorkers(w int) Option {
 	return func(s *settings) error {
-		s.workers = w
+		s.spec.Workers = w
 		return nil
 	}
 }
@@ -112,7 +111,7 @@ func WithObservationWindow(w int) Option {
 		if w < 0 {
 			return fmt.Errorf("perigee: observation window %d must be non-negative", w)
 		}
-		s.obsWindow = w
+		s.spec.ObservationWindow = w
 		return nil
 	}
 }
@@ -195,7 +194,7 @@ func WithLatency(m LatencyModel) Option {
 		if m == nil {
 			return fmt.Errorf("perigee: nil latency model")
 		}
-		s.latency = m
+		s.spec.Latency = m
 		return nil
 	}
 }
@@ -279,8 +278,9 @@ func New(nodes int, opts ...Option) (*Network, error) {
 		return nil, fmt.Errorf("perigee: out-degree %d must be below the network size %d", s.outDegree, nodes)
 	}
 
-	if s.latency != nil && s.latency.N() < nodes {
-		return nil, fmt.Errorf("perigee: latency model covers %d nodes, need %d", s.latency.N(), nodes)
+	spec := s.spec
+	if spec.Latency != nil && spec.Latency.N() < nodes {
+		return nil, fmt.Errorf("perigee: latency model covers %d nodes, need %d", spec.Latency.N(), nodes)
 	}
 
 	coreSel, params, label := engineSelector(s.selector)
@@ -294,18 +294,8 @@ func New(nodes int, opts ...Option) (*Network, error) {
 	}
 
 	root := rng.New(s.seed)
-	spec := paper.Spec{
-		Config: core.Config{
-			Params:   params,
-			Selector: coreSel,
-			Latency:  s.latency,
-			Workers:  s.workers,
-
-			ObservationWindow: s.obsWindow,
-		},
-		Nodes: nodes,
-		Root:  root,
-	}
+	spec.Nodes, spec.Root = nodes, root
+	spec.Params, spec.Selector = params, coreSel
 	if s.power != nil {
 		power, err := s.power.Power(nodes, root.Derive("power"))
 		if err != nil {
