@@ -73,16 +73,17 @@ type Spec struct {
 	// RoundBlocks, when positive, is |B| for zero Params. UCB keeps its
 	// single-block rounds (§4.2.2) whatever it is.
 	RoundBlocks int
-	// Mods adjust the config, in order, once the defaults are in, for what
-	// depends on them: an adversary binding reads the latency and the
-	// validation delays.
+	// Mods adjust the config, in order, once the defaults are in: an
+	// ablation rescales the resolved Params, an adversary binding reads the
+	// latency and the validation delays.
 	Mods []func(*core.Config)
 }
 
 // Engine builds the engine s describes. Zero Params are Method's defaults.
 // A nil Latency is Geographic from Root; a nil Table is random at the
 // Params' out-degree, from Root's "topology" stream; nil Power is uniform;
-// nil Forward is Validation for every node; a nil Rand is Root's "engine" stream.
+// nil Forward is Validation for every node; a nil Rand is Root's "engine"
+// stream.
 func Engine(s Spec) (*core.Engine, error) {
 	cfg := s.Config
 	if cfg.Params == (core.Params{}) {
