@@ -650,8 +650,8 @@ func MicroWireRead(m wire.Message) func(b *testing.B) {
 
 // MicroStoreAdd measures what a live node's store pays per received block:
 // chain.Store.Add of a block of the live benchmark's shape on top of a chain
-// 10 000 blocks deep, so the body ring is turning over and the header index
-// is past its first growths. The blocks are linked before the timer starts
+// 10 000 blocks deep, so the body ring is turning over and the index and its
+// links are past their first growths. The blocks are linked before the timer starts
 // and share one transaction list; allocs/op is then zero: CheckBlock
 // hashes the Merkle tree on the stack, the index and the ring allocate
 // nothing per block, and Add's result names no unstashed block.

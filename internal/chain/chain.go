@@ -4,12 +4,13 @@
 // and a Poisson mining schedule. The live p2p node (internal/p2p) gossips
 // these blocks; the abstract simulator does not need them.
 //
-// The store is sized for a node that runs for ever: it indexes every
-// connected header (a pointer-free map value, ~150 bytes a block with its
-// key) and holds block bodies only for the last BodyWindow connected blocks
-// and the tip. Relay and Perigee's observation window never read deeper, so
-// a body past the window is dropped and Get answers nil for it exactly as
-// for an unknown hash. What this gives up is archive sync: a peer more than
+// The store is sized for a node that runs for ever: it keeps every connected
+// block as an id, its connect order, under its hash, with a link to its
+// parent's id and its height (pointer-free, about 100 bytes a block with
+// the map's slack), and holds block bodies only for the last BodyWindow
+// connected blocks and the tip. Relay and Perigee's observation window
+// never read deeper, so a body past the window is dropped and Get answers
+// nil for it exactly as for an unknown hash. What this gives up is archive sync: a peer more than
 // BodyWindow blocks behind cannot fetch the chain from such a node one
 // GETDATA at a time.
 package chain
@@ -137,18 +138,9 @@ func (b *Block) Encode() ([]byte, error) { return b.AppendEncode(nil) }
 // AppendEncode appends the canonical binary encoding of the block to buf,
 // growing it once to the exact size; on error buf is returned unchanged.
 func (b *Block) AppendEncode(buf []byte) ([]byte, error) {
-	if len(b.Txs) > MaxTxs {
-		return buf, fmt.Errorf("chain: %d transactions exceed limit %d", len(b.Txs), MaxTxs)
-	}
-	size := headerSize + 4
-	for _, tx := range b.Txs {
-		if len(tx) > MaxTxSize {
-			return buf, fmt.Errorf("chain: transaction of %d bytes exceeds limit %d", len(tx), MaxTxSize)
-		}
-		size += 4 + len(tx)
-	}
-	if size > MaxBlockSize {
-		return buf, fmt.Errorf("chain: block of %d bytes exceeds limit %d", size, MaxBlockSize)
+	size, err := encodedSize(b.Txs)
+	if err != nil {
+		return buf, err
 	}
 	buf = slices.Grow(buf, size)
 	buf = b.Header.marshal(buf)
@@ -158,6 +150,25 @@ func (b *Block) AppendEncode(buf []byte) ([]byte, error) {
 		buf = append(buf, tx...)
 	}
 	return buf, nil
+}
+
+// encodedSize returns the length of the canonical encoding of a block with
+// these transactions, or the first of the package's limits it breaks.
+func encodedSize(txs [][]byte) (int, error) {
+	if len(txs) > MaxTxs {
+		return 0, fmt.Errorf("chain: %d transactions exceed limit %d", len(txs), MaxTxs)
+	}
+	size := headerSize + 4
+	for _, tx := range txs {
+		if len(tx) > MaxTxSize {
+			return 0, fmt.Errorf("chain: transaction of %d bytes exceeds limit %d", len(tx), MaxTxSize)
+		}
+		size += 4 + len(tx)
+	}
+	if size > MaxBlockSize {
+		return 0, fmt.Errorf("chain: block of %d bytes exceeds limit %d", size, MaxBlockSize)
+	}
+	return size, nil
 }
 
 // DecodeBlock parses a canonical block encoding.
@@ -228,8 +239,10 @@ func detachTxs(txs [][]byte) {
 	}
 }
 
-// CheckBlock verifies a block's internal consistency: version, Merkle
-// commitment, and size limits.
+// CheckBlock verifies a block's internal consistency: version, the limits
+// that Encode and DecodeBlock enforce (transaction count, transaction size,
+// encoded size), and the Merkle commitment. The limits are arithmetic and
+// are checked first, so a block no peer could be sent is refused unhashed.
 func CheckBlock(b *Block) error {
 	if b == nil {
 		return errors.New("chain: nil block")
@@ -237,11 +250,11 @@ func CheckBlock(b *Block) error {
 	if b.Header.Version != 1 {
 		return fmt.Errorf("chain: unsupported block version %d", b.Header.Version)
 	}
+	if _, err := encodedSize(b.Txs); err != nil {
+		return err
+	}
 	if got, want := MerkleRoot(b.Txs), b.Header.TxRoot; got != want {
 		return fmt.Errorf("chain: merkle root mismatch: body %s, header %s", got, want)
-	}
-	if len(b.Txs) > MaxTxs {
-		return fmt.Errorf("chain: %d transactions exceed limit %d", len(b.Txs), MaxTxs)
 	}
 	return nil
 }

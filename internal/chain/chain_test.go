@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -149,6 +150,30 @@ func TestCheckBlock(t *testing.T) {
 	tampered.Txs = [][]byte{[]byte("other")}
 	if err := CheckBlock(&tampered); err == nil {
 		t.Fatal("merkle mismatch accepted")
+	}
+}
+
+// CheckBlock refuses every block Encode would refuse, and says so before it
+// compares the Merkle root: each block here also carries a wrong root.
+func TestCheckBlockEnforcesEncodeLimits(t *testing.T) {
+	nTxs := MaxBlockSize/MaxTxSize + 1
+	full := make([][]byte, nTxs)
+	for i := range full {
+		full[i] = make([]byte, MaxTxSize-8)
+	}
+	for name, txs := range map[string][][]byte{
+		"count":      make([][]byte, MaxTxs+1),
+		"tx size":    {make([]byte, MaxTxSize+1)},
+		"block size": full,
+	} {
+		b := &Block{Header: Header{Version: 1, TxRoot: Hash{1}}, Txs: txs}
+		if _, err := b.Encode(); err == nil {
+			t.Fatalf("%s: Encode accepts the block; the case tests nothing", name)
+		}
+		err := CheckBlock(b)
+		if err == nil || strings.Contains(err.Error(), "merkle") {
+			t.Fatalf("%s: CheckBlock = %v, want a limit error before the root is checked", name, err)
+		}
 	}
 }
 

@@ -55,15 +55,13 @@ func seenBefore(a seenKey, ah Hash, b seenKey, bh Hash) bool {
 	return bytes.Compare(ah[:], bh[:]) < 0
 }
 
-// indexEntry is what the store keeps of a connected block for ever: its
-// header, its observation stamp and its connect sequence number (genesis is
-// 0), which locates the body in the ring while it is there. It must stay
-// pointer-free and at most 128 bytes: the map then stores it inline, an
-// insert allocates nothing, and the collector never scans the index.
-type indexEntry struct {
-	header Header
-	seen   seenKey
-	order  uint64
+// link is what the store keeps of a connected block for ever besides its
+// hash: its parent's id and its height. A block's id is its connect order
+// (genesis is 0), which also locates its body in the ring while it is there.
+// Links are pointer-free, so the collector never scans the slab.
+type link struct {
+	parent uint64
+	height uint64
 }
 
 // stashed is a validated block with its hash and stamp, as the orphan stash
@@ -108,16 +106,21 @@ type AddResult struct {
 // tip deterministic under any concurrent interleaving. A store is fed
 // through one of the two.
 //
-// The store keeps every connected block's header for ever and the bodies of
-// the last BodyWindow connected blocks, plus the tip's: fork choice, duplicate
-// detection and reorg depth read headers only, so its memory grows by one
-// index entry per block rather than by one block.
+// The store keeps every connected block for ever as an id (its connect
+// order), a map entry from its hash to that id and a link to its parent's id
+// with its height: about 100 bytes a block. It keeps the bodies of the last
+// BodyWindow connected blocks, plus the tip's, and only the tip's
+// observation stamp. Fork choice compares a new block with the tip alone,
+// and duplicate detection and reorg depth read hashes, heights and parents,
+// so nothing else of a block outlives its body.
 type Store struct {
 	mu      sync.RWMutex
-	index   map[Hash]indexEntry
-	bodies  []*Block // ring: the block connected order-th sits at order % BodyWindow
-	newest  uint64   // order of the last connected block
+	index   map[Hash]uint64 // hash to id
+	links   []link          // by id
+	bodies  []*Block        // ring: block id sits at id % BodyWindow
 	tip     Hash
+	tipID   uint64
+	tipSeen seenKey
 	tipBody *Block
 	seq     uint64
 	// orphans stashes offered blocks waiting for their parent, keyed by
@@ -136,7 +139,8 @@ func NewStore(genesis *Block) (*Store, error) {
 	}
 	h := genesis.Header.Hash()
 	s := &Store{
-		index:     map[Hash]indexEntry{h: {header: genesis.Header}},
+		index:     map[Hash]uint64{h: 0},
+		links:     []link{{}},
 		bodies:    make([]*Block, BodyWindow),
 		tip:       h,
 		tipBody:   genesis,
@@ -175,15 +179,15 @@ func (s *Store) AddAt(b *Block, seen time.Duration) (AddResult, error) {
 	h := b.Header.Hash()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	oldTip := s.tip
+	oldTip := s.tipID
 	added, err := s.addLocked(stashed{block: b, hash: h, seen: seenKey{at: seen}})
 	if err != nil || added.Stashed {
 		return AddResult{Stashed: err == nil}, err
 	}
 	res := AddResult{Connected: 1 + len(added.Unstashed)}
-	if s.tip != oldTip {
+	if s.tipID != oldTip {
 		res.TipChanged = true
-		res.ReorgDepth = s.reorgDepthLocked(oldTip, s.tip)
+		res.ReorgDepth = s.reorgDepthLocked(oldTip, s.tipID)
 	}
 	return res, nil
 }
@@ -208,24 +212,24 @@ func (s *Store) addLocked(e stashed) (Added, error) {
 		s.orphanSet[e.hash] = struct{}{}
 		return Added{Stashed: true}, nil
 	}
-	if height := e.block.Header.Height; height != parent.header.Height+1 {
-		return Added{}, fmt.Errorf("%w: %d after parent %d", ErrBadHeight, height, parent.header.Height)
+	if height, ph := e.block.Header.Height, s.links[parent].height; height != ph+1 {
+		return Added{}, fmt.Errorf("%w: %d after parent %d", ErrBadHeight, height, ph)
 	}
-	s.linkLocked(e)
+	s.linkLocked(e, parent)
 	var added Added
 	waiting := s.unstashLocked(e.hash, nil)
 	for len(waiting) > 0 {
 		c := waiting[len(waiting)-1]
 		waiting = waiting[:len(waiting)-1]
 		// A dropped block's children find no parent and are dropped too.
-		if parent, ok := s.index[c.block.Header.PrevHash]; !ok || c.block.Header.Height != parent.header.Height+1 {
+		if parent, ok := s.index[c.block.Header.PrevHash]; !ok || c.block.Header.Height != s.links[parent].height+1 {
 			added.Dropped = append(added.Dropped, c.hash)
 		} else {
 			if c.seen.seq != 0 {
 				s.seq++
 				c.seen.seq = s.seq
 			}
-			s.linkLocked(c)
+			s.linkLocked(c, parent)
 			added.Unstashed = append(added.Unstashed, c.hash)
 		}
 		waiting = s.unstashLocked(c.hash, waiting)
@@ -233,17 +237,18 @@ func (s *Store) addLocked(e stashed) (Added, error) {
 	return added, nil
 }
 
-// linkLocked connects a block under its connected parent: it indexes the
-// header, puts the body in the ring (over the body connected BodyWindow
-// blocks ago) and advances the tip by the longest-chain/first-seen rule.
-func (s *Store) linkLocked(e stashed) {
-	hdr := &e.block.Header
-	s.newest++
-	s.index[e.hash] = indexEntry{header: *hdr, seen: e.seen, order: s.newest}
-	s.bodies[s.newest%BodyWindow] = e.block
-	if tipHeight := s.tipBody.Header.Height; hdr.Height > tipHeight ||
-		(hdr.Height == tipHeight && seenBefore(e.seen, e.hash, s.index[s.tip].seen, s.tip)) {
-		s.tip, s.tipBody = e.hash, e.block
+// linkLocked connects a block under its connected parent: it gives the block
+// the next id, links it to its parent, puts the body in the ring (over the
+// body connected BodyWindow blocks ago) and advances the tip by the
+// longest-chain/first-seen rule.
+func (s *Store) linkLocked(e stashed, parent uint64) {
+	id, height := uint64(len(s.links)), e.block.Header.Height
+	s.index[e.hash] = id
+	s.links = append(s.links, link{parent: parent, height: height})
+	s.bodies[id%BodyWindow] = e.block
+	if tipHeight := s.links[s.tipID].height; height > tipHeight ||
+		(height == tipHeight && seenBefore(e.seen, e.hash, s.tipSeen, s.tip)) {
+		s.tip, s.tipID, s.tipSeen, s.tipBody = e.hash, id, e.seen, e.block
 	}
 }
 
@@ -269,23 +274,19 @@ func (s *Store) unstashLocked(h Hash, stack []stashed) []stashed {
 
 // reorgDepthLocked counts the blocks on old's branch abandoned by moving
 // the tip to new: the distance from old back to the two branches' common
-// ancestor (0 when old is an ancestor of new). It walks headers, so the
+// ancestor (0 when old is an ancestor of new). It walks parent links, so the
 // branches may be deeper than the body window.
-func (s *Store) reorgDepthLocked(old, new Hash) int {
-	a, b := s.index[old].header, s.index[new].header
-	for b.Height > a.Height {
-		new = b.PrevHash
-		b = s.index[new].header
+func (s *Store) reorgDepthLocked(old, new uint64) int {
+	for s.links[new].height > s.links[old].height {
+		new = s.links[new].parent
 	}
 	depth := 0
-	for a.Height > b.Height {
-		old = a.PrevHash
-		a = s.index[old].header
+	for s.links[old].height > s.links[new].height {
+		old = s.links[old].parent
 		depth++
 	}
 	for old != new {
-		old, new = a.PrevHash, b.PrevHash
-		a, b = s.index[old].header, s.index[new].header
+		old, new = s.links[old].parent, s.links[new].parent
 		depth++
 	}
 	return depth
@@ -306,13 +307,13 @@ func (s *Store) Has(h Hash) bool {
 func (s *Store) Get(h Hash) *Block {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	e, ok := s.index[h]
+	id, ok := s.index[h]
 	switch {
 	case !ok:
 		return nil
-	case s.newest-e.order < BodyWindow:
-		return s.bodies[e.order%BodyWindow]
-	case h == s.tip:
+	case uint64(len(s.links))-id <= BodyWindow:
+		return s.bodies[id%BodyWindow]
+	case id == s.tipID:
 		return s.tipBody
 	}
 	return nil

@@ -9,8 +9,9 @@ import (
 	"unsafe"
 )
 
-// Headers are kept for ever, bodies for the last BodyWindow connected blocks.
-func TestStoreKeepsHeadersAndRecentBodies(t *testing.T) {
+// Every connected block keeps its id, height and parent link for ever; bodies
+// are kept for the last BodyWindow connected blocks.
+func TestStoreKeepsLinksAndRecentBodies(t *testing.T) {
 	s, g := newTestStore(t, "window")
 	blocks := testChain(g, 3*BodyWindow, 1)
 	for _, b := range blocks {
@@ -27,8 +28,12 @@ func TestStoreKeepsHeadersAndRecentBodies(t *testing.T) {
 		if !s.Has(h) {
 			t.Fatalf("block %d: Has is false", i)
 		}
-		if e, ok := s.index[h]; !ok || e.header != b.Header {
-			t.Fatalf("block %d: header = %+v, %v, want %+v", i, e.header, ok, b.Header)
+		id, ok := s.index[h]
+		if !ok || id != uint64(i) {
+			t.Fatalf("block %d: id = %d, %v, want its connect order", i, id, ok)
+		}
+		if l := s.links[id]; l.height != b.Header.Height || (i > 0 && l.parent != id-1) {
+			t.Fatalf("block %d: link %+v, want height %d under block %d", i, l, b.Header.Height, i-1)
 		}
 		got, inWindow := s.Get(h), i > len(all)-1-BodyWindow
 		if inWindow && got != b {
@@ -125,30 +130,57 @@ func TestAddAtAcrossPrunedAncestry(t *testing.T) {
 	}
 }
 
-// The index value must stay inline in the map and invisible to the
-// collector: a field that makes it larger than 128 bytes boxes every entry
-// (one allocation per block), and a pointer makes the whole index scannable.
+// The index maps a hash to an 8-byte id and the links slab holds 16 bytes a
+// block, both pointer-free: the collector never scans either, and a field
+// added to a link costs every block ever connected.
 func TestIndexEntryIsSmallAndPointerFree(t *testing.T) {
-	if size := unsafe.Sizeof(indexEntry{}); size > 128 {
-		t.Fatalf("indexEntry is %d bytes; over 128 the map stores a pointer to it", size)
+	var s Store
+	if typ := reflect.TypeOf(s.index).Elem(); typ.Kind() != reflect.Uint64 {
+		t.Fatalf("the index maps a hash to a %s, want the uint64 id", typ)
 	}
-	var check func(path string, typ reflect.Type)
-	check = func(path string, typ reflect.Type) {
-		switch typ.Kind() {
-		case reflect.Struct:
-			for i := 0; i < typ.NumField(); i++ {
-				check(path+"."+typ.Field(i).Name, typ.Field(i).Type)
-			}
-		case reflect.Array:
-			check(path+"[]", typ.Elem())
-		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
-			reflect.Float32, reflect.Float64:
-		default:
-			t.Errorf("%s is a %s, which holds a pointer", path, typ.Kind())
+	if size := unsafe.Sizeof(link{}); size != 16 {
+		t.Fatalf("link is %d bytes, want 16", size)
+	}
+	typ := reflect.TypeOf(link{})
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.Type.Kind() != reflect.Uint64 {
+			t.Errorf("link.%s is a %s, want a uint64", f.Name, f.Type)
 		}
 	}
-	check("indexEntry", reflect.TypeOf(indexEntry{}))
+}
+
+// A block that has left the body window costs the store its index entry and
+// its link only, about 100 bytes with the map's slack. A block that also kept
+// its header (92 bytes encoded) would cost more than the limit.
+func TestStoreBytesPerBlock(t *testing.T) {
+	const blocks, limit = 70_000, 160
+	s, g := newTestStore(t, "bytes")
+	prev := g
+	add := func(n int) {
+		for i := 0; i < n; i++ {
+			b := NewBlock(prev, nil, time.UnixMilli(int64(prev.Header.Height)), prev.Header.Height)
+			if _, err := s.Add(b, b.Header.Hash()); err != nil {
+				t.Fatal(err)
+			}
+			prev = b
+		}
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	add(BodyWindow)
+	before := heap()
+	add(blocks)
+	after := heap()
+	perBlock := (float64(after) - float64(before)) / blocks
+	t.Logf("%.1f bytes a block over %d blocks past the body window", perBlock, blocks)
+	if perBlock > limit {
+		t.Fatalf("the store grows %.1f bytes a block, want at most %d", perBlock, limit)
+	}
+	runtime.KeepAlive(s)
 }
 
 // A store's heap is its index plus a window of bodies, not the chain.

@@ -192,6 +192,19 @@ func TestBlockPropagationLine(t *testing.T) {
 	}
 }
 
+// A block the wire cannot carry is refused at mining, not stored and then
+// announced: a peer asking for it would lose its connection when the write
+// loop failed to encode it.
+func TestMineBlockRefusesUnencodableBlock(t *testing.T) {
+	a := startNode(t, 23, nil)
+	if blk, err := a.MineBlock([][]byte{make([]byte, chain.MaxTxSize+1)}); err == nil {
+		t.Fatalf("MineBlock returned a block at height %d with a transaction over MaxTxSize", blk.Header.Height)
+	}
+	if h := a.Store().Height(); h != 0 {
+		t.Fatalf("height %d after a refused block, want 0", h)
+	}
+}
+
 func TestBlockPropagationMesh(t *testing.T) {
 	const size = 6
 	nodes := make([]*Node, size)

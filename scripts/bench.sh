@@ -109,9 +109,8 @@ gate MicroWireReadInv 2
 gate MicroWireReadBlock1K 4
 gate_bytes MicroWireReadBlock1K 1256
 # The live store: validating a four-transaction block hashes its Merkle
-# tree in a stack array, the header index keeps its entries inline in the
-# map (a value over 128 bytes would be boxed, one allocation per block) and
-# the body ring is allocated once, so any allocation is a regression.
+# tree in a stack array, the index and the link slab grow only now and then
+# and the body ring is allocated once, so any allocation is a regression.
 gate MicroStoreAdd 0
 # Decision tracing is off in every Micro case; this ceiling pins the
 # untraced engine round so the tracing hooks stay branch-only on the hot
