@@ -651,10 +651,10 @@ func MicroWireRead(m wire.Message) func(b *testing.B) {
 // MicroStoreAdd measures what a live node's store pays per received block:
 // chain.Store.Add of a block of the live benchmark's shape on top of a chain
 // 10 000 blocks deep, so the body ring is turning over and the index and its
-// links are past their first growths. The blocks are linked before the timer starts
-// and share one transaction list; allocs/op is then zero: CheckBlock
-// hashes the Merkle tree on the stack, the index and the ring allocate
-// nothing per block, and Add's result names no unstashed block.
+// links are past their first growths. The blocks are linked before the timer
+// starts and share one transaction list; allocs/op is then zero: CheckBlock
+// hashes the Merkle tree on the stack, the index, the links and the ring
+// allocate nothing per block, and Add's result names no unstashed block.
 func MicroStoreAdd(b *testing.B) {
 	const depth = 10_000
 	genesis := chain.NewGenesis("bench")

@@ -10,9 +10,9 @@
 // the map's slack), and holds block bodies only for the last BodyWindow
 // connected blocks and the tip. Relay and Perigee's observation window
 // never read deeper, so a body past the window is dropped and Get answers
-// nil for it exactly as for an unknown hash. What this gives up is archive sync: a peer more than
-// BodyWindow blocks behind cannot fetch the chain from such a node one
-// GETDATA at a time.
+// nil for it exactly as for an unknown hash. What this gives up is archive
+// sync: a peer more than BodyWindow blocks behind cannot fetch the chain
+// from such a node one GETDATA at a time.
 package chain
 
 import (

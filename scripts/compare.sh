@@ -7,9 +7,10 @@
 # The base is checked out with `git worktree add` into a temporary directory
 # (under $TMPDIR), which is removed on exit. For each workload (every one in
 # BENCHMARK.json unless -w names some; -w repeats) it runs pair 1..pairs
-# (default 5), the base first and then the working tree, with seed = pair
-# index, `--seconds <run_seconds> --trace 0`; each side builds and runs its
-# own benchmark/run.sh. --smoke passes -smoke (tiny sizes, seconds a run) to
+# (default 5), base and working tree one after the other, the base first in
+# odd pairs and second in even ones, with seed = pair index,
+# `--seconds <run_seconds> --trace 0`; each side builds and runs its own
+# benchmark/run.sh. --smoke passes -smoke (tiny sizes, seconds a run) to
 # both, which checks the script and not the code.
 #
 # It prints, per workload and end-to-end metric, every pair's base and
@@ -56,7 +57,9 @@ raw="$tmp/runs.jsonl"
 failed=0
 for workload in "${workloads[@]}"; do
   for pair in $(seq 1 "$pairs"); do
-    for side in base change; do
+    sides=(base change)
+    (( pair % 2 == 1 )) || sides=(change base)
+    for side in "${sides[@]}"; do
       dir="$root"
       [[ "$side" == base ]] && dir="$tmp/base"
       echo "compare: $workload pair $pair $side" >&2
