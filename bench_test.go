@@ -355,5 +355,5 @@ func BenchmarkMicroWireReadBlock1K(b *testing.B) { bench.MicroWireRead(bench.Wir
 // BenchmarkMicroStoreAdd measures chain.Store.Add of a 1 KB block on a
 // 10k-deep chain, the store's share of a live relay hop. scripts/bench.sh
 // holds allocs/op at zero: validation hashes the Merkle tree on the stack,
-// and the index, its links and the body ring allocate nothing per block.
+// and the index, the tree and the body ring allocate nothing per block.
 func BenchmarkMicroStoreAdd(b *testing.B) { bench.MicroStoreAdd(b) }

@@ -1,14 +1,16 @@
 // Package chain is a minimal but real blockchain substrate: SHA-256 linked
 // block headers with Merkle transaction roots, canonical binary encoding,
-// a thread-safe store with longest-chain fork choice and an orphan stash,
-// and a Poisson mining schedule. The live p2p node (internal/p2p) gossips
-// these blocks; the abstract simulator does not need them.
+// a Poisson mining schedule, the block Tree that owns longest-chain,
+// first-seen fork choice and reorg depth, and a thread-safe store built on
+// it with an orphan stash. The live p2p node (internal/p2p) gossips these
+// blocks; the workload engine's simulated nodes (internal/workload) share
+// one Tree and need no blocks.
 //
 // The store is sized for a node that runs for ever: it keeps every connected
-// block as an id, its connect order, under its hash, with a link to its
-// parent's id and its height (pointer-free, about 100 bytes a block with
-// the map's slack), and holds block bodies only for the last BodyWindow
-// connected blocks and the tip. Relay and Perigee's observation window
+// block as an int32 id, its connect order, under its hash, with its tree
+// entry (pointer-free, about 80 bytes a block with the map's slack), and
+// holds block bodies only for the last BodyWindow connected blocks and the
+// tip. Relay and Perigee's observation window
 // never read deeper, so a body past the window is dropped and Get answers
 // nil for it exactly as for an unknown hash. What this gives up is archive
 // sync: a peer more than BodyWindow blocks behind cannot fetch the chain

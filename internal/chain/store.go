@@ -32,44 +32,26 @@ const MaxOrphans = 1 << 12
 // holds MaxOrphans blocks cannot reach it either.
 const BodyWindow = 1 << 12
 
-// seenKey orders blocks by observation for first-seen fork resolution.
-// The live path (Add) stamps blocks with a monotone sequence under the
-// store lock; the simulation path (AddAt) stamps them with a caller-supplied
-// simulated timestamp, falling back to the block hash so the resolved tip is
-// a pure function of the offered (block, time) set — independent of the
-// order, interleaving, or worker count with which blocks were offered.
-type seenKey struct {
-	at  time.Duration
-	seq uint64
-}
-
-// seenBefore reports whether block ah, seen at a, was seen strictly earlier
-// than block bh, seen at b.
-func seenBefore(a seenKey, ah Hash, b seenKey, bh Hash) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.seq != b.seq {
-		return a.seq < b.seq
-	}
-	return bytes.Compare(ah[:], bh[:]) < 0
-}
-
-// link is what the store keeps of a connected block for ever besides its
-// hash: its parent's id and its height. A block's id is its connect order
-// (genesis is 0), which also locates its body in the ring while it is there.
-// Links are pointer-free, so the collector never scans the slab.
-type link struct {
-	parent uint64
-	height uint64
-}
-
-// stashed is a validated block with its hash and stamp, as the orphan stash
-// holds it.
+// stashed is a validated block with its hash, as the orphan stash holds it,
+// and, when AddAt offered it, the time it was seen.
 type stashed struct {
 	block *Block
 	hash  Hash
-	seen  seenKey
+	at    time.Duration
+	timed bool
+}
+
+// seenBefore reports whether e was seen strictly before a block with hash h
+// seen at at: the earlier time first, then the lower hash. An Add-fed block
+// has no time and is never first: ties keep the tip, siblings arrival order.
+func (e *stashed) seenBefore(at time.Duration, h Hash) bool {
+	if !e.timed {
+		return false
+	}
+	if e.at != at {
+		return e.at < at
+	}
+	return bytes.Compare(e.hash[:], h[:]) < 0
 }
 
 // Added describes what Add did with an offered block.
@@ -106,23 +88,20 @@ type AddResult struct {
 // tip deterministic under any concurrent interleaving. A store is fed
 // through one of the two.
 //
-// The store keeps every connected block for ever as an id (its connect
-// order), a map entry from its hash to that id and a link to its parent's id
-// with its height: about 100 bytes a block. It keeps the bodies of the last
-// BodyWindow connected blocks, plus the tip's, and only the tip's
-// observation stamp. Fork choice compares a new block with the tip alone,
-// and duplicate detection and reorg depth read hashes, heights and parents,
-// so nothing else of a block outlives its body.
+// The store is a Tree, which owns fork choice and the reorg walk, under a
+// map from each connected block's hash to its id: about 80 bytes a block,
+// kept for ever. It keeps the bodies of the last BodyWindow connected
+// blocks, plus the tip's, and only the tip's observation time, so nothing
+// else of a block outlives its body.
 type Store struct {
 	mu      sync.RWMutex
-	index   map[Hash]uint64 // hash to id
-	links   []link          // by id
-	bodies  []*Block        // ring: block id sits at id % BodyWindow
+	tree    *Tree
+	index   map[Hash]int32 // hash to id
+	bodies  []*Block       // ring: block id sits at id % BodyWindow
 	tip     Hash
-	tipID   uint64
-	tipSeen seenKey
+	tipID   int32
+	tipAt   time.Duration
 	tipBody *Block
-	seq     uint64
 	// orphans stashes offered blocks waiting for their parent, keyed by
 	// the missing parent hash; orphanSet indexes every stashed hash.
 	orphans   map[Hash][]stashed
@@ -139,8 +118,8 @@ func NewStore(genesis *Block) (*Store, error) {
 	}
 	h := genesis.Header.Hash()
 	s := &Store{
-		index:     map[Hash]uint64{h: 0},
-		links:     []link{{}},
+		tree:      NewTree(1),
+		index:     map[Hash]int32{h: 0},
 		bodies:    make([]*Block, BodyWindow),
 		tip:       h,
 		tipBody:   genesis,
@@ -162,8 +141,7 @@ func (s *Store) Add(b *Block, h Hash) (Added, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.seq++
-	return s.addLocked(stashed{block: b, hash: h, seen: seenKey{seq: s.seq}})
+	return s.addLocked(stashed{block: b, hash: h})
 }
 
 // AddAt offers a block observed at the given simulated timestamp, as Add
@@ -180,22 +158,19 @@ func (s *Store) AddAt(b *Block, seen time.Duration) (AddResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	oldTip := s.tipID
-	added, err := s.addLocked(stashed{block: b, hash: h, seen: seenKey{at: seen}})
+	added, err := s.addLocked(stashed{block: b, hash: h, at: seen, timed: true})
 	if err != nil || added.Stashed {
 		return AddResult{Stashed: err == nil}, err
 	}
 	res := AddResult{Connected: 1 + len(added.Unstashed)}
 	if s.tipID != oldTip {
 		res.TipChanged = true
-		res.ReorgDepth = s.reorgDepthLocked(oldTip, s.tipID)
+		res.ReorgDepth = s.tree.ReorgDepth(oldTip, s.tipID)
 	}
 	return res, nil
 }
 
-// addLocked is Add and AddAt once the block is validated and stamped. A
-// block Add stashed (seen.seq set) is stamped again when it connects: its
-// arrival orders it among its siblings, its connect times it for the tie
-// rule.
+// addLocked is Add and AddAt once the block is validated.
 func (s *Store) addLocked(e stashed) (Added, error) {
 	if _, dup := s.index[e.hash]; dup {
 		return Added{}, fmt.Errorf("%w: %s", ErrDuplicateBlock, e.hash)
@@ -212,7 +187,7 @@ func (s *Store) addLocked(e stashed) (Added, error) {
 		s.orphanSet[e.hash] = struct{}{}
 		return Added{Stashed: true}, nil
 	}
-	if height, ph := e.block.Header.Height, s.links[parent].height; height != ph+1 {
+	if height, ph := e.block.Header.Height, uint64(s.tree.Height(parent)); height != ph+1 {
 		return Added{}, fmt.Errorf("%w: %d after parent %d", ErrBadHeight, height, ph)
 	}
 	s.linkLocked(e, parent)
@@ -222,13 +197,9 @@ func (s *Store) addLocked(e stashed) (Added, error) {
 		c := waiting[len(waiting)-1]
 		waiting = waiting[:len(waiting)-1]
 		// A dropped block's children find no parent and are dropped too.
-		if parent, ok := s.index[c.block.Header.PrevHash]; !ok || c.block.Header.Height != s.links[parent].height+1 {
+		if parent, ok := s.index[c.block.Header.PrevHash]; !ok || c.block.Header.Height != uint64(s.tree.Height(parent))+1 {
 			added.Dropped = append(added.Dropped, c.hash)
 		} else {
-			if c.seen.seq != 0 {
-				s.seq++
-				c.seen.seq = s.seq
-			}
 			s.linkLocked(c, parent)
 			added.Unstashed = append(added.Unstashed, c.hash)
 		}
@@ -237,18 +208,16 @@ func (s *Store) addLocked(e stashed) (Added, error) {
 	return added, nil
 }
 
-// linkLocked connects a block under its connected parent: it gives the block
-// the next id, links it to its parent, puts the body in the ring (over the
-// body connected BodyWindow blocks ago) and advances the tip by the
-// longest-chain/first-seen rule.
-func (s *Store) linkLocked(e stashed, parent uint64) {
-	id, height := uint64(len(s.links)), e.block.Header.Height
+// linkLocked connects a block under its connected parent: it adds the block
+// to the tree, indexes its hash by its id, puts the body in the ring (over
+// the body connected BodyWindow blocks ago) and lets the tree advance the
+// tip.
+func (s *Store) linkLocked(e stashed, parent int32) {
+	id := s.tree.Add(parent)
 	s.index[e.hash] = id
-	s.links = append(s.links, link{parent: parent, height: height})
 	s.bodies[id%BodyWindow] = e.block
-	if tipHeight := s.links[s.tipID].height; height > tipHeight ||
-		(height == tipHeight && seenBefore(e.seen, e.hash, s.tipSeen, s.tip)) {
-		s.tip, s.tipID, s.tipSeen, s.tipBody = e.hash, id, e.seen, e.block
+	if s.tree.Advance(&s.tipID, id, e.seenBefore(s.tipAt, s.tip)) {
+		s.tip, s.tipAt, s.tipBody = e.hash, e.at, e.block
 	}
 }
 
@@ -261,7 +230,7 @@ func (s *Store) unstashLocked(h Hash, stack []stashed) []stashed {
 	}
 	delete(s.orphans, h)
 	for i := 1; i < len(waiting); i++ {
-		for j := i; j > 0 && seenBefore(waiting[j].seen, waiting[j].hash, waiting[j-1].seen, waiting[j-1].hash); j-- {
+		for j := i; j > 0 && waiting[j].seenBefore(waiting[j-1].at, waiting[j-1].hash); j-- {
 			waiting[j], waiting[j-1] = waiting[j-1], waiting[j]
 		}
 	}
@@ -270,26 +239,6 @@ func (s *Store) unstashLocked(h Hash, stack []stashed) []stashed {
 		stack = append(stack, waiting[i])
 	}
 	return stack
-}
-
-// reorgDepthLocked counts the blocks on old's branch abandoned by moving
-// the tip to new: the distance from old back to the two branches' common
-// ancestor (0 when old is an ancestor of new). It walks parent links, so the
-// branches may be deeper than the body window.
-func (s *Store) reorgDepthLocked(old, new uint64) int {
-	for s.links[new].height > s.links[old].height {
-		new = s.links[new].parent
-	}
-	depth := 0
-	for s.links[old].height > s.links[new].height {
-		old = s.links[old].parent
-		depth++
-	}
-	for old != new {
-		old, new = s.links[old].parent, s.links[new].parent
-		depth++
-	}
-	return depth
 }
 
 // Has reports whether the block is stored (connected; stashed orphans
@@ -311,7 +260,7 @@ func (s *Store) Get(h Hash) *Block {
 	switch {
 	case !ok:
 		return nil
-	case uint64(len(s.links))-id <= BodyWindow:
+	case s.tree.Len()-int(id) <= BodyWindow:
 		return s.bodies[id%BodyWindow]
 	case id == s.tipID:
 		return s.tipBody

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"testing"
 	"time"
-	"unsafe"
 )
 
 // Every connected block keeps its id, height and parent link for ever; bodies
@@ -29,11 +28,11 @@ func TestStoreKeepsLinksAndRecentBodies(t *testing.T) {
 			t.Fatalf("block %d: Has is false", i)
 		}
 		id, ok := s.index[h]
-		if !ok || id != uint64(i) {
+		if !ok || id != int32(i) {
 			t.Fatalf("block %d: id = %d, %v, want its connect order", i, id, ok)
 		}
-		if l := s.links[id]; l.height != b.Header.Height || (i > 0 && l.parent != id-1) {
-			t.Fatalf("block %d: link %+v, want height %d under block %d", i, l, b.Header.Height, i-1)
+		if height, parent := s.tree.Height(id), s.tree.Parent(id); uint64(height) != b.Header.Height || (i > 0 && parent != id-1) {
+			t.Fatalf("block %d: height %d under block %d, want height %d under block %d", i, height, parent, b.Header.Height, i-1)
 		}
 		got, inWindow := s.Get(h), i > len(all)-1-BodyWindow
 		if inWindow && got != b {
@@ -83,8 +82,9 @@ func TestTipKeepsItsBodyPastTheWindow(t *testing.T) {
 	}
 }
 
-// Fork choice and reorg depth read headers only, so they work across
-// ancestry whose bodies are gone, in whatever order the branches arrive.
+// Fork choice and reorg depth read the tree's ids, heights and parent links
+// only, so they work across ancestry whose bodies are gone, in whatever
+// order the branches arrive.
 func TestAddAtAcrossPrunedAncestry(t *testing.T) {
 	const length = BodyWindow + 10
 	g := NewGenesis("pruned-reorg")
@@ -130,28 +130,26 @@ func TestAddAtAcrossPrunedAncestry(t *testing.T) {
 	}
 }
 
-// The index maps a hash to an 8-byte id and the links slab holds 16 bytes a
-// block, both pointer-free: the collector never scans either, and a field
-// added to a link costs every block ever connected.
+// The index maps a hash to a 4-byte id and the tree keeps a parent and a
+// height in two []int32 slabs, 8 bytes a block, all pointer-free: the
+// collector never scans them, and a field added to the tree costs every
+// block ever connected.
 func TestIndexEntryIsSmallAndPointerFree(t *testing.T) {
 	var s Store
-	if typ := reflect.TypeOf(s.index).Elem(); typ.Kind() != reflect.Uint64 {
-		t.Fatalf("the index maps a hash to a %s, want the uint64 id", typ)
+	if typ := reflect.TypeOf(s.index).Elem(); typ.Kind() != reflect.Int32 {
+		t.Fatalf("the index maps a hash to a %s, want the int32 id", typ)
 	}
-	if size := unsafe.Sizeof(link{}); size != 16 {
-		t.Fatalf("link is %d bytes, want 16", size)
-	}
-	typ := reflect.TypeOf(link{})
+	typ := reflect.TypeOf(Tree{})
 	for i := 0; i < typ.NumField(); i++ {
-		if f := typ.Field(i); f.Type.Kind() != reflect.Uint64 {
-			t.Errorf("link.%s is a %s, want a uint64", f.Name, f.Type)
+		if f := typ.Field(i); f.Type != reflect.TypeOf([]int32(nil)) {
+			t.Errorf("Tree.%s is a %s, want a []int32 slab", f.Name, f.Type)
 		}
 	}
 }
 
 // A block that has left the body window costs the store its index entry and
-// its link only, about 100 bytes with the map's slack. A block that also kept
-// its header (92 bytes encoded) would cost more than the limit.
+// its tree entry only, about 80 bytes with the map's slack. A block that
+// also kept its header (92 bytes encoded) would cost more than the limit.
 func TestStoreBytesPerBlock(t *testing.T) {
 	const blocks, limit = 70_000, 160
 	s, g := newTestStore(t, "bytes")

@@ -1,6 +1,7 @@
 package p2p
 
 import (
+	"bytes"
 	"fmt"
 	"net"
 	"slices"
@@ -190,6 +191,45 @@ func TestGetAddrRateLimited(t *testing.T) {
 	waitFor(t, "spam charge", time.Second, func() bool {
 		return n.Book().score(spammer) > 0
 	})
+}
+
+// TestGreetingPrecedesReplies pins the greeting's place on a new
+// connection: a peer whose VERACK and first GETADDR reach the node in one
+// write reads the node's one-entry self-announce before the GETADDR's
+// answer. A greeting queued after the read loop starts can lose that race,
+// and its late one-entry ADDR then looks like an answer past the rate limit.
+func TestGreetingPrecedesReplies(t *testing.T) {
+	n := startNode(t, 7715, nil)
+	fillBook(n, 50)
+	for i := 0; i < 8; i++ {
+		conn, err := net.DialTimeout("tcp", n.Addr(), time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetDeadline(time.Now().Add(2 * time.Second))
+		local := &wire.Version{Protocol: wire.ProtocolVersion, NodeID: uint64(0x6EE7 + i), Nonce: 1}
+		if err := wire.Write(conn, local); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := wire.Read(conn); err != nil {
+			t.Fatal(err)
+		}
+		var both bytes.Buffer
+		if err := wire.Write(&both, &wire.Verack{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := wire.Write(&both, &wire.GetAddr{}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(both.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		first := readUntil[*wire.Addr](t, conn)
+		if len(first.Addrs) != 1 || first.Addrs[0].Addr != n.Addr() {
+			t.Fatalf("connection %d: first ADDR holds %d entries, want the self-announce of %s", i, len(first.Addrs), n.Addr())
+		}
+		_ = conn.Close()
+	}
 }
 
 // TestAddrIngestionValidated pins the poisoning fixes on the receive

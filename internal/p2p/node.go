@@ -681,6 +681,17 @@ func (n *Node) setupPeer(conn net.Conn, dir Direction, dialedAddr string) error 
 	}
 	n.logf("connected %s via %s", p, conn.RemoteAddr())
 
+	// Seed discovery and sync: announce our own listen address, ask for
+	// an address sample, and announce our tip unless that would relay a
+	// received block early or at all (see showsTip), all before any reply.
+	n.announceSelf(p)
+	p.noteGetAddrSent()
+	p.send(&wire.GetAddr{})
+	if tip := n.store.Tip(); tip.Header.Height > 0 {
+		if h := tip.Header.Hash(); n.showsTip(h) {
+			p.send(&wire.Inv{Hashes: []chain.Hash{h}})
+		}
+	}
 	n.wg.Add(2)
 	go func() {
 		defer n.wg.Done()
@@ -690,17 +701,6 @@ func (n *Node) setupPeer(conn net.Conn, dir Direction, dialedAddr string) error 
 		defer n.wg.Done()
 		n.readLoop(p)
 	}()
-	// Seed discovery and sync: announce our own listen address, ask for
-	// an address sample, and announce our tip unless that would relay a
-	// received block early or at all (see showsTip).
-	n.announceSelf(p)
-	p.noteGetAddrSent()
-	p.send(&wire.GetAddr{})
-	if tip := n.store.Tip(); tip.Header.Height > 0 {
-		if h := tip.Header.Hash(); n.showsTip(h) {
-			p.send(&wire.Inv{Hashes: []chain.Hash{h}})
-		}
-	}
 	return nil
 }
 

@@ -85,7 +85,7 @@ func (cfg *Config) validate() error {
 // before it drains the trace again; the update (TimedRound.Finish), and with
 // it the engine's Observer and Dynamics, stays on the caller's goroutine.
 //
-// The canonical chain is one more reading of the views' block tree: the
+// The canonical chain is one more tip on the views' block tree: the
 // longest chain wins, and an equal height, exact mining-time ties included,
 // goes to the first-mined block. Blocks off that chain are stale; their
 // miners earn nothing.
@@ -200,18 +200,16 @@ func newChainState(n int) *chainState {
 // replay runs a batch's mining events in simulated-time order: before each
 // one the deliveries strictly before it land, the miner extends its view's
 // tip, and the new block is queued to every other node it reaches at mining
-// time plus its arrival delay. The canonical tip moves to a new block only
-// when it is strictly higher, the rule every view applies; its moves are
-// not reorgs of any node.
+// time plus its arrival delay. The tree moves the canonical tip as it moves
+// every view's, to a strictly higher block only; those moves are not reorgs
+// of any node and are not counted.
 func (c *chainState) replay(batchAt []time.Duration, sources []int, arrivals [][]time.Duration) {
 	for k, at := range batchAt {
 		c.inbox.drainUntil(at, c.views.deliver)
 		miner := sources[k]
-		id := c.views.addBlock(c.views.tip[miner])
+		id := c.views.tree.Add(c.views.tip[miner])
 		c.minedBy = append(c.minedBy, int32(miner))
-		if c.views.height[id] > c.views.height[c.canon] {
-			c.canon = id
-		}
+		c.views.tree.Advance(&c.canon, id, false)
 		c.views.deliver(miner, id)
 		for node, d := range arrivals[k] {
 			if node == miner || d >= stats.InfDuration {
@@ -236,7 +234,8 @@ func buildReport(cfg Config, n int, power []float64, views *views, minedBy []int
 	}
 
 	canonical := 0
-	for id := canon; id > 0; id = views.parent[id] {
+	tree := views.tree
+	for id := canon; id > 0; id = tree.Parent(id) {
 		rep.Revenue[minedBy[id]]++
 		canonical++
 	}
@@ -244,9 +243,9 @@ func buildReport(cfg Config, n int, power []float64, views *views, minedBy []int
 	rep.StaleBlocks = mined - canonical
 
 	// Fork events: blocks (genesis included) with two or more children.
-	children := make([]int, len(views.parent))
-	for id := 1; id < len(views.parent); id++ {
-		children[views.parent[id]]++
+	children := make([]int, tree.Len())
+	for id := 1; id < len(children); id++ {
+		children[tree.Parent(int32(id))]++
 	}
 	for _, c := range children {
 		if c >= 2 {

@@ -420,7 +420,7 @@ func heapRun(cfg Config) (*Report, error) {
 			drainUntil(at)
 			miner := sources[k]
 			parent := views.tip[miner]
-			id := views.addBlock(parent)
+			id := views.tree.Add(parent)
 			blk := chain.NewBlock(blocks[parent], nil, epoch.Add(at), uint64(id))
 			blocks = append(blocks, blk)
 			minedBy = append(minedBy, int32(miner))

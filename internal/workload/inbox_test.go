@@ -41,14 +41,14 @@ func TestInboxDeliveryAtBoundStaysQueued(t *testing.T) {
 	v := newViews(2)
 	in := newInboxes(2)
 	const at = 300 * time.Millisecond
-	b := v.addBlock(0)
+	b := v.tree.Add(0)
 	v.deliver(0, b)
 	in.push(1, at, b)
 	in.drainUntil(at, v.deliver)
 	if v.tip[1] != 0 || in.pending != 1 {
 		t.Fatalf("delivery at the bound landed: tip %d, %d pending", v.tip[1], in.pending)
 	}
-	own := v.addBlock(v.tip[1]) // node 1 mines on genesis: a fork
+	own := v.tree.Add(v.tip[1]) // node 1 mines on genesis: a fork
 	v.deliver(1, own)
 	in.drainUntil(at+1, v.deliver)
 	if v.tip[1] != own || in.pending != 0 {

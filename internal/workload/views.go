@@ -1,23 +1,24 @@
 package workload
 
-import "slices"
+import (
+	"slices"
+
+	"github.com/perigee-net/perigee/internal/chain"
+)
 
 // views holds every node's longest-chain first-seen view over the run's
-// shared block metadata. A naive implementation would give each of n nodes
+// shared block tree. A naive implementation would give each of n nodes
 // its own chain.Store holding real blocks — n copies of hashes and headers
 // for data that differs only in arrival order. Instead blocks are interned
-// once into flat metadata arrays (parent, height, miner) and each node
-// keeps just a tip pointer, a received bitset, and a small stash of blocks
-// waiting for a parent, at a few bits per (node, block) instead of a store
-// per node. Two tests hold the views to real per-node stores on random
-// block DAGs with children beating parents: FuzzViewsMatchLiveStore agrees
-// on every tip with Store.Add, which stashes and unstashes orphans as a
-// live node does, and TestViewsMatchChainStores with Store.AddAt on
-// distinct arrival times.
+// once into a chain.Tree, as a live store keeps them, and each node keeps a
+// tip, a received bitset, and a small stash of blocks waiting for a parent,
+// at a few bits per (node, block) instead of a store per node. Two tests
+// hold the views to real per-node stores on random block DAGs with children
+// beating parents: FuzzViewsMatchLiveStore agrees on every tip with
+// Store.Add, which stashes and unstashes orphans as a live node does, and
+// TestViewsMatchChainStores with Store.AddAt on distinct arrival times.
 type views struct {
-	// Shared block metadata, indexed by block id (0 = genesis).
-	parent []int32
-	height []int32
+	tree *chain.Tree // the run's blocks, by id (0 = genesis)
 
 	// Per-node state.
 	tip   []int32    // id of the node's current best block
@@ -31,26 +32,16 @@ type views struct {
 
 func newViews(n int) *views {
 	v := &views{
-		parent: make([]int32, 1, 64),
-		height: make([]int32, 1, 64),
-		tip:    make([]int32, n),
-		have:   make([][]uint64, n),
-		stash:  make([][]int32, n),
+		tree:  chain.NewTree(64),
+		tip:   make([]int32, n),
+		have:  make([][]uint64, n),
+		stash: make([][]int32, n),
 	}
-	v.parent[0] = -1 // genesis
 	for i := range v.have {
 		v.have[i] = make([]uint64, 1)
 		v.have[i][0] = 1 // everyone starts holding genesis
 	}
 	return v
-}
-
-// addBlock interns a new block's metadata and returns its id.
-func (v *views) addBlock(parent int32) int32 {
-	id := int32(len(v.parent))
-	v.parent = append(v.parent, parent)
-	v.height = append(v.height, v.height[parent]+1)
-	return id
 }
 
 func (v *views) has(node int, b int32) bool {
@@ -73,7 +64,7 @@ func (v *views) deliver(node int, b int32) {
 	if v.has(node, b) {
 		return
 	}
-	if !v.has(node, v.parent[b]) {
+	if !v.has(node, v.tree.Parent(b)) {
 		for _, c := range v.stash[node] {
 			if c == b {
 				return
@@ -91,10 +82,10 @@ func (v *views) deliver(node int, b int32) {
 // land there), so each step rescans it.
 func (v *views) connect(node int, b int32) {
 	v.mark(node, b)
-	v.maybeAdvanceTip(node, b)
+	v.advance(node, b)
 	for {
 		st := v.stash[node]
-		i := slices.IndexFunc(st, func(c int32) bool { return v.parent[c] == b })
+		i := slices.IndexFunc(st, func(c int32) bool { return v.tree.Parent(c) == b })
 		if i < 0 {
 			return
 		}
@@ -104,36 +95,16 @@ func (v *views) connect(node int, b int32) {
 	}
 }
 
-// maybeAdvanceTip applies the longest-chain first-seen rule: the tip moves
-// only to a strictly higher block, so an equal-height rival connected later
-// never displaces it. A move that abandons previously-canonical blocks is a
-// reorg of that depth.
-func (v *views) maybeAdvanceTip(node int, b int32) {
+// advance moves node's tip to b by the tree's rule, on a strictly higher
+// block only: an equal-height rival connected later never displaces it. A
+// move that abandons blocks of the old branch is a reorg of that depth.
+func (v *views) advance(node int, b int32) {
 	old := v.tip[node]
-	if v.height[b] <= v.height[old] {
+	if !v.tree.Advance(&v.tip[node], b, false) {
 		return
 	}
-	v.tip[node] = b
-	if v.parent[b] == old {
-		return // plain extension, the common case
-	}
-	// Walk b back to old's height, then both back to the common ancestor;
-	// the old-branch distance is the reorg depth (0 when old is an
-	// ancestor of b, e.g. after connecting a stashed multi-block cascade).
-	a := b
-	for v.height[a] > v.height[old] {
-		a = v.parent[a]
-	}
-	depth := 0
-	for a != old {
-		a = v.parent[a]
-		old = v.parent[old]
-		depth++
-	}
-	if depth > 0 {
+	if depth := v.tree.ReorgDepth(old, b); depth > 0 {
 		v.reorgs++
-		if depth > v.maxDepth {
-			v.maxDepth = depth
-		}
+		v.maxDepth = max(v.maxDepth, depth)
 	}
 }

@@ -26,7 +26,7 @@ func randomDeliveries(r *rand.Rand, v *views, genesis *chain.Block, nodes, block
 	now := time.Duration(0)
 	for b := 1; b <= blocks; b++ {
 		parent := int32(r.Intn(b))
-		id := v.addBlock(parent)
+		id := v.tree.Add(parent)
 		real = append(real, chain.NewBlock(real[parent], nil, time.UnixMilli(int64(b)), uint64(b)))
 		for _, node := range r.Perm(nodes) {
 			now += time.Millisecond

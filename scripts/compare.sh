@@ -14,8 +14,10 @@
 # both, which checks the script and not the code.
 #
 # It prints, per workload and end-to-end metric, every pair's base and
-# change values, both medians and how many pairs the change wins, the
-# direction taken from BENCHMARK.json's "better". A pair whose
+# change values, both medians, the base's quartiles and how many pairs the
+# change wins, the direction taken from BENCHMARK.json's "better". A metric
+# whose change median is worse than the base median by more than its
+# relative "bound" in BENCHMARK.json is marked **worse**. A pair whose
 # propagation_ms_p50 differs in any digit is flagged: on the simulated
 # workloads no performance change may move it. It exits 1 when a run fails
 # or reports "correct": false, after printing what it has.
@@ -96,7 +98,7 @@ for workload in dict.fromkeys(r["workload"] for r in rows):
     if not ok:
         continue
     print("| metric | better | " + " | ".join(f"pair {p} base → change" for p in ok)
-          + " | base median | change median | change wins |")
+          + " | base median [q1, q3] | change median | change wins |")
     print("|---|---|" + "---|" * len(ok) + "---|---|---|")
     for m in spec["end_to_end"]:
         name, lower = m["name"], m["better"] == "lower"
@@ -109,9 +111,12 @@ for workload in dict.fromkeys(r["workload"] for r in rows):
             else:
                 cells.append(f"{b:.6g} → {c:.6g}")
         mb, mc = statistics.median(vals["base"]), statistics.median(vals["change"])
+        q1, _, q3 = statistics.quantiles(vals["base"], n=4, method="inclusive") if len(ok) > 1 else [mb] * 3
         rel = f" ({(mc - mb) / mb:+.1%})" if mb else ""
+        limit = mb * (1 + m["bound"] if lower else 1 - m["bound"])
+        worse = " **worse**" if (mc > limit if lower else mc < limit) else ""
         print(f"| `{name}` | {m['better']} | " + " | ".join(cells)
-              + f" | {mb:.6g} | {mc:.6g}{rel} | {wins}/{len(ok)} |")
+              + f" | {mb:.6g} [{q1:.6g}, {q3:.6g}] | {mc:.6g}{rel}{worse} | {wins}/{len(ok)} |")
 sys.exit(1 if bad else 0)
 PY
 exit "$failed"
