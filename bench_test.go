@@ -347,10 +347,16 @@ func BenchmarkMicroWireFrameBlock1K(b *testing.B) { bench.MicroWireFrame(bench.W
 
 // BenchmarkMicroWireRead* measure what its read loop pays per message
 // through the buffered wire.Reader; scripts/bench.sh holds allocs/op at the
-// decoded message's own (an Inv and its hash slice; a block, its
+// decoded message's own (an Inv with its hash in one object; a block, its
 // transaction list and one body buffer under a wire.Block).
 func BenchmarkMicroWireReadInv(b *testing.B)     { bench.MicroWireRead(bench.WireInv())(b) }
 func BenchmarkMicroWireReadBlock1K(b *testing.B) { bench.MicroWireRead(bench.WireBlock1K())(b) }
+
+// BenchmarkMicroRelayBlock1K measures a relaying node's wire per block: the
+// read above, then the block framed again on the checksum the reader
+// verified. scripts/bench.sh holds allocs/op at the read's plus the
+// RelayBlock.
+func BenchmarkMicroRelayBlock1K(b *testing.B) { bench.MicroRelayBlock1K(b) }
 
 // BenchmarkMicroStoreAdd measures chain.Store.Add of a 1 KB block on a
 // 10k-deep chain, the store's share of a live relay hop. scripts/bench.sh

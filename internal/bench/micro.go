@@ -648,6 +648,41 @@ func MicroWireRead(m wire.Message) func(b *testing.B) {
 	}
 }
 
+// MicroRelayBlock1K measures what a relaying node's wire pays per block:
+// reading one 1 KB BLOCK frame through a wire.Reader, which verifies its
+// checksum and decodes it, then framing it again into a reused buffer as the
+// RelayBlock a node serves, on the checksum the reader verified. One
+// SHA-256 of the payload in all; allocs/op is the decoded block's plus the
+// RelayBlock.
+func MicroRelayBlock1K(b *testing.B) {
+	frame, err := wire.AppendFrame(nil, WireBlock1K())
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := wire.NewReader(&loopReader{data: frame})
+	relay := func(buf []byte) []byte {
+		m, err := r.Read()
+		if err != nil {
+			b.Fatal(err)
+		}
+		out, err := wire.AppendFrame(buf[:0], &wire.RelayBlock{Block: m.(*wire.Block).Block, Sum: r.Checksum()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return out
+	}
+	buf := relay(nil)
+	if !bytes.Equal(buf, frame) {
+		b.Fatal("the relayed frame differs from the frame read")
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(len(frame)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = relay(buf)
+	}
+}
+
 // MicroStoreAdd measures what a live node's store pays per received block:
 // chain.Store.Add of a block of the live benchmark's shape on top of a chain
 // 10 000 blocks deep, so the body ring is turning over and the index and its

@@ -276,19 +276,20 @@ func NewGenesis(tag string) *Block {
 
 // NewBlock assembles a child of prev carrying the given transactions.
 func NewBlock(prev *Block, txs [][]byte, now time.Time, nonce uint64) *Block {
-	return newChild(prev.Header.Hash(), prev.Header.Height+1, txs, now, nonce)
+	b := newBody(txs, now, nonce)
+	b.Header.PrevHash, b.Header.Height = prev.Header.Hash(), prev.Header.Height+1
+	return b
 }
 
-// newChild assembles the block at the given height whose parent hashes to
-// prev, copying the transactions.
-func newChild(prev Hash, height uint64, txs [][]byte, now time.Time, nonce uint64) *Block {
+// newBody assembles a block carrying a copy of the transactions, its header
+// complete but for the parent's hash and the height. The Merkle root is
+// taken over the copy, the body the block keeps.
+func newBody(txs [][]byte, now time.Time, nonce uint64) *Block {
 	cp := append(make([][]byte, 0, len(txs)), txs...)
 	detachTxs(cp)
 	return &Block{
 		Header: Header{
 			Version:       1,
-			Height:        height,
-			PrevHash:      prev,
 			TxRoot:        MerkleRoot(cp),
 			TimeUnixMilli: now.UnixMilli(),
 			Nonce:         nonce,

@@ -275,13 +275,26 @@ func (s *Store) Tip() *Block {
 	return s.tipBody
 }
 
-// NewBlock assembles a child of the current tip, as the package's NewBlock
-// does, without hashing the tip's header again: the store indexes by it.
-func (s *Store) NewBlock(txs [][]byte, now time.Time, nonce uint64) *Block {
-	s.mu.RLock()
-	prev, height := s.tip, s.tipBody.Header.Height
-	s.mu.RUnlock()
-	return newChild(prev, height+1, txs, now, nonce)
+// Mine builds the child of the tip carrying a copy of txs and links it as
+// the new tip, returning the block and its header hash. The parent is read
+// and the child linked under one lock, so the tip cannot move in between,
+// and the block is not checked again: Mine enforces the limits CheckBlock
+// enforces (a breach is ErrInvalidBlock and leaves the store as it was) and
+// builds the rest valid, its Merkle root computed once over its own copy.
+func (s *Store) Mine(txs [][]byte, now time.Time, nonce uint64) (*Block, Hash, error) {
+	if _, err := encodedSize(txs); err != nil {
+		return nil, Hash{}, fmt.Errorf("%w: %w", ErrInvalidBlock, err)
+	}
+	b := newBody(txs, now, nonce)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b.Header.PrevHash, b.Header.Height = s.tip, s.tipBody.Header.Height+1
+	h := b.Header.Hash()
+	if _, dup := s.index[h]; dup {
+		return nil, Hash{}, fmt.Errorf("%w: %s", ErrDuplicateBlock, h)
+	}
+	s.linkLocked(stashed{block: b, hash: h}, s.tipID)
+	return b, h, nil
 }
 
 // Height returns the current best height.

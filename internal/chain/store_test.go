@@ -441,3 +441,74 @@ func TestAddWrapsInvalidBlock(t *testing.T) {
 		t.Fatalf("a well-formed block at the wrong height: %v", err)
 	}
 }
+
+// TestStoreMine: Mine refuses a body past the limits as an invalid block and
+// leaves the store as it was, builds a block CheckBlock accepts, and — run
+// it with -race — beside concurrent Adds of a competing branch always
+// extends the tip it read: every mined block is higher than every block
+// linked before it, which is what becoming the tip on connect means.
+func TestStoreMine(t *testing.T) {
+	s, g := newTestStore(t, "mine")
+	gh := g.Header.Hash()
+	if b, _, err := s.Mine([][]byte{make([]byte, MaxTxSize+1)}, time.UnixMilli(1), 1); !errors.Is(err, ErrInvalidBlock) || b != nil {
+		t.Fatalf("Mine of an oversize transaction = %v, %v; want nil, %v", b, err, ErrInvalidBlock)
+	}
+	if s.Tip() != g || s.tree.Len() != 1 || len(s.index) != 1 {
+		t.Fatalf("a refused Mine changed the store: tip %s, %d blocks", s.Tip().Header.Hash(), s.tree.Len())
+	}
+
+	txs := [][]byte{[]byte("a"), nil, []byte("ccc")}
+	b, h, err := s.Mine(txs, time.UnixMilli(2), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckBlock(b); err != nil {
+		t.Fatalf("mined block fails CheckBlock: %v", err)
+	}
+	if h != b.Header.Hash() || b.Header.PrevHash != gh || b.Header.Height != 1 {
+		t.Fatalf("mined block %+v (hash %s) does not extend genesis %s", b.Header, h, gh)
+	}
+	if s.Tip() != b || s.Get(h) != b {
+		t.Fatal("the mined block is not the stored tip")
+	}
+	txs[0][0] = 'x'
+	if b.Txs[0][0] != 'a' {
+		t.Fatal("the mined block shares the caller's transactions")
+	}
+
+	const blocks = 300
+	side := testChain(g, blocks, 1<<20)
+	mined := make([]Hash, 0, blocks)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for _, blk := range side {
+			if _, err := s.Add(blk, blk.Header.Hash()); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < blocks; i++ {
+			_, h, err := s.Mine(nil, time.UnixMilli(int64(i)), uint64(i))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			mined = append(mined, h)
+		}
+	}()
+	wg.Wait()
+	for _, h := range mined {
+		id := s.index[h]
+		for earlier := int32(0); earlier < id; earlier++ {
+			if s.tree.Height(earlier) >= s.tree.Height(id) {
+				t.Fatalf("mined block %s at height %d is not above block %d linked before it at height %d",
+					h, s.tree.Height(id), earlier, s.tree.Height(earlier))
+			}
+		}
+	}
+}

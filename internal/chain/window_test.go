@@ -70,12 +70,12 @@ func TestTipKeepsItsBodyPastTheWindow(t *testing.T) {
 	if s.Get(tip.Header.Hash()) != tip {
 		t.Fatal("Get of the tip returned no body")
 	}
-	next := s.NewBlock(nil, time.UnixMilli(8), 8)
-	if want := NewBlock(tip, nil, time.UnixMilli(8), 8); next.Header != want.Header {
-		t.Fatalf("Store.NewBlock built %+v, NewBlock on the tip %+v", next.Header, want.Header)
-	}
-	if _, err := s.Add(next, next.Header.Hash()); err != nil {
+	next, h, err := s.Mine(nil, time.UnixMilli(8), 8)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if want := NewBlock(tip, nil, time.UnixMilli(8), 8); next.Header != want.Header || h != want.Header.Hash() {
+		t.Fatalf("Store.Mine built %+v, NewBlock on the tip %+v", next.Header, want.Header)
 	}
 	if s.Height() != uint64(len(main))+1 {
 		t.Fatalf("height %d after extending the old tip, want %d", s.Height(), len(main)+1)

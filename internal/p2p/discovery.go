@@ -349,6 +349,9 @@ func (n *Node) feelerDial(addr string) {
 	}
 	defer conn.Close()
 	remote, err := n.handshake(conn, true)
+	if err == nil {
+		err = closeHandshake(conn, true)
+	}
 	if errors.Is(err, errSelfConnect) {
 		// We dialed ourselves through a gossiped alias: never again.
 		n.book.MarkSelf(addr)

@@ -1,6 +1,7 @@
 package p2p
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -119,6 +120,11 @@ const (
 	// other records (rumours, fetches in flight) wait outside it, the first
 	// sighted leaving first. See sightings and Config.obsCap.
 	observationCap = 4096
+	// relaySlots sizes the node's table of received blocks to serve on the
+	// checksums their frames were verified with (see Node.relayed): a
+	// GETDATA for a block comes within moments of its INV, and the body
+	// window keeps a quarter's worth of slots' blocks anyway.
+	relaySlots = 1024
 )
 
 // withDefaults resolves unset (non-positive) fields to their defaults.
@@ -174,6 +180,12 @@ type Node struct {
 	// withheld counts, per received block, the acceptances whose delayed
 	// relay (Config.RelayDelay) has not fired yet; see showsTip.
 	withheld map[chain.Hash]int
+
+	// relayed holds, in the slot of the hash's leading bytes, the BLOCK
+	// message of a block read off the wire, which carries the checksum its
+	// frame was verified with. handleGetData sends it only while the store
+	// holds that very block; any other GETDATA is framed and hashed afresh.
+	relayed [relaySlots]atomic.Pointer[wire.RelayBlock]
 
 	// roundInFlight is set while an automatic round runs.
 	roundInFlight atomic.Bool
@@ -571,10 +583,13 @@ func (n *Node) nextConnAttempt(remote uint64) int {
 // ID: the dialed address is one of ours.
 var errSelfConnect = errors.New("p2p: self connection detected")
 
-// handshake exchanges Version/Verack on a fresh connection under the
-// handshake deadline and admits the remote: a wrong protocol version,
-// ourselves (errSelfConnect) and a banned identity are refused. It leaves
-// the deadline set and the connection open either way.
+// handshake opens the Version/Verack exchange on a fresh connection under
+// the handshake deadline, up to this side's last write (see openHandshake),
+// and admits the remote: a wrong protocol version, ourselves
+// (errSelfConnect) and a banned identity are refused. A refused remote sees
+// the exchange complete and the connection close, as if this side admitted
+// it and then changed its mind. An admitted one waits for closeHandshake.
+// The deadline stays set and the connection open either way.
 func (n *Node) handshake(conn net.Conn, initiator bool) (*wire.Version, error) {
 	_ = conn.SetDeadline(time.Now().Add(handshakeTimeout))
 	local := &wire.Version{
@@ -583,35 +598,50 @@ func (n *Node) handshake(conn net.Conn, initiator bool) (*wire.Version, error) {
 		ListenAddr: n.Addr(),
 		Nonce:      n.randUint64(),
 	}
-	remote, err := handshakeDance(conn, local, initiator)
+	remote, err := openHandshake(conn, local, initiator)
 	if err != nil {
 		return nil, err
 	}
-	if remote.Protocol != wire.ProtocolVersion {
-		return nil, fmt.Errorf("p2p: protocol version %d unsupported", remote.Protocol)
-	}
-	if remote.NodeID == n.cfg.NodeID {
-		return nil, errSelfConnect
-	}
-	if n.book.IDBanned(remote.NodeID) {
-		n.countRes(func(r *ResilienceStats) { r.BannedRefused++ })
-		return nil, fmt.Errorf("p2p: %016x: %w", remote.NodeID, ErrBanned)
+	if err := n.admit(remote); err != nil {
+		if cerr := closeHandshake(conn, initiator); cerr != nil {
+			return nil, cerr
+		}
+		return nil, err
 	}
 	return remote, nil
 }
 
-// setupPeer performs the version handshake and installs the peer.
+// admit refuses a remote of another protocol version, ourselves and a
+// banned identity.
+func (n *Node) admit(remote *wire.Version) error {
+	switch {
+	case remote.Protocol != wire.ProtocolVersion:
+		return fmt.Errorf("p2p: protocol version %d unsupported", remote.Protocol)
+	case remote.NodeID == n.cfg.NodeID:
+		return errSelfConnect
+	case n.book.IDBanned(remote.NodeID):
+		n.countRes(func(r *ResilienceStats) { r.BannedRefused++ })
+		return fmt.Errorf("p2p: %016x: %w", remote.NodeID, ErrBanned)
+	}
+	return nil
+}
+
+// setupPeer performs the version handshake and installs the peer. The peer
+// is installed, and its greeting queued, before this side's last handshake
+// write: once the remote can tell the handshake is done, every block this
+// node accepts reaches the peer's queue, and the greeting leads it.
 func (n *Node) setupPeer(conn net.Conn, dir Direction, dialedAddr string) error {
-	remote, err := n.handshake(conn, dir == Outbound)
+	initiator := dir == Outbound
+	remote, err := n.handshake(conn, initiator)
 	if err != nil {
 		_ = conn.Close()
 		return err
 	}
-	_ = conn.SetDeadline(time.Time{})
+	handshakeConn := conn
 
 	// Apply the fault plan's connection verdict: wrap the transport for
 	// resets/stalls/throttles, or arm the send path for message drops.
-	// The handshake above ran clean — dial-level faults cover that phase.
+	// The handshake runs clean — dial-level faults cover that phase.
 	dropNth := 0
 	if n.cfg.Faults != nil {
 		attempt := n.nextConnAttempt(remote.NodeID)
@@ -670,6 +700,23 @@ func (n *Node) setupPeer(conn net.Conn, dir Direction, dialedAddr string) error 
 	n.peers[p.id] = p
 	n.sorted = nil
 	n.mu.Unlock()
+
+	// Seed discovery and sync: announce our own listen address, ask for
+	// an address sample, and announce our tip unless that would relay a
+	// received block early or at all (see showsTip), all before any reply.
+	n.announceSelf(p)
+	p.noteGetAddrSent()
+	p.send(&wire.GetAddr{})
+	if tip := n.store.Tip(); tip.Header.Height > 0 {
+		if h := tip.Header.Hash(); n.showsTip(h) {
+			p.send(invOf(h))
+		}
+	}
+	if err := closeHandshake(handshakeConn, initiator); err != nil {
+		n.removePeer(p)
+		return err
+	}
+	_ = handshakeConn.SetDeadline(time.Time{})
 	if listenAddr != "" {
 		// A first sighting of the peer's advertised address is gossip like
 		// any other: admit it and trickle it onward, so a joiner's address
@@ -680,18 +727,6 @@ func (n *Node) setupPeer(conn net.Conn, dir Direction, dialedAddr string) error 
 		}
 	}
 	n.logf("connected %s via %s", p, conn.RemoteAddr())
-
-	// Seed discovery and sync: announce our own listen address, ask for
-	// an address sample, and announce our tip unless that would relay a
-	// received block early or at all (see showsTip), all before any reply.
-	n.announceSelf(p)
-	p.noteGetAddrSent()
-	p.send(&wire.GetAddr{})
-	if tip := n.store.Tip(); tip.Header.Height > 0 {
-		if h := tip.Header.Hash(); n.showsTip(h) {
-			p.send(&wire.Inv{Hashes: []chain.Hash{h}})
-		}
-	}
 	n.wg.Add(2)
 	go func() {
 		defer n.wg.Done()
@@ -704,60 +739,60 @@ func (n *Node) setupPeer(conn net.Conn, dir Direction, dialedAddr string) error 
 	return nil
 }
 
-// handshakeDance exchanges Version/Verack. The initiator speaks first;
-// both sides end up with the remote's Version.
-func handshakeDance(conn net.Conn, local *wire.Version, initiator bool) (*wire.Version, error) {
-	readVersion := func() (*wire.Version, error) {
-		m, err := wire.Read(conn)
+// openHandshake runs the Version/Verack exchange up to this side's last
+// write, its Verack, and returns the remote's Version: the initiator sends
+// its Version and reads the remote's; the responder reads the initiator's
+// Version, sends its own and reads the initiator's Verack.
+func openHandshake(conn net.Conn, local *wire.Version, initiator bool) (*wire.Version, error) {
+	if !initiator {
+		remote, err := readVersion(conn)
 		if err != nil {
-			return nil, fmt.Errorf("p2p: reading version: %w", err)
+			return nil, err
 		}
-		v, ok := m.(*wire.Version)
-		if !ok {
-			return nil, fmt.Errorf("p2p: expected version, got %v", m.Type())
-		}
-		return v, nil
-	}
-	readVerack := func() error {
-		m, err := wire.Read(conn)
-		if err != nil {
-			return fmt.Errorf("p2p: reading verack: %w", err)
-		}
-		if _, ok := m.(*wire.Verack); !ok {
-			return fmt.Errorf("p2p: expected verack, got %v", m.Type())
-		}
-		return nil
-	}
-	if initiator {
 		if err := wire.Write(conn, local); err != nil {
 			return nil, err
 		}
-		remote, err := readVersion()
-		if err != nil {
-			return nil, err
-		}
-		if err := wire.Write(conn, &wire.Verack{}); err != nil {
-			return nil, err
-		}
-		if err := readVerack(); err != nil {
-			return nil, err
-		}
-		return remote, nil
-	}
-	remote, err := readVersion()
-	if err != nil {
-		return nil, err
+		return remote, readVerack(conn)
 	}
 	if err := wire.Write(conn, local); err != nil {
 		return nil, err
 	}
-	if err := readVerack(); err != nil {
-		return nil, err
-	}
+	return readVersion(conn)
+}
+
+// closeHandshake sends this side's Verack, its last handshake write; the
+// initiator then reads the responder's.
+func closeHandshake(conn net.Conn, initiator bool) error {
 	if err := wire.Write(conn, &wire.Verack{}); err != nil {
-		return nil, err
+		return err
 	}
-	return remote, nil
+	if initiator {
+		return readVerack(conn)
+	}
+	return nil
+}
+
+func readVersion(conn net.Conn) (*wire.Version, error) {
+	m, err := wire.Read(conn)
+	if err != nil {
+		return nil, fmt.Errorf("p2p: reading version: %w", err)
+	}
+	v, ok := m.(*wire.Version)
+	if !ok {
+		return nil, fmt.Errorf("p2p: expected version, got %v", m.Type())
+	}
+	return v, nil
+}
+
+func readVerack(conn net.Conn) error {
+	m, err := wire.Read(conn)
+	if err != nil {
+		return fmt.Errorf("p2p: reading verack: %w", err)
+	}
+	if _, ok := m.(*wire.Verack); !ok {
+		return fmt.Errorf("p2p: expected verack, got %v", m.Type())
+	}
+	return nil
 }
 
 func (n *Node) randUint64() uint64 {
@@ -828,7 +863,7 @@ func (n *Node) readLoop(p *peer) {
 		case *wire.GetData:
 			n.handleGetData(p, msg)
 		case *wire.Block:
-			n.handleBlock(p, msg.Block)
+			n.handleBlock(p, msg.Block, in.Checksum())
 		case *wire.Addr:
 			n.handleAddr(p, msg)
 		case *wire.GetAddr:
@@ -879,18 +914,42 @@ func (n *Node) reRequestAfter() time.Duration {
 func (n *Node) handleInv(p *peer, inv *wire.Inv) {
 	now := time.Now()
 	window := n.reRequestAfter()
-	var want []chain.Hash
+	var want *wire.GetData
 	n.obsMu.Lock()
 	for _, h := range inv.Hashes {
 		n.sightings.note(p.id, h, now)
 		if !n.store.Has(h) && n.sightings.ask(h, now, window) {
-			want = append(want, h)
+			if want == nil {
+				want = getDataOf(h)
+			} else {
+				want.Hashes = append(want.Hashes, h)
+			}
 		}
 	}
 	n.obsMu.Unlock()
-	if len(want) > 0 {
-		p.send(&wire.GetData{Hashes: want})
+	if want != nil {
+		p.send(want)
 	}
+}
+
+// invOf and getDataOf build the one-hash INV and GETDATA that relay sends
+// per block, each with its hash in one allocation.
+func invOf(h chain.Hash) *wire.Inv {
+	one := &struct {
+		msg  wire.Inv
+		hash [1]chain.Hash
+	}{hash: [1]chain.Hash{h}}
+	one.msg.Hashes = one.hash[:]
+	return &one.msg
+}
+
+func getDataOf(h chain.Hash) *wire.GetData {
+	one := &struct {
+		msg  wire.GetData
+		hash [1]chain.Hash
+	}{hash: [1]chain.Hash{h}}
+	one.msg.Hashes = one.hash[:]
+	return &one.msg
 }
 
 // rerequestStale re-sends GETDATA to p for blocks requested over the
@@ -908,27 +967,45 @@ func (n *Node) rerequestStale(p *peer) {
 
 func (n *Node) handleGetData(p *peer, gd *wire.GetData) {
 	for _, h := range gd.Hashes {
-		// No reply for a hash we never had or whose body has aged out.
-		if b := n.store.Get(h); b != nil {
+		b := n.store.Get(h)
+		switch relay := n.relayed[relaySlot(h)].Load(); {
+		case b == nil:
+			// No reply for a hash we never had or whose body has aged out.
+		case relay != nil && relay.Block == b:
+			p.send(relay)
+		default:
 			p.send(&wire.Block{Block: b})
 		}
 	}
 }
 
-func (n *Node) handleBlock(p *peer, b *chain.Block) {
+// relaySlot is h's slot in Node.relayed.
+func relaySlot(h chain.Hash) int { return int(binary.BigEndian.Uint16(h[:2])) % relaySlots }
+
+// handleBlock takes a block p sent, whose frame had checksum sum. Unless
+// the block is known already, its BLOCK message to serve onward is built
+// first, so it is in place before the block's INV goes out; should the
+// store not connect this very block, handleGetData never sends it.
+func (n *Node) handleBlock(p *peer, b *chain.Block, sum [4]byte) {
 	h := b.Header.Hash()
 	n.obsMu.Lock()
 	n.sightings.note(p.id, h, time.Now())
 	n.obsMu.Unlock()
+	if n.store.Has(h) {
+		return
+	}
+	n.relayed[relaySlot(h)].Store(&wire.RelayBlock{Block: b, Sum: sum})
 	n.acceptBlock(p, b, h, false)
 }
 
 // acceptBlock stores a block, or asks from for its missing parent, and
 // records and relays it and every stashed block it connected. h is the
 // block's header hash, computed once by whoever first held the block. from
-// may be nil for self-mined blocks; mined tells them apart, because
-// adversarial relay behavior (SilentRelay, RelayDelay) applies to every
-// received block — unstashed orphans too — but never to the node's own.
+// may be nil when no peer sent the block; mined marks one of the node's
+// own, because adversarial relay behavior (SilentRelay, RelayDelay) applies
+// to every received block — unstashed orphans too — but never to the
+// node's own. MineBlock links what it mines through chain.Store.Mine and
+// announces it through connected.
 func (n *Node) acceptBlock(from *peer, b *chain.Block, h chain.Hash, mined bool) {
 	if n.store.Has(h) {
 		return
@@ -950,7 +1027,7 @@ func (n *Node) acceptBlock(from *peer, b *chain.Block, h chain.Hash, mined bool)
 		}
 	}
 	if added.Stashed && from != nil {
-		from.send(&wire.GetData{Hashes: []chain.Hash{b.Header.PrevHash}})
+		from.send(getDataOf(b.Header.PrevHash))
 	}
 	switch {
 	case errors.Is(err, chain.ErrInvalidBlock):
@@ -967,9 +1044,15 @@ func (n *Node) acceptBlock(from *peer, b *chain.Block, h chain.Hash, mined bool)
 	case added.Stashed:
 		return
 	}
+	n.connected(from, h, added.Unstashed, mined)
+}
+
+// connected records and announces block h, which from sent (nil when no
+// peer did), and the stashed blocks it unstashed, once they connected.
+func (n *Node) connected(from *peer, h chain.Hash, unstashed []chain.Hash, mined bool) {
 	n.obsMu.Lock()
 	n.sightings.accept(h) // fetched: no longer re-requested
-	for _, u := range added.Unstashed {
+	for _, u := range unstashed {
 		n.sightings.accept(u)
 	}
 	if mined {
@@ -984,7 +1067,7 @@ func (n *Node) acceptBlock(from *peer, b *chain.Block, h chain.Hash, mined bool)
 		fromID = from.id
 	}
 	n.relayInv(h, fromID, !mined)
-	for _, u := range added.Unstashed {
+	for _, u := range unstashed {
 		n.relayInv(u, 0, true)
 	}
 	n.maybeAutoRound()
@@ -1029,7 +1112,7 @@ func (n *Node) markWithheld(h chain.Hash, d int) {
 // broadcastInv queues one Inv to every peer but exceptID; the message is
 // shared, since nothing writes to a message once it is queued.
 func (n *Node) broadcastInv(h chain.Hash, exceptID uint64) {
-	inv := &wire.Inv{Hashes: []chain.Hash{h}}
+	inv := invOf(h)
 	for _, p := range n.peerSnapshot() {
 		if p.id != exceptID {
 			p.send(inv)
@@ -1075,12 +1158,11 @@ func (n *Node) MineBlock(txs [][]byte) (*chain.Block, error) {
 		return nil, ErrStopped
 	}
 	n.mu.Unlock()
-	b := n.store.NewBlock(txs, time.Now(), n.randUint64())
-	h := b.Header.Hash()
-	n.acceptBlock(nil, b, h, true)
-	if !n.store.Has(h) {
-		return nil, fmt.Errorf("p2p: mined block rejected")
+	b, h, err := n.store.Mine(txs, time.Now(), n.randUint64())
+	if err != nil {
+		return nil, fmt.Errorf("p2p: mined block rejected: %w", err)
 	}
+	n.connected(nil, h, nil, true)
 	return b, nil
 }
 

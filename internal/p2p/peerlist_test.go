@@ -51,13 +51,14 @@ func TestPeerSnapshotAllocatesNothingWhenUnchanged(t *testing.T) {
 }
 
 // TestBroadcastInvQueuesOneMessage: a relay to three peers builds one Inv
-// (the message and its hash slice) and queues that same message to each.
+// (the message and its hash, in one allocation) and queues that same
+// message to each.
 func TestBroadcastInvQueuesOneMessage(t *testing.T) {
 	n, peers := idleNode(t, 1, 2, 3, 4)
 	n.peerSnapshot() // build the list outside the count
 	h := testGenesis().Header.Hash()
-	if allocs := testing.AllocsPerRun(20, func() { n.broadcastInv(h, 4) }); allocs != 2 {
-		t.Fatalf("broadcastInv to three peers allocates %.1f times, want 2 (one Inv)", allocs)
+	if allocs := testing.AllocsPerRun(20, func() { n.broadcastInv(h, 4) }); allocs != 1 {
+		t.Fatalf("broadcastInv to three peers allocates %.1f times, want 1 (one Inv)", allocs)
 	}
 	if got := len(peers[3].sendCh); got != 0 {
 		t.Fatalf("the excluded peer was sent %d messages", got)

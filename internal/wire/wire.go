@@ -12,7 +12,9 @@
 // flushes when its queue is empty: a burst costs one syscall. The reading
 // side of a connection is a Reader, buffered and reusing one payload
 // scratch; Read is the one-shot form for a handshake, which must not read
-// ahead of the frame it wants.
+// ahead of the frame it wants. A block relayed on travels as a RelayBlock,
+// whose frame carries the checksum the Reader verified instead of hashing
+// the payload a second time.
 package wire
 
 import (
@@ -201,11 +203,30 @@ type Block struct {
 // Type implements Message.
 func (*Block) Type() MsgType { return MsgBlock }
 
-func (m *Block) encodePayload(buf []byte) ([]byte, error) {
-	if m.Block == nil {
+func (m *Block) encodePayload(buf []byte) ([]byte, error) { return appendBlock(buf, m.Block) }
+
+// RelayBlock is a BLOCK sent on under the checksum its frame arrived with:
+// Sum is what a Reader verified on the payload Block was decoded from. A
+// decoded block encodes back to exactly that payload, so AppendFrame writes
+// Sum rather than hash the payload again. Nothing writes to a RelayBlock
+// once it is built, so one can be queued to any number of peers.
+type RelayBlock struct {
+	// Block is the block as the Reader decoded it.
+	Block *chain.Block
+	// Sum is the checksum of the frame Block was decoded from.
+	Sum [4]byte
+}
+
+// Type implements Message.
+func (*RelayBlock) Type() MsgType { return MsgBlock }
+
+func (m *RelayBlock) encodePayload(buf []byte) ([]byte, error) { return appendBlock(buf, m.Block) }
+
+func appendBlock(buf []byte, b *chain.Block) ([]byte, error) {
+	if b == nil {
 		return nil, fmt.Errorf("%w: nil block", ErrMalformed)
 	}
-	return m.Block.AppendEncode(buf)
+	return b.AppendEncode(buf)
 }
 
 // Addr gossips known listening addresses with freshness metadata.
@@ -266,9 +287,10 @@ const BufferSize = 64 << 10
 
 // AppendFrame appends m's frame to buf: magic(4) type(1) length(4)
 // checksum(4) payload, the checksum being the first 4 bytes of the
-// payload's SHA-256. The payload is encoded in place behind a reserved
-// header, which is filled in once the length is known. On error buf is
-// returned unchanged.
+// payload's SHA-256, or a RelayBlock's Sum, which is the same 4 bytes
+// already known. The payload is encoded in place behind a reserved header,
+// which is filled in once the length is known; m is only read. On error buf
+// is returned unchanged.
 func AppendFrame(buf []byte, m Message) ([]byte, error) {
 	var reserve [headerSize]byte
 	out, err := m.encodePayload(append(buf, reserve[:]...))
@@ -283,8 +305,12 @@ func AppendFrame(buf []byte, m Message) ([]byte, error) {
 	binary.LittleEndian.PutUint32(header[0:4], Magic)
 	header[4] = byte(m.Type())
 	binary.LittleEndian.PutUint32(header[5:9], uint32(len(payload)))
-	sum := sha256.Sum256(payload)
-	copy(header[9:13], sum[:4])
+	if r, ok := m.(*RelayBlock); ok {
+		copy(header[9:13], r.Sum[:])
+	} else {
+		sum := sha256.Sum256(payload)
+		copy(header[9:13], sum[:4])
+	}
 	return out, nil
 }
 
@@ -314,6 +340,7 @@ func Read(r io.Reader) (Message, error) {
 type Reader struct {
 	r       io.Reader
 	header  [headerSize]byte
+	sum     [4]byte // the checksum of the frame Read last returned
 	scratch []byte
 	partial bool
 }
@@ -359,8 +386,17 @@ func (r *Reader) Read() (Message, error) {
 	if string(sum[:4]) != string(r.header[9:13]) {
 		return nil, ErrChecksum
 	}
-	return decodePayload(msgType, payload)
+	m, err := decodePayload(msgType, payload)
+	if err == nil {
+		r.sum = [4]byte(sum[:4])
+	}
+	return m, err
 }
+
+// Checksum returns the checksum of the frame of the message Read last
+// returned, which Read verified against its payload: a RelayBlock of a
+// decoded block carries it on.
+func (r *Reader) Checksum() [4]byte { return r.sum }
 
 // MidFrame reports whether the last Read failed after consuming part of a
 // frame. A read deadline that fires at a frame boundary leaves the stream
@@ -385,10 +421,22 @@ func decodePayload(t MsgType, p []byte) (Message, error) {
 		m = &Ping{Nonce: d.uint64()}
 	case MsgPong:
 		m = &Pong{Nonce: d.uint64()}
+	// The relay's INVs and GETDATAs carry one hash almost always: such a
+	// message and its hash are one allocation.
 	case MsgInv:
-		m = &Inv{Hashes: d.hashes()}
+		one := &struct {
+			msg  Inv
+			hash [1]chain.Hash
+		}{}
+		one.msg.Hashes = d.hashes(one.hash[:0])
+		m = &one.msg
 	case MsgGetData:
-		m = &GetData{Hashes: d.hashes()}
+		one := &struct {
+			msg  GetData
+			hash [1]chain.Hash
+		}{}
+		one.msg.Hashes = d.hashes(one.hash[:0])
+		m = &one.msg
 	case MsgBlock:
 		b, err := chain.DecodeBlock(p)
 		if err != nil {
@@ -481,7 +529,9 @@ func (d *decoder) str() string {
 	return string(b)
 }
 
-func (d *decoder) hashes() []chain.Hash {
+// hashes reads a counted list of hashes into out when it has room for them
+// all, or into a slice of its own.
+func (d *decoder) hashes(out []chain.Hash) []chain.Hash {
 	count := d.uint32()
 	if d.err != nil {
 		return nil
@@ -492,7 +542,9 @@ func (d *decoder) hashes() []chain.Hash {
 	}
 	// Reserve no more than the remaining bytes can hold, so a forged count
 	// costs nothing before the payload runs out.
-	out := make([]chain.Hash, 0, min(int(count), len(d.buf)/32))
+	if int(count) > cap(out) {
+		out = make([]chain.Hash, 0, min(int(count), len(d.buf)/32))
+	}
 	for i := uint32(0); i < count; i++ {
 		b := d.take(32)
 		if b == nil {

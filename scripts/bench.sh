@@ -37,7 +37,7 @@ gate_bytes() { gate_unit "$1" "$2" B/op; }
 # iterations because a single op is a full 100k-node flood (and its set-up
 # hashes 1.6M edge delays).
 go test -run '^$' \
-  -bench 'Micro(Broadcast1000$|Broadcast10000$|BroadcastStreaming10000$|Reconfigure1000$|TopologyRandom20000$|TableRewire1000$|ColdPrepare2000$|AnalyticArrival|RoundBroadcast1000$|RoundBroadcastPools300$|DelayToFraction|VanillaScoring|SubsetScoring|EngineRound|DeriveIndexed|DurationPercentile|WireFrame|WireRead|StoreAdd)' \
+  -bench 'Micro(Broadcast1000$|Broadcast10000$|BroadcastStreaming10000$|Reconfigure1000$|TopologyRandom20000$|TableRewire1000$|ColdPrepare2000$|AnalyticArrival|RoundBroadcast1000$|RoundBroadcastPools300$|DelayToFraction|VanillaScoring|SubsetScoring|EngineRound|DeriveIndexed|DurationPercentile|WireFrame|WireRead|RelayBlock1K|StoreAdd)' \
   -benchmem -benchtime=100x . | tee "$OUT"
 go test -run '^$' -bench 'MicroBroadcast100000$' -benchmem -benchtime=3x . \
   | tee -a "$OUT"
@@ -98,16 +98,19 @@ gate MicroSubsetScoringWindow10 1
 gate WorkloadHour 5500
 # The live wire: a frame is appended to the write loop's reused buffer in
 # place, and the buffered reader owns its header and payload scratch, so a
-# read allocates only the message it returns (an Inv and its hash slice; a
-# wire.Block, the block, its transaction list and one buffer holding all
-# four transaction bodies). The body buffer is exactly their 1,024 bytes;
-# one that also held the length prefixes would round up to the 1,152-byte
-# size class, which the byte gate catches (1,256 B/op in all).
+# read allocates only the message it returns (a one-hash Inv together with
+# its hash, 2 allocations when they were apart; a wire.Block, the block,
+# its transaction list and one buffer holding all four transaction bodies).
+# The body buffer is exactly their 1,024 bytes; one that also held the
+# length prefixes would round up to the 1,152-byte size class, which the
+# byte gate catches (1,256 B/op in all). A relaying node's read and reframe
+# of a block adds only the RelayBlock that carries the verified checksum.
 gate MicroWireFrameInv 0
 gate MicroWireFrameBlock1K 0
-gate MicroWireReadInv 2
+gate MicroWireReadInv 1
 gate MicroWireReadBlock1K 4
 gate_bytes MicroWireReadBlock1K 1256
+gate MicroRelayBlock1K 5
 # The live store: validating a four-transaction block hashes its Merkle
 # tree in a stack array, the index and the link slab grow only now and then
 # and the body ring is allocated once, so any allocation is a regression.

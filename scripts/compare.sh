@@ -2,7 +2,7 @@
 # compare.sh — pair runs of the benchmark of record between a base revision
 # and the working tree, and say which side each end-to-end metric favours.
 #
-#   scripts/compare.sh [-n pairs] [-w workload]... [--smoke] <base-rev>
+#   scripts/compare.sh [-n pairs] [-w workload]... [-o file] [--smoke] <base-rev>
 #
 # The base is checked out with `git worktree add` into a temporary directory
 # (under $TMPDIR), which is removed on exit. For each workload (every one in
@@ -21,16 +21,23 @@
 # propagation_ms_p50 differs in any digit is flagged: on the simulated
 # workloads no performance change may move it. It exits 1 when a run fails
 # or reports "correct": false, after printing what it has.
+#
+# -o writes the same run to a JSON file as well: the base and change
+# revisions, the host the runs reported (nproc, GOMAXPROCS, Go version), and
+# per workload and end-to-end metric every pair's base and change values
+# (null for a failed run), both medians and the change's wins. A run of
+# record is committed as BENCH_<change rev>.json.
 set -euo pipefail
 usage() {
-  echo "usage: scripts/compare.sh [-n pairs] [-w workload]... [--smoke] <base-rev>" >&2
+  echo "usage: scripts/compare.sh [-n pairs] [-w workload]... [-o file] [--smoke] <base-rev>" >&2
   exit 2
 }
-pairs=5 smoke=() workloads=()
+pairs=5 smoke=() workloads=() json=""
 while (( $# > 0 )); do
   case "$1" in
     -n) [[ $# -ge 2 ]] || usage; pairs="$2"; shift 2 ;;
     -w) [[ $# -ge 2 ]] || usage; workloads+=("$2"); shift 2 ;;
+    -o) [[ $# -ge 2 ]] || usage; json="$(realpath -m "$2")"; shift 2 ;;
     --smoke) smoke=(-smoke); shift ;;
     -*) usage ;;
     *) break ;;
@@ -72,21 +79,41 @@ for workload in "${workloads[@]}"; do
       fi
       result="$(tail -n 1 <<<"$out")"
       [[ "$result" == "{"* ]] || result=null
-      echo "{\"workload\":\"$workload\",\"pair\":$pair,\"side\":\"$side\",\"result\":$result}" >> "$raw"
+      # The run's header: "# workload=… nproc=N gomaxprocs=N goX.Y.Z".
+      host=null
+      if [[ "$out" =~ nproc=([0-9]+)\ gomaxprocs=([0-9]+)\ (go[^[:space:]]+) ]]; then
+        host="{\"nproc\":${BASH_REMATCH[1]},\"gomaxprocs\":${BASH_REMATCH[2]},\"go\":\"${BASH_REMATCH[3]}\"}"
+      fi
+      echo "{\"workload\":\"$workload\",\"pair\":$pair,\"side\":\"$side\",\"host\":$host,\"result\":$result}" >> "$raw"
     done
   done
 done
 
-python3 - "$raw" "$base_rev" "$(git rev-parse --short HEAD)" <<'PY' || failed=1
+change_rev="$(git rev-parse HEAD)"
+[[ -z "$(git status --porcelain --untracked-files=no)" ]] || change_rev+="+dirty"
+python3 - "$raw" "$base_rev" "$change_rev" "$json" "$seconds" "${#smoke[@]}" <<'PY' || failed=1
 import json, statistics, sys
 
 spec = json.load(open("BENCHMARK.json"))
 rows = [json.loads(line) for line in open(sys.argv[1])]
 bad = 0
-print(f"# base {sys.argv[2][:12]} against the working tree at {sys.argv[3]}")
+record = {"base": sys.argv[2], "change": sys.argv[3], "seconds": int(sys.argv[5]),
+          "smoke": sys.argv[6] != "0", "workloads": []}
+hosts = [r["host"] for r in rows if r["host"] is not None]
+for key in ("nproc", "gomaxprocs", "go"):
+    values = sorted({h[key] for h in hosts})
+    record[key] = values[0] if len(values) == 1 else values
+print(f"# base {sys.argv[2][:12]} against the working tree at {sys.argv[3][:12]}")
 for workload in dict.fromkeys(r["workload"] for r in rows):
     runs = {(r["pair"], r["side"]): r["result"] for r in rows if r["workload"] == workload}
     pairs = sorted({p for p, _ in runs})
+    entry = {"name": workload, "pairs": pairs, "metrics": {}}
+    record["workloads"].append(entry)
+    for m in spec["end_to_end"]:
+        entry["metrics"][m["name"]] = {
+            "unit": m["unit"], "better": m["better"],
+            **{s: [runs[p, s]["metrics"][m["name"]]["value"] if runs.get((p, s)) and runs[p, s]["correct"] else None
+                   for p in pairs] for s in ("base", "change")}}
     for (p, side), res in sorted(runs.items()):
         if res is None or not res["correct"]:
             print(f"{workload} pair {p} {side}: " + ("no result" if res is None else "correct: false"))
@@ -117,6 +144,12 @@ for workload in dict.fromkeys(r["workload"] for r in rows):
         worse = " **worse**" if (mc > limit if lower else mc < limit) else ""
         print(f"| `{name}` | {m['better']} | " + " | ".join(cells)
               + f" | {mb:.6g} [{q1:.6g}, {q3:.6g}] | {mc:.6g}{rel}{worse} | {wins}/{len(ok)} |")
+        entry["metrics"][name].update(base_median=mb, base_q1=q1, base_q3=q3, change_median=mc,
+                                      change_wins=wins, usable_pairs=len(ok), worse=bool(worse))
+if sys.argv[4]:
+    with open(sys.argv[4], "w") as f:
+        json.dump(record, f, indent=1)
+        f.write("\n")
 sys.exit(1 if bad else 0)
 PY
 exit "$failed"
