@@ -121,9 +121,10 @@ const (
 	// sighted leaving first. See sightings and Config.obsCap.
 	observationCap = 4096
 	// relaySlots sizes the node's table of received blocks to serve on the
-	// checksums their frames were verified with (see Node.relayed): a
-	// GETDATA for a block comes within moments of its INV, and the body
-	// window keeps a quarter's worth of slots' blocks anyway.
+	// checksums their frames were verified with (see Node.relayed). A
+	// GETDATA follows its INV within moments, so a slot need only outlive
+	// the blocks in flight; the table pins at most this many blocks, a
+	// quarter of the body window, which holds nearly all of them anyway.
 	relaySlots = 1024
 )
 
