@@ -178,7 +178,7 @@ func BenchmarkMicroReconfigure1000(b *testing.B) { bench.MicroReconfigure(1000)(
 
 // BenchmarkMicroTopologyRandom20000 measures one build of the paper's random
 // topology (§3.1) at the size of the sim-scale-20k workload; scripts/bench.sh
-// holds its B/op, which is linear in the edges.
+// holds its B/op, linear in n, and its allocs/op, a handful per build.
 func BenchmarkMicroTopologyRandom20000(b *testing.B) { bench.MicroTopologyRandom(20000)(b) }
 
 // BenchmarkMicroTableRewire1000 measures the connection table's part of a

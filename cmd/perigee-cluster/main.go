@@ -89,7 +89,9 @@ func main() {
 				if !ok {
 					return 0
 				}
-				// One-way delay, halved again because both ends inject.
+				// Only the sender's write loop delays a message; the
+				// receiver injects nothing. A link's live one-way delay
+				// is therefore δ/(2·timeScale) = δ/10.
 				return model.Delay(i, j) / (2 * timeScale)
 			}),
 		}

@@ -4,7 +4,9 @@ package core
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
+	"time"
 
 	"github.com/perigee-net/perigee/internal/topology"
 )
@@ -62,10 +64,10 @@ func poolsRound(e *Engine, sources []int) error {
 // as at 200. Each node's decision is written into engine scratch, its
 // selector stream is its worker's, reseeded, and a dial to a full candidate
 // builds no error; the simulator's CSR and every node's round rows are
-// rebuilt in buffers and slabs the engine keeps. Only Connect's table rows
-// still grow now and then past their earlier maxima, a few allocations a
-// round that rise with n, so the check allows one allocation per 50 added
-// nodes; one per node would be 600.
+// rebuilt in buffers and slabs the engine keeps, and a rewire writes into
+// the connection table's fixed windows. The check allows one allocation per
+// 50 added nodes, for pooled scratch that reaches a new high-water mark;
+// one per node would be 600.
 func TestRoundAllocationsIndependentOfN(t *testing.T) {
 	sources := make([]int, 20)
 	for b := range sources {
@@ -115,5 +117,73 @@ func TestColdPrepareAllocationsIndependentOfN(t *testing.T) {
 		} else {
 			t.Logf("n = %d: the first BeginTimedRound allocates %d objects", n, got)
 		}
+	}
+}
+
+// TestWarmRoundAllocationsIndependentOfN counts the objects rounds 2–4 of
+// a fresh engine allocate at n = 500, 2,000 and 8,000. The first round sizes
+// the engine's buffers; after it a rewire writes into the connection
+// table's fixed windows and the rest of a round into engine scratch, so
+// three rounds allocate the same few objects at every n: a round's
+// TimedRound, and pooled scoring scratch that now and then reaches a new
+// high-water mark (9 to 24 on two cores). When Connect grew table rows the
+// count rose with n: 105, 430 and 1,497.
+func TestWarmRoundAllocationsIndependentOfN(t *testing.T) {
+	const limit = 40
+	for _, n := range []int{500, 2000, 8000} {
+		e := coldEngine(t, n)
+		if _, err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+		// A collection would empty the scoring pools, whose refills are
+		// noise here.
+		gc := debug.SetGCPercent(-1)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for round := 2; round <= 4; round++ {
+			if _, err := e.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		debug.SetGCPercent(gc)
+		if got := after.Mallocs - before.Mallocs; got >= limit {
+			t.Errorf("n = %d: rounds 2–4 allocate %d objects, want fewer than %d", n, got, limit)
+		} else {
+			t.Logf("n = %d: rounds 2–4 allocate %d objects", n, got)
+		}
+	}
+}
+
+// TestVanillaDecisionDoesNotAllocate checks that a Vanilla decision whose
+// view carries a decision buffer with room for every neighbour allocates
+// nothing once the scoring pools are warm: the scores are pooled scratch and
+// the decision is written into the buffer.
+func TestVanillaDecisionDoesNotAllocate(t *testing.T) {
+	const k, blocks = 8, 20
+	neighbors := make([]int, k)
+	offsets := make([][]time.Duration, blocks)
+	for i := range neighbors {
+		neighbors[i] = 100 + i
+	}
+	for b := range offsets {
+		offsets[b] = make([]time.Duration, k)
+		for i := range offsets[b] {
+			offsets[b][i] = time.Duration((b*7+i*13)%29) * time.Millisecond
+		}
+	}
+	view := testView(neighbors, offsets, k)
+	view.Buf = make([]int, 0, k)
+	sel, err := NewVanillaSelector(2, 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := sel.SelectNeighbors(view); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a Vanilla decision allocates %v objects, want 0", allocs)
 	}
 }

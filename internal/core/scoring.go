@@ -167,9 +167,10 @@ func (o *Observations) censor() {
 	}
 }
 
-// columnPool recycles the per-neighbor column scratch shared by the
-// scoring entry points; scoring runs once per node per round from many
-// goroutines, so the extraction buffer must not allocate once warm.
+// columnPool recycles the duration scratch shared by the scoring entry
+// points, a block column or a row of per-neighbor scores; scoring runs once
+// per node per round from many goroutines, so it must not allocate once
+// warm.
 var columnPool = sync.Pool{New: func() any { return new([]time.Duration) }}
 
 // VanillaScores assigns each neighbor the pct-percentile of its offset

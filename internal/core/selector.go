@@ -252,10 +252,13 @@ func (s *vanillaSelector) SelectNeighbors(view NeighborView) (Decision, error) {
 	if k <= retain {
 		return keepAll(view), nil
 	}
-	scores := VanillaScores(view.Observations, s.pct)
+	sp := columnPool.Get().(*[]time.Duration)
+	scores := grow(sp, k)
+	VanillaScoresInto(scores, view.Observations, s.pct)
 	// Drops stay in ranked (worst-last) order so driver churn reports are
 	// deterministic and match the historical engine behavior.
 	ranked := rankInto(decisionBuf(view), view.Observations, scores)
+	columnPool.Put(sp)
 	return splitDecision(view, ranked, retain), nil
 }
 

@@ -5,9 +5,10 @@
 // geometric threshold graphs, relay trees), and the graph algorithms the
 // analysis sections rely on (Dijkstra, BFS, stretch).
 //
-// A Table stores each node's outgoing and incoming peers as short ascending
-// slices, and the builders scan candidates by a lazy shuffle, so building
-// and rewiring a topology costs time proportional to its edges.
+// A Table keeps each node's outgoing and incoming peers as ascending int32
+// rows in fixed windows of one slab per direction, so rewiring allocates
+// nothing, and the builders scan candidates by a lazy shuffle, so building
+// a topology costs time proportional to its edges.
 package topology
 
 import (
@@ -44,15 +45,17 @@ var (
 type Table struct {
 	n     int
 	maxIn int
-	// out[u] and in[u] are ascending rows of node indices. Rows are short
-	// (out-degree 8, in-degree at most maxIn), so membership is a search of
-	// a few steps, insert and remove shift in place, and a row's capacity is
-	// reused for the life of the table.
-	out [][]int
-	in  [][]int
+	// out[u] and in[u] are ascending rows of node indices. Each starts as
+	// u's window of one slab per direction, maxIn wide (see windows), so
+	// membership is a search of a few steps, insert and remove shift in
+	// place, and neither allocates. An in-row never outgrows its window; an
+	// out-row longer than maxIn moves to the heap as append moves it,
+	// leaving every other window as it was.
+	out [][]int32
+	in  [][]int32
 	// pins[u] is u's ascending row of pinned peers, mirrored at each end;
 	// empty until the first Pin.
-	pins [][]int
+	pins [][]int32
 	// version increments on every successful edge mutation, letting callers
 	// (e.g. the engine's cached simulator) detect topology changes without
 	// comparing adjacencies.
@@ -64,10 +67,28 @@ func NewTable(n, maxIn int) (*Table, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("topology: table size %d must be positive", n)
 	}
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("topology: table size %d exceeds the int32 node index", n)
+	}
 	if maxIn <= 0 {
 		return nil, fmt.Errorf("topology: incoming cap %d must be positive", maxIn)
 	}
-	return &Table{n: n, maxIn: maxIn, out: make([][]int, n), in: make([][]int, n)}, nil
+	return &Table{n: n, maxIn: maxIn, out: windows(n, maxIn), in: windows(n, maxIn)}, nil
+}
+
+// windows returns n empty rows, row u the window [u·w, (u+1)·w) of one
+// slab, where w is maxIn or, in a table too small to fill that, n−1, the
+// most peers a node can have in one direction. A row's capacity ends where
+// the next window begins, so a row that grows past it moves to the heap
+// rather than into its neighbour.
+func windows(n, maxIn int) [][]int32 {
+	w := min(maxIn, n-1)
+	slab := make([]int32, n*w)
+	rows := make([][]int32, n)
+	for u := range rows {
+		rows[u] = slab[u*w : u*w : (u+1)*w]
+	}
+	return rows
 }
 
 // N returns the number of nodes.
@@ -81,17 +102,23 @@ func (t *Table) checkNode(u int) error {
 }
 
 // insertSorted adds v to the ascending row unless it is already there.
-func insertSorted(row []int, v int) []int {
-	if i, ok := slices.BinarySearch(row, v); !ok {
-		row = slices.Insert(row, i, v)
+func insertSorted(row []int32, v int) []int32 {
+	if i, ok := slices.BinarySearch(row, int32(v)); !ok {
+		row = slices.Insert(row, i, int32(v))
 	}
 	return row
 }
 
 // removeSorted deletes v, which must be present, from the ascending row.
-func removeSorted(row []int, v int) []int {
-	i, _ := slices.BinarySearch(row, v)
+func removeSorted(row []int32, v int) []int32 {
+	i, _ := slices.BinarySearch(row, int32(v))
 	return slices.Delete(row, i, i+1)
+}
+
+// contains reports whether the ascending row holds v.
+func contains(row []int32, v int) bool {
+	_, ok := slices.BinarySearch(row, int32(v))
+	return ok
 }
 
 // Connect adds the outgoing edge u->v. It fails with ErrIncomingFull if v
@@ -151,9 +178,9 @@ func (t *Table) Pin(u, v int) error {
 		return fmt.Errorf("%w: node %d", ErrSelfConnection, u)
 	}
 	if len(t.pins) == 0 {
-		t.pins = make([][]int, t.n)
+		t.pins = make([][]int32, t.n)
 	}
-	if _, ok := slices.BinarySearch(t.pins[u], v); ok {
+	if contains(t.pins[u], v) {
 		return nil
 	}
 	t.pins[u] = insertSorted(t.pins[u], v)
@@ -170,8 +197,7 @@ func (t *Table) Version() uint64 { return t.version }
 
 // HasOut reports whether the outgoing edge u->v exists.
 func (t *Table) HasOut(u, v int) bool {
-	_, ok := slices.BinarySearch(t.out[u], v)
-	return ok
+	return uint(v) < uint(t.n) && contains(t.out[u], v)
 }
 
 // OutDegree returns the number of outgoing connections of u.
@@ -181,29 +207,42 @@ func (t *Table) OutDegree(u int) int { return len(t.out[u]) }
 func (t *Table) InFree(u int) int { return t.maxIn - len(t.in[u]) }
 
 // OutNeighbors returns a copy of u's outgoing neighbors in ascending order.
-func (t *Table) OutNeighbors(u int) []int { return append(make([]int, 0, len(t.out[u])), t.out[u]...) }
+func (t *Table) OutNeighbors(u int) []int {
+	return appendInts(make([]int, 0, len(t.out[u])), t.out[u])
+}
 
 // AppendOutNeighbors appends u's outgoing neighbors in ascending order to
 // buf and returns the extended slice, reusing buf's capacity. Callers on
 // hot paths pass buf[:0] to avoid the per-call allocation of OutNeighbors.
 func (t *Table) AppendOutNeighbors(buf []int, u int) []int {
-	return append(buf, t.out[u]...)
+	return appendInts(buf, t.out[u])
 }
 
 // InNeighbors returns a copy of u's incoming neighbors in ascending order.
-func (t *Table) InNeighbors(u int) []int { return append(make([]int, 0, len(t.in[u])), t.in[u]...) }
+func (t *Table) InNeighbors(u int) []int {
+	return appendInts(make([]int, 0, len(t.in[u])), t.in[u])
+}
+
+// appendInts appends row to dst as ints.
+func appendInts(dst []int, row []int32) []int {
+	dst = slices.Grow(dst, len(row))
+	for _, v := range row {
+		dst = append(dst, int(v))
+	}
+	return dst
+}
 
 // appendMerge appends the union of the ascending rows a, b and c to dst,
 // ascending and without duplicates.
-func appendMerge[E int | int32](dst []E, a, b, c []int) []E {
-	head := func(row []int) int {
+func appendMerge[E int | int32](dst []E, a, b, c []int32) []E {
+	head := func(row []int32) int {
 		if len(row) == 0 {
 			return math.MaxInt
 		}
-		return row[0]
+		return int(row[0])
 	}
-	skip := func(row []int, v int) []int {
-		if len(row) > 0 && row[0] == v {
+	skip := func(row []int32, v int) []int32 {
+		if len(row) > 0 && int(row[0]) == v {
 			return row[1:]
 		}
 		return row
@@ -219,7 +258,7 @@ func appendMerge[E int | int32](dst []E, a, b, c []int) []E {
 }
 
 // pinRow returns u's ascending row of pinned peers, nil before the first Pin.
-func (t *Table) pinRow(u int) []int {
+func (t *Table) pinRow(u int) []int32 {
 	if len(t.pins) == 0 {
 		return nil
 	}
@@ -270,19 +309,29 @@ func (t *Table) UndirectedInto(adj [][]int) [][]int {
 
 // Clone deep-copies the table, pins included.
 func (t *Table) Clone() *Table {
-	return &Table{n: t.n, maxIn: t.maxIn, out: cloneRows(t.out), in: cloneRows(t.in), pins: cloneRows(t.pins)}
+	return &Table{n: t.n, maxIn: t.maxIn, out: t.cloneRows(t.out), in: t.cloneRows(t.in), pins: clonePins(t.pins)}
 }
 
-// cloneRows copies rows into one backing array; each copy's capacity ends
-// where the next begins, so a row that grows moves out rather than into
-// its neighbour.
-func cloneRows(rows [][]int) [][]int {
+// cloneRows copies rows into fresh windows (see windows); only an out-row
+// that had outgrown its window is copied to the heap again.
+func (t *Table) cloneRows(rows [][]int32) [][]int32 {
+	out := windows(t.n, t.maxIn)
+	for u, row := range rows {
+		out[u] = append(out[u], row...)
+	}
+	return out
+}
+
+// clonePins copies pin rows into one backing array; each copy's capacity
+// ends where the next begins, so a row that grows moves out rather than
+// into its neighbour.
+func clonePins(rows [][]int32) [][]int32 {
 	total := 0
 	for _, row := range rows {
 		total += len(row)
 	}
-	backing := make([]int, 0, total)
-	out := make([][]int, len(rows))
+	backing := make([]int32, 0, total)
+	out := make([][]int32, len(rows))
 	for i, row := range rows {
 		start := len(backing)
 		backing = append(backing, row...)
@@ -301,7 +350,7 @@ func (t *Table) Validate() error {
 			return fmt.Errorf("topology: node %d has %d incoming, cap %d", u, len(t.in[u]), t.maxIn)
 		}
 		pins := t.pinRow(u)
-		for _, row := range [][]int{t.out[u], t.in[u], pins} {
+		for _, row := range [][]int32{t.out[u], t.in[u], pins} {
 			for i := 1; i < len(row); i++ {
 				if row[i-1] >= row[i] {
 					return fmt.Errorf("topology: node %d has a row out of order: %v", u, row)
@@ -309,23 +358,23 @@ func (t *Table) Validate() error {
 			}
 		}
 		for _, v := range t.out[u] {
-			if v == u {
+			if int(v) == u {
 				return fmt.Errorf("topology: node %d has self loop", u)
 			}
-			if _, ok := slices.BinarySearch(t.in[v], u); !ok {
+			if !contains(t.in[v], u) {
 				return fmt.Errorf("topology: edge %d->%d missing from in-set", u, v)
 			}
 		}
 		for _, v := range t.in[u] {
-			if !t.HasOut(v, u) {
+			if !contains(t.out[v], u) {
 				return fmt.Errorf("topology: in-edge %d<-%d missing from out-set", u, v)
 			}
 		}
 		for _, v := range pins {
-			if v == u || v < 0 || v >= t.n {
+			if int(v) == u || v < 0 || int(v) >= t.n {
 				return fmt.Errorf("topology: node %d has pin to %d", u, v)
 			}
-			if _, ok := slices.BinarySearch(t.pins[v], u); !ok {
+			if !contains(t.pins[v], u) {
 				return fmt.Errorf("topology: pin %d-%d missing at %d", u, v, v)
 			}
 		}

@@ -639,9 +639,8 @@ func TestTablePinMatchesMapReference(t *testing.T) {
 // FuzzTablePinMatchesReference interleaves Connect, Disconnect and Pin on a
 // small table and the map model: every call must fail or succeed alike, a
 // pinned pair must stay in the undirected graph through a Disconnect of the
-// same pair, and after every operation the undirected graph, the per-node
-// accessors (which never see pins), the version and Validate must agree
-// with the model.
+// same pair, and after every operation the table must match the model (see
+// matchModel).
 func FuzzTablePinMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 2, 1, 2, 1, 1, 2})
 	f.Add([]byte{2, 0, 0, 2, 9, 1, 0, 3, 4, 2, 3, 4, 1, 3, 4})
@@ -664,28 +663,223 @@ func FuzzTablePinMatchesReference(f *testing.F) {
 			if !errors.Is(got, want) || (want == nil) != (got == nil) {
 				t.Fatalf("op %d on (%d, %d): table error %v, model error %v", i/3, u, v, got, want)
 			}
-			adj = tbl.UndirectedInto(adj)
+			matchModel(t, i/3, tbl, ref, 0, &adj)
 			if ops[i]%3 == 1 && got == nil {
 				if _, pinned := ref.pins[u][v]; pinned && !slices.Contains(adj[u], v) {
 					t.Fatalf("op %d: Disconnect(%d, %d) dropped the pin", i/3, u, v)
 				}
 			}
-			for w := 0; w < n; w++ {
-				if want := refSorted(ref.out[w], ref.in[w], ref.pins[w]); !reflect.DeepEqual(adj[w], want) && len(adj[w])+len(want) > 0 {
-					t.Fatalf("op %d: Undirected(%d) = %v, model %v", i/3, w, adj[w], want)
-				}
-				if !reflect.DeepEqual(neighbors(tbl, w), refSorted(ref.out[w], ref.in[w])) {
-					t.Fatalf("op %d: Neighbors(%d) = %v sees a pin", i/3, w, neighbors(tbl, w))
-				}
+		}
+	})
+}
+
+// FuzzTableMatchesReference interleaves Connect, Disconnect, Pin and Clone
+// on a six-node table whose incoming cap, 1 to 4, is read from the first
+// byte, so out-rows outgrow their windows and shrink back, and the map
+// model: every call must fail or succeed alike, and after every operation
+// the table must match the model (see matchModel). A Clone replaces the
+// table and carries on; every table it replaced must end as it was left.
+func FuzzTableMatchesReference(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 2, 0, 1, 3, 0, 1, 4, 3, 0, 0, 0, 1, 5, 1, 1, 2, 2, 1, 3})
+	f.Add([]byte{3, 0, 2, 1, 0, 2, 3, 0, 2, 4, 0, 2, 5, 0, 2, 6, 3, 0, 0, 1, 2, 4, 0, 3, 2})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) == 0 {
+			return
+		}
+		const n = 6
+		maxIn := 1 + int(ops[0])%4
+		tbl, ref := mustTable(t, n, maxIn), newRefTable(n, maxIn)
+		var rebase uint64
+		var adj [][]int
+		var left []*Table
+		var leftAdj [][][]int
+		for i := 1; i+2 < len(ops); i += 3 {
+			// −1 and n are out of range.
+			u, v := int(ops[i+1])%(n+2)-1, int(ops[i+2])%(n+2)-1
+			var got, want error
+			switch ops[i] % 4 {
+			case 0:
+				got, want = tbl.Connect(u, v), ref.connect(u, v)
+			case 1:
+				got, want = tbl.Disconnect(u, v), ref.disconnect(u, v)
+			case 2:
+				got, want = tbl.Pin(u, v), ref.pin(u, v)
+			default:
+				left, leftAdj = append(left, tbl), append(leftAdj, tbl.Undirected())
+				tbl, rebase = tbl.Clone(), ref.version // a Clone counts from 0
 			}
-			if tbl.Version() != ref.version {
-				t.Fatalf("op %d: Version = %d, model %d", i/3, tbl.Version(), ref.version)
+			if !errors.Is(got, want) || (want == nil) != (got == nil) {
+				t.Fatalf("op %d on (%d, %d): table error %v, model error %v", i/3, u, v, got, want)
 			}
-			if err := tbl.Validate(); err != nil {
-				t.Fatalf("op %d: %v", i/3, err)
+			matchModel(t, i/3, tbl, ref, rebase, &adj)
+		}
+		for i, old := range left {
+			if !reflect.DeepEqual(old.Undirected(), leftAdj[i]) {
+				t.Fatalf("clone %d: mutating a Clone changed the table it was cloned from", i)
+			}
+			if err := old.Validate(); err != nil {
+				t.Fatalf("clone %d: %v", i, err)
 			}
 		}
 	})
+}
+
+// matchModel fails the test unless every read accessor of tbl agrees with
+// the model for every node and pair: the undirected graph (pins included),
+// the pin-blind neighbours, the out- and in-rows, the degrees and free
+// slots, HasOut, and the version (counted from rebase, the model's version
+// when tbl was cloned). Validate must pass too. The undirected graph is
+// rebuilt into *adj, the caller's snapshot of the previous operation.
+func matchModel(t *testing.T, op int, tbl *Table, ref *refTable, rebase uint64, adj *[][]int) {
+	t.Helper()
+	n := tbl.N()
+	*adj = tbl.UndirectedInto(*adj)
+	for u := 0; u < n; u++ {
+		for name, pair := range map[string][2][]int{
+			"UndirectedInto": {(*adj)[u], refSorted(ref.out[u], ref.in[u], ref.pins[u])},
+			"Neighbors":      {neighbors(tbl, u), refSorted(ref.out[u], ref.in[u])},
+			"OutNeighbors":   {tbl.OutNeighbors(u), refSorted(ref.out[u])},
+			"InNeighbors":    {tbl.InNeighbors(u), refSorted(ref.in[u])},
+		} {
+			if !slices.Equal(pair[0], pair[1]) {
+				t.Fatalf("op %d: %s(%d) = %v, model %v", op, name, u, pair[0], pair[1])
+			}
+		}
+		if tbl.OutDegree(u) != len(ref.out[u]) || tbl.InFree(u) != ref.maxIn-len(ref.in[u]) {
+			t.Fatalf("op %d: node %d out-degree %d free %d, model %d/%d", op, u, tbl.OutDegree(u), tbl.InFree(u), len(ref.out[u]), len(ref.in[u]))
+		}
+		for v := -1; v <= n; v++ {
+			if _, has := ref.out[u][v]; tbl.HasOut(u, v) != has {
+				t.Fatalf("op %d: HasOut(%d, %d) = %v, model says %v", op, u, v, !has, has)
+			}
+		}
+	}
+	if tbl.Version() != ref.version-rebase {
+		t.Fatalf("op %d: Version = %d, model %d", op, tbl.Version(), ref.version-rebase)
+	}
+	if err := tbl.Validate(); err != nil {
+		t.Fatalf("op %d: %v", op, err)
+	}
+}
+
+// TestRewireDoesNotAllocate empties and refills the out-row of node after
+// node of a fresh Random table, and of its Clone, dialling until the row
+// fills its window or every peer has been offered, so out-rows and in-rows
+// grow to the incoming cap. Every other node's cycle is counted on its own
+// (AllocsPerRun runs the one before it as its warm-up), and nothing warms
+// the table up beforehand: a row that grew by reallocating would show on the
+// node that first grew it.
+func TestRewireDoesNotAllocate(t *testing.T) {
+	const n, dout, maxIn = 2000, 8, 20
+	fresh, err := Random(n, dout, maxIn, rng.New(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		tbl  *Table
+	}{{"Clone", fresh.Clone()}, {"Random", fresh}} {
+		tbl, r, cand, buf := tc.tbl, rng.New(10), identity(n), make([]int, 0, n)
+		u := 0
+		cycle := func() {
+			for _, v := range tbl.AppendOutNeighbors(buf[:0], u) {
+				if err := tbl.Disconnect(u, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < n && tbl.OutDegree(u) < maxIn; i++ {
+				if v := draw(cand, i, r); v != u && tbl.InFree(v) > 0 {
+					if err := tbl.Connect(u, v); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			u++
+		}
+		for u+1 < n {
+			if allocs := testing.AllocsPerRun(1, cycle); allocs != 0 {
+				t.Fatalf("%s: refilling node %d allocates %v objects", tc.name, u-1, allocs)
+			}
+		}
+		full := 0
+		for v := 0; v < n; v++ {
+			if tbl.InFree(v) == 0 {
+				full++
+			}
+		}
+		if full < n/2 {
+			t.Fatalf("%s: only %d of %d in-rows reached the cap", tc.name, full, n)
+		}
+		if err := tbl.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestOutRowOutgrowsItsWindow gives node 3 of a table whose incoming cap is
+// 2 five outgoing connections, more than its window holds, after the
+// windows on either side of it have been filled: the row must move out of
+// the slab, and every row the dials did not write to must stay in its
+// window with the contents it had, the table (and its Clone) valid.
+func TestOutRowOutgrowsItsWindow(t *testing.T) {
+	const n, maxIn, u = 10, 2, 3
+	tbl := mustTable(t, n, maxIn)
+	for v := 0; v < n; v++ {
+		if cap(tbl.out[v]) != maxIn || cap(tbl.in[v]) != maxIn {
+			t.Fatalf("node %d: windows of %d and %d, want %d", v, cap(tbl.out[v]), cap(tbl.in[v]), maxIn)
+		}
+	}
+	for _, e := range [][2]int{{2, 0}, {2, 7}, {4, 0}, {4, 7}, {5, 2}, {6, 2}, {5, 4}, {6, 4}, {u, 1}} {
+		if err := tbl.Connect(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// window is the array under a row, up to its capacity.
+	window := func(row []int32) []int32 { return row[:cap(row)] }
+	rows := func(v int) [][]int32 { return [][]int32{tbl.out[v], tbl.in[v]} }
+	var was [][]int32
+	var base []*int32
+	for v := 0; v < n; v++ {
+		for _, row := range rows(v) {
+			was, base = append(was, slices.Clone(window(row))), append(base, &window(row)[0])
+		}
+	}
+	for _, v := range []int{5, 6, 8, 9} {
+		if err := tbl.Connect(u, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := tbl.OutNeighbors(u), []int{1, 5, 6, 8, 9}; !slices.Equal(got, want) {
+		t.Fatalf("OutNeighbors(%d) = %v, want %v", u, got, want)
+	}
+	if &window(tbl.out[u])[0] == base[2*u] {
+		t.Fatalf("node %d's out-row of 5 still lives in its window of %d", u, maxIn)
+	}
+	dialled := map[int]bool{5: true, 6: true, 8: true, 9: true}
+	for v := 0; v < n; v++ {
+		for d, row := range rows(v) {
+			i, got := 2*v+d, window(row)
+			switch {
+			case v == u && d == 0: // the row that moved
+			case &got[0] != base[i] || len(got) != maxIn:
+				t.Fatalf("node %d: row %d left its window", v, d)
+			case !dialled[v] || d == 0:
+				if !slices.Equal(got, was[i]) {
+					t.Fatalf("node %d: window %d changed from %v to %v", v, d, was[i], got)
+				}
+			}
+		}
+	}
+	if err := tbl.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	clone := tbl.Clone()
+	if err := clone.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(clone.Undirected(), tbl.Undirected()) {
+		t.Fatal("the Clone of a table with an overflowing row differs from it")
+	}
 }
 
 // TestAppendUndirectedMatchesUndirected writes every node's row with

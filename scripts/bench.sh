@@ -55,13 +55,16 @@ gate MicroBroadcastStreaming10000 0
 # The engine's path from the table's rows to the CSR reuses both buffer
 # generations once warm.
 gate MicroReconfigure1000 0
-# A build of the random topology allocates its rows and two index arrays,
-# 7.0 MB at n = 20000; one permutation per node was 3.1 GB.
-gate_bytes MicroTopologyRandom20000 16000000
-# Table rows keep their capacity across rounds: a rewire pass plus writing
-# every node's row into one buffer allocates only when Connect grows some
-# row past its past maximum.
-gate MicroTableRewire1000 16
+# A build of the random topology allocates the table's two int32 slabs
+# (3.2 MB at n = 20000 and 20 incoming slots), their row headers and two
+# index arrays: 4.5 MB in 9 or 10 objects. Rows grown one by one were
+# 7.0 MB in 165,889 objects; one permutation per node was 3.1 GB.
+gate_bytes MicroTopologyRandom20000 5000000
+gate MicroTopologyRandom20000 16
+# Table rows live in fixed windows of the slabs: a rewire pass plus writing
+# every node's row into a buffer sized once allocates nothing, from the
+# first op (2 allocs/op after a 50-round warm-up when rows grew on the heap).
+gate MicroTableRewire1000 0
 # A fresh engine's first round builds its simulator from the table's rows
 # and carves every node's round rows from slabs: a fixed number of
 # allocations at any n (about 14; 2,000 nodes allocated about 19,000 when
@@ -89,13 +92,13 @@ gate MicroVanillaScoring 1
 gate MicroSubsetScoring 1
 gate MicroSubsetScoringPools 1
 gate MicroSubsetScoringWindow10 1
-# About 4,900 allocs since a round prepares every node's rows in engine
-# slabs and builds the simulator's CSR from the table's rows (9,650 before,
-# when the adjacency snapshot and each node's outgoing and observation rows
-# grew on their own; 26,330 before a round decided every node into engine
-# scratch; 39,330 before the replay moved to per-node inboxes carved from
-# one slab).
-gate WorkloadHour 5500
+# About 2,200 allocs since the connection table keeps its rows in fixed
+# windows of two slabs (4,900 when Connect grew them on the heap; 9,650
+# before a round prepared every node's rows in engine slabs and built the
+# simulator's CSR from the table's rows; 26,330 before a round decided
+# every node into engine scratch; 39,330 before the replay moved to
+# per-node inboxes carved from one slab).
+gate WorkloadHour 3000
 # The live wire: a frame is appended to the write loop's reused buffer in
 # place, and the buffered reader owns its header and payload scratch, so a
 # read allocates only the message it returns (a one-hash Inv together with
@@ -118,9 +121,9 @@ gate MicroStoreAdd 0
 # Decision tracing is off in every Micro case; this ceiling pins the
 # untraced engine round so the tracing hooks stay branch-only on the hot
 # path (a per-decision or per-counterfactual allocation would add
-# thousands per round). It measures 5: a round allocates its TimedRound
-# and its decide fan-out, and Connect still grows the connection table's
-# rows now and then past their earlier maxima. Nothing is paid per node:
+# thousands per round). It measures 2: a round allocates its TimedRound
+# and its decide fan-out (5 when Connect still grew the connection table's
+# rows now and then past their earlier maxima). Nothing is paid per node:
 # each node's selector stream is its worker's, reseeded, its decision is
 # appended into engine scratch, and its round rows are carved from slabs
 # (34 when the adjacency snapshot's rows grew with the table's; 1022 when
