@@ -347,15 +347,15 @@ func BenchmarkMicroWireFrameBlock1K(b *testing.B) { bench.MicroWireFrame(bench.W
 
 // BenchmarkMicroWireRead* measure what its read loop pays per message
 // through the buffered wire.Reader; scripts/bench.sh holds allocs/op at the
-// decoded message's own (an Inv with its hash in one object; a block, its
-// transaction list and one body buffer under a wire.Block).
+// decoded message's own (none for a one-hash Inv, which is decoded into the
+// reader's scratch; a wire.Block with its block in one object, the
+// transaction list and one body buffer).
 func BenchmarkMicroWireReadInv(b *testing.B)     { bench.MicroWireRead(bench.WireInv())(b) }
 func BenchmarkMicroWireReadBlock1K(b *testing.B) { bench.MicroWireRead(bench.WireBlock1K())(b) }
 
 // BenchmarkMicroRelayBlock1K measures a relaying node's wire per block: the
-// read above, then the block framed again on the checksum the reader
-// verified. scripts/bench.sh holds allocs/op at the read's plus the
-// RelayBlock.
+// read above, then the decoded message framed again on the checksum the
+// reader verified. scripts/bench.sh holds allocs/op at the read's.
 func BenchmarkMicroRelayBlock1K(b *testing.B) { bench.MicroRelayBlock1K(b) }
 
 // BenchmarkMicroStoreAdd measures chain.Store.Add of a 1 KB block on a

@@ -175,20 +175,32 @@ func encodedSize(txs [][]byte) (int, error) {
 
 // DecodeBlock parses a canonical block encoding.
 func DecodeBlock(buf []byte) (*Block, error) {
-	if len(buf) > MaxBlockSize {
-		return nil, fmt.Errorf("chain: encoded block of %d bytes exceeds limit %d", len(buf), MaxBlockSize)
-	}
-	var b Block
-	if err := b.Header.unmarshal(buf); err != nil {
+	b := new(Block)
+	if err := b.UnmarshalBinary(buf); err != nil {
 		return nil, err
+	}
+	return b, nil
+}
+
+// UnmarshalBinary parses a canonical block encoding into b, which then
+// shares no memory with buf. It allocates the transaction list and one
+// body buffer, so a caller that embeds the Block in a larger value decodes
+// a block in three allocations; on error b is left as it was.
+func (b *Block) UnmarshalBinary(buf []byte) error {
+	if len(buf) > MaxBlockSize {
+		return fmt.Errorf("chain: encoded block of %d bytes exceeds limit %d", len(buf), MaxBlockSize)
+	}
+	var h Header
+	if err := h.unmarshal(buf); err != nil {
+		return err
 	}
 	rest := buf[headerSize:]
 	if len(rest) < 4 {
-		return nil, errors.New("chain: truncated transaction count")
+		return errors.New("chain: truncated transaction count")
 	}
 	count := binary.LittleEndian.Uint32(rest[:4])
 	if count > MaxTxs {
-		return nil, fmt.Errorf("chain: transaction count %d exceeds limit %d", count, MaxTxs)
+		return fmt.Errorf("chain: transaction count %d exceeds limit %d", count, MaxTxs)
 	}
 	rest = rest[4:]
 	// Walk the lengths first, allocating nothing, so a payload that claims
@@ -196,29 +208,30 @@ func DecodeBlock(buf []byte) (*Block, error) {
 	walk := rest
 	for i := uint32(0); i < count; i++ {
 		if len(walk) < 4 {
-			return nil, errors.New("chain: truncated transaction length")
+			return errors.New("chain: truncated transaction length")
 		}
 		txLen := binary.LittleEndian.Uint32(walk[:4])
 		walk = walk[4:]
 		if txLen > MaxTxSize {
-			return nil, fmt.Errorf("chain: transaction of %d bytes exceeds limit %d", txLen, MaxTxSize)
+			return fmt.Errorf("chain: transaction of %d bytes exceeds limit %d", txLen, MaxTxSize)
 		}
 		if uint32(len(walk)) < txLen {
-			return nil, errors.New("chain: truncated transaction body")
+			return errors.New("chain: truncated transaction body")
 		}
 		walk = walk[txLen:]
 	}
 	if len(walk) != 0 {
-		return nil, fmt.Errorf("chain: %d trailing bytes after block", len(walk))
+		return fmt.Errorf("chain: %d trailing bytes after block", len(walk))
 	}
-	b.Txs = make([][]byte, count)
-	for i := range b.Txs {
+	txs := make([][]byte, count)
+	for i := range txs {
 		txLen := binary.LittleEndian.Uint32(rest[:4])
-		b.Txs[i] = rest[4 : 4+txLen]
+		txs[i] = rest[4 : 4+txLen]
 		rest = rest[4+txLen:]
 	}
-	detachTxs(b.Txs) // the block must not share memory with buf
-	return &b, nil
+	detachTxs(txs) // the block must not share memory with buf
+	b.Header, b.Txs = h, txs
+	return nil
 }
 
 // detachTxs replaces every transaction with a copy in one buffer of their

@@ -187,3 +187,48 @@ func TestVanillaDecisionDoesNotAllocate(t *testing.T) {
 		t.Fatalf("a Vanilla decision allocates %v objects, want 0", allocs)
 	}
 }
+
+// TestSubsetScratchGrowsOncePerCall checks that Subset's pooled scratch is
+// sized to a call's bound at the start of the call: after one SubsetSelect
+// on the largest matrix, smaller ones allocate nothing, even one whose
+// greedy steps list more rows above θ than the largest call ever did. The
+// largest matrix is all zeros, so its steps list none; before the order
+// list was sized to the call's rows, the smaller matrices grew it.
+func TestSubsetScratchGrowsOncePerCall(t *testing.T) {
+	matrix := func(k, blocks int, offset func(b, i int) time.Duration) Observations {
+		neighbors := make([]int, k)
+		for i := range neighbors {
+			neighbors[i] = 100 + i
+		}
+		obs := NewObservations(neighbors, blocks)
+		for b, row := range obs.Offsets {
+			for i := range row {
+				row[i] = offset(b, i)
+			}
+		}
+		return obs
+	}
+	largest := matrix(12, 60, func(int, int) time.Duration { return 0 })
+	smaller := []Observations{
+		matrix(8, 40, func(b, i int) time.Duration { return time.Duration((b*7+i*13)%29+1) * time.Millisecond }),
+		matrix(12, 60, func(b, i int) time.Duration { return time.Duration((b*11+i*5)%37+1) * time.Millisecond }),
+		matrix(4, 20, func(b, i int) time.Duration { return time.Duration((b*3+i*17)%19+1) * time.Millisecond }),
+	}
+	const retain, pct = 3, 0.9
+	buf := make([]int, 0, retain)
+	// One P, so every call meets the scratch the call before it put back;
+	// GC off, since a collection empties the pool.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	subsetSelectInto(buf, largest, retain, pct)
+	for i, obs := range smaller {
+		// testing.AllocsPerRun would hide the growth behind its warm-up call.
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		subsetSelectInto(buf, obs, retain, pct)
+		runtime.ReadMemStats(&after)
+		if got := after.Mallocs - before.Mallocs; got != 0 {
+			t.Errorf("matrix %d (%d blocks × %d neighbors) after the largest allocates %d objects, want 0", i, len(obs.Offsets), len(obs.Neighbors), got)
+		}
+	}
+}

@@ -225,13 +225,16 @@ var rankSorterPool = sync.Pool{New: func() any { return new(rankSorter) }}
 // subsetScratch bundles the working buffers of one SubsetSelect call so the
 // greedy §4.3 selection — which runs once per node per round, from many
 // goroutines — allocates nothing once warm but the slice it returns, which
-// the selector's decision buffer provides.
+// the selector's decision buffer provides. Each buffer is grown at most once
+// a call, to that call's bound, so a call no larger than one before it
+// allocates nothing.
 type subsetScratch struct {
-	individual []time.Duration
-	best       []time.Duration
-	cols       []time.Duration // the scored rows transposed: one contiguous column per neighbor
-	used       []bool
-	order      []stats.OrderedLimit // one step's rows with best above θ, largest first
+	// durations holds, back to back, the scored rows transposed (one
+	// contiguous column per neighbor), each neighbor's individual score and
+	// each row's best offset among the chosen.
+	durations []time.Duration
+	used      []bool
+	order     []stats.OrderedLimit // one step's rows with best above θ, largest first
 }
 
 var subsetPool = sync.Pool{New: func() any { return new(subsetScratch) }}
@@ -337,9 +340,10 @@ func subsetSelectInto(dst []int, obs Observations, retain int, pct float64) []in
 	if obs.distinct != nil && !twoSlot && 4*len(obs.distinct) <= 3*blocks {
 		rows, w = len(obs.distinct), obs.weight
 	}
+	durations := grow(&sc.durations, k*rows+k+rows)
 	// Every greedy step reads whole columns, so lay them out contiguously
 	// once instead of striding through the block-major rows each time.
-	cols := grow(&sc.cols, k*rows)
+	cols := durations[:k*rows]
 	if w == nil {
 		for b, row := range obs.Offsets {
 			for i, t := range row[:k] {
@@ -353,12 +357,12 @@ func subsetSelectInto(dst []int, obs Observations, retain int, pct float64) []in
 			}
 		}
 	}
-	individual := grow(&sc.individual, k)
+	individual := durations[k*rows : k*rows+k]
 	for i := range individual {
 		individual[i] = percentileOfMin(&q, cols[i*rows:(i+1)*rows], nil, w)
 	}
 	// best[j] is the fastest offset among chosen neighbors for row j.
-	best := grow(&sc.best, rows)
+	best := durations[k*rows+k:]
 	for j := range best {
 		best[j] = stats.InfDuration
 	}
@@ -369,13 +373,16 @@ func subsetSelectInto(dst []int, obs Observations, retain int, pct float64) []in
 	used := grow(&sc.used, k)
 	clear(used) // read before it is written
 	ordered := q.TopSlots() && !twoSlot
+	var limits []stats.OrderedLimit // room for every row: limitsAbove never grows it
+	if ordered {
+		limits = grow(&sc.order, rows)[:0]
+	}
 	var prevScore time.Duration
 	for len(chosen) < retain {
 		var order []stats.OrderedLimit
 		theta := prevScore / 2
 		if ordered && len(chosen) > 0 {
-			order = limitsAbove(sc.order[:0], best, w, theta)
-			sc.order = order
+			order = limitsAbove(limits, best, w, theta)
 		}
 		bestIdx := -1
 		bestScore := stats.InfDuration

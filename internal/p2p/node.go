@@ -183,10 +183,10 @@ type Node struct {
 	withheld map[chain.Hash]int
 
 	// relayed holds, in the slot of the hash's leading bytes, the BLOCK
-	// message of a block read off the wire, which carries the checksum its
-	// frame was verified with. handleGetData sends it only while the store
-	// holds that very block; any other GETDATA is framed and hashed afresh.
-	relayed [relaySlots]atomic.Pointer[wire.RelayBlock]
+	// message a block was read off the wire in, which frames on the checksum
+	// its reader verified. handleGetData sends it only while the store holds
+	// that very block; any other GETDATA is framed and hashed afresh.
+	relayed [relaySlots]atomic.Pointer[wire.Block]
 
 	// roundInFlight is set while an automatic round runs.
 	roundInFlight atomic.Bool
@@ -710,7 +710,7 @@ func (n *Node) setupPeer(conn net.Conn, dir Direction, dialedAddr string) error 
 	p.send(&wire.GetAddr{})
 	if tip := n.store.Tip(); tip.Header.Height > 0 {
 		if h := tip.Header.Hash(); n.showsTip(h) {
-			p.send(invOf(h))
+			p.sendInv(h)
 		}
 	}
 	if err := closeHandshake(handshakeConn, initiator); err != nil {
@@ -864,7 +864,7 @@ func (n *Node) readLoop(p *peer) {
 		case *wire.GetData:
 			n.handleGetData(p, msg)
 		case *wire.Block:
-			n.handleBlock(p, msg.Block, in.Checksum())
+			n.handleBlock(p, msg)
 		case *wire.Addr:
 			n.handleAddr(p, msg)
 		case *wire.GetAddr:
@@ -915,42 +915,32 @@ func (n *Node) reRequestAfter() time.Duration {
 func (n *Node) handleInv(p *peer, inv *wire.Inv) {
 	now := time.Now()
 	window := n.reRequestAfter()
-	var want *wire.GetData
+	// One hash to fetch, the relay's usual case, is queued as a value; the
+	// list is built only once there is a second.
+	var first chain.Hash
+	var want []chain.Hash
+	asked := 0
 	n.obsMu.Lock()
 	for _, h := range inv.Hashes {
 		n.sightings.note(p.id, h, now)
 		if !n.store.Has(h) && n.sightings.ask(h, now, window) {
-			if want == nil {
-				want = getDataOf(h)
-			} else {
-				want.Hashes = append(want.Hashes, h)
+			switch asked++; asked {
+			case 1:
+				first = h
+			case 2:
+				want = append(want, first, h)
+			default:
+				want = append(want, h)
 			}
 		}
 	}
 	n.obsMu.Unlock()
-	if want != nil {
-		p.send(want)
+	switch {
+	case asked == 1:
+		p.sendGetData(first)
+	case asked > 1:
+		p.send(&wire.GetData{Hashes: want})
 	}
-}
-
-// invOf and getDataOf build the one-hash INV and GETDATA that relay sends
-// per block, each with its hash in one allocation.
-func invOf(h chain.Hash) *wire.Inv {
-	one := &struct {
-		msg  wire.Inv
-		hash [1]chain.Hash
-	}{hash: [1]chain.Hash{h}}
-	one.msg.Hashes = one.hash[:]
-	return &one.msg
-}
-
-func getDataOf(h chain.Hash) *wire.GetData {
-	one := &struct {
-		msg  wire.GetData
-		hash [1]chain.Hash
-	}{hash: [1]chain.Hash{h}}
-	one.msg.Hashes = one.hash[:]
-	return &one.msg
 }
 
 // rerequestStale re-sends GETDATA to p for blocks requested over the
@@ -983,11 +973,12 @@ func (n *Node) handleGetData(p *peer, gd *wire.GetData) {
 // relaySlot is h's slot in Node.relayed.
 func relaySlot(h chain.Hash) int { return int(binary.BigEndian.Uint16(h[:2])) % relaySlots }
 
-// handleBlock takes a block p sent, whose frame had checksum sum. Unless
-// the block is known already, its BLOCK message to serve onward is built
-// first, so it is in place before the block's INV goes out; should the
-// store not connect this very block, handleGetData never sends it.
-func (n *Node) handleBlock(p *peer, b *chain.Block, sum [4]byte) {
+// handleBlock takes the BLOCK message p sent, as its reader decoded it.
+// Unless the block is known already, that message is put in place to serve
+// the block onward before the block's INV goes out; should the store not
+// connect this very block, handleGetData never sends it.
+func (n *Node) handleBlock(p *peer, msg *wire.Block) {
+	b := msg.Block
 	h := b.Header.Hash()
 	n.obsMu.Lock()
 	n.sightings.note(p.id, h, time.Now())
@@ -995,7 +986,7 @@ func (n *Node) handleBlock(p *peer, b *chain.Block, sum [4]byte) {
 	if n.store.Has(h) {
 		return
 	}
-	n.relayed[relaySlot(h)].Store(&wire.RelayBlock{Block: b, Sum: sum})
+	n.relayed[relaySlot(h)].Store(msg)
 	n.acceptBlock(p, b, h, false)
 }
 
@@ -1028,7 +1019,7 @@ func (n *Node) acceptBlock(from *peer, b *chain.Block, h chain.Hash, mined bool)
 		}
 	}
 	if added.Stashed && from != nil {
-		from.send(getDataOf(b.Header.PrevHash))
+		from.sendGetData(b.Header.PrevHash)
 	}
 	switch {
 	case errors.Is(err, chain.ErrInvalidBlock):
@@ -1110,13 +1101,12 @@ func (n *Node) markWithheld(h chain.Hash, d int) {
 	}
 }
 
-// broadcastInv queues one Inv to every peer but exceptID; the message is
-// shared, since nothing writes to a message once it is queued.
+// broadcastInv queues an INV of h to every peer but exceptID, as a value
+// each write loop frames itself, so a relay allocates nothing.
 func (n *Node) broadcastInv(h chain.Hash, exceptID uint64) {
-	inv := invOf(h)
 	for _, p := range n.peerSnapshot() {
 		if p.id != exceptID {
-			p.send(inv)
+			p.sendInv(h)
 		}
 	}
 }

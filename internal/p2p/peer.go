@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/perigee-net/perigee/internal/chain"
 	"github.com/perigee-net/perigee/internal/wire"
 )
 
@@ -72,7 +73,7 @@ type peer struct {
 	// replay with the same seed draws identical ones.
 	addrResponses int
 
-	sendCh chan wire.Message
+	sendCh chan queued
 	done   chan struct{}
 
 	closeOnce sync.Once
@@ -155,6 +156,16 @@ func (p *peer) nextAddrResponse() int {
 
 const peerSendBuffer = 128
 
+// queued is one entry of a peer's send queue: msg, or, when msg is nil, an
+// INV or GETDATA (kind) of hash alone, which the write loop frames from
+// scratch of its own, so that relaying a block queues its announcements and
+// requests without allocating.
+type queued struct {
+	msg  wire.Message
+	kind wire.MsgType
+	hash chain.Hash
+}
+
 func newPeer(id uint64, dir Direction, conn net.Conn, listenAddr string, delay time.Duration) *peer {
 	return &peer{
 		id:         id,
@@ -162,7 +173,7 @@ func newPeer(id uint64, dir Direction, conn net.Conn, listenAddr string, delay t
 		conn:       conn,
 		listenAddr: listenAddr,
 		delay:      delay,
-		sendCh:     make(chan wire.Message, peerSendBuffer),
+		sendCh:     make(chan queued, peerSendBuffer),
 		done:       make(chan struct{}),
 	}
 }
@@ -172,7 +183,19 @@ func newPeer(id uint64, dir Direction, conn net.Conn, listenAddr string, delay t
 // blocking the caller, like a full TCP send buffer). A peer that keeps a
 // full queue for maxFullDrops consecutive sends is disconnected instead of
 // silently throttling the broadcast path forever.
-func (p *peer) send(m wire.Message) bool {
+func (p *peer) send(m wire.Message) bool { return p.enqueue(queued{msg: m}) }
+
+// sendInv queues an INV of the one hash h, as send does.
+func (p *peer) sendInv(h chain.Hash) bool {
+	return p.enqueue(queued{kind: wire.MsgInv, hash: h})
+}
+
+// sendGetData queues a GETDATA of the one hash h, as send does.
+func (p *peer) sendGetData(h chain.Hash) bool {
+	return p.enqueue(queued{kind: wire.MsgGetData, hash: h})
+}
+
+func (p *peer) enqueue(m queued) bool {
 	select {
 	case <-p.done:
 		return false
@@ -223,8 +246,24 @@ func (p *peer) send(m wire.Message) bool {
 // the peer closes.
 func (p *peer) writeLoop() {
 	var buf []byte
+	var hash [1]chain.Hash
+	inv, getData := &wire.Inv{Hashes: hash[:]}, &wire.GetData{Hashes: hash[:]}
+	// message returns the message m stands for, a one-hash INV or GETDATA
+	// in the scratch above, valid until the next call.
+	message := func(m queued) wire.Message {
+		switch {
+		case m.msg != nil:
+			return m.msg
+		case m.kind == wire.MsgInv:
+			hash[0] = m.hash
+			return inv
+		default:
+			hash[0] = m.hash
+			return getData
+		}
+	}
 	for {
-		var m wire.Message
+		var m queued
 		select {
 		case m = <-p.sendCh:
 		case <-p.done:
@@ -243,7 +282,7 @@ func (p *peer) writeLoop() {
 	burst:
 		for {
 			var err error
-			if buf, err = wire.AppendFrame(buf, m); err != nil {
+			if buf, err = wire.AppendFrame(buf, message(m)); err != nil {
 				p.close()
 				return
 			}

@@ -50,30 +50,22 @@ func TestPeerSnapshotAllocatesNothingWhenUnchanged(t *testing.T) {
 	}
 }
 
-// TestBroadcastInvQueuesOneMessage: a relay to three peers builds one Inv
-// (the message and its hash, in one allocation) and queues that same
-// message to each.
+// TestBroadcastInvQueuesOneMessage: a relay to three peers queues one INV
+// of the hash to each, as a value its write loop frames, and allocates
+// nothing.
 func TestBroadcastInvQueuesOneMessage(t *testing.T) {
 	n, peers := idleNode(t, 1, 2, 3, 4)
 	n.peerSnapshot() // build the list outside the count
 	h := testGenesis().Header.Hash()
-	if allocs := testing.AllocsPerRun(20, func() { n.broadcastInv(h, 4) }); allocs != 1 {
-		t.Fatalf("broadcastInv to three peers allocates %.1f times, want 1 (one Inv)", allocs)
+	if allocs := testing.AllocsPerRun(20, func() { n.broadcastInv(h, 4) }); allocs != 0 {
+		t.Fatalf("broadcastInv to three peers allocates %.1f times, want 0", allocs)
 	}
 	if got := len(peers[3].sendCh); got != 0 {
 		t.Fatalf("the excluded peer was sent %d messages", got)
 	}
-	var shared wire.Message
 	for _, p := range peers[:3] {
-		m := <-p.sendCh
-		inv, ok := m.(*wire.Inv)
-		if !ok || len(inv.Hashes) != 1 || inv.Hashes[0] != h {
+		if m := <-p.sendCh; m != (queued{kind: wire.MsgInv, hash: h}) {
 			t.Fatalf("peer %d was sent %#v, want an Inv of %s", p.id, m, h)
-		}
-		if shared == nil {
-			shared = m
-		} else if m != shared {
-			t.Fatalf("peer %d was sent its own Inv, want the one shared message", p.id)
 		}
 	}
 }

@@ -52,11 +52,11 @@ func fetchFrame(conn net.Conn, h chain.Hash) ([]byte, error) {
 
 // TestGetDataServesTheVerifiedFrame: a block raw peer A sends is served to
 // three requesters at once byte for byte as A framed it, and the message
-// queued is the one the node built when the block arrived, which carries
-// the checksum its reader verified. When the table's message holds another
-// copy of the block than the store does, here a copy with a wrong
-// checksum, a GETDATA is framed and hashed afresh and the bytes are still
-// A's. Run it with -race: the three requesters share one message.
+// queued is the one the node's reader decoded the block into, which frames
+// on the checksum that reader verified. When the table's slot holds another
+// block's message, here one decoded from another frame, a GETDATA is
+// framed and hashed afresh and the bytes are still A's. Run it with -race:
+// the three requesters share one message.
 func TestGetDataServesTheVerifiedFrame(t *testing.T) {
 	n := startNode(t, 7790, nil)
 	a := rawDial(t, n, 0xA)
@@ -74,12 +74,16 @@ func TestGetDataServesTheVerifiedFrame(t *testing.T) {
 	waitFor(t, "the block to connect", 2*time.Second, func() bool { return n.Store().Has(h) })
 
 	relay := n.relayed[relaySlot(h)].Load()
-	if relay == nil || relay.Block != n.Store().Get(h) || relay.Sum != [4]byte(sent[9:13]) {
-		t.Fatalf("table holds %+v, want the stored block under checksum %x", relay, sent[9:13])
+	if relay == nil || relay.Block != n.Store().Get(h) {
+		t.Fatalf("table holds %+v, want the message of the stored block", relay)
+	}
+	if again, err := wire.AppendFrame(nil, relay); err != nil || !bytes.Equal(again, sent) {
+		t.Fatalf("the table's message frames as\n %x (%v)\nwant the sender's\n %x", again, err, sent)
 	}
 	probe := newPeer(0xC, Inbound, newRecordingConn(), "", 0)
-	n.handleGetData(probe, getDataOf(h))
-	if m := <-probe.sendCh; m != relay {
+	getData := &wire.GetData{Hashes: []chain.Hash{h}}
+	n.handleGetData(probe, getData)
+	if m := <-probe.sendCh; m.msg != relay {
 		t.Fatalf("GETDATA queued %#v, want the table's message", m)
 	}
 
@@ -102,11 +106,19 @@ func TestGetDataServesTheVerifiedFrame(t *testing.T) {
 	}
 	fetchAll("from the table")
 
-	other := *relay.Block
-	n.relayed[relaySlot(h)].Store(&wire.RelayBlock{Block: &other, Sum: [4]byte{^sent[9], sent[10], sent[11], sent[12]}})
-	n.handleGetData(probe, getDataOf(h))
-	if m, ok := (<-probe.sendCh).(*wire.Block); !ok || m.Block != n.Store().Get(h) {
-		t.Fatalf("GETDATA beside another copy in the table queued %#v, want a fresh BLOCK of the stored block", m)
+	other := chain.NewBlock(testGenesis(), [][]byte{[]byte("other")}, time.UnixMilli(2), 2)
+	otherFrame, err := wire.AppendFrame(nil, &wire.Block{Block: other})
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := wire.NewReader(bytes.NewReader(otherFrame)).Read()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.relayed[relaySlot(h)].Store(decoded.(*wire.Block))
+	n.handleGetData(probe, getData)
+	if m, ok := (<-probe.sendCh).msg.(*wire.Block); !ok || m.Block != n.Store().Get(h) {
+		t.Fatalf("GETDATA beside another block's message in the table queued %#v, want a fresh BLOCK of the stored block", m)
 	}
 	fetchAll("hashed afresh")
 }

@@ -273,3 +273,33 @@ func TestWireReaderMidFrame(t *testing.T) {
 		}
 	}
 }
+
+// TestReaderReusesOneHashScratch: an INV or GETDATA of one hash is valid
+// only until the next Read, which decodes into the same scratch; a longer
+// one is not overwritten.
+func TestReaderReusesOneHashScratch(t *testing.T) {
+	a, b, c := chain.Hash{0xA}, chain.Hash{0xB}, chain.Hash{0xC}
+	long := &Inv{Hashes: []chain.Hash{a, b}}
+	r := NewReader(bytes.NewReader(stream(t, &Inv{Hashes: []chain.Hash{a}}, &Inv{Hashes: []chain.Hash{b}}, long, &GetData{Hashes: []chain.Hash{c}})))
+	read := func() Message {
+		t.Helper()
+		m, err := r.Read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	first := read().(*Inv)
+	second := read().(*Inv)
+	if first != second || first.Hashes[0] != b {
+		t.Fatalf("second INV is a new message (%t) or left the first reading %s, want the first's scratch holding %s", first != second, first.Hashes[0], b)
+	}
+	kept := read().(*Inv)
+	getData := read().(*GetData)
+	if kept == first || len(kept.Hashes) != 2 || kept.Hashes[0] != a || kept.Hashes[1] != b {
+		t.Fatalf("a two-hash INV read before a GETDATA reads %v, want [%s %s]", kept.Hashes, a, b)
+	}
+	if getData.Hashes[0] != c || first.Hashes[0] != c {
+		t.Fatalf("GETDATA reads %s and the first INV %s, want both %s: they share the scratch", getData.Hashes[0], first.Hashes[0], c)
+	}
+}

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"testing"
 	"time"
 
@@ -83,6 +84,13 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("%v frame not stable across round trip:\n %x\n %x", m.Type(), buf.Bytes(), buf2.Bytes())
 		}
 	})
+}
+
+// decodePayload decodes payload p of type t as a fresh Reader does once the
+// frame's checksum has passed.
+func decodePayload(t MsgType, p []byte) (Message, error) {
+	sum := sha256.Sum256(p)
+	return new(Reader).decode(t, p, [4]byte(sum[:4]))
 }
 
 // FuzzDecodePayload drives the per-type payload decoders directly with

@@ -50,7 +50,7 @@ func fuzzHashes(data []byte) []chain.Hash {
 // FuzzFrameMatchesReference holds AppendFrame to the reference framing
 // (encode, then SHA-256 the payload) on random blocks, INVs and GETDATAs,
 // appended behind a prefix that must survive. A BLOCK read back through a
-// Reader and sent on as a RelayBlock, under the checksum the Reader
+// Reader and sent on as the decoded message, on the checksum the Reader
 // verified, must frame to the very same bytes without hashing again.
 func FuzzFrameMatchesReference(f *testing.F) {
 	f.Add(byte(0), []byte{})
@@ -87,13 +87,14 @@ func FuzzFrameMatchesReference(f *testing.F) {
 		if m.Type() != MsgBlock {
 			return
 		}
-		r := NewReader(bytes.NewReader(want))
-		read, err := r.Read()
+		read, err := NewReader(bytes.NewReader(want)).Read()
 		if err != nil {
 			t.Fatal(err)
 		}
-		relay := &RelayBlock{Block: read.(*Block).Block, Sum: r.Checksum()}
-		again, err := AppendFrame(prefix, relay)
+		if _, ok := verifiedSum(read); !ok {
+			t.Fatal("a decoded block would be hashed again")
+		}
+		again, err := AppendFrame(prefix, read)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,30 +112,39 @@ func referenceHashes(hashes []chain.Hash) []byte {
 	return payload
 }
 
-// TestReaderChecksum: Checksum reports the checksum of the frame Read last
-// returned, and a failed Read leaves it as it was.
-func TestReaderChecksum(t *testing.T) {
-	msgs := fuzzSeedMessages()
-	var stream []byte
-	for _, m := range msgs {
-		stream = append(stream, frame(t, m)...)
+// TestDecodedBlockFramesOnItsChecksum: a BLOCK a Reader decoded keeps the
+// checksum the Reader verified, and AppendFrame writes that checksum rather
+// than hash the payload again for as long as the message carries the block
+// it decoded; pointed at another block, the message is hashed afresh. A
+// BLOCK built by hand is always hashed.
+func TestDecodedBlockFramesOnItsChecksum(t *testing.T) {
+	blk := blockOfSize(t, 1024)
+	want := frame(t, &Block{Block: blk})
+	m, err := NewReader(bytes.NewReader(want)).Read()
+	if err != nil {
+		t.Fatal(err)
 	}
-	corrupt := frame(t, &Ping{Nonce: 9})
-	corrupt[len(corrupt)-1] ^= 1
-	r := NewReader(bytes.NewReader(append(stream, corrupt...)))
-	for _, m := range msgs {
-		if _, err := r.Read(); err != nil {
-			t.Fatal(err)
-		}
-		if want := frame(t, m)[9:13]; r.Checksum() != [4]byte(want) {
-			t.Fatalf("%v: Checksum %x, want %x", m.Type(), r.Checksum(), want)
-		}
+	decoded := m.(*Block)
+	if decoded.sum != [4]byte(want[9:13]) {
+		t.Fatalf("decoded block keeps checksum %x, want the frame's %x", decoded.sum, want[9:13])
 	}
-	last := r.Checksum()
-	if _, err := r.Read(); err != ErrChecksum {
-		t.Fatalf("corrupt frame: error %v, want %v", err, ErrChecksum)
+	// Spoil the kept checksum: a frame that carries the spoiled one was not
+	// hashed again.
+	decoded.sum[0] ^= 0xFF
+	got, err := AppendFrame(nil, decoded)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if r.Checksum() != last {
-		t.Fatal("a failed Read changed Checksum")
+	if got[9] != want[9]^0xFF || !bytes.Equal(got[10:], want[10:]) {
+		t.Fatalf("decoded block framed as\n %x\nwant the kept checksum on\n %x", got, want)
+	}
+	other := *decoded.Block
+	decoded.Block = &other
+	if got, err = AppendFrame(nil, decoded); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("a decoded message pointed at another block framed as\n %x (%v)\nwant it hashed afresh\n %x", got, err, want)
+	}
+	byHand := &Block{Block: blk, sum: [4]byte{1, 2, 3, 4}}
+	if got, err = AppendFrame(nil, byHand); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("a block built by hand framed as\n %x (%v)\nwant it hashed\n %x", got, err, want)
 	}
 }

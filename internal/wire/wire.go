@@ -9,12 +9,20 @@
 // A frame is built in place — AppendFrame reserves the header, encodes the
 // payload behind it and fills the header in — so one frame is one Write,
 // and a peer's writer appends every frame already queued to one buffer and
-// flushes when its queue is empty: a burst costs one syscall. The reading
-// side of a connection is a Reader, buffered and reusing one payload
-// scratch; Read is the one-shot form for a handshake, which must not read
-// ahead of the frame it wants. A block relayed on travels as a RelayBlock,
-// whose frame carries the checksum the Reader verified instead of hashing
-// the payload a second time.
+// flushes when its queue is empty: a burst costs one syscall. Write frames
+// into a pooled buffer.
+//
+// The reading side of a connection is a Reader, buffered and reusing one
+// payload scratch; Read is the one-shot form for a handshake, which must not
+// read ahead of the frame it wants. A Reader decodes an INV or GETDATA of
+// at most one hash, the relay's usual message, into scratch of its own: that
+// message is valid only until the next Read on the same Reader, as the
+// bytes of a bufio.Scanner are until its next Scan. Every other message
+// owns its memory. A BLOCK is one allocation for the message and its block,
+// plus the block's transaction list and body; the message keeps the
+// checksum the Reader verified, and a node that relays the block sends that
+// very message on, framed on that checksum instead of hashing the payload a
+// second time.
 package wire
 
 import (
@@ -24,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"github.com/perigee-net/perigee/internal/chain"
 )
@@ -194,39 +203,39 @@ func (*GetData) Type() MsgType { return MsgGetData }
 
 func (m *GetData) encodePayload(buf []byte) ([]byte, error) { return appendHashes(buf, m.Hashes) }
 
-// Block carries a full block.
+// Block carries a full block. A Block a Reader returned frames on the
+// checksum that Reader verified, without hashing the payload again, for as
+// long as Block is the block it decoded: its block must not be changed, and
+// a Block pointed at another block is framed and hashed afresh. Nothing
+// writes to a Block while it is framed, so one can be queued to any number
+// of peers.
 type Block struct {
 	// Block is the payload block.
 	Block *chain.Block
+
+	decoded *chain.Block // the block a Reader decoded, nil if none
+	sum     [4]byte      // the checksum of the frame decoded was read from
 }
 
 // Type implements Message.
 func (*Block) Type() MsgType { return MsgBlock }
 
-func (m *Block) encodePayload(buf []byte) ([]byte, error) { return appendBlock(buf, m.Block) }
-
-// RelayBlock is a BLOCK sent on under the checksum its frame arrived with:
-// Sum is what a Reader verified on the payload Block was decoded from. A
-// decoded block encodes back to exactly that payload, so AppendFrame writes
-// Sum rather than hash the payload again. Nothing writes to a RelayBlock
-// once it is built, so one can be queued to any number of peers.
-type RelayBlock struct {
-	// Block is the block as the Reader decoded it.
-	Block *chain.Block
-	// Sum is the checksum of the frame Block was decoded from.
-	Sum [4]byte
-}
-
-// Type implements Message.
-func (*RelayBlock) Type() MsgType { return MsgBlock }
-
-func (m *RelayBlock) encodePayload(buf []byte) ([]byte, error) { return appendBlock(buf, m.Block) }
-
-func appendBlock(buf []byte, b *chain.Block) ([]byte, error) {
-	if b == nil {
+func (m *Block) encodePayload(buf []byte) ([]byte, error) {
+	if m.Block == nil {
 		return nil, fmt.Errorf("%w: nil block", ErrMalformed)
 	}
-	return b.AppendEncode(buf)
+	return m.Block.AppendEncode(buf)
+}
+
+// verifiedSum returns the checksum a Reader verified on the payload of m's
+// block, if m is a BLOCK a Reader decoded and still carries that block. A
+// decoded block encodes back to exactly the payload it was decoded from.
+func verifiedSum(m Message) ([4]byte, bool) {
+	b, ok := m.(*Block)
+	if !ok || b.decoded == nil || b.Block != b.decoded {
+		return [4]byte{}, false
+	}
+	return b.sum, true
 }
 
 // Addr gossips known listening addresses with freshness metadata.
@@ -287,10 +296,10 @@ const BufferSize = 64 << 10
 
 // AppendFrame appends m's frame to buf: magic(4) type(1) length(4)
 // checksum(4) payload, the checksum being the first 4 bytes of the
-// payload's SHA-256, or a RelayBlock's Sum, which is the same 4 bytes
-// already known. The payload is encoded in place behind a reserved header,
-// which is filled in once the length is known; m is only read. On error buf
-// is returned unchanged.
+// payload's SHA-256, or, for a BLOCK a Reader decoded, the same 4 bytes as
+// that Reader verified them. The payload is encoded in place behind a
+// reserved header, which is filled in once the length is known; m is only
+// read. On error buf is returned unchanged.
 func AppendFrame(buf []byte, m Message) ([]byte, error) {
 	var reserve [headerSize]byte
 	out, err := m.encodePayload(append(buf, reserve[:]...))
@@ -305,8 +314,8 @@ func AppendFrame(buf []byte, m Message) ([]byte, error) {
 	binary.LittleEndian.PutUint32(header[0:4], Magic)
 	header[4] = byte(m.Type())
 	binary.LittleEndian.PutUint32(header[5:9], uint32(len(payload)))
-	if r, ok := m.(*RelayBlock); ok {
-		copy(header[9:13], r.Sum[:])
+	if sum, ok := verifiedSum(m); ok {
+		copy(header[9:13], sum[:])
 	} else {
 		sum := sha256.Sum256(payload)
 		copy(header[9:13], sum[:4])
@@ -314,35 +323,61 @@ func AppendFrame(buf []byte, m Message) ([]byte, error) {
 	return out, nil
 }
 
-// Write frames a message and hands the frame to w in one Write call.
+// framePool holds the buffers Write frames into.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// Write frames a message into a pooled buffer and hands the frame to w in
+// one Write call.
 func Write(w io.Writer, m Message) error {
-	frame, err := AppendFrame(nil, m)
-	if err != nil {
-		return err
+	buf := framePool.Get().(*[]byte)
+	frame, err := AppendFrame((*buf)[:0], m)
+	if err == nil {
+		if _, werr := w.Write(frame); werr != nil {
+			err = fmt.Errorf("wire: writing frame: %w", werr)
+		}
 	}
-	if _, err := w.Write(frame); err != nil {
-		return fmt.Errorf("wire: writing frame: %w", err)
+	// A frame past the buffer size is a one-off: pooling it would pin a
+	// 4 MB block's worth of memory.
+	if cap(frame) <= BufferSize {
+		*buf = frame[:0]
+		framePool.Put(buf)
 	}
-	return nil
+	return err
 }
 
 // Read reads and decodes one framed message, taking exactly the frame's
-// bytes from r. A connection that carries many frames reads them through
+// bytes from r. It reads through a Reader of its own, so the message stays
+// valid. A connection that carries many frames reads them through
 // NewReader instead.
 func Read(r io.Reader) (Message, error) {
 	one := Reader{r: r}
 	return one.Read()
 }
 
+// oneHashPayload is the payload size of an INV or GETDATA of one hash.
+const oneHashPayload = 4 + 32
+
 // Reader reads the frames of one connection through a BufferSize buffer,
 // so a burst of small frames costs one read of the connection, and reuses
-// one payload scratch across frames. It is not safe for concurrent use.
+// one payload scratch across frames. An INV or GETDATA of at most one hash
+// is decoded into the Reader's own scratch and is valid only until the next
+// Read; every other message owns its memory. It is not safe for concurrent
+// use.
 type Reader struct {
 	r       io.Reader
 	header  [headerSize]byte
-	sum     [4]byte // the checksum of the frame Read last returned
 	scratch []byte
 	partial bool
+
+	// small holds a payload no larger than a one-hash INV's while scratch
+	// has no room for it, so that a one-shot Read of such a frame needs no
+	// buffer of its own.
+	small [oneHashPayload]byte
+	// hash backs the Hashes of inv or getData, the message Read last
+	// returned when that was an INV or GETDATA of at most one hash.
+	hash    [1]chain.Hash
+	inv     Inv
+	getData GetData
 }
 
 // NewReader returns a Reader over r. It reads ahead, so nothing else may
@@ -353,7 +388,9 @@ func NewReader(r io.Reader) *Reader {
 
 // Read reads and decodes the next framed message. The length is bounded
 // before anything is allocated and the checksum verified before anything is
-// decoded; no decoder keeps a reference into the payload scratch.
+// decoded; no decoder keeps a reference into the payload scratch. An INV or
+// GETDATA of at most one hash that it returns is overwritten by the next
+// Read.
 func (r *Reader) Read() (Message, error) {
 	n, err := io.ReadFull(r.r, r.header[:])
 	r.partial = n > 0
@@ -368,8 +405,13 @@ func (r *Reader) Read() (Message, error) {
 	if length > MaxPayload {
 		return nil, fmt.Errorf("%w: payload %d bytes", ErrTooLarge, length)
 	}
-	payload := r.scratch
-	if uint32(cap(payload)) < length {
+	var payload []byte
+	switch {
+	case uint32(cap(r.scratch)) >= length:
+		payload = r.scratch
+	case length <= oneHashPayload:
+		payload = r.small[:]
+	default:
 		payload = make([]byte, length)
 		// A payload past the buffer size is a one-off: keeping it would pin
 		// a 4 MB block's worth of scratch per connection.
@@ -386,17 +428,8 @@ func (r *Reader) Read() (Message, error) {
 	if string(sum[:4]) != string(r.header[9:13]) {
 		return nil, ErrChecksum
 	}
-	m, err := decodePayload(msgType, payload)
-	if err == nil {
-		r.sum = [4]byte(sum[:4])
-	}
-	return m, err
+	return r.decode(msgType, payload, [4]byte(sum[:4]))
 }
-
-// Checksum returns the checksum of the frame of the message Read last
-// returned, which Read verified against its payload: a RelayBlock of a
-// decoded block carries it on.
-func (r *Reader) Checksum() [4]byte { return r.sum }
 
 // MidFrame reports whether the last Read failed after consuming part of a
 // frame. A read deadline that fires at a frame boundary leaves the stream
@@ -404,7 +437,10 @@ func (r *Reader) Checksum() [4]byte { return r.sum }
 // the next Read would parse payload bytes as a header.
 func (r *Reader) MidFrame() bool { return r.partial }
 
-func decodePayload(t MsgType, p []byte) (Message, error) {
+// decode decodes payload p of a frame of type t whose checksum sum was
+// verified. An INV or GETDATA of at most one hash is decoded into r's
+// scratch.
+func (r *Reader) decode(t MsgType, p []byte, sum [4]byte) (Message, error) {
 	d := decoder{buf: p}
 	var m Message
 	switch t {
@@ -422,28 +458,33 @@ func decodePayload(t MsgType, p []byte) (Message, error) {
 	case MsgPong:
 		m = &Pong{Nonce: d.uint64()}
 	// The relay's INVs and GETDATAs carry one hash almost always: such a
-	// message and its hash are one allocation.
+	// message is decoded into the reader's scratch, a longer one into
+	// memory of its own.
 	case MsgInv:
-		one := &struct {
-			msg  Inv
-			hash [1]chain.Hash
-		}{}
-		one.msg.Hashes = d.hashes(one.hash[:0])
-		m = &one.msg
+		if hashes := d.hashes(r.hash[:0]); len(hashes) > 1 {
+			m = &Inv{Hashes: hashes}
+		} else {
+			r.inv.Hashes = hashes
+			m = &r.inv
+		}
 	case MsgGetData:
-		one := &struct {
-			msg  GetData
-			hash [1]chain.Hash
-		}{}
-		one.msg.Hashes = d.hashes(one.hash[:0])
-		m = &one.msg
+		if hashes := d.hashes(r.hash[:0]); len(hashes) > 1 {
+			m = &GetData{Hashes: hashes}
+		} else {
+			r.getData.Hashes = hashes
+			m = &r.getData
+		}
 	case MsgBlock:
-		b, err := chain.DecodeBlock(p)
-		if err != nil {
+		// The message and its block are one allocation.
+		one := &struct {
+			msg Block
+			blk chain.Block
+		}{}
+		if err := one.blk.UnmarshalBinary(p); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
 		}
-		d.buf = nil // block decoding consumes everything
-		return &Block{Block: b}, nil
+		one.msg = Block{Block: &one.blk, decoded: &one.blk, sum: sum}
+		return &one.msg, nil
 	case MsgAddr:
 		a := &Addr{}
 		count := d.uint32()

@@ -100,20 +100,23 @@ gate MicroSubsetScoringWindow10 1
 # per-node inboxes carved from one slab).
 gate WorkloadHour 3000
 # The live wire: a frame is appended to the write loop's reused buffer in
-# place, and the buffered reader owns its header and payload scratch, so a
-# read allocates only the message it returns (a one-hash Inv together with
-# its hash, 2 allocations when they were apart; a wire.Block, the block,
-# its transaction list and one buffer holding all four transaction bodies).
-# The body buffer is exactly their 1,024 bytes; one that also held the
-# length prefixes would round up to the 1,152-byte size class, which the
-# byte gate catches (1,256 B/op in all). A relaying node's read and reframe
-# of a block adds only the RelayBlock that carries the verified checksum.
+# place, and the buffered reader owns its header and payload scratch and
+# decodes a one-hash Inv into scratch of its own (1 allocation before, the
+# message with its hash), so a read allocates only a message that must
+# outlive the next read: a wire.Block together with its block (144 bytes;
+# 8 and 128 when they were apart, 1,256 B/op in all), its transaction list
+# and one buffer holding all four transaction bodies. The body buffer is
+# exactly their 1,024 bytes; one that also held the length prefixes would
+# round up to the 1,152-byte size class, which the byte gate catches
+# (1,264 B/op in all). A relaying node frames the decoded message again on
+# the checksum its reader verified, which allocates nothing (a RelayBlock
+# carried that checksum before, 5 allocations in all).
 gate MicroWireFrameInv 0
 gate MicroWireFrameBlock1K 0
-gate MicroWireReadInv 1
-gate MicroWireReadBlock1K 4
-gate_bytes MicroWireReadBlock1K 1256
-gate MicroRelayBlock1K 5
+gate MicroWireReadInv 0
+gate MicroWireReadBlock1K 3
+gate_bytes MicroWireReadBlock1K 1264
+gate MicroRelayBlock1K 3
 # The live store: validating a four-transaction block hashes its Merkle
 # tree in a stack array, the index and the link slab grow only now and then
 # and the body ring is allocated once, so any allocation is a regression.
