@@ -184,8 +184,8 @@ func DecodeBlock(buf []byte) (*Block, error) {
 
 // UnmarshalBinary parses a canonical block encoding into b, which then
 // shares no memory with buf. It allocates the transaction list and one
-// body buffer, so a caller that embeds the Block in a larger value decodes
-// a block in three allocations; on error b is left as it was.
+// body buffer and nothing for b itself, so a caller can decode into a Block
+// inside a value of its own; on error b is left as it was.
 func (b *Block) UnmarshalBinary(buf []byte) error {
 	if len(buf) > MaxBlockSize {
 		return fmt.Errorf("chain: encoded block of %d bytes exceeds limit %d", len(buf), MaxBlockSize)

@@ -126,8 +126,9 @@ func TestColdPrepareAllocationsIndependentOfN(t *testing.T) {
 // table's fixed windows and the rest of a round into engine scratch, so
 // three rounds allocate the same few objects at every n: a round's
 // TimedRound, and pooled scoring scratch that now and then reaches a new
-// high-water mark (9 to 24 on two cores). When Connect grew table rows the
-// count rose with n: 105, 430 and 1,497.
+// high-water mark (9 to 17 on two cores; 9 to 24 while Subset's scratch
+// grew buffer by buffer). When Connect grew table rows the count rose with
+// n: 105, 430 and 1,497.
 func TestWarmRoundAllocationsIndependentOfN(t *testing.T) {
 	const limit = 40
 	for _, n := range []int{500, 2000, 8000} {
