@@ -54,9 +54,10 @@ func fetchFrame(conn net.Conn, h chain.Hash) ([]byte, error) {
 // three requesters at once byte for byte as A framed it, and the message
 // queued is the one the node's reader decoded the block into, which frames
 // on the checksum that reader verified. When the table's slot holds another
-// block's message, here one decoded from another frame, a GETDATA is
-// framed and hashed afresh and the bytes are still A's. Run it with -race:
-// the three requesters share one message.
+// message of the same hash, here a decoded block with A's header and a
+// forged body, a GETDATA is framed and hashed afresh from the stored block
+// and the bytes are still A's. Run it with -race: the three requesters
+// share one message.
 func TestGetDataServesTheVerifiedFrame(t *testing.T) {
 	n := startNode(t, 7790, nil)
 	a := rawDial(t, n, 0xA)
@@ -106,19 +107,26 @@ func TestGetDataServesTheVerifiedFrame(t *testing.T) {
 	}
 	fetchAll("from the table")
 
-	other := chain.NewBlock(testGenesis(), [][]byte{[]byte("other")}, time.UnixMilli(2), 2)
-	otherFrame, err := wire.AppendFrame(nil, &wire.Block{Block: other})
+	// The header's Merkle root is not checked when a frame is decoded, so
+	// the forged block decodes to a message of hash h whose bytes are not
+	// A's.
+	forged := &chain.Block{Header: blk.Header, Txs: [][]byte{[]byte("forged")}}
+	forgedFrame, err := wire.AppendFrame(nil, &wire.Block{Block: forged})
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := wire.NewReader(bytes.NewReader(otherFrame)).Read()
+	decoded, err := wire.NewReader(bytes.NewReader(forgedFrame)).Read()
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.relayed[relaySlot(h)].Store(decoded.(*wire.Block))
+	impostor := decoded.(*wire.Block)
+	if impostor.Block.Header.Hash() != h || bytes.Equal(forgedFrame, sent) {
+		t.Fatal("the forged block must share the stored block's hash and differ in its bytes")
+	}
+	n.relayed[relaySlot(h)].Store(impostor)
 	n.handleGetData(probe, getData)
-	if m, ok := (<-probe.sendCh).msg.(*wire.Block); !ok || m.Block != n.Store().Get(h) {
-		t.Fatalf("GETDATA beside another block's message in the table queued %#v, want a fresh BLOCK of the stored block", m)
+	if m, ok := (<-probe.sendCh).msg.(*wire.Block); !ok || m == impostor || m.Block != n.Store().Get(h) {
+		t.Fatalf("GETDATA beside a forged copy of the block in the table queued %#v, want a fresh BLOCK of the stored block", m)
 	}
 	fetchAll("hashed afresh")
 }

@@ -26,9 +26,9 @@ func (r *repeatReader) Read(p []byte) (int, error) {
 // TestRelayMessagesAllocate pins what the relay's messages cost the wire
 // once a connection's Reader is warm: nothing for a one-hash INV or
 // GETDATA, three allocations for a 1 KB BLOCK (the message with its block,
-// the transaction list and the body), the Reader alone for a one-shot Read
-// of a one-hash INV, and nothing for Write, which frames into a pooled
-// buffer. (Skipped under -race, which drops pooled buffers at random.)
+// the transaction list and the body), the Reader and its payload for a
+// one-shot Read of a one-hash INV, and nothing for Write, which frames into
+// a pooled buffer. (Skipped under -race, which drops pooled buffers at random.)
 func TestRelayMessagesAllocate(t *testing.T) {
 	h := chain.Hash{1, 2, 3}
 	for _, tc := range []struct {
@@ -57,8 +57,8 @@ func TestRelayMessagesAllocate(t *testing.T) {
 		if _, err := Read(&src); err != nil {
 			t.Fatal(err)
 		}
-	}); got != 1 {
-		t.Errorf("a one-shot Read of a one-hash INV allocates %.1f times, want 1 (its Reader)", got)
+	}); got != 2 {
+		t.Errorf("a one-shot Read of a one-hash INV allocates %.1f times, want 2 (its Reader and the payload)", got)
 	}
 	if got := testing.AllocsPerRun(100, func() {
 		if err := Write(io.Discard, inv); err != nil {

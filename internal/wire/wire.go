@@ -354,9 +354,6 @@ func Read(r io.Reader) (Message, error) {
 	return one.Read()
 }
 
-// oneHashPayload is the payload size of an INV or GETDATA of one hash.
-const oneHashPayload = 4 + 32
-
 // Reader reads the frames of one connection through a BufferSize buffer,
 // so a burst of small frames costs one read of the connection, and reuses
 // one payload scratch across frames. An INV or GETDATA of at most one hash
@@ -369,10 +366,6 @@ type Reader struct {
 	scratch []byte
 	partial bool
 
-	// small holds a payload no larger than a one-hash INV's while scratch
-	// has no room for it, so that a one-shot Read of such a frame needs no
-	// buffer of its own.
-	small [oneHashPayload]byte
 	// hash backs the Hashes of inv or getData, the message Read last
 	// returned when that was an INV or GETDATA of at most one hash.
 	hash    [1]chain.Hash
@@ -405,13 +398,8 @@ func (r *Reader) Read() (Message, error) {
 	if length > MaxPayload {
 		return nil, fmt.Errorf("%w: payload %d bytes", ErrTooLarge, length)
 	}
-	var payload []byte
-	switch {
-	case uint32(cap(r.scratch)) >= length:
-		payload = r.scratch
-	case length <= oneHashPayload:
-		payload = r.small[:]
-	default:
+	payload := r.scratch
+	if uint32(cap(payload)) < length {
 		payload = make([]byte, length)
 		// A payload past the buffer size is a one-off: keeping it would pin
 		// a 4 MB block's worth of scratch per connection.
