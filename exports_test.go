@@ -162,11 +162,16 @@ type listedPackage struct {
 	goFiles           []string
 }
 
-// goListExport lists the packages of the module in dir and all their
-// dependencies, in dependency order, with each one's export data file.
-func goListExport(dir string) ([]listedPackage, error) {
-	cmd := exec.Command("go", "list", "-export", "-deps",
-		"-f", "{{.ImportPath}}\t{{.Dir}}\t{{.Export}}\t{{.DepOnly}}\t{{join .GoFiles \" \"}}", "./...")
+// goListExport lists the packages that patterns (default "./...") match in
+// the module in dir and all their dependencies, in dependency order, with
+// each one's export data file.
+func goListExport(dir string, patterns ...string) ([]listedPackage, error) {
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
+	}
+	args := append([]string{"list", "-export", "-deps",
+		"-f", "{{.ImportPath}}\t{{.Dir}}\t{{.Export}}\t{{.DepOnly}}\t{{join .GoFiles \" \"}}"}, patterns...)
+	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
