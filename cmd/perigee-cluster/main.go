@@ -25,6 +25,7 @@ import (
 
 	"github.com/perigee-net/perigee"
 	"github.com/perigee-net/perigee/cmd/internal/cliopts"
+	"github.com/perigee-net/perigee/internal/paper"
 	"github.com/perigee-net/perigee/node"
 )
 
@@ -35,7 +36,7 @@ func main() {
 		explore    = flag.Int("explore", 1, "exploration slots per round")
 		scoring    = flag.String("scoring", "subset", "selection policy: subset, vanilla, ucb, or random")
 		percentile = flag.Float64("percentile", 0.9, "scoring quantile in (0, 1]")
-		maxInbound = flag.Int("max-inbound", 20, "inbound connection cap per node")
+		maxInbound = flag.Int("max-inbound", paper.MaxIncoming, "inbound connection cap per node")
 		rounds     = flag.Int("rounds", 3, "live Perigee rounds")
 		blocks     = flag.Int("blocks", 12, "blocks mined per round")
 		seed       = flag.Uint64("seed", 11, "randomness seed")
@@ -59,8 +60,9 @@ func main() {
 	}
 
 	// The same geographic model the simulator evaluates, injected into
-	// real TCP sends. Latencies are scaled down 5x so wall-clock runs stay
-	// snappy; relative structure (regions, slow access nodes) is
+	// real TCP sends. A link's one-way delay δ is injected as
+	// δ/(2·timeScale) = δ/10 (see the injector below), so wall-clock runs
+	// stay snappy; relative structure (regions, slow access nodes) is
 	// preserved.
 	model, err := perigee.GeographicLatency(*nodeCount, *seed)
 	if err != nil {
@@ -250,10 +252,12 @@ func main() {
 			total.Bans += r.Bans
 			total.SlowConsumerDrops += r.SlowConsumerDrops
 			total.Redials += r.Redials
+			total.DesperationDials += r.DesperationDials
 		}
-		fmt.Printf("resilience: faulted %d dials + %d conns, %d dial failures, %d redials, %d bans, %d slow-consumer drops, %d accepts shed\n",
+		fmt.Printf("resilience: faulted %d dials + %d conns, %d dial failures, %d redials (%d desperation dials), %d bans, %d banned refused, %d slow-consumer drops, %d accepts shed\n",
 			total.FaultedDials, total.FaultedConns, total.DialFailures,
-			total.Redials, total.Bans, total.SlowConsumerDrops, total.AcceptsShed)
+			total.Redials, total.DesperationDials, total.Bans, total.BannedRefused,
+			total.SlowConsumerDrops, total.AcceptsShed)
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 
 	"github.com/perigee-net/perigee"
 	"github.com/perigee-net/perigee/cmd/internal/cliopts"
+	"github.com/perigee-net/perigee/internal/paper"
 	"github.com/perigee-net/perigee/node"
 )
 
@@ -33,7 +34,7 @@ func main() {
 		explore     = flag.Int("explore", 2, "exploration slots per round")
 		scoring     = flag.String("scoring", "subset", "selection policy: subset, vanilla, ucb, or random")
 		percentile  = flag.Float64("percentile", 0.9, "scoring quantile in (0, 1]")
-		maxInbound  = flag.Int("max-inbound", 20, "inbound connection cap")
+		maxInbound  = flag.Int("max-inbound", paper.MaxIncoming, "inbound connection cap")
 		seed        = flag.Uint64("seed", uint64(time.Now().UnixNano()), "randomness seed")
 		addrBook    = flag.String("addr-book", "", "path for the persistent address book (empty = in-memory only)")
 		redialEvery = flag.Duration("redial", 30*time.Second, "how often to redial toward the out-degree target (0 disables)")

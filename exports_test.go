@@ -24,12 +24,12 @@ import (
 // An entry whose identifier gains a non-test reference, or no longer
 // exists, fails TestInternalExportsReferenced, so the list only shrinks.
 var exportAllowlist = map[string]string{
-	"internal/chain.Store.OrphanCount":    "p2p's window and adversary tests read the live orphan stash through it",
+	"internal/chain.Store.OrphanCount":    "node's window and adversary tests read the live orphan stash through it",
 	"internal/topology.Table.Validate":    "the invariant checker that core's engine tests run on the engine's table",
 	"internal/trace.ReadNDJSON":           "reads WriteNDJSON's stream back: trace's tests round-trip through it, and replaying a recorded decision trace will",
 	"internal/netsim.Simulator.Streaming": "goes with streaming latency once the benchmark of record no longer forces it",
 	"internal/des.DeliveryQueue.PeekMin":  "workload's inbox test reads the queue's head through it; goes with package des once the benchmark of record no longer times the queue",
-	"internal/faults.Recorder.Log":        "p2p's chaos tests read the injected-fault log through it",
+	"internal/faults.Recorder.Log":        "node's chaos tests read the injected-fault log through it",
 }
 
 // exportExemptPackages are internal packages whose exports the gate does

@@ -2,7 +2,7 @@
 // block headers with Merkle transaction roots, canonical binary encoding,
 // a Poisson mining schedule, the block Tree that owns longest-chain,
 // first-seen fork choice and reorg depth, and a thread-safe store built on
-// it with an orphan stash. The live p2p node (internal/p2p) gossips these
+// it with an orphan stash. The live node (package node) gossips these
 // blocks; the workload engine's simulated nodes (internal/workload) share
 // one Tree and need no blocks.
 //

@@ -15,7 +15,7 @@ import (
 // plus the protocol context the decision may depend on. The root package
 // exports it as perigee.NeighborView, and both drivers of the decision
 // loop — the simulation engine (Engine.Step) and the live TCP node
-// (internal/p2p) — hand a Selector this one type, so one Selector runs
+// (package node) — hand a Selector this one type, so one Selector runs
 // unmodified in either environment.
 type NeighborView struct {
 	// Node is the driver-assigned stable key of the deciding node. The

@@ -1,14 +1,4 @@
-// Package p2p implements a live TCP Perigee node: Bitcoin-style
-// INV/GETDATA/BLOCK gossip over the wire protocol, address discovery, and
-// the Perigee neighbor-update loop driven by real arrival timestamps.
-//
-// The package is the "deployment" counterpart of the simulator: the same
-// scoring code (internal/core) ranks peers using timestamps measured on
-// real connections. Artificial per-peer latency can be injected to run
-// planet-scale experiments on a single machine (see cmd/perigee-cluster),
-// and deterministic connection faults can be injected through a
-// faults.Plan for chaos experiments.
-package p2p
+package node
 
 import (
 	"crypto/sha256"
@@ -69,11 +59,11 @@ type idScore struct {
 	BanUntil time.Time `json:"ban_until,omitempty"`
 }
 
-// AddrBook is the node's persistent peer-health registry (its addrMan,
+// addrBook is the node's persistent peer-health registry (its addrMan,
 // §2.1): a capped set of known addresses with per-address dial health and
 // exponential backoff, plus per-identity misbehavior scores feeding the
 // ban policy. All methods are safe for concurrent use.
-type AddrBook struct {
+type addrBook struct {
 	now func() time.Time
 
 	mu    sync.RWMutex
@@ -82,9 +72,9 @@ type AddrBook struct {
 	ids   map[uint64]*idScore
 }
 
-// NewAddrBook returns an empty address book.
-func NewAddrBook() *AddrBook {
-	return &AddrBook{
+// newAddrBook returns an empty address book.
+func newAddrBook() *addrBook {
+	return &addrBook{
 		now:   time.Now,
 		addrs: make(map[string]*addrEntry),
 		self:  make(map[string]bool),
@@ -95,7 +85,7 @@ func NewAddrBook() *AddrBook {
 // MarkSelf registers the node's own addresses: they are never stored and
 // are dropped if already present, so addr-gossip echoing the node back to
 // itself cannot waste book slots or dial attempts.
-func (b *AddrBook) MarkSelf(addrs ...string) {
+func (b *addrBook) MarkSelf(addrs ...string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for _, a := range addrs {
@@ -111,7 +101,7 @@ func (b *AddrBook) MarkSelf(addrs ...string) {
 // ignored. When the book is at capacity the unhealthiest entry is evicted
 // to make room — a single gossiping peer can no longer grow the book
 // without bound.
-func (b *AddrBook) Add(addrs ...string) {
+func (b *addrBook) Add(addrs ...string) {
 	for _, a := range addrs {
 		b.AddSeen(a, 0)
 	}
@@ -124,7 +114,7 @@ func (b *AddrBook) Add(addrs ...string) {
 // unverified newcomer can evict other rumor but never a dial-verified
 // entry — a flood of fabricated addresses cannot push out addresses we
 // know are real.
-func (b *AddrBook) AddSeen(addr string, age time.Duration) bool {
+func (b *addrBook) AddSeen(addr string, age time.Duration) bool {
 	now := b.now()
 	seen := now.Add(-age)
 	b.mu.Lock()
@@ -151,7 +141,7 @@ func (b *AddrBook) AddSeen(addr string, age time.Duration) bool {
 // consecutive failures, then least recently seen. Unless includeVerified
 // is set, dial-verified entries are exempt — rumor is only allowed to
 // displace rumor. Reports whether a slot was freed.
-func (b *AddrBook) evictLocked(now time.Time, includeVerified bool) bool {
+func (b *addrBook) evictLocked(now time.Time, includeVerified bool) bool {
 	var victim *addrEntry
 	worse := func(e, v *addrEntry) bool {
 		eBanned, vBanned := now.Before(e.BanUntil), now.Before(v.BanUntil)
@@ -182,7 +172,7 @@ func (b *AddrBook) evictLocked(now time.Time, includeVerified bool) bool {
 }
 
 // Len returns the number of known addresses.
-func (b *AddrBook) Len() int {
+func (b *addrBook) Len() int {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	return len(b.addrs)
@@ -190,7 +180,7 @@ func (b *AddrBook) Len() int {
 
 // Dialable returns the addresses currently worth dialing: not banned and
 // past their backoff gate, sorted for deterministic iteration.
-func (b *AddrBook) Dialable() []string {
+func (b *addrBook) Dialable() []string {
 	now := b.now()
 	b.mu.RLock()
 	defer b.mu.RUnlock()
@@ -209,7 +199,7 @@ func (b *AddrBook) Dialable() []string {
 // backoff gate opens soonest — the pool a starved node overrides backoff
 // from when nothing is ordinarily dialable. Ties break on the address so
 // replays agree.
-func (b *AddrBook) EarliestGated(exclude map[string]bool) (string, bool) {
+func (b *addrBook) EarliestGated(exclude map[string]bool) (string, bool) {
 	now := b.now()
 	b.mu.RLock()
 	defer b.mu.RUnlock()
@@ -232,7 +222,7 @@ func (b *AddrBook) EarliestGated(exclude map[string]bool) (string, bool) {
 // deterministic per-(addr, fails) jitter so replays agree), and once the
 // consecutive-failure budget is spent the address is evicted. Reports
 // whether the address was evicted.
-func (b *AddrBook) DialFailed(addr string) (evicted bool) {
+func (b *addrBook) DialFailed(addr string) (evicted bool) {
 	now := b.now()
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -261,7 +251,7 @@ func (b *AddrBook) DialFailed(addr string) (evicted bool) {
 // is (re-)added if gossip hadn't delivered it yet. A verified newcomer
 // evicts rumor first and only displaces another verified entry when no
 // rumor remains.
-func (b *AddrBook) DialSucceeded(addr string) {
+func (b *addrBook) DialSucceeded(addr string) {
 	if addr == "" {
 		return
 	}
@@ -287,7 +277,7 @@ func (b *AddrBook) DialSucceeded(addr string) {
 }
 
 // VerifiedCount returns the number of dial-verified addresses.
-func (b *AddrBook) VerifiedCount() int {
+func (b *addrBook) VerifiedCount() int {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	n := 0
@@ -299,9 +289,9 @@ func (b *AddrBook) VerifiedCount() int {
 	return n
 }
 
-// GossipAddr is one address eligible for an ADDR response, with the time
+// gossipAddr is one address eligible for an ADDR response, with the time
 // elapsed since this node last had evidence of it.
-type GossipAddr struct {
+type gossipAddr struct {
 	Addr string
 	Age  time.Duration
 }
@@ -311,11 +301,11 @@ type GossipAddr struct {
 // sorted by address for deterministic iteration. Sampling (shuffling,
 // truncation) is the caller's job; the book only guarantees banned and
 // excluded entries never leak into gossip.
-func (b *AddrBook) Gossipable(exclude ...string) []GossipAddr {
+func (b *addrBook) Gossipable(exclude ...string) []gossipAddr {
 	now := b.now()
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	out := make([]GossipAddr, 0, len(b.addrs))
+	out := make([]gossipAddr, 0, len(b.addrs))
 	for a, e := range b.addrs {
 		if now.Before(e.BanUntil) {
 			continue
@@ -334,7 +324,7 @@ func (b *AddrBook) Gossipable(exclude ...string) []GossipAddr {
 		if age < 0 {
 			age = 0
 		}
-		out = append(out, GossipAddr{Addr: a, Age: age})
+		out = append(out, gossipAddr{Addr: a, Age: age})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
 	return out
@@ -343,7 +333,7 @@ func (b *AddrBook) Gossipable(exclude ...string) []GossipAddr {
 // FeelerCandidates returns the never-verified addresses that are
 // currently dialable (not banned, past backoff), sorted for deterministic
 // iteration — the pool a feeler connection picks from.
-func (b *AddrBook) FeelerCandidates() []string {
+func (b *addrBook) FeelerCandidates() []string {
 	now := b.now()
 	b.mu.RLock()
 	defer b.mu.RUnlock()
@@ -359,7 +349,7 @@ func (b *AddrBook) FeelerCandidates() []string {
 }
 
 // decayedLocked returns the identity's score decayed to now.
-func (b *AddrBook) decayedLocked(s *idScore, now time.Time) float64 {
+func (b *addrBook) decayedLocked(s *idScore, now time.Time) float64 {
 	if s.Score <= 0 {
 		return 0
 	}
@@ -377,7 +367,7 @@ func (b *AddrBook) decayedLocked(s *idScore, now time.Time) float64 {
 // address is known — the address is gated too, so banned peers are both
 // refused on accept and skipped on dial. Reports whether the peer is now
 // banned.
-func (b *AddrBook) Misbehave(id uint64, listenAddr string, points float64) (banned bool) {
+func (b *addrBook) Misbehave(id uint64, listenAddr string, points float64) (banned bool) {
 	if points <= 0 {
 		return b.IDBanned(id)
 	}
@@ -402,7 +392,7 @@ func (b *AddrBook) Misbehave(id uint64, listenAddr string, points float64) (bann
 }
 
 // IDBanned reports whether the peer identity is currently banned.
-func (b *AddrBook) IDBanned(id uint64) bool {
+func (b *addrBook) IDBanned(id uint64) bool {
 	now := b.now()
 	b.mu.RLock()
 	defer b.mu.RUnlock()
@@ -411,7 +401,7 @@ func (b *AddrBook) IDBanned(id uint64) bool {
 }
 
 // AddrBanned reports whether the address is currently gated by a ban.
-func (b *AddrBook) AddrBanned(addr string) bool {
+func (b *addrBook) AddrBanned(addr string) bool {
 	now := b.now()
 	b.mu.RLock()
 	defer b.mu.RUnlock()
@@ -420,7 +410,7 @@ func (b *AddrBook) AddrBanned(addr string) bool {
 }
 
 // BannedIDs returns the currently banned identities, sorted.
-func (b *AddrBook) BannedIDs() []uint64 {
+func (b *addrBook) BannedIDs() []uint64 {
 	now := b.now()
 	b.mu.RLock()
 	defer b.mu.RUnlock()
@@ -442,7 +432,7 @@ type bookSnapshot struct {
 
 // Save writes the book (addresses, health, bans) as JSON to path,
 // atomically via a temp-file rename.
-func (b *AddrBook) Save(path string) error {
+func (b *addrBook) Save(path string) error {
 	b.mu.RLock()
 	snap := bookSnapshot{IDs: make(map[string]*idScore, len(b.ids))}
 	for _, e := range b.addrs {
@@ -467,7 +457,7 @@ func (b *AddrBook) Save(path string) error {
 
 // Load merges a saved book into this one. Missing files are not an
 // error — a first run simply starts empty.
-func (b *AddrBook) Load(path string) error {
+func (b *addrBook) Load(path string) error {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return nil

@@ -1,4 +1,4 @@
-package p2p
+package node
 
 import (
 	"fmt"
@@ -8,20 +8,20 @@ import (
 	"time"
 )
 
-// fakeClock drives an AddrBook through virtual time.
+// fakeClock drives an addrBook through virtual time.
 type fakeClock struct{ t time.Time }
 
 func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
-func newClockBook() (*AddrBook, *fakeClock) {
-	b := NewAddrBook()
+func newClockBook() (*addrBook, *fakeClock) {
+	b := newAddrBook()
 	c := &fakeClock{t: time.Unix(1700000000, 0)}
 	b.now = c.now
 	return b, c
 }
 
 // all returns every known address, sorted for deterministic iteration.
-func (b *AddrBook) all() []string {
+func (b *addrBook) all() []string {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	out := make([]string, 0, len(b.addrs))
@@ -33,7 +33,7 @@ func (b *AddrBook) all() []string {
 }
 
 // contains reports whether addr is known.
-func (b *AddrBook) contains(addr string) bool {
+func (b *addrBook) contains(addr string) bool {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	_, ok := b.addrs[addr]
@@ -42,7 +42,7 @@ func (b *AddrBook) contains(addr string) bool {
 
 // nextDialIn reports how long until addr may be dialed again (zero when
 // dialable now or unknown).
-func (b *AddrBook) nextDialIn(addr string) time.Duration {
+func (b *addrBook) nextDialIn(addr string) time.Duration {
 	now := b.now()
 	b.mu.RLock()
 	defer b.mu.RUnlock()
@@ -61,7 +61,7 @@ func (b *AddrBook) nextDialIn(addr string) time.Duration {
 }
 
 // fails returns addr's consecutive dial-failure count.
-func (b *AddrBook) fails(addr string) int {
+func (b *addrBook) fails(addr string) int {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	if e, ok := b.addrs[addr]; ok {
@@ -71,7 +71,7 @@ func (b *AddrBook) fails(addr string) int {
 }
 
 // verified reports whether addr is known and dial-verified.
-func (b *AddrBook) verified(addr string) bool {
+func (b *addrBook) verified(addr string) bool {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	e, ok := b.addrs[addr]
@@ -79,7 +79,7 @@ func (b *AddrBook) verified(addr string) bool {
 }
 
 // score returns the identity's current (decayed) misbehavior score.
-func (b *AddrBook) score(id uint64) float64 {
+func (b *addrBook) score(id uint64) float64 {
 	now := b.now()
 	b.mu.RLock()
 	defer b.mu.RUnlock()

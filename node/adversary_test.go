@@ -12,10 +12,10 @@ import (
 // but never the node behind it — the live form of the simulator's Silent
 // semantics, driven by the same strategy value.
 func TestAdversarySilentRelayLive(t *testing.T) {
-	miner := startNode(t, WithSeed(1))
-	adv := startNode(t, WithSeed(2),
+	miner := startNew(t, WithSeed(1))
+	adv := startNew(t, WithSeed(2),
 		WithAdversary(perigee.WithholdingRelayAdversary(0, 1))) // neverFrac 1: silent
-	victim := startNode(t, WithSeed(3))
+	victim := startNew(t, WithSeed(3))
 
 	if err := adv.Connect(miner.Addr()); err != nil {
 		t.Fatal(err)
@@ -46,10 +46,10 @@ func TestAdversarySilentRelayLive(t *testing.T) {
 // withholding delay.
 func TestAdversaryWithholdingDelayLive(t *testing.T) {
 	const withhold = 600 * time.Millisecond
-	miner := startNode(t, WithSeed(4))
-	adv := startNode(t, WithSeed(5),
+	miner := startNew(t, WithSeed(4))
+	adv := startNew(t, WithSeed(5),
 		WithAdversary(perigee.WithholdingRelayAdversary(withhold, 0)))
-	victim := startNode(t, WithSeed(6))
+	victim := startNew(t, WithSeed(6))
 
 	if err := adv.Connect(miner.Addr()); err != nil {
 		t.Fatal(err)
@@ -75,9 +75,9 @@ func TestAdversaryWithholdingDelayLive(t *testing.T) {
 // TestAdversaryFrozenSkipsRounds: a frozen (sybil-flood) identity reports
 // rounds but never drops or dials.
 func TestAdversaryFrozenSkipsRounds(t *testing.T) {
-	adv := startNode(t, WithSeed(7),
+	adv := startNew(t, WithSeed(7),
 		WithAdversary(perigee.SybilFloodAdversary(4)))
-	peer := startNode(t, WithSeed(8))
+	peer := startNew(t, WithSeed(8))
 	if err := adv.Connect(peer.Addr()); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 //go:build !race
 
-package p2p
+package node
 
 import (
 	"runtime"
@@ -17,7 +17,7 @@ import (
 // about 25 a block here. (Skipped under -race.)
 func TestRelayMallocsPerBlock(t *testing.T) {
 	const blocks = 1024
-	frozen := func(c *Config) { c.Frozen = true }
+	frozen := func(c *config) { c.Frozen = true }
 	a, b, c := startNode(t, 0xA110, frozen), startNode(t, 0xA111, frozen), startNode(t, 0xA112, frozen)
 	if err := a.Connect(b.Addr()); err != nil {
 		t.Fatal(err)
@@ -31,11 +31,11 @@ func TestRelayMallocsPerBlock(t *testing.T) {
 	txs := [][]byte{make([]byte, 1024)}
 	relay := func(height uint64) {
 		txs[0][0] = byte(height)
-		if _, err := a.MineBlock(txs); err != nil {
+		if _, err := a.mineBlock(txs); err != nil {
 			t.Fatal(err)
 		}
 		deadline := time.Now().Add(2 * time.Second)
-		for c.Store().Height() < height {
+		for c.store.Height() < height {
 			if time.Now().After(deadline) {
 				t.Fatalf("block %d did not reach the end of the line", height)
 			}

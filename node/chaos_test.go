@@ -1,4 +1,4 @@
-package p2p
+package node
 
 import (
 	"fmt"
@@ -15,12 +15,12 @@ import (
 
 // chaosNode builds a node tuned for fault injection: short idle probes,
 // fast redial, and bounded drain so tests turn around quickly.
-func chaosNode(t *testing.T, seed uint64, plan faults.Plan, mutate func(*Config)) *Node {
+func chaosNode(t *testing.T, seed uint64, plan faults.Plan, mutate func(*config)) *Node {
 	t.Helper()
-	cfg := Config{
+	cfg := config{
 		Seed:            seed,
 		ListenAddr:      "127.0.0.1:0",
-		Genesis:         testGenesis(),
+		network:         testNetwork,
 		OutDegree:       3,
 		Selector:        subsetExplore1(),
 		Faults:          plan,
@@ -32,7 +32,7 @@ func chaosNode(t *testing.T, seed uint64, plan faults.Plan, mutate func(*Config)
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	n, err := NewNode(cfg)
+	n, err := newNode(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestChaosClusterSurvivesAndRecovers(t *testing.T) {
 
 	mineAndSpread := func(tag string, count int, upto uint64) {
 		for b := 0; b < count; b++ {
-			if _, err := nodes[0].MineBlock([][]byte{[]byte(fmt.Sprintf("%s-%d", tag, b))}); err != nil {
+			if _, err := nodes[0].mineBlock([][]byte{[]byte(fmt.Sprintf("%s-%d", tag, b))}); err != nil {
 				t.Fatal(err)
 			}
 			time.Sleep(10 * time.Millisecond)
@@ -83,7 +83,7 @@ func TestChaosClusterSurvivesAndRecovers(t *testing.T) {
 		waitFor(t, "majority propagation", 15*time.Second, func() bool {
 			reached := 0
 			for _, n := range nodes {
-				if n.Store().Height() >= upto {
+				if n.store.Height() >= upto {
 					reached++
 				}
 			}
@@ -93,13 +93,13 @@ func TestChaosClusterSurvivesAndRecovers(t *testing.T) {
 
 	mineAndSpread("wave1", 5, 5)
 	for i, n := range nodes {
-		if _, err := n.PerigeeRound(); err != nil {
+		if _, err := n.round(); err != nil {
 			t.Fatalf("node %d round 1: %v", i, err)
 		}
 	}
 	mineAndSpread("wave2", 3, 8)
 	for i, n := range nodes {
-		if _, err := n.PerigeeRound(); err != nil {
+		if _, err := n.round(); err != nil {
 			t.Fatalf("node %d round 2: %v", i, err)
 		}
 	}
@@ -126,7 +126,7 @@ func TestChaosClusterSurvivesAndRecovers(t *testing.T) {
 	// Eventually every node holds the chain.
 	waitFor(t, "full catch-up", 15*time.Second, func() bool {
 		for _, n := range nodes {
-			if n.Store().Height() < 8 {
+			if n.store.Height() < 8 {
 				return false
 			}
 		}
@@ -151,8 +151,8 @@ func TestChaosClusterSurvivesAndRecovers(t *testing.T) {
 func TestChaosVerdictReplayDeterminism(t *testing.T) {
 	run := func() []string {
 		rec := faults.NewRecorder(faults.Mixed(42, 0.5))
-		cfg := Config{Seed: 777, Genesis: testGenesis(), Faults: rec}
-		n, err := NewNode(cfg)
+		cfg := config{Seed: 777, network: testNetwork, Faults: rec}
+		n, err := newNode(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,8 +182,8 @@ func TestChaosVerdictReplayDeterminism(t *testing.T) {
 // against the address book exactly like real ones — failures accumulate
 // and the address backs off instead of hot-looping.
 func TestChaosDialFailuresFeedBackoff(t *testing.T) {
-	cfg := Config{Seed: 5, Genesis: testGenesis(), Faults: faults.DialFailures(1, 1)}
-	n, err := NewNode(cfg)
+	cfg := config{Seed: 5, network: testNetwork, Faults: faults.DialFailures(1, 1)}
+	n, err := newNode(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestChaosAbusivePeerBanned(t *testing.T) {
 			return len(node.Peers()) == 0
 		})
 	}
-	if !node.Book().IDBanned(abuser) {
+	if !node.book.IDBanned(abuser) {
 		t.Fatal("abuser not banned after repeated corrupt frames")
 	}
 	if got := node.Resilience().Bans; got != 1 {
@@ -253,7 +253,7 @@ func TestChaosAbusivePeerBanned(t *testing.T) {
 // disconnected — the machinery that reclaims stalled and half-open
 // connections.
 func TestChaosIdleStallReclaimed(t *testing.T) {
-	node := startNode(t, 301, func(c *Config) {
+	node := startNode(t, 301, func(c *config) {
 		c.ReadIdleTimeout = 150 * time.Millisecond
 	})
 	conn := rawDial(t, node, 0xD1E)
@@ -276,7 +276,7 @@ func TestPeerSlowConsumerDisconnects(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
-	p := newPeer(1, Inbound, a, "", 0)
+	p := newPeer(1, inbound, a, "", 0)
 	p.maxFullDrops = 3
 	slow := 0
 	p.onSlowClose = func() { slow++ }
@@ -308,7 +308,7 @@ func TestPeerDropNthFault(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
-	p := newPeer(1, Outbound, a, "", 0)
+	p := newPeer(1, outbound, a, "", 0)
 	p.dropNth = 2
 	for i := 0; i < 6; i++ {
 		if !p.send(&wire.Ping{Nonce: uint64(i)}) {
@@ -334,7 +334,7 @@ func TestChaosSubsetConformance(t *testing.T) {
 	var fast, slow []*Node
 	for i := 0; i < 3; i++ {
 		fast = append(fast, startNode(t, uint64(410+i), nil))
-		slow = append(slow, startNode(t, uint64(420+i), func(c *Config) {
+		slow = append(slow, startNode(t, uint64(420+i), func(c *config) {
 			c.PeerDelay = func(uint64) time.Duration { return 100 * time.Millisecond }
 		}))
 	}
@@ -344,7 +344,7 @@ func TestChaosSubsetConformance(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	hub := chaosNode(t, 430, faults.Mixed(7, 0.2), func(c *Config) {
+	hub := chaosNode(t, 430, faults.Mixed(7, 0.2), func(c *config) {
 		c.OutDegree = 3
 		c.Selector = subsetExplore1()
 		c.ReadIdleTimeout = 250 * time.Millisecond
@@ -369,14 +369,14 @@ func TestChaosSubsetConformance(t *testing.T) {
 		lats := make([]time.Duration, 0, 6)
 		for b := 0; b < 6; b++ {
 			start := time.Now()
-			blk, err := miner.MineBlock([][]byte{[]byte(fmt.Sprintf("r%d-b%d", round, b))})
+			blk, err := miner.mineBlock([][]byte{[]byte(fmt.Sprintf("r%d-b%d", round, b))})
 			if err != nil {
 				t.Fatal(err)
 			}
 			h := blk.Header.Hash()
 			arrived := false
 			for time.Since(start) < 10*time.Second {
-				if hub.Store().Has(chain.Hash(h)) {
+				if hub.store.Has(chain.Hash(h)) {
 					arrived = true
 					break
 				}
@@ -389,7 +389,7 @@ func TestChaosSubsetConformance(t *testing.T) {
 		}
 		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 		p90s = append(p90s, lats[len(lats)-1])
-		if _, err := hub.PerigeeRound(); err != nil {
+		if _, err := hub.round(); err != nil {
 			t.Fatal(err)
 		}
 		// Let exploration dials and redial recovery settle.

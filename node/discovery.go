@@ -1,4 +1,4 @@
-package p2p
+package node
 
 import (
 	"errors"
@@ -8,8 +8,8 @@ import (
 	"github.com/perigee-net/perigee/internal/wire"
 )
 
-// DefaultTargetKnown is DiscoveryConfig.TargetKnown's default.
-const DefaultTargetKnown = 128
+// defaultTargetKnown is discoveryConfig.TargetKnown's default.
+const defaultTargetKnown = 128
 
 // Addr-gossip policy. The rate limits and validation always apply — a
 // node cannot opt out of the hardened exchange.
@@ -19,7 +19,7 @@ const (
 	// of any single address.
 	announceFanout = 2
 	// maxGetAddrInterval is the longest per-peer GETADDR service window;
-	// see DiscoveryConfig.getAddrInterval.
+	// see discoveryConfig.getAddrInterval.
 	maxGetAddrInterval = 30 * time.Second
 	// getAddrBurst is how many GETADDRs per window a peer may send before
 	// the excess charges misbehavior points.
@@ -33,23 +33,13 @@ const (
 	maxAddrAge = 3 * time.Hour
 )
 
-// DiscoveryConfig sets the addr-gossip discovery subsystem's active loops
-// (periodic GETADDR refresh, feeler dials), which run only when their
-// intervals are set.
-type DiscoveryConfig struct {
-	// RefreshInterval, when positive, runs a loop that requests fresh
-	// addresses (GETADDR to a couple of random peers) every interval while
-	// the book holds fewer than TargetKnown addresses. Zero disables the
-	// loop: the node still asks each new peer once at connect.
+// discoveryConfig sets addr-gossip's active loops, which run only when
+// their intervals are set: WithDiscovery sets RefreshInterval and
+// TargetKnown, WithFeelerInterval sets FeelerInterval.
+type discoveryConfig struct {
 	RefreshInterval time.Duration
-	// TargetKnown is the book size at which the refresh loop goes quiet
-	// (default 128).
-	TargetKnown int
-	// FeelerInterval, when positive, runs a loop that picks one
-	// never-verified book entry per interval and cheaply verifies it:
-	// connect, handshake, disconnect, mark dial-verified. Zero disables
-	// feelers.
-	FeelerInterval time.Duration
+	TargetKnown     int
+	FeelerInterval  time.Duration
 }
 
 // getAddrInterval is the per-peer GETADDR service window, which also
@@ -57,7 +47,7 @@ type DiscoveryConfig struct {
 // answered per interval. It is RefreshInterval when that is set and
 // shorter than maxGetAddrInterval, so refresh requests are never starved
 // by the serving side.
-func (d DiscoveryConfig) getAddrInterval() time.Duration {
+func (d discoveryConfig) getAddrInterval() time.Duration {
 	if d.RefreshInterval > 0 && d.RefreshInterval < maxGetAddrInterval {
 		return d.RefreshInterval
 	}

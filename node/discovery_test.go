@@ -1,4 +1,4 @@
-package p2p
+package node
 
 import (
 	"bytes"
@@ -82,7 +82,7 @@ func fillBook(n *Node, count int) []string {
 	addrs := make([]string, count)
 	for i := range addrs {
 		addrs[i] = fmt.Sprintf("10.1.%d.%d:8333", i/250, i%250+1)
-		n.Book().Add(addrs[i])
+		n.book.Add(addrs[i])
 	}
 	return addrs
 }
@@ -99,12 +99,12 @@ func TestGetAddrSampleHardened(t *testing.T) {
 	}
 	a := build()
 	banned := "10.1.0.5:8333"
-	a.Book().Misbehave(0xBAD, banned, 10*banThreshold)
-	if !a.Book().AddrBanned(banned) {
+	a.book.Misbehave(0xBAD, banned, 10*banThreshold)
+	if !a.book.AddrBanned(banned) {
 		t.Fatal("ban setup failed")
 	}
 	own := "10.9.9.9:4444"
-	a.Book().Add(own) // the requester's address is known to the node
+	a.book.Add(own) // the requester's address is known to the node
 
 	conn := rawDialAddr(t, a, 0xD1A1, own)
 	if err := wire.Write(conn, &wire.GetAddr{}); err != nil {
@@ -114,7 +114,7 @@ func TestGetAddrSampleHardened(t *testing.T) {
 	if len(sample.Addrs) > wire.MaxAddrs {
 		t.Fatalf("sample of %d exceeds MaxAddrs", len(sample.Addrs))
 	}
-	sorted := a.Book().all()
+	sorted := a.book.all()
 	prefix := true
 	for i, na := range sample.Addrs {
 		if na.Addr == banned {
@@ -134,8 +134,8 @@ func TestGetAddrSampleHardened(t *testing.T) {
 	// Same seed, same book, same requester => identical sample: discovery
 	// decisions replay bit-for-bit.
 	b := build()
-	b.Book().Misbehave(0xBAD, banned, 10*banThreshold)
-	b.Book().Add(own)
+	b.book.Misbehave(0xBAD, banned, 10*banThreshold)
+	b.book.Add(own)
 	conn2 := rawDialAddr(t, b, 0xD1A1, own)
 	if err := wire.Write(conn2, &wire.GetAddr{}); err != nil {
 		t.Fatal(err)
@@ -178,7 +178,7 @@ func TestGetAddrRateLimited(t *testing.T) {
 	if got := n.Discovery().GetAddrThrottled; got < 3 {
 		t.Fatalf("GetAddrThrottled = %d, want >= 3", got)
 	}
-	if s := n.Book().score(spammer); s != 0 {
+	if s := n.book.score(spammer); s != 0 {
 		t.Fatalf("in-budget requests charged %v points", s)
 	}
 	// Requests past the burst budget charge points.
@@ -189,7 +189,7 @@ func TestGetAddrRateLimited(t *testing.T) {
 	}
 	assertNoAddr(t, conn, 300*time.Millisecond)
 	waitFor(t, "spam charge", time.Second, func() bool {
-		return n.Book().score(spammer) > 0
+		return n.book.score(spammer) > 0
 	})
 }
 
@@ -252,14 +252,14 @@ func TestAddrIngestionValidated(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "valid addrs admitted", time.Second, func() bool {
-		return n.Book().contains("10.2.0.1:9000") && n.Book().contains("10.2.0.4:9000")
+		return n.book.contains("10.2.0.1:9000") && n.book.contains("10.2.0.4:9000")
 	})
 	for _, bad := range []string{"not an address", "10.2.0.2:0", ":9000", "10.2.0.3:9000", "bad_host:9000"} {
-		if n.Book().contains(bad) {
+		if n.book.contains(bad) {
 			t.Fatalf("%q entered the book", bad)
 		}
 	}
-	if s := n.Book().score(sender); s == 0 {
+	if s := n.book.score(sender); s == 0 {
 		t.Fatal("invalid addrs went uncharged")
 	}
 	d := n.Discovery()
@@ -286,7 +286,7 @@ func TestUnsolicitedAddrBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "solicited batch admitted", time.Second, func() bool {
-		return n.Book().contains(burn[len(burn)-1].Addr)
+		return n.book.contains(burn[len(burn)-1].Addr)
 	})
 	// Now unsolicited: 12 entries past the budget.
 	extra := make([]wire.NetAddr, unsolicitedBudget+12)
@@ -297,10 +297,10 @@ func TestUnsolicitedAddrBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "budgeted prefix admitted", time.Second, func() bool {
-		return n.Book().contains(extra[unsolicitedBudget-1].Addr)
+		return n.book.contains(extra[unsolicitedBudget-1].Addr)
 	})
 	for _, na := range extra[unsolicitedBudget:] {
-		if n.Book().contains(na.Addr) {
+		if n.book.contains(na.Addr) {
 			t.Fatalf("%s admitted past the unsolicited budget", na.Addr)
 		}
 	}
@@ -312,7 +312,7 @@ func TestUnsolicitedAddrBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "flood charge", time.Second, func() bool {
-		return n.Book().score(flooder) > 0
+		return n.book.score(flooder) > 0
 	})
 }
 
@@ -388,7 +388,7 @@ func TestRoundlessObservationBound(t *testing.T) {
 		prev = b
 	}
 	pingPong(t, honest, pongs)
-	if !n.Store().Has(prev.Header.Hash()) {
+	if !n.store.Has(prev.Header.Hash()) {
 		t.Fatal("the honest chain did not reach the store")
 	}
 	checkBounds("honest stream", n)
@@ -399,7 +399,7 @@ func TestRoundlessObservationBound(t *testing.T) {
 	// Accepted-block growth is bounded too: mine past the cap.
 	miner := startNode(t, 7741, nil)
 	for i := 0; i < 3*cap; i++ {
-		if _, err := miner.MineBlock(nil); err != nil {
+		if _, err := miner.mineBlock(nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -451,17 +451,17 @@ func TestSelfAnnounceAndTrickle(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "hub learns b's address", time.Second, func() bool {
-		return hub.Book().contains(b.Addr())
+		return hub.book.contains(b.Addr())
 	})
 	// a joins: the hub learns a by announce and trickles it to b.
 	if err := a.Connect(hub.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "hub learns a", time.Second, func() bool {
-		return hub.Book().contains(a.Addr())
+		return hub.book.contains(a.Addr())
 	})
 	waitFor(t, "a's address trickles to b", 2*time.Second, func() bool {
-		return b.Book().contains(a.Addr())
+		return b.book.contains(a.Addr())
 	})
 	if got := a.Discovery().SelfAnnounces; got < 1 {
 		t.Fatalf("SelfAnnounces = %d, want >= 1", got)
@@ -476,15 +476,15 @@ func TestSelfAnnounceAndTrickle(t *testing.T) {
 // without becoming a lasting connection.
 func TestFeelerVerifiesRumor(t *testing.T) {
 	target := startNode(t, 7760, nil)
-	n := startNode(t, 7761, func(c *Config) {
+	n := startNode(t, 7761, func(c *config) {
 		c.Discovery.FeelerInterval = 25 * time.Millisecond
 	})
-	n.Book().Add(target.Addr())
-	if n.Book().verified(target.Addr()) {
+	n.book.Add(target.Addr())
+	if n.book.verified(target.Addr()) {
 		t.Fatal("rumor born verified")
 	}
 	waitFor(t, "feeler verification", 3*time.Second, func() bool {
-		return n.Book().verified(target.Addr())
+		return n.book.verified(target.Addr())
 	})
 	if got := n.Discovery().FeelerVerified; got < 1 {
 		t.Fatalf("FeelerVerified = %d, want >= 1", got)
@@ -514,9 +514,9 @@ func TestFeelerRefusesWrongProtocol(t *testing.T) {
 	}()
 	n := startNode(t, 7762, nil)
 	addr := ln.Addr().String()
-	n.Book().Add(addr)
+	n.book.Add(addr)
 	n.feelerDial(addr)
-	if n.Book().verified(addr) {
+	if n.book.verified(addr) {
 		t.Fatal("feeler verified a remote speaking another protocol version")
 	}
 	if d := n.Discovery(); d.FeelerDials != 1 || d.FeelerVerified != 0 {
@@ -533,12 +533,12 @@ func TestFeelerRefusesWrongProtocol(t *testing.T) {
 func TestFeelerRefusesBannedIdentity(t *testing.T) {
 	target := startNode(t, 7763, nil)
 	n := startNode(t, 7764, nil)
-	n.Book().Add(target.Addr())
-	if !n.Book().Misbehave(target.cfg.NodeID, "", 10*banThreshold) {
+	n.book.Add(target.Addr())
+	if !n.book.Misbehave(target.cfg.NodeID, "", 10*banThreshold) {
 		t.Fatal("identity not banned")
 	}
 	n.feelerDial(target.Addr())
-	if n.Book().verified(target.Addr()) {
+	if n.book.verified(target.Addr()) {
 		t.Fatal("feeler verified the address of a banned identity")
 	}
 	if d := n.Discovery(); d.FeelerDials != 1 || d.FeelerVerified != 0 {
@@ -551,7 +551,7 @@ func TestFeelerRefusesBannedIdentity(t *testing.T) {
 
 // discoveryClusterConfig tunes a node for fast single-seed convergence in
 // tests: aggressive refresh, feelers, trickle, and redial.
-func discoveryClusterConfig(c *Config) {
+func discoveryClusterConfig(c *config) {
 	c.OutDegree = 3
 	c.Selector = subsetExplore1()
 	c.Discovery.RefreshInterval = 50 * time.Millisecond
@@ -581,7 +581,7 @@ func assertConverged(t *testing.T, nodes []*Node, timeout time.Duration, fractio
 			}
 			known := 0
 			for j, addr := range addrOf {
-				if j != i && n.Book().contains(addr) {
+				if j != i && n.book.contains(addr) {
 					known++
 				}
 			}
@@ -611,7 +611,7 @@ func TestDiscoveryConvergenceSingleSeed(t *testing.T) {
 	// The whole topology grew from one seed: every non-seed node must have
 	// learned addresses it was never given.
 	for i := 1; i < N; i++ {
-		if nodes[i].Book().Len() < 2 {
+		if nodes[i].book.Len() < 2 {
 			t.Fatalf("node %d book never grew beyond the seed", i)
 		}
 	}

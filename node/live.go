@@ -1,4 +1,4 @@
-package p2p
+package node
 
 import (
 	"encoding/binary"
@@ -14,96 +14,10 @@ import (
 	"github.com/perigee-net/perigee/internal/chain"
 	"github.com/perigee-net/perigee/internal/core"
 	"github.com/perigee-net/perigee/internal/faults"
+	"github.com/perigee-net/perigee/internal/paper"
 	"github.com/perigee-net/perigee/internal/rng"
 	"github.com/perigee-net/perigee/internal/wire"
 )
-
-// Config assembles a live node. A zero (or negative) field takes its
-// default, as in DiscoveryConfig: range checks live at the public
-// boundary, in the node package's options, not here. Policy no program
-// tunes — the handshake timeout, the slow-consumer budget, the
-// observation cap, the address book's backoff and ban rules, the
-// addr-gossip rate limits — is fixed by package constants.
-type Config struct {
-	// NodeID is the node's identity; zero means "derive from the seed".
-	NodeID uint64
-	// Seed drives the node's local randomness (nonces, address sampling).
-	Seed uint64
-	// ListenAddr is the accepting address ("127.0.0.1:0" for an ephemeral
-	// port); empty disables listening (a client-only node).
-	ListenAddr string
-	// MaxInbound caps accepted connections (default 20).
-	MaxInbound int
-	// OutDegree is the target number of outbound connections maintained by
-	// the Perigee round (default 8).
-	OutDegree int
-	// Selector decides which outbound peers to keep, drop, and redial each
-	// round. Nil means the simulator's default: Subset scoring (the
-	// paper's preferred rule) with 2 exploration slots at the 0.9
-	// percentile.
-	Selector core.Selector
-	// RoundBlocks, when positive, triggers a Perigee round automatically
-	// as soon as that many blocks have been observed since the last round.
-	// Zero means rounds run only when PerigeeRound is called.
-	RoundBlocks int
-	// OnRound, when non-nil, receives every completed round's report —
-	// manual and automatic alike — synchronously at the end of the round.
-	OnRound func(RoundReport)
-	// Genesis anchors the node's chain; all nodes of a network must share
-	// it.
-	Genesis *chain.Block
-	// PeerDelay, when non-nil, returns an artificial one-way delay to
-	// apply before every message sent to the given remote node — latency
-	// injection for single-machine experiments.
-	PeerDelay func(remoteID uint64) time.Duration
-	// SilentRelay makes the node a free-rider: received blocks are stored
-	// and served on request but never announced — not when they arrive and
-	// not as the tip shown to a peer that connects later. Self-mined
-	// blocks are still announced. The live form of the simulator's Silent
-	// mask.
-	SilentRelay bool
-	// RelayDelay withholds every relay of a received block by the given
-	// duration before announcing it onward (self-mined blocks are
-	// announced immediately) — the live form of the simulator's RelayDelay
-	// table.
-	RelayDelay time.Duration
-	// Frozen disables the neighbor-update protocol: Perigee rounds still
-	// reset the observation window and report, but keep every outbound
-	// peer and dial nothing.
-	Frozen bool
-	// AddrBookPath, when non-empty, loads the address book from this file
-	// at construction and saves it on Stop, so peer health and bans
-	// survive restarts. A missing file is not an error.
-	AddrBookPath string
-	// Faults, when non-nil, injects deterministic connection faults from
-	// the plan: dials may be failed outright and established connections
-	// wrapped with resets, stalls, throttles, or message drops. Nil means
-	// no injection (production).
-	Faults faults.Plan
-	// ReadIdleTimeout bounds silence on a connection (default 90s). After
-	// one idle interval the peer is probed with a ping; a second silent
-	// interval disconnects it. This is what reclaims connections hung by
-	// stalls or half-open TCP.
-	ReadIdleTimeout time.Duration
-	// WriteTimeout bounds each flush of a peer's writer, at most 64 KB
-	// plus one frame (default 10s); a peer that cannot absorb a flush in
-	// this long is disconnected by its write loop.
-	WriteTimeout time.Duration
-	// RedialInterval, when positive, runs a maintenance loop that redials
-	// addresses from the book whenever the outbound degree has fallen
-	// below OutDegree — recovery between Perigee rounds. Zero disables
-	// the loop (rounds still re-dial).
-	RedialInterval time.Duration
-	// Discovery sets addr-gossip's optional active loops (refresh,
-	// feelers); the hardening (validation, GETADDR rate limits,
-	// unsolicited budgets, seeded response sampling) is always on.
-	Discovery DiscoveryConfig
-	// DrainTimeout bounds the graceful flush of peer send queues during
-	// Stop (default 1s).
-	DrainTimeout time.Duration
-	// Logf, when non-nil, receives diagnostic log lines.
-	Logf func(format string, args ...any)
-}
 
 // Live-node policy.
 const (
@@ -115,10 +29,10 @@ const (
 	maxSendQueueDrops = 64
 	// observationCap bounds the node's table of block sightings
 	// independently of Perigee rounds, so a node that never rounds
-	// (RoundBlocks 0, no PerigeeRound calls) cannot grow it without bound:
+	// (RoundBlocks 0, no Round calls) cannot grow it without bound:
 	// the round window keeps the newest cap accepted blocks, and at most cap
 	// other records (rumours, fetches in flight) wait outside it, the first
-	// sighted leaving first. See sightings and Config.obsCap.
+	// sighted leaving first. See sightings and config.obsCap.
 	observationCap = 4096
 	// relaySlots sizes the node's table of received blocks to serve on the
 	// checksums their frames were verified with (see Node.relayed). A
@@ -129,19 +43,19 @@ const (
 )
 
 // withDefaults resolves unset (non-positive) fields to their defaults.
-func (c Config) withDefaults() Config {
-	setDefault(&c.MaxInbound, 20)
+func (c config) withDefaults() config {
+	setDefault(&c.MaxInbound, paper.MaxIncoming)
 	setDefault(&c.OutDegree, core.DefaultParams(core.Subset).OutDegree)
 	setDefault(&c.ReadIdleTimeout, 90*time.Second)
 	setDefault(&c.WriteTimeout, 10*time.Second)
 	setDefault(&c.DrainTimeout, time.Second)
-	setDefault(&c.Discovery.TargetKnown, DefaultTargetKnown)
+	setDefault(&c.Discovery.TargetKnown, defaultTargetKnown)
 	return c
 }
 
 // obsCap is the effective observation bound: observationCap, raised to
 // RoundBlocks so an automatic round's window is never trimmed.
-func (c Config) obsCap() int { return max(observationCap, c.RoundBlocks) }
+func (c config) obsCap() int { return max(observationCap, c.RoundBlocks) }
 
 // setDefault replaces a non-positive value with def.
 func setDefault[T int | time.Duration](v *T, def T) {
@@ -150,13 +64,16 @@ func setDefault[T int | time.Duration](v *T, def T) {
 	}
 }
 
-// Node is a live Perigee peer: it gossips blocks over TCP and periodically
-// re-selects its outbound neighbors from measured arrival times.
+// Node is a live Perigee peer: it gossips blocks over TCP and re-selects
+// its outbound neighbors from measured arrival times by driving its
+// Selector. Build one with New, then Start it.
 type Node struct {
-	cfg   Config
+	cfg   config
 	store *chain.Store
-	book  *AddrBook
+	book  *addrBook
 	rand  *rng.RNG
+	// mineRand draws the miner's Poisson intervals (WithMiner).
+	mineRand *rng.RNG
 	// selRand roots the per-round streams handed to the selector.
 	selRand *rng.RNG
 	// addrRand roots the discovery decision streams (ADDR samples,
@@ -179,7 +96,7 @@ type Node struct {
 	lastMined chain.Hash // newest self-mined block; zero before the first
 	rounds    int        // completed Perigee rounds
 	// withheld counts, per received block, the acceptances whose delayed
-	// relay (Config.RelayDelay) has not fired yet; see showsTip.
+	// relay (config.RelayDelay) has not fired yet; see showsTip.
 	withheld map[chain.Hash]int
 
 	// relayed holds, in the slot of the hash's leading bytes, the BLOCK
@@ -206,7 +123,9 @@ type Node struct {
 	wg sync.WaitGroup
 }
 
-// ResilienceStats counts the node's defensive actions since start.
+// ResilienceStats counts the node's defensive actions since start: shed
+// accepts, refused bans, recorded dial failures, injected faults, bans,
+// slow-consumer disconnects, and maintenance redials.
 type ResilienceStats struct {
 	// AcceptsShed is the number of inbound connections declined because
 	// the inbound cap was reached.
@@ -254,13 +173,10 @@ func (n *Node) countRes(f func(*ResilienceStats)) {
 // ErrStopped is returned by operations on a stopped node.
 var ErrStopped = errors.New("p2p: node stopped")
 
-// NewNode resolves the config's defaults and builds a node (not yet
-// started).
-func NewNode(cfg Config) (*Node, error) {
+// newNode resolves the config's defaults and builds a node (not yet
+// started) on the genesis block of the config's network.
+func newNode(cfg config) (*Node, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Genesis == nil {
-		return nil, fmt.Errorf("p2p: nil genesis")
-	}
 	if cfg.Selector == nil {
 		var err error
 		cfg.Selector, err = core.SelectorFromMethod(core.Subset, core.DefaultParams(core.Subset))
@@ -268,7 +184,7 @@ func NewNode(cfg Config) (*Node, error) {
 			return nil, err
 		}
 	}
-	store, err := chain.NewStore(cfg.Genesis)
+	store, err := chain.NewStore(chain.NewGenesis(cfg.network))
 	if err != nil {
 		return nil, err
 	}
@@ -276,7 +192,7 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.NodeID == 0 {
 		cfg.NodeID = r.Uint64() | 1 // never zero
 	}
-	book := NewAddrBook()
+	book := newAddrBook()
 	if cfg.AddrBookPath != "" {
 		if err := book.Load(cfg.AddrBookPath); err != nil {
 			return nil, fmt.Errorf("p2p: address book: %w", err)
@@ -290,6 +206,7 @@ func NewNode(cfg Config) (*Node, error) {
 		store:        store,
 		book:         book,
 		rand:         r,
+		mineRand:     rng.New(cfg.Seed).Derive("mining"),
 		selRand:      rng.New(cfg.Seed).Derive("p2p-selector"),
 		addrRand:     rng.New(cfg.Seed).Derive("p2p-addr-gossip"),
 		peers:        make(map[uint64]*peer),
@@ -301,14 +218,8 @@ func NewNode(cfg Config) (*Node, error) {
 	}, nil
 }
 
-// ID returns the node's identity.
+// ID returns the node's 64-bit identity.
 func (n *Node) ID() uint64 { return n.cfg.NodeID }
-
-// Store exposes the node's block store.
-func (n *Node) Store() *chain.Store { return n.store }
-
-// AddrBook exposes the node's address book.
-func (n *Node) Book() *AddrBook { return n.book }
 
 func (n *Node) logf(format string, args ...any) {
 	if n.cfg.Logf != nil {
@@ -316,8 +227,9 @@ func (n *Node) logf(format string, args ...any) {
 	}
 }
 
-// Start begins listening (when configured), accepting connections, and —
-// when RedialInterval is set — maintaining the outbound degree.
+// Start begins listening (when configured), accepting connections,
+// maintaining the outbound degree (WithRedialInterval), discovery's loops,
+// and mining (WithMiner).
 func (n *Node) Start() error {
 	if n.cfg.ListenAddr != "" {
 		ln, err := net.Listen("tcp", n.cfg.ListenAddr)
@@ -350,6 +262,9 @@ func (n *Node) Start() error {
 	if n.cfg.Discovery.FeelerInterval > 0 && !n.spawn(n.feelerLoop) {
 		return ErrStopped
 	}
+	if n.cfg.mine > 0 {
+		n.spawn(n.mineLoop)
+	}
 	return nil
 }
 
@@ -368,6 +283,13 @@ func (n *Node) spawn(f func()) bool {
 		f()
 	}()
 	return true
+}
+
+// stopped reports whether Stop has begun.
+func (n *Node) stopped() bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.closed
 }
 
 // maintainLoop periodically tops the outbound set back up to OutDegree
@@ -464,7 +386,7 @@ func (n *Node) acceptLoop(ln net.Listener) {
 		if err != nil {
 			return // listener closed
 		}
-		if n.count(Inbound) >= n.cfg.MaxInbound {
+		if n.count(inbound) >= n.cfg.MaxInbound {
 			// Incoming slots full: shed the connection, as in §5.1.
 			_ = conn.Close()
 			n.countRes(func(r *ResilienceStats) { r.AcceptsShed++ })
@@ -473,7 +395,7 @@ func (n *Node) acceptLoop(ln net.Listener) {
 		n.wg.Add(1)
 		go func() {
 			defer n.wg.Done()
-			if err := n.setupPeer(conn, Inbound, ""); err != nil {
+			if err := n.setupPeer(conn, inbound, ""); err != nil {
 				n.logf("inbound handshake failed: %v", err)
 			}
 		}()
@@ -481,15 +403,15 @@ func (n *Node) acceptLoop(ln net.Listener) {
 }
 
 // OutboundCount returns the number of live outbound connections.
-func (n *Node) OutboundCount() int { return n.count(Outbound) }
+func (n *Node) OutboundCount() int { return n.count(outbound) }
 
-func (n *Node) count(dir Direction) int {
+func (n *Node) count(dir direction) int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.countLocked(dir)
 }
 
-func (n *Node) countLocked(dir Direction) int {
+func (n *Node) countLocked(dir direction) int {
 	count := 0
 	for _, p := range n.peers {
 		if p.direction == dir {
@@ -499,8 +421,8 @@ func (n *Node) countLocked(dir Direction) int {
 	return count
 }
 
-// ErrBanned is returned when dialing an address gated by a ban.
-var ErrBanned = errors.New("p2p: peer banned")
+// errBanned is returned when dialing an address gated by a ban.
+var errBanned = errors.New("p2p: peer banned")
 
 // Connect dials and handshakes an outbound peer. Banned addresses are
 // refused, and every failure — injected, transport, or handshake — is
@@ -509,14 +431,14 @@ var ErrBanned = errors.New("p2p: peer banned")
 func (n *Node) Connect(addr string) error {
 	if n.book.AddrBanned(addr) {
 		n.countRes(func(r *ResilienceStats) { r.BannedRefused++ })
-		return fmt.Errorf("p2p: dial %s: %w", addr, ErrBanned)
+		return fmt.Errorf("p2p: dial %s: %w", addr, errBanned)
 	}
 	conn, err := n.dial(addr)
 	if err != nil {
 		return err
 	}
 	n.book.Add(addr)
-	if err := n.setupPeer(conn, Outbound, addr); err != nil {
+	if err := n.setupPeer(conn, outbound, addr); err != nil {
 		n.dialFailed(addr)
 		return err
 	}
@@ -529,10 +451,7 @@ func (n *Node) Connect(addr string) error {
 // An injected or transport failure is charged to addr's backoff and
 // failure budget.
 func (n *Node) dial(addr string) (net.Conn, error) {
-	n.mu.Lock()
-	closed := n.closed
-	n.mu.Unlock()
-	if closed {
+	if n.stopped() {
 		return nil, ErrStopped
 	}
 	if n.cfg.Faults != nil {
@@ -622,7 +541,7 @@ func (n *Node) admit(remote *wire.Version) error {
 		return errSelfConnect
 	case n.book.IDBanned(remote.NodeID):
 		n.countRes(func(r *ResilienceStats) { r.BannedRefused++ })
-		return fmt.Errorf("p2p: %016x: %w", remote.NodeID, ErrBanned)
+		return fmt.Errorf("p2p: %016x: %w", remote.NodeID, errBanned)
 	}
 	return nil
 }
@@ -631,8 +550,8 @@ func (n *Node) admit(remote *wire.Version) error {
 // is installed, and its greeting queued, before this side's last handshake
 // write: once the remote can tell the handshake is done, every block this
 // node accepts reaches the peer's queue, and the greeting leads it.
-func (n *Node) setupPeer(conn net.Conn, dir Direction, dialedAddr string) error {
-	initiator := dir == Outbound
+func (n *Node) setupPeer(conn net.Conn, dir direction, dialedAddr string) error {
+	initiator := dir == outbound
 	remote, err := n.handshake(conn, initiator)
 	if err != nil {
 		_ = conn.Close()
@@ -667,7 +586,7 @@ func (n *Node) setupPeer(conn net.Conn, dir Direction, dialedAddr string) error 
 		n.logf("ignoring invalid listen addr %q from %016x", listenAddr, remote.NodeID)
 		listenAddr = ""
 	}
-	if listenAddr == "" && dir == Outbound {
+	if listenAddr == "" && dir == outbound {
 		listenAddr = dialedAddr
 	}
 	p := newPeer(remote.NodeID, dir, conn, listenAddr, delay)
@@ -690,7 +609,7 @@ func (n *Node) setupPeer(conn net.Conn, dir Direction, dialedAddr string) error 
 		p.close()
 		return fmt.Errorf("p2p: duplicate connection to %016x", p.id)
 	}
-	if dir == Inbound && n.countLocked(Inbound) >= n.cfg.MaxInbound {
+	if dir == inbound && n.countLocked(inbound) >= n.cfg.MaxInbound {
 		// Handshakes that passed acceptLoop's check together meet the cap
 		// again here, where the slot is actually taken.
 		n.mu.Unlock()
@@ -996,7 +915,7 @@ func (n *Node) handleBlock(p *peer, msg *wire.Block) {
 // may be nil when no peer sent the block; mined marks one of the node's
 // own, because adversarial relay behavior (SilentRelay, RelayDelay) applies
 // to every received block — unstashed orphans too — but never to the
-// node's own. MineBlock links what it mines through chain.Store.Mine and
+// node's own. mineBlock links what it mines through chain.Store.Mine and
 // announces it through connected.
 func (n *Node) acceptBlock(from *peer, b *chain.Block, h chain.Hash, mined bool) {
 	if n.store.Has(h) {
@@ -1141,14 +1060,11 @@ func (n *Node) peerSnapshot() []*peer {
 	return n.sorted
 }
 
-// MineBlock extends the node's tip with a new block and announces it.
-func (n *Node) MineBlock(txs [][]byte) (*chain.Block, error) {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
+// mineBlock extends the node's tip with a new block and announces it.
+func (n *Node) mineBlock(txs [][]byte) (*chain.Block, error) {
+	if n.stopped() {
 		return nil, ErrStopped
 	}
-	n.mu.Unlock()
 	b, h, err := n.store.Mine(txs, time.Now(), n.randUint64())
 	if err != nil {
 		return nil, fmt.Errorf("p2p: mined block rejected: %w", err)
@@ -1157,28 +1073,8 @@ func (n *Node) MineBlock(txs [][]byte) (*chain.Block, error) {
 	return b, nil
 }
 
-// PeerInfo describes one live connection.
-type PeerInfo struct {
-	// ID is the remote node's identity.
-	ID uint64
-	// Direction reports who dialed.
-	Direction Direction
-	// ListenAddr is the remote's accepting address, if known.
-	ListenAddr string
-}
-
-// Peers lists live connections sorted by ID.
-func (n *Node) Peers() []PeerInfo {
-	ps := n.peerSnapshot()
-	out := make([]PeerInfo, len(ps))
-	for i, p := range ps {
-		out[i] = PeerInfo{ID: p.id, Direction: p.direction, ListenAddr: p.listenAddr}
-	}
-	return out
-}
-
-// RoundReport summarizes one live Perigee round.
-type RoundReport struct {
+// roundReport summarizes one live Perigee round.
+type roundReport struct {
 	// Round is the 1-based index of the completed round.
 	Round int
 	// BlocksScored is the number of blocks whose timestamps fed scoring.
@@ -1195,31 +1091,27 @@ type RoundReport struct {
 	Dialed []string
 }
 
-// PerigeeRound runs one live decision round: it feeds the block arrival
+// round runs one live decision round: it feeds the block arrival
 // timestamps observed since the last round to the node's Selector,
 // disconnects the peers the selector dropped, spends its dial budget on
 // fresh addresses from the book, and resets the observation window. The
 // node is a driver — all policy lives in the Selector.
-func (n *Node) PerigeeRound() (RoundReport, error) {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return RoundReport{}, ErrStopped
+func (n *Node) round() (roundReport, error) {
+	if n.stopped() {
+		return roundReport{}, ErrStopped
 	}
-	n.mu.Unlock()
 
 	// The scoring code keys neighbors by int, for identity and tie-breaking
 	// only, so the (possibly negative) two's-complement view of an ID is
 	// fine.
-	outbound := make([]*peer, 0, n.cfg.OutDegree)
+	outs := make([]*peer, 0, n.cfg.OutDegree)
 	ids := make([]int, 0, n.cfg.OutDegree)
 	for _, p := range n.peerSnapshot() {
-		if p.direction == Outbound {
-			outbound = append(outbound, p)
+		if p.direction == outbound {
+			outs = append(outs, p)
 			ids = append(ids, int(p.id))
 		}
 	}
-	report := RoundReport{}
 
 	// Take the window's observations, which resets it, and claim the round
 	// index.
@@ -1228,18 +1120,14 @@ func (n *Node) PerigeeRound() (RoundReport, error) {
 	n.rounds++
 	round := n.rounds
 	n.obsMu.Unlock()
-	report.Round = round
-	report.BlocksScored = len(obs.Offsets)
+	report := roundReport{Round: round, BlocksScored: len(obs.Offsets)}
 
 	if n.cfg.Frozen {
 		// Protocol-deviant node: the observation window resets and the
 		// round is reported, but every outbound peer is kept and nothing
 		// is dialed.
-		for _, p := range outbound {
+		for _, p := range outs {
 			report.Kept = append(report.Kept, p.id)
-		}
-		if n.cfg.OnRound != nil {
-			n.cfg.OnRound(report)
 		}
 		return report, nil
 	}
@@ -1255,33 +1143,27 @@ func (n *Node) PerigeeRound() (RoundReport, error) {
 		return report, fmt.Errorf("p2p: round %d: %w", round, err)
 	}
 	for _, i := range decision.Keep {
-		report.Kept = append(report.Kept, outbound[i].id)
+		report.Kept = append(report.Kept, outs[i].id)
 	}
 	for _, i := range decision.Drop {
-		report.Dropped = append(report.Dropped, outbound[i].id)
-		n.removePeer(outbound[i])
+		report.Dropped = append(report.Dropped, outs[i].id)
+		n.removePeer(outs[i])
 	}
 
 	// Exploration: spend the selector's dial budget on fresh addresses.
 	// The target is floored at the configured out-degree so a node whose
 	// outbound set was thinned by faults between rounds recovers instead
 	// of permanently shrinking.
-	target := len(outbound) - len(decision.Drop) + decision.Dial
-	if target < n.cfg.OutDegree {
-		target = n.cfg.OutDegree
-	}
+	target := max(len(outs)-len(decision.Drop)+decision.Dial, n.cfg.OutDegree)
 	// Never immediately redial a peer the selector just evicted.
 	var evicted []string
 	for _, i := range decision.Drop {
-		if a := outbound[i].listenAddr; a != "" {
+		if a := outs[i].listenAddr; a != "" {
 			evicted = append(evicted, a)
 		}
 	}
 	report.Dialed, _ = n.dialBook(evicted, func(int) bool { return n.OutboundCount() >= target }, "exploration dial")
 	report.Added = n.outboundDiff(report.Kept)
-	if n.cfg.OnRound != nil {
-		n.cfg.OnRound(report)
-	}
 	return report, nil
 }
 
@@ -1294,7 +1176,7 @@ func (n *Node) outboundDiff(before []uint64) []uint64 {
 	}
 	var added []uint64
 	for _, p := range n.peerSnapshot() {
-		if p.direction == Outbound && !known[p.id] {
+		if p.direction == outbound && !known[p.id] {
 			added = append(added, p.id)
 		}
 	}
@@ -1313,7 +1195,7 @@ func (n *Node) maybeAutoRound() {
 	}
 	if !n.spawn(func() {
 		defer n.roundInFlight.Store(false)
-		if _, err := n.PerigeeRound(); err != nil && !errors.Is(err, ErrStopped) {
+		if _, err := n.Round(); err != nil && !errors.Is(err, ErrStopped) {
 			n.logf("automatic perigee round: %v", err)
 		}
 	}) {
@@ -1328,8 +1210,8 @@ func (n *Node) shuffleStrings(xs []string) {
 	n.rand.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
 }
 
-// ObservationWindow returns the number of blocks currently accumulated for
-// the next round.
+// ObservationWindow returns the number of blocks observed since the last
+// Perigee round — the input size of the next decision.
 func (n *Node) ObservationWindow() int {
 	n.obsMu.Lock()
 	defer n.obsMu.Unlock()

@@ -1,4 +1,4 @@
-package p2p
+package node
 
 import (
 	"net"
@@ -16,7 +16,7 @@ import (
 // arrives is still relaying a *received* block — it must stay silent,
 // exactly as it does for blocks accepted in order.
 func TestSilentRelayCoversUnstashedOrphans(t *testing.T) {
-	adv := startNode(t, 1, func(c *Config) { c.SilentRelay = true })
+	adv := startNode(t, 1, func(c *config) { c.SilentRelay = true })
 	victim := startNode(t, 2, nil)
 	if err := victim.Connect(adv.Addr()); err != nil {
 		t.Fatal(err)
@@ -32,21 +32,21 @@ func TestSilentRelayCoversUnstashedOrphans(t *testing.T) {
 	adv.acceptBlock(nil, child, child.Header.Hash(), false)
 	adv.acceptBlock(nil, parent, parent.Header.Hash(), false)
 	waitFor(t, "both blocks stored at adversary", 2*time.Second, func() bool {
-		return adv.Store().Has(parent.Header.Hash()) && adv.Store().Has(child.Header.Hash())
+		return adv.store.Has(parent.Header.Hash()) && adv.store.Has(child.Header.Hash())
 	})
 
 	time.Sleep(200 * time.Millisecond)
-	if victim.Store().Has(parent.Header.Hash()) || victim.Store().Has(child.Header.Hash()) {
+	if victim.store.Has(parent.Header.Hash()) || victim.store.Has(child.Header.Hash()) {
 		t.Fatal("silent adversary relayed a received block through the orphan-unstash path")
 	}
 
 	// The node's own blocks are still announced immediately.
-	mined, err := adv.MineBlock([][]byte{[]byte("own")})
+	mined, err := adv.mineBlock([][]byte{[]byte("own")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "self-mined block at victim", 2*time.Second, func() bool {
-		return victim.Store().Has(mined.Header.Hash())
+		return victim.store.Has(mined.Header.Hash())
 	})
 }
 
@@ -85,17 +85,17 @@ func invsBeforePong(t *testing.T, conn net.Conn) map[chain.Hash]bool {
 // announcement is a relay like any other. A tip it mined itself is still
 // announced, and it still serves the received parent of its own block.
 func TestSilentRelayTipAnnounce(t *testing.T) {
-	adv := startNode(t, 3, func(c *Config) { c.SilentRelay = true })
+	adv := startNode(t, 3, func(c *config) { c.SilentRelay = true })
 	relayed := chain.NewBlock(testGenesis(), [][]byte{[]byte("relayed")}, time.Unix(1700000000, 0), 1)
 	adv.acceptBlock(nil, relayed, relayed.Header.Hash(), false)
-	if !adv.Store().Has(relayed.Header.Hash()) {
+	if !adv.store.Has(relayed.Header.Hash()) {
 		t.Fatal("adversary did not store the received block")
 	}
 	if invsBeforePong(t, rawDial(t, adv, 0xBEE1))[relayed.Header.Hash()] {
 		t.Fatal("silent relay announced a received block as its tip on connect")
 	}
 
-	mined, err := adv.MineBlock([][]byte{[]byte("own")})
+	mined, err := adv.mineBlock([][]byte{[]byte("own")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,12 +117,12 @@ func TestSilentRelayTipAnnounce(t *testing.T) {
 // still reaches that peer, once the window has passed.
 func TestRelayDelayTipAnnounce(t *testing.T) {
 	const withhold = 2 * time.Second
-	adv := startNode(t, 4, func(c *Config) { c.RelayDelay = withhold })
+	adv := startNode(t, 4, func(c *config) { c.RelayDelay = withhold })
 	blk := chain.NewBlock(testGenesis(), [][]byte{[]byte("withheld")}, time.Unix(1700000000, 0), 1)
 	h := blk.Header.Hash()
 	accepted := time.Now()
 	adv.acceptBlock(nil, blk, h, false)
-	if adv.Store().Tip().Header.Hash() != h {
+	if adv.store.Tip().Header.Hash() != h {
 		t.Fatal("the received block is not the adversary's tip")
 	}
 	conn := rawDial(t, adv, 0xBEE3)
@@ -148,7 +148,7 @@ func TestRelayDelayTipAnnounce(t *testing.T) {
 // block waits for its parent, and gives it back when the unstash drops the
 // block: a dropped block never relays, so its mark would never clear.
 func TestRelayDelayMarkOfDroppedOrphan(t *testing.T) {
-	adv := startNode(t, 5, func(c *Config) { c.RelayDelay = time.Hour })
+	adv := startNode(t, 5, func(c *config) { c.RelayDelay = time.Hour })
 	at := time.Unix(1700000000, 0)
 	parent := chain.NewBlock(testGenesis(), nil, at, 1)
 	bad := chain.NewBlock(parent, nil, at, 2)
@@ -163,7 +163,7 @@ func TestRelayDelayMarkOfDroppedOrphan(t *testing.T) {
 		t.Fatalf("stashed block holds %d pending-relay marks, want 1", got)
 	}
 	adv.acceptBlock(nil, parent, parent.Header.Hash(), false)
-	if adv.Store().Has(bad.Header.Hash()) || adv.Store().OrphanCount() != 0 {
+	if adv.store.Has(bad.Header.Hash()) || adv.store.OrphanCount() != 0 {
 		t.Fatal("the parent did not drop its stashed child at the wrong height")
 	}
 	if got := marks(); got != 0 {

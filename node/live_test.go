@@ -1,18 +1,25 @@
-package p2p
+package node
 
 import (
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/perigee-net/perigee/internal/chain"
 	"github.com/perigee-net/perigee/internal/core"
+	"github.com/perigee-net/perigee/internal/paper"
 	"github.com/perigee-net/perigee/internal/wire"
 )
 
-func testGenesis() *chain.Block { return chain.NewGenesis("p2p-test") }
+// testNetwork tags the genesis block every test node built by newNode
+// shares.
+const testNetwork = "p2p-test"
+
+func testGenesis() *chain.Block { return chain.NewGenesis(testNetwork) }
 
 // subsetExplore1 is Subset scoring with one exploration slot, for tests at
 // out-degrees too small for the nil-Selector default of two.
@@ -25,17 +32,17 @@ func subsetExplore1() core.Selector {
 }
 
 // startNode builds and starts a listening node, registering cleanup.
-func startNode(t *testing.T, seed uint64, mutate func(*Config)) *Node {
+func startNode(t *testing.T, seed uint64, mutate func(*config)) *Node {
 	t.Helper()
-	cfg := Config{
+	cfg := config{
 		Seed:       seed,
 		ListenAddr: "127.0.0.1:0",
-		Genesis:    testGenesis(),
+		network:    testNetwork,
 	}
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	n, err := NewNode(cfg)
+	n, err := newNode(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,8 +79,8 @@ func TestHandshakeAndPeerLists(t *testing.T) {
 	if ap.ID != b.ID() || bp.ID != a.ID() {
 		t.Fatalf("peer IDs wrong: %+v %+v", ap, bp)
 	}
-	if ap.Direction != Outbound || bp.Direction != Inbound {
-		t.Fatalf("directions wrong: %v %v", ap.Direction, bp.Direction)
+	if !ap.Outbound || bp.Outbound {
+		t.Fatalf("directions wrong: outbound %v %v", ap.Outbound, bp.Outbound)
 	}
 	if ap.ListenAddr != b.Addr() {
 		t.Fatalf("listen addr %q, want %q", ap.ListenAddr, b.Addr())
@@ -103,7 +110,7 @@ func TestDuplicateConnectionRejected(t *testing.T) {
 }
 
 func TestInboundCap(t *testing.T) {
-	hub := startNode(t, 6, func(c *Config) { c.MaxInbound = 2 })
+	hub := startNode(t, 6, func(c *config) { c.MaxInbound = 2 })
 	ok := 0
 	for i := 0; i < 4; i++ {
 		n := startNode(t, uint64(10+i), nil)
@@ -128,7 +135,7 @@ func TestInboundCap(t *testing.T) {
 // MaxInbound inbound peers, and every dialer either installed or shed.
 func TestInboundCapConcurrentHandshakes(t *testing.T) {
 	const maxInbound, dialers = 3, 10
-	hub := startNode(t, 7, func(c *Config) { c.MaxInbound = maxInbound })
+	hub := startNode(t, 7, func(c *config) { c.MaxInbound = maxInbound })
 	conns := make([]net.Conn, dialers)
 	for i := range conns {
 		conn, err := net.DialTimeout("tcp", hub.Addr(), time.Second)
@@ -181,14 +188,14 @@ func TestBlockPropagationLine(t *testing.T) {
 	if err := b.Connect(c.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	blk, err := a.MineBlock([][]byte{[]byte("tx")})
+	blk, err := a.mineBlock([][]byte{[]byte("tx")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := blk.Header.Hash()
-	waitFor(t, "block at c", 2*time.Second, func() bool { return c.Store().Has(h) })
-	if c.Store().Height() != 1 {
-		t.Fatalf("c height = %d", c.Store().Height())
+	waitFor(t, "block at c", 2*time.Second, func() bool { return c.store.Has(h) })
+	if c.store.Height() != 1 {
+		t.Fatalf("c height = %d", c.store.Height())
 	}
 }
 
@@ -197,10 +204,10 @@ func TestBlockPropagationLine(t *testing.T) {
 // loop failed to encode it.
 func TestMineBlockRefusesUnencodableBlock(t *testing.T) {
 	a := startNode(t, 23, nil)
-	if blk, err := a.MineBlock([][]byte{make([]byte, chain.MaxTxSize+1)}); err == nil {
+	if blk, err := a.mineBlock([][]byte{make([]byte, chain.MaxTxSize+1)}); err == nil {
 		t.Fatalf("MineBlock returned a block at height %d with a transaction over MaxTxSize", blk.Header.Height)
 	}
-	if h := a.Store().Height(); h != 0 {
+	if h := a.store.Height(); h != 0 {
 		t.Fatalf("height %d after a refused block, want 0", h)
 	}
 }
@@ -225,9 +232,9 @@ func TestBlockPropagationMesh(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		miner := nodes[i*2]
 		waitFor(t, "miner tip sync", 2*time.Second, func() bool {
-			return miner.Store().Height() >= uint64(i)
+			return miner.store.Height() >= uint64(i)
 		})
-		blk, err := miner.MineBlock([][]byte{[]byte(fmt.Sprintf("block-%d", i))})
+		blk, err := miner.mineBlock([][]byte{[]byte(fmt.Sprintf("block-%d", i))})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,15 +243,15 @@ func TestBlockPropagationMesh(t *testing.T) {
 		for _, n := range nodes {
 			n := n
 			h := blk.Header.Hash()
-			waitFor(t, "block spread", 2*time.Second, func() bool { return n.Store().Has(h) })
+			waitFor(t, "block spread", 2*time.Second, func() bool { return n.store.Has(h) })
 		}
 	}
 	for _, n := range nodes {
-		if n.Store().Height() != 3 {
-			t.Fatalf("node %016x height = %d, want 3", n.ID(), n.Store().Height())
+		if n.store.Height() != 3 {
+			t.Fatalf("node %016x height = %d, want 3", n.ID(), n.store.Height())
 		}
 		for _, h := range hashes {
-			if !n.Store().Has(h) {
+			if !n.store.Has(h) {
 				t.Fatalf("node %016x missing block %s", n.ID(), h)
 			}
 		}
@@ -256,10 +263,10 @@ func TestOrphanRecovery(t *testing.T) {
 	a := startNode(t, 40, nil)
 	b := startNode(t, 41, nil)
 	// Mine two blocks on a while disconnected.
-	if _, err := a.MineBlock([][]byte{[]byte("b1")}); err != nil {
+	if _, err := a.mineBlock([][]byte{[]byte("b1")}); err != nil {
 		t.Fatal(err)
 	}
-	blk2, err := a.MineBlock([][]byte{[]byte("b2")})
+	blk2, err := a.mineBlock([][]byte{[]byte("b2")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +275,7 @@ func TestOrphanRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "orphan backfill", 2*time.Second, func() bool {
-		return b.Store().Has(blk2.Header.Hash()) && b.Store().Height() == 2
+		return b.store.Has(blk2.Header.Hash()) && b.store.Height() == 2
 	})
 }
 
@@ -277,12 +284,12 @@ func TestAddrGossip(t *testing.T) {
 	b := startNode(t, 51, nil)
 	c := startNode(t, 52, nil)
 	// b knows c; a connects to b and should learn c's address.
-	b.Book().Add(c.Addr())
+	b.book.Add(c.Addr())
 	if err := a.Connect(b.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "addr gossip", 2*time.Second, func() bool {
-		return a.Book().contains(c.Addr())
+		return a.book.contains(c.Addr())
 	})
 }
 
@@ -296,7 +303,7 @@ func TestPerigeeRoundDropsSlowPeer(t *testing.T) {
 	miner := startNode(t, 63, nil)
 
 	slowID := slow.ID()
-	hub := startNode(t, 64, func(c *Config) {
+	hub := startNode(t, 64, func(c *config) {
 		c.OutDegree = 3
 		c.Selector = subsetExplore1()
 		c.PeerDelay = func(remote uint64) time.Duration {
@@ -322,17 +329,17 @@ func TestPerigeeRoundDropsSlowPeer(t *testing.T) {
 	// so instead inject on the slow relay itself: all its sends are slow.
 	// (Handled below by mining enough blocks and asserting on scores.)
 	for i := 0; i < 8; i++ {
-		if _, err := miner.MineBlock([][]byte{[]byte(fmt.Sprintf("tx-%d", i))}); err != nil {
+		if _, err := miner.mineBlock([][]byte{[]byte(fmt.Sprintf("tx-%d", i))}); err != nil {
 			t.Fatal(err)
 		}
 		waitFor(t, "hub receives block", 3*time.Second, func() bool {
-			return hub.Store().Height() >= uint64(i+1)
+			return hub.store.Height() >= uint64(i+1)
 		})
 	}
 	waitFor(t, "observation window", time.Second, func() bool {
 		return hub.ObservationWindow() >= 8
 	})
-	rep, err := hub.PerigeeRound()
+	rep, err := hub.round()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,10 +357,10 @@ func TestPerigeeRoundDropsDelayedRelay(t *testing.T) {
 	miner := startNode(t, 70, nil)
 	fast1 := startNode(t, 71, nil)
 	fast2 := startNode(t, 72, nil)
-	slow := startNode(t, 73, func(c *Config) {
+	slow := startNode(t, 73, func(c *config) {
 		c.PeerDelay = func(uint64) time.Duration { return 120 * time.Millisecond }
 	})
-	hub := startNode(t, 74, func(c *Config) {
+	hub := startNode(t, 74, func(c *config) {
 		c.OutDegree = 3
 		c.Selector = subsetExplore1()
 		// The hub must hear every block from every relay: a relay that
@@ -371,17 +378,17 @@ func TestPerigeeRoundDropsDelayedRelay(t *testing.T) {
 		}
 	}
 	for i := 0; i < 6; i++ {
-		if _, err := miner.MineBlock([][]byte{[]byte(fmt.Sprintf("tx-%d", i))}); err != nil {
+		if _, err := miner.mineBlock([][]byte{[]byte(fmt.Sprintf("tx-%d", i))}); err != nil {
 			t.Fatal(err)
 		}
 		waitFor(t, "hub receives block", 3*time.Second, func() bool {
-			return hub.Store().Height() >= uint64(i+1)
+			return hub.store.Height() >= uint64(i+1)
 		})
 	}
 	// Give the slow relay's delayed announcements time to land so the
 	// observation matrix is complete.
 	time.Sleep(200 * time.Millisecond)
-	rep, err := hub.PerigeeRound()
+	rep, err := hub.round()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,28 +416,32 @@ func TestStopIsIdempotentAndClean(t *testing.T) {
 	if err := a.Connect(b.Addr()); err == nil {
 		t.Fatal("connect after stop should fail")
 	}
-	if _, err := a.MineBlock(nil); err == nil {
+	if _, err := a.mineBlock(nil); err == nil {
 		t.Fatal("mine after stop should fail")
 	}
-	if _, err := a.PerigeeRound(); err == nil {
+	if _, err := a.round(); err == nil {
 		t.Fatal("round after stop should fail")
 	}
 }
 
 func TestNewNodeValidation(t *testing.T) {
-	if _, err := NewNode(Config{}); err == nil {
-		t.Fatal("nil genesis accepted")
+	path := filepath.Join(t.TempDir(), "book.json")
+	if err := os.WriteFile(path, []byte("{"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := newNode(config{network: testNetwork, AddrBookPath: path}); err == nil {
+		t.Fatal("corrupt address book accepted")
 	}
 }
 
 // TestConfigDefaults: unset and non-positive fields resolve to the
-// defaults (range checks live in the node package's options), the fixed
+// defaults (range checks live in the options), the fixed
 // policy holds its pinned values, and a nil Selector is the simulator's
 // Subset default.
 func TestConfigDefaults(t *testing.T) {
-	for _, cfg := range []Config{{}, {MaxInbound: -1, OutDegree: -8, ReadIdleTimeout: -time.Second}} {
+	for _, cfg := range []config{{}, {MaxInbound: -1, OutDegree: -8, ReadIdleTimeout: -time.Second}} {
 		cfg = cfg.withDefaults()
-		if cfg.MaxInbound != 20 || cfg.OutDegree != 8 || cfg.ReadIdleTimeout != 90*time.Second {
+		if cfg.MaxInbound != paper.MaxIncoming || cfg.OutDegree != 8 || cfg.ReadIdleTimeout != 90*time.Second {
 			t.Fatalf("defaults wrong: %+v", cfg)
 		}
 	}
@@ -448,17 +459,17 @@ func TestConfigDefaults(t *testing.T) {
 	for _, tc := range []struct{ refresh, want time.Duration }{
 		{0, 30 * time.Second}, {10 * time.Second, 10 * time.Second}, {time.Minute, 30 * time.Second},
 	} {
-		if got := (DiscoveryConfig{RefreshInterval: tc.refresh}).getAddrInterval(); got != tc.want {
+		if got := (discoveryConfig{RefreshInterval: tc.refresh}).getAddrInterval(); got != tc.want {
 			t.Fatalf("GETADDR window at refresh %v = %v, want %v", tc.refresh, got, tc.want)
 		}
 	}
-	if got := (Config{}).obsCap(); got != observationCap {
+	if got := (config{}).obsCap(); got != observationCap {
 		t.Fatalf("observation cap %d, want %d", got, observationCap)
 	}
-	if got := (Config{RoundBlocks: 5000}).obsCap(); got != 5000 {
+	if got := (config{RoundBlocks: 5000}).obsCap(); got != 5000 {
 		t.Fatalf("observation cap %d below round blocks", got)
 	}
-	n, err := NewNode(Config{Genesis: testGenesis()})
+	n, err := newNode(config{network: testNetwork})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,8 +479,8 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 func TestNonListeningNode(t *testing.T) {
-	cfg := Config{Seed: 90, Genesis: testGenesis()}
-	n, err := NewNode(cfg)
+	cfg := config{Seed: 90, network: testNetwork}
+	n, err := newNode(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,12 +495,12 @@ func TestNonListeningNode(t *testing.T) {
 	if err := n.Connect(b.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	blk, err := b.MineBlock(nil)
+	blk, err := b.mineBlock(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "client receives block", 2*time.Second, func() bool {
-		return n.Store().Has(blk.Header.Hash())
+		return n.store.Has(blk.Header.Hash())
 	})
 }
 
@@ -499,7 +510,7 @@ func TestNonListeningNode(t *testing.T) {
 // healthy node's retries, not a node cut off from the network.
 func TestResilienceDesperationDial(t *testing.T) {
 	a := startNode(t, 8100, nil)
-	b := startNode(t, 8101, func(c *Config) {
+	b := startNode(t, 8101, func(c *config) {
 		c.OutDegree = 2
 		c.Selector = subsetExplore1()
 		c.RedialInterval = 25 * time.Millisecond

@@ -31,12 +31,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"sync"
 	"time"
 
 	"github.com/perigee-net/perigee"
 	"github.com/perigee-net/perigee/internal/chain"
-	"github.com/perigee-net/perigee/internal/p2p"
 	"github.com/perigee-net/perigee/internal/rng"
 )
 
@@ -74,24 +72,6 @@ type ObserverFunc func(n *Node, stats perigee.RoundStats)
 // ObserveRound implements Observer.
 func (f ObserverFunc) ObserveRound(n *Node, stats perigee.RoundStats) { f(n, stats) }
 
-// ErrStopped is returned by operations on a stopped node.
-var ErrStopped = p2p.ErrStopped
-
-// Node is a live Perigee peer: it gossips blocks over TCP and re-selects
-// its outbound neighbors from measured arrival times by driving its
-// Selector. Build one with New, then Start it.
-type Node struct {
-	p         *p2p.Node
-	observers []Observer
-
-	mineMean time.Duration
-	mineRand *rng.RNG
-
-	stopCh   chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
-}
-
 // New validates the options and builds a live node (not yet started).
 // Every unset option takes the paper's evaluation default: out-degree 8,
 // inbound cap 20, Subset scoring with 2 exploration slots at the 0.9
@@ -109,26 +89,14 @@ func New(opts ...Option) (*Node, error) {
 	if !c.seedSet {
 		// Distinct nodes need distinct identities: the node ID derives
 		// from the seed, and equal IDs refuse to interconnect.
-		c.p2p.Seed = rand.Uint64()
+		c.Seed = rand.Uint64()
 	}
-	n := &Node{
-		observers: c.observers,
-		mineMean:  c.mine,
-		mineRand:  rng.New(c.p2p.Seed).Derive("mining"),
-		stopCh:    make(chan struct{}),
-	}
-	c.p2p.OnRound = n.dispatchRound
-	c.p2p.Genesis = chain.NewGenesis(c.network)
 	if c.adversary != nil {
-		if err := applyAdversary(&c.p2p, c.adversary); err != nil {
+		if err := applyAdversary(c, c.adversary); err != nil {
 			return nil, err
 		}
 	}
-	var err error
-	if n.p, err = p2p.NewNode(c.p2p); err != nil {
-		return nil, err
-	}
-	return n, nil
+	return newNode(*c)
 }
 
 // applyAdversary binds an attack strategy to this single live identity:
@@ -138,7 +106,7 @@ func New(opts ...Option) (*Node, error) {
 // the per-round topology agent) are simulation-only and ignored here;
 // strategies demanding a tamperable latency model fail Setup, surfacing
 // the mismatch at build time.
-func applyAdversary(cfg *p2p.Config, a perigee.Adversary) error {
+func applyAdversary(cfg *config, a perigee.Adversary) error {
 	env := &perigee.AdversaryEnv{
 		N:           1,
 		Adversaries: []int{0},
@@ -160,105 +128,53 @@ func applyAdversary(cfg *p2p.Config, a perigee.Adversary) error {
 	return nil
 }
 
-// Start begins listening (when configured), accepting connections, and
-// mining (when configured).
-func (n *Node) Start() error {
-	if err := n.p.Start(); err != nil {
-		return err
-	}
-	if n.mineMean > 0 {
-		n.wg.Add(1)
-		go n.mineLoop()
-	}
-	return nil
-}
-
 // mineLoop mines blocks on a Poisson schedule until the node stops.
 func (n *Node) mineLoop() {
-	defer n.wg.Done()
-	timer := time.NewTimer(chain.NextMiningInterval(n.mineRand, n.mineMean))
+	timer := time.NewTimer(chain.NextMiningInterval(n.mineRand, n.cfg.mine))
 	defer timer.Stop()
 	for seq := 0; ; seq++ {
 		select {
-		case <-n.stopCh:
+		case <-n.quit:
 			return
 		case <-timer.C:
 			payload := fmt.Appendf(nil, "coinbase-%016x-%d", n.ID(), seq)
-			if _, err := n.MineBlock([][]byte{payload}); err != nil {
-				if errors.Is(err, ErrStopped) {
-					return
-				}
+			if _, err := n.mineBlock([][]byte{payload}); errors.Is(err, ErrStopped) {
+				return
 			}
-			timer.Reset(chain.NextMiningInterval(n.mineRand, n.mineMean))
+			timer.Reset(chain.NextMiningInterval(n.mineRand, n.cfg.mine))
 		}
 	}
 }
 
-// Stop closes the listener and all connections, stops the miner, and
-// waits for every goroutine to exit. Safe to call more than once.
-func (n *Node) Stop() {
-	n.stopOnce.Do(func() { close(n.stopCh) })
-	n.p.Stop()
-	n.wg.Wait()
-}
-
-// ID returns the node's 64-bit identity.
-func (n *Node) ID() uint64 { return n.p.ID() }
-
-// Addr returns the actual listening address, or "" when not listening.
-func (n *Node) Addr() string { return n.p.Addr() }
-
-// Connect dials and handshakes an outbound peer.
-func (n *Node) Connect(addr string) error { return n.p.Connect(addr) }
-
 // AddAddresses seeds the node's address book — the candidate pool the
 // Perigee round dials during exploration.
-func (n *Node) AddAddresses(addrs ...string) { n.p.Book().Add(addrs...) }
+func (n *Node) AddAddresses(addrs ...string) { n.book.Add(addrs...) }
 
 // KnownAddresses returns the address-book size.
-func (n *Node) KnownAddresses() int { return n.p.Book().Len() }
+func (n *Node) KnownAddresses() int { return n.book.Len() }
 
 // Peers lists live connections sorted by ID.
 func (n *Node) Peers() []PeerInfo {
-	inner := n.p.Peers()
-	out := make([]PeerInfo, len(inner))
-	for i, p := range inner {
-		out[i] = PeerInfo{ID: p.ID, Outbound: p.Direction == p2p.Outbound, ListenAddr: p.ListenAddr}
+	ps := n.peerSnapshot()
+	out := make([]PeerInfo, len(ps))
+	for i, p := range ps {
+		out[i] = PeerInfo{ID: p.id, Outbound: p.direction == outbound, ListenAddr: p.listenAddr}
 	}
 	return out
 }
 
-// OutboundCount returns the number of live outbound connections.
-func (n *Node) OutboundCount() int { return n.p.OutboundCount() }
-
-// ResilienceStats counts the node's defensive actions: shed accepts,
-// recorded dial failures, injected faults, bans, slow-consumer
-// disconnects, and maintenance redials.
-type ResilienceStats = p2p.ResilienceStats
-
-// Resilience returns a snapshot of the node's defensive-action counters.
-func (n *Node) Resilience() ResilienceStats { return n.p.Resilience() }
-
-// DiscoveryStats counts the node's addr-gossip activity: self-announces,
-// trickle relays, refresh requests, addresses learned and rejected,
-// throttled GETADDRs, and feeler verifications.
-type DiscoveryStats = p2p.DiscoveryStats
-
-// Discovery returns a snapshot of the node's addr-gossip counters.
-func (n *Node) Discovery() DiscoveryStats { return n.p.Discovery() }
-
 // VerifiedAddresses returns how many book entries are dial-verified —
 // addresses the node has successfully connected to at least once, as
 // opposed to unconfirmed gossip rumor.
-func (n *Node) VerifiedAddresses() int { return n.p.Book().VerifiedCount() }
+func (n *Node) VerifiedAddresses() int { return n.book.VerifiedCount() }
 
 // BannedPeers lists the node IDs currently banned for misbehavior.
-func (n *Node) BannedPeers() []uint64 { return n.p.Book().BannedIDs() }
+func (n *Node) BannedPeers() []uint64 { return n.book.BannedIDs() }
 
 // MineBlock extends the node's tip with a new block carrying the given
 // transaction payloads and announces it to all peers.
 func (n *Node) MineBlock(txs [][]byte) (BlockID, error) {
-	blk, err := n.p.MineBlock(txs)
+	blk, err := n.mineBlock(txs)
 	if err != nil {
 		return BlockID{}, err
 	}
@@ -267,14 +183,10 @@ func (n *Node) MineBlock(txs [][]byte) (BlockID, error) {
 
 // HasBlock reports whether the node has accepted the block. It stays true
 // after the body has aged out of the store's serve window.
-func (n *Node) HasBlock(id BlockID) bool { return n.p.Store().Has(chain.Hash(id)) }
+func (n *Node) HasBlock(id BlockID) bool { return n.store.Has(chain.Hash(id)) }
 
 // Height returns the node's chain tip height.
-func (n *Node) Height() uint64 { return n.p.Store().Height() }
-
-// ObservationWindow returns the number of blocks observed since the last
-// Perigee round — the input size of the next decision.
-func (n *Node) ObservationWindow() int { return n.p.ObservationWindow() }
+func (n *Node) Height() uint64 { return n.store.Height() }
 
 // Round runs one Perigee round immediately: the Selector scores the
 // arrival timestamps observed since the last round, dropped peers are
@@ -282,24 +194,20 @@ func (n *Node) ObservationWindow() int { return n.p.ObservationWindow() }
 // book. Observers fire before Round returns. With WithRoundBlocks set,
 // rounds also trigger automatically; manual rounds remain available.
 func (n *Node) Round() (perigee.RoundStats, error) {
-	rep, err := n.p.PerigeeRound()
+	rep, err := n.round()
 	if err != nil {
 		return perigee.RoundStats{}, err
+	}
+	// Each observer gets its own edge-list copies.
+	for _, o := range n.cfg.observers {
+		o.ObserveRound(n, n.roundStats(rep))
 	}
 	return n.roundStats(rep), nil
 }
 
-// dispatchRound fans a completed round out to the observers, each with
-// its own edge-list copies.
-func (n *Node) dispatchRound(rep p2p.RoundReport) {
-	for _, o := range n.observers {
-		o.ObserveRound(n, n.roundStats(rep))
-	}
-}
-
 // roundStats converts a live round report into the simulator's telemetry
 // shape: edges run from this node's key to the affected peer's key.
-func (n *Node) roundStats(rep p2p.RoundReport) perigee.RoundStats {
+func (n *Node) roundStats(rep roundReport) perigee.RoundStats {
 	self := int(n.ID())
 	stats := perigee.RoundStats{
 		Summary: perigee.RoundSummary{

@@ -8,8 +8,9 @@ import (
 	"github.com/perigee-net/perigee"
 )
 
-// startNode builds and starts a listening node, registering cleanup.
-func startNode(t *testing.T, opts ...Option) *Node {
+// startNew builds a listening node through New and starts it, registering
+// cleanup.
+func startNew(t *testing.T, opts ...Option) *Node {
 	t.Helper()
 	n, err := New(append([]Option{WithListen("127.0.0.1:0"), WithNetwork("node-test")}, opts...)...)
 	if err != nil {
@@ -22,25 +23,12 @@ func startNode(t *testing.T, opts ...Option) *Node {
 	return n
 }
 
-// waitFor polls until cond is true or the deadline passes.
-func waitFor(t *testing.T, what string, timeout time.Duration, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatalf("timed out waiting for %s", what)
-}
-
 // TestQuickstartTwoNodes is the README's live quickstart: two nodes on
 // localhost connect, gossip a mined block, and run a Perigee round —
 // entirely through the public API.
 func TestQuickstartTwoNodes(t *testing.T) {
-	a := startNode(t, WithSeed(1))
-	b := startNode(t, WithSeed(2))
+	a := startNew(t, WithSeed(1))
+	b := startNew(t, WithSeed(2))
 	if err := a.Connect(b.Addr()); err != nil {
 		t.Fatal(err)
 	}
@@ -119,14 +107,14 @@ func (dropSlowest) SelectNeighbors(view perigee.NeighborView) (perigee.Decision,
 // observer pipeline reports the same RoundStats shape the simulator
 // emits.
 func TestCustomSelectorLiveTCP(t *testing.T) {
-	miner := startNode(t, WithSeed(10))
-	fast := startNode(t, WithSeed(11))
-	slow := startNode(t, WithSeed(12),
+	miner := startNew(t, WithSeed(10))
+	fast := startNew(t, WithSeed(11))
+	slow := startNew(t, WithSeed(12),
 		WithLatencyInjection(func(uint64) time.Duration { return 120 * time.Millisecond }))
 
 	var mu sync.Mutex
 	var observed []perigee.RoundStats
-	hub := startNode(t, WithSeed(13),
+	hub := startNew(t, WithSeed(13),
 		WithOutDegree(2),
 		WithSelector(dropSlowest{}),
 		WithObserver(ObserverFunc(func(n *Node, s perigee.RoundStats) {
@@ -178,11 +166,11 @@ func TestCustomSelectorLiveTCP(t *testing.T) {
 // TestAutoRound: WithRoundBlocks makes the node adapt on its own once the
 // observation window fills.
 func TestAutoRound(t *testing.T) {
-	miner := startNode(t, WithSeed(20))
-	relay := startNode(t, WithSeed(21))
+	miner := startNew(t, WithSeed(20))
+	relay := startNew(t, WithSeed(21))
 
 	rounds := make(chan perigee.RoundStats, 4)
-	hub := startNode(t, WithSeed(22),
+	hub := startNew(t, WithSeed(22),
 		WithRoundBlocks(3),
 		WithObserver(ObserverFunc(func(n *Node, s perigee.RoundStats) { rounds <- s })),
 	)
@@ -212,8 +200,8 @@ func TestAutoRound(t *testing.T) {
 
 // TestMiner: WithMiner produces blocks on its own schedule.
 func TestMiner(t *testing.T) {
-	miner := startNode(t, WithSeed(30), WithMiner(10*time.Millisecond))
-	peer := startNode(t, WithSeed(31))
+	miner := startNew(t, WithSeed(30), WithMiner(10*time.Millisecond))
+	peer := startNew(t, WithSeed(31))
 	if err := peer.Connect(miner.Addr()); err != nil {
 		t.Fatal(err)
 	}
@@ -258,8 +246,8 @@ func TestOptionValidation(t *testing.T) {
 // TestDefaultSeedsAreDistinct: nodes built without WithSeed must get
 // distinct identities, or they could never interconnect.
 func TestDefaultSeedsAreDistinct(t *testing.T) {
-	a := startNode(t)
-	b := startNode(t)
+	a := startNew(t)
+	b := startNew(t)
 	if a.ID() == b.ID() {
 		t.Fatalf("two default nodes share identity %016x", a.ID())
 	}

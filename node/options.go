@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/perigee-net/perigee"
-	"github.com/perigee-net/perigee/internal/p2p"
 )
 
 // Option configures a live node under construction; see New. The options
@@ -13,20 +12,57 @@ import (
 // RoundStats observer payloads work in both environments.
 type Option func(*config) error
 
-// config is the node under construction. Options write the live driver's
-// p2p.Config in place, so a knob is defined once — by its option — and
-// range-checked once, there; the driver only resolves the zero values the
-// options left, the neighbor-selection policy included. What is not
-// driver configuration sits beside it: the observers, the miner.
+// config is the node under construction. Options write it in place, so a
+// knob is defined, documented and range-checked once — by its option — and
+// newNode only resolves the zero values the options left (withDefaults), the
+// neighbor-selection policy included. A field no option writes documents
+// itself. Policy no program tunes — the handshake timeout, the slow-consumer
+// budget, the observation cap, the address book's backoff and ban rules,
+// the addr-gossip rate limits — is fixed by package constants.
 type config struct {
-	p2p p2p.Config
+	NodeID          uint64                              // WithNodeID; zero derives it from the seed
+	Seed            uint64                              // WithSeed
+	ListenAddr      string                              // WithListen
+	MaxInbound      int                                 // WithMaxInbound
+	OutDegree       int                                 // WithOutDegree
+	Selector        perigee.Selector                    // WithSelector
+	RoundBlocks     int                                 // WithRoundBlocks
+	PeerDelay       func(remoteID uint64) time.Duration // WithLatencyInjection
+	AddrBookPath    string                              // WithAddrBookPath
+	Faults          perigee.FaultPlan                   // WithFaults
+	ReadIdleTimeout time.Duration                       // WithIdleTimeout
+	RedialInterval  time.Duration                       // WithRedialInterval
+	Discovery       discoveryConfig                     // WithDiscovery, WithFeelerInterval
+	Logf            func(format string, args ...any)    // WithLogf
 
-	seedSet bool
-	network string
+	// SilentRelay makes the node a free-rider: received blocks are stored
+	// and served on request but never announced — not when they arrive and
+	// not as the tip shown to a peer that connects later. Self-mined
+	// blocks are still announced. The live form of the simulator's Silent
+	// mask; WithAdversary sets it, as it sets RelayDelay and Frozen.
+	SilentRelay bool
+	// RelayDelay withholds every relay of a received block by the given
+	// duration before announcing it onward (self-mined blocks are
+	// announced immediately) — the live form of the simulator's RelayDelay
+	// table.
+	RelayDelay time.Duration
+	// Frozen disables the neighbor-update protocol: Perigee rounds still
+	// reset the observation window and report, but keep every outbound
+	// peer and dial nothing.
+	Frozen bool
+	// WriteTimeout bounds each flush of a peer's writer, at most 64 KB
+	// plus one frame (default 10s); a peer that cannot absorb a flush in
+	// this long is disconnected by its write loop.
+	WriteTimeout time.Duration
+	// DrainTimeout bounds the graceful flush of peer send queues during
+	// Stop (default 1s).
+	DrainTimeout time.Duration
 
-	observers []Observer
-	mine      time.Duration
-	adversary perigee.Adversary
+	seedSet   bool
+	network   string            // WithNetwork
+	observers []Observer        // WithObserver
+	mine      time.Duration     // WithMiner
+	adversary perigee.Adversary // WithAdversary
 }
 
 // positive stores v in dst unless it is zero or negative.
@@ -42,7 +78,7 @@ func positive[T int | time.Duration](dst *T, v T, what string) error {
 // port). The default is a client-only node that does not listen.
 func WithListen(addr string) Option {
 	return func(c *config) error {
-		c.p2p.ListenAddr = addr
+		c.ListenAddr = addr
 		return nil
 	}
 }
@@ -54,7 +90,7 @@ func WithListen(addr string) Option {
 // (equal seeds mean equal node IDs, which refuse to interconnect).
 func WithSeed(seed uint64) Option {
 	return func(c *config) error {
-		c.p2p.Seed = seed
+		c.Seed = seed
 		c.seedSet = true
 		return nil
 	}
@@ -67,7 +103,7 @@ func WithNodeID(id uint64) Option {
 		if id == 0 {
 			return fmt.Errorf("node: node ID must be non-zero")
 		}
-		c.p2p.NodeID = id
+		c.NodeID = id
 		return nil
 	}
 }
@@ -87,12 +123,12 @@ func WithNetwork(tag string) Option {
 // WithOutDegree sets the target number of outbound connections the
 // Perigee round maintains (paper: 8).
 func WithOutDegree(d int) Option {
-	return func(c *config) error { return positive(&c.p2p.OutDegree, d, "out-degree") }
+	return func(c *config) error { return positive(&c.OutDegree, d, "out-degree") }
 }
 
 // WithMaxInbound caps accepted connections (paper: 20).
 func WithMaxInbound(m int) Option {
-	return func(c *config) error { return positive(&c.p2p.MaxInbound, m, "inbound cap") }
+	return func(c *config) error { return positive(&c.MaxInbound, m, "inbound cap") }
 }
 
 // WithSelector installs the neighbor-selection policy driving the node's
@@ -111,7 +147,7 @@ func WithSelector(sel perigee.Selector) Option {
 				return err
 			}
 		}
-		c.p2p.Selector = sel
+		c.Selector = sel
 		return nil
 	}
 }
@@ -120,7 +156,7 @@ func WithSelector(sel perigee.Selector) Option {
 // soon as b blocks have been observed since the last round. The default
 // is manual operation: rounds run only when Round is called.
 func WithRoundBlocks(b int) Option {
-	return func(c *config) error { return positive(&c.p2p.RoundBlocks, b, "round blocks") }
+	return func(c *config) error { return positive(&c.RoundBlocks, b, "round blocks") }
 }
 
 // WithObserver attaches a streaming round observer; see Observer. May be
@@ -144,7 +180,7 @@ func WithLatencyInjection(delay func(remoteID uint64) time.Duration) Option {
 		if delay == nil {
 			return fmt.Errorf("node: nil latency injection")
 		}
-		c.p2p.PeerDelay = delay
+		c.PeerDelay = delay
 		return nil
 	}
 }
@@ -188,7 +224,7 @@ func WithFaults(plan perigee.FaultPlan) Option {
 		if plan == nil {
 			return fmt.Errorf("node: nil fault plan")
 		}
-		c.p2p.Faults = plan
+		c.Faults = plan
 		return nil
 	}
 }
@@ -202,7 +238,7 @@ func WithAddrBookPath(path string) Option {
 		if path == "" {
 			return fmt.Errorf("node: empty address book path")
 		}
-		c.p2p.AddrBookPath = path
+		c.AddrBookPath = path
 		return nil
 	}
 }
@@ -212,7 +248,7 @@ func WithAddrBookPath(path string) Option {
 // silent interval disconnects it — this is what reclaims stalled and
 // half-open connections.
 func WithIdleTimeout(d time.Duration) Option {
-	return func(c *config) error { return positive(&c.p2p.ReadIdleTimeout, d, "idle timeout") }
+	return func(c *config) error { return positive(&c.ReadIdleTimeout, d, "idle timeout") }
 }
 
 // WithRedialInterval runs a maintenance loop that redials addresses
@@ -220,7 +256,7 @@ func WithIdleTimeout(d time.Duration) Option {
 // target — recovery for connections lost to faults between Perigee
 // rounds. The default relies on rounds alone to re-dial.
 func WithRedialInterval(d time.Duration) Option {
-	return func(c *config) error { return positive(&c.p2p.RedialInterval, d, "redial interval") }
+	return func(c *config) error { return positive(&c.RedialInterval, d, "redial interval") }
 }
 
 // WithDiscovery turns on active addr-gossip peer discovery: every refresh
@@ -240,8 +276,8 @@ func WithDiscovery(refresh time.Duration, targetKnown int) Option {
 		if targetKnown < 0 {
 			return fmt.Errorf("node: discovery target %d must be non-negative", targetKnown)
 		}
-		c.p2p.Discovery.TargetKnown = targetKnown
-		return positive(&c.p2p.Discovery.RefreshInterval, refresh, "discovery refresh interval")
+		c.Discovery.TargetKnown = targetKnown
+		return positive(&c.Discovery.RefreshInterval, refresh, "discovery refresh interval")
 	}
 }
 
@@ -253,7 +289,7 @@ func WithDiscovery(refresh time.Duration, targetKnown int) Option {
 // book anchored in addresses known to be real. The default runs no
 // feelers.
 func WithFeelerInterval(d time.Duration) Option {
-	return func(c *config) error { return positive(&c.p2p.Discovery.FeelerInterval, d, "feeler interval") }
+	return func(c *config) error { return positive(&c.Discovery.FeelerInterval, d, "feeler interval") }
 }
 
 // WithLogf directs diagnostic log lines to f. The default discards them.
@@ -262,7 +298,7 @@ func WithLogf(f func(format string, args ...any)) Option {
 		if f == nil {
 			return fmt.Errorf("node: nil log function")
 		}
-		c.p2p.Logf = f
+		c.Logf = f
 		return nil
 	}
 }

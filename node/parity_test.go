@@ -1,4 +1,4 @@
-package p2p
+package node
 
 import (
 	"reflect"
@@ -86,15 +86,15 @@ func TestSelectorParitySimVsLive(t *testing.T) {
 			peerIDs := make([]uint64, 4)
 			for i := range relays {
 				id := uint64(i + 1)
-				relays[i] = startNode(t, 100+id, func(c *Config) { c.NodeID = id })
+				relays[i] = startNode(t, 100+id, func(c *config) { c.NodeID = id })
 				peerIDs[i] = id
 			}
-			hub, err := NewNode(Config{
+			hub, err := newNode(config{
 				NodeID:    hubID,
 				Seed:      hubSeed,
 				OutDegree: outDegree,
 				Selector:  newSel(t, variant.build),
-				Genesis:   testGenesis(),
+				network:   testNetwork,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -108,8 +108,8 @@ func TestSelectorParitySimVsLive(t *testing.T) {
 
 			offsets := parityMatrix()
 			injectObservations(t, hub, peerIDs, offsets)
-			candidates := hub.Book().Len()
-			rep, err := hub.PerigeeRound()
+			candidates := hub.book.Len()
+			rep, err := hub.round()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,7 +154,7 @@ func TestSelectorParitySimVsLive(t *testing.T) {
 			// The live driver really disconnected what the selector said.
 			for _, id := range rep.Dropped {
 				for _, p := range hub.Peers() {
-					if p.ID == id && p.Direction == Outbound {
+					if p.ID == id && p.Outbound {
 						// A redial during exploration may legitimately
 						// resurrect the connection; only fail when the
 						// peer was never dropped (no dial recorded).

@@ -1,4 +1,4 @@
-package p2p
+package node
 
 import (
 	"fmt"
@@ -10,21 +10,21 @@ import (
 	"github.com/perigee-net/perigee/internal/wire"
 )
 
-// Direction distinguishes who initiated a connection.
-type Direction int
+// direction distinguishes who initiated a connection.
+type direction int
 
 // Connection directions.
 const (
-	// Outbound connections were dialed by us; only these are scored and
+	// outbound connections were dialed by us; only these are scored and
 	// rotated by Perigee (a node controls its outgoing set, §2.1).
-	Outbound Direction = iota
-	// Inbound connections were accepted from a remote dialer.
-	Inbound
+	outbound direction = iota
+	// inbound connections were accepted from a remote dialer.
+	inbound
 )
 
 // String names the direction.
-func (d Direction) String() string {
-	if d == Outbound {
+func (d direction) String() string {
+	if d == outbound {
 		return "outbound"
 	}
 	return "inbound"
@@ -33,7 +33,7 @@ func (d Direction) String() string {
 // peer is one live connection after a completed handshake.
 type peer struct {
 	id         uint64
-	direction  Direction
+	direction  direction
 	conn       net.Conn
 	listenAddr string // remote's accepting address, "" if not listening
 	delay      time.Duration
@@ -166,7 +166,7 @@ type queued struct {
 	hash chain.Hash
 }
 
-func newPeer(id uint64, dir Direction, conn net.Conn, listenAddr string, delay time.Duration) *peer {
+func newPeer(id uint64, dir direction, conn net.Conn, listenAddr string, delay time.Duration) *peer {
 	return &peer{
 		id:         id,
 		direction:  dir,

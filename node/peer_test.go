@@ -1,4 +1,4 @@
-package p2p
+package node
 
 import (
 	"bytes"
@@ -83,7 +83,7 @@ func frameOf(t *testing.T, m wire.Message) []byte {
 // gets to run leave in one burst, every frame intact and in order.
 func TestWriteLoopBatchesQueuedFrames(t *testing.T) {
 	conn := newRecordingConn()
-	p := newPeer(1, Outbound, conn, "", 0)
+	p := newPeer(1, outbound, conn, "", 0)
 	var want []byte
 	for i := 0; i < 100; i++ {
 		m := &wire.Inv{Hashes: []chain.Hash{{byte(i), 0xAB}}}
@@ -109,7 +109,7 @@ func TestWriteLoopBatchesQueuedFrames(t *testing.T) {
 // empty — a single message is written without waiting for a second.
 func TestWriteLoopFlushesLoneMessage(t *testing.T) {
 	conn := newRecordingConn()
-	p := newPeer(1, Outbound, conn, "", 0)
+	p := newPeer(1, outbound, conn, "", 0)
 	runWriteLoop(t, p)
 	for i := 0; i < 3; i++ {
 		m := &wire.Ping{Nonce: uint64(i)}
@@ -127,7 +127,7 @@ func TestWriteLoopFlushesLoneMessage(t *testing.T) {
 // larger than the bound plus one frame, and nothing is lost or reordered.
 func TestWriteLoopBoundsABurst(t *testing.T) {
 	conn := newRecordingConn()
-	p := newPeer(1, Outbound, conn, "", 0)
+	p := newPeer(1, outbound, conn, "", 0)
 	parent := testGenesis()
 	var want []byte
 	frameSize := 0
@@ -161,7 +161,7 @@ func TestWriteLoopBoundsABurst(t *testing.T) {
 func TestWriteLoopDelayWritesPerMessage(t *testing.T) {
 	conn := newRecordingConn()
 	const delay = 10 * time.Millisecond
-	p := newPeer(1, Outbound, conn, "", delay)
+	p := newPeer(1, outbound, conn, "", delay)
 	var msgs []wire.Message
 	for i := 0; i < 5; i++ {
 		msgs = append(msgs, &wire.Ping{Nonce: uint64(i)})
@@ -190,7 +190,7 @@ func TestWriteLoopDelayWritesPerMessage(t *testing.T) {
 // closes the peer rather than being skipped.
 func TestWriteLoopEncodeFailureClosesPeer(t *testing.T) {
 	conn := newRecordingConn()
-	p := newPeer(1, Outbound, conn, "", 0)
+	p := newPeer(1, outbound, conn, "", 0)
 	p.send(&wire.Inv{Hashes: make([]chain.Hash, wire.MaxInvHashes+1)})
 	runWriteLoop(t, p)
 	select {
@@ -205,7 +205,7 @@ func TestWriteLoopEncodeFailureClosesPeer(t *testing.T) {
 func TestWriteLoopStalledConnTripsWriteTimeout(t *testing.T) {
 	a, b := net.Pipe() // unbuffered: a write blocks until the far end reads
 	defer b.Close()
-	p := newPeer(1, Outbound, a, "", 0)
+	p := newPeer(1, outbound, a, "", 0)
 	p.writeTimeout = 50 * time.Millisecond
 	for i := 0; i < 10; i++ {
 		p.send(&wire.Ping{Nonce: uint64(i)})
@@ -224,7 +224,7 @@ func TestWriteLoopStalledConnTripsWriteTimeout(t *testing.T) {
 // bad framing. The block is either accepted or the peer dropped as
 // stalled; in neither case is it charged.
 func TestReadLoopMidFrameDeadline(t *testing.T) {
-	node := startNode(t, 310, func(c *Config) {
+	node := startNode(t, 310, func(c *config) {
 		c.ReadIdleTimeout = 150 * time.Millisecond
 	})
 	const slow = uint64(0x510)
@@ -239,12 +239,12 @@ func TestReadLoopMidFrameDeadline(t *testing.T) {
 	time.Sleep(250 * time.Millisecond)  // past the idle timeout, mid-frame
 	_, _ = conn.Write(raw[headerSize:]) // fails if we were already dropped
 	waitFor(t, "block accepted or slow peer dropped", 2*time.Second, func() bool {
-		return node.Store().Has(b.Header.Hash()) || len(node.Peers()) == 0
+		return node.store.Has(b.Header.Hash()) || len(node.Peers()) == 0
 	})
-	if got := node.Book().score(slow); got != 0 {
+	if got := node.book.score(slow); got != 0 {
 		t.Fatalf("slow peer charged %v misbehavior points for a mid-frame pause", got)
 	}
-	if node.Book().IDBanned(slow) {
+	if node.book.IDBanned(slow) {
 		t.Fatal("slow peer banned")
 	}
 }

@@ -1,4 +1,4 @@
-package p2p
+package node
 
 import (
 	"net"
@@ -15,14 +15,14 @@ import (
 // over its methods counts theirs alone.
 func idleNode(t *testing.T, ids ...uint64) (*Node, []*peer) {
 	t.Helper()
-	n, err := NewNode(Config{Seed: 1, Genesis: testGenesis()})
+	n, err := newNode(config{Seed: 1, network: testNetwork})
 	if err != nil {
 		t.Fatal(err)
 	}
 	peers := make([]*peer, len(ids))
 	n.mu.Lock()
 	for i, id := range ids {
-		peers[i] = newPeer(id, Inbound, newRecordingConn(), "", 0)
+		peers[i] = newPeer(id, inbound, newRecordingConn(), "", 0)
 		n.peers[id] = peers[i]
 	}
 	n.mu.Unlock()

@@ -1,4 +1,4 @@
-package p2p
+package node
 
 import (
 	"net"
@@ -71,7 +71,7 @@ func TestPingPong(t *testing.T) {
 
 func TestGetDataServesBlocks(t *testing.T) {
 	node := startNode(t, 101, nil)
-	blk, err := node.MineBlock([][]byte{[]byte("served")})
+	blk, err := node.mineBlock([][]byte{[]byte("served")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestInvTriggersGetData(t *testing.T) {
 // for again.
 func TestStaleRequestIsRetried(t *testing.T) {
 	const idle = 150 * time.Millisecond
-	node := startNode(t, 104, func(c *Config) { c.ReadIdleTimeout = idle })
+	node := startNode(t, 104, func(c *config) { c.ReadIdleTimeout = idle })
 	conn := rawDial(t, node, 0xFE7C)
 	lost := chain.Hash{4, 5, 6}
 	got := chain.NewBlock(testGenesis(), [][]byte{[]byte("delivered")}, time.Now(), 1)
@@ -167,7 +167,7 @@ func TestStaleRequestIsRetried(t *testing.T) {
 			if len(msg.Hashes) != 1 || msg.Hashes[0] != lost {
 				t.Fatalf("retried getdata asks for %v, want only the undelivered %v", msg.Hashes, lost)
 			}
-			if !node.Store().Has(got.Header.Hash()) {
+			if !node.store.Has(got.Header.Hash()) {
 				t.Fatal("the delivered block is missing from the store")
 			}
 			return
@@ -193,11 +193,11 @@ func TestInvalidBlockRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	readUntil[*wire.Pong](t, conn)
-	if node.Store().Has(bad.Header.Hash()) {
+	if node.store.Has(bad.Header.Hash()) {
 		t.Fatal("tampered block accepted")
 	}
 	// The score decays from the moment it is charged, so allow a point.
-	if got := node.Book().score(sender); got > pointsInvalidBlock || got < pointsInvalidBlock-1 {
+	if got := node.book.score(sender); got > pointsInvalidBlock || got < pointsInvalidBlock-1 {
 		t.Fatalf("score %v after one invalid block, want %v", got, pointsInvalidBlock)
 	}
 	// A valid block with an unknown parent is fetched for, not charged.
@@ -206,7 +206,7 @@ func TestInvalidBlockRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	readUntil[*wire.GetData](t, conn)
-	if got := node.Book().score(sender); got > pointsInvalidBlock {
+	if got := node.book.score(sender); got > pointsInvalidBlock {
 		t.Fatalf("score %v after an orphan, want no new charge", got)
 	}
 }

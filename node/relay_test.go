@@ -1,4 +1,4 @@
-package p2p
+package node
 
 import (
 	"bytes"
@@ -72,16 +72,16 @@ func TestGetDataServesTheVerifiedFrame(t *testing.T) {
 	if _, err := a.Write(sent); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "the block to connect", 2*time.Second, func() bool { return n.Store().Has(h) })
+	waitFor(t, "the block to connect", 2*time.Second, func() bool { return n.store.Has(h) })
 
 	relay := n.relayed[relaySlot(h)].Load()
-	if relay == nil || relay.Block != n.Store().Get(h) {
+	if relay == nil || relay.Block != n.store.Get(h) {
 		t.Fatalf("table holds %+v, want the message of the stored block", relay)
 	}
 	if again, err := wire.AppendFrame(nil, relay); err != nil || !bytes.Equal(again, sent) {
 		t.Fatalf("the table's message frames as\n %x (%v)\nwant the sender's\n %x", again, err, sent)
 	}
-	probe := newPeer(0xC, Inbound, newRecordingConn(), "", 0)
+	probe := newPeer(0xC, inbound, newRecordingConn(), "", 0)
 	getData := &wire.GetData{Hashes: []chain.Hash{h}}
 	n.handleGetData(probe, getData)
 	if m := <-probe.sendCh; m.msg != relay {
@@ -125,7 +125,7 @@ func TestGetDataServesTheVerifiedFrame(t *testing.T) {
 	}
 	n.relayed[relaySlot(h)].Store(impostor)
 	n.handleGetData(probe, getData)
-	if m, ok := (<-probe.sendCh).msg.(*wire.Block); !ok || m == impostor || m.Block != n.Store().Get(h) {
+	if m, ok := (<-probe.sendCh).msg.(*wire.Block); !ok || m == impostor || m.Block != n.store.Get(h) {
 		t.Fatalf("GETDATA beside a forged copy of the block in the table queued %#v, want a fresh BLOCK of the stored block", m)
 	}
 	fetchAll("hashed afresh")
@@ -142,7 +142,7 @@ func TestBlocksAcceptedWhileInstallingReachThePeer(t *testing.T) {
 	mine := func(t *testing.T, n *Node) map[chain.Hash]bool {
 		want := map[chain.Hash]bool{}
 		for i := 0; i < blocks; i++ {
-			b, err := n.MineBlock([][]byte{{byte(i)}})
+			b, err := n.mineBlock([][]byte{{byte(i)}})
 			if err != nil {
 				t.Fatal(err)
 			}

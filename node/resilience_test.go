@@ -17,7 +17,7 @@ func TestResilienceOptionsEndToEnd(t *testing.T) {
 	plan := perigee.MixedFaults(17, 0.3)
 	var nodes []*Node
 	for i := 0; i < 4; i++ {
-		nodes = append(nodes, startNode(t,
+		nodes = append(nodes, startNew(t,
 			WithSeed(uint64(100+i)),
 			WithFaults(plan),
 			WithIdleTimeout(300*time.Millisecond),
@@ -55,7 +55,7 @@ func TestResilienceOptionsEndToEnd(t *testing.T) {
 // TestDialFaultsRecorded: a 100% dial-failure plan surfaces through the
 // public API as failed Connects and resilience counters.
 func TestDialFaultsRecorded(t *testing.T) {
-	target := startNode(t, WithSeed(200))
+	target := startNew(t, WithSeed(200))
 	n, err := New(
 		WithNetwork("node-test"),
 		WithSeed(201),
@@ -80,7 +80,7 @@ func TestDialFaultsRecorded(t *testing.T) {
 // from one node lifetime to the next.
 func TestAddrBookPersistsAcrossRestart(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "book.json")
-	peer := startNode(t, WithSeed(210))
+	peer := startNew(t, WithSeed(210))
 	first, err := New(WithNetwork("node-test"), WithSeed(211), WithAddrBookPath(path))
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func TestAddrBookPersistsAcrossRestart(t *testing.T) {
 // TestBannedPeersSurface: ErrStopped still round-trips and BannedPeers
 // starts empty — the public view of the blacklist.
 func TestBannedPeersSurface(t *testing.T) {
-	n := startNode(t, WithSeed(220))
+	n := startNew(t, WithSeed(220))
 	if got := n.BannedPeers(); len(got) != 0 {
 		t.Fatalf("fresh node has banned peers: %v", got)
 	}

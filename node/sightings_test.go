@@ -1,4 +1,4 @@
-package p2p
+package node
 
 import (
 	"bytes"
@@ -268,7 +268,7 @@ func rawOutbound(t *testing.T, n *Node, id uint64) net.Conn {
 // third of the runs.
 func TestRoundRacesInvFlood(t *testing.T) {
 	const blocks, fakes, burst = 300, 8, 32
-	n := startNode(t, 7750, func(c *Config) { c.Frozen = true })
+	n := startNode(t, 7750, func(c *config) { c.Frozen = true })
 	deliverer, announcer := rawOutbound(t, n, 0x0A1), rawOutbound(t, n, 0x0A2)
 	pongs := drain(t, deliverer)
 	announcerPongs := drain(t, announcer)
@@ -317,11 +317,11 @@ func TestRoundRacesInvFlood(t *testing.T) {
 	last := chainOf[blocks-1].Header.Hash()
 	deadline := time.Now().Add(20 * time.Second)
 	scored, rounds := 0, 0
-	for ; !n.Store().Has(last); rounds++ {
+	for ; !n.store.Has(last); rounds++ {
 		if time.Now().After(deadline) {
 			t.Fatalf("the delivered chain did not reach the store in %d rounds", rounds)
 		}
-		rep, err := n.PerigeeRound()
+		rep, err := n.round()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,4 +1,4 @@
-package p2p
+package node
 
 import (
 	"fmt"
@@ -16,7 +16,7 @@ func mineChain(t *testing.T, n *Node, count int) []*chain.Block {
 	t.Helper()
 	blocks := make([]*chain.Block, count)
 	for i := range blocks {
-		b, err := n.MineBlock([][]byte{fmt.Appendf(nil, "block-%d", i)})
+		b, err := n.mineBlock([][]byte{fmt.Appendf(nil, "block-%d", i)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,10 +91,10 @@ func TestOrphanStashIsBounded(t *testing.T) {
 		}
 	}
 	pingPong(t, conn, pongs)
-	if got := n.Store().OrphanCount(); got != chain.MaxOrphans {
+	if got := n.store.OrphanCount(); got != chain.MaxOrphans {
 		t.Fatalf("stash holds %d blocks, want the cap %d", got, chain.MaxOrphans)
 	}
-	if score := n.Book().score(peerID); score != 0 {
+	if score := n.book.score(peerID); score != 0 {
 		t.Fatalf("peer charged %v points for orphans", score)
 	}
 
@@ -103,7 +103,7 @@ func TestOrphanStashIsBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	pingPong(t, conn, pongs)
-	if !n.Store().Has(honest.Header.Hash()) {
+	if !n.store.Has(honest.Header.Hash()) {
 		t.Fatal("a full stash kept the node from accepting a block that connects")
 	}
 
@@ -112,16 +112,16 @@ func TestOrphanStashIsBounded(t *testing.T) {
 	_ = conn.Close()
 	waitFor(t, "peer gone", 2*time.Second, func() bool { return len(n.Peers()) == 0 })
 	n.acceptBlock(nil, ghost, ghost.Header.Hash(), false)
-	if got := n.Store().OrphanCount(); got != 0 {
+	if got := n.store.OrphanCount(); got != 0 {
 		t.Fatalf("%d blocks still stashed after their parent arrived", got)
 	}
 	connected := 0
 	for _, h := range children {
-		if n.Store().Has(h) {
+		if n.store.Has(h) {
 			connected++
 		}
 	}
-	if !n.Store().Has(ghost.Header.Hash()) || connected != chain.MaxOrphans {
+	if !n.store.Has(ghost.Header.Hash()) || connected != chain.MaxOrphans {
 		t.Fatalf("store holds the parent and %d of its children, want the %d stashed", connected, chain.MaxOrphans)
 	}
 }
@@ -162,7 +162,7 @@ func TestRedeliveredOrphanStashedOnce(t *testing.T) {
 	if asked != sends {
 		t.Fatalf("parent requested %d times for %d deliveries", asked, sends)
 	}
-	if got := n.Store().OrphanCount(); got != 1 {
+	if got := n.store.OrphanCount(); got != 1 {
 		t.Fatalf("stash holds %d copies of one orphan, want 1", got)
 	}
 }
@@ -173,7 +173,7 @@ func TestJoinerInsideBodyWindowCatchesUp(t *testing.T) {
 	const behind = 50
 	a := startNode(t, 7811, nil)
 	blocks := mineChain(t, a, chain.BodyWindow+100)
-	if a.Store().Get(blocks[0].Header.Hash()) != nil {
+	if a.store.Get(blocks[0].Header.Hash()) != nil {
 		t.Fatal("the serving node still holds its oldest body: the test no longer covers a pruned store")
 	}
 	b := startNode(t, 7812, nil)
@@ -186,10 +186,10 @@ func TestJoinerInsideBodyWindowCatchesUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "joiner at the serving node's height", 20*time.Second, func() bool {
-		return b.Store().Height() == uint64(len(blocks))
+		return b.store.Height() == uint64(len(blocks))
 	})
 	for _, blk := range blocks[len(blocks)-behind:] {
-		if !b.Store().Has(blk.Header.Hash()) {
+		if !b.store.Has(blk.Header.Hash()) {
 			t.Fatalf("joiner is missing block %d", blk.Header.Height)
 		}
 	}
@@ -211,11 +211,11 @@ func TestGetDataForAgedOutBlockIsSkipped(t *testing.T) {
 	if got := readUntil[*wire.Block](t, asker).Block.Header.Hash(); got != recent {
 		t.Fatalf("GETDATA for an aged-out and a recent block served %s first, want only the recent one", got)
 	}
-	if score := n.Book().score(askerID); score != 0 {
+	if score := n.book.score(askerID); score != 0 {
 		t.Fatalf("asker charged %v points", score)
 	}
 
-	mined, err := n.MineBlock([][]byte{[]byte("after")})
+	mined, err := n.mineBlock([][]byte{[]byte("after")})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,8 @@
 #
 #   scripts/compare.sh [-n pairs] [-w workload]... [-o file] [--smoke] <base-rev>
 #
+# Options may come before or after <base-rev>; a second revision is refused.
+#
 # The base is checked out with `git worktree add` into a temporary directory
 # (under $TMPDIR), which is removed on exit. For each workload (every one in
 # BENCHMARK.json unless -w names some; -w repeats) it runs pair 1..pairs
@@ -32,7 +34,7 @@ usage() {
   echo "usage: scripts/compare.sh [-n pairs] [-w workload]... [-o file] [--smoke] <base-rev>" >&2
   exit 2
 }
-pairs=5 smoke=() workloads=() json=""
+pairs=5 smoke=() workloads=() json="" rev=""
 while (( $# > 0 )); do
   case "$1" in
     -n) [[ $# -ge 2 ]] || usage; pairs="$2"; shift 2 ;;
@@ -40,14 +42,14 @@ while (( $# > 0 )); do
     -o) [[ $# -ge 2 ]] || usage; json="$(realpath -m "$2")"; shift 2 ;;
     --smoke) smoke=(-smoke); shift ;;
     -*) usage ;;
-    *) break ;;
+    *) [[ -z "$rev" ]] || usage; rev="$1"; shift ;;
   esac
 done
-(( $# == 1 )) || usage
+[[ -n "$rev" ]] || usage
 [[ "$pairs" =~ ^[1-9][0-9]*$ ]] || usage
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "$root"
-base_rev="$(git rev-parse --verify "$1^{commit}")"
+base_rev="$(git rev-parse --verify "$rev^{commit}")"
 seconds="$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')"
 if (( ${#workloads[@]} == 0 )); then
   read -ra workloads <<<"$(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')"

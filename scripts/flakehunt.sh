@@ -4,7 +4,7 @@
 # every test completes before the verdict: one flaky test does not hide the
 # next, and the exit status is non-zero only at the end, if anything failed.
 #
-#   scripts/flakehunt.sh                 # 20 runs of ./node ./internal/p2p ./internal/serve
+#   scripts/flakehunt.sh                 # 20 runs of ./node ./internal/serve
 #   scripts/flakehunt.sh 5 ./internal/serve
 #   scripts/flakehunt.sh --suite 20      # 20 runs of the whole go test -count=1 ./...
 #   scripts/flakehunt.sh --suite 20 --load
@@ -33,7 +33,7 @@ if (( suite == 0 )); then
   count="${1:-20}"
   shift || true
   if (( $# == 0 )); then
-    set -- ./node ./internal/p2p ./internal/serve
+    set -- ./node ./internal/serve
   fi
 fi
 
