@@ -58,7 +58,7 @@ type config struct {
 	// Stop (default 1s).
 	DrainTimeout time.Duration
 
-	seedSet   bool
+	seedSet   bool              // WithSeed ran; otherwise New draws a random seed
 	network   string            // WithNetwork
 	observers []Observer        // WithObserver
 	mine      time.Duration     // WithMiner
