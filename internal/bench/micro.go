@@ -135,7 +135,7 @@ func MicroTableRewire(n int) func(b *testing.B) {
 			b.Fatal(err)
 		}
 		r := rng.New(6)
-		rows := make([]int32, 0, tbl.UndirectedBound())
+		rows := make([]int32, 0, tbl.UndirectedBound(0, n))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -134,10 +134,11 @@ type Config struct {
 	// similar per-round environment changes. Optional.
 	Dynamics Dynamics
 	// Workers bounds the goroutines used for round broadcasts, scoring
-	// decisions, and delay evaluation. Zero (or negative) means one worker
-	// per available core. Results are bit-for-bit identical for any worker
-	// count: block sources are pre-sampled from the engine RNG, and every
-	// worker writes only into per-block (or per-source) storage.
+	// decisions, delay evaluation, and the simulator's CSR rebuild after
+	// each rewire (netsim.Config.Workers). Zero (or negative) means one
+	// worker per available core. Results are bit-for-bit identical for
+	// any worker count: block sources are pre-sampled from the engine RNG,
+	// and every worker writes only into per-block (or per-source) storage.
 	Workers int
 	// LatencyMode selects precomputed vs streaming edge-delay evaluation
 	// for the cached simulator (see latency.Mode). The zero value
@@ -453,6 +454,7 @@ func (e *Engine) ensureSim() (*netsim.Simulator, error) {
 			Silent:       e.silent,
 			RelayDelay:   e.relayDelay,
 			LatencyMode:  e.latMode,
+			Workers:      e.workers,
 		}, e.table)
 		if err != nil {
 			return nil, err

@@ -9,7 +9,11 @@
 //   - Override: any base model with specific pairs pinned to new values,
 //     used for fast miner-to-miner links (Fig 4b) and relay trees (Fig 4c).
 //
-// All models are symmetric: Delay(u, v) == Delay(v, u).
+// Every model is symmetric up to the last rounding: Delay(u, v) and
+// Delay(v, u) evaluate the same terms, but a model may sum them in a
+// different order for each direction, so the two may differ by a
+// nanosecond. A caller that needs δ(u, v) asks for that direction; the
+// simulator prices each directed edge from its own direction.
 package latency
 
 import (
@@ -22,9 +26,10 @@ import (
 )
 
 // Model yields the constant one-way delay of sending a block between two
-// directly-connected nodes. Implementations must be symmetric and return
-// non-negative delays. Delay may be called from several goroutines at once:
-// the engine's broadcast workers evaluate it concurrently.
+// directly-connected nodes. Implementations must be symmetric up to the
+// last rounding (see the package comment) and return non-negative delays.
+// Delay may be called from several goroutines at once: the engine's
+// broadcast workers evaluate it concurrently.
 type Model interface {
 	// Delay returns the one-way latency between nodes u and v.
 	Delay(u, v int) time.Duration
@@ -98,29 +103,14 @@ func (m Mode) Resolve(n int) Mode {
 	return Precomputed
 }
 
-// PrecomputeEdges fills out[e] with Delay(v, edgeDst[e]) for every directed
-// edge of a CSR adjacency (rowStart[v] .. rowStart[v+1] are node v's
-// outgoing edges). Evaluating the model once per edge when a simulator is
-// first built turns every subsequent hop of the broadcast hot loop into a
-// flat array read instead of an interface call that recomputes embedded
-// distances and per-link jitter. out must have len(edgeDst) entries.
-func PrecomputeEdges(m Model, rowStart, edgeDst []int32, out []time.Duration) error {
-	if m == nil {
-		return fmt.Errorf("latency: nil model")
+// DelayPair returns Delay(u, v) and Delay(v, u), bit for bit: from one
+// Geographic.DelayPair evaluation when m is Geographic, and from two Delay
+// calls otherwise.
+func DelayPair(m Model, u, v int) (uv, vu time.Duration) {
+	if g, ok := m.(*Geographic); ok {
+		return g.DelayPair(u, v)
 	}
-	if len(rowStart) == 0 {
-		return fmt.Errorf("latency: empty CSR row index")
-	}
-	if len(out) != len(edgeDst) {
-		return fmt.Errorf("latency: delay buffer covers %d edges, want %d", len(out), len(edgeDst))
-	}
-	n := len(rowStart) - 1
-	for v := 0; v < n; v++ {
-		for e := rowStart[v]; e < rowStart[v+1]; e++ {
-			out[e] = m.Delay(v, int(edgeDst[e]))
-		}
-	}
-	return nil
+	return m.Delay(u, v), m.Delay(v, u)
 }
 
 // regionCenters places each region's hub in a 2-dimensional latency space
@@ -156,7 +146,8 @@ var regionRadii = [geo.NumRegions]float64{
 //
 //	δ(u, v) = (‖pos_u − pos_v‖ + access_u + access_v) · jitter(u, v)
 //
-// which is symmetric, bimodal across region boundaries (Figure 5), and —
+// which is symmetric up to the order the access delays are added in,
+// bimodal across region boundaries (Figure 5), and —
 // unlike a flat region matrix — heterogeneous within a region pair, the
 // structure Perigee exploits (nodes near hubs with fast access links make
 // better neighbors for everyone).
@@ -247,11 +238,46 @@ func (g *Geographic) Delay(u, v int) time.Duration {
 	if u == v {
 		return 0
 	}
+	return g.link(u, v).oneWay(g.accessMs[u], g.accessMs[v])
+}
+
+// DelayPair returns Delay(u, v) and Delay(v, u). The distance, the jitter
+// and the route factor (a square root, a log, a cos and an exp between
+// them) are evaluated once, and each direction adds the two access delays
+// in its own order, as Delay does, so both are Delay's bit for bit.
+func (g *Geographic) DelayPair(u, v int) (uv, vu time.Duration) {
+	if u == v {
+		return 0, 0
+	}
+	l := g.link(u, v)
+	au, av := g.accessMs[u], g.accessMs[v]
+	return l.oneWay(au, av), l.oneWay(av, au)
+}
+
+// linkTerms are the factors of δ that the unordered pair {u, v} fixes: the
+// embedded distance in ms, the jitter and the log-normal route factor.
+type linkTerms struct{ distMs, jitter, route float64 }
+
+// link evaluates the pair's shared terms. Each is the same bit for bit
+// whichever way round the pair is given: the coordinate differences of
+// (v, u) are those of (u, v) negated, and both factors hash the unordered
+// pair.
+func (g *Geographic) link(u, v int) linkTerms {
 	dx := g.pos[u][0] - g.pos[v][0]
 	dy := g.pos[u][1] - g.pos[v][1]
-	ms := math.Sqrt(dx*dx+dy*dy) + g.accessMs[u] + g.accessMs[v]
-	ms *= g.stream.PairJitter(u, v, jitter)
-	ms *= g.stream.PairLogNormal(u, v, routeSigma)
+	return linkTerms{
+		distMs: math.Sqrt(dx*dx + dy*dy),
+		jitter: g.stream.PairJitter(u, v, jitter),
+		route:  g.stream.PairLogNormal(u, v, routeSigma),
+	}
+}
+
+// oneWay is the delay of the direction whose sender has access delay
+// fromMs and whose receiver has toMs.
+func (l linkTerms) oneWay(fromMs, toMs float64) time.Duration {
+	ms := l.distMs + fromMs + toMs
+	ms *= l.jitter
+	ms *= l.route
 	return time.Duration(ms * float64(time.Millisecond))
 }
 

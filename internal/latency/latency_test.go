@@ -312,40 +312,36 @@ func TestConstant(t *testing.T) {
 	}
 }
 
-func TestPrecomputeEdges(t *testing.T) {
-	u, err := geo.SampleUniverse(6, rng.New(11))
+// TestGeographicDelayPairMatchesDelay checks that DelayPair's two delays
+// are Delay's for each direction, bit for bit, over random pairs and every
+// u == v, and that the package's DelayPair falls back to two Delay calls
+// for a model without a pair evaluation.
+func TestGeographicDelayPairMatchesDelay(t *testing.T) {
+	const n = 300
+	g, err := NewGeographic(testUniverse(t, n), rng.New(5).Derive("latency"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := NewGeographic(u, rng.New(12))
-	if err != nil {
+	check := func(a, b uint16) bool {
+		u, v := int(a)%n, int(b)%n
+		uv, vu := g.DelayPair(u, v)
+		return uv == g.Delay(u, v) && vu == g.Delay(v, u)
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Fatal(err)
 	}
-	// CSR of the 6-cycle 0-1-2-3-4-5-0.
-	rowStart := []int32{0, 2, 4, 6, 8, 10, 12}
-	edgeDst := []int32{1, 5, 0, 2, 1, 3, 2, 4, 3, 5, 0, 4}
-	out := make([]time.Duration, len(edgeDst))
-	if err := PrecomputeEdges(g, rowStart, edgeDst, out); err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < 6; v++ {
-		for e := rowStart[v]; e < rowStart[v+1]; e++ {
-			if want := g.Delay(v, int(edgeDst[e])); out[e] != want {
-				t.Fatalf("edge (%d, %d): precomputed %v, model %v", v, edgeDst[e], out[e], want)
-			}
+	for u := 0; u < n; u++ {
+		if uv, vu := g.DelayPair(u, u); uv != 0 || vu != 0 {
+			t.Fatalf("DelayPair(%d, %d) = %v, %v, want 0, 0", u, u, uv, vu)
 		}
 	}
-}
-
-func TestPrecomputeEdgesErrors(t *testing.T) {
-	if err := PrecomputeEdges(nil, []int32{0}, nil, nil); err == nil {
-		t.Fatal("expected error for nil model")
+	h, err := NewHypercube(n, 2, 100*time.Millisecond, rng.New(6))
+	if err != nil {
+		t.Fatal(err)
 	}
-	c := Constant{Nodes: 2, D: time.Millisecond}
-	if err := PrecomputeEdges(c, nil, nil, nil); err == nil {
-		t.Fatal("expected error for empty row index")
-	}
-	if err := PrecomputeEdges(c, []int32{0, 1, 2}, []int32{1, 0}, make([]time.Duration, 1)); err == nil {
-		t.Fatal("expected error for short delay buffer")
+	for _, m := range []Model{g, h} {
+		if uv, vu := DelayPair(m, 3, 7); uv != m.Delay(3, 7) || vu != m.Delay(7, 3) {
+			t.Fatalf("%T: DelayPair = %v, %v, want %v, %v", m, uv, vu, m.Delay(3, 7), m.Delay(7, 3))
+		}
 	}
 }

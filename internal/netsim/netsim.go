@@ -19,17 +19,19 @@
 // (the sender's position in the neighbor's own row, i.e. the precomputed
 // reverse index), and edgeDelay (the one-way latency δ, evaluated when the
 // edge first appears and carried across Reconfigure for as long as the edge
-// survives; see carryDelays). Only Broadcast records per-edge arrival
+// survives; see fillDelays). Only Broadcast records per-edge arrival
 // times: they live in one flat buffer that Result's per-node EdgeArrival
 // rows alias, so resetting a broadcast is a single linear fill. After a
 // Broadcaster's buffers have grown to the topology's size, a broadcast
 // performs zero heap allocations (alloc_test.go enforces this).
 //
 // The CSR is built from rows (Rows; a topology.Table is the engine's, and
-// New and Reconfigure read a [][]int as one) in one validating pass: each
+// New and Reconfigure read a [][]int as one) in one validating pass over
+// fixed ranges of rebuildChunk nodes, fanned out over Config.Workers: each
 // node's row is appended straight into edgeDst and checked where it lands
-// (ascending, in range, no self loop), and a cursor sweep over the result
-// checks symmetry while it writes edgeSlot.
+// (ascending, in range, no self loop), a serial cursor sweep over the
+// result checks symmetry while it writes edgeSlot, and each range then
+// fills its rows' delays. A network of one range is built inline.
 //
 // # One label-setting pass
 //
@@ -86,6 +88,7 @@ import (
 	"time"
 
 	"github.com/perigee-net/perigee/internal/latency"
+	"github.com/perigee-net/perigee/internal/parallel"
 	"github.com/perigee-net/perigee/internal/stats"
 )
 
@@ -130,6 +133,10 @@ type Config struct {
 	// runs). The zero value (latency.Auto) picks by network size. Delays
 	// are bit-for-bit identical in every mode.
 	LatencyMode latency.Mode
+	// Workers bounds the goroutines that build the CSR (see the package
+	// comment). Zero (or negative) means one per available core. The CSR
+	// is bit-for-bit the same for any worker count.
+	Workers int
 }
 
 // Simulator holds the immutable-between-reconfigurations topology of one
@@ -148,10 +155,18 @@ type Simulator struct {
 	edgeDst   []int32
 	edgeSlot  []int32         // sender's position in edgeDst[e]'s row (reverse index)
 	edgeDelay []time.Duration // empty in streaming mode; see delayOf
-	cursor    []int32         // rebuild's per-node sweep cursor, kept to avoid realloc
+
+	// rebuild's scratch, kept to avoid reallocation: the per-node sweep
+	// cursor; each chunk's staging range of edgeDst, stage[c] .. stage[c+1],
+	// and the end of the rows it wrote there; and the rows being read,
+	// held only while the chunks run.
+	cursor   []int32
+	stage    []int32
+	chunkEnd []int32
+	rows     Rows
 
 	// The previous topology's rows and delays, which rebuild swaps with the
-	// current buffers so that carryDelays can copy the delay of every edge
+	// current buffers so that fillDelays can copy the delay of every edge
 	// that survives a Reconfigure. They hold a complete topology only
 	// while carry is set: a failed rebuild and ForgetDelays clear it, and
 	// the next rebuild then evaluates every edge.
@@ -199,12 +214,15 @@ type Broadcaster struct {
 
 // Rows is a topology as the simulator reads it: N nodes, each with a row
 // of neighbors that AppendUndirected appends to a buffer, and an upper
-// bound on the rows' total length, by which the CSR buffer is sized once.
-// The rows must be symmetric, ascending, self-loop free and within range;
-// the build checks all four. *topology.Table is the engine's Rows.
+// bound on the total length of any range of rows, by which the CSR buffer
+// is sized once and cut into one staging range per chunk of nodes. The
+// rows must be symmetric, ascending, self-loop free and within range; the
+// build checks all four, and refuses a row that overruns its range's
+// bound. AppendUndirected and UndirectedBound may be called from several
+// goroutines at once. *topology.Table is the engine's Rows.
 type Rows interface {
 	N() int
-	UndirectedBound() int
+	UndirectedBound(lo, hi int) int
 	AppendUndirected(dst []int32, v int) []int32
 }
 
@@ -213,9 +231,9 @@ type adjRows [][]int
 
 func (a adjRows) N() int { return len(a) }
 
-func (a adjRows) UndirectedBound() int {
+func (a adjRows) UndirectedBound(lo, hi int) int {
 	total := 0
-	for _, row := range a {
+	for _, row := range a[lo:hi] {
 		total += len(row)
 	}
 	return total
@@ -300,15 +318,29 @@ func validateShape(cfg Config, n int) error {
 	return nil
 }
 
+// rebuildChunk is how many nodes one item of rebuild's parallel passes
+// covers; a network of up to this many nodes is rebuilt inline.
+const rebuildChunk = 2048
+
 // rebuild (re)constructs the CSR arrays from rows, reusing the backing
-// arrays when they are large enough. Each row is appended straight into
-// edgeDst, sized once by rows.UndirectedBound, and checked where it lands
-// (see checkRow). The reverse index is computed with an O(E) cursor sweep:
-// visiting sources in ascending order, source v must be the next unseen
-// entry of each neighbor's (ascending) row — any mismatch proves the
-// adjacency asymmetric. In precomputed mode the previous topology's buffers
-// are swapped aside rather than overwritten, so the delays of surviving
-// edges can be carried (see carryDelays).
+// arrays when they are large enough. It is one pass over chunks of
+// rebuildChunk nodes, fanned out over the configured workers:
+//
+//   - fillRows appends each chunk's rows into the chunk's staging range of
+//     edgeDst, which rows.UndirectedBound sizes, and checks them where they
+//     land (see checkRow); the chunks are then moved down over the gaps
+//     their bounds left, in order.
+//   - The reverse index is computed with a serial O(E) cursor sweep:
+//     visiting sources in ascending order, source v must be the next
+//     unseen entry of each neighbor's (ascending) row — any mismatch proves
+//     the adjacency asymmetric.
+//   - In precomputed mode fillDelays then prices each chunk's edges. The
+//     previous topology's buffers were swapped aside rather than
+//     overwritten, so the delays of surviving edges are carried.
+//
+// A chunk writes only its own nodes' rows and the delays of links its
+// nodes price, so the CSR does not depend on the worker count, and the
+// error a bad row returns is the one a serial pass stops at.
 func (s *Simulator) rebuild(rows Rows) error {
 	n := s.n
 	carry := s.carry
@@ -318,18 +350,37 @@ func (s *Simulator) rebuild(rows Rows) error {
 		s.edgeDst, s.prevEdgeDst = s.prevEdgeDst, s.edgeDst
 		s.edgeDelay, s.prevEdgeDelay = s.prevEdgeDelay, s.edgeDelay
 	}
-	s.rowStart = growInt32(s.rowStart, n+1)
-	s.edgeDst = growInt32(s.edgeDst, rows.UndirectedBound())[:0]
-	for v := 0; v < n; v++ {
-		s.rowStart[v] = int32(len(s.edgeDst))
-		s.edgeDst = rows.AppendUndirected(s.edgeDst, v)
-		if err := checkRow(s.edgeDst[s.rowStart[v]:], v, n); err != nil {
-			return err
-		}
+	chunks := (n + rebuildChunk - 1) / rebuildChunk
+	s.stage = growInt32(s.stage, chunks+1)
+	s.chunkEnd = growInt32(s.chunkEnd, chunks)
+	s.stage[0] = 0
+	for c := 0; c < chunks; c++ {
+		lo, hi := chunkNodes(c, n)
+		s.stage[c+1] = s.stage[c] + int32(rows.UndirectedBound(lo, hi))
 	}
-	total := len(s.edgeDst)
-	s.rowStart[n] = int32(total)
-	s.edgeSlot = growInt32(s.edgeSlot, total)
+	s.rowStart = growInt32(s.rowStart, n+1)
+	s.edgeDst = growInt32(s.edgeDst, int(s.stage[chunks]))
+	s.rows = rows
+	err := parallel.ForEach(chunks, s.cfg.Workers, s, (*Simulator).fillRows)
+	s.rows = nil
+	if err != nil {
+		return err
+	}
+	var total int32
+	for c := 0; c < chunks; c++ {
+		at, end := s.stage[c], s.chunkEnd[c]
+		if gap := at - total; gap > 0 {
+			copy(s.edgeDst[total:], s.edgeDst[at:end])
+			lo, hi := chunkNodes(c, n)
+			for v := lo; v < hi; v++ {
+				s.rowStart[v] -= gap
+			}
+		}
+		total += end - at
+	}
+	s.edgeDst = s.edgeDst[:total]
+	s.rowStart[n] = total
+	s.edgeSlot = growInt32(s.edgeSlot, int(total))
 	s.cursor = growInt32(s.cursor, n)
 	for i := range s.cursor {
 		s.cursor[i] = 0
@@ -346,15 +397,39 @@ func (s *Simulator) rebuild(rows Rows) error {
 		}
 	}
 	if !s.streaming {
-		s.edgeDelay = growDurations(s.edgeDelay, total)
-		if carry {
-			s.carryDelays()
-		} else if err := latency.PrecomputeEdges(s.cfg.Latency, s.rowStart, s.edgeDst, s.edgeDelay); err != nil {
+		s.edgeDelay = growDurations(s.edgeDelay, int(total))
+		s.carry = carry // for fillDelays: whether prev* hold the last topology
+		if err := parallel.ForEach(chunks, s.cfg.Workers, s, (*Simulator).fillDelays); err != nil {
 			return err
 		}
 		s.carry = true
 	}
 	s.gen++
+	return nil
+}
+
+// chunkNodes returns the node range [lo, hi) of rebuild's chunk c.
+func chunkNodes(c, n int) (lo, hi int) {
+	return c * rebuildChunk, min(n, (c+1)*rebuildChunk)
+}
+
+// fillRows appends chunk c's rows into its staging range of edgeDst,
+// checking each where it lands, and records where they end.
+func (s *Simulator) fillRows(_, c int) error {
+	lo, hi := chunkNodes(c, s.n)
+	at, limit := s.stage[c], s.stage[c+1]
+	for v := lo; v < hi; v++ {
+		s.rowStart[v] = at
+		row := s.rows.AppendUndirected(s.edgeDst[at:at:limit], v)
+		if len(row) > int(limit-at) {
+			return fmt.Errorf("netsim: node %d's row overruns the rows' bound", v)
+		}
+		if err := checkRow(row, v, s.n); err != nil {
+			return err
+		}
+		at += int32(len(row))
+	}
+	s.chunkEnd[c] = at
 	return nil
 }
 
@@ -376,29 +451,37 @@ func checkRow(row []int32, v, n int) error {
 	return nil
 }
 
-// carryDelays fills edgeDelay after a rebuild over a previous topology: a
-// merge walk of each node's previous and current ascending row copies the
-// delay of every directed edge that survived and asks the model only for
-// edges the previous topology did not have. The fill is serial because a
-// round adds only a few edges per node, too few model calls to pay for a
-// fan-out. It is per directed edge, in PrecomputeEdges' order, so δ(u, v) is
-// never taken from δ(v, u): a model may round the two differently.
-func (s *Simulator) carryDelays() {
+// fillDelays fills the delays of chunk c's rows. Over a previous topology
+// (carry is unset on a first build and after ForgetDelays) a merge walk of
+// each node's previous and current ascending row copies the delay of every
+// directed edge that survived. A new link is priced once, by its lower
+// endpoint: latency.DelayPair yields δ(v, w) and δ(w, v), each bit-equal
+// to Delay in its direction, and the reverse edge's delay is written
+// through edgeSlot. Whether a link is new is symmetric, because the
+// previous topology was, so every directed edge is written exactly once,
+// whichever chunk runs first.
+func (s *Simulator) fillDelays(_, c int) error {
+	lo, hi := chunkNodes(c, s.n)
 	lat := s.cfg.Latency
-	for v := 0; v < s.n; v++ {
-		o, oEnd := s.prevRowStart[v], s.prevRowStart[v+1]
+	for v := lo; v < hi; v++ {
+		var o, oEnd int32
+		if s.carry {
+			o, oEnd = s.prevRowStart[v], s.prevRowStart[v+1]
+		}
 		for e := s.rowStart[v]; e < s.rowStart[v+1]; e++ {
 			w := s.edgeDst[e]
 			for o < oEnd && s.prevEdgeDst[o] < w {
 				o++
 			}
-			if o < oEnd && s.prevEdgeDst[o] == w {
+			switch {
+			case o < oEnd && s.prevEdgeDst[o] == w:
 				s.edgeDelay[e] = s.prevEdgeDelay[o]
-			} else {
-				s.edgeDelay[e] = lat.Delay(v, int(w))
+			case int(w) > v:
+				s.edgeDelay[e], s.edgeDelay[s.rowStart[w]+s.edgeSlot[e]] = latency.DelayPair(lat, v, int(w))
 			}
 		}
 	}
+	return nil
 }
 
 // ForgetDelays drops the edge delays carried from the current topology, so
@@ -411,7 +494,7 @@ func (s *Simulator) ForgetDelays() { s.carry = false }
 // delayOf returns the one-way delay of directed edge e leaving node v. In
 // precomputed mode it is an array read; in streaming mode the latency model
 // is evaluated on the spot. Both paths yield bit-for-bit identical values
-// because PrecomputeEdges stores exactly Model.Delay's results.
+// because fillDelays stores exactly Model.Delay's results.
 func (s *Simulator) delayOf(v, e int32) time.Duration {
 	if s.streaming {
 		return s.cfg.Latency.Delay(int(v), int(s.edgeDst[e]))

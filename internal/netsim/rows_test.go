@@ -88,9 +88,9 @@ type int32Rows [][]int32
 
 func (r int32Rows) N() int { return len(r) }
 
-func (r int32Rows) UndirectedBound() int {
+func (r int32Rows) UndirectedBound(lo, hi int) int {
 	total := 0
-	for _, row := range r {
+	for _, row := range r[lo:hi] {
 		total += len(row)
 	}
 	return total

@@ -45,6 +45,10 @@ func ForEachIndexed(n, workers int, fn func(worker, index int) error) error {
 // allocation per call; a method expression or top-level function whose
 // state already lives on the heap makes a one-worker ForEach allocate
 // nothing.
+//
+// The caller runs as worker 0 and spawns the other workers. The fan-out's
+// shared state is pooled, so once the pool is warm a W-worker ForEach over a
+// pointer-shaped state allocates W-1 objects, one per spawned goroutine.
 func ForEach[S any](n, workers int, state S, fn func(state S, worker, index int) error) error {
 	if n <= 0 {
 		return nil
@@ -61,37 +65,61 @@ func ForEach[S any](n, workers int, state S, fn func(state S, worker, index int)
 		}
 		return nil
 	}
-	st := &fanOut{firstIdx: n}
-	st.wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(worker int) {
-			defer st.wg.Done()
-			for !st.failed.Load() {
-				i := int(st.next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := fn(state, worker, i); err != nil {
-					st.fail(i, err)
-					return
-				}
-			}
-		}(w)
+	st := fanOutPool.Get().(*fanOut)
+	st.n, st.firstIdx = int64(n), n
+	st.state, st.fn = state, fn
+	st.wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go spawned[S](st, w)
 	}
+	work[S](st, 0)
 	st.wg.Wait()
-	return st.firstErr
+	err := st.firstErr
+	st.next.Store(0)
+	st.failed.Store(false)
+	st.firstErr, st.state, st.fn = nil, nil, nil
+	fanOutPool.Put(st)
+	return err
 }
 
-// fanOut is the shared state of one multi-worker ForEach, one allocation
-// whatever n is: the next index to claim, and the failure with the smallest
-// index, not one error slot per index.
+// fanOut is the shared state of one multi-worker ForEach, taken from
+// fanOutPool: the next index to claim, the failure with the smallest index
+// (not one error slot per index), and the call's state and fn, type-erased
+// so that one pool serves every instantiation.
 type fanOut struct {
 	next     atomic.Int64
 	failed   atomic.Bool
 	wg       sync.WaitGroup
 	mu       sync.Mutex
+	n        int64
 	firstIdx int
 	firstErr error
+	state    any
+	fn       any
+}
+
+var fanOutPool = sync.Pool{New: func() any { return new(fanOut) }}
+
+// spawned is work on a goroutine of its own.
+func spawned[S any](st *fanOut, worker int) {
+	defer st.wg.Done()
+	work[S](st, worker)
+}
+
+// work claims indices for worker until none are left or an index fails.
+func work[S any](st *fanOut, worker int) {
+	state, _ := st.state.(S) // a nil interface-typed state asserts to nil
+	fn := st.fn.(func(S, int, int) error)
+	for !st.failed.Load() {
+		i := st.next.Add(1) - 1
+		if i >= st.n {
+			return
+		}
+		if err := fn(state, worker, int(i)); err != nil {
+			st.fail(int(i), err)
+			return
+		}
+	}
 }
 
 // fail records index i's error if no smaller index has failed, and stops

@@ -136,3 +136,48 @@ func TestForEachIndexedDeterministicAcrossWorkerCounts(t *testing.T) {
 		}
 	}
 }
+
+// squares is a fan-out state that lives on the heap, as the engine's do.
+type squares struct{ out []int }
+
+func (s *squares) fill(_, i int) error {
+	s.out[i] = i * i
+	return nil
+}
+
+// TestForEachAllocatesOnePerSpawnedWorker pins what a warm fan-out costs:
+// the caller runs as worker 0 and the shared state comes from a pool, so a
+// W-worker ForEach over a pointer state allocates one object per goroutine
+// it spawns, W-1. It allocated 2W+1 when every worker was spawned and the
+// state was allocated per call.
+func TestForEachAllocatesOnePerSpawnedWorker(t *testing.T) {
+	s := &squares{out: make([]int, 64)}
+	for _, workers := range []int{2, 4} {
+		allocs := testing.AllocsPerRun(200, func() {
+			if err := ForEach(len(s.out), workers, s, (*squares).fill); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// A collection during the run empties the pool; its refill is one
+		// more object now and then, never one per run.
+		if allocs > float64(workers-1)+0.1 {
+			t.Errorf("workers=%d: a fan-out allocates %v objects, want at most %d", workers, allocs, workers-1)
+		}
+	}
+}
+
+// TestForEachNilInterfaceState checks that an interface-typed state may be
+// nil on the multi-worker path as on the serial one.
+func TestForEachNilInterfaceState(t *testing.T) {
+	var ran atomic.Int64
+	err := ForEach(8, 2, error(nil), func(state error, _, _ int) error {
+		if state != nil {
+			return state
+		}
+		ran.Add(1)
+		return nil
+	})
+	if err != nil || ran.Load() != 8 {
+		t.Fatalf("got error %v after %d calls, want nil after 8", err, ran.Load())
+	}
+}

@@ -274,12 +274,12 @@ func (t *Table) AppendUndirected(dst []int32, u int) []int32 {
 }
 
 // UndirectedBound returns an upper bound on the total length of the
-// communication graph's rows: the summed lengths of every outgoing,
-// incoming and pinned row. It overcounts only a pair connected in both
-// directions, or connected and pinned.
-func (t *Table) UndirectedBound() int {
+// communication graph's rows lo .. hi-1: the summed lengths of their
+// outgoing, incoming and pinned rows. It overcounts only a pair connected
+// in both directions, or connected and pinned.
+func (t *Table) UndirectedBound(lo, hi int) int {
 	total := 0
-	for u := 0; u < t.n; u++ {
+	for u := lo; u < hi; u++ {
 		total += len(t.out[u]) + len(t.in[u]) + len(t.pinRow(u))
 	}
 	return total

@@ -887,7 +887,8 @@ func TestOutRowOutgrowsItsWindow(t *testing.T) {
 // does, on random tables with mutual connections (u→v and v→u both held)
 // and a pinned relay tree whose edges partly repeat connections: each row
 // must equal Undirected's, which must equal a map union of the node's
-// connections and pins, and UndirectedBound must bound their total.
+// connections and pins, and UndirectedBound must bound each row and their
+// total.
 func TestAppendUndirectedMatchesUndirected(t *testing.T) {
 	r := rng.New(47)
 	var rows []int32
@@ -945,8 +946,11 @@ func TestAppendUndirectedMatchesUndirected(t *testing.T) {
 			if !slices.Equal(got, want[u]) {
 				t.Fatalf("trial %d: AppendUndirected(%d) = %v, Undirected row %v", trial, u, got, want[u])
 			}
+			if bound := tbl.UndirectedBound(u, u+1); bound < len(got) {
+				t.Fatalf("trial %d: UndirectedBound(%d, %d) = %d below the row's length %d", trial, u, u+1, bound, len(got))
+			}
 		}
-		if bound := tbl.UndirectedBound(); bound < len(rows) {
+		if bound := tbl.UndirectedBound(0, n); bound < len(rows) {
 			t.Fatalf("trial %d: UndirectedBound %d below the rows' total %d", trial, bound, len(rows))
 		}
 	}

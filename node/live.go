@@ -88,6 +88,7 @@ type Node struct {
 	// a snapshot stays valid after the peer set changes.
 	sorted   []*peer
 	listener net.Listener
+	started  bool // set by the first Start that got past its checks
 	closed   bool
 	quit     chan struct{} // closed by Stop; wakes delayed-relay timers
 
@@ -173,6 +174,10 @@ func (n *Node) countRes(f func(*ResilienceStats)) {
 // ErrStopped is returned by operations on a stopped node.
 var ErrStopped = errors.New("p2p: node stopped")
 
+// errStarted is returned by a second Start: its listener would replace the
+// first, whose accept loop Stop would then wait on for ever.
+var errStarted = errors.New("p2p: node already started")
+
 // newNode resolves the config's defaults and builds a node (not yet
 // started) on the genesis block of the config's network.
 func newNode(cfg config) (*Node, error) {
@@ -211,7 +216,7 @@ func newNode(cfg config) (*Node, error) {
 		addrRand:     rng.New(cfg.Seed).Derive("p2p-addr-gossip"),
 		peers:        make(map[uint64]*peer),
 		quit:         make(chan struct{}),
-		sightings:    newSightings(cfg.obsCap()),
+		sightings:    newSightings(cfg.obsCap(), cfg.OutDegree+cfg.MaxInbound),
 		withheld:     make(map[chain.Hash]int),
 		dialAttempts: make(map[string]int),
 		connAttempts: make(map[uint64]int),
@@ -229,11 +234,26 @@ func (n *Node) logf(format string, args ...any) {
 
 // Start begins listening (when configured), accepting connections,
 // maintaining the outbound degree (WithRedialInterval), discovery's loops,
-// and mining (WithMiner).
+// and mining (WithMiner). A node starts once: a second Start returns an
+// error and changes nothing, unless the first failed to listen.
 func (n *Node) Start() error {
+	n.mu.Lock()
+	switch {
+	case n.closed:
+		n.mu.Unlock()
+		return ErrStopped
+	case n.started:
+		n.mu.Unlock()
+		return errStarted
+	}
+	n.started = true
+	n.mu.Unlock()
 	if n.cfg.ListenAddr != "" {
 		ln, err := net.Listen("tcp", n.cfg.ListenAddr)
 		if err != nil {
+			n.mu.Lock()
+			n.started = false // nothing runs yet: a later Start may retry
+			n.mu.Unlock()
 			return fmt.Errorf("p2p: listen: %w", err)
 		}
 		n.mu.Lock()

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -529,4 +530,41 @@ func TestResilienceDesperationDial(t *testing.T) {
 	waitFor(t, "desperation reconnect", 3*time.Second, func() bool {
 		return b.OutboundCount() >= 1 && b.Resilience().DesperationDials >= 1
 	})
+}
+
+// TestSecondStartIsRefused: a second Start on a listening node returns an
+// error and leaves the first listener in place, so Stop closes it and
+// returns. A second Start that replaced the listener left the first accept
+// loop running, and Stop waited on it for ever.
+//
+// The node is stopped here, not by a cleanup, so that a Stop that hangs
+// fails the test instead of the whole run.
+func TestSecondStartIsRefused(t *testing.T) {
+	n, err := newNode(config{Seed: 90, ListenAddr: "127.0.0.1:0", network: testNetwork})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Start(); err != nil {
+		t.Fatal(err)
+	}
+	addr := n.Addr()
+	if err := n.Start(); err == nil {
+		t.Error("a second Start succeeded")
+	}
+	if got := n.Addr(); got != addr {
+		t.Errorf("the second Start moved the listener from %s to %s", addr, got)
+	}
+	stopped := make(chan struct{})
+	go func() {
+		n.Stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(3 * time.Second):
+		t.Fatal("Stop did not return within 3 s after a second Start")
+	}
+	if err := n.Start(); !errors.Is(err, ErrStopped) {
+		t.Fatalf("Start after Stop returned %v, want ErrStopped", err)
+	}
 }

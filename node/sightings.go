@@ -18,11 +18,19 @@ import (
 // first sighted leaving first. Nothing sorts, and a warm table allocates
 // nothing: the first slab slots head three rings threaded through prev and
 // next, the window, the records outside it and the free slots.
+//
+// A slot's peer list is a window of width entries, room for every peer the
+// node may have, carved from peerSlab, which is allocated whenever the slot
+// slab grows, with one window for each slot the slab now has room for. So
+// a new slot costs no allocation of its own while the table fills; a list
+// that outgrows its window moves to the heap rather than into the next.
 type sightings struct {
-	cap   int
-	index map[chain.Hash]int32
-	slab  []sighting
-	count [rings]int
+	cap      int
+	width    int
+	index    map[chain.Hash]int32
+	slab     []sighting
+	peerSlab []peerSighting // windows not yet given to a slot
+	count    [rings]int
 }
 
 // The rings, by the slab slot that heads each.
@@ -49,8 +57,10 @@ type peerSighting struct {
 	at time.Time
 }
 
-func newSightings(cap int) sightings {
-	s := sightings{cap: cap, index: make(map[chain.Hash]int32), slab: make([]sighting, rings)}
+// newSightings returns an empty table bounded by cap whose peer lists have
+// room for width peers each before they move to the heap.
+func newSightings(cap, width int) sightings {
+	s := sightings{cap: cap, width: width, index: make(map[chain.Hash]int32), slab: make([]sighting, rings)}
 	s.clear()
 	return s
 }
@@ -156,6 +166,10 @@ func (s *sightings) slot(h chain.Hash, ring int32) int32 {
 	if i == freeRing {
 		i = int32(len(s.slab))
 		s.slab = append(s.slab, sighting{})
+		if len(s.peerSlab) == 0 {
+			s.peerSlab = make([]peerSighting, (cap(s.slab)-int(i))*s.width)
+		}
+		s.slab[i].peers, s.peerSlab = s.peerSlab[:0:s.width], s.peerSlab[s.width:]
 	} else {
 		s.unlink(i)
 	}
