@@ -382,18 +382,17 @@ func (s *Simulator) rebuild(rows Rows) error {
 	s.rowStart[n] = total
 	s.edgeSlot = growInt32(s.edgeSlot, int(total))
 	s.cursor = growInt32(s.cursor, n)
-	for i := range s.cursor {
-		s.cursor[i] = 0
-	}
+	rowStart, edgeDst, edgeSlot, cursor := s.rowStart, s.edgeDst, s.edgeSlot, s.cursor
+	clear(cursor)
 	for v := 0; v < n; v++ {
-		for e := s.rowStart[v]; e < s.rowStart[v+1]; e++ {
-			w := s.edgeDst[e]
-			k := s.cursor[w]
-			s.cursor[w] = k + 1
-			if s.rowStart[w]+k >= s.rowStart[w+1] || s.edgeDst[s.rowStart[w]+k] != int32(v) {
+		for e := rowStart[v]; e < rowStart[v+1]; e++ {
+			w := edgeDst[e]
+			k := cursor[w]
+			cursor[w] = k + 1
+			if at := rowStart[w] + k; at >= rowStart[w+1] || edgeDst[at] != int32(v) {
 				return fmt.Errorf("netsim: adjacency not symmetric: %d lists %d but not vice versa", v, w)
 			}
-			s.edgeSlot[e] = k
+			edgeSlot[e] = k
 		}
 	}
 	if !s.streaming {
