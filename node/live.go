@@ -216,7 +216,7 @@ func newNode(cfg config) (*Node, error) {
 		addrRand:     rng.New(cfg.Seed).Derive("p2p-addr-gossip"),
 		peers:        make(map[uint64]*peer),
 		quit:         make(chan struct{}),
-		sightings:    newSightings(cfg.obsCap(), cfg.OutDegree+cfg.MaxInbound),
+		sightings:    newSightings(cfg.obsCap()),
 		withheld:     make(map[chain.Hash]int),
 		dialAttempts: make(map[string]int),
 		connAttempts: make(map[uint64]int),

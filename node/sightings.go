@@ -19,14 +19,15 @@ import (
 // nothing: the first slab slots head three rings threaded through prev and
 // next, the window, the records outside it and the free slots.
 //
-// A slot's peer list is a window of width entries, room for every peer the
-// node may have, carved from peerSlab, which is allocated whenever the slot
-// slab grows, with one window for each slot the slab now has room for. So
-// a new slot costs no allocation of its own while the table fills; a list
-// that outgrows its window moves to the heap rather than into the next.
+// A new slot's peer list is a window of peerSlab as wide as the longest
+// list so far. peerSlab is allocated when the slot slab grows, with one
+// window for each slot the slab now has room for, so a new slot costs no
+// allocation of its own while the table fills, and windows are as wide as
+// the node's peers have needed, not as its peer limits allow. A list that
+// outgrows its window moves to the heap rather than into the next.
 type sightings struct {
 	cap      int
-	width    int
+	width    int // the longest peer list so far, at least 1
 	index    map[chain.Hash]int32
 	slab     []sighting
 	peerSlab []peerSighting // windows not yet given to a slot
@@ -57,10 +58,8 @@ type peerSighting struct {
 	at time.Time
 }
 
-// newSightings returns an empty table bounded by cap whose peer lists have
-// room for width peers each before they move to the heap.
-func newSightings(cap, width int) sightings {
-	s := sightings{cap: cap, width: width, index: make(map[chain.Hash]int32), slab: make([]sighting, rings)}
+func newSightings(cap int) sightings {
+	s := sightings{cap: cap, width: 1, index: make(map[chain.Hash]int32), slab: make([]sighting, rings)}
 	s.clear()
 	return s
 }
@@ -91,6 +90,7 @@ func (s *sightings) note(peer uint64, h chain.Hash, at time.Time) {
 		e.first = at
 	}
 	e.peers = append(e.peers, peerSighting{peer, at})
+	s.width = max(s.width, len(e.peers))
 }
 
 // ask reports whether h should be requested now: it never was, or its last
@@ -166,7 +166,7 @@ func (s *sightings) slot(h chain.Hash, ring int32) int32 {
 	if i == freeRing {
 		i = int32(len(s.slab))
 		s.slab = append(s.slab, sighting{})
-		if len(s.peerSlab) == 0 {
+		if len(s.peerSlab) < s.width {
 			s.peerSlab = make([]peerSighting, (cap(s.slab)-int(i))*s.width)
 		}
 		s.slab[i].peers, s.peerSlab = s.peerSlab[:0:s.width], s.peerSlab[s.width:]

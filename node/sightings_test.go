@@ -130,7 +130,7 @@ func FuzzSightingsMatchReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		const after = 20 * time.Millisecond
 		base := time.Unix(1700000000, 0)
-		got, want := newSightings(observationCap, 4), newReferenceSightings()
+		got, want := newSightings(observationCap), newReferenceSightings()
 		stored := make(map[chain.Hash]bool)
 		has := func(h chain.Hash) bool { return stored[h] }
 		for k := 0; k+3 <= len(ops); k += 3 {
@@ -197,7 +197,7 @@ func sameHashes(a, b []chain.Hash) bool {
 // newest blocks.
 func TestSightingsDropFirstSightedOutsideWindow(t *testing.T) {
 	const cap = 3
-	s := newSightings(cap, 2)
+	s := newSightings(cap)
 	at := time.Unix(1700000000, 0)
 	hash := func(i int) chain.Hash { return chain.Hash{byte(i + 1)} }
 	for i := 0; i < 4; i++ {
