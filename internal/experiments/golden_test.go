@@ -7,20 +7,13 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden scenario renderings")
-
-// goldenScenarios are the renderer shapes pinned by committed golden
-// files: a figure (series + notes), the eclipse capture report
-// (notes-only), a histogram result, an adversarial comparison (six
-// series + degradation notes), the continuous-time workload report
-// (series + per-arm fork economics), the relay-tree study, whose
-// pinned edges and static λ arms no other golden exercises, and the two
-// scenarios that run the UCB arm and its single-block round rule.
-var goldenScenarios = []string{"figure1", "figure5", "eclipse", "adversary-withholding", "forks", "figure4c", "figure3a", "ablation-ucb-constant"}
 
 // goldenOptions is a deliberately tiny, fixed configuration: golden
 // files pin the rendering contract and the seeded numerics, not
@@ -42,17 +35,32 @@ func goldenOptions() Options {
 // model, tight enough that any logic change trips it.
 const goldenTolerance = 1e-6
 
-// TestGoldenScenarioJSON renders each pinned scenario to JSON and
-// compares it against the committed golden file with numeric tolerance.
-// Regenerate with:
+// TestGoldenScenarioJSON renders every built-in scenario to JSON and
+// compares it against its committed golden file with numeric tolerance. A
+// built-in scenario without a golden file fails, and so does a golden file
+// that names no built-in scenario. Regenerate with:
 //
 //	go test ./internal/experiments -run TestGoldenScenarioJSON -update
 func TestGoldenScenarioJSON(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden scenario runs")
 	}
-	for _, id := range goldenScenarios {
-		id := id
+	builtin := builtinScenarios()
+	files, err := filepath.Glob(filepath.Join("testdata", "golden", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if id := strings.TrimSuffix(filepath.Base(f), ".json"); builtin[id].Run == nil {
+			t.Errorf("golden file %s names no built-in scenario", f)
+		}
+	}
+	ids := make([]string, 0, len(builtin))
+	for id := range builtin {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	for _, id := range ids {
 		t.Run(id, func(t *testing.T) {
 			res, err := Run(id, goldenOptions())
 			if err != nil {
