@@ -34,15 +34,8 @@ type Ablation struct {
 // RunAblation executes the sweep: every variant (plus the random baseline)
 // runs on the same per-trial environments.
 func RunAblation(opt Options, ab Ablation) (*Result, error) {
-	algos := []algo{{LabelRandom, func(e *env) ([]float64, error) {
-		tbl, err := e.buildRandom(LabelRandom)
-		if err != nil {
-			return nil, err
-		}
-		return e.evalTopology(tbl)
-	}}}
+	algos := []algo{randomAlgo}
 	for _, v := range ab.Variants {
-		v := v
 		algos = append(algos, algo{v.Label, func(e *env) ([]float64, error) {
 			if v.Setup != nil {
 				if err := v.Setup(e); err != nil {
@@ -75,7 +68,7 @@ func RunAblation(opt Options, ab Ablation) (*Result, error) {
 		}
 		if m := baseline.Median(); m > 0 {
 			res.Notes = append(res.Notes, fmt.Sprintf("%s: median %.0f ms (%.0f%% vs random)",
-				s.Label, s.Median(), 100*(1-s.Median()/m)))
+				s.Label, s.Median(), improvementPct(s.Median(), m)))
 		}
 	}
 	return res, nil
@@ -90,7 +83,6 @@ func AblationExploration() Ablation {
 		Title: "Ablation: exploration budget e_v (Subset scoring, out-degree 8)",
 	}
 	for _, ev := range []int{0, 1, 2, 4} {
-		ev := ev
 		ab.Variants = append(ab.Variants, AblationVariant{
 			Label:  fmt.Sprintf("explore=%d", ev),
 			Method: core.Subset,
@@ -111,7 +103,6 @@ func AblationPercentile() Ablation {
 		Title: "Ablation: scoring percentile (Subset scoring)",
 	}
 	for _, pct := range []float64{0.5, 0.75, 0.9, 1.0} {
-		pct := pct
 		ab.Variants = append(ab.Variants, AblationVariant{
 			Label:  fmt.Sprintf("pct=%.2f", pct),
 			Method: core.Subset,
@@ -133,7 +124,6 @@ func AblationRoundLength() Ablation {
 		Title: "Ablation: round length |B| at fixed total blocks (Subset scoring)",
 	}
 	for _, blocks := range []int{25, 50, 100} {
-		blocks := blocks
 		ab.Variants = append(ab.Variants, AblationVariant{
 			Label:  fmt.Sprintf("B=%d", blocks),
 			Method: core.Subset,
@@ -154,7 +144,6 @@ func AblationUCBConstant() Ablation {
 		Title: "Ablation: UCB confidence constant c",
 	}
 	for _, c := range []time.Duration{0, 10 * time.Millisecond, 50 * time.Millisecond, 200 * time.Millisecond} {
-		c := c
 		ab.Variants = append(ab.Variants, AblationVariant{
 			Label:  fmt.Sprintf("c=%s", c),
 			Method: core.UCB,

@@ -33,32 +33,32 @@ type adversaryArm struct {
 // the honest nodes, for the unattacked baselines too, so attacked and
 // clean series cover the same population. All RNG streams derive from the
 // arm label, so (trial, arm) jobs are order-independent.
-func (arm adversaryArm) run(e *env, strat adversary.Strategy) ([]float64, error) {
+func (a adversaryArm) run(e *env, strat adversary.Strategy) ([]float64, error) {
 	advs, err := adversarySet(e)
 	if err != nil {
 		return nil, err
 	}
-	tbl, err := e.buildRandom("adv-" + arm.label)
+	tbl, err := e.buildRandom("adv-" + a.label)
 	if err != nil {
 		return nil, err
 	}
 	var mods []func(*core.Config)
-	if arm.random {
-		sel, err := core.NewRandomSelector(core.DefaultParams(arm.method).Explore)
+	if a.random {
+		sel, err := core.NewRandomSelector(core.DefaultParams(a.method).Explore)
 		if err != nil {
 			return nil, err
 		}
 		mods = append(mods, func(cfg *core.Config) { cfg.Selector = sel })
 	}
-	if arm.attacked {
+	if a.attacked {
 		bind, err := adversary.Bind(strat, e.opt.Nodes, advs, e.lat, e.forward,
-			e.root.Derive("adv-strategy-"+arm.label))
+			e.root.Derive("adv-strategy-"+a.label))
 		if err != nil {
 			return nil, err
 		}
 		mods = append(mods, bind.Apply)
 	}
-	s, _, err := e.runArm(arm.label, "adv-engine-"+arm.label, arm.method, tbl, mods...)
+	s, _, err := e.runArm(a.label, "adv-engine-"+a.label, a.method, tbl, mods...)
 	return s, err
 }
 
@@ -85,9 +85,8 @@ func Adversarial(opt Options, strat adversary.Strategy) (*Result, error) {
 	}
 	arms := adversaryArms()
 	algos := make([]algo, len(arms))
-	for i, arm := range arms {
-		arm := arm
-		algos[i] = algo{arm.label, func(e *env) ([]float64, error) { return arm.run(e, strat) }}
+	for i, a := range arms {
+		algos[i] = algo{a.label, func(e *env) ([]float64, error) { return a.run(e, strat) }}
 	}
 	res, err := runFigure(opt, "adversary-"+strat.Name(),
 		fmt.Sprintf("Adversary: %s (%s; %.0f%% compromised)",

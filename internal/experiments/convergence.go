@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/perigee-net/perigee/internal/core"
-	"github.com/perigee-net/perigee/internal/parallel"
 	"github.com/perigee-net/perigee/internal/stats"
 	"github.com/perigee-net/perigee/internal/trace"
 )
@@ -16,100 +15,98 @@ import (
 // round — medians across nodes of λ_v at 90% and at 50% coverage — plus
 // the random-topology reference medians in the notes.
 func Convergence(opt Options) (*Result, error) {
-	if err := opt.validate(); err != nil {
+	ref, series, regret, err := trajectories(opt, "convergence", [2]string{"p90-coverage", "p50-coverage"},
+		func(e *env, engine *core.Engine) (m [2]float64, err error) {
+			for i, frac := range []float64{0.9, 0.5} {
+				d, err := e.lambda(engine, frac)
+				if err != nil {
+					return m, err
+				}
+				m[i] = stats.Percentile(d, 0.5)
+			}
+			return m, nil
+		})
+	if err != nil {
 		return nil, err
 	}
-	res := &Result{
+	s90, s50 := series[0], series[1]
+	return &Result{
 		ID:      "convergence",
 		Title:   "Convergence: per-round median delay to 90% and 50% of hash power (Perigee-Subset)",
+		Series:  series,
+		Regret:  regret,
 		Options: opt,
-	}
-	p90Trials := make([][]float64, opt.Trials)
-	p50Trials := make([][]float64, opt.Trials)
-	random90Trials := make([]float64, opt.Trials)
-	random50Trials := make([]float64, opt.Trials)
-	perTrace := make([][]*trace.Summary, opt.Trials)
-	outer, innerOpt := splitWorkers(opt, opt.Trials)
-	err := parallel.ForEachIndexed(opt.Trials, outer, func(_, t int) error {
-		e, err := newEnv(innerOpt, t)
-		if err != nil {
-			return err
-		}
-		randTbl, err := e.buildRandom(LabelRandom)
-		if err != nil {
-			return err
-		}
-		ref, err := e.static(randTbl)
-		if err != nil {
-			return err
-		}
-		r90, err := e.lambda(ref, 0.9)
-		if err != nil {
-			return err
-		}
-		random90Trials[t] = stats.Percentile(r90, 0.5)
-		r50, err := e.lambda(ref, 0.5)
-		if err != nil {
-			return err
-		}
-		random50Trials[t] = stats.Percentile(r50, 0.5)
+		Notes: []string{
+			fmt.Sprintf("random reference medians: %.0f ms (90%% coverage), %.0f ms (50%% coverage)",
+				ref[0].Mean(), ref[1].Mean()),
+			fmt.Sprintf("90%% trajectory: %.0f -> %.0f ms over %d rounds (monotone violations: %d)",
+				s90.Mean[0], s90.Mean[len(s90.Mean)-1], opt.Rounds, monotoneViolations(s90.Mean)),
+			fmt.Sprintf("50%% trajectory: %.0f -> %.0f ms (monotone violations: %d) — Perigee only optimizes the 90th percentile (§5.2)",
+				s50.Mean[0], s50.Mean[len(s50.Mean)-1], monotoneViolations(s50.Mean)),
+		},
+	}, nil
+}
 
-		tbl, err := e.buildRandom("convergence")
-		if err != nil {
-			return err
-		}
-		engine, rounds, err := e.engine(LabelSubset, extensionStream, core.Subset, tbl)
-		if err != nil {
-			return err
-		}
-		p90 := make([]float64, 0, rounds)
-		p50 := make([]float64, 0, rounds)
-		for r := 0; r < rounds; r++ {
-			if _, err := engine.Step(); err != nil {
-				return err
-			}
-			d90, err := e.lambda(engine, 0.9)
+// trajectories runs the two arms of Convergence and Scale: the static
+// random reference, measured once, and a Perigee-Subset engine seeded on
+// the random topology named id, measured after every round. measure reads
+// two numbers off an engine. It returns the reference's two numbers
+// summarized across trials and the engine's two per-round series, labelled
+// from labels.
+func trajectories(opt Options, id string, labels [2]string, measure func(*env, *core.Engine) ([2]float64, error)) (ref [2]stats.Summary, series []Series, regret []*trace.Summary, err error) {
+	arms := []arm[[][2]float64]{
+		{LabelRandom, func(e *env) ([][2]float64, error) {
+			tbl, err := e.randomBaseline()
 			if err != nil {
-				return err
+				return nil, err
 			}
-			d50, err := e.lambda(engine, 0.5)
+			engine, err := e.static(tbl)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			p90 = append(p90, stats.Percentile(d90, 0.5))
-			p50 = append(p50, stats.Percentile(d50, 0.5))
+			m, err := measure(e, engine)
+			return [][2]float64{m}, err
+		}},
+		{LabelSubset, func(e *env) ([][2]float64, error) {
+			tbl, err := e.buildRandom(id)
+			if err != nil {
+				return nil, err
+			}
+			engine, rounds, err := e.engine(LabelSubset, extensionStream, core.Subset, tbl)
+			if err != nil {
+				return nil, err
+			}
+			out := make([][2]float64, rounds)
+			for r := range out {
+				if _, err := engine.Step(); err != nil {
+					return nil, err
+				}
+				if out[r], err = measure(e, engine); err != nil {
+					return nil, err
+				}
+			}
+			return out, nil
+		}},
+	}
+	perArm, regret, err := runTrials(opt, id, nil, arms)
+	if err != nil {
+		return ref, nil, nil, err
+	}
+	for i, label := range labels {
+		perTrial := make([][]float64, opt.Trials)
+		for t, rounds := range perArm[1] {
+			ref[i].Add(perArm[0][t][0][i])
+			for _, m := range rounds {
+				perTrial[t] = append(perTrial[t], m[i])
+			}
 		}
-		perTrace[t] = e.regret()
-		p90Trials[t] = p90
-		p50Trials[t] = p50
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		s, err := aggregate(label, perTrial)
+		if err != nil {
+			return ref, nil, nil, err
+		}
+		series = append(series, s)
 	}
-	var random90, random50 stats.Summary
-	for t := 0; t < opt.Trials; t++ {
-		random90.Add(random90Trials[t])
-		random50.Add(random50Trials[t])
-	}
-	s90, err := aggregate("p90-coverage", p90Trials)
-	if err != nil {
-		return nil, err
-	}
-	s50, err := aggregate("p50-coverage", p50Trials)
-	if err != nil {
-		return nil, err
-	}
-	res.Series = []Series{s90, s50}
-	res.Regret = mergeRegret(perTrace...)
-	res.Notes = append(res.Notes,
-		fmt.Sprintf("random reference medians: %.0f ms (90%% coverage), %.0f ms (50%% coverage)",
-			random90.Mean(), random50.Mean()),
-		fmt.Sprintf("90%% trajectory: %.0f -> %.0f ms over %d rounds (monotone violations: %d)",
-			s90.Mean[0], s90.Mean[len(s90.Mean)-1], opt.Rounds, monotoneViolations(s90.Mean)),
-		fmt.Sprintf("50%% trajectory: %.0f -> %.0f ms (monotone violations: %d) — Perigee only optimizes the 90th percentile (§5.2)",
-			s50.Mean[0], s50.Mean[len(s50.Mean)-1], monotoneViolations(s50.Mean)))
-	return res, nil
+	return ref, series, regret, nil
 }
 
 // monotoneViolations counts indices where the series increases (a strictly

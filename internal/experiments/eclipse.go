@@ -6,8 +6,7 @@ import (
 
 	"github.com/perigee-net/perigee/internal/adversary"
 	"github.com/perigee-net/perigee/internal/core"
-	"github.com/perigee-net/perigee/internal/parallel"
-	"github.com/perigee-net/perigee/internal/trace"
+	"github.com/perigee-net/perigee/internal/topology"
 )
 
 // defaultAdversaryFraction is the historical population share of
@@ -44,89 +43,80 @@ func adversarySet(e *env) ([]int, error) {
 // re-randomizes 2 of 8 slots every round, so full capture requires
 // winning the random draws too.
 func Eclipse(opt Options) (*Result, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
 	frac := opt.adversaryFraction()
 	threshold := opt.captureThreshold()
-	res := &Result{
-		ID: "eclipse",
-		Title: fmt.Sprintf("Extension: neighborhood capture by %.0f%% instant-validation adversaries",
-			100*frac),
-		Options: opt,
+	// Both arms bind the same adversaries; each reports the adversarial
+	// share of honest out-slots and the eclipsed honest nodes on its final
+	// topology.
+	capture := func(label string, final func(*env, *adversary.Binding) (*topology.Table, error)) arm[captured] {
+		return arm[captured]{label, func(e *env) (captured, error) {
+			adversaries, err := adversarySet(e)
+			if err != nil {
+				return captured{}, err
+			}
+			bind, err := adversary.Bind(adversary.NewEclipseBias(0), opt.Nodes, adversaries,
+				e.lat, e.forward, e.root.Derive("adversary-strategy"))
+			if err != nil {
+				return captured{}, err
+			}
+			tbl, err := final(e, bind)
+			if err != nil {
+				return captured{}, err
+			}
+			share, eclipsed := captureStats(tbl.OutNeighbors, opt.Nodes, bind.Env.IsAdversary, threshold)
+			return captured{share, eclipsed}, nil
+		}}
 	}
-	// Per-trial results, merged in trial order after the parallel fan-out.
-	type trialStats struct {
-		randomShare, perigeeShare       float64
-		randomEclipsed, perigeeEclipsed int
-	}
-	perTrial := make([]trialStats, opt.Trials)
-	perTrace := make([][]*trace.Summary, opt.Trials)
-	outer, innerOpt := splitWorkers(opt, opt.Trials)
-	err := parallel.ForEachIndexed(opt.Trials, outer, func(_, t int) error {
-		e, err := newEnv(innerOpt, t)
-		if err != nil {
-			return err
-		}
-		adversaries, err := adversarySet(e)
-		if err != nil {
-			return err
-		}
-		bind, err := adversary.Bind(adversary.NewEclipseBias(0), opt.Nodes, adversaries,
-			e.lat, e.forward, e.root.Derive("adversary-strategy"))
-		if err != nil {
-			return err
-		}
-		isAdv := bind.Env.IsAdversary
-
-		randTbl, err := e.buildRandom("eclipse-random")
-		if err != nil {
-			return err
-		}
-		share, eclipsed := captureStats(randTbl.OutNeighbors, opt.Nodes, isAdv, threshold)
-		perTrial[t].randomShare = share
-		perTrial[t].randomEclipsed = eclipsed
-
-		tbl, err := e.buildRandom("eclipse-perigee")
-		if err != nil {
-			return err
-		}
-		engine, rounds, err := e.engine(LabelSubset, "eclipse-engine", core.Subset, tbl, bind.Apply)
-		if err != nil {
-			return err
-		}
-		if _, err := engine.Run(rounds); err != nil {
-			return err
-		}
-		perTrace[t] = e.regret()
-		share, eclipsed = captureStats(engine.Table().OutNeighbors, opt.Nodes, isAdv, threshold)
-		perTrial[t].perigeeShare = share
-		perTrial[t].perigeeEclipsed = eclipsed
-		return nil
+	perArm, regret, err := runTrials(opt, "eclipse", nil, []arm[captured]{
+		capture(LabelRandom, func(e *env, _ *adversary.Binding) (*topology.Table, error) {
+			return e.buildRandom("eclipse-random")
+		}),
+		capture(LabelSubset, func(e *env, bind *adversary.Binding) (*topology.Table, error) {
+			tbl, err := e.buildRandom("eclipse-perigee")
+			if err != nil {
+				return nil, err
+			}
+			engine, rounds, err := e.engine(LabelSubset, "eclipse-engine", core.Subset, tbl, bind.Apply)
+			if err != nil {
+				return nil, err
+			}
+			_, err = engine.Run(rounds)
+			return engine.Table(), err
+		}),
 	})
 	if err != nil {
 		return nil, err
 	}
-	res.Regret = mergeRegret(perTrace...)
-	var (
-		randomShare, perigeeShare       float64
-		randomEclipsed, perigeeEclipsed int
-	)
-	for _, ts := range perTrial {
-		randomShare += ts.randomShare / float64(opt.Trials)
-		perigeeShare += ts.perigeeShare / float64(opt.Trials)
-		randomEclipsed += ts.randomEclipsed
-		perigeeEclipsed += ts.perigeeEclipsed
+	var totals [2]captured
+	for i := range totals {
+		for _, c := range perArm[i] {
+			totals[i].share += c.share / float64(opt.Trials)
+			totals[i].eclipsed += c.eclipsed
+		}
 	}
 	params := core.DefaultParams(core.Subset)
-	res.Notes = append(res.Notes,
-		fmt.Sprintf("random topology: adversaries hold %.0f%% of honest out-slots; %d honest nodes eclipsed",
-			100*randomShare, randomEclipsed),
-		fmt.Sprintf("Perigee topology: adversaries hold %.0f%% of honest out-slots; %d honest nodes eclipsed",
-			100*perigeeShare, perigeeEclipsed),
-		fmt.Sprintf("being fast earns adversaries over-representation (trust gain), but the %d-of-%d exploration quota re-randomizes slots every round, keeping full capture rare",
-			params.Explore, params.OutDegree))
-	return res, nil
+	return &Result{
+		ID: "eclipse",
+		Title: fmt.Sprintf("Extension: neighborhood capture by %.0f%% instant-validation adversaries",
+			100*frac),
+		Regret:  regret,
+		Options: opt,
+		Notes: []string{
+			fmt.Sprintf("random topology: adversaries hold %.0f%% of honest out-slots; %d honest nodes eclipsed",
+				100*totals[0].share, totals[0].eclipsed),
+			fmt.Sprintf("Perigee topology: adversaries hold %.0f%% of honest out-slots; %d honest nodes eclipsed",
+				100*totals[1].share, totals[1].eclipsed),
+			fmt.Sprintf("being fast earns adversaries over-representation (trust gain), but the %d-of-%d exploration quota re-randomizes slots every round, keeping full capture rare",
+				params.Explore, params.OutDegree),
+		},
+	}, nil
+}
+
+// captured is one eclipse arm's capture statistics on one trial (see
+// captureStats).
+type captured struct {
+	share    float64
+	eclipsed int
 }
 
 // captureStats computes the mean adversarial share of honest nodes'

@@ -6,9 +6,7 @@ import (
 	"time"
 
 	"github.com/perigee-net/perigee/internal/core"
-	"github.com/perigee-net/perigee/internal/parallel"
 	"github.com/perigee-net/perigee/internal/stats"
-	"github.com/perigee-net/perigee/internal/trace"
 )
 
 // The extension experiments cover the paper's §6 discussion items that the
@@ -25,89 +23,67 @@ const FreerideSilentFraction = 0.2
 // curves ("random", "Perigee-Subset") plus two receive-delay series under
 // Perigee: honest vs silent nodes.
 func Freeride(opt Options) (*Result, error) {
-	if err := opt.validate(); err != nil {
+	// Both arms run over the same silent population: the static random
+	// baseline never steps, the Perigee arm runs its round budget.
+	freeriders := func(label string, adapt bool) arm[freerideTrial] {
+		return arm[freerideTrial]{label, func(e *env) (freerideTrial, error) {
+			silent := make([]bool, opt.Nodes)
+			perm := e.root.Derive("silent-nodes").Perm(opt.Nodes)
+			for _, v := range perm[:int(FreerideSilentFraction*float64(opt.Nodes))] {
+				silent[v] = true
+			}
+			var ft freerideTrial
+			tbl, err := e.buildRandom(label)
+			if err != nil {
+				return ft, err
+			}
+			engine, rounds, err := e.engine(label, extensionStream, core.Subset, tbl,
+				func(cfg *core.Config) { cfg.Silent = silent })
+			if err != nil {
+				return ft, err
+			}
+			if adapt {
+				if _, err := engine.Run(rounds); err != nil {
+					return ft, err
+				}
+			}
+			if ft.lambda, err = e.lambda(engine, e.opt.Fraction); err != nil {
+				return ft, err
+			}
+			recv, err := engine.ReceiveDelays(receiveSources(e, silent))
+			if err != nil {
+				return ft, err
+			}
+			ft.honestMs, ft.silentMs = splitMeans(recv, silent)
+			return ft, nil
+		}}
+	}
+	arms := []arm[freerideTrial]{freeriders(LabelRandom, false), freeriders(LabelSubset, true)}
+	perArm, regret, err := runTrials(opt, "freeride", nil, arms)
+	if err != nil {
 		return nil, err
 	}
 	res := &Result{
 		ID:      "freeride",
 		Title:   fmt.Sprintf("Extension: %.0f%% free-riding (non-relaying) nodes", 100*FreerideSilentFraction),
+		Regret:  regret,
 		Options: opt,
 	}
-	// Per-trial results, indexed so the parallel fan-out is scheduling
-	// independent.
-	var (
-		randomTrials   = make([][]float64, opt.Trials)
-		perigeeTrials  = make([][]float64, opt.Trials)
-		honestRecvMs   = make([]float64, opt.Trials)
-		silentRecvMs   = make([]float64, opt.Trials)
-		honestRandomMs = make([]float64, opt.Trials)
-		silentRandomMs = make([]float64, opt.Trials)
-		perTrace       = make([][]*trace.Summary, opt.Trials)
-	)
-	outer, innerOpt := splitWorkers(opt, opt.Trials)
-	err := parallel.ForEachIndexed(opt.Trials, outer, func(_, t int) error {
-		e, err := newEnv(innerOpt, t)
+	var honestMs, silentMs [2]float64
+	for i, a := range arms {
+		lambdas, honest, silent := make([][]float64, opt.Trials), make([]float64, opt.Trials), make([]float64, opt.Trials)
+		for t, ft := range perArm[i] {
+			lambdas[t], honest[t], silent[t] = ft.lambda, ft.honestMs, ft.silentMs
+		}
+		s, err := aggregate(a.label, lambdas)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		silent := make([]bool, opt.Nodes)
-		perm := e.root.Derive("silent-nodes").Perm(opt.Nodes)
-		for _, v := range perm[:int(FreerideSilentFraction*float64(opt.Nodes))] {
-			silent[v] = true
-		}
-		freeriders := func(cfg *core.Config) { cfg.Silent = silent }
-
-		// Static random baseline with the same silent population.
-		randTbl, err := e.buildRandom(LabelRandom)
-		if err != nil {
-			return err
-		}
-		randEngine, _, err := e.engine(LabelRandom, extensionStream, core.Subset, randTbl, freeriders)
-		if err != nil {
-			return err
-		}
-		if randomTrials[t], err = e.lambda(randEngine, e.opt.Fraction); err != nil {
-			return err
-		}
-		randRecv, err := randEngine.ReceiveDelays(receiveSources(e, silent))
-		if err != nil {
-			return err
-		}
-		honestRandomMs[t], silentRandomMs[t] = splitMeans(randRecv, silent)
-
-		// Perigee run over the same network.
-		periTbl, err := e.buildRandom(LabelSubset)
-		if err != nil {
-			return err
-		}
-		series, engine, err := e.runArm(LabelSubset, extensionStream, core.Subset, periTbl, freeriders)
-		if err != nil {
-			return err
-		}
-		perigeeTrials[t] = series
-		recv, err := engine.ReceiveDelays(receiveSources(e, silent))
-		if err != nil {
-			return err
-		}
-		perTrace[t] = e.regret()
-		honestRecvMs[t], silentRecvMs[t] = splitMeans(recv, silent)
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		res.Series = append(res.Series, s)
+		honestMs[i], silentMs[i] = stats.Mean(honest), stats.Mean(silent)
 	}
-	randomSeries, err := aggregate(LabelRandom, randomTrials)
-	if err != nil {
-		return nil, err
-	}
-	perigeeSeries, err := aggregate(LabelSubset, perigeeTrials)
-	if err != nil {
-		return nil, err
-	}
-	res.Series = []Series{randomSeries, perigeeSeries}
-	res.Regret = mergeRegret(perTrace...)
-	hr, sr := stats.Mean(honestRandomMs), stats.Mean(silentRandomMs)
-	hp, sp := stats.Mean(honestRecvMs), stats.Mean(silentRecvMs)
+	hr, sr := honestMs[0], silentMs[0]
+	hp, sp := honestMs[1], silentMs[1]
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("random: silent nodes receive blocks %.0f ms after mining vs %.0f ms for honest (%.0f%% penalty)",
 			sr, hr, 100*(sr/hr-1)),
@@ -115,6 +91,13 @@ func Freeride(opt Options) (*Result, error) {
 			sp, hp, 100*(sp/hp-1)),
 		"Perigee punishes free-riders: deviating from the relay protocol costs reception latency (§1's incentive claim)")
 	return res, nil
+}
+
+// freerideTrial is one Freeride arm's trial: its λ series and the mean
+// receive delays (ms) of honest and silent nodes.
+type freerideTrial struct {
+	lambda             []float64
+	honestMs, silentMs float64
 }
 
 // receiveSources samples honest block sources for receive-delay
@@ -160,15 +143,8 @@ const ChurnFraction = 0.05
 // and random connections. Perigee must keep (most of) its advantage while
 // continuously re-learning.
 func Churn(opt Options) (*Result, error) {
-	setup := func(*env) error { return nil }
 	algos := []algo{
-		{LabelRandom, func(e *env) ([]float64, error) {
-			tbl, err := e.buildRandom(LabelRandom)
-			if err != nil {
-				return nil, err
-			}
-			return e.evalTopology(tbl)
-		}},
+		randomAlgo,
 		perigeeAlgo(LabelSubset+"-stable", core.Subset),
 		{LabelSubset + "-churn", func(e *env) ([]float64, error) {
 			tbl, err := e.buildRandom("churn")
@@ -192,30 +168,19 @@ func Churn(opt Options) (*Result, error) {
 			}
 			return e.lambda(engine, e.opt.Fraction)
 		}},
-		{LabelIdeal, func(e *env) ([]float64, error) { return e.evalIdeal() }},
+		idealAlgo,
 	}
 	res, err := runFigure(opt, "churn",
 		fmt.Sprintf("Extension: %.0f%% of nodes replaced every round", 100*ChurnFraction),
-		setup, algos)
+		nil, algos)
 	if err != nil {
 		return nil, err
 	}
-	randomS, err := res.SeriesByLabel(LabelRandom)
-	if err != nil {
-		return nil, err
-	}
-	stable, err := res.SeriesByLabel(LabelSubset + "-stable")
-	if err != nil {
-		return nil, err
-	}
-	churned, err := res.SeriesByLabel(LabelSubset + "-churn")
-	if err != nil {
-		return nil, err
-	}
+	randomS, stable, churned := res.Series[0], res.Series[1], res.Series[2]
 	if m := randomS.Median(); m > 0 && !math.IsInf(m, 1) {
 		res.Notes = append(res.Notes, fmt.Sprintf(
 			"improvement vs random: %.0f%% without churn, %.0f%% with %.0f%% churn per round",
-			100*(1-stable.Median()/m), 100*(1-churned.Median()/m), 100*ChurnFraction))
+			improvementPct(stable.Median(), m), improvementPct(churned.Median(), m), 100*ChurnFraction))
 	}
 	return res, nil
 }
@@ -232,9 +197,6 @@ const (
 // Bandwidth measures the upload-serialization scenario (§3.3's bandwidth
 // skew): per-node send intervals model block transmission time.
 func Bandwidth(opt Options) (*Result, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
 	slowUploads := func(e *env) func(*core.Config) {
 		r := e.root.Derive("bandwidth")
 		intervals := make([]time.Duration, e.opt.Nodes)

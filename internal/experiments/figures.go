@@ -8,12 +8,10 @@ import (
 	"github.com/perigee-net/perigee/internal/core"
 	"github.com/perigee-net/perigee/internal/hashpower"
 	"github.com/perigee-net/perigee/internal/latency"
-	"github.com/perigee-net/perigee/internal/paper"
 	"github.com/perigee-net/perigee/internal/parallel"
 	"github.com/perigee-net/perigee/internal/rng"
 	"github.com/perigee-net/perigee/internal/stats"
 	"github.com/perigee-net/perigee/internal/topology"
-	"github.com/perigee-net/perigee/internal/trace"
 )
 
 // Algorithm labels shared across figures (the paper's legend names).
@@ -30,31 +28,13 @@ const (
 // standardAlgos returns the full comparison set of Figure 3.
 func standardAlgos() []algo {
 	return []algo{
-		{LabelRandom, func(e *env) ([]float64, error) {
-			tbl, err := e.buildRandom(LabelRandom)
-			if err != nil {
-				return nil, err
-			}
-			return e.evalTopology(tbl)
-		}},
-		{LabelGeographic, func(e *env) ([]float64, error) {
-			tbl, err := topology.Geographic(e.universe, 8, 4, paper.MaxIncoming, e.root.Derive("geo-topology"))
-			if err != nil {
-				return nil, err
-			}
-			return e.evalTopology(tbl)
-		}},
-		{LabelKademlia, func(e *env) ([]float64, error) {
-			tbl, err := topology.Kademlia(e.opt.Nodes, 8, paper.MaxIncoming, e.root.Derive("kad-topology"))
-			if err != nil {
-				return nil, err
-			}
-			return e.evalTopology(tbl)
-		}},
+		randomAlgo,
+		geographicAlgo,
+		staticAlgo(LabelKademlia, (*env).kademlia),
 		perigeeAlgo(LabelVanilla, core.Vanilla),
 		perigeeAlgo(LabelUCB, core.UCB),
 		perigeeAlgo(LabelSubset, core.Subset),
-		{LabelIdeal, func(e *env) ([]float64, error) { return e.evalIdeal() }},
+		idealAlgo,
 	}
 }
 
@@ -100,51 +80,31 @@ var ValidationMultipliers = []float64{0.1, 0.5, 1, 5, 10}
 // per-node validation delay is scaled from 0.1x to 10x its default.
 // Series are labeled "<algo>-<mult>x".
 func Figure4a(opt Options) (*Result, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	res := &Result{
-		ID:      "figure4a",
-		Title:   "Fig 4(a): sensitivity to block validation delay (0.1x-10x)",
-		Options: opt,
-	}
+	var algos []algo
 	for _, mult := range ValidationMultipliers {
-		mult := mult
-		setup := func(e *env) error {
-			e.forward = scaleForward(e.forward, mult)
-			return nil
+		// Each arm scales its own env's validation delays.
+		scaled := func(a algo) algo {
+			return algo{a.label, func(e *env) ([]float64, error) {
+				e.forward = scaleForward(e.forward, mult)
+				return a.run(e)
+			}}
 		}
-		sub, err := runFigure(opt, res.ID, res.Title, setup, []algo{
-			{fmt.Sprintf("%s-%gx", LabelRandom, mult), func(e *env) ([]float64, error) {
-				tbl, err := e.buildRandom(LabelRandom)
-				if err != nil {
-					return nil, err
-				}
-				return e.evalTopology(tbl)
-			}},
-			perigeeAlgo(fmt.Sprintf("%s-%gx", LabelSubset, mult), core.Subset),
-		})
-		if err != nil {
-			return nil, err
-		}
-		res.Series = append(res.Series, sub.Series...)
-		res.Regret = append(res.Regret, sub.Regret...)
+		random := algo{fmt.Sprintf("%s-%gx", LabelRandom, mult), randomAlgo.run}
+		subset := perigeeAlgo(fmt.Sprintf("%s-%gx", LabelSubset, mult), core.Subset)
+		algos = append(algos, scaled(random), scaled(subset))
+	}
+	res, err := runFigure(opt, "figure4a", "Fig 4(a): sensitivity to block validation delay (0.1x-10x)", nil, algos)
+	if err != nil {
+		return nil, err
 	}
 	// Note the expected trend: Perigee's relative advantage shrinks as
 	// validation dominates propagation.
-	for _, mult := range ValidationMultipliers {
-		randomS, err := res.SeriesByLabel(fmt.Sprintf("%s-%gx", LabelRandom, mult))
-		if err != nil {
-			return nil, err
-		}
-		subsetS, err := res.SeriesByLabel(fmt.Sprintf("%s-%gx", LabelSubset, mult))
-		if err != nil {
-			return nil, err
-		}
+	for i, mult := range ValidationMultipliers {
+		randomS, subsetS := res.Series[2*i], res.Series[2*i+1]
 		if m := randomS.Median(); m > 0 && !math.IsInf(m, 1) {
 			res.Notes = append(res.Notes, fmt.Sprintf(
 				"validation %gx: Perigee-Subset median %.0f ms vs random %.0f ms (%.0f%% better)",
-				mult, subsetS.Median(), m, 100*(1-subsetS.Median()/m)))
+				mult, subsetS.Median(), m, improvementPct(subsetS.Median(), m)))
 		}
 	}
 	return res, nil
@@ -237,24 +197,7 @@ func Figure4c(opt Options) (*Result, error) {
 // standardSubsetComparison is the reduced algorithm set used by the
 // Figure 4(b)/(c) scenario studies.
 func standardSubsetComparison() []algo {
-	return []algo{
-		{LabelRandom, func(e *env) ([]float64, error) {
-			tbl, err := e.buildRandom(LabelRandom)
-			if err != nil {
-				return nil, err
-			}
-			return e.evalTopology(tbl)
-		}},
-		{LabelGeographic, func(e *env) ([]float64, error) {
-			tbl, err := topology.Geographic(e.universe, 8, 4, paper.MaxIncoming, e.root.Derive("geo-topology"))
-			if err != nil {
-				return nil, err
-			}
-			return e.evalTopology(tbl)
-		}},
-		perigeeAlgo(LabelSubset, core.Subset),
-		{LabelIdeal, func(e *env) ([]float64, error) { return e.evalIdeal() }},
-	}
+	return []algo{randomAlgo, geographicAlgo, perigeeAlgo(LabelSubset, core.Subset), idealAlgo}
 }
 
 // EdgeHistogramRange is the Figure 5 histogram domain in milliseconds.
@@ -268,7 +211,39 @@ const (
 // final p2p graph under each algorithm (uniform hash power). Perigee-Subset
 // should concentrate mass in the intra-continental (low-latency) mode.
 func Figure5(opt Options) (*Result, error) {
-	if err := opt.validate(); err != nil {
+	// Each arm returns its final graph's edge latencies (ms), each
+	// undirected edge once.
+	graph := func(label string, build func(*env) (*topology.Table, error)) arm[[]float64] {
+		return arm[[]float64]{label, func(e *env) ([]float64, error) {
+			tbl, err := build(e)
+			if err != nil {
+				return nil, err
+			}
+			var ms []float64
+			for u, row := range tbl.Undirected() {
+				for _, v := range row {
+					if u < v {
+						ms = append(ms, float64(e.lat.Delay(u, v))/float64(time.Millisecond))
+					}
+				}
+			}
+			return ms, nil
+		}}
+	}
+	arms := []arm[[]float64]{
+		graph(LabelRandom, (*env).randomBaseline),
+		graph(LabelGeographic, (*env).geographic),
+		graph(LabelKademlia, (*env).kademlia),
+		graph(LabelSubset, func(e *env) (*topology.Table, error) {
+			_, engine, err := e.runPerigee(LabelSubset, core.Subset)
+			if err != nil {
+				return nil, err
+			}
+			return engine.Table(), nil
+		}),
+	}
+	edges, regret, err := runTrials(opt, "figure5", nil, arms)
+	if err != nil {
 		return nil, err
 	}
 	res := &Result{
@@ -276,83 +251,22 @@ func Figure5(opt Options) (*Result, error) {
 		Title:      "Fig 5: edge-latency histograms of converged topologies",
 		Options:    opt,
 		Histograms: make(map[string]*stats.Histogram),
+		Regret:     regret,
 	}
-	addHist := func(label string, adj [][]int, lat latency.Model) error {
-		h, ok := res.Histograms[label]
-		if !ok {
-			var err error
-			h, err = stats.NewHistogram(EdgeHistogramLoMs, EdgeHistogramHiMs, EdgeHistogramBins)
-			if err != nil {
-				return err
-			}
-			res.Histograms[label] = h
+	for i, a := range arms {
+		h, err := stats.NewHistogram(EdgeHistogramLoMs, EdgeHistogramHiMs, EdgeHistogramBins)
+		if err != nil {
+			return nil, err
 		}
-		for u := range adj {
-			for _, v := range adj[u] {
-				if u < v { // count each undirected edge once
-					h.Add(float64(lat.Delay(u, v)) / float64(time.Millisecond))
-				}
+		for _, ms := range edges[i] {
+			for _, d := range ms {
+				h.Add(d)
 			}
 		}
-		return nil
-	}
-	// Per-trial topologies are built in parallel; histograms are merged
-	// sequentially in (trial, label) order so bin counts never depend on
-	// scheduling.
-	type trialGraphs struct {
-		lat latency.Model
-		adj map[string][][]int
-	}
-	perTrial := make([]trialGraphs, opt.Trials)
-	perTrace := make([][]*trace.Summary, opt.Trials)
-	outer, innerOpt := splitWorkers(opt, opt.Trials)
-	err := parallel.ForEachIndexed(opt.Trials, outer, func(_, t int) error {
-		e, err := newEnv(innerOpt, t)
-		if err != nil {
-			return err
-		}
-		adj := make(map[string][][]int, 4)
-		randomTbl, err := e.buildRandom(LabelRandom)
-		if err != nil {
-			return err
-		}
-		adj[LabelRandom] = randomTbl.Undirected()
-		geoTbl, err := topology.Geographic(e.universe, 8, 4, paper.MaxIncoming, e.root.Derive("geo-topology"))
-		if err != nil {
-			return err
-		}
-		adj[LabelGeographic] = geoTbl.Undirected()
-		kadTbl, err := topology.Kademlia(e.opt.Nodes, 8, paper.MaxIncoming, e.root.Derive("kad-topology"))
-		if err != nil {
-			return err
-		}
-		adj[LabelKademlia] = kadTbl.Undirected()
-		_, engine, err := e.runPerigee(LabelSubset, core.Subset)
-		if err != nil {
-			return err
-		}
-		adj[LabelSubset] = engine.Adjacency()
-		perTrial[t] = trialGraphs{lat: e.lat, adj: adj}
-		perTrace[t] = e.regret()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Regret = mergeRegret(perTrace...)
-	for t := 0; t < opt.Trials; t++ {
-		for _, label := range []string{LabelRandom, LabelGeographic, LabelKademlia, LabelSubset} {
-			if err := addHist(label, perTrial[t].adj[label], perTrial[t].lat); err != nil {
-				return nil, err
-			}
-		}
-	}
-	// Headline statistic: fraction of edge mass in the low-latency half.
-	for _, label := range []string{LabelRandom, LabelGeographic, LabelKademlia, LabelSubset} {
-		h := res.Histograms[label]
-		frac := lowModeFraction(h)
+		res.Histograms[a.label] = h
+		// Headline statistic: fraction of edge mass in the low-latency half.
 		res.Notes = append(res.Notes, fmt.Sprintf("%s: %.0f%% of edges below %.0f ms",
-			label, 100*frac, (EdgeHistogramLoMs+EdgeHistogramHiMs)/2))
+			a.label, 100*lowModeFraction(h), (EdgeHistogramLoMs+EdgeHistogramHiMs)/2))
 	}
 	return res, nil
 }
@@ -372,61 +286,82 @@ func lowModeFraction(h *stats.Histogram) float64 {
 // unit square, random 3-regular connectivity vs a geometric threshold
 // graph. The series are stretch distributions (sorted, dimensionless).
 func Figure1(opt Options) (*Result, error) {
-	if err := opt.validate(); err != nil {
+	n := opt.Nodes
+	series, err := stretchSweep(opt, []string{"random-stretch", "geometric-stretch"}, 200, func(s, t int) stretchCurve {
+		root := rng.New(opt.Seed).DeriveIndexed("figure1", t)
+		if s == 0 {
+			return stretchCurve{n, root, "pairs-random", func(*latency.Hypercube) ([][]int, error) {
+				return topology.RandomUndirected(n, 3, root.Derive("random"))
+			}}
+		}
+		return stretchCurve{n, root, "pairs-geom", func(cube *latency.Hypercube) ([][]int, error) {
+			return topology.Geometric(n, cube.Distance, geometricRadius(n, 2))
+		}}
+	})
+	if err != nil {
 		return nil, err
 	}
-	res := &Result{
+	return &Result{
 		ID:      "figure1",
 		Title:   "Fig 1: path stretch, random vs geometric graph on the unit square",
 		Options: opt,
+		Series:  series,
+		Notes: []string{fmt.Sprintf("median stretch: random %.2f vs geometric %.2f",
+			series[0].Median(), series[1].Median())},
+	}, nil
+}
+
+// stretchCurve is one (series, trial) cell of a stretch sweep: n points in
+// the unit square drawn from root's "points" stream, the graph over them,
+// and the stream the sampled pairs come from.
+type stretchCurve struct {
+	n     int
+	root  *rng.RNG
+	pairs string
+	graph func(cube *latency.Hypercube) ([][]int, error)
+}
+
+// stretchSweep is the pipeline of Figure 1 and the theorem sweeps: for
+// every (series, trial) cell that curve describes it samples the points,
+// builds the graph and takes the CDF of pairs sampled pairs' stretch, all
+// cells on one worker pool, then folds each series' trials into a Series
+// labelled from labels.
+func stretchSweep(opt Options, labels []string, pairs int, curve func(s, t int) stretchCurve) ([]Series, error) {
+	if err := opt.validate(); err != nil {
+		return nil, err
 	}
-	const pairs = 200
-	randomTrials := make([][]float64, opt.Trials)
-	geomTrials := make([][]float64, opt.Trials)
-	err := parallel.ForEachIndexed(opt.Trials, opt.Workers, func(_, t int) error {
-		root := rng.New(opt.Seed).DeriveIndexed("figure1", t)
-		cube, err := latency.NewHypercube(opt.Nodes, 2, 100*time.Millisecond, root.Derive("points"))
+	cdfs := make([][][]float64, len(labels))
+	for i := range cdfs {
+		cdfs[i] = make([][]float64, opt.Trials)
+	}
+	err := parallel.ForEachIndexed(len(labels)*opt.Trials, opt.Workers, func(_, j int) error {
+		s, t := j/opt.Trials, j%opt.Trials
+		c := curve(s, t)
+		cube, err := latency.NewHypercube(c.n, 2, 100*time.Millisecond, c.root.Derive("points"))
 		if err != nil {
 			return err
 		}
-		weight := func(u, v int) time.Duration { return cube.Delay(u, v) }
-		randomAdj, err := topology.RandomUndirected(opt.Nodes, 3, root.Derive("random"))
+		adj, err := c.graph(cube)
 		if err != nil {
 			return err
 		}
-		radius := geometricRadius(opt.Nodes, 2)
-		geomAdj, err := topology.Geometric(opt.Nodes, cube.Distance, radius)
+		ss, err := topology.StretchSample(adj, cube.Delay, pairs, c.root.Derive(c.pairs))
 		if err != nil {
 			return err
 		}
-		rs, err := topology.StretchSample(randomAdj, weight, pairs, root.Derive("pairs-random"))
-		if err != nil {
-			return err
-		}
-		gs, err := topology.StretchSample(geomAdj, weight, pairs, root.Derive("pairs-geom"))
-		if err != nil {
-			return err
-		}
-		randomTrials[t] = stats.CDF(rs)
-		geomTrials[t] = stats.CDF(gs)
+		cdfs[s][t] = stats.CDF(ss)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	randomSeries, err := aggregate("random-stretch", randomTrials)
-	if err != nil {
-		return nil, err
+	series := make([]Series, len(labels))
+	for i, label := range labels {
+		if series[i], err = aggregate(label, cdfs[i]); err != nil {
+			return nil, err
+		}
 	}
-	geomSeries, err := aggregate("geometric-stretch", geomTrials)
-	if err != nil {
-		return nil, err
-	}
-	res.Series = []Series{randomSeries, geomSeries}
-	res.Notes = append(res.Notes, fmt.Sprintf(
-		"median stretch: random %.2f vs geometric %.2f",
-		randomSeries.Median(), geomSeries.Median()))
-	return res, nil
+	return series, nil
 }
 
 // geometricRadius is the connectivity threshold r = Θ((log n / n)^(1/d))
@@ -453,58 +388,28 @@ func Theorem2(opt Options) (*Result, error) {
 }
 
 func theoremExperiment(opt Options, id, title string, geometric bool) (*Result, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
+	labels := make([]string, len(TheoremSizes))
+	for i, n := range TheoremSizes {
+		labels[i] = fmt.Sprintf("n=%d", n)
 	}
-	res := &Result{ID: id, Title: title, Options: opt}
-	const dim = 2
-	const pairs = 150
-	// Flatten the (size, trial) sweep into one indexed job list.
-	perSize := make([][][]float64, len(TheoremSizes))
-	for i := range perSize {
-		perSize[i] = make([][]float64, opt.Trials)
-	}
-	jobs := len(TheoremSizes) * opt.Trials
-	err := parallel.ForEachIndexed(jobs, opt.Workers, func(_, j int) error {
-		si, t := j/opt.Trials, j%opt.Trials
-		n := TheoremSizes[si]
+	series, err := stretchSweep(opt, labels, 150, func(s, t int) stretchCurve {
+		n := TheoremSizes[s]
 		root := rng.New(opt.Seed).DeriveIndexed(fmt.Sprintf("%s-%d", id, n), t)
-		cube, err := latency.NewHypercube(n, dim, 100*time.Millisecond, root.Derive("points"))
-		if err != nil {
-			return err
-		}
-		var adj [][]int
-		if geometric {
-			adj, err = topology.Geometric(n, cube.Distance, geometricRadius(n, dim))
-		} else {
-			// Average degree ~ c log n mirrors p <= c log n / n.
-			deg := int(math.Ceil(math.Log(float64(n)) / 2))
-			if deg < 2 {
-				deg = 2
+		return stretchCurve{n, root, "pairs", func(cube *latency.Hypercube) ([][]int, error) {
+			if geometric {
+				return topology.Geometric(n, cube.Distance, geometricRadius(n, 2))
 			}
-			adj, err = topology.RandomUndirected(n, deg, root.Derive("graph"))
-		}
-		if err != nil {
-			return err
-		}
-		weight := func(u, v int) time.Duration { return cube.Delay(u, v) }
-		ss, err := topology.StretchSample(adj, weight, pairs, root.Derive("pairs"))
-		if err != nil {
-			return err
-		}
-		perSize[si][t] = stats.CDF(ss)
-		return nil
+			// Average degree ~ c log n mirrors p <= c log n / n.
+			deg := max(int(math.Ceil(math.Log(float64(n))/2)), 2)
+			return topology.RandomUndirected(n, deg, root.Derive("graph"))
+		}}
 	})
 	if err != nil {
 		return nil, err
 	}
-	for si, n := range TheoremSizes {
-		s, err := aggregate(fmt.Sprintf("n=%d", n), perSize[si])
-		if err != nil {
-			return nil, err
-		}
-		res.Series = append(res.Series, s)
-		res.Notes = append(res.Notes, fmt.Sprintf("n=%d: median stretch %.2f", n, s.Median()))
+	res := &Result{ID: id, Title: title, Options: opt, Series: series}
+	for i, n := range TheoremSizes {
+		res.Notes = append(res.Notes, fmt.Sprintf("n=%d: median stretch %.2f", n, series[i].Median()))
 	}
 	return res, nil
 }
@@ -513,9 +418,7 @@ func theoremExperiment(opt Options, id, title string, geometric bool) (*Result, 
 // note when both curves exist.
 func annotateImprovement(res *Result) {
 	randomS, err1 := res.SeriesByLabel(LabelRandom)
-	var perigeeS Series
-	var err2 error
-	perigeeS, err2 = res.SeriesByLabel(LabelSubset)
+	perigeeS, err2 := res.SeriesByLabel(LabelSubset)
 	if err1 != nil || err2 != nil {
 		return
 	}
@@ -525,5 +428,11 @@ func annotateImprovement(res *Result) {
 	}
 	res.Notes = append(res.Notes, fmt.Sprintf(
 		"Perigee-Subset median %.0f ms vs random %.0f ms: %.0f%% improvement",
-		pm, rm, 100*(1-pm/rm)))
+		pm, rm, improvementPct(pm, rm)))
+}
+
+// improvementPct is how much lower (in percent) a median is than the
+// random baseline's; callers guard the baseline themselves.
+func improvementPct(median, random float64) float64 {
+	return 100 * (1 - median/random)
 }

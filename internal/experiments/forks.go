@@ -7,19 +7,8 @@ import (
 
 	"github.com/perigee-net/perigee/internal/core"
 	"github.com/perigee-net/perigee/internal/paper"
-	"github.com/perigee-net/perigee/internal/parallel"
-	"github.com/perigee-net/perigee/internal/trace"
 	"github.com/perigee-net/perigee/internal/workload"
 )
-
-// forkArm is one algorithm arm of the forks scenario: a legend label, the
-// selector driving the timed topology rounds, and whether rounds fire at
-// all (the static baseline never updates its random topology).
-type forkArm struct {
-	label  string
-	method core.Method
-	timed  bool
-}
 
 // Forks measures what slow propagation costs under a continuous-time
 // blockchain workload: miners produce blocks as a Poisson process (mean
@@ -37,21 +26,12 @@ type forkArm struct {
 // writes trial 0's trace for later replay. The λ series the rest of the
 // suite reports are evaluated on each arm's final topology alongside.
 func Forks(opt Options) (*Result, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
 	if opt.TraceFile != "" && opt.Trials != 1 {
 		return nil, fmt.Errorf("experiments: trace replay requires exactly 1 trial, got %d", opt.Trials)
 	}
 	interval := cmp.Or(opt.BlockInterval, paper.BlockInterval)
 	roundInterval := time.Duration(opt.RoundBlocks) * interval
 	duration := time.Duration(opt.Rounds) * roundInterval
-
-	arms := []forkArm{
-		{LabelSubset, core.Subset, true},
-		{LabelVanilla, core.Vanilla, true},
-		{LabelRandom, core.Subset, false}, // method unused: rounds never fire
-	}
 
 	// A trial's trace is shared verbatim by every arm. Materialization is
 	// stateless in (Seed, trial), so the parallel (trial, arm) jobs can
@@ -78,63 +58,41 @@ func Forks(opt Options) (*Result, error) {
 		return workload.Materialize(gen, duration, opt.Nodes)
 	}
 
-	if opt.RecordTrace != "" {
-		e, err := newEnv(opt, 0)
-		if err != nil {
-			return nil, err
-		}
-		tf, err := traceFor(e)
-		if err != nil {
-			return nil, err
-		}
-		if err := tf.WriteTraceFile(opt.RecordTrace); err != nil {
-			return nil, err
-		}
+	// An arm is a legend label, the selector driving the timed topology
+	// rounds and their pace; the static baseline's rounds never fire.
+	fork := func(label string, method core.Method, pace time.Duration) arm[forkTrial] {
+		return arm[forkTrial]{label, func(e *env) (forkTrial, error) {
+			var ft forkTrial
+			tf, err := traceFor(e)
+			if err != nil {
+				return ft, err
+			}
+			if label == LabelSubset && e.trial == 0 && opt.RecordTrace != "" {
+				if err := tf.WriteTraceFile(opt.RecordTrace); err != nil {
+					return ft, err
+				}
+			}
+			tbl, err := e.buildRandom("forks-" + label)
+			if err != nil {
+				return ft, err
+			}
+			engine, _, err := e.engine(label, "workload-engine-"+label, method, tbl)
+			if err != nil {
+				return ft, err
+			}
+			if ft.report, err = paper.RunWorkload(engine, tf.Trace(), duration, pace); err != nil {
+				return ft, err
+			}
+			ft.lambda, err = e.lambda(engine, e.opt.Fraction)
+			return ft, err
+		}}
 	}
-
-	perSeries := make([][][]float64, len(arms))
-	perReport := make([][]*workload.Report, len(arms))
-	for i := range arms {
-		perSeries[i] = make([][]float64, opt.Trials)
-		perReport[i] = make([]*workload.Report, opt.Trials)
+	arms := []arm[forkTrial]{
+		fork(LabelSubset, core.Subset, interval),
+		fork(LabelVanilla, core.Vanilla, interval),
+		fork(LabelRandom, core.Subset, 0), // method unused: rounds never fire
 	}
-	jobs := opt.Trials * len(arms)
-	perTrace := make([][]*trace.Summary, jobs)
-	outer, innerOpt := splitWorkers(opt, jobs)
-	err := parallel.ForEachIndexed(jobs, outer, func(_, j int) error {
-		t, i := j/len(arms), j%len(arms)
-		arm := arms[i]
-		e, err := newEnv(innerOpt, t)
-		if err != nil {
-			return err
-		}
-		tf, err := traceFor(e)
-		if err != nil {
-			return err
-		}
-		tbl, err := e.buildRandom("forks-" + arm.label)
-		if err != nil {
-			return err
-		}
-		engine, _, err := e.engine(arm.label, "workload-engine-"+arm.label, arm.method, tbl)
-		if err != nil {
-			return err
-		}
-		pace := interval
-		if !arm.timed {
-			pace = 0
-		}
-		rep, err := paper.RunWorkload(engine, tf.Trace(), duration, pace)
-		if err != nil {
-			return fmt.Errorf("experiments: forks trial %d arm %s: %w", t, arm.label, err)
-		}
-		if perSeries[i][t], err = e.lambda(engine, e.opt.Fraction); err != nil {
-			return err
-		}
-		perTrace[j] = e.regret()
-		perReport[i][t] = rep
-		return nil
-	})
+	perArm, regret, err := runTrials(opt, "forks", nil, arms)
 	if err != nil {
 		return nil, err
 	}
@@ -143,21 +101,24 @@ func Forks(opt Options) (*Result, error) {
 		ID:      "forks",
 		Title:   "Continuous-time workload: fork rate, stale blocks, revenue skew",
 		Options: opt,
-		Regret:  mergeRegret(perTrace...),
+		Regret:  regret,
 	}
-	for i, arm := range arms {
-		s, err := aggregate(arm.label, perSeries[i])
+	for i, a := range arms {
+		lambdas := make([][]float64, opt.Trials)
+		ws := WorkloadSeries{Label: a.label}
+		for t, ft := range perArm[i] {
+			lambdas[t] = ft.lambda
+			ws.Reports = append(ws.Reports, ft.report)
+			ws.MeanStaleRate += ft.report.StaleRate
+			ws.MeanForkRate += ft.report.ForkRate
+			ws.MeanRevenueSkew += ft.report.RevenueSkew
+		}
+		s, err := aggregate(a.label, lambdas)
 		if err != nil {
 			return nil, err
 		}
 		res.Series = append(res.Series, s)
-		ws := WorkloadSeries{Label: arm.label, Reports: perReport[i]}
-		for _, rep := range perReport[i] {
-			ws.MeanStaleRate += rep.StaleRate
-			ws.MeanForkRate += rep.ForkRate
-			ws.MeanRevenueSkew += rep.RevenueSkew
-		}
-		trials := float64(len(perReport[i]))
+		trials := float64(opt.Trials)
 		ws.MeanStaleRate /= trials
 		ws.MeanForkRate /= trials
 		ws.MeanRevenueSkew /= trials
@@ -171,4 +132,11 @@ func Forks(opt Options) (*Result, error) {
 		subset.MeanForkRate, random.MeanForkRate,
 		subset.MeanRevenueSkew, random.MeanRevenueSkew))
 	return res, nil
+}
+
+// forkTrial is one forks arm's trial: its fork-economics report and the λ
+// series of its final topology.
+type forkTrial struct {
+	report *workload.Report
+	lambda []float64
 }

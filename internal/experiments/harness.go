@@ -4,6 +4,12 @@
 // (Register/Scenarios/Run) that the perigee facade and cmd/perigee-sim
 // dispatch through, and text/JSON rendering of the series the paper
 // plots.
+//
+// Every engine scenario runs its arms through one driver, runTrials: each
+// (trial, arm) job samples the trial's network, applies the scenario's
+// setup and runs the arm, and the driver collects the per-trial values and
+// the traced arms' regret. Figure 1 and the theorem sweeps, which need no
+// network, share one stretch pipeline (stretchSweep).
 package experiments
 
 import (
@@ -445,6 +451,20 @@ func (e *env) buildRandom(label string) (*topology.Table, error) {
 	return paper.Random(e.opt.Nodes, e.root.Derive("random-topology-"+label))
 }
 
+// randomBaseline is the static random topology the figures plot as
+// "random".
+func (e *env) randomBaseline() (*topology.Table, error) { return e.buildRandom(LabelRandom) }
+
+// geographic builds the env's geography-aware topology.
+func (e *env) geographic() (*topology.Table, error) {
+	return topology.Geographic(e.universe, 8, 4, paper.MaxIncoming, e.root.Derive("geo-topology"))
+}
+
+// kademlia builds the env's Kademlia topology.
+func (e *env) kademlia() (*topology.Table, error) {
+	return topology.Kademlia(e.opt.Nodes, 8, paper.MaxIncoming, e.root.Derive("kad-topology"))
+}
+
 // engine builds one scenario arm's protocol engine over tbl — the only
 // engine constructor in the package, so every arm gets every run option:
 // method's default params at Options.RoundBlocks (UCB keeps its
@@ -532,6 +552,25 @@ func perigeeAlgo(label string, method core.Method) algo {
 	}}
 }
 
+// staticAlgo is the figure arm that scores the fixed topology build makes.
+func staticAlgo(label string, build func(*env) (*topology.Table, error)) algo {
+	return algo{label, func(e *env) ([]float64, error) {
+		tbl, err := build(e)
+		if err != nil {
+			return nil, err
+		}
+		return e.evalTopology(tbl)
+	}}
+}
+
+// The figure arms every comparison shares: the static random baseline, the
+// geographic topology and the fully-connected lower bound.
+var (
+	randomAlgo     = staticAlgo(LabelRandom, (*env).randomBaseline)
+	geographicAlgo = staticAlgo(LabelGeographic, (*env).geographic)
+	idealAlgo      = algo{LabelIdeal, (*env).evalIdeal}
+)
+
 // lambda evaluates λ_v at coverage frac on engine's current topology from
 // the env's λ sources, as an ascending ms series — the only place the
 // package reads λ off an engine, so every arm of a result covers the same
@@ -556,9 +595,8 @@ func (e *env) regret() []*trace.Summary {
 	return out
 }
 
-// mergeRegret merges regret summaries of many runs (typically one list per
-// trial or per (trial, arm) job) into one summary per selector, in order of
-// first appearance.
+// mergeRegret merges the regret summaries of runTrials' jobs into one
+// summary per selector, in order of first appearance.
 func mergeRegret(runs ...[]*trace.Summary) []*trace.Summary {
 	var order []string
 	bySelector := map[string][]*trace.Summary{}
@@ -587,58 +625,68 @@ func aggregate(label string, trials [][]float64) (Series, error) {
 	return Series{Label: label, Mean: mean, Std: std}, nil
 }
 
-// algo is one curve of a figure: a label and the function producing its
-// per-trial sorted delay series.
-type algo struct {
+// arm is one column of a scenario's (trial, arm) matrix: a label and the
+// function that runs it on one trial's env and returns what the scenario
+// keeps of that trial.
+type arm[T any] struct {
 	label string
-	run   func(e *env) ([]float64, error)
+	run   func(e *env) (T, error)
 }
 
-// runFigure executes the standard figure protocol: for each trial, sample
-// one environment, apply the figure-specific setup (power distribution,
-// latency overrides, pinned relay edges, ...), then run every algorithm on
-// that same network — exactly how the paper compares curves.
-//
-// Trials and algorithm arms fan out together over the worker pool as
-// (trial, arm) jobs. Each job rebuilds its trial environment from scratch:
-// newEnv and setup derive every stream statelessly from (Seed, trial), so
-// two jobs of the same trial see identical networks, arms never share
-// mutable state, and the per-(arm, trial) result matrix is independent of
-// scheduling.
-func runFigure(opt Options, id, title string, setup func(*env) error, algos []algo) (*Result, error) {
+// algo is one curve of a figure: its per-trial value is the sorted delay
+// series.
+type algo = arm[[]float64]
+
+// runTrials is the package's trial driver, the one way a scenario's arms
+// run: every arm on every trial, out[arm][trial], with the traced engines'
+// regret merged in job order. It validates opt, then fans the (trial, arm)
+// jobs out over the worker pool. Each job samples its trial's env from
+// scratch and applies setup (power distribution, latency overrides, pinned
+// relay edges, ...): newEnv and setup derive every stream statelessly from
+// (Seed, trial), so every arm of a trial sees the same network — exactly
+// how the paper compares curves — arms never share mutable state, and the
+// result is independent of scheduling. A job's error names the scenario id,
+// the trial and the arm.
+func runTrials[T any](opt Options, id string, setup func(*env) error, arms []arm[T]) ([][]T, []*trace.Summary, error) {
 	if err := opt.validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	perAlgo := make([][][]float64, len(algos))
-	for i := range perAlgo {
-		perAlgo[i] = make([][]float64, opt.Trials)
+	out := make([][]T, len(arms))
+	for i := range out {
+		out[i] = make([]T, opt.Trials)
 	}
-	jobs := opt.Trials * len(algos)
+	jobs := opt.Trials * len(arms)
 	perTrace := make([][]*trace.Summary, jobs)
 	outer, innerOpt := splitWorkers(opt, jobs)
 	err := parallel.ForEachIndexed(jobs, outer, func(_, j int) error {
-		t, i := j/len(algos), j%len(algos)
+		t, i := j/len(arms), j%len(arms)
 		e, err := newEnv(innerOpt, t)
+		if err == nil && setup != nil {
+			err = setup(e)
+		}
+		if err == nil {
+			out[i][t], err = arms[i].run(e)
+		}
 		if err != nil {
-			return err
+			return fmt.Errorf("experiments: %s trial %d arm %s: %w", id, t, arms[i].label, err)
 		}
-		if setup != nil {
-			if err := setup(e); err != nil {
-				return fmt.Errorf("experiments: %s trial %d setup: %w", id, t, err)
-			}
-		}
-		series, err := algos[i].run(e)
-		if err != nil {
-			return fmt.Errorf("experiments: %s trial %d algo %s: %w", id, t, algos[i].label, err)
-		}
-		perAlgo[i][t] = series
 		perTrace[j] = e.regret()
 		return nil
 	})
 	if err != nil {
+		return nil, nil, err
+	}
+	return out, mergeRegret(perTrace...), nil
+}
+
+// runFigure runs the standard figure protocol through runTrials and folds
+// each algorithm's trials into one Series.
+func runFigure(opt Options, id, title string, setup func(*env) error, algos []algo) (*Result, error) {
+	perAlgo, regret, err := runTrials(opt, id, setup, algos)
+	if err != nil {
 		return nil, err
 	}
-	res := &Result{ID: id, Title: title, Options: opt, Regret: mergeRegret(perTrace...)}
+	res := &Result{ID: id, Title: title, Options: opt, Regret: regret}
 	for i, a := range algos {
 		s, err := aggregate(a.label, perAlgo[i])
 		if err != nil {

@@ -90,7 +90,6 @@ func builtinScenarios() map[string]Scenario {
 	}
 
 	for _, ab := range Ablations() {
-		ab := ab
 		add(ab.ID, ab.Title, func(opt Options) (*Result, error) { return RunAblation(opt, ab) })
 	}
 	return reg

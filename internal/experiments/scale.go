@@ -5,9 +5,7 @@ import (
 
 	"github.com/perigee-net/perigee/internal/core"
 	"github.com/perigee-net/perigee/internal/latency"
-	"github.com/perigee-net/perigee/internal/parallel"
 	"github.com/perigee-net/perigee/internal/stats"
-	"github.com/perigee-net/perigee/internal/trace"
 )
 
 // scaleDefaultLandmarks is the landmark count the scale scenario falls back
@@ -30,90 +28,38 @@ const scaleDefaultLandmarks = 64
 // in n; set LambdaSources explicitly to override, or run the exact pass at
 // small n with LambdaSources = Nodes.
 func Scale(opt Options) (*Result, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
 	if opt.LambdaSources == 0 {
 		opt.LambdaSources = scaleDefaultLandmarks
 	}
+	ref, series, regret, err := trajectories(opt, "scale", [2]string{"p90-lambda", "p50-lambda"},
+		func(e *env, engine *core.Engine) ([2]float64, error) {
+			sorted, err := e.lambda(engine, e.opt.Fraction)
+			if err != nil {
+				return [2]float64{}, err
+			}
+			return [2]float64{stats.Percentile(sorted, 0.9), stats.Percentile(sorted, 0.5)}, nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	s90, random90 := series[0], ref[0].Mean()
 	res := &Result{
 		ID:      "scale",
 		Title:   fmt.Sprintf("Scale: per-round λ trajectory at n=%d (Perigee-Subset vs static random)", opt.Nodes),
+		Series:  series,
+		Regret:  regret,
 		Options: opt,
+		Notes: []string{
+			fmt.Sprintf("scale stack: latency=%s landmarks=%d window=%d",
+				latency.Auto.Resolve(opt.Nodes), opt.LambdaSources, opt.ObservationWindow),
+			fmt.Sprintf("static random reference p90: %.0f ms", random90),
+			fmt.Sprintf("p90 trajectory: %.0f -> %.0f ms over %d rounds (monotone violations: %d)",
+				s90.Mean[0], s90.Mean[len(s90.Mean)-1], opt.Rounds, monotoneViolations(s90.Mean)),
+		},
 	}
-	p90Trials := make([][]float64, opt.Trials)
-	p50Trials := make([][]float64, opt.Trials)
-	random90Trials := make([]float64, opt.Trials)
-	perTrace := make([][]*trace.Summary, opt.Trials)
-	outer, innerOpt := splitWorkers(opt, opt.Trials)
-	err := parallel.ForEachIndexed(opt.Trials, outer, func(_, t int) error {
-		e, err := newEnv(innerOpt, t)
-		if err != nil {
-			return err
-		}
-		randTbl, err := e.buildRandom(LabelRandom)
-		if err != nil {
-			return err
-		}
-		r90, err := e.evalTopology(randTbl)
-		if err != nil {
-			return err
-		}
-		random90Trials[t] = stats.Percentile(r90, 0.9)
-
-		tbl, err := e.buildRandom("scale")
-		if err != nil {
-			return err
-		}
-		engine, rounds, err := e.engine(LabelSubset, extensionStream, core.Subset, tbl)
-		if err != nil {
-			return err
-		}
-		p90 := make([]float64, 0, rounds)
-		p50 := make([]float64, 0, rounds)
-		for r := 0; r < rounds; r++ {
-			if _, err := engine.Step(); err != nil {
-				return err
-			}
-			sorted, err := e.lambda(engine, e.opt.Fraction)
-			if err != nil {
-				return err
-			}
-			p90 = append(p90, stats.Percentile(sorted, 0.9))
-			p50 = append(p50, stats.Percentile(sorted, 0.5))
-		}
-		perTrace[t] = e.regret()
-		p90Trials[t] = p90
-		p50Trials[t] = p50
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	s90, err := aggregate("p90-lambda", p90Trials)
-	if err != nil {
-		return nil, err
-	}
-	s50, err := aggregate("p50-lambda", p50Trials)
-	if err != nil {
-		return nil, err
-	}
-	res.Series = []Series{s90, s50}
-	res.Regret = mergeRegret(perTrace...)
-	var random90 stats.Summary
-	for t := 0; t < opt.Trials; t++ {
-		random90.Add(random90Trials[t])
-	}
-	res.Notes = append(res.Notes,
-		fmt.Sprintf("scale stack: latency=%s landmarks=%d window=%d",
-			latency.Auto.Resolve(opt.Nodes), opt.LambdaSources, opt.ObservationWindow),
-		fmt.Sprintf("static random reference p90: %.0f ms", random90.Mean()),
-		fmt.Sprintf("p90 trajectory: %.0f -> %.0f ms over %d rounds (monotone violations: %d)",
-			s90.Mean[0], s90.Mean[len(s90.Mean)-1], opt.Rounds, monotoneViolations(s90.Mean)))
-	if last := s90.Mean[len(s90.Mean)-1]; last < random90.Mean() {
+	if last := s90.Mean[len(s90.Mean)-1]; last < random90 {
 		res.Notes = append(res.Notes,
-			fmt.Sprintf("converged p90 beats the static random baseline by %.0f%%",
-				100*(1-last/random90.Mean())))
+			fmt.Sprintf("converged p90 beats the static random baseline by %.0f%%", improvementPct(last, random90)))
 	}
 	return res, nil
 }

@@ -102,8 +102,9 @@ type Node struct {
 
 	// relayed holds, in the slot of the hash's leading bytes, the BLOCK
 	// message a block was read off the wire in, which frames on the checksum
-	// its reader verified. handleGetData sends it only while the store holds
-	// that very block; any other GETDATA is framed and hashed afresh.
+	// its reader verified, or the message mineBlock built once for a block
+	// the node mined. handleGetData sends it only while the store holds that
+	// very block; any other GETDATA is framed and hashed afresh.
 	relayed [relaySlots]atomic.Pointer[wire.Block]
 
 	// roundInFlight is set while an automatic round runs.
@@ -1080,7 +1081,9 @@ func (n *Node) peerSnapshot() []*peer {
 	return n.sorted
 }
 
-// mineBlock extends the node's tip with a new block and announces it.
+// mineBlock extends the node's tip with a new block and announces it. The
+// block's BLOCK message is built once, before the announcement, and serves
+// every GETDATA of it.
 func (n *Node) mineBlock(txs [][]byte) (*chain.Block, error) {
 	if n.stopped() {
 		return nil, ErrStopped
@@ -1089,6 +1092,7 @@ func (n *Node) mineBlock(txs [][]byte) (*chain.Block, error) {
 	if err != nil {
 		return nil, fmt.Errorf("p2p: mined block rejected: %w", err)
 	}
+	n.relayed[relaySlot(h)].Store(&wire.Block{Block: b})
 	n.connected(nil, h, nil, true)
 	return b, nil
 }

@@ -209,3 +209,25 @@ func TestBlocksAcceptedWhileInstallingReachThePeer(t *testing.T) {
 		announced(t, conn, mine(t, n))
 	})
 }
+
+// TestGetDataServesAMinedBlockOneMessage: two GETDATAs for a block the
+// node just mined are answered with the same BLOCK message, the one
+// mineBlock put in the relay table.
+func TestGetDataServesAMinedBlockOneMessage(t *testing.T) {
+	n := startNode(t, 7791, nil)
+	b, err := n.mineBlock([][]byte{[]byte("mined")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := newPeer(0xC, inbound, newRecordingConn(), "", 0)
+	getData := &wire.GetData{Hashes: []chain.Hash{b.Header.Hash()}}
+	n.handleGetData(probe, getData)
+	n.handleGetData(probe, getData)
+	first, second := <-probe.sendCh, <-probe.sendCh
+	if first.msg != second.msg {
+		t.Fatalf("two GETDATAs queued %p and %p, want one message", first.msg, second.msg)
+	}
+	if m, ok := first.msg.(*wire.Block); !ok || m.Block != b {
+		t.Fatalf("GETDATA queued %#v, want the mined block", first.msg)
+	}
+}
