@@ -47,60 +47,60 @@ func Convergence(opt Options) (*Result, error) {
 	}, nil
 }
 
-// trajectories runs the two arms of Convergence and Scale: the static
-// random reference, measured once, and a Perigee-Subset engine seeded on
-// the random topology named id, measured after every round. measure reads
-// two numbers off an engine. It returns the reference's two numbers
-// summarized across trials and the engine's two per-round series, labelled
-// from labels.
+// trajectories runs the per-trial job of Convergence and Scale on one env:
+// the static random reference, measured once, then a Perigee-Subset engine
+// seeded on the random topology named id, measured after every round.
+// Both run in one job, as one arm, so the engine gets the trial's whole
+// worker share. measure reads two numbers off an engine. It returns the
+// reference's two numbers summarized across trials and the engine's two
+// per-round series, labelled from labels.
 func trajectories(opt Options, id string, labels [2]string, measure func(*env, *core.Engine) ([2]float64, error)) (ref [2]stats.Summary, series []Series, regret []*trace.Summary, err error) {
-	arms := []arm[[][2]float64]{
-		{LabelRandom, func(e *env) ([][2]float64, error) {
-			tbl, err := e.randomBaseline()
-			if err != nil {
-				return nil, err
-			}
-			engine, err := e.static(tbl)
-			if err != nil {
-				return nil, err
-			}
-			m, err := measure(e, engine)
-			return [][2]float64{m}, err
-		}},
-		{LabelSubset, func(e *env) ([][2]float64, error) {
-			tbl, err := e.buildRandom(id)
-			if err != nil {
-				return nil, err
-			}
-			engine, rounds, err := e.engine(LabelSubset, extensionStream, core.Subset, tbl)
-			if err != nil {
-				return nil, err
-			}
-			out := make([][2]float64, rounds)
-			for r := range out {
-				if _, err := engine.Step(); err != nil {
-					return nil, err
-				}
-				if out[r], err = measure(e, engine); err != nil {
-					return nil, err
-				}
-			}
-			return out, nil
-		}},
+	type trajectory struct {
+		ref    [2]float64
+		rounds [][2]float64
 	}
-	perArm, regret, err := runTrials(opt, id, nil, arms)
+	perTrial, regret, err := runTrials(opt, id, nil, []arm[trajectory]{{LabelSubset, func(e *env) (tr trajectory, err error) {
+		tbl, err := e.buildRandom(LabelRandom)
+		if err != nil {
+			return tr, err
+		}
+		static, err := e.static(tbl)
+		if err != nil {
+			return tr, err
+		}
+		if tr.ref, err = measure(e, static); err != nil {
+			return tr, err
+		}
+		if tbl, err = e.buildRandom(id); err != nil {
+			return tr, err
+		}
+		engine, rounds, err := e.engine(LabelSubset, extensionStream, core.Subset, tbl)
+		if err != nil {
+			return tr, err
+		}
+		tr.rounds = make([][2]float64, rounds)
+		for r := range tr.rounds {
+			if _, err := engine.Step(); err != nil {
+				return tr, err
+			}
+			if tr.rounds[r], err = measure(e, engine); err != nil {
+				return tr, err
+			}
+		}
+		return tr, nil
+	}}})
 	if err != nil {
 		return ref, nil, nil, err
 	}
 	for i, label := range labels {
-		perTrial := make([][]float64, opt.Trials)
-		for t, rounds := range perArm[1] {
-			ref[i].Add(perArm[0][t][0][i])
-			for _, m := range rounds {
-				perTrial[t] = append(perTrial[t], m[i])
+		rounds := make([][]float64, opt.Trials)
+		for t, tr := range perTrial[0] {
+			ref[i].Add(tr.ref[i])
+			for _, m := range tr.rounds {
+				rounds[t] = append(rounds[t], m[i])
 			}
 		}
-		s, err := aggregate(label, perTrial)
+		s, err := aggregate(label, rounds)
 		if err != nil {
 			return ref, nil, nil, err
 		}

@@ -45,53 +45,49 @@ func adversarySet(e *env) ([]int, error) {
 func Eclipse(opt Options) (*Result, error) {
 	frac := opt.adversaryFraction()
 	threshold := opt.captureThreshold()
-	// Both arms bind the same adversaries; each reports the adversarial
-	// share of honest out-slots and the eclipsed honest nodes on its final
-	// topology.
-	capture := func(label string, final func(*env, *adversary.Binding) (*topology.Table, error)) arm[captured] {
-		return arm[captured]{label, func(e *env) (captured, error) {
-			adversaries, err := adversarySet(e)
-			if err != nil {
-				return captured{}, err
-			}
-			bind, err := adversary.Bind(adversary.NewEclipseBias(0), opt.Nodes, adversaries,
-				e.lat, e.forward, e.root.Derive("adversary-strategy"))
-			if err != nil {
-				return captured{}, err
-			}
-			tbl, err := final(e, bind)
-			if err != nil {
-				return captured{}, err
-			}
+	// One job per trial binds the adversaries once and reports the
+	// adversarial share of honest out-slots and the eclipsed honest nodes
+	// on the static random topology, then on the converged Perigee one.
+	perTrial, regret, err := runTrials(opt, "eclipse", nil, []arm[[2]captured]{{LabelSubset, func(e *env) (c [2]captured, err error) {
+		adversaries, err := adversarySet(e)
+		if err != nil {
+			return c, err
+		}
+		bind, err := adversary.Bind(adversary.NewEclipseBias(0), opt.Nodes, adversaries,
+			e.lat, e.forward, e.root.Derive("adversary-strategy"))
+		if err != nil {
+			return c, err
+		}
+		capture := func(tbl *topology.Table) captured {
 			share, eclipsed := captureStats(tbl.OutNeighbors, opt.Nodes, bind.Env.IsAdversary, threshold)
-			return captured{share, eclipsed}, nil
-		}}
-	}
-	perArm, regret, err := runTrials(opt, "eclipse", nil, []arm[captured]{
-		capture(LabelRandom, func(e *env, _ *adversary.Binding) (*topology.Table, error) {
-			return e.buildRandom("eclipse-random")
-		}),
-		capture(LabelSubset, func(e *env, bind *adversary.Binding) (*topology.Table, error) {
-			tbl, err := e.buildRandom("eclipse-perigee")
-			if err != nil {
-				return nil, err
-			}
-			engine, rounds, err := e.engine(LabelSubset, "eclipse-engine", core.Subset, tbl, bind.Apply)
-			if err != nil {
-				return nil, err
-			}
-			_, err = engine.Run(rounds)
-			return engine.Table(), err
-		}),
-	})
+			return captured{share, eclipsed}
+		}
+		tbl, err := e.buildRandom("eclipse-random")
+		if err != nil {
+			return c, err
+		}
+		c[0] = capture(tbl)
+		if tbl, err = e.buildRandom("eclipse-perigee"); err != nil {
+			return c, err
+		}
+		engine, rounds, err := e.engine(LabelSubset, "eclipse-engine", core.Subset, tbl, bind.Apply)
+		if err != nil {
+			return c, err
+		}
+		if _, err := engine.Run(rounds); err != nil {
+			return c, err
+		}
+		c[1] = capture(engine.Table())
+		return c, nil
+	}}})
 	if err != nil {
 		return nil, err
 	}
 	var totals [2]captured
-	for i := range totals {
-		for _, c := range perArm[i] {
-			totals[i].share += c.share / float64(opt.Trials)
-			totals[i].eclipsed += c.eclipsed
+	for _, c := range perTrial[0] {
+		for i := range totals {
+			totals[i].share += c[i].share / float64(opt.Trials)
+			totals[i].eclipsed += c[i].eclipsed
 		}
 	}
 	params := core.DefaultParams(core.Subset)

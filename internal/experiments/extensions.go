@@ -23,43 +23,42 @@ const FreerideSilentFraction = 0.2
 // curves ("random", "Perigee-Subset") plus two receive-delay series under
 // Perigee: honest vs silent nodes.
 func Freeride(opt Options) (*Result, error) {
-	// Both arms run over the same silent population: the static random
-	// baseline never steps, the Perigee arm runs its round budget.
-	freeriders := func(label string, adapt bool) arm[freerideTrial] {
-		return arm[freerideTrial]{label, func(e *env) (freerideTrial, error) {
-			silent := make([]bool, opt.Nodes)
-			perm := e.root.Derive("silent-nodes").Perm(opt.Nodes)
-			for _, v := range perm[:int(FreerideSilentFraction*float64(opt.Nodes))] {
-				silent[v] = true
-			}
-			var ft freerideTrial
+	// One job per trial runs the static random baseline, which never
+	// steps, and the Perigee arm, which runs its round budget, over the
+	// same silent population.
+	labels := [2]string{LabelRandom, LabelSubset}
+	perTrial, regret, err := runTrials(opt, "freeride", nil, []arm[[2]freerideTrial]{{LabelSubset, func(e *env) (fts [2]freerideTrial, err error) {
+		silent := make([]bool, opt.Nodes)
+		perm := e.root.Derive("silent-nodes").Perm(opt.Nodes)
+		for _, v := range perm[:int(FreerideSilentFraction*float64(opt.Nodes))] {
+			silent[v] = true
+		}
+		for i, label := range labels {
 			tbl, err := e.buildRandom(label)
 			if err != nil {
-				return ft, err
+				return fts, err
 			}
 			engine, rounds, err := e.engine(label, extensionStream, core.Subset, tbl,
 				func(cfg *core.Config) { cfg.Silent = silent })
 			if err != nil {
-				return ft, err
+				return fts, err
 			}
-			if adapt {
+			if label == LabelSubset {
 				if _, err := engine.Run(rounds); err != nil {
-					return ft, err
+					return fts, err
 				}
 			}
-			if ft.lambda, err = e.lambda(engine, e.opt.Fraction); err != nil {
-				return ft, err
+			if fts[i].lambda, err = e.lambda(engine, e.opt.Fraction); err != nil {
+				return fts, err
 			}
 			recv, err := engine.ReceiveDelays(receiveSources(e, silent))
 			if err != nil {
-				return ft, err
+				return fts, err
 			}
-			ft.honestMs, ft.silentMs = splitMeans(recv, silent)
-			return ft, nil
-		}}
-	}
-	arms := []arm[freerideTrial]{freeriders(LabelRandom, false), freeriders(LabelSubset, true)}
-	perArm, regret, err := runTrials(opt, "freeride", nil, arms)
+			fts[i].honestMs, fts[i].silentMs = splitMeans(recv, silent)
+		}
+		return fts, nil
+	}}})
 	if err != nil {
 		return nil, err
 	}
@@ -70,12 +69,12 @@ func Freeride(opt Options) (*Result, error) {
 		Options: opt,
 	}
 	var honestMs, silentMs [2]float64
-	for i, a := range arms {
+	for i, label := range labels {
 		lambdas, honest, silent := make([][]float64, opt.Trials), make([]float64, opt.Trials), make([]float64, opt.Trials)
-		for t, ft := range perArm[i] {
-			lambdas[t], honest[t], silent[t] = ft.lambda, ft.honestMs, ft.silentMs
+		for t, fts := range perTrial[0] {
+			lambdas[t], honest[t], silent[t] = fts[i].lambda, fts[i].honestMs, fts[i].silentMs
 		}
-		s, err := aggregate(a.label, lambdas)
+		s, err := aggregate(label, lambdas)
 		if err != nil {
 			return nil, err
 		}
@@ -93,7 +92,7 @@ func Freeride(opt Options) (*Result, error) {
 	return res, nil
 }
 
-// freerideTrial is one Freeride arm's trial: its λ series and the mean
+// freerideTrial is one Freeride curve's trial: its λ series and the mean
 // receive delays (ms) of honest and silent nodes.
 type freerideTrial struct {
 	lambda             []float64

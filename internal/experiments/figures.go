@@ -211,38 +211,41 @@ const (
 // final p2p graph under each algorithm (uniform hash power). Perigee-Subset
 // should concentrate mass in the intra-continental (low-latency) mode.
 func Figure5(opt Options) (*Result, error) {
-	// Each arm returns its final graph's edge latencies (ms), each
-	// undirected edge once.
-	graph := func(label string, build func(*env) (*topology.Table, error)) arm[[]float64] {
-		return arm[[]float64]{label, func(e *env) ([]float64, error) {
-			tbl, err := build(e)
-			if err != nil {
-				return nil, err
-			}
-			var ms []float64
-			for u, row := range tbl.Undirected() {
-				for _, v := range row {
-					if u < v {
-						ms = append(ms, float64(e.lat.Delay(u, v))/float64(time.Millisecond))
-					}
-				}
-			}
-			return ms, nil
-		}}
-	}
-	arms := []arm[[]float64]{
-		graph(LabelRandom, (*env).randomBaseline),
-		graph(LabelGeographic, (*env).geographic),
-		graph(LabelKademlia, (*env).kademlia),
-		graph(LabelSubset, func(e *env) (*topology.Table, error) {
+	// One job per trial builds every topology on the trial's env and
+	// returns each final graph's edge latencies (ms), each undirected edge
+	// once, in builds' order.
+	builds := []struct {
+		label string
+		build func(*env) (*topology.Table, error)
+	}{
+		{LabelRandom, func(e *env) (*topology.Table, error) { return e.buildRandom(LabelRandom) }},
+		{LabelGeographic, (*env).geographic},
+		{LabelKademlia, (*env).kademlia},
+		{LabelSubset, func(e *env) (*topology.Table, error) {
 			_, engine, err := e.runPerigee(LabelSubset, core.Subset)
 			if err != nil {
 				return nil, err
 			}
 			return engine.Table(), nil
-		}),
+		}},
 	}
-	edges, regret, err := runTrials(opt, "figure5", nil, arms)
+	perTrial, regret, err := runTrials(opt, "figure5", nil, []arm[[][]float64]{{LabelSubset, func(e *env) ([][]float64, error) {
+		edges := make([][]float64, len(builds))
+		for i, b := range builds {
+			tbl, err := b.build(e)
+			if err != nil {
+				return nil, err
+			}
+			for u, row := range tbl.Undirected() {
+				for _, v := range row {
+					if u < v {
+						edges[i] = append(edges[i], float64(e.lat.Delay(u, v))/float64(time.Millisecond))
+					}
+				}
+			}
+		}
+		return edges, nil
+	}}})
 	if err != nil {
 		return nil, err
 	}
@@ -253,20 +256,20 @@ func Figure5(opt Options) (*Result, error) {
 		Histograms: make(map[string]*stats.Histogram),
 		Regret:     regret,
 	}
-	for i, a := range arms {
+	for i, b := range builds {
 		h, err := stats.NewHistogram(EdgeHistogramLoMs, EdgeHistogramHiMs, EdgeHistogramBins)
 		if err != nil {
 			return nil, err
 		}
-		for _, ms := range edges[i] {
-			for _, d := range ms {
+		for _, edges := range perTrial[0] {
+			for _, d := range edges[i] {
 				h.Add(d)
 			}
 		}
-		res.Histograms[a.label] = h
+		res.Histograms[b.label] = h
 		// Headline statistic: fraction of edge mass in the low-latency half.
 		res.Notes = append(res.Notes, fmt.Sprintf("%s: %.0f%% of edges below %.0f ms",
-			a.label, 100*lowModeFraction(h), (EdgeHistogramLoMs+EdgeHistogramHiMs)/2))
+			b.label, 100*lowModeFraction(h), (EdgeHistogramLoMs+EdgeHistogramHiMs)/2))
 	}
 	return res, nil
 }

@@ -26,6 +26,11 @@ import (
 // writes trial 0's trace for later replay. The λ series the rest of the
 // suite reports are evaluated on each arm's final topology alongside.
 func Forks(opt Options) (*Result, error) {
+	// Validate before the trial check and the trace-file read below, so an
+	// invalid run reports its validation error and reads no file.
+	if err := opt.validate(); err != nil {
+		return nil, err
+	}
 	if opt.TraceFile != "" && opt.Trials != 1 {
 		return nil, fmt.Errorf("experiments: trace replay requires exactly 1 trial, got %d", opt.Trials)
 	}

@@ -8,7 +8,10 @@
 // Every engine scenario runs its arms through one driver, runTrials: each
 // (trial, arm) job samples the trial's network, applies the scenario's
 // setup and runs the arm, and the driver collects the per-trial values and
-// the traced arms' regret. Figure 1 and the theorem sweeps, which need no
+// the traced arms' regret. Where a static reference is cheap beside its
+// Perigee run (Convergence, Scale, Eclipse, Freeride, Figure 5), one arm
+// computes both on the trial's env, so the engine keeps the trial's whole
+// worker share. Figure 1 and the theorem sweeps, which need no
 // network, share one stretch pipeline (stretchSweep).
 package experiments
 
@@ -451,10 +454,6 @@ func (e *env) buildRandom(label string) (*topology.Table, error) {
 	return paper.Random(e.opt.Nodes, e.root.Derive("random-topology-"+label))
 }
 
-// randomBaseline is the static random topology the figures plot as
-// "random".
-func (e *env) randomBaseline() (*topology.Table, error) { return e.buildRandom(LabelRandom) }
-
 // geographic builds the env's geography-aware topology.
 func (e *env) geographic() (*topology.Table, error) {
 	return topology.Geographic(e.universe, 8, 4, paper.MaxIncoming, e.root.Derive("geo-topology"))
@@ -563,10 +562,13 @@ func staticAlgo(label string, build func(*env) (*topology.Table, error)) algo {
 	}}
 }
 
-// The figure arms every comparison shares: the static random baseline, the
-// geographic topology and the fully-connected lower bound.
+// The figure arms several comparisons share: the static random baseline,
+// the geographic topology and the fully-connected lower bound. A one-off
+// static arm, such as Figure 3's Kademlia, calls staticAlgo in place.
 var (
-	randomAlgo     = staticAlgo(LabelRandom, (*env).randomBaseline)
+	randomAlgo = staticAlgo(LabelRandom, func(e *env) (*topology.Table, error) {
+		return e.buildRandom(LabelRandom)
+	})
 	geographicAlgo = staticAlgo(LabelGeographic, (*env).geographic)
 	idealAlgo      = algo{LabelIdeal, (*env).evalIdeal}
 )
