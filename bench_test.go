@@ -181,10 +181,18 @@ func BenchmarkMicroReconfigure1000(b *testing.B) { bench.MicroReconfigure(1000)(
 // holds its B/op, linear in n, and its allocs/op, a handful per build.
 func BenchmarkMicroTopologyRandom20000(b *testing.B) { bench.MicroTopologyRandom(20000)(b) }
 
+// BenchmarkMicroTopologyRandom1000 is the same build at the paper's
+// n = 1000, the topology perigee.New builds.
+func BenchmarkMicroTopologyRandom1000(b *testing.B) { bench.MicroTopologyRandom(1000)(b) }
+
 // BenchmarkMicroTableRewire1000 measures the connection table's part of a
-// round: every node drops two links and dials two, then the undirected
-// adjacency is rebuilt into the previous round's buffer.
+// round: every node drops two links and dials two, one call at a time, then
+// the undirected adjacency is rebuilt into the previous round's buffer.
 func BenchmarkMicroTableRewire1000(b *testing.B) { bench.MicroTableRewire(1000)(b) }
+
+// BenchmarkMicroTableEdit1000 is MicroTableRewire1000 with the rewire run
+// as one table edit (Begin, the drops and dials, Commit), as a round runs it.
+func BenchmarkMicroTableEdit1000(b *testing.B) { bench.MicroTableEdit(1000)(b) }
 
 // BenchmarkMicroBroadcast100000 is the million-node-track target: one
 // broadcast over a 100k-node network, reading precomputed edge delays like

@@ -122,13 +122,21 @@ func MicroTopologyRandom(n int) func(b *testing.B) {
 }
 
 // MicroTableRewire measures the connection table's share of a round at n
-// nodes: one Perigee-shaped rewire, then every node's row of the
-// communication graph appended into last round's buffer, as the engine's
-// simulator reads them into its CSR. The buffer is sized once by
-// UndirectedBound, which a rewire that keeps every out-degree leaves
-// alone, and table rows live in fixed windows, so no op allocates, the
-// first included.
-func MicroTableRewire(n int) func(b *testing.B) {
+// nodes: one Perigee-shaped rewire, one Connect or Disconnect at a time,
+// then every node's row of the communication graph appended into last
+// round's buffer, as the engine's simulator reads them into its CSR. The
+// buffer is sized once by UndirectedBound, which a rewire that keeps every
+// out-degree leaves alone, and table rows live in fixed windows, so no op
+// allocates, the first included.
+func MicroTableRewire(n int) func(b *testing.B) { return tableRewire(n, false) }
+
+// MicroTableEdit is MicroTableRewire with the rewire run as one table edit,
+// as the engine runs a round's: the drops and dials write only out-rows and
+// incoming counts, and Commit writes every in-row in one pass. It allocates
+// nothing either.
+func MicroTableEdit(n int) func(b *testing.B) { return tableRewire(n, true) }
+
+func tableRewire(n int, edit bool) func(b *testing.B) {
 	return func(b *testing.B) {
 		tbl, err := paper.Random(n, rng.New(1))
 		if err != nil {
@@ -139,7 +147,11 @@ func MicroTableRewire(n int) func(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
+			if edit {
+				tbl.Begin()
+			}
 			perigeeRewire(b, tbl, r)
+			tbl.Commit()
 			rows = rows[:0]
 			for v := 0; v < n; v++ {
 				rows = tbl.AppendUndirected(rows, v)

@@ -625,6 +625,10 @@ func (e *Engine) update(obs []Observations, ev *RoundEvent) (RoundReport, error)
 	if e.tracing() {
 		e.emitDecisions(obs, decisions)
 	}
+	// The drops and dials are one table edit: each writes only the mover's
+	// out-row and the peer's incoming count, and Commit writes the in-rows.
+	e.table.Begin()
+	defer e.table.Commit()
 	for v := 0; v < n; v++ {
 		for _, i := range decisions[v].Drop {
 			u := obs[v].Neighbors[i]
@@ -853,12 +857,15 @@ func (e *Engine) Churn(nodes []int) error {
 			resetter.ResetNodeState(v)
 		}
 	}
-	// Fresh nodes bootstrap with random outgoing connections.
+	// Fresh nodes bootstrap with random outgoing connections, in one table
+	// edit; the disconnects above read in-rows, so they ran outside it.
+	e.table.Begin()
 	for _, v := range nodes {
 		if e.frozen != nil && e.frozen[v] {
 			continue
 		}
 		e.explore(v, e.params.OutDegree, nil)
 	}
+	e.table.Commit()
 	return nil
 }

@@ -30,8 +30,9 @@
 // fixed ranges of rebuildChunk nodes, fanned out over Config.Workers: each
 // node's row is appended straight into edgeDst and checked where it lands
 // (ascending, in range, no self loop), a serial cursor sweep over the
-// result checks symmetry while it writes edgeSlot, and each range then
-// fills its rows' delays. A network of one range is built inline.
+// result writes edgeSlot, and each range then checks that its edges'
+// reverse slots hold their senders (symmetry) and fills its rows' delays.
+// A network of one range is built inline.
 //
 // # One label-setting pass
 //
@@ -331,12 +332,13 @@ const rebuildChunk = 2048
 //     land (see checkRow); the chunks are then moved down over the gaps
 //     their bounds left, in order.
 //   - The reverse index is computed with a serial O(E) cursor sweep:
-//     visiting sources in ascending order, source v must be the next
-//     unseen entry of each neighbor's (ascending) row — any mismatch proves
-//     the adjacency asymmetric.
-//   - In precomputed mode fillDelays then prices each chunk's edges. The
-//     previous topology's buffers were swapped aside rather than
-//     overwritten, so the delays of surviving edges are carried.
+//     visiting sources in ascending order, source v is taken to be the
+//     next unseen entry of each neighbor's (ascending) row.
+//   - finishRows then checks each chunk's reverse slots, where any
+//     mismatch proves the adjacency asymmetric, and in precomputed mode
+//     prices the chunk's edges (fillDelays). The previous topology's
+//     buffers were swapped aside rather than overwritten, so the delays of
+//     surviving edges are carried.
 //
 // A chunk writes only its own nodes' rows and the delays of links its
 // nodes price, so the CSR does not depend on the worker count, and the
@@ -382,29 +384,46 @@ func (s *Simulator) rebuild(rows Rows) error {
 	s.rowStart[n] = total
 	s.edgeSlot = growInt32(s.edgeSlot, int(total))
 	s.cursor = growInt32(s.cursor, n)
-	rowStart, edgeDst, edgeSlot, cursor := s.rowStart, s.edgeDst, s.edgeSlot, s.cursor
+	edgeSlot, cursor := s.edgeSlot, s.cursor
 	clear(cursor)
-	for v := 0; v < n; v++ {
-		for e := rowStart[v]; e < rowStart[v+1]; e++ {
-			w := edgeDst[e]
-			k := cursor[w]
-			cursor[w] = k + 1
-			if at := rowStart[w] + k; at >= rowStart[w+1] || edgeDst[at] != int32(v) {
-				return fmt.Errorf("netsim: adjacency not symmetric: %d lists %d but not vice versa", v, w)
-			}
-			edgeSlot[e] = k
-		}
+	for e, w := range s.edgeDst {
+		edgeSlot[e] = cursor[w]
+		cursor[w]++
 	}
 	if !s.streaming {
 		s.edgeDelay = growDurations(s.edgeDelay, int(total))
 		s.carry = carry // for fillDelays: whether prev* hold the last topology
-		if err := parallel.ForEach(chunks, s.cfg.Workers, s, (*Simulator).fillDelays); err != nil {
-			return err
-		}
-		s.carry = true
 	}
+	if err := parallel.ForEach(chunks, s.cfg.Workers, s, (*Simulator).finishRows); err != nil {
+		s.carry = false
+		return err
+	}
+	s.carry = !s.streaming
 	s.gen++
 	return nil
+}
+
+// finishRows checks chunk c's reverse slots and, in precomputed mode, then
+// fills its delays (see fillDelays). Edge e from v to w is matched by w's
+// edge back to v only if v sits at slot edgeSlot[e] of w's row. The sweep
+// computed each slot from the edges before it alone, so the first edge
+// that fails here, in chunk order, is the one a serial sweep checking as
+// it went would have stopped at; and a chunk prices only edges it checked.
+func (s *Simulator) finishRows(worker, c int) error {
+	lo, hi := chunkNodes(c, s.n)
+	rowStart, edgeDst := s.rowStart, s.edgeDst
+	for v := lo; v < hi; v++ {
+		for e := rowStart[v]; e < rowStart[v+1]; e++ {
+			w := edgeDst[e]
+			if at := rowStart[w] + s.edgeSlot[e]; at >= rowStart[w+1] || edgeDst[at] != int32(v) {
+				return fmt.Errorf("netsim: adjacency not symmetric: %d lists %d but not vice versa", v, w)
+			}
+		}
+	}
+	if s.streaming {
+		return nil
+	}
+	return s.fillDelays(worker, c)
 }
 
 // chunkNodes returns the node range [lo, hi) of rebuild's chunk c.

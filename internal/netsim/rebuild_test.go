@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -184,6 +185,73 @@ func TestRebuildReportsFirstBadRow(t *testing.T) {
 			t.Fatalf("workers=%d: got %v, want node %d's out-of-range neighbor", workers, err, early)
 		}
 	}
+}
+
+// TestRebuildNamesFirstAsymmetricEdge breaks random symmetric tables of
+// three chunks, a neighbour added to or removed from a few rows: New and
+// Reconfigure, at 1, 2 and 4 workers and in both latency modes, must refuse
+// each with the error of a serial sweep that checks every edge's reverse
+// slot as it writes it, naming the same pair.
+func TestRebuildNamesFirstAsymmetricEdge(t *testing.T) {
+	const n = 3*rebuildChunk - 100
+	r := rng.New(11)
+	model := latency.Constant{Nodes: n, D: time.Millisecond}
+	for trial := 0; trial < 20; trial++ {
+		tbl, err := topology.Random(n, 4, 8, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		good := tbl.Undirected()
+		bad := tbl.Undirected()
+		for k := 1 + r.IntN(3); k > 0; k-- {
+			v := r.IntN(n)
+			if w := r.IntN(n); r.IntN(2) == 0 && w != v && !slices.Contains(bad[v], w) {
+				bad[v] = append(bad[v], w)
+				slices.Sort(bad[v])
+			} else if len(bad[v]) > 0 {
+				i := r.IntN(len(bad[v]))
+				bad[v] = slices.Delete(slices.Clone(bad[v]), i, i+1)
+			}
+		}
+		want := serialSymmetryError(bad)
+		if want == "" {
+			continue
+		}
+		for _, mode := range []latency.Mode{latency.Precomputed, latency.Streaming} {
+			for _, workers := range []int{1, 2, 4} {
+				cfg := Config{Adj: bad, Latency: model, Forward: make([]time.Duration, n), LatencyMode: mode, Workers: workers}
+				if _, err := New(cfg); err == nil || err.Error() != want {
+					t.Fatalf("trial %d, mode %v, workers %d: New returned %v, want %q", trial, mode, workers, err, want)
+				}
+				cfg.Adj = good
+				sim, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sim.Reconfigure(bad); err == nil || err.Error() != want {
+					t.Fatalf("trial %d, mode %v, workers %d: Reconfigure returned %v, want %q", trial, mode, workers, err, want)
+				}
+			}
+		}
+	}
+}
+
+// serialSymmetryError is the symmetry check of a serial cursor sweep: each
+// source v, in ascending order, must be the next unseen entry of each of
+// its neighbours' rows. It returns the error text for the first edge that
+// is not, or "" for a symmetric adjacency.
+func serialSymmetryError(adj [][]int) string {
+	cursor := make([]int, len(adj))
+	for v, row := range adj {
+		for _, w := range row {
+			k := cursor[w]
+			cursor[w]++
+			if k >= len(adj[w]) || adj[w][k] != v {
+				return fmt.Sprintf("netsim: adjacency not symmetric: %d lists %d but not vice versa", v, w)
+			}
+		}
+	}
+	return ""
 }
 
 // TestRebuildRefusesRowsOverBound: a Rows whose bound undercounts a row is

@@ -26,11 +26,13 @@ func Random(n, outDegree, maxIn int, r *rng.RNG) (*Table, error) {
 		return nil, fmt.Errorf("topology: nil rng")
 	}
 	cand := identity(n)
+	t.Begin()
 	for _, u := range r.Perm(n) {
 		if err := fillRandom(t, u, outDegree, cand, r); err != nil {
 			return nil, err
 		}
 	}
+	t.Commit()
 	return t, nil
 }
 
@@ -54,26 +56,18 @@ func draw(cand []int, i int, r *rng.RNG) int {
 
 // fillFrom dials u to the peers a random scan of cand offers, skipping those
 // that are u, already dialed or out of incoming slots, until u has quota
-// outgoing connections or every candidate has been offered.
-func fillFrom(t *Table, u, quota int, cand []int, r *rng.RNG) error {
+// outgoing connections or every candidate has been offered. A builder runs
+// it inside its edit (see Table.Begin), so a dial writes only u's row.
+func fillFrom(t *Table, u, quota int, cand []int, r *rng.RNG) {
 	for i := 0; i < len(cand) && t.OutDegree(u) < quota; i++ {
-		v := draw(cand, i, r)
-		if v == u || t.InFree(v) == 0 || t.HasOut(u, v) {
-			continue
-		}
-		if err := t.Connect(u, v); err != nil {
-			return err
-		}
+		t.tryConnect(u, draw(cand, i, r))
 	}
-	return nil
 }
 
 // fillRandom fills u to quota from cand, which holds every node; a u that
 // is still short after all of them were offered is an error.
 func fillRandom(t *Table, u, quota int, cand []int, r *rng.RNG) error {
-	if err := fillFrom(t, u, quota, cand, r); err != nil {
-		return err
-	}
+	fillFrom(t, u, quota, cand, r)
 	if t.OutDegree(u) < quota {
 		return fmt.Errorf("topology: node %d stuck at out-degree %d, want %d", u, t.OutDegree(u), quota)
 	}
@@ -109,16 +103,16 @@ func Geographic(u *geo.Universe, outDegree, inRegion, maxIn int, r *rng.RNG) (*T
 		byRegion[reg] = append(byRegion[reg], i)
 	}
 	cand := identity(n)
+	t.Begin()
 	for _, v := range r.Perm(n) {
 		// Local connections first; a region too small leaves a shortfall.
-		if err := fillFrom(t, v, inRegion, byRegion[u.Region(v)], r); err != nil {
-			return nil, err
-		}
+		fillFrom(t, v, inRegion, byRegion[u.Region(v)], r)
 		// Remaining connections anywhere (also tops up any local shortfall).
 		if err := fillRandom(t, v, outDegree, cand, r); err != nil {
 			return nil, err
 		}
 	}
+	t.Commit()
 	return t, nil
 }
 
@@ -156,6 +150,7 @@ func Kademlia(n, outDegree, maxIn int, r *rng.RNG) (*Table, error) {
 	// buckets[u][b] lists nodes whose ID differs from u's in bit b as the
 	// most significant differing bit (bucket 63 = farthest).
 	cand := identity(n)
+	t.Begin()
 	for _, u := range r.Perm(n) {
 		var buckets [64][]int
 		for v := 0; v < n; v++ {
@@ -172,11 +167,7 @@ func Kademlia(n, outDegree, maxIn int, r *rng.RNG) (*Table, error) {
 			}
 			// Try a few random members before giving up on this bucket.
 			for attempt := 0; attempt < 4; attempt++ {
-				v := members[r.IntN(len(members))]
-				if t.HasOut(u, v) {
-					continue
-				}
-				if err := t.Connect(u, v); err == nil {
+				if t.tryConnect(u, members[r.IntN(len(members))]) {
 					break
 				}
 			}
@@ -185,6 +176,7 @@ func Kademlia(n, outDegree, maxIn int, r *rng.RNG) (*Table, error) {
 			return nil, err
 		}
 	}
+	t.Commit()
 	return t, nil
 }
 

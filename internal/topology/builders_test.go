@@ -432,3 +432,79 @@ func TestRelayTreeErrors(t *testing.T) {
 		t.Fatal("expected error for duplicate member")
 	}
 }
+
+// TestBuildersMatchReference builds each capped builder's tables in one
+// table edit and, through the per-edge reference builders, one Connect at
+// a time: for n ∈ {9, 300, 1000} (and 20,000 without -short, except for
+// Kademlia, whose O(n²) bucketing takes over a minute there) and seeds 1
+// to 5 the two must be the same table, field for field, and an infeasible
+// build (an incoming cap below the out-degree) must fail with the same
+// error text. The edit changes where in-rows are written, never which
+// draw a build makes or which dial it accepts.
+func TestBuildersMatchReference(t *testing.T) {
+	const dout, inRegion = 8, 4
+	universe := func(n int, seed uint64) *geo.Universe {
+		u, err := geo.SampleUniverse(n, rng.New(seed+100))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return u
+	}
+	type builder func(n, maxIn int, seed uint64) (*Table, error)
+	builders := []struct {
+		name      string
+		got, want builder
+	}{
+		{"random",
+			func(n, maxIn int, seed uint64) (*Table, error) { return Random(n, dout, maxIn, rng.New(seed)) },
+			func(n, maxIn int, seed uint64) (*Table, error) { return refRandom(n, dout, maxIn, rng.New(seed)) }},
+		{"geographic",
+			func(n, maxIn int, seed uint64) (*Table, error) {
+				return Geographic(universe(n, seed), dout, inRegion, maxIn, rng.New(seed))
+			},
+			func(n, maxIn int, seed uint64) (*Table, error) {
+				return refGeographic(universe(n, seed), dout, inRegion, maxIn, rng.New(seed))
+			}},
+		{"kademlia",
+			func(n, maxIn int, seed uint64) (*Table, error) { return Kademlia(n, dout, maxIn, rng.New(seed)) },
+			func(n, maxIn int, seed uint64) (*Table, error) { return refKademlia(n, dout, maxIn, rng.New(seed)) }},
+	}
+	sizes := []int{9, 300, 1000}
+	if !testing.Short() {
+		sizes = append(sizes, 20000)
+	}
+	for _, b := range builders {
+		for _, n := range sizes {
+			if n > 1000 && b.name == "kademlia" {
+				continue
+			}
+			t.Run(fmt.Sprintf("%s/%d", b.name, n), func(t *testing.T) {
+				for seed := uint64(1); seed <= 5; seed++ {
+					got, err := b.got(n, 20, seed)
+					if err != nil {
+						t.Fatalf("seed %d: %v", seed, err)
+					}
+					want, err := b.want(n, 20, seed)
+					if err != nil {
+						t.Fatalf("seed %d: reference: %v", seed, err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						equalTables(t, got, want)
+						t.Fatalf("seed %d: tables differ beyond their rows (version %d, reference %d)", seed, got.Version(), want.Version())
+					}
+					if err := got.Validate(); err != nil {
+						t.Fatalf("seed %d: %v", seed, err)
+					}
+				}
+				if n == 9 {
+					return
+				}
+				_, err := b.got(n, dout-1, 1)
+				_, want := b.want(n, dout-1, 1)
+				if err == nil || want == nil || err.Error() != want.Error() {
+					t.Fatalf("infeasible build: error %v, reference %v", err, want)
+				}
+			})
+		}
+	}
+}

@@ -8,7 +8,10 @@
 // A Table keeps each node's outgoing and incoming peers as ascending int32
 // rows in fixed windows of one slab per direction, so rewiring allocates
 // nothing, and the builders scan candidates by a lazy shuffle, so building
-// a topology costs time proportional to its edges.
+// a topology costs time proportional to its edges. A caller that moves many
+// edges at once (a builder, an engine round) brackets them with Begin and
+// Commit: inside the edit a move writes only the mover's out-row and the
+// peer's in-degree, and Commit writes every in-row in one pass.
 package topology
 
 import (
@@ -60,6 +63,11 @@ type Table struct {
 	// (e.g. the engine's cached simulator) detect topology changes without
 	// comparing adjacencies.
 	version uint64
+	// editing is set between Begin and Commit. Inside an edit an in-row's
+	// length still counts the node's incoming connections, which is all
+	// InFree and Connect's cap check read, but its entries are stale: a
+	// move changes the length alone, and Commit writes every in-row anew.
+	editing bool
 }
 
 // NewTable creates an empty table for n nodes with the given incoming cap.
@@ -101,23 +109,53 @@ func (t *Table) checkNode(u int) error {
 	return nil
 }
 
+// linearMax is the longest row search scans entry by entry. Out-rows hold
+// about the out-degree and in-rows at most the incoming cap, so nearly
+// every search is a scan of a few entries, which beats a bisection's
+// unpredictable branches; a longer row (a hub's pins, an out-row that
+// outgrew its window) is bisected.
+const linearMax = 32
+
+// search returns the index at which v is, or would be inserted, in the
+// ascending row, and whether it is there.
+func search(row []int32, v int32) (int, bool) {
+	if len(row) > linearMax {
+		return slices.BinarySearch(row, v)
+	}
+	for i, w := range row {
+		if w >= v {
+			return i, w == v
+		}
+	}
+	return len(row), false
+}
+
+// insertAt inserts v at index i of row, shifting the tail up by one; the
+// row grows in place while its capacity lasts.
+func insertAt(row []int32, i int, v int32) []int32 {
+	row = append(row, 0)
+	copy(row[i+1:], row[i:])
+	row[i] = v
+	return row
+}
+
+// deleteAt removes index i of row, shifting the tail down by one.
+func deleteAt(row []int32, i int) []int32 {
+	copy(row[i:], row[i+1:])
+	return row[:len(row)-1]
+}
+
 // insertSorted adds v to the ascending row unless it is already there.
 func insertSorted(row []int32, v int) []int32 {
-	if i, ok := slices.BinarySearch(row, int32(v)); !ok {
-		row = slices.Insert(row, i, int32(v))
+	if i, ok := search(row, int32(v)); !ok {
+		row = insertAt(row, i, int32(v))
 	}
 	return row
 }
 
-// removeSorted deletes v, which must be present, from the ascending row.
-func removeSorted(row []int32, v int) []int32 {
-	i, _ := slices.BinarySearch(row, int32(v))
-	return slices.Delete(row, i, i+1)
-}
-
 // contains reports whether the ascending row holds v.
 func contains(row []int32, v int) bool {
-	_, ok := slices.BinarySearch(row, int32(v))
+	_, ok := search(row, int32(v))
 	return ok
 }
 
@@ -133,16 +171,41 @@ func (t *Table) Connect(u, v int) error {
 	if u == v {
 		return fmt.Errorf("%w: node %d", ErrSelfConnection, u)
 	}
-	if t.HasOut(u, v) {
+	i, dup := search(t.out[u], int32(v))
+	if dup {
 		return fmt.Errorf("%w: %d->%d", ErrDuplicateConnection, u, v)
 	}
 	if len(t.in[v]) >= t.maxIn {
 		return fmt.Errorf("%w: node %d", ErrIncomingFull, v)
 	}
-	t.out[u] = insertSorted(t.out[u], v)
-	t.in[v] = insertSorted(t.in[v], u)
-	t.version++
+	t.connectAt(u, v, i)
 	return nil
+}
+
+// tryConnect adds u->v if v is another node with a free incoming slot that
+// u does not dial yet, and reports whether it did: Connect for a builder
+// that offers u candidate after candidate and builds no error for a
+// refusal. Both nodes must be in range.
+func (t *Table) tryConnect(u, v int) bool {
+	if u == v || len(t.in[v]) >= t.maxIn {
+		return false
+	}
+	i, dup := search(t.out[u], int32(v))
+	if !dup {
+		t.connectAt(u, v, i)
+	}
+	return !dup
+}
+
+// connectAt adds u->v, v belonging at index i of u's out-row.
+func (t *Table) connectAt(u, v, i int) {
+	t.out[u] = insertAt(t.out[u], i, int32(v))
+	if t.editing {
+		t.in[v] = t.in[v][:len(t.in[v])+1]
+	} else {
+		t.in[v] = insertSorted(t.in[v], u)
+	}
+	t.version++
 }
 
 // Disconnect removes the outgoing edge u->v.
@@ -153,13 +216,55 @@ func (t *Table) Disconnect(u, v int) error {
 	if err := t.checkNode(v); err != nil {
 		return err
 	}
-	if !t.HasOut(u, v) {
+	i, ok := search(t.out[u], int32(v))
+	if !ok {
 		return fmt.Errorf("%w: %d->%d", ErrNoConnection, u, v)
 	}
-	t.out[u] = removeSorted(t.out[u], v)
-	t.in[v] = removeSorted(t.in[v], u)
+	t.out[u] = deleteAt(t.out[u], i)
+	if t.editing {
+		t.in[v] = t.in[v][:len(t.in[v])-1]
+	} else {
+		j, _ := search(t.in[v], int32(u))
+		t.in[v] = deleteAt(t.in[v], j)
+	}
 	t.version++
 	return nil
+}
+
+// Begin opens a batched edit, which Commit closes. Inside it Connect and
+// Disconnect make the same checks, refusals and Version steps as outside,
+// but write only u's out-row and v's incoming count, so a move costs no
+// search or shift of v's cache-cold row. HasOut, OutDegree, InFree,
+// UndirectedBound and the out-row readers stay exact; InNeighbors,
+// AppendUndirected, Undirected, UndirectedInto and Clone panic until
+// Commit, and Validate reports the open edit. An edit does not nest: Begin
+// inside one is a no-op.
+func (t *Table) Begin() { t.editing = true }
+
+// Commit closes the edit Begin opened, writing every in-row in one
+// ascending pass over the out-rows; the table is then exactly the one the
+// same calls would have built outside an edit. Outside an edit it is a
+// no-op. It allocates nothing: an in-row never outgrows its window.
+func (t *Table) Commit() {
+	if !t.editing {
+		return
+	}
+	t.editing = false
+	for v := range t.in {
+		t.in[v] = t.in[v][:0]
+	}
+	for u, row := range t.out {
+		for _, v := range row {
+			t.in[v] = append(t.in[v], int32(u))
+		}
+	}
+}
+
+// committed panics inside an edit, where in-rows are stale.
+func (t *Table) committed() {
+	if t.editing {
+		panic("topology: in-rows read inside an uncommitted edit")
+	}
 }
 
 // Pin records a permanent undirected edge between u and v, which Undirected
@@ -220,6 +325,7 @@ func (t *Table) AppendOutNeighbors(buf []int, u int) []int {
 
 // InNeighbors returns a copy of u's incoming neighbors in ascending order.
 func (t *Table) InNeighbors(u int) []int {
+	t.committed()
 	return appendInts(make([]int, 0, len(t.in[u])), t.in[u])
 }
 
@@ -270,6 +376,7 @@ func (t *Table) pinRow(u int) []int32 {
 // returns the extended slice. The engine's simulator builds its CSR from
 // these rows (see netsim.Rows); Undirected is the same rows as a snapshot.
 func (t *Table) AppendUndirected(dst []int32, u int) []int32 {
+	t.committed()
 	return appendMerge(dst, t.out[u], t.in[u], t.pinRow(u))
 }
 
@@ -297,6 +404,7 @@ func (t *Table) Undirected() [][]int {
 // round's snapshot to rebuild it without reallocating). Row u is the one
 // AppendUndirected writes, and no row aliases the table.
 func (t *Table) UndirectedInto(adj [][]int) [][]int {
+	t.committed()
 	if cap(adj) < t.n {
 		adj = make([][]int, t.n)
 	}
@@ -309,6 +417,7 @@ func (t *Table) UndirectedInto(adj [][]int) [][]int {
 
 // Clone deep-copies the table, pins included.
 func (t *Table) Clone() *Table {
+	t.committed()
 	return &Table{n: t.n, maxIn: t.maxIn, out: t.cloneRows(t.out), in: t.cloneRows(t.in), pins: clonePins(t.pins)}
 }
 
@@ -342,9 +451,12 @@ func clonePins(rows [][]int32) [][]int32 {
 
 // Validate checks the table's internal invariants: rows strictly ascending,
 // out/in mirroring each other, pins mirroring themselves, no self loops or
-// out-of-range pins, and the incoming cap holding.
+// out-of-range pins, the incoming cap holding, and no edit open.
 // Tests call it on the tables they build.
 func (t *Table) Validate() error {
+	if t.editing {
+		return errors.New("topology: edit not committed")
+	}
 	for u := 0; u < t.n; u++ {
 		if len(t.in[u]) > t.maxIn {
 			return fmt.Errorf("topology: node %d has %d incoming, cap %d", u, len(t.in[u]), t.maxIn)

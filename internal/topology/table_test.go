@@ -724,6 +724,113 @@ func FuzzTableMatchesReference(f *testing.F) {
 	})
 }
 
+// FuzzTableEditMatchesReference applies one sequence of Connect and
+// Disconnect calls to two six-node tables whose incoming cap, 1 to 4, is
+// read from the first byte: to one inside an edit, committed and reopened
+// whenever an op says so, and to the other one call at a time. Nodes run
+// from −1 to n, so calls are refused for every reason: out of range, self,
+// duplicate, full and missing. Each call must return the same error text
+// on both, and HasOut, OutDegree, InFree and Version must agree after it,
+// inside the edit too. After each Commit the two tables must be
+// reflect.DeepEqual and valid.
+func FuzzTableEditMatchesReference(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 2, 0, 3, 2, 0, 4, 2, 1, 1, 2, 2, 0, 0, 0, 2, 2, 1, 3, 2})
+	f.Add([]byte{2, 0, 1, 1, 0, 1, 1, 0, 1, 2, 1, 2, 3, 0, 1, 3, 0, 2, 3, 2, 0, 0, 1, 2, 3, 1, 1, 2})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) == 0 {
+			return
+		}
+		const n = 6
+		maxIn := 1 + int(ops[0])%4
+		edit, ref := mustTable(t, n, maxIn), mustTable(t, n, maxIn)
+		commit := func(op int) {
+			t.Helper()
+			edit.Commit()
+			if !reflect.DeepEqual(edit, ref) {
+				t.Fatalf("op %d: committed edit differs from the per-edge table:\n%+v\n%+v", op, edit, ref)
+			}
+			if err := edit.Validate(); err != nil {
+				t.Fatalf("op %d: %v", op, err)
+			}
+		}
+		edit.Begin()
+		for i := 1; i+2 < len(ops); i += 3 {
+			// −1 and n are out of range.
+			u, v := int(ops[i+1])%(n+2)-1, int(ops[i+2])%(n+2)-1
+			var got, want error
+			switch ops[i] % 3 {
+			case 0:
+				got, want = edit.Connect(u, v), ref.Connect(u, v)
+			case 1:
+				got, want = edit.Disconnect(u, v), ref.Disconnect(u, v)
+			default:
+				commit(i / 3)
+				edit.Begin()
+				continue
+			}
+			if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+				t.Fatalf("op %d on (%d, %d): edit error %v, per-edge error %v", i/3, u, v, got, want)
+			}
+			if edit.Version() != ref.Version() {
+				t.Fatalf("op %d: Version %d inside the edit, %d per edge", i/3, edit.Version(), ref.Version())
+			}
+			for a := 0; a < n; a++ {
+				if edit.OutDegree(a) != ref.OutDegree(a) || edit.InFree(a) != ref.InFree(a) {
+					t.Fatalf("op %d: node %d out-degree %d free %d inside the edit, %d/%d per edge",
+						i/3, a, edit.OutDegree(a), edit.InFree(a), ref.OutDegree(a), ref.InFree(a))
+				}
+				for b := -1; b <= n; b++ {
+					if edit.HasOut(a, b) != ref.HasOut(a, b) {
+						t.Fatalf("op %d: HasOut(%d, %d) = %v inside the edit", i/3, a, b, edit.HasOut(a, b))
+					}
+				}
+			}
+		}
+		commit(len(ops) / 3)
+	})
+}
+
+// TestEditGuardsStaleReaders: inside an edit, whose in-rows are stale,
+// every reader of them panics and Validate reports the open edit; Commit
+// restores them all, and a second Commit changes nothing.
+func TestEditGuardsStaleReaders(t *testing.T) {
+	tbl, err := Random(30, 4, 8, rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl.Begin()
+	if err := tbl.Disconnect(0, tbl.OutNeighbors(0)[0]); err != nil {
+		t.Fatal(err)
+	}
+	for name, read := range map[string]func(){
+		"InNeighbors":      func() { tbl.InNeighbors(1) },
+		"AppendUndirected": func() { tbl.AppendUndirected(nil, 1) },
+		"Undirected":       func() { tbl.Undirected() },
+		"Clone":            func() { tbl.Clone() },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s inside an edit did not panic", name)
+				}
+			}()
+			read()
+		}()
+	}
+	if tbl.Validate() == nil {
+		t.Fatal("Validate passed a table with an open edit")
+	}
+	tbl.Commit()
+	if err := tbl.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	adj, version := tbl.Undirected(), tbl.Version()
+	tbl.Commit()
+	if !reflect.DeepEqual(tbl.Undirected(), adj) || tbl.Version() != version {
+		t.Fatal("a Commit outside an edit changed the table")
+	}
+}
+
 // matchModel fails the test unless every read accessor of tbl agrees with
 // the model for every node and pair: the undirected graph (pins included),
 // the pin-blind neighbours, the out- and in-rows, the degrees and free

@@ -37,7 +37,7 @@ gate_bytes() { gate_unit "$1" "$2" B/op; }
 # iterations because a single op is a full 100k-node flood (and its set-up
 # hashes 1.6M edge delays).
 go test -run '^$' \
-  -bench 'Micro(Broadcast1000$|Broadcast10000$|BroadcastStreaming10000$|Reconfigure1000$|TopologyRandom20000$|TableRewire1000$|ColdPrepare2000$|AnalyticArrival|RoundBroadcast1000$|RoundBroadcastPools300$|DelayToFraction|VanillaScoring|SubsetScoring|EngineRound|DeriveIndexed|DurationPercentile|WireFrame|WireRead|RelayBlock1K|StoreAdd)' \
+  -bench 'Micro(Broadcast1000$|Broadcast10000$|BroadcastStreaming10000$|Reconfigure1000$|TopologyRandom20000$|TopologyRandom1000$|TableRewire1000$|TableEdit1000$|ColdPrepare2000$|AnalyticArrival|RoundBroadcast1000$|RoundBroadcastPools300$|DelayToFraction|VanillaScoring|SubsetScoring|EngineRound|DeriveIndexed|DurationPercentile|WireFrame|WireRead|RelayBlock1K|StoreAdd)' \
   -benchmem -benchtime=100x . | tee "$OUT"
 go test -run '^$' -bench 'MicroBroadcast100000$' -benchmem -benchtime=3x . \
   | tee -a "$OUT"
@@ -61,10 +61,15 @@ gate MicroReconfigure1000 0
 # 7.0 MB in 165,889 objects; one permutation per node was 3.1 GB.
 gate_bytes MicroTopologyRandom20000 5000000
 gate MicroTopologyRandom20000 16
+# The same build at n = 1000 allocates the same handful of objects.
+gate MicroTopologyRandom1000 16
 # Table rows live in fixed windows of the slabs: a rewire pass plus writing
 # every node's row into a buffer sized once allocates nothing, from the
 # first op (2 allocs/op after a 50-round warm-up when rows grew on the heap).
 gate MicroTableRewire1000 0
+# The same rewire as one table edit, whose Commit writes every in-row into
+# its window again, allocates nothing either.
+gate MicroTableEdit1000 0
 # A fresh engine's first round builds its simulator from the table's rows
 # and carves every node's round rows from slabs: a fixed number of
 # allocations at any n (about 14; 2,000 nodes allocated about 19,000 when
