@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/perigee-net/perigee/internal/adversary"
+	"github.com/perigee-net/perigee/internal/latency"
 )
 
 // Adversary is a pluggable attack strategy (see the internal/adversary
@@ -58,7 +59,7 @@ type AdversaryControl = adversary.Control
 
 // MutableLatency is a latency model whose delays a strategy may
 // transform mid-run (severed or inflated links).
-type MutableLatency = adversary.MutableLatency
+type MutableLatency = latency.MutableLatency
 
 // LatencyLiarAdversary returns the timestamp-manipulation strategy:
 // compromised nodes delay every relay by withhold while every victim's

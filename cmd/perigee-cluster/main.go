@@ -235,7 +235,7 @@ func main() {
 			}
 		}
 		med, p90 := runRound(r)
-		fmt.Printf("after perigee round %d: median %v, p90 %v (%+.0f%% vs random)\n",
+		fmt.Printf("after perigee round %d: median %v, p90 %v (%+.0f%% vs round 0)\n",
 			r, med.Round(time.Millisecond), p90.Round(time.Millisecond),
 			100*(float64(med)/float64(base)-1))
 	}

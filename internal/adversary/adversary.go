@@ -12,7 +12,7 @@
 //   - Network — the mutable behavior tables of those nodes: validation
 //     delay (Forward), free-riding (Silent), withholding (RelayDelay),
 //     protocol deviation (Frozen), and — when the driver supports it — a
-//     MutableLatency handle for tampering with link delays mid-run.
+//     latency.MutableLatency handle for tampering with link delays mid-run.
 //
 // Setup rewrites the tables it cares about and returns an Agent: the
 // run's live hooks. Agent.TamperObservations models manipulated
@@ -64,9 +64,9 @@ package adversary
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
+	"github.com/perigee-net/perigee/internal/latency"
 	"github.com/perigee-net/perigee/internal/rng"
 	"github.com/perigee-net/perigee/internal/stats"
 )
@@ -114,7 +114,7 @@ type Network struct {
 	// Latency, when non-nil, is the run's tamperable latency model.
 	// Strategies that need it must error from Setup when it is nil (a
 	// driver that cannot re-derive link delays mid-run).
-	Latency *MutableLatency
+	Latency *latency.MutableLatency
 }
 
 // Agent is one run's live adversary: the optional hooks that fire while
@@ -170,60 +170,6 @@ type Strategy interface {
 	// behavioral strategies). Invalid strategy parameters are reported
 	// here, surfacing when the driver is built.
 	Setup(env *Env, net *Network) (Agent, error)
-}
-
-// LatencyModel is the minimal link-delay surface the framework needs —
-// satisfied by both internal latency models and public perigee
-// implementations.
-type LatencyModel interface {
-	// Delay returns the one-way latency between nodes u and v.
-	Delay(u, v int) time.Duration
-	// N returns the number of nodes the model covers.
-	N() int
-}
-
-// MutableLatency wraps a base latency model with a swappable transform,
-// letting a strategy sever or inflate links mid-run. With no transform
-// installed it is a passthrough. It is safe for concurrent readers; the
-// transform is swapped between rounds (from Agent.AfterRound), never
-// during a broadcast.
-type MutableLatency struct {
-	base LatencyModel
-
-	mu        sync.RWMutex
-	transform func(u, v int, d time.Duration) time.Duration
-}
-
-// NewMutableLatency wraps base with no transform installed.
-func NewMutableLatency(base LatencyModel) *MutableLatency {
-	return &MutableLatency{base: base}
-}
-
-// Delay returns the (possibly transformed) one-way latency of (u, v).
-func (m *MutableLatency) Delay(u, v int) time.Duration {
-	d := m.base.Delay(u, v)
-	m.mu.RLock()
-	t := m.transform
-	m.mu.RUnlock()
-	if t != nil {
-		d = t(u, v, d)
-	}
-	return d
-}
-
-// N returns the coverage of the base model.
-func (m *MutableLatency) N() int { return m.base.N() }
-
-// SetTransform installs (or, with nil, removes) the delay transform. The
-// transform must be symmetric in (u, v) and return non-negative delays,
-// preserving the latency-model contract. A model whose delays change must
-// invalidate: callers follow up with Control.InvalidateNetwork, because
-// drivers carry an edge's delay for as long as the edge survives and
-// surviving edges are otherwise not re-evaluated.
-func (m *MutableLatency) SetTransform(t func(u, v int, d time.Duration) time.Duration) {
-	m.mu.Lock()
-	m.transform = t
-	m.mu.Unlock()
 }
 
 // Sample draws the adversary node set for a network of n nodes: a uniform

@@ -148,8 +148,10 @@ func TestLatencyLiarTampersOnlyAdversaryColumns(t *testing.T) {
 	}
 }
 
+// TestMutableLatencyTransform checks the binding's latency handle: a
+// passthrough of the bound model until a strategy installs a transform.
 func TestMutableLatencyTransform(t *testing.T) {
-	m := NewMutableLatency(latency.Constant{Nodes: 4, D: 10 * time.Millisecond})
+	m := testBind(t, NewWithholdingRelay(0, 0), 4, nil).Net.Latency
 	if m.N() != 4 {
 		t.Fatalf("N = %d", m.N())
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/perigee-net/perigee/internal/core"
+	"github.com/perigee-net/perigee/internal/latency"
 	"github.com/perigee-net/perigee/internal/rng"
 )
 
@@ -24,10 +25,10 @@ type Binding struct {
 
 // Bind prepares a strategy for one engine run: it validates the adversary
 // set, copies the honest behavior tables (so one trial's arms never see
-// each other's mutations), wraps the latency model in a MutableLatency,
+// each other's mutations), wraps the latency model in a latency.MutableLatency,
 // and runs the strategy's Setup. forward is the honest per-node
 // validation delay table; it is copied, never mutated.
-func Bind(s Strategy, n int, adversaries []int, lat LatencyModel, forward []time.Duration, r *rng.RNG) (*Binding, error) {
+func Bind(s Strategy, n int, adversaries []int, lat latency.Model, forward []time.Duration, r *rng.RNG) (*Binding, error) {
 	if s == nil {
 		return nil, fmt.Errorf("adversary: nil strategy")
 	}
@@ -64,7 +65,7 @@ func Bind(s Strategy, n int, adversaries []int, lat LatencyModel, forward []time
 		Silent:     make([]bool, n),
 		RelayDelay: make([]time.Duration, n),
 		Frozen:     make([]bool, n),
-		Latency:    NewMutableLatency(lat),
+		Latency:    latency.NewMutableLatency(lat),
 	}
 	agent, err := s.Setup(env, net)
 	if err != nil {

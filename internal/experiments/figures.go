@@ -8,6 +8,7 @@ import (
 	"github.com/perigee-net/perigee/internal/core"
 	"github.com/perigee-net/perigee/internal/hashpower"
 	"github.com/perigee-net/perigee/internal/latency"
+	"github.com/perigee-net/perigee/internal/netsim"
 	"github.com/perigee-net/perigee/internal/parallel"
 	"github.com/perigee-net/perigee/internal/rng"
 	"github.com/perigee-net/perigee/internal/stats"
@@ -124,19 +125,13 @@ func Figure4b(opt Options) (*Result, error) {
 			return err
 		}
 		e.power = power
-		over, err := latency.NewOverride(e.lat)
-		if err != nil {
-			return err
-		}
+		fast := make(map[[2]int]time.Duration)
 		for i := 0; i < len(miners); i++ {
 			for j := i + 1; j < len(miners); j++ {
-				fast := time.Duration(float64(e.lat.Delay(miners[i], miners[j])) * minerSpeedup)
-				if err := over.Set(miners[i], miners[j], fast); err != nil {
-					return err
-				}
+				fast[pairKey(miners[i], miners[j])] = time.Duration(float64(e.lat.Delay(miners[i], miners[j])) * minerSpeedup)
 			}
 		}
-		e.lat = over
+		e.lat = pinDelays(e.lat, fast)
 		return nil
 	}
 	res, err := runFigure(opt, "figure4b",
@@ -169,16 +164,11 @@ func Figure4c(opt Options) (*Result, error) {
 			return err
 		}
 		e.pinned = edges
-		over, err := latency.NewOverride(e.lat)
-		if err != nil {
-			return err
-		}
+		fast := make(map[[2]int]time.Duration, len(edges))
 		for _, edge := range edges {
-			if err := over.Set(edge[0], edge[1], relayLinkDelay); err != nil {
-				return err
-			}
+			fast[pairKey(edge[0], edge[1])] = relayLinkDelay
 		}
-		e.lat = over
+		e.lat = pinDelays(e.lat, fast)
 		for _, m := range members {
 			e.forward[m] = time.Duration(float64(e.forward[m]) * relayValidationMult)
 		}
@@ -193,6 +183,22 @@ func Figure4c(opt Options) (*Result, error) {
 	annotateImprovement(res)
 	return res, nil
 }
+
+// pinDelays returns lat with each pair in pins, keyed by pairKey, pinned to
+// its delay in both directions.
+func pinDelays(lat latency.Model, pins map[[2]int]time.Duration) latency.Model {
+	m := latency.NewMutableLatency(lat)
+	m.SetTransform(func(u, v int, d time.Duration) time.Duration {
+		if p, ok := pins[pairKey(u, v)]; ok {
+			return p
+		}
+		return d
+	})
+	return m
+}
+
+// pairKey names the undirected pair {u, v}, lower node first.
+func pairKey(u, v int) [2]int { return [2]int{min(u, v), max(u, v)} }
 
 // standardSubsetComparison is the reduced algorithm set used by the
 // Figure 4(b)/(c) scenario studies.
@@ -231,15 +237,17 @@ func Figure5(opt Options) (*Result, error) {
 	}
 	perTrial, regret, err := runTrials(opt, "figure5", nil, []arm[[][]float64]{{LabelSubset, func(e *env) ([][]float64, error) {
 		edges := make([][]float64, len(builds))
+		var row []int32
 		for i, b := range builds {
 			tbl, err := b.build(e)
 			if err != nil {
 				return nil, err
 			}
-			for u, row := range tbl.Undirected() {
+			for u := range tbl.N() {
+				row = tbl.AppendUndirected(row[:0], u)
 				for _, v := range row {
-					if u < v {
-						edges[i] = append(edges[i], float64(e.lat.Delay(u, v))/float64(time.Millisecond))
+					if u < int(v) {
+						edges[i] = append(edges[i], float64(e.lat.Delay(u, int(v)))/float64(time.Millisecond))
 					}
 				}
 			}
@@ -293,11 +301,11 @@ func Figure1(opt Options) (*Result, error) {
 	series, err := stretchSweep(opt, []string{"random-stretch", "geometric-stretch"}, 200, func(s, t int) stretchCurve {
 		root := rng.New(opt.Seed).DeriveIndexed("figure1", t)
 		if s == 0 {
-			return stretchCurve{n, root, "pairs-random", func(*latency.Hypercube) ([][]int, error) {
+			return stretchCurve{n, root, "pairs-random", func(*latency.Hypercube) (*topology.Table, error) {
 				return topology.RandomUndirected(n, 3, root.Derive("random"))
 			}}
 		}
-		return stretchCurve{n, root, "pairs-geom", func(cube *latency.Hypercube) ([][]int, error) {
+		return stretchCurve{n, root, "pairs-geom", func(cube *latency.Hypercube) (*topology.Table, error) {
 			return topology.Geometric(n, cube.Distance, geometricRadius(n, 2))
 		}}
 	})
@@ -321,7 +329,7 @@ type stretchCurve struct {
 	n     int
 	root  *rng.RNG
 	pairs string
-	graph func(cube *latency.Hypercube) ([][]int, error)
+	graph func(cube *latency.Hypercube) (*topology.Table, error)
 }
 
 // stretchSweep is the pipeline of Figure 1 and the theorem sweeps: for
@@ -344,11 +352,11 @@ func stretchSweep(opt Options, labels []string, pairs int, curve func(s, t int) 
 		if err != nil {
 			return err
 		}
-		adj, err := c.graph(cube)
+		g, err := c.graph(cube)
 		if err != nil {
 			return err
 		}
-		ss, err := topology.StretchSample(adj, cube.Delay, pairs, c.root.Derive(c.pairs))
+		ss, err := stretchSample(g, cube, pairs, c.root.Derive(c.pairs))
 		if err != nil {
 			return err
 		}
@@ -365,6 +373,60 @@ func stretchSweep(opt Options, labels []string, pairs int, curve func(s, t int) 
 		}
 	}
 	return series, nil
+}
+
+// stretchSample measures multiplicative path stretch over random node
+// pairs: the shortest-path delay through g divided by the direct delay.
+// Each sampled source's distances are the arrivals of one flood on a
+// simulator with zero forwarding delay: delays are integer nanoseconds, so
+// an arrival is the exact shortest-path sum in any relaxation order. Pairs
+// with zero direct delay or in different components are skipped. It
+// returns one stretch value per usable pair.
+func stretchSample(g *topology.Table, lat latency.Model, pairs int, r *rng.RNG) ([]float64, error) {
+	n := g.N()
+	if n < 2 {
+		return nil, fmt.Errorf("experiments: need at least 2 nodes for stretch")
+	}
+	if pairs <= 0 {
+		return nil, fmt.Errorf("experiments: pair count %d must be positive", pairs)
+	}
+	if r == nil {
+		return nil, fmt.Errorf("experiments: nil rng")
+	}
+	sim, err := netsim.NewRows(netsim.Config{Latency: lat, Forward: make([]time.Duration, n), Workers: 1}, g)
+	if err != nil {
+		return nil, err
+	}
+	var (
+		out  []float64
+		dist []time.Duration
+	)
+	// Group pairs by source so one flood serves several targets. Bound
+	// total attempts so a disconnected or degenerate graph cannot loop
+	// forever.
+	const perSource = 4
+	maxAttempts := pairs * 50
+	for attempts := 0; len(out) < pairs; attempts++ {
+		if attempts >= maxAttempts {
+			return nil, fmt.Errorf("experiments: could not find %d usable pairs in %d attempts (graph disconnected?)", pairs, maxAttempts)
+		}
+		src := r.IntN(n)
+		if dist, err = sim.ArrivalAnalyticInto(dist, src); err != nil {
+			return nil, err
+		}
+		for k := 0; k < perSource && len(out) < pairs; k++ {
+			dst := r.IntN(n)
+			if dst == src {
+				continue
+			}
+			direct := lat.Delay(src, dst)
+			if direct <= 0 || dist[dst] == stats.InfDuration {
+				continue
+			}
+			out = append(out, float64(dist[dst])/float64(direct))
+		}
+	}
+	return out, nil
 }
 
 // geometricRadius is the connectivity threshold r = Θ((log n / n)^(1/d))
@@ -398,7 +460,7 @@ func theoremExperiment(opt Options, id, title string, geometric bool) (*Result, 
 	series, err := stretchSweep(opt, labels, 150, func(s, t int) stretchCurve {
 		n := TheoremSizes[s]
 		root := rng.New(opt.Seed).DeriveIndexed(fmt.Sprintf("%s-%d", id, n), t)
-		return stretchCurve{n, root, "pairs", func(cube *latency.Hypercube) ([][]int, error) {
+		return stretchCurve{n, root, "pairs", func(cube *latency.Hypercube) (*topology.Table, error) {
 			if geometric {
 				return topology.Geometric(n, cube.Distance, geometricRadius(n, 2))
 			}

@@ -77,7 +77,7 @@ type Options struct {
 	Workers int
 	// LambdaSources, when positive and below Nodes, evaluates λ from that
 	// many landmark sources (a fixed per-trial random sample) instead of
-	// all n — turning each evaluation pass from n Dijkstras into k, the
+	// all n — turning each evaluation pass from n floods into k, the
 	// lever that makes per-round convergence tracking affordable at 100k+
 	// nodes. The landmark set is derived statelessly from the trial seed,
 	// so successive rounds and every arm of every scenario (engine arms,

@@ -11,7 +11,7 @@ import (
 // scaleDefaultLandmarks is the landmark count the scale scenario falls back
 // to when the caller leaves LambdaSources unset: enough sources for stable
 // p90/p50 estimates (the error-bound test quantifies this) while keeping
-// per-round evaluation at k Dijkstras instead of n.
+// per-round evaluation at k floods instead of n.
 const scaleDefaultLandmarks = 64
 
 // Scale is the large-n convergence scenario: Perigee-Subset against the

@@ -6,30 +6,28 @@
 //     jitter (the paper re-samples link latencies per trial).
 //   - Hypercube: nodes embedded uniformly in [0,1]^d with Euclidean
 //     distances as delays — the theoretical model behind Theorems 1 and 2.
-//   - Override: any base model with specific pairs pinned to new values,
-//     used for fast miner-to-miner links (Fig 4b) and relay trees (Fig 4c).
+//   - MutableLatency: any base model under a swappable delay transform,
+//     used for fast miner-to-miner links (Fig 4b), relay trees (Fig 4c)
+//     and adversaries that sever or inflate links mid-run.
 //
-// Every model is symmetric up to the last rounding: Delay(u, v) and
-// Delay(v, u) evaluate the same terms, but a model may sum them in a
-// different order for each direction, so the two may differ by a
-// nanosecond. A caller that needs δ(u, v) asks for that direction; the
-// simulator prices each directed edge from its own direction.
+// A caller that needs δ(u, v) asks for that direction; the simulator
+// prices each directed edge from its own direction.
 package latency
 
 import (
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"github.com/perigee-net/perigee/internal/geo"
 	"github.com/perigee-net/perigee/internal/rng"
 )
 
-// Model yields the constant one-way delay of sending a block between two
-// directly-connected nodes. Implementations must be symmetric up to the
-// last rounding (see the package comment) and return non-negative delays.
-// Delay may be called from several goroutines at once: the engine's
-// broadcast workers evaluate it concurrently.
+// Model yields the one-way delay of sending a block between two
+// directly-connected nodes. Its contract (symmetry, non-negative and
+// constant delays, coverage, concurrent calls) is stated once, on the
+// public alias perigee.LatencyModel.
 type Model interface {
 	// Delay returns the one-way latency between nodes u and v.
 	Delay(u, v int) time.Duration
@@ -334,51 +332,48 @@ func (h *Hypercube) Distance(u, v int) float64 {
 	return math.Sqrt(sum)
 }
 
-// Override wraps a base model, pinning chosen pairs to explicit delays.
-type Override struct {
-	base      Model
-	overrides map[[2]int]time.Duration
+// MutableLatency wraps a base latency model with a swappable transform,
+// letting a strategy sever or inflate links mid-run, or a scenario pin
+// chosen pairs to new delays. With no transform installed it is a
+// passthrough. It is safe for concurrent readers; the transform is swapped
+// between rounds, never during a broadcast.
+type MutableLatency struct {
+	base Model
+
+	mu        sync.RWMutex
+	transform func(u, v int, d time.Duration) time.Duration
 }
 
-// NewOverride wraps base with an initially-empty override set.
-func NewOverride(base Model) (*Override, error) {
-	if base == nil {
-		return nil, fmt.Errorf("latency: nil base model")
-	}
-	return &Override{base: base, overrides: make(map[[2]int]time.Duration)}, nil
+// NewMutableLatency wraps base with no transform installed.
+func NewMutableLatency(base Model) *MutableLatency {
+	return &MutableLatency{base: base}
 }
 
-func pairKey(u, v int) [2]int {
-	if u > v {
-		u, v = v, u
+// Delay returns the (possibly transformed) one-way latency of (u, v).
+func (m *MutableLatency) Delay(u, v int) time.Duration {
+	d := m.base.Delay(u, v)
+	m.mu.RLock()
+	t := m.transform
+	m.mu.RUnlock()
+	if t != nil {
+		d = t(u, v, d)
 	}
-	return [2]int{u, v}
+	return d
 }
 
-// Set pins the delay between u and v (symmetrically).
-func (o *Override) Set(u, v int, d time.Duration) error {
-	if u == v {
-		return fmt.Errorf("latency: cannot override self-delay of node %d", u)
-	}
-	if u < 0 || v < 0 || u >= o.base.N() || v >= o.base.N() {
-		return fmt.Errorf("latency: override pair (%d, %d) outside universe of %d", u, v, o.base.N())
-	}
-	if d < 0 {
-		return fmt.Errorf("latency: negative delay %v", d)
-	}
-	o.overrides[pairKey(u, v)] = d
-	return nil
-}
+// N returns the coverage of the base model.
+func (m *MutableLatency) N() int { return m.base.N() }
 
-// N implements Model.
-func (o *Override) N() int { return o.base.N() }
-
-// Delay implements Model.
-func (o *Override) Delay(u, v int) time.Duration {
-	if d, ok := o.overrides[pairKey(u, v)]; ok {
-		return d
-	}
-	return o.base.Delay(u, v)
+// SetTransform installs (or, with nil, removes) the delay transform. The
+// transform must be symmetric in (u, v) and return non-negative delays,
+// preserving the Model contract. A model whose delays change must
+// invalidate: callers follow up with Control.InvalidateNetwork, because
+// drivers carry an edge's delay for as long as the edge survives and
+// surviving edges are otherwise not re-evaluated.
+func (m *MutableLatency) SetTransform(t func(u, v int, d time.Duration) time.Duration) {
+	m.mu.Lock()
+	m.transform = t
+	m.mu.Unlock()
 }
 
 // Constant is a model in which every distinct pair has the same delay;

@@ -257,48 +257,38 @@ func TestNewHypercubeErrors(t *testing.T) {
 	}
 }
 
+// TestOverride overrides one pair's delay through a MutableLatency
+// transform, the way the fast-link figures pin their pairs: the pair reads
+// the pin in both directions, every other pair reads the base, and removing
+// the transform restores the base.
 func TestOverride(t *testing.T) {
 	base := Constant{Nodes: 10, D: 100 * time.Millisecond}
-	o, err := NewOverride(base)
-	if err != nil {
-		t.Fatal(err)
+	m := NewMutableLatency(base)
+	if m.N() != 10 {
+		t.Fatalf("N = %d", m.N())
 	}
-	if o.N() != 10 {
-		t.Fatalf("N = %d", o.N())
+	if got := m.Delay(2, 7); got != 100*time.Millisecond {
+		t.Fatalf("passthrough delay %v", got)
 	}
-	if err := o.Set(2, 7, 5*time.Millisecond); err != nil {
-		t.Fatal(err)
+	pins := map[[2]int]time.Duration{{2, 7}: 5 * time.Millisecond}
+	m.SetTransform(func(u, v int, d time.Duration) time.Duration {
+		if p, ok := pins[[2]int{min(u, v), max(u, v)}]; ok {
+			return p
+		}
+		return d
+	})
+	if got := m.Delay(2, 7); got != 5*time.Millisecond {
+		t.Fatalf("pin not applied: %v", got)
 	}
-	if got := o.Delay(2, 7); got != 5*time.Millisecond {
-		t.Fatalf("override not applied: %v", got)
+	if got := m.Delay(7, 2); got != 5*time.Millisecond {
+		t.Fatalf("pin not symmetric: %v", got)
 	}
-	if got := o.Delay(7, 2); got != 5*time.Millisecond {
-		t.Fatalf("override not symmetric: %v", got)
+	if got := m.Delay(1, 2); got != 100*time.Millisecond {
+		t.Fatalf("unpinned pair changed: %v", got)
 	}
-	if got := o.Delay(1, 2); got != 100*time.Millisecond {
-		t.Fatalf("non-overridden pair changed: %v", got)
-	}
-	if len(o.overrides) != 1 {
-		t.Fatalf("%d overridden pairs", len(o.overrides))
-	}
-}
-
-func TestOverrideErrors(t *testing.T) {
-	if _, err := NewOverride(nil); err == nil {
-		t.Fatal("expected error for nil base")
-	}
-	o, err := NewOverride(Constant{Nodes: 5, D: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := o.Set(1, 1, time.Millisecond); err == nil {
-		t.Fatal("expected error for self pair")
-	}
-	if err := o.Set(0, 9, time.Millisecond); err == nil {
-		t.Fatal("expected error for out-of-range node")
-	}
-	if err := o.Set(0, 1, -time.Millisecond); err == nil {
-		t.Fatal("expected error for negative delay")
+	m.SetTransform(nil)
+	if got := m.Delay(2, 7); got != 100*time.Millisecond {
+		t.Fatalf("cleared transform still active: %v", got)
 	}
 }
 

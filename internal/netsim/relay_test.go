@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"sort"
 	"testing"
 	"time"
 
@@ -65,12 +64,9 @@ func TestRelayDelayAnalyticMatchesEventSim(t *testing.T) {
 	// pass and the edge-recording pass must agree on every arrival.
 	r := rng.New(99)
 	for trial := 0; trial < 5; trial++ {
-		adj, err := topology.RandomUndirected(40, 4, r.DeriveIndexed("adj", trial))
+		tbl, err := topology.RandomUndirected(40, 4, r.DeriveIndexed("adj", trial))
 		if err != nil {
 			t.Fatal(err)
-		}
-		for _, row := range adj {
-			sort.Ints(row)
 		}
 		relay := make([]time.Duration, 40)
 		for i := range relay {
@@ -78,12 +74,11 @@ func TestRelayDelayAnalyticMatchesEventSim(t *testing.T) {
 				relay[i] = time.Duration(r.IntN(200)) * time.Millisecond
 			}
 		}
-		sim, err := New(Config{
-			Adj:        adj,
+		sim, err := NewRows(Config{
 			Latency:    latency.Constant{Nodes: 40, D: 10 * time.Millisecond},
 			Forward:    uniformForward(40, 5*time.Millisecond),
 			RelayDelay: relay,
-		})
+		}, tbl)
 		if err != nil {
 			t.Fatal(err)
 		}

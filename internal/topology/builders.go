@@ -181,9 +181,9 @@ func Kademlia(n, outDegree, maxIn int, r *rng.RNG) (*Table, error) {
 }
 
 // Geometric builds the threshold geometric graph of §3.3 over a point set:
-// nodes u, v are adjacent iff dist(u, v) < radius. The result is plain
-// undirected adjacency (no degree caps — it is a theoretical construct).
-func Geometric(n int, dist func(u, v int) float64, radius float64) ([][]int, error) {
+// nodes u, v are adjacent iff dist(u, v) < radius. Every edge is a pin (see
+// Table.Pin): the graph has no degree caps — it is a theoretical construct.
+func Geometric(n int, dist func(u, v int) float64, radius float64) (*Table, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("topology: geometric graph size %d must be positive", n)
 	}
@@ -193,22 +193,27 @@ func Geometric(n int, dist func(u, v int) float64, radius float64) ([][]int, err
 	if radius <= 0 {
 		return nil, fmt.Errorf("topology: radius %v must be positive", radius)
 	}
-	adj := make([][]int, n)
+	t, err := NewTable(n, 1) // pins take no slot, so the cap is moot
+	if err != nil {
+		return nil, err
+	}
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
 			if dist(u, v) < radius {
-				adj[u] = append(adj[u], v)
-				adj[v] = append(adj[v], u)
+				if err := t.Pin(u, v); err != nil {
+					return nil, err
+				}
 			}
 		}
 	}
-	return adj, nil
+	return t, nil
 }
 
 // RandomUndirected builds an Erdős–Rényi-flavored undirected graph where
 // each node links to degree uniformly random peers (used for the Figure 1
-// and Theorem 1 experiments, which have no degree caps).
-func RandomUndirected(n, degree int, r *rng.RNG) ([][]int, error) {
+// and Theorem 1 experiments, which have no degree caps). Every edge is a
+// pin; a drawn peer u is already pinned to does not count toward u's degree.
+func RandomUndirected(n, degree int, r *rng.RNG) (*Table, error) {
 	if n <= 1 {
 		return nil, fmt.Errorf("topology: undirected graph size %d too small", n)
 	}
@@ -218,19 +223,9 @@ func RandomUndirected(n, degree int, r *rng.RNG) ([][]int, error) {
 	if r == nil {
 		return nil, fmt.Errorf("topology: nil rng")
 	}
-	type pair struct{ a, b int }
-	seen := make(map[pair]bool, n*degree)
-	adj := make([][]int, n)
-	add := func(a, b int) {
-		if a > b {
-			a, b = b, a
-		}
-		if a == b || seen[pair{a, b}] {
-			return
-		}
-		seen[pair{a, b}] = true
-		adj[a] = append(adj[a], b)
-		adj[b] = append(adj[b], a)
+	t, err := NewTable(n, 1)
+	if err != nil {
+		return nil, err
 	}
 	cand := identity(n)
 	for u := 0; u < n; u++ {
@@ -240,14 +235,17 @@ func RandomUndirected(n, degree int, r *rng.RNG) ([][]int, error) {
 			if v == u {
 				continue
 			}
-			before := len(adj[u])
-			add(u, v)
-			if len(adj[u]) > before {
+			// Pin steps Version only when the pair is new.
+			before := t.Version()
+			if err := t.Pin(u, v); err != nil {
+				return nil, err
+			}
+			if t.Version() != before {
 				made++
 			}
 		}
 	}
-	return adj, nil
+	return t, nil
 }
 
 // RelayTree returns the undirected edges of a b-ary tree over the given

@@ -314,10 +314,11 @@ func TestGeometricGraph(t *testing.T) {
 		}
 		return d
 	}
-	adj, err := Geometric(4, dist, 1.5)
+	tbl, err := Geometric(4, dist, 1.5)
 	if err != nil {
 		t.Fatal(err)
 	}
+	adj := tbl.Undirected()
 	wantDeg := []int{1, 2, 2, 1}
 	for u, want := range wantDeg {
 		if len(adj[u]) != want {
@@ -340,10 +341,11 @@ func TestGeometricErrors(t *testing.T) {
 }
 
 func TestRandomUndirected(t *testing.T) {
-	adj, err := RandomUndirected(100, 3, rng.New(6))
+	tbl, err := RandomUndirected(100, 3, rng.New(6))
 	if err != nil {
 		t.Fatal(err)
 	}
+	adj := tbl.Undirected()
 	for u := range adj {
 		if len(adj[u]) < 3 {
 			t.Fatalf("node %d has degree %d < 3", u, len(adj[u]))

@@ -2,8 +2,9 @@
 // degree-constrained connection table (outgoing connections per node,
 // capped incoming connections, §2.1), topology constructors for every
 // algorithm the paper evaluates (random, geographic, Kademlia-style,
-// geometric threshold graphs, relay trees), and the graph algorithms the
-// analysis sections rely on (Dijkstra, BFS, stretch).
+// geometric threshold graphs, relay trees). The uncapped graphs of the
+// stretch analysis are tables of pins; their shortest paths are the
+// simulator's flood (netsim), not a graph algorithm of this package.
 //
 // A Table keeps each node's outgoing and incoming peers as ascending int32
 // rows in fixed windows of one slab per direction, so rewiring allocates

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/perigee-net/perigee/internal/hashpower"
+	"github.com/perigee-net/perigee/internal/latency"
 	"github.com/perigee-net/perigee/internal/paper"
 	"github.com/perigee-net/perigee/internal/rng"
 )
@@ -19,8 +20,11 @@ type Rand = rng.RNG
 
 // LatencyModel yields the constant one-way delay of sending a block
 // between two directly-connected nodes. Implementations must be symmetric
-// (Delay(u, v) == Delay(v, u)) and return non-negative delays; N reports
-// how many nodes the model covers and must be at least the network size.
+// up to the last rounding: Delay(u, v) and Delay(v, u) evaluate the same
+// terms, but may sum them in a different order, so the two may differ by a
+// nanosecond (the simulator prices each directed edge from its own
+// direction). Delays must be non-negative; N reports how many nodes the
+// model covers and must be at least the network size.
 // A pair's delay must not change during a run: the simulator asks for it
 // when the link appears and keeps the answer for as long as the link lives.
 // Delay may be called from several goroutines at once: the simulator's
@@ -30,12 +34,7 @@ type Rand = rng.RNG
 // regional hubs with last-mile access delays and per-link route noise. Any
 // custom environment — a measured latency matrix, a synthetic metric
 // space, an overlay with fast-path overrides — plugs in via WithLatency.
-type LatencyModel interface {
-	// Delay returns the one-way latency between nodes u and v.
-	Delay(u, v int) time.Duration
-	// N returns the number of nodes the model covers.
-	N() int
-}
+type LatencyModel = latency.Model
 
 // GeographicLatency samples the paper's geographic latency model (§3.1)
 // for n nodes from the given seed: nodes embedded near regional hubs with

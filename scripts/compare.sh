@@ -21,13 +21,17 @@
 # whose change median is worse than the base median by more than its
 # relative "bound" in BENCHMARK.json is marked **worse**. A pair whose
 # propagation_ms_p50 differs in any digit is flagged: on the simulated
-# workloads no performance change may move it. It exits 1 when a run fails
-# or reports "correct": false, after printing what it has.
+# workloads no performance change may move it. A last row gives each run's
+# machine_speed_x, the host speed its "# machine_speed_x=…" note reports
+# (higher is faster; blank when a run printed none): it is a reading of the
+# host while the pair ran, not a metric of either side. It exits 1 when a
+# run fails or reports "correct": false, after printing what it has.
 #
 # -o writes the same run to a JSON file as well: the base and change
 # revisions, the host the runs reported (nproc, GOMAXPROCS, Go version), and
 # per workload and end-to-end metric every pair's base and change values
-# (null for a failed run), both medians and the change's wins. A run of
+# (null for a failed run), both medians and the change's wins, and per
+# workload every pair's base and change machine_speed_x. A run of
 # record is committed as BENCH_<change rev>.json.
 set -euo pipefail
 usage() {
@@ -86,7 +90,12 @@ for workload in "${workloads[@]}"; do
       if [[ "$out" =~ nproc=([0-9]+)\ gomaxprocs=([0-9]+)\ (go[^[:space:]]+) ]]; then
         host="{\"nproc\":${BASH_REMATCH[1]},\"gomaxprocs\":${BASH_REMATCH[2]},\"go\":\"${BASH_REMATCH[3]}\"}"
       fi
-      echo "{\"workload\":\"$workload\",\"pair\":$pair,\"side\":\"$side\",\"host\":$host,\"result\":$result}" >> "$raw"
+      # The host-speed note: "# machine_speed_x=1.02".
+      speed=null
+      if [[ "$out" =~ \#\ machine_speed_x=([0-9.]+) ]]; then
+        speed="\"${BASH_REMATCH[1]}\""
+      fi
+      echo "{\"workload\":\"$workload\",\"pair\":$pair,\"side\":\"$side\",\"host\":$host,\"speed\":$speed,\"result\":$result}" >> "$raw"
     done
   done
 done
@@ -108,8 +117,10 @@ for key in ("nproc", "gomaxprocs", "go"):
 print(f"# base {sys.argv[2][:12]} against the working tree at {sys.argv[3][:12]}")
 for workload in dict.fromkeys(r["workload"] for r in rows):
     runs = {(r["pair"], r["side"]): r["result"] for r in rows if r["workload"] == workload}
+    speeds = {(r["pair"], r["side"]): r["speed"] and float(r["speed"]) for r in rows if r["workload"] == workload}
     pairs = sorted({p for p, _ in runs})
-    entry = {"name": workload, "pairs": pairs, "metrics": {}}
+    entry = {"name": workload, "pairs": pairs, "metrics": {},
+             "machine_speed_x": {s: [speeds[p, s] for p in pairs] for s in ("base", "change")}}
     record["workloads"].append(entry)
     for m in spec["end_to_end"]:
         entry["metrics"][m["name"]] = {
@@ -148,6 +159,11 @@ for workload in dict.fromkeys(r["workload"] for r in rows):
               + f" | {mb:.6g} [{q1:.6g}, {q3:.6g}] | {mc:.6g}{rel}{worse} | {wins}/{len(ok)} |")
         entry["metrics"][name].update(base_median=mb, base_q1=q1, base_q3=q3, change_median=mc,
                                       change_wins=wins, usable_pairs=len(ok), worse=bool(worse))
+    fmt = lambda v: "" if v is None else f"{v:.6g}"
+    med = lambda s: fmt(statistics.median([v for p in ok if (v := speeds[p, s]) is not None] or [None]))
+    print("| machine_speed_x (host) | higher | "
+          + " | ".join(f"{fmt(speeds[p, 'base'])} → {fmt(speeds[p, 'change'])}" for p in ok)
+          + f" | {med('base')} | {med('change')} | |")
 if sys.argv[4]:
     with open(sys.argv[4], "w") as f:
         json.dump(record, f, indent=1)

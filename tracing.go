@@ -10,19 +10,19 @@ import (
 
 // TraceLevel selects how much of each round's neighbor-selection decision
 // is recorded; see the constants and WithTraceLevel.
-type TraceLevel int
+type TraceLevel = core.TraceLevel
 
 // The decision-trace detail levels.
 const (
 	// TraceOff (the default) records nothing; the decision path stays
 	// allocation-free.
-	TraceOff TraceLevel = TraceLevel(core.TraceOff)
+	TraceOff = core.TraceOff
 	// TraceDecisions records every keep/drop/dial decision with the
 	// decision-time neighbor scores.
-	TraceDecisions TraceLevel = TraceLevel(core.TraceDecisions)
+	TraceDecisions = core.TraceDecisions
 	// TraceInputs additionally records the decision's inputs: the full
 	// per-neighbor observation rows and censoring counts.
-	TraceInputs TraceLevel = TraceLevel(core.TraceInputs)
+	TraceInputs = core.TraceInputs
 )
 
 // TraceRecord is one recorded decision or counterfactual evaluation; see
@@ -39,10 +39,10 @@ type TraceSummary = trace.Summary
 // allocation-free.
 func WithTraceLevel(l TraceLevel) Option {
 	return func(s *settings) error {
-		if !core.TraceLevel(l).Valid() {
+		if !l.Valid() {
 			return fmt.Errorf("perigee: unknown trace level %d", int(l))
 		}
-		s.traceLevel = core.TraceLevel(l)
+		s.traceLevel = l
 		return nil
 	}
 }
