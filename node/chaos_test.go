@@ -5,6 +5,8 @@ import (
 	"net"
 	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -300,6 +302,48 @@ func TestPeerSlowConsumerDisconnects(t *testing.T) {
 	if p.send(&wire.GetAddr{}) {
 		t.Fatal("send succeeded on a closed peer")
 	}
+
+	t.Run("concurrent senders", func(t *testing.T) {
+		a, b := net.Pipe()
+		defer a.Close()
+		defer b.Close()
+		p := newPeer(1, inbound, a, "", 0)
+		p.maxFullDrops = 50
+		var slow atomic.Int32
+		p.onSlowClose = func() { slow.Add(1) }
+		for i := 0; i < peerSendBuffer; i++ {
+			p.send(&wire.GetAddr{})
+		}
+		// Twice the budget of full-queue sends race for the slow close.
+		sendConcurrently(8, 2*p.maxFullDrops/8+1, func(int) { p.send(&wire.GetAddr{}) })
+		select {
+		case <-p.done:
+		default:
+			t.Fatal("peer not closed after exhausting its full-queue budget")
+		}
+		if got := slow.Load(); got != 1 {
+			t.Fatalf("slow-close hook fired %d times, want 1", got)
+		}
+	})
+}
+
+// sendConcurrently runs send(i) for i in [0, each) on each of senders
+// goroutines, all released at once, and waits for them.
+func sendConcurrently(senders, each int, send func(i int)) {
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := 0; i < each; i++ {
+				send(i)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
 }
 
 // TestPeerDropNthFault: the send-path half of a Drop verdict silently
@@ -318,6 +362,29 @@ func TestPeerDropNthFault(t *testing.T) {
 	if got := len(p.sendCh); got != 3 {
 		t.Fatalf("%d messages queued, want 3 (every 2nd dropped)", got)
 	}
+
+	t.Run("concurrent senders", func(t *testing.T) {
+		a, b := net.Pipe()
+		defer a.Close()
+		defer b.Close()
+		p := newPeer(1, outbound, a, "", 0)
+		p.dropNth = 3
+		// 133 sends leave 89 queued, within the queue: every send succeeds.
+		const senders, each = 7, 19
+		var failed atomic.Int32
+		sendConcurrently(senders, each, func(i int) {
+			if !p.send(&wire.Ping{Nonce: uint64(i)}) {
+				failed.Add(1)
+			}
+		})
+		if got := failed.Load(); got != 0 {
+			t.Fatalf("%d sends reported failure", got)
+		}
+		total := senders * each
+		if got, want := total-len(p.sendCh), total/p.dropNth; got != want {
+			t.Fatalf("%d of %d messages dropped, want %d (every %dth)", got, total, want, p.dropNth)
+		}
+	})
 }
 
 // TestChaosSubsetConformance is the paper-facing chaos conformance test:

@@ -86,17 +86,9 @@ type DiscoveryStats struct {
 }
 
 // Discovery returns a snapshot of the node's addr-gossip counters.
-func (n *Node) Discovery() DiscoveryStats {
-	n.discMu.Lock()
-	defer n.discMu.Unlock()
-	return n.disc
-}
-
-// countDisc applies one mutation to the discovery counters under the lock.
-func (n *Node) countDisc(f func(*DiscoveryStats)) {
-	n.discMu.Lock()
-	f(&n.disc)
-	n.discMu.Unlock()
+func (n *Node) Discovery() (s DiscoveryStats) {
+	n.record(func(l *ledger) { s = l.disc })
+	return s
 }
 
 // ageSecOf clamps a book age to the wire's uint32 seconds field.
@@ -118,13 +110,13 @@ func ageSecOf(age time.Duration) uint32 {
 func (n *Node) handleGetAddr(p *peer) {
 	serve, abusive := p.admitGetAddr(time.Now(), n.cfg.Discovery.getAddrInterval(), getAddrBurst)
 	if abusive {
-		n.countDisc(func(s *DiscoveryStats) { s.GetAddrThrottled++ })
+		n.record(func(l *ledger) { l.disc.GetAddrThrottled++ })
 		n.logf("getaddr spam from %s", p)
 		n.misbehave(p, pointsAddrSpam)
 		return
 	}
 	if !serve {
-		n.countDisc(func(s *DiscoveryStats) { s.GetAddrThrottled++ })
+		n.record(func(l *ledger) { l.disc.GetAddrThrottled++ })
 		return
 	}
 	pool := n.book.Gossipable(n.Addr(), p.listenAddr)
@@ -157,7 +149,7 @@ func (n *Node) handleAddr(p *peer, msg *wire.Addr) {
 	if uncovered := len(entries) - covered; uncovered > 0 {
 		allowed := p.admitUnsolicited(time.Now(), n.cfg.Discovery.getAddrInterval(), unsolicitedBudget, uncovered)
 		if dropped := uncovered - allowed; dropped > 0 {
-			n.countDisc(func(s *DiscoveryStats) { s.UnsolicitedDropped += dropped })
+			n.record(func(l *ledger) { l.disc.UnsolicitedDropped += dropped })
 			if covered+allowed == 0 {
 				n.logf("addr flood from %s: %d entries over budget", p, dropped)
 				n.misbehave(p, pointsAddrSpam)
@@ -184,10 +176,10 @@ func (n *Node) handleAddr(p *peer, msg *wire.Addr) {
 		}
 	}
 	if invalid > 0 || stale > 0 || learned > 0 {
-		n.countDisc(func(s *DiscoveryStats) {
-			s.AddrsInvalid += invalid
-			s.AddrsStale += stale
-			s.AddrsLearned += learned
+		n.record(func(l *ledger) {
+			l.disc.AddrsInvalid += invalid
+			l.disc.AddrsStale += stale
+			l.disc.AddrsLearned += learned
 		})
 	}
 	if invalid > 0 {
@@ -227,7 +219,7 @@ func (n *Node) trickleAddrs(fromID uint64, addrs []wire.NetAddr) {
 		}
 	}
 	if relayed > 0 {
-		n.countDisc(func(s *DiscoveryStats) { s.AddrsRelayed += relayed })
+		n.record(func(l *ledger) { l.disc.AddrsRelayed += relayed })
 	}
 }
 
@@ -240,27 +232,12 @@ func (n *Node) announceSelf(p *peer) {
 		return
 	}
 	if p.send(&wire.Addr{Addrs: []wire.NetAddr{{Addr: self, AgeSec: 0}}}) {
-		n.countDisc(func(s *DiscoveryStats) { s.SelfAnnounces++ })
+		n.record(func(l *ledger) { l.disc.SelfAnnounces++ })
 	}
 }
 
-// refreshLoop periodically requests addresses from a couple of random
-// peers while the book is below the target size.
-func (n *Node) refreshLoop() {
-	ticker := time.NewTicker(n.cfg.Discovery.RefreshInterval)
-	defer ticker.Stop()
-	for tick := 0; ; tick++ {
-		select {
-		case <-n.quit:
-			return
-		case <-ticker.C:
-			n.refreshOnce(tick)
-		}
-	}
-}
-
-// refreshOnce sends GETADDR to up to two seeded-random peers when the
-// book is thin.
+// refreshOnce, discovery's periodic refresh, sends GETADDR to up to two
+// seeded-random peers when the book is below its target size.
 func (n *Node) refreshOnce(tick int) {
 	if n.book.Len() >= n.cfg.Discovery.TargetKnown {
 		return
@@ -278,36 +255,18 @@ func (n *Node) refreshOnce(tick int) {
 		p := peers[pi]
 		p.noteGetAddrSent()
 		if p.send(&wire.GetAddr{}) {
-			n.countDisc(func(s *DiscoveryStats) { s.RefreshGetAddrs++ })
+			n.record(func(l *ledger) { l.disc.RefreshGetAddrs++ })
 		}
 	}
 }
 
-// feelerLoop cheaply verifies rumor: each interval it dials one
-// never-verified book entry, handshakes, disconnects, and marks the entry
-// dial-verified — so the book's verified tier grows beyond the peers we
-// happen to be connected to, and fabricated addresses are found out.
-func (n *Node) feelerLoop() {
-	ticker := time.NewTicker(n.cfg.Discovery.FeelerInterval)
-	defer ticker.Stop()
-	for tick := 0; ; tick++ {
-		select {
-		case <-n.quit:
-			return
-		case <-ticker.C:
-			n.feelerOnce(tick)
-		}
-	}
-}
-
-// feelerOnce picks one seeded-random unverified candidate and verifies it.
+// feelerOnce, discovery's periodic feeler, cheaply verifies rumor: it
+// dials one seeded-random never-verified book entry, handshakes,
+// disconnects, and marks the entry dial-verified — so the book's verified
+// tier grows beyond the peers we happen to be connected to, and fabricated
+// addresses are found out.
 func (n *Node) feelerOnce(tick int) {
-	exclude := map[string]bool{n.Addr(): true}
-	for _, p := range n.peerSnapshot() {
-		if p.listenAddr != "" {
-			exclude[p.listenAddr] = true
-		}
-	}
+	exclude := n.dialExclusions()
 	all := n.book.FeelerCandidates()
 	candidates := all[:0]
 	for _, a := range all {
@@ -333,7 +292,7 @@ func (n *Node) feelerDial(addr string) {
 	if errors.Is(err, ErrStopped) {
 		return
 	}
-	n.countDisc(func(s *DiscoveryStats) { s.FeelerDials++ })
+	n.record(func(l *ledger) { l.disc.FeelerDials++ })
 	if err != nil {
 		return
 	}
@@ -352,6 +311,6 @@ func (n *Node) feelerDial(addr string) {
 		return
 	}
 	n.book.DialSucceeded(addr)
-	n.countDisc(func(s *DiscoveryStats) { s.FeelerVerified++ })
+	n.record(func(l *ledger) { l.disc.FeelerVerified++ })
 	n.logf("feeler verified %s (%016x)", addr, remote.NodeID)
 }

@@ -67,6 +67,17 @@ func setDefault[T int | time.Duration](v *T, def T) {
 // Node is a live Perigee peer: it gossips blocks over TCP and re-selects
 // its outbound neighbors from measured arrival times by driving its
 // Selector. Build one with New, then Start it.
+//
+// Each piece of its state has one owner, and five mutexes guard it all:
+//   - mu guards the peer set, the listener and the lifecycle flags;
+//   - obsMu guards the block sightings, the round count, the withheld
+//     relays, the last mined block and rand;
+//   - led.mu guards the ledger: counters and fault-plan attempt indices;
+//   - book's own lock guards the address book;
+//   - each peer's discMu guards that peer's addr-gossip rate limits.
+//
+// The rest is lock-free: a peer's send counters, the relayed-block table
+// and roundInFlight are atomics.
 type Node struct {
 	cfg   config
 	store *chain.Store
@@ -110,17 +121,8 @@ type Node struct {
 	// roundInFlight is set while an automatic round runs.
 	roundInFlight atomic.Bool
 
-	// dialMu guards the per-address and per-peer attempt counters that
-	// index into the fault plan's verdict streams.
-	dialMu       sync.Mutex
-	dialAttempts map[string]int
-	connAttempts map[uint64]int
-
-	resMu sync.Mutex
-	res   ResilienceStats
-
-	discMu sync.Mutex
-	disc   DiscoveryStats
+	// led holds the rare-event bookkeeping; only record touches it.
+	led ledger
 
 	wg sync.WaitGroup
 }
@@ -159,17 +161,28 @@ type ResilienceStats struct {
 }
 
 // Resilience returns a snapshot of the node's defensive-action counters.
-func (n *Node) Resilience() ResilienceStats {
-	n.resMu.Lock()
-	defer n.resMu.Unlock()
-	return n.res
+func (n *Node) Resilience() (s ResilienceStats) {
+	n.record(func(l *ledger) { s = l.res })
+	return s
 }
 
-// countRes applies one mutation to the resilience counters under the lock.
-func (n *Node) countRes(f func(*ResilienceStats)) {
-	n.resMu.Lock()
-	f(&n.res)
-	n.resMu.Unlock()
+// ledger is the node's bookkeeping of rare events: the resilience and
+// discovery counters and the attempt indices into the fault plan's
+// per-address and per-remote verdict streams. Only record touches it.
+type ledger struct {
+	mu           sync.Mutex
+	res          ResilienceStats
+	disc         DiscoveryStats
+	dialAttempts map[string]int
+	connAttempts map[uint64]int
+}
+
+// record applies f to the ledger under its lock. f only counts: it takes no
+// other lock and calls nothing that might.
+func (n *Node) record(f func(*ledger)) {
+	n.led.mu.Lock()
+	defer n.led.mu.Unlock()
+	f(&n.led)
 }
 
 // ErrStopped is returned by operations on a stopped node.
@@ -208,19 +221,18 @@ func newNode(cfg config) (*Node, error) {
 		book.MarkSelf(cfg.ListenAddr)
 	}
 	return &Node{
-		cfg:          cfg,
-		store:        store,
-		book:         book,
-		rand:         r,
-		mineRand:     rng.New(cfg.Seed).Derive("mining"),
-		selRand:      rng.New(cfg.Seed).Derive("p2p-selector"),
-		addrRand:     rng.New(cfg.Seed).Derive("p2p-addr-gossip"),
-		peers:        make(map[uint64]*peer),
-		quit:         make(chan struct{}),
-		sightings:    newSightings(cfg.obsCap()),
-		withheld:     make(map[chain.Hash]int),
-		dialAttempts: make(map[string]int),
-		connAttempts: make(map[uint64]int),
+		cfg:       cfg,
+		store:     store,
+		book:      book,
+		rand:      r,
+		mineRand:  rng.New(cfg.Seed).Derive("mining"),
+		selRand:   rng.New(cfg.Seed).Derive("p2p-selector"),
+		addrRand:  rng.New(cfg.Seed).Derive("p2p-addr-gossip"),
+		peers:     make(map[uint64]*peer),
+		quit:      make(chan struct{}),
+		sightings: newSightings(cfg.obsCap()),
+		withheld:  make(map[chain.Hash]int),
+		led:       ledger{dialAttempts: make(map[string]int), connAttempts: make(map[uint64]int)},
 	}, nil
 }
 
@@ -271,16 +283,18 @@ func (n *Node) Start() error {
 		n.wg.Add(1)
 		go n.acceptLoop(ln)
 	}
-	if n.cfg.RedialInterval > 0 && !n.cfg.Frozen && !n.spawn(n.maintainLoop) {
+	// Maintenance tops the outbound set back up to OutDegree from the book,
+	// the recovery path for connections lost to faults between rounds.
+	if n.cfg.RedialInterval > 0 && !n.cfg.Frozen && !n.every(n.cfg.RedialInterval, func(int) { n.redialToTarget() }) {
 		return ErrStopped
 	}
-	// Discovery loops: refresh keeps the book fed, feelers verify rumor.
+	// Discovery's tasks: refresh keeps the book fed, feelers verify rumor.
 	// Either runs regardless of Frozen — they shape the address book, not
 	// the neighbor set.
-	if n.cfg.Discovery.RefreshInterval > 0 && !n.spawn(n.refreshLoop) {
+	if n.cfg.Discovery.RefreshInterval > 0 && !n.every(n.cfg.Discovery.RefreshInterval, n.refreshOnce) {
 		return ErrStopped
 	}
-	if n.cfg.Discovery.FeelerInterval > 0 && !n.spawn(n.feelerLoop) {
+	if n.cfg.Discovery.FeelerInterval > 0 && !n.every(n.cfg.Discovery.FeelerInterval, n.feelerOnce) {
 		return ErrStopped
 	}
 	if n.cfg.mine > 0 {
@@ -313,20 +327,33 @@ func (n *Node) stopped() bool {
 	return n.closed
 }
 
-// maintainLoop periodically tops the outbound set back up to OutDegree
-// from the address book — the recovery path for connections lost to
-// faults between Perigee rounds.
-func (n *Node) maintainLoop() {
-	ticker := time.NewTicker(n.cfg.RedialInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-n.quit:
-			return
-		case <-ticker.C:
-			n.redialToTarget()
+// every runs f(tick) on a ticker of the given interval, tick counting from
+// 0, until the node stops; see spawn for the result.
+func (n *Node) every(interval time.Duration, f func(tick int)) bool {
+	return n.spawn(func() {
+		ticker := time.NewTicker(interval)
+		defer ticker.Stop()
+		for tick := 0; ; tick++ {
+			select {
+			case <-n.quit:
+				return
+			case <-ticker.C:
+				f(tick)
+			}
+		}
+	})
+}
+
+// dialExclusions returns the addresses no dial picks: the node's own and
+// every connected peer's listen address.
+func (n *Node) dialExclusions() map[string]bool {
+	exclude := map[string]bool{n.Addr(): true}
+	for _, p := range n.peerSnapshot() {
+		if p.listenAddr != "" {
+			exclude[p.listenAddr] = true
 		}
 	}
+	return exclude
 }
 
 // dialBook connects to the book's dialable addresses in one seeded
@@ -336,12 +363,7 @@ func (n *Node) maintainLoop() {
 // dead or abusive addresses. It returns the addresses connected and the
 // exclusion set, which it never extends.
 func (n *Node) dialBook(skip []string, enough func(connected int) bool, what string) (dialed []string, exclude map[string]bool) {
-	exclude = map[string]bool{n.Addr(): true}
-	for _, p := range n.peerSnapshot() {
-		if p.listenAddr != "" {
-			exclude[p.listenAddr] = true
-		}
-	}
+	exclude = n.dialExclusions()
 	for _, a := range skip {
 		exclude[a] = true
 	}
@@ -369,7 +391,7 @@ func (n *Node) redialToTarget() {
 		return
 	}
 	dialed, exclude := n.dialBook(nil, func(c int) bool { return c >= need }, "redial")
-	n.countRes(func(r *ResilienceStats) { r.Redials += len(dialed) })
+	n.record(func(l *ledger) { l.res.Redials += len(dialed) })
 	need -= len(dialed)
 	// Starved below quorum with every known address inside its backoff
 	// gate: override the gate for the entry closest to dialable rather
@@ -382,9 +404,9 @@ func (n *Node) redialToTarget() {
 				n.logf("desperation dial %s: %v", addr, err)
 				return
 			}
-			n.countRes(func(r *ResilienceStats) {
-				r.Redials++
-				r.DesperationDials++
+			n.record(func(l *ledger) {
+				l.res.Redials++
+				l.res.DesperationDials++
 			})
 		}
 	}
@@ -410,7 +432,7 @@ func (n *Node) acceptLoop(ln net.Listener) {
 		if n.count(inbound) >= n.cfg.MaxInbound {
 			// Incoming slots full: shed the connection, as in §5.1.
 			_ = conn.Close()
-			n.countRes(func(r *ResilienceStats) { r.AcceptsShed++ })
+			n.record(func(l *ledger) { l.res.AcceptsShed++ })
 			continue
 		}
 		n.wg.Add(1)
@@ -451,7 +473,7 @@ var errBanned = errors.New("p2p: peer banned")
 // are eventually evicted.
 func (n *Node) Connect(addr string) error {
 	if n.book.AddrBanned(addr) {
-		n.countRes(func(r *ResilienceStats) { r.BannedRefused++ })
+		n.record(func(l *ledger) { l.res.BannedRefused++ })
 		return fmt.Errorf("p2p: dial %s: %w", addr, errBanned)
 	}
 	conn, err := n.dial(addr)
@@ -476,10 +498,14 @@ func (n *Node) dial(addr string) (net.Conn, error) {
 		return nil, ErrStopped
 	}
 	if n.cfg.Faults != nil {
-		attempt := n.nextDialAttempt(addr)
+		var attempt int
+		n.record(func(l *ledger) {
+			attempt = l.dialAttempts[addr]
+			l.dialAttempts[addr]++
+		})
 		if v := n.cfg.Faults.Dial(n.cfg.NodeID, addr, attempt); v.Kind == faults.DialFail {
 			n.dialFailed(addr)
-			n.countRes(func(r *ResilienceStats) { r.FaultedDials++ })
+			n.record(func(l *ledger) { l.res.FaultedDials++ })
 			return nil, fmt.Errorf("p2p: dial %s: %w", addr, faults.ErrInjectedDial)
 		}
 	}
@@ -497,27 +523,7 @@ func (n *Node) dialFailed(addr string) {
 	if evicted := n.book.DialFailed(addr); evicted {
 		n.logf("evicted %s from address book (failure budget exhausted)", addr)
 	}
-	n.countRes(func(r *ResilienceStats) { r.DialFailures++ })
-}
-
-// nextDialAttempt returns the 0-based attempt index for addr, indexing
-// the fault plan's per-address verdict stream.
-func (n *Node) nextDialAttempt(addr string) int {
-	n.dialMu.Lock()
-	defer n.dialMu.Unlock()
-	a := n.dialAttempts[addr]
-	n.dialAttempts[addr] = a + 1
-	return a
-}
-
-// nextConnAttempt returns the 0-based attempt index for the remote node,
-// indexing the fault plan's per-pair verdict stream.
-func (n *Node) nextConnAttempt(remote uint64) int {
-	n.dialMu.Lock()
-	defer n.dialMu.Unlock()
-	a := n.connAttempts[remote]
-	n.connAttempts[remote] = a + 1
-	return a
+	n.record(func(l *ledger) { l.res.DialFailures++ })
 }
 
 // errSelfConnect is handshake's refusal of a remote carrying our own node
@@ -561,7 +567,7 @@ func (n *Node) admit(remote *wire.Version) error {
 	case remote.NodeID == n.cfg.NodeID:
 		return errSelfConnect
 	case n.book.IDBanned(remote.NodeID):
-		n.countRes(func(r *ResilienceStats) { r.BannedRefused++ })
+		n.record(func(l *ledger) { l.res.BannedRefused++ })
 		return fmt.Errorf("p2p: %016x: %w", remote.NodeID, errBanned)
 	}
 	return nil
@@ -585,9 +591,13 @@ func (n *Node) setupPeer(conn net.Conn, dir direction, dialedAddr string) error 
 	// The handshake runs clean — dial-level faults cover that phase.
 	dropNth := 0
 	if n.cfg.Faults != nil {
-		attempt := n.nextConnAttempt(remote.NodeID)
+		var attempt int
+		n.record(func(l *ledger) {
+			attempt = l.connAttempts[remote.NodeID]
+			l.connAttempts[remote.NodeID]++
+		})
 		if v := n.cfg.Faults.Conn(n.cfg.NodeID, remote.NodeID, attempt); v.Faulty() {
-			n.countRes(func(r *ResilienceStats) { r.FaultedConns++ })
+			n.record(func(l *ledger) { l.res.FaultedConns++ })
 			n.logf("injecting %v on connection to %016x", v, remote.NodeID)
 			conn = faults.Wrap(conn, v)
 			if v.Kind == faults.Drop {
@@ -615,7 +625,7 @@ func (n *Node) setupPeer(conn net.Conn, dir direction, dialedAddr string) error 
 	p.dropNth = dropNth
 	p.maxFullDrops = maxSendQueueDrops
 	p.onSlowClose = func() {
-		n.countRes(func(r *ResilienceStats) { r.SlowConsumerDrops++ })
+		n.record(func(l *ledger) { l.res.SlowConsumerDrops++ })
 		n.logf("disconnecting slow consumer %016x", remote.NodeID)
 	}
 
@@ -635,7 +645,7 @@ func (n *Node) setupPeer(conn net.Conn, dir direction, dialedAddr string) error 
 		// again here, where the slot is actually taken.
 		n.mu.Unlock()
 		p.close()
-		n.countRes(func(r *ResilienceStats) { r.AcceptsShed++ })
+		n.record(func(l *ledger) { l.res.AcceptsShed++ })
 		return fmt.Errorf("p2p: incoming slots full, shedding %016x", p.id)
 	}
 	n.peers[p.id] = p
@@ -663,7 +673,7 @@ func (n *Node) setupPeer(conn net.Conn, dir direction, dialedAddr string) error 
 		// any other: admit it and trickle it onward, so a joiner's address
 		// starts diffusing the moment it connects.
 		if n.book.AddSeen(listenAddr, 0) {
-			n.countDisc(func(s *DiscoveryStats) { s.AddrsLearned++ })
+			n.record(func(l *ledger) { l.disc.AddrsLearned++ })
 			n.trickleAddrs(p.id, []wire.NetAddr{{Addr: listenAddr, AgeSec: 0}})
 		}
 	}
@@ -821,7 +831,7 @@ func (n *Node) readLoop(p *peer) {
 // address; crossing the ban threshold disconnects it immediately.
 func (n *Node) misbehave(p *peer, pts float64) {
 	if n.book.Misbehave(p.id, p.listenAddr, pts) {
-		n.countRes(func(r *ResilienceStats) { r.Bans++ })
+		n.record(func(l *ledger) { l.res.Bans++ })
 		n.logf("banned %s (misbehavior score over threshold)", p)
 		n.removePeer(p)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/perigee-net/perigee/internal/chain"
@@ -51,9 +52,8 @@ type peer struct {
 	// for exhausting maxFullDrops.
 	onSlowClose func()
 
-	sendMu    sync.Mutex
-	sent      int // messages offered to the queue (feeds dropNth)
-	fullDrops int // consecutive messages lost to a full queue
+	sent      atomic.Int64 // messages offered to the queue (feeds dropNth)
+	fullDrops atomic.Int64 // consecutive messages lost to a full queue
 
 	// discMu guards the discovery rate-limit state below.
 	discMu sync.Mutex
@@ -201,34 +201,21 @@ func (p *peer) enqueue(m queued) bool {
 		return false
 	default:
 	}
-	p.sendMu.Lock()
-	if p.dropNth > 0 {
-		p.sent++
-		if p.sent%p.dropNth == 0 {
-			p.sendMu.Unlock()
-			return true // injected message drop: pretend it was sent
-		}
+	if p.dropNth > 0 && p.sent.Add(1)%int64(p.dropNth) == 0 {
+		return true // injected message drop: pretend it was sent
 	}
-	p.sendMu.Unlock()
 	select {
 	case p.sendCh <- m:
-		p.sendMu.Lock()
-		p.fullDrops = 0
-		p.sendMu.Unlock()
+		p.fullDrops.Store(0)
 		return true
 	case <-p.done:
 		return false
 	default:
 	}
 	// Queue full: count the consecutive loss and cut off a consumer that
-	// never drains.
-	p.sendMu.Lock()
-	p.fullDrops++
-	// Exactly-equal so the mutex-serialized increment fires the slow-close
-	// path once even under concurrent sends.
-	slow := p.maxFullDrops > 0 && p.fullDrops == p.maxFullDrops
-	p.sendMu.Unlock()
-	if slow {
+	// never drains. Exactly-equal so that, of concurrent sends, only the one
+	// whose increment reaches the budget takes the slow-close path.
+	if p.maxFullDrops > 0 && p.fullDrops.Add(1) == int64(p.maxFullDrops) {
 		if p.onSlowClose != nil {
 			p.onSlowClose()
 		}

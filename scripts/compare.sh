@@ -19,9 +19,12 @@
 # change values, both medians, the base's quartiles and how many pairs the
 # change wins, the direction taken from BENCHMARK.json's "better". A metric
 # whose change median is worse than the base median by more than its
-# relative "bound" in BENCHMARK.json is marked **worse**. A pair whose
-# propagation_ms_p50 differs in any digit is flagged: on the simulated
-# workloads no performance change may move it. A last row gives each run's
+# relative "bound" in BENCHMARK.json is marked **worse**. On a simulated
+# workload a pair whose propagation_ms_p50 differs in any digit is flagged
+# **moved**: the simulator is deterministic per seed, so no performance
+# change may move it. A workload whose name starts with live- runs real
+# sockets, and its propagation_ms_p50 is wall-clock relay time, which moves
+# between any two runs: it is never flagged. A last row gives each run's
 # machine_speed_x, the host speed its "# machine_speed_x=…" note reports
 # (higher is faster; blank when a run printed none): it is a reading of the
 # host while the pair ran, not a metric of either side. It exits 1 when a
@@ -30,8 +33,10 @@
 # -o writes the same run to a JSON file as well: the base and change
 # revisions, the host the runs reported (nproc, GOMAXPROCS, Go version), and
 # per workload and end-to-end metric every pair's base and change values
-# (null for a failed run), both medians and the change's wins, and per
-# workload every pair's base and change machine_speed_x. A run of
+# (null for a failed run), both medians and the change's wins, per
+# workload every pair's base and change machine_speed_x, and per simulated
+# workload whether any usable pair's propagation_ms_p50 moved
+# ("propagation_moved"). A run of
 # record is committed as BENCH_<change rev>.json.
 set -euo pipefail
 usage() {
@@ -132,6 +137,10 @@ for workload in dict.fromkeys(r["workload"] for r in rows):
             print(f"{workload} pair {p} {side}: " + ("no result" if res is None else "correct: false"))
             bad += 1
     ok = [p for p in pairs if all(runs[p, s] is not None and runs[p, s]["correct"] for s in ("base", "change"))]
+    simulated = not workload.startswith("live-")
+    if simulated:
+        prop = entry["metrics"]["propagation_ms_p50"]
+        entry["propagation_moved"] = any(b != c for p, b, c in zip(pairs, prop["base"], prop["change"]) if p in ok)
     print()
     print(f"## {workload} ({len(ok)} of {len(pairs)} pairs usable)")
     print()
@@ -146,7 +155,7 @@ for workload in dict.fromkeys(r["workload"] for r in rows):
         wins = sum((c < b) if lower else (c > b) for b, c in zip(vals["base"], vals["change"]))
         cells = []
         for b, c in zip(vals["base"], vals["change"]):
-            if name == "propagation_ms_p50":
+            if name == "propagation_ms_p50" and simulated:
                 cells.append(f"{b!r} → {c!r}" + (" **moved**" if b != c else ""))
             else:
                 cells.append(f"{b:.6g} → {c:.6g}")
